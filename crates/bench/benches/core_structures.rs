@@ -2,47 +2,13 @@
 //! real-time performance-regression harness complementing the virtual-time
 //! figure binaries.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use papyruskv::bloom::Bloom;
 use papyruskv::lru::{CacheEntry, LruCache};
 use papyruskv::memtable::{Entry, MemTable};
-use papyruskv::queue::BoundedQueue;
-use papyruskv::rbtree::RbTree;
 
 fn keys(n: usize) -> Vec<Vec<u8>> {
     (0..n).map(|i| format!("key-{:08x}", i.wrapping_mul(2654435761)).into_bytes()).collect()
-}
-
-fn bench_rbtree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rbtree");
-    for n in [1_000usize, 10_000] {
-        let ks = keys(n);
-        group.bench_with_input(BenchmarkId::new("insert", n), &n, |b, _| {
-            b.iter(|| {
-                let mut t = RbTree::new();
-                for k in &ks {
-                    t.insert(k, 1u32);
-                }
-                black_box(t.len())
-            });
-        });
-        let mut tree = RbTree::new();
-        for k in &ks {
-            tree.insert(k, 1u32);
-        }
-        group.bench_with_input(BenchmarkId::new("get", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hits = 0;
-                for k in ks.iter().step_by(7) {
-                    if tree.get(black_box(k)).is_some() {
-                        hits += 1;
-                    }
-                }
-                black_box(hits)
-            });
-        });
-    }
-    group.finish();
 }
 
 fn bench_memtable(c: &mut Criterion) {
@@ -89,27 +55,9 @@ fn bench_lru(c: &mut Criterion) {
     });
 }
 
-fn bench_queue(c: &mut Criterion) {
-    c.bench_function("queue/spsc-64k", |b| {
-        b.iter(|| {
-            let q = BoundedQueue::new(1024);
-            let mut popped = 0u64;
-            for i in 0..65_536u64 {
-                while q.try_push(i).is_err() {
-                    popped += q.try_pop().map_or(0, |_| 1);
-                }
-            }
-            while q.try_pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
-        });
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_rbtree, bench_memtable, bench_bloom, bench_lru, bench_queue
+    targets = bench_memtable, bench_bloom, bench_lru
 }
 criterion_main!(benches);

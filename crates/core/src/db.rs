@@ -32,9 +32,15 @@ use crate::sstable::{self, Ssid, SstGet, SstReader};
 use crate::tel::CoreTel;
 use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
 
+/// Whether `PKV_TRACE` is set, read from the environment once per process.
+fn trace_on() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("PKV_TRACE").is_some())
+}
+
 macro_rules! pkv_trace {
     ($($arg:tt)*) => {
-        if std::env::var_os("PKV_TRACE").is_some() {
+        if trace_on() {
             eprintln!($($arg)*);
         }
     };
@@ -426,6 +432,33 @@ fn freeze_remote(ctx: &CtxInner, db: &Arc<DbInner>, stamp: SimNs) {
     ctx.migrate_q.push(MigrateJob::Migrate { db: db.clone(), mt: frozen, stamp });
 }
 
+/// Build an SSTable that must not be lost (a flush backs acked writes).
+/// An injected NVM fault is recorded — `ENOSPC` as a typed
+/// [`Error::StorageFull`] naming `what`, transient EIO just retried — and
+/// the build falls back to the store's riding-out writes, which escape the
+/// fault window deterministically (a partial triple left by the failed
+/// attempt is overwritten whole). With the fault plane off the first
+/// attempt cannot fail.
+fn build_riding_out(
+    db: &DbInner,
+    store: &papyrus_nvm::NvmStore,
+    base: &str,
+    ssid: Ssid,
+    entries: &[(Vec<u8>, Entry)],
+    now: SimNs,
+    what: std::fmt::Arguments<'_>,
+) -> (SstReader, SimNs) {
+    match sstable::try_build_at(store, base, ssid, entries, now) {
+        Ok(built) => built,
+        Err(fault) => {
+            if fault == papyrus_nvm::IoFault::NoSpace {
+                db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
+            }
+            sstable::build_at(store, base, ssid, entries, now)
+        }
+    }
+}
+
 /// Compaction-thread body for one flush job: build the SSTable, register
 /// it, retire the immutable MemTable, and run SSID-triggered merge
 /// compaction (§2.4 "flushing", §2.5 "compaction").
@@ -439,26 +472,8 @@ pub(crate) fn run_flush(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>, st
     // are spoken for; audit relies on registered id < next_ssid.
     let ssid = db.next_ssid.fetch_add(1, Ordering::SeqCst);
     let base = sstable::sst_base(&ctx.repo.prefix, &db.name, me, ssid);
-    let (reader, done) = if fi::enabled() {
-        match sstable::try_build_at(&store, &base, ssid, &entries, stamp) {
-            Ok(built) => built,
-            Err(fault) => {
-                // Record the typed failure, then fall back to the riding-out
-                // build: flushes must not drop acked data, and the store's
-                // infallible path escapes the fault window deterministically
-                // (a partial triple left by the failed attempt is overwritten
-                // whole). `ENOSPC` is surfaced; transient EIO is just retried.
-                if fault == papyrus_nvm::IoFault::NoSpace {
-                    db.io_errors
-                        .lock()
-                        .push(Error::StorageFull(format!("flush sst{ssid} of db {}", db.name)));
-                }
-                sstable::build_at(&store, &base, ssid, &entries, stamp)
-            }
-        }
-    } else {
-        sstable::build_at(&store, &base, ssid, &entries, stamp)
-    };
+    let what = format_args!("flush sst{ssid}");
+    let (reader, done) = build_riding_out(db, &store, &base, ssid, &entries, stamp, what);
     db.ssts.write().push(reader);
 
     // Retire the immutable MemTable only after the SSTable is visible, so
@@ -504,23 +519,19 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, stamp: SimNs) {
     let new_ssid = db.next_ssid.fetch_add(1, Ordering::SeqCst);
     let base = sstable::sst_base(&ctx.repo.prefix, &db.name, me, new_ssid);
     // Merging ALL live tables: tombstones can be dropped outright.
-    let merge_res = if fi::enabled() {
-        // `ENOSPC` aborts the compaction with a typed error: the inputs stay
-        // live and referenced by the manifest, so nothing is lost and the
-        // merge re-triggers at the next SSID multiple. Debris from a partial
-        // merged triple is unreferenced and harmless.
-        sstable::try_merge_at(&store, &snapshot, &base, new_ssid, true, stamp)
-    } else {
-        sstable::merge_at(&store, &snapshot, &base, new_ssid, true, stamp)
-    };
-    let (merged, done) = match merge_res {
-        Ok(ok) => ok,
-        Err(e @ Error::StorageFull(_)) => {
-            db.io_errors.lock().push(e);
-            return;
-        }
-        Err(_) => return,
-    };
+    // An injected `ENOSPC` aborts the compaction with a typed error: the
+    // inputs stay live and referenced by the manifest, so nothing is lost and
+    // the merge re-triggers at the next SSID multiple. Debris from a partial
+    // merged triple is unreferenced and harmless.
+    let (merged, done) =
+        match sstable::try_merge_at(&store, &snapshot, &base, new_ssid, true, stamp) {
+            Ok(ok) => ok,
+            Err(e @ Error::StorageFull(_)) => {
+                db.io_errors.lock().push(e);
+                return;
+            }
+            Err(_) => return,
+        };
     {
         let mut ssts = db.ssts.write();
         ssts.clear();
@@ -791,25 +802,10 @@ fn flush_replica_stack(
     let ssid = stack.next_ssid;
     stack.next_ssid += 1;
     let base = sstable::repl_sst_base(&ctx.repo.prefix, &db.name, me, origin, ssid);
-    let (reader, done) = if fi::enabled() {
-        match sstable::try_build_at(&store, &base, ssid, &entries, clk.now()) {
-            Ok(built) => built,
-            Err(fault) => {
-                // Same ride-out as `run_flush`: replica data backs acked
-                // writes, so the build must not drop it; `ENOSPC` is
-                // surfaced as a typed error first.
-                if fault == papyrus_nvm::IoFault::NoSpace {
-                    db.io_errors.lock().push(Error::StorageFull(format!(
-                        "replica flush rep{origin}-sst{ssid} of db {}",
-                        db.name
-                    )));
-                }
-                sstable::build_at(&store, &base, ssid, &entries, clk.now())
-            }
-        }
-    } else {
-        sstable::build_at(&store, &base, ssid, &entries, clk.now())
-    };
+    // Replica data backs acked writes, so like `run_flush` the build must
+    // not drop it.
+    let what = format_args!("replica flush rep{origin}-sst{ssid}");
+    let (reader, done) = build_riding_out(db, &store, &base, ssid, &entries, clk.now(), what);
     clk.merge(done);
     stack.ssts.push(reader);
     stack.mem = MemTable::new();

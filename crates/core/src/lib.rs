@@ -7,7 +7,7 @@
 //! PapyrusKV is an *embedded*, MPI-style distributed key-value store
 //! following the log-structured merge-tree design: keys and values (arbitrary
 //! byte arrays) are distributed across ranks by a hash of the key, staged in
-//! in-memory red-black-tree MemTables, and flushed to immutable sorted
+//! in-memory key-ordered MemTables, and flushed to immutable sorted
 //! SSTables on NVM. On top of the standard put/get/delete operations it
 //! provides the paper's HPC-specific features:
 //!
@@ -50,6 +50,10 @@
 //!
 //! ### C API mapping
 //!
+//! For porting code written against the original C library: every
+//! `papyruskv_*` entry point has a method here, options structs replace
+//! the flag words, and [`Error`] replaces the integer return codes.
+//!
 //! | C function | Rust equivalent |
 //! |---|---|
 //! | `papyruskv_init` / `papyruskv_finalize` | [`Context::init`] / [`Context::finalize`] |
@@ -63,7 +67,6 @@
 //! | `papyruskv_wait` | [`Event::wait`] |
 
 pub mod bloom;
-pub mod capi;
 mod ckpt;
 mod db;
 pub mod error;
@@ -73,7 +76,6 @@ pub mod memtable;
 pub mod msg;
 pub mod options;
 pub mod queue;
-pub mod rbtree;
 mod runtime;
 pub mod sanity;
 pub mod sstable;

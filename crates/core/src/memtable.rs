@@ -1,15 +1,17 @@
 //! MemTables: the in-memory write staging structure (paper §2.3-§2.4).
 //!
 //! A database owns four kinds of MemTable — local, immutable local, remote,
-//! and immutable remote. All four share this one structure: a red-black tree
-//! of entries plus byte accounting. "Immutable" is a usage mode: a frozen
-//! table is wrapped in `Arc` and only read (by gets walking the flushing /
-//! migration queues, and by the compaction or dispatcher thread consuming
-//! it).
+//! and immutable remote. All four share this one structure: an ordered map
+//! of entries plus byte accounting. The paper's MemTable is a red-black
+//! tree; what it needs from it — O(log n) insert/lookup and key-ordered
+//! iteration for the flush — is what `std`'s B-tree map provides (DESIGN §1).
+//! "Immutable" is a usage mode: a frozen table is wrapped in `Arc` and only
+//! read (by gets walking the flushing / migration queues, and by the
+//! compaction or dispatcher thread consuming it).
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
-
-use crate::rbtree::RbTree;
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
 /// (tree node links, tombstone flag, owner rank).
@@ -52,14 +54,14 @@ impl Entry {
 /// An in-memory, byte-accounted, key-sorted table of [`Entry`]s.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    tree: RbTree<Entry>,
+    tree: BTreeMap<Vec<u8>, Entry>,
     bytes: u64,
 }
 
 impl MemTable {
     /// Empty table.
     pub fn new() -> Self {
-        Self { tree: RbTree::new(), bytes: 0 }
+        Self::default()
     }
 
     /// Number of entries (tombstones included).
@@ -88,7 +90,7 @@ impl MemTable {
     /// new one" (§2.4).
     pub fn insert(&mut self, key: &[u8], entry: Entry) {
         let new_size = Self::entry_size(key, &entry);
-        match self.tree.insert(key, entry) {
+        match self.tree.insert(key.to_vec(), entry) {
             Some(old) => {
                 self.bytes = self.bytes - Self::entry_size(key, &old) + new_size;
             }
@@ -102,23 +104,9 @@ impl MemTable {
         self.tree.get(key)
     }
 
-    /// Remove an entry outright (used when draining remote MemTables, not by
-    /// the delete API — deletes insert tombstones).
-    pub fn remove(&mut self, key: &[u8]) -> Option<Entry> {
-        let old = self.tree.remove(key)?;
-        self.bytes -= Self::entry_size(key, &old);
-        Some(old)
-    }
-
     /// Key-sorted iteration.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Entry)> {
-        self.tree.iter()
-    }
-
-    /// Consume into a key-sorted vector (SSTable flush input; SSData "stored
-    /// data are sorted by key").
-    pub fn into_sorted_entries(self) -> Vec<(Vec<u8>, Entry)> {
-        self.tree.into_sorted_vec()
+        self.tree.iter().map(|(k, e)| (k.as_slice(), e))
     }
 
     /// Freeze: take the current contents out, leaving this table empty. The
@@ -147,15 +135,15 @@ mod tests {
     }
 
     #[test]
-    fn byte_accounting_on_insert_replace_remove() {
+    fn byte_accounting_on_insert_and_replace() {
         let mut m = MemTable::new();
+        assert!(m.is_empty());
         m.insert(b"key", Entry::value(bv(b"12345")));
         assert_eq!(m.bytes(), 3 + 5 + ENTRY_OVERHEAD);
         m.insert(b"key", Entry::value(bv(b"1")));
         assert_eq!(m.bytes(), 3 + 1 + ENTRY_OVERHEAD);
-        m.remove(b"key");
-        assert_eq!(m.bytes(), 0);
-        assert!(m.is_empty());
+        m.insert(b"key", Entry::tombstone());
+        assert_eq!(m.bytes(), 3 + ENTRY_OVERHEAD);
     }
 
     #[test]
@@ -194,13 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn into_sorted_entries_sorted_by_key() {
+    fn iter_is_sorted_by_key() {
         let mut m = MemTable::new();
         for k in [&b"zz"[..], b"aa", b"mm", b"bb"] {
             m.insert(k, Entry::value(bv(b"v")));
         }
-        let v = m.into_sorted_entries();
-        let keys: Vec<&[u8]> = v.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"aa"[..], b"bb", b"mm", b"zz"]);
     }
 

@@ -72,7 +72,7 @@ pub struct Options {
     pub memtable_capacity: u64,
     /// Remote MemTable capacity in bytes before it migrates.
     pub remote_memtable_capacity: u64,
-    /// Flushing/migration queue depth (fixed-size lock-free FIFO, §2.4).
+    /// Flushing/migration queue depth (fixed-size FIFO, §2.4).
     pub flush_queue_len: usize,
     /// Enable the local cache (key-value pairs fetched from SSTables).
     pub local_cache: bool,

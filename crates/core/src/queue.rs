@@ -1,4 +1,4 @@
-//! Lock-free bounded FIFO: the flushing / migration queue (paper §2.4).
+//! Bounded blocking FIFO: the flushing / migration queue (paper §2.4).
 //!
 //! "The flushing queue is a lock-free, fixed-size, FIFO queue. ... If the
 //! flushing queue is full when the runtime enqueues an immutable local
@@ -7,293 +7,87 @@
 //! consuming too much system memory due to the performance imbalance between
 //! DRAM and NVM."
 //!
-//! [`BoundedQueue`] is a Vyukov-style MPMC ring buffer (per-slot sequence
-//! numbers; the fast path is a single CAS). [`BlockingQueue`] layers the
-//! block-when-full / block-when-empty behaviour on top with a condvar used
-//! purely for parking — the data path stays lock-free.
+//! [`BlockingQueue`] keeps the contract — fixed size, FIFO, `push` blocks
+//! while full, `pop` blocks while empty — on a `Mutex<VecDeque>` and two
+//! condvars instead of the paper's lock-free ring (DESIGN §1): a queue
+//! item is a whole MemTable, so the lock is taken once per flush or
+//! migration, never per put. Every wait re-checks its condition under the
+//! lock and every state change notifies under the same lock, so no wakeup
+//! can be lost and an idle consumer sleeps until work arrives.
 
-use std::mem::MaybeUninit;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
-// Under `--cfg modelcheck` the queue's synchronization primitives come from
-// the deterministic schedule explorer, so the exact CAS/seq protocol below
-// runs under exhaustive interleaving search (see `modelcheck_tests`).
-#[cfg(modelcheck)]
-use papyrus_modelcheck::atomic::{AtomicUsize, Ordering};
-#[cfg(modelcheck)]
-use papyrus_modelcheck::cell::UnsafeCell;
-#[cfg(not(modelcheck))]
-use std::cell::UnsafeCell;
-#[cfg(not(modelcheck))]
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 
-struct Slot<T> {
-    /// Slot state: `seq == index` ⇒ empty and writable by the producer whose
-    /// enqueue position is `index`; `seq == index + 1` ⇒ full and readable
-    /// by the consumer whose dequeue position is `index`.
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Fixed-capacity lock-free MPMC FIFO.
-pub struct BoundedQueue<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue_pos: CachePadded<AtomicUsize>,
-    dequeue_pos: CachePadded<AtomicUsize>,
-}
-
-// SAFETY: values are moved in/out under the per-slot sequence protocol; a
-// slot is only touched by the single producer/consumer that claimed it.
-unsafe impl<T: Send> Send for BoundedQueue<T> {}
-// SAFETY: same per-slot protocol; a shared &BoundedQueue exposes no direct
-// slot access, every entry point re-claims via the seq counters.
-unsafe impl<T: Send> Sync for BoundedQueue<T> {}
-
-impl<T> BoundedQueue<T> {
-    /// Create a queue with capacity rounded up to the next power of two
-    /// (minimum 2).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
-            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Approximate number of queued items (racy under concurrency).
-    pub fn len(&self) -> usize {
-        // ordering: advisory size; the two cursors are sampled independently
-        // and the result is documented as approximate.
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
-        tail.saturating_sub(head)
-    }
-
-    /// Whether the queue appears empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attempt to enqueue; returns the value back if the queue is full.
-    pub fn try_push(&self, value: T) -> Result<(), T> {
-        // ordering: optimistic cursor read; the slot's Acquire seq load is
-        // what synchronises, a stale cursor just retries the CAS.
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - pos as isize {
-                0 => {
-                    match self.enqueue_pos.compare_exchange_weak(
-                        pos,
-                        pos + 1,
-                        // ordering: the cursor only claims a slot index; all
-                        // data publication rides the slot seq Release store.
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: we own this slot until we bump seq.
-                            unsafe { (*slot.value.get()).write(value) };
-                            slot.seq.store(pos + 1, Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(observed) => pos = observed,
-                    }
-                }
-                d if d < 0 => return Err(value), // full
-                // ordering: refresh after losing a race; retry loop.
-                _ => pos = self.enqueue_pos.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Attempt to dequeue; `None` if empty.
-    pub fn try_pop(&self) -> Option<T> {
-        // ordering: optimistic cursor read, same protocol as try_push.
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - (pos + 1) as isize {
-                0 => {
-                    match self.dequeue_pos.compare_exchange_weak(
-                        pos,
-                        pos + 1,
-                        // ordering: cursor claim only; the Acquire seq load
-                        // above took ownership of the slot's contents.
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: we own this full slot until we bump seq.
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(observed) => pos = observed,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                // ordering: refresh after losing a race; retry loop.
-                _ => pos = self.dequeue_pos.load(Ordering::Relaxed),
-            }
-        }
-    }
-}
-
-impl<T> Drop for BoundedQueue<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
-    }
-}
-
-/// Blocking facade over [`BoundedQueue`]: producers block when full (the
+/// Fixed-capacity blocking MPMC FIFO: producers block when full (the
 /// paper's put-side backpressure), consumers block when empty (the
 /// compaction / dispatcher threads sleep until work arrives).
 pub struct BlockingQueue<T> {
-    queue: BoundedQueue<T>,
-    gate: Mutex<()>,
-    cv: Condvar,
+    items: Mutex<VecDeque<T>>,
+    capacity: usize,
+    not_empty: Condvar,
+    not_full: Condvar,
 }
 
 impl<T> BlockingQueue<T> {
-    /// Blocking queue with the given capacity.
+    /// Blocking queue holding at most `capacity` items (minimum 1).
     pub fn new(capacity: usize) -> Arc<Self> {
+        let capacity = capacity.max(1);
         Arc::new(Self {
-            queue: BoundedQueue::new(capacity),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
+            items: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
         })
     }
 
     /// Enqueue, blocking while the queue is full.
-    pub fn push(&self, mut value: T) {
-        loop {
-            match self.queue.try_push(value) {
-                Ok(()) => {
-                    self.cv.notify_all();
-                    return;
-                }
-                Err(v) => {
-                    value = v;
-                    let mut g = self.gate.lock();
-                    // Timed wait: immune to lost-wakeup races with the
-                    // lock-free fast path.
-                    self.cv.wait_for(&mut g, Duration::from_micros(200));
-                }
-            }
+    pub fn push(&self, value: T) {
+        let mut items = self.items.lock();
+        while items.len() >= self.capacity {
+            self.not_full.wait(&mut items);
         }
+        items.push_back(value);
+        self.not_empty.notify_one();
     }
 
     /// Dequeue, blocking while the queue is empty.
     pub fn pop(&self) -> T {
+        let mut items = self.items.lock();
         loop {
-            if let Some(v) = self.queue.try_pop() {
-                self.cv.notify_all();
-                return v;
+            if let Some(value) = items.pop_front() {
+                self.not_full.notify_one();
+                return value;
             }
-            let mut g = self.gate.lock();
-            self.cv.wait_for(&mut g, Duration::from_micros(200));
+            self.not_empty.wait(&mut items);
         }
-    }
-
-    /// Non-blocking enqueue.
-    pub fn try_push(&self, value: T) -> Result<(), T> {
-        let r = self.queue.try_push(value);
-        if r.is_ok() {
-            self.cv.notify_all();
-        }
-        r
-    }
-
-    /// Non-blocking dequeue.
-    pub fn try_pop(&self) -> Option<T> {
-        let v = self.queue.try_pop();
-        if v.is_some() {
-            self.cv.notify_all();
-        }
-        v
-    }
-
-    /// Approximate occupancy.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue appears empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
+
+    /// How long the blocking tests watch a parked thread stay parked. A
+    /// correct queue can never fail these checks however slow the host is;
+    /// the window only bounds how soon a non-blocking queue is caught.
+    const STAYS_BLOCKED: Duration = Duration::from_millis(30);
 
     #[test]
-    fn fifo_order_single_thread() {
-        let q = BoundedQueue::new(8);
-        for i in 0..8 {
-            q.try_push(i).unwrap();
-        }
-        assert!(q.try_push(99).is_err(), "queue should be full");
-        for i in 0..8 {
-            assert_eq!(q.try_pop(), Some(i));
-        }
-        assert_eq!(q.try_pop(), None);
-    }
-
-    #[test]
-    fn capacity_rounds_to_power_of_two() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(5);
-        assert_eq!(q.capacity(), 8);
-        let q: BoundedQueue<u8> = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 2);
-    }
-
-    #[test]
-    fn wraparound_many_times() {
-        let q = BoundedQueue::new(4);
+    fn fifo_order_and_wraparound() {
+        let q = BlockingQueue::new(4);
         for round in 0..100 {
             for i in 0..4 {
-                q.try_push(round * 4 + i).unwrap();
+                q.push(round * 4 + i);
             }
             for i in 0..4 {
-                assert_eq!(q.try_pop(), Some(round * 4 + i));
+                assert_eq!(q.pop(), round * 4 + i);
             }
         }
-    }
-
-    #[test]
-    fn len_tracks_occupancy() {
-        let q = BoundedQueue::new(8);
-        assert!(q.is_empty());
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        q.try_pop();
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -301,204 +95,126 @@ mod tests {
         // Arc payloads: if Drop leaks, the Arc count stays elevated.
         let sentinel = Arc::new(());
         {
-            let q = BoundedQueue::new(4);
-            q.try_push(sentinel.clone()).unwrap();
-            q.try_push(sentinel.clone()).unwrap();
+            let q = BlockingQueue::new(4);
+            q.push(sentinel.clone());
+            q.push(sentinel.clone());
         }
         assert_eq!(Arc::strong_count(&sentinel), 1);
     }
 
     #[test]
-    // Hot loops / many threads: minutes under Miri's interpreter, covered
-    // natively; Miri still runs the small structural tests in this module.
-    #[cfg_attr(miri, ignore)]
-    fn mpmc_no_loss_no_duplication() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let n_producers = 4;
-        let per = 5_000usize;
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for p in 0..n_producers {
-            let q = q.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..per {
-                    let mut v = p * per + i;
-                    loop {
-                        match q.try_push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        for _ in 0..4 {
-            let q = q.clone();
-            let consumed = consumed.clone();
-            handles.push(thread::spawn(move || {
-                // Each consumer drains exactly `per` items.
-                let mut local = Vec::with_capacity(per);
-                while local.len() < per {
-                    match q.try_pop() {
-                        Some(v) => local.push(v),
-                        None => std::hint::spin_loop(),
-                    }
-                }
-                consumed.lock().extend(local);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut all = consumed.lock().clone();
-        all.sort_unstable();
-        let want: Vec<usize> = (0..n_producers * per).collect();
-        assert_eq!(all, want);
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space() {
+    fn push_blocks_while_full() {
         let q = BlockingQueue::new(2);
         q.push(1);
         q.push(2);
-        let q2 = q.clone();
-        let h = thread::spawn(move || {
-            q2.push(3); // blocks until a pop frees a slot
-            true
-        });
-        thread::sleep(Duration::from_millis(30));
-        assert!(!h.is_finished(), "push must block while full");
+        let (tx, rx) = mpsc::channel();
+        let h = {
+            let q = q.clone();
+            thread::spawn(move || {
+                q.push(3); // blocks until a pop frees a slot
+                tx.send(()).unwrap();
+            })
+        };
+        assert!(rx.recv_timeout(STAYS_BLOCKED).is_err(), "push must block while full");
         assert_eq!(q.pop(), 1);
-        assert!(h.join().unwrap());
+        rx.recv().unwrap();
+        h.join().unwrap();
         assert_eq!(q.pop(), 2);
         assert_eq!(q.pop(), 3);
     }
 
     #[test]
-    fn blocking_pop_waits_for_item() {
+    fn pop_blocks_while_empty() {
         let q: Arc<BlockingQueue<u32>> = BlockingQueue::new(4);
-        let q2 = q.clone();
-        let h = thread::spawn(move || q2.pop());
-        thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = mpsc::channel();
+        let h = {
+            let q = q.clone();
+            thread::spawn(move || tx.send(q.pop()).unwrap())
+        };
+        assert!(rx.recv_timeout(STAYS_BLOCKED).is_err(), "pop must block while empty");
         q.push(42);
-        assert_eq!(h.join().unwrap(), 42);
+        assert_eq!(rx.recv().unwrap(), 42);
+        h.join().unwrap();
     }
 
     #[test]
-    // Hot loops / many threads: minutes under Miri's interpreter, covered
-    // natively; Miri still runs the small structural tests in this module.
-    #[cfg_attr(miri, ignore)]
-    fn blocking_queue_spsc_throughput() {
+    fn mpmc_no_loss_no_duplication() {
+        // Capacity far below the item count: producers block on full and
+        // consumers on empty many times over.
         let q = BlockingQueue::new(8);
-        let q2 = q.clone();
-        let h = thread::spawn(move || {
-            let mut sum = 0u64;
-            for _ in 0..10_000 {
-                sum += q2.pop();
-            }
-            sum
-        });
-        for i in 0..10_000u64 {
-            q.push(i);
+        let n_producers = 4;
+        let per = 5_000usize;
+        let mut producers = Vec::new();
+        for p in 0..n_producers {
+            let q = q.clone();
+            producers.push(thread::spawn(move || {
+                for i in 0..per {
+                    q.push(p * per + i);
+                }
+            }));
         }
-        assert_eq!(h.join().unwrap(), 10_000 * 9_999 / 2);
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = q.clone();
+                // Each consumer drains exactly `per` items.
+                thread::spawn(move || (0..per).map(|_| q.pop()).collect::<Vec<_>>())
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
+        }
+        let mut all: Vec<usize> = consumers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        all.sort_unstable();
+        let want: Vec<usize> = (0..n_producers * per).collect();
+        assert_eq!(all, want);
     }
 }
 
-/// Schedule-exhaustive models of the Vyukov ring, compiled and run only
-/// under `--cfg modelcheck` (`cargo xtask modelcheck`). The queue code
-/// above is unchanged — its `AtomicUsize`/`UnsafeCell` imports resolve to
-/// the explorer's shims, so every CAS and every slot write/read becomes a
-/// scheduling point and a happens-before edge or data-race check.
+/// Schedule-exhaustive model of the blocking protocol, compiled and run
+/// only under `--cfg modelcheck` (`cargo xtask modelcheck`). The queue code
+/// above is unchanged — its `parking_lot` `Mutex`/`Condvar` resolve to the
+/// explorer's shims, so every lock, wait and notify is a scheduling point
+/// and a lost wakeup surfaces as a deadlock violation.
 #[cfg(all(test, modelcheck))]
 mod modelcheck_tests {
     use super::*;
     use papyrus_modelcheck as mc;
 
-    /// 2 producers + 1 consumer (3 model threads) over a capacity-2 ring:
-    /// no value lost, none duplicated, no data race on the slots, under
-    /// *every* DPOR-distinct schedule. The interleaving count is pinned —
-    /// see EXPERIMENTS.md; a change means the scheduler/DPOR or the queue
-    /// protocol changed.
+    /// 2 producers + 1 consumer (3 model threads) over a capacity-1 queue,
+    /// so producers block on full and the consumer on empty: every value
+    /// arrives exactly once, each producer's values in its own order, and
+    /// no thread is left parked, under *every* DPOR-distinct schedule. The
+    /// interleaving count is pinned — see EXPERIMENTS.md; a change means
+    /// the scheduler/DPOR or the queue protocol changed.
     #[test]
-    fn modelcheck_queue_2p1c_exhaustive() {
+    fn modelcheck_queue_2p1c_blocking_exhaustive() {
         let report = mc::explore(|| {
-            let q = Arc::new(BoundedQueue::new(2));
+            let q = BlockingQueue::new(1);
             let producers: Vec<_> = (0..2u64)
-                .map(|i| {
+                .map(|p| {
                     let q = Arc::clone(&q);
                     mc::thread::spawn(move || {
-                        q.try_push(i).expect("capacity 2 fits 2 pushes");
+                        q.push(p * 10);
+                        q.push(p * 10 + 1);
                     })
                 })
                 .collect();
             let consumer = {
                 let q = Arc::clone(&q);
-                mc::thread::spawn(move || {
-                    // Bounded attempts (no spinning: the model must not
-                    // wait on other threads outside sync operations).
-                    let mut got = Vec::new();
-                    for _ in 0..2 {
-                        if let Some(v) = q.try_pop() {
-                            got.push(v);
-                        }
-                    }
-                    got
-                })
+                mc::thread::spawn(move || (0..4).map(|_| q.pop()).collect::<Vec<u64>>())
             };
             for p in producers {
                 p.join().unwrap();
             }
-            let mut got = consumer.join().unwrap();
-            // Drain what the consumer's bounded attempts missed.
-            while let Some(v) = q.try_pop() {
-                got.push(v);
+            let got = consumer.join().unwrap();
+            for p in 0..2u64 {
+                let mine: Vec<u64> = got.iter().copied().filter(|v| v / 10 == p).collect();
+                assert_eq!(mine, vec![p * 10, p * 10 + 1], "per-producer FIFO, once each");
             }
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1], "every pushed value popped exactly once");
         });
-        assert!(report.ok(), "queue 2p1c model must be clean: {:?}", report.violations);
-        assert_eq!(report.interleavings, PINNED_QUEUE_2P1C, "see EXPERIMENTS.md");
-        assert!(report.prunes > 0, "DPOR must prune some of the tree");
+        assert!(report.ok(), "blocking queue model must be clean: {:?}", report.violations);
+        assert_eq!(report.interleavings, PINNED_QUEUE_2P1C_BLOCKING, "see EXPERIMENTS.md");
     }
 
-    const PINNED_QUEUE_2P1C: u64 = 109_792;
-
-    /// Full/unfull wrap-around: one producer pushes 3 values through a
-    /// capacity-2 ring while a consumer pops; the seq protocol must hand
-    /// slots over cleanly when positions lap the ring.
-    #[test]
-    fn modelcheck_queue_wraparound_exhaustive() {
-        let report = mc::explore(|| {
-            let q = Arc::new(BoundedQueue::new(2));
-            let consumer = {
-                let q = Arc::clone(&q);
-                mc::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..4 {
-                        if let Some(v) = q.try_pop() {
-                            got.push(v);
-                        }
-                    }
-                    got
-                })
-            };
-            let mut pushed = Vec::new();
-            for i in 0..3u64 {
-                if q.try_push(i).is_ok() {
-                    pushed.push(i);
-                }
-            }
-            let mut got = consumer.join().unwrap();
-            while let Some(v) = q.try_pop() {
-                got.push(v);
-            }
-            got.sort_unstable();
-            assert_eq!(got, pushed, "popped exactly what was pushed, once each");
-        });
-        assert!(report.ok(), "wrap-around model must be clean: {:?}", report.violations);
-    }
+    const PINNED_QUEUE_2P1C_BLOCKING: u64 = 16_432;
 }

@@ -68,12 +68,76 @@ pub fn repl_sst_base(repo: &str, db: &str, rank: usize, origin: usize, ssid: Ssi
     format!("{repo}/{db}/r{rank}/rep{origin:04}-sst{ssid:010}")
 }
 
+/// The encoded form of one SSTable: the SSData and SSIndex file images
+/// plus the in-memory index and filter the reader keeps (the filter is
+/// also the third file).
+struct TableImage {
+    data: Bytes,
+    index: Bytes,
+    offsets: Vec<u64>,
+    bloom: Bloom,
+}
+
+impl TableImage {
+    /// Encode key-sorted `entries` (MemTables iterate in key order, so
+    /// flushes satisfy this by construction; asserted in debug builds).
+    fn encode(entries: &[(Vec<u8>, Entry)]) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "SSTable input must be strictly key-sorted"
+        );
+        let mut data = Vec::new();
+        let mut offsets: Vec<u64> = Vec::with_capacity(entries.len());
+        let mut bloom = Bloom::with_capacity(entries.len(), 10);
+        for (key, e) in entries {
+            offsets.push(data.len() as u64);
+            bloom.insert(key);
+            data.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            data.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
+            data.push(u8::from(e.tombstone));
+            data.extend_from_slice(key);
+            data.extend_from_slice(&e.value);
+        }
+        let mut index = Vec::with_capacity(8 + offsets.len() * 8);
+        index.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
+        for off in &offsets {
+            index.extend_from_slice(&off.to_le_bytes());
+        }
+        Self { data: Bytes::from(data), index: Bytes::from(index), offsets, bloom }
+    }
+
+    /// Write the three files with one sequential submission each, chained
+    /// from `now`, through `put` (the store's riding-out or fallible write).
+    fn write<E>(
+        self,
+        store: &NvmStore,
+        base: &str,
+        ssid: Ssid,
+        now: SimNs,
+        put: impl Fn(&str, Bytes, SimNs) -> std::result::Result<SimNs, E>,
+    ) -> std::result::Result<(SstReader, SimNs), E> {
+        let (data_path, index_path, bloom_path) = paths(base);
+        let data_len = self.data.len() as u64;
+        let t1 = put(&data_path, self.data, now)?;
+        let t2 = put(&index_path, self.index, t1)?;
+        let done = put(&bloom_path, Bytes::from(self.bloom.to_bytes()), t2)?;
+        let reader = SstReader {
+            store: store.clone(),
+            base: base.to_string(),
+            ssid,
+            offsets: self.offsets,
+            bloom: self.bloom,
+            data_len,
+        };
+        Ok((reader, done))
+    }
+}
+
 /// Build one SSTable from key-sorted entries, writing its three files with
-/// one sequential submission each starting at `now`.
+/// one sequential submission each starting at `now`. Injected NVM faults
+/// are ridden out by the store.
 ///
-/// Returns `(reader, completion stamp)`. Entries must be sorted by key
-/// (MemTables iterate in key order, so flushes satisfy this by
-/// construction); this is asserted in debug builds.
+/// Returns `(reader, completion stamp)`. Entries must be sorted by key.
 pub fn build_at(
     store: &NvmStore,
     base: &str,
@@ -81,38 +145,12 @@ pub fn build_at(
     entries: &[(Vec<u8>, Entry)],
     now: SimNs,
 ) -> (SstReader, SimNs) {
-    debug_assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "SSTable input must be strictly key-sorted"
-    );
-    let (data_path, index_path, bloom_path) = paths(base);
-
-    let mut data = Vec::new();
-    let mut offsets: Vec<u64> = Vec::with_capacity(entries.len());
-    let mut bloom = Bloom::with_capacity(entries.len(), 10);
-    for (key, e) in entries {
-        offsets.push(data.len() as u64);
-        bloom.insert(key);
-        data.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        data.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-        data.push(u8::from(e.tombstone));
-        data.extend_from_slice(key);
-        data.extend_from_slice(&e.value);
+    let put =
+        |path: &str, bytes, t| Ok::<_, std::convert::Infallible>(store.put_at(path, bytes, t));
+    match TableImage::encode(entries).write(store, base, ssid, now, put) {
+        Ok(built) => built,
+        Err(never) => match never {},
     }
-    let mut index = Vec::with_capacity(8 + offsets.len() * 8);
-    index.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    for off in &offsets {
-        index.extend_from_slice(&off.to_le_bytes());
-    }
-
-    let data_len = data.len() as u64;
-    let t1 = store.put_at(&data_path, Bytes::from(data), now);
-    let t2 = store.put_at(&index_path, Bytes::from(index), t1);
-    let done = store.put_at(&bloom_path, Bytes::from(bloom.to_bytes()), t2);
-
-    let reader =
-        SstReader { store: store.clone(), base: base.to_string(), ssid, offsets, bloom, data_len };
-    (reader, done)
 }
 
 /// Fallible [`build_at`]: the three file writes surface injected NVM faults
@@ -126,38 +164,8 @@ pub fn try_build_at(
     entries: &[(Vec<u8>, Entry)],
     now: SimNs,
 ) -> std::result::Result<(SstReader, SimNs), papyrus_nvm::IoFault> {
-    debug_assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "SSTable input must be strictly key-sorted"
-    );
-    let (data_path, index_path, bloom_path) = paths(base);
-
-    let mut data = Vec::new();
-    let mut offsets: Vec<u64> = Vec::with_capacity(entries.len());
-    let mut bloom = Bloom::with_capacity(entries.len(), 10);
-    for (key, e) in entries {
-        offsets.push(data.len() as u64);
-        bloom.insert(key);
-        data.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        data.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-        data.push(u8::from(e.tombstone));
-        data.extend_from_slice(key);
-        data.extend_from_slice(&e.value);
-    }
-    let mut index = Vec::with_capacity(8 + offsets.len() * 8);
-    index.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    for off in &offsets {
-        index.extend_from_slice(&off.to_le_bytes());
-    }
-
-    let data_len = data.len() as u64;
-    let t1 = store.try_put_at(&data_path, Bytes::from(data), now)?;
-    let t2 = store.try_put_at(&index_path, Bytes::from(index), t1)?;
-    let done = store.try_put_at(&bloom_path, Bytes::from(bloom.to_bytes()), t2)?;
-
-    let reader =
-        SstReader { store: store.clone(), base: base.to_string(), ssid, offsets, bloom, data_len };
-    Ok((reader, done))
+    let put = |path: &str, bytes, t| store.try_put_at(path, bytes, t);
+    TableImage::encode(entries).write(store, base, ssid, now, put)
 }
 
 /// An open SSTable: bloom filter and SSIndex held in memory ("PapyrusKV
@@ -387,22 +395,16 @@ impl SstReader {
     }
 }
 
-/// Merge a set of SSTables into one new table with SSID `new_ssid`
-/// (§2.5 compaction). `tables` in any order; for duplicate keys "the
-/// key-value pair in the newest SSTable that has the highest SSID is
-/// inserted in the new merged SSTable". When `drop_tombstones` is set
-/// (legal when merging *all* live tables), deleted keys vanish entirely.
-///
-/// Returns the merged reader and the completion stamp. The inputs are NOT
-/// deleted — the caller swaps the live set first, then deletes.
-pub fn merge_at(
-    store: &NvmStore,
+/// Fold `tables` (any order) into one key-sorted record list starting at
+/// `now`: for duplicate keys "the key-value pair in the newest SSTable that
+/// has the highest SSID is inserted in the new merged SSTable" (§2.5).
+/// When `drop_tombstones` is set (legal when merging *all* live tables),
+/// deleted keys vanish entirely.
+fn merge_records(
     tables: &[SstReader],
-    new_base: &str,
-    new_ssid: Ssid,
     drop_tombstones: bool,
     now: SimNs,
-) -> Result<(SstReader, SimNs)> {
+) -> Result<(Records, SimNs)> {
     // "The compaction needs sequential file read because the key-value pairs
     // in each SSTable are sorted by the key" (§2.5).
     let mut t = now;
@@ -420,16 +422,32 @@ pub fn merge_at(
     if drop_tombstones {
         merged.retain(|_, e| !e.tombstone);
     }
-    let sorted: Vec<(Vec<u8>, Entry)> = merged.into_iter().collect();
-    let (reader, done) = build_at(store, new_base, new_ssid, &sorted, t);
-    Ok((reader, done))
+    Ok((merged.into_iter().collect(), t))
 }
 
-/// Fault-aware [`merge_at`] (fault plane on): the merged table is built
-/// through [`try_build_at`]. `ENOSPC` aborts with [`Error::StorageFull`]
-/// (the caller keeps the inputs live, so nothing is lost); transient EIO is
+/// Merge a set of SSTables into one new table with SSID `new_ssid`
+/// (§2.5 compaction; see [`merge_records`] for the merge rule).
+///
+/// Returns the merged reader and the completion stamp. The inputs are NOT
+/// deleted — the caller swaps the live set first, then deletes.
+pub fn merge_at(
+    store: &NvmStore,
+    tables: &[SstReader],
+    new_base: &str,
+    new_ssid: Ssid,
+    drop_tombstones: bool,
+    now: SimNs,
+) -> Result<(SstReader, SimNs)> {
+    let (sorted, t) = merge_records(tables, drop_tombstones, now)?;
+    Ok(build_at(store, new_base, new_ssid, &sorted, t))
+}
+
+/// Fault-aware [`merge_at`]: the merged table is built through
+/// [`try_build_at`]. `ENOSPC` aborts with [`Error::StorageFull`] (the
+/// caller keeps the inputs live, so nothing is lost); transient EIO is
 /// ridden out by falling back to the infallible build, which escapes the
-/// fault window deterministically.
+/// fault window deterministically. With the fault plane off no write can
+/// fail and this is [`merge_at`].
 pub fn try_merge_at(
     store: &NvmStore,
     tables: &[SstReader],
@@ -438,21 +456,7 @@ pub fn try_merge_at(
     drop_tombstones: bool,
     now: SimNs,
 ) -> Result<(SstReader, SimNs)> {
-    let mut t = now;
-    let mut by_ssid: Vec<&SstReader> = tables.iter().collect();
-    by_ssid.sort_by_key(|r| std::cmp::Reverse(r.ssid()));
-    let mut merged: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
-    for reader in by_ssid {
-        let (entries, done) = reader.scan_all_at(t)?;
-        t = done;
-        for (k, e) in entries {
-            merged.entry(k).or_insert(e);
-        }
-    }
-    if drop_tombstones {
-        merged.retain(|_, e| !e.tombstone);
-    }
-    let sorted: Vec<(Vec<u8>, Entry)> = merged.into_iter().collect();
+    let (sorted, t) = merge_records(tables, drop_tombstones, now)?;
     match try_build_at(store, new_base, new_ssid, &sorted, t) {
         Ok(built) => Ok(built),
         Err(papyrus_nvm::IoFault::NoSpace) => {

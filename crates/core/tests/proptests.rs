@@ -5,8 +5,7 @@ use papyruskv::bloom::Bloom;
 use papyruskv::lru::{CacheEntry, LruCache};
 use papyruskv::memtable::{Entry, MemTable};
 use papyruskv::msg;
-use papyruskv::queue::BoundedQueue;
-use papyruskv::rbtree::RbTree;
+use papyruskv::queue::BlockingQueue;
 use papyruskv::sstable;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,30 +14,22 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 1..24)
 }
 
-proptest! {
-    /// The red-black tree behaves exactly like BTreeMap under arbitrary
-    /// insert/remove interleavings, and its invariants hold throughout.
-    #[test]
-    fn rbtree_matches_btreemap(ops in vec((key_strategy(), any::<Option<u32>>()), 0..300)) {
-        let mut tree = RbTree::new();
-        let mut model = std::collections::BTreeMap::new();
-        for (key, op) in &ops {
-            match op {
-                Some(v) => {
-                    prop_assert_eq!(tree.insert(key, *v), model.insert(key.clone(), *v));
-                }
-                None => {
-                    prop_assert_eq!(tree.remove(key), model.remove(key));
-                }
-            }
-        }
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), model.len());
-        let got: Vec<_> = tree.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
-        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(got, want);
-    }
+/// `mt` holds exactly `model`: same entries in key order, and a byte count
+/// equal to a from-scratch recount.
+fn assert_memtable_matches(mt: &MemTable, model: &std::collections::BTreeMap<Vec<u8>, Entry>) {
+    let recount: u64 = model
+        .iter()
+        .map(|(k, e)| (k.len() + e.value.len()) as u64 + papyruskv::memtable::ENTRY_OVERHEAD)
+        .sum();
+    assert_eq!(mt.bytes(), recount);
+    assert_eq!(mt.len(), model.len());
+    assert_eq!(mt.is_empty(), model.is_empty());
+    let got: Vec<(&[u8], &Entry)> = mt.iter().collect();
+    let want: Vec<(&[u8], &Entry)> = model.iter().map(|(k, e)| (k.as_slice(), e)).collect();
+    assert_eq!(got, want);
+}
 
+proptest! {
     /// Bloom filters never report a false negative, under any key set.
     #[test]
     fn bloom_no_false_negatives(keys in vec(key_strategy(), 0..200), bits in 4usize..16) {
@@ -73,46 +64,55 @@ proptest! {
         }
     }
 
-    /// The lock-free bounded queue is FIFO under single-threaded use for
-    /// arbitrary push/pop interleavings.
+    /// The blocking queue is FIFO for arbitrary push/pop interleavings
+    /// (single-threaded, so only moves that cannot block are made).
     #[test]
     fn queue_fifo(ops in vec(any::<bool>(), 0..400)) {
-        let q = BoundedQueue::new(16);
+        const CAPACITY: usize = 16;
+        let q = BlockingQueue::new(CAPACITY);
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u32;
         for push in ops {
-            if push {
-                if q.try_push(next).is_ok() {
-                    model.push_back(next);
-                }
+            if push && model.len() < CAPACITY {
+                q.push(next);
+                model.push_back(next);
                 next += 1;
-            } else {
-                prop_assert_eq!(q.try_pop(), model.pop_front());
+            } else if let Some(want) = model.pop_front() {
+                prop_assert_eq!(q.pop(), want);
             }
-            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(want) = model.pop_front() {
+            prop_assert_eq!(q.pop(), want);
         }
     }
 
-    /// MemTable byte accounting is exact under arbitrary workloads.
+    /// The MemTable behaves like a reference map under arbitrary
+    /// insert / replace / tombstone workloads with freezes in between: same
+    /// entries in key order, exact byte accounting, and a freeze hands over
+    /// everything and leaves an empty, reusable table.
     #[test]
-    fn memtable_byte_accounting(ops in vec((key_strategy(), vec(any::<u8>(), 0..32), any::<bool>()), 0..200)) {
+    fn memtable_matches_reference(
+        ops in vec((key_strategy(), vec(any::<u8>(), 0..32), any::<bool>(), 0u8..16), 0..200),
+    ) {
         let mut mt = MemTable::new();
-        let mut model: std::collections::BTreeMap<Vec<u8>, (Vec<u8>, bool)> = Default::default();
-        for (k, v, tomb) in &ops {
+        let mut model: std::collections::BTreeMap<Vec<u8>, Entry> = Default::default();
+        for (k, v, tomb, freeze) in &ops {
             let entry = if *tomb {
                 Entry::tombstone()
             } else {
                 Entry::value(Bytes::copy_from_slice(v))
             };
-            mt.insert(k, entry);
-            model.insert(k.clone(), (if *tomb { vec![] } else { v.clone() }, *tomb));
+            mt.insert(k, entry.clone());
+            model.insert(k.clone(), entry);
+            prop_assert_eq!(mt.get(k), model.get(k));
+            if *freeze == 0 {
+                let frozen = mt.freeze();
+                assert_memtable_matches(&frozen, &model);
+                model.clear();
+                assert_memtable_matches(&mt, &model);
+            }
         }
-        let expected: u64 = model
-            .iter()
-            .map(|(k, (v, _))| (k.len() + v.len()) as u64 + papyruskv::memtable::ENTRY_OVERHEAD)
-            .sum();
-        prop_assert_eq!(mt.bytes(), expected);
-        prop_assert_eq!(mt.len(), model.len());
+        assert_memtable_matches(&mt, &model);
     }
 
     /// SSTables roundtrip arbitrary entry sets: build then read back every

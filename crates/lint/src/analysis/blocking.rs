@@ -15,9 +15,10 @@
 //! False-positive policy (DESIGN.md §14): the files that *implement* the
 //! blocking primitives (fabric.rs, comm.rs, nvm store.rs) are excluded —
 //! their internal mailbox-mutex + condvar shape IS the primitive;
-//! `BlockingQueue::push/pop` and backend `clear/len/list` are not seeds
-//! (name+arity would collide with `Vec` methods); condvar waits are
-//! excluded automatically by arity. Accepted sites carry
+//! `BlockingQueue::push/pop` (core's mutex + condvar FIFO, which parks on
+//! full/empty by design) and backend `clear/len/list` are not seeds
+//! (name+arity would collide with `Vec`/`VecDeque` methods); condvar waits
+//! are excluded automatically by arity. Accepted sites carry
 //! `// lint:allow(blocking-under-lock)` with a justification.
 
 use crate::callgraph::{CallGraph, Ws};

@@ -146,25 +146,19 @@ pub const SEEDS: &[Seed] = &[
     },
     Seed {
         id: "atomic-unpaired-release",
-        description: "queue slot seq Acquire loads weakened to Relaxed, orphaning the \
-                      Release publication stores",
+        description: "Resource::busy_until's Acquire load and the CAS's acquire half weakened, \
+                      orphaning the Release publication stores",
         patches: &[
-            // Both loads are textually identical; `patch` replaces the
-            // first remaining occurrence, so applying twice hits both.
             (
-                "crates/core/src/queue.rs",
-                "let seq = slot.seq.load(Ordering::Acquire);",
-                "let seq = slot.seq.load(Ordering::Relaxed);",
+                "crates/simtime/src/resource.rs",
+                "self.busy_until.load(Ordering::Acquire)",
+                "self.busy_until.load(Ordering::Relaxed)",
             ),
-            (
-                "crates/core/src/queue.rs",
-                "let seq = slot.seq.load(Ordering::Acquire);",
-                "let seq = slot.seq.load(Ordering::Relaxed);",
-            ),
+            ("crates/simtime/src/resource.rs", "Ordering::AcqRel,", "Ordering::Release,"),
         ],
         rule: "atomic-pairing",
-        expect: "no Acquire-side load of `seq`",
-        file: "crates/core/src/queue.rs",
+        expect: "no Acquire-side load of `busy_until`",
+        file: "crates/simtime/src/resource.rs",
     },
     Seed {
         id: "atomic-acquire-no-release",

@@ -1,6 +1,6 @@
 //! MiniLdb: a miniature LevelDB-style local store, private to one rank.
 //!
-//! Structure: a skiplist MemTable plus a tier of immutable table files on
+//! Structure: an ordered-map MemTable plus a tier of immutable table files on
 //! the rank's storage, each with an in-memory (key → offset) index and a
 //! [min, max] key-range filter (LevelDB's table-level filtering; no bloom by
 //! default, as in the MDHIM-era configuration). When the tier grows past a
@@ -9,14 +9,40 @@
 //! Table file format (one object per table):
 //! `[count: u64][record: keylen u32, vallen u32, marker u8, key, value]*`
 
+use std::collections::BTreeMap;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use papyrus_nvm::NvmStore;
 use papyrus_simtime::{AccessPattern, Clock};
 
-use crate::skiplist::SkipList;
-
 const HEADER: usize = 8;
 const REC_HEADER: u64 = 9;
+
+/// The MemTable: staged writes in key order (`None` is a deletion marker —
+/// LevelDB encodes deletes as marker entries) plus the payload byte count
+/// (key + value) that is compared against the flush capacity.
+#[derive(Default)]
+struct MemTable {
+    map: BTreeMap<Vec<u8>, Option<Bytes>>,
+    bytes: u64,
+}
+
+impl MemTable {
+    /// Insert or replace.
+    fn insert(&mut self, key: &[u8], value: Option<Bytes>) {
+        let new_len = value.as_ref().map_or(0, |v| v.len() as u64);
+        match self.map.insert(key.to_vec(), value) {
+            Some(old) => self.bytes = self.bytes - old.map_or(0, |v| v.len() as u64) + new_len,
+            None => self.bytes += key.len() as u64 + new_len,
+        }
+    }
+
+    /// Drain into a key-sorted vector, leaving the table empty.
+    fn drain_sorted(&mut self) -> Vec<(Vec<u8>, Option<Bytes>)> {
+        self.bytes = 0;
+        std::mem::take(&mut self.map).into_iter().collect()
+    }
+}
 
 /// One immutable table file.
 struct Table {
@@ -31,7 +57,7 @@ struct Table {
 pub struct MiniLdb {
     store: NvmStore,
     prefix: String,
-    mem: SkipList,
+    mem: MemTable,
     mem_capacity: u64,
     tables: Vec<Table>, // ascending seq
     next_seq: u64,
@@ -44,7 +70,7 @@ impl MiniLdb {
         Self {
             store,
             prefix: prefix.into(),
-            mem: SkipList::new(),
+            mem: MemTable::default(),
             mem_capacity,
             tables: Vec::new(),
             next_seq: 1,
@@ -54,7 +80,7 @@ impl MiniLdb {
 
     /// Entries currently staged in the MemTable.
     pub fn memtable_len(&self) -> usize {
-        self.mem.len()
+        self.mem.map.len()
     }
 
     /// Number of table files on storage.
@@ -67,7 +93,7 @@ impl MiniLdb {
     /// compaction thread in this layer).
     pub fn put(&mut self, key: &[u8], value: Bytes, clock: &Clock) {
         self.mem.insert(key, Some(value));
-        if self.mem.bytes() >= self.mem_capacity {
+        if self.mem.bytes >= self.mem_capacity {
             self.flush(clock);
         }
     }
@@ -75,17 +101,15 @@ impl MiniLdb {
     /// Delete a key (write a deletion marker).
     pub fn delete(&mut self, key: &[u8], clock: &Clock) {
         self.mem.insert(key, None);
-        if self.mem.bytes() >= self.mem_capacity {
+        if self.mem.bytes >= self.mem_capacity {
             self.flush(clock);
         }
     }
 
     /// Look up a key: MemTable first, then tables newest-first.
     pub fn get(&self, key: &[u8], clock: &Clock) -> Option<Bytes> {
-        match self.mem.get(key) {
-            Some(Some(v)) => return Some(v.clone()),
-            Some(None) => return None, // deletion marker
-            None => {}
+        if let Some(staged) = self.mem.map.get(key) {
+            return staged.clone(); // `None` is a deletion marker
         }
         for t in self.tables.iter().rev() {
             if key < t.min.as_slice() || key > t.max.as_slice() {
@@ -118,10 +142,18 @@ impl MiniLdb {
 
     /// Flush the MemTable into a new table file (synchronous).
     pub fn flush(&mut self, clock: &Clock) {
-        if self.mem.is_empty() {
+        if self.mem.map.is_empty() {
             return;
         }
         let entries = self.mem.drain_sorted();
+        self.write_table(&entries, clock);
+        if self.tables.len() > self.merge_threshold {
+            self.merge_all(clock);
+        }
+    }
+
+    /// Write key-sorted, non-empty `entries` as the next table file.
+    fn write_table(&mut self, entries: &[(Vec<u8>, Option<Bytes>)], clock: &Clock) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let path = format!("{}/ldb{:08}.tbl", self.prefix, seq);
@@ -129,7 +161,7 @@ impl MiniLdb {
         let mut buf = BytesMut::new();
         buf.put_u64_le(entries.len() as u64);
         let mut index = Vec::with_capacity(entries.len());
-        for (key, value) in &entries {
+        for (key, value) in entries {
             index.push((key.clone(), buf.len() as u64));
             buf.put_u32_le(key.len() as u32);
             buf.put_u32_le(value.as_ref().map_or(0, |v| v.len() as u32));
@@ -143,17 +175,12 @@ impl MiniLdb {
         let max = entries.last().map(|(k, _)| k.clone()).unwrap_or_default();
         self.store.put(&path, buf.freeze(), clock);
         self.tables.push(Table { path, index, min, max });
-
-        if self.tables.len() > self.merge_threshold {
-            self.merge_all(clock);
-        }
     }
 
     /// Merge every table into one (tiered compaction), newest-seq wins,
     /// dropping deletion markers.
     fn merge_all(&mut self, clock: &Clock) {
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Option<Bytes>> =
-            std::collections::BTreeMap::new();
+        let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
         let old = std::mem::take(&mut self.tables);
         for t in old.iter().rev() {
             // Sequential read of the whole table.
@@ -163,33 +190,9 @@ impl MiniLdb {
             }
         }
         merged.retain(|_, v| v.is_some());
-        for (key, value) in merged {
-            self.mem.insert(&key, value);
-        }
-        // Rewrite as a single fresh table via the normal flush path (without
-        // re-triggering a merge).
-        let entries = self.mem.drain_sorted();
-        if !entries.is_empty() {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let path = format!("{}/ldb{:08}.tbl", self.prefix, seq);
-            let mut buf = BytesMut::new();
-            buf.put_u64_le(entries.len() as u64);
-            let mut index = Vec::with_capacity(entries.len());
-            for (key, value) in &entries {
-                index.push((key.clone(), buf.len() as u64));
-                buf.put_u32_le(key.len() as u32);
-                buf.put_u32_le(value.as_ref().map_or(0, |v| v.len() as u32));
-                buf.put_u8(u8::from(value.is_none()));
-                buf.put_slice(key);
-                if let Some(v) = value {
-                    buf.put_slice(v);
-                }
-            }
-            let min = entries.first().map(|(k, _)| k.clone()).unwrap_or_default();
-            let max = entries.last().map(|(k, _)| k.clone()).unwrap_or_default();
-            self.store.put(&path, buf.freeze(), clock);
-            self.tables.push(Table { path, index, min, max });
+        if !merged.is_empty() {
+            let entries: Vec<_> = merged.into_iter().collect();
+            self.write_table(&entries, clock);
         }
         for t in &old {
             self.store.delete(&t.path, clock);
@@ -229,6 +232,31 @@ mod tests {
 
     fn ldb(cap: u64) -> MiniLdb {
         MiniLdb::new(NvmStore::in_memory(DeviceModel::dram()), "r0", cap)
+    }
+
+    #[test]
+    fn memtable_markers_overwrites_and_bytes() {
+        let mut m = MemTable::default();
+        m.insert(b"k", Some(Bytes::from_static(b"12345")));
+        assert_eq!(m.bytes, 1 + 5);
+        // Overwrite: one entry, only the value's share of the bytes moves.
+        m.insert(b"k", Some(Bytes::from_static(b"1")));
+        assert_eq!((m.map.len(), m.bytes), (1, 1 + 1));
+        // A deletion marker is an entry, distinct from a never-written key.
+        m.insert(b"k", None);
+        m.insert(b"dead", None);
+        assert_eq!(m.map.get(&b"k"[..]), Some(&None));
+        assert_eq!(m.map.get(&b"never"[..]), None);
+        assert_eq!((m.map.len(), m.bytes), (2, 1 + 4));
+        m.insert(b"a", Some(Bytes::from_static(b"v")));
+        // Drain is key-sorted, keeps markers, and resets the accounting.
+        let drained = m.drain_sorted();
+        let keys: Vec<&[u8]> = drained.iter().map(|(k, _)| k.as_slice()).collect();
+        assert_eq!(keys, vec![&b"a"[..], b"dead", b"k"]);
+        assert_eq!(drained[1].1, None);
+        assert_eq!((m.map.len(), m.bytes), (0, 0));
+        m.insert(b"x", Some(Bytes::from_static(b"1")));
+        assert_eq!(m.bytes, 2, "usable after a drain");
     }
 
     #[test]

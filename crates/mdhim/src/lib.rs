@@ -11,7 +11,7 @@
 //! 1. **Two discrete layers with duplicated memory structures** — the
 //!    communication/distribution layer ([`Mdhim`] client + range server)
 //!    keeps its own buffers and hands records to an independent local store
-//!    ([`ldb::MiniLdb`], a miniature LevelDB with its own skiplist MemTable
+//!    ([`ldb::MiniLdb`], a miniature LevelDB with its own MemTable
 //!    and table files), incurring "additional duplicated memory allocation
 //!    and data transfer between the two layers".
 //! 2. **No SSTable sharing** — each rank's LevelDB instance is private, so
@@ -22,7 +22,6 @@
 //! rank acting as the range server for its slice.
 
 pub mod ldb;
-pub mod skiplist;
 mod store;
 
 pub use store::{range_owner, Mdhim, MdhimConfig, MdhimError};

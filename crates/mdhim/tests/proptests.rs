@@ -3,7 +3,6 @@
 use bytes::Bytes;
 use mdhim::ldb::MiniLdb;
 use mdhim::range_owner;
-use mdhim::skiplist::SkipList;
 use papyrus_nvm::NvmStore;
 use papyrus_simtime::{Clock, DeviceModel};
 use proptest::collection::vec;
@@ -14,26 +13,6 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    /// The skiplist matches BTreeMap under arbitrary insert/marker
-    /// interleavings.
-    #[test]
-    fn skiplist_matches_btreemap(ops in vec((key_strategy(), any::<Option<u8>>()), 0..300)) {
-        let mut list = SkipList::new();
-        let mut model: std::collections::BTreeMap<Vec<u8>, Option<Bytes>> = Default::default();
-        for (k, v) in &ops {
-            let value = v.map(|b| Bytes::from(vec![b; 3]));
-            list.insert(k, value.clone());
-            model.insert(k.clone(), value);
-        }
-        prop_assert_eq!(list.len(), model.len());
-        for (k, want) in &model {
-            prop_assert_eq!(list.get(k).map(|o| o.cloned()), Some(want.clone()));
-        }
-        let keys: Vec<Vec<u8>> = list.iter().map(|(k, _)| k.to_vec()).collect();
-        let want_keys: Vec<Vec<u8>> = model.keys().cloned().collect();
-        prop_assert_eq!(keys, want_keys);
-    }
-
     /// MiniLdb with random flush points behaves like a map: the last write
     /// (or delete) per key wins, across the MemTable/table-file boundary.
     #[test]

@@ -174,15 +174,17 @@ impl NvmStore {
     /// deterministic virtual backoff until the issue stamp escapes every
     /// fault window. Plans have finite horizons, so this terminates; the
     /// horizon jump after many attempts is a safety valve for hand-built
-    /// plans with overlong windows.
+    /// plans with overlong windows. The backoff (seeded from `path`) is
+    /// only built once an attempt fails, so with the plane off this is the
+    /// `try_` body plus [`NvmStore::inject`]'s one relaxed load.
     fn ride_out<T>(
         &self,
         now: SimNs,
-        seed: u64,
+        path: &str,
         mut op: impl FnMut(SimNs) -> Result<T, IoFault>,
     ) -> T {
         let mut t = now;
-        let mut bo = Backoff::new(seed, IO_BACKOFF_BASE_NS, IO_BACKOFF_CAP_NS);
+        let mut backoff = None;
         loop {
             match op(t) {
                 Ok(v) => return v,
@@ -190,6 +192,9 @@ impl NvmStore {
                     if papyrus_telemetry::is_enabled() {
                         self.tel.io_retries.inc();
                     }
+                    let bo = backoff.get_or_insert_with(|| {
+                        Backoff::new(path_seed(path), IO_BACKOFF_BASE_NS, IO_BACKOFF_CAP_NS)
+                    });
                     t = t.saturating_add(bo.next_delay());
                     if bo.attempts() > 64 {
                         if let Some(p) = papyrus_faultinject::plan() {
@@ -228,15 +233,7 @@ impl NvmStore {
     /// `io_retries` telemetry counter); hardened callers that want typed
     /// errors use [`NvmStore::try_put_at`].
     pub fn put_at(&self, path: &str, data: Bytes, now: SimNs) -> SimNs {
-        if !papyrus_faultinject::enabled() {
-            let bytes = data.len() as u64;
-            let cost = self.device.write_ns(bytes, AccessPattern::Sequential);
-            self.backend.put(path, data);
-            let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-            self.tel.io("write", true, bytes, now, cost, done);
-            return done;
-        }
-        self.ride_out(now, path_seed(path), |t| self.try_put_at(path, data.clone(), t))
+        self.ride_out(now, path, |t| self.try_put_at(path, data.clone(), t))
     }
 
     /// Fallible append (see [`NvmStore::try_put_at`]).
@@ -251,14 +248,7 @@ impl NvmStore {
 
     /// Append to an object at `now` (sequential write).
     pub fn append_at(&self, path: &str, data: &[u8], now: SimNs) -> SimNs {
-        if !papyrus_faultinject::enabled() {
-            let cost = self.device.write_ns(data.len() as u64, AccessPattern::Sequential);
-            self.backend.append(path, data);
-            let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-            self.tel.io("append", true, data.len() as u64, now, cost, done);
-            return done;
-        }
-        self.ride_out(now, path_seed(path), |t| self.try_append_at(path, data, t))
+        self.ride_out(now, path, |t| self.try_append_at(path, data, t))
     }
 
     /// Fallible ranged read: `Ok(None)` = object missing (free), `Err` =
@@ -290,14 +280,7 @@ impl NvmStore {
         pattern: AccessPattern,
         now: SimNs,
     ) -> Option<(Bytes, SimNs)> {
-        if !papyrus_faultinject::enabled() {
-            let data = self.backend.get(path, offset, len)?;
-            let cost = self.device.read_ns(data.len() as u64, pattern);
-            let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-            self.tel.io("read", false, data.len() as u64, now, cost, done);
-            return Some((data, done));
-        }
-        self.ride_out(now, path_seed(path), |t| self.try_read_at(path, offset, len, pattern, t))
+        self.ride_out(now, path, |t| self.try_read_at(path, offset, len, pattern, t))
     }
 
     /// Fallible whole-object read (see [`NvmStore::try_read_at`]).
@@ -318,14 +301,7 @@ impl NvmStore {
 
     /// Whole-object read at `now` (sequential scan).
     pub fn read_all_at(&self, path: &str, now: SimNs) -> Option<(Bytes, SimNs)> {
-        if !papyrus_faultinject::enabled() {
-            let data = self.backend.get_all(path)?;
-            let cost = self.device.read_ns(data.len() as u64, AccessPattern::Sequential);
-            let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-            self.tel.io("read_all", false, data.len() as u64, now, cost, done);
-            return Some((data, done));
-        }
-        self.ride_out(now, path_seed(path), |t| self.try_read_all_at(path, t))
+        self.ride_out(now, path, |t| self.try_read_all_at(path, t))
     }
 
     /// Delete at `now` (metadata-cost operation).

@@ -240,6 +240,11 @@ pub fn run_suite(cfg: &SuiteCfg) -> PerfSnapshot {
 /// row from the merged telemetry of the measured phase.
 pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> WorkloadPerf {
     assert!(cfg.keys_per_rank > 0 && cfg.ops_per_rank > 0 && cfg.max_scan_len > 0);
+    // The telemetry registry a cell resets, arms and reads back is
+    // process-global: cells running concurrently in one process (parallel
+    // test threads) would record into each other's histograms.
+    static CELL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    let _exclusive = CELL.lock();
     let profile = SystemProfile::summitdev();
     let platform = Platform::new(profile.clone(), ranks);
     let loaded = (cfg.keys_per_rank * ranks) as u64;

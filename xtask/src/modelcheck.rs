@@ -2,13 +2,13 @@
 //! models under `--cfg modelcheck`.
 //!
 //! The models live in `#[cfg(all(test, modelcheck))]` modules next to the
-//! code they check (core's queue and rbtree, telemetry's histogram and
+//! code they check (core's blocking queue, telemetry's histogram and
 //! registry, replica's promotion table) plus `papyrus-modelcheck`'s own
 //! self-tests. A plain `cargo test` never compiles them; this driver
 //! rebuilds the affected packages with `RUSTFLAGS="--cfg modelcheck"` into
 //! a separate target dir (`target/modelcheck`, so the flag flip doesn't
 //! thrash the main incremental cache) and runs every `modelcheck_`-named
-//! test in release mode (the exhaustive queue model explores ~110k
+//! test in release mode (the exhaustive blocking-queue model explores ~16k
 //! interleavings; debug mode roughly doubles the wall time).
 //!
 //! `--seed-bug all` instead runs the `modelcheck_seedbug_` tests: each

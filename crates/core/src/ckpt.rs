@@ -28,11 +28,12 @@ use bytes::Bytes;
 use papyrus_nvm::NvmStore;
 use papyrus_simtime::SimNs;
 
-use crate::db::{barrier_inner, Db, DbInner};
+use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::options::{BarrierLevel, OpenFlags, Options};
 use crate::runtime::{CompactJob, Context, CtxInner, Event};
 use crate::sstable::{Ssid, SstReader};
+use crate::sync::barrier_inner;
 
 /// Write a rank manifest at `now`; returns the completion stamp.
 ///
@@ -43,7 +44,7 @@ use crate::sstable::{Ssid, SstReader};
 /// The update is crash-atomic: fence the data writes the manifest commits,
 /// write `MANIFEST.tmp`, rename it over the live manifest, fence again. A
 /// crash at any point observes either the old manifest or the new one.
-pub(crate) fn write_manifest_at(
+fn write_manifest_at(
     store: &NvmStore,
     prefix: &str,
     db: &str,
@@ -68,6 +69,25 @@ pub(crate) fn write_manifest_at(
     let (_, t) = store.rename_at(&tmp, &path, t);
     store.fence();
     t
+}
+
+/// Commit this rank's manifest of database `db` in the repository.
+pub(crate) fn commit_manifest(
+    ctx: &CtxInner,
+    db: &str,
+    next_ssid: Ssid,
+    live: &[Ssid],
+    now: SimNs,
+) -> SimNs {
+    write_manifest_at(
+        &ctx.repo_store(),
+        &ctx.repo.prefix,
+        db,
+        ctx.rank.rank(),
+        next_ssid,
+        live,
+        now,
+    )
 }
 
 /// Outcome of reading a rank manifest: absent (fresh database) is a
@@ -129,6 +149,28 @@ pub(crate) fn report_recovery_anomaly(kind: papyrus_sanity::ViolationKind, detai
     }
 }
 
+/// The manifest of `rank` in the snapshot at `path`. A missing or corrupt
+/// one is reported, with what the caller does about it (`then`), and reads
+/// as `None`.
+fn snapshot_manifest(
+    pfs: &NvmStore,
+    path: &str,
+    name: &str,
+    rank: usize,
+    then: &str,
+) -> Option<(Ssid, Vec<Ssid>)> {
+    let why = match read_manifest(pfs, path, name, rank) {
+        ManifestRead::Present(next, ssids) => return Some((next, ssids)),
+        ManifestRead::Absent => format!("snapshot manifest for rank {rank} missing"),
+        ManifestRead::Corrupt(why) => why,
+    };
+    report_recovery_anomaly(
+        papyrus_sanity::ViolationKind::ManifestCorrupt,
+        format!("restart {path}/{name}: {why} — {then}"),
+    );
+    None
+}
+
 fn manifest_path(prefix: &str, db: &str, rank: usize) -> String {
     format!("{prefix}/{db}/r{rank}/MANIFEST")
 }
@@ -137,30 +179,36 @@ fn meta_path(prefix: &str, db: &str) -> String {
     format!("{prefix}/{db}/META")
 }
 
-/// Start an asynchronous checkpoint (§4.2): barrier at SSTable level so the
-/// snapshot is entirely on NVM, then hand the SSTable set to the compaction
-/// thread for background transfer to the PFS.
-pub(crate) fn checkpoint(ctx: &Arc<CtxInner>, db: &Arc<DbInner>, dest: &str) -> Result<Event> {
-    let dest = dest.trim_matches('/').to_string();
-    if dest.is_empty() {
-        return Err(Error::InvalidArgument("empty checkpoint path"));
+impl Db {
+    /// `papyruskv_checkpoint`: asynchronously snapshot the database to
+    /// `dest` on the parallel file system (§4.2): barrier at SSTable level
+    /// so the snapshot is entirely on NVM, then hand the SSTable set to the
+    /// compaction thread for background transfer. Collective. The returned
+    /// [`Event`] completes when this rank's transfer finishes.
+    pub fn checkpoint(&self, dest: &str) -> Result<Event> {
+        let (ctx, db) = (&self.ctx, &self.inner);
+        db.check_open()?;
+        let dest = dest.trim_matches('/').to_string();
+        if dest.is_empty() {
+            return Err(Error::InvalidArgument("empty checkpoint path"));
+        }
+        // "the runtime internally calls papyruskv_barrier() with the
+        // PAPYRUSKV_SSTABLE parameter" — after this, all MemTables are flushed.
+        barrier_inner(ctx, db, BarrierLevel::SsTable)?;
+        let snapshot: Vec<SstReader> = db.stack.read().ssts.clone();
+        let event = Event::new(ctx.clock().clone());
+        ctx.compact_q.push(CompactJob::Checkpoint {
+            db: db.clone(),
+            dest,
+            snapshot,
+            event: event.clone(),
+            stamp: ctx.clock().now(),
+        });
+        // "After that, the MPI ranks continue their executions" — the caller
+        // holds an event and may keep updating the database (updates create new
+        // SSTables and cannot touch the snapshot).
+        Ok(event)
     }
-    // "the runtime internally calls papyruskv_barrier() with the
-    // PAPYRUSKV_SSTABLE parameter" — after this, all MemTables are flushed.
-    barrier_inner(ctx, db, BarrierLevel::SsTable)?;
-    let snapshot: Vec<SstReader> = db.ssts.read().clone();
-    let event = Event::new(ctx.clock().clone());
-    ctx.compact_q.push(CompactJob::Checkpoint {
-        db: db.clone(),
-        dest,
-        snapshot,
-        event: event.clone(),
-        stamp: ctx.clock().now(),
-    });
-    // "After that, the MPI ranks continue their executions" — the caller
-    // holds an event and may keep updating the database (updates create new
-    // SSTables and cannot touch the snapshot).
-    Ok(event)
 }
 
 /// Compaction-thread body of the checkpoint: copy each snapshot SSTable
@@ -176,7 +224,6 @@ pub(crate) fn run_checkpoint_transfer(
     snapshot: &[SstReader],
     stamp: SimNs,
 ) -> std::result::Result<SimNs, (SimNs, Error)> {
-    let fault_on = papyrus_faultinject::enabled();
     let src_store = ctx.repo_store();
     let pfs = ctx.platform.storage.pfs();
     let me = ctx.rank.rank();
@@ -189,12 +236,9 @@ pub(crate) fn run_checkpoint_transfer(
             let dst = format!("{}/{}/r{me}/sst{:010}.{ext}", dest, db.name, reader.ssid());
             // Source reads go through the infallible path (transient faults
             // are ridden out inside the store); only destination ENOSPC is
-            // surfaced as a typed, recoverable checkpoint failure.
+            // surfaced as a typed, recoverable checkpoint failure. With the
+            // fault plane off the first attempt cannot fail.
             if let Some((bytes, read_done)) = src_store.read_all_at(&src, t) {
-                if !fault_on {
-                    t = pfs.put_at(&dst, bytes, read_done);
-                    continue;
-                }
                 t = match pfs.try_put_at(&dst, bytes.clone(), read_done) {
                     Ok(done) => done,
                     Err(papyrus_nvm::IoFault::NoSpace) => {
@@ -209,17 +253,8 @@ pub(crate) fn run_checkpoint_transfer(
         }
     }
     ssids.sort_unstable();
-    t = write_manifest_at(
-        pfs,
-        dest,
-        &db.name,
-        me,
-        // ordering: SeqCst matches the allocator's fetch_add so the
-        // manifest's next-SSID is never behind a table it references.
-        db.next_ssid.load(std::sync::atomic::Ordering::SeqCst),
-        &ssids,
-        t,
-    );
+    let next_ssid = db.stack.read().next_ssid;
+    t = write_manifest_at(pfs, dest, &db.name, me, next_ssid, &ssids, t);
     if me == 0 {
         t = pfs.put_at(
             &meta_path(dest, &db.name),
@@ -231,164 +266,141 @@ pub(crate) fn run_checkpoint_transfer(
     Ok(t)
 }
 
-/// `papyruskv_restart` (§4.2). See [`Context::restart`].
-pub(crate) fn restart(
-    ctx: &Context,
-    path: &str,
-    name: &str,
-    flags: OpenFlags,
-    opt: Options,
-    force_redistribute: bool,
-) -> Result<(Db, Event)> {
-    let path = path.trim_matches('/').to_string();
-    let inner = &ctx.inner;
-    let pfs = inner.platform.storage.pfs();
-    let me = inner.rank.rank();
-    let n = inner.rank.size();
+impl Context {
+    /// `papyruskv_restart`: revert database `name` from the snapshot at
+    /// `path` (§4.2). If the snapshot was taken with the same number of
+    /// ranks (and `force_redistribute` is off), SSTables are copied back
+    /// verbatim; otherwise every key-value pair is re-put under the new
+    /// distribution ("restart with redistribution", Figure 5(c)).
+    ///
+    /// Collective. Returns the database and an [`Event`] carrying the
+    /// virtual completion time of the transfer.
+    pub fn restart(
+        &self,
+        path: &str,
+        name: &str,
+        flags: OpenFlags,
+        opt: Options,
+        force_redistribute: bool,
+    ) -> Result<(Db, Event)> {
+        let ctx = self;
+        let path = path.trim_matches('/').to_string();
+        let inner = &ctx.inner;
+        let pfs = inner.platform.storage.pfs();
+        let me = inner.rank.rank();
+        let n = inner.rank.size();
 
-    let meta = pfs
-        .backend()
-        .get_all(&meta_path(&path, name))
-        .ok_or_else(|| Error::InvalidSnapshot(format!("missing META under {path}/{name}")))?;
-    let old_n: usize = std::str::from_utf8(&meta)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| Error::InvalidSnapshot("unparseable META".into()))?;
+        let meta = pfs
+            .backend()
+            .get_all(&meta_path(&path, name))
+            .ok_or_else(|| Error::InvalidSnapshot(format!("missing META under {path}/{name}")))?;
+        let old_n: usize = std::str::from_utf8(&meta)
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .ok_or_else(|| Error::InvalidSnapshot("unparseable META".into()))?;
 
-    if old_n == n && !force_redistribute {
-        // Same rank count: "the SSTables in the snapshot can be reused as
-        // they are, without any additional file manipulation" — copy them
-        // back PFS → NVM and compose.
-        //
-        // Anomalies in the snapshot (missing/corrupt manifest, incomplete
-        // SSTable triples) are reported and tolerated as an empty/partial
-        // rank rather than returned as errors: restart is collective, and a
-        // rank erroring out while its peers proceed to the collective open
-        // would hang the job — strictly worse than recovering what exists.
-        let dst_store = inner.repo_store();
-        let mut t = inner.clock().now();
-        let (next, ssids) = match read_manifest(pfs, &path, name, me) {
-            ManifestRead::Present(next, ssids) => (next, ssids),
-            ManifestRead::Absent => {
-                report_recovery_anomaly(
-                    papyrus_sanity::ViolationKind::ManifestCorrupt,
-                    format!(
-                        "restart {path}/{name}: snapshot manifest for rank {me} missing \
-                         — restoring an empty rank"
-                    ),
-                );
-                (1, Vec::new())
-            }
-            ManifestRead::Corrupt(why) => {
-                report_recovery_anomaly(
-                    papyrus_sanity::ViolationKind::ManifestCorrupt,
-                    format!("restart {path}/{name}: {why} — restoring an empty rank"),
-                );
-                (1, Vec::new())
-            }
-        };
-        let mut restored = Vec::with_capacity(ssids.len());
-        for &ssid in &ssids {
-            // Probe the whole triple before copying anything: a torn
-            // snapshot must not be restored as a partial triple.
-            let complete = ["data", "index", "bloom"]
-                .iter()
-                .all(|ext| pfs.exists(&format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}")));
-            if !complete {
-                report_recovery_anomaly(
-                    papyrus_sanity::ViolationKind::SstUnreadable,
-                    format!(
-                        "restart {path}/{name}: snapshot sst {ssid} of rank {me} incomplete \
-                         — skipping it"
-                    ),
-                );
-                continue;
-            }
-            for ext in ["data", "index", "bloom"] {
-                let src = format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}");
-                let dst = format!("{}/{name}/r{me}/sst{ssid:010}.{ext}", inner.repo.prefix);
-                if let Some((bytes, read_done)) = pfs.read_all_at(&src, t) {
-                    t = dst_store.put_at(&dst, bytes, read_done);
-                }
-            }
-            restored.push(ssid);
-        }
-        t = write_manifest_at(&dst_store, &inner.repo.prefix, name, me, next, &restored, t);
-        // "When the file transfers complete, the runtime internally calls
-        // papyruskv_open() to compose the database."
-        let db = ctx.open(name, flags, opt)?;
-        Ok((db, Event::completed(inner.clock().clone(), t)))
-    } else {
-        // Restart with redistribution (Figure 5(c)): each rank takes a
-        // partition of the old ranks' SSTables and re-puts every pair; "the
-        // workload of put operations is partitioned across all the MPI
-        // ranks and executed in parallel". Snapshot anomalies are reported
-        // and skipped for the same collective-divergence reason as above.
-        let db = ctx.open(name, OpenFlags::create(), opt)?;
-        let mut t = inner.clock().now();
-        for old_rank in (me..old_n).step_by(n) {
-            let ssids = match read_manifest(pfs, &path, name, old_rank) {
-                ManifestRead::Present(_, ssids) => ssids,
-                ManifestRead::Absent => {
-                    report_recovery_anomaly(
-                        papyrus_sanity::ViolationKind::ManifestCorrupt,
-                        format!(
-                            "restart {path}/{name}: snapshot manifest for old rank \
-                             {old_rank} missing — skipping that rank"
-                        ),
-                    );
-                    continue;
-                }
-                ManifestRead::Corrupt(why) => {
-                    report_recovery_anomaly(
-                        papyrus_sanity::ViolationKind::ManifestCorrupt,
-                        format!("restart {path}/{name}: {why} — skipping old rank {old_rank}"),
-                    );
-                    continue;
-                }
-            };
-            for ssid in ssids {
-                let base = format!("{path}/{name}/r{old_rank}/sst{ssid:010}");
-                let Some((reader, opened)) = SstReader::open_at(pfs, &base, ssid, t) else {
+        if old_n == n && !force_redistribute {
+            // Same rank count: "the SSTables in the snapshot can be reused as
+            // they are, without any additional file manipulation" — copy them
+            // back PFS → NVM and compose.
+            //
+            // Anomalies in the snapshot (missing/corrupt manifest, incomplete
+            // SSTable triples) are reported and tolerated as an empty/partial
+            // rank rather than returned as errors: restart is collective, and a
+            // rank erroring out while its peers proceed to the collective open
+            // would hang the job — strictly worse than recovering what exists.
+            let dst_store = inner.repo_store();
+            let mut t = inner.clock().now();
+            let (next, ssids) = snapshot_manifest(pfs, &path, name, me, "restoring an empty rank")
+                .unwrap_or((1, Vec::new()));
+            let mut restored = Vec::with_capacity(ssids.len());
+            for &ssid in &ssids {
+                // Probe the whole triple before copying anything: a torn
+                // snapshot must not be restored as a partial triple.
+                let complete = ["data", "index", "bloom"]
+                    .iter()
+                    .all(|ext| pfs.exists(&format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}")));
+                if !complete {
                     report_recovery_anomaly(
                         papyrus_sanity::ViolationKind::SstUnreadable,
                         format!(
-                            "restart {path}/{name}: snapshot sst {ssid} of old rank \
-                             {old_rank} unreadable — skipping it"
+                            "restart {path}/{name}: snapshot sst {ssid} of rank {me} incomplete \
+                             — skipping it"
                         ),
                     );
                     continue;
-                };
-                t = opened;
-                let entries = match reader.scan_all_at(t) {
-                    Ok((entries, scanned)) => {
-                        t = scanned;
-                        entries
+                }
+                for ext in ["data", "index", "bloom"] {
+                    let src = format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}");
+                    let dst = format!("{}/{name}/r{me}/sst{ssid:010}.{ext}", inner.repo.prefix);
+                    if let Some((bytes, read_done)) = pfs.read_all_at(&src, t) {
+                        t = dst_store.put_at(&dst, bytes, read_done);
                     }
-                    Err(_) => {
+                }
+                restored.push(ssid);
+            }
+            t = commit_manifest(inner, name, next, &restored, t);
+            // "When the file transfers complete, the runtime internally calls
+            // papyruskv_open() to compose the database."
+            let db = ctx.open(name, flags, opt)?;
+            Ok((db, Event::completed(inner.clock().clone(), t)))
+        } else {
+            // Restart with redistribution (Figure 5(c)): each rank takes a
+            // partition of the old ranks' SSTables and re-puts every pair; "the
+            // workload of put operations is partitioned across all the MPI
+            // ranks and executed in parallel". Snapshot anomalies are reported
+            // and skipped for the same collective-divergence reason as above.
+            let db = ctx.open(name, OpenFlags::create(), opt)?;
+            let mut t = inner.clock().now();
+            for old_rank in (me..old_n).step_by(n) {
+                let Some((_, ssids)) =
+                    snapshot_manifest(pfs, &path, name, old_rank, "skipping that rank")
+                else {
+                    continue;
+                };
+                for ssid in ssids {
+                    let base = format!("{path}/{name}/r{old_rank}/sst{ssid:010}");
+                    let Some((reader, opened)) = SstReader::open_at(pfs, &base, ssid, t) else {
                         report_recovery_anomaly(
                             papyrus_sanity::ViolationKind::SstUnreadable,
                             format!(
                                 "restart {path}/{name}: snapshot sst {ssid} of old rank \
-                                 {old_rank} does not parse — skipping it"
+                                 {old_rank} unreadable — skipping it"
                             ),
                         );
                         continue;
+                    };
+                    t = opened;
+                    let entries = match reader.scan_all_at(t) {
+                        Ok((entries, scanned)) => {
+                            t = scanned;
+                            entries
+                        }
+                        Err(_) => {
+                            report_recovery_anomaly(
+                                papyrus_sanity::ViolationKind::SstUnreadable,
+                                format!(
+                                    "restart {path}/{name}: snapshot sst {ssid} of old rank \
+                                     {old_rank} does not parse — skipping it"
+                                ),
+                            );
+                            continue;
+                        }
+                    };
+                    inner.clock().merge(t);
+                    for (key, entry) in entries {
+                        if entry.tombstone {
+                            db.delete(&key)?;
+                        } else {
+                            db.put(&key, &entry.value)?;
+                        }
                     }
-                };
-                inner.clock().merge(t);
-                for (key, entry) in entries {
-                    if entry.tombstone {
-                        db.delete(&key)?;
-                    } else {
-                        db.put(&key, &entry.value)?;
-                    }
+                    t = inner.clock().now();
                 }
-                t = inner.clock().now();
             }
+            inner.clock().merge(t);
+            db.barrier(BarrierLevel::SsTable)?;
+            Ok((db.clone(), Event::completed(inner.clock().clone(), inner.clock().now())))
         }
-        inner.clock().merge(t);
-        db.barrier(BarrierLevel::SsTable)?;
-        Ok((db.clone(), Event::completed(inner.clock().clone(), inner.clock().now())))
     }
 }

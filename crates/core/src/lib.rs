@@ -76,10 +76,15 @@ pub mod memtable;
 pub mod msg;
 pub mod options;
 pub mod queue;
+mod read;
+mod replica;
 mod runtime;
 pub mod sanity;
 pub mod sstable;
+mod stack;
+mod sync;
 mod tel;
+mod write;
 
 pub use db::Db;
 pub use error::{Error, Result};

@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn repl_replies_are_seq_first() {
-        // `rpc_with_retry` pairs replies by peeking the first 8 bytes; the
+        // `request` pairs replies by peeking the first 8 bytes; the
         // replica replies reuse the ack/get_resp encodings, which must keep
         // the sequence number leading.
         let ack = encode_ack(0x0123_4567_89ab_cdef);

@@ -329,29 +329,56 @@ fn peek_seq(payload: &bytes::Bytes) -> Option<msg::RpcSeq> {
     payload.first_chunk::<8>().map(|b| u64::from_le_bytes(*b))
 }
 
-/// Send a request and await its seq-matched reply, with deadline, bounded
-/// retry, and failure detection (fault plane on only; callers keep the
-/// plain send/recv fast path when the gate is off).
+/// A request's destination: (rank, request tag, reply tag).
+pub(crate) type Route = (usize, u32, u32);
+
+/// Ship one batch of records to another rank's handler as of `stamp`;
+/// returns when it is (or will be) ingested there. Fault plane off:
+/// fire-and-forget — sequence 0 asks for no ack and the result is the
+/// arrival stamp. Fault plane on: a [`request`] whose ack carries the
+/// ingest-completion stamp, so a black-holed batch is detected and resent.
+pub(crate) fn send_batch(
+    ctx: &CtxInner,
+    db: &Arc<DbInner>,
+    route: Route,
+    what: &str,
+    stamp: SimNs,
+    encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
+) -> Result<SimNs> {
+    if !fi::enabled() {
+        return Ok(ctx.comm_req.send_at(route.0, route.1, encode(0), stamp));
+    }
+    Ok(request(ctx, db, route, what, encode)?.stamp)
+}
+
+/// One request/reply exchange with another rank's message handler.
+/// `encode` builds the payload around the sequence number the reply will
+/// echo.
 ///
-/// Per attempt: send with a fresh seq, then wait up to the deadline for a
-/// reply echoing that seq (stale replies from earlier attempts are
-/// discarded). On timeout, run a failure-detector confirmation round
-/// against the owner — a confirmed-dead owner yields
+/// Fault plane off: a plain blocking send + receive (sequence 0). Fault
+/// plane on: deadline, bounded retry, and failure detection. Per attempt:
+/// send with a fresh seq, then wait up to the deadline for a reply echoing
+/// that seq (stale replies from earlier attempts are discarded). On
+/// timeout, run a failure-detector confirmation round against the owner —
+/// a confirmed-dead owner gets the promotion check (DESIGN §11) and yields
 /// [`Error::RankUnavailable`] — otherwise charge a deterministic virtual
 /// backoff and retry with a doubled deadline, up to [`RPC_MAX_ATTEMPTS`]
 /// ([`Error::Timeout`] after that).
 ///
 /// Retries are safe: PUT_SYNC / MIGRATE re-apply the same records
 /// idempotently and GET_REQ is read-only.
-pub(crate) fn rpc_with_retry(
+pub(crate) fn request(
     ctx: &CtxInner,
-    tel: &crate::tel::CoreTel,
-    owner: usize,
-    req_tag: u32,
-    resp_tag: u32,
+    db: &Arc<DbInner>,
+    (owner, req_tag, resp_tag): Route,
     what: &str,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<Message> {
+    if !fi::enabled() {
+        ctx.comm_req.send(owner, req_tag, encode(0));
+        return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)));
+    }
+    let tel = &db.tel;
     let me = ctx.rank.rank();
     let mut backoff = fi::Backoff::new(
         fi::mix(me as u64, fi::mix(owner as u64, u64::from(req_tag))),
@@ -397,6 +424,7 @@ pub(crate) fn rpc_with_retry(
             });
         }
         if ctx.comm_rep.confirm_rank(owner) == RankStatus::Dead {
+            crate::replica::maybe_promote(ctx, db, owner);
             return Err(Error::RankUnavailable(owner));
         }
         if attempt >= RPC_MAX_ATTEMPTS {
@@ -588,7 +616,7 @@ impl Context {
         // Close any still-open databases (collective, same order everywhere).
         let dbs: Vec<Arc<DbInner>> = self.inner.dbs.lock().clone();
         for db in dbs {
-            let _ = crate::db::close_inner(&self.inner, &db);
+            let _ = crate::sync::close_inner(&self.inner, &db);
         }
         // Everyone must be done sending before handlers go away.
         self.inner.comm_ctl.barrier();
@@ -612,7 +640,7 @@ fn compaction_thread(ctx: Arc<CtxInner>) {
     loop {
         match ctx.compact_q.pop() {
             CompactJob::Flush { db, mt, stamp } => {
-                crate::db::run_flush(&ctx, &db, mt, stamp);
+                crate::write::run_flush(&ctx, &db, mt, stamp);
             }
             CompactJob::Checkpoint { db, dest, snapshot, event, stamp } => {
                 match crate::ckpt::run_checkpoint_transfer(&ctx, &db, &dest, &snapshot, stamp) {
@@ -633,10 +661,10 @@ fn dispatcher_thread(ctx: Arc<CtxInner>) {
     loop {
         match ctx.migrate_q.pop() {
             MigrateJob::Migrate { db, mt, stamp } => {
-                crate::db::run_migration(&ctx, &db, mt, stamp);
+                crate::write::run_migration(&ctx, &db, mt, stamp);
             }
             MigrateJob::Rereplicate { db, origin, stamp } => {
-                crate::db::run_rereplication(&ctx, &db, origin, stamp);
+                crate::replica::run_rereplication(&ctx, &db, origin, stamp);
             }
             MigrateJob::Shutdown => return,
         }
@@ -647,61 +675,32 @@ fn dispatcher_thread(ctx: Arc<CtxInner>) {
 fn handler_thread(ctx: Arc<CtxInner>) {
     loop {
         let m = ctx.comm_req.recv_unstamped(RecvSrc::Any, RecvTag::Any);
-        match m.tag {
+        let (what, served) = match m.tag {
             tags::SHUTDOWN => return,
-            tags::MIGRATE => {
-                if let Err(e) = handle_migrate(&ctx, m.src, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "migrate", e);
-                }
-            }
-            tags::PUT_SYNC => {
-                if let Err(e) = handle_put_sync(&ctx, m.src, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "put_sync", e);
-                }
-            }
-            tags::GET_REQ => {
-                if let Err(e) = handle_get_req(&ctx, m.src, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "get_req", e);
-                }
-            }
-            tags::BARRIER_MARK => {
-                if let Err(e) = handle_barrier_mark(&ctx, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "barrier_mark", e);
-                }
-            }
-            tags::REPL_PUT => {
-                if let Err(e) = handle_repl_put(&ctx, m.src, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "repl_put", e);
-                }
-            }
-            tags::REPL_GET => {
-                if let Err(e) = handle_repl_get(&ctx, m.src, m.payload, m.stamp) {
-                    report_handler_error(&ctx, "repl_get", e);
-                }
-            }
-            other => report_handler_error(
-                &ctx,
-                "dispatch",
-                Error::Internal(format!("unknown request tag {other}")),
-            ),
+            tags::MIGRATE => ("migrate", handle_migrate(&ctx, m.src, m.payload, m.stamp)),
+            tags::PUT_SYNC => ("put_sync", handle_put_sync(&ctx, m.src, m.payload, m.stamp)),
+            tags::GET_REQ => ("get_req", handle_get_req(&ctx, m.src, m.payload, m.stamp)),
+            tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(&ctx, m.payload, m.stamp)),
+            tags::REPL_PUT => ("repl_put", handle_repl_put(&ctx, m.src, m.payload, m.stamp)),
+            tags::REPL_GET => ("repl_get", handle_repl_get(&ctx, m.src, m.payload, m.stamp)),
+            other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
+        };
+        if let Err(e) = served {
+            // Handler errors indicate wire corruption or internal bugs;
+            // surface them loudly (they fail tests) without killing the
+            // handler.
+            eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
         }
     }
-}
-
-fn report_handler_error(ctx: &CtxInner, what: &str, e: Error) {
-    // Handler errors indicate wire corruption or internal bugs; surface them
-    // loudly (they fail tests) without killing the handler.
-    eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
 }
 
 fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, seq, records) = msg::decode_migrate(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::db::apply_incoming_records(ctx, &db, &records, stamp);
-    // Migration is fire-and-forget on the happy path; under the fault plane
-    // the dispatcher awaits this ack so a black-holed batch is detected and
-    // resent (the gate is process-global, so sender and receiver agree).
-    if fi::enabled() {
+    let done = crate::write::apply_incoming_records(ctx, &db, &records, stamp);
+    // Sequence 0 is `send_batch`'s fire-and-forget; anything else is its
+    // fault-plane request, whose sender awaits this ack.
+    if seq != 0 {
         ctx.comm_rep.send_at(src, tags::MIGRATE_ACK, msg::encode_ack(seq), done);
     }
     Ok(())
@@ -710,7 +709,7 @@ fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimN
 fn handle_put_sync(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, seq, record) = msg::decode_put_sync(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::db::apply_incoming_records(ctx, &db, std::slice::from_ref(&record), stamp);
+    let done = crate::write::apply_incoming_records(ctx, &db, std::slice::from_ref(&record), stamp);
     // Acknowledge with the service-completion stamp; the caller blocks on it
     // ("the caller MPI rank halts its execution until ... the completion of
     // migration", §3.1).
@@ -721,7 +720,9 @@ fn handle_put_sync(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: Sim
 fn handle_get_req(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, caller_group, seq, key) = msg::decode_get_req(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let (resp, done) = crate::db::serve_remote_get(ctx, &db, &key, caller_group, src, stamp);
+    let (resp, done) = crate::read::serve_get(&db, "serve_get", stamp, |clk| {
+        crate::read::remote_get_reply(ctx, &db, &key, caller_group, src, clk)
+    });
     ctx.comm_rep.send_at(src, tags::GET_RESP, msg::encode_get_resp(seq, &resp), done);
     Ok(())
 }
@@ -729,14 +730,14 @@ fn handle_get_req(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimN
 fn handle_barrier_mark(ctx: &CtxInner, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, epoch) = msg::decode_barrier_mark(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    crate::db::note_barrier_mark(&db, epoch, stamp);
+    crate::sync::note_barrier_mark(&db, epoch, stamp);
     Ok(())
 }
 
 fn handle_repl_put(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, origin, want_ack, seq, records) = msg::decode_repl_put(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::db::apply_replica_records(ctx, &db, origin as usize, &records, stamp);
+    let done = crate::replica::apply_replica_records(ctx, &db, origin as usize, &records, stamp);
     // The handler never blocks on other ranks here (replica ingest is
     // purely local), so synchronous writers awaiting this ack cannot form
     // a cross-rank handler cycle.
@@ -751,8 +752,10 @@ fn handle_repl_get(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: Sim
     let db = ctx.db_by_id(db_id)?;
     // A failover get is proof a reader saw `origin` confirmed dead: if this
     // rank is origin's first live successor, claim the promotion now.
-    crate::db::maybe_promote(ctx, &db, origin as usize);
-    let (resp, done) = crate::db::serve_replica_get(ctx, &db, origin as usize, &key, stamp);
+    crate::replica::maybe_promote(ctx, &db, origin as usize);
+    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", stamp, |clk| {
+        crate::read::get_resp(crate::replica::replica_lookup(&db, origin as usize, &key, clk))
+    });
     ctx.comm_rep.send_at(src, tags::REPL_RESP, msg::encode_get_resp(seq, &resp), done);
     Ok(())
 }

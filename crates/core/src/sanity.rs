@@ -30,14 +30,13 @@
 //! [`ManifestMismatch`]: ViolationKind::ManifestMismatch
 //! [`BarrierEpochMismatch`]: ViolationKind::BarrierEpochMismatch
 
-use std::sync::atomic::Ordering;
-
 use papyrus_sanity::{AuditReport, ViolationKind};
 
 use crate::ckpt;
 use crate::db::Db;
 use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
-use crate::sstable::{Ssid, SstReader};
+use crate::sstable::SstReader;
+use crate::stack::Stack;
 
 fn lossy(key: &[u8]) -> String {
     String::from_utf8_lossy(key).into_owned()
@@ -121,92 +120,74 @@ fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
     }
 }
 
+/// Audit one stack — the primary, the staging or a replica stack — whose
+/// SSTables must live under file names containing `namespace`: MemTable
+/// accounting, ascending SSIDs below the allocator, no table outside the
+/// namespace, every table's internals.
+fn audit_stack(
+    label: &str,
+    stack: &Stack,
+    kind: ViolationKind,
+    namespace: &str,
+    report: &mut AuditReport,
+) {
+    audit_memtable(label, &stack.mem, report);
+    let ssids = stack.live_ssids();
+    if ssids.windows(2).any(|pair| pair[0] >= pair[1]) {
+        report.push(kind, format!("{label} SSTables not in ascending SSID order: {ssids:?}"));
+    }
+    for reader in &stack.ssts {
+        if reader.ssid() >= stack.next_ssid {
+            report.push(
+                kind,
+                format!(
+                    "{label} sst {} at or above its next_ssid {}",
+                    reader.ssid(),
+                    stack.next_ssid
+                ),
+            );
+        }
+        if !reader.base().contains(namespace) {
+            report.push(
+                kind,
+                format!(
+                    "{label} sst {} stored at {:?} — outside its `{namespace}` namespace, \
+                     colliding with another stack's SSTable files",
+                    reader.ssid(),
+                    reader.base()
+                ),
+            );
+        }
+        audit_sst(reader, report);
+    }
+}
+
 /// Audit a database's full LSM state. See the module docs for the checks.
 ///
 /// Cheap relative to the data (one in-memory pass per SSTable) and charges
 /// no virtual time; callable regardless of the `PAPYRUS_SANITY` gate —
 /// invoking an explicit audit IS the opt-in.
 pub fn audit_db(db: &Db) -> AuditReport {
-    let (ctx, inner) = db.sanity_parts();
+    let (ctx, inner) = (&db.ctx, &db.inner);
     let mut report = AuditReport::default();
     let me = ctx.rank.rank();
-    // ordering: audit reads the allocator with the same SeqCst the
-    // flush/compaction paths use, so every registered table id is <= it.
-    let next_ssid = inner.next_ssid.load(Ordering::SeqCst);
 
-    // SSTable registry + per-table checks. Snapshot the readers so no lock
-    // is held across the record scans.
-    let snapshot: Vec<SstReader> = inner.ssts.read().clone();
-    let live: Vec<Ssid> = snapshot.iter().map(SstReader::ssid).collect();
-    for pair in live.windows(2) {
-        if pair[0] >= pair[1] {
-            report.push(
-                ViolationKind::LsmState,
-                format!("live SSTable list not in ascending SSID order: {live:?}"),
-            );
-            break;
-        }
+    // Primary tables live in `r<rank>/sst*`, replica tables in
+    // `r<rank>/rep<origin>-sst*`, so neither can collide with (or be
+    // salvaged into) the other.
+    let (next_ssid, live) = {
+        let stack = inner.stack.read();
+        audit_stack("local", &stack, ViolationKind::LsmState, "/sst", &mut report);
+        (stack.next_ssid, stack.live_ssids())
+    };
+    audit_stack("remote", &inner.staging.lock(), ViolationKind::LsmState, "/sst", &mut report);
+    for (&origin, stack) in inner.repl.lock().iter() {
+        let label = format!("replica(r{origin})");
+        let namespace = format!("/rep{origin:04}-sst");
+        audit_stack(&label, stack, ViolationKind::ReplicaState, &namespace, &mut report);
     }
-    for reader in &snapshot {
-        if reader.ssid() >= next_ssid {
-            report.push(
-                ViolationKind::LsmState,
-                format!("sst {} at or above next_ssid {next_ssid}", reader.ssid()),
-            );
-        }
-        audit_sst(reader, &mut report);
-    }
-
-    audit_memtable("local", &inner.local.read(), &mut report);
-    audit_memtable("remote", &inner.remote.lock(), &mut report);
-
-    // Replica stacks (R >= 2): each per-origin table must be internally
-    // well-formed and live in the `rep{origin}-` file namespace so it can
-    // never collide with (or be salvaged into) the primary LSM; a dead
-    // rank's promoted ranges must be claimed by exactly one live primary.
-    {
-        let repl = inner.repl.lock();
-        for (&origin, stack) in repl.iter() {
-            audit_memtable(&format!("replica(r{origin})"), &stack.mem, &mut report);
-            let ssids: Vec<Ssid> = stack.ssts.iter().map(SstReader::ssid).collect();
-            for pair in ssids.windows(2) {
-                if pair[0] >= pair[1] {
-                    report.push(
-                        ViolationKind::ReplicaState,
-                        format!(
-                            "replica(r{origin}) SSTables not in ascending SSID order: {ssids:?}"
-                        ),
-                    );
-                    break;
-                }
-            }
-            let marker = format!("rep{origin:04}-");
-            for reader in &stack.ssts {
-                if reader.ssid() >= stack.next_ssid {
-                    report.push(
-                        ViolationKind::ReplicaState,
-                        format!(
-                            "replica(r{origin}) sst {} at or above its next_ssid {}",
-                            reader.ssid(),
-                            stack.next_ssid
-                        ),
-                    );
-                }
-                if !reader.base().contains(&marker) {
-                    report.push(
-                        ViolationKind::ReplicaState,
-                        format!(
-                            "replica(r{origin}) sst {} stored at {:?} — outside the replica \
-                             namespace, colliding with primary SSTable files",
-                            reader.ssid(),
-                            reader.base()
-                        ),
-                    );
-                }
-                audit_sst(reader, &mut report);
-            }
-        }
-    }
+    // A dead rank's promoted ranges must be claimed by exactly one live
+    // primary.
     for (dead, claimants) in ctx.platform.repl.claims_for(inner.id) {
         if claimants.len() != 1 {
             report.push(
@@ -227,19 +208,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
 
     let (pending_flushes, migration_inflight, stale_marks) = {
         let sync = inner.sync.lock();
-        // ordering: SeqCst pairs with the barrier's fetch_add; the audit
-        // must not observe an epoch older than a completed barrier.
-        let epoch = inner.barrier_epoch.load(Ordering::SeqCst);
-        // Marks for epochs >= the current counter are in-flight arrivals for
-        // a barrier this rank has not completed — legitimate. Marks for
-        // completed epochs should have been consumed exactly at count == n.
-        let stale: Vec<(u64, usize)> = sync
-            .barrier_marks
-            .iter()
-            .filter(|(&e, _)| e < epoch)
-            .map(|(&e, &(count, _))| (e, count))
-            .collect();
-        (sync.pending_flushes, sync.migration_inflight, stale)
+        (sync.pending_flushes, sync.migration_inflight, inner.stale_barrier_marks(&sync))
     };
     for (epoch, count) in stale_marks {
         report.push(
@@ -251,7 +220,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
         );
     }
     if pending_flushes == 0 {
-        let imm_local = inner.imm_local.read().len();
+        let imm_local = inner.stack.read().imm.len();
         if imm_local != 0 {
             report.push(
                 ViolationKind::LsmState,
@@ -260,7 +229,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
         }
     }
     if migration_inflight == 0 {
-        let imm_remote = inner.imm_remote.read().len();
+        let imm_remote = inner.staging.lock().imm.len();
         if imm_remote != 0 {
             report.push(
                 ViolationKind::LsmState,
@@ -311,57 +280,19 @@ pub fn audit_db(db: &Db) -> AuditReport {
     report
 }
 
-/// Dump every key this rank's local LSM stack currently makes visible,
-/// newest writer wins: the active local MemTable shadows the immutable
-/// queue (newest-first), which shadows the SSTables (newest-first). A key
-/// whose newest record is a tombstone maps to `None`.
-///
-/// Reads through `records_uncharged` and charges no virtual time. Used by
-/// the crash-consistency checker to compare a recovered store against its
-/// KV oracle; like [`audit_db`], calling it is the opt-in.
-pub fn dump_visible(db: &Db) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    let (_ctx, inner) = db.sanity_parts();
+/// Every key `stack` makes visible, newest writer wins: the MemTable
+/// shadows the frozen queue (newest first), which shadows the SSTables
+/// (newest first). A key whose newest record is a tombstone maps to `None`.
+fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
     let mut seen: std::collections::BTreeMap<Vec<u8>, Option<bytes::Bytes>> =
         std::collections::BTreeMap::new();
     let mut absorb = |key: &[u8], e: &Entry| {
         seen.entry(key.to_vec()).or_insert_with(|| (!e.tombstone).then(|| e.value.clone()));
     };
-    for (k, e) in inner.local.read().iter() {
-        absorb(k, e);
-    }
-    for mt in inner.imm_local.read().iter().rev() {
+    for mt in stack.mem_tables() {
         for (k, e) in mt.iter() {
             absorb(k, e);
         }
-    }
-    for reader in inner.ssts.read().iter().rev() {
-        if let Some(records) = reader.records_uncharged() {
-            for (k, e) in &records {
-                absorb(k, e);
-            }
-        }
-    }
-    seen.into_iter().collect()
-}
-
-/// Dump every key the replica stack held for `origin` currently makes
-/// visible, newest writer wins: the replica MemTable shadows the replica
-/// SSTables (newest-first). Tombstoned keys map to `None`; an absent
-/// stack yields an empty list.
-///
-/// Charges no virtual time. Used by the chaos probes to check that
-/// re-replication converged a successor's copy to the promoted data.
-pub fn replica_visible(db: &Db, origin: usize) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    let (_ctx, inner) = db.sanity_parts();
-    let mut seen: std::collections::BTreeMap<Vec<u8>, Option<bytes::Bytes>> =
-        std::collections::BTreeMap::new();
-    let mut absorb = |key: &[u8], e: &Entry| {
-        seen.entry(key.to_vec()).or_insert_with(|| (!e.tombstone).then(|| e.value.clone()));
-    };
-    let repl = inner.repl.lock();
-    let Some(stack) = repl.get(&(origin as u32)) else { return Vec::new() };
-    for (k, e) in stack.mem.iter() {
-        absorb(k, e);
     }
     for reader in stack.ssts.iter().rev() {
         if let Some(records) = reader.records_uncharged() {
@@ -371,6 +302,25 @@ pub fn replica_visible(db: &Db, origin: usize) -> Vec<(Vec<u8>, Option<bytes::By
         }
     }
     seen.into_iter().collect()
+}
+
+/// Dump every key this rank's primary stack currently makes visible (see
+/// [`visible`]'s rule).
+///
+/// Reads through `records_uncharged` and charges no virtual time. Used by
+/// the crash-consistency checker to compare a recovered store against its
+/// KV oracle; like [`audit_db`], calling it is the opt-in.
+pub fn dump_visible(db: &Db) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
+    visible(&db.inner.stack.read())
+}
+
+/// Dump every key the replica stack held for `origin` currently makes
+/// visible; an absent stack yields an empty list.
+///
+/// Charges no virtual time. Used by the chaos probes to check that
+/// re-replication converged a successor's copy to the promoted data.
+pub fn replica_visible(db: &Db, origin: usize) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
+    db.inner.repl.lock().get(&(origin as u32)).map_or_else(Vec::new, visible)
 }
 
 #[cfg(test)]
@@ -460,9 +410,9 @@ mod tests {
 
     #[test]
     fn seeded_replica_violations_are_detected() {
-        use crate::db::ReplicaStack;
         use crate::options::{OpenFlags, Options};
         use crate::runtime::{Context, Platform};
+        use crate::stack::Stack;
         use papyrus_mpi::{World, WorldConfig};
         use papyrus_nvm::SystemProfile;
 
@@ -473,7 +423,7 @@ mod tests {
                 Context::init(rank.clone(), platform.clone(), "nvm://sanity-repl").expect("init");
             let db = ctx.open("db", OpenFlags::create(), Options::default()).expect("open");
             {
-                let (ctx_inner, inner) = db.sanity_parts();
+                let (ctx_inner, inner) = (&db.ctx, &db.inner);
                 // Seed a replica stack whose one SSTable (a) carries an SSID
                 // at/above the stack's next_ssid, (b) lives outside the
                 // `rep{origin}-` namespace, and (c) holds out-of-order keys.
@@ -485,7 +435,7 @@ mod tests {
                     &[b"bb", b"aa"],
                     &[b"aa", b"bb"],
                 );
-                let mut stack = ReplicaStack::new();
+                let mut stack = Stack::new(1, Vec::new());
                 stack.ssts.push(bad);
                 inner.repl.lock().insert(2, stack);
                 // Seed a double promotion claim: two ranks both think they
@@ -495,7 +445,7 @@ mod tests {
             }
             let report = audit_db(&db);
             // Clear the seeded stack so close sees an ordinary database.
-            db.sanity_parts().1.repl.lock().clear();
+            db.inner.repl.lock().clear();
             db.close().expect("close");
             ctx.finalize().expect("finalize");
             report

@@ -9,16 +9,19 @@
 //!   record headers the offsets point at).
 //! * **bloom** — the serialized [`crate::bloom::Bloom`] filter.
 //!
-//! Gets consult the bloom filter first; on a maybe-hit, either **binary
-//! search** SSData via the in-memory SSIndex (O(log n) random NVM reads —
-//! the §2.6 optimisation exploiting NVM's fast random access) or **linear
-//! scan** SSData from the start (the Figure 8 "Default" baseline).
+//! A get either **binary searches** SSData via the in-memory SSIndex
+//! (O(log n) random NVM reads — the §2.6 optimisation exploiting NVM's fast
+//! random access) or **linearly scans** SSData from the start (the Figure 8
+//! "Default" baseline). Whether the bloom filter is consulted first is the
+//! caller's decision (`Options::bloom_filter`, made once in the database's
+//! SSTable walk): [`SstReader::get_at`] itself always searches.
 //!
 //! SSTables are immutable: updates and deletes go to new SSTables with
 //! higher SSIDs; [`merge`] implements the §2.5 compaction that folds a set
 //! of SSTables into one, newest-SSID-wins.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use papyrus_nvm::NvmStore;
@@ -26,6 +29,7 @@ use papyrus_simtime::{AccessPattern, SimNs};
 
 use crate::bloom::Bloom;
 use crate::error::{Error, Result};
+use crate::lru::CacheEntry;
 use crate::memtable::Entry;
 
 /// Per-database, per-rank, unique increasing SSTable number, starting at 1.
@@ -36,15 +40,55 @@ pub type Records = Vec<(Vec<u8>, Entry)>;
 
 const RECORD_HEADER: u64 = 9; // keylen u32 + vallen u32 + tombstone u8
 
-/// Outcome of searching one SSTable for a key.
+/// Outcome of searching one storage level — a MemTable, a cache, an
+/// SSTable — for a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SstGet {
     /// Key found with a live value.
     Found(Bytes),
     /// Key found but tombstoned (search stops: the key is deleted).
     Tombstone,
-    /// Key not in this SSTable (search continues in older tables).
+    /// Key not at this level (search continues in older levels).
     NotFound,
+}
+
+impl SstGet {
+    /// The live value, if any: a tombstone and a miss both read as absent.
+    pub fn into_value(self) -> Option<Bytes> {
+        match self {
+            SstGet::Found(v) => Some(v),
+            SstGet::Tombstone | SstGet::NotFound => None,
+        }
+    }
+
+    /// What a cache remembers of this outcome: nothing for a miss.
+    pub(crate) fn cache_entry(&self) -> Option<CacheEntry> {
+        match self {
+            SstGet::Found(v) => Some(CacheEntry::value(v.clone())),
+            SstGet::Tombstone => Some(CacheEntry::tombstone()),
+            SstGet::NotFound => None,
+        }
+    }
+}
+
+impl From<&Entry> for SstGet {
+    fn from(e: &Entry) -> Self {
+        if e.tombstone {
+            SstGet::Tombstone
+        } else {
+            SstGet::Found(e.value.clone())
+        }
+    }
+}
+
+impl From<CacheEntry> for SstGet {
+    fn from(e: CacheEntry) -> Self {
+        if e.tombstone {
+            SstGet::Tombstone
+        } else {
+            SstGet::Found(e.value)
+        }
+    }
 }
 
 /// The three object names of an SSTable at `base` (no extension).
@@ -121,14 +165,14 @@ impl TableImage {
         let t1 = put(&data_path, self.data, now)?;
         let t2 = put(&index_path, self.index, t1)?;
         let done = put(&bloom_path, Bytes::from(self.bloom.to_bytes()), t2)?;
-        let reader = SstReader {
+        let reader = SstReader(Arc::new(Table {
             store: store.clone(),
             base: base.to_string(),
             ssid,
             offsets: self.offsets,
             bloom: self.bloom,
             data_len,
-        };
+        }));
         Ok((reader, done))
     }
 }
@@ -170,9 +214,13 @@ pub fn try_build_at(
 
 /// An open SSTable: bloom filter and SSIndex held in memory ("PapyrusKV
 /// loads the SSIndex in memory and searches SSData", §2.6); SSData probed
-/// through the cost-accounted store.
+/// through the cost-accounted store. A handle: clones share the index and
+/// the filter.
 #[derive(Debug, Clone)]
-pub struct SstReader {
+pub struct SstReader(Arc<Table>);
+
+#[derive(Debug)]
+struct Table {
     store: NvmStore,
     base: String,
     ssid: Ssid,
@@ -204,50 +252,49 @@ impl SstReader {
             .map(|c| u64::from_le_bytes(c.try_into().unwrap())) // lint:allow(panic-path): chunks_exact(8) yields exactly-8-byte chunks
             .collect();
         let data_len = store.len(&data_path)?;
-        Some((
-            Self { store: store.clone(), base: base.to_string(), ssid, offsets, bloom, data_len },
-            t,
-        ))
+        let table =
+            Table { store: store.clone(), base: base.to_string(), ssid, offsets, bloom, data_len };
+        Some((Self(Arc::new(table)), t))
     }
 
     /// This table's SSID.
     pub fn ssid(&self) -> Ssid {
-        self.ssid
+        self.0.ssid
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.0.offsets.len()
     }
 
     /// Whether the table holds no records.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.0.offsets.is_empty()
     }
 
     /// SSData size in bytes.
     pub fn data_len(&self) -> u64 {
-        self.data_len
+        self.0.data_len
     }
 
     /// Base object path.
     pub fn base(&self) -> &str {
-        &self.base
+        &self.0.base
     }
 
     /// Bloom-filter membership pre-test (in-memory, free): "given an
     /// arbitrary key, it identifies whether the key may exist or definitely
     /// does not exist in the SSData" (§2.4).
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        self.bloom.maybe_contains(key)
+        self.0.bloom.maybe_contains(key)
     }
 
     // Read and parse the record at offset `off`. Returns
     // (key, value, tombstone, modelled-bytes-touched). `None` on missing
     // or corrupt data.
     fn read_record(&self, off: u64) -> Option<(Bytes, Bytes, bool, u64)> {
-        let backend = self.store.backend();
-        let (data_path, _, _) = paths(&self.base);
+        let backend = self.0.store.backend();
+        let (data_path, _, _) = paths(&self.0.base);
         let header = backend.get(&data_path, off, RECORD_HEADER)?;
         if header.len() < RECORD_HEADER as usize {
             return None;
@@ -263,15 +310,13 @@ impl SstReader {
         Some((key, value, tomb, RECORD_HEADER + keylen + vallen))
     }
 
-    /// Search for `key` starting at `now`.
+    /// Search SSData for `key` starting at `now`, without consulting the
+    /// bloom filter (see [`SstReader::maybe_contains`]).
     ///
     /// `bin_search = true`: O(log n) random-access probes of SSData guided
     /// by the in-memory SSIndex. `false`: sequential scan of SSData from the
     /// start (the cost contrast behind Figure 8).
     pub fn get_at(&self, key: &[u8], bin_search: bool, now: SimNs) -> (SstGet, SimNs) {
-        if !self.maybe_contains(key) {
-            return (SstGet::NotFound, now);
-        }
         if bin_search {
             self.get_binary(key, now)
         } else {
@@ -282,10 +327,10 @@ impl SstReader {
     fn get_binary(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
         let mut t = now;
         let mut lo = 0usize;
-        let mut hi = self.offsets.len();
+        let mut hi = self.0.offsets.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let Some((k, v, tomb, _)) = self.read_record(self.offsets[mid]) else {
+            let Some((k, v, tomb, _)) = self.read_record(self.0.offsets[mid]) else {
                 return (SstGet::NotFound, t);
             };
             // One random probe touches the header + key (+ value on hit).
@@ -305,7 +350,7 @@ impl SstReader {
 
     fn get_linear(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
         let mut scanned = 0u64;
-        for &off in &self.offsets {
+        for &off in &self.0.offsets {
             let Some((k, v, tomb, rec_bytes)) = self.read_record(off) else {
                 break;
             };
@@ -324,39 +369,22 @@ impl SstReader {
     }
 
     fn charge_read(&self, bytes: u64, pattern: AccessPattern, now: SimNs) -> SimNs {
-        let cost = self.store.device().read_ns(bytes, pattern);
-        self.store.queue().submit_shared(now, cost, self.store.device().parallelism)
+        let cost = self.0.store.device().read_ns(bytes, pattern);
+        self.0.store.queue().submit_shared(now, cost, self.0.store.device().parallelism)
     }
 
     /// Sequentially read and parse every record (compaction, restart with
     /// redistribution). Charges one full sequential read.
     pub fn scan_all_at(&self, now: SimNs) -> Result<(Records, SimNs)> {
-        let (data_path, _, _) = paths(&self.base);
-        let Some(data) = self.store.backend().get_all(&data_path) else {
+        let (data_path, _, _) = paths(&self.0.base);
+        let Some(data) = self.0.store.backend().get_all(&data_path) else {
             return Err(Error::Internal(format!("SSData missing: {data_path}")));
         };
         let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
-        let mut out = Vec::with_capacity(self.offsets.len());
-        let mut pos = 0usize;
-        while pos + RECORD_HEADER as usize <= data.len() {
-            let (keylen, vallen) =
-                match (data[pos..pos + 4].try_into(), data[pos + 4..pos + 8].try_into()) {
-                    (Ok(k), Ok(v)) => {
-                        (u32::from_le_bytes(k) as usize, u32::from_le_bytes(v) as usize)
-                    }
-                    _ => return Err(Error::Internal(format!("corrupt SSData: {data_path}"))),
-                };
-            let tomb = data[pos + 8] != 0;
-            pos += RECORD_HEADER as usize;
-            if pos + keylen + vallen > data.len() {
-                return Err(Error::Internal(format!("corrupt SSData: {data_path}")));
-            }
-            let key = data[pos..pos + keylen].to_vec();
-            let value = data.slice(pos + keylen..pos + keylen + vallen);
-            pos += keylen + vallen;
-            out.push((key, Entry { value, tombstone: tomb, owner: crate::memtable::NO_OWNER }));
+        match self.parse_records(&data) {
+            Some(records) => Ok((records, t)),
+            None => Err(Error::Internal(format!("corrupt SSData: {data_path}"))),
         }
-        Ok((out, t))
     }
 
     /// Read and parse every record WITHOUT charging virtual time — for the
@@ -364,9 +392,13 @@ impl SstReader {
     /// perturbing the simulation's cost model. `None` on missing/corrupt
     /// SSData (the auditor reports that as a finding, not a panic).
     pub fn records_uncharged(&self) -> Option<Records> {
-        let (data_path, _, _) = paths(&self.base);
-        let data = self.store.backend().get_all(&data_path)?;
-        let mut out = Vec::with_capacity(self.offsets.len());
+        let (data_path, _, _) = paths(&self.0.base);
+        self.parse_records(&self.0.store.backend().get_all(&data_path)?)
+    }
+
+    /// Parse an SSData image; `None` if a record runs past its end.
+    fn parse_records(&self, data: &Bytes) -> Option<Records> {
+        let mut out = Vec::with_capacity(self.0.offsets.len());
         let mut pos = 0usize;
         while pos + RECORD_HEADER as usize <= data.len() {
             let keylen = u32::from_le_bytes(data[pos..pos + 4].try_into().ok()?) as usize;
@@ -387,10 +419,10 @@ impl SstReader {
     /// Delete this SSTable's three files starting at `now` (post-compaction
     /// cleanup, §2.5 "the old SSTables are deleted to save storage space").
     pub fn delete_files_at(&self, now: SimNs) -> SimNs {
-        let (d, i, b) = paths(&self.base);
-        let (_, t) = self.store.delete_at(&d, now);
-        let (_, t) = self.store.delete_at(&i, t);
-        let (_, t) = self.store.delete_at(&b, t);
+        let (d, i, b) = paths(&self.0.base);
+        let (_, t) = self.0.store.delete_at(&d, now);
+        let (_, t) = self.0.store.delete_at(&i, t);
+        let (_, t) = self.0.store.delete_at(&b, t);
         t
     }
 }

@@ -572,3 +572,51 @@ fn virtual_time_advances_with_work() {
         assert!(after > before, "SSTable barrier must add flush I/O time");
     }
 }
+
+/// `Options::bloom_filter` decides whether a get consults the SSTables'
+/// filters: on, a definite miss is settled in memory (`kv.bloom.neg`
+/// counts it); off, every SSTable is searched on NVM and nothing is
+/// counted. The probing rank's index is one no other test of this binary
+/// uses, so its telemetry counters are this test's alone.
+#[test]
+fn bloom_filter_option_decides_the_probe() {
+    const RANKS: usize = 6;
+    const PROBE: usize = RANKS - 1;
+    papyrus_telemetry::enable();
+    let misses = |bloom: bool| -> (u64, u64) {
+        let profile = SystemProfile::summitdev();
+        let platform = Platform::new(profile.clone(), RANKS);
+        let out = World::run(WorldConfig::new(RANKS, profile.net), move |rank| {
+            let repo = format!("nvm://t-bloom-{bloom}");
+            let ctx = Context::init(rank, platform.clone(), &repo).unwrap();
+            let opt = Options::small().with_bloom_filter(bloom);
+            let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+            let mine = |prefix: &str| -> Vec<String> {
+                let keys = (0..600).map(|i| format!("{prefix}{i}"));
+                keys.filter(|k| db.owner_of(k.as_bytes()) == ctx.rank()).collect()
+            };
+            for k in mine("present") {
+                db.put(k.as_bytes(), &[7u8; 64]).unwrap();
+            }
+            db.barrier(BarrierLevel::SsTable).unwrap();
+            assert!(db.sstable_count() >= 1, "the probes must reach SSTables");
+            let neg = papyrus_telemetry::global().counter(PROBE as u32, "kv.bloom.neg");
+            let (t0, n0) = (ctx.now(), neg.get());
+            if ctx.rank() == PROBE {
+                for k in mine("absent") {
+                    assert_eq!(db.get(k.as_bytes()).unwrap_err(), Error::NotFound);
+                }
+            }
+            let out = (ctx.now() - t0, neg.get() - n0);
+            db.close().unwrap();
+            ctx.finalize().unwrap();
+            out
+        });
+        out[PROBE]
+    };
+    let (on_ns, on_neg) = misses(true);
+    let (off_ns, off_neg) = misses(false);
+    assert!(on_neg > 0, "bloom on: definite misses are settled by the filter");
+    assert_eq!(off_neg, 0, "bloom off: the filter is never consulted");
+    assert!(off_ns > on_ns, "bloom off must search NVM on a miss: on {on_ns} ns, off {off_ns} ns");
+}

@@ -6,7 +6,8 @@
 //!
 //! Classification is lexical over the enclosing-call stack:
 //! - inside a `.send(` / `.send_at(` argument list        -> SENT
-//! - 1st / 2nd `tags::` argument of `rpc_with_retry(..)`  -> SENT / AWAITED
+//! - 1st / 2nd `tags::` argument of `request(..)` /
+//!   `send_batch(..)` (core's RPC front, runtime.rs)      -> SENT / AWAITED
 //! - inside `RecvTag::Tag(..)` / `Tag(..)` recv argument  -> AWAITED
 //! - match arm `tags::X =>`                               -> HANDLED
 //! - `== tags::X` / `tags::X ==` comparisons              -> neutral
@@ -132,7 +133,7 @@ pub fn run(ws: &Ws) -> Vec<Finding> {
                     for f in stack.iter_mut().rev() {
                         match f.0.as_str() {
                             "send" | "send_at" => u.sent.push(site),
-                            "rpc_with_retry" => {
+                            "request" | "send_batch" => {
                                 f.2 += 1;
                                 if f.2 == 1 {
                                     u.sent.push(site);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use crate::lexer::{lex, Lexed};
 use crate::parse::{extract_calls, parse_fns, CallSite, Callee, FnItem};
-use crate::rules::find_seq;
+use crate::rules::tests_from;
 use crate::SourceTree;
 
 /// Parsed view of the files an analysis runs over.
@@ -44,8 +44,7 @@ impl Ws {
         };
         for f in tree.files.iter().filter(|f| filter(&f.rel)) {
             let lx = lex(&f.text);
-            let tests_from =
-                find_seq(&lx.tokens, &["#", "[", "cfg", "(", "test"]).map(|i| lx.tokens[i].line);
+            let tests_from = tests_from(&lx.tokens);
             let file = ws.rels.len();
             let before = ws.fns.len();
             parse_fns(file, &lx, tests_from, &mut ws.fns);

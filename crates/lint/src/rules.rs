@@ -53,6 +53,11 @@ use crate::SourceTree;
 pub(crate) const PROTOCOL_PATHS: &[&str] = &[
     "crates/mpi/src/fabric.rs",
     "crates/core/src/db.rs",
+    "crates/core/src/stack.rs",
+    "crates/core/src/write.rs",
+    "crates/core/src/read.rs",
+    "crates/core/src/replica.rs",
+    "crates/core/src/sync.rs",
     "crates/core/src/runtime.rs",
     "crates/core/src/msg.rs",
     // The serve codec decodes bytes straight off client sockets: a panic
@@ -86,17 +91,14 @@ pub(crate) struct FileCtx<'a> {
     pub(crate) rel: &'a str,
     lines: Vec<&'a str>,
     pub(crate) lx: Lexed,
-    /// Line of the first `#[cfg(test)]` token sequence, if any; everything
-    /// from that line on is test code (matches the repo convention of one
-    /// trailing test module per file).
+    /// See [`tests_from`].
     tests_from: Option<usize>,
 }
 
 impl<'a> FileCtx<'a> {
     pub(crate) fn new(rel: &'a str, source: &'a str) -> Self {
         let lx = lex(source);
-        let tests_from =
-            find_seq(&lx.tokens, &["#", "[", "cfg", "(", "test"]).map(|i| lx.tokens[i].line);
+        let tests_from = tests_from(&lx.tokens);
         Self { rel, lines: source.lines().collect(), lx, tests_from }
     }
 
@@ -184,6 +186,17 @@ pub(crate) fn seq_at(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
 }
 
 /// First index where `pat` matches.
+/// Line of the first `#[cfg(test)]` / `#[cfg(all(test, ..))]` attribute, if
+/// any; everything from that line on is test code (the repo convention is
+/// trailing test modules, the `--cfg modelcheck` models last).
+pub(crate) fn tests_from(toks: &[Tok]) -> Option<usize> {
+    [&["#", "[", "cfg", "(", "test"][..], &["#", "[", "cfg", "(", "all", "(", "test"]]
+        .iter()
+        .filter_map(|pat| find_seq(toks, pat))
+        .min()
+        .map(|i| toks[i].line)
+}
+
 pub(crate) fn find_seq(toks: &[Tok], pat: &[&str]) -> Option<usize> {
     (0..toks.len().saturating_sub(pat.len() - 1)).find(|&i| seq_at(toks, i, pat))
 }

@@ -32,7 +32,7 @@ pub struct Seed {
 pub const SEEDS: &[Seed] = &[
     Seed {
         id: "panic-direct-entry",
-        description: "unwrap planted directly in rpc_with_retry (protocol entry fn)",
+        description: "unwrap planted directly in request (protocol entry fn)",
         patches: &[(
             "crates/core/src/runtime.rs",
             "ctx.comm_req.send(owner, req_tag, encode(seq));",
@@ -71,27 +71,27 @@ pub const SEEDS: &[Seed] = &[
         id: "blocking-direct-barrier",
         description: "collective barrier planted under db.sync mutex guard",
         patches: &[(
-            "crates/core/src/db.rs",
+            "crates/core/src/write.rs",
             "\n    sync.pending_flushes -= 1;",
             "\n    ctx.comm_ctl.barrier();\n    sync.pending_flushes -= 1;",
         )],
         rule: "blocking-under-lock",
         expect: "guard `sync`",
-        file: "crates/core/src/db.rs",
+        file: "crates/core/src/write.rs",
     },
     Seed {
         id: "blocking-transitive-merge",
         description: "SSTable merge (charged NVM I/O, many hops above NvmStore::io) \
-                      planted under the ssts write guard",
+                      planted under the stack write guard of the compaction swap",
         patches: &[(
-            "crates/core/src/db.rs",
-            "        let mut ssts = db.ssts.write();\n        ssts.clear();",
-            "        let mut ssts = db.ssts.write();\n        let _ = sstable::merge_at(&store, \
-             &snapshot, &base, new_ssid, true, stamp);\n        ssts.clear();",
+            "crates/core/src/write.rs",
+            "        let mut stack = db.stack.write();\n        stack.ssts.clear();",
+            "        let mut stack = db.stack.write();\n        let _ = sstable::merge_at(&store, \
+             &snapshot, &base, new_ssid, true, stamp);\n        stack.ssts.clear();",
         )],
         rule: "blocking-under-lock",
-        expect: "guard `ssts`",
-        file: "crates/core/src/db.rs",
+        expect: "guard `stack`",
+        file: "crates/core/src/write.rs",
     },
     Seed {
         id: "tag-sent-unhandled",

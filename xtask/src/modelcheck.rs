@@ -2,9 +2,9 @@
 //! models under `--cfg modelcheck`.
 //!
 //! The models live in `#[cfg(all(test, modelcheck))]` modules next to the
-//! code they check (core's blocking queue, telemetry's histogram and
-//! registry, replica's promotion table) plus `papyrus-modelcheck`'s own
-//! self-tests. A plain `cargo test` never compiles them; this driver
+//! code they check (core's blocking queue and its local-cache coherence,
+//! telemetry's histogram and registry, replica's promotion table) plus
+//! `papyrus-modelcheck`'s own self-tests. A plain `cargo test` never compiles them; this driver
 //! rebuilds the affected packages with `RUSTFLAGS="--cfg modelcheck"` into
 //! a separate target dir (`target/modelcheck`, so the flag flip doesn't
 //! thrash the main incremental cache) and runs every `modelcheck_`-named
@@ -13,7 +13,8 @@
 //!
 //! `--seed-bug all` instead runs the `modelcheck_seedbug_` tests: each
 //! plants a known concurrency bug (a Relaxed store where publication needs
-//! Release, a check-then-act promotion race) and asserts the explorer
+//! Release, a check-then-act promotion race, a cache fill outside the lock
+//! that orders it against the put's invalidation) and asserts the explorer
 //! *finds* it. All planted bugs must be detected or the driver fails —
 //! this is the evidence that a quiet clean run means something.
 
@@ -26,7 +27,7 @@ const MODEL_PACKAGES: &[&str] =
     &["papyrus-modelcheck", "papyruskv", "papyrus-telemetry", "papyrus-replica"];
 
 /// Number of planted seed bugs `--seed-bug all` must detect.
-const SEEDED_BUGS: usize = 2;
+const SEEDED_BUGS: usize = 3;
 
 pub fn run(args: &[String]) -> ExitCode {
     let mut seed_bug = false;

@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs.
 
-.PHONY: build test fmt clippy lint sanity modelcheck crashcheck chaos perfline serve verify trace clean
+.PHONY: build test fmt clippy kvbench lint sanity modelcheck crashcheck chaos perfline serve verify trace clean
 
 build:
 	cargo build --release --workspace
@@ -13,6 +13,17 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark is its own package and path-depends on the product crates:
+# build it and run its self-tests, so a deleted or renamed public item it
+# uses fails here and not in the benchmark run.
+kvbench:
+	cargo build --release --offline --manifest-path kvbench/Cargo.toml
+	cargo test --release --offline --manifest-path kvbench/Cargo.toml
+
+# The gate planes below all go through one driver: `cargo xtask` is an alias
+# (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask
+# links the plane libraries and calls them directly.
 
 # Protocol lint: the eight token rules plus the four interprocedural deep
 # analyses (panic-reachability, blocking-under-lock, tag matrix, atomic
@@ -60,7 +71,7 @@ chaos:
 # then prove the gate catches two planted regressions (seed-bug self-test).
 # Refresh the baseline with: cargo xtask perfline --out BENCH_baseline.json
 perfline:
-	cargo xtask perfline --check BENCH_baseline.json
+	cargo xtask perfline --out BENCH_current.json --check BENCH_baseline.json
 	cargo xtask perfline --seed-bug all
 
 # Serve-plane gate: the 4-rank, 10k-connection RESP load test (run twice,
@@ -72,7 +83,7 @@ serve:
 	cargo xtask serve --seed-bug all
 
 # The tier-1 gate: everything CI requires to pass, in one command.
-verify: build test fmt clippy lint modelcheck crashcheck chaos perfline serve
+verify: build test fmt clippy kvbench lint modelcheck crashcheck chaos perfline serve
 	@echo "verify: OK"
 
 # Quick observability smoke: writes trace.json (chrome://tracing / Perfetto).

@@ -25,7 +25,7 @@
 //! fails unless the harness catches it — a lost acknowledgement caught by
 //! the oracle, an undeadlined receive caught by the watchdog.
 //!
-//! Run it via `cargo xtask chaos` or the `chaos` binary.
+//! Run it via `cargo xtask chaos`.
 
 pub mod oracle;
 pub mod probes;
@@ -34,8 +34,5 @@ pub mod workload;
 
 pub use oracle::ChaosOracle;
 pub use papyrus_faultinject::PlantedBug;
-pub use sweep::{
-    bug_by_name, bug_name, chaos_sweep, run_seed_bug, ChaosReport, ChaosViolation, SEED_BASE,
-    SEED_BUGS,
-};
+pub use sweep::{chaos_sweep, run_seed_bug, ChaosReport, ChaosViolation, SEED_BASE, SEED_BUGS};
 pub use workload::{run_schedule, ChaosCfg, RankOutcome};

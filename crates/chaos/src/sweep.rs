@@ -229,21 +229,9 @@ pub fn chaos_sweep(cfg: &ChaosCfg, seed_base: u64) -> ChaosReport {
     report
 }
 
-/// The two planted protocol bugs of the `--seed-bug` self test.
-pub const SEED_BUGS: [PlantedBug; 2] = [PlantedBug::LostAck, PlantedBug::Hang];
-
-/// Stable CLI name of a planted bug.
-pub fn bug_name(bug: PlantedBug) -> &'static str {
-    match bug {
-        PlantedBug::LostAck => "lost-ack",
-        PlantedBug::Hang => "hang",
-    }
-}
-
-/// Parse a `--seed-bug` argument.
-pub fn bug_by_name(name: &str) -> Option<PlantedBug> {
-    SEED_BUGS.into_iter().find(|&b| bug_name(b) == name)
-}
+/// The planted protocol bugs of the `--seed-bug` self test, by CLI name.
+pub const SEED_BUGS: [(&str, PlantedBug); 2] =
+    [("lost-ack", PlantedBug::LostAck), ("hang", PlantedBug::Hang)];
 
 /// Run one schedule with `bug` planted in the protocol layer plus the
 /// message-drop plan that triggers it. The report must be dirty — a clean
@@ -281,7 +269,8 @@ pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
     };
     let seed = 0xB0C5 + bug as u64;
     let plan = Arc::new(FaultPlan::with_events(seed, events));
-    let label = format!("seed-bug {}", bug_name(bug));
+    let name = SEED_BUGS.iter().find(|(_, b)| *b == bug).map_or("unnamed", |(n, _)| n);
+    let label = format!("seed-bug {name}");
     let (outcomes, violations) = run_schedule_guarded(&cfg, plan, &label);
     fi::set_planted_bug(None);
     fi::force_disable();

@@ -24,12 +24,12 @@
 //!    skipped manifest renames, torn manifests) and proves the sweep
 //!    catches each class.
 //!
-//! Run it via `cargo xtask crashcheck` or the `crashcheck` binary.
+//! Run it via `cargo xtask crashcheck`.
 
 pub mod oracle;
 pub mod sweep;
 pub mod workload;
 
 pub use oracle::{Mark, MarkKind, Oracle};
-pub use sweep::{fault_by_name, fault_name, sweep, SweepReport, SweepViolation, SEED_BUGS};
+pub use sweep::{sweep, SweepReport, SweepViolation, SEED_BUGS};
 pub use workload::{record_workload, CrashCfg, Recorded};

@@ -420,21 +420,9 @@ fn restore_snapshot(
     })
 }
 
-/// The three seeded bug classes of the `--seed-bug` self test.
-pub const SEED_BUGS: [FaultMode; 3] =
-    [FaultMode::DropIndexWrites, FaultMode::SkipManifestRename, FaultMode::TornManifest];
-
-/// Stable CLI name of a fault mode.
-pub fn fault_name(fault: FaultMode) -> &'static str {
-    match fault {
-        FaultMode::None => "none",
-        FaultMode::DropIndexWrites => "drop-index",
-        FaultMode::SkipManifestRename => "skip-manifest-rename",
-        FaultMode::TornManifest => "torn-manifest",
-    }
-}
-
-/// Parse a `--seed-bug` argument.
-pub fn fault_by_name(name: &str) -> Option<FaultMode> {
-    SEED_BUGS.iter().copied().find(|&f| fault_name(f) == name)
-}
+/// The seeded bug classes of the `--seed-bug` self test, by CLI name.
+pub const SEED_BUGS: [(&str, FaultMode); 3] = [
+    ("drop-index", FaultMode::DropIndexWrites),
+    ("skip-manifest-rename", FaultMode::SkipManifestRename),
+    ("torn-manifest", FaultMode::TornManifest),
+];

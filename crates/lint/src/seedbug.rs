@@ -10,14 +10,11 @@
 //! The checkout is never modified — seeds patch a clone of the
 //! [`SourceTree`] snapshot.
 
-use std::path::Path;
-
 use crate::report::Finding;
 use crate::{analysis, rules, SourceTree};
 
 /// One planted violation: anchored patches plus the conviction predicate.
 pub struct Seed {
-    pub id: &'static str,
     pub description: &'static str,
     /// (relative path, anchor text, replacement text), applied in order.
     pub patches: &'static [(&'static str, &'static str, &'static str)],
@@ -29,9 +26,9 @@ pub struct Seed {
     pub file: &'static str,
 }
 
-pub const SEEDS: &[Seed] = &[
-    Seed {
-        id: "panic-direct-entry",
+/// Every planted violation, by `--seed-bug` name.
+pub const SEEDS: &[(&str, Seed)] = &[
+    ("panic-direct-entry", Seed {
         description: "unwrap planted directly in request (protocol entry fn)",
         patches: &[(
             "crates/core/src/runtime.rs",
@@ -41,9 +38,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "panic-path",
         expect: "_seed",
         file: "crates/core/src/runtime.rs",
-    },
-    Seed {
-        id: "panic-transitive-sstable",
+    }),
+    ("panic-transitive-sstable", Seed {
         description: "unwrap planted deep in SstReader::read_record, reachable via get path",
         patches: &[(
             "crates/core/src/sstable.rs",
@@ -53,9 +49,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "panic-path",
         expect: "header.get(8)",
         file: "crates/core/src/sstable.rs",
-    },
-    Seed {
-        id: "panic-macro-recovery",
+    }),
+    ("panic-macro-recovery", Seed {
         description: "panic! planted in ckpt::checkpoint (recovery entry fn)",
         patches: &[(
             "crates/core/src/ckpt.rs",
@@ -66,9 +61,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "panic-path",
         expect: "panic-family macro",
         file: "crates/core/src/ckpt.rs",
-    },
-    Seed {
-        id: "blocking-direct-barrier",
+    }),
+    ("blocking-direct-barrier", Seed {
         description: "collective barrier planted under db.sync mutex guard",
         patches: &[(
             "crates/core/src/write.rs",
@@ -78,9 +72,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "blocking-under-lock",
         expect: "guard `sync`",
         file: "crates/core/src/write.rs",
-    },
-    Seed {
-        id: "blocking-transitive-merge",
+    }),
+    ("blocking-transitive-merge", Seed {
         description: "SSTable merge (charged NVM I/O, many hops above NvmStore::io) \
                       planted under the stack write guard of the compaction swap",
         patches: &[(
@@ -92,9 +85,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "blocking-under-lock",
         expect: "guard `stack`",
         file: "crates/core/src/write.rs",
-    },
-    Seed {
-        id: "tag-sent-unhandled",
+    }),
+    ("tag-sent-unhandled", Seed {
         description: "ZOMBIE tag declared and sent, but no handler arm awaits it",
         patches: &[
             (
@@ -112,9 +104,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "tag-matrix",
         expect: "tag `ZOMBIE`",
         file: "crates/core/src/runtime.rs",
-    },
-    Seed {
-        id: "tag-handled-never-sent",
+    }),
+    ("tag-handled-never-sent", Seed {
         description: "GHOST tag declared with a handler arm, but no send site exists",
         patches: &[
             (
@@ -131,9 +122,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "tag-matrix",
         expect: "tag `GHOST`",
         file: "crates/core/src/runtime.rs",
-    },
-    Seed {
-        id: "tag-duplicate-value",
+    }),
+    ("tag-duplicate-value", Seed {
         description: "ALIAS_PUT declared with PUT_SYNC's value — monitor channels would alias",
         patches: &[(
             "crates/core/src/msg.rs",
@@ -143,9 +133,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "tag-matrix",
         expect: "duplicate tag value 2",
         file: "crates/core/src/msg.rs",
-    },
-    Seed {
-        id: "atomic-unpaired-release",
+    }),
+    ("atomic-unpaired-release", Seed {
         description: "Resource::busy_until's Acquire load and the CAS's acquire half weakened, \
                       orphaning the Release publication stores",
         patches: &[
@@ -159,9 +148,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "atomic-pairing",
         expect: "no Acquire-side load of `busy_until`",
         file: "crates/simtime/src/resource.rs",
-    },
-    Seed {
-        id: "atomic-acquire-no-release",
+    }),
+    ("atomic-acquire-no-release", Seed {
         description: "Clock's AcqRel RMWs weakened to Relaxed — now() acquires from nothing",
         patches: &[
             (
@@ -178,9 +166,8 @@ pub const SEEDS: &[Seed] = &[
         rule: "atomic-pairing",
         expect: "every store to `now` is Relaxed",
         file: "crates/simtime/src/clock.rs",
-    },
-    Seed {
-        id: "atomic-ptr-relaxed",
+    }),
+    ("atomic-ptr-relaxed", Seed {
         description: "AtomicPtr published with Relaxed ordering",
         patches: &[(
             "crates/core/src/runtime.rs",
@@ -192,63 +179,31 @@ pub const SEEDS: &[Seed] = &[
         rule: "atomic-pairing",
         expect: "AtomicPtr field `hot`",
         file: "crates/core/src/runtime.rs",
-    },
+    }),
 ];
 
-/// Outcome of one seed run.
-pub struct Conviction {
-    pub id: &'static str,
-    pub convicted: bool,
-    pub detail: String,
-}
-
 /// Plant one seed into a clone of `base` and run the full pass (token
-/// rules + deep analyses) over the patched tree.
-pub fn run_one(base: &SourceTree, seed: &Seed) -> Result<Conviction, String> {
+/// rules + deep analyses) over the patched tree: `Ok` carries the convicting
+/// finding, `Err` why there is none (a drifted anchor included).
+pub fn run_one(base: &SourceTree, seed: &Seed) -> Result<String, String> {
     let mut tree = base.clone();
     for (rel, anchor, replacement) in seed.patches {
-        tree.patch(rel, anchor, replacement).map_err(|e| format!("seed `{}`: {e}", seed.id))?;
+        tree.patch(rel, anchor, replacement)?;
     }
     let mut findings = rules::run_rules(&tree);
     findings.extend(analysis::run_deep(&tree));
     let hit: Option<&Finding> = findings
         .iter()
         .find(|f| f.rule == seed.rule && f.path == seed.file && f.text.contains(seed.expect));
-    Ok(match hit {
-        Some(f) => Conviction { id: seed.id, convicted: true, detail: f.render() },
-        None => Conviction {
-            id: seed.id,
-            convicted: false,
-            detail: format!(
-                "expected a `{}` finding in {} containing {:?}; got {} finding(s) total",
-                seed.rule,
-                seed.file,
-                seed.expect,
-                findings.len()
-            ),
-        },
+    hit.map(Finding::render).ok_or_else(|| {
+        format!(
+            "expected a `{}` finding in {} containing {:?}; got {} finding(s) total",
+            seed.rule,
+            seed.file,
+            seed.expect,
+            findings.len()
+        )
     })
-}
-
-/// Run `which` (a seed id, or `all`) against the workspace at `root`.
-pub fn run(root: &Path, which: &str) -> Result<Vec<Conviction>, String> {
-    let base = SourceTree::load(root);
-    if base.files.is_empty() {
-        return Err(format!("no sources under {}", root.display()));
-    }
-    let selected: Vec<&Seed> = if which == "all" {
-        SEEDS.iter().collect()
-    } else {
-        let s: Vec<&Seed> = SEEDS.iter().filter(|s| s.id == which).collect();
-        if s.is_empty() {
-            return Err(format!(
-                "unknown seed `{which}` (have: {})",
-                SEEDS.iter().map(|s| s.id).collect::<Vec<_>>().join(", ")
-            ));
-        }
-        s
-    };
-    selected.iter().map(|s| run_one(&base, s)).collect()
 }
 
 #[cfg(test)]
@@ -261,17 +216,16 @@ mod tests {
     #[test]
     fn all_seeds_convict() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-        let convictions = run(root, "all").expect("seed patches apply");
-        let missed: Vec<String> = convictions
+        let base = SourceTree::load(root);
+        let missed: Vec<String> = SEEDS
             .iter()
-            .filter(|c| !c.convicted)
-            .map(|c| format!("{}: {}", c.id, c.detail))
+            .filter_map(|(id, seed)| run_one(&base, seed).err().map(|why| format!("{id}: {why}")))
             .collect();
         assert!(
             missed.is_empty(),
             "{}/{} seeds convicted; missed:\n{}",
-            convictions.len() - missed.len(),
-            convictions.len(),
+            SEEDS.len() - missed.len(),
+            SEEDS.len(),
             missed.join("\n")
         );
     }
@@ -279,7 +233,7 @@ mod tests {
     /// Seed ids are unique — `--seed-bug <id>` must be unambiguous.
     #[test]
     fn seed_ids_unique() {
-        let mut ids: Vec<&str> = SEEDS.iter().map(|s| s.id).collect();
+        let mut ids: Vec<&str> = SEEDS.iter().map(|(id, _)| *id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), SEEDS.len());

@@ -98,11 +98,6 @@ impl Communicator {
         self.record.members.len()
     }
 
-    /// World rank of a communicator member.
-    pub fn world_rank_of(&self, comm_rank: Rank) -> Rank {
-        self.record.members[comm_rank]
-    }
-
     /// Send `payload` to `dst` (comm rank) with `tag`.
     ///
     /// Charges the sender's virtual clock with the software send overhead and
@@ -175,24 +170,6 @@ impl Communicator {
         Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
     }
 
-    /// Deadline receive that does NOT merge the arrival stamp (for
-    /// background threads); `None` on timeout.
-    pub fn recv_timeout_unstamped(
-        &self,
-        src: RecvSrc,
-        tag: RecvTag,
-        timeout: std::time::Duration,
-    ) -> Option<Message> {
-        let env = self.fabric.recv_deadline(
-            self.me_world,
-            self.id,
-            src.into_option(),
-            tag.into_option(),
-            timeout,
-        )?;
-        Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
-    }
-
     /// Non-blocking receive; `None` if no matching message is queued.
     pub fn try_recv(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
         let env =
@@ -209,13 +186,6 @@ impl Communicator {
     pub fn recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Message {
         let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
-    }
-
-    /// Non-blocking unstamped receive.
-    pub fn try_recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
-        let env =
-            self.fabric.try_recv(self.me_world, self.id, src.into_option(), tag.into_option())?;
-        Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
     }
 
     fn stamp_in(&self, env: &Envelope) {
@@ -395,19 +365,6 @@ impl Communicator {
     /// checks).
     pub fn rank_known_dead(&self, dst: Rank) -> bool {
         self.fabric.rank_known_dead(self.record.members[dst])
-    }
-
-    /// Members of this communicator already confirmed dead by the failure
-    /// detector, as comm ranks. Sticky verdicts only — ranks whose death
-    /// has not yet been discovered by anyone are not listed.
-    pub fn known_dead_ranks(&self) -> Vec<Rank> {
-        self.record
-            .members
-            .iter()
-            .enumerate()
-            .filter(|&(_, &wr)| self.fabric.rank_known_dead(wr))
-            .map(|(cr, _)| cr)
-            .collect()
     }
 
     /// The fabric this communicator lives on (for diagnostics/tests).

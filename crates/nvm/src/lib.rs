@@ -34,5 +34,5 @@ mod system;
 pub use backend::{Backend, DiskBackend, MemBackend};
 pub use journal::{CrashPolicy, FaultMode, Journal, JournalOp, JournaledBackend};
 pub use papyrus_faultinject::IoFault;
-pub use store::{NvmStore, ObjectWriter};
+pub use store::NvmStore;
 pub use system::{NvmArch, StorageMap, SystemProfile};

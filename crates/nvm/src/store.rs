@@ -236,21 +236,6 @@ impl NvmStore {
         self.ride_out(now, path, |t| self.try_put_at(path, data.clone(), t))
     }
 
-    /// Fallible append (see [`NvmStore::try_put_at`]).
-    pub fn try_append_at(&self, path: &str, data: &[u8], now: SimNs) -> Result<SimNs, IoFault> {
-        let stall = self.inject(true, now)?;
-        let cost = self.device.write_ns(data.len() as u64, AccessPattern::Sequential) + stall;
-        self.backend.append(path, data);
-        let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-        self.tel.io("append", true, data.len() as u64, now, cost, done);
-        Ok(done)
-    }
-
-    /// Append to an object at `now` (sequential write).
-    pub fn append_at(&self, path: &str, data: &[u8], now: SimNs) -> SimNs {
-        self.ride_out(now, path, |t| self.try_append_at(path, data, t))
-    }
-
     /// Fallible ranged read: `Ok(None)` = object missing (free), `Err` =
     /// injected read fault.
     pub fn try_read_at(
@@ -343,12 +328,6 @@ impl NvmStore {
         clock.merge(done);
     }
 
-    /// Synchronous append.
-    pub fn append(&self, path: &str, data: &[u8], clock: &Clock) {
-        let done = self.append_at(path, data, clock.now());
-        clock.merge(done);
-    }
-
     /// Synchronous ranged read.
     pub fn read(
         &self,
@@ -406,13 +385,6 @@ impl NvmStore {
         self.backend.clear();
         self.queue.reset();
     }
-
-    /// Start a buffered sequential writer for building large objects
-    /// (SSTable flush): bytes accumulate in memory and are written with one
-    /// device submission on [`ObjectWriter::finish`].
-    pub fn writer(&self, path: impl Into<String>) -> ObjectWriter {
-        ObjectWriter { store: self.clone(), path: path.into(), buf: Vec::new() }
-    }
 }
 
 /// Stable per-path seed so an object's injected-fault backoff jitter is
@@ -426,57 +398,9 @@ fn path_seed(path: &str) -> u64 {
     h
 }
 
-/// Buffered writer returned by [`NvmStore::writer`].
-pub struct ObjectWriter {
-    store: NvmStore,
-    path: String,
-    buf: Vec<u8>,
-}
-
-impl ObjectWriter {
-    /// Append bytes to the in-memory buffer.
-    pub fn write(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Bytes buffered so far.
-    pub fn len(&self) -> u64 {
-        self.buf.len() as u64
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Current write offset (== `len`).
-    pub fn offset(&self) -> u64 {
-        self.len()
-    }
-
-    /// Persist the object with one sequential write submitted at `now`;
-    /// returns the completion stamp.
-    pub fn finish_at(self, now: SimNs) -> SimNs {
-        self.store.put_at(&self.path, Bytes::from(self.buf), now)
-    }
-
-    /// Fallible [`ObjectWriter::finish_at`]: surfaces injected write faults
-    /// as typed errors. The buffer is consumed either way.
-    pub fn try_finish_at(self, now: SimNs) -> Result<SimNs, IoFault> {
-        self.store.try_put_at(&self.path, Bytes::from(self.buf), now)
-    }
-
-    /// Persist synchronously against `clock`.
-    pub fn finish(self, clock: &Clock) {
-        let done = self.finish_at(clock.now());
-        clock.merge(done);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use papyrus_simtime::US;
 
     fn nvme() -> NvmStore {
         NvmStore::in_memory(DeviceModel::nvme_summitdev())
@@ -537,24 +461,10 @@ mod tests {
         s.open(&c);
         let t1 = c.now();
         assert!(t1 >= s.device().open_ns());
-        s.append("x", b"12345", &c);
+        s.put("x", Bytes::from_static(b"12345"), &c);
         assert!(c.now() > t1);
         assert!(s.delete("x", &c));
         assert!(!s.delete("x", &c));
-    }
-
-    #[test]
-    fn writer_single_submission() {
-        let s = nvme();
-        let mut w = s.writer("sst/1.data");
-        assert!(w.is_empty());
-        w.write(b"hello ");
-        w.write(b"world");
-        assert_eq!(w.len(), 11);
-        let done = w.finish_at(0);
-        assert_eq!(&s.backend().get_all("sst/1.data").unwrap()[..], b"hello world");
-        // One write latency, not two.
-        assert!(done < 2 * s.device().write_latency + US);
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl StorageMap {
         &self.groups[self.group_of(rank)]
     }
 
-    /// NVM store by group id.
-    pub fn nvm_of_group(&self, group: usize) -> &NvmStore {
-        &self.groups[group]
-    }
-
     /// The parallel file system shared by all ranks.
     pub fn pfs(&self) -> &NvmStore {
         &self.pfs

@@ -78,16 +78,9 @@ pub enum SeedBug {
     Throughput,
 }
 
-impl SeedBug {
-    /// Parse a CLI name (`scan-p99` / `throughput`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scan-p99" => Some(SeedBug::ScanP99),
-            "throughput" => Some(SeedBug::Throughput),
-            _ => None,
-        }
-    }
-}
+/// The planted regressions of the `--seed-bug` self test, by CLI name.
+pub const SEED_BUGS: [(&str, SeedBug); 2] =
+    [("scan-p99", SeedBug::ScanP99), ("throughput", SeedBug::Throughput)];
 
 /// Virtual spike injected per poisoned scan by [`SeedBug::ScanP99`].
 const SCAN_SPIKE_NS: u64 = 4_000_000;
@@ -556,31 +549,21 @@ mod tests {
         cfg.ops_per_rank = 64;
         cfg.cell_ops_target = 0;
         cfg.vallen = 256;
-        // Least-contended envelope over 3 runs, exactly as the suite
-        // measures cells: a single run's qps carries enough scheduler
-        // noise on a loaded host to flake the 12% margin below.
-        let cell = |cfg: &SuiteCfg| {
-            let mut row = run_cell(cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 2);
-            for _ in 1..3 {
-                row = envelope(
-                    row,
-                    run_cell(cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 2),
-                );
-            }
-            row
-        };
-        let clean = cell(&cfg);
+        // One rank: no remote handler, so no host-scheduler order reaches
+        // the virtual latencies and both cells are exact. The property
+        // needs no peer — the drain advances the clock *outside* every
+        // latency window.
+        let clean = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 1);
         cfg.seed_bug = Some(SeedBug::Throughput);
-        let bugged = cell(&cfg);
+        let bugged = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 1);
         assert!(
             bugged.qps < clean.qps * 0.88,
             "drain must slow QPS by >12% ({} vs {})",
             bugged.qps,
             clean.qps
         );
-        // Latency percentiles are recorded inside the engine and must not
-        // move more than histogram-bucket jitter (6.25%).
-        let (c, b) = (clean.get.unwrap(), bugged.get.unwrap());
-        assert!((b.p50_ns as f64) < c.p50_ns as f64 * 1.07);
+        // Latencies are recorded inside the engine: a drain that leaked
+        // into a measurement window would move at least one field.
+        assert_eq!(bugged.get.expect("C is all reads"), clean.get.expect("C is all reads"));
     }
 }

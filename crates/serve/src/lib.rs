@@ -60,27 +60,9 @@ pub enum SeedBug {
     DroppedWrite,
 }
 
-impl SeedBug {
-    /// All plantable defects.
-    pub const ALL: [SeedBug; 2] = [SeedBug::AckBeforeFence, SeedBug::DroppedWrite];
-
-    /// Stable CLI/report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SeedBug::AckBeforeFence => "ack-before-fence",
-            SeedBug::DroppedWrite => "dropped-write",
-        }
-    }
-
-    /// Parse a CLI flag value (`all` is handled by the caller).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ack-before-fence" | "ack_before_fence" => Some(SeedBug::AckBeforeFence),
-            "dropped-write" | "dropped_write" => Some(SeedBug::DroppedWrite),
-            _ => None,
-        }
-    }
-}
+/// The plantable defects of the `--seed-bug` self test, by CLI name.
+pub const SEED_BUGS: [(&str, SeedBug); 2] =
+    [("ack-before-fence", SeedBug::AckBeforeFence), ("dropped-write", SeedBug::DroppedWrite)];
 
 /// Configuration for one serve run.
 #[derive(Debug, Clone)]

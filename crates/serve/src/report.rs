@@ -180,7 +180,10 @@ impl ServeReport {
             mix: cfg.mix.label().to_string(),
             skew: cfg.skew.label().to_string(),
             seed: cfg.seed,
-            seed_bug: cfg.seed_bug.map(|b| b.label()),
+            seed_bug: crate::SEED_BUGS
+                .iter()
+                .find(|(_, b)| Some(*b) == cfg.seed_bug)
+                .map(|(name, _)| *name),
             rows,
             read: LatSummary::from_samples(all_read),
             write: LatSummary::from_samples(all_write),

@@ -52,13 +52,6 @@ impl Clock {
     pub fn merge(&self, t: SimNs) -> SimNs {
         self.now.fetch_max(t, Ordering::AcqRel).max(t)
     }
-
-    /// Convenience: merge `t` then advance by `dur`.
-    #[inline]
-    pub fn merge_advance(&self, t: SimNs, dur: SimNs) -> SimNs {
-        self.merge(t);
-        self.advance(dur)
-    }
 }
 
 #[cfg(test)]
@@ -91,12 +84,6 @@ mod tests {
         assert_eq!(c.merge(50), 100); // older stamp ignored
         assert_eq!(c.merge(200), 200); // newer stamp adopted
         assert_eq!(c.now(), 200);
-    }
-
-    #[test]
-    fn merge_advance_combines() {
-        let c = Clock::new();
-        assert_eq!(c.merge_advance(30, 5), 35);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Minimal strict JSON parser — used by the [`crate::perf`] snapshot
 //! loader (`BENCH_*.json` baselines) and re-exported to the integration
-//! tests for validating tool output (Chrome traces). No external
+//! tests for validating tool output (Chrome traces) — plus [`quote`], the
+//! one string writer the crate's emitters share. No external
 //! dependencies; rejects trailing garbage. Not a general-purpose library —
 //! numbers are f64, objects keep insertion order, and no escapes beyond
 //! the JSON spec are accepted.
@@ -48,6 +49,26 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// `s` as a JSON string literal, quotes included: `"`, `\` and control
+/// bytes escaped, everything else (non-ASCII too) passed through.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parse a complete JSON document; `Err` carries the byte offset and a
@@ -241,5 +262,16 @@ mod tests {
     fn unicode_escapes() {
         assert_eq!(parse(r#""\u00e9A""#).unwrap().as_str(), Some("éA"));
         assert_eq!(parse(r#""raw é too""#).unwrap().as_str(), Some("raw é too"));
+    }
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for s in
+            ["", "plain", "q\"uote", "back\\slash", "\\\"", "é — 日本 \u{1F980}", &every_control]
+        {
+            assert_eq!(parse(&quote(s)).unwrap().as_str(), Some(s), "{s:?}");
+        }
     }
 }

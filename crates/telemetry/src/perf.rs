@@ -125,18 +125,18 @@ impl PerfSnapshot {
         let mut out = String::with_capacity(4096 + self.workloads.len() * 512);
         out.push_str("{\n");
         out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"kind\": {},\n", esc(PERF_SCHEMA_KIND)));
-        out.push_str(&format!("  \"git_sha\": {},\n", esc(&self.git_sha)));
-        out.push_str(&format!("  \"label\": {},\n", esc(&self.label)));
+        out.push_str(&format!("  \"kind\": {},\n", json::quote(PERF_SCHEMA_KIND)));
+        out.push_str(&format!("  \"git_sha\": {},\n", json::quote(&self.git_sha)));
+        out.push_str(&format!("  \"label\": {},\n", json::quote(&self.label)));
         out.push_str("  \"workloads\": [");
         for (i, w) in self.workloads.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            out.push_str(&format!("      \"id\": {}, ", esc(&w.id)));
-            out.push_str(&format!("\"mix\": {}, ", esc(&w.mix)));
-            out.push_str(&format!("\"skew\": {}, ", esc(&w.skew)));
+            out.push_str(&format!("      \"id\": {}, ", json::quote(&w.id)));
+            out.push_str(&format!("\"mix\": {}, ", json::quote(&w.mix)));
+            out.push_str(&format!("\"skew\": {}, ", json::quote(&w.skew)));
             out.push_str(&format!("\"ranks\": {}, ", w.ranks));
             out.push_str(&format!("\"replicas\": {},\n", w.replicas));
             out.push_str(&format!("      \"ops\": {}, ", w.ops));
@@ -152,6 +152,32 @@ impl PerfSnapshot {
             out.push_str("    }");
         }
         out.push_str("\n  ]\n}\n");
+        out
+    }
+
+    /// The human summary: one line per workload row, p99s in µs.
+    pub fn to_table(&self) -> String {
+        let mut out = format!(
+            "{:<22} {:>10} {:>12} {:>10} {:>10} {:>10} {:>7} {:>7}\n",
+            "workload", "qps", "elapsed-ms", "put-p99", "get-p99", "scan-p99", "flush", "compact"
+        );
+        let us = |l: &Option<LatencySummary>| match l {
+            Some(s) => format!("{:.1}us", s.p99_ns as f64 / 1e3),
+            None => "-".to_string(),
+        };
+        for w in &self.workloads {
+            out.push_str(&format!(
+                "{:<22} {:>10.0} {:>12.2} {:>10} {:>10} {:>10} {:>7} {:>7}\n",
+                w.id,
+                w.qps,
+                w.elapsed_ns as f64 / 1e6,
+                us(&w.put),
+                us(&w.get),
+                us(&w.scan),
+                w.flushes,
+                w.compactions,
+            ));
+        }
         out
     }
 
@@ -241,25 +267,6 @@ fn req_str(j: &Json, key: &str) -> Result<String, String> {
 
 fn req_num(j: &Json, key: &str) -> Result<f64, String> {
     j.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-/// JSON-escape a string (the schema only emits ASCII labels, but be strict).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render an f64 as a JSON number (finite guaranteed by construction; be

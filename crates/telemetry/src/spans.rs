@@ -19,6 +19,8 @@ use papyrus_simtime::SimNs;
 
 use parking_lot::Mutex;
 
+use crate::json::quote;
+
 /// Default per-timeline event capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
@@ -228,7 +230,7 @@ pub fn to_chrome_trace(
             first = false;
             out.push_str(&format!(
                 "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}",
-                json_str(name)
+                quote(name)
             ));
         }
     }
@@ -243,8 +245,8 @@ pub fn to_chrome_trace(
                 let dur_us = dur as f64 / 1_000.0;
                 out.push_str(&format!(
                     "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us},\"pid\":{},\"tid\":{}}}",
-                    json_str(ev.name),
-                    json_str(ev.cat),
+                    quote(ev.name),
+                    quote(ev.cat),
                     ev.pid,
                     ev.tid
                 ));
@@ -252,8 +254,8 @@ pub fn to_chrome_trace(
             EventKind::Instant => {
                 out.push_str(&format!(
                     "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us},\"pid\":{},\"tid\":{}}}",
-                    json_str(ev.name),
-                    json_str(ev.cat),
+                    quote(ev.name),
+                    quote(ev.cat),
                     ev.pid,
                     ev.tid
                 ));
@@ -281,27 +283,8 @@ fn push_meta(
     let tid = tid.unwrap_or(0);
     out.push_str(&format!(
         "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-        json_str(name)
+        quote(name)
     ));
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -345,11 +328,6 @@ mod tests {
         flag.store(true, Ordering::Relaxed);
         rec.span("t", "s", 0, 0, 10);
         assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

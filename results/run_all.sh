@@ -20,5 +20,5 @@ $B/fig13_meraculous --ranks 4,8,16,32            > results/fig13.txt 2>&1
 # Perf-trajectory snapshot: the YCSB-style suite's table goes with the
 # figures, and the JSON snapshot (BENCH_<sha>.json at the repo root) is
 # the artifact the CI regression gate compares against BENCH_baseline.json.
-$B/perfline                                      > results/perfline.txt 2>&1
+$B/xtask perfline                                > results/perfline.txt 2>&1
 echo ALL_FIGURES_DONE

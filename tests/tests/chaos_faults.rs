@@ -9,7 +9,8 @@
 //!  - seeded protocol bugs must be *caught* (the oracle has teeth).
 //!
 //! Seeds are pinned so a failure here reproduces bit-for-bit with
-//! `cargo xtask chaos --seeds 5 --seed-base 1000`.
+//! `cargo xtask chaos --seeds 5 --per-rank 3 --rounds 2` (the seed base is
+//! pinned at 1000).
 
 use papyrus_chaos::{chaos_sweep, run_seed_bug, ChaosCfg, PlantedBug, SEED_BASE, SEED_BUGS};
 

@@ -50,8 +50,8 @@ fn strided_sweep_recovers_clean_with_redistribution() {
 #[test]
 fn seeded_bugs_are_all_detected() {
     let cfg = CrashCfg::tiny();
-    for fault in SEED_BUGS {
+    for (name, fault) in SEED_BUGS {
         let report = sweep(&cfg, fault, true);
-        assert!(!report.is_clean(), "seeded bug {fault:?} was not detected:\n{}", report.render());
+        assert!(!report.is_clean(), "seeded bug {name} was not detected:\n{}", report.render());
     }
 }

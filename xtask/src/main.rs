@@ -1,220 +1,50 @@
-//! Repo automation.
+//! Repo automation: the one driver behind every gate plane.
 //!
 //! ```text
-//! cargo xtask lint [--root PATH] [--format human|json|sarif] [--deep]
-//!                  [--seed-bug all|ID] [--out FILE]
-//! cargo xtask modelcheck [--seed-bug all] [--filter NAME]
-//! cargo xtask crashcheck [crashcheck args...]
-//! cargo xtask chaos [chaos args...]
-//! cargo xtask perfline [perfline args...]
-//! cargo xtask serve [serve args...]
+//! cargo xtask lint | modelcheck | crashcheck | chaos | perfline | serve [flags]
+//! cargo xtask <plane> --help             # that plane's flag table
+//! cargo xtask <plane> --seed-bug all     # self-test: every planted bug convicted
 //! ```
 //!
-//! `lint` is a thin driver over the `papyrus-lint` crate: the eight
-//! token rules always run; `--deep` adds the four interprocedural
-//! analyses (panic-reachability, blocking-under-lock, tag matrix, atomic
-//! pairing); `--seed-bug` plants known violations into an in-memory copy
-//! of the tree and demands every one is convicted. `--format json` keeps
-//! the historical machine-readable shape; `--format sarif` emits SARIF
-//! 2.1.0 for code-scanning upload. `--out` writes the report to a file
-//! (stdout keeps the human summary).
-//!
-//! `modelcheck` builds and runs the schedule-exploration models under
-//! `RUSTFLAGS="--cfg modelcheck"` — see `modelcheck.rs`. CI runs both the
-//! clean sweep and `--seed-bug all` (every planted concurrency bug must be
-//! detected).
-//!
-//! `crashcheck` builds and runs the crash-consistency sweep
-//! (`papyrus-crashcheck`) in release mode, forwarding its arguments — see
-//! `cargo xtask crashcheck --help`.
-//!
-//! `chaos` builds and runs the runtime-fault chaos soak (`papyrus-chaos`)
-//! in release mode, forwarding its arguments — see
-//! `cargo xtask chaos --help`. CI runs both the default sweep and
-//! `--seed-bug all`.
-//!
-//! `perfline` builds and runs the perf-trajectory suite
-//! (`papyrus-perfline`) in release mode, forwarding its arguments — see
-//! `cargo xtask perfline --help`. CI runs the regression gate against the
-//! committed `BENCH_baseline.json` plus the `--seed-bug all` self-test.
-//!
-//! `serve` builds and runs the RESP front-end load test (`papyrus-serve`)
-//! in release mode, forwarding its arguments. The default run is the
-//! 4-rank, 10k-connection deterministic self-test (run twice,
-//! byte-identical reports required); CI also runs `--seed-bug all`
-//! (ack-before-fence and dropped-write must both be convicted).
+//! The `cargo xtask` alias (`.cargo/config.toml`) builds this crate in
+//! release mode — the sweeps spin up thousands of simulated worlds — and
+//! each subcommand calls its plane's library directly; `plane.rs` holds the
+//! flag parser and the `--seed-bug` self-test loop all six share.
 
+mod gates;
 mod modelcheck;
+mod perfline;
+mod plane;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use papyrus_lint::{render_json, render_sarif, SourceTree};
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => run_lint_cmd(&args[1..]),
-        Some("modelcheck") => modelcheck::run(&args[1..]),
-        Some("crashcheck") => {
-            // Release build: the sweep spins up thousands of recovery
-            // worlds; debug mode is needlessly slow for CI.
-            forward_run("crashcheck", "papyrus-crashcheck", "crashcheck", &args[1..])
-        }
-        Some("chaos") => {
-            // Release build: a sweep runs dozens of multi-rank worlds; debug
-            // mode is needlessly slow for CI.
-            forward_run("chaos", "papyrus-chaos", "chaos", &args[1..])
-        }
-        Some("serve") => {
-            // Release build: the self-test serves 10k connections per rank
-            // twice; debug mode is needlessly slow for CI.
-            forward_run("serve", "papyrus-serve", "serve", &args[1..])
-        }
-        Some("perfline") => {
-            // Release build: the suite measures the engine; debug-mode
-            // numbers would gate against a different codepath cost model.
-            forward_run("perfline", "papyrus-perfline", "perfline", &args[1..])
-        }
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map_or("", String::as_str) {
+        "lint" => gates::lint(rest),
+        "modelcheck" => modelcheck::run(rest),
+        "crashcheck" => gates::crashcheck(rest),
+        "chaos" => gates::chaos(rest),
+        "perfline" => perfline::run(rest),
+        "serve" => gates::serve(rest),
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--root PATH] [--format human|json|sarif] [--deep] \
-                 [--seed-bug all|ID] [--out FILE] \
-                 | cargo xtask modelcheck [--seed-bug all] [--filter NAME] \
-                 | cargo xtask crashcheck [args...] \
-                 | cargo xtask chaos [args...] | cargo xtask perfline [args...] \
-                 | cargo xtask serve [args...]"
+                "usage: cargo xtask lint|modelcheck|crashcheck|chaos|perfline|serve [flags] \
+                 (`cargo xtask <plane> --help` lists a plane's flags)"
             );
             ExitCode::FAILURE
         }
     }
 }
 
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
-fn run_lint_cmd(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut format = Format::Human;
-    let mut deep = false;
-    let mut seed_bug: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => root = it.next().map(PathBuf::from),
-            "--deep" => deep = true,
-            "--seed-bug" => seed_bug = it.next().cloned(),
-            "--out" => out = it.next().map(PathBuf::from),
-            "--format" => match it.next().map(String::as_str) {
-                Some("human") => format = Format::Human,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!("xtask lint: --format takes human|json|sarif, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask lint: unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = root.unwrap_or_else(workspace_root);
-
-    if let Some(which) = seed_bug {
-        // Self-test: every planted violation must be convicted.
-        return match papyrus_lint::seedbug::run(&root, &which) {
-            Ok(convictions) => {
-                let total = convictions.len();
-                let hit = convictions.iter().filter(|c| c.convicted).count();
-                for c in &convictions {
-                    if c.convicted {
-                        println!("xtask lint: seed {} CONVICTED\n  {}", c.id, c.detail);
-                    } else {
-                        println!("xtask lint: seed {} MISSED — {}", c.id, c.detail);
-                    }
-                }
-                println!("xtask lint: {hit}/{total} seeded violations convicted");
-                if hit == total {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let tree = SourceTree::load(&root);
-    let mut findings = papyrus_lint::rules::run_rules(&tree);
-    if deep {
-        findings.extend(papyrus_lint::run_deep(&tree));
-        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    }
-    let report = match format {
-        Format::Json => Some(render_json(&findings)),
-        Format::Sarif => Some(render_sarif(&findings)),
-        Format::Human => None,
-    };
-    match (&out, report) {
-        (Some(path), Some(doc)) => {
-            if let Err(e) = std::fs::write(path, doc + "\n") {
-                eprintln!("xtask lint: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "xtask lint: {} finding(s){} -> {}",
-                findings.len(),
-                if deep { " (deep)" } else { "" },
-                path.display()
-            );
-        }
-        (None, Some(doc)) => println!("{doc}"),
-        (_, None) => {
-            for f in &findings {
-                println!("{}", f.render());
-            }
-            if findings.is_empty() {
-                println!("xtask lint: clean{}", if deep { " (deep)" } else { "" });
-            } else {
-                println!("xtask lint: {} finding(s)", findings.len());
-            }
-        }
-    }
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `cargo run --release -p <pkg> --bin <bin> -- <args...>`, exit status
-/// forwarded.
-fn forward_run(name: &str, pkg: &str, bin: &str, rest: &[String]) -> ExitCode {
-    let status = std::process::Command::new(env!("CARGO"))
-        .current_dir(workspace_root())
-        .args(["run", "--release", "-p", pkg, "--bin", bin, "--"])
-        .args(rest)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("xtask {name}: failed to run cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// A gate's exit status.
+fn verdict(ok: bool) -> ExitCode {
+    ExitCode::from(u8::from(!ok))
 }
 
 /// The workspace root: parent of this crate's manifest dir.
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("xtask has a parent dir").to_path_buf()
 }

@@ -2,60 +2,52 @@
 //! models under `--cfg modelcheck`.
 //!
 //! The models live in `#[cfg(all(test, modelcheck))]` modules next to the
-//! code they check (core's blocking queue and its local-cache coherence,
-//! telemetry's histogram and registry, replica's promotion table) plus
-//! `papyrus-modelcheck`'s own self-tests. A plain `cargo test` never compiles them; this driver
-//! rebuilds the affected packages with `RUSTFLAGS="--cfg modelcheck"` into
-//! a separate target dir (`target/modelcheck`, so the flag flip doesn't
-//! thrash the main incremental cache) and runs every `modelcheck_`-named
-//! test in release mode (the exhaustive blocking-queue model explores ~16k
-//! interleavings; debug mode roughly doubles the wall time).
-//!
-//! `--seed-bug all` instead runs the `modelcheck_seedbug_` tests: each
-//! plants a known concurrency bug (a Relaxed store where publication needs
-//! Release, a check-then-act promotion race, a cache fill outside the lock
-//! that orders it against the put's invalidation) and asserts the explorer
-//! *finds* it. All planted bugs must be detected or the driver fails —
-//! this is the evidence that a quiet clean run means something.
+//! code they check, so a plain `cargo test` never compiles them. This driver
+//! rebuilds the packages that carry them with `RUSTFLAGS="--cfg modelcheck"`
+//! into `target/modelcheck` (the flag flip must not thrash the main cache)
+//! and runs every `modelcheck_` test in release mode: the blocking-queue
+//! model alone explores ~16k interleavings. `--seed-bug` runs one
+//! `modelcheck_seedbug_<name>_detected` test per planted bug; each asserts
+//! the explorer *finds* it, and one that fails or is gone is named.
 
 use std::process::{Command, ExitCode};
 
-use crate::workspace_root;
+use crate::plane;
+use crate::{verdict, workspace_root};
 
 /// Packages that carry modelcheck models or self-tests.
 const MODEL_PACKAGES: &[&str] =
     &["papyrus-modelcheck", "papyruskv", "papyrus-telemetry", "papyrus-replica"];
 
-/// Number of planted seed bugs `--seed-bug all` must detect.
-const SEEDED_BUGS: usize = 3;
+/// The planted concurrency bugs and the package whose seed test finds each:
+/// a Relaxed store where publication needs Release, two ranks passing the
+/// promotion check before either acts, a cache fill outside the lock that
+/// orders it against the put's invalidation.
+const SEED_BUGS: [(&str, &str); 3] = [
+    ("relaxed-publication", "papyrus-modelcheck"),
+    ("promotion-check-then-act", "papyrus-replica"),
+    ("stale-cache-fill", "papyruskv"),
+];
 
 pub fn run(args: &[String]) -> ExitCode {
-    let mut seed_bug = false;
-    let mut filter: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed-bug" => match it.next().map(String::as_str) {
-                Some("all") => seed_bug = true,
-                other => {
-                    eprintln!("xtask modelcheck: --seed-bug takes `all`, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--filter" => filter = it.next().cloned(),
-            other => {
-                eprintln!("xtask modelcheck: unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut seed_bug = None;
+    let flags = vec![plane::seed_bug(&mut seed_bug)];
+    if let Err(code) = plane::parse("modelcheck", "interleaving exploration", flags, args) {
+        return code;
     }
-
-    let default_filter = if seed_bug { "modelcheck_seedbug_" } else { "modelcheck_" };
-    let filter = filter.unwrap_or_else(|| default_filter.to_string());
+    if let Some(which) = seed_bug {
+        return plane::self_test("modelcheck", &which, &SEED_BUGS, |name, pkg| {
+            let test = format!("modelcheck_seedbug_{}_detected", name.replace('-', "_"));
+            match run_package(pkg, &test)? {
+                0 => Err(format!("no test `{test}` in {pkg} — was it renamed?")),
+                _ => Ok(format!("{pkg}: {test} passed (the explorer found the planted bug)")),
+            }
+        });
+    }
 
     let mut total_passed = 0usize;
     for pkg in MODEL_PACKAGES {
-        match run_package(pkg, &filter) {
+        match run_package(pkg, "modelcheck_") {
             Ok(passed) => {
                 println!("xtask modelcheck: {pkg}: {passed} model test(s) passed");
                 total_passed += passed;
@@ -66,57 +58,26 @@ pub fn run(args: &[String]) -> ExitCode {
             }
         }
     }
-
-    if seed_bug {
-        if total_passed == SEEDED_BUGS {
-            println!(
-                "xtask modelcheck --seed-bug: {total_passed}/{SEEDED_BUGS} planted bugs detected"
-            );
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "xtask modelcheck --seed-bug: expected {SEEDED_BUGS} planted-bug detections, \
-                 got {total_passed} — a seed bug went undetected or a test was renamed"
-            );
-            ExitCode::FAILURE
-        }
-    } else if total_passed == 0 {
-        // A filter that matches nothing would otherwise report success
-        // while running zero models.
-        eprintln!("xtask modelcheck: no tests matched filter `{filter}`");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "xtask modelcheck: {total_passed} model test(s) passed across {} package(s)",
-            MODEL_PACKAGES.len()
-        );
-        ExitCode::SUCCESS
-    }
+    println!(
+        "xtask modelcheck: {total_passed} model test(s) passed across {} package(s)",
+        MODEL_PACKAGES.len()
+    );
+    // Zero models run is not a clean sweep.
+    verdict(total_passed > 0)
 }
 
 /// Run `cargo test` for one package under `--cfg modelcheck`; returns the
 /// passed-test count parsed from the harness summary line.
 fn run_package(pkg: &str, filter: &str) -> Result<usize, String> {
     // Append to any ambient RUSTFLAGS rather than clobbering them.
-    let mut rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
-    if !rustflags.is_empty() {
-        rustflags.push(' ');
-    }
-    rustflags.push_str("--cfg modelcheck");
+    let ambient = std::env::var("RUSTFLAGS").unwrap_or_default();
+    let rustflags = format!("{ambient} --cfg modelcheck");
 
     let out = Command::new(env!("CARGO"))
         .current_dir(workspace_root())
         .env("RUSTFLAGS", rustflags)
-        .args([
-            "test",
-            "--release",
-            "--lib",
-            "-p",
-            pkg,
-            "--target-dir",
-            "target/modelcheck",
-            filter,
-        ])
+        .args(["test", "--release", "--lib", "-p", pkg])
+        .args(["--target-dir", "target/modelcheck", filter])
         .output()
         .map_err(|e| format!("failed to run cargo: {e}"))?;
 

@@ -1,0 +1,130 @@
+//! `cargo xtask perfline` — run the YCSB-style perf-trajectory suite plus the
+//! serve rows, write the `BENCH_<git-sha>.json` snapshot and gate it against
+//! a committed baseline. Fails when `--check` finds regressions, when the
+//! snapshot cannot be written, or when the self-test misses a planted one.
+
+use std::process::ExitCode;
+
+use papyrus_perfline::{git_short_sha, run_suite, SeedBug, SuiteCfg, SEED_BUGS};
+use papyrus_telemetry::{compare, PerfSnapshot};
+
+use crate::plane::{self, count, positive, switch, text, value};
+use crate::{verdict, workspace_root};
+
+/// Regression tolerance (percent) of the gate.
+const TOLERANCE_PCT: f64 = 10.0;
+/// Absolute p99 growth (ns) below which a percentage regression is ignored —
+/// one log-linear bucket step is 6.25%, so tiny latencies need an absolute
+/// floor to stay out of the noise.
+const P99_FLOOR_NS: u64 = 10_000;
+
+pub fn run(args: &[String]) -> ExitCode {
+    // `--quick` picks the suite the other flags then override, wherever it
+    // appears on the line.
+    let mut quick = args.iter().any(|a| a == "--quick");
+    let mut cfg = if quick { SuiteCfg::quick() } else { SuiteCfg::default_suite() };
+    let (mut out, mut check, mut seed_bug) = (None, None, None);
+    let flags = vec![
+        text("--out", "PATH", "snapshot path (default BENCH_<sha>.json at the root)", &mut out),
+        text("--check", "BASELINE.json", "gate: fail on >10% p99/QPS regressions", &mut check),
+        switch("--quick", "scaled-down suite: 4 ranks, 2 skews", &mut quick),
+        value("--ranks", "A,B,..", "rank counts to sweep", &mut cfg.ranks, |v| {
+            v.split(',').map(|n| positive(n.trim())).collect()
+        }),
+        count("--replicas", "replication factor (2+ also exports repl_lag)", &mut cfg.replicas),
+        count("--repeats", "runs per cell; the least-contended envelope is kept", &mut cfg.repeats),
+        plane::seed_bug(&mut seed_bug),
+    ];
+    if let Err(code) = plane::parse("perfline", "perf-trajectory suite and gate", flags, args) {
+        return code;
+    }
+    if let Some(which) = seed_bug {
+        return self_test(&which);
+    }
+
+    cfg.label = cfg.describe(if quick { "quick suite" } else { "default suite" });
+    let root = workspace_root();
+    let sha = git_short_sha(&root);
+    println!("# perfline: {} ({} cells, git {sha})", cfg.label, suite_cells(&cfg));
+    let mut snap = run_suite(&cfg);
+    // Serve-plane rows ride the same snapshot and gate. They are exact
+    // virtual-time numbers (same seed ⇒ same bytes), so one run suffices —
+    // no repeat envelope.
+    println!("# serve rows: RESP front end at reduced sizing...");
+    snap.workloads.extend(papyrus_serve::perf_rows(cfg.seed));
+    snap.git_sha = sha.clone();
+    print!("{}", snap.to_table());
+
+    let mut ok = check.is_none_or(|baseline| gate(&snap, &baseline));
+    let out = out.unwrap_or_else(|| root.join(format!("BENCH_{sha}.json")).display().to_string());
+    match snap.write_json(&out) {
+        Ok(()) => println!("# snapshot written to {out}"),
+        Err(e) => {
+            eprintln!("xtask perfline: failed to write {out}: {e}");
+            ok = false;
+        }
+    }
+    verdict(ok)
+}
+
+fn suite_cells(cfg: &SuiteCfg) -> usize {
+    cfg.ranks.len() * cfg.skews.len() * cfg.mixes.len()
+}
+
+/// `--check`: compare against the baseline file and print the verdict.
+fn gate(current: &PerfSnapshot, baseline_path: &str) -> bool {
+    let baseline = match PerfSnapshot::read_json(baseline_path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("xtask perfline: cannot read baseline {baseline_path}: {e}");
+            return false;
+        }
+    };
+    let regressions = compare(current, &baseline, TOLERANCE_PCT, P99_FLOOR_NS);
+    let against = format!("{TOLERANCE_PCT}% vs {baseline_path} (git {})", baseline.git_sha);
+    if regressions.is_empty() {
+        println!("# gate PASS: no regression beyond {against}");
+    } else {
+        println!("# gate FAIL: {} regression(s) beyond {against}:", regressions.len());
+        for r in &regressions {
+            println!("#   {}", r.render());
+        }
+    }
+    regressions.is_empty()
+}
+
+/// `--seed-bug`: the gate must stay quiet between two clean runs of the
+/// quick suite and fire, on the planted metric, for each planted regression.
+/// A gate that trips on the clean rerun convicts nothing.
+fn self_test(which: &str) -> ExitCode {
+    let mut cfg = SuiteCfg::quick();
+    cfg.label = cfg.describe("seed-bug self-test");
+    // Run lazily, so an unknown bug name costs no suite run.
+    let mut clean: Option<(PerfSnapshot, usize)> = None;
+    plane::self_test("perfline", which, &SEED_BUGS, |_, &bug| {
+        let (reference, noise) = clean.get_or_insert_with(|| {
+            println!("# self-test: clean reference run ({} cells)...", suite_cells(&cfg));
+            let reference = run_suite(&cfg);
+            println!("# self-test: clean repeat run (noise check)...");
+            let noise = compare(&run_suite(&cfg), &reference, TOLERANCE_PCT, P99_FLOOR_NS);
+            for r in &noise {
+                println!("#   noise: {}", r.render());
+            }
+            (reference, noise.len())
+        });
+        if *noise > 0 {
+            return Err(format!("the clean rerun already tripped the gate on {noise} row(s)"));
+        }
+        let expect = match bug {
+            SeedBug::ScanP99 => "scan.p99",
+            SeedBug::Throughput => "qps",
+        };
+        println!("# self-test: planted {bug:?} run...");
+        let bugged = run_suite(&SuiteCfg { seed_bug: Some(bug), ..cfg.clone() });
+        let regs = compare(&bugged, reference, TOLERANCE_PCT, P99_FLOOR_NS);
+        match regs.iter().find(|r| r.metric.contains(expect)) {
+            Some(hit) => Ok(format!("{} regression(s), e.g. {}", regs.len(), hit.render())),
+            None => Err(format!("expected a `{expect}` regression; the gate saw {}", regs.len())),
+        }
+    })
+}

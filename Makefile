@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs.
 
-.PHONY: build test fmt clippy kvbench lint sanity modelcheck crashcheck chaos perfline serve verify trace clean
+.PHONY: build test fmt clippy doc kvbench lint sanity modelcheck crashcheck chaos perfline serve verify trace clean
 
 build:
 	cargo build --release --workspace
@@ -14,6 +14,11 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
+# Simplification PRs delete and rename documented items; a doc comment still
+# linking to one (or a public doc linking a private item) is an error here.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The benchmark is its own package and path-depends on the product crates:
 # build it and run its self-tests, so a deleted or renamed public item it
 # uses fails here and not in the benchmark run.
@@ -25,7 +30,7 @@ kvbench:
 # (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask
 # links the plane libraries and calls them directly.
 
-# Protocol lint: the eight token rules plus the four interprocedural deep
+# Protocol lint: the seven token rules plus the four interprocedural deep
 # analyses (panic-reachability, blocking-under-lock, tag matrix, atomic
 # pairing), then the seed-bug self-test (every planted violation must be
 # convicted). Blocking in CI.
@@ -83,7 +88,7 @@ serve:
 	cargo xtask serve --seed-bug all
 
 # The tier-1 gate: everything CI requires to pass, in one command.
-verify: build test fmt clippy kvbench lint modelcheck crashcheck chaos perfline serve
+verify: build test fmt clippy doc kvbench lint modelcheck crashcheck chaos perfline serve
 	@echo "verify: OK"
 
 # Quick observability smoke: writes trace.json (chrome://tracing / Perfetto).

@@ -4,7 +4,7 @@
 //! `Condvar` whose `wait`/`wait_for` take `&mut MutexGuard`):
 //!
 //! - **native** (default): `std::sync` wrappers with `papyrus-sanity`
-//!   lock-order instrumentation — see [`native`]'s module docs.
+//!   lock-order instrumentation — see `native`'s module docs.
 //! - **modelcheck** (`--cfg modelcheck`): the `papyrus-modelcheck` shim
 //!   types, which make every acquisition a scheduling point of the
 //!   deterministic schedule explorer. Because every lock in the workspace

@@ -39,12 +39,7 @@ fn main() {
         papyrus_telemetry::reset();
         let platform = Platform::new(profile.clone(), n);
         let seed = args.seed;
-        let net = if std::env::var("DIAG_FREE_NET").is_ok() {
-            papyrus_simtime::NetModel::free()
-        } else {
-            profile.net.clone()
-        };
-        World::run(WorldConfig::new(n, net), move |rank| {
+        World::run(WorldConfig::new(n, profile.net.clone()), move |rank| {
             let ctx = Context::init(rank.clone(), platform.clone(), "nvm://diag").unwrap();
             let opt = Options::default()
                 .with_memtable_capacity(1 << 30)

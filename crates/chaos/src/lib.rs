@@ -6,8 +6,9 @@
 //! proves it survives *runtime* faults: transient NVM I/O errors, `ENOSPC`,
 //! device stalls, network delay spikes, and rank death. Each schedule is a
 //! [`papyrus_faultinject::FaultPlan`] generated deterministically from a
-//! seed and run against a Figure-6-style multi-rank put/get workload
-//! ([`workload`]), whose every observation is judged by a shadow KV oracle
+//! seed, armed on that schedule's own world, and run against a
+//! Figure-6-style multi-rank put/get workload ([`workload`]), whose every
+//! observation is judged by a shadow KV oracle
 //! ([`oracle`]):
 //!
 //! * **no acknowledged write is lost** — anything `Ok` before a successful
@@ -34,5 +35,5 @@ pub mod workload;
 
 pub use oracle::ChaosOracle;
 pub use papyrus_faultinject::PlantedBug;
-pub use sweep::{chaos_sweep, run_seed_bug, ChaosReport, ChaosViolation, SEED_BASE, SEED_BUGS};
+pub use sweep::{chaos_sweep, run_seed_bug, ChaosReport, ChaosViolation, SEED_BUGS};
 pub use workload::{run_schedule, ChaosCfg, RankOutcome};

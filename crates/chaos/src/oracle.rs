@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use papyrus_sanity::ViolationKind;
+use papyrus_sanity::{Violation, ViolationKind};
 use papyruskv::error::Error;
 use parking_lot::Mutex;
 
@@ -43,10 +43,14 @@ pub fn error_is_typed(e: &Error) -> bool {
     )
 }
 
-/// Shared ground truth for one chaos schedule.
+/// Shared ground truth for one chaos schedule, and the list its verdicts
+/// are collected in: everything the schedule is convicted of — by
+/// [`ChaosOracle::judge`], by the workload's error typing, by the sweep's
+/// watchdog — lands here, in the schedule's own oracle, and nowhere global.
 #[derive(Default)]
 pub struct ChaosOracle {
     keys: Mutex<HashMap<Vec<u8>, KeyState>>,
+    verdicts: Mutex<Vec<Violation>>,
 }
 
 impl ChaosOracle {
@@ -75,6 +79,16 @@ impl ChaosOracle {
         let mut keys = self.keys.lock();
         let st = keys.entry(key.to_vec()).or_default();
         st.acked = st.acked.max(st.ok);
+    }
+
+    /// Convict this schedule of one violation.
+    pub fn convict(&self, kind: ViolationKind, detail: String) {
+        self.verdicts.lock().push(Violation { kind, detail });
+    }
+
+    /// Drain the verdicts collected so far.
+    pub fn take_verdicts(&self) -> Vec<Violation> {
+        std::mem::take(&mut self.verdicts.lock())
     }
 
     /// Every key any writer ever attempted.

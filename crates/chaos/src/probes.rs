@@ -16,12 +16,10 @@
 
 use std::sync::Arc;
 
-use papyrus_faultinject::{self as fi, FaultEvent, FaultPlan};
+use papyrus_faultinject::{FaultEvent, FaultPlan};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
 use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
-
-use crate::sweep::chaos_lock;
 
 /// Ranks in a probe world.
 pub const PROBE_RANKS: usize = 4;
@@ -81,18 +79,13 @@ fn value_of(key: &[u8]) -> Vec<u8> {
 /// re-replication with a fence and signals the heal target, which then
 /// counts the victim's pairs in its own replica tables.
 pub fn replication_probe() -> Vec<ProbeOutcome> {
-    let _guard = chaos_lock().lock();
-    let _ = papyrus_sanity::take_violations();
-    fi::force_enable();
-    fi::set_planted_bug(None);
     let plan = Arc::new(FaultPlan::with_events(
         PROBE_SEED,
         vec![FaultEvent::RankKill { rank: VICTIM, at: KILL_AT }],
     ));
-    fi::install_plan(plan.clone());
-
     let platform = Platform::new(SystemProfile::test_profile(), PROBE_RANKS);
-    let outcomes = World::run(WorldConfig::for_tests(PROBE_RANKS), move |rank| {
+    let world = WorldConfig::for_tests(PROBE_RANKS).with_faults(plan.clone());
+    World::run(world, move |rank| {
         let ctx = Context::init_with_group(rank, platform.clone(), "nvm://chaos-probe", 1)
             .expect("probe init");
         let db = ctx
@@ -149,10 +142,5 @@ pub fn replication_probe() -> Vec<ProbeOutcome> {
         // Degraded world: the collective close/finalize cannot complete
         // with a dead member, so survivors skip it like the sweep does.
         out
-    });
-
-    fi::clear_plan();
-    fi::force_disable();
-    let _ = papyrus_sanity::take_violations();
-    outcomes
+    })
 }

@@ -1,30 +1,30 @@
 //! The chaos sweep: seeded schedules, a watchdog, and the seed-bug self test.
 //!
-//! The default sweep runs `cfg.seeds` schedules, cycling the five
-//! [`FaultClass`]es so every class is covered several times. Each schedule
-//! generates its [`FaultPlan`] from the seed, installs it, runs the
-//! [`crate::workload`] under a supervised thread, and drains the global
-//! `papyrus-sanity` registry: oracle verdicts, untyped errors, and watchdog
-//! findings all become violations of that schedule. A clean sweep proves,
+//! The default sweep runs `cfg.seeds` schedules, cycling the five fault
+//! classes ([`ALL_CLASSES`]) so every class is covered several times. Each
+//! schedule generates its [`FaultPlan`] from the seed, arms its own world
+//! with it, runs the [`crate::workload`] under a supervised thread, and
+//! collects oracle verdicts, untyped errors, and watchdog findings in that
+//! schedule's own [`ChaosOracle`]. Nothing is process-global, so sweeps
+//! need no lock between them and a hung schedule's abandoned threads keep
+//! consulting the plan they were started with. A clean sweep proves,
 //! for every seed: no acknowledged write was lost, no phantom value
 //! appeared, no schedule hung, and every surfaced error was typed.
 //!
 //! `--seed-bug` proves the harness can actually catch what it claims to:
-//! each [`PlantedBug`] is armed together with a message-drop plan that
-//! triggers it, and the run must end dirty — [`PlantedBug::LostAck`] caught
-//! by the oracle as an acknowledged-write loss, [`PlantedBug::Hang`] caught
-//! by the watchdog as a hung schedule.
+//! each [`PlantedBug`] rides on a message-drop plan that triggers it, and
+//! the run must end dirty — [`PlantedBug::LostAck`] caught by the oracle as
+//! an acknowledged-write loss, [`PlantedBug::Hang`] caught by the watchdog
+//! as a hung schedule.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use papyrus_faultinject::{
-    self as fi, class_name, FaultClass, FaultEvent, FaultPlan, PlantedBug, ALL_CLASSES,
-};
+use papyrus_faultinject::{class_name, FaultEvent, FaultPlan, PlantedBug, ALL_CLASSES};
 use papyrus_sanity::ViolationKind;
-use parking_lot::Mutex;
 
+use crate::oracle::ChaosOracle;
 use crate::workload::{run_schedule, ChaosCfg, RankOutcome};
 
 /// One confirmed violation, tagged with the schedule that produced it.
@@ -97,29 +97,19 @@ impl ChaosReport {
     }
 }
 
-/// Serialises chaos runs within one process: each run owns the global fault
-/// gate, plan registry, planted-bug slot, and sanity registry.
-pub(crate) fn chaos_lock() -> &'static Mutex<()> {
-    static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Install `plan`, run one schedule under the watchdog, drain the registry.
+/// Run one schedule under the watchdog on a world armed with `plan`.
 /// Returns rank outcomes (`None` if the schedule hung or panicked) plus the
-/// violations recorded against it.
+/// violations it was convicted of.
 fn run_schedule_guarded(
     cfg: &ChaosCfg,
     plan: Arc<FaultPlan>,
     label: &str,
 ) -> (Option<Vec<RankOutcome>>, Vec<papyrus_sanity::Violation>) {
-    let _ = papyrus_sanity::take_violations(); // isolate this schedule
-    fi::install_plan(plan.clone());
-    let oracle = Arc::new(crate::oracle::ChaosOracle::new());
+    let oracle = Arc::new(ChaosOracle::new());
     let (tx, rx) = mpsc::channel();
-    let cfg2 = cfg.clone();
-    let what = label.to_string();
+    let (cfg2, oracle2) = (cfg.clone(), oracle.clone());
     let spawned = std::thread::Builder::new().name(format!("chaos-{label}")).spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(move || run_schedule(&cfg2, plan, oracle)));
+        let result = catch_unwind(AssertUnwindSafe(move || run_schedule(&cfg2, plan, oracle2)));
         let _ = tx.send(result);
     });
     let outcome = match spawned {
@@ -135,31 +125,27 @@ fn run_schedule_guarded(
                     .cloned()
                     .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                     .unwrap_or_else(|| "non-string panic payload".to_string());
-                papyrus_sanity::record_violation(
+                oracle.convict(
                     ViolationKind::UntypedError,
-                    format!("{what} panicked instead of returning a typed error: {msg}"),
+                    format!("{label} panicked instead of returning a typed error: {msg}"),
                 );
                 None
             }
             Err(_) => {
                 // Hung schedule: abandon its world and flag it.
-                papyrus_sanity::record_violation(
+                oracle.convict(
                     ViolationKind::ChaosHang,
-                    format!("{what} hung (> {}s wall clock)", cfg.timeout_secs),
+                    format!("{label} hung (> {}s wall clock)", cfg.timeout_secs),
                 );
                 None
             }
         },
         Err(e) => {
-            papyrus_sanity::record_violation(
-                ViolationKind::ChaosHang,
-                format!("{what}: spawn failed: {e}"),
-            );
+            oracle.convict(ViolationKind::ChaosHang, format!("{label}: spawn failed: {e}"));
             None
         }
     };
-    fi::clear_plan();
-    (outcome, papyrus_sanity::take_violations())
+    (outcome, oracle.take_verdicts())
 }
 
 /// Fold one schedule's results into the report.
@@ -193,29 +179,17 @@ fn absorb(
     }
 }
 
-/// The fault class schedule `i` of a sweep exercises.
-pub fn class_of(i: usize) -> FaultClass {
-    ALL_CLASSES[i % ALL_CLASSES.len()]
-}
-
-/// The seed schedule `i` of a sweep uses (`seed_base + i`).
-pub fn seed_of(seed_base: u64, i: usize) -> u64 {
-    seed_base.wrapping_add(i as u64)
-}
-
-/// Default seed base of the sweep (any value works; this one is pinned so
-/// CI runs are reproducible and failures can be replayed by seed).
+/// Seed of the sweep's first schedule; schedule `i` runs seed `SEED_BASE + i`
+/// (any value works; this one is pinned so CI runs are reproducible and
+/// failures can be replayed by seed).
 pub const SEED_BASE: u64 = 1000;
 
 /// Run the default sweep: `cfg.seeds` schedules cycling all fault classes.
-pub fn chaos_sweep(cfg: &ChaosCfg, seed_base: u64) -> ChaosReport {
-    let _guard = chaos_lock().lock();
-    fi::force_enable();
-    fi::set_planted_bug(None);
+pub fn chaos_sweep(cfg: &ChaosCfg) -> ChaosReport {
     let mut report = ChaosReport::default();
     for i in 0..cfg.seeds {
-        let seed = seed_of(seed_base, i);
-        let class = class_of(i);
+        let seed = SEED_BASE + i as u64;
+        let class = ALL_CLASSES[i % ALL_CLASSES.len()];
         let plan = Arc::new(FaultPlan::generate(seed, class, cfg.ranks, cfg.horizon_ns));
         if cfg.verbose {
             eprintln!("chaos: seed {seed} [{}] {} events", class_name(class), plan.events().len());
@@ -225,7 +199,6 @@ pub fn chaos_sweep(cfg: &ChaosCfg, seed_base: u64) -> ChaosReport {
         let (outcomes, violations) = run_schedule_guarded(cfg, plan, &label);
         absorb(&mut report, seed, class_name(class), had_kill, outcomes, violations);
     }
-    fi::force_disable();
     report
 }
 
@@ -233,13 +206,11 @@ pub fn chaos_sweep(cfg: &ChaosCfg, seed_base: u64) -> ChaosReport {
 pub const SEED_BUGS: [(&str, PlantedBug); 2] =
     [("lost-ack", PlantedBug::LostAck), ("hang", PlantedBug::Hang)];
 
-/// Run one schedule with `bug` planted in the protocol layer plus the
-/// message-drop plan that triggers it. The report must be dirty — a clean
-/// report means the harness failed to detect its own planted bug.
+/// Run one schedule whose plan carries `bug`, planted in the protocol layer
+/// of that schedule's world, plus the message drops that trigger it. The
+/// report must be dirty — a clean report means the harness failed to detect
+/// its own planted bug.
 pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
-    let _guard = chaos_lock().lock();
-    fi::force_enable();
-    fi::set_planted_bug(Some(bug));
     let mut cfg = cfg.clone();
     let events = match bug {
         // Drop the first two PUT_SYNC requests: the planted bug then
@@ -268,12 +239,10 @@ pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
         }
     };
     let seed = 0xB0C5 + bug as u64;
-    let plan = Arc::new(FaultPlan::with_events(seed, events));
+    let plan = Arc::new(FaultPlan::with_events(seed, events).with_bug(bug));
     let name = SEED_BUGS.iter().find(|(_, b)| *b == bug).map_or("unnamed", |(n, _)| n);
     let label = format!("seed-bug {name}");
     let (outcomes, violations) = run_schedule_guarded(&cfg, plan, &label);
-    fi::set_planted_bug(None);
-    fi::force_disable();
     let mut report = ChaosReport::default();
     absorb(&mut report, seed, &label, false, outcomes, violations);
     report

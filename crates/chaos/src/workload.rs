@@ -1,4 +1,5 @@
-//! The multi-rank workload one chaos schedule runs against the fault plane.
+//! The multi-rank workload one chaos schedule runs on a world armed with
+//! its fault plan.
 //!
 //! A Figure-6-style put/get job at `cfg.ranks` ranks: every rank owns a
 //! writer namespace (`k<rank>-<i>`) whose keys hash across all owners, so
@@ -114,21 +115,27 @@ pub fn seq_key(writer: usize, i: usize) -> Vec<u8> {
     format!("s{writer}-{i:03}").into_bytes()
 }
 
-/// Record a typed error, or flag an untyped one as a violation.
-fn note_error(e: &Error, what: &str, seed: u64, rank: usize, out: &mut RankOutcome) {
+/// Count a typed error, or convict the schedule of an untyped one.
+fn note_error(
+    oracle: &ChaosOracle,
+    e: &Error,
+    what: &str,
+    seed: u64,
+    rank: usize,
+    out: &mut RankOutcome,
+) {
     if error_is_typed(e) {
         out.typed_errors += 1;
     } else {
-        papyrus_sanity::record_violation(
+        oracle.convict(
             ViolationKind::UntypedError,
             format!("seed {seed} rank {rank}: {what} surfaced untyped error {e:?}"),
         );
     }
 }
 
-/// Run one schedule against `plan` (already installed, gate already on) and
-/// return each rank's outcome. Violations land in the `papyrus-sanity`
-/// registry; the sweep drains it per schedule.
+/// Run one schedule on a world armed with `plan` and return each rank's
+/// outcome. Violations are collected in `oracle` ([`ChaosOracle::convict`]).
 pub fn run_schedule(
     cfg: &ChaosCfg,
     plan: Arc<FaultPlan>,
@@ -137,7 +144,8 @@ pub fn run_schedule(
     let platform = Platform::new(SystemProfile::test_profile(), cfg.ranks);
     let cfg = cfg.clone();
     let seed = plan.seed();
-    World::run(WorldConfig::for_tests(cfg.ranks), move |rank| {
+    let world = WorldConfig::for_tests(cfg.ranks).with_faults(plan.clone());
+    World::run(world, move |rank| {
         let ctx =
             Context::init_with_group(rank, platform.clone(), REPOSITORY, 1).expect("chaos init");
         let db = ctx
@@ -162,7 +170,7 @@ pub fn run_schedule(
                         oracle.put_ok(&k, r);
                         out.puts += 1;
                     }
-                    Err(e) => note_error(&e, "put", seed, me, &mut out),
+                    Err(e) => note_error(&oracle, &e, "put", seed, me, &mut out),
                 }
             }
             // Cross-rank reads while faults are live: phantom + typing only.
@@ -182,10 +190,8 @@ pub fn run_schedule(
                 // must keep acked keys readable, so the exemption is dropped.
                 let owner_dead = plan.rank_dead(db.owner_of(&k), ctx.now()) && cfg.replicas < 2;
                 if let Some((kind, detail)) = oracle.judge(&k, &got, owner_dead, false) {
-                    papyrus_sanity::record_violation(
-                        kind,
-                        format!("seed {seed} round {r} rank {me} (live): {detail}"),
-                    );
+                    oracle
+                        .convict(kind, format!("seed {seed} round {r} rank {me} (live): {detail}"));
                 }
             }
             // Collective sync point; success acknowledges this rank's puts.
@@ -198,7 +204,7 @@ pub fn run_schedule(
                     }
                     Err(Error::RankUnavailable(_)) => out.degraded = true,
                     Err(e) => {
-                        note_error(&e, "barrier", seed, me, &mut out);
+                        note_error(&oracle, &e, "barrier", seed, me, &mut out);
                         out.degraded = true;
                     }
                 }
@@ -211,10 +217,10 @@ pub fn run_schedule(
                 match db.checkpoint(CKPT_DEST) {
                     Ok(ev) => {
                         if let Err(e) = ev.wait_result() {
-                            note_error(&e, "checkpoint", seed, me, &mut out);
+                            note_error(&oracle, &e, "checkpoint", seed, me, &mut out);
                         }
                     }
-                    Err(e) => note_error(&e, "checkpoint", seed, me, &mut out),
+                    Err(e) => note_error(&oracle, &e, "checkpoint", seed, me, &mut out),
                 }
             }
             ctx.clock().advance(step);
@@ -237,7 +243,7 @@ pub fn run_schedule(
                     }
                     Err(Error::RankUnavailable(_)) => out.degraded = true,
                     Err(e) => {
-                        note_error(&e, "final barrier", seed, me, &mut out);
+                        note_error(&oracle, &e, "final barrier", seed, me, &mut out);
                         out.degraded = true;
                     }
                 }
@@ -253,21 +259,18 @@ pub fn run_schedule(
                     out.typed_errors += 1;
                 }
                 if let Some((kind, detail)) = oracle.judge(&k, &got, owner_dead, true) {
-                    papyrus_sanity::record_violation(
-                        kind,
-                        format!("seed {seed} rank {me} (verify): {detail}"),
-                    );
+                    oracle.convict(kind, format!("seed {seed} rank {me} (verify): {detail}"));
                 }
             }
             // Background flush/compaction/migration failures must be typed.
             for e in db.take_io_errors() {
-                note_error(&e, "background io", seed, me, &mut out);
+                note_error(&oracle, &e, "background io", seed, me, &mut out);
             }
             if !out.degraded {
                 if let Err(e) = db.close() {
-                    note_error(&e, "close", seed, me, &mut out);
+                    note_error(&oracle, &e, "close", seed, me, &mut out);
                 } else if let Err(e) = ctx.finalize() {
-                    note_error(&e, "finalize", seed, me, &mut out);
+                    note_error(&oracle, &e, "finalize", seed, me, &mut out);
                 }
             }
             // Degraded ranks skip the collective close/finalize: those
@@ -300,13 +303,13 @@ fn sequential_phase(
                         oracle.ack_key(&k);
                         out.puts += 1;
                     }
-                    Err(e) => note_error(&e, "sync put", seed, me, out),
+                    Err(e) => note_error(oracle, &e, "sync put", seed, me, out),
                 }
             }
             if let Err(e) = db.set_consistency(Consistency::Relaxed) {
-                note_error(&e, "set_consistency", seed, me, out);
+                note_error(oracle, &e, "set_consistency", seed, me, out);
             }
         }
-        Err(e) => note_error(&e, "set_consistency", seed, me, out),
+        Err(e) => note_error(oracle, &e, "set_consistency", seed, me, out),
     }
 }

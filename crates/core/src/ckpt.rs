@@ -140,13 +140,12 @@ pub(crate) fn read_manifest(store: &NvmStore, prefix: &str, db: &str, rank: usiz
     ManifestRead::Present(next, live)
 }
 
-/// Report a crash-state anomaly found on a recovery path, when either
-/// sanity gate is on. Recovery still proceeds (ignore-and-report); the
-/// crashcheck driver fails the sweep on these.
+/// Report a crash-state anomaly found on a recovery path. Unconditional: a
+/// torn manifest or a missing manifest-listed SSTable is lost acknowledged
+/// data whether or not any checker is watching. Recovery still proceeds
+/// (ignore-and-report); the crashcheck driver fails the sweep on these.
 pub(crate) fn report_recovery_anomaly(kind: papyrus_sanity::ViolationKind, detail: String) {
-    if papyrus_sanity::enabled() || papyrus_sanity::crashcheck_enabled() {
-        papyrus_sanity::record_violation(kind, detail);
-    }
+    papyrus_sanity::record_violation(kind, detail);
 }
 
 /// The manifest of `rank` in the snapshot at `path`. A missing or corrupt
@@ -225,7 +224,7 @@ pub(crate) fn run_checkpoint_transfer(
     stamp: SimNs,
 ) -> std::result::Result<SimNs, (SimNs, Error)> {
     let src_store = ctx.repo_store();
-    let pfs = ctx.platform.storage.pfs();
+    let pfs = &ctx.pfs();
     let me = ctx.rank.rank();
     let mut t = stamp;
     let mut ssids = Vec::with_capacity(snapshot.len());
@@ -286,7 +285,7 @@ impl Context {
         let ctx = self;
         let path = path.trim_matches('/').to_string();
         let inner = &ctx.inner;
-        let pfs = inner.platform.storage.pfs();
+        let pfs = &inner.pfs();
         let me = inner.rank.rank();
         let n = inner.rank.size();
 

@@ -3,11 +3,6 @@
 //! concern: `write.rs` (put, freeze, flush, compaction, migration),
 //! `read.rs` (local and remote get), `replica.rs` (DESIGN §11) and
 //! `sync.rs` (fence, barrier, close).
-//!
-//! Set `PKV_TRACE=1` in the environment to stream a per-event protocol
-//! trace (puts, migrations, handler ingests, fences, barrier marks, remote
-//! get decisions) to stderr — invaluable when debugging consistency
-//! interleavings across ranks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,21 +25,6 @@ use crate::sstable::{self, Ssid, SstReader};
 use crate::stack::Stack;
 use crate::sync;
 use crate::tel::CoreTel;
-
-/// Whether `PKV_TRACE` is set, read from the environment once per process.
-pub(crate) fn trace_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("PKV_TRACE").is_some())
-}
-
-macro_rules! pkv_trace {
-    ($($arg:tt)*) => {
-        if $crate::db::trace_on() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-pub(crate) use pkv_trace;
 
 /// Mutable database attributes (changed by the collective
 /// `papyruskv_consistency` / `papyruskv_protect`).
@@ -297,7 +277,7 @@ impl DbInner {
 
 /// A PapyrusKV database handle (`papyruskv_db_t`).
 ///
-/// Obtained from [`Context::open`]; cheap to clone. Operations map 1:1 to
+/// Obtained from [`crate::Context::open`]; cheap to clone. Operations map 1:1 to
 /// the paper's Table 1 API. `put`/`get`/`delete`/`fence` are per-rank;
 /// `barrier`, `set_consistency`, `protect`, `checkpoint`, `close`, and
 /// `destroy` are collective.

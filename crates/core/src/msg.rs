@@ -34,9 +34,9 @@ pub mod tags {
     pub const PUT_ACK: u32 = 10;
     /// Remote get response.
     pub const GET_RESP: u32 = 11;
-    /// Migration-batch acknowledgement (only sent while the
-    /// `PAPYRUS_FAULTS` plane is on; the gate is process-global, so sender
-    /// and receiver always agree on whether acks flow).
+    /// Migration-batch acknowledgement. Sent iff the batch asks for one (a
+    /// non-zero sequence number), which `send_batch` does on a world armed
+    /// with a fault plan — the request itself says whether an ack flows.
     pub const MIGRATE_ACK: u32 = 12;
     /// Replica-batch acknowledgement (sent only when the `REPL_PUT` header
     /// requests one: synchronous forwards and fault-plane dispatch).
@@ -51,7 +51,7 @@ pub mod tags {
 /// original attempt may still arrive later. The echoed sequence number lets
 /// the caller discard such stale replies instead of pairing them with the
 /// wrong RPC. All request payloads carry it unconditionally (8 bytes) so the
-/// wire format does not depend on the gate.
+/// wire format does not depend on whether the world is armed.
 pub type RpcSeq = u64;
 
 /// Sentinel storage-group id meaning "do not use the shared-SSTable fast

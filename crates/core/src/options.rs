@@ -109,12 +109,16 @@ impl std::fmt::Debug for Options {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Options")
             .field("memtable_capacity", &self.memtable_capacity)
+            .field("remote_memtable_capacity", &self.remote_memtable_capacity)
             .field("flush_queue_len", &self.flush_queue_len)
             .field("local_cache", &self.local_cache)
+            .field("local_cache_capacity", &self.local_cache_capacity)
             .field("remote_cache", &self.remote_cache)
+            .field("remote_cache_capacity", &self.remote_cache_capacity)
             .field("consistency", &self.consistency)
             .field("protection", &self.protection)
             .field("bin_search", &self.bin_search)
+            .field("bloom_filter", &self.bloom_filter)
             .field("compaction_trigger", &self.compaction_trigger)
             .field("custom_hash", &self.custom_hash.is_some())
             .field("replicas", &self.replicas)
@@ -250,5 +254,13 @@ mod tests {
         let o = Options::default().with_custom_hash(Arc::new(|_k: &[u8]| 1));
         let s = format!("{o:?}");
         assert!(s.contains("custom_hash: true"));
+        for field in [
+            "bloom_filter",
+            "remote_memtable_capacity",
+            "local_cache_capacity",
+            "remote_cache_capacity",
+        ] {
+            assert!(s.contains(field), "Debug omits `{field}`: {s}");
+        }
     }
 }

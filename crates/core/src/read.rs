@@ -11,7 +11,7 @@ use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::TID_HANDLER;
 use parking_lot::Mutex;
 
-use crate::db::{pkv_trace, Db, DbInner};
+use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::lru::{CacheEntry, LruCache};
 use crate::memtable::Entry;
@@ -285,7 +285,6 @@ fn remote_get_primary(
             .map(reply_of)
     };
     let reply = round_trip(ctx.group_of(me))?;
-    pkv_trace!("[r{me}] remote_get key={:?} -> {:?}", String::from_utf8_lossy(key), reply);
     let Some(GetResp::SearchShared(ssids)) = reply else {
         return Ok(absorb_reply(cache, key, reply));
     };

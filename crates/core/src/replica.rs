@@ -15,7 +15,7 @@ use bytes::Bytes;
 use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_DISPATCH, TID_HANDLER};
 
-use crate::db::{pkv_trace, DbInner};
+use crate::db::DbInner;
 use crate::error::{Error, Result};
 use crate::msg::{self, tags, KvRecord};
 use crate::read::{absorb_reply, reply_of, walk_ssts};
@@ -161,7 +161,6 @@ pub(crate) fn failover_get(
     if db.tel.on() {
         db.tel.repl_failovers.inc();
     }
-    pkv_trace!("[r{me}] failover get key={:?} dead owner={owner}", String::from_utf8_lossy(key));
     let cache = db.live_remote_cache(db.state.read().protection);
     let mut last_err = Error::RankUnavailable(owner);
     for s in papyrus_replica::successors(owner, n, db.repl_n) {
@@ -215,7 +214,6 @@ pub(crate) fn maybe_promote(ctx: &CtxInner, db: &Arc<DbInner>, dead: usize) {
     if db.tel.on() {
         db.tel.repl_promotions.inc();
     }
-    pkv_trace!("[r{me}] promoted to primary for dead rank {dead} (db {})", db.name);
     // Counted in `migration_inflight` so `fence` doubles as the
     // re-replication drain point.
     db.sync.lock().migration_inflight += 1;
@@ -265,7 +263,6 @@ pub(crate) fn run_rereplication(ctx: &CtxInner, db: &Arc<DbInner>, origin: usize
     let mut last = stamp;
     if !records.is_empty() {
         for t in targets {
-            pkv_trace!("[r{me}] rereplicate {} records of r{origin} -> r{t}", records.len());
             match copy_to_successor(ctx, db, t, origin, &records, stamp) {
                 Ok(done) => {
                     last = last.max(done);

@@ -261,12 +261,27 @@ pub(crate) struct CtxInner {
 }
 
 impl CtxInner {
-    /// The store backing `rank`'s repository objects.
+    /// The fault plan this rank's world was armed with
+    /// (`WorldConfig::with_faults`), if any.
+    pub fn faults(&self) -> Option<&Arc<fi::FaultPlan>> {
+        self.rank.fabric().faults()
+    }
+
+    /// The store backing `rank`'s repository objects, as a handle carrying
+    /// this world's fault plan. The platform's stores keep no fault state:
+    /// another world on the same platform gets its own handles.
     pub fn repo_store_for(&self, rank: usize) -> NvmStore {
-        match self.repo.kind {
-            RepoKind::Nvm => self.platform.storage.nvm_of(rank).clone(),
-            RepoKind::Pfs => self.platform.storage.pfs().clone(),
-        }
+        let store = match self.repo.kind {
+            RepoKind::Nvm => self.platform.storage.nvm_of(rank),
+            RepoKind::Pfs => self.platform.storage.pfs(),
+        };
+        store.with_faults(self.faults().cloned())
+    }
+
+    /// The parallel file system (checkpoint/restart target), as a handle
+    /// carrying this world's fault plan.
+    pub fn pfs(&self) -> NvmStore {
+        self.platform.storage.pfs().with_faults(self.faults().cloned())
     }
 
     /// This rank's repository store.
@@ -333,9 +348,9 @@ fn peek_seq(payload: &bytes::Bytes) -> Option<msg::RpcSeq> {
 pub(crate) type Route = (usize, u32, u32);
 
 /// Ship one batch of records to another rank's handler as of `stamp`;
-/// returns when it is (or will be) ingested there. Fault plane off:
+/// returns when it is (or will be) ingested there. Unarmed world:
 /// fire-and-forget — sequence 0 asks for no ack and the result is the
-/// arrival stamp. Fault plane on: a [`request`] whose ack carries the
+/// arrival stamp. Armed world: a [`request`] whose ack carries the
 /// ingest-completion stamp, so a black-holed batch is detected and resent.
 pub(crate) fn send_batch(
     ctx: &CtxInner,
@@ -345,7 +360,7 @@ pub(crate) fn send_batch(
     stamp: SimNs,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<SimNs> {
-    if !fi::enabled() {
+    if ctx.faults().is_none() {
         return Ok(ctx.comm_req.send_at(route.0, route.1, encode(0), stamp));
     }
     Ok(request(ctx, db, route, what, encode)?.stamp)
@@ -355,12 +370,13 @@ pub(crate) fn send_batch(
 /// `encode` builds the payload around the sequence number the reply will
 /// echo.
 ///
-/// Fault plane off: a plain blocking send + receive (sequence 0). Fault
-/// plane on: deadline, bounded retry, and failure detection. Per attempt:
-/// send with a fresh seq, then wait up to the deadline for a reply echoing
-/// that seq (stale replies from earlier attempts are discarded). On
-/// timeout, run a failure-detector confirmation round against the owner —
-/// a confirmed-dead owner gets the promotion check (DESIGN §11) and yields
+/// Unarmed world: a plain blocking send + receive (sequence 0). Armed
+/// world ([`CtxInner::faults`]): deadline, bounded retry, and failure
+/// detection. Per attempt: send with a fresh seq, then wait up to the
+/// deadline for a reply echoing that seq (stale replies from earlier
+/// attempts are discarded). On timeout, run a failure-detector
+/// confirmation round against the owner — a confirmed-dead owner gets the
+/// promotion check (DESIGN §11) and yields
 /// [`Error::RankUnavailable`] — otherwise charge a deterministic virtual
 /// backoff and retry with a doubled deadline, up to [`RPC_MAX_ATTEMPTS`]
 /// ([`Error::Timeout`] after that).
@@ -374,10 +390,10 @@ pub(crate) fn request(
     what: &str,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<Message> {
-    if !fi::enabled() {
+    let Some(plan) = ctx.faults() else {
         ctx.comm_req.send(owner, req_tag, encode(0));
         return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)));
-    }
+    };
     let tel = &db.tel;
     let me = ctx.rank.rank();
     let mut backoff = fi::Backoff::new(
@@ -391,7 +407,7 @@ pub(crate) fn request(
         attempt += 1;
         let seq = ctx.next_rpc_seq();
         ctx.comm_req.send(owner, req_tag, encode(seq));
-        if fi::planted_bug() == Some(fi::PlantedBug::Hang) {
+        if plan.planted_bug() == Some(fi::PlantedBug::Hang) {
             // Planted bug (chaos `--seed-bug hang`): a blocking receive
             // where a deadline belongs. With the request black-holed this
             // never returns; the soak watchdog must catch it.
@@ -412,7 +428,7 @@ pub(crate) fn request(
         if tel.on() {
             tel.rpc_timeouts.inc();
         }
-        if fi::planted_bug() == Some(fi::PlantedBug::LostAck) && resp_tag != tags::GET_RESP {
+        if plan.planted_bug() == Some(fi::PlantedBug::LostAck) && resp_tag != tags::GET_RESP {
             // Planted bug (chaos `--seed-bug lost-ack`): treat the timeout
             // as success. The write was never applied; the soak oracle must
             // flag the acked-write loss.
@@ -699,7 +715,7 @@ fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimN
     let db = ctx.db_by_id(db_id)?;
     let done = crate::write::apply_incoming_records(ctx, &db, &records, stamp);
     // Sequence 0 is `send_batch`'s fire-and-forget; anything else is its
-    // fault-plane request, whose sender awaits this ack.
+    // armed-world request, whose sender awaits this ack.
     if seq != 0 {
         ctx.comm_rep.send_at(src, tags::MIGRATE_ACK, msg::encode_ack(seq), done);
     }

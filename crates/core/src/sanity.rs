@@ -305,7 +305,7 @@ fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
 }
 
 /// Dump every key this rank's primary stack currently makes visible (see
-/// [`visible`]'s rule).
+/// `visible`'s rule).
 ///
 /// Reads through `records_uncharged` and charges no virtual time. Used by
 /// the crash-consistency checker to compare a recovered store against its

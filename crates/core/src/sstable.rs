@@ -17,7 +17,7 @@
 //! SSTable walk): [`SstReader::get_at`] itself always searches.
 //!
 //! SSTables are immutable: updates and deletes go to new SSTables with
-//! higher SSIDs; [`merge`] implements the §2.5 compaction that folds a set
+//! higher SSIDs; [`merge_at`] implements the §2.5 compaction that folds a set
 //! of SSTables into one, newest-SSID-wins.
 
 use std::collections::BTreeMap;
@@ -197,10 +197,11 @@ pub fn build_at(
     }
 }
 
-/// Fallible [`build_at`]: the three file writes surface injected NVM faults
-/// (`PAPYRUS_FAULTS`) instead of riding them out. On `Err` a partial triple
-/// may remain — it is unreferenced debris (the manifest is only updated
-/// after a successful build) and whole-file rewrites overwrite it cleanly.
+/// Fallible [`build_at`]: the three file writes surface the NVM faults
+/// injected through `store`'s handle instead of riding them out. On `Err` a
+/// partial triple may remain — it is unreferenced debris (the manifest is
+/// only updated after a successful build) and whole-file rewrites overwrite
+/// it cleanly.
 pub fn try_build_at(
     store: &NvmStore,
     base: &str,
@@ -458,7 +459,7 @@ fn merge_records(
 }
 
 /// Merge a set of SSTables into one new table with SSID `new_ssid`
-/// (§2.5 compaction; see [`merge_records`] for the merge rule).
+/// (§2.5 compaction; see `merge_records` for the merge rule).
 ///
 /// Returns the merged reader and the completion stamp. The inputs are NOT
 /// deleted — the caller swaps the live set first, then deletes.

@@ -11,7 +11,7 @@ use papyrus_faultinject as fi;
 use papyrus_simtime::SimNs;
 use papyrus_telemetry::{TID_APP, TID_HANDLER};
 
-use crate::db::{pkv_trace, DbInner, DbSync};
+use crate::db::{DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::msg::{self, tags};
 use crate::options::BarrierLevel;
@@ -24,7 +24,6 @@ pub(crate) fn note_barrier_mark(db: &Arc<DbInner>, epoch: u64, stamp: SimNs) {
     let mut sync = db.sync.lock();
     let slot = sync.barrier_marks.entry(epoch).or_insert((0, 0));
     slot.0 += 1;
-    pkv_trace!("[db {}] mark epoch={epoch} count={}", db.id, slot.0);
     slot.1 = slot.1.max(stamp);
     db.tel.rec.instant("core", "barrier.mark", TID_HANDLER, stamp);
     db.sync_cv.notify_all();
@@ -64,7 +63,6 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
 pub(crate) fn fence_inner(ctx: &CtxInner, db: &Arc<DbInner>) -> Result<()> {
     let clock = ctx.clock();
     let start = clock.now();
-    pkv_trace!("[r{}] fence start", ctx.rank.rank());
     freeze(ctx, db, Side::Staging, start);
     db.wait_drained(Side::Staging);
     clock.merge(db.migrate_backlog.now());
@@ -73,7 +71,6 @@ pub(crate) fn fence_inner(ctx: &CtxInner, db: &Arc<DbInner>) -> Result<()> {
         db.tel.fence_wait_ns.record(end.saturating_sub(start));
         db.tel.rec.span("core", "fence.wait", TID_APP, start, end);
     }
-    pkv_trace!("[r{}] fence done", ctx.rank.rank());
     Ok(())
 }
 
@@ -109,11 +106,7 @@ pub(crate) fn barrier_inner(ctx: &CtxInner, db: &Arc<DbInner>, level: BarrierLev
         clock.merge(db.flush_backlog.now());
     }
 
-    if fi::enabled() {
-        ctx.comm_ctl.try_barrier().map_err(promote)?;
-    } else {
-        ctx.comm_ctl.barrier();
-    }
+    ctx.comm_ctl.try_barrier().map_err(promote)?;
     if db.tel.on() {
         let end = clock.now();
         db.tel.barrier_wait_ns.record(end.saturating_sub(barrier_start));
@@ -123,7 +116,7 @@ pub(crate) fn barrier_inner(ctx: &CtxInner, db: &Arc<DbInner>, level: BarrierLev
 }
 
 /// Wait for all `n` barrier marks of `epoch`; returns the max mark stamp.
-/// Under the fault plane a dead rank never sends its mark, so the wait is
+/// On an armed world a dead rank never sends its mark, so the wait is
 /// timed and probes the failure detector between slices (outside the sync
 /// lock so the handler can keep recording marks): the first confirmed-dead
 /// rank is returned instead of hanging the barrier.
@@ -133,7 +126,7 @@ fn await_barrier_marks(
     epoch: u64,
     n: usize,
 ) -> std::result::Result<SimNs, usize> {
-    let timed = fi::enabled();
+    let timed = ctx.faults().is_some();
     loop {
         {
             let mut sync = db.sync.lock();

@@ -9,7 +9,7 @@ use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
 
 use crate::ckpt;
-use crate::db::{pkv_trace, Db, DbInner, DbSync};
+use crate::db::{Db, DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::memtable::{Entry, MemTable};
 use crate::msg::{self, tags, KvRecord};
@@ -47,7 +47,6 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
     let me = ctx.rank.rank();
     let kind = match state.consistency {
         Consistency::Relaxed if owner == me => {
-            pkv_trace!("[r{me}] put local key={:?}", String::from_utf8_lossy(key));
             // With replication the copy is staged under owner = me — the
             // bounded replication queue. The dispatcher's migration pass
             // fans owner==me groups out to the successors, and the FIFO
@@ -64,14 +63,12 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             if db.opt.remote_cache {
                 db.remote_cache.lock().invalidate(key);
             }
-            pkv_trace!("[r{me}] put remote key={:?} owner={owner}", String::from_utf8_lossy(key));
             stage(ctx, db, key, Entry::remote(value, tombstone, owner as u32), clock);
             &db.tel.put_remote
         }
         Consistency::Sequential => {
             let rec = KvRecord { key: key.to_vec(), value, tombstone };
             let kind = if owner == me {
-                pkv_trace!("[r{me}] put local key={:?}", String::from_utf8_lossy(key));
                 insert_local_entry(ctx, db, key, entry_of(rec.value.clone(), tombstone), clock);
                 &db.tel.put_local
             } else {
@@ -351,7 +348,6 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
         // staged here purely so their replica copies ride the batched path.
         // The primary copy is already in the local stack — no self-migrate.
         if owner != me {
-            pkv_trace!("[r{me}] migrate {} records -> r{owner}", records.len());
             // Under the fault plane a confirmed-dead owner's records are
             // dropped with a typed error in the sink — their keys are
             // unavailable until restart, which the chaos oracle accounts
@@ -395,7 +391,6 @@ pub(crate) fn apply_incoming_records(
 ) -> SimNs {
     let clk = Clock::starting_at(stamp);
     for r in records {
-        pkv_trace!("[r{}] ingest key={:?}", ctx.rank.rank(), String::from_utf8_lossy(&r.key));
         insert_local_entry(ctx, db, &r.key, entry_of(r.value.clone(), r.tombstone), &clk);
     }
     let done = clk.now();

@@ -26,6 +26,39 @@ fn corrupt_manifest_falls_back_to_fresh_database() {
     });
 }
 
+/// A manifest cut short of its end sentinel is lost acknowledged state, so
+/// it is on the record whether or not any checker was switched on: no
+/// environment variable, no `force_*` call, just the reopen.
+#[test]
+fn torn_manifest_is_recorded_as_manifest_corrupt() {
+    let platform = Platform::new(SystemProfile::test_profile(), 1);
+    World::run(WorldConfig::for_tests(1), move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://torn-manifest").unwrap();
+        let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.close().unwrap();
+
+        let backend = platform.storage.nvm_of(0).backend();
+        let manifest = backend.get_all("torn-manifest/db/r0/MANIFEST").unwrap();
+        let torn = manifest.slice(..manifest.len() - "ok\n".len());
+        backend.put("torn-manifest/db/r0/MANIFEST", torn);
+
+        // Recovery salvages the flushed table from its files...
+        let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+        assert_eq!(&db.get(b"k").unwrap()[..], b"v");
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+    // ...and says what it found.
+    let recorded = papyrus_sanity::violations();
+    assert!(
+        recorded.iter().any(|v| v.kind == papyrus_sanity::ViolationKind::ManifestCorrupt
+            && v.detail.contains("torn-manifest/db/r0/MANIFEST")
+            && v.detail.contains("torn write")),
+        "torn manifest went unrecorded: {recorded:?}"
+    );
+}
+
 #[test]
 fn corrupt_sstable_files_are_skipped_on_reopen() {
     let platform = Platform::new(SystemProfile::test_profile(), 1);

@@ -1,11 +1,12 @@
 //! Crash-point journal: record every backend mutation, then materialise
 //! the bytes a crash at any point could leave behind.
 //!
-//! The crash-consistency checker (`papyrus-crashcheck`) wraps each store's
-//! backend in a [`JournaledBackend`]. Every mutation — put, append, delete,
-//! rename, clear — is appended to a shared [`Journal`] as a numbered op and
-//! then applied to the real backend, so the journal is a total order of the
-//! mutations the workload performed. [`Backend::fence`] calls are recorded
+//! The crash-consistency checker wraps each store's backend in a
+//! [`JournaledBackend`] — explicitly, at the one place it builds its stores
+//! ([`crate::workload::record_workload`]); nothing is captured ambiently.
+//! Every mutation — put, append, delete, rename, clear — is appended to a
+//! shared [`Journal`] as a numbered op and then applied to the real backend,
+//! so the journal is a total order of the mutations the workload performed. [`Backend::fence`] calls are recorded
 //! too: they bound how far writes may be reordered.
 //!
 //! A *crash point* `k` is a position in that order. [`materialize`] rebuilds
@@ -25,52 +26,11 @@
 //! `--seed-bug` self-test.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
+use papyrus_nvm::{Backend, MemBackend};
 use parking_lot::Mutex;
-
-use crate::backend::{Backend, MemBackend};
-
-// ---------------------------------------------------------------------------
-// Ambient capture
-// ---------------------------------------------------------------------------
-//
-// `NvmStore::with_backend` consults this slot when the `PAPYRUS_CRASHCHECK`
-// gate is on: if a journal is installed, every store built afterwards is
-// journaled automatically under the namespace `<device>#<ordinal>`. The
-// crashcheck driver wraps its stores explicitly (it needs stable
-// namespaces); the ambient path serves `PAPYRUS_CRASHCHECK=1` users who
-// cannot reach every store-construction site.
-
-fn capture_slot() -> &'static Mutex<Option<Arc<Journal>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<Journal>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Install a journal capturing every store built from now on (requires the
-/// `PAPYRUS_CRASHCHECK` gate). Replaces any previous capture.
-pub fn install_capture(journal: Arc<Journal>) {
-    *capture_slot().lock() = Some(journal);
-}
-
-/// Remove the ambient capture.
-pub fn clear_capture() {
-    *capture_slot().lock() = None;
-}
-
-/// The currently installed capture journal, if any.
-pub fn capture() -> Option<Arc<Journal>> {
-    capture_slot().lock().clone()
-}
-
-/// Distinct namespace for an auto-wrapped store: `<device>#<ordinal>`.
-pub(crate) fn auto_namespace(device: &str) -> String {
-    static ORDINAL: AtomicUsize = AtomicUsize::new(0);
-    // ordering: unique-suffix allocator; only RMW atomicity matters.
-    format!("{device}#{}", ORDINAL.fetch_add(1, Ordering::Relaxed))
-}
 
 /// One recorded backend mutation (or fence), tagged with the namespace of
 /// the store it hit — e.g. `"nvm"` vs `"pfs"` — so one journal can order
@@ -292,11 +252,6 @@ impl JournaledBackend {
     /// Wrap `inner`, recording into `journal` under namespace `ns`.
     pub fn new(ns: impl Into<String>, journal: Arc<Journal>, inner: Arc<dyn Backend>) -> Self {
         Self { ns: ns.into(), journal, inner }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &Arc<dyn Backend> {
-        &self.inner
     }
 }
 

@@ -7,7 +7,7 @@
 //! them on the PFS. This crate turns that claim into an exhaustive check:
 //!
 //! 1. [`workload::record_workload`] runs a checkpoint/restart workload
-//!    against [`papyrus_nvm::JournaledBackend`]-wrapped stores, so every
+//!    against [`JournaledBackend`]-wrapped stores ([`journal`]), so every
 //!    backend mutation becomes a numbered crash point in one shared
 //!    journal, and mirrors every acknowledged write into a shadow
 //!    [`oracle::Oracle`].
@@ -20,16 +20,18 @@
 //!    (restart with redistribution) and must reproduce the snapshot
 //!    exactly.
 //! 3. The `--seed-bug` self test re-records the workload under
-//!    [`papyrus_nvm::FaultMode`] distortions (dropped SSIndex writes,
+//!    [`FaultMode`] distortions (dropped SSIndex writes,
 //!    skipped manifest renames, torn manifests) and proves the sweep
 //!    catches each class.
 //!
 //! Run it via `cargo xtask crashcheck`.
 
+pub mod journal;
 pub mod oracle;
 pub mod sweep;
 pub mod workload;
 
+pub use journal::{CrashPolicy, FaultMode, Journal, JournalOp, JournaledBackend};
 pub use oracle::{Mark, MarkKind, Oracle};
 pub use sweep::{sweep, SweepReport, SweepViolation, SEED_BUGS};
 pub use workload::{record_workload, CrashCfg, Recorded};

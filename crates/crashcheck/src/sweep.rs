@@ -18,7 +18,7 @@
 //!    from the surviving bytes, run [`papyruskv::sanity::audit_db`], dump
 //!    the visible pairs, and probe every key the workload ever wrote
 //!    through the normal `get` path. Observations are judged by the
-//!    [`Oracle`]: nothing acknowledged before the governing durable mark
+//!    [`crate::Oracle`]: nothing acknowledged before the governing durable mark
 //!    may be lost, and nothing unacknowledged may appear.
 //! 2. **Snapshot restore** at `restore_ranks ≠ ranks` — forced
 //!    redistribution — whenever a completed checkpoint precedes `k`: the
@@ -38,14 +38,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
-use papyrus_nvm::journal::{droppable_tail, materialize};
-use papyrus_nvm::{
-    Backend, CrashPolicy, FaultMode, MemBackend, NvmStore, StorageMap, SystemProfile,
-};
+use papyrus_nvm::{Backend, MemBackend, NvmStore, StorageMap, SystemProfile};
 use papyrus_sanity::ViolationKind;
 use papyruskv::{Context, OpenFlags, Options, Platform};
 use parking_lot::Mutex;
 
+use crate::journal::{droppable_tail, materialize, CrashPolicy, FaultMode};
 use crate::oracle::Mark;
 use crate::workload::{record_workload, CrashCfg, Recorded, DB_NAME, PFS_NS, REPOSITORY};
 
@@ -111,8 +109,12 @@ impl SweepReport {
     }
 }
 
-/// Serialises sweeps within one process: each sweep owns the global sanity
-/// registry (drained per crash state) and the process-wide crashcheck gate.
+/// Serialises sweeps within one process. The oracle's verdicts could live
+/// in the sweep's own list, but the anomalies that matter most here are
+/// *core-originated* — `manifest-corrupt` / `sst-unreadable` from the
+/// recovery paths and `audit_db` findings — and those land in the one
+/// registry that remains process-global (`papyrus_sanity`). Each sweep drains
+/// it per crash state, so two concurrent sweeps would steal each other's.
 fn sweep_lock() -> &'static Mutex<()> {
     static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -131,7 +133,6 @@ struct RankObs {
 /// points newest-first, where a recording fault is certain to surface.
 pub fn sweep(cfg: &CrashCfg, fault: FaultMode, stop_on_first: bool) -> SweepReport {
     let _guard = sweep_lock().lock();
-    papyrus_sanity::force_enable_crashcheck();
 
     let rec = record_workload(cfg, fault);
     // The live run is not under test; drop anything it recorded.

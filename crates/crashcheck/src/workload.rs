@@ -1,9 +1,9 @@
 //! The instrumented workload whose crash points the sweep enumerates.
 //!
 //! A Figure-10-style checkpoint/restart job at `cfg.ranks` ranks, run
-//! against stores whose backends are wrapped in
-//! [`papyrus_nvm::JournaledBackend`] so every NVM/PFS mutation lands in one
-//! shared [`Journal`] as a numbered crash point:
+//! against stores whose backends are wrapped in [`JournaledBackend`] so
+//! every NVM/PFS mutation lands in one shared [`Journal`] as a numbered
+//! crash point:
 //!
 //! 1. **Phase A** — every rank fills `per_rank` keys, then a collective
 //!    `barrier(SsTable)` flushes all MemTables to SSTables (durable mark
@@ -25,13 +25,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
-use papyrus_nvm::{
-    FaultMode, Journal, JournalOp, JournaledBackend, MemBackend, NvmStore, StorageMap,
-    SystemProfile,
-};
+use papyrus_nvm::{MemBackend, NvmStore, StorageMap, SystemProfile};
 use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
 use parking_lot::Mutex;
 
+use crate::journal::{FaultMode, Journal, JournalOp, JournaledBackend};
 use crate::oracle::{MarkKind, Oracle};
 
 /// Sweep and workload sizing.
@@ -123,8 +121,8 @@ pub fn record_workload(cfg: &CrashCfg, fault: FaultMode) -> Recorded {
     let profile = SystemProfile::test_profile();
 
     // One single-rank storage group per rank, each journaled under its own
-    // namespace, plus the shared PFS. The stores are wrapped explicitly —
-    // no ambient capture is installed, so nothing else gets journaled.
+    // namespace, plus the shared PFS. These are the only journaled stores
+    // in the process: wrapping is explicit, here and nowhere else.
     let groups: Vec<NvmStore> = (0..cfg.ranks)
         .map(|g| {
             let wrapped =
@@ -217,7 +215,6 @@ mod tests {
 
     #[test]
     fn workload_records_marks_in_order_and_journals_both_devices() {
-        papyrus_sanity::force_enable_crashcheck();
         let rec = record_workload(&CrashCfg::tiny(), FaultMode::None);
         assert!(!rec.ops.is_empty());
         let labels: Vec<&str> = rec.oracle.marks().iter().map(|m| m.label.as_str()).collect();

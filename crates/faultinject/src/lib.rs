@@ -1,4 +1,4 @@
-//! Deterministic runtime fault-injection plane (`PAPYRUS_FAULTS`).
+//! Deterministic runtime fault-injection plane.
 //!
 //! PR 3's crashcheck covers *power-loss* faults; this crate covers *runtime*
 //! faults: transient NVM I/O errors, `ENOSPC`, slow-device stalls, network
@@ -8,72 +8,31 @@
 //! reproducible regardless of OS thread interleaving: whether an operation
 //! is faulted depends only on its virtual stamp, not on wall-clock timing.
 //!
-//! The plane mirrors `PAPYRUS_SANITY`/`PAPYRUS_CRASHCHECK`: a global gate
-//! costing one relaxed atomic load when off. Injection sites live in
-//! `papyrus-nvm` (store primitives) and `papyrus-mpi` (fabric wire model);
-//! this crate only decides *what* fails *when*.
+//! A plan is an argument, never ambient state: it is named once per world
+//! (`papyrus_mpi::WorldConfig::with_faults`), lives on that world's fabric,
+//! and reaches the NVM layer as a field of the store *handles* the runtime
+//! hands out. Two worlds in one process never see each other's faults, and
+//! an unarmed world pays one `Option` field load per injection site.
+//! Injection sites live in `papyrus-nvm` (store primitives) and
+//! `papyrus-mpi` (fabric wire model); this crate only decides *what* fails
+//! *when*.
 //!
 //! Also here: the deterministic exponential [`Backoff`] policy shared by all
 //! retry loops, virtual-time failure-detector tuning constants, and the
-//! [`PlantedBug`] hook used by `cargo xtask chaos --seed-bug` to prove the
-//! oracle can catch a lost acknowledged write and a hang.
+//! [`PlantedBug`] a plan can carry, used by `cargo xtask chaos --seed-bug`
+//! to prove the oracle can catch a lost acknowledged write and a hang.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use papyrus_simtime::SimNs;
-use parking_lot::RwLock;
-
-// ---------------------------------------------------------------------------
-// Gate
-// ---------------------------------------------------------------------------
-
-/// 0 = uninitialised, 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Is fault injection enabled? One relaxed load on the hot path once
-/// initialised; first call reads `PAPYRUS_FAULTS`.
-#[inline]
-pub fn enabled() -> bool {
-    // ordering: env-derived on/off latch; it guards no data and every
-    // reader re-checks it per call, so relaxed is sufficient.
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        1 => false,
-        _ => true,
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = matches!(
-        std::env::var("PAPYRUS_FAULTS").ok().as_deref(),
-        Some("1") | Some("true") | Some("on") | Some("yes")
-    );
-    // ordering: idempotent latch init — racing initialisers compute the
-    // same value from the same environment, so lost stores are harmless.
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the gate on (tests / chaos harness), overriding the environment.
-pub fn force_enable() {
-    // ordering: latch write; takes effect on each reader's next check.
-    STATE.store(2, Ordering::Relaxed);
-}
-
-/// Force the gate off.
-pub fn force_disable() {
-    // ordering: latch write, as above.
-    STATE.store(1, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Planted bugs (chaos self-test)
 // ---------------------------------------------------------------------------
 
 /// A deliberately-introduced protocol bug, used by `--seed-bug` to verify
-/// the chaos oracle and watchdog actually detect what they claim to.
+/// the chaos oracle and watchdog actually detect what they claim to. Rides
+/// on the [`FaultPlan`] of the world it afflicts ([`FaultPlan::with_bug`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlantedBug {
     /// A sync-put RPC acknowledges success after its first timeout without
@@ -81,32 +40,6 @@ pub enum PlantedBug {
     LostAck,
     /// An RPC retry loop blocks forever instead of honouring its deadline.
     Hang,
-}
-
-/// 0 = none, 1 = LostAck, 2 = Hang.
-static BUG: AtomicU8 = AtomicU8::new(0);
-
-/// Plant (or clear) a protocol bug. Only the chaos harness calls this.
-pub fn set_planted_bug(bug: Option<PlantedBug>) {
-    let v = match bug {
-        None => 0,
-        Some(PlantedBug::LostAck) => 1,
-        Some(PlantedBug::Hang) => 2,
-    };
-    // ordering: the harness plants bugs before spawning the workload and
-    // thread spawn publishes the value; no concurrent planting exists.
-    BUG.store(v, Ordering::Relaxed);
-}
-
-/// The currently planted bug, if any. One relaxed load.
-#[inline]
-pub fn planted_bug() -> Option<PlantedBug> {
-    // ordering: read of the pre-spawn latch, see set_planted_bug.
-    match BUG.load(Ordering::Relaxed) {
-        1 => Some(PlantedBug::LostAck),
-        2 => Some(PlantedBug::Hang),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +182,9 @@ pub struct FaultPlan {
     /// Remaining drop budget per event (0 for non-drop events). Atomic so
     /// concurrent senders share one budget; the *decision* to drop is still
     /// deterministic in virtual time up to the budget.
-    drops_left: Vec<std::sync::atomic::AtomicU32>,
+    drops_left: Vec<AtomicU32>,
+    /// The protocol bug this plan's world runs with (chaos self-test only).
+    bug: Option<PlantedBug>,
 }
 
 fn in_window(start: SimNs, end: SimNs, now: SimNs) -> bool {
@@ -265,14 +200,22 @@ impl FaultPlan {
                     FaultEvent::NetDrop { budget, .. } => *budget,
                     _ => 0,
                 };
-                std::sync::atomic::AtomicU32::new(b)
+                AtomicU32::new(b)
             })
             .collect();
-        Self { seed, events, drops_left }
+        Self { seed, events, drops_left, bug: None }
     }
 
-    pub fn empty(seed: u64) -> Self {
-        Self::with_events(seed, Vec::new())
+    /// The same schedule with `bug` planted in the protocol layer of the
+    /// world it arms.
+    pub fn with_bug(mut self, bug: PlantedBug) -> Self {
+        self.bug = Some(bug);
+        self
+    }
+
+    /// The planted protocol bug, if any.
+    pub fn planted_bug(&self) -> Option<PlantedBug> {
+        self.bug
     }
 
     /// Generate the schedule for one chaos seed: one or two events of the
@@ -442,32 +385,6 @@ impl FaultPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Global plan registry
-// ---------------------------------------------------------------------------
-
-static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-
-/// Install the active plan (chaos harness / tests). Callers must also
-/// [`force_enable`] the gate for injection sites to consult it.
-pub fn install_plan(plan: Arc<FaultPlan>) {
-    *PLAN.write() = Some(plan);
-}
-
-/// Remove the active plan.
-pub fn clear_plan() {
-    *PLAN.write() = None;
-}
-
-/// The active plan, if the gate is on. Injection sites call [`enabled`]
-/// first (one relaxed load) so the lock is never touched when off.
-pub fn plan() -> Option<Arc<FaultPlan>> {
-    if !enabled() {
-        return None;
-    }
-    PLAN.read().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,17 +486,5 @@ mod tests {
         assert!(!plan.rank_dead(1, 9_999));
         assert_eq!(plan.kill_time(2), Some(500));
         assert!(plan.has_kill());
-    }
-
-    #[test]
-    fn gate_and_plan_registry() {
-        force_disable();
-        install_plan(Arc::new(FaultPlan::empty(0)));
-        assert!(plan().is_none(), "gate off hides the plan");
-        force_enable();
-        assert!(plan().is_some());
-        clear_plan();
-        assert!(plan().is_none());
-        force_disable();
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Two layers:
 //!
-//! 1. **Token rules** ([`rules`]) — the eight file-local rules the repo has
+//! 1. **Token rules** ([`rules`]) — the seven file-local rules the repo has
 //!    enforced since the lint was token-based (std-sync-lock,
-//!    protocol-unwrap, recovery-unwrap, real-time, tel-span-balance,
+//!    protocol-unwrap, recovery-unwrap, real-time,
 //!    atomic-ordering-justified, unsafe-needs-safety-comment,
 //!    no-atomic-in-protocol). These match token sequences from [`lexer`]
 //!    and need no cross-file knowledge.
@@ -119,7 +119,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The eight token rules over all files under `root` (the historical
+/// The seven token rules over all files under `root` (the historical
 /// `cargo xtask lint` pass).
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     rules::run_rules(&SourceTree::load(root))

@@ -22,8 +22,6 @@
 //! - **real-time** — no `std::time::{Instant, SystemTime}` under `crates/`
 //!   outside `crates/simtime`: all timing must flow through virtual SimNs
 //!   clocks or results become wall-clock dependent.
-//! - **tel-span-balance** — per file, every telemetry span opened with
-//!   `.begin(` is closed with `.end(` (count parity).
 //! - **atomic-ordering-justified** — every `Ordering::Relaxed` and
 //!   `Ordering::SeqCst` use needs an `// ordering:` comment on the same
 //!   line or in the comment block directly above, saying why that extreme
@@ -114,13 +112,6 @@ impl<'a> FileCtx<'a> {
     pub(crate) fn allowed(&self, line: usize, rule: &str) -> bool {
         let needle = format!("lint:allow({rule})");
         self.lx.comments_on(line).any(|c| c.text.contains(&needle))
-    }
-
-    /// Like [`Self::allowed`], but anywhere in the file (for whole-file
-    /// rules).
-    fn allowed_anywhere(&self, rule: &str) -> bool {
-        let needle = format!("lint:allow({rule})");
-        self.lx.comments.iter().any(|c| c.text.contains(&needle))
     }
 
     /// True if a comment containing `marker` sits on `line` itself or in
@@ -214,10 +205,6 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let real_time_applies = rel.starts_with("crates/") && !rel.starts_with("crates/simtime/");
     let ordering_applies = !ORDERING_ALLOWLIST.iter().any(|p| rel.starts_with(p));
 
-    let mut begin_count = 0usize;
-    let mut end_count = 0usize;
-    let mut first_begin_line = 0usize;
-
     let mut i = 0;
     while i < toks.len() {
         let line = toks[i].line;
@@ -300,28 +287,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             ctx.push(findings, "unsafe-needs-safety-comment", line);
         }
 
-        // --- tel-span-balance counters.
-        if seq_at(toks, i, &[".", "begin", "("]) {
-            if first_begin_line == 0 {
-                first_begin_line = line;
-            }
-            begin_count += 1;
-        }
-        if seq_at(toks, i, &[".", "end", "("]) {
-            end_count += 1;
-        }
-
         i += 1;
-    }
-
-    if begin_count != end_count && !ctx.allowed_anywhere("tel-span-balance") {
-        findings.push(Finding {
-            rule: "tel-span-balance",
-            path: rel.into(),
-            line: first_begin_line.max(1),
-            text: format!("{begin_count} span .begin( calls vs {end_count} .end( calls"),
-            trace: vec![],
-        });
     }
 }
 
@@ -424,7 +390,6 @@ mod tests {
                 "real-time",
                 "recovery-unwrap",
                 "std-sync-lock",
-                "tel-span-balance",
                 "unsafe-needs-safety-comment",
             ],
             "findings: {:#?}",

@@ -149,7 +149,7 @@ fn starts_contig(dataset: &[UfxRecord], rec: &UfxRecord) -> bool {
 /// Traversal phase: walk maximal unambiguous paths rightward from contig
 /// start k-mers owned by this rank; returns this rank's contigs.
 ///
-/// Each contig has exactly one start k-mer (see [`starts_contig`]) and is
+/// Each contig has exactly one start k-mer (see `starts_contig`) and is
 /// produced by exactly one rank — the owner of that start k-mer. Walks stop
 /// at terminal/forked right extensions and *before* join k-mers (k-mers
 /// that are themselves contig starts), so contigs never overlap except for

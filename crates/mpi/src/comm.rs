@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use papyrus_simtime::SimNs;
 
-use crate::fabric::{CommId, CommRecord, Envelope, Fabric};
+use crate::fabric::{CommId, CommRecord, Envelope, Fabric, Wait};
 use crate::{Rank, Tag};
 
 /// Source selector for receives (`MPI_ANY_SOURCE` analogue).
@@ -159,12 +159,12 @@ impl Communicator {
         tag: RecvTag,
         timeout: std::time::Duration,
     ) -> Option<Message> {
-        let env = self.fabric.recv_deadline(
+        let env = self.fabric.wait_match(
             self.me_world,
             self.id,
             src.into_option(),
             tag.into_option(),
-            timeout,
+            Wait::Within(timeout),
         )?;
         self.stamp_in(&env);
         Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
@@ -202,16 +202,40 @@ impl Communicator {
 
     /// Collective all-gather of raw byte buffers; result is indexed by comm
     /// rank. All members must call this the same number of times in the same
-    /// order (standard MPI collective semantics).
+    /// order (standard MPI collective semantics). On an armed world a member
+    /// that dies before arriving is fatal here, as under MPI's default error
+    /// handler; [`Communicator::try_barrier`] is the recoverable form.
     pub fn allgather_bytes(&self, contribution: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
+        match self.rendezvous(contribution) {
+            Ok(bufs) => bufs,
+            Err(dead) => panic!("collective on comm {}: world rank {dead} is dead", self.id), // lint:allow(panic-path): fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank
+        }
+    }
+
+    /// The one rendezvous behind every collective. A world without a fault
+    /// plan parks until all members arrive and cannot fail. An armed world
+    /// waits in timed slices and probes the failure detector between them:
+    /// `Err(dead_world_rank)` instead of hanging when a member dies before
+    /// arriving.
+    fn rendezvous(&self, contribution: Vec<u8>) -> Result<Arc<Vec<Vec<u8>>>, Rank> {
         let n = self.size();
         let clock = self.fabric.clock(self.me_world);
         let cost = self.fabric.collective_cost(n);
+        let mut check = || {
+            // Each expired wait slice consumes virtual time too; advancing
+            // here lets a rank whose clock lags the plan's kill times cross
+            // them instead of probing forever. Armed worlds only: fault-free
+            // runs must not be billed for wall-clock scheduling noise.
+            clock.advance(papyrus_faultinject::PROBE_DEADLINE_CAP_NS);
+            self.any_dead_member().map(|(_, wr)| wr)
+        };
+        let armed = self.fabric.faults().is_some();
+        let check = armed.then_some(&mut check as &mut dyn FnMut() -> Option<Rank>);
         let (bufs, stamp) =
-            self.record.collective.allgather(n, self.me, contribution, clock.now(), cost);
+            self.record.collective.allgather(n, self.me, contribution, clock.now(), cost, check)?;
         clock.merge(stamp);
         self.fabric.monitor().on_collective(self.me_world, &self.record.members);
-        bufs
+        Ok(bufs)
     }
 
     /// Failure-detector confirmation round against comm rank `dst` at this
@@ -229,18 +253,16 @@ impl Communicator {
 
     /// First member of this communicator confirmed dead (probing each in
     /// comm-rank order), as `(comm_rank, world_rank)`; `None` if all alive.
-    /// Free when the fault plane is off.
+    /// Free on a world without a fault plan.
     ///
     /// Self counts: a rank whose own kill time has passed reports *itself*,
     /// so a victim stuck in a collective withdraws instead of waiting on
     /// peers whose messages black-hole (the join of its world thread would
     /// otherwise deadlock the whole job).
     pub fn any_dead_member(&self) -> Option<(Rank, Rank)> {
-        if !papyrus_faultinject::enabled() {
-            return None;
-        }
+        let plan = self.fabric.faults()?;
         let clock = self.fabric.clock(self.me_world);
-        if papyrus_faultinject::plan().is_some_and(|p| p.rank_dead(self.me_world, clock.now())) {
+        if plan.rank_dead(self.me_world, clock.now()) {
             return Some((self.me, self.me_world));
         }
         for (cr, &wr) in self.record.members.iter().enumerate() {
@@ -258,40 +280,11 @@ impl Communicator {
         None
     }
 
-    /// Failure-aware barrier: returns `Err(dead_world_rank)` instead of
-    /// hanging when a member dies before arriving. All members must use the
-    /// failure-aware path for the same logical barrier (the `PAPYRUS_FAULTS`
-    /// gate is process-global, so they do).
+    /// Barrier that reports a dead member (`Err(dead_world_rank)`) instead
+    /// of failing the job. On a world without a fault plan it is exactly
+    /// [`Communicator::barrier`] and always `Ok`.
     pub fn try_barrier(&self) -> Result<(), Rank> {
-        let n = self.size();
-        let clock = self.fabric.clock(self.me_world);
-        let cost = self.fabric.collective_cost(n);
-        let res = self.record.collective.allgather_abortable(
-            n,
-            self.me,
-            Vec::new(),
-            clock.now(),
-            cost,
-            || {
-                // Each timed-out wait slice consumes virtual time too;
-                // advancing here lets a rank whose clock lags the plan's
-                // kill times cross them instead of probing forever. Only
-                // with the plane armed: an unconditional advance would
-                // bill fault-free runs for wall-clock scheduling noise.
-                if papyrus_faultinject::enabled() {
-                    clock.advance(papyrus_faultinject::PROBE_DEADLINE_CAP_NS);
-                }
-                self.any_dead_member().map(|(_, wr)| wr)
-            },
-        );
-        match res {
-            Ok((_, stamp)) => {
-                clock.merge(stamp);
-                self.fabric.monitor().on_collective(self.me_world, &self.record.members);
-                Ok(())
-            }
-            Err(dead) => Err(dead),
-        }
+        self.rendezvous(Vec::new()).map(drop)
     }
 
     /// Collective all-reduce of a `u64` with a commutative-associative `op`.

@@ -4,11 +4,15 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use std::time::Duration;
+
 use bytes::Bytes;
-use papyrus_faultinject::{PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD};
+use papyrus_faultinject::{
+    FaultPlan, PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD,
+};
 use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::sanity::{ProtoMonitor, SanityStamp};
 use crate::{Rank, Tag};
@@ -134,6 +138,14 @@ impl CollectiveState {
     /// timestamp. Blocks until all members of this round arrive. Back-to-back
     /// rounds are safe: a new round cannot begin until every member of the
     /// previous round has consumed its result.
+    ///
+    /// `check` is the liveness probe of an armed world (`None` on a world
+    /// without a fault plan, which then parks untimed): the wait runs in
+    /// timed slices and calls it whenever one expires. If it names a dead
+    /// member the caller *withdraws* its contribution and returns
+    /// `Err(dead_world_rank)`, leaving the round clean for the surviving
+    /// members (who will each detect the same death and withdraw too,
+    /// instead of hanging forever on a member that will never arrive).
     pub(crate) fn allgather(
         &self,
         n: usize,
@@ -141,11 +153,27 @@ impl CollectiveState {
         contribution: Vec<u8>,
         stamp: SimNs,
         cost: SimNs,
-    ) -> (Arc<Vec<Vec<u8>>>, SimNs) {
+        mut check: Option<&mut dyn FnMut() -> Option<Rank>>,
+    ) -> Result<GatherRound, Rank> {
+        // Park once; true iff an armed world's wait slice expired.
+        let timed = check.is_some();
+        let park = |g: &mut MutexGuard<'_, CollectiveInner>| {
+            if timed {
+                self.cv.wait_for(g, Duration::from_millis(10)).timed_out()
+            } else {
+                self.cv.wait(g);
+                false
+            }
+        };
+        let mut probe = || check.as_mut().and_then(|check| check());
         let mut g = self.inner.lock();
         // Phase 0: if a previous round is still draining, wait it out.
         while g.released.is_some() {
-            self.cv.wait(&mut g);
+            if park(&mut g) {
+                if let Some(dead) = probe() {
+                    return Err(dead);
+                }
+            }
         }
         // Phase 1: arrive.
         g.bufs[me] = Some(contribution);
@@ -169,61 +197,8 @@ impl CollectiveState {
             if let Some(out) = g.released.clone() {
                 break out;
             }
-            self.cv.wait(&mut g);
-        };
-        g.consumed += 1;
-        if g.consumed == n {
-            g.released = None;
-            g.arrived = 0;
-            g.max_stamp = 0;
-            self.cv.notify_all();
-        }
-        out
-    }
-
-    /// Failure-aware all-gather: identical to [`CollectiveState::allgather`]
-    /// except that while waiting it periodically calls `check`; if `check`
-    /// names a dead member the caller *withdraws* its contribution and
-    /// returns `Err(dead_world_rank)`, leaving the round clean for the
-    /// surviving members (who will each detect the same death and withdraw
-    /// too, instead of hanging forever on a member that will never arrive).
-    pub(crate) fn allgather_abortable<F>(
-        &self,
-        n: usize,
-        me: Rank,
-        contribution: Vec<u8>,
-        stamp: SimNs,
-        cost: SimNs,
-        mut check: F,
-    ) -> Result<GatherRound, Rank>
-    where
-        F: FnMut() -> Option<Rank>,
-    {
-        let slice = std::time::Duration::from_millis(10);
-        let mut g = self.inner.lock();
-        while g.released.is_some() {
-            if self.cv.wait_for(&mut g, slice).timed_out() {
-                if let Some(dead) = check() {
-                    return Err(dead);
-                }
-            }
-        }
-        g.bufs[me] = Some(contribution);
-        g.max_stamp = g.max_stamp.max(stamp);
-        g.arrived += 1;
-        if g.arrived == n {
-            let bufs: Vec<Vec<u8>> = g.bufs.iter_mut().filter_map(|b| b.take()).collect();
-            let release_stamp = g.max_stamp + cost;
-            g.released = Some((Arc::new(bufs), release_stamp));
-            g.consumed = 0;
-            self.cv.notify_all();
-        }
-        let out = loop {
-            if let Some(out) = g.released.clone() {
-                break out;
-            }
-            if self.cv.wait_for(&mut g, slice).timed_out() && g.released.is_none() {
-                if let Some(dead) = check() {
+            if park(&mut g) && g.released.is_none() {
+                if let Some(dead) = probe() {
                     if g.bufs[me].take().is_some() {
                         g.arrived -= 1;
                     }
@@ -287,10 +262,25 @@ pub struct Fabric {
     /// children of a `split` at the same sequence number.
     children: Mutex<ChildComms>,
     next_comm_id: Mutex<CommId>,
+    /// The fault schedule this world runs under, if it was armed with one
+    /// ([`crate::WorldConfig::with_faults`]). Every injection site below
+    /// reads this field; nothing about faults is process-global.
+    faults: Option<Arc<FaultPlan>>,
     /// Failure-detector verdicts: `dead[r]` once the heartbeat protocol has
-    /// confirmed world rank `r` unresponsive. Only ever set while the
-    /// `PAPYRUS_FAULTS` plane is on; sticky for the life of the world.
+    /// confirmed world rank `r` unresponsive. Only ever set on an armed
+    /// world; sticky for the life of the world.
     dead: Mutex<Vec<bool>>,
+}
+
+/// How long a mailbox wait may park.
+pub(crate) enum Wait {
+    /// Until a matching envelope arrives.
+    Forever,
+    /// At most this long in real time. The real deadline only decides *when
+    /// to check on the peer*; protocol time stays virtual.
+    Within(Duration),
+    /// Not at all: take what is queued right now.
+    Now,
 }
 
 /// Verdict of a failure-detector confirmation round.
@@ -301,8 +291,14 @@ pub enum RankStatus {
 }
 
 impl Fabric {
-    /// Create a fabric for `n` ranks with the given interconnect model.
+    /// Create a fabric for `n` ranks with the given interconnect model and
+    /// no fault plan.
     pub fn new(n: usize, net: NetModel) -> Arc<Self> {
+        Self::with_faults(n, net, None)
+    }
+
+    /// Create a fabric whose world runs under `faults` (`None` = unarmed).
+    pub fn with_faults(n: usize, net: NetModel, faults: Option<Arc<FaultPlan>>) -> Arc<Self> {
         assert!(n > 0, "a world needs at least one rank");
         // Bisection ≈ n/8 full-rate links: job placement on production
         // machines shares the fabric with other jobs, so the effective
@@ -331,6 +327,7 @@ impl Fabric {
             comms: Mutex::new(comms),
             children: Mutex::new(HashMap::new()),
             next_comm_id: Mutex::new(1),
+            faults,
             dead: Mutex::new(vec![false; n]),
         })
     }
@@ -348,6 +345,11 @@ impl Fabric {
     /// The virtual clock of a world rank.
     pub fn clock(&self, world_rank: Rank) -> &Clock {
         &self.clocks[world_rank]
+    }
+
+    /// The fault plan this world was armed with, if any.
+    pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
+        self.faults.as_ref()
     }
 
     pub(crate) fn world_comm(&self) -> (CommId, Arc<CommRecord>) {
@@ -390,13 +392,9 @@ impl Fabric {
     /// the sender's clock at `now`: egress NIC queueing, wire latency, then
     /// ingress NIC queueing. Returns the virtual arrival stamp.
     pub(crate) fn wire_stamp(&self, src: Rank, dst: Rank, bytes: u64, now: SimNs) -> SimNs {
-        // Injected delay spike (PAPYRUS_FAULTS): purely virtual — the
-        // message is still delivered immediately, it just *arrives* later.
-        let extra = if papyrus_faultinject::enabled() {
-            papyrus_faultinject::plan().map_or(0, |p| p.net_extra_ns(now))
-        } else {
-            0
-        };
+        // Injected delay spike: purely virtual — the message is still
+        // delivered immediately, it just *arrives* later.
+        let extra = self.faults.as_ref().map_or(0, |p| p.net_extra_ns(now));
         if src == dst {
             // Intra-rank delivery: loopback, just the software latency.
             return now + self.net.msg_latency / 4 + extra;
@@ -413,8 +411,8 @@ impl Fabric {
     }
 
     /// Should a message from `src_world` to `dst_world` vanish? True when
-    /// either endpoint is dead per the active fault plan (black-hole) or a
-    /// drop event matches. One relaxed load when the plane is off.
+    /// either endpoint is dead per this world's fault plan (black-hole) or a
+    /// drop event matches.
     pub(crate) fn fault_drop(
         &self,
         src_world: Rank,
@@ -422,25 +420,16 @@ impl Fabric {
         tag: Tag,
         now: SimNs,
     ) -> bool {
-        if !papyrus_faultinject::enabled() {
-            return false;
-        }
-        let Some(p) = papyrus_faultinject::plan() else {
-            return false;
-        };
-        p.rank_dead(src_world, now)
-            || p.rank_dead(dst_world, now)
-            || p.should_drop(dst_world, tag, now)
+        self.faults.as_ref().is_some_and(|p| {
+            p.rank_dead(src_world, now)
+                || p.rank_dead(dst_world, now)
+                || p.should_drop(dst_world, tag, now)
+        })
     }
 
     /// Has the failure detector already confirmed this world rank dead?
     pub fn rank_known_dead(&self, world_rank: Rank) -> bool {
         self.dead.lock()[world_rank]
-    }
-
-    /// World ranks confirmed dead so far.
-    pub fn dead_ranks(&self) -> Vec<Rank> {
-        self.dead.lock().iter().enumerate().filter(|(_, d)| **d).map(|(r, _)| r).collect()
     }
 
     /// Run one heartbeat confirmation round against `target`, modelled
@@ -451,18 +440,16 @@ impl Fabric {
     /// late ack — false-positive resistance; a killed rank never acks.
     ///
     /// Returns the verdict and the virtual time the round consumed (the
-    /// caller merges it into its clock if it has one). With the fault plane
-    /// off this is free and always `Alive`.
+    /// caller merges it into its clock if it has one). On a world without
+    /// a fault plan this is free and always `Alive`.
     pub fn confirm_rank(&self, me: Rank, target: Rank, now: SimNs) -> (RankStatus, SimNs) {
-        if me == target || !papyrus_faultinject::enabled() {
-            return (RankStatus::Alive, 0);
-        }
+        let plan = match &self.faults {
+            Some(plan) if me != target => plan,
+            _ => return (RankStatus::Alive, 0),
+        };
         if self.dead.lock()[target] {
             return (RankStatus::Dead, 0);
         }
-        let Some(plan) = papyrus_faultinject::plan() else {
-            return (RankStatus::Alive, 0);
-        };
         let lat = self.net.msg_latency.max(1);
         let mut t = now;
         let mut deadline = PROBE_DEADLINE_INIT_NS.max(4 * lat);
@@ -515,17 +502,22 @@ impl Fabric {
         self.comms.lock().get(&comm).and_then(|r| r.members.get(comm_rank).copied())
     }
 
-    /// Blocking receive with wildcards; returns the first (FIFO) envelope on
-    /// `comm` matching `src`/`tag`.
-    pub(crate) fn recv(
+    /// The one mailbox wait: remove and return the first (FIFO) envelope on
+    /// `comm` matching the `src`/`tag` wildcards, parking for at most `wait`.
+    /// `None` iff `wait` ran out first (never for [`Wait::Forever`]).
+    pub(crate) fn wait_match(
         &self,
         me_world: Rank,
         comm: CommId,
         src: Option<Rank>,
         tag: Option<Tag>,
-    ) -> Envelope {
+        mut wait: Wait,
+    ) -> Option<Envelope> {
         let mb = &self.mailboxes[me_world];
-        let monitored = papyrus_sanity::enabled();
+        // Only an unbounded wait can close a wait-for cycle, so only it is
+        // registered with the deadlock watch.
+        let sanity_on = papyrus_sanity::enabled();
+        let monitored = sanity_on && matches!(wait, Wait::Forever);
         if monitored {
             // Register the wait-for edge before blocking so peer ranks can
             // see it; a wildcard-source receive contributes no edge.
@@ -534,25 +526,40 @@ impl Fabric {
         }
         let mut stall: Option<(u64, Vec<Rank>)> = None;
         let mut q = mb.queue.lock();
-        let (env, depth) = loop {
+        let found = loop {
             let pos = q.iter().position(|e| {
                 e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
             });
             if let Some(env) = pos.and_then(|p| q.remove(p)) {
-                break (env, q.len());
+                break Some((env, q.len()));
             }
-            if monitored {
-                if mb.cv.wait_for(&mut q, std::time::Duration::from_millis(50)).timed_out() {
-                    if let Some(detail) = self.sanity.check_stalled(me_world, &mut stall) {
-                        // Deliberately do NOT unblock: the other members of
-                        // the confirmed cycle still need to see this edge to
-                        // diagnose the same cycle and escape their waits.
-                        drop(q);
-                        panic!("papyrus-sanity[wait-cycle]: {detail}"); // lint:allow(panic-path): deliberate fail-stop on a confirmed deadlock cycle
+            match &mut wait {
+                Wait::Now => break None,
+                Wait::Within(left) => {
+                    if left.is_zero() {
+                        break None;
+                    }
+                    // Real time is counted in expired slices, never read
+                    // from a clock (lint rule `real-time`), so a wake-up
+                    // that brought no match stretches the wait by at most
+                    // one slice.
+                    let step = (*left).min(Duration::from_millis(5));
+                    if mb.cv.wait_for(&mut q, step).timed_out() {
+                        *left -= step;
                     }
                 }
-            } else {
-                mb.cv.wait(&mut q);
+                Wait::Forever if monitored => {
+                    if mb.cv.wait_for(&mut q, Duration::from_millis(50)).timed_out() {
+                        if let Some(detail) = self.sanity.check_stalled(me_world, &mut stall) {
+                            // Deliberately do NOT unblock: the other members of
+                            // the confirmed cycle still need to see this edge to
+                            // diagnose the same cycle and escape their waits.
+                            drop(q);
+                            panic!("papyrus-sanity[wait-cycle]: {detail}"); // lint:allow(panic-path): deliberate fail-stop on a confirmed deadlock cycle
+                        }
+                    }
+                }
+                Wait::Forever => mb.cv.wait(&mut q),
             }
         };
         // Monitor hooks run after the queue lock is released: they take the
@@ -560,53 +567,31 @@ impl Fabric {
         drop(q);
         if monitored {
             self.sanity.unblock(me_world);
-            if let Some(stamp) = &env.sanity {
-                self.sanity.on_recv(me_world, comm, env.tag, stamp);
-            }
         }
-        self.tel[me_world].on_recv(env.payload.len() as u64, depth);
-        env
-    }
-
-    /// Receive with a real-time deadline: like [`Fabric::recv`] but gives up
-    /// and returns `None` once `timeout` elapses with no matching envelope.
-    /// Used by the failure-aware RPC paths — the real deadline only decides
-    /// *when to check on the peer*; protocol time stays virtual.
-    pub(crate) fn recv_deadline(
-        &self,
-        me_world: Rank,
-        comm: CommId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        timeout: std::time::Duration,
-    ) -> Option<Envelope> {
-        let mb = &self.mailboxes[me_world];
-        let slice = std::time::Duration::from_millis(5);
-        let mut remaining = timeout;
-        let mut q = mb.queue.lock();
-        let (env, depth) = loop {
-            let pos = q.iter().position(|e| {
-                e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
-            });
-            if let Some(env) = pos.and_then(|p| q.remove(p)) {
-                break (env, q.len());
-            }
-            if remaining.is_zero() {
-                return None;
-            }
-            let step = slice.min(remaining);
-            if mb.cv.wait_for(&mut q, step).timed_out() {
-                remaining -= step;
-            }
-        };
-        drop(q);
-        if papyrus_sanity::enabled() {
+        let (env, depth) = found?;
+        if sanity_on {
             if let Some(stamp) = &env.sanity {
                 self.sanity.on_recv(me_world, comm, env.tag, stamp);
             }
         }
         self.tel[me_world].on_recv(env.payload.len() as u64, depth);
         Some(env)
+    }
+
+    /// Blocking receive with wildcards.
+    pub(crate) fn recv(
+        &self,
+        me_world: Rank,
+        comm: CommId,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Envelope {
+        // `Wait::Forever` has no give-up exit, so this loop runs once.
+        loop {
+            if let Some(env) = self.wait_match(me_world, comm, src, tag, Wait::Forever) {
+                return env;
+            }
+        }
     }
 
     /// Non-blocking receive; `None` if nothing matches right now.
@@ -617,23 +602,7 @@ impl Fabric {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Option<Envelope> {
-        let mb = &self.mailboxes[me_world];
-        let (env, depth) = {
-            let mut q = mb.queue.lock();
-            let pos = q.iter().position(|e| {
-                e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
-            })?;
-            let env = q.remove(pos)?;
-            let depth = q.len();
-            (env, depth)
-        };
-        if papyrus_sanity::enabled() {
-            if let Some(stamp) = &env.sanity {
-                self.sanity.on_recv(me_world, comm, env.tag, stamp);
-            }
-        }
-        self.tel[me_world].on_recv(env.payload.len() as u64, depth);
-        Some(env)
+        self.wait_match(me_world, comm, src, tag, Wait::Now)
     }
 
     /// Count of undelivered messages in a rank's mailbox (diagnostics).
@@ -684,9 +653,7 @@ impl Fabric {
     /// Collective synchronisation cost for an `n`-member operation:
     /// a tree of message latencies down and up.
     pub(crate) fn collective_cost(&self, n: usize) -> SimNs {
-        let depth = usize::BITS - n.next_power_of_two().trailing_zeros().min(usize::BITS - 1);
         let log2 = if n <= 1 { 0 } else { (n as f64).log2().ceil() as u64 };
-        let _ = depth;
         2 * log2 * self.net.msg_latency
     }
 }
@@ -757,6 +724,19 @@ mod tests {
         let f = fabric(1);
         assert!(f.try_recv(0, 0, None, None).is_none());
         assert_eq!(f.pending(0), 0);
+    }
+
+    #[test]
+    fn timed_recv_expires_past_a_non_matching_envelope() {
+        let f = fabric(2);
+        f.deliver(
+            0,
+            Envelope { comm: 0, src: 1, tag: 1, stamp: 0, payload: Bytes::new(), sanity: None },
+        );
+        let wait = || Wait::Within(Duration::from_millis(20));
+        assert!(f.wait_match(0, 0, Some(1), Some(2), wait()).is_none());
+        assert_eq!(f.pending(0), 1, "the non-matching envelope stays queued");
+        assert_eq!(f.wait_match(0, 0, Some(1), Some(1), wait()).map(|e| e.tag), Some(1));
     }
 
     #[test]
@@ -842,7 +822,7 @@ mod tests {
         for me in 0..3usize {
             let st = st.clone();
             handles.push(std::thread::spawn(move || {
-                st.allgather(3, me, vec![me as u8], (me as u64 + 1) * 100, 7)
+                st.allgather(3, me, vec![me as u8], (me as u64 + 1) * 100, 7, None).unwrap()
             }));
         }
         for h in handles {
@@ -860,7 +840,7 @@ mod tests {
             for me in 0..2usize {
                 let st = st.clone();
                 handles.push(std::thread::spawn(move || {
-                    st.allgather(2, me, vec![round, me as u8], 0, 0)
+                    st.allgather(2, me, vec![round, me as u8], 0, 0, None).unwrap()
                 }));
             }
             for h in handles {

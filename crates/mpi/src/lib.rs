@@ -11,7 +11,8 @@
 //!
 //! * [`World::run`] — launch `n` ranks executing the same closure (SPMD).
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
-//!   [`Communicator`], the rank's virtual [`Clock`], and collective helpers.
+//!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
+//!   collective helpers.
 //! * [`Communicator`] — tagged, FIFO-per-(sender,tag) point-to-point
 //!   messaging with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`-style wildcards, plus
 //!   `dup` and `split` so library-internal traffic cannot collide with
@@ -22,6 +23,13 @@
 //! receiver's ingress NIC ([`papyrus_simtime::Resource`] busy-until queues)
 //! plus a wire latency, so incast congestion — which the paper credits for
 //! `Seq+B` beating `Rel+B` in Figure 7 — emerges naturally.
+//!
+//! Faults: a world runs under a `papyrus_faultinject::FaultPlan` iff its
+//! [`WorldConfig`] names one ([`WorldConfig::with_faults`]). The plan lives
+//! on that world's [`Fabric`] — delay spikes, drops, rank death and the
+//! heartbeat failure detector all read it from there — so worlds in one
+//! process never share faults, and an unarmed world's receives and
+//! collectives park untimed.
 
 mod comm;
 mod fabric;

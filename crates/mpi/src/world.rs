@@ -3,6 +3,7 @@
 use std::sync::Arc;
 use std::thread;
 
+use papyrus_faultinject::FaultPlan;
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
 use crate::comm::Communicator;
@@ -19,12 +20,23 @@ pub struct WorldConfig {
     /// OS thread stack size per rank (bytes). The KVS spawns helper threads
     /// per rank, so the default is modest.
     pub stack_size: usize,
+    /// The fault schedule this world runs under (`None`, the default, = no
+    /// faults). This is the one place a plan is named: it lives on the
+    /// world's [`Fabric`] and reaches everything else from there, so arming
+    /// one world arms no other.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl WorldConfig {
     /// A world of `ranks` ranks on the given interconnect.
     pub fn new(ranks: usize, net: NetModel) -> Self {
-        Self { ranks, net, stack_size: 1 << 21 }
+        Self { ranks, net, stack_size: 1 << 21, faults: None }
+    }
+
+    /// The same world, armed with a fault plan.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        self
     }
 
     /// A world with a free (unaccounted) network, for unit tests.
@@ -46,7 +58,7 @@ impl World {
         T: Send + 'static,
         F: Fn(RankCtx) -> T + Send + Sync + 'static,
     {
-        let fabric = Fabric::new(config.ranks, config.net.clone());
+        let fabric = Fabric::with_faults(config.ranks, config.net.clone(), config.faults.clone());
         let f = Arc::new(f);
         let handles: Vec<_> = (0..config.ranks)
             .map(|rank| {

@@ -1,9 +1,6 @@
 //! Storage backends: where object bytes actually live.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -120,120 +117,13 @@ impl Backend for MemBackend {
     }
 }
 
-/// Real-directory backend: each object is a file under `root`. Used by soak
-/// tests and by users who want the SSTables inspectable on disk.
-pub struct DiskBackend {
-    root: PathBuf,
-}
-
-impl DiskBackend {
-    /// Create (and mkdir -p) a disk backend rooted at `root`.
-    pub fn new(root: impl AsRef<Path>) -> std::io::Result<Self> {
-        fs::create_dir_all(root.as_ref())?;
-        Ok(Self { root: root.as_ref().to_path_buf() })
-    }
-
-    fn fs_path(&self, path: &str) -> PathBuf {
-        // Object paths are trusted internal names, but keep them contained:
-        // strip any leading separators and reject parent traversal.
-        let clean: Vec<&str> =
-            path.split('/').filter(|c| !c.is_empty() && *c != "." && *c != "..").collect();
-        let mut p = self.root.clone();
-        for c in clean {
-            p.push(c);
-        }
-        p
-    }
-}
-
-impl Backend for DiskBackend {
-    fn put(&self, path: &str, data: Bytes) {
-        let p = self.fs_path(path);
-        if let Some(parent) = p.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        fs::write(&p, &data).expect("disk backend write failed"); // lint:allow(panic-path): host-FS write failure is unrecoverable by design
-    }
-
-    fn append(&self, path: &str, data: &[u8]) {
-        let p = self.fs_path(path);
-        if let Some(parent) = p.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&p)
-            .expect("disk backend open failed");
-        f.write_all(data).expect("disk backend append failed");
-    }
-
-    fn get(&self, path: &str, offset: u64, len: u64) -> Option<Bytes> {
-        let mut f = fs::File::open(self.fs_path(path)).ok()?;
-        let total = f.metadata().ok()?.len();
-        let start = offset.min(total);
-        let end = offset.saturating_add(len).min(total);
-        f.seek(SeekFrom::Start(start)).ok()?;
-        let mut buf = vec![0u8; (end - start) as usize];
-        f.read_exact(&mut buf).ok()?;
-        Some(Bytes::from(buf))
-    }
-
-    fn get_all(&self, path: &str) -> Option<Bytes> {
-        fs::read(self.fs_path(path)).ok().map(Bytes::from)
-    }
-
-    fn len(&self, path: &str) -> Option<u64> {
-        fs::metadata(self.fs_path(path)).ok().map(|m| m.len())
-    }
-
-    fn delete(&self, path: &str) -> bool {
-        fs::remove_file(self.fs_path(path)).is_ok()
-    }
-
-    fn rename(&self, from: &str, to: &str) -> bool {
-        let src = self.fs_path(from);
-        if !src.exists() {
-            return false;
-        }
-        let dst = self.fs_path(to);
-        if let Some(parent) = dst.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        fs::rename(&src, &dst).is_ok()
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        // Walk the tree and reconstruct object names relative to root.
-        fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
-            let Ok(entries) = fs::read_dir(dir) else { return };
-            for e in entries.flatten() {
-                let p = e.path();
-                if p.is_dir() {
-                    walk(&p, root, out);
-                } else if let Ok(rel) = p.strip_prefix(root) {
-                    out.push(rel.to_string_lossy().replace('\\', "/"));
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &self.root, &mut out);
-        out.retain(|p| p.starts_with(prefix));
-        out.sort();
-        out
-    }
-
-    fn clear(&self) {
-        let _ = fs::remove_dir_all(&self.root);
-        let _ = fs::create_dir_all(&self.root);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise(b: &dyn Backend) {
+    #[test]
+    fn mem_backend_semantics() {
+        let b = MemBackend::new();
         assert!(!b.exists("a/b"));
         b.put("a/b", Bytes::from_static(b"hello"));
         assert!(b.exists("a/b"));
@@ -277,36 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn mem_backend_semantics() {
-        exercise(&MemBackend::new());
-    }
-
-    #[test]
-    fn disk_backend_semantics() {
-        let dir = std::env::temp_dir().join(format!("pkv-nvm-test-{}", std::process::id()));
-        let b = DiskBackend::new(&dir).unwrap();
-        b.clear();
-        exercise(&b);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn mem_backend_total_bytes() {
         let b = MemBackend::new();
         b.put("x", Bytes::from_static(b"1234"));
         b.append("y", b"56");
         assert_eq!(b.total_bytes(), 6);
-    }
-
-    #[test]
-    fn disk_backend_rejects_traversal() {
-        let dir = std::env::temp_dir().join(format!("pkv-nvm-trav-{}", std::process::id()));
-        let b = DiskBackend::new(&dir).unwrap();
-        b.put("../../etc/evil", Bytes::from_static(b"x"));
-        // The object lands inside root regardless of the ../ components.
-        assert!(b.exists("../../etc/evil") || b.exists("etc/evil"));
-        assert!(dir.join("etc/evil").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,25 +14,21 @@
 //!
 //! * [`NvmStore`] — a named-object store (paths ≈ files) with a
 //!   [`papyrus_simtime::DeviceModel`] cost model and a shared device queue,
-//!   so concurrent ranks in a storage group contend realistically. Backends:
-//!   in-memory (default; deterministic, fast) or real directory on disk.
+//!   so concurrent ranks in a storage group contend realistically. The
+//!   bytes live behind the [`Backend`] trait: [`MemBackend`] here, and any
+//!   decorator a checker or benchmark wraps around it (crashcheck's
+//!   journal, kvbench's counter).
 //! * [`StorageMap`] — rank → storage-group mapping for a given group size,
 //!   giving each group its own shared [`NvmStore`].
 //! * [`SystemProfile`] — full machine descriptions of the paper's Table 2
 //!   systems (Summitdev, Stampede KNL, Cori Haswell): interconnect, NVM
 //!   device, parallel file system, ranks per node, iteration counts.
-//! * [`journal`] — the crash-point journal behind the `PAPYRUS_CRASHCHECK`
-//!   plane: every backend mutation is recorded as a numbered crash point,
-//!   and [`journal::materialize`] rebuilds the bytes a crash at any point
-//!   could leave behind (clean cut, torn tail, unsynced reorder).
 
 mod backend;
-pub mod journal;
 mod store;
 mod system;
 
-pub use backend::{Backend, DiskBackend, MemBackend};
-pub use journal::{CrashPolicy, FaultMode, Journal, JournalOp, JournaledBackend};
+pub use backend::{Backend, MemBackend};
 pub use papyrus_faultinject::IoFault;
 pub use store::NvmStore;
 pub use system::{NvmArch, StorageMap, SystemProfile};

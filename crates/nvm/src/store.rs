@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use papyrus_faultinject::{Backoff, IoFault};
+use papyrus_faultinject::{Backoff, FaultPlan, IoFault};
 use papyrus_simtime::{AccessPattern, Clock, DeviceModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Histogram, SpanRecorder};
 
@@ -95,12 +95,19 @@ impl StoreTel {
 ///   completion stamp — used by background threads (compaction, checkpoint
 ///   transfer) that must not block the application rank's clock. The stamp
 ///   is reconciled later at a fence/barrier.
+///
+/// An `NvmStore` value is a *handle*: clones share the device queue, the
+/// backend and the telemetry. What a handle does not share is its fault
+/// plan ([`NvmStore::with_faults`]) — the store itself keeps no fault state,
+/// so two worlds using one store each see only their own plan.
 #[derive(Clone)]
 pub struct NvmStore {
     device: DeviceModel,
     queue: Resource,
     backend: Arc<dyn Backend>,
     tel: Arc<StoreTel>,
+    /// The fault schedule ops issued through *this handle* run under.
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl std::fmt::Debug for NvmStore {
@@ -118,25 +125,17 @@ impl NvmStore {
         Self::with_backend(device, Arc::new(MemBackend::new()))
     }
 
-    /// A store with an explicit backend. When the `PAPYRUS_CRASHCHECK` gate
-    /// is on and a capture journal is installed
-    /// ([`crate::journal::install_capture`]), the backend is wrapped so
-    /// every mutation lands in the journal as a numbered crash point.
+    /// A store with an explicit backend.
     pub fn with_backend(device: DeviceModel, backend: Arc<dyn Backend>) -> Self {
-        let backend = if papyrus_sanity::crashcheck_enabled() {
-            match crate::journal::capture() {
-                Some(journal) => Arc::new(crate::journal::JournaledBackend::new(
-                    crate::journal::auto_namespace(device.name),
-                    journal,
-                    backend,
-                )) as Arc<dyn Backend>,
-                None => backend,
-            }
-        } else {
-            backend
-        };
         let tel = Arc::new(StoreTel::new(device.name));
-        Self { device, queue: Resource::new(), backend, tel }
+        Self { device, queue: Resource::new(), backend, tel, faults: None }
+    }
+
+    /// A handle on the same store whose operations run under `faults`
+    /// (`None` = none). The runtime hands these out per world
+    /// (`papyruskv`'s `repo_store_for`); the store behind them is untouched.
+    pub fn with_faults(&self, faults: Option<Arc<FaultPlan>>) -> Self {
+        Self { faults, ..self.clone() }
     }
 
     /// The device cost model.
@@ -154,17 +153,13 @@ impl NvmStore {
         &self.queue
     }
 
-    // ----- fault injection (PAPYRUS_FAULTS plane) -----
+    // ----- fault injection -----
 
-    /// Consult the active [`papyrus_faultinject::FaultPlan`] for an op
-    /// issued at `now`. One relaxed load when the gate is off.
+    /// Consult this handle's [`FaultPlan`] for an op issued at `now`.
     /// `Ok(extra_ns)` is an added slow-device stall.
     #[inline]
     fn inject(&self, write: bool, now: SimNs) -> Result<SimNs, IoFault> {
-        if !papyrus_faultinject::enabled() {
-            return Ok(0);
-        }
-        match papyrus_faultinject::plan() {
+        match &self.faults {
             Some(p) => p.io_fault(write, now),
             None => Ok(0),
         }
@@ -175,8 +170,8 @@ impl NvmStore {
     /// fault window. Plans have finite horizons, so this terminates; the
     /// horizon jump after many attempts is a safety valve for hand-built
     /// plans with overlong windows. The backoff (seeded from `path`) is
-    /// only built once an attempt fails, so with the plane off this is the
-    /// `try_` body plus [`NvmStore::inject`]'s one relaxed load.
+    /// only built once an attempt fails, so on an unarmed handle this is the
+    /// `try_` body plus [`NvmStore::inject`]'s one field load.
     fn ride_out<T>(
         &self,
         now: SimNs,
@@ -197,7 +192,7 @@ impl NvmStore {
                     });
                     t = t.saturating_add(bo.next_delay());
                     if bo.attempts() > 64 {
-                        if let Some(p) = papyrus_faultinject::plan() {
+                        if let Some(p) = &self.faults {
                             t = t.max(p.horizon().saturating_add(1));
                         }
                     }
@@ -505,38 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn crashcheck_capture_auto_wraps_new_stores() {
-        use crate::journal::{self, Journal, JournalOp};
-        papyrus_sanity::force_enable_crashcheck();
-        let j = std::sync::Arc::new(Journal::new());
-        journal::install_capture(j.clone());
-        let s = nvme();
-        s.put_at("capture-probe", Bytes::from_static(b"x"), 0);
-        journal::clear_capture();
-        papyrus_sanity::force_disable_crashcheck();
-        assert!(
-            j.ops()
-                .iter()
-                .any(|op| matches!(op, JournalOp::Put { path, .. } if path == "capture-probe")),
-            "store built under an installed capture must journal its writes"
-        );
-        // A store built with no capture in place is untouched.
-        let before = j.len();
-        let s2 = nvme();
-        s2.put_at("uncaptured", Bytes::from_static(b"y"), 0);
-        assert!(!j
-            .ops()
-            .iter()
-            .skip(before)
-            .any(|op| matches!(op, JournalOp::Put { path, .. } if path == "uncaptured")));
-    }
-
-    #[test]
     fn injected_faults_surface_typed_and_ride_out() {
         use papyrus_faultinject as fi;
-        // Windows far beyond any stamp other parallel tests use, so turning
-        // the global gate on cannot perturb them.
-        const BASE: SimNs = 900_000_000_000_000_000;
+        const BASE: SimNs = 1_000_000_000;
         let plan = fi::FaultPlan::with_events(
             1,
             vec![
@@ -554,9 +520,8 @@ mod tests {
                 },
             ],
         );
-        fi::install_plan(Arc::new(plan));
-        fi::force_enable();
-        let s = nvme();
+        let clean = nvme();
+        let s = clean.with_faults(Some(Arc::new(plan)));
         // Typed errors from the fallible primitives inside the window.
         assert_eq!(s.try_put_at("f", Bytes::from_static(b"x"), BASE), Err(IoFault::NoSpace));
         assert!(!s.exists("f"), "faulted write must not touch the backend");
@@ -569,8 +534,10 @@ mod tests {
         // Slow-device stall inflates the op's service time.
         let slow = s.try_put_at("h", Bytes::from_static(b"z"), BASE + 10_000_000).unwrap();
         assert!(slow >= BASE + 10_000_000 + 5_000_000);
-        fi::clear_plan();
-        fi::force_disable();
+        // The plan afflicts the handle, not the store: the handle it was
+        // made from shares the bytes and sees no fault in the same window.
+        assert!(clean.exists("g"));
+        assert!(clean.try_put_at("f2", Bytes::from_static(b"x"), BASE).is_ok());
     }
 
     #[test]

@@ -85,50 +85,6 @@ pub fn force_disable() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-consistency plane (`PAPYRUS_CRASHCHECK`)
-// ---------------------------------------------------------------------------
-
-/// Independent gate for the crash-consistency checker: when on,
-/// `papyrus-nvm` journals backend mutations into any installed capture and
-/// the recovery paths in `papyruskv` report crash-state anomalies
-/// (corrupt manifests, unreadable referenced SSTables) into this registry
-/// instead of silently tolerating them. Same 0/1/2 encoding as the main
-/// sanity gate; off costs one relaxed atomic load.
-static CRASHCHECK_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the crash-consistency plane is live (`PAPYRUS_CRASHCHECK`).
-#[inline]
-pub fn crashcheck_enabled() -> bool {
-    // ordering: same latch pattern as the main sanity gate above.
-    match CRASHCHECK_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => crashcheck_init_from_env(),
-    }
-}
-
-#[cold]
-fn crashcheck_init_from_env() -> bool {
-    let on = std::env::var_os("PAPYRUS_CRASHCHECK").is_some_and(|v| v != "0" && !v.is_empty());
-    // ordering: idempotent latch init, as above.
-    CRASHCHECK_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the crash-consistency plane on regardless of the environment
-/// (the crashcheck driver and its tests). Global.
-pub fn force_enable_crashcheck() {
-    // ordering: latch write; takes effect on each reader's next check.
-    CRASHCHECK_STATE.store(2, Ordering::Relaxed);
-}
-
-/// Force the crash-consistency plane off (tests).
-pub fn force_disable_crashcheck() {
-    // ordering: latch write, as above.
-    CRASHCHECK_STATE.store(1, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Violation registry
 // ---------------------------------------------------------------------------
 
@@ -329,16 +285,6 @@ mod tests {
         assert!(!enabled());
         force_enable();
         assert!(enabled());
-    }
-
-    #[test]
-    fn crashcheck_gate_forces() {
-        // Only this test touches the crashcheck gate, so no interleaving
-        // with the main-gate test can race these asserts.
-        force_enable_crashcheck();
-        assert!(crashcheck_enabled());
-        force_disable_crashcheck();
-        assert!(!crashcheck_enabled());
     }
 
     #[test]

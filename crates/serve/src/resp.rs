@@ -8,7 +8,7 @@
 //! (`PING\r\n`) that clients type by hand.
 //!
 //! The [`Decoder`] is incremental and pipelining-safe: bytes arrive in
-//! arbitrary chunks via [`Decoder::feed`], and [`Decoder::next`] yields a
+//! arbitrary chunks via [`Decoder::feed`], and [`Decoder::next_frame`] yields a
 //! frame exactly when one is complete, `Ok(None)` when more bytes are
 //! needed, and a typed [`RespError`] on malformed input — never a panic
 //! (pinned by the `panic-path` lint, which sweeps this file's public

@@ -8,7 +8,7 @@
 //!    [`Counter`]s, [`Gauge`]s, and log-bucketed latency [`Histogram`]s
 //!    (p50/p95/p99/max over virtual [`SimNs`] time, ≤6.25% relative error).
 //! 2. **Span recorder** ([`SpanRecorder`]) — a bounded per-timeline buffer
-//!    of begin/end spans and instant markers stamped with virtual time,
+//!    of complete spans and instant markers stamped with virtual time,
 //!    exported as Chrome Trace Event JSON ([`TelemetrySnapshot::to_chrome_trace`])
 //!    that opens directly in chrome://tracing or Perfetto.
 //! 3. **A near-zero disabled path** — every handle checks one shared
@@ -56,7 +56,7 @@ pub use registry::{
     fmt_ns, Registry, TelemetrySnapshot, NVM_PID_BASE, TID_APP, TID_COMPACT, TID_DISPATCH,
     TID_HANDLER,
 };
-pub use spans::{EventKind, PendingSpan, SpanEvent, SpanRecorder, DEFAULT_SPAN_CAPACITY};
+pub use spans::{EventKind, SpanEvent, SpanRecorder, DEFAULT_SPAN_CAPACITY};
 
 use papyrus_simtime::SimNs;
 use std::sync::OnceLock;

@@ -53,18 +53,6 @@ pub struct SpanEvent {
     pub kind: EventKind,
 }
 
-/// An open span returned by [`SpanRecorder::begin`]; finish it with
-/// [`SpanRecorder::end`]. Virtual time has no RAII clock, so both edges are
-/// stamped explicitly by the caller.
-#[must_use = "finish the span with SpanRecorder::end"]
-#[derive(Clone, Copy, Debug)]
-pub struct PendingSpan {
-    name: &'static str,
-    cat: &'static str,
-    tid: u32,
-    start: SimNs,
-}
-
 struct RecorderInner {
     enabled: Arc<AtomicBool>,
     pid: u32,
@@ -100,24 +88,6 @@ impl SpanRecorder {
     /// The trace pid of this timeline.
     pub fn pid(&self) -> u32 {
         self.inner.pid
-    }
-
-    /// Open a span starting at `start` on thread `tid`.
-    #[inline]
-    pub fn begin(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        tid: u32,
-        start: SimNs,
-    ) -> PendingSpan {
-        PendingSpan { name, cat, tid, start }
-    }
-
-    /// Close `span` at `end`, recording a complete event.
-    #[inline]
-    pub fn end(&self, span: PendingSpan, end: SimNs) {
-        self.span(span.cat, span.name, span.tid, span.start, end);
     }
 
     /// Record a complete span `[start, end]`. No-op when disabled.
@@ -305,10 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_records_duration() {
+    fn span_records_duration() {
         let rec = SpanRecorder::new(3);
-        let s = rec.begin("core", "flush", 1, 100);
-        rec.end(s, 350);
+        rec.span("core", "flush", 1, 100, 350);
         let evs = rec.snapshot();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].pid, 3);

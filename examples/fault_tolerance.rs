@@ -9,8 +9,9 @@
 //! the *redistribution* path as if the job came back with a different
 //! layout.
 //!
-//! Part 2: instead of losing the whole node, one *rank* dies mid-run with
-//! the `PAPYRUS_FAULTS` plane on. The failure detector confirms the death,
+//! Part 2: instead of losing the whole node, one *rank* dies mid-run — its
+//! world is armed with a fault plan (`WorldConfig::with_faults`) that kills
+//! it. The failure detector confirms the death,
 //! so keys owned by the dead rank surface as typed
 //! [`papyruskv::error::Error::RankUnavailable`] errors — not hangs — while
 //! local and surviving-rank keys stay serviceable (degraded mode). A fresh
@@ -20,7 +21,7 @@
 use std::sync::Arc;
 
 use papyrus_examples::{fmt_sim, ranks_from_args};
-use papyrus_faultinject::{self as fi, FaultEvent, FaultPlan};
+use papyrus_faultinject::{FaultEvent, FaultPlan};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
 use papyruskv::error::Error;
@@ -153,16 +154,17 @@ fn solver_with_checkpoint_restart(n: usize, profile: &SystemProfile) {
 /// with typed errors, and a fresh job restarts from the snapshot.
 fn degraded_mode_and_restart(n: usize, profile: &SystemProfile) {
     let victim = n - 1;
-    fi::force_enable();
-    fi::install_plan(Arc::new(FaultPlan::with_events(
+    // The plan is an argument of the world it afflicts: the restart job
+    // below runs on the same platform, unarmed, and sees no faults.
+    let plan = Arc::new(FaultPlan::with_events(
         42,
         vec![FaultEvent::RankKill { rank: victim, at: KILL_AT_NS }],
-    )));
+    ));
 
     let platform = Platform::new(profile.clone(), n);
     let job_platform = platform.clone();
-    let net = profile.net.clone();
-    let counts = World::run(WorldConfig::new(n, net), move |rank| {
+    let world = WorldConfig::new(n, profile.net.clone()).with_faults(plan);
+    let counts = World::run(world, move |rank| {
         let ctx = Context::init(rank, job_platform.clone(), "nvm://degraded").unwrap();
         let me = ctx.rank();
         let db = ctx.open("state", OpenFlags::create(), Options::default()).unwrap();
@@ -214,9 +216,6 @@ fn degraded_mode_and_restart(n: usize, profile: &SystemProfile) {
         // abandon the job like the victim's node abandoned it.
         (served, unavailable)
     });
-
-    fi::clear_plan();
-    fi::force_disable();
 
     let served: usize = counts.iter().map(|c| c.0).sum();
     let unavailable: usize = counts.iter().map(|c| c.1).sum();

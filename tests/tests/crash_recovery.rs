@@ -7,8 +7,7 @@
 //! ranks, restored by M ≠ N ranks, with crash points *inside* a checkpoint
 //! transfer among the swept states.
 
-use papyrus_crashcheck::{sweep, CrashCfg, SEED_BUGS};
-use papyrus_nvm::FaultMode;
+use papyrus_crashcheck::{sweep, CrashCfg, FaultMode, SEED_BUGS};
 
 /// Strided clean sweep: every materialised crash state must recover with
 /// zero violations, including every snapshot restore at `restore_ranks`.

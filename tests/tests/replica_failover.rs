@@ -7,7 +7,7 @@
 //! stay readable through a single rank kill, with no owner-dead exemption.
 
 use papyrus_chaos::probes::{replication_probe, KEYS_PER_RANK, PROBE_RANKS, VICTIM};
-use papyrus_chaos::{chaos_sweep, ChaosCfg, SEED_BASE};
+use papyrus_chaos::{chaos_sweep, ChaosCfg};
 
 /// Every key acked before the kill must read back through failover, and
 /// re-replication must converge the heal target to a full copy.
@@ -73,7 +73,7 @@ fn single_kill_failover_and_rereplication_converge() {
 fn pinned_seed_sweep_with_replication_is_clean() {
     let mut cfg = ChaosCfg::tiny();
     cfg.replicas = 2;
-    let report = chaos_sweep(&cfg, SEED_BASE);
+    let report = chaos_sweep(&cfg);
     assert_eq!(report.schedules, cfg.seeds);
     assert!(report.is_clean(), "replicated chaos sweep found violations:\n{}", report.render());
     assert!(report.puts > 0 && report.gets > 0, "workload ran no operations");

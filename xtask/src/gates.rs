@@ -5,9 +5,8 @@
 use std::process::ExitCode;
 
 use papyrus_chaos::{chaos_sweep, run_seed_bug, ChaosCfg};
-use papyrus_crashcheck::{sweep, CrashCfg};
+use papyrus_crashcheck::{sweep, CrashCfg, FaultMode};
 use papyrus_lint::{render_json, render_sarif, SourceTree};
-use papyrus_nvm::FaultMode;
 use papyrus_serve::{run_serve, LoadMix, LoadSkew, SeedBug, ServeCfg};
 
 use crate::plane::{self, count, switch, text, value};
@@ -16,7 +15,7 @@ use crate::{verdict, workspace_root};
 /// A machine-readable lint report format.
 type Render = fn(&[papyrus_lint::Finding]) -> String;
 
-/// `cargo xtask lint`: the eight token rules, plus the four interprocedural
+/// `cargo xtask lint`: the seven token rules, plus the four interprocedural
 /// analyses under `--deep`, over the workspace sources.
 pub fn lint(args: &[String]) -> ExitCode {
     let (mut deep, mut render, mut out, mut seed_bug) = (false, None::<Render>, None, None);
@@ -125,7 +124,7 @@ pub fn chaos(args: &[String]) -> ExitCode {
         return code;
     }
     let Some(which) = seed_bug else {
-        let report = chaos_sweep(&cfg, papyrus_chaos::SEED_BASE);
+        let report = chaos_sweep(&cfg);
         print!("{}", report.render());
         return verdict(report.is_clean());
     };

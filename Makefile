@@ -21,10 +21,16 @@ doc:
 
 # The benchmark is its own package and path-depends on the product crates:
 # build it and run its self-tests, so a deleted or renamed public item it
-# uses fails here and not in the benchmark run.
+# uses fails here and not in the benchmark run. Then two one-second smoke
+# runs — the read half (sst_read) and the write half (ingest) of the table
+# path — prove the store still *serves* the benchmark: a run exits non-zero
+# when a get disagrees with kvbench's model, an op fails, or the live-SSTable
+# count is not the asserted one.
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
+	cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 0
+	cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0
 
 # The gate planes below all go through one driver: `cargo xtask` is an alias
 # (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask

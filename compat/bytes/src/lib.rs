@@ -29,12 +29,12 @@ impl Bytes {
     /// A `Bytes` viewing a static slice. (The shim copies once; the real
     /// crate is zero-copy here. Semantics are identical.)
     pub fn from_static(s: &'static [u8]) -> Self {
-        Self::from(s.to_vec())
+        Self::copy_from_slice(s)
     }
 
-    /// Copy `data` into a new `Bytes`.
+    /// Copy `data` into a new `Bytes`: one allocation, one copy.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
+        Self { data: Arc::from(data), start: 0, end: data.len() }
     }
 
     /// Length in bytes.
@@ -77,12 +77,10 @@ impl Bytes {
         front
     }
 
-    /// Split off and return the tail from `at`; `self` keeps the front.
-    pub fn split_off(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_off out of bounds: {at} > {}", self.len());
-        let back = self.slice(at..);
-        self.end = self.start + at;
-        back
+    /// Whether this is the only handle on its backing storage (no clone or
+    /// slice of it is alive), as in the real crate.
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
     }
 
     /// Copy the contents into a fresh `Vec<u8>`.
@@ -136,24 +134,6 @@ impl From<&'static str> for Bytes {
     }
 }
 
-impl<const N: usize> From<&'static [u8; N]> for Bytes {
-    fn from(s: &'static [u8; N]) -> Self {
-        Self::from_static(s)
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(b: BytesMut) -> Self {
-        b.freeze()
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
@@ -200,14 +180,6 @@ impl fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
     }
 }
 
@@ -292,11 +264,6 @@ pub trait Buf {
     /// Discard the next `cnt` bytes.
     fn advance(&mut self, cnt: usize);
 
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
     /// Copy `dst.len()` bytes out, advancing the cursor.
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.remaining() >= dst.len(), "copy_to_slice past end of buffer");
@@ -309,13 +276,6 @@ pub trait Buf {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
         b[0]
-    }
-
-    /// Read a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
     }
 
     /// Read a little-endian `u32`.
@@ -368,11 +328,6 @@ pub trait BufMut {
         self.put_slice(&[v]);
     }
 
-    /// Append a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
     /// Append a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
@@ -390,12 +345,6 @@ impl BufMut for BytesMut {
     }
 }
 
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,6 +355,20 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert!(Arc::ptr_eq(&b.data, &s.data));
+    }
+
+    /// One allocation by construction: the backing `Arc<[u8]>` is made
+    /// straight from the slice, so it is exactly the bytes copied — no
+    /// intermediate `Vec`, no spare capacity, nothing shared.
+    #[test]
+    fn copy_from_slice_backs_exactly_its_bytes() {
+        for b in [Bytes::copy_from_slice(b"abc"), Bytes::from_static(b"abc")] {
+            assert_eq!((b.data.len(), b.start, b.end), (3, 0, 3));
+            assert!(b.is_unique());
+            let s = b.slice(1..);
+            assert!(!b.is_unique() && !s.is_unique());
+        }
+        assert!(Bytes::copy_from_slice(&[]).is_empty());
     }
 
     #[test]

@@ -187,11 +187,6 @@ pub mod rngs {
     }
 }
 
-/// A default thread-local-style generator (time-seeded).
-pub fn thread_rng() -> rngs::StdRng {
-    rngs::StdRng::from_entropy()
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;

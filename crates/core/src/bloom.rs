@@ -83,11 +83,6 @@ impl Bloom {
             body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(); // lint:allow(panic-path): chunks_exact(8) yields exactly-8-byte chunks
         Some(Self { bits, m, k })
     }
-
-    /// Size of the serialised filter in bytes.
-    pub fn serialized_len(&self) -> u64 {
-        12 + self.bits.len() as u64 * 8
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +124,6 @@ mod tests {
             b.insert(&[i as u8, (i >> 8) as u8, 7]);
         }
         let bytes = b.to_bytes();
-        assert_eq!(bytes.len() as u64, b.serialized_len());
         let b2 = Bloom::from_bytes(&bytes).unwrap();
         assert_eq!(b, b2);
     }

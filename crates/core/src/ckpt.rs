@@ -32,7 +32,7 @@ use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::options::{BarrierLevel, OpenFlags, Options};
 use crate::runtime::{CompactJob, Context, CtxInner, Event};
-use crate::sstable::{Ssid, SstReader};
+use crate::sstable::{Ssid, SstReader, SST_FILES};
 use crate::sync::barrier_inner;
 
 /// Write a rank manifest at `now`; returns the completion stamp.
@@ -230,7 +230,7 @@ pub(crate) fn run_checkpoint_transfer(
     let mut ssids = Vec::with_capacity(snapshot.len());
     for reader in snapshot {
         ssids.push(reader.ssid());
-        for ext in ["data", "index", "bloom"] {
+        for ext in SST_FILES {
             let src = format!("{}.{ext}", reader.base());
             let dst = format!("{}/{}/r{me}/sst{:010}.{ext}", dest, db.name, reader.ssid());
             // Source reads go through the infallible path (transient faults
@@ -316,7 +316,7 @@ impl Context {
             for &ssid in &ssids {
                 // Probe the whole triple before copying anything: a torn
                 // snapshot must not be restored as a partial triple.
-                let complete = ["data", "index", "bloom"]
+                let complete = SST_FILES
                     .iter()
                     .all(|ext| pfs.exists(&format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}")));
                 if !complete {
@@ -329,7 +329,7 @@ impl Context {
                     );
                     continue;
                 }
-                for ext in ["data", "index", "bloom"] {
+                for ext in SST_FILES {
                     let src = format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}");
                     let dst = format!("{}/{name}/r{me}/sst{ssid:010}.{ext}", inner.repo.prefix);
                     if let Some((bytes, read_done)) = pfs.read_all_at(&src, t) {

@@ -105,7 +105,7 @@ impl MemTable {
     }
 
     /// Key-sorted iteration.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Entry)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &Entry)> {
         self.tree.iter().map(|(k, e)| (k.as_slice(), e))
     }
 

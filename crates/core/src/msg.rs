@@ -164,14 +164,6 @@ pub fn encode_ack(seq: RpcSeq) -> Bytes {
     buf.freeze()
 }
 
-/// Decode an acknowledgement.
-pub fn decode_ack(mut buf: Bytes) -> Result<RpcSeq> {
-    if buf.remaining() < 8 {
-        return Err(Error::Internal("truncated ack".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
 /// Encode a remote-get request: `[db: u32][group: u32][seq: u64][key]`.
 /// The caller's storage-group id lets the owner decide the shared-SSTable
 /// fast path (§2.7).
@@ -396,11 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn ack_roundtrip() {
-        assert_eq!(decode_ack(encode_ack(0xdead_beef)).unwrap(), 0xdead_beef);
-    }
-
-    #[test]
     fn stale_reply_seq_distinguishable() {
         // Two replies to different attempts: the caller pairs by seq.
         let stale = encode_get_resp(1, &GetResp::NotFound);
@@ -465,7 +452,6 @@ mod tests {
         assert!(decode_get_resp(Bytes::new()).is_err());
         assert!(decode_get_resp(Bytes::from_static(&[9])).is_err());
         assert!(decode_barrier_mark(Bytes::from_static(&[0, 0])).is_err());
-        assert!(decode_ack(Bytes::from_static(&[1, 2, 3])).is_err());
         // Count says 3 records but body holds none.
         let mut bad = BytesMut::new();
         bad.put_u32_le(0);

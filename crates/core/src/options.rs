@@ -191,12 +191,6 @@ impl Options {
         self
     }
 
-    /// Builder-style: enable the remote cache unconditionally.
-    pub fn with_remote_cache(mut self, on: bool) -> Self {
-        self.remote_cache = on;
-        self
-    }
-
     /// Builder-style: set the replication factor (total copies per key).
     pub fn with_replicas(mut self, r: usize) -> Self {
         self.replicas = r;
@@ -229,14 +223,12 @@ mod tests {
             .with_consistency(Consistency::Sequential)
             .with_memtable_capacity(1 << 30)
             .with_bin_search(false)
-            .with_remote_cache(true)
             .with_replicas(2)
             .with_custom_hash(Arc::new(|_k: &[u8]| 0));
         assert_eq!(o.consistency, Consistency::Sequential);
         assert_eq!(o.memtable_capacity, 1 << 30);
         assert_eq!(o.remote_memtable_capacity, 1 << 30);
         assert!(!o.bin_search);
-        assert!(o.remote_cache);
         assert!(o.custom_hash.is_some());
         assert_eq!(o.replicas, 2);
     }

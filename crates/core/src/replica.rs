@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_DISPATCH, TID_HANDLER};
 
@@ -224,26 +223,16 @@ pub(crate) fn maybe_promote(ctx: &CtxInner, db: &Arc<DbInner>, dead: usize) {
     });
 }
 
-/// Everything this rank replicates for `origin`, merged newest-wins
+/// Everything this rank replicates for `origin`, newest writer wins
 /// across the replica MemTable and replica SSTables. Tombstones are kept
 /// as records — re-replication must propagate deletions.
-fn replica_records(db: &Arc<DbInner>, origin: usize) -> Vec<KvRecord> {
-    use std::collections::BTreeMap;
+pub(crate) fn replica_records(db: &Arc<DbInner>, origin: usize) -> Vec<KvRecord> {
     let repl = db.repl.lock();
     let Some(stack) = repl.get(&(origin as u32)) else { return Vec::new() };
-    let mut merged: BTreeMap<Vec<u8>, (Bytes, bool)> = BTreeMap::new();
-    // Oldest layer first so newer layers overwrite.
-    for reader in stack.ssts.iter() {
-        if let Some(records) = reader.records_uncharged() {
-            for (k, e) in records {
-                merged.insert(k, (e.value, e.tombstone));
-            }
-        }
-    }
-    for (k, e) in stack.mem.iter() {
-        merged.insert(k.to_vec(), (e.value.clone(), e.tombstone));
-    }
-    merged.into_iter().map(|(key, (value, tombstone))| KvRecord { key, value, tombstone }).collect()
+    stack
+        .records()
+        .map(|(key, e)| KvRecord { key, value: e.value, tombstone: e.tombstone })
+        .collect()
 }
 
 /// Dispatcher-thread body for one re-replication job: copy the promoted

@@ -34,7 +34,7 @@ use papyrus_sanity::{AuditReport, ViolationKind};
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
+use crate::memtable::{MemTable, ENTRY_OVERHEAD};
 use crate::sstable::SstReader;
 use crate::stack::Stack;
 
@@ -280,28 +280,10 @@ pub fn audit_db(db: &Db) -> AuditReport {
     report
 }
 
-/// Every key `stack` makes visible, newest writer wins: the MemTable
-/// shadows the frozen queue (newest first), which shadows the SSTables
-/// (newest first). A key whose newest record is a tombstone maps to `None`.
+/// Every key `stack` makes visible ([`Stack::records`]'s rule). A key whose
+/// newest record is a tombstone maps to `None`.
 fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    let mut seen: std::collections::BTreeMap<Vec<u8>, Option<bytes::Bytes>> =
-        std::collections::BTreeMap::new();
-    let mut absorb = |key: &[u8], e: &Entry| {
-        seen.entry(key.to_vec()).or_insert_with(|| (!e.tombstone).then(|| e.value.clone()));
-    };
-    for mt in stack.mem_tables() {
-        for (k, e) in mt.iter() {
-            absorb(k, e);
-        }
-    }
-    for reader in stack.ssts.iter().rev() {
-        if let Some(records) = reader.records_uncharged() {
-            for (k, e) in &records {
-                absorb(k, e);
-            }
-        }
-    }
-    seen.into_iter().collect()
+    stack.records().map(|(key, e)| (key, (!e.tombstone).then_some(e.value))).collect()
 }
 
 /// Dump every key this rank's primary stack currently makes visible (see
@@ -328,7 +310,7 @@ mod tests {
     use super::*;
     use crate::bloom::Bloom;
     use crate::memtable::Entry;
-    use crate::sstable::build_at;
+    use crate::sstable::{build_at, TableImage};
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;
     use papyrus_simtime::DeviceModel;
@@ -337,9 +319,9 @@ mod tests {
         NvmStore::in_memory(DeviceModel::nvme_summitdev())
     }
 
-    /// Hand-assemble an SSTable whose SSData holds `keys` in the given
-    /// order, with a bloom filter built from `bloom_keys` only — lets tests
-    /// seed order and bloom violations that `build_at` refuses to produce.
+    /// An SSTable whose SSData holds `keys` in the given order, with a bloom
+    /// filter built from `bloom_keys` only — lets tests seed order and bloom
+    /// violations that `build_at` refuses to produce.
     fn raw_sst(
         s: &NvmStore,
         base: &str,
@@ -347,26 +329,12 @@ mod tests {
         keys: &[&[u8]],
         bloom_keys: &[&[u8]],
     ) -> SstReader {
-        let mut data = Vec::new();
-        let mut offsets: Vec<u64> = Vec::new();
-        for key in keys {
-            offsets.push(data.len() as u64);
-            data.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            data.extend_from_slice(&0u32.to_le_bytes()); // vallen
-            data.push(0); // tombstone
-            data.extend_from_slice(key);
-        }
-        let mut index = Vec::new();
-        index.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-        for off in &offsets {
-            index.extend_from_slice(&off.to_le_bytes());
-        }
+        let empty = Entry::value(Bytes::new());
+        TableImage::encode(keys.iter().map(|key| (*key, &empty))).write_at(s, base, 0);
         let mut bloom = Bloom::with_capacity(bloom_keys.len().max(1), 10);
         for key in bloom_keys {
             bloom.insert(key);
         }
-        s.put_at(&format!("{base}.data"), Bytes::from(data), 0);
-        s.put_at(&format!("{base}.index"), Bytes::from(index), 0);
         s.put_at(&format!("{base}.bloom"), Bytes::from(bloom.to_bytes()), 0);
         SstReader::open_at(s, base, ssid, 0).expect("raw sst opens").0
     }
@@ -474,6 +442,79 @@ mod tests {
             "replica key-order violation expected: {}",
             report.render()
         );
+    }
+
+    /// The one newest-wins fold, reached through each of its three users:
+    /// the highest SSID wins among tables, a MemTable shadows every table,
+    /// and tombstones are kept (the dumps, re-replication) or dropped (a
+    /// merge of all live tables) as asked.
+    #[test]
+    fn newest_wins_through_compaction_dumps_and_rereplication() {
+        use crate::options::{BarrierLevel, OpenFlags, Options};
+        use crate::runtime::{Context, Platform};
+        use crate::sstable::{merge_at, SstGet};
+        use papyrus_mpi::{World, WorldConfig};
+        use papyrus_nvm::SystemProfile;
+
+        let profile = SystemProfile::summitdev();
+        let platform = Platform::new(profile.clone(), 1);
+        World::run(WorldConfig::new(1, profile.net.clone()), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://newest-wins").expect("init");
+            // No SSID-triggered merge: the two flushed tables stay apart.
+            let opt = Options { compaction_trigger: 0, ..Options::default() };
+            let db = ctx.open("db", OpenFlags::create(), opt).expect("open");
+            for (k, v) in [(b"a", &b"old"[..]), (b"b", b"1"), (b"d", b"x")] {
+                db.put(k, v).unwrap();
+            }
+            db.barrier(BarrierLevel::SsTable).unwrap(); // sst 1
+            db.put(b"a", b"mid").unwrap();
+            db.delete(b"d").unwrap();
+            db.barrier(BarrierLevel::SsTable).unwrap(); // sst 2
+            db.put(b"a", b"new").unwrap(); // MemTable only
+            let val = |v: &'static [u8]| Some(Bytes::from_static(v));
+            let key = |k: &[u8]| k.to_vec();
+
+            // dump_visible: MemTable over sst 2 over sst 1; the tombstone
+            // stays, as `None`.
+            let want = vec![(key(b"a"), val(b"new")), (key(b"b"), val(b"1")), (key(b"d"), None)];
+            assert_eq!(dump_visible(&db), want);
+
+            // Re-replication's record list over the same stack shape: the
+            // tombstone is a record to propagate.
+            let tables = db.inner.stack.read().ssts.clone();
+            assert_eq!(tables.iter().map(SstReader::ssid).collect::<Vec<_>>(), vec![1, 2]);
+            let mut replica = Stack::new(3, tables.clone());
+            replica.mem.insert(b"a", Entry::value(Bytes::from_static(b"new")));
+            db.inner.repl.lock().insert(7, replica);
+            let records = crate::replica::replica_records(&db.inner, 7);
+            db.inner.repl.lock().clear();
+            let got: Vec<_> = records.into_iter().map(|r| (r.key, r.value, r.tombstone)).collect();
+            let live = |k: &[u8], v: &'static [u8]| (key(k), Bytes::from_static(v), false);
+            assert_eq!(
+                got,
+                vec![live(b"a", b"new"), live(b"b", b"1"), (key(b"d"), Bytes::new(), true)]
+            );
+
+            // Compaction sees the tables only, handed over oldest first or
+            // newest first: sst 2 beats sst 1.
+            let store = db.ctx.repo_store();
+            let reversed: Vec<SstReader> = tables.iter().rev().cloned().collect();
+            let (kept, _) = merge_at(&store, &tables, "newest-wins/m1", 8, false, 0).unwrap();
+            let (dropped, _) = merge_at(&store, &reversed, "newest-wins/m2", 9, true, 0).unwrap();
+            for merged in [&kept, &dropped] {
+                assert_eq!(
+                    merged.get_at(b"a", true, 0).0,
+                    SstGet::Found(Bytes::from_static(b"mid"))
+                );
+                assert_eq!(merged.get_at(b"b", true, 0).0, SstGet::Found(Bytes::from_static(b"1")));
+            }
+            assert_eq!(kept.get_at(b"d", true, 0).0, SstGet::Tombstone);
+            assert_eq!(dropped.get_at(b"d", true, 0).0, SstGet::NotFound);
+            assert_eq!((kept.len(), dropped.len()), (3, 2));
+
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+        });
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 
-use crate::memtable::MemTable;
-use crate::sstable::{Ssid, SstReader};
+use crate::memtable::{Entry, MemTable};
+use crate::sstable::{newest_wins, Ssid, SstReader};
 
 pub(crate) struct Stack {
     pub(crate) mem: MemTable,
@@ -35,6 +35,17 @@ impl Stack {
     /// get path this chain measured ~15 ns slower than the loop).
     pub(crate) fn mem_tables(&self) -> impl Iterator<Item = &MemTable> {
         std::iter::once(&self.mem).chain(self.imm.iter().rev().map(Arc::as_ref))
+    }
+
+    /// Every record the stack holds, in key order, newest writer wins
+    /// ([`newest_wins`]): the MemTables in search order shadow the SSTables,
+    /// newest first; tombstones are records. Tables are read uncharged (an
+    /// unreadable one is skipped): for observers, never for the get path.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (Vec<u8>, Entry)> {
+        let mems =
+            self.mem_tables().map(|mt| mt.iter().map(|(k, e)| (k.to_vec(), e.clone())).collect());
+        let ssts = self.ssts.iter().rev().filter_map(SstReader::records_uncharged);
+        newest_wins(mems.chain(ssts)).into_iter()
     }
 
     /// Freeze the MemTable onto the frozen queue (§2.4); `None` if it is

@@ -16,7 +16,7 @@ use crate::msg::{self, tags, KvRecord};
 use crate::options::{Consistency, Protection};
 use crate::replica::forward_replicas;
 use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob};
-use crate::sstable::{self, Ssid, SstReader};
+use crate::sstable::{self, Ssid, SstReader, TableImage};
 
 impl Db {
     /// `papyruskv_put`: insert or update a key-value pair.
@@ -213,13 +213,14 @@ pub(crate) fn freeze(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs
     }
 }
 
-/// Build the SSTable of a frozen MemTable. It must not be lost (a flush
-/// backs acked writes): an injected NVM fault is recorded — `ENOSPC` as a
-/// typed [`Error::StorageFull`] naming `what`, transient EIO just retried —
-/// and the build falls back to the store's riding-out writes, which escape
-/// the fault window deterministically (a partial triple left by the failed
-/// attempt is overwritten whole). With the fault plane off the first
-/// attempt cannot fail.
+/// Build the SSTable of a frozen MemTable, encoded straight from its
+/// iterator. It must not be lost (a flush backs acked writes): an injected
+/// NVM fault is recorded — `ENOSPC` as a typed [`Error::StorageFull`] naming
+/// `what`, transient EIO just retried — and the same image is written again
+/// through the store's riding-out writes, which escape the fault window
+/// deterministically (a partial triple left by the failed attempt is
+/// overwritten whole). With the fault plane off the first attempt cannot
+/// fail.
 pub(crate) fn build_riding_out(
     db: &DbInner,
     store: &papyrus_nvm::NvmStore,
@@ -229,16 +230,14 @@ pub(crate) fn build_riding_out(
     now: SimNs,
     what: std::fmt::Arguments<'_>,
 ) -> (SstReader, SimNs) {
-    let entries: Vec<(Vec<u8>, Entry)> = mt.iter().map(|(k, e)| (k.to_vec(), e.clone())).collect();
-    match sstable::try_build_at(store, base, ssid, &entries, now) {
-        Ok(built) => built,
-        Err(fault) => {
-            if fault == papyrus_nvm::IoFault::NoSpace {
-                db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
-            }
-            sstable::build_at(store, base, ssid, &entries, now)
+    let image = TableImage::encode(mt.iter());
+    let done = image.try_write_at(store, base, now).unwrap_or_else(|fault| {
+        if fault == papyrus_nvm::IoFault::NoSpace {
+            db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
         }
-    }
+        image.write_at(store, base, now)
+    });
+    (image.into_reader(store, base, ssid), done)
 }
 
 /// Compaction-thread body for one flush job: build the SSTable, swap it in
@@ -289,15 +288,14 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, stamp: SimNs) {
     // inputs stay live and referenced by the manifest, so nothing is lost and
     // the merge re-triggers at the next SSID multiple. Debris from a partial
     // merged triple is unreferenced and harmless.
-    let (merged, done) =
-        match sstable::try_merge_at(&store, &snapshot, &base, new_ssid, true, stamp) {
-            Ok(ok) => ok,
-            Err(e @ Error::StorageFull(_)) => {
-                db.io_errors.lock().push(e);
-                return;
-            }
-            Err(_) => return,
-        };
+    let (merged, done) = match sstable::merge_at(&store, &snapshot, &base, new_ssid, true, stamp) {
+        Ok(ok) => ok,
+        Err(e @ Error::StorageFull(_)) => {
+            db.io_errors.lock().push(e);
+            return;
+        }
+        Err(_) => return,
+    };
     let next = {
         let mut stack = db.stack.write();
         stack.ssts.clear();

@@ -19,8 +19,10 @@
 //!   owner's memory directly (threads share an address space) and are
 //!   charged one-sided RDMA costs (`NetModel::rdma_ns`), lower than the
 //!   two-sided message costs PapyrusKV pays.
-//! * Remote atomics — [`GlobalHashTable::try_claim`] is the
-//!   compare-and-swap a traversal uses to claim a vertex exactly once.
+//!
+//! UPC's built-in remote atomics are not modelled: the assembler here
+//! partitions traversal seeds by owner, so no vertex is claimed remotely
+//! (DESIGN §2).
 
 use std::sync::Arc;
 
@@ -29,12 +31,11 @@ use papyrus_mpi::RankCtx;
 use papyrus_simtime::{MemModel, NetModel, Resource};
 use parking_lot::Mutex;
 
-/// One stored entry: a value plus a claim flag (Meraculous' `used_flag`).
+/// One stored entry.
 #[derive(Debug, Clone)]
 struct Slot {
     key: Vec<u8>,
     value: Bytes,
-    claimed: bool,
 }
 
 /// One rank's partition: chained buckets under fine-grained locks (UPC
@@ -142,25 +143,8 @@ impl GlobalHashTable {
         let mut b = bucket.lock();
         match b.iter_mut().find(|s| s.key == key) {
             Some(slot) => slot.value = Bytes::copy_from_slice(value),
-            None => b.push(Slot {
-                key: key.to_vec(),
-                value: Bytes::copy_from_slice(value),
-                claimed: false,
-            }),
+            None => b.push(Slot { key: key.to_vec(), value: Bytes::copy_from_slice(value) }),
         }
-    }
-
-    /// One-sided insert-if-absent; returns whether the key was inserted.
-    pub fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
-        let owner = self.owner_of(key);
-        self.charge(owner, (key.len() + value.len()) as u64);
-        let bucket = &self.shared.segments[owner].buckets[self.bucket_of(key)];
-        let mut b = bucket.lock();
-        if b.iter().any(|s| s.key == key) {
-            return false;
-        }
-        b.push(Slot { key: key.to_vec(), value: Bytes::copy_from_slice(value), claimed: false });
-        true
     }
 
     /// One-sided get.
@@ -171,50 +155,6 @@ impl GlobalHashTable {
         let bytes = key.len() as u64 + found.as_ref().map_or(0, |v| v.len() as u64);
         self.charge(owner, bytes);
         found
-    }
-
-    /// Remote atomic: claim `key` exactly once (compare-and-swap on the
-    /// claim flag). Returns `true` iff this caller performed the claim.
-    /// Atomics are latency-bound: charged as an 8-byte RDMA.
-    pub fn try_claim(&self, key: &[u8]) -> bool {
-        let owner = self.owner_of(key);
-        self.charge(owner, 8);
-        let bucket = &self.shared.segments[owner].buckets[self.bucket_of(key)];
-        let mut b = bucket.lock();
-        match b.iter_mut().find(|s| s.key == key) {
-            Some(slot) if !slot.claimed => {
-                slot.claimed = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Reset every claim flag (between traversal phases).
-    pub fn reset_claims(&self) {
-        for seg in &self.shared.segments {
-            for bucket in &seg.buckets {
-                for slot in bucket.lock().iter_mut() {
-                    slot.claimed = false;
-                }
-            }
-        }
-    }
-
-    /// Total entries across all ranks (collective-ish diagnostic; callers
-    /// should barrier first).
-    pub fn global_len(&self) -> usize {
-        self.shared.segments.iter().flat_map(|s| s.buckets.iter()).map(|b| b.lock().len()).sum()
-    }
-
-    /// Keys owned by this rank (for owner-partitioned traversal seeds).
-    pub fn local_keys(&self) -> Vec<Vec<u8>> {
-        let me = self.rank.rank();
-        self.shared.segments[me]
-            .buckets
-            .iter()
-            .flat_map(|b| b.lock().iter().map(|s| s.key.clone()).collect::<Vec<_>>())
-            .collect()
     }
 }
 
@@ -250,82 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_and_insert_if_absent() {
+    fn put_overwrites() {
         let (shared, cfg) = world(2);
         World::run(cfg, move |rank| {
             let t = GlobalHashTable::attach(shared.clone(), rank.clone());
             if rank.rank() == 0 {
                 t.put(b"k", b"first");
-                assert!(!t.insert_if_absent(b"k", b"second"));
                 assert_eq!(&t.get(b"k").unwrap()[..], b"first");
                 t.put(b"k", b"third");
                 assert_eq!(&t.get(b"k").unwrap()[..], b"third");
-                assert!(t.insert_if_absent(b"fresh", b"1"));
             }
         });
-    }
-
-    #[test]
-    fn claims_are_exactly_once_across_ranks() {
-        let (shared, cfg) = world(4);
-        let claims = World::run(cfg, move |rank| {
-            let t = GlobalHashTable::attach(shared.clone(), rank.clone());
-            if rank.rank() == 0 {
-                for i in 0..200 {
-                    t.put(format!("c{i}").as_bytes(), b"x");
-                }
-            }
-            rank.world().barrier();
-            // Everyone races to claim every key.
-            let mut mine = 0;
-            for i in 0..200 {
-                if t.try_claim(format!("c{i}").as_bytes()) {
-                    mine += 1;
-                }
-            }
-            mine
-        });
-        assert_eq!(claims.iter().sum::<usize>(), 200, "each key claimed exactly once");
-    }
-
-    #[test]
-    fn claim_missing_key_is_false() {
-        let (shared, cfg) = world(1);
-        World::run(cfg, move |rank| {
-            let t = GlobalHashTable::attach(shared.clone(), rank);
-            assert!(!t.try_claim(b"ghost"));
-        });
-    }
-
-    #[test]
-    fn reset_claims_allows_reclaim() {
-        let (shared, cfg) = world(1);
-        World::run(cfg, move |rank| {
-            let t = GlobalHashTable::attach(shared.clone(), rank);
-            t.put(b"k", b"v");
-            assert!(t.try_claim(b"k"));
-            assert!(!t.try_claim(b"k"));
-            t.reset_claims();
-            assert!(t.try_claim(b"k"));
-        });
-    }
-
-    #[test]
-    fn local_keys_partition_the_table() {
-        let (shared, cfg) = world(3);
-        let locals = World::run(cfg, move |rank| {
-            let t = GlobalHashTable::attach(shared.clone(), rank.clone());
-            if rank.rank() == 0 {
-                for i in 0..300 {
-                    t.put(format!("p{i}").as_bytes(), b"v");
-                }
-            }
-            rank.world().barrier();
-            assert_eq!(t.global_len(), 300);
-            t.local_keys().len()
-        });
-        assert_eq!(locals.iter().sum::<usize>(), 300);
-        assert!(locals.iter().all(|&l| l > 0), "affinity should spread keys: {locals:?}");
     }
 
     #[test]

@@ -40,11 +40,12 @@ pub const SEEDS: &[(&str, Seed)] = &[
         file: "crates/core/src/runtime.rs",
     }),
     ("panic-transitive-sstable", Seed {
-        description: "unwrap planted deep in SstReader::read_record, reachable via get path",
+        description: "unwrap planted in the SSData record codec (record_at), below every \
+                      SstReader search and scan, reachable via the get path",
         patches: &[(
             "crates/core/src/sstable.rs",
-            "let tomb = header[8] != 0;",
-            "let tomb = *header.get(8).unwrap() != 0;",
+            "let tombstone = header[8] != 0;",
+            "let tombstone = *header.get(8).unwrap() != 0;",
         )],
         rule: "panic-path",
         expect: "header.get(8)",

@@ -78,11 +78,6 @@ impl MiniLdb {
         }
     }
 
-    /// Entries currently staged in the MemTable.
-    pub fn memtable_len(&self) -> usize {
-        self.mem.map.len()
-    }
-
     /// Number of table files on storage.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -277,7 +272,6 @@ mod tests {
             l.put(format!("k{i:03}").as_bytes(), Bytes::from(format!("v{i}")), &c);
         }
         l.flush(&c);
-        assert_eq!(l.memtable_len(), 0);
         assert_eq!(l.table_count(), 1);
         for i in (0..100).step_by(7) {
             assert_eq!(

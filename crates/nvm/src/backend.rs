@@ -46,9 +46,15 @@ pub trait Backend: Send + Sync {
 }
 
 /// Deterministic in-memory backend (the default for tests and benches).
+///
+/// A stored object *is* the immutable [`Bytes`] it was put as: `put` keeps
+/// the handle and `get_all` hands out another (no copy; a handle taken
+/// earlier keeps reading what it read), a ranged `get` copies its range out
+/// once so what it returns never pins the object, and `append` replaces the
+/// object with a rebuilt one.
 #[derive(Default)]
 pub struct MemBackend {
-    objects: RwLock<BTreeMap<String, Vec<u8>>>,
+    objects: RwLock<BTreeMap<String, Bytes>>,
 }
 
 impl MemBackend {
@@ -65,11 +71,13 @@ impl MemBackend {
 
 impl Backend for MemBackend {
     fn put(&self, path: &str, data: Bytes) {
-        self.objects.write().insert(path.to_string(), data.to_vec());
+        self.objects.write().insert(path.to_string(), data);
     }
 
     fn append(&self, path: &str, data: &[u8]) {
-        self.objects.write().entry(path.to_string()).or_default().extend_from_slice(data);
+        let mut g = self.objects.write();
+        let object = g.entry(path.to_string()).or_default();
+        *object = Bytes::from([object.as_slice(), data].concat());
     }
 
     fn get(&self, path: &str, offset: u64, len: u64) -> Option<Bytes> {
@@ -81,7 +89,7 @@ impl Backend for MemBackend {
     }
 
     fn get_all(&self, path: &str) -> Option<Bytes> {
-        self.objects.read().get(path).map(|v| Bytes::copy_from_slice(v))
+        self.objects.read().get(path).cloned()
     }
 
     fn len(&self, path: &str) -> Option<u64> {
@@ -172,6 +180,26 @@ mod tests {
         b.put("x", Bytes::from_static(b"1234"));
         b.append("y", b"56");
         assert_eq!(b.total_bytes(), 6);
+    }
+
+    /// Objects are immutable handles: a `get_all` taken before the path is
+    /// appended to or overwritten keeps reading the bytes it read.
+    #[test]
+    fn a_handle_keeps_reading_what_it_read() {
+        let b = MemBackend::new();
+        b.put("k", Bytes::from_static(b"first"));
+        let before_append = b.get_all("k").unwrap();
+        b.append("k", b"+more");
+        let before_put = b.get_all("k").unwrap();
+        b.put("k", Bytes::from_static(b"second"));
+        b.put("other", Bytes::from_static(b"xy"));
+        assert_eq!(&before_append[..], b"first");
+        assert_eq!(&before_put[..], b"first+more");
+        assert_eq!(&b.get_all("k").unwrap()[..], b"second");
+        // Capacity accounting is the sum of the objects' lengths, whatever
+        // handles are still out.
+        assert_eq!(b.total_bytes(), b.len("k").unwrap() + b.len("other").unwrap());
+        assert_eq!(b.total_bytes(), 8);
     }
 
     #[test]

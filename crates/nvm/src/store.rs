@@ -170,8 +170,8 @@ impl NvmStore {
     /// fault window. Plans have finite horizons, so this terminates; the
     /// horizon jump after many attempts is a safety valve for hand-built
     /// plans with overlong windows. The backoff (seeded from `path`) is
-    /// only built once an attempt fails, so on an unarmed handle this is the
-    /// `try_` body plus [`NvmStore::inject`]'s one field load.
+    /// only built once an attempt fails, so on an unarmed handle this is
+    /// `op`'s body plus [`NvmStore::inject`]'s one field load.
     fn ride_out<T>(
         &self,
         now: SimNs,
@@ -231,24 +231,27 @@ impl NvmStore {
         self.ride_out(now, path, |t| self.try_put_at(path, data.clone(), t))
     }
 
-    /// Fallible ranged read: `Ok(None)` = object missing (free), `Err` =
-    /// injected read fault.
-    pub fn try_read_at(
+    /// A read of whatever `fetch` returns, charged by its length with
+    /// `pattern` starting at `now`. A missing object is `None` and free;
+    /// injected read faults are ridden out like [`NvmStore::put_at`]'s.
+    fn read_with(
         &self,
+        name: &'static str,
         path: &str,
-        offset: u64,
-        len: u64,
         pattern: AccessPattern,
         now: SimNs,
-    ) -> Result<Option<(Bytes, SimNs)>, IoFault> {
-        let Some(data) = self.backend.get(path, offset, len) else {
-            return Ok(None);
-        };
-        let stall = self.inject(false, now)?;
-        let cost = self.device.read_ns(data.len() as u64, pattern) + stall;
-        let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-        self.tel.io("read", false, data.len() as u64, now, cost, done);
-        Ok(Some((data, done)))
+        fetch: impl Fn() -> Option<Bytes>,
+    ) -> Option<(Bytes, SimNs)> {
+        self.ride_out(now, path, |t| {
+            let Some(data) = fetch() else {
+                return Ok(None);
+            };
+            let stall = self.inject(false, t)?;
+            let cost = self.device.read_ns(data.len() as u64, pattern) + stall;
+            let done = self.queue.submit_shared(t, cost, self.device.parallelism);
+            self.tel.io(name, false, data.len() as u64, t, cost, done);
+            Ok(Some((data, done)))
+        })
     }
 
     /// Ranged read at `now` with the given access pattern.
@@ -260,28 +263,13 @@ impl NvmStore {
         pattern: AccessPattern,
         now: SimNs,
     ) -> Option<(Bytes, SimNs)> {
-        self.ride_out(now, path, |t| self.try_read_at(path, offset, len, pattern, t))
-    }
-
-    /// Fallible whole-object read (see [`NvmStore::try_read_at`]).
-    pub fn try_read_all_at(
-        &self,
-        path: &str,
-        now: SimNs,
-    ) -> Result<Option<(Bytes, SimNs)>, IoFault> {
-        let Some(data) = self.backend.get_all(path) else {
-            return Ok(None);
-        };
-        let stall = self.inject(false, now)?;
-        let cost = self.device.read_ns(data.len() as u64, AccessPattern::Sequential) + stall;
-        let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-        self.tel.io("read_all", false, data.len() as u64, now, cost, done);
-        Ok(Some((data, done)))
+        self.read_with("read", path, pattern, now, || self.backend.get(path, offset, len))
     }
 
     /// Whole-object read at `now` (sequential scan).
     pub fn read_all_at(&self, path: &str, now: SimNs) -> Option<(Bytes, SimNs)> {
-        self.ride_out(now, path, |t| self.try_read_all_at(path, t))
+        let fetch = || self.backend.get_all(path);
+        self.read_with("read_all", path, AccessPattern::Sequential, now, fetch)
     }
 
     /// Delete at `now` (metadata-cost operation).
@@ -525,9 +513,11 @@ mod tests {
         // Typed errors from the fallible primitives inside the window.
         assert_eq!(s.try_put_at("f", Bytes::from_static(b"x"), BASE), Err(IoFault::NoSpace));
         assert!(!s.exists("f"), "faulted write must not touch the backend");
-        s.put_at("f", Bytes::from_static(b"x"), 0); // below every window
-        assert_eq!(s.try_read_all_at("f", BASE).unwrap_err(), IoFault::TransientEio);
-        // The infallible wrapper rides the windows out with virtual backoff.
+        // Below every window the write lands; inside them the infallible
+        // wrappers ride the faults out with virtual backoff.
+        s.put_at("f", Bytes::from_static(b"x"), 0);
+        let (_, read_done) = s.read_all_at("f", BASE).expect("f exists");
+        assert!(read_done > BASE + 1_000_000, "read retries must escape the EIO window");
         let done = s.put_at("g", Bytes::from_static(b"y"), BASE);
         assert!(done > BASE + 1_000_000, "retries must escape the fault window");
         assert!(s.exists("g"));

@@ -78,12 +78,6 @@ pub fn force_enable() {
     STATE.store(2, Ordering::Relaxed);
 }
 
-/// Force the detectors off (tests).
-pub fn force_disable() {
-    // ordering: latch write, as above.
-    STATE.store(1, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Violation registry
 // ---------------------------------------------------------------------------
@@ -279,10 +273,6 @@ mod tests {
     #[test]
     fn gate_defaults_from_env_and_forces() {
         // Whatever the env says, forcing wins and is observable.
-        force_enable();
-        assert!(enabled());
-        force_disable();
-        assert!(!enabled());
         force_enable();
         assert!(enabled());
     }

@@ -32,7 +32,7 @@ mod stats;
 pub use clock::Clock;
 pub use cost::{AccessPattern, DeviceModel, MemModel, NetModel};
 pub use resource::{Resource, MAX_OVERLAP, QUEUE_SLACK};
-pub use stats::{avg_min_max, krps, mbps, OpStats, OpStatsSnapshot, Timeline};
+pub use stats::{krps, mbps, OpStats, OpStatsSnapshot};
 
 /// Virtual time in nanoseconds since simulation start.
 pub type SimNs = u64;

@@ -163,52 +163,6 @@ impl OpStatsSnapshot {
     }
 }
 
-/// A per-rank series of (label, virtual-time) measurement points, used by the
-/// figure harnesses to report avg/min/max across ranks like the paper's
-/// output logs.
-#[derive(Debug, Default, Clone)]
-pub struct Timeline {
-    points: Vec<(String, SimNs)>,
-}
-
-impl Timeline {
-    /// Empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a measurement.
-    pub fn push(&mut self, label: impl Into<String>, t: SimNs) {
-        self.points.push((label.into(), t));
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[(String, SimNs)] {
-        &self.points
-    }
-
-    /// Duration between two labelled points (first occurrence each);
-    /// `None` if either label is missing or ordering is inverted.
-    pub fn span(&self, from: &str, to: &str) -> Option<SimNs> {
-        let a = self.points.iter().find(|(l, _)| l == from)?.1;
-        let b = self.points.iter().find(|(l, _)| l == to)?.1;
-        b.checked_sub(a)
-    }
-}
-
-/// Summarise per-rank durations the way the paper's logs do: average,
-/// minimum, and maximum.
-pub fn avg_min_max(durations: &[SimNs]) -> (f64, SimNs, SimNs) {
-    if durations.is_empty() {
-        return (0.0, 0, 0);
-    }
-    let sum: u128 = durations.iter().map(|&d| d as u128).sum();
-    let avg = sum as f64 / durations.len() as f64;
-    let min = *durations.iter().min().unwrap();
-    let max = *durations.iter().max().unwrap();
-    (avg, min, max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,24 +223,5 @@ mod tests {
         assert_eq!(s.snapshot(), OpStatsSnapshot::default());
         // A stale (pre-reset) snapshot saturates instead of wrapping.
         assert_eq!(s.delta(&first), OpStatsSnapshot::default());
-    }
-
-    #[test]
-    fn timeline_span() {
-        let mut t = Timeline::new();
-        t.push("start", 100);
-        t.push("end", 400);
-        assert_eq!(t.span("start", "end"), Some(300));
-        assert_eq!(t.span("end", "start"), None);
-        assert_eq!(t.span("start", "nope"), None);
-    }
-
-    #[test]
-    fn avg_min_max_basic() {
-        let (avg, min, max) = avg_min_max(&[10, 20, 30]);
-        assert!((avg - 20.0).abs() < 1e-9);
-        assert_eq!(min, 10);
-        assert_eq!(max, 30);
-        assert_eq!(avg_min_max(&[]), (0.0, 0, 0));
     }
 }

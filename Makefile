@@ -44,8 +44,8 @@ lint:
 	cargo xtask lint --deep
 	cargo xtask lint --seed-bug all
 
-# Full test suite with the runtime sanity layer armed: lock-order checking,
-# MPI happens-before / protocol monitoring, deadlock detection.
+# Full test suite with the runtime sanity layer armed — a gate: a lock-order,
+# MPI protocol or wait-cycle finding in any world fails the test that ran it.
 sanity:
 	PAPYRUS_SANITY=1 cargo test -q --release --workspace
 

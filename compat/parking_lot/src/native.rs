@@ -68,21 +68,15 @@ impl Track {
         }
     }
 
-    /// Guard-drop hook: asserts same-thread release and pops the held entry.
+    /// Guard-drop hook: asserts same-thread release (the detector reports a
+    /// cross-thread one) and pops the held entry.
     fn release(self) {
-        let same_thread = std::thread::current().id() == self.owner;
         debug_assert!(
-            same_thread,
+            std::thread::current().id() == self.owner,
             "lock guard for 0x{:x} released on a different thread than acquired it",
             self.addr
         );
-        if !same_thread {
-            papyrus_sanity::record_violation(
-                papyrus_sanity::ViolationKind::GuardCrossThread,
-                format!("lock guard for 0x{:x} released on a different thread", self.addr),
-            );
-        }
-        lockorder::on_release(self.addr);
+        lockorder::on_release(self.addr, self.owner);
     }
 }
 

@@ -82,12 +82,11 @@ fn run_config(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--systems") {
+    let args = BenchArgs::parse();
+    if args.systems {
         print_table2();
         return;
     }
-    let args = BenchArgs::parse();
     print_header("Figure 6", "basic operations performance in a single node (put / barrier / get)");
 
     // The paper sweeps 256B..1MB; default keeps a representative subset.

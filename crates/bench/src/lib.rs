@@ -102,8 +102,10 @@ impl PhaseResult {
 }
 
 /// Parsed CLI arguments shared by the figure binaries: `--full`
-/// (paper-scale), `--iters N`, `--ranks a,b,c`, `--seed N`,
-/// `--telemetry out.json` (Chrome trace + metrics table).
+/// (paper-scale), `--iters N`, `--ranks a,b,c`, `--seed N`, `--replicas R`,
+/// `--telemetry out.json` (Chrome trace + metrics table), `--systems`.
+/// Anything else — an unknown flag, a missing or unparsable value, a zero
+/// count — is an error, as it is for every `cargo xtask` plane.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Paper-scale parameters requested.
@@ -120,16 +122,35 @@ pub struct BenchArgs {
     pub replicas: usize,
     /// Chrome-trace output path; `Some` turns telemetry recording on.
     pub telemetry: Option<String>,
+    /// Print Table 2, the target-system summary, instead of running
+    /// (`fig6_basic` only).
+    pub systems: bool,
+}
+
+const USAGE: &str = "usage: [--full] [--iters N] [--ranks a,b,c] [--seed N] [--replicas R] \
+                     [--telemetry out.json] [--systems]";
+
+/// A positive count given as the value (or one comma-separated part of the
+/// value) of `flag`.
+fn positive(flag: &str, v: &str) -> Result<usize, String> {
+    match v.trim().parse() {
+        Ok(0) | Err(_) => Err(format!("{flag}: expected a positive integer, got {v:?}")),
+        Ok(n) => Ok(n),
+    }
 }
 
 impl BenchArgs {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`; on a bad command line print the error
+    /// and the usage line and exit 2.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parse from an explicit iterator (tests).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self {
             full: false,
             iters: None,
@@ -137,36 +158,30 @@ impl BenchArgs {
             seed: 0x5EED,
             replicas: 1,
             telemetry: None,
+            systems: false,
         };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{a}: missing value"));
             match a.as_str() {
                 "--full" => out.full = true,
-                "--iters" => {
-                    out.iters = it.next().and_then(|v| v.parse().ok());
-                }
-                "--replicas" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        out.replicas = v;
-                    }
-                }
-                "--telemetry" => {
-                    out.telemetry = it.next();
-                }
+                "--systems" => out.systems = true,
+                "--iters" => out.iters = Some(positive(&a, &value()?)?),
+                "--replicas" => out.replicas = positive(&a, &value()?)?,
+                "--telemetry" => out.telemetry = Some(value()?),
                 "--ranks" => {
-                    out.ranks = it
-                        .next()
-                        .map(|v| v.split(',').filter_map(|x| x.trim().parse().ok()).collect());
+                    let ranks: Result<_, _> =
+                        value()?.split(',').map(|n| positive(&a, n)).collect();
+                    out.ranks = Some(ranks?);
                 }
                 "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        out.seed = v;
-                    }
+                    let v = value()?;
+                    out.seed = v.parse().map_err(|_| format!("{a}: bad seed {v:?}"))?;
                 }
-                _ => {}
+                _ => return Err(format!("unknown flag {a}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Pick iteration count: explicit > full-scale > default.
@@ -260,25 +275,38 @@ mod tests {
 
     #[test]
     fn args_parse() {
-        let a = BenchArgs::from_args(
-            ["--full", "--iters", "99", "--ranks", "1,2,4", "--seed", "7", "--replicas", "2"]
-                .map(String::from),
-        );
-        assert!(a.full);
+        let parse = |args: &[&str]| BenchArgs::from_args(args.iter().map(|a| a.to_string()));
+        let a = parse(&["--full", "--iters", "99", "--ranks", "1,2,4", "--seed", "7"]).unwrap();
+        assert!(a.full && !a.systems);
         assert_eq!(a.iters, Some(99));
         assert_eq!(a.ranks, Some(vec![1, 2, 4]));
         assert_eq!(a.seed, 7);
-        assert_eq!(a.replicas, 2);
+        assert_eq!(parse(&["--replicas", "2"]).unwrap().replicas, 2);
         assert_eq!(a.iters_or(10, 100), 99);
 
-        let d = BenchArgs::from_args(std::iter::empty());
+        let d = parse(&[]).unwrap();
         assert!(!d.full);
         assert_eq!(d.replicas, 1);
         assert_eq!(d.iters_or(10, 100), 10);
         assert_eq!(d.ranks_or(&[1, 2], &[1, 2, 3]), vec![1, 2]);
-        let f = BenchArgs::from_args(["--full".to_string()]);
+        let f = parse(&["--full", "--systems"]).unwrap();
+        assert!(f.systems);
         assert_eq!(f.iters_or(10, 100), 100);
         assert_eq!(f.ranks_or(&[1, 2], &[1, 2, 3]), vec![1, 2, 3]);
+
+        // What it does not understand it rejects, naming the flag.
+        for (bad, names) in [
+            (&["--rank", "4"][..], "--rank"),
+            (&["--iters", "x"], "--iters"),
+            (&["--iters"], "--iters"),
+            (&["--ranks", "2,0"], "--ranks"),
+            (&["--replicas", "0"], "--replicas"),
+            (&["--seed", "-1"], "--seed"),
+            (&["--telemetry"], "--telemetry"),
+        ] {
+            let err = parse(bad).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
     }
 
     #[test]

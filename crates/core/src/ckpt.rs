@@ -140,33 +140,33 @@ pub(crate) fn read_manifest(store: &NvmStore, prefix: &str, db: &str, rank: usiz
     ManifestRead::Present(next, live)
 }
 
-/// Report a crash-state anomaly found on a recovery path. Unconditional: a
-/// torn manifest or a missing manifest-listed SSTable is lost acknowledged
-/// data whether or not any checker is watching. Recovery still proceeds
-/// (ignore-and-report); the crashcheck driver fails the sweep on these.
-pub(crate) fn report_recovery_anomaly(kind: papyrus_sanity::ViolationKind, detail: String) {
-    papyrus_sanity::record_violation(kind, detail);
+/// A crash-state anomaly found on a recovery path, as the typed error the
+/// recovered database carries ([`Db::take_io_errors`]). Unconditional: a torn
+/// manifest or a missing manifest-listed SSTable is lost acknowledged data
+/// whether or not any checker is watching, so it is also echoed to stderr
+/// here, where it is found. Recovery still proceeds (ignore-and-report).
+pub(crate) fn data_loss(detail: String) -> Error {
+    eprintln!("papyruskv: data loss: {detail}");
+    Error::DataLoss(detail)
 }
 
 /// The manifest of `rank` in the snapshot at `path`. A missing or corrupt
-/// one is reported, with what the caller does about it (`then`), and reads
-/// as `None`.
+/// one is added to `lost`, with what the caller does about it (`then`), and
+/// reads as `None`.
 fn snapshot_manifest(
     pfs: &NvmStore,
     path: &str,
     name: &str,
     rank: usize,
     then: &str,
+    lost: &mut Vec<Error>,
 ) -> Option<(Ssid, Vec<Ssid>)> {
     let why = match read_manifest(pfs, path, name, rank) {
         ManifestRead::Present(next, ssids) => return Some((next, ssids)),
         ManifestRead::Absent => format!("snapshot manifest for rank {rank} missing"),
         ManifestRead::Corrupt(why) => why,
     };
-    report_recovery_anomaly(
-        papyrus_sanity::ViolationKind::ManifestCorrupt,
-        format!("restart {path}/{name}: {why} — {then}"),
-    );
+    lost.push(data_loss(format!("restart {path}/{name}: {why} — {then}")));
     None
 }
 
@@ -298,7 +298,10 @@ impl Context {
             .and_then(|s| s.trim().parse().ok())
             .ok_or_else(|| Error::InvalidSnapshot("unparseable META".into()))?;
 
-        if old_n == n && !force_redistribute {
+        // What the snapshot could not give back; handed to the database
+        // this restart produces.
+        let mut lost = Vec::new();
+        let (db, done) = if old_n == n && !force_redistribute {
             // Same rank count: "the SSTables in the snapshot can be reused as
             // they are, without any additional file manipulation" — copy them
             // back PFS → NVM and compose.
@@ -310,8 +313,9 @@ impl Context {
             // would hang the job — strictly worse than recovering what exists.
             let dst_store = inner.repo_store();
             let mut t = inner.clock().now();
-            let (next, ssids) = snapshot_manifest(pfs, &path, name, me, "restoring an empty rank")
-                .unwrap_or((1, Vec::new()));
+            let then = "restoring an empty rank";
+            let (next, ssids) =
+                snapshot_manifest(pfs, &path, name, me, then, &mut lost).unwrap_or((1, Vec::new()));
             let mut restored = Vec::with_capacity(ssids.len());
             for &ssid in &ssids {
                 // Probe the whole triple before copying anything: a torn
@@ -320,13 +324,10 @@ impl Context {
                     .iter()
                     .all(|ext| pfs.exists(&format!("{path}/{name}/r{me}/sst{ssid:010}.{ext}")));
                 if !complete {
-                    report_recovery_anomaly(
-                        papyrus_sanity::ViolationKind::SstUnreadable,
-                        format!(
-                            "restart {path}/{name}: snapshot sst {ssid} of rank {me} incomplete \
-                             — skipping it"
-                        ),
-                    );
+                    lost.push(data_loss(format!(
+                        "restart {path}/{name}: snapshot sst {ssid} of rank {me} incomplete \
+                         — skipping it"
+                    )));
                     continue;
                 }
                 for ext in SST_FILES {
@@ -342,7 +343,7 @@ impl Context {
             // "When the file transfers complete, the runtime internally calls
             // papyruskv_open() to compose the database."
             let db = ctx.open(name, flags, opt)?;
-            Ok((db, Event::completed(inner.clock().clone(), t)))
+            (db, Event::completed(inner.clock().clone(), t))
         } else {
             // Restart with redistribution (Figure 5(c)): each rank takes a
             // partition of the old ranks' SSTables and re-puts every pair; "the
@@ -352,21 +353,19 @@ impl Context {
             let db = ctx.open(name, OpenFlags::create(), opt)?;
             let mut t = inner.clock().now();
             for old_rank in (me..old_n).step_by(n) {
+                let then = "skipping that rank";
                 let Some((_, ssids)) =
-                    snapshot_manifest(pfs, &path, name, old_rank, "skipping that rank")
+                    snapshot_manifest(pfs, &path, name, old_rank, then, &mut lost)
                 else {
                     continue;
                 };
                 for ssid in ssids {
                     let base = format!("{path}/{name}/r{old_rank}/sst{ssid:010}");
                     let Some((reader, opened)) = SstReader::open_at(pfs, &base, ssid, t) else {
-                        report_recovery_anomaly(
-                            papyrus_sanity::ViolationKind::SstUnreadable,
-                            format!(
-                                "restart {path}/{name}: snapshot sst {ssid} of old rank \
-                                 {old_rank} unreadable — skipping it"
-                            ),
-                        );
+                        lost.push(data_loss(format!(
+                            "restart {path}/{name}: snapshot sst {ssid} of old rank \
+                             {old_rank} unreadable — skipping it"
+                        )));
                         continue;
                     };
                     t = opened;
@@ -376,13 +375,10 @@ impl Context {
                             entries
                         }
                         Err(_) => {
-                            report_recovery_anomaly(
-                                papyrus_sanity::ViolationKind::SstUnreadable,
-                                format!(
-                                    "restart {path}/{name}: snapshot sst {ssid} of old rank \
-                                     {old_rank} does not parse — skipping it"
-                                ),
-                            );
+                            lost.push(data_loss(format!(
+                                "restart {path}/{name}: snapshot sst {ssid} of old rank \
+                                 {old_rank} does not parse — skipping it"
+                            )));
                             continue;
                         }
                     };
@@ -399,7 +395,10 @@ impl Context {
             }
             inner.clock().merge(t);
             db.barrier(BarrierLevel::SsTable)?;
-            Ok((db.clone(), Event::completed(inner.clock().clone(), inner.clock().now())))
-        }
+            let done = Event::completed(inner.clock().clone(), inner.clock().now());
+            (db, done)
+        };
+        db.inner.io_errors.lock().extend(lost);
+        Ok((db, done))
     }
 }

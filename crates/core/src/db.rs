@@ -98,10 +98,12 @@ pub struct DbInner {
     pub(crate) put_stats: OpStats,
     pub(crate) get_stats: OpStats,
 
-    /// Typed errors raised by background threads (migration to a dead
-    /// owner, `ENOSPC` during flush/compaction) that have no caller to
-    /// return to. Drained by [`Db::take_io_errors`]; under the fault plane
-    /// the chaos oracle uses this to check every failure is typed.
+    /// Typed errors with no caller to return to: raised by background
+    /// threads (migration to a dead owner, `ENOSPC` during flush/compaction)
+    /// and by recovery ([`Error::DataLoss`]: open and restart stay tolerant
+    /// and say here what they could not bring back). Drained by
+    /// [`Db::take_io_errors`]; under the fault plane the chaos oracle uses
+    /// this to check every failure is typed.
     pub(crate) io_errors: Mutex<Vec<Error>>,
 
     /// Telemetry handles (interned per rank; near-zero cost when disabled).
@@ -171,8 +173,11 @@ impl DbInner {
         if flags.exclusive && manifest != ckpt::ManifestRead::Absent {
             return Err(Error::InvalidArgument("database already exists"));
         }
-        // `repair`: what opened is not what the manifest on NVM says.
-        let (next_ssid, readers, repair) = match manifest {
+        // `lost`: what opened is not what the manifest on NVM says. The open
+        // still succeeds — a rank erroring out of this collective would
+        // strand its peers — and the database carries the finding.
+        let mut lost = None;
+        let (next_ssid, readers) = match manifest {
             ckpt::ManifestRead::Present(next, ssids) => {
                 // Zero-copy compose (§4.1): empty MemTables + retained
                 // SSTables; only manifest/index/bloom metadata is read.
@@ -180,15 +185,12 @@ impl DbInner {
                 if !unreadable.is_empty() {
                     // A committed manifest references tables that are gone:
                     // acknowledged data was lost. Compose without them.
-                    ckpt::report_recovery_anomaly(
-                        papyrus_sanity::ViolationKind::SstUnreadable,
-                        format!(
-                            "db {name} rank {me}: manifest-listed SSTables {unreadable:?} \
-                             missing or unreadable — composing without them"
-                        ),
-                    );
+                    lost = Some(ckpt::data_loss(format!(
+                        "db {name} rank {me}: manifest-listed SSTables {unreadable:?} \
+                         missing or unreadable — composing without them"
+                    )));
                 }
-                (next, readers, !unreadable.is_empty())
+                (next, readers)
             }
             ckpt::ManifestRead::Corrupt(why) => {
                 // Torn or corrupt manifest: report, then salvage every
@@ -196,17 +198,16 @@ impl DbInner {
                 // repository directory instead of masking the damage as a
                 // fresh database. Incomplete triples (crash debris) are
                 // skipped.
-                ckpt::report_recovery_anomaly(
-                    papyrus_sanity::ViolationKind::ManifestCorrupt,
-                    format!("db {name} rank {me}: {why} — salvaging from SSTable files"),
-                );
+                lost = Some(ckpt::data_loss(format!(
+                    "db {name} rank {me}: {why} — salvaging from SSTable files"
+                )));
                 let dir = format!("{}/{}/r{}/", ctx.repo.prefix, name, me);
                 let found = store.list(&dir).into_iter().filter_map(|obj| {
                     let file = obj.strip_prefix(&dir)?.strip_prefix("sst")?;
                     file.strip_suffix(".data")?.parse::<Ssid>().ok()
                 });
                 let (readers, _) = Self::open_tables(ctx, name, found);
-                (readers.last().map_or(1, |r| r.ssid() + 1), readers, true)
+                (readers.last().map_or(1, |r| r.ssid() + 1), readers)
             }
             ckpt::ManifestRead::Absent => {
                 if !flags.create {
@@ -216,17 +217,19 @@ impl DbInner {
                 // crash debris (a flush cut down before its first manifest
                 // commit) — tolerated: new SSIDs start at 1 and overwrite
                 // whole triples, so debris can never become visible.
-                (1, Vec::new(), false)
+                (1, Vec::new())
             }
         };
         let stack = Stack::new(next_ssid, readers);
-        if repair {
+        if lost.is_some() {
             let done =
                 ckpt::commit_manifest(ctx, name, next_ssid, &stack.live_ssids(), clock.now());
             clock.merge(done);
         }
         let (n_ranks, mem) = (ctx.rank.size(), ctx.platform.profile.mem.clone());
-        Ok(Arc::new(DbInner::new(id, name, me, n_ranks, mem, opt, stack)))
+        let db = DbInner::new(id, name, me, n_ranks, mem, opt, stack);
+        db.io_errors.lock().extend(lost);
+        Ok(Arc::new(db))
     }
 
     /// Open this rank's SSTables `ssids` of database `name`: the readers in
@@ -267,11 +270,9 @@ impl DbInner {
         on.then_some(&self.local_cache)
     }
 
-    /// The remote cache, if in use: configured on, or the database
-    /// read-only (§3.2).
+    /// The remote cache, if in use: the database is read-only (§3.2).
     pub(crate) fn live_remote_cache(&self, protection: Protection) -> Option<&Mutex<LruCache>> {
-        let on = self.opt.remote_cache || protection == Protection::ReadOnly;
-        on.then_some(&self.remote_cache)
+        (protection == Protection::ReadOnly).then_some(&self.remote_cache)
     }
 }
 
@@ -397,10 +398,13 @@ impl Db {
         &self.inner.get_stats
     }
 
-    /// Drain the typed errors raised by background threads (migration to a
-    /// confirmed-dead owner, `ENOSPC` during flush or compaction). Empty in
-    /// a healthy run; under the fault plane applications poll this after
-    /// fences/barriers to learn about degraded-mode data.
+    /// Drain the typed errors that had no caller to return to: raised by
+    /// background threads (migration to a confirmed-dead owner, `ENOSPC`
+    /// during flush or compaction) or by the recovery that produced this
+    /// handle ([`Error::DataLoss`] — check after `open`/`restart` of a
+    /// database that should have survived). Empty in a healthy run; under
+    /// the fault plane applications poll this after fences/barriers to
+    /// learn about degraded-mode data.
     pub fn take_io_errors(&self) -> Vec<Error> {
         std::mem::take(&mut *self.inner.io_errors.lock())
     }

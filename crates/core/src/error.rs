@@ -36,6 +36,13 @@ pub enum Error {
     /// A remote operation exhausted its retry/backoff budget without the
     /// peer being confirmed dead.
     Timeout(String),
+    /// Recovery could not keep the persistence promise: a torn manifest, a
+    /// manifest-listed SSTable or a snapshot triple that is missing or
+    /// unreadable. Open and restart still return the database composed from
+    /// what exists (erroring out of a collective would strand the peers);
+    /// this is how they say acknowledged data may be gone. Delivered through
+    /// [`crate::Db::take_io_errors`].
+    DataLoss(String),
 }
 
 impl Error {
@@ -52,6 +59,7 @@ impl Error {
             Error::RankUnavailable(_) => -7,
             Error::StorageFull(_) => -8,
             Error::Timeout(_) => -9,
+            Error::DataLoss(_) => -10,
         }
     }
 }
@@ -70,6 +78,7 @@ impl fmt::Display for Error {
             }
             Error::StorageFull(what) => write!(f, "PAPYRUSKV_STORAGE_FULL: {what}"),
             Error::Timeout(what) => write!(f, "PAPYRUSKV_TIMEOUT: {what}"),
+            Error::DataLoss(what) => write!(f, "PAPYRUSKV_DATA_LOSS: {what}"),
         }
     }
 }
@@ -92,6 +101,7 @@ mod tests {
             Error::RankUnavailable(3),
             Error::StorageFull("w".into()),
             Error::Timeout("t".into()),
+            Error::DataLoss("d".into()),
         ];
         let mut codes: Vec<i32> = errs.iter().map(Error::code).collect();
         assert!(codes.iter().all(|&c| c < 0));
@@ -106,5 +116,6 @@ mod tests {
         assert_eq!(Error::InvalidDb.to_string(), "PAPYRUSKV_INVALID_DB");
         assert_eq!(Error::RankUnavailable(2).to_string(), "PAPYRUSKV_RANK_UNAVAILABLE: rank 2");
         assert_eq!(Error::StorageFull("ckpt".into()).to_string(), "PAPYRUSKV_STORAGE_FULL: ckpt");
+        assert_eq!(Error::DataLoss("sst 3".into()).to_string(), "PAPYRUSKV_DATA_LOSS: sst 3");
     }
 }

@@ -78,10 +78,8 @@ pub struct Options {
     pub local_cache: bool,
     /// Local cache capacity in bytes.
     pub local_cache_capacity: u64,
-    /// Enable the remote cache even outside `Protection::ReadOnly`
-    /// (`PAPYRUSKV_CACHE_REMOTE=1` in the artifact).
-    pub remote_cache: bool,
-    /// Remote cache capacity in bytes.
+    /// Remote cache capacity in bytes (the cache is live only under
+    /// `Protection::ReadOnly`, §3.2).
     pub remote_cache_capacity: u64,
     /// Initial consistency mode (`PAPYRUSKV_CONSISTENCY`).
     pub consistency: Consistency,
@@ -113,7 +111,6 @@ impl std::fmt::Debug for Options {
             .field("flush_queue_len", &self.flush_queue_len)
             .field("local_cache", &self.local_cache)
             .field("local_cache_capacity", &self.local_cache_capacity)
-            .field("remote_cache", &self.remote_cache)
             .field("remote_cache_capacity", &self.remote_cache_capacity)
             .field("consistency", &self.consistency)
             .field("protection", &self.protection)
@@ -134,7 +131,6 @@ impl Default for Options {
             flush_queue_len: 4,
             local_cache: true,
             local_cache_capacity: 16 << 20,
-            remote_cache: false,
             remote_cache_capacity: 16 << 20,
             consistency: Consistency::Relaxed,
             protection: Protection::ReadWrite,
@@ -211,7 +207,6 @@ mod tests {
         assert!(o.bin_search);
         assert!(o.bloom_filter);
         assert!(o.local_cache);
-        assert!(!o.remote_cache);
         assert!(o.custom_hash.is_none());
         assert_eq!(o.flush_queue_len, 4);
         assert_eq!(o.replicas, 1);

@@ -1,8 +1,7 @@
 //! LSM invariant auditor (`papyruskv::sanity::audit_db`).
 //!
 //! Walks a database's storage stack and checks the structural invariants
-//! the LSM design promises, recording findings both in the returned
-//! [`AuditReport`] and in the global `papyrus-sanity` registry:
+//! the LSM design promises, returning its findings in an [`AuditReport`]:
 //!
 //! - **SSTable internals**: records strictly key-sorted ([`SstOrder`]),
 //!   SSIndex record count agrees with SSData, and the bloom filter admits

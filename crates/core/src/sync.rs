@@ -42,15 +42,14 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
         // completed, so a leftover mark means a reconciliation round failed
         // to consume exactly n marks.
         for (e, count) in db.stale_barrier_marks(&sync) {
-            papyrus_sanity::record_violation(
-                papyrus_sanity::ViolationKind::BarrierEpochMismatch,
-                format!(
-                    "db {}: rank {} closing with leftover barrier marks for completed \
-                     epoch {e} (count {count})",
-                    db.name,
-                    ctx.rank.rank()
-                ),
+            let what = format!(
+                "db {}: rank {} closing with leftover barrier marks for completed \
+                 epoch {e} (count {count})",
+                db.name,
+                ctx.rank.rank()
             );
+            eprintln!("papyruskv: {what}");
+            db.io_errors.lock().push(Error::Internal(what));
         }
     }
     sync.closed = true;

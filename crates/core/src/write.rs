@@ -60,9 +60,6 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             &db.tel.put_local
         }
         Consistency::Relaxed => {
-            if db.opt.remote_cache {
-                db.remote_cache.lock().invalidate(key);
-            }
             stage(ctx, db, key, Entry::remote(value, tombstone, owner as u32), clock);
             &db.tel.put_remote
         }

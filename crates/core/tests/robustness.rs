@@ -26,37 +26,57 @@ fn corrupt_manifest_falls_back_to_fresh_database() {
     });
 }
 
-/// A manifest cut short of its end sentinel is lost acknowledged state, so
-/// it is on the record whether or not any checker was switched on: no
-/// environment variable, no `force_*` call, just the reopen.
+/// A manifest cut short of its end sentinel is lost acknowledged state, and
+/// the database that was opened over it says so: the finding is a typed
+/// error on that handle — no environment variable, no `force_*` call, just
+/// the reopen — and on no other database of the process.
 #[test]
 fn torn_manifest_is_recorded_as_manifest_corrupt() {
+    // A healthy database, reopened by a second world on another thread of
+    // this process while the torn one reopens.
+    let healthy = || {
+        let platform = Platform::new(SystemProfile::test_profile(), 1);
+        World::run(WorldConfig::for_tests(1), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://whole-manifest").unwrap();
+            let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+            db.put(b"k", b"v").unwrap();
+            db.close().unwrap();
+            let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+            assert_eq!(&db.get(b"k").unwrap()[..], b"v");
+            db.close().unwrap();
+            ctx.finalize().unwrap();
+            db.take_io_errors()
+        })
+    };
     let platform = Platform::new(SystemProfile::test_profile(), 1);
     World::run(WorldConfig::for_tests(1), move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://torn-manifest").unwrap();
         let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
         db.put(b"k", b"v").unwrap();
         db.close().unwrap();
+        assert_eq!(db.take_io_errors(), vec![], "nothing was lost yet");
 
         let backend = platform.storage.nvm_of(0).backend();
         let manifest = backend.get_all("torn-manifest/db/r0/MANIFEST").unwrap();
         let torn = manifest.slice(..manifest.len() - "ok\n".len());
         backend.put("torn-manifest/db/r0/MANIFEST", torn);
 
+        let bystander = std::thread::spawn(healthy);
         // Recovery salvages the flushed table from its files...
         let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
         assert_eq!(&db.get(b"k").unwrap()[..], b"v");
+        // ...and the handle says what it found, once.
+        let found = db.take_io_errors();
+        assert!(
+            matches!(&found[..], [Error::DataLoss(what)]
+                if what.contains("torn-manifest/db/r0/MANIFEST") && what.contains("torn write")),
+            "torn manifest went unreported: {found:?}"
+        );
+        assert_eq!(db.take_io_errors(), vec![]);
+        assert_eq!(bystander.join().unwrap(), vec![vec![]], "another world's db heard of it");
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
-    // ...and says what it found.
-    let recorded = papyrus_sanity::violations();
-    assert!(
-        recorded.iter().any(|v| v.kind == papyrus_sanity::ViolationKind::ManifestCorrupt
-            && v.detail.contains("torn-manifest/db/r0/MANIFEST")
-            && v.detail.contains("torn write")),
-        "torn manifest went unrecorded: {recorded:?}"
-    );
 }
 
 #[test]
@@ -81,9 +101,15 @@ fn corrupt_sstable_files_are_skipped_on_reopen() {
         assert!(!blooms.is_empty());
         store.backend().put(&blooms[0], Bytes::from_static(b"xx"));
 
-        // Reopen: the corrupt table is skipped (its data is lost, but the
-        // open must not panic and the rest must still be readable).
+        // Reopen: the corrupt table is skipped (its data is lost and the
+        // handle says so, but the open must not panic and the rest must
+        // still be readable).
         let db2 = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+        let lost = db2.take_io_errors();
+        assert!(
+            matches!(&lost[..], [Error::DataLoss(what)] if what.contains("manifest-listed")),
+            "{lost:?}"
+        );
         let mut found = 0;
         for i in 0..60 {
             if db2.get(format!("k{i}").as_bytes()).is_ok() {
@@ -121,6 +147,60 @@ fn restart_with_corrupt_meta_errors_cleanly() {
         assert!(matches!(err, Error::InvalidSnapshot(_)));
         ctx.finalize().unwrap();
     });
+}
+
+/// A snapshot missing one rank's manifest and one table's index restores
+/// what exists — on the verbatim path and under redistribution — and the
+/// restarted database carries one `DataLoss` per missing piece.
+#[test]
+fn restart_from_a_damaged_snapshot_restores_the_rest_and_reports_data_loss() {
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    let writer = platform.clone();
+    World::run(WorldConfig::for_tests(2), move |rank| {
+        let ctx = Context::init(rank, writer.clone(), "nvm://dmg-write").unwrap();
+        let db = ctx.open("db", OpenFlags::create(), Options::small()).unwrap();
+        // Two flushes: every rank snapshots tables 1 and 2.
+        for i in 0..40 {
+            db.put(format!("s{}-{i}", ctx.rank()).as_bytes(), &[b's'; 50]).unwrap();
+            if i == 19 {
+                db.barrier(BarrierLevel::SsTable).unwrap();
+            }
+        }
+        db.checkpoint("snap/dmg").unwrap().wait();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+    let pfs = platform.storage.pfs();
+    pfs.backend().delete("snap/dmg/db/r0/MANIFEST");
+    assert!(pfs.backend().delete("snap/dmg/db/r1/sst0000000001.index"));
+
+    for (ranks, force) in [(2, false), (1, true)] {
+        let fresh = Platform::new_job(SystemProfile::test_profile(), ranks, &platform);
+        let per_rank = World::run(WorldConfig::for_tests(ranks), move |rank| {
+            let ctx = Context::init(rank, fresh.clone(), "nvm://dmg-read").unwrap();
+            let (db, ev) = ctx
+                .restart("snap/dmg", "db", OpenFlags::create(), Options::small(), force)
+                .unwrap();
+            ev.wait();
+            let lost = db.take_io_errors();
+            let readable = (0..80)
+                .filter(|i| {
+                    db.get_opt(format!("s{}-{}", i / 40, i % 40).as_bytes()).unwrap().is_some()
+                })
+                .count();
+            db.close().unwrap();
+            ctx.finalize().unwrap();
+            (lost, readable)
+        });
+        let lost: Vec<&Error> = per_rank.iter().flat_map(|(lost, _)| lost).collect();
+        assert_eq!(lost.len(), 2, "ranks={ranks} force={force}: {lost:?}");
+        assert!(lost.iter().all(|e| matches!(e, Error::DataLoss(_))), "{lost:?}");
+        assert!(lost.iter().any(|e| e.to_string().contains("manifest for rank 0 missing")));
+        assert!(lost.iter().any(|e| e.to_string().contains("sst 1 of")), "{lost:?}");
+        // What the damage did not reach came back.
+        let readable = per_rank[0].1;
+        assert!(readable > 0 && readable < 80, "ranks={ranks} force={force}: {readable} of 80");
+    }
 }
 
 #[test]

@@ -24,12 +24,15 @@
 //!    redistribution — whenever a completed checkpoint precedes `k`: the
 //!    restored store must reproduce the snapshot exactly.
 //!
-//! Verdicts flow through the global `papyrus-sanity` registry: the sweep
-//! drains it per state, so any violation recorded by recovery code
-//! (`manifest-corrupt`, `sst-unreadable`), by the audit, or by the oracle
-//! fails that state. With atomic manifest commits and correct fencing a
-//! clean run produces **zero** violations at every crash point; the
-//! `--seed-bug` self test proves each seeded bug class is caught.
+//! Verdicts are values of the sweep that found them: each recovered rank
+//! returns its `audit_db` findings and the typed errors its reopened
+//! database carried (`data-loss`: a torn manifest, an unreadable table),
+//! the oracle judges what the ranks observed, and all of it lands in the
+//! [`SweepReport`] under the crash state that produced it — nothing is
+//! shared with any other sweep or world of the process. With atomic
+//! manifest commits and correct fencing a clean run produces **zero**
+//! violations at every crash point; the `--seed-bug` self test proves each
+//! seeded bug class is caught.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,11 +43,9 @@ use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::{Backend, MemBackend, NvmStore, StorageMap, SystemProfile};
 use papyrus_sanity::ViolationKind;
-use papyruskv::{Context, OpenFlags, Options, Platform};
-use parking_lot::Mutex;
+use papyruskv::{Context, Db, Error, OpenFlags, Options, Platform};
 
 use crate::journal::{droppable_tail, materialize, CrashPolicy, FaultMode};
-use crate::oracle::Mark;
 use crate::workload::{record_workload, CrashCfg, Recorded, DB_NAME, PFS_NS, REPOSITORY};
 
 /// One confirmed violation, tagged with the crash state that produced it.
@@ -109,34 +110,22 @@ impl SweepReport {
     }
 }
 
-/// Serialises sweeps within one process. The oracle's verdicts could live
-/// in the sweep's own list, but the anomalies that matter most here are
-/// *core-originated* — `manifest-corrupt` / `sst-unreadable` from the
-/// recovery paths and `audit_db` findings — and those land in the one
-/// registry that remains process-global (`papyrus_sanity`). Each sweep drains
-/// it per crash state, so two concurrent sweeps would steal each other's.
-fn sweep_lock() -> &'static Mutex<()> {
-    static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
 /// What one recovered rank observed.
 struct RankObs {
     /// Owned visible pairs from `sanity::dump_visible` (tombstone = `None`).
     visible: Vec<(Vec<u8>, Option<Bytes>)>,
     /// `get` result for every key the workload ever wrote.
     probes: Vec<(Vec<u8>, Option<Bytes>)>,
+    /// What the rank's own recovery said, as `(kind, detail)`: `audit_db`
+    /// findings and the typed errors the reopened database carried.
+    findings: Vec<(&'static str, String)>,
 }
 
 /// Record the workload, then sweep every crash point. `stop_on_first`
 /// short-circuits at the first violating state (seed-bug mode) and walks
 /// points newest-first, where a recording fault is certain to surface.
 pub fn sweep(cfg: &CrashCfg, fault: FaultMode, stop_on_first: bool) -> SweepReport {
-    let _guard = sweep_lock().lock();
-
     let rec = record_workload(cfg, fault);
-    // The live run is not under test; drop anything it recorded.
-    let _ = papyrus_sanity::take_violations();
 
     let mut report = SweepReport {
         ops: rec.ops.len(),
@@ -196,81 +185,77 @@ fn check_state(
     probe_keys: &Arc<Vec<Vec<u8>>>,
     report: &mut SweepReport,
 ) {
+    // Everything this crash state is convicted of, as `(kind, detail)`.
+    let mut found: Vec<(&'static str, String)> = Vec::new();
+    let named = |(kind, detail): (ViolationKind, String)| (kind.name(), detail);
+
     // --- NVM recovery at the original rank count -------------------------
-    {
-        let state = materialize(&rec.ops, policy);
-        let n = cfg.ranks;
-        let keys = probe_keys.clone();
-        let outcome = run_guarded(cfg.timeout_secs, "nvm-recovery", point, label, move || {
-            recover_nvm(n, &state, &keys)
-        });
-        if let Some(obs) = outcome {
+    let state = materialize(&rec.ops, policy);
+    let (n, keys) = (cfg.ranks, probe_keys.clone());
+    let recovered = run_guarded(cfg.timeout_secs, "nvm-recovery", point, label, move || {
+        recover_nvm(n, &state, &keys)
+    });
+    match recovered {
+        Ok(obs) => {
             let guarantee = rec.oracle.durable_at(point).map(|m| &m.guarantee);
-            for rank_obs in &obs {
+            for rank_obs in obs {
                 for (key, val) in rank_obs.visible.iter().chain(&rank_obs.probes) {
-                    if let Some((kind, detail)) =
-                        rec.oracle.judge_recovered(guarantee, key, val.as_ref())
-                    {
-                        papyrus_sanity::record_violation(kind, detail);
-                    }
+                    let verdict = rec.oracle.judge_recovered(guarantee, key, val.as_ref());
+                    found.extend(verdict.map(named));
                 }
+                found.extend(rank_obs.findings);
             }
         }
+        Err(failed) => found.push(named(failed)),
     }
 
     // --- Snapshot restore with redistribution ----------------------------
     if let Some(snap) = rec.oracle.snapshot_at(point) {
         let state = materialize(&rec.ops, policy);
-        let m = cfg.restore_ranks;
-        let keys = probe_keys.clone();
-        let snap_owned: Mark = snap.clone();
+        let (m, keys) = (cfg.restore_ranks, probe_keys.clone());
         let path = match &snap.kind {
             crate::oracle::MarkKind::Snapshot { path } => path.clone(),
             _ => unreachable!("snapshot_at returns snapshot marks only"),
         };
         report.restores += 1;
         report.restore_points.push(point);
-        let outcome = run_guarded(cfg.timeout_secs, "snapshot-restore", point, label, move || {
+        let restored = run_guarded(cfg.timeout_secs, "snapshot-restore", point, label, move || {
             restore_snapshot(m, &state, &path, &keys)
         });
-        if let Some(obs) = outcome {
-            for rank_obs in &obs {
-                for (key, val) in rank_obs.visible.iter().chain(&rank_obs.probes) {
-                    if let Some((kind, detail)) =
-                        rec.oracle.judge_restored(&snap_owned, key, val.as_ref())
-                    {
-                        papyrus_sanity::record_violation(kind, detail);
+        match restored {
+            Ok(obs) => {
+                for rank_obs in &obs {
+                    for (key, val) in rank_obs.visible.iter().chain(&rank_obs.probes) {
+                        found.extend(rec.oracle.judge_restored(snap, key, val.as_ref()).map(named));
                     }
                 }
-            }
-            // Coverage: every snapshotted live pair must be visible again.
-            let union: HashMap<&[u8], &Option<Bytes>> =
-                obs.iter().flat_map(|o| o.visible.iter()).map(|(k, v)| (k.as_slice(), v)).collect();
-            for key in snap_owned.guarantee.keys() {
-                if !union.contains_key(key.as_slice()) {
-                    if let Some((kind, detail)) = rec.oracle.judge_restored(&snap_owned, key, None)
-                    {
-                        papyrus_sanity::record_violation(kind, detail);
+                // Coverage: every snapshotted live pair must be visible again.
+                let union: HashMap<&[u8], &Option<Bytes>> = obs
+                    .iter()
+                    .flat_map(|o| o.visible.iter())
+                    .map(|(k, v)| (k.as_slice(), v))
+                    .collect();
+                for key in snap.guarantee.keys() {
+                    if !union.contains_key(key.as_slice()) {
+                        found.extend(rec.oracle.judge_restored(snap, key, None).map(named));
                     }
                 }
+                found.extend(obs.into_iter().flat_map(|o| o.findings));
             }
+            Err(failed) => found.push(named(failed)),
         }
     }
 
-    // Drain the registry: recovery-path reports, audit findings, and oracle
-    // verdicts all become violations of this crash state.
-    for v in papyrus_sanity::take_violations() {
-        report.violations.push(SweepViolation {
-            point,
-            policy: label.to_string(),
-            kind: v.kind.name().to_string(),
-            detail: v.detail,
-        });
-    }
+    report.violations.extend(found.into_iter().map(|(kind, detail)| SweepViolation {
+        point,
+        policy: label.to_string(),
+        kind: kind.to_string(),
+        detail,
+    }));
 }
 
-/// Run `f` on a supervised thread. Returns `None` — after recording a
-/// [`ViolationKind::RecoveryFailed`] — if it panics or exceeds the
+/// Run `f` on a supervised thread. `Err` — a
+/// [`ViolationKind::RecoveryFailed`] verdict — if it panics or exceeds the
 /// timeout (a hung collective); the stuck thread is abandoned.
 fn run_guarded<T: Send + 'static>(
     timeout_secs: u64,
@@ -278,26 +263,22 @@ fn run_guarded<T: Send + 'static>(
     point: usize,
     label: &str,
     f: impl FnOnce() -> T + Send + 'static,
-) -> Option<T> {
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new().name(format!("crashcheck-{what}")).spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(f));
-        let _ = tx.send(result);
-    });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => {
-            papyrus_sanity::record_violation(
-                ViolationKind::RecoveryFailed,
-                format!("point {point} [{label}] {what}: spawn failed: {e}"),
-            );
-            return None;
-        }
+) -> Result<T, (ViolationKind, String)> {
+    let failed = |how: String| {
+        (ViolationKind::RecoveryFailed, format!("point {point} [{label}] {what}{how}"))
     };
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::Builder::new()
+        .name(format!("crashcheck-{what}"))
+        .spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(f));
+            let _ = tx.send(result);
+        })
+        .map_err(|e| failed(format!(": spawn failed: {e}")))?;
     match rx.recv_timeout(Duration::from_secs(timeout_secs)) {
         Ok(Ok(v)) => {
             let _ = handle.join();
-            Some(v)
+            Ok(v)
         }
         Ok(Err(panic)) => {
             let _ = handle.join();
@@ -306,20 +287,10 @@ fn run_guarded<T: Send + 'static>(
                 .cloned()
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            papyrus_sanity::record_violation(
-                ViolationKind::RecoveryFailed,
-                format!("point {point} [{label}] {what} panicked: {msg}"),
-            );
-            None
+            Err(failed(format!(" panicked: {msg}")))
         }
-        Err(_) => {
-            // Deadlocked collective: abandon the thread, flag the state.
-            papyrus_sanity::record_violation(
-                ViolationKind::RecoveryFailed,
-                format!("point {point} [{label}] {what} hung (> {timeout_secs}s)"),
-            );
-            None
-        }
+        // Deadlocked collective: abandon the thread, flag the state.
+        Err(_) => Err(failed(format!(" hung (> {timeout_secs}s)"))),
     }
 }
 
@@ -327,6 +298,27 @@ fn run_guarded<T: Send + 'static>(
 /// the namespace never appeared in the surviving prefix).
 fn backend_of(state: &HashMap<String, Arc<MemBackend>>, ns: &str) -> Arc<dyn Backend> {
     state.get(ns).cloned().unwrap_or_default()
+}
+
+/// Audit, dump and probe a recovered database on rank `me`, close it, and
+/// collect what its recovery and the audit reported.
+fn observe(db: &Db, me: usize, probe_keys: &[Vec<u8>]) -> RankObs {
+    let audit = papyruskv::sanity::audit_db(db);
+    let visible = papyruskv::sanity::dump_visible(db)
+        .into_iter()
+        .filter(|(k, _)| db.owner_of(k) == me)
+        .collect();
+    let probes = probe_keys
+        .iter()
+        .map(|k| (k.clone(), db.get_opt(k).expect("recovered get must not error")))
+        .collect();
+    db.close().expect("recovery close");
+    let audited = audit.violations.into_iter().map(|v| (v.kind.name(), v.detail));
+    let carried = db.take_io_errors().into_iter().map(|e| match e {
+        Error::DataLoss(what) => ("data-loss", what),
+        other => ("background-error", other.to_string()),
+    });
+    RankObs { visible, probes, findings: audited.chain(carried).collect() }
 }
 
 /// Re-open the database from the surviving NVM bytes at `n` ranks; audit,
@@ -360,21 +352,9 @@ fn recover_nvm(
         let db = ctx
             .open(DB_NAME, OpenFlags::create(), Options::small())
             .expect("recovery open must tolerate any crash state");
-        let me = ctx.rank();
-        // Structural invariants of the recovered LSM stack (pushes straight
-        // into the sanity registry).
-        let _ = papyruskv::sanity::audit_db(&db);
-        let visible: Vec<(Vec<u8>, Option<Bytes>)> = papyruskv::sanity::dump_visible(&db)
-            .into_iter()
-            .filter(|(k, _)| db.owner_of(k) == me)
-            .collect();
-        let probes: Vec<(Vec<u8>, Option<Bytes>)> = probe_keys
-            .iter()
-            .map(|k| (k.clone(), db.get_opt(k).expect("recovered get must not error")))
-            .collect();
-        db.close().expect("recovery close");
+        let obs = observe(&db, ctx.rank(), &probe_keys);
         ctx.finalize().expect("recovery finalize");
-        RankObs { visible, probes }
+        obs
     })
 }
 
@@ -405,19 +385,9 @@ fn restore_snapshot(
             .restart(&path, DB_NAME, OpenFlags::create(), Options::small(), false)
             .expect("restore from a completed snapshot must succeed");
         ev.wait();
-        let me = ctx.rank();
-        let _ = papyruskv::sanity::audit_db(&db);
-        let visible: Vec<(Vec<u8>, Option<Bytes>)> = papyruskv::sanity::dump_visible(&db)
-            .into_iter()
-            .filter(|(k, _)| db.owner_of(k) == me)
-            .collect();
-        let probes: Vec<(Vec<u8>, Option<Bytes>)> = probe_keys
-            .iter()
-            .map(|k| (k.clone(), db.get_opt(k).expect("restored get must not error")))
-            .collect();
-        db.close().expect("restore close");
+        let obs = observe(&db, ctx.rank(), &probe_keys);
         ctx.finalize().expect("restore finalize");
-        RankObs { visible, probes }
+        obs
     })
 }
 

@@ -30,8 +30,8 @@ const RULE: &str = "blocking-under-lock";
 /// Blocking primitive leaves, as (file suffix, fn name). Everything that
 /// transitively calls one of these is "blocking" via reverse BFS.
 const SEEDS: &[(&str, &str)] = &[
-    // `Fabric::wait_match` itself is not a seed: `try_recv` shares that
-    // body and never parks. Its parking callers are named instead.
+    // `Fabric::wait_match` itself is not a seed: a zero-length wait shares
+    // that body and never parks. Its parking callers are named instead.
     ("crates/mpi/src/fabric.rs", "recv"),
     ("crates/mpi/src/fabric.rs", "allgather"),
     ("crates/mpi/src/comm.rs", "recv"),

@@ -1,6 +1,6 @@
 //! Protocol tag matrix: every `tags::X` send site and handler match arm
 //! across core/mpi/replica, cross-checked so that a tag cannot be sent
-//! with no handler (the message rots in a mailbox and the vclock monitor
+//! with no handler (the message rots in a mailbox and the protocol monitor
 //! reports an unmatched channel at finalize) or handled but never sent
 //! (dead protocol surface that silently diverges from the spec).
 //!

@@ -65,16 +65,6 @@ impl SourceTree {
         SourceTree { files }
     }
 
-    /// Build a tree directly from `(rel, source)` pairs (tests, fixtures).
-    pub fn from_pairs(pairs: &[(&str, &str)]) -> SourceTree {
-        SourceTree {
-            files: pairs
-                .iter()
-                .map(|(rel, text)| SourceFile { rel: rel.to_string(), text: text.to_string() })
-                .collect(),
-        }
-    }
-
     pub fn file(&self, rel: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == rel)
     }

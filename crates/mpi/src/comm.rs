@@ -114,11 +114,9 @@ impl Communicator {
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        let sanity = self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
-        self.fabric.deliver(
-            dst_world,
-            Envelope { comm: self.id, src: self.me, tag, stamp, payload, sanity },
-        );
+        self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
+        self.fabric
+            .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
     }
 
     /// Timestamp-explicit send for background threads (PapyrusKV's message
@@ -133,11 +131,9 @@ impl Communicator {
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        let sanity = self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
-        self.fabric.deliver(
-            dst_world,
-            Envelope { comm: self.id, src: self.me, tag, stamp, payload, sanity },
-        );
+        self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
+        self.fabric
+            .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
         stamp
     }
 
@@ -170,14 +166,6 @@ impl Communicator {
         Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
     }
 
-    /// Non-blocking receive; `None` if no matching message is queued.
-    pub fn try_recv(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
-        let env =
-            self.fabric.try_recv(self.me_world, self.id, src.into_option(), tag.into_option())?;
-        self.stamp_in(&env);
-        Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
-    }
-
     /// Blocking receive that does NOT merge the arrival stamp into the rank
     /// clock — for background threads (PapyrusKV's message handler) whose
     /// receipt must not advance the application rank's virtual time. The
@@ -205,7 +193,7 @@ impl Communicator {
     /// order (standard MPI collective semantics). On an armed world a member
     /// that dies before arriving is fatal here, as under MPI's default error
     /// handler; [`Communicator::try_barrier`] is the recoverable form.
-    pub fn allgather_bytes(&self, contribution: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
+    pub(crate) fn allgather_bytes(&self, contribution: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
         match self.rendezvous(contribution) {
             Ok(bufs) => bufs,
             Err(dead) => panic!("collective on comm {}: world rank {dead} is dead", self.id), // lint:allow(panic-path): fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank
@@ -234,7 +222,7 @@ impl Communicator {
         let (bufs, stamp) =
             self.record.collective.allgather(n, self.me, contribution, clock.now(), cost, check)?;
         clock.merge(stamp);
-        self.fabric.monitor().on_collective(self.me_world, &self.record.members);
+        self.fabric.monitor().on_progress();
         Ok(bufs)
     }
 
@@ -287,22 +275,6 @@ impl Communicator {
         self.rendezvous(Vec::new()).map(drop)
     }
 
-    /// Collective all-reduce of a `u64` with a commutative-associative `op`.
-    pub fn allreduce_u64(&self, value: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        let bufs = self.allgather_bytes(value.to_le_bytes().to_vec());
-        bufs.iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
-            .reduce(&op)
-            .expect("allreduce over empty communicator")
-    }
-
-    /// Collective broadcast from `root`: every member returns root's bytes.
-    pub fn broadcast(&self, root: Rank, value: Vec<u8>) -> Vec<u8> {
-        let contribution = if self.me == root { value } else { Vec::new() };
-        let bufs = self.allgather_bytes(contribution);
-        bufs[root].clone()
-    }
-
     /// Collective duplicate: a new communicator with identical membership.
     /// PapyrusKV duplicates the world communicator so runtime-internal
     /// messages cannot collide with application messages.
@@ -311,44 +283,11 @@ impl Communicator {
         // child id comes from every member calling in the same order, not
         // from this counter's memory ordering.
         let seq = self.next_child_seq.fetch_add(1, Ordering::Relaxed);
-        let (id, record) =
-            self.fabric.create_child(self.id, seq, u64::MAX, self.record.members.to_vec());
+        let (id, record) = self.fabric.create_child(self.id, seq, self.record.members.to_vec());
         // Collective semantics: every member must arrive before any proceeds,
         // matching MPI_Comm_dup.
         self.barrier();
         Communicator::new(self.fabric.clone(), id, record, self.me)
-    }
-
-    /// Collective split: members with the same `color` form a new
-    /// communicator, ordered by `key` (ties broken by parent rank).
-    pub fn split(&self, color: u64, key: u64) -> Communicator {
-        let mut buf = Vec::with_capacity(16);
-        buf.extend_from_slice(&color.to_le_bytes());
-        buf.extend_from_slice(&key.to_le_bytes());
-        let all = self.allgather_bytes(buf);
-        let mut members: Vec<(u64, Rank)> = all
-            .iter()
-            .enumerate()
-            .filter_map(|(r, b)| {
-                let c = u64::from_le_bytes(b[..8].try_into().unwrap());
-                let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                (c == color).then_some((k, r))
-            })
-            .collect();
-        members.sort_unstable();
-        let world_members: Vec<Rank> =
-            members.iter().map(|&(_, parent_rank)| self.record.members[parent_rank]).collect();
-        let my_index = members
-            .iter()
-            .position(|&(_, r)| r == self.me)
-            .expect("split: caller missing from own color group");
-        // ordering: same allocator as dup(): collective call order, not
-        // memory ordering, is what keeps members agreeing on the child id.
-        let seq = self.next_child_seq.fetch_add(1, Ordering::Relaxed);
-        // The color is the discriminator: each color group creates its own
-        // child under the same parent sequence number.
-        let (id, record) = self.fabric.create_child(self.id, seq, color, world_members);
-        Communicator::new(self.fabric.clone(), id, record, my_index)
     }
 
     /// Whether the failure detector has already confirmed `dst` (a rank of

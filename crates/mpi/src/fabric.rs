@@ -14,7 +14,7 @@ use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::sanity::{ProtoMonitor, SanityStamp};
+use crate::sanity::ProtoMonitor;
 use crate::{Rank, Tag};
 
 /// Per-rank channel telemetry: message/byte counts in both directions,
@@ -93,8 +93,6 @@ pub(crate) struct Envelope {
     /// Virtual arrival timestamp (sender clock + NIC queueing + wire time).
     pub stamp: SimNs,
     pub payload: Bytes,
-    /// Happens-before metadata; `Some` only while `PAPYRUS_SANITY` is on.
-    pub sanity: Option<SanityStamp>,
 }
 
 #[derive(Default)]
@@ -225,9 +223,9 @@ pub(crate) struct CommRecord {
     pub collective: Arc<CollectiveState>,
 }
 
-/// Child-comm registry: (parent id, per-parent sequence number,
-/// discriminator) -> created (comm id, record).
-type ChildComms = HashMap<(CommId, u64, u64), (CommId, Arc<CommRecord>)>;
+/// Child-comm registry: (parent id, per-parent sequence number) -> created
+/// (comm id, record).
+type ChildComms = HashMap<(CommId, u64), (CommId, Arc<CommRecord>)>;
 
 /// The shared fabric connecting all ranks of a [`crate::World`].
 ///
@@ -249,17 +247,15 @@ pub struct Fabric {
     backbone_links: u32,
     clocks: Vec<Clock>,
     tel: Vec<RankNetTel>,
-    /// Protocol monitor (vector clocks, channel counters, deadlock watch).
-    /// Always allocated; every hook self-gates on `papyrus_sanity::enabled()`.
+    /// Protocol monitor (channel counters, deadlock watch). Always
+    /// allocated; every hook self-gates on `papyrus_sanity::enabled()`.
     sanity: ProtoMonitor,
     /// The world communicator (comm id 0), also present in `comms`.
     world_record: Arc<CommRecord>,
     comms: Mutex<HashMap<CommId, Arc<CommRecord>>>,
     /// Deterministic child-comm registry: (parent id, per-parent sequence
-    /// number, discriminator) -> created record. SPMD programs create comms
-    /// in the same order on every rank, so the first arrival creates and the
-    /// rest join. The discriminator separates `dup` from the per-color
-    /// children of a `split` at the same sequence number.
+    /// number) -> created record. SPMD programs create comms in the same
+    /// order on every rank, so the first arrival creates and the rest join.
     children: Mutex<ChildComms>,
     next_comm_id: Mutex<CommId>,
     /// The fault schedule this world runs under, if it was armed with one
@@ -276,11 +272,10 @@ pub struct Fabric {
 pub(crate) enum Wait {
     /// Until a matching envelope arrives.
     Forever,
-    /// At most this long in real time. The real deadline only decides *when
-    /// to check on the peer*; protocol time stays virtual.
+    /// At most this long in real time (zero: take what is queued right
+    /// now). The real deadline only decides *when to check on the peer*;
+    /// protocol time stays virtual.
     Within(Duration),
-    /// Not at all: take what is queued right now.
-    Now,
 }
 
 /// Verdict of a failure-detector confirmation round.
@@ -322,7 +317,7 @@ impl Fabric {
             backbone_links,
             clocks: (0..n).map(|_| Clock::new()).collect(),
             tel: (0..n).map(RankNetTel::new).collect(),
-            sanity: ProtoMonitor::new(n),
+            sanity: ProtoMonitor::default(),
             world_record: world,
             comms: Mutex::new(comms),
             children: Mutex::new(HashMap::new()),
@@ -362,14 +357,13 @@ impl Fabric {
         &self,
         parent: CommId,
         seq: u64,
-        disc: u64,
         members: Vec<Rank>,
     ) -> (CommId, Arc<CommRecord>) {
         let mut children = self.children.lock();
-        if let Some((id, rec)) = children.get(&(parent, seq, disc)) {
+        if let Some((id, rec)) = children.get(&(parent, seq)) {
             debug_assert_eq!(
                 **rec.members, members,
-                "split/dup called with mismatched membership across ranks"
+                "dup called with mismatched membership across ranks"
             );
             return (*id, rec.clone());
         }
@@ -384,7 +378,7 @@ impl Fabric {
             members: Arc::new(members),
         });
         self.comms.lock().insert(id, rec.clone());
-        children.insert((parent, seq, disc), (id, rec.clone()));
+        children.insert((parent, seq), (id, rec.clone()));
         (id, rec)
     }
 
@@ -493,7 +487,7 @@ impl Fabric {
             q.len()
         };
         self.tel[dst_world].on_deliver(depth);
-        self.sanity.on_deliver();
+        self.sanity.on_progress();
         mb.cv.notify_all();
     }
 
@@ -534,7 +528,6 @@ impl Fabric {
                 break Some((env, q.len()));
             }
             match &mut wait {
-                Wait::Now => break None,
                 Wait::Within(left) => {
                     if left.is_zero() {
                         break None;
@@ -570,8 +563,9 @@ impl Fabric {
         }
         let (env, depth) = found?;
         if sanity_on {
-            if let Some(stamp) = &env.sanity {
-                self.sanity.on_recv(me_world, comm, env.tag, stamp);
+            // Envelopes carry only the comm rank of their sender.
+            if let Some(src_world) = self.comm_member_world(comm, env.src) {
+                self.sanity.on_recv(comm, src_world, me_world, env.tag);
             }
         }
         self.tel[me_world].on_recv(env.payload.len() as u64, depth);
@@ -594,17 +588,6 @@ impl Fabric {
         }
     }
 
-    /// Non-blocking receive; `None` if nothing matches right now.
-    pub(crate) fn try_recv(
-        &self,
-        me_world: Rank,
-        comm: CommId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Option<Envelope> {
-        self.wait_match(me_world, comm, src, tag, Wait::Now)
-    }
-
     /// Count of undelivered messages in a rank's mailbox (diagnostics).
     pub fn pending(&self, world_rank: Rank) -> usize {
         self.mailboxes[world_rank].queue.lock().len()
@@ -615,19 +598,9 @@ impl Fabric {
         &self.sanity
     }
 
-    /// Snapshot of a rank's happens-before vector clock, indexed by world
-    /// rank. Empty unless `PAPYRUS_SANITY` is on.
-    pub fn sanity_clock(&self, world_rank: Rank) -> Vec<u64> {
-        if !papyrus_sanity::enabled() {
-            return Vec::new();
-        }
-        self.sanity.clock_of(world_rank).components().to_vec()
-    }
-
     /// End-of-job protocol audit: unmatched sends (per-channel send/recv
     /// counts disagree) and tag leaks (envelopes still queued in a mailbox).
-    /// Records violations in the global sanity registry and returns the
-    /// rendered problems; empty (and free) when the gate is off.
+    /// Returns the rendered problems; empty (and free) when the gate is off.
     pub fn sanity_finalize(&self) -> Vec<String> {
         if !papyrus_sanity::enabled() {
             return Vec::new();
@@ -635,16 +608,14 @@ impl Fabric {
         let mut problems = self.sanity.finalize_channels();
         for (rank, mb) in self.mailboxes.iter().enumerate() {
             for env in mb.queue.lock().iter() {
-                let p = format!(
+                problems.push(format!(
                     "tag leak: rank {rank} mailbox still holds comm {} src {} tag {} \
                      ({} bytes) at finalize",
                     env.comm,
                     env.src,
                     env.tag,
                     env.payload.len()
-                );
-                papyrus_sanity::record_violation(papyrus_sanity::ViolationKind::TagLeak, p.clone());
-                problems.push(p);
+                ));
             }
         }
         problems
@@ -667,19 +638,25 @@ mod tests {
         Fabric::new(n, NetModel::infiniband_edr())
     }
 
+    impl Fabric {
+        /// Non-blocking receive: a zero-length timed wait.
+        fn try_recv(
+            &self,
+            me: Rank,
+            comm: CommId,
+            src: Option<Rank>,
+            tag: Option<Tag>,
+        ) -> Option<Envelope> {
+            self.wait_match(me, comm, src, tag, Wait::Within(Duration::ZERO))
+        }
+    }
+
     #[test]
     fn deliver_and_recv() {
         let f = fabric(2);
         f.deliver(
             1,
-            Envelope {
-                comm: 0,
-                src: 0,
-                tag: 7,
-                stamp: 123,
-                payload: Bytes::from_static(b"hi"),
-                sanity: None,
-            },
+            Envelope { comm: 0, src: 0, tag: 7, stamp: 123, payload: Bytes::from_static(b"hi") },
         );
         let e = f.recv(1, 0, None, None);
         assert_eq!(e.src, 0);
@@ -691,10 +668,7 @@ mod tests {
     fn recv_filters_by_tag() {
         let f = fabric(1);
         for tag in [1u32, 2, 3] {
-            f.deliver(
-                0,
-                Envelope { comm: 0, src: 0, tag, stamp: 0, payload: Bytes::new(), sanity: None },
-            );
+            f.deliver(0, Envelope { comm: 0, src: 0, tag, stamp: 0, payload: Bytes::new() });
         }
         let e = f.recv(0, 0, None, Some(2));
         assert_eq!(e.tag, 2);
@@ -706,14 +680,8 @@ mod tests {
     #[test]
     fn recv_filters_by_src_and_comm() {
         let f = fabric(4);
-        f.deliver(
-            0,
-            Envelope { comm: 5, src: 2, tag: 0, stamp: 0, payload: Bytes::new(), sanity: None },
-        );
-        f.deliver(
-            0,
-            Envelope { comm: 0, src: 3, tag: 0, stamp: 0, payload: Bytes::new(), sanity: None },
-        );
+        f.deliver(0, Envelope { comm: 5, src: 2, tag: 0, stamp: 0, payload: Bytes::new() });
+        f.deliver(0, Envelope { comm: 0, src: 3, tag: 0, stamp: 0, payload: Bytes::new() });
         assert!(f.try_recv(0, 0, Some(2), None).is_none());
         assert!(f.try_recv(0, 5, Some(2), None).is_some());
         assert!(f.try_recv(0, 0, Some(3), None).is_some());
@@ -729,10 +697,7 @@ mod tests {
     #[test]
     fn timed_recv_expires_past_a_non_matching_envelope() {
         let f = fabric(2);
-        f.deliver(
-            0,
-            Envelope { comm: 0, src: 1, tag: 1, stamp: 0, payload: Bytes::new(), sanity: None },
-        );
+        f.deliver(0, Envelope { comm: 0, src: 1, tag: 1, stamp: 0, payload: Bytes::new() });
         let wait = || Wait::Within(Duration::from_millis(20));
         assert!(f.wait_match(0, 0, Some(1), Some(2), wait()).is_none());
         assert_eq!(f.pending(0), 1, "the non-matching envelope stays queued");
@@ -785,25 +750,19 @@ mod tests {
         let f2 = f.clone();
         let h = std::thread::spawn(move || f2.recv(0, 0, Some(1), Some(9)).stamp);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        f.deliver(
-            0,
-            Envelope { comm: 0, src: 1, tag: 9, stamp: 555, payload: Bytes::new(), sanity: None },
-        );
+        f.deliver(0, Envelope { comm: 0, src: 1, tag: 9, stamp: 555, payload: Bytes::new() });
         assert_eq!(h.join().unwrap(), 555);
     }
 
     #[test]
     fn child_comm_created_once() {
         let f = fabric(4);
-        let (id1, r1) = f.create_child(0, 0, 0, vec![0, 1]);
-        let (id2, r2) = f.create_child(0, 0, 0, vec![0, 1]);
+        let (id1, r1) = f.create_child(0, 0, vec![0, 1]);
+        let (id2, r2) = f.create_child(0, 0, vec![0, 1]);
         assert_eq!(id1, id2);
         assert!(Arc::ptr_eq(&r1.members, &r2.members));
-        let (id3, _) = f.create_child(0, 1, 0, vec![2, 3]);
+        let (id3, _) = f.create_child(0, 1, vec![2, 3]);
         assert_ne!(id1, id3);
-        // Same sequence number, different discriminator (split colors).
-        let (id4, _) = f.create_child(0, 0, 7, vec![2, 3]);
-        assert_ne!(id1, id4);
     }
 
     #[test]

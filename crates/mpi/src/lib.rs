@@ -15,8 +15,8 @@
 //!   collective helpers.
 //! * [`Communicator`] — tagged, FIFO-per-(sender,tag) point-to-point
 //!   messaging with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`-style wildcards, plus
-//!   `dup` and `split` so library-internal traffic cannot collide with
-//!   application traffic (paper §2.4 "the runtime creates new independent
+//!   `dup` so library-internal traffic cannot collide with application
+//!   traffic (paper §2.4 "the runtime creates new independent
 //!   MPI communicators").
 //!
 //! Virtual time: each message is charged to the sender's egress NIC and the

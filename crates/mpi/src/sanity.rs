@@ -1,43 +1,31 @@
-//! Happens-before and protocol checking for the fabric.
+//! Protocol checking for the fabric.
 //!
 //! One [`ProtoMonitor`] per [`crate::Fabric`]. When `PAPYRUS_SANITY` is on
 //! it maintains:
 //!
-//! - a **vector clock per rank** ([`papyrus_sanity::vclock::VectorClock`]):
-//!   ticked on every send, stamped onto the envelope, merged (then ticked)
-//!   on receive, and merged across all members on a collective — so any
-//!   two fabric events can be ordered or proven concurrent;
 //! - **per-channel send/recv counters** keyed by `(comm, src world rank,
 //!   dst world rank, tag)`: at finalize, any channel whose counts disagree
-//!   is an unmatched send ([`ViolationKind::UnmatchedSend`]); envelopes
-//!   still sitting in a mailbox are tag leaks ([`ViolationKind::TagLeak`]);
+//!   is an unmatched send; envelopes still sitting in a mailbox are tag
+//!   leaks;
 //! - a **blocked-rank registry** for distributed-deadlock detection: a
 //!   blocking receive with a known source registers "rank R waits on rank
 //!   S"; when a wait-for cycle persists across two timeout ticks with no
 //!   fabric progress in between (generation counter unchanged), it is
-//!   reported as a [`ViolationKind::WaitCycle`].
+//!   reported as a wait cycle.
 //!
-//! Every hook starts with `papyrus_sanity::enabled()` — one relaxed atomic
-//! load — and returns immediately when the gate is off.
+//! Findings are returned to the fabric that owns the monitor — the
+//! finalize problems to [`crate::World::run`], a confirmed cycle to the
+//! blocked receive — and both fail that world's job; nothing is recorded
+//! outside it. Every hook starts with `papyrus_sanity::enabled()` — one
+//! relaxed atomic load — and returns immediately when the gate is off.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use papyrus_sanity::vclock::VectorClock;
-use papyrus_sanity::{record_violation, ViolationKind};
 use parking_lot::Mutex;
 
 use crate::fabric::CommId;
 use crate::{Rank, Tag};
-
-/// Sanity metadata travelling with an [`crate::fabric::Envelope`].
-#[derive(Debug, Clone)]
-pub(crate) struct SanityStamp {
-    /// Sender's vector clock, snapshotted just after the send tick.
-    pub vc: VectorClock,
-    /// Sender's world rank (envelopes carry only the comm rank).
-    pub src_world: Rank,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ChannelKey {
@@ -62,104 +50,43 @@ struct BlockedOn {
     tag: Option<Tag>,
 }
 
+#[derive(Default)]
 pub(crate) struct ProtoMonitor {
-    clocks: Vec<Mutex<VectorClock>>,
     channels: Mutex<HashMap<ChannelKey, ChannelStats>>,
     blocked: Mutex<HashMap<Rank, BlockedOn>>,
-    /// Wait-for cycles already reported (by sorted member set).
-    reported_cycles: Mutex<HashSet<Vec<Rank>>>,
-    /// Bumped on every delivery and completed receive: a wait-for cycle is
-    /// only credible if this hasn't moved between two observations.
+    /// Bumped on every delivery, completed receive and collective: a
+    /// wait-for cycle is only credible if this hasn't moved between two
+    /// observations.
     generation: AtomicU64,
 }
 
 impl ProtoMonitor {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            clocks: (0..n).map(|_| Mutex::new(VectorClock::new(n))).collect(),
-            channels: Mutex::new(HashMap::new()),
-            blocked: Mutex::new(HashMap::new()),
-            reported_cycles: Mutex::new(HashSet::new()),
-            generation: AtomicU64::new(0),
+    /// Send hook: counts the channel.
+    pub(crate) fn on_send(&self, comm: CommId, src_world: Rank, dst_world: Rank, tag: Tag) {
+        if papyrus_sanity::enabled() {
+            self.channels
+                .lock()
+                .entry(ChannelKey { comm, src_world, dst_world, tag })
+                .or_default()
+                .sends += 1;
         }
     }
 
-    /// Send hook: ticks the sender's clock, counts the channel, and returns
-    /// the stamp to attach to the envelope. `None` when the gate is off.
-    pub(crate) fn on_send(
-        &self,
-        comm: CommId,
-        src_world: Rank,
-        dst_world: Rank,
-        tag: Tag,
-    ) -> Option<SanityStamp> {
-        if !papyrus_sanity::enabled() {
-            return None;
+    /// Receive hook: counts the channel and marks fabric progress.
+    pub(crate) fn on_recv(&self, comm: CommId, src_world: Rank, dst_world: Rank, tag: Tag) {
+        if papyrus_sanity::enabled() {
+            self.channels
+                .lock()
+                .entry(ChannelKey { comm, src_world, dst_world, tag })
+                .or_default()
+                .recvs += 1;
+            self.on_progress();
         }
-        let vc = {
-            let mut c = self.clocks[src_world].lock();
-            c.tick(src_world);
-            c.clone()
-        };
-        self.channels
-            .lock()
-            .entry(ChannelKey { comm, src_world, dst_world, tag })
-            .or_default()
-            .sends += 1;
-        Some(SanityStamp { vc, src_world })
     }
 
-    /// Receive hook: merges the message's clock into the receiver's (then
-    /// ticks the receiver — the receive is itself an event), counts the
-    /// channel, and marks fabric progress.
-    pub(crate) fn on_recv(&self, me_world: Rank, comm: CommId, tag: Tag, stamp: &SanityStamp) {
-        if !papyrus_sanity::enabled() {
-            return;
-        }
-        {
-            let mut c = self.clocks[me_world].lock();
-            c.merge(&stamp.vc);
-            c.tick(me_world);
-        }
-        self.channels
-            .lock()
-            .entry(ChannelKey { comm, src_world: stamp.src_world, dst_world: me_world, tag })
-            .or_default()
-            .recvs += 1;
-        // ordering: progress heartbeat; a stale read only delays
-        // deadlock confirmation by one observation round.
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Collective hook, called by each member as it leaves the rendezvous:
-    /// merges every member's clock into the caller's (a collective
-    /// synchronises everyone with everyone), ticks the caller, and marks
-    /// progress. A member racing ahead past the collective can leak a few
-    /// post-collective ticks into the frontier — an over-approximation of
-    /// happens-before, never an under-approximation, so ordering facts
-    /// derived from these clocks are sound.
-    pub(crate) fn on_collective(&self, me_world: Rank, members: &[Rank]) {
-        if !papyrus_sanity::enabled() {
-            return;
-        }
-        let mut frontier = VectorClock::new(self.clocks.len());
-        for &m in members {
-            if m != me_world {
-                frontier.merge(&self.clocks[m].lock());
-            }
-        }
-        let mut c = self.clocks[me_world].lock();
-        c.merge(&frontier);
-        c.tick(me_world);
-        drop(c);
-        // ordering: progress heartbeat; a stale read only delays
-        // deadlock confirmation by one observation round.
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mark fabric progress (a delivery): invalidates in-flight wait-cycle
-    /// observations.
-    pub(crate) fn on_deliver(&self) {
+    /// Mark fabric progress (a delivery, a completed receive or collective):
+    /// invalidates in-flight wait-cycle observations.
+    pub(crate) fn on_progress(&self) {
         if papyrus_sanity::enabled() {
             // ordering: progress heartbeat; a stale read only delays
             // deadlock confirmation by one observation round.
@@ -182,8 +109,7 @@ impl ProtoMonitor {
     /// compared with the previous observation in `prev` — confirmed only if
     /// identical *and* the fabric made no progress in between (a real
     /// standstill, not a transient). Returns the rendered cycle when
-    /// confirmed (recorded as a violation once per distinct member set);
-    /// the caller turns a confirmed cycle into a panic, converting a silent
+    /// confirmed; the caller turns it into a panic, converting a silent
     /// distributed deadlock into a diagnosed failure.
     pub(crate) fn check_stalled(
         &self,
@@ -238,11 +164,6 @@ impl ProtoMonitor {
                         hops.join(" -> ")
                     )
                 };
-                let mut key = cycle.clone();
-                key.sort_unstable();
-                if self.reported_cycles.lock().insert(key) {
-                    record_violation(ViolationKind::WaitCycle, detail.clone());
-                }
                 Some(detail)
             }
             _ => {
@@ -266,14 +187,6 @@ impl ProtoMonitor {
             }
         }
         problems.sort();
-        for p in &problems {
-            record_violation(ViolationKind::UnmatchedSend, p.clone());
-        }
         problems
-    }
-
-    /// Snapshot of a rank's vector clock (test/diagnostic accessor).
-    pub(crate) fn clock_of(&self, rank: Rank) -> VectorClock {
-        self.clocks[rank].lock().clone()
     }
 }

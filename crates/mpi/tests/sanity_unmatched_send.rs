@@ -1,12 +1,10 @@
 //! Finalize-time protocol audit: a send nobody receives must fail the job
 //! with an unmatched-send report (and a tag leak for the queued envelope).
 //!
-//! Own integration-test binary: it force-enables the global sanity gate and
-//! deliberately leaves protocol violations in the global registry.
+//! Own integration-test binary: it force-enables the global sanity gate.
 
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
-use papyrus_sanity::ViolationKind;
 
 #[test]
 fn unreceived_send_fails_finalize_with_both_reports() {
@@ -29,7 +27,4 @@ fn unreceived_send_fails_finalize_with_both_reports() {
         "finalize panic names the channel: {msg}"
     );
     assert!(msg.contains("tag leak"), "queued envelope is reported as a tag leak: {msg}");
-
-    assert!(papyrus_sanity::count_kind(ViolationKind::UnmatchedSend) >= 1);
-    assert!(papyrus_sanity::count_kind(ViolationKind::TagLeak) >= 1);
 }

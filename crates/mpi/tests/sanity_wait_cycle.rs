@@ -6,7 +6,6 @@
 //! deliberately deadlocks a world.
 
 use papyrus_mpi::{RecvSrc, RecvTag, World, WorldConfig};
-use papyrus_sanity::ViolationKind;
 
 #[test]
 fn mutual_blocking_recv_is_diagnosed_as_a_wait_cycle() {
@@ -27,10 +26,5 @@ fn mutual_blocking_recv_is_diagnosed_as_a_wait_cycle() {
     assert!(
         msg.contains("rank 0") && msg.contains("rank 1"),
         "both cycle members are named: {msg}"
-    );
-    assert_eq!(
-        papyrus_sanity::count_kind(ViolationKind::WaitCycle),
-        1,
-        "the cycle is recorded once for its member set"
     );
 }

@@ -12,8 +12,8 @@
 //!
 //! This mirrors how `compat/parking_lot` swaps its lock types; the facade
 //! lives here (not in the compat shim) because protocol crates already
-//! depend on `papyrus-sanity` for the violation registry, and the atomics
-//! story is part of the same sanity plane.
+//! depend on `papyrus-sanity` for its gate, and the atomics story is part
+//! of the same sanity plane.
 //!
 //! Only the types the protocol paths use are re-exported. Add more as
 //! needed — but each addition widens what the model checker must shim, so

@@ -12,14 +12,13 @@
 //!    any cycle (a potential ABBA deadlock) is reported with both
 //!    acquisition sites. Waiting on a `Condvar` while holding a second lock
 //!    is reported too.
-//! 2. **Happens-before / protocol checking** — `papyrus-mpi` attaches
-//!    [`vclock::VectorClock`]s to every fabric message and collective and
-//!    reports unmatched sends, tag leaks, and wait-for cycles between
-//!    blocked ranks at finalize. The monitor lives in `papyrus-mpi`; the
-//!    clock type and the violation registry live here.
+//! 2. **Protocol checking** — `papyrus-mpi` counts every fabric channel's
+//!    sends and receives and watches blocked ranks, reporting unmatched
+//!    sends, tag leaks, and wait-for cycles. The monitor lives in
+//!    `papyrus-mpi`, one per world.
 //! 3. **LSM invariant auditing** — `papyruskv::sanity::audit_db` checks
 //!    SSTable ordering, bloom consistency, manifest agreement, and
-//!    barrier/migration quiescence, reporting into this registry.
+//!    barrier/migration quiescence, returning an [`AuditReport`].
 //!
 //! ## Gating
 //!
@@ -29,17 +28,20 @@
 //! detector regardless of the environment call [`force_enable`] (in a
 //! dedicated integration-test process, since the switch is global).
 //!
-//! Violations are recorded in a process-global registry ([`violations`],
-//! [`take_violations`], [`count_kind`]) and echoed to stderr once per
-//! distinct report so they are visible even when nothing asserts on them.
+//! ## Where findings go
+//!
+//! There is no process-wide list of verdicts. Each detector hands its
+//! findings to the scope that owns them: the protocol monitor to the world
+//! it watches (`World::run` fails the job on them), the auditor to the
+//! [`AuditReport`] it returns, and the lock-order detector — whose graph
+//! spans every lock of the process and so cannot belong to one world — to
+//! its own list behind [`lockorder::take_findings`]. [`ViolationKind`] and
+//! [`Violation`] are the vocabulary they share.
 
 pub mod atomic;
 pub mod lockorder;
-pub mod vclock;
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Gate
@@ -79,7 +81,7 @@ pub fn force_enable() {
 }
 
 // ---------------------------------------------------------------------------
-// Violation registry
+// Violation vocabulary
 // ---------------------------------------------------------------------------
 
 /// What kind of sanity violation was detected.
@@ -94,16 +96,8 @@ pub enum ViolationKind {
     CondvarHoldingLock,
     /// A lock guard was dropped on a different thread than acquired it.
     GuardCrossThread,
-    /// A message was sent but never received (per-channel count mismatch
-    /// at finalize).
-    UnmatchedSend,
-    /// A mailbox still held undrained envelopes at finalize.
-    TagLeak,
     /// `DbInner::barrier_marks` held unreconciled epochs at close.
     BarrierEpochMismatch,
-    /// A persistent wait-for cycle between blocked ranks (potential
-    /// distributed deadlock).
-    WaitCycle,
     /// SSTable keys out of order, or SSID sequence not monotonic.
     SstOrder,
     /// A bloom filter reported "definitely absent" for a resident key.
@@ -115,9 +109,6 @@ pub enum ViolationKind {
     /// A manifest existed but could not be parsed (torn or corrupt write) —
     /// distinct from "absent", which composes a fresh database.
     ManifestCorrupt,
-    /// A manifest-referenced SSTable triple was missing or unreadable at
-    /// recovery.
-    SstUnreadable,
     /// An acknowledged-durable key-value pair was not readable (or had an
     /// impossible value) after crash recovery.
     DurabilityLost,
@@ -154,16 +145,12 @@ impl ViolationKind {
             ViolationKind::RecursiveLock => "recursive-lock",
             ViolationKind::CondvarHoldingLock => "condvar-holding-lock",
             ViolationKind::GuardCrossThread => "guard-cross-thread",
-            ViolationKind::UnmatchedSend => "unmatched-send",
-            ViolationKind::TagLeak => "tag-leak",
             ViolationKind::BarrierEpochMismatch => "barrier-epoch-mismatch",
-            ViolationKind::WaitCycle => "wait-cycle",
             ViolationKind::SstOrder => "sst-order",
             ViolationKind::BloomFalseNegative => "bloom-false-negative",
             ViolationKind::ManifestMismatch => "manifest-mismatch",
             ViolationKind::LsmState => "lsm-state",
             ViolationKind::ManifestCorrupt => "manifest-corrupt",
-            ViolationKind::SstUnreadable => "sst-unreadable",
             ViolationKind::DurabilityLost => "durability-lost",
             ViolationKind::PhantomPair => "phantom-pair",
             ViolationKind::RecoveryFailed => "recovery-failed",
@@ -185,55 +172,13 @@ pub struct Violation {
     pub detail: String,
 }
 
-struct RegistryState {
-    violations: Vec<Violation>,
-    /// Dedup keys already echoed to stderr (kind + detail).
-    reported: HashSet<(ViolationKind, String)>,
-}
-
-static REGISTRY: OnceLock<Mutex<RegistryState>> = OnceLock::new();
-
-fn registry() -> std::sync::MutexGuard<'static, RegistryState> {
-    REGISTRY
-        .get_or_init(|| {
-            Mutex::new(RegistryState { violations: Vec::new(), reported: HashSet::new() })
-        })
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Record a violation: appended to the registry and echoed to stderr the
-/// first time this exact (kind, detail) pair is seen.
-pub fn record_violation(kind: ViolationKind, detail: String) {
-    let mut reg = registry();
-    if reg.reported.insert((kind, detail.clone())) {
-        eprintln!("papyrus-sanity[{}]: {detail}", kind.name());
-    }
-    reg.violations.push(Violation { kind, detail });
-}
-
-/// Snapshot of every violation recorded so far in this process.
-pub fn violations() -> Vec<Violation> {
-    registry().violations.clone()
-}
-
-/// Drain the registry, returning everything recorded so far.
-pub fn take_violations() -> Vec<Violation> {
-    std::mem::take(&mut registry().violations)
-}
-
-/// Number of recorded violations of one kind.
-pub fn count_kind(kind: ViolationKind) -> usize {
-    registry().violations.iter().filter(|v| v.kind == kind).count()
-}
-
 // ---------------------------------------------------------------------------
 // Audit report
 // ---------------------------------------------------------------------------
 
 /// Result of an invariant audit pass (e.g. `papyruskv::sanity::audit_db`):
-/// the violations found by that pass (also recorded in the global
-/// registry), plus counters describing what was checked.
+/// the violations found by that pass, plus counters describing what was
+/// checked.
 #[derive(Debug, Default, Clone)]
 pub struct AuditReport {
     /// Violations found by this pass.
@@ -250,9 +195,8 @@ impl AuditReport {
         self.violations.is_empty()
     }
 
-    /// Record a violation into both this report and the global registry.
+    /// Record a violation found by this pass.
     pub fn push(&mut self, kind: ViolationKind, detail: String) {
-        record_violation(kind, detail.clone());
         self.violations.push(Violation { kind, detail });
     }
 
@@ -278,21 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_records_and_counts() {
-        record_violation(ViolationKind::SstOrder, "test: keys out of order (registry)".into());
-        assert!(count_kind(ViolationKind::SstOrder) >= 1);
-        assert!(violations()
-            .iter()
-            .any(|v| v.detail.contains("registry") && v.kind == ViolationKind::SstOrder));
-    }
-
-    #[test]
     fn audit_report_collects() {
         let mut r = AuditReport::default();
         assert!(r.is_clean());
         r.push(ViolationKind::BloomFalseNegative, "test: bloom fn (audit)".into());
         assert!(!r.is_clean());
         assert!(r.render().contains("bloom-false-negative"));
-        assert!(count_kind(ViolationKind::BloomFalseNegative) >= 1);
     }
 }

@@ -11,6 +11,12 @@
 //! potential ABBA deadlock, even if this particular run never interleaved
 //! fatally.
 //!
+//! The graph spans every lock of the process — two worlds in one process
+//! can order the same pair of locks — so its findings cannot belong to one
+//! world: they are kept beside the graph and handed out by
+//! [`take_findings`]. `World::run` drains them at finalize when the gate is
+//! on and fails the job on any, as it does on an unmatched send.
+//!
 //! Additional checks:
 //! - acquiring an exclusive lock already held by the same thread
 //!   ([`ViolationKind::RecursiveLock`] — a guaranteed deadlock on the
@@ -18,7 +24,9 @@
 //!   excluded from the graph,
 //! - entering a `Condvar` wait while holding a second lock
 //!   ([`ViolationKind::CondvarHoldingLock`] — the second lock stays held
-//!   across the sleep and inverts with whoever must signal).
+//!   across the sleep and inverts with whoever must signal),
+//! - dropping a guard on a different thread than the one that acquired it
+//!   ([`ViolationKind::GuardCrossThread`]).
 //!
 //! These hooks are **unconditional**: the `PAPYRUS_SANITY` gate is checked
 //! by the instrumented call sites (one relaxed atomic load when off), not
@@ -38,8 +46,9 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::panic::Location;
 use std::sync::{Mutex, OnceLock};
+use std::thread::ThreadId;
 
-use crate::{record_violation, ViolationKind};
+use crate::{Violation, ViolationKind};
 
 /// How a lock is being acquired; read acquisitions are shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +92,8 @@ struct State {
     site_names: Vec<String>,
     edges: HashMap<usize, Vec<Edge>>,
     seen_edges: HashSet<(usize, usize)>,
+    /// Everything reported since the last [`take_findings`].
+    findings: Vec<Violation>,
 }
 
 static STATE: OnceLock<Mutex<State>> = OnceLock::new();
@@ -95,10 +106,24 @@ fn state() -> std::sync::MutexGuard<'static, State> {
                 site_names: Vec::new(),
                 edges: HashMap::new(),
                 seen_edges: HashSet::new(),
+                findings: Vec::new(),
             })
         })
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Keep a finding for [`take_findings`], echoed to stderr so it is visible
+/// even when nothing drains the list.
+fn report(st: &mut State, kind: ViolationKind, detail: String) {
+    eprintln!("papyrus-sanity[{}]: {detail}", kind.name());
+    st.findings.push(Violation { kind, detail });
+}
+
+/// Drain the lock-order findings of this process: everything the hooks
+/// reported since the last call.
+pub fn take_findings() -> Vec<Violation> {
+    std::mem::take(&mut state().findings)
 }
 
 fn intern(st: &mut State, loc: &'static Location<'static>) -> u32 {
@@ -157,66 +182,55 @@ fn snapshot_held() -> Vec<Held> {
 pub fn on_acquire_attempt(addr: usize, kind: LockKind) -> u32 {
     let loc = Location::caller();
     let held = snapshot_held();
-    let mut pending: Vec<(ViolationKind, String)> = Vec::new();
-    let site = {
-        let mut st = state();
-        let site = intern(&mut st, loc);
-        let mut recursion_reported = false;
-        for h in &held {
-            if h.addr == addr {
-                // Read/read recursion is fine; anything else self-deadlocks
-                // on the std-backed shim. Either way, no graph edge. One
-                // report per attempt, even if several guards are held.
-                if (kind.exclusive() || h.kind.exclusive()) && !recursion_reported {
-                    recursion_reported = true;
-                    pending.push((
-                        ViolationKind::RecursiveLock,
-                        format!(
-                            "recursive acquisition of lock 0x{addr:x}: held since {} ({:?}), \
-                             re-acquired at {} ({kind:?})",
-                            st.site_names[h.site as usize], h.kind, st.site_names[site as usize]
-                        ),
-                    ));
-                }
-                continue;
+    let mut st = state();
+    let site = intern(&mut st, loc);
+    let mut recursion_reported = false;
+    for h in &held {
+        if h.addr == addr {
+            // Read/read recursion is fine; anything else self-deadlocks
+            // on the std-backed shim. Either way, no graph edge. One
+            // report per attempt, even if several guards are held.
+            if (kind.exclusive() || h.kind.exclusive()) && !recursion_reported {
+                recursion_reported = true;
+                let detail = format!(
+                    "recursive acquisition of lock 0x{addr:x}: held since {} ({:?}), \
+                     re-acquired at {} ({kind:?})",
+                    st.site_names[h.site as usize], h.kind, st.site_names[site as usize]
+                );
+                report(&mut st, ViolationKind::RecursiveLock, detail);
             }
-            if !st.seen_edges.insert((h.addr, addr)) {
-                continue;
-            }
-            // New edge h.addr -> addr: does the graph already order these
-            // locks the other way? If so the pair can deadlock (ABBA).
-            if let Some(path) = find_path(&st.edges, addr, h.addr) {
-                let chain = path
-                    .iter()
-                    .map(|(from, e)| {
-                        format!(
-                            "0x{from:x}@{} -> 0x{:x}@{}",
-                            st.site_names[e.from_site as usize],
-                            e.to,
-                            st.site_names[e.to_site as usize]
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                pending.push((
-                    ViolationKind::LockOrderCycle,
-                    format!(
-                        "lock-order cycle: acquiring lock 0x{addr:x} at {} while holding \
-                         lock 0x{:x} taken at {}, but the reverse order already exists: {chain}",
-                        st.site_names[site as usize], h.addr, st.site_names[h.site as usize]
-                    ),
-                ));
-            }
-            st.edges.entry(h.addr).or_default().push(Edge {
-                to: addr,
-                from_site: h.site,
-                to_site: site,
-            });
+            continue;
         }
-        site
-    };
-    for (kind, detail) in pending {
-        record_violation(kind, detail);
+        if !st.seen_edges.insert((h.addr, addr)) {
+            continue;
+        }
+        // New edge h.addr -> addr: does the graph already order these
+        // locks the other way? If so the pair can deadlock (ABBA).
+        if let Some(path) = find_path(&st.edges, addr, h.addr) {
+            let chain = path
+                .iter()
+                .map(|(from, e)| {
+                    format!(
+                        "0x{from:x}@{} -> 0x{:x}@{}",
+                        st.site_names[e.from_site as usize],
+                        e.to,
+                        st.site_names[e.to_site as usize]
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            let detail = format!(
+                "lock-order cycle: acquiring lock 0x{addr:x} at {} while holding \
+                 lock 0x{:x} taken at {}, but the reverse order already exists: {chain}",
+                st.site_names[site as usize], h.addr, st.site_names[h.site as usize]
+            );
+            report(&mut st, ViolationKind::LockOrderCycle, detail);
+        }
+        st.edges.entry(h.addr).or_default().push(Edge {
+            to: addr,
+            from_site: h.site,
+            to_site: site,
+        });
     }
     site
 }
@@ -239,11 +253,20 @@ pub fn on_try_acquired(addr: usize, kind: LockKind) {
     on_acquired(addr, site, kind);
 }
 
-/// Called when a guard drops. Pops the topmost held entry for `addr` on
-/// this thread; returns false if none was found (guard acquired while the
-/// gate was off, or released on a different thread — the caller has the
-/// owner `ThreadId` and reports cross-thread release itself).
-pub fn on_release(addr: usize) -> bool {
+/// Called when a guard drops, with the thread that acquired it: a drop on
+/// any other thread is reported ([`ViolationKind::GuardCrossThread`]).
+/// Pops the topmost held entry for `addr` on this thread; returns false if
+/// none was found (guard acquired while the gate was off, or released on a
+/// different thread).
+pub fn on_release(addr: usize, owner: ThreadId) -> bool {
+    if std::thread::current().id() != owner {
+        let detail = format!("lock guard for 0x{addr:x} released on a different thread");
+        report(&mut state(), ViolationKind::GuardCrossThread, detail);
+    }
+    pop_held(addr)
+}
+
+fn pop_held(addr: usize) -> bool {
     HELD.try_with(|h| {
         let mut held = h.borrow_mut();
         match held.iter().rposition(|e| e.addr == addr) {
@@ -266,26 +289,21 @@ pub fn on_condvar_wait_begin(mutex_addr: usize) -> Option<(u32, LockKind)> {
     let entry = held.iter().rposition(|e| e.addr == mutex_addr).map(|i| held[i]);
     let others: Vec<Held> = held.iter().filter(|e| e.addr != mutex_addr).copied().collect();
     if !others.is_empty() {
-        let mut pending = Vec::new();
-        {
-            let st = state();
-            for o in &others {
-                let waiting = entry
-                    .map(|e| st.site_names[e.site as usize].clone())
-                    .unwrap_or_else(|| format!("0x{mutex_addr:x}"));
-                pending.push(format!(
-                    "condvar wait on mutex taken at {waiting} while still holding lock \
-                     0x{:x} taken at {} ({:?})",
-                    o.addr, st.site_names[o.site as usize], o.kind
-                ));
-            }
-        }
-        for detail in pending {
-            record_violation(ViolationKind::CondvarHoldingLock, detail);
+        let mut st = state();
+        for o in &others {
+            let waiting = entry
+                .map(|e| st.site_names[e.site as usize].clone())
+                .unwrap_or_else(|| format!("0x{mutex_addr:x}"));
+            let detail = format!(
+                "condvar wait on mutex taken at {waiting} while still holding lock \
+                 0x{:x} taken at {} ({:?})",
+                o.addr, st.site_names[o.site as usize], o.kind
+            );
+            report(&mut st, ViolationKind::CondvarHoldingLock, detail);
         }
     }
     let entry = entry?;
-    on_release(mutex_addr);
+    pop_held(mutex_addr);
     Some((entry.site, entry.kind))
 }
 
@@ -295,17 +313,6 @@ pub fn on_condvar_wait_end(mutex_addr: usize, token: Option<(u32, LockKind)>) {
     if let Some((site, kind)) = token {
         on_acquired(mutex_addr, site, kind);
     }
-}
-
-/// Number of locks the calling thread currently holds (per this detector).
-pub fn held_count() -> usize {
-    HELD.try_with(|h| h.borrow().len()).unwrap_or(0)
-}
-
-/// Render a site ID back to `file:line:col` (tests / reports).
-pub fn site_name(site: u32) -> String {
-    let st = state();
-    st.site_names.get(site as usize).cloned().unwrap_or_else(|| format!("site#{site}"))
 }
 
 /// Clear the global order graph and the calling thread's held stack.
@@ -326,10 +333,10 @@ mod tests {
 
     // The hooks are unconditional (gating lives in the instrumented call
     // sites), so these tests drive the detector directly and never touch
-    // the global PAPYRUS_SANITY gate. The violation registry and order graph
-    // are process-global and the tests run in parallel, so each test uses
-    // lock addresses unique to it (far below any heap address) and filters
-    // reports by those addresses instead of asserting global counts.
+    // the global PAPYRUS_SANITY gate. The order graph and its findings are
+    // process-global and the tests run in parallel, so each test uses lock
+    // addresses unique to it (far below any heap address) and reads the
+    // findings that mention them without draining the list.
 
     #[track_caller]
     fn acquire(addr: usize, kind: LockKind) -> u32 {
@@ -338,9 +345,22 @@ mod tests {
         site
     }
 
+    fn on_release(addr: usize) -> bool {
+        super::on_release(addr, std::thread::current().id())
+    }
+
+    fn site_name(site: u32) -> String {
+        state().site_names[site as usize].clone()
+    }
+
+    fn held_count() -> usize {
+        HELD.with(|h| h.borrow().len())
+    }
+
     fn reports_mentioning(kind: ViolationKind, addr: usize) -> Vec<String> {
         let needle = format!("0x{addr:x}");
-        crate::violations()
+        state()
+            .findings
             .iter()
             .filter(|v| v.kind == kind && v.detail.contains(&needle))
             .map(|v| v.detail.clone())
@@ -462,5 +482,13 @@ mod tests {
     #[test]
     fn release_without_entry_is_tolerated() {
         assert!(!on_release(0x8000));
+        assert!(reports_mentioning(ViolationKind::GuardCrossThread, 0x8000).is_empty());
+    }
+
+    #[test]
+    fn release_on_another_thread_is_reported() {
+        let owner = std::thread::spawn(|| std::thread::current().id()).join().unwrap();
+        assert!(!super::on_release(0x9000, owner));
+        assert_eq!(reports_mentioning(ViolationKind::GuardCrossThread, 0x9000).len(), 1);
     }
 }

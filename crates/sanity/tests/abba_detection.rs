@@ -4,13 +4,20 @@
 //! Lives in its own integration-test binary (own process) because it
 //! force-enables the global sanity gate and seeds the global lock-order
 //! graph with an intentional ABBA ordering — state that must not leak into
-//! other tests.
+//! other tests. The graph's findings are one list per process, so the two
+//! tests here take turns: each drains exactly what it seeded.
 
+use papyrus_sanity::lockorder::take_findings;
 use papyrus_sanity::ViolationKind;
 use parking_lot::{Condvar, Mutex, RwLock};
 
+/// A std lock, not the shim's: held across a test, a tracked lock would be
+/// the "second lock" of every check below.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn intentional_abba_is_detected_with_both_sites() {
+    let _turn = TURN.lock();
     papyrus_sanity::force_enable();
 
     let a = Mutex::new(0u32);
@@ -28,11 +35,9 @@ fn intentional_abba_is_detected_with_both_sites() {
         let _ga = a.lock(); // site Y
     }
 
-    let cycles: Vec<_> = papyrus_sanity::violations()
-        .into_iter()
-        .filter(|v| v.kind == ViolationKind::LockOrderCycle)
-        .collect();
+    let cycles = take_findings();
     assert_eq!(cycles.len(), 1, "exactly the seeded ABBA is reported: {cycles:?}");
+    assert_eq!(cycles[0].kind, ViolationKind::LockOrderCycle);
     let detail = &cycles[0].detail;
     // Both acquisition sites (this file) appear in the report: the blocked
     // acquisition and the reverse edge recorded earlier.
@@ -45,6 +50,7 @@ fn intentional_abba_is_detected_with_both_sites() {
 
 #[test]
 fn rwlock_and_condvar_checks_fire_through_the_shim() {
+    let _turn = TURN.lock();
     papyrus_sanity::force_enable();
 
     // Same-thread read/read recursion is legitimate on parking_lot and
@@ -54,10 +60,8 @@ fn rwlock_and_condvar_checks_fire_through_the_shim() {
         let _r1 = l.read();
         let _r2 = l.read(); // same-thread shared recursion: not a violation
     }
-    assert!(
-        !papyrus_sanity::violations().iter().any(|v| v.kind == ViolationKind::RecursiveLock),
-        "read/read recursion must not be flagged"
-    );
+    let found = take_findings();
+    assert!(found.is_empty(), "read/read recursion must not be flagged: {found:?}");
 
     // Condvar wait while holding a second lock.
     let extra = Mutex::new(());
@@ -69,11 +73,9 @@ fn rwlock_and_condvar_checks_fire_through_the_shim() {
         let res = cv.wait_for(&mut g, std::time::Duration::from_millis(5));
         assert!(res.timed_out());
     }
-    assert_eq!(
-        papyrus_sanity::count_kind(ViolationKind::CondvarHoldingLock),
-        1,
-        "condvar wait holding a second lock must be reported"
-    );
+    let found = take_findings();
+    assert_eq!(found.len(), 1, "condvar wait holding a second lock must be reported: {found:?}");
+    assert_eq!(found[0].kind, ViolationKind::CondvarHoldingLock);
 
     papyrus_sanity::lockorder::reset_for_tests();
 }

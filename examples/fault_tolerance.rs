@@ -119,6 +119,9 @@ fn solver_with_checkpoint_restart(n: usize, profile: &SystemProfile) {
         ev.wait();
         let restart_ns = ctx.now() - t0;
         assert_eq!(db2.get(my_probe.as_bytes()).unwrap(), answer, "state lost in recovery");
+        // A restart never fails on a damaged snapshot (it is collective); it
+        // restores what exists and says what does not on the handle.
+        let mut lost = data_loss(&db2);
         db2.destroy().unwrap();
         ctx.barrier_all();
         if me == 0 {
@@ -134,20 +137,34 @@ fn solver_with_checkpoint_restart(n: usize, profile: &SystemProfile) {
         ev.wait();
         let rd_ns = ctx.now() - t1;
         assert_eq!(db3.get(my_probe.as_bytes()).unwrap(), answer);
+        lost += data_loss(&db3);
         db3.close().unwrap();
         ctx.finalize().unwrap();
-        (restart_ns, rd_ns, ckpt_overlap_ns)
+        (restart_ns, rd_ns, ckpt_overlap_ns, lost)
     });
 
     let restart = stats.iter().map(|s| s.0).max().unwrap();
     let rd = stats.iter().map(|s| s.1).max().unwrap();
     let overlap = stats.iter().map(|s| s.2).max().unwrap();
+    let lost: usize = stats.iter().map(|s| s.3).sum();
     println!("recovered state verified on every rank after both restarts");
+    println!("data loss reported by restart: {lost} findings");
+    assert_eq!(lost, 0, "the snapshot was intact");
     println!("restart (verbatim)        : {}", fmt_sim(restart));
     println!("restart (redistribution)  : {}", fmt_sim(rd));
     println!("checkpoint/compute overlap: {}", fmt_sim(overlap));
     assert!(rd >= restart, "redistribution re-puts every pair, it cannot be cheaper");
     assert!(overlap > 0, "asynchronous checkpoints must overlap compute");
+}
+
+/// Print and count what a restart could not bring back: the
+/// [`Error::DataLoss`] findings its database carries.
+fn data_loss(db: &papyruskv::Db) -> usize {
+    let lost = db.take_io_errors();
+    for e in &lost {
+        println!("restart: {e}");
+    }
+    lost.iter().filter(|e| matches!(e, Error::DataLoss(_))).count()
 }
 
 /// Part 2: one rank dies mid-run; survivors keep operating in degraded mode

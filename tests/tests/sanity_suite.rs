@@ -1,6 +1,8 @@
 //! End-to-end sanity sweep: run a Figure-6-style fill/read workload with
-//! every `papyrus-sanity` check armed, then audit each rank's LSM state.
-//! A healthy tree must produce zero violations with the full monitor on.
+//! every `papyrus-sanity` check armed, then ask each owner of findings: the
+//! world (its finalize fails the job on a protocol or lock-order finding),
+//! each rank's LSM audit, each database's typed-error sink, and the
+//! process's lock-order list. A healthy tree must produce nothing anywhere.
 //!
 //! Own integration-test binary: it force-enables the global sanity gate.
 
@@ -43,20 +45,18 @@ fn fig6_workload_is_violation_free_and_audits_clean() {
         let report = audit_db(&db);
         db.close().unwrap();
         ctx.finalize().unwrap();
-        report
+        (report, db.take_io_errors())
     });
 
-    for (rank, report) in reports.iter().enumerate() {
+    for (rank, (report, io_errors)) in reports.iter().enumerate() {
         assert!(report.is_clean(), "rank {rank} audit found problems:\n{}", report.render());
+        assert!(io_errors.is_empty(), "rank {rank} db carried errors: {io_errors:?}");
         assert!(report.sstables_checked > 0, "rank {rank}: flushes must have produced SSTables");
         assert!(report.records_checked > 0, "rank {rank}: audit must have scanned records");
     }
 
-    // The full run — locks, protocol, barriers, close — tripped nothing.
-    let violations = papyrus_sanity::violations();
-    assert!(
-        violations.is_empty(),
-        "sanity violations during a healthy workload:\n{}",
-        violations.iter().map(|v| format!("- {v:?}")).collect::<Vec<_>>().join("\n")
-    );
+    // The world's own finalize drained the lock-order list and passed;
+    // nothing was reported after it either.
+    let locks = papyrus_sanity::lockorder::take_findings();
+    assert!(locks.is_empty(), "lock-order findings during a healthy workload: {locks:?}");
 }

@@ -4,9 +4,11 @@
 //! the LSM design promises, returning its findings in an [`AuditReport`]:
 //!
 //! - **SSTable internals**: records strictly key-sorted ([`SstOrder`]),
-//!   SSIndex record count agrees with SSData, and the bloom filter admits
-//!   every stored key ([`BloomFalseNegative`] — bloom filters may lie
-//!   positively, never negatively).
+//!   SSIndex agrees with SSData — its record count is the parsed count,
+//!   every fence offset is a record boundary and every fence key that
+//!   record's key ([`LsmState`]) — and the bloom filter admits every stored
+//!   key ([`BloomFalseNegative`] — bloom filters may lie positively, never
+//!   negatively).
 //! - **Registry shape**: live SSTables in ascending-SSID order, every SSID
 //!   below `next_ssid` ([`LsmState`]).
 //! - **MemTable accounting**: keys iterate in sorted order and the byte
@@ -62,6 +64,9 @@ pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
                 records.len()
             ),
         );
+    }
+    if let Some(lie) = reader.fence_mismatch() {
+        report.push(ViolationKind::LsmState, format!("sst {ssid}: SSIndex {lie}"));
     }
     let mut prev: Option<&[u8]> = None;
     for (key, _) in &records {
@@ -373,6 +378,48 @@ mod tests {
             "bloom false negative on zz expected: {}",
             report.render()
         );
+    }
+
+    /// An SSIndex that opens — well-formed, fits SSData's size — but lies
+    /// about SSData is convicted: a fence key that is not its record's, a
+    /// fence offset that is not a record boundary, a wrong record count.
+    /// Each lying index is an honest one, of a table that differs from the
+    /// audited one in just that respect.
+    #[test]
+    fn a_lying_ssindex_is_convicted() {
+        let s = store();
+        // 3000-byte values: two records fill a block, so five records make
+        // three blocks and the index has fences past the first.
+        let table = |first_key: &[u8], first_len: usize, extra: bool| {
+            let mut keys = vec![first_key, b"k2", b"k3", b"k4", b"k5"];
+            keys.extend(extra.then_some(&b"k6"[..]));
+            let value = |i: usize| Bytes::from(vec![b'v'; if i == 0 { first_len } else { 3000 }]);
+            keys.iter().enumerate().map(|(i, k)| (k.to_vec(), Entry::value(value(i)))).collect()
+        };
+        let honest: Vec<(Vec<u8>, Entry)> = table(b"k1", 3000, false);
+        let convicted = |name: &str, other: Vec<(Vec<u8>, Entry)>| {
+            let base = format!("audit/{name}");
+            build_at(&s, &base, 1, &honest, 0);
+            build_at(&s, "audit/other", 2, &other, 0);
+            let index = s.backend().get_all("audit/other.index").expect("other's index");
+            s.backend().put(&format!("{base}.index"), index);
+            let (r, _) = SstReader::open_at(&s, &base, 1, 0).expect("a well-formed index opens");
+            let mut report = AuditReport::default();
+            audit_sst(&r, &mut report);
+            assert!(
+                report.violations.iter().all(|v| v.kind == ViolationKind::LsmState),
+                "{name}: only the index is wrong: {}",
+                report.render()
+            );
+            report.violations.into_iter().map(|v| v.detail).collect::<Vec<_>>().join("; ")
+        };
+        assert_eq!(convicted("honest", honest.clone()), "");
+        let lie = convicted("key", table(b"k0", 3000, false));
+        assert!(lie.contains("names key \"k0\"") && lie.contains("holds \"k1\""), "{lie}");
+        let lie = convicted("offset", table(b"k1", 3001, false));
+        assert!(lie.contains("fence offset 6023 is not a record boundary"), "{lie}");
+        let lie = convicted("count", table(b"k1", 3000, true));
+        assert!(lie.contains("lists 6 records but SSData parses to 5"), "{lie}");
     }
 
     #[test]

@@ -4,24 +4,33 @@
 //!
 //! * **SSData** — the key-value records, sorted by key:
 //!   `[keylen: u32][vallen: u32][tombstone: u8][key][value]*`
-//! * **SSIndex** — "the offsets and lengths of keys of the key-value pairs
-//!   in SSData": `[count: u64][record offset: u64]*` (lengths live in the
-//!   record headers the offsets point at).
+//! * **SSIndex** — a sparse fence index over SSData, one entry per
+//!   **block**: `[record count: u64][block count: u64]([block offset: u64]
+//!   [keylen: u32][first key])*`. A block is a run of whole records that the
+//!   encoder closes once it holds 4 KiB (`BLOCK_BYTES`) of SSData —
+//!   byte-bounded, so a record of a large value is a block of its own and a
+//!   get never drags a neighbour's value along. (The paper's SSIndex holds
+//!   "the offsets and lengths of keys" of every record and no key, which
+//!   costs a device read per search probe; carrying the fence keys is a
+//!   beyond-the-paper deviation, DESIGN §5.)
 //! * **bloom** — the serialized [`crate::bloom::Bloom`] filter.
 //!
 //! The record layout has one home, the codec (`put_record` / `record_at`),
 //! behind the encoder, both searches, the full scan and the auditor's
-//! hand-made tables.
+//! hand-made tables; the SSIndex layout has one too (`put_fence` /
+//! `Fences::decode`).
 //!
-//! A get either **binary searches** SSData via the in-memory SSIndex
-//! (O(log n) random NVM reads — the §2.6 optimisation exploiting NVM's fast
-//! random access; a probe is one ranged read of one record's extent) or
-//! **linearly scans** one SSData image from the start (the Figure 8
-//! "Default" baseline). A value found is copied out of what was read, so it
-//! never pins the record or the table it was cut from. Whether the bloom
-//! filter is consulted first is the caller's decision
-//! (`Options::bloom_filter`, made once in the database's SSTable walk):
-//! [`SstReader::get_at`] itself always searches.
+//! A get either **binary searches** the fence keys of the in-memory SSIndex
+//! — in DRAM, uncharged like the bloom probe — and then reads the one block
+//! that can hold the key (**one random NVM read per table searched**, none
+//! when the key sorts below the table's first key; the §2.6 optimisation
+//! exploiting NVM's fast random access), or **linearly scans** one SSData
+//! image from the start (the Figure 8 "Default" baseline). Either way the
+//! records read are walked in place by the one `seek`. A value found is
+//! copied out of what was read, so it never pins the block or the table it
+//! was cut from. Whether the bloom filter is consulted first is the caller's
+//! decision (`Options::bloom_filter`, made once in the database's SSTable
+//! walk): [`SstReader::get_at`] itself always searches.
 //!
 //! SSTables are immutable: updates and deletes go to new SSTables with
 //! higher SSIDs; [`merge_at`] is the §2.5 compaction that folds a set of
@@ -174,13 +183,128 @@ fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
     })
 }
 
-/// Whether every extent — `offsets[i]..offsets[i + 1]`, the last one up to
-/// `data_len` — has room for a record header: the offsets are then strictly
-/// increasing and inside SSData.
-fn extents_hold_records(offsets: &[u64], data_len: u64) -> bool {
-    let room = |start: u64, end: u64| end >= start && end - start >= RECORD_HEADER as u64;
-    offsets.windows(2).all(|w| room(w[0], w[1]))
-        && offsets.last().is_none_or(|&last| room(last, data_len))
+/// Walk the records of `data` — an SSData image or one block of it — in
+/// place up to `key`. Returns what the record holding `key` says, if there
+/// is one, and the bytes walked: through that record, or through the first
+/// record that sorts after `key` (records are sorted: once past the key,
+/// it's absent).
+fn seek(data: &[u8], key: &[u8]) -> (SstGet, usize) {
+    let mut walked = 0usize;
+    while let Some(rec) = record_at(data, walked) {
+        walked += rec.len;
+        match key.cmp(rec.key) {
+            std::cmp::Ordering::Equal => return (rec.outcome(), walked),
+            std::cmp::Ordering::Less => break,
+            std::cmp::Ordering::Greater => {}
+        }
+    }
+    (SstGet::NotFound, walked)
+}
+
+// ----- the SSIndex fence codec -----
+
+/// SSData bytes at which the encoder closes a block. A constant: one device
+/// read of this size costs little more than the device's random-access
+/// latency, and a bound in *bytes* keeps a block of large records at one
+/// record (a bound in records would make every get of a 128 KiB value read
+/// its neighbours too).
+const BLOCK_BYTES: usize = 4096;
+
+const INDEX_HEADER: usize = 16; // record count u64 + block count u64
+const FENCE_HEADER: usize = 12; // block offset u64 + keylen u32
+
+/// Append the fence of the block starting at `offset`, whose first record
+/// holds `key`, to an SSIndex image.
+fn put_fence(index: &mut Vec<u8>, offset: u64, key: &[u8]) {
+    index.extend_from_slice(&offset.to_le_bytes());
+    index.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    index.extend_from_slice(key);
+}
+
+/// Whether `start..end` lies forward and has room for a record header.
+fn holds_record(start: u64, end: u64) -> bool {
+    end >= start && end - start >= RECORD_HEADER as u64
+}
+
+/// One block of SSData as the in-memory SSIndex knows it.
+#[derive(Debug)]
+struct Block {
+    /// Where the block starts in SSData.
+    offset: u64,
+    /// Where its first key lies in the SSIndex image.
+    key: std::ops::Range<usize>,
+}
+
+/// The in-memory SSIndex: the image as stored — fence keys are compared in
+/// place, in that one flat buffer, so a search allocates nothing — plus the
+/// decoded position of every block.
+#[derive(Debug)]
+struct Fences {
+    records: usize,
+    image: Bytes,
+    blocks: Vec<Block>,
+}
+
+impl Fences {
+    /// Decode an SSIndex image against an SSData of `data_len` bytes. Total
+    /// and strict: `None` unless the counts are plausible (no more blocks
+    /// than records, none of either together, no more records than SSData
+    /// has room for), the image is exactly its header and that many fences,
+    /// the first block starts SSData, every block's extent — up to the next
+    /// block, the last one's up to `data_len` — has room for a record, and
+    /// the fence keys are strictly increasing.
+    fn decode(image: Bytes, data_len: u64) -> Option<Self> {
+        let word = |at: usize| Some(u64::from_le_bytes(image.get(at..at + 8)?.try_into().ok()?));
+        let (records, block_count) = (word(0)?, word(8)?);
+        if block_count > records
+            || (block_count == 0 && records > 0)
+            || records > data_len / RECORD_HEADER as u64
+        {
+            return None;
+        }
+        // Bounded: no more blocks than records, no more records than bytes.
+        let mut blocks: Vec<Block> = Vec::with_capacity(usize::try_from(block_count).ok()?);
+        let mut pos = INDEX_HEADER;
+        for _ in 0..block_count {
+            let header = image.get(pos..pos.checked_add(FENCE_HEADER)?)?;
+            let offset = u64::from_le_bytes(header[..8].try_into().ok()?);
+            let keylen = u32::from_le_bytes(header[8..].try_into().ok()?) as usize;
+            let key = pos + FENCE_HEADER..(pos + FENCE_HEADER).checked_add(keylen)?;
+            let first_key = image.get(key.clone())?;
+            let fits = match blocks.last() {
+                None => offset == 0,
+                Some(prev) => {
+                    holds_record(prev.offset, offset) && image[prev.key.clone()] < *first_key
+                }
+            };
+            if !fits {
+                return None;
+            }
+            pos = key.end;
+            blocks.push(Block { offset, key });
+        }
+        let tail_fits = blocks.last().is_none_or(|last| holds_record(last.offset, data_len));
+        (tail_fits && pos == image.len()).then_some(Self {
+            records: records as usize,
+            image,
+            blocks,
+        })
+    }
+
+    /// Every block's offset in SSData and first key, in block order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.blocks.iter().map(|b| (b.offset, &self.image[b.key.clone()]))
+    }
+
+    /// The extent `start..end` of the one block that can hold `key` — the
+    /// last whose first key is not above it; `None` when `key` sorts below
+    /// every record. A binary search of the fence keys, in memory.
+    fn block_of(&self, key: &[u8], data_len: u64) -> Option<(u64, u64)> {
+        let after = self.blocks.partition_point(|b| &self.image[b.key.clone()] <= key);
+        let block = after.checked_sub(1)?;
+        let end = self.blocks.get(after).map_or(data_len, |next| next.offset);
+        Some((self.blocks[block].offset, end))
+    }
 }
 
 /// The §2.5 rule, once: fold `levels`, given **newest first**, into one
@@ -207,7 +331,7 @@ where
 pub(crate) struct TableImage {
     /// File images in [`SST_FILES`] order.
     images: [Bytes; 3],
-    offsets: Vec<u64>,
+    fences: Fences,
     bloom: Bloom,
 }
 
@@ -218,21 +342,29 @@ impl TableImage {
     pub(crate) fn encode<'a>(
         entries: impl ExactSizeIterator<Item = (&'a [u8], &'a Entry)>,
     ) -> Self {
+        let records = entries.len();
         let mut data = Vec::new();
-        let mut offsets: Vec<u64> = Vec::with_capacity(entries.len());
-        let mut bloom = Bloom::with_capacity(entries.len(), 10);
+        let mut index = vec![0u8; INDEX_HEADER];
+        let mut blocks: Vec<Block> = Vec::new();
+        // SSData length at which the open block is full: the record that
+        // finds it so starts the next one (the first record, the first).
+        let mut block_full = 0usize;
+        let mut bloom = Bloom::with_capacity(records, 10);
         for (key, e) in entries {
-            offsets.push(data.len() as u64);
+            if data.len() >= block_full {
+                block_full = data.len() + BLOCK_BYTES;
+                let key_at = index.len() + FENCE_HEADER;
+                put_fence(&mut index, data.len() as u64, key);
+                blocks.push(Block { offset: data.len() as u64, key: key_at..index.len() });
+            }
             bloom.insert(key);
             put_record(&mut data, key, e);
         }
-        let mut index = Vec::with_capacity(8 + offsets.len() * 8);
-        index.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-        for off in &offsets {
-            index.extend_from_slice(&off.to_le_bytes());
-        }
+        index[..8].copy_from_slice(&(records as u64).to_le_bytes());
+        index[8..INDEX_HEADER].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
         let images = [Bytes::from(data), Bytes::from(index), Bytes::from(bloom.to_bytes())];
-        Self { images, offsets, bloom }
+        let fences = Fences { records, image: images[1].clone(), blocks };
+        Self { images, fences, bloom }
     }
 
     /// One attempt at writing the three files under `base`, one sequential
@@ -263,7 +395,7 @@ impl TableImage {
             base: base.to_string(),
             files: files_of(base),
             ssid,
-            offsets: self.offsets,
+            fences: self.fences,
             bloom: self.bloom,
             data_len: self.images[0].len() as u64,
         }))
@@ -294,9 +426,9 @@ pub fn build_at(
 }
 
 /// An open SSTable: bloom filter and SSIndex held in memory ("PapyrusKV
-/// loads the SSIndex in memory and searches SSData", §2.6); SSData probed
-/// through the cost-accounted store. A handle: clones share the index and
-/// the filter.
+/// loads the SSIndex in memory and searches SSData", §2.6); SSData read a
+/// block at a time through the cost-accounted store. A handle: clones share
+/// the index and the filter.
 #[derive(Debug, Clone)]
 pub struct SstReader(Arc<Table>);
 
@@ -307,7 +439,7 @@ struct Table {
     /// Object names in [`SST_FILES`] order, kept so no probe formats one.
     files: [String; 3],
     ssid: Ssid,
-    offsets: Vec<u64>,
+    fences: Fences,
     bloom: Bloom,
     data_len: u64,
 }
@@ -325,21 +457,10 @@ impl SstReader {
         let (bloom_bytes, t) = store.read_all_at(bloom_path, t)?;
         let bloom = Bloom::from_bytes(&bloom_bytes)?;
         let (index_bytes, t) = store.read_all_at(index_path, t)?;
-        let (count, offsets) = index_bytes.split_at_checked(8)?;
-        let count = u64::from_le_bytes(count.try_into().ok()?) as usize;
-        if offsets.len() != count.checked_mul(8)? {
-            return None;
-        }
-        let offsets: Vec<u64> = offsets
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap())) // lint:allow(panic-path): chunks_exact(8) yields exactly-8-byte chunks
-            .collect();
         let data_len = store.len(data_path)?;
-        if !extents_hold_records(&offsets, data_len) {
-            return None;
-        }
+        let fences = Fences::decode(index_bytes, data_len)?;
         let store = store.clone();
-        let table = Table { store, base: base.to_string(), files, ssid, offsets, bloom, data_len };
+        let table = Table { store, base: base.to_string(), files, ssid, fences, bloom, data_len };
         Some((Self(Arc::new(table)), t))
     }
 
@@ -350,12 +471,12 @@ impl SstReader {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.0.offsets.len()
+        self.0.fences.records
     }
 
     /// Whether the table holds no records.
     pub fn is_empty(&self) -> bool {
-        self.0.offsets.is_empty()
+        self.0.fences.records == 0
     }
 
     /// SSData size in bytes.
@@ -375,12 +496,10 @@ impl SstReader {
         self.0.bloom.maybe_contains(key)
     }
 
-    /// Record `i`'s extent in one ranged read; `None` when SSData is gone.
-    fn read_record(&self, i: usize) -> Option<Bytes> {
-        let table = &*self.0;
-        let start = table.offsets[i];
-        let end = table.offsets.get(i + 1).copied().unwrap_or(table.data_len);
-        table.store.backend().get(&table.files[0], start, end.saturating_sub(start))
+    /// The block `start..end` of SSData in one ranged read; `None` when
+    /// SSData is gone.
+    fn read_block(&self, (start, end): (u64, u64)) -> Option<Bytes> {
+        self.0.store.backend().get(&self.0.files[0], start, end.saturating_sub(start))
     }
 
     /// The whole SSData image, uncharged; `None` when it is gone.
@@ -391,9 +510,9 @@ impl SstReader {
     /// Search SSData for `key` starting at `now`, without consulting the
     /// bloom filter (see [`SstReader::maybe_contains`]).
     ///
-    /// `bin_search = true`: O(log n) random-access probes of SSData guided
-    /// by the in-memory SSIndex. `false`: sequential scan of SSData from the
-    /// start (the cost contrast behind Figure 8).
+    /// `bin_search = true`: a binary search of the in-memory SSIndex, then
+    /// one random-access read of the block it names. `false`: sequential
+    /// scan of SSData from the start (the cost contrast behind Figure 8).
     pub fn get_at(&self, key: &[u8], bin_search: bool, now: SimNs) -> (SstGet, SimNs) {
         if bin_search {
             self.get_binary(key, now)
@@ -402,49 +521,25 @@ impl SstReader {
         }
     }
 
+    /// Search the fences in DRAM — free, like the bloom probe — and read
+    /// the one block that can hold `key`: one random device read, or none
+    /// when the key sorts below the table's first.
     fn get_binary(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
-        let mut t = now;
-        let mut lo = 0usize;
-        let mut hi = self.0.offsets.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let extent = self.read_record(mid);
-            let Some(rec) = extent.as_deref().and_then(|bytes| record_at(bytes, 0)) else {
-                return (SstGet::NotFound, t);
-            };
-            // One random probe touches the header + key (+ value on hit).
-            match key.cmp(rec.key) {
-                std::cmp::Ordering::Equal => {
-                    t = self.charge_read(rec.len as u64, AccessPattern::Random, t);
-                    return (rec.outcome(), t);
-                }
-                std::cmp::Ordering::Less => hi = mid,
-                std::cmp::Ordering::Greater => lo = mid + 1,
-            }
-            let touched = (rec.len - rec.value.len()) as u64;
-            t = self.charge_read(touched, AccessPattern::Random, t);
-        }
-        (SstGet::NotFound, t)
+        let Some(extent) = self.0.fences.block_of(key, self.0.data_len) else {
+            return (SstGet::NotFound, now);
+        };
+        let Some(block) = self.read_block(extent) else {
+            return (SstGet::NotFound, now);
+        };
+        (seek(&block, key).0, self.charge_read(block.len() as u64, AccessPattern::Random, now))
     }
 
     /// Decode forward through one SSData image — the one sequential read
     /// the scan is charged as.
     fn get_linear(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
         let data = self.image().unwrap_or_default();
-        let mut scanned = 0usize;
-        while let Some(rec) = record_at(&data, scanned) {
-            scanned += rec.len;
-            match key.cmp(rec.key) {
-                std::cmp::Ordering::Equal => {
-                    let t = self.charge_read(scanned as u64, AccessPattern::Sequential, now);
-                    return (rec.outcome(), t);
-                }
-                // Records are sorted: once past the key, it's absent.
-                std::cmp::Ordering::Less => break,
-                std::cmp::Ordering::Greater => {}
-            }
-        }
-        (SstGet::NotFound, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now))
+        let (hit, scanned) = seek(&data, key);
+        (hit, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now))
     }
 
     fn charge_read(&self, bytes: u64, pattern: AccessPattern, now: SimNs) -> SimNs {
@@ -474,10 +569,38 @@ impl SstReader {
         self.parse_records(&self.image()?)
     }
 
+    /// How the SSIndex lies about SSData, if it does: the first fence whose
+    /// offset is not a record boundary or whose key is not that record's —
+    /// for the auditor, uncharged. `None` when every fence holds, and when
+    /// SSData is missing (a finding of its own).
+    pub(crate) fn fence_mismatch(&self) -> Option<String> {
+        let data = self.image()?;
+        let mut pos = 0usize;
+        for (offset, key) in self.0.fences.iter() {
+            while (pos as u64) < offset {
+                let Some(rec) = record_at(&data, pos) else { break };
+                pos += rec.len;
+            }
+            let lossy = String::from_utf8_lossy;
+            match record_at(&data, pos) {
+                Some(rec) if pos as u64 == offset && rec.key == key => {}
+                Some(rec) if pos as u64 == offset => {
+                    return Some(format!(
+                        "fence at offset {offset} names key {:?} but the record there holds {:?}",
+                        lossy(key),
+                        lossy(rec.key)
+                    ));
+                }
+                _ => return Some(format!("fence offset {offset} is not a record boundary")),
+            }
+        }
+        None
+    }
+
     /// Parse an SSData image, values as zero-copy slices of it; `None` if
     /// it does not end on a record boundary.
     fn parse_records(&self, data: &Bytes) -> Option<Records> {
-        let mut out = Vec::with_capacity(self.0.offsets.len());
+        let mut out = Vec::with_capacity(self.0.fences.records);
         let mut pos = 0usize;
         while pos < data.len() {
             let rec = record_at(data, pos)?;
@@ -549,9 +672,74 @@ mod tests {
     use papyrus_simtime::DeviceModel;
     use proptest::collection::{btree_map, vec};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn store() -> NvmStore {
         NvmStore::in_memory(DeviceModel::nvme_summitdev())
+    }
+
+    /// A `MemBackend` that counts the reads it serves and their bytes.
+    #[derive(Default)]
+    struct CountingBackend {
+        inner: papyrus_nvm::MemBackend,
+        gets: AtomicU64,
+        get_bytes: AtomicU64,
+    }
+
+    impl CountingBackend {
+        /// `(gets, bytes)` served since the last call.
+        fn take(&self) -> (u64, u64) {
+            (self.gets.swap(0, Ordering::AcqRel), self.get_bytes.swap(0, Ordering::AcqRel))
+        }
+
+        fn count(&self, got: Option<Bytes>) -> Option<Bytes> {
+            self.gets.fetch_add(1, Ordering::AcqRel);
+            self.get_bytes.fetch_add(got.as_ref().map_or(0, |b| b.len() as u64), Ordering::AcqRel);
+            got
+        }
+    }
+
+    impl papyrus_nvm::Backend for CountingBackend {
+        fn put(&self, path: &str, data: Bytes) {
+            self.inner.put(path, data);
+        }
+        fn append(&self, path: &str, data: &[u8]) {
+            self.inner.append(path, data);
+        }
+        fn get(&self, path: &str, offset: u64, len: u64) -> Option<Bytes> {
+            self.count(self.inner.get(path, offset, len))
+        }
+        fn get_all(&self, path: &str) -> Option<Bytes> {
+            self.count(self.inner.get_all(path))
+        }
+        fn len(&self, path: &str) -> Option<u64> {
+            self.inner.len(path)
+        }
+        fn delete(&self, path: &str) -> bool {
+            self.inner.delete(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> bool {
+            self.inner.rename(from, to)
+        }
+        fn list(&self, prefix: &str) -> Vec<String> {
+            self.inner.list(prefix)
+        }
+        fn clear(&self) {
+            self.inner.clear();
+        }
+    }
+
+    /// `n` records `key000000..` with values of `value_len` bytes.
+    fn uniform(n: usize, value_len: usize) -> Vec<(Vec<u8>, Entry)> {
+        let value = Bytes::from(vec![b'v'; value_len]);
+        (0..n).map(|i| (format!("key{i:06}").into_bytes(), Entry::value(value.clone()))).collect()
+    }
+
+    /// A hand-made SSIndex image.
+    fn index_of(records: u64, fences: &[(u64, &[u8])]) -> Vec<u8> {
+        let mut index = [records, fences.len() as u64].map(u64::to_le_bytes).concat();
+        fences.iter().for_each(|(offset, key)| put_fence(&mut index, *offset, key));
+        index
     }
 
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Entry)> {
@@ -577,13 +765,16 @@ mod tests {
     }
 
     proptest! {
-        /// Both searches answer like a `BTreeMap` of the table's entries, for
-        /// keys it holds (live or tombstoned) and keys it does not.
+        /// Both searches answer like a `BTreeMap` of the table's entries —
+        /// tables of up to a dozen blocks — for keys it holds (live or
+        /// tombstoned) and keys it does not: arbitrary ones, one below the
+        /// first fence, every stored key's successor (between two records,
+        /// between two blocks, past the last record) and one past them all.
         #[test]
         fn get_binary_and_linear_agree(
             table in btree_map(
                 vec(any::<u8>(), 1..6),
-                (vec(any::<u8>(), 0..40), any::<bool>()),
+                (vec(any::<u8>(), 0..1024), any::<bool>()),
                 0..80,
             ),
             probes in vec(vec(any::<u8>(), 1..6), 0..40),
@@ -593,10 +784,52 @@ mod tests {
                 table.into_iter().map(|(k, (v, tomb))| (k, entry(v, tomb))).collect();
             let model: BTreeMap<Vec<u8>, Entry> = es.iter().cloned().collect();
             let (r, _) = build_at(&store(), "b", 1, &es, 0);
-            for key in model.keys().chain(&probes) {
-                let want = model.get(key).map_or(SstGet::NotFound, SstGet::from);
-                prop_assert_eq!(&r.get_at(key, true, 0).0, &want);
-                prop_assert_eq!(&r.get_at(key, false, 0).0, &want);
+            let blocks = r.0.fences.blocks.len();
+            prop_assert!(blocks >= r.data_len() as usize / (BLOCK_BYTES + 1100));
+            let successors = model.keys().map(|k| [k.as_slice(), &[0]].concat());
+            let edges = [vec![], vec![0], vec![0xff; 6]];
+            for key in model.keys().cloned().chain(probes).chain(successors).chain(edges) {
+                let want = model.get(&key).map_or(SstGet::NotFound, SstGet::from);
+                prop_assert_eq!(&r.get_at(&key, true, 0).0, &want);
+                prop_assert_eq!(&r.get_at(&key, false, 0).0, &want);
+            }
+        }
+
+        /// SSIndex decode is total: arbitrary bytes, and an encoder's image
+        /// with arbitrary bytes overwritten and an arbitrary cut or tail,
+        /// against an arbitrary SSData length, decode to `None` or to an
+        /// index every search of which names a block inside SSData with
+        /// room for a record.
+        #[test]
+        fn ssindex_decode_is_total(
+            junk in vec(any::<u8>(), 0..96),
+            records in 0usize..40,
+            edits in vec((0usize..400, any::<u8>()), 0..3),
+            resize in 0usize..400,
+            len_delta in 0u64..20,
+            probe in vec(any::<u8>(), 0..10),
+        ) {
+            let image = TableImage::encode(uniform(records, 700).iter().map(|(k, e)| (k.as_slice(), e)));
+            let data_len = image.images[0].len() as u64;
+            let mut index = image.images[1].to_vec();
+            prop_assert!(Fences::decode(Bytes::from(index.clone()), data_len).is_some());
+            for (at, byte) in edits {
+                let at = at % index.len();
+                index[at] = byte;
+            }
+            if resize < 200 {
+                index.truncate(index.len().saturating_sub(resize % 40));
+            } else if resize < 300 {
+                index.extend_from_slice(&junk);
+            }
+            for (image, data_len) in [(index, (data_len + 10).saturating_sub(len_delta)), (junk, len_delta * 40)] {
+                let Some(fences) = Fences::decode(Bytes::from(image), data_len) else { continue };
+                prop_assert!(fences.blocks.len() <= fences.records);
+                for key in [&probe[..], b"key000020", b"zzz"] {
+                    if let Some((start, end)) = fences.block_of(key, data_len) {
+                        prop_assert!(start + RECORD_HEADER as u64 <= end && end <= data_len);
+                    }
+                }
             }
         }
 
@@ -666,33 +899,77 @@ mod tests {
             (bin, lin)
         };
         // (binary-search stamp, linear-scan stamp) of the first, middle, last
-        // and tombstoned key, a key absent inside the range and one past it.
+        // and tombstoned key, a key absent inside the range, one past it and
+        // one below it. The table is one block: a binary search that reads
+        // at all reads all of it, at one random access.
         let got: Vec<(SimNs, SimNs)> =
-            [&b"key00"[..], b"key31", b"key63", b"key40", b"key31x", b"zzz"]
+            [&b"key00"[..], b"key31", b"key63", b"key40", b"key31x", b"zzz", b"a"]
                 .iter()
                 .map(|k| stamps(k))
                 .collect();
         assert_eq!(
             got,
             vec![
-                (84048, 12010),
-                (72043, 12326),
-                (72042, 12649),
-                (36018, 12413),
-                (72036, 12337),
-                (72036, 12649)
+                (12778, 12010),
+                (12778, 12326),
+                (12778, 12649),
+                (12778, 12413),
+                (12778, 12337),
+                (12778, 12649),
+                (0, 12010)
             ]
         );
+    }
+
+    /// One binary get is one backend read of one block — none when the key
+    /// sorts below the table's first — charged as exactly that read; and a
+    /// block is bounded in bytes, not records, so a table of large values
+    /// reads exactly one record per get.
+    #[test]
+    fn a_binary_get_reads_one_block_once() {
+        let backend = Arc::new(CountingBackend::default());
+        let s = NvmStore::with_backend(DeviceModel::nvme_summitdev(), backend.clone());
+        let read_ns = |bytes: u64| s.device().read_ns(bytes, AccessPattern::Random);
+        let get = |r: &SstReader, key: &[u8]| {
+            s.queue().reset();
+            let (hit, t) = r.get_at(key, true, 1000);
+            let (gets, bytes) = backend.take();
+            (hit != SstGet::NotFound, t - 1000, gets, bytes)
+        };
+
+        // 146-byte records: the 29th (4234 bytes) closes a block.
+        let (small, _) = build_at(&s, "small", 1, &uniform(1000, 128), 0);
+        let record = (RECORD_HEADER + 9 + 128) as u64;
+        let block = 29 * record;
+        assert_eq!(small.0.fences.blocks.len(), 1000usize.div_ceil(29));
+        for i in [0, 28, 29, 500, 985] {
+            let key = format!("key{i:06}");
+            assert_eq!(get(&small, key.as_bytes()), (true, read_ns(block), 1, block), "{key}");
+            let absent = format!("key{i:06}x");
+            assert_eq!(get(&small, absent.as_bytes()), (false, read_ns(block), 1, block));
+        }
+        let tail = (1000 % 29) * record;
+        assert_eq!(
+            get(&small, b"key000999"),
+            (true, read_ns(tail), 1, tail),
+            "the short last block"
+        );
+        assert_eq!(get(&small, b"zzz"), (false, read_ns(tail), 1, tail), "past the last record");
+        assert_eq!(get(&small, b"a"), (false, 0, 0, 0), "below the first fence: settled in DRAM");
+
+        let (large, _) = build_at(&s, "large", 2, &uniform(8, 128 << 10), 0);
+        let record = (RECORD_HEADER + 9 + (128 << 10)) as u64;
+        assert_eq!(large.0.fences.blocks.len(), 8);
+        for i in 0..8 {
+            let key = format!("key{i:06}");
+            assert_eq!(get(&large, key.as_bytes()), (true, read_ns(record), 1, record), "{key}");
+        }
     }
 
     #[test]
     fn binary_search_cheaper_than_linear_for_large_tables() {
         let s = store();
-        let value = "x".repeat(200);
-        let pairs: Vec<(String, String)> =
-            (0..20_000).map(|i| (format!("key{i:06}"), value.clone())).collect();
-        let refs: Vec<(&str, &str)> = pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        let (r, _) = build_at(&s, "b", 1, &entries(&refs), 0);
+        let (r, _) = build_at(&s, "b", 1, &uniform(20_000, 200), 0);
         s.queue().reset();
         let (_, t_bin) = r.get_at(b"key019999", true, 0);
         s.queue().reset();
@@ -733,26 +1010,70 @@ mod tests {
     #[test]
     fn open_rejects_an_index_that_does_not_fit_the_data() {
         let s = store();
-        let (built, _) =
-            build_at(&s, "t", 1, &entries(&[("k1", "v1"), ("k2", "v2"), ("k3", "v3")]), 0);
+        // 3011-byte records: two fill a block, five make three blocks.
+        let es: Vec<(Vec<u8>, Entry)> = [b"k1", b"k2", b"k3", b"k4", b"k5"]
+            .iter()
+            .map(|k| (k.to_vec(), Entry::value(Bytes::from(vec![b'v'; 3000]))))
+            .collect();
+        let (built, _) = build_at(&s, "t", 1, &es, 0);
         let data_len = built.data_len();
-        let rec = data_len / 3;
-        let opens = |offsets: &[u64]| {
-            let mut index = (offsets.len() as u64).to_le_bytes().to_vec();
-            offsets.iter().for_each(|off| index.extend_from_slice(&off.to_le_bytes()));
+        let rec = data_len / 5;
+        let header = RECORD_HEADER as u64;
+        let opens_image = |index: Vec<u8>| {
             s.backend().put("t.index", Bytes::from(index));
             SstReader::open_at(&s, "t", 1, 0).is_some()
         };
-        assert!(opens(&[0, rec, 2 * rec]), "the index as built");
-        assert!(!opens(&[0, 2 * rec, rec]), "a decreasing offset");
-        assert!(!opens(&[0, rec, rec]), "a repeated offset");
-        assert!(!opens(&[0, rec, data_len + 1]), "an offset past SSData");
+        let opens = |records: u64, fences: &[(u64, &[u8])]| opens_image(index_of(records, fences));
+        let built_index = index_of(5, &[(0, b"k1"), (2 * rec, b"k3"), (4 * rec, b"k5")]);
+        assert_eq!(s.backend().get_all("t.index").unwrap(), built_index, "the encoder's layout");
+        assert!(opens_image(built_index.clone()), "the index as built");
+
+        for cut in 0..built_index.len() {
+            assert!(!opens_image(built_index[..cut].to_vec()), "truncated to {cut} bytes");
+        }
+        assert!(!opens_image([&built_index[..], &[0]].concat()), "a trailing byte");
+        let mut long_key = built_index.clone();
+        long_key[built_index.len() - 6] += 1;
+        assert!(!opens_image(long_key), "a key length past the end");
+
+        assert!(!opens(2, &[(0, b"k1"), (2 * rec, b"k3"), (4 * rec, b"k5")]), "blocks > records");
+        assert!(!opens(5, &[]), "records but no block");
+        assert!(!opens(data_len / header + 1, &[(0, b"k1")]), "more records than SSData holds");
+        assert!(opens(data_len / header, &[(0, b"k1")]), "as many as headers fit (the auditor's)");
+        assert!(!opens(5, &[(rec, b"k2"), (2 * rec, b"k3")]), "a first block that skips records");
+
         assert!(
-            !opens(&[0, rec, data_len - RECORD_HEADER as u64 + 1]),
+            !opens(5, &[(0, b"k1"), (4 * rec, b"k3"), (2 * rec, b"k5")]),
+            "a decreasing offset"
+        );
+        assert!(!opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (2 * rec, b"k5")]), "a repeated offset");
+        assert!(!opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (data_len + 1, b"k5")]), "past SSData");
+        assert!(
+            !opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (data_len - header + 1, b"k5")]),
             "a last extent below a header"
         );
-        assert!(opens(&[0, rec, data_len - RECORD_HEADER as u64]), "room for exactly a header");
-        assert!(!opens(&[0, rec, u64::MAX]), "an offset that overflows");
+        assert!(
+            opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (data_len - header, b"k5")]),
+            "room for exactly a header (the auditor's to convict)"
+        );
+        assert!(
+            !opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (u64::MAX, b"k5")]),
+            "an overflowing offset"
+        );
+
+        assert!(!opens(5, &[(0, b"k1"), (2 * rec, b"k3"), (4 * rec, b"k3")]), "an equal fence key");
+        assert!(
+            !opens(5, &[(0, b"k1"), (2 * rec, b"k5"), (4 * rec, b"k3")]),
+            "a decreasing fence key"
+        );
+        assert!(
+            !opens(5, &[(0, b"k1"), (2 * rec, b"k"), (4 * rec, b"k5")]),
+            "a fence key that is a prefix"
+        );
+        assert!(
+            opens(5, &[(0, b""), (2 * rec, b"k"), (4 * rec, b"k5")]),
+            "an empty first key sorts first"
+        );
     }
 
     #[test]

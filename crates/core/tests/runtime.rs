@@ -576,8 +576,11 @@ fn virtual_time_advances_with_work() {
 /// `Options::bloom_filter` decides whether a get consults the SSTables'
 /// filters: on, a definite miss is settled in memory (`kv.bloom.neg`
 /// counts it); off, every SSTable is searched on NVM and nothing is
-/// counted. The probing rank's index is one no other test of this binary
-/// uses, so its telemetry counters are this test's alone.
+/// counted. The absent keys interleave the present ones (`present7x`
+/// sorts inside the tables' range): a key below a table's first is settled
+/// by the fence index with no read, filter or not. The probing rank's index
+/// is one no other test of this binary uses, so its telemetry counters are
+/// this test's alone.
 #[test]
 fn bloom_filter_option_decides_the_probe() {
     const RANKS: usize = 6;
@@ -591,11 +594,11 @@ fn bloom_filter_option_decides_the_probe() {
             let ctx = Context::init(rank, platform.clone(), &repo).unwrap();
             let opt = Options::small().with_bloom_filter(bloom);
             let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
-            let mine = |prefix: &str| -> Vec<String> {
-                let keys = (0..600).map(|i| format!("{prefix}{i}"));
+            let mine = |suffix: &str| -> Vec<String> {
+                let keys = (0..600).map(|i| format!("present{i}{suffix}"));
                 keys.filter(|k| db.owner_of(k.as_bytes()) == ctx.rank()).collect()
             };
-            for k in mine("present") {
+            for k in mine("") {
                 db.put(k.as_bytes(), &[7u8; 64]).unwrap();
             }
             db.barrier(BarrierLevel::SsTable).unwrap();
@@ -603,7 +606,7 @@ fn bloom_filter_option_decides_the_probe() {
             let neg = papyrus_telemetry::global().counter(PROBE as u32, "kv.bloom.neg");
             let (t0, n0) = (ctx.now(), neg.get());
             if ctx.rank() == PROBE {
-                for k in mine("absent") {
+                for k in mine("x") {
                     assert_eq!(db.get(k.as_bytes()).unwrap_err(), Error::NotFound);
                 }
             }

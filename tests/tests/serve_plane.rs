@@ -57,11 +57,31 @@ fn ack_before_fence_is_convicted_by_the_durability_probe() {
     assert!(report.violation_example.is_some(), "conviction must carry an example");
 }
 
+/// The planted fold drops a write only when it shares a group-commit round
+/// with an earlier write to its key, and the sweep sees it only when it was
+/// that key's last. How many writes a round drains follows how fast reads
+/// are served, so the window is made to leave nothing to that: every burst
+/// arrives within one millisecond — far above any service rate — and the
+/// writes of a rank go to sixteen keys, so a round drains about a hundred writes
+/// and folds most of them. That precondition is asserted: a change that
+/// empties it fails here with a reason.
 #[test]
 fn dropped_folded_write_is_convicted_by_read_your_writes() {
-    let cfg =
-        ServeCfg { seed_bug: Some(SeedBug::DroppedWrite), mix: LoadMix::WriteHeavy, ..micro_cfg() };
+    let cfg = ServeCfg {
+        seed_bug: Some(SeedBug::DroppedWrite),
+        mix: LoadMix::WriteHeavy,
+        keys_per_rank: 16,
+        duration_ms: 1,
+        ..micro_cfg()
+    };
     let report = run_serve(&cfg);
+    let folded: u64 = report.rows.iter().map(|r| r.folded_dups).sum();
+    let writes: u64 = report.rows.iter().map(|r| r.batch_records).sum();
+    assert!(
+        folded > writes / 2,
+        "only {folded} of {writes} writes shared a round with an earlier write to their key: \
+         the planted bug had nothing to drop"
+    );
     let (_, ryw, _) = report.violations();
     assert!(ryw > 0, "dropped folded write went unnoticed");
     assert!(report.violation_example.is_some(), "conviction must carry an example");

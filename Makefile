@@ -25,13 +25,16 @@ doc:
 # runs — the read half (sst_read) and the write half (ingest) of the table
 # path — prove the store still *serves* the benchmark: a run exits non-zero
 # when a get disagrees with kvbench's model, an op fails, or the live-SSTable
-# count is not the asserted one. A third, traced, sst_read second holds the
-# fence index to its promise: one SSTable get is exactly one backend read.
+# count is not the asserted one — and the ingest run's result line must say
+# `"failed": 0` itself, so a merge that mis-folds fails here by name. A
+# third, traced, sst_read second holds the fence index to its promise: one
+# SSTable get is exactly one backend read.
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 0
-	cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0) \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^core\.sstable\.backend_gets_per_get +1\.0000 '
 

@@ -32,7 +32,7 @@ use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::options::{BarrierLevel, OpenFlags, Options};
 use crate::runtime::{CompactJob, Context, CtxInner, Event};
-use crate::sstable::{Ssid, SstReader, SST_FILES};
+use crate::sstable::{Cursor, Ssid, SstReader, SST_FILES};
 use crate::sync::barrier_inner;
 
 /// Write a rank manifest at `now`; returns the completion stamp.
@@ -369,25 +369,19 @@ impl Context {
                         continue;
                     };
                     t = opened;
-                    let entries = match reader.scan_all_at(t) {
-                        Ok((entries, scanned)) => {
-                            t = scanned;
-                            entries
-                        }
-                        Err(_) => {
-                            lost.push(data_loss(format!(
-                                "restart {path}/{name}: snapshot sst {ssid} of old rank \
-                                 {old_rank} does not parse — skipping it"
-                            )));
-                            continue;
-                        }
+                    let Ok((image, scanned)) = reader.scan_at(t) else {
+                        lost.push(data_loss(format!(
+                            "restart {path}/{name}: snapshot sst {ssid} of old rank \
+                             {old_rank} does not parse — skipping it"
+                        )));
+                        continue;
                     };
-                    inner.clock().merge(t);
-                    for (key, entry) in entries {
-                        if entry.tombstone {
-                            db.delete(&key)?;
+                    inner.clock().merge(scanned);
+                    for rec in Cursor::new(&image) {
+                        if rec.tombstone {
+                            db.delete(rec.key)?;
                         } else {
-                            db.put(&key, &entry.value)?;
+                            db.put(rec.key, rec.value)?;
                         }
                     }
                     t = inner.clock().now();

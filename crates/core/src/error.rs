@@ -36,12 +36,13 @@ pub enum Error {
     /// A remote operation exhausted its retry/backoff budget without the
     /// peer being confirmed dead.
     Timeout(String),
-    /// Recovery could not keep the persistence promise: a torn manifest, a
+    /// The persistence promise could not be kept: a torn manifest, a
     /// manifest-listed SSTable or a snapshot triple that is missing or
-    /// unreadable. Open and restart still return the database composed from
-    /// what exists (erroring out of a collective would strand the peers);
-    /// this is how they say acknowledged data may be gone. Delivered through
-    /// [`crate::Db::take_io_errors`].
+    /// unreadable, a live table a compaction could not read. Open and
+    /// restart still return the database composed from what exists (erroring
+    /// out of a collective would strand the peers) and the compaction is
+    /// skipped with its inputs left live; this is how they say acknowledged
+    /// data may be gone. Delivered through [`crate::Db::take_io_errors`].
     DataLoss(String),
 }
 

@@ -310,6 +310,9 @@ fn search_peer_ssts(
     cache: Cache,
     clock: &Clock,
 ) -> SstGet {
+    // What the owner no longer lists it has compacted away: let go of the
+    // fence image and the bloom filter held for it.
+    db.peer_readers.lock().retain(|&(of, ssid), _| of != owner || ssids_desc.contains(&ssid));
     let store = ctx.repo_store_for(owner);
     let tables =
         ssids_desc.iter().filter_map(|&ssid| peer_reader(ctx, db, &store, owner, ssid, clock));
@@ -340,6 +343,61 @@ fn peer_reader(
     clock.merge(done);
     db.peer_readers.lock().insert((owner, ssid), reader.clone());
     Some(reader)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::{BarrierLevel, OpenFlags, Options};
+    use crate::runtime::{Context, Platform};
+    use papyrus_mpi::{World, WorldConfig};
+    use papyrus_nvm::SystemProfile;
+
+    /// In a storage group of 2, the caller's readers of the owner's tables
+    /// follow the owner's live set: once the owner has merged tables 1–4
+    /// into 5, the next shared search drops the four stale readers, keeps
+    /// only the one it opens, and still answers.
+    #[test]
+    fn peer_readers_follow_the_owners_live_set() {
+        let platform = Platform::with_physical_groups(SystemProfile::test_profile(), 2, 2);
+        World::run(WorldConfig::for_tests(2), move |rank| {
+            let ctx = Context::init_with_group(rank, platform.clone(), "nvm://peer-prune", 2)
+                .expect("init");
+            let opt = Options::default().with_custom_hash(Arc::new(|_k: &[u8]| 1));
+            let db = ctx.open("db", OpenFlags::create(), opt).expect("open");
+            let flush = |table: u8| {
+                if ctx.rank() == 1 {
+                    for i in 0..10 {
+                        db.put(format!("t{table}-k{i}").as_bytes(), &[table; 32]).unwrap();
+                    }
+                }
+                db.barrier(BarrierLevel::SsTable).unwrap();
+            };
+            let held = || {
+                let mut held: Vec<_> = db.inner.peer_readers.lock().keys().copied().collect();
+                held.sort_unstable();
+                held
+            };
+            (1..=3).for_each(flush);
+            if ctx.rank() == 0 {
+                // A key of the oldest table: the walk opens all three.
+                assert_eq!(&db.get(b"t1-k3").unwrap()[..], &[1; 32]);
+                assert_eq!(held(), vec![(1, 1), (1, 2), (1, 3)]);
+            }
+            db.barrier(BarrierLevel::MemTable).unwrap();
+            flush(4); // the owner's flush of sst 4 merges 1..=4 into sst 5
+            if ctx.rank() == 0 {
+                assert_eq!(&db.get(b"t2-k7").unwrap()[..], &[2; 32]);
+                assert_eq!(held(), vec![(1, 5)]);
+                assert_eq!(&db.get(b"t4-k0").unwrap()[..], &[4; 32]);
+            } else {
+                assert_eq!(db.inner.stack.read().live_ssids(), vec![5]);
+            }
+            db.barrier(BarrierLevel::MemTable).unwrap();
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+        });
+    }
 }
 
 /// Schedule-exhaustive model of the local cache's coherence with the

@@ -227,12 +227,7 @@ pub(crate) fn maybe_promote(ctx: &CtxInner, db: &Arc<DbInner>, dead: usize) {
 /// across the replica MemTable and replica SSTables. Tombstones are kept
 /// as records — re-replication must propagate deletions.
 pub(crate) fn replica_records(db: &Arc<DbInner>, origin: usize) -> Vec<KvRecord> {
-    let repl = db.repl.lock();
-    let Some(stack) = repl.get(&(origin as u32)) else { return Vec::new() };
-    stack
-        .records()
-        .map(|(key, e)| KvRecord { key, value: e.value, tombstone: e.tombstone })
-        .collect()
+    db.repl.lock().get(&(origin as u32)).map_or_else(Vec::new, Stack::records)
 }
 
 /// Dispatcher-thread body for one re-replication job: copy the promoted

@@ -36,7 +36,7 @@ use papyrus_sanity::{AuditReport, ViolationKind};
 use crate::ckpt;
 use crate::db::Db;
 use crate::memtable::{MemTable, ENTRY_OVERHEAD};
-use crate::sstable::SstReader;
+use crate::sstable::{Cursor, SstReader};
 use crate::stack::Stack;
 
 fn lossy(key: &[u8]) -> String {
@@ -48,31 +48,31 @@ fn lossy(key: &[u8]) -> String {
 pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
     report.sstables_checked += 1;
     let ssid = reader.ssid();
-    let Some(records) = reader.records_uncharged() else {
+    let Some(data) = reader.records_image() else {
         report.push(
             ViolationKind::LsmState,
             format!("sst {ssid} ({}): SSData missing or corrupt", reader.base()),
         );
         return;
     };
-    if records.len() != reader.len() {
+    let records = Cursor::new(&data).count();
+    if records != reader.len() {
         report.push(
             ViolationKind::LsmState,
             format!(
-                "sst {ssid}: SSIndex lists {} records but SSData parses to {}",
-                reader.len(),
-                records.len()
+                "sst {ssid}: SSIndex lists {} records but SSData parses to {records}",
+                reader.len()
             ),
         );
     }
-    if let Some(lie) = reader.fence_mismatch() {
+    if let Some(lie) = reader.fence_mismatch(&data) {
         report.push(ViolationKind::LsmState, format!("sst {ssid}: SSIndex {lie}"));
     }
     let mut prev: Option<&[u8]> = None;
-    for (key, _) in &records {
+    for key in Cursor::new(&data).map(|rec| rec.key) {
         report.records_checked += 1;
         if let Some(p) = prev {
-            if p >= key.as_slice() {
+            if p >= key {
                 report.push(
                     ViolationKind::SstOrder,
                     format!(
@@ -287,13 +287,13 @@ pub fn audit_db(db: &Db) -> AuditReport {
 /// Every key `stack` makes visible ([`Stack::records`]'s rule). A key whose
 /// newest record is a tombstone maps to `None`.
 fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    stack.records().map(|(key, e)| (key, (!e.tombstone).then_some(e.value))).collect()
+    stack.records().into_iter().map(|r| (r.key, (!r.tombstone).then_some(r.value))).collect()
 }
 
 /// Dump every key this rank's primary stack currently makes visible (see
 /// `visible`'s rule).
 ///
-/// Reads through `records_uncharged` and charges no virtual time. Used by
+/// Reads the table images uncharged: no virtual time passes. Used by
 /// the crash-consistency checker to compare a recovered store against its
 /// KV oracle; like [`audit_db`], calling it is the opt-in.
 pub fn dump_visible(db: &Db) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
@@ -314,7 +314,7 @@ mod tests {
     use super::*;
     use crate::bloom::Bloom;
     use crate::memtable::Entry;
-    use crate::sstable::{build_at, TableImage};
+    use crate::sstable::{build_at, Record, TableImage};
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;
     use papyrus_simtime::DeviceModel;
@@ -334,7 +334,8 @@ mod tests {
         bloom_keys: &[&[u8]],
     ) -> SstReader {
         let empty = Entry::value(Bytes::new());
-        TableImage::encode(keys.iter().map(|key| (*key, &empty))).write_at(s, base, 0);
+        let records = keys.iter().map(|key| Record::from((*key, &empty)));
+        TableImage::encode(keys.len(), records).write_at(s, base, 0);
         let mut bloom = Bloom::with_capacity(bloom_keys.len().max(1), 10);
         for key in bloom_keys {
             bloom.insert(key);
@@ -490,12 +491,12 @@ mod tests {
         );
     }
 
-    /// The one newest-wins fold, reached through each of its three users:
+    /// The one newest-wins merge, reached through each of its three users:
     /// the highest SSID wins among tables, a MemTable shadows every table,
     /// and tombstones are kept (the dumps, re-replication) or dropped (a
     /// merge of all live tables) as asked.
     #[test]
-    fn newest_wins_through_compaction_dumps_and_rereplication() {
+    fn newest_writer_wins_through_compaction_dumps_and_rereplication() {
         use crate::options::{BarrierLevel, OpenFlags, Options};
         use crate::runtime::{Context, Platform};
         use crate::sstable::{merge_at, SstGet};

@@ -16,9 +16,11 @@
 //! * **bloom** — the serialized [`crate::bloom::Bloom`] filter.
 //!
 //! The record layout has one home, the codec (`put_record` / `record_at`),
-//! behind the encoder, both searches, the full scan and the auditor's
-//! hand-made tables; the SSIndex layout has one too (`put_fence` /
-//! `Fences::decode`).
+//! and one walk: a [`Cursor`] over an SSData image — or one block of it —
+//! yields the [`Record`]s in place and says whether it stopped on the last
+//! byte. Both gets, [`merge_at`], restart's redistribution, the stack's
+//! record list and the auditor are callers of it. The SSIndex layout has
+//! one home too (`put_fence` / `Fences::decode`).
 //!
 //! A get either **binary searches** the fence keys of the in-memory SSIndex
 //! — in DRAM, uncharged like the bloom probe — and then reads the one block
@@ -26,7 +28,7 @@
 //! when the key sorts below the table's first key; the §2.6 optimisation
 //! exploiting NVM's fast random access), or **linearly scans** one SSData
 //! image from the start (the Figure 8 "Default" baseline). Either way the
-//! records read are walked in place by the one `seek`. A value found is
+//! records read are walked in place by the one cursor. A value found is
 //! copied out of what was read, so it never pins the block or the table it
 //! was cut from. Whether the bloom filter is consulted first is the caller's
 //! decision (`Options::bloom_filter`, made once in the database's SSTable
@@ -34,10 +36,11 @@
 //!
 //! SSTables are immutable: updates and deletes go to new SSTables with
 //! higher SSIDs; [`merge_at`] is the §2.5 compaction that folds a set of
-//! SSTables into one under that section's rule, `newest_wins` — the one fold
-//! compaction, re-replication and the auditor's dumps share.
+//! SSTables into one under that section's rule, `merge`: a k-way merge of
+//! cursors and MemTable iterators that streams straight into the encoder —
+//! what a merge holds is its inputs' images and its output's, never a
+//! decoded copy.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -47,13 +50,10 @@ use papyrus_simtime::{AccessPattern, SimNs};
 use crate::bloom::Bloom;
 use crate::error::{Error, Result};
 use crate::lru::CacheEntry;
-use crate::memtable::{Entry, NO_OWNER};
+use crate::memtable::Entry;
 
 /// Per-database, per-rank, unique increasing SSTable number, starting at 1.
 pub type Ssid = u64;
-
-/// Parsed SSTable records: (key, entry) pairs in file order.
-pub type Records = Vec<(Vec<u8>, Entry)>;
 
 /// The three objects of an SSTable, as extensions of its base path, in the
 /// order they are written: SSData, SSIndex, bloom filter.
@@ -135,13 +135,13 @@ pub fn repl_sst_base(repo: &str, db: &str, rank: usize, origin: usize, ssid: Ssi
 
 const RECORD_HEADER: usize = 9; // keylen u32 + vallen u32 + tombstone u8
 
-/// One decoded SSData record, borrowing the bytes it was decoded from.
-struct Record<'a> {
-    key: &'a [u8],
-    value: &'a [u8],
-    tombstone: bool,
-    /// Encoded length: header + key + value.
-    len: usize,
+/// One record — a key's state at one level of a stack — borrowing the
+/// SSData image or the MemTable that holds it. Empty value for a tombstone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
+    pub key: &'a [u8],
+    pub value: &'a [u8],
+    pub tombstone: bool,
 }
 
 impl Record<'_> {
@@ -156,13 +156,19 @@ impl Record<'_> {
     }
 }
 
-/// Append the record of `key` to an SSData image.
-fn put_record(data: &mut Vec<u8>, key: &[u8], e: &Entry) {
-    data.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    data.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-    data.push(u8::from(e.tombstone));
-    data.extend_from_slice(key);
-    data.extend_from_slice(&e.value);
+impl<'a> From<(&'a [u8], &'a Entry)> for Record<'a> {
+    fn from((key, e): (&'a [u8], &'a Entry)) -> Self {
+        Self { key, value: &e.value, tombstone: e.tombstone }
+    }
+}
+
+/// Append `rec` to an SSData image.
+fn put_record(data: &mut Vec<u8>, rec: Record<'_>) {
+    data.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
+    data.extend_from_slice(&(rec.value.len() as u32).to_le_bytes());
+    data.push(u8::from(rec.tombstone));
+    data.extend_from_slice(rec.key);
+    data.extend_from_slice(rec.value);
 }
 
 /// Decode the record starting at `pos` of `data`. Total: `None` when
@@ -174,31 +180,87 @@ fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
     let vallen = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
     let tombstone = header[8] != 0;
     let key_end = RECORD_HEADER.checked_add(keylen)?;
-    let len = key_end.checked_add(vallen)?;
+    let end = key_end.checked_add(vallen)?;
     Some(Record {
         key: rest.get(RECORD_HEADER..key_end)?,
-        value: rest.get(key_end..len)?,
+        value: rest.get(key_end..end)?,
         tombstone,
-        len,
     })
 }
 
-/// Walk the records of `data` — an SSData image or one block of it — in
-/// place up to `key`. Returns what the record holding `key` says, if there
-/// is one, and the bytes walked: through that record, or through the first
-/// record that sorts after `key` (records are sorted: once past the key,
-/// it's absent).
+/// The one walk of the record format: the records of `data` — an SSData
+/// image or one block of it — in place, in file order. It stops at the
+/// first position that does not decode; [`Cursor::is_whole`] tells an image
+/// of whole records from one cut short or followed by garbage.
+pub struct Cursor<'a> {
+    data: &'a [u8],
+    /// Bytes walked: where the next record starts.
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the first record of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Self { data, pos: 0 }
+    }
+
+    /// Walk what is left: whether the walk stops on the image's last byte —
+    /// the image is nothing but whole records — or short of it.
+    pub fn is_whole(mut self) -> bool {
+        self.by_ref().for_each(drop);
+        self.pos == self.data.len()
+    }
+}
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = Record<'a>;
+
+    fn next(&mut self) -> Option<Record<'a>> {
+        let rec = record_at(self.data, self.pos)?;
+        self.pos += RECORD_HEADER + rec.key.len() + rec.value.len();
+        Some(rec)
+    }
+}
+
+/// Walk `data` up to `key`. Returns what the record holding `key` says, if
+/// there is one, and the bytes walked: through that record, or through the
+/// first record that sorts after `key` (records are sorted: once past the
+/// key, it's absent).
 fn seek(data: &[u8], key: &[u8]) -> (SstGet, usize) {
-    let mut walked = 0usize;
-    while let Some(rec) = record_at(data, walked) {
-        walked += rec.len;
+    let mut records = Cursor::new(data);
+    while let Some(rec) = records.next() {
         match key.cmp(rec.key) {
-            std::cmp::Ordering::Equal => return (rec.outcome(), walked),
+            std::cmp::Ordering::Equal => return (rec.outcome(), records.pos),
             std::cmp::Ordering::Less => break,
             std::cmp::Ordering::Greater => {}
         }
     }
-    (SstGet::NotFound, walked)
+    (SstGet::NotFound, records.pos)
+}
+
+/// The §2.5 rule, once: a k-way merge of key-sorted levels, given **newest
+/// first**, that yields every key once, in key order, with the record of
+/// the newest level holding it — "the key-value pair in the newest SSTable
+/// that has the highest SSID is inserted in the new merged SSTable".
+/// Tombstones are records; a caller that may drop them filters. The heads
+/// are compared directly (a stack has a handful of levels): no heap, no map
+/// and nothing allocated per record.
+pub(crate) fn merge<'a, L: Iterator<Item = Record<'a>>>(
+    newest_first: impl IntoIterator<Item = L>,
+) -> impl Iterator<Item = Record<'a>> {
+    // Each level with its next record.
+    let mut levels: Vec<(Option<Record<'a>>, L)> =
+        newest_first.into_iter().map(|mut level| (level.next(), level)).collect();
+    std::iter::from_fn(move || {
+        // The lowest head; of equal ones the first, which is the newest.
+        let winner = levels.iter().filter_map(|(head, _)| *head).min_by_key(|head| head.key)?;
+        for (head, level) in &mut levels {
+            if head.is_some_and(|h| h.key == winner.key) {
+                *head = level.next();
+            }
+        }
+        Some(winner)
+    })
 }
 
 // ----- the SSIndex fence codec -----
@@ -307,25 +369,6 @@ impl Fences {
     }
 }
 
-/// The §2.5 rule, once: fold `levels`, given **newest first**, into one
-/// key-ordered map where each key keeps the record of the newest level
-/// holding it — "the key-value pair in the newest SSTable that has the
-/// highest SSID is inserted in the new merged SSTable". Tombstones are
-/// records; a caller that may drop them does so afterwards.
-pub(crate) fn newest_wins<L>(levels: impl IntoIterator<Item = L>) -> BTreeMap<Vec<u8>, Entry>
-where
-    L: IntoIterator<Item = (Vec<u8>, Entry)>,
-{
-    let mut newest = BTreeMap::new();
-    for level in levels {
-        for (key, entry) in level {
-            // Newest-first insertion: existing keys already hold newer data.
-            newest.entry(key).or_insert(entry);
-        }
-    }
-    newest
-}
-
 /// The encoded form of one SSTable: the three file images plus the
 /// in-memory index and filter its reader keeps.
 pub(crate) struct TableImage {
@@ -336,13 +379,11 @@ pub(crate) struct TableImage {
 }
 
 impl TableImage {
-    /// Encode `entries` straight from an iterator in strict key order — a
-    /// MemTable's (a flush) and the [`newest_wins`] fold's (a merge) are by
-    /// construction.
-    pub(crate) fn encode<'a>(
-        entries: impl ExactSizeIterator<Item = (&'a [u8], &'a Entry)>,
-    ) -> Self {
-        let records = entries.len();
+    /// Encode `entries`, an iterator of exactly `records` records in strict
+    /// key order — a MemTable's (a flush) and a [`merge`]'s are by
+    /// construction. The count comes first because the bloom filter is sized
+    /// from it.
+    pub(crate) fn encode<'a>(records: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
         let mut data = Vec::new();
         let mut index = vec![0u8; INDEX_HEADER];
         let mut blocks: Vec<Block> = Vec::new();
@@ -350,15 +391,15 @@ impl TableImage {
         // finds it so starts the next one (the first record, the first).
         let mut block_full = 0usize;
         let mut bloom = Bloom::with_capacity(records, 10);
-        for (key, e) in entries {
+        for rec in entries {
             if data.len() >= block_full {
                 block_full = data.len() + BLOCK_BYTES;
                 let key_at = index.len() + FENCE_HEADER;
-                put_fence(&mut index, data.len() as u64, key);
+                put_fence(&mut index, data.len() as u64, rec.key);
                 blocks.push(Block { offset: data.len() as u64, key: key_at..index.len() });
             }
-            bloom.insert(key);
-            put_record(&mut data, key, e);
+            bloom.insert(rec.key);
+            put_record(&mut data, rec);
         }
         index[..8].copy_from_slice(&(records as u64).to_le_bytes());
         index[8..INDEX_HEADER].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
@@ -420,7 +461,8 @@ pub fn build_at(
         entries.windows(2).all(|w| w[0].0 < w[1].0),
         "SSTable input must be strictly key-sorted"
     );
-    let image = TableImage::encode(entries.iter().map(|(k, e)| (k.as_slice(), e)));
+    let records = entries.iter().map(|(k, e)| Record::from((k.as_slice(), e)));
+    let image = TableImage::encode(entries.len(), records);
     let done = image.write_at(store, base, now);
     (image.into_reader(store, base, ssid), done)
 }
@@ -502,9 +544,29 @@ impl SstReader {
         self.0.store.backend().get(&self.0.files[0], start, end.saturating_sub(start))
     }
 
-    /// The whole SSData image, uncharged; `None` when it is gone.
+    /// The whole SSData image as stored, uncharged; `None` when it is gone.
     fn image(&self) -> Option<Bytes> {
         self.0.store.backend().get_all(&self.0.files[0])
+    }
+
+    /// The SSData image for a [`Cursor`] to walk, if it is there and is
+    /// nothing but whole records — WITHOUT charging virtual time: for the
+    /// `papyruskv::sanity` auditor and the dumps, which must observe the
+    /// store without perturbing the simulation's cost model.
+    pub(crate) fn records_image(&self) -> Option<Bytes> {
+        self.image().filter(|data| Cursor::new(data).is_whole())
+    }
+
+    /// The same image, charged as the one sequential read of all of SSData
+    /// that compaction and restart with redistribution do. `Err` names the
+    /// table when SSData is missing or does not parse to its last byte.
+    pub fn scan_at(&self, now: SimNs) -> Result<(Bytes, SimNs)> {
+        let unreadable =
+            |why| Error::DataLoss(format!("sst {} {why}: {}", self.0.ssid, self.0.files[0]));
+        let data = self.image().ok_or_else(|| unreadable("SSData missing"))?;
+        let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
+        let whole = Cursor::new(&data).is_whole();
+        whole.then_some((data, t)).ok_or_else(|| unreadable("SSData corrupt"))
     }
 
     /// Search SSData for `key` starting at `now`, without consulting the
@@ -547,44 +609,19 @@ impl SstReader {
         self.0.store.queue().submit_shared(now, cost, self.0.store.device().parallelism)
     }
 
-    /// Sequentially read and parse every record (compaction, restart with
-    /// redistribution). Charges one full sequential read.
-    pub fn scan_all_at(&self, now: SimNs) -> Result<(Records, SimNs)> {
-        let data_path = &self.0.files[0];
-        let Some(data) = self.image() else {
-            return Err(Error::Internal(format!("SSData missing: {data_path}")));
-        };
-        let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
-        match self.parse_records(&data) {
-            Some(records) => Ok((records, t)),
-            None => Err(Error::Internal(format!("corrupt SSData: {data_path}"))),
-        }
-    }
-
-    /// Read and parse every record WITHOUT charging virtual time — for the
-    /// `papyruskv::sanity` auditor, which must observe the store without
-    /// perturbing the simulation's cost model. `None` on missing/corrupt
-    /// SSData (the auditor reports that as a finding, not a panic).
-    pub fn records_uncharged(&self) -> Option<Records> {
-        self.parse_records(&self.image()?)
-    }
-
-    /// How the SSIndex lies about SSData, if it does: the first fence whose
-    /// offset is not a record boundary or whose key is not that record's —
-    /// for the auditor, uncharged. `None` when every fence holds, and when
-    /// SSData is missing (a finding of its own).
-    pub(crate) fn fence_mismatch(&self) -> Option<String> {
-        let data = self.image()?;
-        let mut pos = 0usize;
+    /// How the SSIndex lies about `data`, this table's SSData image, if it
+    /// does: the first fence whose offset is not a record boundary or whose
+    /// key is not that record's — for the auditor. `None` when every fence
+    /// holds.
+    pub(crate) fn fence_mismatch(&self, data: &[u8]) -> Option<String> {
+        let mut records = Cursor::new(data);
         for (offset, key) in self.0.fences.iter() {
-            while (pos as u64) < offset {
-                let Some(rec) = record_at(&data, pos) else { break };
-                pos += rec.len;
-            }
+            while (records.pos as u64) < offset && records.next().is_some() {}
+            let on_fence = records.pos as u64 == offset;
             let lossy = String::from_utf8_lossy;
-            match record_at(&data, pos) {
-                Some(rec) if pos as u64 == offset && rec.key == key => {}
-                Some(rec) if pos as u64 == offset => {
+            match records.next() {
+                Some(rec) if on_fence && rec.key == key => {}
+                Some(rec) if on_fence => {
                     return Some(format!(
                         "fence at offset {offset} names key {:?} but the record there holds {:?}",
                         lossy(key),
@@ -597,21 +634,6 @@ impl SstReader {
         None
     }
 
-    /// Parse an SSData image, values as zero-copy slices of it; `None` if
-    /// it does not end on a record boundary.
-    fn parse_records(&self, data: &Bytes) -> Option<Records> {
-        let mut out = Vec::with_capacity(self.0.fences.records);
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let rec = record_at(data, pos)?;
-            let value = data.slice(pos + rec.len - rec.value.len()..pos + rec.len);
-            let entry = Entry { value, tombstone: rec.tombstone, owner: NO_OWNER };
-            out.push((rec.key.to_vec(), entry));
-            pos += rec.len;
-        }
-        Some(out)
-    }
-
     /// Delete this SSTable's three files starting at `now` (post-compaction
     /// cleanup, §2.5 "the old SSTables are deleted to save storage space").
     pub fn delete_files_at(&self, now: SimNs) -> SimNs {
@@ -620,15 +642,16 @@ impl SstReader {
 }
 
 /// Merge a set of SSTables (any order) into one new table with SSID
-/// `new_ssid`, starting at `now` (§2.5 compaction): one sequential scan per
-/// input, folded by `newest_wins` and encoded straight from the fold. When
-/// `drop_tombstones` is set (legal when merging *all* live tables), deleted
-/// keys vanish entirely.
+/// `new_ssid`, starting at `now` (§2.5 compaction): one sequential read per
+/// input, newest first, then `merge` streamed over the images into the
+/// encoder — twice, the first pass only counting, because the bloom filter
+/// is sized from the exact record count. When `drop_tombstones` is set
+/// (legal when merging *all* live tables), deleted keys vanish entirely.
 ///
-/// An injected `ENOSPC` aborts with [`Error::StorageFull`] (the caller
-/// keeps the inputs live, so nothing is lost); transient EIO is ridden out.
-/// Through an unarmed store no write can fail: `Err` then means an input's
-/// SSData is missing or corrupt.
+/// `Err` before anything is written names the input whose SSData is missing
+/// or corrupt ([`Error::DataLoss`]). An injected `ENOSPC` aborts with
+/// [`Error::StorageFull`]; transient EIO is ridden out. Either way the
+/// caller keeps the inputs live, so nothing more is lost.
 ///
 /// Returns the merged reader and the completion stamp. The inputs are NOT
 /// deleted — the caller swaps the live set first, then deletes.
@@ -645,17 +668,17 @@ pub fn merge_at(
     // "The compaction needs sequential file read because the key-value pairs
     // in each SSTable are sorted by the key" (§2.5).
     let mut t = now;
-    let mut levels = Vec::with_capacity(tables.len());
+    let mut images = Vec::with_capacity(tables.len());
     for reader in newest_first {
-        let (records, done) = reader.scan_all_at(t)?;
+        let (image, done) = reader.scan_at(t)?;
         t = done;
-        levels.push(records);
+        images.push(image);
     }
-    let mut merged = newest_wins(levels);
-    if drop_tombstones {
-        merged.retain(|_, e| !e.tombstone);
-    }
-    let image = TableImage::encode(merged.iter().map(|(k, e)| (k.as_slice(), e)));
+    let merged = || {
+        let levels = images.iter().map(|image| Cursor::new(image));
+        merge(levels).filter(|rec| !(drop_tombstones && rec.tombstone))
+    };
+    let image = TableImage::encode(merged().count(), merged());
     let done = match image.try_write_at(store, new_base, t) {
         Ok(done) => done,
         Err(IoFault::NoSpace) => {
@@ -669,9 +692,11 @@ pub fn merge_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::MemTable;
     use papyrus_simtime::DeviceModel;
     use proptest::collection::{btree_map, vec};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn store() -> NvmStore {
@@ -684,6 +709,8 @@ mod tests {
         inner: papyrus_nvm::MemBackend,
         gets: AtomicU64,
         get_bytes: AtomicU64,
+        /// Every whole-object read and write, in order: `(op, path, bytes)`.
+        log: parking_lot::Mutex<Vec<(&'static str, String, usize)>>,
     }
 
     impl CountingBackend {
@@ -701,6 +728,7 @@ mod tests {
 
     impl papyrus_nvm::Backend for CountingBackend {
         fn put(&self, path: &str, data: Bytes) {
+            self.log.lock().push(("put", path.to_string(), data.len()));
             self.inner.put(path, data);
         }
         fn append(&self, path: &str, data: &[u8]) {
@@ -710,7 +738,9 @@ mod tests {
             self.count(self.inner.get(path, offset, len))
         }
         fn get_all(&self, path: &str) -> Option<Bytes> {
-            self.count(self.inner.get_all(path))
+            let got = self.count(self.inner.get_all(path));
+            self.log.lock().push(("get_all", path.to_string(), got.as_ref().map_or(0, Bytes::len)));
+            got
         }
         fn len(&self, path: &str) -> Option<u64> {
             self.inner.len(path)
@@ -740,6 +770,27 @@ mod tests {
         let mut index = [records, fences.len() as u64].map(u64::to_le_bytes).concat();
         fences.iter().for_each(|(offset, key)| put_fence(&mut index, *offset, key));
         index
+    }
+
+    fn encode(entries: &[(Vec<u8>, Entry)]) -> TableImage {
+        TableImage::encode(entries.len(), records_of(entries).into_iter())
+    }
+
+    fn records_of(entries: &[(Vec<u8>, Entry)]) -> Vec<Record<'_>> {
+        entries.iter().map(|(k, e)| Record::from((k.as_slice(), e))).collect()
+    }
+
+    type Level = BTreeMap<Vec<u8>, Entry>;
+
+    /// The `BTreeMap` fold that [`merge`] replaced, kept as its model: the
+    /// levels, oldest first, inserted newest first — a key keeps the entry
+    /// of the first level to write it.
+    fn fold(oldest_first: &[Level]) -> Vec<(Vec<u8>, Entry)> {
+        let mut newest = BTreeMap::new();
+        for (key, e) in oldest_first.iter().rev().flatten() {
+            newest.entry(key.clone()).or_insert_with(|| e.clone());
+        }
+        newest.into_iter().collect()
     }
 
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Entry)> {
@@ -795,6 +846,74 @@ mod tests {
             }
         }
 
+        /// The merge against the fold it replaced, kept as the model (`fold`):
+        /// 1–4 tables under 0–2 MemTables of overlapping keys with tombstones.
+        /// [`merge`] over the MemTables and the tables yields the model's
+        /// records; `merge_at` over the tables — handed over in any order,
+        /// tombstones kept or dropped — holds the model's records and wrote
+        /// the three images `TableImage` encodes from the model's entries,
+        /// byte for byte.
+        #[test]
+        fn merge_matches_the_btreemap_fold(
+            levels in vec(
+                btree_map(
+                    vec(0u8..4, 1..4),
+                    (vec(any::<u8>(), 0..300), any::<bool>()),
+                    0..40,
+                ),
+                1..7,
+            ),
+            mems in 0usize..3,
+            order in any::<u64>(),
+            drop_tombstones in any::<bool>(),
+        ) {
+            let entry = |(v, tomb)| if tomb { Entry::tombstone() } else { Entry::value(Bytes::from(v)) };
+            let levels: Vec<Level> = levels
+                .into_iter()
+                .map(|level| level.into_iter().map(|(k, e)| (k, entry(e))).collect())
+                .collect();
+            // Oldest first: up to four tables, SSIDs 1.., then `mems` MemTables.
+            let mems = mems.min(levels.len() - 1);
+            let (tables, rest) = levels.split_at((levels.len() - mems).min(4));
+            let mems = &rest[..mems];
+            let s = store();
+            let built = |(i, level)| build_at(&s, &format!("t{i}"), i as u64 + 1, &fold(&[level]), 0).0;
+            let mut readers: Vec<SstReader> = tables.iter().cloned().enumerate().map(built).collect();
+            let mem_tables: Vec<MemTable> = mems
+                .iter()
+                .map(|level| {
+                    let mut mt = MemTable::new();
+                    level.iter().for_each(|(k, e)| mt.insert(k, e.clone()));
+                    mt
+                })
+                .collect();
+
+            // The stack's walk: MemTables newest first over tables newest first.
+            let model = fold(&levels[..tables.len() + mems.len()]);
+            let images: Vec<Bytes> = readers.iter().rev().map(|r| r.scan_at(0).unwrap().0).collect();
+            type Boxed<'a> = Box<dyn Iterator<Item = Record<'a>> + 'a>;
+            let newest_first = mem_tables
+                .iter()
+                .rev()
+                .map(|mt| Box::new(mt.iter().map(Record::from)) as Boxed)
+                .chain(images.iter().map(|image| Box::new(Cursor::new(image)) as Boxed));
+            prop_assert_eq!(merge(newest_first).collect::<Vec<_>>(), records_of(&model));
+
+            // Compaction: the tables alone, in any order.
+            let mut model = fold(tables);
+            model.retain(|(_, e)| !(drop_tombstones && e.tombstone));
+            readers.rotate_left(order as usize % tables.len());
+            if order & 1 << 32 != 0 {
+                readers.reverse();
+            }
+            let (merged, _) = merge_at(&s, &readers, "merged", 9, drop_tombstones, 0).unwrap();
+            prop_assert_eq!(merged.len(), model.len());
+            let written = files_of("merged").map(|path| s.backend().get_all(&path).unwrap());
+            prop_assert!(written == encode(&model).images, "not the images the model encodes to");
+            let (image, _) = merged.scan_at(0).unwrap();
+            prop_assert_eq!(Cursor::new(&image).collect::<Vec<_>>(), records_of(&model));
+        }
+
         /// SSIndex decode is total: arbitrary bytes, and an encoder's image
         /// with arbitrary bytes overwritten and an arbitrary cut or tail,
         /// against an arbitrary SSData length, decode to `None` or to an
@@ -809,7 +928,7 @@ mod tests {
             len_delta in 0u64..20,
             probe in vec(any::<u8>(), 0..10),
         ) {
-            let image = TableImage::encode(uniform(records, 700).iter().map(|(k, e)| (k.as_slice(), e)));
+            let image = encode(&uniform(records, 700));
             let data_len = image.images[0].len() as u64;
             let mut index = image.images[1].to_vec();
             prop_assert!(Fences::decode(Bytes::from(index.clone()), data_len).is_some());
@@ -839,15 +958,16 @@ mod tests {
         fn record_at_is_total(junk in vec(any::<u8>(), 0..64), pos in 0usize..80) {
             for pos in [pos, usize::MAX - pos] {
                 if let Some(rec) = record_at(&junk, pos) {
-                    prop_assert!(pos + rec.len <= junk.len());
-                    prop_assert_eq!(rec.len, RECORD_HEADER + rec.key.len() + rec.value.len());
+                    prop_assert!(pos + RECORD_HEADER + rec.key.len() + rec.value.len() <= junk.len());
                 }
             }
         }
 
         /// `put_record` → `record_at` round-trips any run of records,
         /// zero-length values and tombstones included, and a cut anywhere
-        /// inside the last record decodes to `None`, never to a shorter one.
+        /// inside the last record decodes to `None`, never to a shorter one
+        /// — so the cursor walks the whole run to its end and a cut one to
+        /// the start of the cut record, short of the end.
         #[test]
         fn codec_round_trips(
             records in vec(
@@ -856,21 +976,28 @@ mod tests {
             ),
         ) {
             let mut data = Vec::new();
-            for (k, v, tomb) in &records {
-                let value = Bytes::copy_from_slice(v);
-                put_record(&mut data, k, &Entry { value, tombstone: *tomb, owner: NO_OWNER });
+            let records: Vec<Record> =
+                records.iter().map(|(key, value, tomb)| Record { key, value, tombstone: *tomb }).collect();
+            for rec in &records {
+                put_record(&mut data, *rec);
             }
             let (mut pos, mut last) = (0, 0);
-            for (k, v, tomb) in &records {
+            for want in &records {
                 let rec = record_at(&data, pos).expect("an encoded record decodes");
-                prop_assert_eq!((rec.key, rec.value, rec.tombstone), (&k[..], &v[..], *tomb));
+                prop_assert_eq!(&rec, want);
                 last = pos;
-                pos += rec.len;
+                pos += RECORD_HEADER + rec.key.len() + rec.value.len();
             }
             prop_assert_eq!(pos, data.len());
             prop_assert!(record_at(&data, pos).is_none());
+            let mut whole = Cursor::new(&data);
+            prop_assert_eq!(whole.by_ref().collect::<Vec<_>>(), records.clone());
+            prop_assert!(whole.is_whole() && Cursor::new(&data).is_whole());
             for cut in last..data.len() {
                 prop_assert!(record_at(&data[..cut], last).is_none());
+                let mut torn = Cursor::new(&data[..cut]);
+                prop_assert_eq!(torn.by_ref().count(), records.len() - 1);
+                prop_assert_eq!((torn.pos, torn.is_whole()), (last, cut == last));
             }
         }
     }
@@ -919,6 +1046,60 @@ mod tests {
                 (0, 12010)
             ]
         );
+    }
+
+    /// A merge's I/O is pinned: every input's SSData fetched whole, newest
+    /// SSID first, all before the first write; each charged one sequential
+    /// read of its size, then the three sequential writes — the completion
+    /// stamp is the one this input had before the merge streamed.
+    #[test]
+    fn merge_io_and_completion_stamp_are_pinned() {
+        let backend = Arc::new(CountingBackend::default());
+        let s = NvmStore::with_backend(DeviceModel::nvme_summitdev(), backend.clone());
+        // Three overlapping tables handed over out of order: sst 2 rewrites
+        // every third key of sst 1 and deletes key 10, sst 3 adds a tail.
+        let table = |range: std::ops::Range<usize>, step: usize, len: usize| -> Vec<_> {
+            let key = |i: usize| format!("key{i:04}").into_bytes();
+            let e = |i: usize| match i {
+                10 if step == 3 => Entry::tombstone(),
+                _ => Entry::value(Bytes::from(vec![b'a' + step as u8; len + i % 5])),
+            };
+            range.step_by(step).map(|i| (key(i), e(i))).collect()
+        };
+        let (t1, _) = build_at(&s, "pin/sst1", 1, &table(0..300, 1, 100), 0);
+        let (t2, _) = build_at(&s, "pin/sst2", 2, &table(1..300, 3, 40), 0);
+        let (t3, _) = build_at(&s, "pin/sst3", 3, &table(250..400, 2, 70), 0);
+        let sizes = [t3.data_len(), t2.data_len(), t1.data_len()];
+        s.queue().reset();
+        backend.log.lock().clear();
+        let (merged, done) = merge_at(&s, &[t2, t3, t1], "pin/sst4", 4, true, 1000).unwrap();
+
+        let log = backend.log.lock().clone();
+        let written: Vec<usize> = log[3..].iter().map(|op| op.2).collect();
+        let op = |op, path: &str, bytes: usize| (op, path.to_string(), bytes);
+        assert_eq!(
+            log,
+            vec![
+                op("get_all", "pin/sst3.data", sizes[0] as usize),
+                op("get_all", "pin/sst2.data", sizes[1] as usize),
+                op("get_all", "pin/sst1.data", sizes[2] as usize),
+                op("put", "pin/sst4.data", merged.data_len() as usize),
+                op("put", "pin/sst4.index", written[1]),
+                op("put", "pin/sst4.bloom", written[2]),
+            ]
+        );
+        // The same charges, replayed on an idle device.
+        let replay = NvmStore::in_memory(DeviceModel::nvme_summitdev());
+        let seq = AccessPattern::Sequential;
+        let submit = |t, cost| replay.queue().submit_shared(t, cost, replay.device().parallelism);
+        let t = sizes.iter().fold(1000, |t, &n| submit(t, replay.device().read_ns(n, seq)));
+        let t = written.iter().fold(t, |t, &n| submit(t, replay.device().write_ns(n as u64, seq)));
+        assert_eq!(done, t);
+        assert_eq!(
+            (merged.len(), merged.data_len(), written[1], written[2]),
+            (349, 33534, 187, 452)
+        );
+        assert_eq!(done, 127_743);
     }
 
     /// One binary get is one backend read of one block — none when the key
@@ -1081,9 +1262,9 @@ mod tests {
         let s = store();
         let es = entries(&[("c", "3"), ("a", "1"), ("b", "2")]);
         let (r, _) = build_at(&s, "b", 1, &es, 0);
-        let (scanned, t) = r.scan_all_at(0).unwrap();
+        let (image, t) = r.scan_at(0).unwrap();
         assert!(t > 0);
-        let keys: Vec<&[u8]> = scanned.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = Cursor::new(&image).map(|rec| rec.key).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
     }
 
@@ -1115,6 +1296,39 @@ mod tests {
         assert_eq!(merged.get_at(b"b", true, 0).0, SstGet::Found(Bytes::from_static(b"1")));
         assert_eq!(merged.get_at(b"dead", true, 0).0, SstGet::NotFound);
         assert_eq!(merged.len(), 2);
+    }
+
+    /// A merge input cut anywhere inside its last record — or gone — makes
+    /// the merge an `Err` that names the table, with nothing written under
+    /// the new base.
+    #[test]
+    fn merge_of_a_torn_or_missing_input_is_an_error_and_writes_nothing() {
+        let s = store();
+        let (t1, _) = build_at(&s, "r/sst1", 1, &entries(&[("a", "1"), ("b", "2")]), 0);
+        let (t2, _) = build_at(&s, "r/sst2", 2, &entries(&[("b", "3"), ("c", "4")]), 0);
+        let whole = s.backend().get_all("r/sst1.data").unwrap();
+        let last = whole.len() - (RECORD_HEADER + 2);
+        let tables = [t1, t2];
+        let merge = || merge_at(&s, &tables, "r/sst3", 3, true, 0);
+        for cut in last + 1..whole.len() {
+            s.backend().put("r/sst1.data", whole.slice(..cut));
+            let err = merge().expect_err("a torn input must not merge");
+            assert!(
+                matches!(&err, Error::DataLoss(what)
+                    if what.contains("sst 1 SSData corrupt") && what.contains("r/sst1.data")),
+                "cut at {cut}: {err:?}"
+            );
+            assert_eq!(s.list("r/sst3"), Vec::<String>::new(), "cut at {cut}");
+        }
+        s.backend().delete("r/sst1.data");
+        let err = merge().expect_err("a missing input must not merge");
+        assert!(
+            matches!(&err, Error::DataLoss(what) if what.contains("sst 1 SSData missing")),
+            "{err:?}"
+        );
+        assert_eq!(s.list("r/sst3"), Vec::<String>::new());
+        s.backend().put("r/sst1.data", whole);
+        assert_eq!(merge().unwrap().0.len(), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::msg::{self, tags, KvRecord};
 use crate::options::{Consistency, Protection};
 use crate::replica::forward_replicas;
 use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob};
-use crate::sstable::{self, Ssid, SstReader, TableImage};
+use crate::sstable::{self, Record, Ssid, SstReader, TableImage};
 
 impl Db {
     /// `papyruskv_put`: insert or update a key-value pair.
@@ -227,7 +227,7 @@ pub(crate) fn build_riding_out(
     now: SimNs,
     what: std::fmt::Arguments<'_>,
 ) -> (SstReader, SimNs) {
-    let image = TableImage::encode(mt.iter());
+    let image = TableImage::encode(mt.len(), mt.iter().map(Record::from));
     let done = image.try_write_at(store, base, now).unwrap_or_else(|fault| {
         if fault == papyrus_nvm::IoFault::NoSpace {
             db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
@@ -281,17 +281,19 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, stamp: SimNs) {
     };
     let base = sstable::sst_base(&ctx.repo.prefix, &db.name, ctx.rank.rank(), new_ssid);
     // Merging ALL live tables: tombstones can be dropped outright.
-    // An injected `ENOSPC` aborts the compaction with a typed error: the
-    // inputs stay live and referenced by the manifest, so nothing is lost and
-    // the merge re-triggers at the next SSID multiple. Debris from a partial
-    // merged triple is unreferenced and harmless.
+    // An injected `ENOSPC` or an unreadable input aborts the compaction with
+    // a typed error: the inputs stay live and referenced by the manifest, so
+    // nothing (more) is lost and the merge re-triggers at the next SSID
+    // multiple. Debris from a partial merged triple is unreferenced and
+    // harmless.
     let (merged, done) = match sstable::merge_at(&store, &snapshot, &base, new_ssid, true, stamp) {
         Ok(ok) => ok,
-        Err(e @ Error::StorageFull(_)) => {
+        Err(e) => {
+            let named = |what| format!("compaction of db {} skipped: {what}", db.name);
+            let e = if let Error::DataLoss(what) = e { ckpt::data_loss(named(what)) } else { e };
             db.io_errors.lock().push(e);
             return;
         }
-        Err(_) => return,
     };
     let next = {
         let mut stack = db.stack.write();

@@ -116,7 +116,8 @@ proptest! {
     }
 
     /// SSTables roundtrip arbitrary entry sets: build then read back every
-    /// key via both search modes, and scan_all returns the input.
+    /// key via both search modes, and a cursor over the scanned image walks
+    /// the input, record for record, to the image's last byte.
     #[test]
     fn sstable_roundtrip(entries_in in prop::collection::btree_map(key_strategy(), (vec(any::<u8>(), 0..64), any::<bool>()), 0..60)) {
         let store = papyrus_nvm::NvmStore::in_memory(papyrus_simtime::DeviceModel::dram());
@@ -142,8 +143,13 @@ proptest! {
                 }
             }
         }
-        let (scanned, _) = reader.scan_all_at(0).unwrap();
-        prop_assert_eq!(scanned.len(), entries.len());
+        let (image, _) = reader.scan_at(0).unwrap();
+        let mut scanned = sstable::Cursor::new(&image);
+        for (k, e) in &entries {
+            let want = sstable::Record { key: k, value: &e.value, tombstone: e.tombstone };
+            prop_assert_eq!(scanned.next(), Some(want));
+        }
+        prop_assert!(scanned.next().is_none() && scanned.is_whole());
         // Reopen from storage and confirm identity.
         let (reopened, _) = sstable::SstReader::open_at(&store, "prop/sst", 1, 0).unwrap();
         prop_assert_eq!(reopened.len(), reader.len());

@@ -123,6 +123,65 @@ fn corrupt_sstable_files_are_skipped_on_reopen() {
     });
 }
 
+/// A merge input that is gone or cut short under a live database is not
+/// swallowed: the compaction is skipped with exactly one typed `DataLoss`
+/// naming the database and the table, the inputs stay live and
+/// manifest-listed, nothing is written for the merged table, and every key
+/// in a table that still reads is served.
+#[test]
+fn an_unreadable_merge_input_is_reported_and_the_inputs_stay_live() {
+    for (damage, why) in [("delete", "SSData missing"), ("truncate", "SSData corrupt")] {
+        let platform = Platform::new(SystemProfile::test_profile(), 1);
+        World::run(WorldConfig::for_tests(1), move |rank| {
+            let repo = format!("merge-{damage}");
+            let ctx = Context::init(rank, platform.clone(), &format!("nvm://{repo}")).unwrap();
+            // The default trigger: a merge of all live tables at SSID 4.
+            let db = ctx.open("db", OpenFlags::create(), Options::default()).unwrap();
+            let flush = |table: usize| {
+                for i in 0..20 {
+                    db.put(format!("t{table}-k{i:02}").as_bytes(), &[b'0' + table as u8; 64])
+                        .unwrap();
+                }
+                db.barrier(BarrierLevel::SsTable).unwrap();
+            };
+            (1..=3).for_each(flush);
+            assert_eq!(db.take_io_errors(), vec![]);
+
+            let backend = platform.storage.nvm_of(0).backend();
+            let victim = format!("{repo}/db/r0/sst0000000002.data");
+            let whole = backend.get_all(&victim).expect("sst 2 is live");
+            match damage {
+                "delete" => assert!(backend.delete(&victim)),
+                _ => backend.put(&victim, whole.slice(..whole.len() - 1)),
+            }
+            flush(4); // ...whose flush triggers the merge into sst 5
+
+            let found = db.take_io_errors();
+            assert!(
+                matches!(&found[..], [Error::DataLoss(what)]
+                    if what.contains("db db") && what.contains("sst 2") && what.contains(why)
+                        && what.contains(&victim)),
+                "{damage}: {found:?}"
+            );
+            let manifest = backend.get_all(&format!("{repo}/db/r0/MANIFEST")).unwrap();
+            assert_eq!(&manifest[..], b"next:5\n1 2 3 4\nok\n", "{damage}: the live set moved");
+            let files = platform.storage.nvm_of(0).list(&format!("{repo}/db/r0/sst"));
+            assert_eq!(files.len(), 4 * 3 - usize::from(damage == "delete"), "{damage}: {files:?}");
+            assert!(!files.iter().any(|f| f.contains("sst0000000005")), "{damage}: {files:?}");
+            for table in [1, 3, 4] {
+                for i in 0..20 {
+                    let got = db.get(format!("t{table}-k{i:02}").as_bytes());
+                    assert_eq!(got.as_deref(), Ok(&[b'0' + table as u8; 64][..]), "{damage}");
+                }
+            }
+            // The damaged table answers or misses; it never panics.
+            let _ = db.get(b"t2-k00");
+            db.close().unwrap();
+            ctx.finalize().unwrap();
+        });
+    }
+}
+
 #[test]
 fn restart_from_missing_snapshot_errors_cleanly() {
     let platform = Platform::new(SystemProfile::test_profile(), 1);

@@ -67,3 +67,17 @@ fn relay(f: &crate::fabric::Fabric) {
 fn relay_inner(f: &crate::fabric::Fabric) {
     f.recv(1);
 }
+
+pub struct Handle(pub Inner);
+
+pub struct Inner {
+    pub fabric: crate::fabric::Fabric,
+}
+
+pub fn tuple_field_block(db: &Db, h: &Handle) {
+    let g = db.inner.lock();
+    // The receiver goes through a tuple field: `0.fabric.recv` must not lex
+    // as one number and take the call with it — finding.
+    h.0.fabric.recv(0);
+    drop(g);
+}

@@ -165,10 +165,19 @@ pub fn lex(source: &str) -> Lexed {
             }
             c if c.is_ascii_digit() => {
                 let start = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
-                    && !(b[i] == b'.' && b.get(i + 1) == Some(&b'.'))
-                {
+                // After a `.` the digits are a tuple field (`self.0.store`):
+                // they end at the first non-digit. Elsewhere a `.` belongs
+                // to the literal only before a digit (`1.5`), so a field or
+                // method named after it (`h.0.fabric.recv(..)`, `1.max(2)`)
+                // stays a token of its own and keeps its call site.
+                let tuple_field = out.tokens.last().is_some_and(|t| t.text == ".");
+                let in_literal = |i: usize| match b[i] {
+                    c if c.is_ascii_digit() => true,
+                    _ if tuple_field => false,
+                    b'.' => b.get(i + 1).is_some_and(u8::is_ascii_digit),
+                    c => c.is_ascii_alphanumeric() || c == b'_',
+                };
+                while i < b.len() && in_literal(i) {
                     i += 1;
                 }
                 out.tokens.push(Tok {
@@ -310,6 +319,18 @@ mod tests {
         let lifetimes: Vec<_> = lx.tokens.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
         assert_eq!(lifetimes.len(), 2, "{lifetimes:?}");
         assert_eq!(lx.tokens.iter().filter(|t| t.kind == TokKind::Char).count(), 1);
+    }
+
+    #[test]
+    fn tuple_fields_and_float_literals_do_not_swallow_what_follows() {
+        let texts = |src: &str| lex(src).tokens.into_iter().map(|t| t.text).collect::<Vec<_>>();
+        assert_eq!(
+            texts("self.0.store.read_at(1.5, 0x1f_u8)"),
+            ["self", ".", "0", ".", "store", ".", "read_at", "(", "1.5", ",", "0x1f_u8", ")"]
+        );
+        assert_eq!(texts("t.0.1.go()"), ["t", ".", "0", ".", "1", ".", "go", "(", ")"]);
+        assert_eq!(texts("1.max(2)"), ["1", ".", "max", "(", "2", ")"]);
+        assert_eq!(texts("0..n"), ["0", ".", ".", "n"]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `cargo xtask perfline` — run the YCSB-style perf-trajectory suite plus the
-//! serve rows, write the `BENCH_<git-sha>.json` snapshot and gate it against
-//! a committed baseline. Fails when `--check` finds regressions, when the
+//! serve rows, then write the `BENCH_<git-sha>.json` snapshot or, with
+//! `--check`, gate the run against a committed baseline (writing a snapshot
+//! only where `--out` says). Fails when `--check` finds regressions, when a
 //! snapshot cannot be written, or when the self-test misses a planted one.
 
 use std::process::ExitCode;
@@ -25,7 +26,12 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut cfg = if quick { SuiteCfg::quick() } else { SuiteCfg::default_suite() };
     let (mut out, mut check, mut seed_bug) = (None, None, None);
     let flags = vec![
-        text("--out", "PATH", "snapshot path (default BENCH_<sha>.json at the root)", &mut out),
+        text(
+            "--out",
+            "PATH",
+            "snapshot path (BENCH_<sha>.json at the root unless --check)",
+            &mut out,
+        ),
         text("--check", "BASELINE.json", "gate: fail on >10% p99/QPS regressions", &mut check),
         switch("--quick", "scaled-down suite: 4 ranks, 2 skews", &mut quick),
         value("--ranks", "A,B,..", "rank counts to sweep", &mut cfg.ranks, |v| {
@@ -55,13 +61,18 @@ pub fn run(args: &[String]) -> ExitCode {
     snap.git_sha = sha.clone();
     print!("{}", snap.to_table());
 
+    // A check writes nothing it was not asked to; a plain run is for its
+    // snapshot.
+    let by_sha = || root.join(format!("BENCH_{sha}.json")).display().to_string();
+    let out = out.or_else(|| check.is_none().then(by_sha));
     let mut ok = check.is_none_or(|baseline| gate(&snap, &baseline));
-    let out = out.unwrap_or_else(|| root.join(format!("BENCH_{sha}.json")).display().to_string());
-    match snap.write_json(&out) {
-        Ok(()) => println!("# snapshot written to {out}"),
-        Err(e) => {
-            eprintln!("xtask perfline: failed to write {out}: {e}");
-            ok = false;
+    if let Some(out) = out {
+        match snap.write_json(&out) {
+            Ok(()) => println!("# snapshot written to {out}"),
+            Err(e) => {
+                eprintln!("xtask perfline: failed to write {out}: {e}");
+                ok = false;
+            }
         }
     }
     verdict(ok)

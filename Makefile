@@ -28,7 +28,10 @@ doc:
 # count is not the asserted one — and the ingest run's result line must say
 # `"failed": 0` itself, so a merge that mis-folds fails here by name. A
 # third, traced, sst_read second holds the fence index to its promise: one
-# SSTable get is exactly one backend read.
+# SSTable get is exactly one backend read. A fourth, a traced remote_mix
+# second, holds the wire to its size by name — a batch is a run of SSData
+# records behind the same headers, so bytes and messages per op are what
+# they were before batches shared the table's codec — with no op failed.
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
@@ -37,6 +40,10 @@ kvbench:
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^core\.sstable\.backend_gets_per_get +1\.0000 '
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload remote_mix --seed 1 --seconds 1 --trace 1) \
+		&& echo "$$out" | grep -E '^mpi\.fabric\.bytes_per_op +164\.9069 ' \
+		&& echo "$$out" | grep -E '^mpi\.fabric\.msgs_per_op +0\.9983 ' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # The gate planes below all go through one driver: `cargo xtask` is an alias
 # (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask

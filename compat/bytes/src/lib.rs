@@ -69,6 +69,21 @@ impl Bytes {
         Bytes { data: self.data.clone(), start: self.start + begin, end: self.start + end }
     }
 
+    /// The part of `self` that `subset` — a slice borrowed from it — covers,
+    /// sharing the backing storage (zero-copy); an empty `subset` gives an
+    /// empty `Bytes`, as in the real crate. Panics if `subset` lies outside.
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let (base, at) = (self.as_slice().as_ptr() as usize, subset.as_ptr() as usize);
+        assert!(
+            at >= base && at + subset.len() <= base + self.len(),
+            "slice_ref: subset is not part of these Bytes"
+        );
+        self.slice(at - base..at - base + subset.len())
+    }
+
     /// Split off and return the first `at` bytes; `self` keeps the rest.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds: {at} > {}", self.len());
@@ -108,6 +123,10 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// One allocation and one copy of `v.len()` bytes: the backing `Arc<[u8]>`
+/// cannot adopt a `Vec`'s buffer (the real crate's conversion is zero-copy),
+/// so spare capacity in `v` is paid for and then thrown away — reserve
+/// exactly.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let data: Arc<[u8]> = v.into();
@@ -223,7 +242,8 @@ impl BytesMut {
         self.buf.extend_from_slice(data);
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`]: one allocation and one copy of
+    /// `len` bytes (see `From<Vec<u8>>`; the real crate's is zero-copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -345,6 +365,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +395,22 @@ mod tests {
             assert!(!b.is_unique() && !s.is_unique());
         }
         assert!(Bytes::copy_from_slice(&[]).is_empty());
+    }
+
+    #[test]
+    fn slice_ref_shares_storage() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4, 5]).slice(1..);
+        let s = b.slice_ref(&b[1..3]);
+        assert_eq!(&s[..], &[3, 4]);
+        assert!(Arc::ptr_eq(&b.data, &s.data));
+        assert!(b.slice_ref(&b[2..2]).is_empty());
+        assert_eq!(b.slice_ref(&b[..]), b);
+    }
+
+    #[test]
+    #[should_panic]
+    fn slice_ref_of_a_foreign_slice_panics() {
+        Bytes::from_static(b"abc").slice_ref(b"abc");
     }
 
     #[test]

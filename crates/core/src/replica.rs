@@ -16,12 +16,12 @@ use papyrus_telemetry::{TID_DISPATCH, TID_HANDLER};
 
 use crate::db::DbInner;
 use crate::error::{Error, Result};
-use crate::msg::{self, tags, KvRecord};
+use crate::msg::{self, tags, Batch};
 use crate::read::{absorb_reply, reply_of, walk_ssts};
 use crate::runtime::{self, CtxInner, MigrateJob};
 use crate::sstable::{self, SstGet};
 use crate::stack::Stack;
-use crate::write::{build_riding_out, entry_of};
+use crate::write::build_riding_out;
 
 /// Copy `records` (owned by `origin`) to one successor rank. Returns the
 /// arrive/ack stamp.
@@ -30,10 +30,10 @@ fn copy_to_successor(
     db: &Arc<DbInner>,
     dst: usize,
     origin: usize,
-    records: &[KvRecord],
+    records: &Batch,
     stamp: SimNs,
 ) -> Result<SimNs> {
-    let encode = &mut |seq| msg::encode_repl_put(db.id, origin as u32, seq != 0, seq, records);
+    let encode = &mut |seq| records.repl_put(db.id, origin as u32, seq != 0, seq);
     let arrive = runtime::send_batch(
         ctx,
         db,
@@ -61,7 +61,7 @@ pub(crate) fn forward_replicas(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
     owner: usize,
-    records: &[KvRecord],
+    records: &Batch,
     stamp: SimNs,
     sync: bool,
 ) -> Result<SimNs> {
@@ -90,16 +90,16 @@ pub(crate) fn apply_replica_records(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
     origin: usize,
-    records: &[KvRecord],
+    records: &Batch,
     stamp: SimNs,
 ) -> SimNs {
     let clk = Clock::starting_at(stamp);
     {
         let mut repl = db.repl.lock();
         let stack = repl.entry(origin as u32).or_insert_with(|| Stack::new(1, Vec::new()));
-        for r in records {
-            clk.advance(db.mem.op_ns((r.key.len() + r.value.len()) as u64));
-            stack.mem.insert(&r.key, entry_of(r.value.clone(), r.tombstone));
+        for (key, entry) in records.entries() {
+            clk.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
+            stack.mem.insert(key, entry);
         }
         if stack.mem.bytes() >= db.opt.memtable_capacity {
             flush_replica_stack(ctx, db, origin, stack, &clk); // lint:allow(blocking-under-lock): flush must stay atomic with ingest — `stack` borrows from the `repl` map, and readers must never observe the memtable/SSTable gap
@@ -172,7 +172,7 @@ pub(crate) fn failover_get(
         if ctx.comm_req.rank_known_dead(s) {
             continue;
         }
-        let encode = &mut |seq| msg::encode_repl_get(db.id, owner as u32, seq, key);
+        let encode = &mut |seq| msg::encode_get_req(db.id, owner as u32, seq, key);
         match runtime::request(
             ctx,
             db,
@@ -226,8 +226,8 @@ pub(crate) fn maybe_promote(ctx: &CtxInner, db: &Arc<DbInner>, dead: usize) {
 /// Everything this rank replicates for `origin`, newest writer wins
 /// across the replica MemTable and replica SSTables. Tombstones are kept
 /// as records — re-replication must propagate deletions.
-pub(crate) fn replica_records(db: &Arc<DbInner>, origin: usize) -> Vec<KvRecord> {
-    db.repl.lock().get(&(origin as u32)).map_or_else(Vec::new, Stack::records)
+pub(crate) fn replica_records(db: &Arc<DbInner>, origin: usize) -> Batch {
+    db.repl.lock().get(&(origin as u32)).map_or_else(Batch::default, Stack::records)
 }
 
 /// Dispatcher-thread body for one re-replication job: copy the promoted
@@ -243,7 +243,7 @@ pub(crate) fn run_rereplication(ctx: &CtxInner, db: &Arc<DbInner>, origin: usize
         .into_iter()
         .filter(|&r| r != me)
         .collect();
-    let bytes: u64 = records.iter().map(|r| (r.key.len() + r.value.len()) as u64).sum();
+    let bytes: u64 = records.records().map(|r| (r.key.len() + r.value.len()) as u64).sum();
     let mut last = stamp;
     if !records.is_empty() {
         for t in targets {

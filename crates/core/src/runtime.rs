@@ -725,7 +725,7 @@ fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimN
 fn handle_put_sync(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
     let (db_id, seq, record) = msg::decode_put_sync(payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::write::apply_incoming_records(ctx, &db, std::slice::from_ref(&record), stamp);
+    let done = crate::write::apply_incoming_records(ctx, &db, &record, stamp);
     // Acknowledge with the service-completion stamp; the caller blocks on it
     // ("the caller MPI rank halts its execution until ... the completion of
     // migration", §3.1).
@@ -764,7 +764,7 @@ fn handle_repl_put(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: Sim
 }
 
 fn handle_repl_get(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, origin, seq, key) = msg::decode_repl_get(payload)?;
+    let (db_id, origin, seq, key) = msg::decode_get_req(payload)?;
     let db = ctx.db_by_id(db_id)?;
     // A failover get is proof a reader saw `origin` confirmed dead: if this
     // rank is origin's first live successor, claim the promotion now.

@@ -35,7 +35,7 @@ use papyrus_sanity::{AuditReport, ViolationKind};
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::memtable::{MemTable, ENTRY_OVERHEAD};
+use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
 use crate::sstable::{Cursor, SstReader};
 use crate::stack::Stack;
 
@@ -287,7 +287,8 @@ pub fn audit_db(db: &Db) -> AuditReport {
 /// Every key `stack` makes visible ([`Stack::records`]'s rule). A key whose
 /// newest record is a tombstone maps to `None`.
 fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    stack.records().into_iter().map(|r| (r.key, (!r.tombstone).then_some(r.value))).collect()
+    let live = |e: Entry| (!e.tombstone).then_some(e.value);
+    stack.records().entries().map(|(key, e)| (key.to_vec(), live(e))).collect()
 }
 
 /// Dump every key this rank's primary stack currently makes visible (see
@@ -313,7 +314,6 @@ pub fn replica_visible(db: &Db, origin: usize) -> Vec<(Vec<u8>, Option<bytes::By
 mod tests {
     use super::*;
     use crate::bloom::Bloom;
-    use crate::memtable::Entry;
     use crate::sstable::{build_at, Record, TableImage};
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;
@@ -335,7 +335,7 @@ mod tests {
     ) -> SstReader {
         let empty = Entry::value(Bytes::new());
         let records = keys.iter().map(|key| Record::from((*key, &empty)));
-        TableImage::encode(keys.len(), records).write_at(s, base, 0);
+        TableImage::encode(0, records).write_at(s, base, 0);
         let mut bloom = Bloom::with_capacity(bloom_keys.len().max(1), 10);
         for key in bloom_keys {
             bloom.insert(key);
@@ -535,7 +535,8 @@ mod tests {
             db.inner.repl.lock().insert(7, replica);
             let records = crate::replica::replica_records(&db.inner, 7);
             db.inner.repl.lock().clear();
-            let got: Vec<_> = records.into_iter().map(|r| (r.key, r.value, r.tombstone)).collect();
+            let owned = |r: Record| (key(r.key), Bytes::copy_from_slice(r.value), r.tombstone);
+            let got: Vec<_> = records.records().map(owned).collect();
             let live = |k: &[u8], v: &'static [u8]| (key(k), Bytes::from_static(v), false);
             assert_eq!(
                 got,

@@ -16,11 +16,12 @@
 //! * **bloom** — the serialized [`crate::bloom::Bloom`] filter.
 //!
 //! The record layout has one home, the codec (`put_record` / `record_at`),
-//! and one walk: a [`Cursor`] over an SSData image — or one block of it —
+//! and one walk: a [`Cursor`] over a run of records — an SSData image, one
+//! block of it, or the body of a batch on the wire ([`crate::msg::Batch`]) —
 //! yields the [`Record`]s in place and says whether it stopped on the last
 //! byte. Both gets, [`merge_at`], restart's redistribution, the stack's
-//! record list and the auditor are callers of it. The SSIndex layout has
-//! one home too (`put_fence` / `Fences::decode`).
+//! record list, the auditor and the message handler's ingest are callers of
+//! it. The SSIndex layout has one home too (`put_fence` / `Fences::decode`).
 //!
 //! A get either **binary searches** the fence keys of the in-memory SSIndex
 //! — in DRAM, uncharged like the bloom probe — and then reads the one block
@@ -43,7 +44,7 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use papyrus_nvm::{IoFault, NvmStore};
 use papyrus_simtime::{AccessPattern, SimNs};
 
@@ -162,13 +163,13 @@ impl<'a> From<(&'a [u8], &'a Entry)> for Record<'a> {
     }
 }
 
-/// Append `rec` to an SSData image.
-fn put_record(data: &mut Vec<u8>, rec: Record<'_>) {
-    data.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-    data.extend_from_slice(&(rec.value.len() as u32).to_le_bytes());
-    data.push(u8::from(rec.tombstone));
-    data.extend_from_slice(rec.key);
-    data.extend_from_slice(rec.value);
+/// Append `rec` to a run of records: an SSData image or a batch body.
+pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
+    data.put_u32_le(rec.key.len() as u32);
+    data.put_u32_le(rec.value.len() as u32);
+    data.put_u8(u8::from(rec.tombstone));
+    data.put_slice(rec.key);
+    data.put_slice(rec.value);
 }
 
 /// Decode the record starting at `pos` of `data`. Total: `None` when
@@ -379,18 +380,20 @@ pub(crate) struct TableImage {
 }
 
 impl TableImage {
-    /// Encode `entries`, an iterator of exactly `records` records in strict
-    /// key order — a MemTable's (a flush) and a [`merge`]'s are by
-    /// construction. The count comes first because the bloom filter is sized
-    /// from it.
-    pub(crate) fn encode<'a>(records: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
-        let mut data = Vec::new();
+    /// Encode `entries`, a stream of records in strict key order — a
+    /// MemTable's (a flush) and a [`merge`]'s are by construction — in one
+    /// pass: the bloom filter is sized once the stream has ended, from the
+    /// count it came to, and filled from the keys in the image just written.
+    /// `data_bound` is what the caller knows SSData cannot exceed — the image
+    /// is reserved once, not regrown.
+    pub(crate) fn encode<'a>(data_bound: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
+        let mut data = Vec::with_capacity(data_bound);
         let mut index = vec![0u8; INDEX_HEADER];
         let mut blocks: Vec<Block> = Vec::new();
         // SSData length at which the open block is full: the record that
         // finds it so starts the next one (the first record, the first).
         let mut block_full = 0usize;
-        let mut bloom = Bloom::with_capacity(records, 10);
+        let mut records = 0usize;
         for rec in entries {
             if data.len() >= block_full {
                 block_full = data.len() + BLOCK_BYTES;
@@ -398,9 +401,11 @@ impl TableImage {
                 put_fence(&mut index, data.len() as u64, rec.key);
                 blocks.push(Block { offset: data.len() as u64, key: key_at..index.len() });
             }
-            bloom.insert(rec.key);
             put_record(&mut data, rec);
+            records += 1;
         }
+        let mut bloom = Bloom::with_capacity(records, 10);
+        Cursor::new(&data).for_each(|rec| bloom.insert(rec.key));
         index[..8].copy_from_slice(&(records as u64).to_le_bytes());
         index[8..INDEX_HEADER].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
         let images = [Bytes::from(data), Bytes::from(index), Bytes::from(bloom.to_bytes())];
@@ -461,8 +466,9 @@ pub fn build_at(
         entries.windows(2).all(|w| w[0].0 < w[1].0),
         "SSTable input must be strictly key-sorted"
     );
+    let data_len = entries.iter().map(|(k, e)| RECORD_HEADER + k.len() + e.value.len()).sum();
     let records = entries.iter().map(|(k, e)| Record::from((k.as_slice(), e)));
-    let image = TableImage::encode(entries.len(), records);
+    let image = TableImage::encode(data_len, records);
     let done = image.write_at(store, base, now);
     (image.into_reader(store, base, ssid), done)
 }
@@ -644,9 +650,8 @@ impl SstReader {
 /// Merge a set of SSTables (any order) into one new table with SSID
 /// `new_ssid`, starting at `now` (§2.5 compaction): one sequential read per
 /// input, newest first, then `merge` streamed over the images into the
-/// encoder — twice, the first pass only counting, because the bloom filter
-/// is sized from the exact record count. When `drop_tombstones` is set
-/// (legal when merging *all* live tables), deleted keys vanish entirely.
+/// encoder, once. When `drop_tombstones` is set (legal when merging *all*
+/// live tables), deleted keys vanish entirely.
 ///
 /// `Err` before anything is written names the input whose SSData is missing
 /// or corrupt ([`Error::DataLoss`]). An injected `ENOSPC` aborts with
@@ -674,11 +679,9 @@ pub fn merge_at(
         t = done;
         images.push(image);
     }
-    let merged = || {
-        let levels = images.iter().map(|image| Cursor::new(image));
-        merge(levels).filter(|rec| !(drop_tombstones && rec.tombstone))
-    };
-    let image = TableImage::encode(merged().count(), merged());
+    let levels = images.iter().map(|image| Cursor::new(image));
+    let merged = merge(levels).filter(|rec| !(drop_tombstones && rec.tombstone));
+    let image = TableImage::encode(images.iter().map(Bytes::len).sum(), merged);
     let done = match image.try_write_at(store, new_base, t) {
         Ok(done) => done,
         Err(IoFault::NoSpace) => {
@@ -773,7 +776,24 @@ mod tests {
     }
 
     fn encode(entries: &[(Vec<u8>, Entry)]) -> TableImage {
-        TableImage::encode(entries.len(), records_of(entries).into_iter())
+        TableImage::encode(0, records_of(entries).into_iter())
+    }
+
+    /// The images the count-first encoder wrote, spelt out: the filter sized
+    /// from the count before the first insert, a fence at every record that
+    /// finds 4 KiB of SSData behind the last one.
+    fn count_first_images(entries: &[(Vec<u8>, Entry)]) -> [Vec<u8>; 3] {
+        let mut bloom = Bloom::with_capacity(entries.len(), 10);
+        let (mut data, mut fences, mut block_full) = (Vec::new(), Vec::new(), 0);
+        for rec in records_of(entries) {
+            if data.len() >= block_full {
+                block_full = data.len() + BLOCK_BYTES;
+                fences.push((data.len() as u64, rec.key));
+            }
+            bloom.insert(rec.key);
+            put_record(&mut data, rec);
+        }
+        [data, index_of(entries.len() as u64, &fences), bloom.to_bytes()]
     }
 
     fn records_of(entries: &[(Vec<u8>, Entry)]) -> Vec<Record<'_>> {
@@ -912,6 +932,43 @@ mod tests {
             prop_assert!(written == encode(&model).images, "not the images the model encodes to");
             let (image, _) = merged.scan_at(0).unwrap();
             prop_assert_eq!(Cursor::new(&image).collect::<Vec<_>>(), records_of(&model));
+        }
+
+        /// The one-pass encoder writes what the count-first one did, whatever
+        /// bound it is handed: `[records][blocks]`, every fence, and a filter
+        /// that is `Bloom::with_capacity(n, 10)` plus an insert of every key
+        /// — for tables from none to a dozen blocks. And the body of a
+        /// migration batch of the same records is the SSData image, byte for
+        /// byte: one record codec from the wire to the table.
+        #[test]
+        fn encoder_writes_the_count_first_images(
+            table in btree_map(
+                vec(any::<u8>(), 1..6),
+                (vec(any::<u8>(), 0..1024), any::<bool>()),
+                0..80,
+            ),
+            bound in 0usize..100_000,
+        ) {
+            let entry = |v, tomb| if tomb { Entry::tombstone() } else { Entry::value(Bytes::from(v)) };
+            let es: Vec<(Vec<u8>, Entry)> =
+                table.into_iter().map(|(k, (v, tomb))| (k, entry(v, tomb))).collect();
+            let want = count_first_images(&es);
+            for image in [encode(&es), TableImage::encode(bound, records_of(&es).into_iter())] {
+                prop_assert!(image.images == want, "not the count-first images");
+                prop_assert_eq!(image.fences.records, es.len());
+            }
+            let (built, _) = build_at(&store(), "b", 1, &es, 0);
+            prop_assert_eq!(built.data_len() as usize, want[0].len());
+
+            let batch: crate::msg::Batch = records_of(&es).into_iter().collect();
+            prop_assert_eq!(&batch.migrate(1, 2)[16..], &want[0][..]);
+            let owned = |(key, e): &(Vec<u8>, Entry)| crate::msg::KvRecord {
+                key: key.clone(),
+                value: e.value.clone(),
+                tombstone: e.tombstone,
+            };
+            let owned: Vec<_> = es.iter().map(owned).collect();
+            prop_assert_eq!(&crate::msg::encode_migrate(1, 2, &owned)[16..], &want[0][..]);
         }
 
         /// SSIndex decode is total: arbitrary bytes, and an encoder's image
@@ -1273,6 +1330,9 @@ mod tests {
         let s = store();
         let (r, _) = build_at(&s, "b", 1, &[], 0);
         assert!(r.is_empty());
+        let written = files_of("b").map(|path| s.backend().get_all(&path).unwrap());
+        assert_eq!(written, count_first_images(&[]), "the empty stream's images");
+        assert_eq!(written.each_ref().map(Bytes::len), [0, INDEX_HEADER, 12 + 8]);
         assert_eq!(r.get_at(b"k", true, 0).0, SstGet::NotFound);
         let (opened, _) = SstReader::open_at(&s, "b", 1, 0).unwrap();
         assert!(opened.is_empty());
@@ -1296,6 +1356,35 @@ mod tests {
         assert_eq!(merged.get_at(b"b", true, 0).0, SstGet::Found(Bytes::from_static(b"1")));
         assert_eq!(merged.get_at(b"dead", true, 0).0, SstGet::NotFound);
         assert_eq!(merged.len(), 2);
+    }
+
+    /// A merge whose inputs shadow each other sizes the filter from the
+    /// records that survive — duplicates folded, tombstones dropped — not
+    /// from its inputs': three tables of the same 200 keys, the newest
+    /// deleting half, merge to the table a build of the 100 survivors is.
+    #[test]
+    fn merge_sizes_the_filter_from_the_surviving_records() {
+        let s = store();
+        let (t1, _) = build_at(&s, "r/sst1", 1, &uniform(200, 30), 0);
+        let (t2, _) = build_at(&s, "r/sst2", 2, &uniform(200, 50), 0);
+        let mut newest = uniform(200, 70);
+        newest.iter_mut().step_by(2).for_each(|(_, e)| *e = Entry::tombstone());
+        let (t3, _) = build_at(&s, "r/sst3", 3, &newest, 0);
+        let tables = [t1, t2, t3];
+
+        let (merged, _) = merge_at(&s, &tables, "r/sst4", 4, true, 0).unwrap();
+        newest.retain(|(_, e)| !e.tombstone);
+        let want = count_first_images(&newest);
+        assert_eq!(merged.len(), 100);
+        assert_eq!(files_of("r/sst4").map(|path| s.backend().get_all(&path).unwrap()), want);
+        assert_eq!(want[2].len(), 12 + 8 * (100 * 10usize).div_ceil(64), "1000 bits, not 6000");
+
+        let (kept, _) = merge_at(&s, &tables, "r/sst5", 5, false, 0).unwrap();
+        assert_eq!(kept.len(), 200, "duplicates fold; tombstones stay when asked");
+        assert_eq!(
+            s.backend().get_all("r/sst5.bloom").unwrap().len(),
+            12 + 8 * 2000usize.div_ceil(64)
+        );
     }
 
     /// A merge input cut anywhere inside its last record — or gone — makes

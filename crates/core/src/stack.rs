@@ -11,10 +11,8 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use crate::memtable::MemTable;
-use crate::msg::KvRecord;
+use crate::msg::Batch;
 use crate::sstable::{merge, Cursor, Record, Ssid, SstReader};
 
 pub(crate) struct Stack {
@@ -40,21 +38,17 @@ impl Stack {
         std::iter::once(&self.mem).chain(self.imm.iter().rev().map(Arc::as_ref))
     }
 
-    /// Every record the stack holds, copied out, in key order, newest writer
-    /// wins ([`merge`]): the MemTables in search order shadow the SSTables,
-    /// newest first; tombstones are records. Tables are read uncharged (an
-    /// unreadable one is skipped): for observers, never for the get path.
-    pub(crate) fn records(&self) -> Vec<KvRecord> {
+    /// Every record the stack holds, copied out as one batch, in key order,
+    /// newest writer wins ([`merge`]): the MemTables in search order shadow
+    /// the SSTables, newest first; tombstones are records. Tables are read
+    /// uncharged (an unreadable one is skipped): for observers — the auditor,
+    /// re-replication — never for the get path.
+    pub(crate) fn records(&self) -> Batch {
         type Level<'a> = Box<dyn Iterator<Item = Record<'a>> + 'a>;
         let images: Vec<_> = self.ssts.iter().rev().filter_map(SstReader::records_image).collect();
         let mems = self.mem_tables().map(|mt| Box::new(mt.iter().map(Record::from)) as Level);
         let ssts = images.iter().map(|image| Box::new(Cursor::new(image)) as Level);
-        let owned = |rec: Record| KvRecord {
-            key: rec.key.to_vec(),
-            value: Bytes::copy_from_slice(rec.value),
-            tombstone: rec.tombstone,
-        };
-        merge(mems.chain(ssts)).map(owned).collect()
+        merge(mems.chain(ssts)).collect()
     }
 
     /// Freeze the MemTable onto the frozen queue (§2.4); `None` if it is

@@ -1,7 +1,7 @@
 //! The write path: put, freeze, flush, merge compaction, migration and
 //! handler-side ingest (paper §2.4-§2.5, §3.1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -12,7 +12,7 @@ use crate::ckpt;
 use crate::db::{Db, DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::memtable::{Entry, MemTable};
-use crate::msg::{self, tags, KvRecord};
+use crate::msg::{tags, Batch, BatchBuf};
 use crate::options::{Consistency, Protection};
 use crate::replica::forward_replicas;
 use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob};
@@ -64,9 +64,11 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             &db.tel.put_remote
         }
         Consistency::Sequential => {
-            let rec = KvRecord { key: key.to_vec(), value, tombstone };
+            // One record, encoded once from the caller's key and value: the
+            // PUT_SYNC body and, replicated, the REPL_PUT body.
+            let batch: Batch = [Record { key, value: &value, tombstone }].into_iter().collect();
             let kind = if owner == me {
-                insert_local_entry(ctx, db, key, entry_of(rec.value.clone(), tombstone), clock);
+                insert_local_entry(ctx, db, key, entry_of(value, tombstone), clock);
                 &db.tel.put_local
             } else {
                 // "sent to the remote owner rank synchronously and directly
@@ -74,7 +76,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
                 // fault plane the synchronous put is deadline-guarded and
                 // retried (idempotent re-apply); a confirmed-dead owner
                 // surfaces as `Error::RankUnavailable`.
-                let encode = &mut |seq| msg::encode_put_sync(db.id, seq, &rec);
+                let encode = &mut |seq| batch.migrate(db.id, seq);
                 request(
                     ctx,
                     db,
@@ -89,7 +91,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
                 // successors must too before this put returns, so a single
                 // rank kill cannot lose an acked sequential write (DESIGN
                 // §11).
-                forward_replicas(ctx, db, owner, std::slice::from_ref(&rec), clock.now(), true)?;
+                forward_replicas(ctx, db, owner, &batch, clock.now(), true)?;
             }
             kind
         }
@@ -227,7 +229,7 @@ pub(crate) fn build_riding_out(
     now: SimNs,
     what: std::fmt::Arguments<'_>,
 ) -> (SstReader, SimNs) {
-    let image = TableImage::encode(mt.len(), mt.iter().map(Record::from));
+    let image = TableImage::encode(mt.bytes() as usize, mt.iter().map(Record::from));
     let done = image.try_write_at(store, base, now).unwrap_or_else(|fault| {
         if fault == papyrus_nvm::IoFault::NoSpace {
             db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
@@ -317,19 +319,13 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, stamp: SimNs) {
 }
 
 /// Dispatcher-thread body for one migration job: sort the frozen staging
-/// MemTable's pairs by owner, accumulate per-rank chunks, and send them
-/// (§2.4 "migration").
+/// MemTable's pairs by owner — each encoded, once, straight into its owner's
+/// batch — and send the batches, owners ascending (§2.4 "migration").
 pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>, stamp: SimNs) {
-    let mut per_owner: HashMap<usize, Vec<KvRecord>> = HashMap::new();
+    let mut per_owner: BTreeMap<usize, BatchBuf> = BTreeMap::new();
     for (k, e) in mt.iter() {
-        per_owner.entry(e.owner as usize).or_default().push(KvRecord {
-            key: k.to_vec(),
-            value: e.value.clone(),
-            tombstone: e.tombstone,
-        });
+        per_owner.entry(e.owner as usize).or_default().push(Record::from((k, e)));
     }
-    let mut owners: Vec<usize> = per_owner.keys().copied().collect();
-    owners.sort_unstable();
     let me = ctx.rank.rank();
     let mut last_arrive = stamp;
     let mut settle = |sent: Result<SimNs>| match sent {
@@ -339,8 +335,8 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
         }
         Err(e) => db.io_errors.lock().push(e),
     };
-    for owner in owners {
-        let records = &per_owner[&owner];
+    for (owner, batch) in per_owner {
+        let batch = &batch.freeze();
         // An `owner == me` group exists only under R >= 2: local puts are
         // staged here purely so their replica copies ride the batched path.
         // The primary copy is already in the local stack — no self-migrate.
@@ -349,7 +345,7 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
             // dropped with a typed error in the sink — their keys are
             // unavailable until restart, which the chaos oracle accounts
             // for.
-            let encode = &mut |seq| msg::encode_migrate(db.id, seq, records);
+            let encode = &mut |seq| batch.migrate(db.id, seq);
             let sent = send_batch(
                 ctx,
                 db,
@@ -366,7 +362,7 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
         // barrier proves every replica copy sent before it was ingested —
         // the "bounded replication queue drained at barrier/fence".
         if db.repl_n >= 2 {
-            settle(forward_replicas(ctx, db, owner, records, stamp, false));
+            settle(forward_replicas(ctx, db, owner, batch, stamp, false));
         }
     }
     db.tel.migrate_count.inc();
@@ -383,12 +379,12 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
 pub(crate) fn apply_incoming_records(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
-    records: &[KvRecord],
+    records: &Batch,
     stamp: SimNs,
 ) -> SimNs {
     let clk = Clock::starting_at(stamp);
-    for r in records {
-        insert_local_entry(ctx, db, &r.key, entry_of(r.value.clone(), r.tombstone), &clk);
+    for (key, entry) in records.entries() {
+        insert_local_entry(ctx, db, key, entry, &clk);
     }
     let done = clk.now();
     db.ingest_backlog.merge(done);

@@ -172,11 +172,13 @@ proptest! {
             .collect();
         let (db, seq, got) = msg::decode_migrate(msg::encode_migrate(9, 41, &kv)).unwrap();
         prop_assert_eq!((db, seq), (9, 41));
-        prop_assert_eq!(got, kv);
+        let want: Vec<sstable::Record> = kv.iter().map(sstable::Record::from).collect();
+        prop_assert_eq!(got.records().collect::<Vec<_>>(), want);
         // Fuzz all decoders with junk: must not panic.
         let b = Bytes::from(junk);
         let _ = msg::decode_migrate(b.clone());
         let _ = msg::decode_put_sync(b.clone());
+        let _ = msg::decode_repl_put(b.clone());
         let _ = msg::decode_get_req(b.clone());
         let _ = msg::decode_get_resp(b.clone());
         let _ = msg::decode_barrier_mark(b);

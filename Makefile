@@ -26,7 +26,13 @@ doc:
 # path — prove the store still *serves* the benchmark: a run exits non-zero
 # when a get disagrees with kvbench's model, an op fails, or the live-SSTable
 # count is not the asserted one — and the ingest run's result line must say
-# `"failed": 0` itself, so a merge that mis-folds fails here by name. A
+# `"failed": 0` itself. sst_read's set-up is where these runs merge: nine
+# flushes under the default size-tiered rule are two merges of four tables,
+# the second a partial one beside the first's output (3 live tables, the
+# floor the run asserts), so a merge that mis-folds or a partial merge that
+# drops a tombstone fails here by name; a one-second ingest round is two
+# flushes and merges nothing (the rule's exact write counts are tier-1's,
+# `equal_flushes_write_exactly_their_tiers`). A
 # third, traced, sst_read second holds the fence index to its promise: one
 # SSTable get is exactly one backend read. A fourth, a traced remote_mix
 # second, holds the wire to its size by name — a batch is a run of SSData

@@ -88,5 +88,5 @@ mod write;
 
 pub use db::Db;
 pub use error::{Error, Result};
-pub use options::{BarrierLevel, Consistency, OpenFlags, Options, Protection};
+pub use options::{BarrierLevel, CompactionTrigger, Consistency, OpenFlags, Options, Protection};
 pub use runtime::{Context, Event, Platform, RepoKind};

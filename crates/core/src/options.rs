@@ -40,6 +40,41 @@ pub enum BarrierLevel {
     SsTable,
 }
 
+/// When merge compaction runs and how much it merges (§2.5). A merge takes
+/// a *suffix* of the live list — the newest tables — into one table with a
+/// fresh SSID, so SSID order stays age order; the rule answers how many of
+/// the newest tables to take after a flush.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompactionTrigger {
+    /// Size-tiered (the default, `fan_in` 4). A table's tier is its SSData
+    /// size on a scale of `memtable_capacity × fan_in^k`, read off the table
+    /// itself, so a reopened database tiers itself. When the newest table
+    /// and the tables next to it that are no larger than its tier make
+    /// `fan_in` they merge; if the output would complete the next tier,
+    /// those older tables join the same pass. Bytes written per user byte
+    /// grow with the logarithm of the database size, live tables stay below
+    /// `fan_in` per tier, and an older table is never smaller than a newer
+    /// one's tier. A `fan_in` below 2 is read as 2.
+    ///
+    /// The paper merges *all* live tables "whenever the SSID of a new
+    /// SSTable is a multiple of the predefined number" (§2.5), which
+    /// rewrites the whole database every `fan_in`th flush: 13 and 16 equal
+    /// flushes write 47 and 66 tables' worth where this rule writes 25 and
+    /// 44 (EXPERIMENTS.md, "size-tiered merges").
+    Tiered {
+        /// Tables of one tier that merge into one of the next.
+        fan_in: usize,
+    },
+    /// Never merge: every flush adds a live table.
+    Off,
+}
+
+impl Default for CompactionTrigger {
+    fn default() -> Self {
+        Self::Tiered { fan_in: 4 }
+    }
+}
+
 /// Open flags for `papyruskv_open`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpenFlags {
@@ -90,9 +125,8 @@ pub struct Options {
     /// Consult per-SSTable bloom filters before probing SSData (§2.4).
     /// Disabling is an ablation knob: every get then probes every table.
     pub bloom_filter: bool,
-    /// Merge-compact whenever a new SSID is a multiple of this (§2.5);
-    /// 0 disables compaction.
-    pub compaction_trigger: u64,
+    /// The merge-compaction rule, consulted after every flush.
+    pub compaction_trigger: CompactionTrigger,
     /// Application-supplied hash for key → owner-rank distribution (§2.4
     /// load balancing; §5.2 Meraculous affinity). `None` = built-in hash.
     pub custom_hash: Option<HashFn>,
@@ -136,7 +170,7 @@ impl Default for Options {
             protection: Protection::ReadWrite,
             bin_search: true,
             bloom_filter: true,
-            compaction_trigger: 4,
+            compaction_trigger: CompactionTrigger::default(),
             custom_hash: None,
             replicas: 1,
         }
@@ -187,6 +221,12 @@ impl Options {
         self
     }
 
+    /// Builder-style: set the merge-compaction rule.
+    pub fn with_compaction_trigger(mut self, trigger: CompactionTrigger) -> Self {
+        self.compaction_trigger = trigger;
+        self
+    }
+
     /// Builder-style: set the replication factor (total copies per key).
     pub fn with_replicas(mut self, r: usize) -> Self {
         self.replicas = r;
@@ -210,6 +250,8 @@ mod tests {
         assert!(o.custom_hash.is_none());
         assert_eq!(o.flush_queue_len, 4);
         assert_eq!(o.replicas, 1);
+        // The one departure: merges are size-tiered, not of everything.
+        assert_eq!(o.compaction_trigger, CompactionTrigger::Tiered { fan_in: 4 });
     }
 
     #[test]

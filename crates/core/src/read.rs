@@ -61,9 +61,25 @@ impl Db {
     }
 }
 
-/// Walk SSTables in the order given — newest SSID first (§2.6) — probing
-/// each bloom filter first when the database has them on. The one walk
-/// behind local, replica and storage-group peer reads.
+/// Search one SSTable for `key`, probing its bloom filter first when the
+/// database has them on. `None`: the table is gone — the SSData the search
+/// had to read is no longer there.
+fn probe_sst(db: &DbInner, table: &SstReader, key: &[u8], clock: &Clock) -> Option<SstGet> {
+    if db.opt.bloom_filter {
+        if !table.maybe_contains(key) {
+            db.tel.bloom_neg.inc();
+            return Some(SstGet::NotFound);
+        }
+        db.tel.bloom_pass.inc();
+    }
+    let (hit, done) = table.try_get_at(key, db.opt.bin_search, clock.now())?;
+    clock.merge(done);
+    Some(hit)
+}
+
+/// Walk SSTables in the order given — newest SSID first (§2.6). The one walk
+/// behind local and replica reads, whose tables cannot vanish under the
+/// stack lock; one lost to the device reads as a miss.
 pub(crate) fn walk_ssts<R: Borrow<SstReader>>(
     db: &DbInner,
     tables: impl Iterator<Item = R>,
@@ -71,18 +87,9 @@ pub(crate) fn walk_ssts<R: Borrow<SstReader>>(
     clock: &Clock,
 ) -> SstGet {
     for table in tables {
-        let table = table.borrow();
-        if db.opt.bloom_filter {
-            if !table.maybe_contains(key) {
-                db.tel.bloom_neg.inc();
-                continue;
-            }
-            db.tel.bloom_pass.inc();
-        }
-        let (hit, done) = table.get_at(key, db.opt.bin_search, clock.now());
-        clock.merge(done);
-        if hit != SstGet::NotFound {
-            return hit;
+        match probe_sst(db, table.borrow(), key, clock) {
+            Some(SstGet::NotFound) | None => {}
+            Some(hit) => return hit,
         }
     }
     SstGet::NotFound
@@ -289,18 +296,22 @@ fn remote_get_primary(
         return Ok(absorb_reply(cache, key, reply));
     };
     Ok(match search_peer_ssts(ctx, db, key, owner, &ssids, cache, clock) {
-        // The owner's compaction may have merged and deleted the listed
-        // SSTables while we were probing them. Retry with the
-        // storage-group fast path disabled (NO_GROUP sentinel): the owner
-        // searches its own SSTables under its stack lock, which compaction
-        // cannot race.
+        // The owner's compaction may have merged and deleted listed
+        // SSTables while we were probing them (the walk then stops short).
+        // Retry with the storage-group fast path disabled (NO_GROUP
+        // sentinel): the owner searches its own SSTables under its stack
+        // lock, which compaction cannot race.
         SstGet::NotFound => absorb_reply(cache, key, round_trip(msg::NO_GROUP)?),
         hit => hit,
     })
 }
 
 /// Storage-group shared-SSTable search: read the owner's SSTables directly
-/// from the shared NVM "as if it were a local get operation" (§2.7).
+/// from the shared NVM "as if it were a local get operation" (§2.7). A
+/// listed table that has vanished — it does not open, or its block does not
+/// read — ends the search there, a miss for the caller to take to the owner:
+/// a merge replaces only the newest tables, so an older table outlives the
+/// ones that shadowed it and must not answer in their place.
 fn search_peer_ssts(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
@@ -314,9 +325,17 @@ fn search_peer_ssts(
     // fence image and the bloom filter held for it.
     db.peer_readers.lock().retain(|&(of, ssid), _| of != owner || ssids_desc.contains(&ssid));
     let store = ctx.repo_store_for(owner);
-    let tables =
-        ssids_desc.iter().filter_map(|&ssid| peer_reader(ctx, db, &store, owner, ssid, clock));
-    cache_remote(cache, key, walk_ssts(db, tables, key, clock))
+    for &ssid in ssids_desc {
+        let Some(table) = peer_reader(ctx, db, &store, owner, ssid, clock) else {
+            return SstGet::NotFound;
+        };
+        match probe_sst(db, &table, key, clock) {
+            None => return SstGet::NotFound,
+            Some(SstGet::NotFound) => {}
+            Some(hit) => return cache_remote(cache, key, hit),
+        }
+    }
+    SstGet::NotFound
 }
 
 /// The reader for `owner`'s SSTable `ssid`, opened on first use; `None` if
@@ -397,6 +416,82 @@ mod tests {
             db.close().expect("close");
             ctx.finalize().expect("finalize");
         });
+    }
+
+    /// A partial merge deletes tables that shadow an older one it leaves
+    /// live. A peer holding the list the owner sent before the merge — v1 of
+    /// `key` in tier-1 table 5, then its overwrite (`deleted`: its
+    /// tombstone) in table 6 — must take the vanished table 6 to the owner,
+    /// not walk past it to v1: stale value, or resurrected delete. `warm`:
+    /// the peer opened the tables before the merge, so it is the block read
+    /// that fails, not the open.
+    fn peer_walk_over_a_partial_merge(repo: &'static str, deleted: bool, warm: bool) {
+        let platform = Platform::with_physical_groups(SystemProfile::test_profile(), 2, 2);
+        World::run(WorldConfig::for_tests(2), move |rank| {
+            let ctx = Context::init_with_group(rank, platform.clone(), repo, 2).expect("init");
+            // Ten 115-byte records a flush: tier 0; four flushes merged: tier 1.
+            let opt = Options::default()
+                .with_memtable_capacity(1400)
+                .with_custom_hash(Arc::new(|_k: &[u8]| 1));
+            let db = ctx.open("db", OpenFlags::create(), opt).expect("open");
+            let owner = ctx.rank() == 1;
+            let flush = |table: u8, key: Option<&[u8]>| {
+                if owner {
+                    for i in 0..9 {
+                        db.put(format!("t{table}-k{i}").as_bytes(), &[table; 100]).unwrap();
+                    }
+                    match key {
+                        Some(key) if deleted && table == 6 => db.delete(key).unwrap(),
+                        Some(key) => db.put(key, &[table; 100]).unwrap(),
+                        None => db.put(b"filler", &[table; 100]).unwrap(),
+                    }
+                }
+                db.barrier(BarrierLevel::SsTable).unwrap();
+            };
+            flush(1, Some(b"key"));
+            (2..=4).for_each(|table| flush(table, None)); // merged into sst 5
+            flush(6, Some(b"key"));
+            flush(7, None);
+            let held = || {
+                let mut held: Vec<_> = db.inner.peer_readers.lock().keys().copied().collect();
+                held.sort_unstable();
+                held
+            };
+            let newest = (!deleted).then(|| Bytes::from(vec![6; 100]));
+            if owner {
+                assert_eq!(db.inner.stack.read().live_ssids(), vec![5, 6, 7]);
+            } else if warm {
+                assert_eq!(db.get_opt(b"t1-k0").unwrap(), Some(Bytes::from(vec![1; 100])));
+                assert_eq!(held(), vec![(1, 5), (1, 6), (1, 7)]);
+                assert_eq!(db.get_opt(b"key").unwrap(), newest);
+            }
+            db.barrier(BarrierLevel::MemTable).unwrap();
+            // The owner's merge: 6..=9 into sst 10, beside sst 5.
+            (8..=9).for_each(|table| flush(table, None));
+            if owner {
+                assert_eq!(db.inner.stack.read().live_ssids(), vec![5, 10]);
+            } else {
+                // The walk of a get whose `SearchShared` reply left the owner
+                // before the merge.
+                let (ctx, inner) = (&db.ctx, &db.inner);
+                let walked = search_peer_ssts(ctx, inner, b"key", 1, &[7, 6, 5], None, ctx.clock());
+                assert_eq!(walked, SstGet::NotFound, "a vanished table is the owner's to answer");
+                assert_eq!(db.get_opt(b"key").unwrap(), newest);
+                assert_eq!(db.get_opt(b"t1-k0").unwrap(), Some(Bytes::from(vec![1; 100])));
+                assert_eq!(held(), vec![(1, 5), (1, 10)], "the owner's live set, no more");
+            }
+            db.barrier(BarrierLevel::MemTable).unwrap();
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+        });
+    }
+
+    #[test]
+    fn a_peer_never_walks_past_a_vanished_table() {
+        peer_walk_over_a_partial_merge("nvm://peer-stale-read", false, true);
+        peer_walk_over_a_partial_merge("nvm://peer-stale-open", false, false);
+        peer_walk_over_a_partial_merge("nvm://peer-undelete-read", true, true);
+        peer_walk_over_a_partial_merge("nvm://peer-undelete-open", true, false);
     }
 }
 

@@ -4,7 +4,7 @@
 //! Per rank, the runtime owns (paper §2.4):
 //!
 //! * a **compaction thread** — dequeues immutable local MemTables from the
-//!   flushing queue, writes SSTables, performs SSID-triggered merge
+//!   flushing queue, writes SSTables, performs size-tiered merge
 //!   compaction, and executes asynchronous checkpoint transfers;
 //! * a **message dispatcher thread** — dequeues immutable remote MemTables
 //!   from the migration queue, sorts their pairs by owner rank, and ships

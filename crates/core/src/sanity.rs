@@ -497,7 +497,7 @@ mod tests {
     /// merge of all live tables) as asked.
     #[test]
     fn newest_writer_wins_through_compaction_dumps_and_rereplication() {
-        use crate::options::{BarrierLevel, OpenFlags, Options};
+        use crate::options::{BarrierLevel, CompactionTrigger, OpenFlags, Options};
         use crate::runtime::{Context, Platform};
         use crate::sstable::{merge_at, SstGet};
         use papyrus_mpi::{World, WorldConfig};
@@ -507,8 +507,8 @@ mod tests {
         let platform = Platform::new(profile.clone(), 1);
         World::run(WorldConfig::new(1, profile.net.clone()), move |rank| {
             let ctx = Context::init(rank, platform.clone(), "nvm://newest-wins").expect("init");
-            // No SSID-triggered merge: the two flushed tables stay apart.
-            let opt = Options { compaction_trigger: 0, ..Options::default() };
+            // No merge: the two flushed tables stay apart.
+            let opt = Options::default().with_compaction_trigger(CompactionTrigger::Off);
             let db = ctx.open("db", OpenFlags::create(), opt).expect("open");
             for (k, v) in [(b"a", &b"old"[..]), (b"b", b"1"), (b"d", b"x")] {
                 db.put(k, v).unwrap();

@@ -496,8 +496,9 @@ impl SstReader {
     /// Open an SSTable at `base`, charging the open/metadata and
     /// bloom+index read costs starting at `now`. Returns `None` if the
     /// SSTable's files are missing (e.g. deleted by a concurrent compaction
-    /// in the owner rank — callers skip it) or do not fit together — a torn
-    /// SSIndex reads as "unreadable", not as a table that opens and misses.
+    /// in the owner rank — a peer then asks the owner) or do not fit
+    /// together — a torn SSIndex reads as "unreadable", not as a table that
+    /// opens and misses.
     pub fn open_at(store: &NvmStore, base: &str, ssid: Ssid, now: SimNs) -> Option<(Self, SimNs)> {
         let files = files_of(base);
         let [data_path, index_path, bloom_path] = &files;
@@ -581,7 +582,20 @@ impl SstReader {
     /// `bin_search = true`: a binary search of the in-memory SSIndex, then
     /// one random-access read of the block it names. `false`: sequential
     /// scan of SSData from the start (the cost contrast behind Figure 8).
+    /// A table whose SSData is gone reads as a miss, uncharged.
     pub fn get_at(&self, key: &[u8], bin_search: bool, now: SimNs) -> (SstGet, SimNs) {
+        self.try_get_at(key, bin_search, now).unwrap_or((SstGet::NotFound, now))
+    }
+
+    /// [`SstReader::get_at`] that tells a miss from a table that is no
+    /// longer there: `None` when the SSData the search had to read is gone
+    /// (a storage-group peer's view of a table its owner has merged away).
+    pub(crate) fn try_get_at(
+        &self,
+        key: &[u8],
+        bin_search: bool,
+        now: SimNs,
+    ) -> Option<(SstGet, SimNs)> {
         if bin_search {
             self.get_binary(key, now)
         } else {
@@ -592,22 +606,23 @@ impl SstReader {
     /// Search the fences in DRAM — free, like the bloom probe — and read
     /// the one block that can hold `key`: one random device read, or none
     /// when the key sorts below the table's first.
-    fn get_binary(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
+    fn get_binary(&self, key: &[u8], now: SimNs) -> Option<(SstGet, SimNs)> {
         let Some(extent) = self.0.fences.block_of(key, self.0.data_len) else {
-            return (SstGet::NotFound, now);
+            return Some((SstGet::NotFound, now));
         };
-        let Some(block) = self.read_block(extent) else {
-            return (SstGet::NotFound, now);
-        };
-        (seek(&block, key).0, self.charge_read(block.len() as u64, AccessPattern::Random, now))
+        let block = self.read_block(extent)?;
+        Some((
+            seek(&block, key).0,
+            self.charge_read(block.len() as u64, AccessPattern::Random, now),
+        ))
     }
 
     /// Decode forward through one SSData image — the one sequential read
     /// the scan is charged as.
-    fn get_linear(&self, key: &[u8], now: SimNs) -> (SstGet, SimNs) {
-        let data = self.image().unwrap_or_default();
+    fn get_linear(&self, key: &[u8], now: SimNs) -> Option<(SstGet, SimNs)> {
+        let data = self.image()?;
         let (hit, scanned) = seek(&data, key);
-        (hit, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now))
+        Some((hit, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now)))
     }
 
     fn charge_read(&self, bytes: u64, pattern: AccessPattern, now: SimNs) -> SimNs {
@@ -693,7 +708,7 @@ pub fn merge_at(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::memtable::MemTable;
     use papyrus_simtime::DeviceModel;
@@ -708,12 +723,13 @@ mod tests {
 
     /// A `MemBackend` that counts the reads it serves and their bytes.
     #[derive(Default)]
-    struct CountingBackend {
+    pub(crate) struct CountingBackend {
         inner: papyrus_nvm::MemBackend,
         gets: AtomicU64,
         get_bytes: AtomicU64,
-        /// Every whole-object read and write, in order: `(op, path, bytes)`.
-        log: parking_lot::Mutex<Vec<(&'static str, String, usize)>>,
+        /// Every whole-object read and write, rename (by its target) and
+        /// delete, in order: `(op, path, bytes)`.
+        pub(crate) log: parking_lot::Mutex<Vec<(&'static str, String, usize)>>,
     }
 
     impl CountingBackend {
@@ -749,9 +765,11 @@ mod tests {
             self.inner.len(path)
         }
         fn delete(&self, path: &str) -> bool {
+            self.log.lock().push(("delete", path.to_string(), 0));
             self.inner.delete(path)
         }
         fn rename(&self, from: &str, to: &str) -> bool {
+            self.log.lock().push(("rename", to.to_string(), 0));
             self.inner.rename(from, to)
         }
         fn list(&self, prefix: &str) -> Vec<String> {

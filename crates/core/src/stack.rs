@@ -75,6 +75,14 @@ impl Stack {
         self.drop_frozen(mt);
     }
 
+    /// A merge finished: `merged`, under a fresh SSID, now holds what the
+    /// newest `take` tables held. They are a suffix of the list, so it stays
+    /// in ascending SSID order and newest-first-wins needs no re-sorting.
+    pub(crate) fn replace_newest(&mut self, take: usize, merged: SstReader) {
+        self.ssts.truncate(self.ssts.len() - take);
+        self.ssts.push(merged);
+    }
+
     pub(crate) fn drop_frozen(&mut self, mt: &Arc<MemTable>) {
         self.imm.retain(|m| !Arc::ptr_eq(m, mt));
     }

@@ -6,7 +6,9 @@ use papyruskv::lru::{CacheEntry, LruCache};
 use papyruskv::memtable::{Entry, MemTable};
 use papyruskv::msg;
 use papyruskv::queue::BlockingQueue;
+use papyruskv::sanity::audit_db;
 use papyruskv::sstable;
+use papyruskv::{BarrierLevel, CompactionTrigger, Context, Db, OpenFlags, Options, Platform};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -29,7 +31,71 @@ fn assert_memtable_matches(mt: &MemTable, model: &std::collections::BTreeMap<Vec
     assert_eq!(got, want);
 }
 
+/// What a database of two-byte keys `k?` must read as: the value last put,
+/// `None` once deleted.
+type PolicyModel = std::collections::BTreeMap<[u8; 2], Option<Vec<u8>>>;
+
+/// Every key of `model` reads from `db` as the model says — a deleted key
+/// stays deleted whichever tables a merge left out — and the audit (SSIDs
+/// ascending, the manifest listing exactly the live tables, every table
+/// sound) is clean.
+fn assert_db_matches(db: &Db, model: &PolicyModel) {
+    for (key, want) in model {
+        let got = db.get_opt(key).unwrap();
+        assert_eq!(got.as_deref(), want.as_deref(), "key {:?}", String::from_utf8_lossy(key));
+    }
+    let audit = audit_db(db);
+    assert!(audit.is_clean(), "{}", audit.render());
+}
+
 proptest! {
+    /// The merge rule is invisible to a reader: under random puts, deletes
+    /// and flushes — through MemTables small enough that tables of several
+    /// tiers pile up and merge partially — the database reads as a map does
+    /// after every flush, after close and reopen, and after a flush on top of
+    /// the reopened tables, which tier themselves from their sizes.
+    #[test]
+    fn compaction_rules_match_a_map(
+        fan_in in 2usize..5,
+        ops in vec((0u8..8, 0u8..12, vec(any::<u8>(), 0..48)), 1..160),
+    ) {
+        let opt = Options::default()
+            .with_memtable_capacity(256)
+            .with_compaction_trigger(CompactionTrigger::Tiered { fan_in });
+        let platform = Platform::new(papyrus_nvm::SystemProfile::test_profile(), 1);
+        papyrus_mpi::World::run(papyrus_mpi::WorldConfig::for_tests(1), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://prop-policy").unwrap();
+            let db = ctx.open("db", OpenFlags::create(), opt.clone()).unwrap();
+            let mut model = PolicyModel::new();
+            for (op, k, value) in &ops {
+                let key = [b'k', b'a' + k];
+                match op {
+                    0 => {
+                        db.barrier(BarrierLevel::SsTable).unwrap();
+                        assert_db_matches(&db, &model);
+                    }
+                    1 | 2 => {
+                        db.delete(&key).unwrap();
+                        model.insert(key, None);
+                    }
+                    _ => {
+                        db.put(&key, value).unwrap();
+                        model.insert(key, Some(value.clone()));
+                    }
+                }
+            }
+            db.close().unwrap();
+            let db = ctx.open("db", OpenFlags::create(), opt.clone()).unwrap();
+            assert_db_matches(&db, &model);
+            db.put(b"kz", b"after reopen").unwrap();
+            model.insert(*b"kz", Some(b"after reopen".to_vec()));
+            db.barrier(BarrierLevel::SsTable).unwrap();
+            assert_db_matches(&db, &model);
+            db.close().unwrap();
+            ctx.finalize().unwrap();
+        });
+    }
+
     /// Bloom filters never report a false negative, under any key set.
     #[test]
     fn bloom_no_false_negatives(keys in vec(key_strategy(), 0..200), bits in 4usize..16) {

@@ -156,15 +156,14 @@ fn compaction_merges_sstables() {
     let platform = Platform::new(SystemProfile::test_profile(), 1);
     World::run(WorldConfig::for_tests(1), move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://t-compact").unwrap();
-        let mut opt = Options::small();
-        opt.compaction_trigger = 4;
+        let opt = Options::small();
         let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
         let value = vec![b'y'; 400];
         for i in 0..400 {
             db.put(format!("c{i:04}").as_bytes(), &value).unwrap();
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
-        // With trigger 4 and many flushes, merges must have kept the live
+        // With fan-in 4 and many flushes, merges must have kept the live
         // set well below the total number of flushes.
         assert!(
             db.sstable_count() < 8,

@@ -10,7 +10,7 @@
 //!    `phase-a`).
 //! 2. **Checkpoint A** — snapshot to the PFS (snapshot mark `snap-a`).
 //! 3. **Phase B** — overwrites, a delete, and fresh keys; small MemTables
-//!    and `compaction_trigger = 2` force flush *and* merge-compaction
+//!    and a merge fan-in of 2 force flush *and* merge-compaction
 //!    traffic; another `barrier(SsTable)` (durable mark `phase-b`).
 //! 4. **Checkpoint B** — a second snapshot (`snap-b`), with a `Note` mark
 //!    at its start so tests can assert crash points *inside* the transfer
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::{MemBackend, NvmStore, StorageMap, SystemProfile};
-use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
+use papyruskv::{BarrierLevel, CompactionTrigger, Context, OpenFlags, Options, Platform};
 use parking_lot::Mutex;
 
 use crate::journal::{FaultMode, Journal, JournalOp, JournaledBackend};
@@ -107,9 +107,9 @@ fn value(rank: usize, i: usize, phase: char) -> Bytes {
 }
 
 /// Options sized so the tiny workload still exercises flushes and
-/// merge-compaction: 4 KiB MemTables, compact at 2 SSTables.
+/// merge-compaction: 4 KiB MemTables, two tables of a tier merge.
 fn workload_options() -> Options {
-    Options { compaction_trigger: 2, ..Options::small() }
+    Options::small().with_compaction_trigger(CompactionTrigger::Tiered { fan_in: 2 })
 }
 
 /// Run the workload against journaled backends and return the recording.
@@ -234,7 +234,7 @@ mod tests {
                 "no fences journaled on {ns}"
             );
         }
-        // Merge-compaction ran (compaction_trigger = 2 with two flushes):
+        // Merge-compaction ran (fan-in 2 with two flushes):
         // its input SSTables get deleted, putting sst-file deletions among
         // the crash points.
         assert!(

@@ -79,9 +79,9 @@ pub const SEEDS: &[(&str, Seed)] = &[
                       planted under the stack write guard of the compaction swap",
         patches: &[(
             "crates/core/src/write.rs",
-            "        let mut stack = db.stack.write();\n        stack.ssts.clear();",
+            "        let mut stack = db.stack.write();\n        stack.replace_newest(take, merged);",
             "        let mut stack = db.stack.write();\n        let _ = sstable::merge_at(&store, \
-             &snapshot, &base, new_ssid, true, stamp);\n        stack.ssts.clear();",
+             &inputs, &base, new_ssid, whole, stamp);\n        stack.replace_newest(take, merged);",
         )],
         rule: "blocking-under-lock",
         expect: "guard `stack`",

@@ -3,8 +3,11 @@
 //! The build container has no access to crates.io, so this workspace ships a
 //! minimal API-compatible implementation: [`Bytes`] is an `Arc<[u8]>` plus a
 //! window, so clones and `slice`/`split_to` are O(1) and zero-copy exactly
-//! like the real crate. Only the surface the workspace uses is provided
-//! (little-endian `Buf`/`BufMut` accessors, `BytesMut::freeze`, etc.).
+//! like the real crate. [`BytesMut`] fills the same kind of `Arc<[u8]>`, so
+//! [`BytesMut::freeze`] hands its buffer over instead of copying it — also
+//! like the real crate — and `Bytes` has that one representation. Only the
+//! surface the workspace uses is provided (little-endian `Buf`/`BufMut`
+//! accessors, `BytesMut::freeze`, etc.).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -123,10 +126,11 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
-/// One allocation and one copy of `v.len()` bytes: the backing `Arc<[u8]>`
-/// cannot adopt a `Vec`'s buffer (the real crate's conversion is zero-copy),
-/// so spare capacity in `v` is paid for and then thrown away — reserve
-/// exactly.
+/// One allocation and one copy of `v.len()` bytes: a `Vec`'s buffer has no
+/// room for the counts an `Arc<[u8]>` keeps in front of its bytes, so it
+/// cannot be adopted (the real crate's conversion is zero-copy). A buffer
+/// large enough for that to matter is built in a [`BytesMut`], whose
+/// `freeze` copies nothing.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let data: Arc<[u8]> = v.into();
@@ -210,10 +214,14 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
-/// A growable byte buffer, frozen into [`Bytes`] when complete.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A growable byte buffer, frozen into [`Bytes`] when complete. It is filled
+/// in the `Arc<[u8]>` the frozen `Bytes` will hold: `buf` is the capacity, its
+/// first `len` bytes written, and is never cloned, so it is always writable
+/// through `Arc::get_mut`.
+#[derive(Default)]
 pub struct BytesMut {
-    buf: Vec<u8>,
+    buf: Arc<[u8]>,
+    len: usize,
 }
 
 impl BytesMut {
@@ -224,53 +232,73 @@ impl BytesMut {
 
     /// An empty buffer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: Vec::with_capacity(cap) }
+        Self { buf: std::iter::repeat_n(0, cap).collect(), len: 0 }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
+    }
+
+    /// Bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The whole capacity, writable.
+    fn buf_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.buf).expect("a BytesMut never shares its buffer")
     }
 
     /// Append a slice.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        let (len, end) = (self.len, self.len + data.len());
+        if end > self.capacity() {
+            // At least twice the old capacity: appends are amortised O(1).
+            let mut grown = Self::with_capacity(end.max(2 * self.capacity()));
+            grown.buf_mut()[..len].copy_from_slice(self);
+            self.buf = grown.buf;
+        }
+        self.buf_mut()[len..end].copy_from_slice(data);
+        self.len = end;
     }
 
-    /// Convert into an immutable [`Bytes`]: one allocation and one copy of
-    /// `len` bytes (see `From<Vec<u8>>`; the real crate's is zero-copy).
+    /// Convert into an immutable [`Bytes`] over the same allocation: nothing
+    /// is copied, and capacity never written stays allocated behind it for
+    /// as long as it lives — reserve exactly what a long-lived buffer takes.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
+        Bytes { data: self.buf, start: 0, end: self.len }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+        let len = self.len;
+        &mut self.buf_mut()[..len]
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.buf
+        self
     }
 }
 
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&Bytes::copy_from_slice(&self.buf), f)
+        fmt::Debug::fmt(&Bytes::copy_from_slice(self), f)
     }
 }
 
@@ -361,7 +389,7 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
+        self.extend_from_slice(src);
     }
 }
 
@@ -385,16 +413,57 @@ mod tests {
 
     /// One allocation by construction: the backing `Arc<[u8]>` is made
     /// straight from the slice, so it is exactly the bytes copied — no
-    /// intermediate `Vec`, no spare capacity, nothing shared.
+    /// intermediate `Vec`, no spare capacity (a `Vec`'s is left behind),
+    /// nothing shared.
     #[test]
     fn copy_from_slice_backs_exactly_its_bytes() {
-        for b in [Bytes::copy_from_slice(b"abc"), Bytes::from_static(b"abc")] {
+        let mut roomy = Vec::with_capacity(64);
+        roomy.extend_from_slice(b"abc");
+        for b in [Bytes::copy_from_slice(b"abc"), Bytes::from_static(b"abc"), Bytes::from(roomy)] {
             assert_eq!((b.data.len(), b.start, b.end), (3, 0, 3));
             assert!(b.is_unique());
             let s = b.slice(1..);
             assert!(!b.is_unique() && !s.is_unique());
         }
         assert!(Bytes::copy_from_slice(&[]).is_empty());
+    }
+
+    /// `freeze` hands the buffer over: the bytes stay where they were
+    /// written, a buffer reserved for exactly what it took has no spare
+    /// behind it, and one that outgrew its reservation kept what it held.
+    #[test]
+    fn freeze_adopts_the_buffer_it_filled() {
+        let big: Vec<u8> = (0..1 << 20).map(|i| i as u8).collect();
+        let mut m = BytesMut::with_capacity(big.len());
+        m.put_slice(&big[..7]);
+        m.put_slice(&big[7..]);
+        assert_eq!((m.len(), m.capacity()), (big.len(), big.len()));
+        let written_at = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), written_at, "freeze copied");
+        assert_eq!((b.data.len(), b.start, b.end), (big.len(), 0, big.len()));
+        assert!(b == big && b.is_unique());
+
+        let mut grown = BytesMut::new();
+        big.chunks(1000).for_each(|chunk| grown.put_slice(chunk));
+        assert!(grown.capacity() >= big.len() && grown[..] == big[..]);
+        grown[0] = 9;
+        assert_eq!((grown.freeze()[..2]).to_vec(), [9, 1]);
+        assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    /// A slice keeps the storage alive past the handle it was cut from, and
+    /// `is_unique` tells when it is the last one.
+    #[test]
+    fn a_slice_outlives_its_handle() {
+        let mut m = BytesMut::with_capacity(5);
+        m.put_slice(b"hello");
+        let b = m.freeze();
+        let s = b.slice(1..4);
+        assert!(!b.is_unique() && !s.is_unique());
+        drop(b);
+        assert_eq!(&s[..], b"ell");
+        assert!(s.is_unique());
     }
 
     #[test]

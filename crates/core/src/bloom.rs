@@ -29,7 +29,14 @@ impl Bloom {
 
     /// Insert a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = Self::hashes(key);
+        self.insert_hash(fnv1a64(key));
+    }
+
+    /// Insert the key whose [`fnv1a64`] is `hash`: the table encoder keeps a
+    /// hash per record as it streams and fills the filter once it can be
+    /// sized, without walking the keys again.
+    pub(crate) fn insert_hash(&mut self, hash: u64) {
+        let (h1, h2) = Self::probes(hash);
         for i in 0..self.k {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.m;
             self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
@@ -39,7 +46,7 @@ impl Bloom {
     /// Whether the key *may* be present (false positives possible, false
     /// negatives impossible).
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        let (h1, h2) = Self::hashes(key);
+        let (h1, h2) = Self::probes(fnv1a64(key));
         (0..self.k).all(|i| {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.m;
             self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
@@ -47,8 +54,7 @@ impl Bloom {
     }
 
     // Double hashing: two independent 64-bit hashes drive all k probes.
-    fn hashes(key: &[u8]) -> (u64, u64) {
-        let h = fnv1a64(key);
+    fn probes(h: u64) -> (u64, u64) {
         (h, mix64(h) | 1) // force h2 odd so strides cover the table
     }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 // Protocol atomics go through the sanity facade, which swaps in the model
 // checker's shimmed types under `--cfg modelcheck` so `cargo xtask
 // modelcheck` can explore barrier-epoch interleavings.
-use papyrus_sanity::atomic::AtomicU64;
+use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use papyrus_simtime::{Clock, MemModel, OpStats, SimNs};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -42,8 +42,6 @@ pub(crate) struct DbSync {
     pub migration_inflight: usize,
     /// Barrier-mark bookkeeping: epoch -> (marks received, max stamp).
     pub barrier_marks: HashMap<u64, (usize, SimNs)>,
-    /// Set by close; all subsequent operations fail with `InvalidDb`.
-    pub closed: bool,
 }
 
 /// Internal database representation shared by the application thread and
@@ -82,6 +80,9 @@ pub struct DbInner {
 
     pub(crate) sync: Mutex<DbSync>,
     pub(crate) sync_cv: Condvar,
+    /// Set by close; all subsequent operations fail with `InvalidDb`. Read
+    /// by every operation, so it is not behind `sync`'s lock.
+    pub(crate) closed: AtomicBool,
 
     /// Completion stamps of background work, reconciled at fences/barriers.
     pub(crate) flush_backlog: Clock,
@@ -140,9 +141,9 @@ impl DbInner {
                 pending_flushes: 0,
                 migration_inflight: 0,
                 barrier_marks: HashMap::new(),
-                closed: false,
             }),
             sync_cv: Condvar::new(),
+            closed: AtomicBool::new(false),
             flush_backlog: Clock::new(),
             migrate_backlog: Clock::new(),
             ingest_backlog: Clock::new(),
@@ -256,7 +257,9 @@ impl DbInner {
     }
 
     pub(crate) fn check_open(&self) -> Result<()> {
-        if self.sync.lock().closed {
+        // ordering: pairs with close's Release store — an operation that is
+        // refused has seen everything the close did before it.
+        if self.closed.load(Ordering::Acquire) {
             Err(Error::InvalidDb)
         } else {
             Ok(())
@@ -265,8 +268,8 @@ impl DbInner {
 
     /// The local cache, if in use: configured on, and the database not
     /// write-only (§3.2).
-    pub(crate) fn live_local_cache(&self) -> Option<&Mutex<LruCache>> {
-        let on = self.opt.local_cache && self.state.read().protection != Protection::WriteOnly;
+    pub(crate) fn live_local_cache(&self, protection: Protection) -> Option<&Mutex<LruCache>> {
+        let on = self.opt.local_cache && protection != Protection::WriteOnly;
         on.then_some(&self.local_cache)
     }
 

@@ -66,9 +66,13 @@ impl Distributor {
         Self { hash, nranks }
     }
 
-    /// Owner rank of `key`.
+    /// Owner rank of `key`. A job of one rank hashes nothing — no hash,
+    /// built-in or custom, could name another owner.
     #[inline]
     pub fn owner(&self, key: &[u8]) -> usize {
+        if self.nranks == 1 {
+            return 0;
+        }
         let h = match &self.hash {
             Some(f) => f(key),
             None => builtin_hash(key),
@@ -141,6 +145,12 @@ mod tests {
     #[test]
     fn single_rank_owns_everything() {
         let d = Distributor::new(None, 1);
+        assert_eq!(d.owner(b"anything"), 0);
+    }
+
+    #[test]
+    fn single_rank_never_calls_the_hash() {
+        let d = Distributor::new(Some(Arc::new(|_k: &[u8]| panic!("hashed"))), 1);
         assert_eq!(d.owner(b"anything"), 0);
     }
 

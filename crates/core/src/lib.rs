@@ -71,6 +71,7 @@ mod ckpt;
 mod db;
 pub mod error;
 pub mod hashfn;
+mod key;
 pub mod lru;
 pub mod memtable;
 pub mod msg;

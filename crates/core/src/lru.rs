@@ -5,12 +5,15 @@
 //! other remote MPI ranks, respectively."
 //!
 //! Implemented as a hash map into an index arena forming an intrusive
-//! doubly-linked recency list — no per-entry allocation beyond the key/value
-//! bytes, O(1) get/insert/evict.
+//! doubly-linked recency list — no per-entry allocation beyond the value's
+//! bytes and a key's too long to sit in the slot (`key.rs`), O(1)
+//! get/insert/evict.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
+
+use crate::key::Key;
 
 /// A cached lookup result: either a value or a cached tombstone (the key is
 /// known deleted — caching this avoids re-searching SSTables for it).
@@ -38,7 +41,7 @@ const NONE: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Slot {
-    key: Vec<u8>,
+    key: Key,
     entry: CacheEntry,
     prev: u32,
     next: u32,
@@ -47,7 +50,7 @@ struct Slot {
 /// Byte-bounded LRU map from keys to [`CacheEntry`].
 #[derive(Debug)]
 pub struct LruCache {
-    map: HashMap<Vec<u8>, u32>,
+    map: HashMap<Key, u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     head: u32, // most recent
@@ -173,14 +176,16 @@ impl LruCache {
             self.unlink(i);
             self.push_front(i);
         } else {
+            let key = Key::from(key);
+            let slot = Slot { key: key.clone(), entry, prev: NONE, next: NONE };
             let i = if let Some(i) = self.free.pop() {
-                self.slots[i as usize] = Slot { key: key.to_vec(), entry, prev: NONE, next: NONE };
+                self.slots[i as usize] = slot;
                 i
             } else {
-                self.slots.push(Slot { key: key.to_vec(), entry, prev: NONE, next: NONE });
+                self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             };
-            self.map.insert(key.to_vec(), i);
+            self.map.insert(key, i);
             self.push_front(i);
             self.bytes += size;
         }
@@ -194,9 +199,9 @@ impl LruCache {
         debug_assert_ne!(i, NONE, "over capacity with empty list");
         self.unlink(i);
         let key = std::mem::take(&mut self.slots[i as usize].key);
-        let size = Self::entry_size(&key, &self.slots[i as usize].entry);
+        let size = Self::entry_size(key.as_slice(), &self.slots[i as usize].entry);
         self.slots[i as usize].entry = CacheEntry::tombstone();
-        self.map.remove(&key);
+        self.map.remove(key.as_slice());
         self.free.push(i);
         self.bytes -= size;
     }
@@ -208,7 +213,7 @@ impl LruCache {
         if let Some(i) = self.map.remove(key) {
             self.unlink(i);
             let size = Self::entry_size(key, &self.slots[i as usize].entry);
-            self.slots[i as usize].key = Vec::new();
+            self.slots[i as usize].key = Key::default();
             self.slots[i as usize].entry = CacheEntry::tombstone();
             self.free.push(i);
             self.bytes -= size;

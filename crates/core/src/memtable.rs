@@ -13,6 +13,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use crate::key::Key;
+
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
 /// (tree node links, tombstone flag, owner rank).
 pub const ENTRY_OVERHEAD: u64 = 24;
@@ -54,7 +56,7 @@ impl Entry {
 /// An in-memory, byte-accounted, key-sorted table of [`Entry`]s.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    tree: BTreeMap<Vec<u8>, Entry>,
+    tree: BTreeMap<Key, Entry>,
     bytes: u64,
 }
 
@@ -90,7 +92,7 @@ impl MemTable {
     /// new one" (§2.4).
     pub fn insert(&mut self, key: &[u8], entry: Entry) {
         let new_size = Self::entry_size(key, &entry);
-        match self.tree.insert(key.to_vec(), entry) {
+        match self.tree.insert(Key::from(key), entry) {
             Some(old) => {
                 self.bytes = self.bytes - Self::entry_size(key, &old) + new_size;
             }

@@ -138,7 +138,7 @@ fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet
 fn search_memory(db: &DbInner, stack: &Stack, key: &[u8], clock: &Clock) -> SstGet {
     match db.get_mem(stack, key, clock) {
         Some(e) => e.into(),
-        None => search_cache(db, db.live_local_cache(), key, clock),
+        None => search_cache(db, db.live_local_cache(db.state.read().protection), key, clock),
     }
 }
 
@@ -153,7 +153,7 @@ pub(crate) fn local_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
     }
     let hit = walk_ssts(db, stack.ssts.iter().rev(), key, clock);
     if let Some(entry) = hit.cache_entry() {
-        if let Some(cache) = db.live_local_cache() {
+        if let Some(cache) = db.live_local_cache(db.state.read().protection) {
             cache.lock().insert(key, entry);
         }
     }
@@ -564,7 +564,11 @@ mod modelcheck_tests {
 
     #[test]
     fn modelcheck_local_cache_never_outlives_put_exhaustive() {
-        let put = |db: &DbInner, key: &[u8], entry| drop(db.insert_local(key, entry));
+        // As the handler's ingest does: the attribute is read, then passed.
+        let put = |db: &DbInner, key: &[u8], entry| {
+            let protection = db.state.read().protection;
+            db.insert_local(protection, key, entry);
+        };
         let report = mc::explore(stale_fill_model(put, local_get));
         assert!(report.ok(), "cache coherence model must be clean: {:?}", report.violations);
         assert_eq!(report.interleavings, PINNED_STALE_FILL, "see EXPERIMENTS.md");

@@ -44,14 +44,15 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes};
+use bytes::{BufMut, Bytes, BytesMut};
 use papyrus_nvm::{IoFault, NvmStore};
 use papyrus_simtime::{AccessPattern, SimNs};
 
 use crate::bloom::Bloom;
 use crate::error::{Error, Result};
+use crate::hashfn::fnv1a64;
 use crate::lru::CacheEntry;
-use crate::memtable::Entry;
+use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
 
 /// Per-database, per-rank, unique increasing SSTable number, starting at 1.
 pub type Ssid = u64;
@@ -165,9 +166,11 @@ impl<'a> From<(&'a [u8], &'a Entry)> for Record<'a> {
 
 /// Append `rec` to a run of records: an SSData image or a batch body.
 pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
-    data.put_u32_le(rec.key.len() as u32);
-    data.put_u32_le(rec.value.len() as u32);
-    data.put_u8(u8::from(rec.tombstone));
+    let mut header = [0; RECORD_HEADER];
+    header[0..4].copy_from_slice(&(rec.key.len() as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&(rec.value.len() as u32).to_le_bytes());
+    header[8] = u8::from(rec.tombstone);
+    data.put_slice(&header);
     data.put_slice(rec.key);
     data.put_slice(rec.value);
 }
@@ -382,18 +385,19 @@ pub(crate) struct TableImage {
 impl TableImage {
     /// Encode `entries`, a stream of records in strict key order — a
     /// MemTable's (a flush) and a [`merge`]'s are by construction — in one
-    /// pass: the bloom filter is sized once the stream has ended, from the
-    /// count it came to, and filled from the keys in the image just written.
+    /// pass: every key is hashed as its record streams past, and the bloom
+    /// filter is sized once the stream has ended, from the count it came to,
+    /// and filled from those hashes (8 B a record, gone before the write).
     /// `data_bound` is what the caller knows SSData cannot exceed — the image
-    /// is reserved once, not regrown.
+    /// is reserved once, not regrown, and written where the store keeps it.
     pub(crate) fn encode<'a>(data_bound: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
-        let mut data = Vec::with_capacity(data_bound);
+        let mut data = BytesMut::with_capacity(data_bound);
         let mut index = vec![0u8; INDEX_HEADER];
         let mut blocks: Vec<Block> = Vec::new();
+        let mut hashes: Vec<u64> = Vec::new();
         // SSData length at which the open block is full: the record that
         // finds it so starts the next one (the first record, the first).
         let mut block_full = 0usize;
-        let mut records = 0usize;
         for rec in entries {
             if data.len() >= block_full {
                 block_full = data.len() + BLOCK_BYTES;
@@ -402,15 +406,30 @@ impl TableImage {
                 blocks.push(Block { offset: data.len() as u64, key: key_at..index.len() });
             }
             put_record(&mut data, rec);
-            records += 1;
+            hashes.push(fnv1a64(rec.key));
         }
+        let records = hashes.len();
         let mut bloom = Bloom::with_capacity(records, 10);
-        Cursor::new(&data).for_each(|rec| bloom.insert(rec.key));
+        hashes.into_iter().for_each(|hash| bloom.insert_hash(hash));
         index[..8].copy_from_slice(&(records as u64).to_le_bytes());
         index[8..INDEX_HEADER].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
-        let images = [Bytes::from(data), Bytes::from(index), Bytes::from(bloom.to_bytes())];
+        let images = [data.freeze(), Bytes::from(index), Bytes::from(bloom.to_bytes())];
         let fences = Fences { records, image: images[1].clone(), blocks };
         Self { images, fences, bloom }
+    }
+
+    /// SSData bytes of a flush of `mt`, to the byte: what the MemTable
+    /// counts, less the share of its per-entry overhead that is not a
+    /// record header.
+    fn flush_len(mt: &MemTable) -> usize {
+        (mt.bytes() - mt.len() as u64 * (ENTRY_OVERHEAD - RECORD_HEADER as u64)) as usize
+    }
+
+    /// The table a flush of `mt` writes. Its SSData is reserved exactly: the
+    /// buffer is the one the store keeps, so slack would live as long as
+    /// the table does.
+    pub(crate) fn of_memtable(mt: &MemTable) -> Self {
+        Self::encode(Self::flush_len(mt), mt.iter().map(Record::from))
     }
 
     /// One attempt at writing the three files under `base`, one sequential
@@ -710,7 +729,6 @@ pub fn merge_at(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::memtable::MemTable;
     use papyrus_simtime::DeviceModel;
     use proptest::collection::{btree_map, vec};
     use proptest::prelude::*;
@@ -987,6 +1005,43 @@ pub(crate) mod tests {
             };
             let owned: Vec<_> = es.iter().map(owned).collect();
             prop_assert_eq!(&crate::msg::encode_migrate(1, 2, &owned)[16..], &want[0][..]);
+        }
+
+        /// The filter filled from the hashes kept during the pass is, byte for
+        /// byte, the one a second walk of the finished image builds — for the
+        /// flush of each of 1–4 MemTables of overlapping keys, and for their
+        /// merge, shadowed keys folded and tombstones kept or dropped. And a
+        /// flush reserves its SSData to the byte.
+        #[test]
+        fn the_filter_of_the_pass_is_the_filter_of_a_second_walk(
+            levels in vec(
+                vec((vec(0u8..4, 1..30), vec(any::<u8>(), 0..300), any::<bool>()), 0..60),
+                1..5,
+            ),
+            drop_tombstones in any::<bool>(),
+        ) {
+            let rewalked = |data: &[u8]| {
+                let mut bloom = Bloom::with_capacity(Cursor::new(data).count(), 10);
+                Cursor::new(data).for_each(|rec| bloom.insert(rec.key));
+                bloom.to_bytes()
+            };
+            let s = store();
+            let mut readers = Vec::new();
+            for (i, level) in levels.into_iter().enumerate() {
+                let mut mt = MemTable::new();
+                for (key, value, tomb) in level {
+                    mt.insert(&key, crate::write::entry_of(Bytes::from(value), tomb));
+                }
+                let image = TableImage::of_memtable(&mt);
+                prop_assert_eq!(image.images[0].len(), TableImage::flush_len(&mt));
+                prop_assert_eq!(&image.images[2][..], &rewalked(&image.images[0])[..]);
+                let base = format!("t{i}");
+                image.write_at(&s, &base, 0);
+                readers.push(image.into_reader(&s, &base, i as u64 + 1));
+            }
+            merge_at(&s, &readers, "merged", 9, drop_tombstones, 0).unwrap();
+            let [data, _, bloom] = files_of("merged").map(|path| s.backend().get_all(&path).unwrap());
+            prop_assert_eq!(&bloom[..], &rewalked(&data)[..]);
         }
 
         /// SSIndex decode is total: arbitrary bytes, and an encoder's image

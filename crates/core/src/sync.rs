@@ -32,12 +32,12 @@ pub(crate) fn note_barrier_mark(db: &Arc<DbInner>, epoch: u64, stamp: SimNs) {
 /// Collective close: synchronise, flush everything to SSTables, and mark
 /// the handle invalid. SSTables are retained for zero-copy reopen (§4.1).
 pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> {
-    if db.sync.lock().closed {
+    if db.check_open().is_err() {
         return Ok(());
     }
     barrier_inner(ctx, db, BarrierLevel::SsTable)?;
-    let mut sync = db.sync.lock();
     if papyrus_sanity::enabled() {
+        let sync = db.sync.lock();
         // After the close barrier every epoch this rank entered has
         // completed, so a leftover mark means a reconciliation round failed
         // to consume exactly n marks.
@@ -52,7 +52,9 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
             db.io_errors.lock().push(Error::Internal(what));
         }
     }
-    sync.closed = true;
+    // ordering: publishes the close — the barrier's flushes included — to
+    // whichever thread's `check_open` then refuses an operation.
+    db.closed.store(true, Ordering::Release);
     Ok(())
 }
 

@@ -53,7 +53,8 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             // barrier mark proves they are ingested before the barrier
             // completes.
             let copy = (db.repl_n >= 2).then(|| Entry::remote(value.clone(), tombstone, me as u32));
-            insert_local_entry(ctx, db, key, entry_of(value, tombstone), clock);
+            let entry = entry_of(value, tombstone);
+            insert_local_entry(ctx, db, state.protection, key, entry, clock);
             if let Some(copy) = copy {
                 stage(ctx, db, key, copy, clock);
             }
@@ -68,7 +69,8 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             // PUT_SYNC body and, replicated, the REPL_PUT body.
             let batch: Batch = [Record { key, value: &value, tombstone }].into_iter().collect();
             let kind = if owner == me {
-                insert_local_entry(ctx, db, key, entry_of(value, tombstone), clock);
+                let entry = entry_of(value, tombstone);
+                insert_local_entry(ctx, db, state.protection, key, entry, clock);
                 &db.tel.put_local
             } else {
                 // "sent to the remote owner rank synchronously and directly
@@ -117,11 +119,19 @@ pub(crate) fn entry_of(value: Bytes, tombstone: bool) -> Entry {
 /// the stack's write lock: "a stale cache entry that has the same key as the
 /// new key-value pair is evicted from the local cache" (§2.4), and no get
 /// can put the old value back in between (gets fill the cache holding the
-/// read lock). Skipped under WRONLY (§3.2).
-fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entry, clock: &Clock) {
+/// read lock). Skipped under WRONLY (§3.2): `protection` is the attribute
+/// the caller read for this operation.
+fn insert_local_entry(
+    ctx: &CtxInner,
+    db: &Arc<DbInner>,
+    protection: Protection,
+    key: &[u8],
+    entry: Entry,
+    clock: &Clock,
+) {
     // DRAM cost of the tree insert + copy.
     clock.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-    if db.insert_local(key, entry) {
+    if db.insert_local(protection, key, entry) {
         freeze(ctx, db, Side::Local, clock.now());
     }
 }
@@ -129,8 +139,8 @@ fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entr
 impl DbInner {
     /// The locked part of [`insert_local_entry`]; whether the MemTable has
     /// reached its capacity.
-    pub(crate) fn insert_local(&self, key: &[u8], entry: Entry) -> bool {
-        let cache = self.live_local_cache();
+    pub(crate) fn insert_local(&self, protection: Protection, key: &[u8], entry: Entry) -> bool {
+        let cache = self.live_local_cache(protection);
         let mut stack = self.stack.write();
         stack.mem.insert(key, entry);
         if let Some(cache) = cache {
@@ -229,7 +239,7 @@ pub(crate) fn build_riding_out(
     now: SimNs,
     what: std::fmt::Arguments<'_>,
 ) -> (SstReader, SimNs) {
-    let image = TableImage::encode(mt.bytes() as usize, mt.iter().map(Record::from));
+    let image = TableImage::of_memtable(mt);
     let done = image.try_write_at(store, base, now).unwrap_or_else(|fault| {
         if fault == papyrus_nvm::IoFault::NoSpace {
             db.io_errors.lock().push(Error::StorageFull(format!("{what} of db {}", db.name)));
@@ -426,8 +436,9 @@ pub(crate) fn apply_incoming_records(
     stamp: SimNs,
 ) -> SimNs {
     let clk = Clock::starting_at(stamp);
+    let protection = db.state.read().protection;
     for (key, entry) in records.entries() {
-        insert_local_entry(ctx, db, key, entry, &clk);
+        insert_local_entry(ctx, db, protection, key, entry, &clk);
     }
     let done = clk.now();
     db.ingest_backlog.merge(done);

@@ -12,8 +12,9 @@ use papyruskv::{BarrierLevel, CompactionTrigger, Context, Db, OpenFlags, Options
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+/// Keys on both sides of the 22 bytes the in-memory maps hold in place.
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    vec(any::<u8>(), 1..24)
+    vec(any::<u8>(), 1..48)
 }
 
 /// `mt` holds exactly `model`: same entries in key order, and a byte count

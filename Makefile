@@ -62,7 +62,7 @@ kvbench:
 # (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask
 # links the plane libraries and calls them directly.
 
-# Protocol lint: the seven token rules plus the four interprocedural deep
+# Protocol lint: the eight token rules plus the four interprocedural deep
 # analyses (panic-reachability, blocking-under-lock, tag matrix, atomic
 # pairing), then the seed-bug self-test (every planted violation must be
 # convicted). Blocking in CI.
@@ -70,8 +70,8 @@ lint:
 	cargo xtask lint --deep
 	cargo xtask lint --seed-bug all
 
-# Full test suite with the runtime sanity layer armed — a gate: a lock-order,
-# MPI protocol or wait-cycle finding in any world fails the test that ran it.
+# Full test suite with the runtime sanity layer armed — a gate: a lock-order
+# or MPI protocol finding in any world fails the test that ran it.
 sanity:
 	PAPYRUS_SANITY=1 cargo test -q --release --workspace
 
@@ -104,12 +104,16 @@ chaos:
 	cargo xtask chaos --seed-bug all
 
 # Perf-trajectory gate: run the YCSB-style suite, write BENCH_<sha>.json,
-# and fail on >10% p99/throughput regressions vs the committed baseline;
-# then prove the gate catches two planted regressions (seed-bug self-test).
+# and fail on any worse p99 or throughput vs the committed baseline; prove
+# the gate catches two planted regressions (seed-bug self-test); then run
+# the quick suite twice, once on one CPU, and demand the same bytes.
 # Refresh the baseline with: cargo xtask perfline --out BENCH_baseline.json
 perfline:
 	cargo xtask perfline --out BENCH_current.json --check BENCH_baseline.json
 	cargo xtask perfline --seed-bug all
+	cargo xtask perfline --quick --out target/perfline-quick-a.json
+	taskset -c 0 cargo xtask perfline --quick --out target/perfline-quick-b.json
+	cmp target/perfline-quick-a.json target/perfline-quick-b.json
 
 # Serve-plane gate: the 4-rank, 10k-connection RESP load test (run twice,
 # byte-identical reports required, group commit must be visibly batching),

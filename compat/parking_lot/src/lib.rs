@@ -1,7 +1,7 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! Two backends behind one API surface (non-poisoning `Mutex` / `RwLock`,
-//! `Condvar` whose `wait`/`wait_for` take `&mut MutexGuard`):
+//! `Condvar` whose `wait`/`wait_until_quiet` take `&mut MutexGuard`):
 //!
 //! - **native** (default): `std::sync` wrappers with `papyrus-sanity`
 //!   lock-order instrumentation — see `native`'s module docs.

@@ -20,13 +20,22 @@
 //! keep a second lock held. When the gate is off, the entire overhead is
 //! **one relaxed atomic load** per acquisition (`papyrus_sanity::enabled()`)
 //! and zero on guard drop (a plain `Option` check).
+//!
+//! ## World scheduling
+//!
+//! Inside a simulated world one task runs at a time
+//! (`papyrus_modelcheck::baton`): a condvar wait parks the task and hands
+//! the baton on, a notify wakes parked tasks in order, and every guard
+//! counts itself so the release of a thread's last guard can hand the baton
+//! to a task it woke. Outside a world that is two thread-local updates per
+//! guard, and the lock itself stays a plain `std` lock.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{self, TryLockError};
+use std::sync;
 use std::thread::ThreadId;
-use std::time::Duration;
 
+use papyrus_modelcheck::baton::{Held, WaitList};
 use papyrus_sanity::lockorder::{self, LockKind};
 
 /// Sanity bookkeeping attached to a guard that was acquired while the
@@ -56,18 +65,6 @@ impl Track {
         Some(Track { addr, owner: std::thread::current().id() })
     }
 
-    /// Hook for a *successful* non-blocking acquisition: tracked as held,
-    /// but contributes no ordering edges (it could not have deadlocked).
-    #[track_caller]
-    fn try_acquired(addr: usize, kind: LockKind) -> Option<Track> {
-        if papyrus_sanity::enabled() {
-            lockorder::on_try_acquired(addr, kind);
-            Some(Track { addr, owner: std::thread::current().id() })
-        } else {
-            None
-        }
-    }
-
     /// Guard-drop hook: asserts same-thread release (the detector reports a
     /// cross-thread one) and pops the held entry.
     fn release(self) {
@@ -95,8 +92,11 @@ pub struct Mutex<T: ?Sized> {
 /// [`Condvar::wait`] can temporarily take it by value.
 #[must_use = "a lock guard is released as soon as it is dropped"]
 pub struct MutexGuard<'a, T: ?Sized> {
+    lock: &'a sync::Mutex<T>,
     guard: Option<sync::MutexGuard<'a, T>>,
     track: Option<Track>,
+    /// Last field: dropped after the std guard is released.
+    _held: Held,
 }
 
 impl<T> Mutex<T> {
@@ -118,33 +118,14 @@ impl<T: ?Sized> Mutex<T> {
         let addr = addr_of(self);
         let site = Track::attempt(addr, LockKind::Mutex);
         let guard = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
-        MutexGuard { guard: Some(guard), track: Track::acquired(addr, site, LockKind::Mutex) }
-    }
-
-    /// Try to acquire the lock without blocking.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let g = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        let track = Track::try_acquired(addr_of(self), LockKind::Mutex);
-        Some(MutexGuard { guard: Some(g), track })
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
+        let track = Track::acquired(addr, site, LockKind::Mutex);
+        MutexGuard { lock: &self.inner, guard: Some(guard), track, _held: Held::on_lock() }
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
+        fmt::Debug::fmt(&self.inner, f)
     }
 }
 
@@ -184,12 +165,14 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// World tasks parked here (they never wait on `inner`).
+    waiters: WaitList,
 }
 
 impl Condvar {
     /// Create a condition variable.
     pub const fn new() -> Self {
-        Self { inner: sync::Condvar::new() }
+        Self { inner: sync::Condvar::new(), waiters: WaitList::new() }
     }
 
     /// Sanity hook before the mutex is released for the wait: reports any
@@ -207,43 +190,46 @@ impl Condvar {
         }
     }
 
-    /// Block until notified, releasing the guard's lock while waiting.
+    /// Block until notified, releasing the guard's lock while waiting. In a
+    /// world the caller's site is what a deadlock verdict names.
+    #[track_caller]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let token = Self::wait_begin(guard);
-        let g = guard.guard.take().expect("guard taken during condvar wait");
-        let g = self.inner.wait(g).unwrap_or_else(sync::PoisonError::into_inner);
-        guard.guard = Some(g);
-        Self::wait_end(token);
+        self.park(guard, false);
     }
 
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
+    /// Block until notified or until nothing else can run: in a world, the
+    /// wait times out only when no other task is runnable; outside one the
+    /// caller is alone, so it returns at once, timed out.
+    #[track_caller]
+    pub fn wait_until_quiet<T>(&self, guard: &mut MutexGuard<'_, T>) -> WaitTimeoutResult {
+        WaitTimeoutResult(self.park(guard, true))
+    }
+
+    #[track_caller]
+    fn park<T>(&self, guard: &mut MutexGuard<'_, T>, timed: bool) -> bool {
         let token = Self::wait_begin(guard);
         let g = guard.guard.take().expect("guard taken during condvar wait");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
+        let (g, parked) = match self.waiters.wait(timed, g) {
+            Ok(parked) => (guard.lock.lock().unwrap_or_else(sync::PoisonError::into_inner), parked),
+            Err(g) if timed => (g, Ok(true)),
+            Err(g) => (self.inner.wait(g).unwrap_or_else(sync::PoisonError::into_inner), Ok(false)),
         };
         guard.guard = Some(g);
         Self::wait_end(token);
-        WaitTimeoutResult(res.timed_out())
+        // A world that can never move again unwinds its parked tasks.
+        parked.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
     /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
+        self.waiters.notify(false);
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
         self.inner.notify_all();
+        self.waiters.notify(true);
     }
 }
 
@@ -264,6 +250,7 @@ pub struct RwLock<T: ?Sized> {
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     guard: sync::RwLockReadGuard<'a, T>,
     track: Option<Track>,
+    _held: Held,
 }
 
 /// Exclusive-write RAII guard for [`RwLock`].
@@ -271,17 +258,13 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     guard: sync::RwLockWriteGuard<'a, T>,
     track: Option<Track>,
+    _held: Held,
 }
 
 impl<T> RwLock<T> {
     /// Create an RwLock protecting `value`.
     pub const fn new(value: T) -> Self {
         Self { inner: sync::RwLock::new(value) }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -292,7 +275,11 @@ impl<T: ?Sized> RwLock<T> {
         let addr = addr_of(self);
         let site = Track::attempt(addr, LockKind::Read);
         let guard = self.inner.read().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockReadGuard { guard, track: Track::acquired(addr, site, LockKind::Read) }
+        RwLockReadGuard {
+            guard,
+            track: Track::acquired(addr, site, LockKind::Read),
+            _held: Held::on_lock(),
+        }
     }
 
     /// Acquire an exclusive write lock. Never poisons.
@@ -301,45 +288,17 @@ impl<T: ?Sized> RwLock<T> {
         let addr = addr_of(self);
         let site = Track::attempt(addr, LockKind::Write);
         let guard = self.inner.write().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockWriteGuard { guard, track: Track::acquired(addr, site, LockKind::Write) }
-    }
-
-    /// Try to acquire a read lock without blocking.
-    #[track_caller]
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let g = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        let track = Track::try_acquired(addr_of(self), LockKind::Read);
-        Some(RwLockReadGuard { guard: g, track })
-    }
-
-    /// Try to acquire a write lock without blocking.
-    #[track_caller]
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let g = match self.inner.try_write() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        let track = Track::try_acquired(addr_of(self), LockKind::Write);
-        Some(RwLockWriteGuard { guard: g, track })
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
+        RwLockWriteGuard {
+            guard,
+            track: Track::acquired(addr, site, LockKind::Write),
+            _held: Held::on_lock(),
+        }
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
+        fmt::Debug::fmt(&self.inner, f)
     }
 }
 
@@ -384,13 +343,14 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn mutex_basic() {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
+        assert_eq!(format!("{m:?}"), "Mutex { data: 2, poisoned: false, .. }");
     }
 
     #[test]
@@ -413,10 +373,11 @@ mod tests {
 
     #[test]
     fn condvar_wait_for_times_out() {
+        // Outside a world nobody else can run: a quiet wait ends at once.
         let m = Mutex::new(());
         let cv = Condvar::new();
         let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(5));
+        let r = cv.wait_until_quiet(&mut g);
         assert!(r.timed_out());
     }
 

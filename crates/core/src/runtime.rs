@@ -21,11 +21,9 @@ use std::sync::Arc;
 // Protocol atomics go through the sanity facade (modelcheck-shimmed under
 // `--cfg modelcheck`); see papyrus_sanity::atomic.
 use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use papyrus_faultinject as fi;
-use papyrus_mpi::{Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag};
+use papyrus_mpi::{Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Task};
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::{Clock, SimNs};
 use parking_lot::{Condvar, Mutex};
@@ -256,7 +254,7 @@ pub(crate) struct CtxInner {
     /// and dispatcher thread share the space; replies echo the seq so stale
     /// replies from timed-out attempts are discarded).
     rpc_seq: AtomicU64,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    threads: Mutex<Vec<Task<()>>>,
     finalized: AtomicBool,
 }
 
@@ -330,10 +328,6 @@ impl CtxInner {
 /// 50 ms cap (with deterministic seeded jitter from `papyrus_faultinject`).
 const RPC_BACKOFF_BASE_NS: u64 = 100_000;
 const RPC_BACKOFF_CAP_NS: u64 = 50_000_000;
-/// Real-time receive deadline for the first attempt; doubles per retry. The
-/// deadline is wall-clock because it bounds how long the thread parks before
-/// suspecting the peer — protocol time stays virtual.
-const RPC_TIMEOUT_INIT: Duration = Duration::from_millis(20);
 /// Attempts before giving up with `Error::Timeout` on a peer that is slow
 /// but not confirmed dead.
 const RPC_MAX_ATTEMPTS: u32 = 5;
@@ -371,15 +365,14 @@ pub(crate) fn send_batch(
 /// echo.
 ///
 /// Unarmed world: a plain blocking send + receive (sequence 0). Armed
-/// world ([`CtxInner::faults`]): deadline, bounded retry, and failure
-/// detection. Per attempt: send with a fresh seq, then wait up to the
-/// deadline for a reply echoing that seq (stale replies from earlier
-/// attempts are discarded). On timeout, run a failure-detector
+/// world ([`CtxInner::faults`]): bounded retry and failure detection. Per
+/// attempt: send with a fresh seq, then wait for a reply echoing that seq
+/// (stale replies from earlier attempts are discarded) until none can come
+/// — no other task of the world can run. Then run a failure-detector
 /// confirmation round against the owner — a confirmed-dead owner gets the
-/// promotion check (DESIGN §11) and yields
-/// [`Error::RankUnavailable`] — otherwise charge a deterministic virtual
-/// backoff and retry with a doubled deadline, up to [`RPC_MAX_ATTEMPTS`]
-/// ([`Error::Timeout`] after that).
+/// promotion check (DESIGN §11) and yields [`Error::RankUnavailable`] —
+/// otherwise charge a deterministic virtual backoff and retry, up to
+/// [`RPC_MAX_ATTEMPTS`] ([`Error::Timeout`] after that).
 ///
 /// Retries are safe: PUT_SYNC / MIGRATE re-apply the same records
 /// idempotently and GET_REQ is read-only.
@@ -401,7 +394,6 @@ pub(crate) fn request(
         RPC_BACKOFF_BASE_NS,
         RPC_BACKOFF_CAP_NS,
     );
-    let mut deadline = RPC_TIMEOUT_INIT;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
@@ -415,8 +407,7 @@ pub(crate) fn request(
             return Ok(m);
         }
         let reply = loop {
-            match ctx.comm_rep.recv_timeout(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag), deadline)
-            {
+            match ctx.comm_rep.recv_until_quiet(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)) {
                 Some(m) if peek_seq(&m.payload) == Some(seq) => break Some(m),
                 Some(_stale) => continue, // reply to a timed-out attempt
                 None => break None,
@@ -454,7 +445,6 @@ pub(crate) fn request(
         if tel.on() {
             tel.backoff_ns.record(delay);
         }
-        deadline *= 2;
     }
 }
 
@@ -516,40 +506,16 @@ impl Context {
             finalized: AtomicBool::new(false),
         });
 
-        let spawn_err =
-            |what: &str, e: std::io::Error| Error::Internal(format!("spawn {what} thread: {e}"));
-        let mut threads = Vec::with_capacity(3);
-        {
+        let helpers = [
+            ("compact", compaction_thread as fn(Arc<CtxInner>)),
+            ("dispatch", dispatcher_thread),
+            ("handler", handler_thread),
+        ];
+        let threads = helpers.map(|(what, body)| {
             let ctx = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pkv-compact-{}", inner.rank.rank()))
-                    .stack_size(1 << 20)
-                    .spawn(move || compaction_thread(ctx))
-                    .map_err(|e| spawn_err("compaction", e))?,
-            );
-        }
-        {
-            let ctx = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pkv-dispatch-{}", inner.rank.rank()))
-                    .stack_size(1 << 20)
-                    .spawn(move || dispatcher_thread(ctx))
-                    .map_err(|e| spawn_err("dispatcher", e))?,
-            );
-        }
-        {
-            let ctx = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pkv-handler-{}", inner.rank.rank()))
-                    .stack_size(1 << 20)
-                    .spawn(move || handler_thread(ctx))
-                    .map_err(|e| spawn_err("handler", e))?,
-            );
-        }
-        *inner.threads.lock() = threads;
+            inner.rank.spawn(format!("pkv-{what}-{}", inner.rank.rank()), move || body(ctx))
+        });
+        *inner.threads.lock() = threads.into();
         Ok(Context { inner })
     }
 

@@ -2,7 +2,6 @@
 //! (paper §3.1).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 // See db.rs: protocol atomics go through the sanity facade.
 use papyrus_sanity::atomic::Ordering;
@@ -117,10 +116,10 @@ pub(crate) fn barrier_inner(ctx: &CtxInner, db: &Arc<DbInner>, level: BarrierLev
 }
 
 /// Wait for all `n` barrier marks of `epoch`; returns the max mark stamp.
-/// On an armed world a dead rank never sends its mark, so the wait is
-/// timed and probes the failure detector between slices (outside the sync
-/// lock so the handler can keep recording marks): the first confirmed-dead
-/// rank is returned instead of hanging the barrier.
+/// On an armed world a dead rank never sends its mark, so whenever the wait
+/// times out — no other task can run — it probes the failure detector
+/// (outside the sync lock): the first confirmed-dead rank is returned
+/// instead of hanging the barrier.
 fn await_barrier_marks(
     ctx: &CtxInner,
     db: &DbInner,
@@ -141,14 +140,14 @@ fn await_barrier_marks(
                 db.sync_cv.wait(&mut sync);
                 continue;
             }
-            if !db.sync_cv.wait_for(&mut sync, Duration::from_millis(10)).timed_out() {
+            if !db.sync_cv.wait_until_quiet(&mut sync).timed_out() {
                 continue; // woken by a new mark: re-check under the lock
             }
         }
-        // Slice expired with marks missing: waiting burns virtual time too
-        // (without this a waiter whose clock lags the plan's kill times
-        // would probe "alive" forever), then suspect a dead sender. Self
-        // counts — see `Communicator::any_dead_member`.
+        // Nothing else can run and marks are missing: waiting burns virtual
+        // time too (without this a waiter whose clock lags the plan's kill
+        // times would probe "alive" forever), then suspect a dead sender.
+        // Self counts — see `Communicator::any_dead_member`.
         ctx.clock().advance(fi::PROBE_DEADLINE_CAP_NS);
         if let Some((_, world)) = ctx.comm_req.any_dead_member() {
             return Err(world);

@@ -7,3 +7,8 @@ pub fn stamp() -> u128 {
     let _ = sys;
     t0.elapsed().as_nanos()
 }
+
+// Not a world crate: a raw thread here is not `raw-thread`'s business.
+pub fn watchdog() {
+    let _ = std::thread::spawn(|| ());
+}

@@ -30,12 +30,12 @@ const RULE: &str = "blocking-under-lock";
 /// Blocking primitive leaves, as (file suffix, fn name). Everything that
 /// transitively calls one of these is "blocking" via reverse BFS.
 const SEEDS: &[(&str, &str)] = &[
-    // `Fabric::wait_match` itself is not a seed: a zero-length wait shares
-    // that body and never parks. Its parking callers are named instead.
+    // `Fabric::wait_match` itself is not a seed: its parking callers are
+    // named instead.
     ("crates/mpi/src/fabric.rs", "recv"),
     ("crates/mpi/src/fabric.rs", "allgather"),
     ("crates/mpi/src/comm.rs", "recv"),
-    ("crates/mpi/src/comm.rs", "recv_timeout"),
+    ("crates/mpi/src/comm.rs", "recv_until_quiet"),
     ("crates/mpi/src/comm.rs", "barrier"),
     ("crates/mpi/src/comm.rs", "allgather_bytes"),
     // Every charged NVM operation funnels through `NvmStore::io`.

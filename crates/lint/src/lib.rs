@@ -2,12 +2,11 @@
 //!
 //! Two layers:
 //!
-//! 1. **Token rules** ([`rules`]) — the seven file-local rules the repo has
-//!    enforced since the lint was token-based (std-sync-lock,
-//!    protocol-unwrap, recovery-unwrap, real-time,
+//! 1. **Token rules** ([`rules`]) — the eight file-local rules
+//!    (std-sync-lock, protocol-unwrap, recovery-unwrap, real-time,
 //!    atomic-ordering-justified, unsafe-needs-safety-comment,
-//!    no-atomic-in-protocol). These match token sequences from [`lexer`]
-//!    and need no cross-file knowledge.
+//!    no-atomic-in-protocol, raw-thread). These match token sequences from
+//!    [`lexer`] and need no cross-file knowledge.
 //! 2. **Interprocedural analyses** ([`analysis`]) — built on a lightweight
 //!    item/body parser ([`parse`]) and a workspace call graph
 //!    ([`callgraph`]): panic-reachability from protocol/recovery entry
@@ -109,8 +108,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The seven token rules over all files under `root` (the historical
-/// `cargo xtask lint` pass).
+/// The eight token rules over all files under `root` (the
+/// `cargo xtask lint` pass without `--deep`).
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     rules::run_rules(&SourceTree::load(root))
 }

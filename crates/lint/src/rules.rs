@@ -36,6 +36,12 @@
 //!   `std::sync::atomic` directly; they use the `papyrus_sanity::atomic`
 //!   facade, which swaps in the model-checker's shimmed atomics under
 //!   `--cfg modelcheck` so protocol interleavings stay explorable.
+//! - **raw-thread** — no `thread::spawn` / `thread::Builder` outside test
+//!   code of the crates that run inside a simulated world (core, mpi,
+//!   mdhim, meraculous, dsm, serve): a thread that is not one of the
+//!   world's tasks (`RankCtx::spawn`) and parks on a world condvar is
+//!   invisible to the world's scheduler, whose "no runnable task" would
+//!   then call a live world deadlocked.
 //!
 //! A finding on a specific line can be waived with a trailing
 //! `// lint:allow(<rule>)` comment.
@@ -67,6 +73,10 @@ pub(crate) const PROTOCOL_PATHS: &[&str] = &[
 /// Recovery-path files that must tolerate arbitrary crash debris: a panic
 /// here strands the peer ranks at the next collective.
 pub(crate) const RECOVERY_PATHS: &[&str] = &["crates/core/src/ckpt.rs"];
+
+/// The crates whose code runs on the tasks of a simulated world: the scope
+/// of `raw-thread` (in their `src/`; their `tests/` are test code).
+const WORLD_CRATES: [&str; 6] = ["core", "mpi", "mdhim", "meraculous", "dsm", "serve"];
 
 /// Path prefixes exempt from `atomic-ordering-justified`. Kept empty on
 /// purpose: every Relaxed/SeqCst in the tree carries its argument. The
@@ -203,6 +213,8 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let protocol_applies = PROTOCOL_PATHS.contains(&rel);
     let recovery_applies = RECOVERY_PATHS.contains(&rel);
     let real_time_applies = rel.starts_with("crates/") && !rel.starts_with("crates/simtime/");
+    let raw_thread_applies =
+        WORLD_CRATES.iter().any(|c| rel.starts_with(&format!("crates/{c}/src/")));
     let ordering_applies = !ORDERING_ALLOWLIST.iter().any(|p| rel.starts_with(p));
 
     let mut i = 0;
@@ -249,6 +261,16 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             if direct || bare_now {
                 ctx.push(findings, "real-time", line);
             }
+        }
+
+        // --- raw-thread.
+        if raw_thread_applies
+            && (seq_at(toks, i, &["thread", ":", ":", "spawn"])
+                || seq_at(toks, i, &["thread", ":", ":", "Builder"]))
+            && !ctx.in_tests(line)
+            && !ctx.allowed(line, "raw-thread")
+        {
+            ctx.push(findings, "raw-thread", line);
         }
 
         // --- protocol-unwrap / recovery-unwrap.
@@ -387,6 +409,7 @@ mod tests {
                 "atomic-ordering-justified",
                 "no-atomic-in-protocol",
                 "protocol-unwrap",
+                "raw-thread",
                 "real-time",
                 "recovery-unwrap",
                 "std-sync-lock",
@@ -478,6 +501,17 @@ mod tests {
         // `unsafe impl`; commented and waived ones stay quiet.
         assert_eq!(hits.len(), 2, "{hits:#?}");
         assert!(hits.iter().all(|f| f.path.ends_with("unsafe_blocks.rs")), "{hits:#?}");
+    }
+
+    #[test]
+    fn raw_thread_rule_seeds_and_exemptions() {
+        let findings = run_lint(&fixture_root());
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == "raw-thread").collect();
+        // raw_thread.rs seeds one `thread::spawn` and one `thread::Builder`
+        // in world-crate code; the waived one, the test-module one and
+        // clocky.rs's (not a world crate) stay quiet.
+        assert_eq!(hits.len(), 2, "{hits:#?}");
+        assert!(hits.iter().all(|f| f.path == "crates/core/src/raw_thread.rs"), "{hits:#?}");
     }
 
     #[test]

@@ -168,6 +168,17 @@ pub const SEEDS: &[(&str, Seed)] = &[
         expect: "every store to `now` is Relaxed",
         file: "crates/simtime/src/clock.rs",
     }),
+    ("raw-thread-helper", Seed {
+        description: "a runtime helper spawned as a raw OS thread, not a task of the world",
+        patches: &[(
+            "crates/core/src/runtime.rs",
+            "inner.rank.spawn(format!(\"pkv-{what}-{}\", inner.rank.rank()), move || body(ctx))",
+            "std::thread::spawn(move || body(ctx))",
+        )],
+        rule: "raw-thread",
+        expect: "std::thread::spawn",
+        file: "crates/core/src/runtime.rs",
+    }),
     ("atomic-ptr-relaxed", Seed {
         description: "AtomicPtr published with Relaxed ordering",
         patches: &[(

@@ -2,10 +2,9 @@
 //! and per-rank range-server threads over [`crate::ldb::MiniLdb`].
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use papyrus_mpi::{Communicator, RankCtx, RecvSrc, RecvTag};
+use papyrus_mpi::{Communicator, RankCtx, RecvSrc, RecvTag, Task};
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::Clock;
 use parking_lot::Mutex;
@@ -70,7 +69,7 @@ pub struct Mdhim {
     profile: SystemProfile,
     comm_req: Communicator,
     comm_rep: Communicator,
-    server: Option<JoinHandle<()>>,
+    server: Option<Task<()>>,
     finalized: bool,
 }
 
@@ -116,11 +115,9 @@ impl Mdhim {
         let srv_comm = comm_req.clone();
         let rep_comm = comm_rep.clone();
         let srv_profile = profile.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("mdhim-srv-{me}"))
-            .stack_size(1 << 20)
-            .spawn(move || server_loop(server, srv_comm, rep_comm, srv_profile))
-            .expect("spawn mdhim range server");
+        let handle = rank.spawn(format!("mdhim-srv-{me}"), move || {
+            server_loop(server, srv_comm, rep_comm, srv_profile)
+        });
 
         Self { rank, profile, comm_req, comm_rep, server: Some(handle), finalized: false }
     }

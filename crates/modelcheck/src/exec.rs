@@ -83,7 +83,7 @@ pub(crate) struct ExecAbort;
 // Objects
 // ---------------------------------------------------------------------------
 
-/// Lock flavours for [`Pending::Lock`] / [`Pending::TryLock`].
+/// Lock flavours for [`Pending::Lock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LockReq {
     Mutex,
@@ -162,8 +162,6 @@ pub(crate) enum Pending {
     DataOp { obj: usize, write: bool },
     /// Blocking lock acquisition; enabled iff the lock admits `req`.
     Lock { obj: usize, req: LockReq },
-    /// Non-blocking acquisition attempt; always enabled.
-    TryLock { obj: usize },
     /// Condvar wait, phase 1: release the mutex and park.
     CondWait { cv: usize },
     /// Condvar wait, parked: disabled until notified; a timed wait stays
@@ -181,7 +179,7 @@ impl Pending {
     pub(crate) fn access(&self) -> Option<(usize, bool)> {
         match *self {
             Pending::AtomicOp { obj, write } | Pending::DataOp { obj, write } => Some((obj, write)),
-            Pending::Lock { obj, .. } | Pending::TryLock { obj } => Some((obj, true)),
+            Pending::Lock { obj, .. } => Some((obj, true)),
             Pending::CondWait { cv, .. } | Pending::CondBlocked { cv, .. } => Some((cv, true)),
             Pending::Begin | Pending::Join { .. } | Pending::Yield => None,
         }
@@ -195,7 +193,6 @@ impl Pending {
             Pending::DataOp { write: true, .. } => "data-write",
             Pending::DataOp { write: false, .. } => "data-read",
             Pending::Lock { .. } => "lock",
-            Pending::TryLock { .. } => "try-lock",
             Pending::CondWait { .. } => "cond-wait",
             Pending::CondBlocked { .. } => "cond-timeout",
             Pending::Join { .. } => "join",
@@ -316,7 +313,6 @@ impl ExecState {
             Pending::Begin
             | Pending::AtomicOp { .. }
             | Pending::DataOp { .. }
-            | Pending::TryLock { .. }
             | Pending::CondWait { .. }
             | Pending::Yield => true,
             Pending::Lock { obj, req } => match &self.objects[obj] {
@@ -809,35 +805,6 @@ fn lock_effect(st: &mut ExecState, tid: usize, obj: usize, req: LockReq) {
         }
     }
     st.threads[tid].clock.join(&acq);
-}
-
-/// Non-blocking acquisition attempt; returns `Some(acquired)` in a model,
-/// `None` outside one (the caller falls back to the std primitive).
-pub(crate) fn try_lock_acquire(
-    tag: &ObjTag,
-    req: LockReq,
-    site: &'static Location<'static>,
-) -> Option<bool> {
-    let c = ctx()?;
-    let obj = {
-        let mut st = lock_state(&c.shared);
-        st.obj_id(tag, ObjKind::Lock)
-    };
-    let mut st = arrive_granted(&c.shared, c.tid, Pending::TryLock { obj }, site);
-    let free = match &st.objects[obj] {
-        ObjectState::Lock { writer, readers, .. } => match req {
-            LockReq::Mutex | LockReq::Write => writer.is_none() && readers.is_empty(),
-            LockReq::Read => writer.is_none(),
-        },
-        _ => unreachable!("try-lock on non-lock object"),
-    };
-    if free {
-        lock_effect(&mut st, c.tid, obj, req);
-    } else {
-        st.threads[c.tid].clock.tick(c.tid);
-    }
-    clear_pending(&mut st, c.tid);
-    Some(free)
 }
 
 /// Lock release: an immediate effect (no scheduling decision — the next

@@ -29,6 +29,9 @@
 //!   failures) and step-bound overruns (livelock) are the other violation
 //!   classes.
 //!
+//! [`baton`] is the other scheduler here: the one every simulated world
+//! runs under, one task at a time in virtual-time order.
+//!
 //! ```
 //! use std::sync::Arc;
 //!
@@ -54,6 +57,7 @@ mod exec;
 mod explore;
 
 pub mod atomic;
+pub mod baton;
 pub mod cell;
 pub mod hint;
 pub mod sync;
@@ -310,7 +314,8 @@ mod tests {
         assert_eq!(t.join().unwrap(), 3);
         let cv = sync::Condvar::new();
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, std::time::Duration::from_millis(1));
+        // Outside a world nothing else can run: a quiet wait ends at once.
+        let res = cv.wait_until_quiet(&mut g);
         assert!(res.timed_out());
     }
 }

@@ -7,11 +7,12 @@
 //! primitive is then taken uncontended (the model never grants a held
 //! lock). Release is an immediate effect. Lock/unlock pairs feed the
 //! vector-clock happens-before relation, so data protected by a lock is
-//! ordered and data that escapes it races.
+//! ordered and data that escapes it races. Outside a model they behave as
+//! the native shim does, world scheduling ([`crate::baton`]) included.
 
 use std::panic::Location;
-use std::time::Duration;
 
+use crate::baton::{Held, WaitList};
 use crate::exec::{self, LockReq, ObjTag};
 
 fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
@@ -37,27 +38,7 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let model = exec::lock_acquire(&self.tag, LockReq::Mutex, Location::caller());
         let guard = unpoison(self.inner.lock());
-        MutexGuard { lock: self, guard: Some(guard), model }
-    }
-
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match exec::try_lock_acquire(&self.tag, LockReq::Mutex, Location::caller()) {
-            Some(true) => {
-                let guard = unpoison(self.inner.lock());
-                Some(MutexGuard { lock: self, guard: Some(guard), model: true })
-            }
-            Some(false) => None,
-            None => self.inner.try_lock().ok().map(|guard| MutexGuard {
-                lock: self,
-                guard: Some(guard),
-                model: false,
-            }),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
+        MutexGuard { lock: self, guard: Some(guard), model, _held: Held::on_lock() }
     }
 
     pub fn into_inner(self) -> T {
@@ -82,6 +63,8 @@ pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
     guard: Option<std::sync::MutexGuard<'a, T>>,
     model: bool,
+    /// Last field: dropped after the std guard.
+    _held: Held,
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -126,6 +109,7 @@ impl WaitTimeoutResult {
 pub struct Condvar {
     tag: ObjTag,
     inner: std::sync::Condvar,
+    waiters: WaitList,
 }
 
 impl Default for Condvar {
@@ -136,50 +120,50 @@ impl Default for Condvar {
 
 impl Condvar {
     pub const fn new() -> Self {
-        Self { tag: ObjTag::new(), inner: std::sync::Condvar::new() }
+        Self { tag: ObjTag::new(), inner: std::sync::Condvar::new(), waiters: WaitList::new() }
     }
 
     #[track_caller]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let site = Location::caller();
-        if guard.model && exec::condvar_wait_begin(&self.tag, &guard.lock.tag, false, site) {
-            guard.guard = None;
-            exec::condvar_wait_finish(site);
-            guard.guard = Some(unpoison(guard.lock.inner.lock()));
-        } else {
-            let inner = guard.guard.take().expect("guard present before wait");
-            guard.guard = Some(unpoison(self.inner.wait(inner)));
-        }
+        self.park(guard, false);
+    }
+
+    /// Like the compat shim's: in a model the wake-up and the timeout are
+    /// both explored; in a world it times out when nothing else can run.
+    #[track_caller]
+    pub fn wait_until_quiet<T>(&self, guard: &mut MutexGuard<'_, T>) -> WaitTimeoutResult {
+        WaitTimeoutResult { timed_out: self.park(guard, true) }
     }
 
     #[track_caller]
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
+    fn park<T>(&self, guard: &mut MutexGuard<'_, T>, timed: bool) -> bool {
         let site = Location::caller();
-        if guard.model && exec::condvar_wait_begin(&self.tag, &guard.lock.tag, true, site) {
+        if guard.model && exec::condvar_wait_begin(&self.tag, &guard.lock.tag, timed, site) {
             guard.guard = None;
             let timed_out = exec::condvar_wait_finish(site);
             guard.guard = Some(unpoison(guard.lock.inner.lock()));
-            WaitTimeoutResult { timed_out }
-        } else {
-            let inner = guard.guard.take().expect("guard present before wait");
-            let (inner, res) = unpoison(self.inner.wait_timeout(inner, timeout));
-            guard.guard = Some(inner);
-            WaitTimeoutResult { timed_out: res.timed_out() }
+            return timed_out;
         }
+        let inner = guard.guard.take().expect("guard present before wait");
+        let (inner, parked) = match self.waiters.wait(timed, inner) {
+            Ok(parked) => (unpoison(guard.lock.inner.lock()), parked),
+            Err(inner) if timed => (inner, Ok(true)),
+            Err(inner) => (unpoison(self.inner.wait(inner)), Ok(false)),
+        };
+        guard.guard = Some(inner);
+        parked.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
     pub fn notify_one(&self) {
         exec::condvar_notify(&self.tag, false);
         self.inner.notify_one();
+        self.waiters.notify(false);
     }
 
     pub fn notify_all(&self) {
         exec::condvar_notify(&self.tag, true);
         self.inner.notify_all();
+        self.waiters.notify(true);
     }
 }
 
@@ -208,54 +192,14 @@ impl<T> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         let model = exec::lock_acquire(&self.tag, LockReq::Read, Location::caller());
         let guard = unpoison(self.inner.read());
-        RwLockReadGuard { lock: self, guard: Some(guard), model }
+        RwLockReadGuard { lock: self, guard: Some(guard), model, _held: Held::on_lock() }
     }
 
     #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         let model = exec::lock_acquire(&self.tag, LockReq::Write, Location::caller());
         let guard = unpoison(self.inner.write());
-        RwLockWriteGuard { lock: self, guard: Some(guard), model }
-    }
-
-    #[track_caller]
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match exec::try_lock_acquire(&self.tag, LockReq::Read, Location::caller()) {
-            Some(true) => {
-                let guard = unpoison(self.inner.read());
-                Some(RwLockReadGuard { lock: self, guard: Some(guard), model: true })
-            }
-            Some(false) => None,
-            None => self.inner.try_read().ok().map(|guard| RwLockReadGuard {
-                lock: self,
-                guard: Some(guard),
-                model: false,
-            }),
-        }
-    }
-
-    #[track_caller]
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match exec::try_lock_acquire(&self.tag, LockReq::Write, Location::caller()) {
-            Some(true) => {
-                let guard = unpoison(self.inner.write());
-                Some(RwLockWriteGuard { lock: self, guard: Some(guard), model: true })
-            }
-            Some(false) => None,
-            None => self.inner.try_write().ok().map(|guard| RwLockWriteGuard {
-                lock: self,
-                guard: Some(guard),
-                model: false,
-            }),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
-    }
-
-    pub fn into_inner(self) -> T {
-        unpoison(self.inner.into_inner())
+        RwLockWriteGuard { lock: self, guard: Some(guard), model, _held: Held::on_lock() }
     }
 }
 
@@ -276,6 +220,7 @@ pub struct RwLockReadGuard<'a, T> {
     lock: &'a RwLock<T>,
     guard: Option<std::sync::RwLockReadGuard<'a, T>>,
     model: bool,
+    _held: Held,
 }
 
 impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
@@ -299,6 +244,7 @@ pub struct RwLockWriteGuard<'a, T> {
     lock: &'a RwLock<T>,
     guard: Option<std::sync::RwLockWriteGuard<'a, T>>,
     model: bool,
+    _held: Held,
 }
 
 impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {

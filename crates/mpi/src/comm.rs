@@ -114,7 +114,7 @@ impl Communicator {
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
+        self.fabric.count((self.id, self.me_world, dst_world, tag), false);
         self.fabric
             .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
     }
@@ -131,7 +131,7 @@ impl Communicator {
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        self.fabric.monitor().on_send(self.id, self.me_world, dst_world, tag);
+        self.fabric.count((self.id, self.me_world, dst_world, tag), false);
         self.fabric
             .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
         stamp
@@ -139,28 +139,25 @@ impl Communicator {
 
     /// Blocking receive matching `src`/`tag`. Merges the message's arrival
     /// stamp into this rank's clock.
+    #[track_caller]
     pub fn recv(&self, src: RecvSrc, tag: RecvTag) -> Message {
         let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
         self.stamp_in(&env);
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
     }
 
-    /// Blocking receive with a real-time deadline; `None` on timeout. The
-    /// deadline is wall-clock (it bounds how long the thread parks before
-    /// checking on the peer) — protocol time stays virtual. On success the
-    /// arrival stamp is merged into this rank's clock as with `recv`.
-    pub fn recv_timeout(
-        &self,
-        src: RecvSrc,
-        tag: RecvTag,
-        timeout: std::time::Duration,
-    ) -> Option<Message> {
+    /// Blocking receive that gives up (`None`) once no other task of the
+    /// world can run: the message can then never come, and the caller
+    /// checks on its peer. On success the arrival stamp is merged into this
+    /// rank's clock as with `recv`.
+    #[track_caller]
+    pub fn recv_until_quiet(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
         let env = self.fabric.wait_match(
             self.me_world,
             self.id,
             src.into_option(),
             tag.into_option(),
-            Wait::Within(timeout),
+            Wait::UntilQuiet,
         )?;
         self.stamp_in(&env);
         Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
@@ -171,6 +168,7 @@ impl Communicator {
     /// receipt must not advance the application rank's virtual time. The
     /// stamp stays available on the returned [`Message`] for service-time
     /// accounting.
+    #[track_caller]
     pub fn recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Message {
         let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
@@ -184,6 +182,7 @@ impl Communicator {
 
     /// Collective barrier: returns once all members arrive; clocks are merged
     /// to the latest member plus a logarithmic synchronisation cost.
+    #[track_caller]
     pub fn barrier(&self) {
         let _ = self.allgather_bytes(Vec::new());
     }
@@ -193,6 +192,7 @@ impl Communicator {
     /// order (standard MPI collective semantics). On an armed world a member
     /// that dies before arriving is fatal here, as under MPI's default error
     /// handler; [`Communicator::try_barrier`] is the recoverable form.
+    #[track_caller]
     pub(crate) fn allgather_bytes(&self, contribution: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
         match self.rendezvous(contribution) {
             Ok(bufs) => bufs,
@@ -202,18 +202,18 @@ impl Communicator {
 
     /// The one rendezvous behind every collective. A world without a fault
     /// plan parks until all members arrive and cannot fail. An armed world
-    /// waits in timed slices and probes the failure detector between them:
-    /// `Err(dead_world_rank)` instead of hanging when a member dies before
-    /// arriving.
+    /// probes the failure detector whenever its wait times out — when no
+    /// other task can run: `Err(dead_world_rank)` instead of hanging when a
+    /// member dies before arriving.
+    #[track_caller]
     fn rendezvous(&self, contribution: Vec<u8>) -> Result<Arc<Vec<Vec<u8>>>, Rank> {
         let n = self.size();
         let clock = self.fabric.clock(self.me_world);
         let cost = self.fabric.collective_cost(n);
         let mut check = || {
-            // Each expired wait slice consumes virtual time too; advancing
-            // here lets a rank whose clock lags the plan's kill times cross
-            // them instead of probing forever. Armed worlds only: fault-free
-            // runs must not be billed for wall-clock scheduling noise.
+            // Each timed-out wait consumes virtual time too; advancing here
+            // lets a rank whose clock lags the plan's kill times cross them
+            // instead of probing forever. Armed worlds only.
             clock.advance(papyrus_faultinject::PROBE_DEADLINE_CAP_NS);
             self.any_dead_member().map(|(_, wr)| wr)
         };
@@ -222,7 +222,6 @@ impl Communicator {
         let (bufs, stamp) =
             self.record.collective.allgather(n, self.me, contribution, clock.now(), cost, check)?;
         clock.merge(stamp);
-        self.fabric.monitor().on_progress();
         Ok(bufs)
     }
 
@@ -271,6 +270,7 @@ impl Communicator {
     /// Barrier that reports a dead member (`Err(dead_world_rank)`) instead
     /// of failing the job. On a world without a fault plan it is exactly
     /// [`Communicator::barrier`] and always `Ok`.
+    #[track_caller]
     pub fn try_barrier(&self) -> Result<(), Rank> {
         self.rendezvous(Vec::new()).map(drop)
     }

@@ -4,17 +4,15 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use std::time::Duration;
-
 use bytes::Bytes;
 use papyrus_faultinject::{
     FaultPlan, PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD,
 };
+use papyrus_modelcheck::baton::Baton;
 use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::sanity::ProtoMonitor;
 use crate::{Rank, Tag};
 
 /// Per-rank channel telemetry: message/byte counts in both directions,
@@ -79,6 +77,9 @@ impl RankNetTel {
 /// Internal communicator identifier (unique within a [`Fabric`]).
 pub(crate) type CommId = u64;
 
+/// A point-to-point channel: `(comm, src world rank, dst world rank, tag)`.
+pub(crate) type Channel = (CommId, Rank, Rank, Tag);
+
 /// A completed all-gather round: every member's contribution in rank
 /// order, plus the merged completion stamp.
 type GatherRound = (Arc<Vec<Vec<u8>>>, SimNs);
@@ -95,10 +96,14 @@ pub(crate) struct Envelope {
     pub payload: Bytes,
 }
 
+/// A rank's incoming envelopes, behind one lock.
 #[derive(Default)]
 struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
-    cv: Condvar,
+    queue: VecDeque<Envelope>,
+    /// One condvar per communicator a receiver has waited on here: a
+    /// delivery wakes only its own communicator's receivers (a rank's
+    /// handler and application thread share the mailbox, not a comm).
+    ready: HashMap<CommId, Arc<Condvar>>,
 }
 
 /// State used to rendezvous one collective operation on one communicator.
@@ -138,12 +143,13 @@ impl CollectiveState {
     /// previous round has consumed its result.
     ///
     /// `check` is the liveness probe of an armed world (`None` on a world
-    /// without a fault plan, which then parks untimed): the wait runs in
-    /// timed slices and calls it whenever one expires. If it names a dead
-    /// member the caller *withdraws* its contribution and returns
-    /// `Err(dead_world_rank)`, leaving the round clean for the surviving
-    /// members (who will each detect the same death and withdraw too,
-    /// instead of hanging forever on a member that will never arrive).
+    /// without a fault plan, which then parks untimed): the wait times out
+    /// whenever no other task of the world can run, and calls it then. If it
+    /// names a dead member the caller *withdraws* its contribution and
+    /// returns `Err(dead_world_rank)`, leaving the round clean for the
+    /// surviving members (who will each detect the same death and withdraw
+    /// too, instead of hanging forever on a member that will never arrive).
+    #[track_caller]
     pub(crate) fn allgather(
         &self,
         n: usize,
@@ -153,22 +159,11 @@ impl CollectiveState {
         cost: SimNs,
         mut check: Option<&mut dyn FnMut() -> Option<Rank>>,
     ) -> Result<GatherRound, Rank> {
-        // Park once; true iff an armed world's wait slice expired.
-        let timed = check.is_some();
-        let park = |g: &mut MutexGuard<'_, CollectiveInner>| {
-            if timed {
-                self.cv.wait_for(g, Duration::from_millis(10)).timed_out()
-            } else {
-                self.cv.wait(g);
-                false
-            }
-        };
-        let mut probe = || check.as_mut().and_then(|check| check());
         let mut g = self.inner.lock();
         // Phase 0: if a previous round is still draining, wait it out.
         while g.released.is_some() {
-            if park(&mut g) {
-                if let Some(dead) = probe() {
+            if self.park(&mut g, check.is_some()) {
+                if let Some(dead) = check.as_mut().and_then(|check| check()) {
                     return Err(dead);
                 }
             }
@@ -195,8 +190,8 @@ impl CollectiveState {
             if let Some(out) = g.released.clone() {
                 break out;
             }
-            if park(&mut g) && g.released.is_none() {
-                if let Some(dead) = probe() {
+            if self.park(&mut g, check.is_some()) && g.released.is_none() {
+                if let Some(dead) = check.as_mut().and_then(|check| check()) {
                     if g.bufs[me].take().is_some() {
                         g.arrived -= 1;
                     }
@@ -213,6 +208,17 @@ impl CollectiveState {
             self.cv.notify_all();
         }
         Ok(out)
+    }
+
+    /// Park once; true iff a timed park timed out.
+    #[track_caller]
+    fn park(&self, g: &mut MutexGuard<'_, CollectiveInner>, timed: bool) -> bool {
+        if timed {
+            self.cv.wait_until_quiet(g).timed_out()
+        } else {
+            self.cv.wait(g);
+            false
+        }
     }
 }
 
@@ -234,7 +240,7 @@ type ChildComms = HashMap<(CommId, u64), (CommId, Arc<CommRecord>)>;
 pub struct Fabric {
     n: usize,
     net: NetModel,
-    mailboxes: Vec<Mailbox>,
+    mailboxes: Vec<Mutex<Mailbox>>,
     nic_tx: Vec<Resource>,
     nic_rx: Vec<Resource>,
     /// Shared switch fabric: bisection bandwidth is a fraction of the sum of
@@ -247,9 +253,13 @@ pub struct Fabric {
     backbone_links: u32,
     clocks: Vec<Clock>,
     tel: Vec<RankNetTel>,
-    /// Protocol monitor (channel counters, deadlock watch). Always
-    /// allocated; every hook self-gates on `papyrus_sanity::enabled()`.
-    sanity: ProtoMonitor,
+    /// The world's scheduler: every rank thread and helper of this world
+    /// is one of its tasks ([`crate::RankCtx::spawn`]).
+    baton: Arc<Baton>,
+    /// `[sent, received]` per `(comm, src world rank, dst world rank,
+    /// tag)` channel, counted only while `PAPYRUS_SANITY` is on: at
+    /// finalize a channel whose counts disagree is an unmatched send.
+    channels: Mutex<HashMap<Channel, [u64; 2]>>,
     /// The world communicator (comm id 0), also present in `comms`.
     world_record: Arc<CommRecord>,
     comms: Mutex<HashMap<CommId, Arc<CommRecord>>>,
@@ -272,10 +282,10 @@ pub struct Fabric {
 pub(crate) enum Wait {
     /// Until a matching envelope arrives.
     Forever,
-    /// At most this long in real time (zero: take what is queued right
-    /// now). The real deadline only decides *when to check on the peer*;
-    /// protocol time stays virtual.
-    Within(Duration),
+    /// Until a matching envelope arrives or no other task of the world can
+    /// run — then none ever will, so the caller checks on its peer.
+    /// Outside a world: take what is queued right now.
+    UntilQuiet,
 }
 
 /// Verdict of a failure-detector confirmation round.
@@ -310,14 +320,15 @@ impl Fabric {
         Arc::new(Self {
             n,
             net,
-            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
+            mailboxes: (0..n).map(|_| Mutex::default()).collect(),
             nic_tx: (0..n).map(|_| Resource::new()).collect(),
             nic_rx: (0..n).map(|_| Resource::new()).collect(),
             backbone: Resource::new(),
             backbone_links,
             clocks: (0..n).map(|_| Clock::new()).collect(),
             tel: (0..n).map(RankNetTel::new).collect(),
-            sanity: ProtoMonitor::default(),
+            baton: Baton::new(),
+            channels: Mutex::default(),
             world_record: world,
             comms: Mutex::new(comms),
             children: Mutex::new(HashMap::new()),
@@ -345,6 +356,11 @@ impl Fabric {
     /// The fault plan this world was armed with, if any.
     pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
+    }
+
+    /// The world's scheduler.
+    pub(crate) fn baton(&self) -> &Arc<Baton> {
+        &self.baton
     }
 
     pub(crate) fn world_comm(&self) -> (CommId, Arc<CommRecord>) {
@@ -480,15 +496,16 @@ impl Fabric {
 
     /// Deposit an envelope into `dst_world`'s mailbox.
     pub(crate) fn deliver(&self, dst_world: Rank, env: Envelope) {
-        let mb = &self.mailboxes[dst_world];
-        let depth = {
-            let mut q = mb.queue.lock();
-            q.push_back(env);
-            q.len()
+        let (depth, ready) = {
+            let mut mb = self.mailboxes[dst_world].lock();
+            let ready = mb.ready.get(&env.comm).cloned();
+            mb.queue.push_back(env);
+            (mb.queue.len(), ready)
         };
         self.tel[dst_world].on_deliver(depth);
-        self.sanity.on_progress();
-        mb.cv.notify_all();
+        if let Some(ready) = ready {
+            ready.notify_all();
+        }
     }
 
     /// World rank backing a comm rank, if the communicator is known.
@@ -497,75 +514,44 @@ impl Fabric {
     }
 
     /// The one mailbox wait: remove and return the first (FIFO) envelope on
-    /// `comm` matching the `src`/`tag` wildcards, parking for at most `wait`.
-    /// `None` iff `wait` ran out first (never for [`Wait::Forever`]).
+    /// `comm` matching the `src`/`tag` wildcards, parking as `wait` says.
+    /// `None` iff a [`Wait::UntilQuiet`] gave up (never for
+    /// [`Wait::Forever`]).
+    #[track_caller]
     pub(crate) fn wait_match(
         &self,
         me_world: Rank,
         comm: CommId,
         src: Option<Rank>,
         tag: Option<Tag>,
-        mut wait: Wait,
+        wait: Wait,
     ) -> Option<Envelope> {
-        let mb = &self.mailboxes[me_world];
-        // Only an unbounded wait can close a wait-for cycle, so only it is
-        // registered with the deadlock watch.
-        let sanity_on = papyrus_sanity::enabled();
-        let monitored = sanity_on && matches!(wait, Wait::Forever);
-        if monitored {
-            // Register the wait-for edge before blocking so peer ranks can
-            // see it; a wildcard-source receive contributes no edge.
-            let src_world = src.and_then(|s| self.comm_member_world(comm, s));
-            self.sanity.block(me_world, comm, src_world, tag);
-        }
-        let mut stall: Option<(u64, Vec<Rank>)> = None;
-        let mut q = mb.queue.lock();
+        let mut mb = self.mailboxes[me_world].lock();
+        let mut quiet = false;
         let found = loop {
-            let pos = q.iter().position(|e| {
+            let pos = mb.queue.iter().position(|e| {
                 e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
             });
-            if let Some(env) = pos.and_then(|p| q.remove(p)) {
-                break Some((env, q.len()));
+            if let Some(env) = pos.and_then(|p| mb.queue.remove(p)) {
+                break Some((env, mb.queue.len()));
             }
-            match &mut wait {
-                Wait::Within(left) => {
-                    if left.is_zero() {
-                        break None;
-                    }
-                    // Real time is counted in expired slices, never read
-                    // from a clock (lint rule `real-time`), so a wake-up
-                    // that brought no match stretches the wait by at most
-                    // one slice.
-                    let step = (*left).min(Duration::from_millis(5));
-                    if mb.cv.wait_for(&mut q, step).timed_out() {
-                        *left -= step;
-                    }
-                }
-                Wait::Forever if monitored => {
-                    if mb.cv.wait_for(&mut q, Duration::from_millis(50)).timed_out() {
-                        if let Some(detail) = self.sanity.check_stalled(me_world, &mut stall) {
-                            // Deliberately do NOT unblock: the other members of
-                            // the confirmed cycle still need to see this edge to
-                            // diagnose the same cycle and escape their waits.
-                            drop(q);
-                            panic!("papyrus-sanity[wait-cycle]: {detail}"); // lint:allow(panic-path): deliberate fail-stop on a confirmed deadlock cycle
-                        }
-                    }
-                }
-                Wait::Forever => mb.cv.wait(&mut q),
+            if quiet {
+                break None;
+            }
+            let ready = Arc::clone(mb.ready.entry(comm).or_default());
+            match wait {
+                Wait::Forever => ready.wait(&mut mb),
+                Wait::UntilQuiet => quiet = ready.wait_until_quiet(&mut mb).timed_out(),
             }
         };
-        // Monitor hooks run after the queue lock is released: they take the
-        // monitor's own locks and must not nest under the mailbox lock.
-        drop(q);
-        if monitored {
-            self.sanity.unblock(me_world);
-        }
+        // The channel count runs after the mailbox lock is released: it
+        // takes its own lock and must not nest under it.
+        drop(mb);
         let (env, depth) = found?;
-        if sanity_on {
+        if papyrus_sanity::enabled() {
             // Envelopes carry only the comm rank of their sender.
             if let Some(src_world) = self.comm_member_world(comm, env.src) {
-                self.sanity.on_recv(comm, src_world, me_world, env.tag);
+                self.count((comm, src_world, me_world, env.tag), true);
             }
         }
         self.tel[me_world].on_recv(env.payload.len() as u64, depth);
@@ -573,6 +559,7 @@ impl Fabric {
     }
 
     /// Blocking receive with wildcards.
+    #[track_caller]
     pub(crate) fn recv(
         &self,
         me_world: Rank,
@@ -590,12 +577,15 @@ impl Fabric {
 
     /// Count of undelivered messages in a rank's mailbox (diagnostics).
     pub fn pending(&self, world_rank: Rank) -> usize {
-        self.mailboxes[world_rank].queue.lock().len()
+        self.mailboxes[world_rank].lock().queue.len()
     }
 
-    /// The protocol monitor (hooked by [`crate::Communicator`]).
-    pub(crate) fn monitor(&self) -> &ProtoMonitor {
-        &self.sanity
+    /// Count a send (or, `received`, a receive) on `channel` while the
+    /// sanity gate is on.
+    pub(crate) fn count(&self, channel: Channel, received: bool) {
+        if papyrus_sanity::enabled() {
+            self.channels.lock().entry(channel).or_default()[usize::from(received)] += 1;
+        }
     }
 
     /// End-of-job protocol audit: unmatched sends (per-channel send/recv
@@ -605,9 +595,16 @@ impl Fabric {
         if !papyrus_sanity::enabled() {
             return Vec::new();
         }
-        let mut problems = self.sanity.finalize_channels();
+        let channels = self.channels.lock();
+        let unmatched = channels.iter().filter(|(_, [sent, recvd])| sent != recvd);
+        let mut problems: Vec<String> = unmatched
+            .map(|((comm, src, dst, tag), [sent, recvd])| {
+                format!("unmatched send: comm {comm} rank {src} -> rank {dst} tag {tag}: {sent} sent, {recvd} received")
+            })
+            .collect();
+        problems.sort();
         for (rank, mb) in self.mailboxes.iter().enumerate() {
-            for env in mb.queue.lock().iter() {
+            for env in mb.lock().queue.iter() {
                 problems.push(format!(
                     "tag leak: rank {rank} mailbox still holds comm {} src {} tag {} \
                      ({} bytes) at finalize",
@@ -639,7 +636,8 @@ mod tests {
     }
 
     impl Fabric {
-        /// Non-blocking receive: a zero-length timed wait.
+        /// Non-blocking receive: outside a world a quiet wait gives up at
+        /// once.
         fn try_recv(
             &self,
             me: Rank,
@@ -647,7 +645,7 @@ mod tests {
             src: Option<Rank>,
             tag: Option<Tag>,
         ) -> Option<Envelope> {
-            self.wait_match(me, comm, src, tag, Wait::Within(Duration::ZERO))
+            self.wait_match(me, comm, src, tag, Wait::UntilQuiet)
         }
     }
 
@@ -696,12 +694,20 @@ mod tests {
 
     #[test]
     fn timed_recv_expires_past_a_non_matching_envelope() {
-        let f = fabric(2);
-        f.deliver(0, Envelope { comm: 0, src: 1, tag: 1, stamp: 0, payload: Bytes::new() });
-        let wait = || Wait::Within(Duration::from_millis(20));
-        assert!(f.wait_match(0, 0, Some(1), Some(2), wait()).is_none());
-        assert_eq!(f.pending(0), 1, "the non-matching envelope stays queued");
-        assert_eq!(f.wait_match(0, 0, Some(1), Some(1), wait()).map(|e| e.tag), Some(1));
+        // Rank 0 gives up on tag 2 once rank 1 has nothing left to run,
+        // not on a wall-clock deadline, and the tag-1 envelope stays queued.
+        let out = crate::World::run(crate::WorldConfig::for_tests(2), |ctx| {
+            let w = ctx.world();
+            if ctx.rank() == 1 {
+                w.send(0, 1, Bytes::new());
+                return None;
+            }
+            let gave_up = w.recv_until_quiet(crate::RecvSrc::Rank(1), crate::RecvTag::Tag(2));
+            assert!(gave_up.is_none());
+            assert_eq!(w.fabric().pending(0), 1, "the non-matching envelope stays queued");
+            w.recv_until_quiet(crate::RecvSrc::Rank(1), crate::RecvTag::Tag(1)).map(|m| m.tag)
+        });
+        assert_eq!(out[0], Some(1));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! `MPI_THREAD_MULTIPLE` level, from dispatcher/handler helper threads),
 //! duplicated communicators for runtime-internal traffic, and a handful of
 //! collectives. It never uses one-sided MPI. This crate provides exactly that
-//! surface with each *rank* running as an OS thread inside one process:
+//! surface with each *rank* running as an OS thread inside one process, one
+//! thread of a world at a time, in virtual-time order:
 //!
-//! * [`World::run`] — launch `n` ranks executing the same closure (SPMD).
+//! * [`World::run`] — launch `n` ranks executing the same closure (SPMD);
+//!   [`RankCtx::spawn`] adds a rank's helper threads as [`Task`]s.
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
 //!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
 //!   collective helpers.
@@ -33,11 +35,11 @@
 
 mod comm;
 mod fabric;
-mod sanity;
 mod world;
 
 pub use comm::{Communicator, Message, RecvSrc, RecvTag};
 pub use fabric::{Fabric, RankStatus};
+pub use papyrus_modelcheck::baton::Task;
 pub use world::{RankCtx, World, WorldConfig};
 
 /// A rank index within a communicator.

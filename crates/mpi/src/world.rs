@@ -1,9 +1,9 @@
 //! SPMD world launcher and per-rank context.
 
 use std::sync::Arc;
-use std::thread;
 
 use papyrus_faultinject::FaultPlan;
+use papyrus_modelcheck::baton::Task;
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
 use crate::comm::Communicator;
@@ -13,7 +13,7 @@ use crate::Rank;
 /// Configuration for a simulated SPMD job.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// Number of MPI ranks (each runs as an OS thread).
+    /// Number of MPI ranks (each a task of the world, see [`World::run`]).
     pub ranks: usize,
     /// Interconnect cost model shared by all ranks.
     pub net: NetModel,
@@ -42,18 +42,21 @@ impl WorldConfig {
     }
 }
 
-/// OS thread stack size per rank (bytes). The KVS spawns helper threads per
-/// rank, so it is modest.
-const RANK_STACK_SIZE: usize = 1 << 21;
-
 /// Handle to a launched world; produced by [`World::run`].
 pub struct World;
 
 impl World {
-    /// Run an SPMD job: spawn `config.ranks` threads, each executing `f`
-    /// with its own [`RankCtx`]. Returns each rank's result, indexed by rank.
+    /// Run an SPMD job: `config.ranks` tasks, each executing `f` with its
+    /// own [`RankCtx`]. Returns each rank's result, indexed by rank.
     ///
-    /// Panics in any rank are propagated (the join failure names the rank).
+    /// Every rank and every helper spawned through [`RankCtx::spawn`] is a
+    /// task of the world's scheduler (`papyrus_modelcheck::baton`): one runs
+    /// at a time, handing over at blocking points in virtual-time order, so
+    /// a run is a function of its inputs alone. A world that can never move
+    /// again fails with a deadlock verdict naming every parked task.
+    ///
+    /// Panics in any rank are propagated (naming the rank; a rank's own
+    /// panic is preferred to the verdict it left the others in).
     pub fn run<T, F>(config: WorldConfig, f: F) -> Vec<T>
     where
         T: Send + 'static,
@@ -61,35 +64,30 @@ impl World {
     {
         let fabric = Fabric::with_faults(config.ranks, config.net.clone(), config.faults.clone());
         let f = Arc::new(f);
-        let handles: Vec<_> = (0..config.ranks)
+        let tasks: Vec<Task<T>> = (0..config.ranks)
             .map(|rank| {
-                let fabric = fabric.clone();
-                let f = f.clone();
-                thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(RANK_STACK_SIZE)
-                    .spawn(move || {
-                        let ctx = RankCtx::new(fabric, rank);
-                        f(ctx)
-                    })
-                    .expect("failed to spawn rank thread")
+                let (ctx_fabric, f) = (fabric.clone(), f.clone());
+                let clock = fabric.clock(rank).clone();
+                fabric.baton().spawn(
+                    format!("rank-{rank}"),
+                    rank,
+                    Some(Box::new(move || clock.now())),
+                    move || f(RankCtx::new(ctx_fabric, rank)),
+                )
             })
             .collect();
-        let out: Vec<T> = handles
-            .into_iter()
+        fabric.baton().start();
+        let results: Vec<std::thread::Result<T>> = tasks.into_iter().map(Task::join).collect();
+        let verdict = fabric.baton().verdict();
+        let failure = results
+            .iter()
             .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(v) => v,
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("rank {rank} panicked: {msg}")
-                }
-            })
-            .collect();
+            .filter_map(|(rank, r)| Some((rank, panic_message(r.as_ref().err()?))))
+            .min_by_key(|(rank, msg)| (Some(msg) == verdict.as_ref(), *rank));
+        if let Some((rank, msg)) = failure {
+            panic!("rank {rank} panicked: {msg}");
+        }
+        let out: Vec<T> = results.into_iter().flatten().collect();
         // Audit once every rank has exited cleanly: under PAPYRUS_SANITY an
         // unmatched send, a tag leak or a lock-order finding fails the job
         // (free and empty when the gate is off). The lock-order graph spans
@@ -106,10 +104,19 @@ impl World {
     }
 }
 
+fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
 /// Per-rank execution context handed to the SPMD closure.
 ///
 /// Cheap to clone; clones share the same rank identity, clock, and fabric
-/// (this is how PapyrusKV's helper threads participate in their rank).
+/// (this is how PapyrusKV's helper threads participate in their rank —
+/// spawned with [`RankCtx::spawn`]).
 #[derive(Clone)]
 pub struct RankCtx {
     fabric: Arc<Fabric>,
@@ -158,6 +165,18 @@ impl RankCtx {
     /// The underlying fabric (shared with all ranks).
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
+    }
+
+    /// Spawn a helper task of this rank: a thread named `name` that is one
+    /// of the world's tasks, first woken at its spawner's clock. Every
+    /// thread that waits on anything of the world must be one: a raw thread
+    /// parked on a world condvar is invisible to the scheduler.
+    pub fn spawn<T, F>(&self, name: String, f: F) -> Task<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.fabric.baton().spawn(name, self.rank, None, f)
     }
 }
 
@@ -297,7 +316,7 @@ mod tests {
     fn helper_thread_shares_rank_clock() {
         let out = World::run(WorldConfig::for_tests(2), |ctx| {
             let helper_ctx = ctx.clone();
-            let h = std::thread::spawn(move || {
+            let h = ctx.spawn(format!("helper-{}", ctx.rank()), move || {
                 helper_ctx.clock().advance(500);
             });
             h.join().unwrap();

@@ -31,16 +31,10 @@
 //!
 //! All timing is *virtual* ([`papyrus_simtime`]): snapshots measure the
 //! modelled device/network cost of the engine's decisions, so they are
-//! comparable across machines and CI runners. Residual run-to-run jitter
-//! comes from real thread interleaving changing virtual queue-wait
-//! *order* (message service order at a busy rank is arrival order, which
-//! the OS scheduler perturbs). That noise is one-sided — contention only
-//! ever *adds* queue wait — so each cell is run [`SuiteCfg::repeats`]
-//! times and the exported row is the least-contended envelope (fastest
-//! elapsed, lowest-p99 latency families), which converges on the stable
-//! uncontended bound instead of sampling the contention tail. The gate's
-//! tolerance, a histogram-quantization allowance, and an absolute p99
-//! floor absorb what remains.
+//! comparable across machines and CI runners. A world runs one task at a
+//! time in virtual-time order, so each cell runs once and the same seed
+//! gives the same snapshot, byte for byte, on one CPU or many; the gate
+//! ([`papyrus_telemetry::compare`]) is exact.
 //!
 //! ## Seed bugs
 //!
@@ -48,8 +42,9 @@
 //! be self-tested end-to-end (`perfline --seed-bug all`): a p99 spike
 //! advances the rank clock *inside* the scan measurement window on a
 //! deterministic 1-in-16 subset of scans; a throughput drain advances it
-//! *outside* every latency window, slowing elapsed time (and QPS) by
-//! ~25% while leaving the latency percentiles untouched.
+//! once after the last measured op, *outside* every latency window,
+//! slowing elapsed time (and QPS) by 25% while leaving every op — and so
+//! every queue wait — exactly where it was.
 
 use papyrus_bench::value_of;
 use papyrus_bench::workload::{
@@ -72,9 +67,9 @@ pub enum SeedBug {
     /// Advance the clock inside the scan measurement window on every 16th
     /// scan: scan p99 explodes, throughput barely moves.
     ScanP99,
-    /// Advance the clock after every operation by a quarter of the op's
-    /// virtual duration: elapsed time grows ~25% (QPS drops ~20%) while
-    /// latency percentiles are untouched.
+    /// Advance the clock after the last measured operation by a quarter of
+    /// the measured phase's virtual duration: elapsed time grows 25% (QPS
+    /// drops 20%) while latency percentiles are untouched.
     Throughput,
 }
 
@@ -102,9 +97,7 @@ pub struct SuiteCfg {
     pub ops_per_rank: usize,
     /// Minimum measured operations per *cell*: low rank counts run more
     /// ops per rank (`max(ops_per_rank, cell_ops_target / ranks)`) so
-    /// every cell's percentiles rest on comparable sample counts —
-    /// without this, a 4-rank cell's p99 sits on a handful of samples and
-    /// run-to-run scheduling jitter trips the gate.
+    /// every cell's percentiles rest on comparable sample counts.
     pub cell_ops_target: usize,
     /// Value size in bytes.
     pub vallen: usize,
@@ -115,11 +108,6 @@ pub struct SuiteCfg {
     pub memtable_capacity: u64,
     /// Replication factor (R≥2 additionally exports `repl_lag`).
     pub replicas: usize,
-    /// Measurement repeats per cell; the exported row is the
-    /// least-contended envelope across repeats (see the module docs).
-    /// Virtual cost is deterministic modulo queue-wait ordering, so the
-    /// envelope tightens quickly — 2–3 repeats suffice.
-    pub repeats: usize,
     /// Workload seed.
     pub seed: u64,
     /// Free-form generator label recorded in the snapshot.
@@ -131,11 +119,10 @@ pub struct SuiteCfg {
 impl SuiteCfg {
     /// The committed-baseline shape: 6 mixes x 3 skews x {4, 64} ranks.
     ///
-    /// The sweep deliberately stops at 64 ranks: the world is one OS
-    /// thread per rank, and on the single-core CI runners a 256-rank
-    /// sweep spends minutes in scheduler overhead (~23s/cell measured)
-    /// for no extra model fidelity. Larger counts remain a
-    /// `--ranks 4,64,256` flag away for occasional deep runs.
+    /// The sweep deliberately stops at 64 ranks: every rank and helper is
+    /// a task handing the one baton around, so a 256-rank sweep costs
+    /// minutes of hand-offs for no extra model fidelity. Larger counts
+    /// remain a `--ranks 4,64,256` flag away for occasional deep runs.
     pub fn default_suite() -> Self {
         Self {
             ranks: vec![4, 64],
@@ -148,7 +135,6 @@ impl SuiteCfg {
             max_scan_len: 12,
             memtable_capacity: 64 << 10,
             replicas: 1,
-            repeats: 3,
             seed: 0x5EED,
             label: String::new(),
             seed_bug: None,
@@ -213,11 +199,7 @@ pub fn run_suite(cfg: &SuiteCfg) -> PerfSnapshot {
     for &ranks in &cfg.ranks {
         for skew in &cfg.skews {
             for mix in &cfg.mixes {
-                let mut row = run_cell(cfg, *mix, *skew, ranks);
-                for _ in 1..cfg.repeats.max(1) {
-                    row = envelope(row, run_cell(cfg, *mix, *skew, ranks));
-                }
-                workloads.push(row);
+                workloads.push(run_cell(cfg, *mix, *skew, ranks));
             }
         }
     }
@@ -294,7 +276,6 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
 
         let t0 = ctx.now();
         for _ in 0..ops_per_rank {
-            let op_t0 = ctx.now();
             match mix.next_op(&mut rng) {
                 Op::Read => {
                     let idx = if read_latest {
@@ -342,9 +323,9 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
                     bytes += 2 * (v.len() as u64 + KEY_LEN);
                 }
             }
-            if seed_bug == Some(SeedBug::Throughput) {
-                clock.advance((ctx.now() - op_t0) / 4);
-            }
+        }
+        if seed_bug == Some(SeedBug::Throughput) {
+            clock.advance((ctx.now() - t0) / 4);
         }
         let t1 = ctx.now();
 
@@ -390,38 +371,6 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
         get: LatencySummary::from_hist(&get_h),
         scan: LatencySummary::from_hist(&snap.merged_histogram("wl.scan.ns")),
         repl_lag,
-    }
-}
-
-/// Least-contended envelope of two measurements of the same cell.
-///
-/// The op stream is seeded, so `ops`/`bytes_moved` and the flush/compat
-/// counters agree between repeats; what differs is how much virtual
-/// queue wait the real scheduler's interleaving injected. Contention is
-/// strictly additive, so the run with the smaller elapsed time (and, per
-/// latency family, the summary with the smaller p99) is the one closer
-/// to the uncontended model and is the one exported.
-pub fn envelope(a: WorkloadPerf, b: WorkloadPerf) -> WorkloadPerf {
-    assert_eq!(a.id, b.id, "envelope() must merge repeats of the same cell");
-    let (fast, slow) = if b.elapsed_ns < a.elapsed_ns { (b, a) } else { (a, b) };
-    fn calmer(x: Option<LatencySummary>, y: Option<LatencySummary>) -> Option<LatencySummary> {
-        match (x, y) {
-            (Some(a), Some(b)) => {
-                Some(if (b.p99_ns, b.p95_ns, b.p50_ns) < (a.p99_ns, a.p95_ns, a.p50_ns) {
-                    b
-                } else {
-                    a
-                })
-            }
-            (a, b) => a.or(b),
-        }
-    }
-    WorkloadPerf {
-        put: calmer(fast.put.clone(), slow.put),
-        get: calmer(fast.get.clone(), slow.get),
-        scan: calmer(fast.scan.clone(), slow.scan),
-        repl_lag: calmer(fast.repl_lag.clone(), slow.repl_lag),
-        ..fast
     }
 }
 
@@ -476,52 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_takes_least_contended_measurement_per_family() {
-        let lat = |p50: u64, p99: u64| {
-            Some(LatencySummary {
-                count: 1000,
-                mean_ns: p50 as f64,
-                p50_ns: p50,
-                p95_ns: p99 - 1,
-                p99_ns: p99,
-                max_ns: p99 * 2,
-            })
-        };
-        let row = |elapsed: u64, put_p99: u64, get_p99: u64| WorkloadPerf {
-            id: "A/uniform/r4".into(),
-            mix: "A".into(),
-            skew: "uniform".into(),
-            ranks: 4,
-            replicas: 1,
-            ops: 8192,
-            elapsed_ns: elapsed,
-            qps: 8192.0 * 1e9 / elapsed as f64,
-            bytes_moved: 1,
-            flushes: 2,
-            compactions: 3,
-            put: lat(100, put_p99),
-            get: lat(200, get_p99),
-            scan: None,
-            repl_lag: None,
-        };
-        // Run `a` finished faster but saw a contended put tail; run `b`
-        // is slower overall with the calmer put. The envelope takes a's
-        // elapsed/qps and b's put, independently per family.
-        let a = row(1_000_000, 900, 400);
-        let b = row(1_200_000, 700, 500);
-        let env = envelope(a.clone(), b.clone());
-        assert_eq!(env.elapsed_ns, 1_000_000);
-        assert_eq!(env.qps, a.qps);
-        assert_eq!(env.put.as_ref().unwrap().p99_ns, 700, "put tail from run b");
-        assert_eq!(env.get.as_ref().unwrap().p99_ns, 400, "get tail from run a");
-        // One-sided families survive: a scanless repeat merged with a
-        // scanning one keeps the scan summary.
-        let mut c = b.clone();
-        c.scan = lat(300, 600);
-        assert_eq!(envelope(a, c).scan.unwrap().p99_ns, 600);
-    }
-
-    #[test]
     fn scan_mix_exports_scan_latency_and_seed_bug_inflates_it() {
         let mut cfg = SuiteCfg::quick();
         cfg.keys_per_rank = 16;
@@ -549,13 +452,12 @@ mod tests {
         cfg.ops_per_rank = 64;
         cfg.cell_ops_target = 0;
         cfg.vallen = 256;
-        // One rank: no remote handler, so no host-scheduler order reaches
-        // the virtual latencies and both cells are exact. The property
-        // needs no peer — the drain advances the clock *outside* every
-        // latency window.
-        let clean = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 1);
+        // Two ranks, remote gets included: the drain advances the clock
+        // *outside* every latency window, and the world's one-task-at-a-
+        // time order keeps every get's queue waits where they were.
+        let clean = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 2);
         cfg.seed_bug = Some(SeedBug::Throughput);
-        let bugged = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 1);
+        let bugged = run_cell(&cfg, papyrus_bench::workload::MIX_C, KeyDist::Uniform, 2);
         assert!(
             bugged.qps < clean.qps * 0.88,
             "drain must slow QPS by >12% ({} vs {})",

@@ -70,7 +70,7 @@ fn rwlock_and_condvar_checks_fire_through_the_shim() {
     {
         let _held = extra.lock();
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, std::time::Duration::from_millis(5));
+        let res = cv.wait_until_quiet(&mut g);
         assert!(res.timed_out());
     }
     let found = take_findings();

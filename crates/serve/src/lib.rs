@@ -5,7 +5,7 @@
 //! (GET/SET/DEL/MGET/MSET/EXISTS/RANGE/PING/INFO) on [`papyruskv::Db`],
 //! running entirely inside the simtime World so a 4-rank, 10k-connection
 //! load test produces *bit-identical* virtual-time numbers for a given
-//! seed — CI gates on the numbers themselves, not on noise envelopes.
+//! seed — CI gates on the numbers themselves.
 //!
 //! Pieces, bottom up:
 //!
@@ -204,10 +204,9 @@ fn to_latency_summary(l: &LatSummary) -> LatencySummary {
 }
 
 /// Perfline integration: run the serve plane at reduced sizing and
-/// export one `serve` row per command mix. Rows are deterministic (no
-/// repeat envelope needed): `put` carries write-command latency, `get`
-/// read-command latency, and `qps` commands per virtual second — all
-/// under the same >10% regression gate as the engine rows.
+/// export one `serve` row per command mix: `put` carries write-command
+/// latency, `get` read-command latency, and `qps` commands per virtual
+/// second — all under the same exact gate as the engine rows.
 pub fn perf_rows(seed: u64) -> Vec<WorkloadPerf> {
     [LoadMix::ReadHeavy, LoadMix::Balanced]
         .into_iter()

@@ -10,8 +10,10 @@
 //! The document is schema-versioned ([`PERF_SCHEMA_VERSION`]): loaders
 //! reject documents from a different schema rather than mis-reading them.
 //! [`compare`] implements the regression gate — a current snapshot fails
-//! against a baseline when any workload loses more than `tolerance_pct`
-//! of throughput or gains more than `tolerance_pct` of put/get/scan p99.
+//! against a baseline when any workload loses any throughput or gains any
+//! put/get/scan p99: the world runs one task at a time in virtual-time
+//! order, so the same code and seed give the same numbers, and any move is
+//! the code's.
 //!
 //! [`TelemetrySnapshot::merged_histogram`]: crate::TelemetrySnapshot::merged_histogram
 
@@ -295,17 +297,7 @@ fn lat(l: &Option<LatencySummary>) -> String {
     }
 }
 
-/// Minimum recordings (on both sides) before a p99 comparison is
-/// meaningful; below this the percentile is a single-sample order
-/// statistic that moves with scheduling jitter.
-pub const MIN_P99_SAMPLES: u64 = 512;
-
-/// The gate's p99 noise floor in percent: 2.5 log-linear bucket widths
-/// (buckets are 1/16 of an octave). Two identically-performing runs can
-/// legitimately report p99s two bucket steps apart, ~13%.
-pub const QUANTIZATION_PCT: f64 = 100.0 * 2.5 / 16.0;
-
-/// One gate violation: a metric of one workload moved past the tolerance.
+/// One gate violation: a metric of one workload got worse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Workload row id (`WorkloadPerf::id`).
@@ -338,55 +330,31 @@ impl Regression {
 ///
 /// For every baseline workload row, fail when:
 /// - the row is absent from `current` (coverage loss is a regression);
-/// - `qps` dropped by more than `tolerance_pct`;
-/// - `put`/`get`/`scan` p99 grew by more than `tolerance_pct` (a metric
-///   present in the baseline but absent now also fails).
-///
-/// p99 checks are guarded against histogram artifacts in two ways:
-///
-/// - **Quantization allowance**: p99 values are bucket boundaries of the
-///   log-linear histogram (buckets are `1/16` of an octave, ~6.25% wide).
-///   Two runs of *identical* true latency can report p99s up to two
-///   bucket steps apart when the true quantile sits near a boundary, a
-///   ~13% swing. A p99 regression therefore has to exceed
-///   `max(tolerance_pct, 2.5 bucket widths = 15.625%)` — below that the
-///   gate cannot distinguish a regression from quantization.
-/// - **Sample floor**: percentiles over fewer than [`MIN_P99_SAMPLES`]
-///   recordings are skipped (on either side) — a p99 that IS one of a
-///   handful of samples moves with scheduling jitter, not with code.
-/// - **Absolute floor**: the growth must also exceed `p99_floor_ns`, so
-///   nanosecond-scale paths cannot trip the gate on tiny absolute moves.
+/// - `qps` dropped at all;
+/// - `put`/`get`/`scan` p99 grew at all (a metric present in the baseline
+///   but absent now also fails).
 ///
 /// Rows present only in `current` (new coverage) never fail.
-pub fn compare(
-    current: &PerfSnapshot,
-    baseline: &PerfSnapshot,
-    tolerance_pct: f64,
-    p99_floor_ns: u64,
-) -> Vec<Regression> {
+pub fn compare(current: &PerfSnapshot, baseline: &PerfSnapshot) -> Vec<Regression> {
     let mut out = Vec::new();
     for base in &baseline.workloads {
-        let Some(cur) = current.workload(&base.id) else {
+        let mut worse = |metric: String, baseline: f64, current: f64| {
+            let delta_pct =
+                if baseline == 0.0 { 0.0 } else { (current - baseline) / baseline * 100.0 };
             out.push(Regression {
                 workload: base.id.clone(),
-                metric: "missing".into(),
-                baseline: 0.0,
-                current: 0.0,
-                delta_pct: 0.0,
+                metric,
+                baseline,
+                current,
+                delta_pct,
             });
+        };
+        let Some(cur) = current.workload(&base.id) else {
+            worse("missing".into(), 0.0, 0.0);
             continue;
         };
-        if base.qps > 0.0 {
-            let delta_pct = (cur.qps - base.qps) / base.qps * 100.0;
-            if delta_pct < -tolerance_pct {
-                out.push(Regression {
-                    workload: base.id.clone(),
-                    metric: "qps".into(),
-                    baseline: base.qps,
-                    current: cur.qps,
-                    delta_pct,
-                });
-            }
+        if cur.qps < base.qps {
+            worse("qps".into(), base.qps, cur.qps);
         }
         for (name, b, c) in [
             ("put", &base.put, &cur.put),
@@ -394,30 +362,12 @@ pub fn compare(
             ("scan", &base.scan, &cur.scan),
         ] {
             let Some(b) = b else { continue };
-            let metric = format!("{name}.p99_ns");
-            let Some(c) = c else {
-                out.push(Regression {
-                    workload: base.id.clone(),
-                    metric: "missing".into(),
-                    baseline: b.p99_ns as f64,
-                    current: 0.0,
-                    delta_pct: 0.0,
-                });
-                continue;
-            };
-            if b.p99_ns == 0 || b.count < MIN_P99_SAMPLES || c.count < MIN_P99_SAMPLES {
-                continue;
-            }
-            let delta_pct = (c.p99_ns as f64 - b.p99_ns as f64) / b.p99_ns as f64 * 100.0;
-            let p99_tol = tolerance_pct.max(QUANTIZATION_PCT);
-            if delta_pct > p99_tol && c.p99_ns.saturating_sub(b.p99_ns) > p99_floor_ns {
-                out.push(Regression {
-                    workload: base.id.clone(),
-                    metric,
-                    baseline: b.p99_ns as f64,
-                    current: c.p99_ns as f64,
-                    delta_pct,
-                });
+            match c {
+                None => worse("missing".into(), b.p99_ns as f64, 0.0),
+                Some(c) if c.p99_ns > b.p99_ns => {
+                    worse(format!("{name}.p99_ns"), b.p99_ns as f64, c.p99_ns as f64)
+                }
+                Some(_) => {}
             }
         }
     }
@@ -502,21 +452,22 @@ mod tests {
     #[test]
     fn clean_compare_has_no_regressions() {
         let snap = sample_snapshot();
-        assert!(compare(&snap, &snap, 10.0, 0).is_empty());
+        assert!(compare(&snap, &snap).is_empty());
         // Improvements never fail the gate.
         let mut better = snap.clone();
         better.workloads[0].qps *= 2.0;
         better.workloads[0].put.as_mut().unwrap().p99_ns /= 2;
-        assert!(compare(&better, &snap, 10.0, 0).is_empty());
+        assert!(compare(&better, &snap).is_empty());
     }
 
     #[test]
     fn p99_and_qps_regressions_detected_past_tolerance() {
+        // There is no tolerance: the smallest step worse is a regression.
         let base = sample_snapshot();
         let mut cur = base.clone();
         cur.workloads[0].qps *= 0.85; // -15% throughput
         cur.workloads[1].scan.as_mut().unwrap().p99_ns = 480_000; // +20% p99
-        let regs = compare(&cur, &base, 10.0, 0);
+        let regs = compare(&cur, &base);
         let metrics: Vec<_> =
             regs.iter().map(|r| (r.workload.as_str(), r.metric.as_str())).collect();
         assert_eq!(
@@ -526,8 +477,10 @@ mod tests {
         );
         assert!((regs[0].delta_pct + 15.0).abs() < 0.01);
         assert!((regs[1].delta_pct - 20.0).abs() < 0.01);
-        // Inside tolerance: clean.
-        assert!(compare(&cur, &base, 25.0, 0).is_empty());
+        let mut by_a_hair = base.clone();
+        by_a_hair.workloads[0].put.as_mut().unwrap().p99_ns += 1;
+        by_a_hair.workloads[1].qps -= 0.5;
+        assert_eq!(compare(&by_a_hair, &base).len(), 2, "one ns and half a qps are regressions");
     }
 
     #[test]
@@ -535,14 +488,14 @@ mod tests {
         let base = sample_snapshot();
         let mut cur = base.clone();
         cur.workloads.remove(1);
-        let regs = compare(&cur, &base, 10.0, 0);
+        let regs = compare(&cur, &base);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "missing");
         assert_eq!(regs[0].workload, "E/zipfian/r4");
 
         let mut lost_metric = base.clone();
         lost_metric.workloads[1].scan = None;
-        let regs = compare(&lost_metric, &base, 10.0, 0);
+        let regs = compare(&lost_metric, &base);
         assert_eq!(regs.len(), 1, "{regs:#?}");
         assert_eq!(regs[0].metric, "missing");
 
@@ -550,49 +503,7 @@ mod tests {
         let mut extra = base.clone();
         extra.workloads.push(base.workloads[0].clone());
         extra.workloads[2].id = "F/hotspot/r64".into();
-        assert!(compare(&extra, &base, 10.0, 0).is_empty());
-    }
-
-    #[test]
-    fn p99_floor_absorbs_nanosecond_jitter() {
-        let base = sample_snapshot();
-        let mut cur = base.clone();
-        // +25% relative, but only +10000ns absolute.
-        cur.workloads[0].put.as_mut().unwrap().p99_ns = 50_000;
-        assert!(compare(&cur, &base, 10.0, 20_000).is_empty());
-        assert_eq!(compare(&cur, &base, 10.0, 1_000).len(), 1);
-    }
-
-    #[test]
-    fn p99_quantization_allowance_absorbs_bucket_steps() {
-        let base = sample_snapshot();
-        let mut cur = base.clone();
-        // Two log-linear bucket steps (~12.9%): indistinguishable from
-        // quantization of an unchanged distribution, must not fire even
-        // with a 10% tolerance.
-        cur.workloads[0].put.as_mut().unwrap().p99_ns = 45_100;
-        assert!(compare(&cur, &base, 10.0, 0).is_empty());
-        // Past the allowance (+25%) it fires again.
-        cur.workloads[0].put.as_mut().unwrap().p99_ns = 50_000;
-        assert_eq!(compare(&cur, &base, 10.0, 0).len(), 1);
-    }
-
-    #[test]
-    fn low_sample_p99_is_not_gated() {
-        let base = sample_snapshot();
-        let mut cur = base.clone();
-        // A 3x p99 regression, but over 100 samples on the current side:
-        // the percentile is an order statistic of scheduling jitter.
-        let l = cur.workloads[0].put.as_mut().unwrap();
-        l.p99_ns *= 3;
-        l.count = MIN_P99_SAMPLES - 1;
-        assert!(compare(&cur, &base, 10.0, 0).is_empty());
-        // At the sample floor it is gated.
-        cur.workloads[0].put.as_mut().unwrap().count = MIN_P99_SAMPLES;
-        assert_eq!(compare(&cur, &base, 10.0, 0).len(), 1);
-        // qps regressions are never sample-gated.
-        cur.workloads[0].qps *= 0.5;
-        assert_eq!(compare(&cur, &base, 10.0, 0).len(), 2);
+        assert!(compare(&extra, &base).is_empty());
     }
 
     #[test]
@@ -600,7 +511,7 @@ mod tests {
         let base = sample_snapshot();
         let mut cur = base.clone();
         cur.workloads[0].qps *= 0.5;
-        let regs = compare(&cur, &base, 10.0, 0);
+        let regs = compare(&cur, &base);
         let line = regs[0].render();
         assert!(line.contains("A/uniform/r4") && line.contains("qps") && line.contains("-50.0%"));
     }

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the perf-trajectory plane: a real (micro) suite
 //! run over the simulated world, the snapshot's JSON round trip through
-//! disk, and the regression gate catching a planted slowdown while
-//! staying quiet on a clean rerun.
+//! disk, and the regression gate catching a planted slowdown while a clean
+//! rerun reproduces the baseline exactly.
 
 use papyrus_bench::workload::{KeyDist, MIX_A, MIX_E, ZIPF_THETA};
 use papyrus_perfline::{run_suite, SeedBug, SuiteCfg};
@@ -18,7 +18,6 @@ fn micro_cfg() -> SuiteCfg {
     cfg.ops_per_rank = 64;
     cfg.cell_ops_target = 4096;
     cfg.vallen = 512;
-    cfg.repeats = 2;
     cfg.label = "integration micro suite".to_string();
     cfg
 }
@@ -60,27 +59,23 @@ fn suite_covers_every_cell_and_round_trips_through_disk() {
 
 #[test]
 fn gate_catches_planted_throughput_regression_and_passes_clean() {
-    // One rank, one pass per cell: no remote handler, so no host-scheduler
-    // order reaches the virtual clock and every cell is exact (multi-rank
-    // coverage is the test above). Noise calibration at production sizing
-    // is the job of `perfline --seed-bug all`, over the full quick suite.
+    // Multi-rank: every world runs one task at a time in virtual-time
+    // order, so remote handlers and their queue waits repeat exactly.
     let mut cfg = micro_cfg();
-    cfg.ranks = vec![1];
     cfg.cell_ops_target = 0;
-    cfg.repeats = 1;
     let baseline = run_suite(&cfg);
 
     // Identical seed and sizing: a rerun is the same snapshot, bit for bit.
-    let noise_floor_ns = 500_000;
     let rerun = run_suite(&cfg);
     assert_eq!(rerun.workloads, baseline.workloads, "clean rerun moved");
+    assert!(compare(&rerun, &baseline).is_empty());
 
     // Planted drain: every op's virtual duration is stretched ~25% outside
     // the latency windows, so QPS regresses while p99s stay put.
     let mut bugged_cfg = cfg.clone();
     bugged_cfg.seed_bug = Some(SeedBug::Throughput);
     let bugged = run_suite(&bugged_cfg);
-    let regs = compare(&bugged, &baseline, 10.0, noise_floor_ns);
+    let regs = compare(&bugged, &baseline);
     assert!(
         regs.iter().any(|r| r.metric == "qps"),
         "planted throughput drain must trip the qps gate: {regs:#?}"

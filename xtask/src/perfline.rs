@@ -1,8 +1,9 @@
 //! `cargo xtask perfline` — run the YCSB-style perf-trajectory suite plus the
 //! serve rows, then write the `BENCH_<git-sha>.json` snapshot or, with
 //! `--check`, gate the run against a committed baseline (writing a snapshot
-//! only where `--out` says). Fails when `--check` finds regressions, when a
-//! snapshot cannot be written, or when the self-test misses a planted one.
+//! only where `--out` says). Fails when `--check` finds any row worse, when
+//! a snapshot cannot be written, or when the self-test misses a planted
+//! regression or its clean rerun is not the reference, byte for byte.
 
 use std::process::ExitCode;
 
@@ -11,13 +12,6 @@ use papyrus_telemetry::{compare, PerfSnapshot};
 
 use crate::plane::{self, count, positive, switch, text, value};
 use crate::{verdict, workspace_root};
-
-/// Regression tolerance (percent) of the gate.
-const TOLERANCE_PCT: f64 = 10.0;
-/// Absolute p99 growth (ns) below which a percentage regression is ignored —
-/// one log-linear bucket step is 6.25%, so tiny latencies need an absolute
-/// floor to stay out of the noise.
-const P99_FLOOR_NS: u64 = 10_000;
 
 pub fn run(args: &[String]) -> ExitCode {
     // `--quick` picks the suite the other flags then override, wherever it
@@ -32,13 +26,12 @@ pub fn run(args: &[String]) -> ExitCode {
             "snapshot path (BENCH_<sha>.json at the root unless --check)",
             &mut out,
         ),
-        text("--check", "BASELINE.json", "gate: fail on >10% p99/QPS regressions", &mut check),
+        text("--check", "BASELINE.json", "gate: fail on any worse p99 or QPS", &mut check),
         switch("--quick", "scaled-down suite: 4 ranks, 2 skews", &mut quick),
         value("--ranks", "A,B,..", "rank counts to sweep", &mut cfg.ranks, |v| {
             v.split(',').map(|n| positive(n.trim())).collect()
         }),
         count("--replicas", "replication factor (2+ also exports repl_lag)", &mut cfg.replicas),
-        count("--repeats", "runs per cell; the least-contended envelope is kept", &mut cfg.repeats),
         plane::seed_bug(&mut seed_bug),
     ];
     if let Err(code) = plane::parse("perfline", "perf-trajectory suite and gate", flags, args) {
@@ -53,9 +46,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let sha = git_short_sha(&root);
     println!("# perfline: {} ({} cells, git {sha})", cfg.label, suite_cells(&cfg));
     let mut snap = run_suite(&cfg);
-    // Serve-plane rows ride the same snapshot and gate. They are exact
-    // virtual-time numbers (same seed ⇒ same bytes), so one run suffices —
-    // no repeat envelope.
+    // Serve-plane rows ride the same snapshot and gate.
     println!("# serve rows: RESP front end at reduced sizing...");
     snap.workloads.extend(papyrus_serve::perf_rows(cfg.seed));
     snap.git_sha = sha.clone();
@@ -91,12 +82,12 @@ fn gate(current: &PerfSnapshot, baseline_path: &str) -> bool {
             return false;
         }
     };
-    let regressions = compare(current, &baseline, TOLERANCE_PCT, P99_FLOOR_NS);
-    let against = format!("{TOLERANCE_PCT}% vs {baseline_path} (git {})", baseline.git_sha);
+    let regressions = compare(current, &baseline);
+    let against = format!("{baseline_path} (git {})", baseline.git_sha);
     if regressions.is_empty() {
-        println!("# gate PASS: no regression beyond {against}");
+        println!("# gate PASS: no row worse than {against}");
     } else {
-        println!("# gate FAIL: {} regression(s) beyond {against}:", regressions.len());
+        println!("# gate FAIL: {} regression(s) against {against}:", regressions.len());
         for r in &regressions {
             println!("#   {}", r.render());
         }
@@ -104,27 +95,24 @@ fn gate(current: &PerfSnapshot, baseline_path: &str) -> bool {
     regressions.is_empty()
 }
 
-/// `--seed-bug`: the gate must stay quiet between two clean runs of the
-/// quick suite and fire, on the planted metric, for each planted regression.
-/// A gate that trips on the clean rerun convicts nothing.
+/// `--seed-bug`: a clean rerun of the quick suite must equal the reference
+/// byte for byte, and the gate must fire, on the planted metric, for each
+/// planted regression. A suite that does not repeat itself convicts nothing.
 fn self_test(which: &str) -> ExitCode {
     let mut cfg = SuiteCfg::quick();
     cfg.label = cfg.describe("seed-bug self-test");
     // Run lazily, so an unknown bug name costs no suite run.
-    let mut clean: Option<(PerfSnapshot, usize)> = None;
+    let mut clean: Option<(PerfSnapshot, bool)> = None;
     plane::self_test("perfline", which, &SEED_BUGS, |_, &bug| {
-        let (reference, noise) = clean.get_or_insert_with(|| {
+        let (reference, same) = clean.get_or_insert_with(|| {
             println!("# self-test: clean reference run ({} cells)...", suite_cells(&cfg));
             let reference = run_suite(&cfg);
-            println!("# self-test: clean repeat run (noise check)...");
-            let noise = compare(&run_suite(&cfg), &reference, TOLERANCE_PCT, P99_FLOOR_NS);
-            for r in &noise {
-                println!("#   noise: {}", r.render());
-            }
-            (reference, noise.len())
+            println!("# self-test: clean rerun (must equal the reference)...");
+            let same = run_suite(&cfg).to_json() == reference.to_json();
+            (reference, same)
         });
-        if *noise > 0 {
-            return Err(format!("the clean rerun already tripped the gate on {noise} row(s)"));
+        if !*same {
+            return Err("the clean rerun differs from the reference".to_string());
         }
         let expect = match bug {
             SeedBug::ScanP99 => "scan.p99",
@@ -132,7 +120,7 @@ fn self_test(which: &str) -> ExitCode {
         };
         println!("# self-test: planted {bug:?} run...");
         let bugged = run_suite(&SuiteCfg { seed_bug: Some(bug), ..cfg.clone() });
-        let regs = compare(&bugged, reference, TOLERANCE_PCT, P99_FLOOR_NS);
+        let regs = compare(&bugged, reference);
         match regs.iter().find(|r| r.metric.contains(expect)) {
             Some(hit) => Ok(format!("{} regression(s), e.g. {}", regs.len(), hit.render())),
             None => Err(format!("expected a `{expect}` regression; the gate saw {}", regs.len())),

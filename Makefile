@@ -97,11 +97,15 @@ crashcheck:
 # oracle — no acked-write loss, no phantoms, typed errors, no hangs —
 # then prove the oracle catches two planted protocol bugs. The second
 # leg reruns the sweep with replication factor 2, where the oracle drops
-# the dead-owner exemption: acked keys must survive a rank kill.
+# the dead-owner exemption: acked keys must survive a rank kill. The last
+# runs the sweep twice, once on one CPU, and demands the same report.
 chaos:
 	cargo xtask chaos
 	cargo xtask chaos --replicas 2
 	cargo xtask chaos --seed-bug all
+	cargo xtask chaos > target/chaos-a.txt
+	taskset -c 0 cargo xtask chaos > target/chaos-b.txt
+	cmp target/chaos-a.txt target/chaos-b.txt
 
 # Perf-trajectory gate: run the YCSB-style suite, write BENCH_<sha>.json,
 # and fail on any worse p99 or throughput vs the committed baseline; prove

@@ -25,14 +25,16 @@
 //!
 //! Inside a simulated world one task runs at a time
 //! (`papyrus_modelcheck::baton`): a condvar wait parks the task and hands
-//! the baton on, a notify wakes parked tasks in order, and every guard
-//! counts itself so the release of a thread's last guard can hand the baton
-//! to a task it woke. Outside a world that is two thread-local updates per
+//! the baton on (a run-to-completion task enlists instead, without
+//! blocking), a notify wakes parked tasks in order, and every guard counts
+//! itself so the release of a thread's last guard can hand the baton to a
+//! task it woke. Outside a world that is two thread-local updates per
 //! guard, and the lock itself stays a plain `std` lock.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
 
 use papyrus_modelcheck::baton::{Held, WaitList};
@@ -165,6 +167,10 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads outside a world waiting on `inner`, counted under the mutex:
+    /// a notify with none skips `inner`, whose wake is a system call even
+    /// with nobody to wake.
+    native: AtomicUsize,
     /// World tasks parked here (they never wait on `inner`).
     waiters: WaitList,
 }
@@ -172,7 +178,7 @@ pub struct Condvar {
 impl Condvar {
     /// Create a condition variable.
     pub const fn new() -> Self {
-        Self { inner: sync::Condvar::new(), waiters: WaitList::new() }
+        Self { inner: sync::Condvar::new(), native: AtomicUsize::new(0), waiters: WaitList::new() }
     }
 
     /// Sanity hook before the mutex is released for the wait: reports any
@@ -212,7 +218,15 @@ impl Condvar {
         let (g, parked) = match self.waiters.wait(timed, g) {
             Ok(parked) => (guard.lock.lock().unwrap_or_else(sync::PoisonError::into_inner), parked),
             Err(g) if timed => (g, Ok(true)),
-            Err(g) => (self.inner.wait(g).unwrap_or_else(sync::PoisonError::into_inner), Ok(false)),
+            Err(g) => {
+                // ordering: counted and read under the condvar's mutex, whose
+                // release by the wait orders the count before any notify.
+                self.native.fetch_add(1, Ordering::Relaxed);
+                let g = self.inner.wait(g).unwrap_or_else(sync::PoisonError::into_inner);
+                // ordering: as above; the mutex is held again.
+                self.native.fetch_sub(1, Ordering::Relaxed);
+                (g, Ok(false))
+            }
         };
         guard.guard = Some(g);
         Self::wait_end(token);
@@ -220,15 +234,35 @@ impl Condvar {
         parked.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
+    /// Park the calling run-to-completion task of a world here without
+    /// blocking: its slice must end, and a notify makes the task runnable
+    /// again. `guard` (this condvar's mutex) is held, so a notify after the
+    /// caller's check cannot be missed.
+    #[track_caller]
+    pub fn enlist<T>(&self, _guard: &MutexGuard<'_, T>) {
+        self.waiters.enlist();
+    }
+
+    /// Whether a thread outside a world may wait on `inner`.
+    fn native_waiters(&self) -> bool {
+        // ordering: a waiter counts itself under the mutex the notifier took
+        // to change what it waits for, so that lock orders the two.
+        self.native.load(Ordering::Relaxed) > 0
+    }
+
     /// Wake one waiter.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.native_waiters() {
+            self.inner.notify_one();
+        }
         self.waiters.notify(false);
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.native_waiters() {
+            self.inner.notify_all();
+        }
         self.waiters.notify(true);
     }
 }

@@ -9,9 +9,11 @@
 //! * a **message dispatcher thread** — dequeues immutable remote MemTables
 //!   from the migration queue, sorts their pairs by owner rank, and ships
 //!   per-owner batches over the interconnect;
-//! * a **message handler thread** — services MIGRATE / PUT_SYNC / GET_REQ /
+//! * a **message handler task** — services MIGRATE / PUT_SYNC / GET_REQ /
 //!   BARRIER_MARK requests from other ranks "without remote MPI ranks'
-//!   intervention".
+//!   intervention". It runs to completion, one request a slice, on the
+//!   thread of whichever task hands it the baton; an arm that can park
+//!   ([`PARKING_ARMS`]) runs on its own thread.
 //!
 //! The runtime duplicates independent communicators at init so its internal
 //! traffic never collides with application messages.
@@ -23,7 +25,7 @@ use std::sync::Arc;
 use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use papyrus_faultinject as fi;
-use papyrus_mpi::{Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Task};
+use papyrus_mpi::{Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Slice, Task};
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::{Clock, SimNs};
 use parking_lot::{Condvar, Mutex};
@@ -506,16 +508,19 @@ impl Context {
             finalized: AtomicBool::new(false),
         });
 
-        let helpers = [
-            ("compact", compaction_thread as fn(Arc<CtxInner>)),
-            ("dispatch", dispatcher_thread),
-            ("handler", handler_thread),
-        ];
-        let threads = helpers.map(|(what, body)| {
-            let ctx = inner.clone();
-            inner.rank.spawn(format!("pkv-{what}-{}", inner.rank.rank()), move || body(ctx))
-        });
-        *inner.threads.lock() = threads.into();
+        let helpers =
+            [("compact", compaction_thread as fn(Arc<CtxInner>)), ("dispatch", dispatcher_thread)];
+        let mut threads: Vec<Task<()>> = helpers
+            .into_iter()
+            .map(|(what, body)| {
+                let ctx = inner.clone();
+                inner.rank.spawn(format!("pkv-{what}-{}", inner.rank.rank()), move || body(ctx))
+            })
+            .collect();
+        let handler = handler(inner.clone());
+        threads
+            .push(inner.rank.spawn_slices(format!("pkv-handler-{}", inner.rank.rank()), handler));
+        *inner.threads.lock() = threads;
         Ok(Context { inner })
     }
 
@@ -653,27 +658,47 @@ fn dispatcher_thread(ctx: Arc<CtxInner>) {
     }
 }
 
-/// Message handler main loop (§2.4, §2.6, §2.7).
-fn handler_thread(ctx: Arc<CtxInner>) {
-    loop {
-        let m = ctx.comm_req.recv_unstamped(RecvSrc::Any, RecvTag::Any);
-        let (what, served) = match m.tag {
-            tags::SHUTDOWN => return,
-            tags::MIGRATE => ("migrate", handle_migrate(&ctx, m.src, m.payload, m.stamp)),
-            tags::PUT_SYNC => ("put_sync", handle_put_sync(&ctx, m.src, m.payload, m.stamp)),
-            tags::GET_REQ => ("get_req", handle_get_req(&ctx, m.src, m.payload, m.stamp)),
-            tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(&ctx, m.payload, m.stamp)),
-            tags::REPL_PUT => ("repl_put", handle_repl_put(&ctx, m.src, m.payload, m.stamp)),
-            tags::REPL_GET => ("repl_get", handle_repl_get(&ctx, m.src, m.payload, m.stamp)),
-            other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
-        };
-        if let Err(e) = served {
-            // Handler errors indicate wire corruption or internal bugs;
-            // surface them loudly (they fail tests) without killing the
-            // handler.
-            eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
+/// The request arms that can park — on `write::freeze`'s wait for a queue
+/// slot (MIGRATE, PUT_SYNC, REPL_PUT) or on a full migration queue
+/// (`replica::maybe_promote`, REPL_GET) — and so are served on the
+/// handler's own thread. Every other arm runs on whichever task's thread
+/// hands the handler the baton; `lint --deep` proves none of them can park.
+const PARKING_ARMS: &[u32] = &[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_PUT, tags::REPL_GET];
+
+/// The message handler (§2.4, §2.6, §2.7), a run-to-completion task of the
+/// world: each slice takes one request off `comm_req` and serves it. A
+/// request it cannot serve where it runs — the slice yielded, or the arm
+/// can park on a lent thread — waits for the next slice.
+fn handler(ctx: Arc<CtxInner>) -> impl FnMut(bool) -> Slice + Send {
+    let mut held: Option<Message> = None;
+    move |lent| {
+        let next = held.take().or_else(|| ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any));
+        let Some(m) = next else { return Slice::Parked };
+        if Slice::yielded() || (lent && PARKING_ARMS.contains(&m.tag)) {
+            held = Some(m);
+            return if Slice::yielded() { Slice::Ran } else { Slice::OwnThread };
         }
+        serve_request(&ctx, m)
     }
+}
+
+fn serve_request(ctx: &CtxInner, m: Message) -> Slice {
+    let (what, served) = match m.tag {
+        tags::SHUTDOWN => return Slice::Exit,
+        tags::MIGRATE => ("migrate", handle_migrate(ctx, m.src, m.payload, m.stamp)),
+        tags::PUT_SYNC => ("put_sync", handle_put_sync(ctx, m.src, m.payload, m.stamp)),
+        tags::GET_REQ => ("get_req", handle_get_req(ctx, m.src, m.payload, m.stamp)),
+        tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(ctx, m.payload, m.stamp)),
+        tags::REPL_PUT => ("repl_put", handle_repl_put(ctx, m.src, m.payload, m.stamp)),
+        tags::REPL_GET => ("repl_get", handle_repl_get(ctx, m.src, m.payload, m.stamp)),
+        other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
+    };
+    if let Err(e) = served {
+        // Handler errors indicate wire corruption or internal bugs; surface
+        // them loudly (they fail tests) without killing the handler.
+        eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
+    }
+    Slice::Ran
 }
 
 fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {

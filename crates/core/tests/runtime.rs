@@ -648,3 +648,59 @@ fn bloom_filter_option_decides_the_probe() {
     assert_eq!(off_neg, 0, "bloom off: the filter is never consulted");
     assert!(off_ns > on_ns, "bloom off must search NVM on a miss: on {on_ns} ns, off {off_ns} ns");
 }
+
+/// The message handler runs on the thread that hands it the baton. Once
+/// warm, a remote get served from the owner's cache hands the baton to no
+/// other OS thread: the requester parks for the reply, runs the owner's
+/// GET_REQ arm itself, and is granted back the baton it gave up. (A handler
+/// with a thread of its own cost two hand-offs a get: requester → handler →
+/// requester.) Relaxed puts still ship, and their MIGRATE — whose ingest can
+/// wait for a flush-queue slot — is served on the handler's own thread.
+#[test]
+fn a_warm_remote_get_hands_the_baton_to_no_thread() {
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    World::run(WorldConfig::for_tests(2), move |rank| {
+        let fabric = rank.fabric().clone();
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-lent").unwrap();
+        let mut opt = Options::small().with_custom_hash(Arc::new(|_k: &[u8]| 1));
+        opt.local_cache_capacity = 1 << 20;
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        let key = |i: usize| format!("k{}", i % 64);
+        if ctx.rank() == 1 {
+            (0..64).for_each(|i| db.put(key(i).as_bytes(), b"v").unwrap());
+        }
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        if ctx.rank() == 1 {
+            (0..64).for_each(|i| assert_eq!(&db.get(key(i).as_bytes()).unwrap()[..], b"v"));
+        }
+        ctx.barrier_all();
+        if ctx.rank() == 0 {
+            let get = |i| assert_eq!(&db.get(key(i).as_bytes()).unwrap()[..], b"v");
+            (0..64).for_each(get);
+            let warm = fabric.grants();
+            (0..1000).for_each(get);
+            let gets = fabric.grants();
+            assert_eq!(gets.handed, warm.handed, "a warm remote get wakes no thread");
+            assert_eq!(gets.inline - warm.inline, 2000, "the handler's slice, then the requester");
+            for i in 0..256 {
+                db.put(format!("p{i}").as_bytes(), &[b'w'; 32]).unwrap();
+            }
+            db.fence().unwrap();
+            let fenced = fabric.grants();
+            assert_eq!(
+                fenced.handed - gets.handed,
+                8,
+                "four migrations to the dispatcher and back"
+            );
+            // Served after the MIGRATEs (one FIFO channel): the dispatcher
+            // drains, the handler's own thread takes its first MIGRATE and
+            // hands the compaction thread the three flushes its ingest
+            // freezes, and the reply wakes rank 0.
+            assert_eq!(&db.get(b"p255").unwrap()[..], &[b'w'; 32]);
+            assert_eq!(fabric.grants().handed - fenced.handed, 1 + 1 + 3 * 2 + 1);
+        }
+        ctx.barrier_all();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+}

@@ -43,7 +43,7 @@ const SEEDS: &[(&str, &str)] = &[
 ];
 
 /// Primitive-implementation files: not scanned for guards.
-const PRIMITIVE_FILES: &[&str] =
+pub(crate) const PRIMITIVE_FILES: &[&str] =
     &["crates/mpi/src/fabric.rs", "crates/mpi/src/comm.rs", "crates/nvm/src/store.rs"];
 
 struct Guard {

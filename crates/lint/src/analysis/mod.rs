@@ -1,6 +1,6 @@
-//! The four interprocedural analyses.
+//! The five interprocedural analyses.
 //!
-//! All four run over the same parsed universe: the runtime crates whose
+//! All five run over the same parsed universe: the runtime crates whose
 //! interactions the PapyrusKV protocol depends on. Tooling crates
 //! (modelcheck, crashcheck, chaos, perfline, bench), the compat shims,
 //! examples, and the demo apps are excluded — name+arity resolution over
@@ -9,6 +9,7 @@
 
 pub mod atomics;
 pub mod blocking;
+pub mod inline;
 pub mod panics;
 pub mod tags;
 
@@ -33,13 +34,14 @@ pub fn in_universe(rel: &str) -> bool {
     UNIVERSE.iter().any(|p| rel.starts_with(p))
 }
 
-/// Run all four analyses over `tree`, sorted by (file, line, rule).
+/// Run all five analyses over `tree`, sorted by (file, line, rule).
 pub fn run_deep(tree: &SourceTree) -> Vec<Finding> {
     let ws = Ws::build(tree, &in_universe);
     let cg = CallGraph::build(&ws);
     let mut findings = Vec::new();
     findings.extend(panics::run(&ws, &cg));
     findings.extend(blocking::run(&ws, &cg));
+    findings.extend(inline::run(&ws, &cg));
     findings.extend(tags::run(&ws));
     findings.extend(atomics::run(&ws));
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

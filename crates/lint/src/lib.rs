@@ -10,8 +10,9 @@
 //! 2. **Interprocedural analyses** ([`analysis`]) — built on a lightweight
 //!    item/body parser ([`parse`]) and a workspace call graph
 //!    ([`callgraph`]): panic-reachability from protocol/recovery entry
-//!    points, blocking-under-lock guard liveness, the protocol tag matrix,
-//!    and the atomic pairing audit.
+//!    points, blocking-under-lock guard liveness, the message handler's
+//!    inline arms that must not park, the protocol tag matrix, and the
+//!    atomic pairing audit.
 //!
 //! Everything operates on a [`SourceTree`] — an in-memory snapshot of the
 //! workspace `.rs` files — so the `--seed-bug` self-test ([`seedbug`]) can
@@ -114,7 +115,7 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     rules::run_rules(&SourceTree::load(root))
 }
 
-/// The four interprocedural analyses over an already-loaded tree.
+/// The five interprocedural analyses over an already-loaded tree.
 pub fn run_deep(tree: &SourceTree) -> Vec<Finding> {
     analysis::run_deep(tree)
 }

@@ -116,8 +116,8 @@ pub const SEEDS: &[(&str, Seed)] = &[
             ),
             (
                 "crates/core/src/runtime.rs",
-                "tags::SHUTDOWN => return,",
-                "tags::SHUTDOWN => return,\n            tags::GHOST => return,",
+                "tags::SHUTDOWN => return Slice::Exit,",
+                "tags::SHUTDOWN => return Slice::Exit,\n        tags::GHOST => return Slice::Exit,",
             ),
         ],
         rule: "tag-matrix",
@@ -177,6 +177,18 @@ pub const SEEDS: &[(&str, Seed)] = &[
         )],
         rule: "raw-thread",
         expect: "std::thread::spawn",
+        file: "crates/core/src/runtime.rs",
+    }),
+    ("inline-put-sync", Seed {
+        description: "PUT_SYNC dropped from the handler's parking arms: its ingest can wait \
+                      for a flush-queue slot on the thread that lent itself to the handler",
+        patches: &[(
+            "crates/core/src/runtime.rs",
+            "&[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_PUT, tags::REPL_GET]",
+            "&[tags::MIGRATE, tags::REPL_PUT, tags::REPL_GET]",
+        )],
+        rule: "inline-park",
+        expect: "arm `PUT_SYNC`",
         file: "crates/core/src/runtime.rs",
     }),
     ("atomic-ptr-relaxed", Seed {

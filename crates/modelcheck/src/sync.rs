@@ -154,6 +154,13 @@ impl Condvar {
         parked.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
+    /// Like the compat shim's: a world task enlists without blocking (no
+    /// model runs one).
+    #[track_caller]
+    pub fn enlist<T>(&self, _guard: &MutexGuard<'_, T>) {
+        self.waiters.enlist();
+    }
+
     pub fn notify_one(&self) {
         exec::condvar_notify(&self.tag, false);
         self.inner.notify_one();

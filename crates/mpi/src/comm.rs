@@ -164,14 +164,25 @@ impl Communicator {
     }
 
     /// Blocking receive that does NOT merge the arrival stamp into the rank
-    /// clock — for background threads (PapyrusKV's message handler) whose
-    /// receipt must not advance the application rank's virtual time. The
+    /// clock — for background threads (mdhim's range server) whose receipt
+    /// must not advance the application rank's virtual time. The
     /// stamp stays available on the returned [`Message`] for service-time
     /// accounting.
     #[track_caller]
     pub fn recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Message {
         let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
+    }
+
+    /// Receive without parking, for a run-to-completion task (PapyrusKV's
+    /// message handler): the first matching message, unstamped as with
+    /// [`Communicator::recv_unstamped`], or `None` with the task enlisted
+    /// to be woken by the next delivery — its slice then ends.
+    #[track_caller]
+    pub fn take_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
+        let (src, tag) = (src.into_option(), tag.into_option());
+        let env = self.fabric.wait_match(self.me_world, self.id, src, tag, Wait::Enlist)?;
+        Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
     }
 
     fn stamp_in(&self, env: &Envelope) {

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use papyrus_faultinject::{
     FaultPlan, PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD,
 };
-use papyrus_modelcheck::baton::Baton;
+use papyrus_modelcheck::baton::{Baton, Grants};
 use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -286,6 +286,9 @@ pub(crate) enum Wait {
     /// run — then none ever will, so the caller checks on its peer.
     /// Outside a world: take what is queued right now.
     UntilQuiet,
+    /// Never: a run-to-completion task enlists to be woken by the next
+    /// delivery instead, and its slice ends.
+    Enlist,
 }
 
 /// Verdict of a failure-detector confirmation round.
@@ -361,6 +364,12 @@ impl Fabric {
     /// The world's scheduler.
     pub(crate) fn baton(&self) -> &Arc<Baton> {
         &self.baton
+    }
+
+    /// How the world's baton changed hands so far: run on the granting
+    /// thread, or handed to another OS thread (a futex wake each).
+    pub fn grants(&self) -> Grants {
+        self.baton.grants()
     }
 
     pub(crate) fn world_comm(&self) -> (CommId, Arc<CommRecord>) {
@@ -515,8 +524,8 @@ impl Fabric {
 
     /// The one mailbox wait: remove and return the first (FIFO) envelope on
     /// `comm` matching the `src`/`tag` wildcards, parking as `wait` says.
-    /// `None` iff a [`Wait::UntilQuiet`] gave up (never for
-    /// [`Wait::Forever`]).
+    /// `None` iff a [`Wait::UntilQuiet`] gave up or a [`Wait::Enlist`]
+    /// enlisted (never for [`Wait::Forever`]).
     #[track_caller]
     pub(crate) fn wait_match(
         &self,
@@ -533,7 +542,8 @@ impl Fabric {
                 e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
             });
             if let Some(env) = pos.and_then(|p| mb.queue.remove(p)) {
-                break Some((env, mb.queue.len()));
+                self.tel[me_world].on_recv(env.payload.len() as u64, mb.queue.len());
+                break Some(env);
             }
             if quiet {
                 break None;
@@ -542,19 +552,23 @@ impl Fabric {
             match wait {
                 Wait::Forever => ready.wait(&mut mb),
                 Wait::UntilQuiet => quiet = ready.wait_until_quiet(&mut mb).timed_out(),
+                Wait::Enlist => {
+                    ready.enlist(&mb);
+                    break None;
+                }
             }
         };
-        // The channel count runs after the mailbox lock is released: it
-        // takes its own lock and must not nest under it.
+        // The release is a preemption point; nothing after it but the
+        // channel count, which takes its own lock and must not nest under
+        // the mailbox's.
         drop(mb);
-        let (env, depth) = found?;
+        let env = found?;
         if papyrus_sanity::enabled() {
             // Envelopes carry only the comm rank of their sender.
             if let Some(src_world) = self.comm_member_world(comm, env.src) {
                 self.count((comm, src_world, me_world, env.tag), true);
             }
         }
-        self.tel[me_world].on_recv(env.payload.len() as u64, depth);
         Some(env)
     }
 

@@ -11,7 +11,9 @@
 //! thread of a world at a time, in virtual-time order:
 //!
 //! * [`World::run`] — launch `n` ranks executing the same closure (SPMD);
-//!   [`RankCtx::spawn`] adds a rank's helper threads as [`Task`]s.
+//!   [`RankCtx::spawn`] adds a rank's helper threads as [`Task`]s, and
+//!   [`RankCtx::spawn_slices`] a run-to-completion helper whose [`Slice`]s
+//!   run on the thread that hands it the baton.
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
 //!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
 //!   collective helpers.
@@ -39,7 +41,7 @@ mod world;
 
 pub use comm::{Communicator, Message, RecvSrc, RecvTag};
 pub use fabric::{Fabric, RankStatus};
-pub use papyrus_modelcheck::baton::Task;
+pub use papyrus_modelcheck::baton::{Grants, Slice, Task};
 pub use world::{RankCtx, World, WorldConfig};
 
 /// A rank index within a communicator.

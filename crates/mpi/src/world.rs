@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use papyrus_faultinject::FaultPlan;
-use papyrus_modelcheck::baton::Task;
+use papyrus_modelcheck::baton::{Slice, Task};
+use papyrus_sanity::lockorder;
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
 use crate::comm::Communicator;
@@ -177,6 +178,23 @@ impl RankCtx {
         F: FnOnce() -> T + Send + 'static,
     {
         self.fabric.baton().spawn(name, self.rank, None, f)
+    }
+
+    /// Spawn a run-to-completion helper of this rank (PapyrusKV's message
+    /// handler): `slice` serves one unit of work per call and never blocks
+    /// where another task's thread runs it (`true`); a unit that can park
+    /// goes to the helper's own thread `name`. See
+    /// `papyrus_modelcheck::baton`.
+    pub fn spawn_slices<F>(&self, name: String, mut slice: F) -> Task<()>
+    where
+        F: FnMut(bool) -> Slice + Send + 'static,
+    {
+        self.fabric.baton().spawn_slices(name, self.rank, move |lent| {
+            // On another task's thread the slice orders its locks from a
+            // held-lock stack of its own, not from that task's.
+            let _own = (lent && papyrus_sanity::enabled()).then(lockorder::set_aside);
+            slice(lent)
+        })
     }
 }
 

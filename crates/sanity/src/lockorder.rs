@@ -315,6 +315,23 @@ pub fn on_condvar_wait_end(mutex_addr: usize, token: Option<(u32, LockKind)>) {
     }
 }
 
+/// The calling thread's held-lock stack, set aside while the thread runs a
+/// slice of another world task ([`set_aside`]); dropping it puts it back.
+pub struct SetAside(Vec<Held>);
+
+/// Set the calling thread's held-lock stack aside: what runs next orders
+/// its locks from an empty stack of its own, not from the locks of the task
+/// it interrupted.
+pub fn set_aside() -> SetAside {
+    SetAside(HELD.with(|h| std::mem::take(&mut *h.borrow_mut())))
+}
+
+impl Drop for SetAside {
+    fn drop(&mut self) {
+        let _ = HELD.try_with(|h| *h.borrow_mut() = std::mem::take(&mut self.0));
+    }
+}
+
 /// Clear the global order graph and the calling thread's held stack.
 /// Test-only: the graph deliberately persists across lock lifetimes, so a
 /// test that seeds a poisoned order must clean up after itself.

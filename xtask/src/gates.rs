@@ -15,12 +15,12 @@ use crate::{verdict, workspace_root};
 /// A machine-readable lint report format.
 type Render = fn(&[papyrus_lint::Finding]) -> String;
 
-/// `cargo xtask lint`: the seven token rules, plus the four interprocedural
+/// `cargo xtask lint`: the eight token rules, plus the five interprocedural
 /// analyses under `--deep`, over the workspace sources.
 pub fn lint(args: &[String]) -> ExitCode {
     let (mut deep, mut render, mut out, mut seed_bug) = (false, None::<Render>, None, None);
     let flags = vec![
-        switch("--deep", "add the four interprocedural analyses", &mut deep),
+        switch("--deep", "add the five interprocedural analyses", &mut deep),
         value("--format", "human|json|sarif", "report format", &mut render, |v| match v {
             "human" => Some(None),
             "json" => Some(Some(render_json as Render)),

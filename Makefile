@@ -88,9 +88,13 @@ modelcheck:
 # Crash-consistency sweep: enumerate every NVM crash point of a
 # checkpoint/restart workload, verify recovery against audit_db and a KV
 # oracle, then prove the checker catches three planted durability bugs.
+# The last runs the sweep twice, once on one CPU, and demands the same report.
 crashcheck:
 	cargo xtask crashcheck
 	cargo xtask crashcheck --seed-bug all
+	cargo xtask crashcheck > target/crashcheck-a.txt
+	taskset -c 0 cargo xtask crashcheck > target/crashcheck-b.txt
+	cmp target/crashcheck-a.txt target/crashcheck-b.txt
 
 # Chaos soak: seeded fault schedules (I/O errors, ENOSPC, slow devices,
 # delay spikes, rank kills) over a multi-rank workload, judged by a KV
@@ -122,10 +126,15 @@ perfline:
 # Serve-plane gate: the 4-rank, 10k-connection RESP load test (run twice,
 # byte-identical reports required, group commit must be visibly batching),
 # then the seeded self-test (ack-before-fence must be convicted by the
-# durability probe, dropped-write by the read-your-writes sweep).
+# durability probe, dropped-write by the read-your-writes sweep), then the
+# load test twice, once on one CPU, for the same report: every rank serves
+# at once, and only the world's scheduler orders their traffic.
 serve:
 	cargo xtask serve
 	cargo xtask serve --seed-bug all
+	cargo xtask serve > target/serve-a.txt
+	taskset -c 0 cargo xtask serve > target/serve-b.txt
+	cmp target/serve-a.txt target/serve-b.txt
 
 # The tier-1 gate: everything CI requires to pass, in one command.
 verify: build test fmt clippy doc kvbench lint modelcheck crashcheck chaos perfline serve

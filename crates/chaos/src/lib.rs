@@ -16,15 +16,16 @@
 //!   after the faults pass, unless its owner rank was killed;
 //! * **no phantom reads** — every observed value must describe its own key
 //!   and a round that was actually attempted;
-//! * **no hangs** — every schedule finishes under a wall-clock watchdog,
-//!   dead ranks included (degraded mode, not deadlock);
+//! * **no hangs** — every schedule's world finishes, dead ranks included
+//!   (degraded mode), instead of ending in its scheduler's deadlock or
+//!   livelock verdict;
 //! * **every error is typed** — only `NotFound` / `RankUnavailable` /
 //!   `StorageFull` / `Timeout` may reach the application.
 //!
 //! The [`sweep`] runs `seeds` schedules cycling all five fault classes; the
 //! `--seed-bug` self test plants a real protocol bug ([`PlantedBug`]) and
 //! fails unless the harness catches it — a lost acknowledgement caught by
-//! the oracle, an undeadlined receive caught by the watchdog.
+//! the oracle, an undeadlined receive caught by the livelock verdict.
 //!
 //! Run it via `cargo xtask chaos`.
 

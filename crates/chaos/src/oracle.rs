@@ -45,8 +45,8 @@ pub fn error_is_typed(e: &Error) -> bool {
 
 /// Shared ground truth for one chaos schedule, and the list its verdicts
 /// are collected in: everything the schedule is convicted of — by
-/// [`ChaosOracle::judge`], by the workload's error typing, by the sweep's
-/// watchdog — lands here, in the schedule's own oracle, and nowhere global.
+/// [`ChaosOracle::judge`], by the workload's error typing, by its world's
+/// verdict — lands here, in the schedule's own oracle, and nowhere global.
 #[derive(Default)]
 pub struct ChaosOracle {
     keys: Mutex<HashMap<Vec<u8>, KeyState>>,

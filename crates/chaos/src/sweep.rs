@@ -1,27 +1,27 @@
-//! The chaos sweep: seeded schedules, a watchdog, and the seed-bug self test.
+//! The chaos sweep: seeded schedules and the seed-bug self test.
 //!
 //! The default sweep runs `cfg.seeds` schedules, cycling the five fault
 //! classes ([`ALL_CLASSES`]) so every class is covered several times. Each
 //! schedule generates its [`FaultPlan`] from the seed, arms its own world
-//! with it, runs the [`crate::workload`] under a supervised thread, and
-//! collects oracle verdicts, untyped errors, and watchdog findings in that
-//! schedule's own [`ChaosOracle`]. Nothing is process-global, so sweeps
-//! need no lock between them and a hung schedule's abandoned threads keep
-//! consulting the plan they were started with. A clean sweep proves,
-//! for every seed: no acknowledged write was lost, no phantom value
+//! with it, runs the [`crate::workload`] on the calling thread, and
+//! collects oracle verdicts, untyped errors, and a hung world in that
+//! schedule's own [`ChaosOracle`]. A world that can never finish ends in
+//! its scheduler's verdict — deadlock, or livelock past the plan's horizon
+//! — and every thread of it returns before the sweep goes on. A clean sweep
+//! proves, for every seed: no acknowledged write was lost, no phantom value
 //! appeared, no schedule hung, and every surfaced error was typed.
 //!
 //! `--seed-bug` proves the harness can actually catch what it claims to:
 //! each [`PlantedBug`] rides on a message-drop plan that triggers it, and
 //! the run must end dirty — [`PlantedBug::LostAck`] caught by the oracle as
-//! an acknowledged-write loss, [`PlantedBug::Hang`] caught by the watchdog
-//! as a hung schedule.
+//! an acknowledged-write loss, [`PlantedBug::Hang`] caught by the livelock
+//! verdict as a hung schedule.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
 use papyrus_faultinject::{class_name, FaultEvent, FaultPlan, PlantedBug, ALL_CLASSES};
+use papyrus_mpi::{panic_message, Verdict};
 use papyrus_sanity::ViolationKind;
 
 use crate::oracle::ChaosOracle;
@@ -97,55 +97,25 @@ impl ChaosReport {
     }
 }
 
-/// Run one schedule under the watchdog on a world armed with `plan`.
-/// Returns rank outcomes (`None` if the schedule hung or panicked) plus the
-/// violations it was convicted of.
+/// Run one schedule on a world armed with `plan`. Returns rank outcomes
+/// (`None` if the world reached a verdict or panicked) plus the violations
+/// it was convicted of.
 fn run_schedule_guarded(
     cfg: &ChaosCfg,
     plan: Arc<FaultPlan>,
     label: &str,
 ) -> (Option<Vec<RankOutcome>>, Vec<papyrus_sanity::Violation>) {
     let oracle = Arc::new(ChaosOracle::new());
-    let (tx, rx) = mpsc::channel();
-    let (cfg2, oracle2) = (cfg.clone(), oracle.clone());
-    let spawned = std::thread::Builder::new().name(format!("chaos-{label}")).spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(move || run_schedule(&cfg2, plan, oracle2)));
-        let _ = tx.send(result);
+    let run = catch_unwind(AssertUnwindSafe(|| run_schedule(cfg, plan, oracle.clone())));
+    let outcome = run.map_err(|panic| {
+        let (kind, how) = if panic.is::<Verdict>() {
+            (ViolationKind::ChaosHang, "hung")
+        } else {
+            (ViolationKind::UntypedError, "panicked instead of returning a typed error")
+        };
+        oracle.convict(kind, format!("{label} {how}: {}", panic_message(&*panic)));
     });
-    let outcome = match spawned {
-        Ok(handle) => match rx.recv_timeout(Duration::from_secs(cfg.timeout_secs)) {
-            Ok(Ok(v)) => {
-                let _ = handle.join();
-                Some(v)
-            }
-            Ok(Err(panic)) => {
-                let _ = handle.join();
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                oracle.convict(
-                    ViolationKind::UntypedError,
-                    format!("{label} panicked instead of returning a typed error: {msg}"),
-                );
-                None
-            }
-            Err(_) => {
-                // Hung schedule: abandon its world and flag it.
-                oracle.convict(
-                    ViolationKind::ChaosHang,
-                    format!("{label} hung (> {}s wall clock)", cfg.timeout_secs),
-                );
-                None
-            }
-        },
-        Err(e) => {
-            oracle.convict(ViolationKind::ChaosHang, format!("{label}: spawn failed: {e}"));
-            None
-        }
-    };
-    (outcome, oracle.take_verdicts())
+    (outcome.ok(), oracle.take_verdicts())
 }
 
 /// Fold one schedule's results into the report.
@@ -211,7 +181,6 @@ pub const SEED_BUGS: [(&str, PlantedBug); 2] =
 /// report must be dirty — a clean report means the harness failed to detect
 /// its own planted bug.
 pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
-    let mut cfg = cfg.clone();
     let events = match bug {
         // Drop the first two PUT_SYNC requests: the planted bug then
         // acknowledges those sequential puts after their first timeout
@@ -225,24 +194,21 @@ pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
             budget: 2,
         }],
         // Drop one GET_REQ: the planted bug blocks that RPC on an undeadlined
-        // receive forever, wedging the whole schedule. The watchdog must
-        // report the hang. A short fuse keeps the self test fast.
-        PlantedBug::Hang => {
-            cfg.timeout_secs = cfg.timeout_secs.min(10);
-            vec![FaultEvent::NetDrop {
-                start: 0,
-                end: cfg.horizon_ns,
-                to_rank: None,
-                tag: Some(papyruskv::msg::tags::GET_REQ),
-                budget: 1,
-            }]
-        }
+        // receive forever, wedging the whole schedule — the other ranks time
+        // out at their barrier until the world's livelock verdict.
+        PlantedBug::Hang => vec![FaultEvent::NetDrop {
+            start: 0,
+            end: cfg.horizon_ns,
+            to_rank: None,
+            tag: Some(papyruskv::msg::tags::GET_REQ),
+            budget: 1,
+        }],
     };
     let seed = 0xB0C5 + bug as u64;
     let plan = Arc::new(FaultPlan::with_events(seed, events).with_bug(bug));
     let name = SEED_BUGS.iter().find(|(_, b)| *b == bug).map_or("unnamed", |(n, _)| n);
     let label = format!("seed-bug {name}");
-    let (outcomes, violations) = run_schedule_guarded(&cfg, plan, &label);
+    let (outcomes, violations) = run_schedule_guarded(cfg, plan, &label);
     let mut report = ChaosReport::default();
     absorb(&mut report, seed, &label, false, outcomes, violations);
     report

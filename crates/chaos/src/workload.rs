@@ -56,8 +56,6 @@ pub struct ChaosCfg {
     /// Virtual horizon handed to [`FaultPlan::generate`]; rounds step
     /// through it so fault windows overlap real traffic.
     pub horizon_ns: u64,
-    /// Wall-clock seconds before the watchdog declares a schedule hung.
-    pub timeout_secs: u64,
     /// Schedules in the default sweep (classes cycle per seed).
     pub seeds: usize,
     /// Replication factor handed to [`Options::with_replicas`]. At 1
@@ -77,7 +75,6 @@ impl Default for ChaosCfg {
             per_rank: 6,
             rounds: 3,
             horizon_ns: 4_000_000_000,
-            timeout_secs: 60,
             seeds: 20,
             replicas: 1,
             verbose: false,
@@ -88,7 +85,7 @@ impl Default for ChaosCfg {
 impl ChaosCfg {
     /// A minimal configuration for unit/CI tests in debug builds.
     pub fn tiny() -> Self {
-        Self { per_rank: 3, rounds: 2, seeds: 5, timeout_secs: 30, ..Self::default() }
+        Self { per_rank: 3, rounds: 2, seeds: 5, ..Self::default() }
     }
 }
 

@@ -389,6 +389,12 @@ pub(crate) fn request(
         ctx.comm_req.send(owner, req_tag, encode(0));
         return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)));
     };
+    // A death the failure detector confirmed is sticky: a request to a rank
+    // it named fails at once, as a timed-out one would.
+    if ctx.comm_rep.rank_known_dead(owner) {
+        crate::replica::maybe_promote(ctx, db, owner);
+        return Err(Error::RankUnavailable(owner));
+    }
     let tel = &db.tel;
     let me = ctx.rank.rank();
     let mut backoff = fi::Backoff::new(
@@ -404,7 +410,7 @@ pub(crate) fn request(
         if plan.planted_bug() == Some(fi::PlantedBug::Hang) {
             // Planted bug (chaos `--seed-bug hang`): a blocking receive
             // where a deadline belongs. With the request black-holed this
-            // never returns; the soak watchdog must catch it.
+            // never returns; the world's livelock verdict must catch it.
             let m = ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag));
             return Ok(m);
         }
@@ -431,6 +437,11 @@ pub(crate) fn request(
                 payload: msg::encode_ack(seq),
                 stamp: ctx.clock().now(),
             });
+        }
+        // A rank past its own kill time hears no reply — its sends and the
+        // replies to it vanish — so, as in a collective, it names itself.
+        if plan.rank_dead(me, ctx.clock().now()) {
+            return Err(Error::RankUnavailable(me));
         }
         if ctx.comm_rep.confirm_rank(owner) == RankStatus::Dead {
             crate::replica::maybe_promote(ctx, db, owner);

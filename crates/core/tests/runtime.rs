@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use papyrus_faultinject::{FaultEvent, FaultPlan};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
 use papyruskv::{
@@ -703,4 +704,50 @@ fn a_warm_remote_get_hands_the_baton_to_no_thread() {
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
+}
+
+/// A two-rank world armed to kill rank `victim` at 1 s opens a database
+/// whose key `a` rank 1 owns; rank 1 then leaves the job, and rank 0 runs
+/// `f` at 2 s, past the kill. Returns what `f` saw and the world's
+/// time-outs so far.
+fn past_a_kill<T, F>(victim: usize, f: F) -> (T, u64)
+where
+    T: Send + 'static,
+    F: Fn(&papyruskv::Db) -> T + Send + Sync + 'static,
+{
+    let kill = FaultEvent::RankKill { rank: victim, at: 1_000_000_000 };
+    let plan = Arc::new(FaultPlan::with_events(1, vec![kill]));
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    let mut out = World::run(WorldConfig::for_tests(2).with_faults(plan), move |rank| {
+        let fabric = rank.fabric().clone();
+        let ctx = Context::init(rank, platform.clone(), "nvm://kill").unwrap();
+        let owner = |k: &[u8]| u64::from(k == b"a");
+        let opt = Options::small().with_custom_hash(Arc::new(owner));
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        // Neither rank closes: a dead or degraded rank abandons the job.
+        (ctx.rank() == 0).then(|| {
+            ctx.clock().advance(2_000_000_000);
+            (f(&db), fabric.grants().timed_out)
+        })
+    });
+    out.remove(0).expect("rank 0 ran `f`")
+}
+
+/// Past its own kill time a rank hears no reply — its request and any
+/// answer to it vanish — so its first timed-out request names itself,
+/// instead of retrying into a world with nothing left to wake.
+#[test]
+fn a_dead_ranks_request_names_itself() {
+    let (got, timed_out) = past_a_kill(0, |db| db.get(b"a"));
+    assert_eq!(got.unwrap_err(), Error::RankUnavailable(0));
+    assert_eq!(timed_out, 1);
+}
+
+/// Once the failure detector has confirmed a rank dead, a request to it
+/// fails at once: only the first get to the dead owner waits.
+#[test]
+fn a_confirmed_death_fails_later_requests_at_once() {
+    let (got, timed_out) = past_a_kill(1, |db| [db.get(b"a"), db.get(b"a")]);
+    assert_eq!(got.map(Result::unwrap_err), [Error::RankUnavailable(1), Error::RankUnavailable(1)]);
+    assert_eq!(timed_out, 1, "the second get did not wait");
 }

@@ -14,7 +14,8 @@
 //! 2. [`sweep::sweep`] enumerates every crash point under three crash
 //!    policies (clean cut, torn tail, unsynced reorder), materialises the
 //!    surviving bytes, re-opens the store, and verifies: recovery never
-//!    panics or hangs, `audit_db` invariants hold, every pair acknowledged
+//!    panics or hangs (a hung world ends in its scheduler's deadlock or
+//!    livelock verdict), `audit_db` invariants hold, every pair acknowledged
 //!    durable is readable, and no phantom pairs appear. Completed
 //!    checkpoints are additionally restored at a *different* rank count
 //!    (restart with redistribution) and must reproduce the snapshot

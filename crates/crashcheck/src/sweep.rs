@@ -10,8 +10,8 @@
 //! * **reorder** — each of the newest `reorder_cap` unfenced mutations
 //!   before `k` is dropped individually ([`droppable_tail`]).
 //!
-//! Each state is checked two ways, each in a supervised thread (panics are
-//! caught, hangs time out — a recovery that panics or deadlocks is itself
+//! Each state is checked two ways, each a world of its own (a recovery that
+//! panics, or whose world ends in a deadlock or livelock verdict, is itself
 //! a violation):
 //!
 //! 1. **NVM recovery** at the original rank count: re-open the database
@@ -36,11 +36,10 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use papyrus_mpi::{World, WorldConfig};
+use papyrus_mpi::{panic_message, Verdict, World, WorldConfig};
 use papyrus_nvm::{Backend, MemBackend, NvmStore, StorageMap, SystemProfile};
 use papyrus_sanity::ViolationKind;
 use papyruskv::{Context, Db, Error, OpenFlags, Options, Platform};
@@ -191,10 +190,8 @@ fn check_state(
 
     // --- NVM recovery at the original rank count -------------------------
     let state = materialize(&rec.ops, policy);
-    let (n, keys) = (cfg.ranks, probe_keys.clone());
-    let recovered = run_guarded(cfg.timeout_secs, "nvm-recovery", point, label, move || {
-        recover_nvm(n, &state, &keys)
-    });
+    let recovered =
+        run_guarded("nvm-recovery", point, label, || recover_nvm(cfg.ranks, &state, probe_keys));
     match recovered {
         Ok(obs) => {
             let guarantee = rec.oracle.durable_at(point).map(|m| &m.guarantee);
@@ -212,15 +209,14 @@ fn check_state(
     // --- Snapshot restore with redistribution ----------------------------
     if let Some(snap) = rec.oracle.snapshot_at(point) {
         let state = materialize(&rec.ops, policy);
-        let (m, keys) = (cfg.restore_ranks, probe_keys.clone());
         let path = match &snap.kind {
-            crate::oracle::MarkKind::Snapshot { path } => path.clone(),
+            crate::oracle::MarkKind::Snapshot { path } => path,
             _ => unreachable!("snapshot_at returns snapshot marks only"),
         };
         report.restores += 1;
         report.restore_points.push(point);
-        let restored = run_guarded(cfg.timeout_secs, "snapshot-restore", point, label, move || {
-            restore_snapshot(m, &state, &path, &keys)
+        let restored = run_guarded("snapshot-restore", point, label, || {
+            restore_snapshot(cfg.restore_ranks, &state, path, probe_keys)
         });
         match restored {
             Ok(obs) => {
@@ -254,44 +250,20 @@ fn check_state(
     }));
 }
 
-/// Run `f` on a supervised thread. `Err` — a
-/// [`ViolationKind::RecoveryFailed`] verdict — if it panics or exceeds the
-/// timeout (a hung collective); the stuck thread is abandoned.
-fn run_guarded<T: Send + 'static>(
-    timeout_secs: u64,
+/// Run `f`, a recovery world. `Err` — a [`ViolationKind::RecoveryFailed`]
+/// verdict — if it panics or its world can never finish (a hung
+/// collective: the world's deadlock or livelock [`Verdict`]).
+fn run_guarded<T>(
     what: &str,
     point: usize,
     label: &str,
-    f: impl FnOnce() -> T + Send + 'static,
+    f: impl FnOnce() -> T,
 ) -> Result<T, (ViolationKind, String)> {
-    let failed = |how: String| {
-        (ViolationKind::RecoveryFailed, format!("point {point} [{label}] {what}{how}"))
-    };
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::Builder::new()
-        .name(format!("crashcheck-{what}"))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            let _ = tx.send(result);
-        })
-        .map_err(|e| failed(format!(": spawn failed: {e}")))?;
-    match rx.recv_timeout(Duration::from_secs(timeout_secs)) {
-        Ok(Ok(v)) => {
-            let _ = handle.join();
-            Ok(v)
-        }
-        Ok(Err(panic)) => {
-            let _ = handle.join();
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(failed(format!(" panicked: {msg}")))
-        }
-        // Deadlocked collective: abandon the thread, flag the state.
-        Err(_) => Err(failed(format!(" hung (> {timeout_secs}s)"))),
-    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
+        let how = if panic.is::<Verdict>() { "hung" } else { "panicked" };
+        let detail = format!("point {point} [{label}] {what} {how}: {}", panic_message(&*panic));
+        (ViolationKind::RecoveryFailed, detail)
+    })
 }
 
 /// Backend for namespace `ns` in a materialised crash state (empty when
@@ -397,3 +369,28 @@ pub const SEED_BUGS: [(&str, FaultMode); 3] = [
     ("skip-manifest-rename", FaultMode::SkipManifestRename),
     ("torn-manifest", FaultMode::TornManifest),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use papyrus_mpi::{RecvSrc, RecvTag};
+
+    /// A recovery whose world wedges — a rank waits on a message nobody
+    /// sends — fails at once with the world's verdict, which names the
+    /// parked rank and its site.
+    #[test]
+    fn a_wedged_recovery_fails_with_the_worlds_verdict() {
+        let wedged = run_guarded("nvm-recovery", 7, "clean-cut", || {
+            World::run(WorldConfig::for_tests(2), |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.world().recv(RecvSrc::Rank(1), RecvTag::Tag(1));
+                }
+            })
+        });
+        let (kind, detail) = wedged.expect_err("a wedged recovery is a violation");
+        assert_eq!(kind, ViolationKind::RecoveryFailed);
+        let verdict = "point 7 [clean-cut] nvm-recovery hung: deadlock: no runnable task";
+        assert!(detail.starts_with(verdict), "{detail}");
+        assert!(detail.contains(&format!("rank-0 parked at {}:", file!())), "{detail}");
+    }
+}

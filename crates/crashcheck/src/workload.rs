@@ -46,23 +46,13 @@ pub struct CrashCfg {
     pub stride: usize,
     /// Max single-drop reorder variants per crash point.
     pub reorder_cap: usize,
-    /// Seconds before a recovery attempt counts as hung.
-    pub timeout_secs: u64,
     /// Print per-point progress.
     pub verbose: bool,
 }
 
 impl Default for CrashCfg {
     fn default() -> Self {
-        Self {
-            ranks: 2,
-            restore_ranks: 3,
-            per_rank: 6,
-            stride: 1,
-            reorder_cap: 8,
-            timeout_secs: 60,
-            verbose: false,
-        }
+        Self { ranks: 2, restore_ranks: 3, per_rank: 6, stride: 1, reorder_cap: 8, verbose: false }
     }
 }
 

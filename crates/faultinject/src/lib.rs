@@ -31,7 +31,8 @@ use papyrus_simtime::SimNs;
 // ---------------------------------------------------------------------------
 
 /// A deliberately-introduced protocol bug, used by `--seed-bug` to verify
-/// the chaos oracle and watchdog actually detect what they claim to. Rides
+/// the chaos oracle and the world's livelock verdict actually detect what
+/// they claim to. Rides
 /// on the [`FaultPlan`] of the world it afflicts ([`FaultPlan::with_bug`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlantedBug {

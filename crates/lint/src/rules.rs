@@ -21,7 +21,10 @@
 //!   arbitrary crash debris.
 //! - **real-time** — no `std::time::{Instant, SystemTime}` under `crates/`
 //!   outside `crates/simtime`: all timing must flow through virtual SimNs
-//!   clocks or results become wall-clock dependent.
+//!   clocks or results become wall-clock dependent. Outside test code (test
+//!   modules, `tests/` directories) no wall-clock wait either —
+//!   `std::time::Duration`, `.recv_timeout(`, `thread::sleep`: a world that
+//!   cannot finish ends in its scheduler's verdict, not in a timeout.
 //! - **atomic-ordering-justified** — every `Ordering::Relaxed` and
 //!   `Ordering::SeqCst` use needs an `// ordering:` comment on the same
 //!   line or in the comment block directly above, saying why that extreme
@@ -248,17 +251,21 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
 
         // --- real-time.
         if real_time_applies && !ctx.allowed(line, "real-time") {
+            let waits = !rel.contains("/tests/") && !ctx.in_tests(line);
+            let named = |name: &str| is_real_time_name(name) || (waits && name == "Duration");
             let direct = seq_at(toks, i, &["std", ":", ":", "time", ":", ":"])
                 && toks.get(i + 6).is_some_and(|t| {
-                    is_real_time_name(&t.text)
-                        || (t.text == "{" && group_names_real_time(toks, i + 6))
+                    named(&t.text) || (t.text == "{" && scan_group(toks, i + 6, &named))
                 });
             let bare_now = (seq_at(toks, i, &["Instant", ":", ":", "now", "("])
                 || seq_at(toks, i, &["SystemTime", ":", ":", "now", "("]))
                 // `SimInstant::now()` etc. must not match; bare names only —
                 // check the previous token is not a path separator.
                 && (i == 0 || toks[i - 1].text != ":");
-            if direct || bare_now {
+            let wait = waits
+                && (seq_at(toks, i, &[".", "recv_timeout", "("])
+                    || seq_at(toks, i, &["thread", ":", ":", "sleep"]));
+            if direct || bare_now || wait {
                 ctx.push(findings, "real-time", line);
             }
         }
@@ -326,10 +333,6 @@ fn is_real_time_name(name: &str) -> bool {
 /// covered by their own rules).
 fn group_names_lock(toks: &[Tok], open: usize) -> bool {
     scan_group(toks, open, &is_sync_lock_name)
-}
-
-fn group_names_real_time(toks: &[Tok], open: usize) -> bool {
-    scan_group(toks, open, &is_real_time_name)
 }
 
 fn scan_group(toks: &[Tok], open: usize, hit: &dyn Fn(&str) -> bool) -> bool {
@@ -512,6 +515,20 @@ mod tests {
         // clocky.rs's (not a world crate) stay quiet.
         assert_eq!(hits.len(), 2, "{hits:#?}");
         assert!(hits.iter().all(|f| f.path == "crates/core/src/raw_thread.rs"), "{hits:#?}");
+    }
+
+    #[test]
+    fn real_time_rule_seeds_and_exemptions() {
+        let findings = run_lint(&fixture_root());
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == "real-time").collect();
+        // clocky.rs seeds three wall-clock reads and three wall-clock waits;
+        // the waits in its test module stay quiet.
+        assert_eq!(hits.len(), 6, "{hits:#?}");
+        assert!(hits.iter().all(|f| f.path == "crates/other/src/clocky.rs"), "{hits:#?}");
+        let waits = ["use std::time::Duration;", ".recv_timeout(", "thread::sleep"];
+        for wait in waits {
+            assert_eq!(hits.iter().filter(|f| f.text.contains(wait)).count(), 1, "{wait}");
+        }
     }
 
     #[test]

@@ -179,6 +179,20 @@ pub const SEEDS: &[(&str, Seed)] = &[
         expect: "std::thread::spawn",
         file: "crates/core/src/runtime.rs",
     }),
+    ("wall-clock-watchdog", Seed {
+        description: "chaos' wall-clock watchdog planted back: a schedule judged by a \
+                      recv_timeout, not by its world's verdict",
+        patches: &[(
+            "crates/chaos/src/sweep.rs",
+            "let oracle = Arc::new(ChaosOracle::new());",
+            "let oracle = Arc::new(ChaosOracle::new()); \
+             let (_tx, rx) = std::sync::mpsc::channel::<()>(); \
+             let _ = rx.recv_timeout(std::time::Duration::from_secs(60));",
+        )],
+        rule: "real-time",
+        expect: "recv_timeout",
+        file: "crates/chaos/src/sweep.rs",
+    }),
     ("inline-put-sync", Seed {
         description: "PUT_SYNC dropped from the handler's parking arms: its ingest can wait \
                       for a flush-queue slot on the thread that lent itself to the handler",

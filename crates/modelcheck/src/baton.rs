@@ -39,11 +39,19 @@
 //!   ([`Slice::OwnThread`]), which serves it as a thread task would.
 //!
 //! A timed wait reports "timed out" only when no task of the world is
-//! runnable. When nothing is runnable and nobody waits timed while a task
-//! spawned from outside the world (a rank) is parked, the world can never
-//! move again: every parked task unwinds with a verdict naming each parked
-//! task and the `#[track_caller]` site it parked at. (Helpers left parked by
-//! ranks that returned stay parked.)
+//! runnable. While a task spawned from outside the world (a rank) is
+//! parked, the world can never move again in two cases, and every parked
+//! task unwinds with a [`Verdict`] naming each parked task and the
+//! `#[track_caller]` site it parked at:
+//!
+//! - **deadlock** — nothing is runnable and nobody waits timed;
+//! - **livelock** — only timed waiters are left, and timing them out
+//!   changes nothing: since the world last woke a task, each has timed out
+//!   at a clock past the world's fault horizon (the plan's last event; 0
+//!   unarmed), where no probe's answer can change any more, and parked
+//!   again at the site where it timed out.
+//!
+//! (Helpers left parked by ranks that returned stay parked.)
 //!
 //! Outside a world every hook is a thread-local check. This is not
 //! `exec.rs`'s hand-off: the explorer parks every thread before *every*
@@ -55,9 +63,10 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
 /// A task's virtual clock, read live (a rank's clock).
@@ -103,6 +112,32 @@ pub struct Grants {
     pub handed: u64,
     /// Given to a timed waiter because nothing was runnable.
     pub timed_out: u64,
+}
+
+/// Why a world can never move again (see the module docs): the panic
+/// payload every task parked in it unwinds with. Each variant carries the
+/// parked tasks and their sites; `Display` renders the verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Nothing is runnable and nobody waits timed.
+    Deadlock(String),
+    /// Timing out the timed waiters changes nothing any more.
+    Livelock(String),
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verdict::Deadlock(parked) => {
+                write!(f, "deadlock: no runnable task and no timed waiter in the world; {parked}")
+            }
+            Verdict::Livelock(parked) => write!(
+                f,
+                "livelock: every timed waiter times out past the fault horizon and wakes \
+                 no task; {parked}"
+            ),
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -153,6 +188,9 @@ struct TaskState {
     /// How a run-to-completion task ended in a slice another thread ran,
     /// for its own thread to return.
     ended: Option<Result<(), Payload>>,
+    /// The world's wake count and the site when it last timed out past the
+    /// fault horizon.
+    stuck: Option<(u64, Site)>,
 }
 
 #[derive(Default)]
@@ -162,14 +200,22 @@ struct State {
     /// The task holding the baton.
     running: Option<usize>,
     started: bool,
-    verdict: Option<String>,
+    verdict: Option<Verdict>,
     grants: Grants,
+    /// Virtual time past which the world's fault plan changes nothing.
+    horizon: u64,
+    /// Wake-ups so far.
+    wakes: u64,
+    /// Task threads that have not returned yet.
+    live: usize,
 }
 
 /// The scheduler of one world. See the module docs.
 #[derive(Default)]
 pub struct Baton {
     st: Mutex<State>,
+    /// Notified when a task's thread returns.
+    exited: Condvar,
     /// Set with `State::verdict`: every waiter unwinds.
     poisoned: AtomicBool,
     /// The latest task to park (task id + 1): it yield-spins at its gate
@@ -244,7 +290,27 @@ impl State {
         let task = &mut self.tasks[t];
         (task.vt, task.status, task.woken_by) = (task.vt.max(at), Status::Runnable, by);
         self.runnable.push(t);
+        self.wakes += 1;
         PENDING.set(PENDING.get() || by.is_some());
+    }
+
+    /// Nothing is runnable: the timed waiter to time out, or `None` when
+    /// there is none or the world is livelocked (see the module docs).
+    fn time_out(&mut self) -> Option<usize> {
+        let wakes = self.wakes;
+        let timed_at = |t: &TaskState| match t.status {
+            Status::Parked { site, timed: true, .. } => Some((wakes, site)),
+            _ => None,
+        };
+        let timed = (0..self.tasks.len()).filter(|&t| timed_at(&self.tasks[t]).is_some());
+        if timed.clone().all(|t| self.tasks[t].stuck == timed_at(&self.tasks[t])) {
+            return None;
+        }
+        let t = timed.min_by_key(|&t| self.key(t))?;
+        if self.key(t).0 >= self.horizon {
+            self.tasks[t].stuck = timed_at(&self.tasks[t]);
+        }
+        Some(t)
     }
 
     fn grant(&mut self, t: usize) -> Arc<Gate> {
@@ -277,9 +343,10 @@ impl Gate {
 }
 
 impl Baton {
-    /// A world with no tasks yet.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// A world with no tasks yet, whose fault plan changes nothing past
+    /// virtual time `horizon` (0: the world runs no plan).
+    pub fn new(horizon: u64) -> Arc<Self> {
+        Arc::new(Self { st: Mutex::new(State { horizon, ..State::default() }), ..Self::default() })
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -293,21 +360,19 @@ impl Baton {
 
     /// Nobody holds the baton: give it to the first runnable task, else time
     /// out the first timed waiter, else — with a rank parked — poison the
-    /// world. `me` is the calling task when it is about to wait or exit: a
-    /// run-to-completion task granted between slices then runs here, and
-    /// a grant of `me` itself wakes no thread. A gate opens after the state
-    /// lock is let go, so the next runner never waits on it.
+    /// world with its verdict. `me` is the calling task when it is about to
+    /// wait or exit: a run-to-completion task granted between slices then
+    /// runs here, and a grant of `me` itself wakes no thread. A gate opens
+    /// after the state lock is let go, so the next runner never waits on it.
     fn hand_off<'a>(&'a self, mut st: MutexGuard<'a, State>, me: Option<usize>) {
         loop {
             st.running = None;
             if !st.started || st.verdict.is_some() {
                 return;
             }
-            let timed = (0..st.tasks.len())
-                .filter(|&t| matches!(st.tasks[t].status, Status::Parked { timed: true, .. }));
             let next = match st.first(None) {
                 Some(t) => Some((t, GO)),
-                None => timed.min_by_key(|&t| st.key(t)).map(|t| (t, TIMED_OUT)),
+                None => st.time_out().map(|t| (t, TIMED_OUT)),
             };
             let Some((t, how)) = next else { break };
             let lent = match &st.tasks[t].slice {
@@ -359,11 +424,11 @@ impl Baton {
                 Status::Parked { site, .. } => Some(format!("{} parked at {site}", t.name)),
                 _ => None,
             });
-            let parked: Vec<String> = parked.collect();
-            st.verdict = Some(format!(
-                "deadlock: no runnable task and no timed waiter in the world; {}",
-                parked.join("; ")
-            ));
+            let parked = parked.collect::<Vec<String>>().join("; ");
+            let timed =
+                st.tasks.iter().any(|t| matches!(t.status, Status::Parked { timed: true, .. }));
+            st.verdict =
+                Some(if timed { Verdict::Livelock(parked) } else { Verdict::Deadlock(parked) });
             self.poisoned.store(true, Ordering::Release);
             st.tasks.iter().filter_map(|t| t.gate.thread.get()).for_each(Thread::unpark);
         }
@@ -412,7 +477,7 @@ impl Baton {
             }
         }
         PENDING.set(false);
-        Err(Box::new(self.lock().verdict.clone().unwrap_or_default()))
+        Err(Box::new(self.verdict().expect("a poisoned world has its verdict")))
     }
 
     /// Park the running task `tid` — already `Parked`, unless a notify from
@@ -493,9 +558,11 @@ impl Baton {
                 slice,
                 idle,
                 ended,
+                stuck: None,
             });
             let tid = st.tasks.len() - 1;
             st.wake(tid, parent);
+            st.live += 1;
             tid
         };
         let baton = Arc::clone(self);
@@ -517,9 +584,19 @@ impl Baton {
         self.hand_off(st, None);
     }
 
-    /// The deadlock verdict, once the world has reached one.
-    pub fn verdict(&self) -> Option<String> {
+    /// The verdict, once the world has reached one.
+    pub fn verdict(&self) -> Option<Verdict> {
         self.lock().verdict.clone()
+    }
+
+    /// Wait until the thread of every task of this world has returned.
+    /// Once the world has a verdict every task unwinds, so this returns;
+    /// before that, a helper left parked would keep it waiting.
+    pub fn join_all(&self) {
+        let mut st = self.lock();
+        while st.live > 0 {
+            st = self.exited.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
     }
 
     fn run_task<T>(self: Arc<Self>, tid: usize, f: impl FnOnce(&Self, usize) -> T) -> T {
@@ -538,6 +615,8 @@ impl Baton {
         drop(body);
         TASK.with(|t| *t.borrow_mut() = None);
         PENDING.set(false);
+        self.lock().live -= 1;
+        self.exited.notify_all();
         result.unwrap_or_else(|p| resume_unwind(p))
     }
 

@@ -330,7 +330,7 @@ impl Fabric {
             backbone_links,
             clocks: (0..n).map(|_| Clock::new()).collect(),
             tel: (0..n).map(RankNetTel::new).collect(),
-            baton: Baton::new(),
+            baton: Baton::new(faults.as_ref().map_or(0, |plan| plan.horizon())),
             channels: Mutex::default(),
             world_record: world,
             comms: Mutex::new(comms),

@@ -41,8 +41,8 @@ mod world;
 
 pub use comm::{Communicator, Message, RecvSrc, RecvTag};
 pub use fabric::{Fabric, RankStatus};
-pub use papyrus_modelcheck::baton::{Grants, Slice, Task};
-pub use world::{RankCtx, World, WorldConfig};
+pub use papyrus_modelcheck::baton::{Grants, Slice, Task, Verdict};
+pub use world::{panic_message, RankCtx, World, WorldConfig};
 
 /// A rank index within a communicator.
 pub type Rank = usize;

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use papyrus_faultinject::FaultPlan;
-use papyrus_modelcheck::baton::{Slice, Task};
+use papyrus_modelcheck::baton::{Slice, Task, Verdict};
 use papyrus_sanity::lockorder;
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
@@ -54,7 +54,9 @@ impl World {
     /// task of the world's scheduler (`papyrus_modelcheck::baton`): one runs
     /// at a time, handing over at blocking points in virtual-time order, so
     /// a run is a function of its inputs alone. A world that can never move
-    /// again fails with a deadlock verdict naming every parked task.
+    /// again — deadlocked, or livelocked past its fault horizon — unwinds
+    /// with its [`Verdict`] as the panic payload, once every thread of the
+    /// world has returned.
     ///
     /// Panics in any rank are propagated (naming the rank; a rank's own
     /// panic is preferred to the verdict it left the others in).
@@ -80,13 +82,16 @@ impl World {
         fabric.baton().start();
         let results: Vec<std::thread::Result<T>> = tasks.into_iter().map(Task::join).collect();
         let verdict = fabric.baton().verdict();
-        let failure = results
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, r)| Some((rank, panic_message(r.as_ref().err()?))))
-            .min_by_key(|(rank, msg)| (Some(msg) == verdict.as_ref(), *rank));
-        if let Some((rank, msg)) = failure {
-            panic!("rank {rank} panicked: {msg}");
+        if verdict.is_some() {
+            fabric.baton().join_all();
+        }
+        let mut failed =
+            results.iter().enumerate().filter_map(|(rank, r)| Some((rank, r.as_ref().err()?)));
+        if let Some((rank, p)) = failed.find(|(_, p)| !p.is::<Verdict>()) {
+            panic!("rank {rank} panicked: {}", panic_message(&**p));
+        }
+        if let Some(verdict) = verdict {
+            std::panic::resume_unwind(Box::new(verdict));
         }
         let out: Vec<T> = results.into_iter().flatten().collect();
         // Audit once every rank has exited cleanly: under PAPYRUS_SANITY an
@@ -105,10 +110,12 @@ impl World {
     }
 }
 
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
+/// What a panic that left a world says: its [`Verdict`], or the message of
+/// a rank's own panic.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let verdict = payload.downcast_ref::<Verdict>().map(Verdict::to_string);
+    verdict
+        .or_else(|| payload.downcast_ref::<String>().cloned())
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "<non-string panic>".to_string())
 }

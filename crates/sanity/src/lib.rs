@@ -115,8 +115,9 @@ pub enum ViolationKind {
     /// Recovery surfaced a pair the workload never wrote, or a stale value
     /// that durability marks rule out.
     PhantomPair,
-    /// Re-opening a database from crash-state bytes panicked, hung, or
-    /// returned an error instead of recovering.
+    /// Re-opening a database from crash-state bytes panicked, ended in its
+    /// world's deadlock or livelock verdict, or returned an error instead of
+    /// recovering.
     RecoveryFailed,
     /// A write acknowledged to the application vanished under injected
     /// faults (chaos oracle; excludes keys owned by a killed rank).
@@ -128,8 +129,8 @@ pub enum ViolationKind {
     /// or an error outside the failure-mode whitelist) where a typed error
     /// was required (chaos oracle).
     UntypedError,
-    /// A chaos schedule exceeded the watchdog deadline: some rank hung
-    /// instead of timing out with a typed error.
+    /// A chaos schedule's world ended in a deadlock or livelock verdict:
+    /// some rank hung instead of timing out with a typed error.
     ChaosHang,
     /// Replication state broken: replica tables out of key order, replica
     /// SSIDs colliding with primary SSIDs, or a dead rank's promoted

@@ -116,35 +116,20 @@ impl ServeCfg {
     }
 }
 
-/// MemTable capacity for serve worlds: large enough that no flush (and
-/// hence no compaction-thread device activity) ever races a serving
-/// window — the windows' determinism argument needs all device traffic
-/// causally ordered by the single driving rank.
-const SERVE_MEMTABLE_CAPACITY: u64 = 256 << 20;
-
 /// Run a full serve world: load the keyspace, settle it into SSTables,
-/// then serve each rank's window in turn (round-robin, barrier-fenced)
-/// and aggregate the per-rank stats.
-///
-/// Rank windows are sequential by design: one rank drives client traffic
-/// while every other rank's handler thread answers its remote reads and
-/// ingests its migrations. That makes every submission to a shared
-/// simtime resource causally ordered — the whole run is a pure function
-/// of `cfg.seed`.
+/// then serve every rank's window at once — each rank is a client-facing
+/// server and, through its message handler, every other rank's storage
+/// peer — and aggregate the per-rank stats. The world's scheduler makes
+/// the whole run a pure function of `cfg.seed`.
 pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
     assert!(cfg.ranks > 0 && cfg.conns_per_rank > 0 && cfg.pipeline > 0 && cfg.bursts > 0);
     let profile = SystemProfile::summitdev();
-    // group_size 1: each rank owns its NVM device, so within a window a
-    // device is touched by exactly one thread (driver locally, owner's
-    // handler remotely) — no cross-thread stamp races.
-    let platform = Platform::with_physical_groups(profile.clone(), cfg.ranks, 1);
+    let platform = Platform::new(profile.clone(), cfg.ranks);
     let mem = profile.mem.clone();
     let cfg2 = cfg.clone();
     let per_rank = World::run(WorldConfig::new(cfg.ranks, profile.net.clone()), move |rank| {
-        let ctx = Context::init_with_group(rank, platform.clone(), "nvm://serve", 1).unwrap();
-        let opt = Options::default()
-            .with_consistency(Consistency::Relaxed)
-            .with_memtable_capacity(SERVE_MEMTABLE_CAPACITY);
+        let ctx = Context::init(rank, platform.clone(), "nvm://serve").unwrap();
+        let opt = Options::default().with_consistency(Consistency::Relaxed);
         let db = ctx.open("serve", OpenFlags::create(), opt).unwrap();
         let r = ctx.rank();
 
@@ -164,15 +149,7 @@ pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
         ctx.barrier_all();
 
         let mut rng = StdRng::seed_from_u64(cfg2.seed ^ ((r as u64) << 32));
-        let mut stats = None;
-        for turn in 0..ctx.size() {
-            if turn == r {
-                stats = Some(serve_window(&ctx, &db, &cfg2, &mem, &mut rng));
-            }
-            // Parked ranks sit here while their handler threads serve the
-            // driver's remote traffic.
-            ctx.barrier_all();
-        }
+        let stats = serve_window(&ctx, &db, &cfg2, &mem, &mut rng);
 
         ctx.barrier_all();
         if r == 0 {
@@ -181,7 +158,7 @@ pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
         ctx.barrier_all();
         db.close().unwrap();
         ctx.finalize().unwrap();
-        stats.expect("every rank serves exactly one window")
+        stats
     });
     ServeReport::build(cfg, per_rank)
 }
@@ -221,7 +198,7 @@ pub fn perf_rows(seed: u64) -> Vec<WorkloadPerf> {
                 ranks: report.ranks,
                 replicas: 1,
                 ops: report.total_cmds(),
-                elapsed_ns: report.total_elapsed_ns(),
+                elapsed_ns: report.elapsed_ns(),
                 qps: report.qps(),
                 bytes_moved: bytes_moved(&report, cfg.vallen),
                 flushes: 0,

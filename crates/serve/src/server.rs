@@ -5,23 +5,14 @@
 //!
 //! The serve plane measures a network server under 10k+ concurrent
 //! connections, yet must produce bit-identical numbers for a given seed.
-//! Naive concurrent cross-rank traffic cannot do that: simtime's shared
-//! busy-until resources (NIC, backbone, NVM) stamp in OS-scheduler
-//! order. The window protocol removes the race instead of averaging over
-//! it — ranks take turns:
-//!
-//! ```text
-//! for turn in 0..ranks { if turn == me { serve_window() } barrier_all() }
-//! ```
-//!
-//! Exactly one rank drives client traffic at a time. The other ranks'
-//! app threads park at the barrier while their handler threads serve the
-//! driver's remote GETs and ingest its migrations — every submission to
-//! a shared resource is causally ordered by the single driver. Absolute
-//! window-start time still varies run to run (barrier marks), so nothing
-//! absolute is ever reported: arrivals are scheduled relative to window
-//! start `t0`, every resource is idle at `t0`, and all reported numbers
-//! are deltas (`ack - arrival`, `t1 - t0`) — pure functions of the seed.
+//! Every rank serves its window at once, as in the paper, where each rank
+//! is a server to its clients and, through its message handler, storage to
+//! its peers. The determinism comes from the world's scheduler: one task
+//! runs at a time, handing over in virtual-time order, so every submission
+//! to a shared simtime resource (NIC, backbone, NVM) lands in an order the
+//! seed fixes. Arrivals are scheduled relative to window start `t0`, and
+//! every reported number is a delta (`ack - arrival`, `t1 - t0`) or a
+//! count.
 //!
 //! # Group commit
 //!

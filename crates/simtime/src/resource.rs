@@ -15,15 +15,19 @@ use crate::SimNs;
 /// relaxed-mode barrier slower than incremental synchronous puts in the
 /// paper's Figure 7.
 ///
-/// **Bounded-overlap approximation.** Ranks free-run between
-/// synchronisation points, so submissions arrive out of virtual-time order:
+/// **Bounded-overlap approximation.** A world runs one task at a time, but
+/// the task holding the baton runs on until its next park point, so
+/// submissions reach a resource in program order, not virtual-time order:
 /// a rank whose clock runs ahead must not drag everyone else's small
 /// operations behind its frontier (that would serialise the whole job in
 /// virtual time). A request of duration `d` can therefore observe at most
 /// [`MAX_OVERLAP`]` × d + `[`QUEUE_SLACK`] of queueing delay — enough to
 /// capture `MAX_OVERLAP`-way genuine contention (device queueing inside a
 /// storage group, barrier incast), while capping spurious cross-epoch
-/// coupling at nanoseconds for small operations.
+/// coupling at nanoseconds for small operations. The cap binds rarely: on
+/// kvbench (seed 1, 8 s) it clamps `ingest` 80 times (365.5 of ≈ 1011
+/// virtual ms), `cache_read` 30 and `sst_read` 40 times in set-up, and the
+/// other workloads never.
 ///
 /// `Resource` is `Clone` (shared handle) and lock-free (a CAS loop).
 #[derive(Debug, Clone, Default)]
@@ -81,8 +85,8 @@ impl Resource {
         // contention-relevant quantity — latency-dominated operations
         // (small messages, RDMA) occupy almost nothing and thus cannot pile
         // up, while bandwidth-dominated ones (flushes, incast transfers)
-        // queue for real. This also stops out-of-order submissions from
-        // free-running ranks chaining the whole job onto one timeline.
+        // queue for real. This also stops out-of-order submissions from a
+        // rank running ahead chaining the whole job onto one timeline.
         let latest_start =
             now.saturating_add(occupancy.saturating_mul(MAX_OVERLAP)).saturating_add(QUEUE_SLACK);
         // ordering: optimistic first read of a CAS retry loop; any stale

@@ -14,34 +14,17 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Simplification PRs delete and rename documented items; a doc comment still
-# linking to one (or a public doc linking a private item) is an error here.
+# A dangling or private intra-doc link is an error.
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# The benchmark is its own package and path-depends on the product crates:
-# build it and run its self-tests, so a deleted or renamed public item it
-# uses fails here and not in the benchmark run. Then two one-second smoke
-# runs — the read half (sst_read) and the write half (ingest) of the table
-# path — prove the store still *serves* the benchmark: a run exits non-zero
-# when a get disagrees with kvbench's model, an op fails, or the live-SSTable
-# count is not the asserted one — and the ingest run's result line must say
-# `"failed": 0` itself. sst_read's set-up is where these runs merge: nine
-# flushes under the default size-tiered rule are two merges of four tables,
-# the second a partial one beside the first's output (3 live tables, the
-# floor the run asserts), so a merge that mis-folds or a partial merge that
-# drops a tombstone fails here by name; a one-second ingest round is two
-# flushes and merges nothing (the rule's exact write counts are tier-1's,
-# `equal_flushes_write_exactly_their_tiers`). A
-# third, traced, sst_read second holds the fence index to its promise: one
-# SSTable get is exactly one backend read. A fourth, a traced remote_mix
-# second, holds the wire to its size by name — a batch is a run of SSData
-# records behind the same headers, so bytes and messages per op are what
-# they were before batches shared the table's codec — with no op failed. A
-# fifth, a traced ingest second, holds the put path to its allocations by
-# name: the value's copy for every put, a tree node for every seven or so and
-# the flush's few — 1.1408 an op, exact for the seed. A `to_vec()` of the
-# key back in the MemTable reads 2.14.
+# kvbench, its own package, against the product crates:
+#   build; its self-tests
+#   sst_read: gets match the model, live tables as asserted
+#   ingest: no op failed
+#   traced sst_read: one backend read per SSTable get (DESIGN §5)
+#   traced remote_mix: wire bytes and messages per op, no op failed
+#   traced ingest: allocations per op, no op failed
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
@@ -58,37 +41,28 @@ kvbench:
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.1408 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
-# The gate planes below all go through one driver: `cargo xtask` is an alias
-# (.cargo/config.toml) for `cargo run -q --release -p xtask --`, and xtask
-# links the plane libraries and calls them directly.
+# `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which
+# links the plane libraries below and calls them directly.
 
-# Protocol lint: the eight token rules plus the four interprocedural deep
-# analyses (panic-reachability, blocking-under-lock, tag matrix, atomic
-# pairing), then the seed-bug self-test (every planted violation must be
-# convicted). Blocking in CI.
+# Lint: the token rules plus the five deep analyses (DESIGN §14);
+#   every planted violation convicted.
 lint:
 	cargo xtask lint --deep
 	cargo xtask lint --seed-bug all
 
-# Full test suite with the runtime sanity layer armed — a gate: a lock-order
-# or MPI protocol finding in any world fails the test that ran it.
+# The suite with PAPYRUS_SANITY=1: a lock-order or protocol finding fails its test.
 sanity:
 	PAPYRUS_SANITY=1 cargo test -q --release --workspace
 
-# Model checking: rebuild the workspace with `--cfg modelcheck` (atomics and
-# locks swap to the papyrus-modelcheck shims) and exhaustively explore
-# bounded thread interleavings of the concurrent data structures and the
-# replica promotion protocol, with DPOR pruning. The second leg proves the
-# checker catches two planted concurrency bugs (a Relaxed-publication data
-# race and a check-then-act promotion race).
+# Model checking (DESIGN §13): every model under --cfg modelcheck, pinned counts;
+#   every planted concurrency bug convicted.
 modelcheck:
 	cargo xtask modelcheck
 	cargo xtask modelcheck --seed-bug all
 
-# Crash-consistency sweep: enumerate every NVM crash point of a
-# checkpoint/restart workload, verify recovery against audit_db and a KV
-# oracle, then prove the checker catches three planted durability bugs.
-# The last runs the sweep twice, once on one CPU, and demands the same report.
+# Crash-consistency sweep (DESIGN §9): every crash point recovers;
+#   every planted durability bug convicted;
+#   the report twice, once on one CPU, byte for byte.
 crashcheck:
 	cargo xtask crashcheck
 	cargo xtask crashcheck --seed-bug all
@@ -96,13 +70,10 @@ crashcheck:
 	taskset -c 0 cargo xtask crashcheck > target/crashcheck-b.txt
 	cmp target/crashcheck-a.txt target/crashcheck-b.txt
 
-# Chaos soak: seeded fault schedules (I/O errors, ENOSPC, slow devices,
-# delay spikes, rank kills) over a multi-rank workload, judged by a KV
-# oracle — no acked-write loss, no phantoms, typed errors, no hangs —
-# then prove the oracle catches two planted protocol bugs. The second
-# leg reruns the sweep with replication factor 2, where the oracle drops
-# the dead-owner exemption: acked keys must survive a rank kill. The last
-# runs the sweep twice, once on one CPU, and demands the same report.
+# Chaos soak (DESIGN §10): seeded fault schedules, no violation;
+#   the same at replication factor 2 (DESIGN §11);
+#   every planted protocol bug convicted;
+#   the report twice, once on one CPU, byte for byte.
 chaos:
 	cargo xtask chaos
 	cargo xtask chaos --replicas 2
@@ -111,11 +82,9 @@ chaos:
 	taskset -c 0 cargo xtask chaos > target/chaos-b.txt
 	cmp target/chaos-a.txt target/chaos-b.txt
 
-# Perf-trajectory gate: run the YCSB-style suite, write BENCH_<sha>.json,
-# and fail on any worse p99 or throughput vs the committed baseline; prove
-# the gate catches two planted regressions (seed-bug self-test); then run
-# the quick suite twice, once on one CPU, and demand the same bytes.
-# Refresh the baseline with: cargo xtask perfline --out BENCH_baseline.json
+# Perf gate (DESIGN §12): no row worse than the committed baseline;
+#   every planted regression convicted;
+#   the quick suite twice, once on one CPU, byte for byte.
 perfline:
 	cargo xtask perfline --out BENCH_current.json --check BENCH_baseline.json
 	cargo xtask perfline --seed-bug all
@@ -123,12 +92,9 @@ perfline:
 	taskset -c 0 cargo xtask perfline --quick --out target/perfline-quick-b.json
 	cmp target/perfline-quick-a.json target/perfline-quick-b.json
 
-# Serve-plane gate: the 4-rank, 10k-connection RESP load test (run twice,
-# byte-identical reports required, group commit must be visibly batching),
-# then the seeded self-test (ack-before-fence must be convicted by the
-# durability probe, dropped-write by the read-your-writes sweep), then the
-# load test twice, once on one CPU, for the same report: every rank serves
-# at once, and only the world's scheduler orders their traffic.
+# Serve plane (DESIGN §15): the RESP load test, clean oracles, repeatable;
+#   every planted defect convicted;
+#   the report twice, once on one CPU, byte for byte.
 serve:
 	cargo xtask serve
 	cargo xtask serve --seed-bug all

@@ -85,7 +85,9 @@ pub(crate) fn forward_replicas(
 /// Handler-side (or self-copy) ingestion of a replica batch into the
 /// per-origin replica stack. Purely local: inserts into the replica
 /// MemTable and flushes it inline to a replica SSTable when over
-/// capacity. Returns the service-completion stamp.
+/// capacity, under the `repl` lock so readers never see the gap between
+/// the two (the flush's NVM I/O only advances a clock; it never parks).
+/// Returns the service-completion stamp.
 pub(crate) fn apply_replica_records(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
@@ -102,7 +104,7 @@ pub(crate) fn apply_replica_records(
             stack.mem.insert(key, entry);
         }
         if stack.mem.bytes() >= db.opt.memtable_capacity {
-            flush_replica_stack(ctx, db, origin, stack, &clk); // lint:allow(blocking-under-lock): flush must stay atomic with ingest — `stack` borrows from the `repl` map, and readers must never observe the memtable/SSTable gap
+            flush_replica_stack(ctx, db, origin, stack, &clk);
         }
     }
     let done = clk.now();

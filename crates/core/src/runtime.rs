@@ -512,8 +512,8 @@ impl Context {
             comm_ctl,
             comm_sig,
             dbs: Mutex::new(Vec::new()),
-            compact_q: BlockingQueue::new(256),
-            migrate_q: BlockingQueue::new(256),
+            compact_q: BlockingQueue::new(),
+            migrate_q: BlockingQueue::new(),
             rpc_seq: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
             finalized: AtomicBool::new(false),
@@ -669,12 +669,16 @@ fn dispatcher_thread(ctx: Arc<CtxInner>) {
     }
 }
 
-/// The request arms that can park — on `write::freeze`'s wait for a queue
-/// slot (MIGRATE, PUT_SYNC, REPL_PUT) or on a full migration queue
-/// (`replica::maybe_promote`, REPL_GET) — and so are served on the
-/// handler's own thread. Every other arm runs on whichever task's thread
-/// hands the handler the baton; `lint --deep` proves none of them can park.
-const PARKING_ARMS: &[u32] = &[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_PUT, tags::REPL_GET];
+/// The request arms served on the handler's own thread. MIGRATE and
+/// PUT_SYNC can park, on `write::freeze`'s wait for a queue slot. REPL_GET
+/// cannot, but it can wake two tasks: `replica::maybe_promote` may wake the
+/// dispatcher before the reply wakes the reader, and the dispatcher's key
+/// can order first (a lower task id at an equal clock). On a lent thread
+/// that first wake ends the slice (`Slice::yielded`) and the baton refuses
+/// the second with a panic. Every other arm wakes at most one task, at its
+/// end, and runs on whichever task's thread hands the handler the baton;
+/// `lint --deep` proves none of them can park.
+const PARKING_ARMS: &[u32] = &[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_GET];
 
 /// The message handler (§2.4, §2.6, §2.7), a run-to-completion task of the
 /// world: each slice takes one request off `comm_req` and serves it. A

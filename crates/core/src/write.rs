@@ -182,10 +182,11 @@ impl DbSync {
     }
 }
 
-/// Freeze a MemTable into its queue (§2.4). Blocks while the fixed-size
-/// queue is full — the paper's DRAM/NVM backpressure — and does so before
+/// Freeze a MemTable into its queue (§2.4). The side's slot count against
+/// `Options::flush_queue_len` is the one backpressure — the paper's
+/// fixed-size flushing queue: a freeze parks while the count is full, before
 /// taking the stack's lock, so gets and the flush that frees the slot keep
-/// running.
+/// running. The push itself never parks.
 pub(crate) fn freeze(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs) {
     {
         let mut sync = db.sync.lock();

@@ -132,15 +132,14 @@ proptest! {
     }
 
     /// The blocking queue is FIFO for arbitrary push/pop interleavings
-    /// (single-threaded, so only moves that cannot block are made).
+    /// (single-threaded, so a pop is made only when the model holds a value).
     #[test]
     fn queue_fifo(ops in vec(any::<bool>(), 0..400)) {
-        const CAPACITY: usize = 16;
-        let q = BlockingQueue::new(CAPACITY);
+        let q = BlockingQueue::new();
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u32;
         for push in ops {
-            if push && model.len() < CAPACITY {
+            if push {
                 q.push(next);
                 model.push_back(next);
                 next += 1;

@@ -4,6 +4,7 @@
 pub struct Db {
     pub state: RwLock<u32>,
     pub inner: Mutex<Vec<u8>>,
+    pub cv: Condvar,
 }
 
 pub fn direct_block(db: &Db, f: &crate::fabric::Fabric) {
@@ -21,11 +22,48 @@ pub fn transitive_block(db: &Db, f: &crate::fabric::Fabric) {
     drop(g);
 }
 
-pub fn sleep_block(db: &Db) {
+pub fn nvm_io_under_guard(db: &Db, store: &crate::store::NvmStore) {
     let g = db.inner.lock();
-    // thread::sleep under a live guard — finding.
-    std::thread::sleep(std::time::Duration::from_millis(1));
+    // Charged NVM I/O only advances a clock; it never parks. Clean.
+    store.read_at("sst", 0);
     drop(g);
+}
+
+pub fn condvar_callee_block(db: &Db) {
+    let g = db.inner.lock();
+    // The callee parks on a condvar (handing over its own guard, not this
+    // one) — finding with a trace ending at the wait.
+    wait_drained(db);
+    drop(g);
+}
+
+pub fn leaf_rule_under_guard(db: &Db, store: &crate::store::NvmStore) {
+    let g = db.inner.lock();
+    // The primitive file's `backend.put(..)` resolves by name to `Db::put`,
+    // which parks, but reachability ends at the primitive files. Clean.
+    store.try_put_at("sst", b"x");
+    drop(g);
+}
+
+pub fn wait_under_a_second_guard(db: &Db) {
+    let outer = db.inner.lock();
+    let mut g = db.state.write();
+    // The wait releases `g`, not `outer` — finding.
+    db.cv.wait(&mut g);
+    drop(outer);
+}
+
+fn wait_drained(db: &Db) {
+    let mut g = db.inner.lock();
+    while g.len() > 0 {
+        db.cv.wait(&mut g);
+    }
+}
+
+impl Db {
+    pub fn put(&self, _key: &[u8], _value: &[u8]) {
+        wait_drained(self);
+    }
 }
 
 pub fn scrutinee_block(db: &Db, f: &crate::fabric::Fabric) {

@@ -1,50 +1,27 @@
-//! Blocking-under-lock: calls made while a parking_lot guard is live whose
-//! transitive call graph reaches a blocking primitive — fabric recv/wait,
-//! a collective, `thread::sleep`, or papyrus-nvm backend I/O.
+//! Blocking-under-lock: a call that can park (see [`super::Parks`]) made
+//! while a parking_lot guard is live.
 //!
-//! A rank that blocks on the fabric while holding a lock that the message
-//! handler thread also needs is a distributed deadlock; holding one across
-//! charged NVM I/O serialises every reader behind a device-latency stall.
+//! One task of a world runs at a time, so a task that parks holding a lock
+//! hands the baton to a runner that may need that lock, and it blocks
+//! natively, outside the world's scheduler: no verdict, just a hung world.
+//! A condvar wait is exempt for the guard it is handed, which it releases.
 //!
 //! Guard detection is lexical: `let g = x.lock();` / `.read()` /
 //! `.write()` binds a guard live until its enclosing block closes or a
 //! `drop(g)`; a lock call that is *not* the whole initializer is a
 //! statement temporary, live to the end of its statement (or through the
-//! block it is scrutinee/condition for).
-//!
-//! False-positive policy (DESIGN.md §14): the files that *implement* the
-//! blocking primitives (fabric.rs, comm.rs, nvm store.rs) are excluded —
-//! their internal mailbox-mutex + condvar shape IS the primitive;
-//! `BlockingQueue::push/pop` (core's mutex + condvar FIFO, which parks on
-//! full/empty by design) and backend `clear/len/list` are not seeds
-//! (name+arity would collide with `Vec`/`VecDeque` methods); condvar waits
-//! are excluded automatically by arity. Accepted sites carry
-//! `// lint:allow(blocking-under-lock)` with a justification.
+//! block it is scrutinee/condition for). The primitive files are not
+//! scanned: their internal mailbox mutex is the primitive. Accepted sites
+//! carry `// lint:allow(blocking-under-lock)` with a justification.
 
+use super::Parks;
 use crate::callgraph::{CallGraph, Ws};
+use crate::lexer::Tok;
+use crate::parse::CallSite;
 use crate::report::Finding;
 use crate::rules::seq_at;
 
 const RULE: &str = "blocking-under-lock";
-
-/// Blocking primitive leaves, as (file suffix, fn name). Everything that
-/// transitively calls one of these is "blocking" via reverse BFS.
-const SEEDS: &[(&str, &str)] = &[
-    // `Fabric::wait_match` itself is not a seed: its parking callers are
-    // named instead.
-    ("crates/mpi/src/fabric.rs", "recv"),
-    ("crates/mpi/src/fabric.rs", "allgather"),
-    ("crates/mpi/src/comm.rs", "recv"),
-    ("crates/mpi/src/comm.rs", "recv_until_quiet"),
-    ("crates/mpi/src/comm.rs", "barrier"),
-    ("crates/mpi/src/comm.rs", "allgather_bytes"),
-    // Every charged NVM operation funnels through `NvmStore::io`.
-    ("crates/nvm/src/store.rs", "io"),
-];
-
-/// Primitive-implementation files: not scanned for guards.
-pub(crate) const PRIMITIVE_FILES: &[&str] =
-    &["crates/mpi/src/fabric.rs", "crates/mpi/src/comm.rs", "crates/nvm/src/store.rs"];
 
 struct Guard {
     /// Live token range within the file (half-open).
@@ -54,28 +31,11 @@ struct Guard {
     line: usize,
 }
 
-pub fn run(ws: &Ws, cg: &CallGraph) -> Vec<Finding> {
-    let seeds: Vec<usize> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !f.is_test
-                && SEEDS.iter().any(|(sf, sn)| f.name == *sn && ws.rels[f.file].ends_with(sf))
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let (blocking, rparent) = cg.reach_rev(&seeds);
+pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (fi, item) in ws.fns.iter().enumerate() {
-        if item.is_test || item.body.is_empty() {
-            continue;
-        }
         let file = item.file;
-        if PRIMITIVE_FILES.iter().any(|p| ws.rels[file].ends_with(p)) {
+        if item.is_test || item.body.is_empty() || super::primitive_file(&ws.rels[file]) {
             continue;
         }
         let toks = &ws.lexed[file].tokens;
@@ -85,27 +45,18 @@ pub fn run(ws: &Ws, cg: &CallGraph) -> Vec<Finding> {
         }
         for &ci in &ws.calls_by_fn[fi] {
             let call = &ws.calls[ci];
-            // The guard-acquisition calls themselves.
-            if call.arity == 0 && matches!(call.name.as_str(), "lock" | "read" | "write") {
-                continue;
-            }
-            let Some(g) = guards.iter().find(|g| g.range.contains(&call.tok)) else { continue };
-            let Some(&target) = cg.call_targets[ci].iter().find(|&&t| blocking[t]) else {
-                continue;
-            };
+            let live = |g: &&Guard| g.range.contains(&call.tok) && !hands_over(toks, call, g);
+            let Some(g) = guards.iter().find(live) else { continue };
+            let Some(trace) = parks.trace(ws, cg, ci) else { continue };
             if ws.in_tests(file, call.line) || ws.allowed(file, call.line, RULE) {
                 continue;
             }
-            // Chain from the called fn down to the primitive it reaches.
-            let mut chain = CallGraph::path_to(&rparent, target);
-            chain.reverse(); // called fn first, primitive last
-            let trace: Vec<String> = chain.iter().map(|&f| ws.fn_label(f)).collect();
             findings.push(Finding {
                 rule: RULE,
                 path: ws.rels[file].clone(),
                 line: call.line,
                 text: format!(
-                    "`{}({} args)` blocks while guard `{}` (line {}) is held: {}",
+                    "`{}({} args)` can park while guard `{}` (line {}) is held: {}",
                     call.name,
                     call.arity,
                     g.name,
@@ -115,31 +66,14 @@ pub fn run(ws: &Ws, cg: &CallGraph) -> Vec<Finding> {
                 trace,
             });
         }
-        // Raw `thread::sleep` under a guard (unresolvable by the call graph).
-        for g in &guards {
-            for i in g.range.clone() {
-                if seq_at(toks, i, &["thread", ":", ":", "sleep"]) {
-                    let line = toks[i].line;
-                    if ws.in_tests(file, line) || ws.allowed(file, line, RULE) {
-                        continue;
-                    }
-                    findings.push(Finding {
-                        rule: RULE,
-                        path: ws.rels[file].clone(),
-                        line,
-                        text: format!(
-                            "`thread::sleep` while guard `{}` (line {}) is held: {}",
-                            g.name,
-                            g.line,
-                            ws.line_text(file, line).trim()
-                        ),
-                        trace: Vec::new(),
-                    });
-                }
-            }
-        }
     }
     findings
+}
+
+/// Is `call` a condvar wait handed guard `g` (which it releases)?
+fn hands_over(toks: &[Tok], call: &CallSite, g: &Guard) -> bool {
+    matches!(call.name.as_str(), "wait" | "wait_until_quiet")
+        && toks[call.tok + 2..].iter().take_while(|t| t.text != ")").any(|t| t.text == g.name)
 }
 
 /// Is `fi` the innermost fn whose body contains token `k`?
@@ -153,7 +87,7 @@ fn innermost(ws: &Ws, fi: usize, k: usize) -> bool {
 }
 
 /// Lexical scan of one fn body for live guard ranges.
-fn find_guards(ws: &Ws, fi: usize, toks: &[crate::lexer::Tok]) -> Vec<Guard> {
+fn find_guards(ws: &Ws, fi: usize, toks: &[Tok]) -> Vec<Guard> {
     let item = &ws.fns[fi];
     let body = item.body.clone();
     // Brace depth before each body token, relative to the body start.

@@ -176,10 +176,15 @@ impl CallGraph {
         bfs(seeds, &self.edges)
     }
 
-    /// Reverse BFS: every fn from which some seed is reachable.
-    pub fn reach_rev(&self, seeds: &[usize]) -> (Vec<bool>, Vec<usize>) {
+    /// Reverse BFS: every fn from which some seed is reachable through fns
+    /// that pass `through` (a seed itself need not pass).
+    pub fn reach_rev(
+        &self,
+        seeds: &[usize],
+        through: &dyn Fn(usize) -> bool,
+    ) -> (Vec<bool>, Vec<usize>) {
         let mut redges = vec![Vec::new(); self.edges.len()];
-        for (from, tos) in self.edges.iter().enumerate() {
+        for (from, tos) in self.edges.iter().enumerate().filter(|&(from, _)| through(from)) {
             for &to in tos {
                 redges[to].push(from);
             }
@@ -462,7 +467,7 @@ mod tests {
         let cg = CallGraph::build(&ws);
         let entry = fn_idx(&ws, "entry");
         let leaf = fn_idx(&ws, "leaf");
-        let (rev, _) = cg.reach_rev(&[leaf]);
+        let (rev, _) = cg.reach_rev(&[leaf], &|_| true);
         assert!(rev[entry], "entry reaches leaf, so reverse BFS from leaf hits entry");
         let (vis, parent) = cg.reach(&[entry]);
         assert!(vis[leaf]);

@@ -75,13 +75,13 @@ pub const SEEDS: &[(&str, Seed)] = &[
         file: "crates/core/src/write.rs",
     }),
     ("blocking-transitive-merge", Seed {
-        description: "SSTable merge (charged NVM I/O, many hops above NvmStore::io) \
-                      planted under the stack write guard of the compaction swap",
+        description: "a freeze (which parks on the flush-queue slot count, several hops \
+                      down) planted under the stack write guard of the compaction swap",
         patches: &[(
             "crates/core/src/write.rs",
             "        let mut stack = db.stack.write();\n        stack.replace_newest(take, merged);",
-            "        let mut stack = db.stack.write();\n        let _ = sstable::merge_at(&store, \
-             &inputs, &base, new_ssid, whole, stamp);\n        stack.replace_newest(take, merged);",
+            "        let mut stack = db.stack.write();\n        freeze(ctx, db, Side::Local, stamp);\n        \
+             stack.replace_newest(take, merged);",
         )],
         rule: "blocking-under-lock",
         expect: "guard `stack`",
@@ -198,8 +198,8 @@ pub const SEEDS: &[(&str, Seed)] = &[
                       for a flush-queue slot on the thread that lent itself to the handler",
         patches: &[(
             "crates/core/src/runtime.rs",
-            "&[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_PUT, tags::REPL_GET]",
-            "&[tags::MIGRATE, tags::REPL_PUT, tags::REPL_GET]",
+            "&[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_GET]",
+            "&[tags::MIGRATE, tags::REPL_GET]",
         )],
         rule: "inline-park",
         expect: "arm `PUT_SYNC`",

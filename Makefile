@@ -73,7 +73,8 @@ crashcheck:
 # Chaos soak (DESIGN §10): seeded fault schedules, no violation;
 #   the same at replication factor 2 (DESIGN §11);
 #   every planted protocol bug convicted;
-#   the report twice, once on one CPU, byte for byte.
+#   the report twice, once on one CPU, byte for byte — at R=2 too, whose
+#   failover gets split the handler's REPL_GET into two units.
 chaos:
 	cargo xtask chaos
 	cargo xtask chaos --replicas 2
@@ -81,6 +82,9 @@ chaos:
 	cargo xtask chaos > target/chaos-a.txt
 	taskset -c 0 cargo xtask chaos > target/chaos-b.txt
 	cmp target/chaos-a.txt target/chaos-b.txt
+	cargo xtask chaos --replicas 2 > target/chaos-r2-a.txt
+	taskset -c 0 cargo xtask chaos --replicas 2 > target/chaos-r2-b.txt
+	cmp target/chaos-r2-a.txt target/chaos-r2-b.txt
 
 # Perf gate (DESIGN §12): no row worse than the committed baseline;
 #   every planted regression convicted;

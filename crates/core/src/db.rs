@@ -68,7 +68,7 @@ pub struct DbInner {
     /// Puts bound for other owners, awaiting migration.
     pub(crate) staging: Mutex<Stack>,
     /// Per-origin replica stacks (R >= 2 only; empty otherwise). Fed by
-    /// the handler thread, read by failover gets and re-replication. Kept
+    /// the message handler, read by failover gets and re-replication. Kept
     /// apart from the primary stack so compaction, the manifest and
     /// checkpoint never mix primary and replica data; not manifested — a
     /// successor that lost them re-receives via re-replication, so crash

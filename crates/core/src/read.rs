@@ -160,7 +160,7 @@ pub(crate) fn local_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
     hit
 }
 
-/// Serve a get on the handler thread: `search` runs on a clock starting at
+/// Serve a get in the message handler: `search` runs on a clock starting at
 /// the request's `stamp`. Returns its reply and the service-completion
 /// stamp.
 pub(crate) fn serve_get(

@@ -11,9 +11,10 @@
 //!   per-owner batches over the interconnect;
 //! * a **message handler task** — services MIGRATE / PUT_SYNC / GET_REQ /
 //!   BARRIER_MARK requests from other ranks "without remote MPI ranks'
-//!   intervention". It runs to completion, one request a slice, on the
-//!   thread of whichever task hands it the baton; an arm that can park
-//!   ([`PARKING_ARMS`]) runs on its own thread.
+//!   intervention". It has no thread: it runs to completion, one unit of
+//!   work a slice, on the thread of whichever task hands it the baton, and
+//!   no unit parks — an ingest that meets a full flush queue enlists for a
+//!   slot and keeps the rest of its batch.
 //!
 //! The runtime duplicates independent communicators at init so its internal
 //! traffic never collides with application messages.
@@ -37,6 +38,7 @@ use crate::msg::{self, tags};
 use crate::options::{OpenFlags, Options};
 use crate::queue::BlockingQueue;
 use crate::sstable::SstReader;
+use crate::write::Ingest;
 
 /// The simulated machine a job runs on: system profile plus the shared
 /// storage fabric. Build once per job and share (`Arc`) across all ranks.
@@ -256,7 +258,8 @@ pub(crate) struct CtxInner {
     /// and dispatcher thread share the space; replies echo the seq so stale
     /// replies from timed-out attempts are discarded).
     rpc_seq: AtomicU64,
-    threads: Mutex<Vec<Task<()>>>,
+    /// The rank's helper tasks: compaction, dispatcher, message handler.
+    tasks: Mutex<Vec<Task<()>>>,
     finalized: AtomicBool,
 }
 
@@ -515,23 +518,18 @@ impl Context {
             compact_q: BlockingQueue::new(),
             migrate_q: BlockingQueue::new(),
             rpc_seq: AtomicU64::new(0),
-            threads: Mutex::new(Vec::new()),
+            tasks: Mutex::new(Vec::new()),
             finalized: AtomicBool::new(false),
         });
 
-        let helpers =
-            [("compact", compaction_thread as fn(Arc<CtxInner>)), ("dispatch", dispatcher_thread)];
-        let mut threads: Vec<Task<()>> = helpers
-            .into_iter()
-            .map(|(what, body)| {
-                let ctx = inner.clone();
-                inner.rank.spawn(format!("pkv-{what}-{}", inner.rank.rank()), move || body(ctx))
-            })
-            .collect();
-        let handler = handler(inner.clone());
-        threads
-            .push(inner.rank.spawn_slices(format!("pkv-handler-{}", inner.rank.rank()), handler));
-        *inner.threads.lock() = threads;
+        let name = |what| format!("pkv-{what}-{}", inner.rank.rank());
+        let (compact, dispatch) = (inner.clone(), inner.clone());
+        let tasks = vec![
+            inner.rank.spawn(name("compact"), move || compaction_thread(compact)),
+            inner.rank.spawn(name("dispatch"), move || dispatcher_thread(dispatch)),
+            inner.rank.spawn_slices(name("handler"), handler(inner.clone())),
+        ];
+        *inner.tasks.lock() = tasks;
         Ok(Context { inner })
     }
 
@@ -618,14 +616,14 @@ impl Context {
         }
         // Everyone must be done sending before handlers go away.
         self.inner.comm_ctl.barrier();
-        // Stop own helper threads.
+        // Stop own helper tasks.
         let me = self.rank();
         self.inner.comm_req.send(me, tags::SHUTDOWN, bytes::Bytes::new());
         self.inner.compact_q.push(CompactJob::Shutdown);
         self.inner.migrate_q.push(MigrateJob::Shutdown);
-        let threads = std::mem::take(&mut *self.inner.threads.lock());
-        for t in threads {
-            t.join().map_err(|_| Error::Internal("runtime thread panicked".into()))?;
+        let tasks = std::mem::take(&mut *self.inner.tasks.lock());
+        for t in tasks {
+            t.join().map_err(|_| Error::Internal("runtime task panicked".into()))?;
         }
         self.inner.comm_ctl.barrier();
         Ok(())
@@ -669,115 +667,151 @@ fn dispatcher_thread(ctx: Arc<CtxInner>) {
     }
 }
 
-/// The request arms served on the handler's own thread. MIGRATE and
-/// PUT_SYNC can park, on `write::freeze`'s wait for a queue slot. REPL_GET
-/// cannot, but it can wake two tasks: `replica::maybe_promote` may wake the
-/// dispatcher before the reply wakes the reader, and the dispatcher's key
-/// can order first (a lower task id at an equal clock). On a lent thread
-/// that first wake ends the slice (`Slice::yielded`) and the baton refuses
-/// the second with a panic. Every other arm wakes at most one task, at its
-/// end, and runs on whichever task's thread hands the handler the baton;
-/// `lint --deep` proves none of them can park.
-const PARKING_ARMS: &[u32] = &[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_GET];
+/// What the message handler began and has not finished, kept across its
+/// slices. Each is served by a fn its request's arm calls too.
+enum Work {
+    /// A request taken off `comm_req`.
+    Request(Message),
+    /// A MIGRATE or PUT_SYNC part-ingested.
+    Ingest(Ingesting),
+    /// A REPL_GET past its promotion claim: the lookup and the reply.
+    ReplLookup(Message),
+}
+
+/// A MIGRATE or PUT_SYNC (`tag`) from `src`: its batch, then its ack under
+/// `seq`.
+struct Ingesting {
+    batch: Ingest,
+    src: usize,
+    tag: u32,
+    seq: msg::RpcSeq,
+}
 
 /// The message handler (§2.4, §2.6, §2.7), a run-to-completion task of the
-/// world: each slice takes one request off `comm_req` and serves it. A
-/// request it cannot serve where it runs — the slice yielded, or the arm
-/// can park on a lent thread — waits for the next slice.
-fn handler(ctx: Arc<CtxInner>) -> impl FnMut(bool) -> Slice + Send {
-    let mut held: Option<Message> = None;
-    move |lent| {
-        let next = held.take().or_else(|| ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any));
-        let Some(m) = next else { return Slice::Parked };
-        if Slice::yielded() || (lent && PARKING_ARMS.contains(&m.tag)) {
-            held = Some(m);
-            return if Slice::yielded() { Slice::Ran } else { Slice::OwnThread };
+/// world: each slice serves one unit of its work — a request taken off
+/// `comm_req`, or what one left. No unit parks: on whichever task's thread
+/// hands the handler the baton, it would block that task. What a unit
+/// leaves in `held` waits there for a flush-queue slot (its slice
+/// `Parked`) or for the next slice, behind a preemption point that ended
+/// this one.
+fn handler(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
+    let mut held = None;
+    move || {
+        let take = || ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any).map(Work::Request);
+        let Some(work) = held.take().or_else(take) else { return Slice::Parked };
+        if Slice::yielded() {
+            held = Some(work);
+            return Slice::Ran;
         }
-        serve_request(&ctx, m)
+        serve(&ctx, work, &mut held)
     }
 }
 
-fn serve_request(ctx: &CtxInner, m: Message) -> Slice {
-    let (what, served) = match m.tag {
-        tags::SHUTDOWN => return Slice::Exit,
-        tags::MIGRATE => ("migrate", handle_migrate(ctx, m.src, m.payload, m.stamp)),
-        tags::PUT_SYNC => ("put_sync", handle_put_sync(ctx, m.src, m.payload, m.stamp)),
-        tags::GET_REQ => ("get_req", handle_get_req(ctx, m.src, m.payload, m.stamp)),
-        tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(ctx, m.payload, m.stamp)),
-        tags::REPL_PUT => ("repl_put", handle_repl_put(ctx, m.src, m.payload, m.stamp)),
-        tags::REPL_GET => ("repl_get", handle_repl_get(ctx, m.src, m.payload, m.stamp)),
-        other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
+/// Serve one unit of `work`: how its slice ends, what is left in `held`.
+fn serve(ctx: &CtxInner, work: Work, held: &mut Option<Work>) -> Slice {
+    let (what, served) = match work {
+        Work::Request(m) => match m.tag {
+            tags::SHUTDOWN => return Slice::Exit,
+            tags::MIGRATE => ("migrate", begin_ingest(ctx, m).map(|w| ingest(ctx, w, held))),
+            tags::PUT_SYNC => ("put_sync", begin_ingest(ctx, m).map(|w| ingest(ctx, w, held))),
+            tags::GET_REQ => ("get_req", handle_get_req(ctx, m)),
+            tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(ctx, m)),
+            tags::REPL_PUT => ("repl_put", handle_repl_put(ctx, m)),
+            tags::REPL_GET => ("repl_get", handle_repl_get(ctx, m, held)),
+            other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
+        },
+        Work::Ingest(work) => return ingest(ctx, work, held),
+        Work::ReplLookup(m) => ("repl_get", handle_repl_lookup(ctx, m)),
     };
-    if let Err(e) = served {
+    served.unwrap_or_else(|e| {
         // Handler errors indicate wire corruption or internal bugs; surface
         // them loudly (they fail tests) without killing the handler.
         eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
+        Slice::Ran
+    })
+}
+
+fn begin_ingest(ctx: &CtxInner, m: Message) -> Result<Ingesting> {
+    let decode = if m.tag == tags::PUT_SYNC { msg::decode_put_sync } else { msg::decode_migrate };
+    let (db_id, seq, records) = decode(m.payload)?;
+    let batch = Ingest::new(ctx.db_by_id(db_id)?, records, m.stamp);
+    Ok(Ingesting { batch, src: m.src, tag: m.tag, seq })
+}
+
+/// Ingest on; once every record is in, send the ack the request owes.
+fn ingest(ctx: &CtxInner, mut work: Ingesting, held: &mut Option<Work>) -> Slice {
+    let done = match work.batch.step(ctx) {
+        Ok(done) => done,
+        Err(slice) => {
+            *held = Some(Work::Ingest(work));
+            return slice;
+        }
+    };
+    let Ingesting { src, tag, seq, .. } = work;
+    if tag == tags::PUT_SYNC {
+        // Acknowledge with the service-completion stamp; the caller blocks
+        // on it ("the caller MPI rank halts its execution until ... the
+        // completion of migration", §3.1).
+        ctx.comm_rep.send_at(src, tags::PUT_ACK, msg::encode_ack(seq), done);
+    } else if seq != 0 {
+        // Sequence 0 is `send_batch`'s fire-and-forget; anything else is its
+        // armed-world request, whose sender awaits this ack.
+        ctx.comm_rep.send_at(src, tags::MIGRATE_ACK, msg::encode_ack(seq), done);
     }
     Slice::Ran
 }
 
-fn handle_migrate(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, seq, records) = msg::decode_migrate(payload)?;
+fn handle_get_req(ctx: &CtxInner, m: Message) -> Result<Slice> {
+    let (db_id, caller_group, seq, key) = msg::decode_get_req(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::write::apply_incoming_records(ctx, &db, &records, stamp);
-    // Sequence 0 is `send_batch`'s fire-and-forget; anything else is its
-    // armed-world request, whose sender awaits this ack.
-    if seq != 0 {
-        ctx.comm_rep.send_at(src, tags::MIGRATE_ACK, msg::encode_ack(seq), done);
-    }
-    Ok(())
-}
-
-fn handle_put_sync(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, seq, record) = msg::decode_put_sync(payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    let done = crate::write::apply_incoming_records(ctx, &db, &record, stamp);
-    // Acknowledge with the service-completion stamp; the caller blocks on it
-    // ("the caller MPI rank halts its execution until ... the completion of
-    // migration", §3.1).
-    ctx.comm_rep.send_at(src, tags::PUT_ACK, msg::encode_ack(seq), done);
-    Ok(())
-}
-
-fn handle_get_req(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, caller_group, seq, key) = msg::decode_get_req(payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    let (resp, done) = crate::read::serve_get(&db, "serve_get", stamp, |clk| {
-        crate::read::remote_get_reply(ctx, &db, &key, caller_group, src, clk)
+    let (resp, done) = crate::read::serve_get(&db, "serve_get", m.stamp, |clk| {
+        crate::read::remote_get_reply(ctx, &db, &key, caller_group, m.src, clk)
     });
-    ctx.comm_rep.send_at(src, tags::GET_RESP, msg::encode_get_resp(seq, &resp), done);
-    Ok(())
+    ctx.comm_rep.send_at(m.src, tags::GET_RESP, msg::encode_get_resp(seq, &resp), done);
+    Ok(Slice::Ran)
 }
 
-fn handle_barrier_mark(ctx: &CtxInner, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, epoch) = msg::decode_barrier_mark(payload)?;
+fn handle_barrier_mark(ctx: &CtxInner, m: Message) -> Result<Slice> {
+    let (db_id, epoch) = msg::decode_barrier_mark(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    crate::sync::note_barrier_mark(&db, epoch, stamp);
-    Ok(())
+    crate::sync::note_barrier_mark(&db, epoch, m.stamp);
+    Ok(Slice::Ran)
 }
 
-fn handle_repl_put(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, origin, want_ack, seq, records) = msg::decode_repl_put(payload)?;
+fn handle_repl_put(ctx: &CtxInner, m: Message) -> Result<Slice> {
+    let (db_id, origin, want_ack, seq, records) = msg::decode_repl_put(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let done = crate::replica::apply_replica_records(ctx, &db, origin as usize, &records, stamp);
+    let done = crate::replica::apply_replica_records(ctx, &db, origin as usize, &records, m.stamp);
     // The handler never blocks on other ranks here (replica ingest is
     // purely local), so synchronous writers awaiting this ack cannot form
     // a cross-rank handler cycle.
     if want_ack {
-        ctx.comm_rep.send_at(src, tags::REPL_ACK, msg::encode_ack(seq), done);
+        ctx.comm_rep.send_at(m.src, tags::REPL_ACK, msg::encode_ack(seq), done);
     }
-    Ok(())
+    Ok(Slice::Ran)
 }
 
-fn handle_repl_get(ctx: &CtxInner, src: usize, payload: bytes::Bytes, stamp: SimNs) -> Result<()> {
-    let (db_id, origin, seq, key) = msg::decode_get_req(payload)?;
+fn handle_repl_get(ctx: &CtxInner, m: Message, held: &mut Option<Work>) -> Result<Slice> {
+    let (db_id, origin, _, _) = msg::decode_get_req(m.payload.clone())?;
     let db = ctx.db_by_id(db_id)?;
     // A failover get is proof a reader saw `origin` confirmed dead: if this
-    // rank is origin's first live successor, claim the promotion now.
+    // rank is origin's first live successor, claim the promotion now. The
+    // claim may wake the dispatcher and the reply the reader, so they are
+    // two units.
     crate::replica::maybe_promote(ctx, &db, origin as usize);
-    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", stamp, |clk| {
+    if Slice::yielded() {
+        *held = Some(Work::ReplLookup(m));
+        return Ok(Slice::Ran);
+    }
+    handle_repl_lookup(ctx, m)
+}
+
+fn handle_repl_lookup(ctx: &CtxInner, m: Message) -> Result<Slice> {
+    let (db_id, origin, seq, key) = msg::decode_get_req(m.payload)?;
+    let db = ctx.db_by_id(db_id)?;
+    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", m.stamp, |clk| {
         crate::read::get_resp(crate::replica::replica_lookup(&db, origin as usize, &key, clk))
     });
-    ctx.comm_rep.send_at(src, tags::REPL_RESP, msg::encode_get_resp(seq, &resp), done);
-    Ok(())
+    ctx.comm_rep.send_at(m.src, tags::REPL_RESP, msg::encode_get_resp(seq, &resp), done);
+    Ok(Slice::Ran)
 }

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use papyrus_mpi::Slice;
 use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
 
@@ -114,8 +115,8 @@ pub(crate) fn entry_of(value: Bytes, tombstone: bool) -> Entry {
     }
 }
 
-/// Insert an entry into the primary stack (local puts, and the handler
-/// ingesting migrated / sync-put records). Insert, then invalidate, under
+/// Insert an entry into the primary stack (a local put; the handler's
+/// [`Ingest`] does the same). Insert, then invalidate, under
 /// the stack's write lock: "a stale cache entry that has the same key as the
 /// new key-value pair is evicted from the local cache" (§2.4), and no get
 /// can put the old value back in between (gets fill the cache holding the
@@ -186,7 +187,8 @@ impl DbSync {
 /// `Options::flush_queue_len` is the one backpressure — the paper's
 /// fixed-size flushing queue: a freeze parks while the count is full, before
 /// taking the stack's lock, so gets and the flush that frees the slot keep
-/// running. The push itself never parks.
+/// running. The handler's ingest waits for its slot without parking
+/// ([`Ingest`]).
 pub(crate) fn freeze(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs) {
     {
         let mut sync = db.sync.lock();
@@ -198,6 +200,11 @@ pub(crate) fn freeze(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs
         }
         *sync.slots(side) += 1;
     }
+    freeze_slotted(ctx, db, side, stamp);
+}
+
+/// [`freeze`] with a slot of `side`'s queue taken. The push never parks.
+fn freeze_slotted(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs) {
     let frozen = match side {
         Side::Local => db.stack.write().freeze(),
         Side::Staging => db.staging.lock().freeze(),
@@ -428,24 +435,71 @@ pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>
     db.sync_cv.notify_all();
 }
 
-/// Handler-side ingestion of migrated / sync-put records into the owner's
-/// primary stack. Returns the service-completion stamp.
-pub(crate) fn apply_incoming_records(
-    ctx: &CtxInner,
-    db: &Arc<DbInner>,
-    records: &Batch,
+/// A MIGRATE or PUT_SYNC batch the message handler ingests into the owner's
+/// primary stack, one record at a time, so that it can stop between two
+/// without parking: when its MemTable freezes into a full flush queue it
+/// enlists for a slot, and when a preemption point ends its slice it keeps
+/// the rest for the next.
+pub(crate) struct Ingest {
+    db: Arc<DbInner>,
+    records: Batch,
+    /// The protection attribute read for the whole batch.
+    protection: Protection,
+    /// The service clock, from the batch's arrival stamp.
+    clk: Clock,
     stamp: SimNs,
-) -> SimNs {
-    let clk = Clock::starting_at(stamp);
-    let protection = db.state.read().protection;
-    for (key, entry) in records.entries() {
-        insert_local_entry(ctx, db, protection, key, entry, &clk);
+    /// Records inserted so far.
+    done: usize,
+    /// The last insert filled the MemTable: its freeze is owed.
+    full: bool,
+    /// The owed freeze found the flush queue full (a stall, counted once).
+    stalled: bool,
+}
+
+impl Ingest {
+    pub(crate) fn new(db: Arc<DbInner>, records: Batch, stamp: SimNs) -> Self {
+        let protection = db.state.read().protection;
+        let clk = Clock::starting_at(stamp);
+        Self { db, records, protection, clk, stamp, done: 0, full: false, stalled: false }
     }
-    let done = clk.now();
-    db.ingest_backlog.merge(done);
-    db.tel.ingest_records.add(records.len() as u64);
-    db.tel.rec.span("core", "ingest", TID_HANDLER, stamp, done);
-    done
+
+    /// Ingest on: the service-completion stamp once every record is in, or
+    /// how the slice must end — `Parked`, enlisted for a flush-queue slot,
+    /// or `Ran`, past a preemption point that handed the baton on.
+    pub(crate) fn step(&mut self, ctx: &CtxInner) -> std::result::Result<SimNs, Slice> {
+        let db = &self.db;
+        let mut records = self.records.entries().skip(self.done);
+        loop {
+            if Slice::yielded() {
+                return Err(Slice::Ran);
+            }
+            if self.full {
+                let mut sync = db.sync.lock();
+                if *sync.slots(Side::Local) >= db.opt.flush_queue_len {
+                    if !std::mem::replace(&mut self.stalled, true) {
+                        db.tel.freeze_stall.inc();
+                    }
+                    db.sync_cv.enlist(&sync);
+                    return Err(Slice::Parked);
+                }
+                *sync.slots(Side::Local) += 1;
+                drop(sync);
+                (self.full, self.stalled) = (false, false);
+                freeze_slotted(ctx, db, Side::Local, self.clk.now());
+                continue;
+            }
+            let Some((key, entry)) = records.next() else { break };
+            // `insert_local_entry`, with the freeze it owes left to the loop.
+            self.clk.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
+            self.full = db.insert_local(self.protection, key, entry);
+            self.done += 1;
+        }
+        let done = self.clk.now();
+        db.ingest_backlog.merge(done);
+        db.tel.ingest_records.add(self.records.len() as u64);
+        db.tel.rec.span("core", "ingest", TID_HANDLER, self.stamp, done);
+        Ok(done)
+    }
 }
 
 #[cfg(test)]

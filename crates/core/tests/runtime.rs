@@ -650,13 +650,14 @@ fn bloom_filter_option_decides_the_probe() {
     assert!(off_ns > on_ns, "bloom off must search NVM on a miss: on {on_ns} ns, off {off_ns} ns");
 }
 
-/// The message handler runs on the thread that hands it the baton. Once
-/// warm, a remote get served from the owner's cache hands the baton to no
-/// other OS thread: the requester parks for the reply, runs the owner's
-/// GET_REQ arm itself, and is granted back the baton it gave up. (A handler
-/// with a thread of its own cost two hand-offs a get: requester → handler →
-/// requester.) Relaxed puts still ship, and their MIGRATE — whose ingest can
-/// wait for a flush-queue slot — is served on the handler's own thread.
+/// The message handler has no thread: it runs on the thread that hands it
+/// the baton. Once warm, a remote get served from the owner's cache hands
+/// the baton to no other OS thread: the requester parks for the reply, runs
+/// the owner's GET_REQ arm itself, and is granted back the baton it gave
+/// up. (A handler with a thread of its own cost two hand-offs a get:
+/// requester → handler → requester.) Relaxed puts still ship, and their
+/// MIGRATE is served on whichever thread grants the handler, as every
+/// other request is.
 #[test]
 fn a_warm_remote_get_hands_the_baton_to_no_thread() {
     let platform = Platform::new(SystemProfile::test_profile(), 2);
@@ -693,14 +694,94 @@ fn a_warm_remote_get_hands_the_baton_to_no_thread() {
                 8,
                 "four migrations to the dispatcher and back"
             );
-            // Served after the MIGRATEs (one FIFO channel): the dispatcher
-            // drains, the handler's own thread takes its first MIGRATE and
-            // hands the compaction thread the three flushes its ingest
-            // freezes, and the reply wakes rank 0.
+            // Served after the MIGRATEs (one FIFO channel). The hand-offs:
+            // 1. The dispatcher drains its queue; the handler's first
+            //    MIGRATE runs on its thread, up to the first freeze.
+            // 2. The compaction task takes that flush. The rest of the
+            //    ingest, the two flushes it yields to there and the GET_REQ
+            //    all run on the compaction task's thread.
+            // 3. The reply wakes rank 0.
             assert_eq!(&db.get(b"p255").unwrap()[..], &[b'w'; 32]);
-            assert_eq!(fabric.grants().handed - fenced.handed, 1 + 1 + 3 * 2 + 1);
+            assert_eq!(fabric.grants().handed - fenced.handed, 1 + 1 + 1);
         }
         ctx.barrier_all();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+}
+
+/// Options under which the owner's MemTable holds a few 100-byte records
+/// and its flush queue one MemTable, and every key is `owner`'s.
+fn one_slot(owner: usize) -> Options {
+    let mut opt = Options::small().with_custom_hash(Arc::new(move |_k: &[u8]| owner as u64));
+    (opt.memtable_capacity, opt.remote_memtable_capacity, opt.flush_queue_len) = (1024, 1 << 20, 1);
+    opt
+}
+
+/// Every rank reads back `n` keys `{prefix}{i}` of value `value`; the owner's
+/// database is audit-clean.
+fn all_readable(db: &papyruskv::Db, prefix: &str, n: usize, value: &[u8]) {
+    for i in 0..n {
+        assert_eq!(&db.get(format!("{prefix}{i}").as_bytes()).unwrap()[..], value, "key {i}");
+    }
+    let audit = papyruskv::sanity::audit_db(db);
+    assert!(audit.is_clean(), "{}", audit.render());
+}
+
+/// One MIGRATE batch fills the owner's MemTable many times over, into a
+/// flush queue of one slot. The owner, running first (a lower rank at an
+/// equal clock), freezes a MemTable of its own a virtual second ahead, so
+/// its compaction task flushes only once the world's clocks reach that
+/// second: the ingest stalls at its first freeze, enlists for the slot on
+/// the thread it was lent, and goes on when the flush frees it. The owner
+/// is a rank no other test of this binary uses, so its stall counter is
+/// this test's alone.
+#[test]
+fn a_migrate_that_stalls_mid_batch_waits_for_its_slot_without_parking() {
+    const RANKS: usize = 8;
+    const OWNER: usize = 6;
+    const WRITER: usize = 7;
+    papyrus_telemetry::enable();
+    let platform = Platform::new(SystemProfile::test_profile(), RANKS);
+    World::run(WorldConfig::for_tests(RANKS), move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-stall").unwrap();
+        let db = ctx.open("db", OpenFlags::create(), one_slot(OWNER)).unwrap();
+        let stalls = papyrus_telemetry::global().counter(OWNER as u32, "kv.freeze.stall");
+        let before = stalls.get();
+        if ctx.rank() == OWNER {
+            ctx.clock().advance(1_000_000_000);
+            (0..12).for_each(|i| db.put(format!("own{i}").as_bytes(), &[b'o'; 100]).unwrap());
+        }
+        if ctx.rank() == WRITER {
+            (0..200).for_each(|i| db.put(format!("m{i}").as_bytes(), &[b'm'; 100]).unwrap());
+        }
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        all_readable(&db, "m", 200, &[b'm'; 100]);
+        if ctx.rank() == OWNER {
+            assert!(stalls.get() > before, "the ingest found the flush queue full");
+        }
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+}
+
+/// Sequential puts to a remote owner whose MemTable fills every few
+/// records. A PUT_SYNC that freezes wakes the compaction task, which orders
+/// first, so the ingest's slice ends at the push; its ack, a second wake,
+/// goes out in the handler's next slice — sent in the same one, it would be
+/// refused with a panic ("woke … after the preemption point").
+#[test]
+fn a_put_sync_whose_freeze_yields_acks_in_its_next_slice() {
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    World::run(WorldConfig::for_tests(2), move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-sync-yield").unwrap();
+        let opt = one_slot(1).with_consistency(Consistency::Sequential);
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        if ctx.rank() == 0 {
+            (0..64).for_each(|i| db.put(format!("s{i}").as_bytes(), &[b's'; 100]).unwrap());
+        }
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        all_readable(&db, "s", 64, &[b's'; 100]);
         db.close().unwrap();
         ctx.finalize().unwrap();
     });

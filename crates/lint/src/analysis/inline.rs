@@ -1,20 +1,17 @@
-//! Inline arms: the message handler's request arms that run on a lent
-//! thread must not be able to park.
+//! Inline arms: no request arm of the message handler may be able to park.
 //!
-//! The handler is a run-to-completion task of its world: a request arm runs
-//! on the thread of whichever task hands the handler the baton, and that
-//! thread cannot block on the handler's behalf — the world scheduler panics
-//! if it tries. The arms listed in `runtime.rs`'s `PARKING_ARMS` run on the
-//! handler's own thread; every other `tags::X =>` arm there is an inline
-//! arm, and each call it makes is checked against [`super::Parks`].
-
-use std::collections::HashSet;
+//! The handler is a run-to-completion task of its world with no thread of
+//! its own: a request arm runs on the thread of whichever task hands the
+//! handler the baton, and that thread cannot block on the handler's behalf
+//! — the world scheduler panics if it tries. So every `tags::X =>` arm in
+//! `runtime.rs` is an inline arm, and each call it makes is checked against
+//! [`super::Parks`].
 
 use super::Parks;
 use crate::callgraph::{CallGraph, Ws};
 use crate::lexer::Tok;
 use crate::report::Finding;
-use crate::rules::{find_seq, seq_at};
+use crate::rules::seq_at;
 
 const RULE: &str = "inline-park";
 const RUNTIME: &str = "crates/core/src/runtime.rs";
@@ -22,10 +19,9 @@ const RUNTIME: &str = "crates/core/src/runtime.rs";
 pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
     let Some(rt) = ws.rels.iter().position(|r| r.ends_with(RUNTIME)) else { return Vec::new() };
     let toks = &ws.lexed[rt].tokens;
-    let own_thread = parking_arms(toks);
     let mut findings = Vec::new();
     for (tag, arm) in arms(toks) {
-        if own_thread.contains(tag.as_str()) || ws.in_tests(rt, toks[arm.start].line) {
+        if ws.in_tests(rt, toks[arm.start].line) {
             continue;
         }
         for (ci, call) in ws.calls.iter().enumerate() {
@@ -42,7 +38,7 @@ pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
                 line: call.line,
                 text: format!(
                     "arm `{tag}` runs on a lent thread, but `{}({} args)` can park: \
-                     list it in PARKING_ARMS or keep it from parking: {}",
+                     a unit that must wait enlists and ends its slice instead: {}",
                     call.name,
                     call.arity,
                     ws.line_text(rt, call.line).trim()
@@ -52,16 +48,6 @@ pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// The tags named in `const PARKING_ARMS: … = &[tags::X, …];`.
-fn parking_arms(toks: &[Tok]) -> HashSet<String> {
-    let Some(start) = find_seq(toks, &["const", "PARKING_ARMS"]) else { return HashSet::new() };
-    let end = (start..toks.len()).find(|&i| toks[i].text == ";").unwrap_or(toks.len());
-    (start..end)
-        .filter(|&i| seq_at(toks, i, &["tags", ":", ":"]))
-        .filter_map(|i| toks.get(i + 3).map(|t| t.text.clone()))
-        .collect()
 }
 
 /// Every `tags::X => <expr>` match arm: the tag and the arm's token range.
@@ -108,7 +94,6 @@ mod tests {
 
     const RUNTIME_SRC: &str = "\
 pub struct Ctx { pub work_q: Arc<BlockingQueue<u32>> }
-const PARKING_ARMS: &[u32] = &[tags::PUT];
 fn serve(ctx: &Ctx, tag: u32) {
     match tag {
         tags::PUT => put(ctx),
@@ -116,16 +101,17 @@ fn serve(ctx: &Ctx, tag: u32) {
         tags::MARK => { note(ctx) }
     }
 }
-fn put(ctx: &Ctx) { ctx.work_q.pop(); }
+fn put(ctx: &Ctx) { ctx.cv.enlist(&g); }
 fn get(ctx: &Ctx) { ctx.work_q.push(1); let v = vec![1]; v.len(); }
 fn note(ctx: &Ctx) { ctx.cv.notify_all(); }
 ";
 
     #[test]
-    fn parking_arms_may_park_inline_arms_may_not() {
-        // A `pop` parks until a push arrives; a `push` never parks.
+    fn no_handler_arm_may_park() {
+        // An enlist or a `push` never parks; a `pop` parks until a push
+        // arrives, whichever arm it is in.
         assert!(findings(RUNTIME_SRC).is_empty(), "{:#?}", findings(RUNTIME_SRC));
-        let all = findings(&RUNTIME_SRC.replace("&[tags::PUT]", "&[]"));
+        let all = findings(&RUNTIME_SRC.replace("ctx.cv.enlist(&g);", "ctx.work_q.pop();"));
         assert_eq!(all.len(), 1, "{all:#?}");
         assert!(all[0].text.contains("arm `PUT`"), "{all:#?}");
         assert!(all[0].trace.iter().any(|t| t.starts_with("put ")), "{all:#?}");

@@ -172,8 +172,8 @@ pub const SEEDS: &[(&str, Seed)] = &[
         description: "a runtime helper spawned as a raw OS thread, not a task of the world",
         patches: &[(
             "crates/core/src/runtime.rs",
-            "inner.rank.spawn(format!(\"pkv-{what}-{}\", inner.rank.rank()), move || body(ctx))",
-            "std::thread::spawn(move || body(ctx))",
+            "inner.rank.spawn(name(\"compact\"), move || compaction_thread(compact))",
+            "std::thread::spawn(move || compaction_thread(compact))",
         )],
         rule: "raw-thread",
         expect: "std::thread::spawn",
@@ -194,12 +194,12 @@ pub const SEEDS: &[(&str, Seed)] = &[
         file: "crates/chaos/src/sweep.rs",
     }),
     ("inline-put-sync", Seed {
-        description: "PUT_SYNC dropped from the handler's parking arms: its ingest can wait \
+        description: "the handler's ingest freezes through the app's `freeze`, which waits \
                       for a flush-queue slot on the thread that lent itself to the handler",
         patches: &[(
-            "crates/core/src/runtime.rs",
-            "&[tags::MIGRATE, tags::PUT_SYNC, tags::REPL_GET]",
-            "&[tags::MIGRATE, tags::REPL_GET]",
+            "crates/core/src/write.rs",
+            "freeze_slotted(ctx, db, Side::Local, self.clk.now());",
+            "freeze(ctx, db, Side::Local, self.clk.now());",
         )],
         rule: "inline-park",
         expect: "arm `PUT_SYNC`",

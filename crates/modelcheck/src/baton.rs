@@ -21,22 +21,21 @@
 //!
 //! A task is one of two kinds. A *thread task* ([`Baton::spawn`]) is an OS
 //! thread that blocks at its park points. A *run-to-completion task*
-//! ([`Baton::spawn_slices`]) runs in slices, one unit of work each, and
-//! parks between them without blocking ([`WaitList::enlist`]). When the
-//! baton is granted to one between slices by a task about to wait — at its
-//! park, its preemption point or its exit — the granting thread runs the
-//! slice itself, as that task, and then carries on its hand-off: the tasks
-//! are granted in the order they always were, and no OS thread is woken.
-//! On a thread lent this way:
+//! ([`Baton::spawn_slices`]) has no thread: it runs in slices, one unit of
+//! work each, and parks between them without blocking
+//! ([`WaitList::enlist`]). It is granted the baton only by a task about to
+//! wait — at its park, its preemption point or its exit — and the granting
+//! thread runs the slice itself, as that task, and then carries on its
+//! hand-off: the tasks are granted in the order they would be were the task
+//! a thread, and no OS thread is woken. On a thread lent this way:
 //!
 //! - a preemption point that hands the baton on ends the slice instead of
 //!   blocking it: the slice starts no further unit ([`Slice::yielded`]),
 //!   and its task is runnable behind the task it woke once it returns.
 //!   What the slice still does before returning must touch no other task;
 //!   waking one is refused.
-//! - a park is a bug, refused with a panic naming the task and its site:
-//!   a unit that can park is run on the task's own OS thread instead
-//!   ([`Slice::OwnThread`]), which serves it as a thread task would.
+//! - a park is a bug, refused with a panic naming the task and its site: a
+//!   unit that must wait enlists and ends its slice instead.
 //!
 //! A timed wait reports "timed out" only when no task of the world is
 //! runnable. While a task spawned from outside the world (a rank) is
@@ -74,9 +73,8 @@ pub type ClockFn = Box<dyn Fn() -> u64 + Send + Sync>;
 
 type Payload = Box<dyn Any + Send>;
 type Site = &'static Location<'static>;
-/// A run-to-completion task's body: one slice per call, told whether it
-/// runs on another task's thread.
-type SliceFn = Box<dyn FnMut(bool) -> Slice + Send>;
+/// A run-to-completion task's body: one slice per call.
+type SliceFn = Box<dyn FnMut() -> Slice + Send>;
 
 /// What one slice of a run-to-completion task did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +84,6 @@ pub enum Slice {
     Ran,
     /// Enlisted the task on a wait list ([`WaitList::enlist`]).
     Parked,
-    /// Kept a unit that can park: the task goes on on its own thread.
-    OwnThread,
     /// The task is finished.
     Exit,
 }
@@ -107,8 +103,7 @@ pub struct Grants {
     /// Run on the granting thread: a run-to-completion task's slices, or
     /// the granting task itself.
     pub inline: u64,
-    /// Handed to another OS thread, which is woken: a grant, or a slice's
-    /// unit that can park moved to its task's own thread.
+    /// Handed to another task's OS thread, which is woken.
     pub handed: u64,
     /// Given to a timed waiter because nothing was runnable.
     pub timed_out: u64,
@@ -140,7 +135,7 @@ impl fmt::Display for Verdict {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Default)]
 enum Status {
     Runnable,
     Running,
@@ -152,6 +147,7 @@ enum Status {
         on: usize,
         join: Option<usize>,
     },
+    #[default]
     Done,
 }
 
@@ -167,6 +163,7 @@ const SHUT: u8 = 0;
 const GO: u8 = 1;
 const TIMED_OUT: u8 = 2;
 
+#[derive(Default)]
 struct TaskState {
     name: String,
     rank: usize,
@@ -180,13 +177,10 @@ struct TaskState {
     /// may preempt that waker.
     woken_by: Option<usize>,
     gate: Arc<Gate>,
-    /// A run-to-completion task's body; `None` for a thread task.
-    slice: Option<Arc<Mutex<SliceFn>>>,
-    /// A run-to-completion task parked or yielded between slices: a grant
-    /// may run its next slice on the granting thread.
-    idle: bool,
-    /// How a run-to-completion task ended in a slice another thread ran,
-    /// for its own thread to return.
+    /// A run-to-completion task's body between its slices, until it ends;
+    /// `None` for a thread task.
+    slice: Option<SliceFn>,
+    /// How a run-to-completion task ended, for its [`Task::join`].
     ended: Option<Result<(), Payload>>,
     /// The world's wake count and the site when it last timed out past the
     /// fault horizon.
@@ -267,7 +261,7 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 fn refuse_park(name: &str, site: Site) -> ! {
     panic!(
         "{name} parked at {site} in a slice run on another task's thread; \
-         work that can park must run on its task's own thread"
+         a unit that must wait enlists and ends its slice"
     )
 }
 
@@ -317,21 +311,18 @@ impl State {
         self.running = Some(t);
         self.runnable.retain(|&r| r != t);
         let task = &mut self.tasks[t];
-        (task.status, task.woken_by, task.idle) = (Status::Running, None, false);
+        (task.status, task.woken_by) = (Status::Running, None);
         Arc::clone(&task.gate)
     }
 
-    /// Task `tid` is finished: its joiners run on, woken by it. Returns its
-    /// slice body, if any: the body can own what owns this world, so it is
-    /// dropped once the state lock is let go.
-    fn finish(&mut self, tid: usize) -> Option<Arc<Mutex<SliceFn>>> {
+    /// Task `tid` is finished: its joiners run on, woken by it.
+    fn finish(&mut self, tid: usize) {
         for t in 0..self.tasks.len() {
             if matches!(self.tasks[t].status, Status::Parked { join: Some(j), .. } if j == tid) {
                 self.wake(t, Some(tid));
             }
         }
         (self.tasks[tid].status, self.tasks[tid].clock) = (Status::Done, None);
-        self.tasks[tid].slice.take()
     }
 }
 
@@ -361,9 +352,9 @@ impl Baton {
     /// Nobody holds the baton: give it to the first runnable task, else time
     /// out the first timed waiter, else — with a rank parked — poison the
     /// world with its verdict. `me` is the calling task when it is about to
-    /// wait or exit: a run-to-completion task granted between slices then
-    /// runs here, and a grant of `me` itself wakes no thread. A gate opens
-    /// after the state lock is let go, so the next runner never waits on it.
+    /// wait or exit: a run-to-completion task granted then runs here, and a
+    /// grant of `me` itself wakes no thread. A gate opens after the state
+    /// lock is let go, so the next runner never waits on it.
     fn hand_off<'a>(&'a self, mut st: MutexGuard<'a, State>, me: Option<usize>) {
         loop {
             st.running = None;
@@ -375,47 +366,42 @@ impl Baton {
                 None => st.time_out().map(|t| (t, TIMED_OUT)),
             };
             let Some((t, how)) = next else { break };
-            let lent = match &st.tasks[t].slice {
-                Some(slice) if st.tasks[t].idle && how == GO && me.is_some_and(|me| me != t) => {
-                    Some(Arc::clone(slice))
-                }
-                _ => None,
-            };
             let gate = st.grant(t);
+            let inline = st.tasks[t].slice.is_some() || Some(t) == me;
             let grants = &mut st.grants;
             *match how {
                 TIMED_OUT => &mut grants.timed_out,
-                _ if lent.is_some() || Some(t) == me => &mut grants.inline,
+                _ if inline => &mut grants.inline,
                 _ => &mut grants.handed,
             } += 1;
             if Some(t) == me {
                 return gate.state.store(how, Ordering::Release);
             }
+            let Some(mut body) = st.tasks[t].slice.take() else {
+                drop(st);
+                return gate.open(how);
+            };
+            // The grants made by no task are `start`'s, of roots (spawned
+            // from outside the world), and those of a notify from outside,
+            // which finds the baton free only once every rank has returned.
+            assert!(me.is_some(), "{} granted with no task's thread to run it", st.tasks[t].name);
             drop(st);
-            let Some(slice) = lent else { return gate.open(how) };
-            let (ran, yielded) = self.run_inline(t, &slice);
+            let ran = self.run_inline(t, &mut body);
+            // A body that ended can own what owns this world: it is dropped
+            // with the state lock let go.
+            let body = matches!(ran, Ok(Slice::Ran | Slice::Parked)).then_some(body);
             st = self.lock();
+            st.tasks[t].slice = body;
             match ran {
-                Ok(Slice::OwnThread) if !yielded => {
-                    st.grants.handed += 1;
-                    drop(st);
-                    return gate.open(how);
-                }
-                Ok(Slice::Parked) => st.tasks[t].idle = true,
-                Ok(Slice::Ran | Slice::OwnThread) => {
-                    st.wake(t, None);
-                    st.tasks[t].idle = true;
-                }
+                Ok(Slice::Parked) => {}
+                Ok(Slice::Ran) => st.wake(t, None),
                 ended => {
-                    // Its own thread, waiting for the task's next grant,
-                    // returns how it ended and drops the body last. The
-                    // joiners it wakes were woken by the task, not by this
-                    // one.
+                    // The joiners it wakes were woken by the task, not by
+                    // this one.
                     let pending = PENDING.get();
                     st.finish(t);
                     PENDING.set(pending);
                     st.tasks[t].ended = Some(ended.map(drop));
-                    gate.open(GO);
                 }
             }
         }
@@ -434,27 +420,25 @@ impl Baton {
         }
     }
 
-    /// Run the run-to-completion task `t`, just granted between slices, on
-    /// this thread — a task of the world about to wait or exit — as `t`:
-    /// its task id, with a guard count and a pending flag of its own.
-    /// Slices run while they run a unit and hold the baton; returns the
-    /// last one's outcome (its panic, if it panicked) and whether it
-    /// yielded.
-    fn run_inline(&self, t: usize, slice: &Mutex<SliceFn>) -> (Result<Slice, Payload>, bool) {
+    /// Run the run-to-completion task `t`, just granted, on this thread — a
+    /// task of the world about to wait or exit — as `t`: its task id, with a
+    /// guard count and a pending flag of its own. Slices run while they run
+    /// a unit and hold the baton; returns the last one's outcome (its panic,
+    /// if it panicked).
+    fn run_inline(&self, t: usize, body: &mut SliceFn) -> Result<Slice, Payload> {
         let me = run_as(t);
         let outer = (DEPTH.replace(0), PENDING.replace(false), INLINE.replace(Inline::Running));
         let ran = loop {
-            let ran = catch_unwind(AssertUnwindSafe(|| lock(slice)(true)));
+            let ran = catch_unwind(AssertUnwindSafe(&mut *body));
             if !matches!(ran, Ok(Slice::Ran)) || Slice::yielded() {
                 break ran;
             }
         };
-        let yielded = Slice::yielded();
         me.and_then(run_as);
         DEPTH.set(outer.0);
         PENDING.set(outer.1);
         INLINE.set(outer.2);
-        (ran, yielded)
+        ran
     }
 
     /// Wait until `tid` is granted the baton: `Ok(timed_out)`, or the
@@ -481,15 +465,13 @@ impl Baton {
     }
 
     /// Park the running task `tid` — already `Parked`, unless a notify from
-    /// outside the world beat it here — and hand the baton on. `idle`: a
-    /// run-to-completion task parked between slices.
-    fn park(&self, tid: usize, idle: bool) -> Result<bool, Payload> {
+    /// outside the world beat it here — and hand the baton on.
+    fn park(&self, tid: usize) -> Result<bool, Payload> {
         let mut st = self.lock();
         if st.tasks[tid].status == Status::Runnable {
             st.grant(tid);
             return Ok(false);
         }
-        st.tasks[tid].idle = idle;
         let gate = Arc::clone(&st.tasks[tid].gate);
         self.hand_off(st, Some(tid));
         self.wait_turn(tid, &gate)
@@ -510,61 +492,7 @@ impl Baton {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_task(name, rank, clock, None, |_, _| f())
-    }
-
-    /// Spawn a run-to-completion task of this world: `slice` is called for
-    /// one slice at a time, told whether it runs on another task's thread,
-    /// and its own OS thread `name` runs the slices no other thread can.
-    /// Its first grant goes to that thread.
-    pub fn spawn_slices<F>(self: &Arc<Self>, name: String, rank: usize, slice: F) -> Task<()>
-    where
-        F: FnMut(bool) -> Slice + Send + 'static,
-    {
-        let slice: Arc<Mutex<SliceFn>> = Arc::new(Mutex::new(Box::new(slice)));
-        let own = Arc::clone(&slice);
-        self.spawn_task(name, rank, None, Some(slice), move |baton, tid| {
-            baton.own_slices(tid, &own)
-        })
-    }
-
-    fn spawn_task<T, F>(
-        self: &Arc<Self>,
-        name: String,
-        rank: usize,
-        clock: Option<ClockFn>,
-        slice: Option<Arc<Mutex<SliceFn>>>,
-        f: F,
-    ) -> Task<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&Self, usize) -> T + Send + 'static,
-    {
-        let parent = task_of(self);
-        let gate = Arc::new(Gate::default());
-        let tid = {
-            let mut st = self.lock();
-            let (name, root, gate) = (name.clone(), parent.is_none(), Arc::clone(&gate));
-            let (vt, status, woken_by, idle, ended) = (0, Status::Done, None, false, None);
-            st.tasks.push(TaskState {
-                name,
-                rank,
-                root,
-                clock,
-                vt,
-                status,
-                woken_by,
-                gate,
-                slice,
-                idle,
-                ended,
-                stuck: None,
-            });
-            let tid = st.tasks.len() - 1;
-            st.wake(tid, parent);
-            st.live += 1;
-            tid
-        };
+        let tid = self.add_task(name.clone(), rank, clock, None);
         let baton = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(name)
@@ -573,8 +501,39 @@ impl Baton {
             .unwrap_or_else(|e| panic!("spawn world task: {e}"));
         // Registered before any grant needs it: a child is granted once its
         // spawner hands over, a root once the world starts.
-        let _ = gate.thread.set(handle.thread().clone());
-        Task { baton: Arc::clone(self), tid, handle }
+        let _ = self.lock().tasks[tid].gate.thread.set(handle.thread().clone());
+        Task { baton: Arc::clone(self), tid, ends: Ok(handle) }
+    }
+
+    /// Spawn a run-to-completion task of this world named `name`, from a
+    /// task of it: `slice` is called for one slice at a time on the thread
+    /// of whichever task grants it the baton — first its spawner's, once
+    /// that waits — and it has no thread of its own.
+    pub fn spawn_slices<F>(self: &Arc<Self>, name: String, rank: usize, slice: F) -> Task<()>
+    where
+        F: FnMut() -> Slice + Send + 'static,
+    {
+        let tid = self.add_task(name, rank, None, Some(Box::new(slice)));
+        Task { baton: Arc::clone(self), tid, ends: Err(()) }
+    }
+
+    /// Add a task, woken at its spawner's clock — or, spawned from outside
+    /// the world, a root that waits for [`Baton::start`]; returns its id.
+    fn add_task(
+        &self,
+        name: String,
+        rank: usize,
+        clock: Option<ClockFn>,
+        slice: Option<SliceFn>,
+    ) -> usize {
+        let parent = task_of(self);
+        let mut st = self.lock();
+        st.live += usize::from(slice.is_none());
+        let root = parent.is_none();
+        st.tasks.push(TaskState { name, rank, root, clock, slice, ..TaskState::default() });
+        let tid = st.tasks.len() - 1;
+        st.wake(tid, parent);
+        tid
     }
 
     /// Start scheduling: the first runnable root takes the baton.
@@ -599,20 +558,17 @@ impl Baton {
         }
     }
 
-    fn run_task<T>(self: Arc<Self>, tid: usize, f: impl FnOnce(&Self, usize) -> T) -> T {
+    fn run_task<T>(self: Arc<Self>, tid: usize, f: impl FnOnce() -> T) -> T {
         TASK.with(|t| *t.borrow_mut() = Some((Arc::clone(&self), tid)));
         let gate = Arc::clone(&self.lock().tasks[tid].gate);
-        let result = self
-            .wait_turn(tid, &gate)
-            .and_then(|_| catch_unwind(AssertUnwindSafe(|| f(&self, tid))));
+        let result = self.wait_turn(tid, &gate).and_then(|_| catch_unwind(AssertUnwindSafe(f)));
         let mut st = self.lock();
-        let body = st.finish(tid);
+        st.finish(tid);
         if st.running == Some(tid) {
             self.hand_off(st, Some(tid));
         } else {
             drop(st);
         }
-        drop(body);
         TASK.with(|t| *t.borrow_mut() = None);
         PENDING.set(false);
         self.lock().live -= 1;
@@ -620,29 +576,9 @@ impl Baton {
         result.unwrap_or_else(|p| resume_unwind(p))
     }
 
-    /// The own thread of run-to-completion task `tid`: run its slices while
-    /// the task holds the baton here, and wait here between them — for a
-    /// grant no other thread took, or for how the task ended elsewhere.
-    fn own_slices(&self, tid: usize, slice: &Mutex<SliceFn>) {
-        loop {
-            // Another thread runs the next slice while this one waits.
-            let ran = lock(slice)(false);
-            match ran {
-                Slice::Exit => return,
-                Slice::Parked => {
-                    self.park(tid, true).unwrap_or_else(|p| resume_unwind(p));
-                    if let Some(ended) = self.lock().tasks[tid].ended.take() {
-                        return ended.unwrap_or_else(|p| resume_unwind(p));
-                    }
-                }
-                Slice::Ran | Slice::OwnThread => {}
-            }
-        }
-    }
-
     /// A lock-free step of the running task `tid`: if a task it woke orders
-    /// before it, hand that task the baton and wait for it back. A slice on
-    /// a lent thread cannot wait: it yields instead ([`Slice::yielded`]).
+    /// before it, hand that task the baton and wait for it back. A slice
+    /// cannot wait: it yields instead ([`Slice::yielded`]).
     fn preempt(&self, tid: usize) {
         let mut st = self.lock();
         let Some(first) = st.first(Some(tid)).filter(|_| st.running == Some(tid)) else {
@@ -667,12 +603,16 @@ impl Baton {
 pub struct Task<T> {
     baton: Arc<Baton>,
     tid: usize,
-    handle: JoinHandle<T>,
+    /// A thread task's thread, which returns its result; or, for a
+    /// run-to-completion task, whose outcome waits in its state, the value
+    /// it returns when its slices ended well.
+    ends: Result<JoinHandle<T>, T>,
 }
 
 impl<T> Task<T> {
     /// Wait for the task to finish and return its result (`Err` carries its
-    /// panic). From a task of the same world the wait hands the baton on.
+    /// panic). From a task of the same world the wait hands the baton on; a
+    /// run-to-completion task is joined from one.
     #[track_caller]
     pub fn join(self) -> std::thread::Result<T> {
         if let Some(me) = task_of(&self.baton) {
@@ -686,10 +626,16 @@ impl<T> Task<T> {
                 }
                 st.tasks[me].status = Status::Parked { site, timed: false, on: 0, join };
                 drop(st);
-                self.baton.park(me, false).unwrap_or_else(|p| resume_unwind(p));
+                self.baton.park(me).unwrap_or_else(|p| resume_unwind(p));
             }
         }
-        self.handle.join()
+        match self.ends {
+            Ok(handle) => handle.join(),
+            Err(value) => {
+                let ended = self.baton.lock().tasks[self.tid].ended.take();
+                ended.expect("a run-to-completion task is joined once it ended").map(|()| value)
+            }
+        }
     }
 }
 
@@ -727,7 +673,7 @@ impl WaitList {
         }
         self.lock().push((Arc::clone(&baton), tid));
         drop(guard);
-        let parked = baton.park(tid, false);
+        let parked = baton.park(tid);
         if !matches!(parked, Ok(false)) {
             self.lock().retain(|(b, t)| !(Arc::ptr_eq(b, &baton) && *t == tid));
         }
@@ -741,20 +687,11 @@ impl WaitList {
     #[track_caller]
     pub fn enlist(&self) {
         let site = Location::caller();
-        let Some((baton, tid)) = current() else {
-            panic!("enlisted at {site} outside a world: only its tasks park without blocking")
+        let Some((baton, tid)) = current().filter(|_| INLINE.get() != Inline::No) else {
+            panic!("enlisted at {site} outside a slice: only a run-to-completion task parks so")
         };
-        {
-            let mut st = baton.lock();
-            let task = &mut st.tasks[tid];
-            assert!(
-                task.slice.is_some(),
-                "{} enlisted at {site}: only a run-to-completion task parks without blocking",
-                task.name
-            );
-            task.status =
-                Status::Parked { site, timed: false, on: self as *const Self as usize, join: None };
-        }
+        let on = self as *const Self as usize;
+        baton.lock().tasks[tid].status = Status::Parked { site, timed: false, on, join: None };
         self.lock().push((baton, tid));
         // Its park hands the baton on: no preemption on the way there.
         PENDING.set(false);

@@ -12,8 +12,8 @@
 //!
 //! * [`World::run`] — launch `n` ranks executing the same closure (SPMD);
 //!   [`RankCtx::spawn`] adds a rank's helper threads as [`Task`]s, and
-//!   [`RankCtx::spawn_slices`] a run-to-completion helper whose [`Slice`]s
-//!   run on the thread that hands it the baton.
+//!   [`RankCtx::spawn_slices`] a run-to-completion helper, with no thread,
+//!   whose [`Slice`]s run on the thread that hands it the baton.
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
 //!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
 //!   collective helpers.

@@ -188,19 +188,18 @@ impl RankCtx {
     }
 
     /// Spawn a run-to-completion helper of this rank (PapyrusKV's message
-    /// handler): `slice` serves one unit of work per call and never blocks
-    /// where another task's thread runs it (`true`); a unit that can park
-    /// goes to the helper's own thread `name`. See
-    /// `papyrus_modelcheck::baton`.
+    /// handler), named `name`: `slice` serves one unit of work per call, on
+    /// the thread of whichever task grants it the baton, and never blocks.
+    /// See `papyrus_modelcheck::baton`.
     pub fn spawn_slices<F>(&self, name: String, mut slice: F) -> Task<()>
     where
-        F: FnMut(bool) -> Slice + Send + 'static,
+        F: FnMut() -> Slice + Send + 'static,
     {
-        self.fabric.baton().spawn_slices(name, self.rank, move |lent| {
+        self.fabric.baton().spawn_slices(name, self.rank, move || {
             // On another task's thread the slice orders its locks from a
             // held-lock stack of its own, not from that task's.
-            let _own = (lent && papyrus_sanity::enabled()).then(lockorder::set_aside);
-            slice(lent)
+            let _own = papyrus_sanity::enabled().then(lockorder::set_aside);
+            slice()
         })
     }
 }

@@ -1,10 +1,10 @@
-//! Run-to-completion tasks at their edges. A slice runs on the thread of
-//! whichever task hands its task the baton; there it must not park — that
-//! is refused by name — a panic in it is its own task's panic, and a task
-//! it wakes with an earlier clock takes the baton exactly where a thread of
-//! its own would have handed it over.
+//! Run-to-completion tasks at their edges. A slice task has no thread: each
+//! slice runs on the thread of whichever task hands its task the baton;
+//! there it must not park — that is refused by name — a panic in it is its
+//! own task's panic, and a task it wakes with an earlier clock takes the
+//! baton exactly where a thread of its own would have handed it over.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,39 +16,69 @@ use parking_lot::{Condvar, Mutex};
 const REQ: u32 = 1;
 const REPLY: u32 = 2;
 
+/// The name of the OS thread running the caller.
+fn thread_name() -> String {
+    std::thread::current().name().unwrap_or_default().to_string()
+}
+
 /// A run-to-completion helper of `ctx`'s rank: each slice takes one `REQ`
-/// off `req` and hands it to `serve`, told whether the slice runs on a lent
-/// thread. A request taken after its slice yielded waits for the next.
+/// off `req` and hands it to `serve`. A request taken after its slice
+/// yielded waits for the next.
 fn helper<F>(ctx: &RankCtx, req: Communicator, mut serve: F) -> Task<()>
 where
-    F: FnMut(&Message, bool) -> Slice + Send + 'static,
+    F: FnMut(&Message) -> Slice + Send + 'static,
 {
     let mut held = None;
-    ctx.spawn_slices(format!("helper-{}", ctx.rank()), move |lent| {
+    ctx.spawn_slices(format!("helper-{}", ctx.rank()), move || {
         let next = held.take().or_else(|| req.take_unstamped(RecvSrc::Any, RecvTag::Tag(REQ)));
         let Some(m) = next else { return Slice::Parked };
         if Slice::yielded() {
             held = Some(m);
             return Slice::Ran;
         }
-        serve(&m, lent)
+        serve(&m)
     })
 }
 
-/// On a one-rank world, a helper answers a ping on its own thread, then is
-/// handed `request` on the thread of the rank that joins it. Returns the
-/// helper's panic message and what the rank did after the join.
+/// A helper has no thread of its own: on a one-rank world its every slice,
+/// the first included, runs on the thread of the rank that spawned it —
+/// here once that rank parks to join it.
+#[test]
+fn a_slice_tasks_first_slice_runs_on_its_spawners_thread() {
+    let out = World::run(WorldConfig::for_tests(1), |ctx| {
+        let req = ctx.world().dup();
+        let threads: Arc<Mutex<Vec<String>>> = Arc::default();
+        let log = threads.clone();
+        let helper = helper(&ctx, req.clone(), move |m| {
+            log.lock().push(thread_name());
+            if m.payload.is_empty() {
+                Slice::Exit
+            } else {
+                Slice::Ran
+            }
+        });
+        req.send(0, REQ, Bytes::from_static(b"one"));
+        req.send(0, REQ, Bytes::new());
+        helper.join().expect("helper");
+        let threads = threads.lock().clone();
+        threads
+    });
+    assert_eq!(out[0], ["rank-0", "rank-0"]);
+}
+
+/// On a one-rank world, a helper is handed `request` — its first unit of
+/// work — on the thread of the rank that joins it. Returns the helper's
+/// panic message, the line it parked at, and what the rank did after the
+/// join.
 fn lent_slice_panics(request: &'static [u8]) -> (String, u32, Option<u8>) {
     let parked_at = Arc::new(AtomicU32::new(0));
     let at = parked_at.clone();
     let out = World::run(WorldConfig::for_tests(1), move |ctx| {
-        let (req, rep) = (ctx.world().dup(), ctx.world().dup());
+        let req = ctx.world().dup();
         let at = at.clone();
-        let replies = rep.clone();
-        let helper = helper(&ctx, req.clone(), move |m, _| {
+        let helper = helper(&ctx, req.clone(), move |m| {
             let (lock, cv) = (Mutex::new(()), Condvar::new());
             match &m.payload[..] {
-                b"ping" => replies.send(0, REPLY, Bytes::new()),
                 b"park" => {
                     let mut g = lock.lock();
                     // ordering: a record for after the world; nothing is published.
@@ -59,8 +89,6 @@ fn lent_slice_panics(request: &'static [u8]) -> (String, u32, Option<u8>) {
             }
             Slice::Ran
         });
-        req.send(0, REQ, Bytes::from_static(b"ping"));
-        rep.recv(RecvSrc::Rank(0), RecvTag::Tag(REPLY));
         req.send(0, REQ, Bytes::from_static(request));
         let err = helper.join().expect_err("the helper's slice panicked");
         let msg = err.downcast_ref::<String>().cloned();
@@ -75,6 +103,8 @@ fn lent_slice_panics(request: &'static [u8]) -> (String, u32, Option<u8>) {
     (msg, parked_at.load(Ordering::Relaxed), after)
 }
 
+/// Refused even in the helper's first slice: there is no thread of its own
+/// to fall back to.
 #[test]
 fn a_slice_that_parks_on_a_lent_thread_is_refused_by_name() {
     let (msg, line, after) = lent_slice_panics(b"park");
@@ -98,10 +128,11 @@ fn a_slice_that_panics_is_its_tasks_panic() {
 /// whose own guard, held across its park, must not hide the preemption
 /// point — before serving the `get` queued behind the mark. `slices`: the
 /// helper is a run-to-completion task; otherwise a thread of its own.
-fn three_tasks(slices: bool) -> (Vec<&'static str>, bool) {
+/// Returns the steps and the thread the mark was served on.
+fn three_tasks(slices: bool) -> (Vec<&'static str>, String) {
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
-    let mark_lent = Arc::new(AtomicBool::new(false));
-    let (out, lent) = (log.clone(), mark_lent.clone());
+    let mark_thread: Arc<Mutex<String>> = Arc::default();
+    let (out, marked) = (log.clone(), mark_thread.clone());
     World::run(WorldConfig::for_tests(2), move |ctx| {
         let (req, rep) = (ctx.world().dup(), ctx.world().dup());
         if ctx.rank() == 0 {
@@ -117,8 +148,8 @@ fn three_tasks(slices: bool) -> (Vec<&'static str>, bool) {
             return;
         }
         let flag = Arc::new((Mutex::new(false), Condvar::new()));
-        let (log2, flag2, lent) = (log.clone(), flag.clone(), mark_lent.clone());
-        let serve = move |m: &Message, on_lent: bool| match &m.payload[..] {
+        let (log2, flag2, marked) = (log.clone(), flag.clone(), mark_thread.clone());
+        let serve = move |m: &Message| match &m.payload[..] {
             b"ping" | b"get" => {
                 log2.lock().push(if m.payload[0] == b'p' { "helper: ping" } else { "helper: get" });
                 rep.send(0, REPLY, Bytes::new());
@@ -126,8 +157,7 @@ fn three_tasks(slices: bool) -> (Vec<&'static str>, bool) {
             }
             b"mark" => {
                 log2.lock().push("helper: mark");
-                // ordering: a record for after the world; nothing is published.
-                lent.store(on_lent, Ordering::Relaxed);
+                *marked.lock() = thread_name();
                 let mut set = flag2.0.lock();
                 *set = true;
                 flag2.1.notify_all();
@@ -141,7 +171,7 @@ fn three_tasks(slices: bool) -> (Vec<&'static str>, bool) {
         } else {
             ctx.spawn("helper-1".into(), move || loop {
                 let m = req.recv_unstamped(RecvSrc::Any, RecvTag::Tag(REQ));
-                if serve(&m, false) == Slice::Exit {
+                if serve(&m) == Slice::Exit {
                     return;
                 }
             })
@@ -156,15 +186,15 @@ fn three_tasks(slices: bool) -> (Vec<&'static str>, bool) {
         helper.join().expect("helper");
     });
     let log = out.lock().clone();
-    // ordering: read after the world's threads were joined.
-    (log, lent.load(Ordering::Relaxed))
+    let marked = marked.lock().clone();
+    (log, marked)
 }
 
 #[test]
 fn a_task_woken_mid_slice_runs_where_a_thread_would_hand_over() {
-    let (lent, mark_lent) = three_tasks(true);
+    let (lent, marked) = three_tasks(true);
     let (threaded, _) = three_tasks(false);
-    assert!(mark_lent, "the mark must be served on a lent thread");
+    assert_eq!(marked, "rank-0", "the mark is served on the requester's thread");
     assert_eq!(lent, threaded, "the same steps as a helper with a thread of its own");
     assert_eq!(
         lent,
@@ -182,7 +212,7 @@ fn a_finished_task_lets_go_of_its_body() {
     World::run(WorldConfig::for_tests(1), move |ctx| {
         let req = ctx.world().dup();
         let (world, body) = (ctx.clone(), mine.clone());
-        let helper = helper(&ctx, req.clone(), move |_, _| {
+        let helper = helper(&ctx, req.clone(), move |_| {
             let _ = (&world, &body);
             Slice::Exit
         });

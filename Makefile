@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs.
 
-.PHONY: build test fmt clippy doc kvbench lint sanity modelcheck crashcheck chaos perfline serve verify trace clean
+.PHONY: build test fmt clippy doc kvbench lint sanity modelcheck crashcheck chaos perfline serve mdhim verify trace clean
 
 build:
 	cargo build --release --workspace
@@ -106,8 +106,16 @@ serve:
 	taskset -c 0 cargo xtask serve > target/serve-b.txt
 	cmp target/serve-a.txt target/serve-b.txt
 
+# MDHIM baseline (fig11), which no plane covers: its range servers run as
+#   slice tasks; the figure twice, once on one CPU, byte for byte.
+mdhim:
+	cargo build --release -p papyrus-bench --bin fig11_mdhim
+	./target/release/fig11_mdhim --ranks 2,4 --iters 10 > target/mdhim-a.txt
+	taskset -c 0 ./target/release/fig11_mdhim --ranks 2,4 --iters 10 > target/mdhim-b.txt
+	cmp target/mdhim-a.txt target/mdhim-b.txt
+
 # The tier-1 gate: everything CI requires to pass, in one command.
-verify: build test fmt clippy doc kvbench lint modelcheck crashcheck chaos perfline serve
+verify: build test fmt clippy doc kvbench lint modelcheck crashcheck chaos perfline serve mdhim
 	@echo "verify: OK"
 
 # Quick observability smoke: writes trace.json (chrome://tracing / Perfetto).

@@ -64,10 +64,10 @@ fn write_manifest_at(
     let path = manifest_path(prefix, db, rank);
     let tmp = format!("{path}.tmp");
     // Nothing the manifest references may be reordered past its commit.
-    store.fence();
+    store.order_writes();
     let t = store.put_at(&tmp, Bytes::from(text), now);
     let (_, t) = store.rename_at(&tmp, &path, t);
-    store.fence();
+    store.order_writes();
     t
 }
 
@@ -182,7 +182,7 @@ impl Db {
     /// `papyruskv_checkpoint`: asynchronously snapshot the database to
     /// `dest` on the parallel file system (§4.2): barrier at SSTable level
     /// so the snapshot is entirely on NVM, then hand the SSTable set to the
-    /// compaction thread for background transfer. Collective. The returned
+    /// compaction task for background transfer. Collective. The returned
     /// [`Event`] completes when this rank's transfer finishes.
     pub fn checkpoint(&self, dest: &str) -> Result<Event> {
         let (ctx, db) = (&self.ctx, &self.inner);
@@ -210,19 +210,19 @@ impl Db {
     }
 }
 
-/// Compaction-thread body of the checkpoint: copy each snapshot SSTable
+/// Compaction-task body of the checkpoint: copy each snapshot SSTable
 /// NVM → PFS, then write this rank's snapshot manifest (and META on rank 0).
-/// Returns the virtual completion stamp, or `(stamp, error)` on a typed
-/// failure — `ENOSPC` on the destination aborts the transfer recoverably
-/// (the snapshot's SSTables stay intact on NVM; a partial copy on the PFS
-/// is debris without a committed manifest/META and can be retried over).
+/// Returns the virtual completion stamp and the typed failure, if any —
+/// `ENOSPC` on the destination aborts the transfer recoverably (the
+/// snapshot's SSTables stay intact on NVM; a partial copy on the PFS is
+/// debris without a committed manifest/META and can be retried over).
 pub(crate) fn run_checkpoint_transfer(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
     dest: &str,
     snapshot: &[SstReader],
     stamp: SimNs,
-) -> std::result::Result<SimNs, (SimNs, Error)> {
+) -> (SimNs, Option<Error>) {
     let src_store = ctx.repo_store();
     let pfs = &ctx.pfs();
     let me = ctx.rank.rank();
@@ -241,10 +241,8 @@ pub(crate) fn run_checkpoint_transfer(
                 t = match pfs.try_put_at(&dst, bytes.clone(), read_done) {
                     Ok(done) => done,
                     Err(papyrus_nvm::IoFault::NoSpace) => {
-                        return Err((
-                            read_done,
-                            Error::StorageFull(format!("checkpoint of db {} to {dest}", db.name)),
-                        ));
+                        let full = format!("checkpoint of db {} to {dest}", db.name);
+                        return (read_done, Some(Error::StorageFull(full)));
                     }
                     Err(papyrus_nvm::IoFault::TransientEio) => pfs.put_at(&dst, bytes, read_done),
                 };
@@ -260,9 +258,9 @@ pub(crate) fn run_checkpoint_transfer(
             Bytes::from(format!("{}\n", ctx.rank.size())),
             t,
         );
-        pfs.fence();
+        pfs.order_writes();
     }
-    Ok(t)
+    (t, None)
 }
 
 impl Context {

@@ -6,11 +6,13 @@
 //! Here that backpressure is one count, not a queue bound: `write::freeze`
 //! waits while its side's in-flight MemTables reach
 //! `Options::flush_queue_len`, before it pushes (DESIGN §1). So `push` never
-//! parks and [`BlockingQueue`] has no bound; `pop` parks while the queue is
-//! empty. A queue item is a whole MemTable, so the lock is taken
-//! once per flush or migration, never per put. The wait re-checks its
-//! condition under the lock and the push notifies under the same lock, so
-//! no wakeup can be lost.
+//! parks and [`BlockingQueue`] has no bound. Its two consumers wait for work
+//! differently: the dispatcher thread's `pop` parks while the queue is
+//! empty; the compaction task, which has no thread, `take`s the front job
+//! or enlists for the next push and ends its slice. A queue item is a whole
+//! MemTable, so the lock is taken once per flush or migration, never per
+//! put. The wait and the enlist check the queue under the lock and the push
+//! notifies under the same lock, so no wakeup can be lost.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,8 +23,8 @@ use parking_lot::{Condvar, Mutex};
 /// few per database queued at most, so a push never allocates.
 const ROOM: usize = 256;
 
-/// Blocking MPMC FIFO: consumers (the compaction / dispatcher threads)
-/// sleep until work arrives.
+/// Blocking MPMC FIFO: a consumer parks (the dispatcher thread) or enlists
+/// (the compaction task) until work arrives.
 pub struct BlockingQueue<T> {
     items: Mutex<VecDeque<T>>,
     not_empty: Condvar,
@@ -51,6 +53,19 @@ impl<T> BlockingQueue<T> {
             }
             self.not_empty.wait(&mut items);
         }
+    }
+
+    /// Dequeue without parking, for a run-to-completion task of a world: the
+    /// front value, or `None` with the task enlisted to be woken by the next
+    /// push — its slice then ends.
+    #[track_caller]
+    pub fn take(&self) -> Option<T> {
+        let mut items = self.items.lock();
+        let value = items.pop_front();
+        if value.is_none() {
+            self.not_empty.enlist(&items);
+        }
+        value
     }
 }
 

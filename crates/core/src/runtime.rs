@@ -1,9 +1,9 @@
-//! The PapyrusKV runtime: per-rank execution context, background threads,
+//! The PapyrusKV runtime: per-rank execution context, background tasks,
 //! and the environment API (`papyruskv_init` / `papyruskv_finalize`).
 //!
 //! Per rank, the runtime owns (paper §2.4):
 //!
-//! * a **compaction thread** — dequeues immutable local MemTables from the
+//! * a **compaction task** — takes immutable local MemTables off the
 //!   flushing queue, writes SSTables, performs size-tiered merge
 //!   compaction, and executes asynchronous checkpoint transfers;
 //! * a **message dispatcher thread** — dequeues immutable remote MemTables
@@ -11,10 +11,14 @@
 //!   per-owner batches over the interconnect;
 //! * a **message handler task** — services MIGRATE / PUT_SYNC / GET_REQ /
 //!   BARRIER_MARK requests from other ranks "without remote MPI ranks'
-//!   intervention". It has no thread: it runs to completion, one unit of
-//!   work a slice, on the thread of whichever task hands it the baton, and
-//!   no unit parks — an ingest that meets a full flush queue enlists for a
-//!   slot and keeps the rest of its batch.
+//!   intervention".
+//!
+//! The two tasks have no thread: each runs to completion, one unit of work
+//! a slice, on the thread of whichever task hands it the baton, and no unit
+//! parks. A flush, merge or checkpoint transfer only does NVM I/O and wakes
+//! at most one waiter, as its last step; an ingest that meets a full flush
+//! queue enlists for a slot and keeps the rest of its batch. A rank runs two
+//! OS threads: its own and the dispatcher's.
 //!
 //! The runtime duplicates independent communicators at init so its internal
 //! traffic never collides with application messages.
@@ -123,7 +127,7 @@ impl RepoRef {
 }
 
 /// An asynchronous-operation handle (`papyruskv_event_t`): returned by
-/// checkpoint/restart/destroy; completed by the background thread that
+/// checkpoint/restart/destroy; completed by the background task that
 /// finishes the work.
 #[derive(Clone)]
 pub struct Event {
@@ -153,22 +157,16 @@ impl Event {
     /// An already-completed event at the given stamp (synchronous fallback).
     pub(crate) fn completed(clock: Clock, stamp: SimNs) -> Self {
         let e = Self::new(clock);
-        e.complete(stamp);
+        e.complete(stamp, None);
         e
     }
 
-    pub(crate) fn complete(&self, stamp: SimNs) {
+    /// Complete the event at `stamp`, with its typed failure if it failed
+    /// (e.g. `StorageFull` from a checkpoint transfer that hit `ENOSPC`).
+    /// `wait` returns the stamp either way; `wait_result` surfaces the error.
+    pub(crate) fn complete(&self, stamp: SimNs, err: Option<Error>) {
         let mut g = self.inner.done.lock();
-        *g = Some((stamp, None));
-        self.inner.cv.notify_all();
-    }
-
-    /// Complete the event with a typed failure (e.g. `StorageFull` from a
-    /// checkpoint transfer that hit `ENOSPC`). `wait` still returns the
-    /// stamp; `wait_result` surfaces the error.
-    pub(crate) fn complete_err(&self, stamp: SimNs, err: Error) {
-        let mut g = self.inner.done.lock();
-        *g = Some((stamp, Some(err)));
+        *g = Some((stamp, err));
         self.inner.cv.notify_all();
     }
 
@@ -208,7 +206,7 @@ impl Event {
     }
 }
 
-/// Work items for the compaction thread.
+/// Work items for the compaction task, one a slice.
 pub(crate) enum CompactJob {
     /// Flush an immutable local MemTable into a new SSTable.
     Flush { db: Arc<DbInner>, mt: Arc<MemTable>, stamp: SimNs },
@@ -220,7 +218,7 @@ pub(crate) enum CompactJob {
         event: Event,
         stamp: SimNs,
     },
-    /// Terminate the thread (finalize).
+    /// End the task (finalize).
     Shutdown,
 }
 
@@ -522,10 +520,12 @@ impl Context {
             finalized: AtomicBool::new(false),
         });
 
+        // Spawned in this order: a task's id breaks ties between equal
+        // virtual clocks.
         let name = |what| format!("pkv-{what}-{}", inner.rank.rank());
-        let (compact, dispatch) = (inner.clone(), inner.clone());
+        let dispatch = inner.clone();
         let tasks = vec![
-            inner.rank.spawn(name("compact"), move || compaction_thread(compact)),
+            inner.rank.spawn_slices(name("compact"), compaction(inner.clone())),
             inner.rank.spawn(name("dispatch"), move || dispatcher_thread(dispatch)),
             inner.rank.spawn_slices(name("handler"), handler(inner.clone())),
         ];
@@ -621,34 +621,44 @@ impl Context {
         self.inner.comm_req.send(me, tags::SHUTDOWN, bytes::Bytes::new());
         self.inner.compact_q.push(CompactJob::Shutdown);
         self.inner.migrate_q.push(MigrateJob::Shutdown);
+        // Join every task, then report the first that panicked.
         let tasks = std::mem::take(&mut *self.inner.tasks.lock());
+        let mut failed = None;
         for t in tasks {
-            t.join().map_err(|_| Error::Internal("runtime task panicked".into()))?;
+            let name = t.name();
+            if let (Err(why), None) = (t.join(), &failed) {
+                let why = papyrus_mpi::panic_message(&*why);
+                failed = Some(Error::Internal(format!("runtime task {name} panicked: {why}")));
+            }
         }
         self.inner.comm_ctl.barrier();
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 }
 
-/// Compaction thread main loop (§2.4 "flushing", §2.5 "compaction",
-/// §4.2 checkpoint transfer).
-fn compaction_thread(ctx: Arc<CtxInner>) {
-    loop {
-        match ctx.compact_q.pop() {
-            CompactJob::Flush { db, mt, stamp } => {
-                crate::write::run_flush(&ctx, &db, mt, stamp);
-            }
-            CompactJob::Checkpoint { db, dest, snapshot, event, stamp } => {
-                match crate::ckpt::run_checkpoint_transfer(&ctx, &db, &dest, &snapshot, stamp) {
-                    Ok(done) => event.complete(done),
-                    // Typed failure (ENOSPC on the PFS): recoverable — the
-                    // snapshot's SSTables are untouched on NVM, so the
-                    // caller can retry once space is reclaimed.
-                    Err((done, e)) => event.complete_err(done, e),
-                }
-            }
-            CompactJob::Shutdown => return,
+/// The compaction task (§2.4 "flushing", §2.5 "compaction", §4.2
+/// checkpoint transfer), a run-to-completion task of the world: each slice
+/// runs one job off the flushing queue. A job only does NVM I/O, which never
+/// parks, and wakes at most one waiter, as its last step. A job taken after
+/// a preemption point ended the slice waits in `held` for the next one.
+fn compaction(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
+    let mut held = None;
+    move || {
+        let Some(job) = held.take().or_else(|| ctx.compact_q.take()) else { return Slice::Parked };
+        if Slice::yielded() {
+            held = Some(job);
+            return Slice::Ran;
         }
+        match job {
+            CompactJob::Flush { db, mt, stamp } => crate::write::run_flush(&ctx, &db, mt, stamp),
+            CompactJob::Checkpoint { db, dest, snapshot, event, stamp } => {
+                let (done, err) =
+                    crate::ckpt::run_checkpoint_transfer(&ctx, &db, &dest, &snapshot, stamp);
+                event.complete(done, err);
+            }
+            CompactJob::Shutdown => return Slice::Exit,
+        }
+        Slice::Ran
     }
 }
 

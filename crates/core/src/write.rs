@@ -257,7 +257,7 @@ pub(crate) fn build_riding_out(
     (image.into_reader(store, base, ssid), done)
 }
 
-/// Compaction-thread body for one flush job: build the SSTable, swap it in
+/// Compaction-task body for one flush job: build the SSTable, swap it in
 /// for the frozen MemTable, commit the manifest, and merge as many of the
 /// newest tables as the database's rule now asks for (§2.4 "flushing", §2.5
 /// "compaction").
@@ -334,7 +334,7 @@ fn merge_width(opt: &Options, ssts: &[SstReader]) -> usize {
     }
 }
 
-/// Merge the newest `take` live SSTables into one (compaction thread only).
+/// Merge the newest `take` live SSTables into one (compaction task only).
 fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: SimNs) {
     let store = ctx.repo_store();
     let (inputs, whole, new_ssid) = {
@@ -667,7 +667,7 @@ mod tests {
             (0..7).for_each(|flush| fill(&db, flush));
             assert_eq!(live(&db), vec![5, 6, 7, 8]);
 
-            // The compaction thread is idle: merge the three newest tables
+            // The compaction task is idle: merge the three newest tables
             // from here, at a time the device is full.
             run_merge_compaction(&db.ctx, &db.inner, 3, full_from);
             let errors = db.take_io_errors();

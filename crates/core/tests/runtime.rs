@@ -695,16 +695,39 @@ fn a_warm_remote_get_hands_the_baton_to_no_thread() {
                 "four migrations to the dispatcher and back"
             );
             // Served after the MIGRATEs (one FIFO channel). The hand-offs:
-            // 1. The dispatcher drains its queue; the handler's first
-            //    MIGRATE runs on its thread, up to the first freeze.
-            // 2. The compaction task takes that flush. The rest of the
-            //    ingest, the two flushes it yields to there and the GET_REQ
-            //    all run on the compaction task's thread.
-            // 3. The reply wakes rank 0.
+            // 1. The dispatcher drains its queue; the MIGRATEs, the flushes
+            //    their ingest yields to and the GET_REQ run on its thread.
+            // 2. The reply wakes rank 0.
             assert_eq!(&db.get(b"p255").unwrap()[..], &[b'w'; 32]);
-            assert_eq!(fabric.grants().handed - fenced.handed, 1 + 1 + 1);
+            assert_eq!(fabric.grants().handed - fenced.handed, 1 + 1);
         }
         ctx.barrier_all();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+}
+
+/// The compaction task has no thread either: at one rank, a flush runs on
+/// the thread of the rank that waits for it, and hands the baton to no other.
+/// (A compaction thread cost two hand-offs a flush: rank → compaction →
+/// rank.)
+#[test]
+fn a_one_rank_flush_hands_the_baton_to_no_thread() {
+    let platform = Platform::new(SystemProfile::test_profile(), 1);
+    World::run(WorldConfig::for_tests(1), move |rank| {
+        let fabric = rank.fabric().clone();
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-flush").unwrap();
+        let mut opt = Options::small();
+        opt.memtable_capacity = 4096;
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        // The dispatcher thread's first run, to its park on an empty queue.
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        let before = fabric.grants();
+        (0..256).for_each(|i| db.put(format!("f{i}").as_bytes(), &[b'f'; 100]).unwrap());
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        assert_eq!(fabric.grants().handed, before.handed, "a flush wakes no thread");
+        assert!(db.sstable_count() > 0, "the puts flushed");
+        all_readable(&db, "f", 256, &[b'f'; 100]);
         db.close().unwrap();
         ctx.finalize().unwrap();
     });

@@ -1,47 +1,40 @@
-//! Inline arms: no request arm of the message handler may be able to park.
+//! Slice tasks: no run-to-completion task may be able to park.
 //!
-//! The handler is a run-to-completion task of its world with no thread of
-//! its own: a request arm runs on the thread of whichever task hands the
-//! handler the baton, and that thread cannot block on the handler's behalf
-//! — the world scheduler panics if it tries. So every `tags::X =>` arm in
-//! `runtime.rs` is an inline arm, and each call it makes is checked against
-//! [`super::Parks`].
+//! A task spawned with `spawn_slices` has no thread of its own: each slice
+//! runs on the thread of whichever task hands it the baton, and that thread
+//! cannot block on its behalf — the world scheduler panics if it tries. So
+//! every non-test `spawn_slices(.., f(..))` call names a slice task, `f`
+//! (the compaction task and the message handler), and each call in `f`'s
+//! body is checked against [`super::Parks`].
 
 use super::Parks;
 use crate::callgraph::{CallGraph, Ws};
-use crate::lexer::Tok;
+use crate::parse::{matching_brace, Callee};
 use crate::report::Finding;
-use crate::rules::seq_at;
 
 const RULE: &str = "inline-park";
-const RUNTIME: &str = "crates/core/src/runtime.rs";
 
 pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
-    let Some(rt) = ws.rels.iter().position(|r| r.ends_with(RUNTIME)) else { return Vec::new() };
-    let toks = &ws.lexed[rt].tokens;
     let mut findings = Vec::new();
-    for (tag, arm) in arms(toks) {
-        if ws.in_tests(rt, toks[arm.start].line) {
-            continue;
-        }
-        for (ci, call) in ws.calls.iter().enumerate() {
-            if ws.fns[call.caller].file != rt || !arm.contains(&call.tok) {
-                continue;
-            }
+    for task in slice_tasks(ws) {
+        let file = ws.fns[task].file;
+        for &ci in &ws.calls_by_fn[task] {
+            let call = &ws.calls[ci];
             let Some(trace) = parks.trace(ws, cg, ci) else { continue };
-            if ws.allowed(rt, call.line, RULE) {
+            if ws.allowed(file, call.line, RULE) {
                 continue;
             }
             findings.push(Finding {
                 rule: RULE,
-                path: ws.rels[rt].clone(),
+                path: ws.rels[file].clone(),
                 line: call.line,
                 text: format!(
-                    "arm `{tag}` runs on a lent thread, but `{}({} args)` can park: \
+                    "slice task `{}` runs on a lent thread, but `{}({} args)` can park: \
                      a unit that must wait enlists and ends its slice instead: {}",
+                    ws.fns[task].name,
                     call.name,
                     call.arity,
-                    ws.line_text(rt, call.line).trim()
+                    ws.line_text(file, call.line).trim()
                 ),
                 trace,
             });
@@ -50,34 +43,32 @@ pub fn run(ws: &Ws, cg: &CallGraph, parks: &Parks) -> Vec<Finding> {
     findings
 }
 
-/// Every `tags::X => <expr>` match arm: the tag and the arm's token range.
-fn arms(toks: &[Tok]) -> Vec<(String, std::ops::Range<usize>)> {
-    let heads = (0..toks.len()).filter(|&i| seq_at(toks, i, &["tags", ":", ":"]));
-    let heads = heads.filter(|&i| seq_at(toks, i + 4, &["=", ">"]));
-    heads
-        .map(|i| {
-            let start = i + 6;
-            let mut depth = 0i32;
-            let mut end = start;
-            while end < toks.len() {
-                match toks[end].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" if depth == 0 => break,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-                end += 1;
+/// The fn `f` of every `spawn_slices(.., f(..))` call outside tests: each
+/// plain call among the spawn's arguments that names a fn of its file.
+fn slice_tasks(ws: &Ws) -> Vec<usize> {
+    let mut tasks = Vec::new();
+    for spawn in ws.calls.iter().filter(|c| c.name == "spawn_slices") {
+        let file = ws.fns[spawn.caller].file;
+        let args = spawn.tok..matching_brace(&ws.lexed[file].tokens, spawn.tok + 1);
+        for &c in &ws.calls_by_fn[spawn.caller] {
+            let arg = &ws.calls[c];
+            if arg.callee == Callee::Bare && args.contains(&arg.tok) {
+                let named = ws.file_fns[file].iter().filter(|&&f| ws.fns[f].name == arg.name);
+                tasks.extend(named.filter(|&&f| !ws.fns[f].is_test));
             }
-            (toks[i + 3].text.clone(), start..end)
-        })
-        .collect()
+        }
+    }
+    tasks.sort_unstable();
+    tasks.dedup();
+    tasks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SourceFile, SourceTree};
+
+    const RUNTIME: &str = "crates/core/src/runtime.rs";
 
     fn findings(runtime: &str) -> Vec<Finding> {
         let file = |rel: &str, text: &str| SourceFile { rel: rel.into(), text: text.into() };
@@ -94,31 +85,42 @@ mod tests {
 
     const RUNTIME_SRC: &str = "\
 pub struct Ctx { pub work_q: Arc<BlockingQueue<u32>> }
-fn serve(ctx: &Ctx, tag: u32) {
-    match tag {
-        tags::PUT => put(ctx),
-        tags::GET => get(ctx),
-        tags::MARK => { note(ctx) }
+fn init(rank: &Rank, ctx: Ctx) {
+    rank.spawn_slices(name(\"serve\"), serve(ctx));
+    rank.spawn(name(\"pump\"), move || pump(ctx));
+}
+fn serve(ctx: Ctx) -> impl FnMut() -> Slice {
+    move || {
+        match next(&ctx) {
+            tags::PUT => put(&ctx),
+            tags::GET => get(&ctx),
+            _ => { note(&ctx) }
+        }
+        Slice::Ran
     }
 }
+fn next(ctx: &Ctx) -> u32 { 1 }
 fn put(ctx: &Ctx) { ctx.cv.enlist(&g); }
 fn get(ctx: &Ctx) { ctx.work_q.push(1); let v = vec![1]; v.len(); }
 fn note(ctx: &Ctx) { ctx.cv.notify_all(); }
+fn pump(ctx: Ctx) { loop { ctx.work_q.pop(); } }
 ";
 
     #[test]
-    fn no_handler_arm_may_park() {
+    fn no_slice_task_may_park() {
         // An enlist or a `push` never parks; a `pop` parks until a push
-        // arrives, whichever arm it is in.
+        // arrives, wherever the task's body reaches it — but the thread
+        // task `pump` may park.
         assert!(findings(RUNTIME_SRC).is_empty(), "{:#?}", findings(RUNTIME_SRC));
         let all = findings(&RUNTIME_SRC.replace("ctx.cv.enlist(&g);", "ctx.work_q.pop();"));
         assert_eq!(all.len(), 1, "{all:#?}");
-        assert!(all[0].text.contains("arm `PUT`"), "{all:#?}");
+        assert!(all[0].text.contains("slice task `serve`"), "{all:#?}");
         assert!(all[0].trace.iter().any(|t| t.starts_with("put ")), "{all:#?}");
-        // A wait in the arm's own braces parks as surely as one below it.
-        let direct = RUNTIME_SRC.replace("{ note(ctx) }", "{ ctx.cv.wait(&mut g) }");
+        // A wait in the body itself parks as surely as one below it, and a
+        // continuation outside any `tags::X` arm is checked too.
+        let direct = RUNTIME_SRC.replace("{ note(&ctx) }", "{ ctx.cv.wait(&mut g) }");
         let all = findings(&direct);
         assert_eq!(all.len(), 1, "{all:#?}");
-        assert!(all[0].text.contains("arm `MARK`") && all[0].trace.is_empty(), "{all:#?}");
+        assert!(all[0].text.contains("`wait(1 args)`") && all[0].trace.is_empty(), "{all:#?}");
     }
 }

@@ -267,14 +267,14 @@ fn skip_angles(toks: &[Tok], open: usize) -> usize {
     j
 }
 
-/// Token index of the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
+/// Token index of the delimiter closing the `{`, `(` or `[` at `open`.
+pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < toks.len() {
         match toks[j].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => {
                 depth -= 1;
                 if depth == 0 {
                     return j;

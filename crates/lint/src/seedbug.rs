@@ -172,8 +172,8 @@ pub const SEEDS: &[(&str, Seed)] = &[
         description: "a runtime helper spawned as a raw OS thread, not a task of the world",
         patches: &[(
             "crates/core/src/runtime.rs",
-            "inner.rank.spawn(name(\"compact\"), move || compaction_thread(compact))",
-            "std::thread::spawn(move || compaction_thread(compact))",
+            "inner.rank.spawn(name(\"dispatch\"), move || dispatcher_thread(dispatch))",
+            "std::thread::spawn(move || dispatcher_thread(dispatch))",
         )],
         rule: "raw-thread",
         expect: "std::thread::spawn",
@@ -202,7 +202,20 @@ pub const SEEDS: &[(&str, Seed)] = &[
             "freeze(ctx, db, Side::Local, self.clk.now());",
         )],
         rule: "inline-park",
-        expect: "arm `PUT_SYNC`",
+        expect: "slice task `handler`",
+        file: "crates/core/src/runtime.rs",
+    }),
+    ("inline-compaction", Seed {
+        description: "a flush waits for the flush queue to drain, on the thread that lent \
+                      itself to the compaction task",
+        patches: &[(
+            "crates/core/src/write.rs",
+            "    let store = ctx.repo_store();\n    let ssid = db.stack.write().alloc_ssid();",
+            "    db.wait_drained(Side::Local);\n    let store = ctx.repo_store();\n    \
+             let ssid = db.stack.write().alloc_ssid();",
+        )],
+        rule: "inline-park",
+        expect: "slice task `compaction`",
         file: "crates/core/src/runtime.rs",
     }),
     ("atomic-ptr-relaxed", Seed {

@@ -85,7 +85,7 @@ impl MiniLdb {
 
     /// Insert or update; flushes the MemTable synchronously when full
     /// (classic embedded-LevelDB behaviour — no PapyrusKV-style background
-    /// compaction thread in this layer).
+    /// compaction in this layer).
     pub fn put(&mut self, key: &[u8], value: Bytes, clock: &Clock) {
         self.mem.insert(key, Some(value));
         if self.mem.bytes >= self.mem_capacity {

@@ -1,13 +1,10 @@
 //! The MDHIM communication/distribution layer: range-partitioned clients
-//! and per-rank range-server threads over [`crate::ldb::MiniLdb`].
-
-use std::sync::Arc;
+//! and per-rank range servers over [`crate::ldb::MiniLdb`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use papyrus_mpi::{Communicator, RankCtx, RecvSrc, RecvTag, Task};
+use papyrus_mpi::{Communicator, RankCtx, RecvSrc, RecvTag, Slice, Task};
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::Clock;
-use parking_lot::Mutex;
 
 use crate::ldb::MiniLdb;
 
@@ -85,15 +82,6 @@ pub fn range_owner(key: &[u8], n: usize) -> usize {
     ((x as u128 * n as u128) >> 64) as usize
 }
 
-struct Server {
-    ldb: Mutex<MiniLdb>,
-    /// The comm/distribution layer's own staging buffer — the "discrete
-    /// memory data structure" duplicated above LevelDB's MemTable that the
-    /// paper identifies as MDHIM overhead. Records pass through it on every
-    /// server-side operation.
-    staging: Mutex<Vec<u8>>,
-}
-
 impl Mdhim {
     /// Initialise MDHIM on this rank (collective). `repo` is the storage
     /// prefix (like `PAPYRUSKV_REPOSITORY` for the mdhim app).
@@ -110,14 +98,8 @@ impl Mdhim {
         let store: NvmStore =
             if cfg.use_pfs { storage.pfs().clone() } else { storage.nvm_of(me).clone() };
         let ldb = MiniLdb::new(store, format!("{repo}/mdhim/r{me}"), cfg.memtable_capacity);
-        let server = Arc::new(Server { ldb: Mutex::new(ldb), staging: Mutex::new(Vec::new()) });
-
-        let srv_comm = comm_req.clone();
-        let rep_comm = comm_rep.clone();
-        let srv_profile = profile.clone();
-        let handle = rank.spawn(format!("mdhim-srv-{me}"), move || {
-            server_loop(server, srv_comm, rep_comm, srv_profile)
-        });
+        let server = server(ldb, comm_req.clone(), comm_rep.clone(), profile.clone());
+        let handle = rank.spawn_slices(format!("mdhim-srv-{me}"), server);
 
         Self { rank, profile, comm_req, comm_rep, server: Some(handle), finalized: false }
     }
@@ -131,29 +113,23 @@ impl Mdhim {
     /// message the range server, which stages (copy #2) and hands the record
     /// to LevelDB (copy #3), then acknowledge.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MdhimError> {
-        if self.finalized {
-            return Err(MdhimError::Finalized);
-        }
-        let owner = self.owner_of(key);
-        let clock = self.rank.clock();
-        // Client-side marshalling copy.
-        clock.advance(self.profile.mem.op_ns((key.len() + value.len()) as u64));
-        let payload = encode_kv(key, value, false);
-        self.comm_req.send(owner, TAG_PUT, payload);
-        self.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(TAG_PUT_ACK));
-        Ok(())
+        self.update(key, value, false)
     }
 
     /// Synchronous delete.
     pub fn delete(&self, key: &[u8]) -> Result<(), MdhimError> {
+        self.update(key, &[], true)
+    }
+
+    fn update(&self, key: &[u8], value: &[u8], del: bool) -> Result<(), MdhimError> {
         if self.finalized {
             return Err(MdhimError::Finalized);
         }
         let owner = self.owner_of(key);
-        let clock = self.rank.clock();
-        clock.advance(self.profile.mem.op_ns(key.len() as u64));
-        let payload = encode_kv(key, &[], true);
-        self.comm_req.send(owner, TAG_DEL, payload);
+        // Client-side marshalling copy.
+        self.rank.clock().advance(self.profile.mem.op_ns((key.len() + value.len()) as u64));
+        let tag = if del { TAG_DEL } else { TAG_PUT };
+        self.comm_req.send(owner, tag, encode_kv(key, value, del));
         self.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(TAG_PUT_ACK));
         Ok(())
     }
@@ -194,11 +170,14 @@ impl Mdhim {
         self.finalized = true;
         self.rank.world().barrier();
         self.comm_req.send(self.rank.rank(), TAG_SHUTDOWN, Bytes::new());
-        if let Some(h) = self.server.take() {
-            h.join().map_err(|_| MdhimError::Protocol("server panicked".into()))?;
-        }
+        // Join the server, then report whether it panicked.
+        let failed = self.server.take().and_then(|h| {
+            let name = h.name();
+            let why = h.join().err()?;
+            Some(format!("{name} panicked: {}", papyrus_mpi::panic_message(&*why)))
+        });
         self.rank.world().barrier();
-        Ok(())
+        failed.map_or(Ok(()), |why| Err(MdhimError::Protocol(why)))
     }
 }
 
@@ -210,36 +189,46 @@ impl Drop for Mdhim {
     }
 }
 
-fn server_loop(
-    server: Arc<Server>,
+/// The range server of one rank, a run-to-completion task of the world:
+/// each slice serves one request, on the thread of whichever task hands it
+/// the baton. It owns its LevelDB instance outright. A request taken after a
+/// preemption point ended the slice waits in `held` for the next one.
+fn server(
+    mut ldb: MiniLdb,
     comm_req: Communicator,
     comm_rep: Communicator,
     profile: SystemProfile,
-) {
-    loop {
-        let m = comm_req.recv_unstamped(RecvSrc::Any, RecvTag::Any);
+) -> impl FnMut() -> Slice + Send {
+    // The comm/distribution layer's own staging buffer — the "discrete
+    // memory data structure" duplicated above LevelDB's MemTable that the
+    // paper identifies as MDHIM overhead. Records pass through it on every
+    // server-side operation.
+    let mut staging = Vec::new();
+    let mut held = None;
+    move || {
+        let take = || comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any);
+        let Some(m) = held.take().or_else(take) else { return Slice::Parked };
+        if Slice::yielded() {
+            held = Some(m);
+            return Slice::Ran;
+        }
+        let clk = Clock::starting_at(m.stamp);
         match m.tag {
             TAG_SHUTDOWN => {
                 // Flush remaining MemTable contents like an ldb close.
-                let clk = Clock::starting_at(m.stamp);
-                server.ldb.lock().flush(&clk);
-                return;
+                ldb.flush(&clk);
+                return Slice::Exit;
             }
             TAG_PUT | TAG_DEL => {
-                let clk = Clock::starting_at(m.stamp);
                 clk.advance(SERVER_SW_OVERHEAD_NS);
                 if let Some((key, value, del)) = decode_kv(m.payload) {
                     // Distribution-layer staging copy (the duplicated
                     // structure), then the LevelDB-side copy.
-                    {
-                        let mut staging = server.staging.lock();
-                        staging.clear();
-                        staging.extend_from_slice(&key);
-                        staging.extend_from_slice(&value);
-                    }
+                    staging.clear();
+                    staging.extend_from_slice(&key);
+                    staging.extend_from_slice(&value);
                     clk.advance(profile.mem.op_ns((key.len() + value.len()) as u64));
                     clk.advance(profile.mem.op_ns((key.len() + value.len()) as u64));
-                    let mut ldb = server.ldb.lock();
                     if del {
                         ldb.delete(&key, &clk);
                     } else {
@@ -249,22 +238,15 @@ fn server_loop(
                 comm_rep.send_at(m.src, TAG_PUT_ACK, Bytes::new(), clk.now());
             }
             TAG_GET => {
-                let clk = Clock::starting_at(m.stamp);
                 clk.advance(SERVER_SW_OVERHEAD_NS);
-                let resp = match decode_kv(m.payload) {
-                    Some((key, _, _)) => {
-                        let ldb = server.ldb.lock();
-                        match ldb.get(&key, &clk) {
-                            Some(v) => {
-                                // Server-side staging copy before the reply.
-                                clk.advance(profile.mem.op_ns(v.len() as u64));
-                                let mut out = BytesMut::with_capacity(1 + v.len());
-                                out.put_u8(1);
-                                out.put_slice(&v);
-                                out.freeze()
-                            }
-                            None => Bytes::from_static(&[0]),
-                        }
+                let resp = match decode_kv(m.payload).and_then(|(key, _, _)| ldb.get(&key, &clk)) {
+                    Some(v) => {
+                        // Server-side staging copy before the reply.
+                        clk.advance(profile.mem.op_ns(v.len() as u64));
+                        let mut out = BytesMut::with_capacity(1 + v.len());
+                        out.put_u8(1);
+                        out.put_slice(&v);
+                        out.freeze()
                     }
                     None => Bytes::from_static(&[0]),
                 };
@@ -272,6 +254,7 @@ fn server_loop(
             }
             _ => {}
         }
+        Slice::Ran
     }
 }
 
@@ -425,6 +408,38 @@ mod tests {
             assert_eq!(m.put(b"k", b"v").unwrap_err(), MdhimError::Finalized);
             assert_eq!(m.get(b"k").unwrap_err(), MdhimError::Finalized);
             assert_eq!(m.finalize().unwrap_err(), MdhimError::Finalized);
+        });
+    }
+
+    /// The range server has no thread: a get runs the owner's server slice
+    /// on the requester's thread, which parks for the reply and is granted
+    /// back the baton it gave up. (A server thread cost two hand-offs a get:
+    /// requester → server → requester.)
+    #[test]
+    fn a_warm_get_hands_the_baton_to_no_thread() {
+        let profile = SystemProfile::test_profile();
+        let storage = StorageMap::new(&profile, 2, 1);
+        World::run(WorldConfig::for_tests(2), move |rank| {
+            let fabric = rank.fabric().clone();
+            let cfg = MdhimConfig::default();
+            let mut m = Mdhim::init(rank.clone(), profile.clone(), &storage, "repo", cfg);
+            // Keys from 0xFF.. are rank 1's.
+            let key = |i: u8| [0xFF, i];
+            if rank.rank() == 1 {
+                (0..16).for_each(|i| m.put(&key(i), b"v").unwrap());
+            }
+            rank.world().barrier();
+            if rank.rank() == 0 {
+                let get = |i: u8| assert_eq!(&m.get(&key(i % 16)).unwrap().unwrap()[..], b"v");
+                get(0);
+                let warm = fabric.grants();
+                (0..100).for_each(get);
+                let gets = fabric.grants();
+                assert_eq!(gets.handed, warm.handed, "a warm get wakes no thread");
+                assert_eq!(gets.inline - warm.inline, 200, "the server, then the requester");
+            }
+            rank.world().barrier();
+            m.finalize().unwrap();
         });
     }
 

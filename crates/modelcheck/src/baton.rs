@@ -17,7 +17,7 @@
 //!
 //! A task's virtual clock is its rank's clock when it was spawned with one
 //! (the rank threads); a helper's is the clock of whoever last woke it —
-//! when the compaction thread is handed a flush at `t`, it runs at `t`.
+//! when the compaction task is handed a flush at `t`, it runs at `t`.
 //!
 //! A task is one of two kinds. A *thread task* ([`Baton::spawn`]) is an OS
 //! thread that blocks at its park points. A *run-to-completion task*
@@ -443,8 +443,8 @@ impl Baton {
 
     /// Wait until `tid` is granted the baton: `Ok(timed_out)`, or the
     /// verdict to unwind with. A hand-off between threads is often answered
-    /// within microseconds (a collective's last arrival, a flush handed to
-    /// the compaction task and back), so the latest task to wait yields the
+    /// within microseconds (a collective's last arrival, a migration handed
+    /// to the dispatcher and back), so the latest task to wait yields the
     /// CPU a few dozen times before it sleeps: one waiter off the sleep/wake
     /// path, the runner not starved even on one CPU. Host timing decides
     /// only *when* a waiter sees its grant, never who is granted.
@@ -610,6 +610,11 @@ pub struct Task<T> {
 }
 
 impl<T> Task<T> {
+    /// The name the task was spawned with.
+    pub fn name(&self) -> String {
+        self.baton.lock().tasks[self.tid].name.clone()
+    }
+
     /// Wait for the task to finish and return its result (`Err` carries its
     /// panic). From a task of the same world the wait hands the baton on; a
     /// run-to-completion task is joined from one.

@@ -164,10 +164,9 @@ impl Communicator {
     }
 
     /// Blocking receive that does NOT merge the arrival stamp into the rank
-    /// clock — for background threads (mdhim's range server) whose receipt
-    /// must not advance the application rank's virtual time. The
-    /// stamp stays available on the returned [`Message`] for service-time
-    /// accounting.
+    /// clock — for a helper thread whose receipt must not advance the
+    /// application rank's virtual time. The stamp stays available on the
+    /// returned [`Message`] for service-time accounting.
     #[track_caller]
     pub fn recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Message {
         let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
@@ -175,9 +174,10 @@ impl Communicator {
     }
 
     /// Receive without parking, for a run-to-completion task (PapyrusKV's
-    /// message handler): the first matching message, unstamped as with
-    /// [`Communicator::recv_unstamped`], or `None` with the task enlisted
-    /// to be woken by the next delivery — its slice then ends.
+    /// message handler, MDHIM's range server): the first matching message,
+    /// unstamped as with [`Communicator::recv_unstamped`], or `None` with
+    /// the task enlisted to be woken by the next delivery — its slice then
+    /// ends.
     #[track_caller]
     pub fn take_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
         let (src, tag) = (src.into_option(), tag.into_option());

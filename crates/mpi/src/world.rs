@@ -187,10 +187,11 @@ impl RankCtx {
         self.fabric.baton().spawn(name, self.rank, None, f)
     }
 
-    /// Spawn a run-to-completion helper of this rank (PapyrusKV's message
-    /// handler), named `name`: `slice` serves one unit of work per call, on
-    /// the thread of whichever task grants it the baton, and never blocks.
-    /// See `papyrus_modelcheck::baton`.
+    /// Spawn a run-to-completion helper of this rank (PapyrusKV's compaction
+    /// task and message handler, MDHIM's range server), named `name`:
+    /// `slice` serves one unit of work per call, on the thread of whichever
+    /// task grants it the baton, and never blocks. See
+    /// `papyrus_modelcheck::baton`.
     pub fn spawn_slices<F>(&self, name: String, mut slice: F) -> Task<()>
     where
         F: FnMut() -> Slice + Send + 'static,

@@ -292,8 +292,9 @@ impl NvmStore {
     /// Persistence fence: orders earlier writes before later ones for crash
     /// purposes. A pure ordering marker — devices complete in submission
     /// order in this model, so no virtual time is charged; the crashcheck
-    /// journal records it to bound write reordering.
-    pub fn fence(&self) {
+    /// journal records it to bound write reordering. Not `papyruskv_fence`,
+    /// which waits for migrations.
+    pub fn order_writes(&self) {
         self.backend.fence();
     }
 
@@ -482,7 +483,7 @@ mod tests {
         let c = Clock::new();
         s.put("f", Bytes::from_static(b"x"), &c);
         let t = c.now();
-        s.fence();
+        s.order_writes();
         assert_eq!(c.now(), t, "fence must not charge virtual time");
         assert!(s.exists("f"));
     }

@@ -21,11 +21,11 @@ pub const NVM_PID_BASE: u32 = 10_000;
 
 /// Thread lane for application (caller) work on a rank timeline.
 pub const TID_APP: u32 = 0;
-/// Thread lane for the compaction thread.
+/// Thread lane for the compaction task.
 pub const TID_COMPACT: u32 = 1;
 /// Thread lane for the migration dispatcher thread.
 pub const TID_DISPATCH: u32 = 2;
-/// Thread lane for the remote-request handler thread.
+/// Thread lane for the remote-request handler task.
 pub const TID_HANDLER: u32 = 3;
 
 struct RegistryInner {

@@ -3,7 +3,7 @@
 //!
 //! Part 1: a long-running iterative solver stores its state in PapyrusKV
 //! and checkpoints every few iterations — asynchronously, so the solver
-//! keeps iterating while the compaction thread drains the snapshot to the
+//! keeps iterating while the compaction task drains the snapshot to the
 //! parallel file system. After a simulated node failure (the NVM scratch is
 //! trimmed), the job restarts from the last snapshot; a second restart uses
 //! the *redistribution* path as if the job came back with a different

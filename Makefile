@@ -25,6 +25,7 @@ doc:
 #   traced sst_read: one backend read per SSTable get (DESIGN §5)
 #   traced remote_mix: wire bytes and messages per op, no op failed
 #   traced ingest: allocations per op, no op failed
+#   traced serve_resp: allocations per command, no op failed
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
@@ -39,6 +40,9 @@ kvbench:
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.1408 ' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +23\.9639 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

@@ -18,7 +18,7 @@
 //! Like the codec, this file is swept by the panic-path lint: parsing a
 //! hostile word list must return a typed [`CmdError`], never panic.
 
-use crate::resp::Frame;
+use crate::resp::{encode_array_header, encode_bulk, encode_frame, Frame};
 
 /// A parsed client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,66 +106,86 @@ impl std::fmt::Display for CmdError {
 
 impl std::error::Error for CmdError {}
 
+/// Longest verb of the served subset (`EXISTS`).
+const MAX_VERB_LEN: usize = 6;
+
 /// Parse a decoded frame into a command.
+///
+/// The words are read in place from the frame and the verb is upper-cased
+/// in a stack buffer, so the only allocations are the command's own keys,
+/// values and key lists.
 pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
-    let words: Vec<&[u8]> = match frame {
-        Frame::Inline(words) => words.iter().map(|w| w.as_slice()).collect(),
-        Frame::Array(Some(items)) => {
-            let mut words = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Frame::Bulk(Some(w)) => words.push(w.as_slice()),
-                    _ => return Err(CmdError::NotBulk),
-                }
-            }
-            words
+    // One of the two slices is empty: `words` walks the frame's own words,
+    // inline or bulk, without collecting them.
+    let (inline, array): (&[Vec<u8>], &[Frame]) = match frame {
+        Frame::Inline(words) => (words, &[]),
+        Frame::Array(Some(items)) if items.iter().all(|i| matches!(i, Frame::Bulk(Some(_)))) => {
+            (&[], items)
         }
+        Frame::Array(Some(_)) => return Err(CmdError::NotBulk),
         _ => return Err(CmdError::BadFrame),
     };
-    let Some((verb, args)) = words.split_first() else {
-        return Err(CmdError::Empty);
+    let mut words =
+        inline.iter().map(Vec::as_slice).chain(array.iter().filter_map(|item| match item {
+            Frame::Bulk(Some(w)) => Some(w.as_slice()),
+            _ => None,
+        }));
+    let verb = words.next().ok_or(CmdError::Empty)?;
+    let mut buf = [0u8; MAX_VERB_LEN];
+    // A word longer than every verb matches none of them.
+    let upper: &[u8] = match buf.get_mut(..verb.len()) {
+        Some(upper) => {
+            upper.copy_from_slice(verb);
+            upper.make_ascii_uppercase();
+            upper
+        }
+        None => &[],
     };
-    let verb = verb.to_ascii_uppercase();
-    match verb.as_slice() {
-        b"PING" => match args {
-            [] => Ok(Command::Ping),
-            _ => Err(CmdError::WrongArity("ping")),
+    match upper {
+        b"PING" => match exactly::<0>(words) {
+            Some([]) => Ok(Command::Ping),
+            None => Err(CmdError::WrongArity("ping")),
         },
-        b"INFO" => match args {
-            [] => Ok(Command::Info),
-            _ => Err(CmdError::WrongArity("info")),
+        b"INFO" => match exactly::<0>(words) {
+            Some([]) => Ok(Command::Info),
+            None => Err(CmdError::WrongArity("info")),
         },
-        b"GET" => match args {
-            [key] => Ok(Command::Get { key: key.to_vec() }),
-            _ => Err(CmdError::WrongArity("get")),
+        b"GET" => match exactly::<1>(words) {
+            Some([key]) => Ok(Command::Get { key: key.to_vec() }),
+            None => Err(CmdError::WrongArity("get")),
         },
-        b"SET" => match args {
-            [key, value] => Ok(Command::Set { key: key.to_vec(), value: value.to_vec() }),
-            _ => Err(CmdError::WrongArity("set")),
+        b"SET" => match exactly::<2>(words) {
+            Some([key, value]) => Ok(Command::Set { key: key.to_vec(), value: value.to_vec() }),
+            None => Err(CmdError::WrongArity("set")),
         },
-        b"DEL" => match args {
-            [key] => Ok(Command::Del { key: key.to_vec() }),
-            _ => Err(CmdError::WrongArity("del")),
+        b"DEL" => match exactly::<1>(words) {
+            Some([key]) => Ok(Command::Del { key: key.to_vec() }),
+            None => Err(CmdError::WrongArity("del")),
         },
-        b"EXISTS" => match args {
-            [key] => Ok(Command::Exists { key: key.to_vec() }),
-            _ => Err(CmdError::WrongArity("exists")),
+        b"EXISTS" => match exactly::<1>(words) {
+            Some([key]) => Ok(Command::Exists { key: key.to_vec() }),
+            None => Err(CmdError::WrongArity("exists")),
         },
         b"MGET" => {
-            if args.is_empty() {
+            let keys: Vec<Vec<u8>> = words.map(<[u8]>::to_vec).collect();
+            if keys.is_empty() {
                 return Err(CmdError::WrongArity("mget"));
             }
-            Ok(Command::MGet { keys: args.iter().map(|k| k.to_vec()).collect() })
+            Ok(Command::MGet { keys })
         }
         b"MSET" => {
-            if args.is_empty() || args.len() % 2 != 0 {
+            let mut pairs = Vec::new();
+            while let Some(key) = words.next() {
+                let value = words.next().ok_or(CmdError::WrongArity("mset"))?;
+                pairs.push((key.to_vec(), value.to_vec()));
+            }
+            if pairs.is_empty() {
                 return Err(CmdError::WrongArity("mset"));
             }
-            let pairs = args.chunks_exact(2).filter_map(chunk_pair).collect();
             Ok(Command::MSet { pairs })
         }
-        b"RANGE" => match args {
-            [start, count] => {
+        b"RANGE" => match exactly::<2>(words) {
+            Some([start, count]) => {
                 let start = parse_u64(start, "range start")?;
                 let count = parse_u64(count, "range count")?;
                 if count > MAX_RANGE_COUNT {
@@ -173,19 +193,19 @@ pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
                 }
                 Ok(Command::Range { start, count })
             }
-            _ => Err(CmdError::WrongArity("range")),
+            None => Err(CmdError::WrongArity("range")),
         },
-        _ => Err(CmdError::UnknownCommand(String::from_utf8_lossy(&verb).into_owned())),
+        _ => Err(CmdError::UnknownCommand(String::from_utf8_lossy(verb).to_ascii_uppercase())),
     }
 }
 
-/// `chunks_exact(2)` guarantees pairs; expressed as `Option` so the hot
-/// path stays panic-free for the lint sweep.
-fn chunk_pair(chunk: &[&[u8]]) -> Option<(Vec<u8>, Vec<u8>)> {
-    match chunk {
-        [k, v] => Some((k.to_vec(), v.to_vec())),
-        _ => None,
+/// The remaining words as exactly `N` arguments; `None` for any other count.
+fn exactly<'a, const N: usize>(mut words: impl Iterator<Item = &'a [u8]>) -> Option<[&'a [u8]; N]> {
+    let mut args: [&[u8]; N] = [&[]; N];
+    for arg in &mut args {
+        *arg = words.next()?;
     }
+    words.next().is_none().then_some(args)
 }
 
 fn parse_u64(word: &[u8], what: &'static str) -> Result<u64, CmdError> {
@@ -239,19 +259,18 @@ pub enum Reply {
     Info(String),
 }
 
-/// Encode a reply onto `out` in RESP form.
+/// Encode a reply onto `out` in RESP form, payloads copied straight from
+/// the reply.
 pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
     match reply {
         Reply::Ok => out.extend_from_slice(b"+OK\r\n"),
         Reply::Pong => out.extend_from_slice(b"+PONG\r\n"),
-        Reply::Bulk(v) => crate::resp::encode_frame(&Frame::Bulk(v.clone()), out),
-        Reply::Int(n) => crate::resp::encode_frame(&Frame::Integer(*n), out),
+        Reply::Bulk(v) => encode_bulk(v.as_deref(), out),
+        Reply::Int(n) => encode_frame(&Frame::Integer(*n), out),
         Reply::Arr(items) => {
-            out.push(b'*');
-            out.extend_from_slice(items.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            encode_array_header(items.len(), out);
             for v in items {
-                crate::resp::encode_frame(&Frame::Bulk(v.clone()), out);
+                encode_bulk(v.as_deref(), out);
             }
         }
         Reply::Err(msg) => {
@@ -259,26 +278,25 @@ pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
             out.extend_from_slice(msg.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
-        Reply::Info(text) => {
-            crate::resp::encode_frame(&Frame::Bulk(Some(text.as_bytes().to_vec())), out)
-        }
+        Reply::Info(text) => encode_bulk(Some(text), out),
     }
 }
 
 /// Decode a reply frame back into the typed form — the loadgen's client
-/// side uses this to check reply shape and ordering.
-pub fn reply_from_frame(frame: &Frame) -> Result<Reply, CmdError> {
+/// side uses this to check reply shape and ordering. Payloads move from
+/// the frame into the reply.
+pub fn reply_from_frame(frame: Frame) -> Result<Reply, CmdError> {
     match frame {
         Frame::Simple(s) if s == b"OK" => Ok(Reply::Ok),
         Frame::Simple(s) if s == b"PONG" => Ok(Reply::Pong),
-        Frame::Error(msg) => Ok(Reply::Err(String::from_utf8_lossy(msg).into_owned())),
-        Frame::Integer(n) => Ok(Reply::Int(*n)),
-        Frame::Bulk(v) => Ok(Reply::Bulk(v.clone())),
+        Frame::Error(msg) => Ok(Reply::Err(String::from_utf8_lossy(&msg).into_owned())),
+        Frame::Integer(n) => Ok(Reply::Int(n)),
+        Frame::Bulk(v) => Ok(Reply::Bulk(v)),
         Frame::Array(Some(items)) => {
             let mut out = Vec::with_capacity(items.len());
             for item in items {
                 match item {
-                    Frame::Bulk(v) => out.push(v.clone()),
+                    Frame::Bulk(v) => out.push(v),
                     _ => return Err(CmdError::BadFrame),
                 }
             }
@@ -374,7 +392,7 @@ mod tests {
         d.feed(&wire);
         let mut got = Vec::new();
         while let Some(f) = d.next_frame().unwrap() {
-            got.push(reply_from_frame(&f).unwrap());
+            got.push(reply_from_frame(f).unwrap());
         }
         assert_eq!(got, replies);
     }

@@ -9,7 +9,7 @@
 //!
 //! Pieces, bottom up:
 //!
-//! - [`resp`] — zero-copy incremental RESP codec (inline + bulk frames,
+//! - [`resp`] — single-copy incremental RESP codec (inline + bulk frames,
 //!   pipelining-safe partial-read resumption, typed errors, no panics).
 //! - [`cmd`] — frame → typed command parsing, typed replies.
 //! - [`loadgen`] — open-loop memtier-style generator: fixed arrival

@@ -27,7 +27,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::cmd::Command;
-use crate::resp::{encode_command, encode_inline};
+use crate::resp::{
+    encode_array_header, encode_bulk, encode_command, encode_decimal_bulk, encode_inline,
+};
 
 /// Command mix presets (shares per mille).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,43 +233,44 @@ impl Generator {
         }
     }
 
-    /// Encode `cmd` as the client would send it. PINGs flip a coin
-    /// between the canonical array form and the bare inline line, so the
-    /// server's inline path sees real traffic.
+    /// Encode `cmd` as the client would send it, word by word straight
+    /// into `out`. PINGs flip a coin between the canonical array form and
+    /// the bare inline line, so the server's inline path sees real traffic.
     pub fn encode(&self, cmd: &Command, rng: &mut StdRng, out: &mut Vec<u8>) {
-        let words = command_words(cmd);
-        if matches!(cmd, Command::Ping) && rng.gen_bool(0.5) {
-            encode_inline(&words, out);
-        } else {
-            encode_command(&words, out);
-        }
-    }
-}
-
-/// The wire words for a command (client-side encoding).
-pub fn command_words(cmd: &Command) -> Vec<Vec<u8>> {
-    match cmd {
-        Command::Ping => vec![b"PING".to_vec()],
-        Command::Info => vec![b"INFO".to_vec()],
-        Command::Get { key } => vec![b"GET".to_vec(), key.clone()],
-        Command::Set { key, value } => vec![b"SET".to_vec(), key.clone(), value.clone()],
-        Command::Del { key } => vec![b"DEL".to_vec(), key.clone()],
-        Command::Exists { key } => vec![b"EXISTS".to_vec(), key.clone()],
-        Command::MGet { keys } => {
-            let mut w = vec![b"MGET".to_vec()];
-            w.extend(keys.iter().cloned());
-            w
-        }
-        Command::MSet { pairs } => {
-            let mut w = vec![b"MSET".to_vec()];
-            for (k, v) in pairs {
-                w.push(k.clone());
-                w.push(v.clone());
+        match cmd {
+            Command::Ping => {
+                if rng.gen_bool(0.5) {
+                    encode_inline(&[b"PING"], out);
+                } else {
+                    encode_command(&[b"PING"], out);
+                }
             }
-            w
-        }
-        Command::Range { start, count } => {
-            vec![b"RANGE".to_vec(), start.to_string().into_bytes(), count.to_string().into_bytes()]
+            Command::Info => encode_command(&[b"INFO"], out),
+            Command::Get { key } => encode_command::<&[u8]>(&[b"GET", key], out),
+            Command::Set { key, value } => encode_command::<&[u8]>(&[b"SET", key, value], out),
+            Command::Del { key } => encode_command::<&[u8]>(&[b"DEL", key], out),
+            Command::Exists { key } => encode_command::<&[u8]>(&[b"EXISTS", key], out),
+            Command::MGet { keys } => {
+                encode_array_header(1 + keys.len(), out);
+                encode_bulk(Some(b"MGET"), out);
+                for key in keys {
+                    encode_bulk(Some(key), out);
+                }
+            }
+            Command::MSet { pairs } => {
+                encode_array_header(1 + 2 * pairs.len(), out);
+                encode_bulk(Some(b"MSET"), out);
+                for (key, value) in pairs {
+                    encode_bulk(Some(key), out);
+                    encode_bulk(Some(value), out);
+                }
+            }
+            Command::Range { start, count } => {
+                encode_array_header(3, out);
+                encode_bulk(Some(b"RANGE"), out);
+                encode_decimal_bulk(*start, out);
+                encode_decimal_bulk(*count, out);
+            }
         }
     }
 }

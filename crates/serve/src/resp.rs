@@ -315,36 +315,18 @@ fn parse_frame(buf: &[u8], pos: usize, depth: usize) -> Partial<Frame> {
 }
 
 /// Encode `frame` onto `out`. Inline frames encode as their bare line.
+///
+/// No encoder allocates beyond the growth of `out`: numbers are formatted
+/// straight into it.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
-        Frame::Simple(s) => {
-            out.push(b'+');
-            out.extend_from_slice(s);
-            out.extend_from_slice(b"\r\n");
-        }
-        Frame::Error(s) => {
-            out.push(b'-');
-            out.extend_from_slice(s);
-            out.extend_from_slice(b"\r\n");
-        }
-        Frame::Integer(n) => {
-            out.push(b':');
-            out.extend_from_slice(n.to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        Frame::Bulk(None) => out.extend_from_slice(b"$-1\r\n"),
-        Frame::Bulk(Some(payload)) => {
-            out.push(b'$');
-            out.extend_from_slice(payload.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-            out.extend_from_slice(payload);
-            out.extend_from_slice(b"\r\n");
-        }
+        Frame::Simple(s) => put_line(out, b'+', s),
+        Frame::Error(s) => put_line(out, b'-', s),
+        Frame::Integer(n) => put_int(out, b':', *n),
+        Frame::Bulk(payload) => encode_bulk(payload.as_deref(), out),
         Frame::Array(None) => out.extend_from_slice(b"*-1\r\n"),
         Frame::Array(Some(items)) => {
-            out.push(b'*');
-            out.extend_from_slice(items.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            encode_array_header(items.len(), out);
             for item in items {
                 encode_frame(item, out);
             }
@@ -353,18 +335,69 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
+/// Encode the header of an array of `len` elements; the elements follow.
+pub fn encode_array_header(len: usize, out: &mut Vec<u8>) {
+    put_int(out, b'*', len as i64);
+}
+
+/// Encode a bulk string, or the nil bulk `$-1` for `None`.
+pub fn encode_bulk<W: AsRef<[u8]>>(payload: Option<W>, out: &mut Vec<u8>) {
+    match payload {
+        None => out.extend_from_slice(b"$-1\r\n"),
+        Some(payload) => {
+            let payload = payload.as_ref();
+            put_int(out, b'$', payload.len() as i64);
+            out.extend_from_slice(payload);
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+}
+
+/// Encode `v` in decimal as a bulk string: a numeric command argument.
+pub fn encode_decimal_bulk(v: u64, out: &mut Vec<u8>) {
+    let digits = v.checked_ilog10().map_or(1, |d| d + 1);
+    put_int(out, b'$', i64::from(digits));
+    put_decimal(out, v);
+    out.extend_from_slice(b"\r\n");
+}
+
 /// Encode a client command in the canonical array-of-bulks form.
 pub fn encode_command<W: AsRef<[u8]>>(words: &[W], out: &mut Vec<u8>) {
-    out.push(b'*');
-    out.extend_from_slice(words.len().to_string().as_bytes());
-    out.extend_from_slice(b"\r\n");
+    encode_array_header(words.len(), out);
     for w in words {
-        let w = w.as_ref();
-        out.push(b'$');
-        out.extend_from_slice(w.len().to_string().as_bytes());
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(w);
-        out.extend_from_slice(b"\r\n");
+        encode_bulk(Some(w), out);
+    }
+}
+
+/// `prefix`, `body`, CRLF: a simple or error string.
+fn put_line(out: &mut Vec<u8>, prefix: u8, body: &[u8]) {
+    out.push(prefix);
+    out.extend_from_slice(body);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// `prefix`, `n` in decimal, CRLF: an integer or a length header.
+fn put_int(out: &mut Vec<u8>, prefix: u8, n: i64) {
+    out.push(prefix);
+    if n < 0 {
+        out.push(b'-');
+    }
+    put_decimal(out, n.unsigned_abs());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append the decimal digits of `v`.
+fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let start = out.len();
+    loop {
+        out.push(b'0' + (v % 10) as u8);
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
     }
 }
 

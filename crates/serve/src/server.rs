@@ -28,6 +28,14 @@
 //! through a read-through overlay of the still-queued writes, preserving
 //! per-connection command order without waiting for the fence.
 //!
+//! # Visits
+//!
+//! A pass of the window loop visits only the connections that have work:
+//! those with unread bytes (listed when a burst lands on an idle wire) and
+//! those whose front reply is ready (listed when the front slot fills).
+//! Each list is visited in connection order, as a scan of every
+//! connection would, so idle connections cost nothing and change nothing.
+//!
 //! # Oracles
 //!
 //! - **Durability**: at every write ack, remote-shard keys of the round
@@ -225,6 +233,14 @@ struct Window<'a> {
     rank: usize,
     t0: u64,
     conns: Vec<Conn>,
+    /// Connections with unread bytes, each once.
+    readable: Vec<u32>,
+    /// Connections whose front reply slot is filled, each once.
+    flushable: Vec<u32>,
+    /// Commands delivered whose reply the client has not decoded yet.
+    unanswered: u64,
+    /// The reply bytes of one flush; reused.
+    reply_buf: Vec<u8>,
     /// Shard-indexed dispatch queues (shard == owner rank).
     shards: Vec<VecDeque<WriteOp>>,
     /// Read-through overlay of queued-but-unapplied writes; cleared each
@@ -253,6 +269,10 @@ impl<'a> Window<'a> {
             rank,
             t0: ctx.now(),
             conns: (0..cfg.conns_per_rank).map(|_| Conn::new()).collect(),
+            readable: Vec::new(),
+            flushable: Vec::new(),
+            unanswered: 0,
+            reply_buf: Vec::new(),
             shards: (0..ctx.size()).map(|_| VecDeque::new()).collect(),
             overlay: HashMap::new(),
             intent: BTreeMap::new(),
@@ -316,24 +336,17 @@ impl<'a> Window<'a> {
 
             // Poll: one bounded chunk per readable connection, decode and
             // dispatch everything that completed.
-            let mut any_read = false;
-            for c in 0..self.conns.len() {
-                if self.poll_conn(c) {
-                    any_read = true;
-                }
-            }
+            let any_read = self.poll_readable();
 
             // Group commit: drain the whole write backlog in one round.
             let committed = self.commit_round();
 
             // Flush in-order reply prefixes and run the client-side
             // protocol oracle over them.
-            for c in 0..self.conns.len() {
-                self.flush_conn(c);
-            }
+            self.flush_ready();
 
             let arrivals_done = next_arrival >= schedule.len();
-            if arrivals_done && self.conns.iter().all(Conn::drained) {
+            if arrivals_done && self.unanswered == 0 && self.conns.iter().all(Conn::drained) {
                 break;
             }
             if !delivered && !any_read && !committed {
@@ -378,23 +391,40 @@ impl<'a> Window<'a> {
     /// back to back, all stamped with the burst's arrival time.
     fn deliver_burst(&mut self, conn: u32, at: u64, gen: &mut Generator, rng: &mut StdRng) {
         let c = &mut self.conns[conn as usize];
+        if c.read_off == c.wire_in.len() {
+            self.readable.push(conn);
+        }
         for _ in 0..self.cfg.pipeline {
             let cmd = gen.next_command(rng);
             gen.encode(&cmd, rng, &mut c.wire_in);
             c.stamps.push_back(at);
             c.expected.push_back(expect_of(&cmd));
         }
+        self.unanswered += u64::from(self.cfg.pipeline);
     }
 
-    /// Read one bounded chunk from connection `c` and execute every
-    /// command that completed; returns whether any bytes were read.
-    fn poll_conn(&mut self, c: usize) -> bool {
-        let conn = &mut self.conns[c];
-        let avail = conn.wire_in.len() - conn.read_off;
-        if avail == 0 {
-            return false;
+    /// Poll every readable connection once, in connection order; returns
+    /// whether there was any.
+    fn poll_readable(&mut self) -> bool {
+        let mut readable = std::mem::take(&mut self.readable);
+        readable.sort_unstable();
+        for &c in &readable {
+            self.poll_conn(c as usize);
         }
-        let take = avail.min(READ_CHUNK);
+        let any = !readable.is_empty();
+        readable.retain(|&c| {
+            let conn = &self.conns[c as usize];
+            conn.read_off < conn.wire_in.len()
+        });
+        self.readable = readable;
+        any
+    }
+
+    /// Read one bounded chunk from readable connection `c` and execute
+    /// every command that completed.
+    fn poll_conn(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let take = (conn.wire_in.len() - conn.read_off).min(READ_CHUNK);
         conn.dec.feed(&conn.wire_in[conn.read_off..conn.read_off + take]);
         conn.read_off += take;
         // Charge the copy from the (modelled) socket into server memory.
@@ -423,7 +453,6 @@ impl<'a> Window<'a> {
                 self.tel.pipeline_depth.add(frames);
             }
         }
-        true
     }
 
     /// Read a key through the overlay of queued writes, then the store.
@@ -452,15 +481,7 @@ impl<'a> Window<'a> {
                 if self.tel.on() {
                     self.tel.errors.inc();
                 }
-                self.push_slot(
-                    c,
-                    Slot {
-                        reply: Some(Reply::Err(e.to_string())),
-                        parts_left: 0,
-                        on_complete: Reply::Ok,
-                        arrival,
-                    },
-                );
+                self.push_filled(c, Reply::Err(e.to_string()), arrival);
                 return;
             }
         };
@@ -506,13 +527,13 @@ impl<'a> Window<'a> {
                 self.push_filled(c, Reply::Arr(items), arrival);
             }
             Command::Set { key, value } => {
-                self.enqueue_write(c, arrival, Reply::Ok, vec![(key, Some(value))]);
+                self.enqueue_write(c, arrival, Reply::Ok, std::iter::once((key, Some(value))));
             }
             Command::Del { key } => {
-                self.enqueue_write(c, arrival, Reply::Int(1), vec![(key, None)]);
+                self.enqueue_write(c, arrival, Reply::Int(1), std::iter::once((key, None)));
             }
             Command::MSet { pairs } => {
-                let ops = pairs.into_iter().map(|(k, v)| (k, Some(v))).collect();
+                let ops = pairs.into_iter().map(|(k, v)| (k, Some(v)));
                 self.enqueue_write(c, arrival, Reply::Ok, ops);
             }
         }
@@ -535,15 +556,19 @@ impl<'a> Window<'a> {
         }
     }
 
+    /// Queue a reply that is ready now. A connection whose front slot it
+    /// is becomes flushable.
     fn push_filled(&mut self, c: usize, reply: Reply, arrival: u64) {
-        self.push_slot(
-            c,
-            Slot { reply: Some(reply), parts_left: 0, on_complete: Reply::Ok, arrival },
-        );
-    }
-
-    fn push_slot(&mut self, c: usize, slot: Slot) {
-        self.conns[c].slots.push_back(slot);
+        let conn = &mut self.conns[c];
+        if conn.slots.is_empty() {
+            self.flushable.push(c as u32);
+        }
+        conn.slots.push_back(Slot {
+            reply: Some(reply),
+            parts_left: 0,
+            on_complete: Reply::Ok,
+            arrival,
+        });
     }
 
     /// Queue a write command's ops onto their owner shards; the reply
@@ -553,7 +578,7 @@ impl<'a> Window<'a> {
         c: usize,
         arrival: u64,
         on_complete: Reply,
-        ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        ops: impl ExactSizeIterator<Item = (Vec<u8>, Option<Vec<u8>>)>,
     ) {
         let conn = &mut self.conns[c];
         let slot_id = conn.slot_base + conn.slots.len() as u64;
@@ -682,6 +707,10 @@ impl<'a> Window<'a> {
             s.parts_left = s.parts_left.saturating_sub(1);
             if s.parts_left == 0 && s.reply.is_none() {
                 s.reply = Some(s.on_complete.clone());
+                // The front slot filled: its connection has replies to flush.
+                if idx == 0 {
+                    self.flushable.push(conn);
+                }
                 let lat = now.saturating_sub(s.arrival);
                 self.stats.lat_write.push(lat);
                 if self.tel.on() {
@@ -692,23 +721,32 @@ impl<'a> Window<'a> {
         }
     }
 
+    /// Flush every flushable connection, in connection order.
+    fn flush_ready(&mut self) {
+        let mut ready = std::mem::take(&mut self.flushable);
+        ready.sort_unstable();
+        for &c in &ready {
+            self.flush_conn(c as usize);
+        }
+        ready.clear();
+        self.flushable = ready;
+    }
+
     /// Flush the filled prefix of `c`'s reply queue onto the wire and run
     /// the client-side protocol oracle over the bytes.
     fn flush_conn(&mut self, c: usize) {
         let conn = &mut self.conns[c];
-        let mut out = Vec::new();
+        let out = &mut self.reply_buf;
+        out.clear();
         while let Some(front) = conn.slots.front() {
             let Some(reply) = &front.reply else { break };
-            encode_reply(reply, &mut out);
+            encode_reply(reply, out);
             conn.slots.pop_front();
             conn.slot_base += 1;
         }
-        if out.is_empty() {
-            return;
-        }
         // Charge the reply copy out of server memory.
         self.ctx.clock().advance(self.mem.op_ns(out.len() as u64));
-        conn.client_dec.feed(&out);
+        conn.client_dec.feed(out);
         loop {
             match self.conns[c].client_dec.next_frame() {
                 Ok(Some(frame)) => {
@@ -717,7 +755,8 @@ impl<'a> Window<'a> {
                         self.violation("protocol", "reply with no outstanding command".into());
                         continue;
                     };
-                    match crate::cmd::reply_from_frame(&frame) {
+                    self.unanswered -= 1;
+                    match crate::cmd::reply_from_frame(frame) {
                         Ok(reply) if reply_matches(expect, &reply) => {}
                         Ok(reply) => {
                             self.violation(

@@ -54,7 +54,7 @@ lint:
 	cargo xtask lint --deep
 	cargo xtask lint --seed-bug all
 
-# The suite with PAPYRUS_SANITY=1: a lock-order or protocol finding fails its test.
+# The suite with PAPYRUS_SANITY=1: a protocol finding fails its test.
 sanity:
 	PAPYRUS_SANITY=1 cargo test -q --release --workspace
 

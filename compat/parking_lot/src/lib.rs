@@ -3,8 +3,8 @@
 //! Two backends behind one API surface (non-poisoning `Mutex` / `RwLock`,
 //! `Condvar` whose `wait`/`wait_until_quiet` take `&mut MutexGuard`):
 //!
-//! - **native** (default): `std::sync` wrappers with `papyrus-sanity`
-//!   lock-order instrumentation — see `native`'s module docs.
+//! - **native** (default): `std::sync` wrappers that take part in world
+//!   scheduling — see `native`'s module docs.
 //! - **modelcheck** (`--cfg modelcheck`): the `papyrus-modelcheck` shim
 //!   types, which make every acquisition a scheduling point of the
 //!   deterministic schedule explorer. Because every lock in the workspace

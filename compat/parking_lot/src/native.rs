@@ -9,80 +9,22 @@
 //! Poisoning is deliberately swallowed (`into_inner`) to match parking_lot's
 //! semantics: a panic while holding a lock does not wedge every later user.
 //!
-//! ## Sanity instrumentation
-//!
-//! Because every lock in the workspace flows through this shim, it doubles
-//! as the instrumentation point for `papyrus-sanity`'s lock-order analysis:
-//! when `PAPYRUS_SANITY` is on, each acquisition reports its call site
-//! (`#[track_caller]`) and lock address to the detector, which maintains
-//! per-thread held-lock stacks and a global lock-order graph and reports
-//! potential ABBA deadlocks, recursive acquisitions, and condvar waits that
-//! keep a second lock held. When the gate is off, the entire overhead is
-//! **one relaxed atomic load** per acquisition (`papyrus_sanity::enabled()`)
-//! and zero on guard drop (a plain `Option` check).
-//!
 //! ## World scheduling
 //!
 //! Inside a simulated world one task runs at a time
 //! (`papyrus_modelcheck::baton`): a condvar wait parks the task and hands
 //! the baton on (a run-to-completion task enlists instead, without
-//! blocking), a notify wakes parked tasks in order, and every guard counts
-//! itself so the release of a thread's last guard can hand the baton to a
-//! task it woke. Outside a world that is two thread-local updates per
+//! blocking; a wait under a second guard is refused), a notify wakes parked
+//! tasks in order, and every guard counts itself so the release of a
+//! thread's last guard can hand the baton to a task it woke. Outside a world that is two thread-local updates per
 //! guard, and the lock itself stays a plain `std` lock.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread::ThreadId;
 
 use papyrus_modelcheck::baton::{Held, WaitList};
-use papyrus_sanity::lockorder::{self, LockKind};
-
-/// Sanity bookkeeping attached to a guard that was acquired while the
-/// detector was enabled.
-struct Track {
-    addr: usize,
-    owner: ThreadId,
-}
-
-impl Track {
-    /// Pre-acquisition hook for a blocking acquisition: runs the lock-order
-    /// checks (against the locks this thread already holds) *before* we
-    /// block, so a real deadlock still gets its report.
-    #[track_caller]
-    fn attempt(addr: usize, kind: LockKind) -> Option<u32> {
-        if papyrus_sanity::enabled() {
-            Some(lockorder::on_acquire_attempt(addr, kind))
-        } else {
-            None
-        }
-    }
-
-    /// Post-acquisition hook paired with [`Track::attempt`].
-    fn acquired(addr: usize, site: Option<u32>, kind: LockKind) -> Option<Track> {
-        let site = site?;
-        lockorder::on_acquired(addr, site, kind);
-        Some(Track { addr, owner: std::thread::current().id() })
-    }
-
-    /// Guard-drop hook: asserts same-thread release (the detector reports a
-    /// cross-thread one) and pops the held entry.
-    fn release(self) {
-        debug_assert!(
-            std::thread::current().id() == self.owner,
-            "lock guard for 0x{:x} released on a different thread than acquired it",
-            self.addr
-        );
-        lockorder::on_release(self.addr, self.owner);
-    }
-}
-
-/// Stable identity of a lock for the order graph: its address.
-fn addr_of<T: ?Sized>(lock: &T) -> usize {
-    lock as *const T as *const () as usize
-}
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex` wrapper).
 #[derive(Default)]
@@ -96,7 +38,6 @@ pub struct Mutex<T: ?Sized> {
 pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a sync::Mutex<T>,
     guard: Option<sync::MutexGuard<'a, T>>,
-    track: Option<Track>,
     /// Last field: dropped after the std guard is released.
     _held: Held,
 }
@@ -115,13 +56,9 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Never poisons.
-    #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let addr = addr_of(self);
-        let site = Track::attempt(addr, LockKind::Mutex);
         let guard = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
-        let track = Track::acquired(addr, site, LockKind::Mutex);
-        MutexGuard { lock: &self.inner, guard: Some(guard), track, _held: Held::on_lock() }
+        MutexGuard { lock: &self.inner, guard: Some(guard), _held: Held::on_lock() }
     }
 }
 
@@ -141,14 +78,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.guard.as_mut().expect("guard taken during condvar wait")
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(t) = self.track.take() {
-            t.release();
-        }
     }
 }
 
@@ -181,21 +110,6 @@ impl Condvar {
         Self { inner: sync::Condvar::new(), native: AtomicUsize::new(0), waiters: WaitList::new() }
     }
 
-    /// Sanity hook before the mutex is released for the wait: reports any
-    /// *other* lock the thread keeps holding across the sleep and pops the
-    /// mutex from the held stack. Only fires for guards that were tracked
-    /// at acquisition (no atomic load on the untracked path).
-    fn wait_begin<T>(guard: &MutexGuard<'_, T>) -> Option<(usize, Option<(u32, LockKind)>)> {
-        let t = guard.track.as_ref()?;
-        Some((t.addr, lockorder::on_condvar_wait_begin(t.addr)))
-    }
-
-    fn wait_end(token: Option<(usize, Option<(u32, LockKind)>)>) {
-        if let Some((addr, tok)) = token {
-            lockorder::on_condvar_wait_end(addr, tok);
-        }
-    }
-
     /// Block until notified, releasing the guard's lock while waiting. In a
     /// world the caller's site is what a deadlock verdict names.
     #[track_caller]
@@ -213,7 +127,6 @@ impl Condvar {
 
     #[track_caller]
     fn park<T>(&self, guard: &mut MutexGuard<'_, T>, timed: bool) -> bool {
-        let token = Self::wait_begin(guard);
         let g = guard.guard.take().expect("guard taken during condvar wait");
         let (g, parked) = match self.waiters.wait(timed, g) {
             Ok(parked) => (guard.lock.lock().unwrap_or_else(sync::PoisonError::into_inner), parked),
@@ -229,7 +142,6 @@ impl Condvar {
             }
         };
         guard.guard = Some(g);
-        Self::wait_end(token);
         // A world that can never move again unwinds its parked tasks.
         parked.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
@@ -283,7 +195,6 @@ pub struct RwLock<T: ?Sized> {
 #[must_use = "a lock guard is released as soon as it is dropped"]
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     guard: sync::RwLockReadGuard<'a, T>,
-    track: Option<Track>,
     _held: Held,
 }
 
@@ -291,7 +202,6 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
 #[must_use = "a lock guard is released as soon as it is dropped"]
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     guard: sync::RwLockWriteGuard<'a, T>,
-    track: Option<Track>,
     _held: Held,
 }
 
@@ -304,29 +214,15 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock. Never poisons.
-    #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let addr = addr_of(self);
-        let site = Track::attempt(addr, LockKind::Read);
         let guard = self.inner.read().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockReadGuard {
-            guard,
-            track: Track::acquired(addr, site, LockKind::Read),
-            _held: Held::on_lock(),
-        }
+        RwLockReadGuard { guard, _held: Held::on_lock() }
     }
 
     /// Acquire an exclusive write lock. Never poisons.
-    #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let addr = addr_of(self);
-        let site = Track::attempt(addr, LockKind::Write);
         let guard = self.inner.write().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockWriteGuard {
-            guard,
-            track: Track::acquired(addr, site, LockKind::Write),
-            _held: Held::on_lock(),
-        }
+        RwLockWriteGuard { guard, _held: Held::on_lock() }
     }
 }
 
@@ -343,14 +239,6 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(t) = self.track.take() {
-            t.release();
-        }
-    }
-}
-
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -361,14 +249,6 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(t) = self.track.take() {
-            t.release();
-        }
     }
 }
 

@@ -8,15 +8,16 @@
 //! Rules:
 //!
 //! - **std-sync-lock** — no `std::sync::{Mutex, RwLock, Condvar}` outside
-//!   `compat/` (the parking_lot shim wraps them and feeds the sanity
-//!   lock-order detector; a raw std lock is invisible to it). Carve-outs:
-//!   `crates/sanity` (the detector cannot be built on the primitives it
-//!   checks), `crates/modelcheck` (the schedule explorer's own scheduler
-//!   state must live on real OS primitives — shimming it would recurse),
+//!   `compat/` (the parking_lot shim wraps them). A raw std lock is
+//!   invisible to a world's scheduler: its release counts no guard, so it
+//!   is not a preemption point, and a wait on it is not a park the
+//!   scheduler sees. Carve-outs: `crates/modelcheck` (the schedulers' own
+//!   state must live on real OS primitives — shimming it would recurse)
 //!   and `xtask`.
 //! - **protocol-unwrap** — no `.unwrap()` / `.expect(` in protocol-handler
-//!   paths: a panic inside a dispatcher/handler thread deadlocks the ranks
-//!   blocked on it instead of failing loudly. Test modules are exempt.
+//!   paths: a panic in the dispatcher or in a request arm run on a granting
+//!   task's thread fails that task instead of a typed error reaching the
+//!   ranks that wait on it. Test modules are exempt.
 //! - **recovery-unwrap** — same, for recovery paths that run against
 //!   arbitrary crash debris.
 //! - **real-time** — no `std::time::{Instant, SystemTime}` under `crates/`
@@ -53,9 +54,9 @@ use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::report::Finding;
 use crate::SourceTree;
 
-/// Files where `.unwrap()` / `.expect(` would panic inside a protocol
-/// dispatcher/handler thread (or while decoding a wire message another
-/// rank's retry loop will resend). Also the scope of
+/// Files where `.unwrap()` / `.expect(` would panic inside the protocol
+/// dispatcher or a request arm of the message handler (or while decoding a
+/// wire message another rank's retry loop will resend). Also the scope of
 /// `no-atomic-in-protocol`.
 pub(crate) const PROTOCOL_PATHS: &[&str] = &[
     "crates/mpi/src/fabric.rs",
@@ -210,7 +211,6 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let toks = &ctx.lx.tokens;
 
     let std_sync_applies = !(rel.starts_with("compat/")
-        || rel.starts_with("crates/sanity/")
         || rel.starts_with("crates/modelcheck/")
         || rel.starts_with("xtask/"));
     let protocol_applies = PROTOCOL_PATHS.contains(&rel);

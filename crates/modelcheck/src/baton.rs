@@ -15,6 +15,13 @@
 //!   comes first, hands over anyway). Handing over under a lock would leave
 //!   the next runner blocked natively on it.
 //!
+//! So a task parks holding no `parking_lot` guard but the one its wait lets
+//! go of (a condvar's mutex), and a lock of a world is never contended: a
+//! park under any other guard is refused with a panic naming the task and
+//! its site — the task granted next could block on that lock outside the
+//! scheduler, where no verdict sees it. Lint's `blocking-under-lock` proves
+//! the same statically, for the runtime crates only.
+//!
 //! A task's virtual clock is its rank's clock when it was spawned with one
 //! (the rank threads); a helper's is the clock of whoever last woke it —
 //! when the compaction task is handed a flush at `t`, it runs at `t`.
@@ -257,12 +264,23 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A slice on a lent thread reached a park point (see the module docs).
-fn refuse_park(name: &str, site: Site) -> ! {
-    panic!(
-        "{name} parked at {site} in a slice run on another task's thread; \
-         a unit that must wait enlists and ends its slice"
-    )
+/// Why the running task may not park, if it may not (see the module docs):
+/// it runs a slice on a lent thread, or it holds a guard besides the `own`
+/// ones its park lets go of (a condvar wait's mutex).
+fn refusal(own: u32) -> Option<&'static str> {
+    if INLINE.get() != Inline::No {
+        Some(
+            "in a slice run on another task's thread; \
+             a unit that must wait enlists and ends its slice",
+        )
+    } else if DEPTH.get() > own {
+        Some(
+            "holding a lock guard its park does not let go of; \
+             the task granted next could block on it",
+        )
+    } else {
+        None
+    }
 }
 
 impl State {
@@ -624,10 +642,10 @@ impl<T> Task<T> {
             let mut st = self.baton.lock();
             if st.tasks[self.tid].status != Status::Done {
                 let (site, join) = (Location::caller(), Some(self.tid));
-                if INLINE.get() != Inline::No {
+                if let Some(why) = refusal(0) {
                     let name = st.tasks[me].name.clone();
                     drop(st);
-                    refuse_park(&name, site);
+                    panic!("{name} parked at {site} {why}");
                 }
                 st.tasks[me].status = Status::Parked { site, timed: false, on: 0, join };
                 drop(st);
@@ -669,10 +687,10 @@ impl WaitList {
         let (site, on) = (Location::caller(), self as *const Self as usize);
         {
             let mut st = baton.lock();
-            if INLINE.get() != Inline::No {
+            if let Some(why) = refusal(1) {
                 let name = st.tasks[tid].name.clone();
                 drop((st, guard));
-                refuse_park(&name, site);
+                panic!("{name} parked at {site} {why}");
             }
             st.tasks[tid].status = Status::Parked { site, timed, on, join: None };
         }

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use papyrus_faultinject::FaultPlan;
 use papyrus_modelcheck::baton::{Slice, Task, Verdict};
-use papyrus_sanity::lockorder;
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
 use crate::comm::Communicator;
@@ -95,14 +94,9 @@ impl World {
         }
         let out: Vec<T> = results.into_iter().flatten().collect();
         // Audit once every rank has exited cleanly: under PAPYRUS_SANITY an
-        // unmatched send, a tag leak or a lock-order finding fails the job
-        // (free and empty when the gate is off). The lock-order graph spans
-        // the process, so its findings fail whichever world drains them.
-        let mut problems = fabric.sanity_finalize();
-        if papyrus_sanity::enabled() {
-            let locks = papyrus_sanity::lockorder::take_findings();
-            problems.extend(locks.iter().map(|v| format!("{}: {}", v.kind.name(), v.detail)));
-        }
+        // unmatched send or a tag leak fails the job (free and empty when the
+        // gate is off).
+        let problems = fabric.sanity_finalize();
         if !problems.is_empty() {
             panic!("papyrus-sanity: violations at finalize:\n{}", problems.join("\n"));
         }
@@ -192,16 +186,11 @@ impl RankCtx {
     /// `slice` serves one unit of work per call, on the thread of whichever
     /// task grants it the baton, and never blocks. See
     /// `papyrus_modelcheck::baton`.
-    pub fn spawn_slices<F>(&self, name: String, mut slice: F) -> Task<()>
+    pub fn spawn_slices<F>(&self, name: String, slice: F) -> Task<()>
     where
         F: FnMut() -> Slice + Send + 'static,
     {
-        self.fabric.baton().spawn_slices(name, self.rank, move || {
-            // On another task's thread the slice orders its locks from a
-            // held-lock stack of its own, not from that task's.
-            let _own = papyrus_sanity::enabled().then(lockorder::set_aside);
-            slice()
-        })
+        self.fabric.baton().spawn_slices(name, self.rank, slice)
     }
 }
 

@@ -3,22 +3,19 @@
 //! Always-available, cheaply-gated concurrency and protocol sanity
 //! detectors for the PapyrusKV workspace.
 //!
-//! Three detector families plug into this crate:
+//! Two detector families plug into this crate:
 //!
-//! 1. **Lock-order analysis** ([`lockorder`]) — the `compat/parking_lot`
-//!    shim calls the hooks in this module on every acquire/release/condvar
-//!    wait. Acquisition sites are interned into stable IDs, each thread
-//!    keeps a held-lock stack, and a global lock-order graph is maintained;
-//!    any cycle (a potential ABBA deadlock) is reported with both
-//!    acquisition sites. Waiting on a `Condvar` while holding a second lock
-//!    is reported too.
-//! 2. **Protocol checking** — `papyrus-mpi` counts every fabric channel's
+//! 1. **Protocol checking** — `papyrus-mpi` counts every fabric channel's
 //!    sends and receives and watches blocked ranks, reporting unmatched
 //!    sends, tag leaks, and wait-for cycles. The monitor lives in
 //!    `papyrus-mpi`, one per world.
-//! 3. **LSM invariant auditing** — `papyruskv::sanity::audit_db` checks
+//! 2. **LSM invariant auditing** — `papyruskv::sanity::audit_db` checks
 //!    SSTable ordering, bloom consistency, manifest agreement, and
 //!    barrier/migration quiescence, returning an [`AuditReport`].
+//!
+//! Locks need no detector: a world's scheduler refuses a park under a
+//! second guard (`papyrus_modelcheck::baton`), so no lock of a world is
+//! ever contended.
 //!
 //! ## Gating
 //!
@@ -32,14 +29,11 @@
 //!
 //! There is no process-wide list of verdicts. Each detector hands its
 //! findings to the scope that owns them: the protocol monitor to the world
-//! it watches (`World::run` fails the job on them), the auditor to the
-//! [`AuditReport`] it returns, and the lock-order detector — whose graph
-//! spans every lock of the process and so cannot belong to one world — to
-//! its own list behind [`lockorder::take_findings`]. [`ViolationKind`] and
-//! [`Violation`] are the vocabulary they share.
+//! it watches (`World::run` fails the job on them) and the auditor to the
+//! [`AuditReport`] it returns. [`ViolationKind`] and [`Violation`] are the
+//! vocabulary they share with the crash and chaos oracles.
 
 pub mod atomic;
-pub mod lockorder;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -87,15 +81,6 @@ pub fn force_enable() {
 /// What kind of sanity violation was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
-    /// A cycle in the lock-order graph (potential ABBA deadlock).
-    LockOrderCycle,
-    /// The same thread acquired the same exclusive lock twice (guaranteed
-    /// deadlock on the std-backed shim).
-    RecursiveLock,
-    /// A `Condvar` wait entered while a second lock was held.
-    CondvarHoldingLock,
-    /// A lock guard was dropped on a different thread than acquired it.
-    GuardCrossThread,
     /// `DbInner::barrier_marks` held unreconciled epochs at close.
     BarrierEpochMismatch,
     /// SSTable keys out of order, or SSID sequence not monotonic.
@@ -142,10 +127,6 @@ impl ViolationKind {
     /// Stable short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
-            ViolationKind::LockOrderCycle => "lock-order-cycle",
-            ViolationKind::RecursiveLock => "recursive-lock",
-            ViolationKind::CondvarHoldingLock => "condvar-holding-lock",
-            ViolationKind::GuardCrossThread => "guard-cross-thread",
             ViolationKind::BarrierEpochMismatch => "barrier-epoch-mismatch",
             ViolationKind::SstOrder => "sst-order",
             ViolationKind::BloomFalseNegative => "bloom-false-negative",

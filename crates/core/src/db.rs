@@ -4,7 +4,7 @@
 //! `read.rs` (local and remote get), `replica.rs` (DESIGN §11) and
 //! `sync.rs` (fence, barrier, close).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 // Protocol atomics go through the sanity facade, which swaps in the model
@@ -19,8 +19,9 @@ use crate::ckpt;
 use crate::error::{Error, Result};
 use crate::hashfn::Distributor;
 use crate::lru::LruCache;
+use crate::msg::RpcSeq;
 use crate::options::{BarrierLevel, Consistency, OpenFlags, Options, Protection};
-use crate::runtime::{CtxInner, Event};
+use crate::runtime::{CtxInner, Event, Shipment};
 use crate::sstable::{self, Ssid, SstReader};
 use crate::stack::Stack;
 use crate::sync;
@@ -106,6 +107,9 @@ pub struct DbInner {
     /// [`Db::take_io_errors`]; under the fault plane the chaos oracle uses
     /// this to check every failure is typed.
     pub(crate) io_errors: Mutex<Vec<Error>>,
+    /// Armed world: the batches the dispatcher sent whose acks the next
+    /// fence collects, by sequence number.
+    pub(crate) unacked: Mutex<BTreeMap<RpcSeq, Shipment>>,
 
     /// Telemetry handles (interned per rank; near-zero cost when disabled).
     pub(crate) tel: CoreTel,
@@ -152,6 +156,7 @@ impl DbInner {
             put_stats: OpStats::new(),
             get_stats: OpStats::new(),
             io_errors: Mutex::new(Vec::new()),
+            unacked: Mutex::new(BTreeMap::new()),
             tel: CoreTel::new(me),
             opt,
         }

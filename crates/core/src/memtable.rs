@@ -7,7 +7,7 @@
 //! iteration for the flush — is what `std`'s B-tree map provides (DESIGN §1).
 //! "Immutable" is a usage mode: a frozen table is wrapped in `Arc` and only
 //! read (by gets walking the flushing / migration queues, and by the
-//! compaction task or dispatcher thread consuming it).
+//! compaction or dispatcher task consuming it).
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,6 @@
 //! Wire format for runtime-internal messages.
 //!
-//! PapyrusKV's message dispatcher thread and message handler task exchange
+//! PapyrusKV's message dispatcher and message handler tasks exchange
 //! request/response messages over runtime-private communicators (§2.4,
 //! §2.6). The format is a hand-rolled little-endian binary encoding (no
 //! serde): a fixed header per tag, then the tag's body.

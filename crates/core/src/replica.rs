@@ -3,7 +3,7 @@
 //! re-replication.
 //!
 //! Replication is writer-driven: the application thread (sequential mode)
-//! or the dispatcher thread (relaxed mode) fans a put batch out to the
+//! or the dispatcher task (relaxed mode) fans a put batch out to the
 //! owner's successor ranks. The message handler only ever ingests replica
 //! batches locally — it never forwards or blocks on another rank's ack —
 //! so synchronous writers waiting on `REPL_ACK` cannot close a cross-rank
@@ -12,74 +12,61 @@
 use std::sync::Arc;
 
 use papyrus_simtime::{Clock, SimNs};
-use papyrus_telemetry::{TID_DISPATCH, TID_HANDLER};
+use papyrus_telemetry::TID_HANDLER;
 
 use crate::db::DbInner;
 use crate::error::{Error, Result};
 use crate::msg::{self, tags, Batch};
 use crate::read::{absorb_reply, reply_of, walk_ssts};
-use crate::runtime::{self, CtxInner, MigrateJob};
+use crate::runtime::{self, CtxInner, MigrateJob, Shipment};
 use crate::sstable::{self, SstGet};
 use crate::stack::Stack;
-use crate::write::build_riding_out;
+use crate::write::{build_riding_out, Shipping};
 
-/// Copy `records` (owned by `origin`) to one successor rank. Returns the
-/// arrive/ack stamp.
-fn copy_to_successor(
-    ctx: &CtxInner,
-    db: &Arc<DbInner>,
-    dst: usize,
-    origin: usize,
-    records: &Batch,
-    stamp: SimNs,
-) -> Result<SimNs> {
-    let encode = &mut |seq| records.repl_put(db.id, origin as u32, seq != 0, seq);
-    let arrive = runtime::send_batch(
-        ctx,
-        db,
-        (dst, tags::REPL_PUT, tags::REPL_ACK),
-        "replica forward",
-        stamp,
-        encode,
-    )?;
+/// Count a replica copy sent as of `stamp` that arrived at `arrive`.
+pub(crate) fn note_forward(db: &DbInner, stamp: SimNs, arrive: SimNs) {
     if db.tel.on() {
         db.tel.repl_forwards.inc();
         db.tel.repl_lag_ns.record(arrive.saturating_sub(stamp));
     }
-    Ok(arrive)
 }
 
-/// Fan `records` out to every successor of `owner` (self-copies are
-/// applied locally). With `sync` set (sequential-consistency writers) a
-/// non-fatal delivery failure other than a confirmed-dead successor
-/// aborts the put so the caller never acks an under-replicated write;
-/// without it (dispatcher batches) every failure lands in `io_errors`
-/// and the remaining successors still get their copy. A confirmed-dead
-/// successor is always non-fatal: the primary copy is intact and the
-/// ring is merely degraded until re-replication heals it.
+/// A sequential-consistency writer's fan-out: copy `records` to every
+/// successor of `owner` (a self-copy is applied locally) before the put
+/// returns — in an armed world each copy's ack is awaited. A delivery
+/// failure other than a confirmed-dead successor aborts the put, so the
+/// caller never acks an under-replicated write. A confirmed-dead successor
+/// is non-fatal and lands in `io_errors`: the primary copy is intact and
+/// the ring is merely degraded until re-replication heals it. (Relaxed
+/// batches are fanned out by the migration plan, `write::plan_migration`.)
 pub(crate) fn forward_replicas(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
     owner: usize,
     records: &Batch,
     stamp: SimNs,
-    sync: bool,
-) -> Result<SimNs> {
+) -> Result<()> {
     let me = ctx.rank.rank();
-    let n = ctx.rank.size();
-    let mut last = stamp;
-    for s in papyrus_replica::successors(owner, n, db.repl_n) {
+    for s in papyrus_replica::successors(owner, ctx.rank.size(), db.repl_n) {
         if s == me {
-            last = last.max(apply_replica_records(ctx, db, owner, records, stamp));
+            apply_replica_records(ctx, db, owner, records, stamp);
             continue;
         }
-        match copy_to_successor(ctx, db, s, owner, records, stamp) {
-            Ok(arrive) => last = last.max(arrive),
-            Err(e) if sync && !matches!(e, Error::RankUnavailable(_)) => return Err(e),
-            Err(e) => db.io_errors.lock().push(e),
+        let ship = Shipment { to: s, copy_of: Some(owner), records: records.clone() };
+        let sent = match ctx.faults() {
+            None => Ok(ctx.comm_req.send_at(s, tags::REPL_PUT, ship.encode(db.id, 0), stamp)),
+            Some(_) => {
+                let ((route, what), encode) = (ship.route(), &mut |seq| ship.encode(db.id, seq));
+                runtime::request(ctx, db, route, what, encode).map(|ack| ack.stamp)
+            }
+        };
+        match sent {
+            Ok(arrive) => note_forward(db, stamp, arrive),
+            Err(e @ Error::RankUnavailable(_)) => db.io_errors.lock().push(e),
+            Err(e) => return Err(e),
         }
     }
-    Ok(last)
+    Ok(())
 }
 
 /// Handler-side (or self-copy) ingestion of a replica batch into the
@@ -218,11 +205,9 @@ pub(crate) fn maybe_promote(ctx: &CtxInner, db: &Arc<DbInner>, dead: usize) {
     // Counted in `migration_inflight` so `fence` doubles as the
     // re-replication drain point.
     db.sync.lock().migration_inflight += 1;
-    ctx.migrate_q.push(MigrateJob::Rereplicate {
-        db: db.clone(),
-        origin: dead,
-        stamp: ctx.clock().now(),
-    });
+    let plan = plan_rereplication(ctx, db, dead);
+    let heal = Shipping::new(db.clone(), None, plan, ctx.clock().now());
+    ctx.migrate_q.push(MigrateJob::Ship(heal));
 }
 
 /// Everything this rank replicates for `origin`, newest writer wins
@@ -232,39 +217,17 @@ pub(crate) fn replica_records(db: &Arc<DbInner>, origin: usize) -> Batch {
     db.repl.lock().get(&(origin as u32)).map_or_else(Batch::default, Stack::records)
 }
 
-/// Dispatcher-thread body for one re-replication job: copy the promoted
-/// ranges of `origin` to the new successor set so the ring holds `R`
-/// copies again (DESIGN §11). Runs only after a promotion claim, i.e.
-/// always under the fault plane.
-pub(crate) fn run_rereplication(ctx: &CtxInner, db: &Arc<DbInner>, origin: usize, stamp: SimNs) {
+/// Plan one re-replication: copies of the promoted ranges of `origin` to
+/// the new successor set, so the ring holds `R` copies again (DESIGN §11).
+/// Runs only after a promotion claim, i.e. always under the fault plane.
+fn plan_rereplication(ctx: &CtxInner, db: &Arc<DbInner>, origin: usize) -> Vec<Shipment> {
     let me = ctx.rank.rank();
-    let n = ctx.rank.size();
     let records = replica_records(db, origin);
+    if records.is_empty() {
+        return Vec::new();
+    }
     let is_dead = |r: usize| r == origin || ctx.comm_req.rank_known_dead(r);
-    let targets: Vec<usize> = papyrus_replica::heal_set(origin, n, db.repl_n, &is_dead)
-        .into_iter()
-        .filter(|&r| r != me)
-        .collect();
-    let bytes: u64 = records.records().map(|r| (r.key.len() + r.value.len()) as u64).sum();
-    let mut last = stamp;
-    if !records.is_empty() {
-        for t in targets {
-            match copy_to_successor(ctx, db, t, origin, &records, stamp) {
-                Ok(done) => {
-                    last = last.max(done);
-                    db.migrate_backlog.merge(done);
-                    if db.tel.on() {
-                        db.tel.repl_rereplicated_bytes.add(bytes);
-                    }
-                }
-                Err(e) => db.io_errors.lock().push(e),
-            }
-        }
-    }
-    if db.tel.on() {
-        db.tel.rec.span("core", "rereplicate", TID_DISPATCH, stamp, last);
-    }
-    let mut sync = db.sync.lock();
-    sync.migration_inflight -= 1;
-    db.sync_cv.notify_all();
+    let targets = papyrus_replica::heal_set(origin, ctx.rank.size(), db.repl_n, &is_dead);
+    let copy = |to| Shipment { to, copy_of: Some(origin), records: records.clone() };
+    targets.into_iter().filter(|&r| r != me).map(copy).collect()
 }

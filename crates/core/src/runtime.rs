@@ -6,19 +6,17 @@
 //! * a **compaction task** — takes immutable local MemTables off the
 //!   flushing queue, writes SSTables, performs size-tiered merge
 //!   compaction, and executes asynchronous checkpoint transfers;
-//! * a **message dispatcher thread** — dequeues immutable remote MemTables
-//!   from the migration queue, sorts their pairs by owner rank, and ships
+//! * a **message dispatcher task** — takes immutable remote MemTables off
+//!   the migration queue, sorts their pairs by owner rank, and ships
 //!   per-owner batches over the interconnect;
 //! * a **message handler task** — services MIGRATE / PUT_SYNC / GET_REQ /
 //!   BARRIER_MARK requests from other ranks "without remote MPI ranks'
 //!   intervention".
 //!
-//! The two tasks have no thread: each runs to completion, one unit of work
-//! a slice, on the thread of whichever task hands it the baton, and no unit
-//! parks. A flush, merge or checkpoint transfer only does NVM I/O and wakes
-//! at most one waiter, as its last step; an ingest that meets a full flush
-//! queue enlists for a slot and keeps the rest of its batch. A rank runs two
-//! OS threads: its own and the dispatcher's.
+//! The tasks have no thread: each runs to completion, one unit of work a
+//! slice, on the thread of whichever task hands it the baton, and no unit
+//! parks, so a rank runs one OS thread. A migration waits for no ack: in an
+//! armed world `fence` collects them ([`collect_acks`]).
 //!
 //! The runtime duplicates independent communicators at init so its internal
 //! traffic never collides with application messages.
@@ -30,7 +28,9 @@ use std::sync::Arc;
 use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use papyrus_faultinject as fi;
-use papyrus_mpi::{Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Slice, Task};
+use papyrus_mpi::{
+    Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Sending, Slice, Task,
+};
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::{Clock, SimNs};
 use parking_lot::{Condvar, Mutex};
@@ -38,11 +38,11 @@ use parking_lot::{Condvar, Mutex};
 use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
-use crate::msg::{self, tags};
+use crate::msg::{self, tags, Batch};
 use crate::options::{OpenFlags, Options};
 use crate::queue::BlockingQueue;
 use crate::sstable::SstReader;
-use crate::write::Ingest;
+use crate::write::{Ingest, Shipping};
 
 /// The simulated machine a job runs on: system profile plus the shared
 /// storage fabric. Build once per job and share (`Arc`) across all ranks.
@@ -222,16 +222,11 @@ pub(crate) enum CompactJob {
     Shutdown,
 }
 
-/// Work items for the message dispatcher thread.
+/// Work items for the message dispatcher.
 pub(crate) enum MigrateJob {
-    /// Migrate an immutable remote MemTable to its owner ranks.
-    Migrate { db: Arc<DbInner>, mt: Arc<MemTable>, stamp: SimNs },
-    /// Copy a dead rank's promoted ranges to their new successor ranks so
-    /// the ring returns to `R` copies (DESIGN §11). Queued by the rank that
-    /// won the promotion claim; counted in `migration_inflight` so `fence`
-    /// doubles as the re-replication drain point.
-    Rereplicate { db: Arc<DbInner>, origin: usize, stamp: SimNs },
-    /// Terminate the thread (finalize).
+    /// A migration or a re-replication, planned, shipped a step a slice.
+    Ship(Shipping),
+    /// End the task (finalize).
     Shutdown,
 }
 
@@ -252,9 +247,8 @@ pub(crate) struct CtxInner {
     pub dbs: Mutex<Vec<Arc<DbInner>>>,
     pub compact_q: Arc<BlockingQueue<CompactJob>>,
     pub migrate_q: Arc<BlockingQueue<MigrateJob>>,
-    /// RPC sequence numbers for this rank's outgoing requests (app thread
-    /// and dispatcher thread share the space; replies echo the seq so stale
-    /// replies from timed-out attempts are discarded).
+    /// RPC sequence numbers for this rank's outgoing requests and armed-world
+    /// batches (replies echo the seq, so a stale reply is told apart).
     rpc_seq: AtomicU64,
     /// The rank's helper tasks: compaction, dispatcher, message handler.
     tasks: Mutex<Vec<Task<()>>>,
@@ -344,58 +338,131 @@ fn peek_seq(payload: &bytes::Bytes) -> Option<msg::RpcSeq> {
 /// A request's destination: (rank, request tag, reply tag).
 pub(crate) type Route = (usize, u32, u32);
 
-/// Ship one batch of records to another rank's handler as of `stamp`;
-/// returns when it is (or will be) ingested there. Unarmed world:
-/// fire-and-forget — sequence 0 asks for no ack and the result is the
-/// arrival stamp. Armed world: a [`request`] whose ack carries the
-/// ingest-completion stamp, so a black-holed batch is detected and resent.
+/// One batch for another rank's handler: a MIGRATE to its owner or, with
+/// `copy_of`, a REPL_PUT copy of that origin's records to a successor.
+pub(crate) struct Shipment {
+    pub to: usize,
+    pub copy_of: Option<usize>,
+    pub records: Batch,
+}
+
+impl Shipment {
+    /// Its route, and what a failure calls it.
+    pub(crate) fn route(&self) -> (Route, &'static str) {
+        match self.copy_of {
+            None => ((self.to, tags::MIGRATE, tags::MIGRATE_ACK), "migrate"),
+            Some(_) => ((self.to, tags::REPL_PUT, tags::REPL_ACK), "replica forward"),
+        }
+    }
+
+    /// Its payload under `seq`; sequence 0 asks for no ack.
+    pub(crate) fn encode(&self, db: u32, seq: msg::RpcSeq) -> bytes::Bytes {
+        match self.copy_of {
+            None => self.records.migrate(db, seq),
+            Some(origin) => self.records.repl_put(db, origin as u32, seq != 0, seq),
+        }
+    }
+}
+
+/// A death the failure detector confirmed is sticky: a request to a rank it
+/// named fails at once, as a timed-out one would, after the promotion check.
+fn refuse_dead(ctx: &CtxInner, db: &Arc<DbInner>, to: usize) -> Result<()> {
+    if ctx.comm_rep.rank_known_dead(to) {
+        crate::replica::maybe_promote(ctx, db, to);
+        return Err(Error::RankUnavailable(to));
+    }
+    Ok(())
+}
+
+/// Begin shipping a batch to another rank's handler as of `stamp`, in steps
+/// ([`Communicator::carry_on`]); nothing waits for it. Unarmed world: no
+/// ack. Armed world: the batch goes under a fresh sequence number into
+/// `db`'s unacked batches, whose acks the next fence collects.
 pub(crate) fn send_batch(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
-    route: Route,
-    what: &str,
+    ship: Shipment,
     stamp: SimNs,
-    encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
-) -> Result<SimNs> {
-    if ctx.faults().is_none() {
-        return Ok(ctx.comm_req.send_at(route.0, route.1, encode(0), stamp));
+) -> Result<Sending> {
+    let ((to, tag, _), _) = ship.route();
+    let seq = match ctx.faults() {
+        None => 0,
+        Some(_) => refuse_dead(ctx, db, to).map(|()| ctx.next_rpc_seq())?,
+    };
+    let sending = ctx.comm_req.send_in_steps(to, tag, ship.encode(db.id, seq), stamp);
+    if ship.copy_of.is_some() {
+        crate::replica::note_forward(db, stamp, sending.stamp);
     }
-    Ok(request(ctx, db, route, what, encode)?.stamp)
+    if seq != 0 {
+        db.unacked.lock().insert(seq, ship);
+    }
+    Ok(sending)
+}
+
+/// Armed world: collect the acks of `db`'s unacked batches, in the order
+/// they were sent, through [`request`]'s wait, backoff and resend. An ack's
+/// stamp merges into `migrate_backlog`, a failure goes to `io_errors`.
+/// Whether there were any.
+pub(crate) fn collect_acks(ctx: &CtxInner, db: &Arc<DbInner>) -> bool {
+    let Some(plan) = ctx.faults() else { return false };
+    let mut any = false;
+    loop {
+        let next = db.unacked.lock().pop_first();
+        let Some((seq, ship)) = next else { return any };
+        any = true;
+        let (route, what) = ship.route();
+        let encode = &mut |seq| ship.encode(db.id, seq);
+        let acked = await_reply(ctx, db, plan, route, what, seq, encode);
+        if let Err(e) = acked.map(|ack| db.migrate_backlog.merge(ack.stamp)) {
+            db.io_errors.lock().push(e);
+        }
+    }
 }
 
 /// One request/reply exchange with another rank's message handler.
 /// `encode` builds the payload around the sequence number the reply will
-/// echo.
-///
-/// Unarmed world: a plain blocking send + receive (sequence 0). Armed
-/// world ([`CtxInner::faults`]): bounded retry and failure detection. Per
-/// attempt: send with a fresh seq, then wait for a reply echoing that seq
-/// (stale replies from earlier attempts are discarded) until none can come
-/// — no other task of the world can run. Then run a failure-detector
-/// confirmation round against the owner — a confirmed-dead owner gets the
-/// promotion check (DESIGN §11) and yields [`Error::RankUnavailable`] —
-/// otherwise charge a deterministic virtual backoff and retry, up to
-/// [`RPC_MAX_ATTEMPTS`] ([`Error::Timeout`] after that).
-///
-/// Retries are safe: PUT_SYNC / MIGRATE re-apply the same records
-/// idempotently and GET_REQ is read-only.
+/// echo. Unarmed world: a plain blocking send + receive (sequence 0). Armed
+/// world ([`CtxInner::faults`]): a fresh seq, then [`await_reply`]'s
+/// bounded retry and failure detection. Retries are safe: PUT_SYNC /
+/// MIGRATE / REPL_PUT re-apply the same records idempotently and GET_REQ
+/// is read-only.
 pub(crate) fn request(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
-    (owner, req_tag, resp_tag): Route,
+    route: Route,
     what: &str,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<Message> {
+    let (owner, req_tag, resp_tag) = route;
     let Some(plan) = ctx.faults() else {
         ctx.comm_req.send(owner, req_tag, encode(0));
         return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)));
     };
-    // A death the failure detector confirmed is sticky: a request to a rank
-    // it named fails at once, as a timed-out one would.
-    if ctx.comm_rep.rank_known_dead(owner) {
-        crate::replica::maybe_promote(ctx, db, owner);
-        return Err(Error::RankUnavailable(owner));
-    }
+    refuse_dead(ctx, db, owner)?;
+    let seq = ctx.next_rpc_seq();
+    ctx.comm_req.send(owner, req_tag, encode(seq));
+    await_reply(ctx, db, plan, route, what, seq, encode)
+}
+
+/// Armed world: wait for the reply to the request sent to `owner` under
+/// `seq`. Per attempt: wait for a reply echoing the attempt's seq until none
+/// can come — no other task of the world can run. A reply echoing another
+/// seq is the ack of one of `db`'s unacked batches, collected here, or a
+/// stale reply to a timed-out attempt, dropped. Then run a failure-detector
+/// confirmation round against the owner — a confirmed-dead owner gets the
+/// promotion check (DESIGN §11) and yields [`Error::RankUnavailable`] —
+/// otherwise charge a deterministic virtual backoff and resend under a
+/// fresh seq, up to [`RPC_MAX_ATTEMPTS`] attempts ([`Error::Timeout`] after
+/// that).
+fn await_reply(
+    ctx: &CtxInner,
+    db: &Arc<DbInner>,
+    plan: &fi::FaultPlan,
+    (owner, req_tag, resp_tag): Route,
+    what: &str,
+    mut seq: msg::RpcSeq,
+    encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
+) -> Result<Message> {
     let tel = &db.tel;
     let me = ctx.rank.rank();
     let mut backoff = fi::Backoff::new(
@@ -403,11 +470,8 @@ pub(crate) fn request(
         RPC_BACKOFF_BASE_NS,
         RPC_BACKOFF_CAP_NS,
     );
-    let mut attempt = 0u32;
+    let mut attempt = 1u32;
     loop {
-        attempt += 1;
-        let seq = ctx.next_rpc_seq();
-        ctx.comm_req.send(owner, req_tag, encode(seq));
         if plan.planted_bug() == Some(fi::PlantedBug::Hang) {
             // Planted bug (chaos `--seed-bug hang`): a blocking receive
             // where a deadline belongs. With the request black-holed this
@@ -418,7 +482,13 @@ pub(crate) fn request(
         let reply = loop {
             match ctx.comm_rep.recv_until_quiet(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)) {
                 Some(m) if peek_seq(&m.payload) == Some(seq) => break Some(m),
-                Some(_stale) => continue, // reply to a timed-out attempt
+                Some(other) => {
+                    if peek_seq(&other.payload)
+                        .is_some_and(|s| db.unacked.lock().remove(&s).is_some())
+                    {
+                        db.migrate_backlog.merge(other.stamp);
+                    }
+                }
                 None => break None,
             }
         };
@@ -459,6 +529,9 @@ pub(crate) fn request(
         if tel.on() {
             tel.backoff_ns.record(delay);
         }
+        attempt += 1;
+        seq = ctx.next_rpc_seq();
+        ctx.comm_req.send(owner, req_tag, encode(seq));
     }
 }
 
@@ -523,10 +596,9 @@ impl Context {
         // Spawned in this order: a task's id breaks ties between equal
         // virtual clocks.
         let name = |what| format!("pkv-{what}-{}", inner.rank.rank());
-        let dispatch = inner.clone();
         let tasks = vec![
             inner.rank.spawn_slices(name("compact"), compaction(inner.clone())),
-            inner.rank.spawn(name("dispatch"), move || dispatcher_thread(dispatch)),
+            inner.rank.spawn_slices(name("dispatch"), dispatcher(inner.clone())),
             inner.rank.spawn_slices(name("handler"), handler(inner.clone())),
         ];
         *inner.tasks.lock() = tasks;
@@ -662,18 +734,21 @@ fn compaction(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
     }
 }
 
-/// Message dispatcher main loop (§2.4 "migration").
-fn dispatcher_thread(ctx: Arc<CtxInner>) {
-    loop {
-        match ctx.migrate_q.pop() {
-            MigrateJob::Migrate { db, mt, stamp } => {
-                crate::write::run_migration(&ctx, &db, mt, stamp);
-            }
-            MigrateJob::Rereplicate { db, origin, stamp } => {
-                crate::replica::run_rereplication(&ctx, &db, origin, stamp);
-            }
-            MigrateJob::Shutdown => return,
+/// The message dispatcher (§2.4 "migration"), a run-to-completion task of
+/// the world: each slice takes one step of the job at the front of the
+/// migration queue ([`Shipping`]). A job taken when a preemption point
+/// ended the slice, or part-shipped, waits in `held` for the next one.
+fn dispatcher(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
+    let mut held = None;
+    move || {
+        let Some(job) = held.take().or_else(|| ctx.migrate_q.take()) else { return Slice::Parked };
+        let MigrateJob::Ship(shipping) = job else { return Slice::Exit };
+        if Slice::yielded() {
+            held = Some(MigrateJob::Ship(shipping));
+            return Slice::Ran;
         }
+        held = shipping.step(&ctx).map(MigrateJob::Ship);
+        Slice::Ran
     }
 }
 

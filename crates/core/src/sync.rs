@@ -15,7 +15,7 @@ use crate::error::{Error, Result};
 use crate::msg::{self, tags};
 use crate::options::BarrierLevel;
 use crate::replica::maybe_promote;
-use crate::runtime::CtxInner;
+use crate::runtime::{collect_acks, CtxInner};
 use crate::write::{freeze, Side};
 
 /// Record a barrier mark received by the handler.
@@ -59,12 +59,17 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
 
 /// Fence (§3.1): migrate the remote MemTable and every immutable remote
 /// MemTable to the owner ranks immediately; returns when the migration
-/// queue has drained.
+/// queue has drained and, in an armed world, every batch it sent is acked
+/// or has failed into `io_errors`. A promotion while the acks are collected
+/// queues a re-replication, which drains too.
 pub(crate) fn fence_inner(ctx: &CtxInner, db: &Arc<DbInner>) -> Result<()> {
     let clock = ctx.clock();
     let start = clock.now();
     freeze(ctx, db, Side::Staging, start);
     db.wait_drained(Side::Staging);
+    while collect_acks(ctx, db) {
+        db.wait_drained(Side::Staging);
+    }
     clock.merge(db.migrate_backlog.now());
     if db.tel.on() {
         let end = clock.now();

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use papyrus_mpi::Slice;
+use papyrus_mpi::{Sending, Slice};
 use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
 
@@ -15,8 +15,8 @@ use crate::error::{Error, Result};
 use crate::memtable::{Entry, MemTable};
 use crate::msg::{tags, Batch, BatchBuf};
 use crate::options::{CompactionTrigger, Consistency, Options, Protection};
-use crate::replica::forward_replicas;
-use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob};
+use crate::replica::{apply_replica_records, forward_replicas};
+use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob, Shipment};
 use crate::sstable::{self, Record, Ssid, SstReader, TableImage};
 
 impl Db {
@@ -49,7 +49,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
     let kind = match state.consistency {
         Consistency::Relaxed if owner == me => {
             // With replication the copy is staged under owner = me — the
-            // bounded replication queue. The dispatcher's migration pass
+            // bounded replication queue. The dispatcher's migration plan
             // fans owner==me groups out to the successors, and the FIFO
             // barrier mark proves they are ingested before the barrier
             // completes.
@@ -94,7 +94,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
                 // successors must too before this put returns, so a single
                 // rank kill cannot lose an acked sequential write (DESIGN
                 // §11).
-                forward_replicas(ctx, db, owner, &batch, clock.now(), true)?;
+                forward_replicas(ctx, db, owner, &batch, clock.now())?;
             }
             kind
         }
@@ -225,7 +225,8 @@ fn freeze_slotted(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs) {
         Side::Staging => {
             db.tel.freeze_remote.inc();
             db.tel.rec.instant("core", "freeze.remote", TID_APP, stamp);
-            ctx.migrate_q.push(MigrateJob::Migrate { db, mt, stamp });
+            let plan = plan_migration(ctx, &db, &mt);
+            ctx.migrate_q.push(MigrateJob::Ship(Shipping::new(db, Some(mt), plan, stamp)));
         }
     }
 }
@@ -379,60 +380,112 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: S
     db.tel.rec.span("core", "compact", TID_COMPACT, stamp, t);
 }
 
-/// Dispatcher-thread body for one migration job: sort the frozen staging
-/// MemTable's pairs by owner — each encoded, once, straight into its owner's
-/// batch — and send the batches, owners ascending (§2.4 "migration").
-pub(crate) fn run_migration(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>, stamp: SimNs) {
+/// Plan a migration (§2.4 "migration"): sort the frozen staging MemTable's
+/// pairs by owner — each encoded, once, straight into its owner's batch —
+/// into the batches to ship, owners ascending, each owner's replica copies
+/// behind its batch.
+fn plan_migration(ctx: &CtxInner, db: &DbInner, mt: &MemTable) -> Vec<Shipment> {
     let mut per_owner: BTreeMap<usize, BatchBuf> = BTreeMap::new();
     for (k, e) in mt.iter() {
         per_owner.entry(e.owner as usize).or_default().push(Record::from((k, e)));
     }
-    let me = ctx.rank.rank();
-    let mut last_arrive = stamp;
-    let mut settle = |sent: Result<SimNs>| match sent {
-        Ok(arrive) => {
-            last_arrive = last_arrive.max(arrive);
-            db.migrate_backlog.merge(arrive);
-        }
-        Err(e) => db.io_errors.lock().push(e),
-    };
+    let (me, n) = (ctx.rank.rank(), ctx.rank.size());
+    let mut plan = Vec::new();
     for (owner, batch) in per_owner {
-        let batch = &batch.freeze();
+        let records = batch.freeze();
         // An `owner == me` group exists only under R >= 2: local puts are
         // staged here purely so their replica copies ride the batched path.
         // The primary copy is already in the local stack — no self-migrate.
         if owner != me {
-            // Under the fault plane a confirmed-dead owner's records are
-            // dropped with a typed error in the sink — their keys are
-            // unavailable until restart, which the chaos oracle accounts
-            // for.
-            let encode = &mut |seq| batch.migrate(db.id, seq);
-            let sent = send_batch(
-                ctx,
-                db,
-                (owner, tags::MIGRATE, tags::MIGRATE_ACK),
-                "migrate",
-                stamp,
-                encode,
-            );
-            settle(sent);
+            plan.push(Shipment { to: owner, copy_of: None, records: records.clone() });
         }
         // Replica fan-out (R >= 2): every batch is also copied to the
         // owner's successor ranks on the ring. Replica batches ride the
         // same FIFO request channel as barrier marks, so a successful
         // barrier proves every replica copy sent before it was ingested —
         // the "bounded replication queue drained at barrier/fence".
-        if db.repl_n >= 2 {
-            settle(forward_replicas(ctx, db, owner, batch, stamp, false));
+        for s in papyrus_replica::successors(owner, n, db.repl_n) {
+            plan.push(Shipment { to: s, copy_of: Some(owner), records: records.clone() });
         }
     }
-    db.tel.migrate_count.inc();
-    db.tel.migrate_ns.record(last_arrive.saturating_sub(stamp));
-    db.tel.rec.span("core", "migrate", TID_DISPATCH, stamp, last_arrive);
-    db.staging.lock().drop_frozen(&mt);
-    let mut sync = db.sync.lock();
-    sync.migration_inflight -= 1;
-    db.sync_cv.notify_all();
+    plan
+}
+
+/// A migration or re-replication the message dispatcher carries out, one
+/// step a slice: a batch is sent in three ([`send_batch`], then two of
+/// [`papyrus_mpi::Communicator::carry_on`]), a copy to this rank is one,
+/// then the job is recorded, a migration's frozen MemTable dropped and the
+/// job's slot freed. A step lets go of one guard at most and wakes a task
+/// only as its last action, so slices end where a thread blocked.
+pub(crate) struct Shipping {
+    db: Arc<DbInner>,
+    /// A migration's frozen MemTable until it is dropped; `None` for a
+    /// re-replication.
+    mt: Option<Arc<MemTable>>,
+    plan: std::vec::IntoIter<Shipment>,
+    sending: Option<Sending>,
+    recorded: bool,
+    stamp: SimNs,
+    /// The latest arrival so far.
+    last: SimNs,
+}
+
+impl Shipping {
+    pub(crate) fn new(
+        db: Arc<DbInner>,
+        mt: Option<Arc<MemTable>>,
+        plan: Vec<Shipment>,
+        stamp: SimNs,
+    ) -> Self {
+        let plan = plan.into_iter();
+        Self { db, mt, plan, sending: None, recorded: false, stamp, last: stamp }
+    }
+
+    /// Take the next step; what is left of the job.
+    pub(crate) fn step(mut self, ctx: &CtxInner) -> Option<Self> {
+        let (db, stamp) = (&self.db, self.stamp);
+        if let Some(sending) = &mut self.sending {
+            if ctx.comm_req.carry_on(sending) {
+                self.sending = None;
+            }
+        } else if let Some(ship) = self.plan.next() {
+            let arrive = if let Some(origin) = ship.copy_of.filter(|_| ship.to == ctx.rank.rank()) {
+                apply_replica_records(ctx, db, origin, &ship.records, stamp)
+            } else {
+                let healed = (self.mt.is_none() && db.tel.on()).then(|| {
+                    ship.records.records().map(|r| (r.key.len() + r.value.len()) as u64).sum()
+                });
+                // Under the fault plane a confirmed-dead receiver's records
+                // are dropped with a typed error in the sink — an owner's
+                // keys are unavailable until restart, which the chaos oracle
+                // accounts for.
+                let sent =
+                    send_batch(ctx, db, ship, stamp).map_err(|e| db.io_errors.lock().push(e));
+                let Ok(sending) = sent else { return Some(self) };
+                healed.into_iter().for_each(|bytes| db.tel.repl_rereplicated_bytes.add(bytes));
+                self.sending.insert(sending).stamp
+            };
+            self.last = self.last.max(arrive);
+            db.migrate_backlog.merge(arrive);
+        } else if !std::mem::replace(&mut self.recorded, true) {
+            let last = self.last;
+            if self.mt.is_some() {
+                db.tel.migrate_count.inc();
+                db.tel.migrate_ns.record(last.saturating_sub(stamp));
+                db.tel.rec.span("core", "migrate", TID_DISPATCH, stamp, last);
+            } else if db.tel.on() {
+                db.tel.rec.span("core", "rereplicate", TID_DISPATCH, stamp, last);
+            }
+        } else if let Some(mt) = self.mt.take() {
+            db.staging.lock().drop_frozen(&mt);
+        } else {
+            let mut sync = db.sync.lock();
+            sync.migration_inflight -= 1;
+            db.sync_cv.notify_all();
+            return None;
+        }
+        Some(self)
+    }
 }
 
 /// A MIGRATE or PUT_SYNC batch the message handler ingests into the owner's

@@ -131,8 +131,9 @@ proptest! {
         }
     }
 
-    /// The blocking queue is FIFO for arbitrary push/pop interleavings
-    /// (single-threaded, so a pop is made only when the model holds a value).
+    /// The queue is FIFO for arbitrary push/take interleavings (a take is
+    /// made only when the model holds a value: outside a world an empty
+    /// queue has no task to enlist).
     #[test]
     fn queue_fifo(ops in vec(any::<bool>(), 0..400)) {
         let q = BlockingQueue::new();
@@ -144,11 +145,11 @@ proptest! {
                 model.push_back(next);
                 next += 1;
             } else if let Some(want) = model.pop_front() {
-                prop_assert_eq!(q.pop(), want);
+                prop_assert_eq!(q.take(), Some(want));
             }
         }
         while let Some(want) = model.pop_front() {
-            prop_assert_eq!(q.pop(), want);
+            prop_assert_eq!(q.take(), Some(want));
         }
     }
 

@@ -4,8 +4,8 @@
 //! runs on the thread of whichever task hands it the baton, and that thread
 //! cannot block on its behalf — the world scheduler panics if it tries. So
 //! every non-test `spawn_slices(.., f(..))` call names a slice task, `f`
-//! (the compaction task and the message handler), and each call in `f`'s
-//! body is checked against [`super::Parks`].
+//! (the compaction task, the message dispatcher and the message handler),
+//! and each call in `f`'s body is checked against [`super::Parks`].
 
 use super::Parks;
 use crate::callgraph::{CallGraph, Ws};
@@ -73,8 +73,7 @@ mod tests {
     fn findings(runtime: &str) -> Vec<Finding> {
         let file = |rel: &str, text: &str| SourceFile { rel: rel.into(), text: text.into() };
         let queue = "impl<T> BlockingQueue<T> {\n\
-                     pub fn push(&self, v: T) { self.not_empty.notify_one(); }\n\
-                     pub fn pop(&self) -> T { loop { self.not_empty.wait(&mut g); } }\n}\n";
+                     pub fn push(&self, v: T) { self.not_empty.notify_one(); }\n}\n";
         let tree = SourceTree {
             files: vec![file(RUNTIME, runtime), file("crates/core/src/queue.rs", queue)],
         };
@@ -103,16 +102,16 @@ fn next(ctx: &Ctx) -> u32 { 1 }
 fn put(ctx: &Ctx) { ctx.cv.enlist(&g); }
 fn get(ctx: &Ctx) { ctx.work_q.push(1); let v = vec![1]; v.len(); }
 fn note(ctx: &Ctx) { ctx.cv.notify_all(); }
-fn pump(ctx: Ctx) { loop { ctx.work_q.pop(); } }
+fn pump(ctx: Ctx) { loop { ctx.cv.wait(&mut g); } }
 ";
 
     #[test]
     fn no_slice_task_may_park() {
-        // An enlist or a `push` never parks; a `pop` parks until a push
-        // arrives, wherever the task's body reaches it — but the thread
-        // task `pump` may park.
+        // An enlist or a `push` never parks; a condvar wait parks until a
+        // notify, wherever the task's body reaches it — but the thread task
+        // `pump` may park.
         assert!(findings(RUNTIME_SRC).is_empty(), "{:#?}", findings(RUNTIME_SRC));
-        let all = findings(&RUNTIME_SRC.replace("ctx.cv.enlist(&g);", "ctx.work_q.pop();"));
+        let all = findings(&RUNTIME_SRC.replace("ctx.cv.enlist(&g);", "ctx.cv.wait(&mut g);"));
         assert_eq!(all.len(), 1, "{all:#?}");
         assert!(all[0].text.contains("slice task `serve`"), "{all:#?}");
         assert!(all[0].trace.iter().any(|t| t.starts_with("put ")), "{all:#?}");

@@ -16,10 +16,7 @@ pub mod inline;
 pub mod panics;
 pub mod tags;
 
-use std::collections::HashSet;
-
 use crate::callgraph::{CallGraph, Ws};
-use crate::lexer::TokKind;
 use crate::parse::{CallSite, Callee};
 use crate::report::Finding;
 use crate::SourceTree;
@@ -52,22 +49,18 @@ pub(crate) fn primitive_file(rel: &str) -> bool {
 
 /// What parks — waits until another task of the world wakes it (DESIGN.md
 /// §14): a named primitive, a direct park site (a condvar `.wait(g)` /
-/// `.wait_until_quiet(g)`, a task `.join()`, a `.pop()` on a field declared
-/// as a `BlockingQueue`), and every fn that reaches one outside the
-/// primitive files. Charged NVM I/O only advances a clock, so it is not here.
+/// `.wait_until_quiet(g)`, a task `.join()`), and every fn that reaches one
+/// outside the primitive files. Charged NVM I/O only advances a clock, so
+/// it is not here.
 pub struct Parks {
     /// Per fn: can it park?
     reach: Vec<bool>,
     /// Reverse-BFS parents, for traces down to the park.
     parent: Vec<usize>,
-    /// Names declared with a `BlockingQueue` type: `pop` never resolves by
-    /// name (it would collide with `Vec`'s), so the receiver stands in.
-    queues: HashSet<String>,
 }
 
 impl Parks {
     pub fn build(ws: &Ws, cg: &CallGraph) -> Parks {
-        let mut parks = Parks { reach: Vec::new(), parent: Vec::new(), queues: queue_fields(ws) };
         let seeds: Vec<usize> = (0..ws.fns.len())
             .filter(|&f| {
                 let (item, rel) = (&ws.fns[f], ws.rel_of(f));
@@ -75,31 +68,18 @@ impl Parks {
                     && if primitive_file(rel) {
                         PRIMITIVES.iter().any(|(pf, pn)| item.name == *pn && rel.ends_with(pf))
                     } else {
-                        ws.calls_by_fn[f].iter().any(|&c| parks.direct(ws, &ws.calls[c]))
+                        ws.calls_by_fn[f].iter().any(|&c| direct(&ws.calls[c]))
                     }
             })
             .collect();
-        (parks.reach, parks.parent) = cg.reach_rev(&seeds, &|f| !primitive_file(ws.rel_of(f)));
-        parks
-    }
-
-    /// Does `call` park by its own shape?
-    fn direct(&self, ws: &Ws, call: &CallSite) -> bool {
-        let method = matches!(call.callee, Callee::Method | Callee::SelfMethod);
-        let toks = &ws.lexed[ws.fns[call.caller].file].tokens;
-        let receiver = call.tok.checked_sub(2).map(|r| toks[r].text.as_str());
-        method
-            && match (call.name.as_str(), call.arity) {
-                ("wait" | "wait_until_quiet", 1) | ("join", 0) => true,
-                ("pop", 0) => receiver.is_some_and(|r| self.queues.contains(r)),
-                _ => false,
-            }
+        let (reach, parent) = cg.reach_rev(&seeds, &|f| !primitive_file(ws.rel_of(f)));
+        Parks { reach, parent }
     }
 
     /// Why call `ci` parks: the chain from the called fn down to its park
     /// site (empty when the call is the park site), or `None` if it cannot.
     pub fn trace(&self, ws: &Ws, cg: &CallGraph, ci: usize) -> Option<Vec<String>> {
-        if self.direct(ws, &ws.calls[ci]) {
+        if direct(&ws.calls[ci]) {
             return Some(Vec::new());
         }
         let &target = cg.call_targets[ci].iter().find(|&&t| self.reach[t])?;
@@ -109,22 +89,13 @@ impl Parks {
     }
 }
 
-/// Names declared with a `BlockingQueue` type — `name: Arc<BlockingQueue<T>>`
-/// fields, `name: BlockingQueue::new()` initialisers — anywhere in `ws`.
-fn queue_fields(ws: &Ws) -> HashSet<String> {
-    let mut names = HashSet::new();
-    for lexed in &ws.lexed {
-        let toks = &lexed.tokens;
-        for k in (0..toks.len()).filter(|&k| toks[k].text == "BlockingQueue") {
-            let colon = (k.saturating_sub(4).max(1)..k).rev().find(|&j| {
-                toks[j].text == ":" && toks[j - 1].text != ":" && toks[j + 1].text != ":"
-            });
-            if let Some(j) = colon.filter(|&j| toks[j - 1].kind == TokKind::Ident) {
-                names.insert(toks[j - 1].text.clone());
-            }
-        }
-    }
-    names
+/// Does `call` park by its own shape?
+fn direct(call: &CallSite) -> bool {
+    matches!(call.callee, Callee::Method | Callee::SelfMethod)
+        && matches!(
+            (call.name.as_str(), call.arity),
+            ("wait" | "wait_until_quiet", 1) | ("join", 0)
+        )
 }
 
 /// Crates in the interprocedural analysis universe.

@@ -6,8 +6,8 @@
 //!
 //! Classification is lexical over the enclosing-call stack:
 //! - inside a `.send(` / `.send_at(` argument list        -> SENT
-//! - 1st / 2nd `tags::` argument of `request(..)` /
-//!   `send_batch(..)` (core's RPC front, runtime.rs)      -> SENT / AWAITED
+//! - 1st / 2nd `tags::` of a bare tuple — a `Route`,
+//!   `(rank, request tag, reply tag)`, core's RPC front  -> SENT / AWAITED
 //! - inside `RecvTag::Tag(..)` / `Tag(..)` recv argument  -> AWAITED
 //! - match arm `tags::X =>`                               -> HANDLED
 //! - `== tags::X` / `tags::X ==` comparisons              -> neutral
@@ -90,8 +90,13 @@ pub fn run(ws: &Ws) -> Vec<Finding> {
             match toks[i].text.as_str() {
                 "(" => {
                     paren += 1;
-                    if i > 0 && toks[i - 1].kind == crate::lexer::TokKind::Ident {
+                    // A call's frame is named by its callee, a bare paren's
+                    // (a tuple) is "("; a macro's has none.
+                    let prev = i.checked_sub(1).map(|p| &toks[p]);
+                    if prev.is_some_and(|t| t.kind == crate::lexer::TokKind::Ident) {
                         stack.push((toks[i - 1].text.clone(), paren, 0));
+                    } else if prev.is_some_and(|t| t.text != "!") {
+                        stack.push(("(".to_string(), paren, 0));
                     }
                 }
                 ")" => {
@@ -133,7 +138,7 @@ pub fn run(ws: &Ws) -> Vec<Finding> {
                     for f in stack.iter_mut().rev() {
                         match f.0.as_str() {
                             "send" | "send_at" => u.sent.push(site),
-                            "request" | "send_batch" => {
+                            "(" => {
                                 f.2 += 1;
                                 if f.2 == 1 {
                                     u.sent.push(site);

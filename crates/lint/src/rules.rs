@@ -42,10 +42,11 @@
 //!   `--cfg modelcheck` so protocol interleavings stay explorable.
 //! - **raw-thread** — no `thread::spawn` / `thread::Builder` outside test
 //!   code of the crates that run inside a simulated world (core, mpi,
-//!   mdhim, meraculous, dsm, serve): a thread that is not one of the
-//!   world's tasks (`RankCtx::spawn`) and parks on a world condvar is
-//!   invisible to the world's scheduler, whose "no runnable task" would
-//!   then call a live world deadlocked.
+//!   mdhim, meraculous, dsm, serve): a helper of a rank is one of the
+//!   world's tasks, a run-to-completion task (`RankCtx::spawn_slices`) with
+//!   no thread. A raw thread that parks on a world condvar is invisible to
+//!   the world's scheduler, whose "no runnable task" would then call a live
+//!   world deadlocked.
 //!
 //! A finding on a specific line can be waived with a trailing
 //! `// lint:allow(<rule>)` comment.

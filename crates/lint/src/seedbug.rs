@@ -172,8 +172,8 @@ pub const SEEDS: &[(&str, Seed)] = &[
         description: "a runtime helper spawned as a raw OS thread, not a task of the world",
         patches: &[(
             "crates/core/src/runtime.rs",
-            "inner.rank.spawn(name(\"dispatch\"), move || dispatcher_thread(dispatch))",
-            "std::thread::spawn(move || dispatcher_thread(dispatch))",
+            "inner.rank.spawn_slices(name(\"dispatch\"), dispatcher(inner.clone()))",
+            "std::thread::spawn(move || dispatcher(inner.clone()))",
         )],
         rule: "raw-thread",
         expect: "std::thread::spawn",

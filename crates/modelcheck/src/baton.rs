@@ -461,8 +461,8 @@ impl Baton {
 
     /// Wait until `tid` is granted the baton: `Ok(timed_out)`, or the
     /// verdict to unwind with. A hand-off between threads is often answered
-    /// within microseconds (a collective's last arrival, a migration handed
-    /// to the dispatcher and back), so the latest task to wait yields the
+    /// within microseconds (a collective's last arrival, a reply from
+    /// another rank), so the latest task to wait yields the
     /// CPU a few dozen times before it sleeps: one waiter off the sleep/wake
     /// path, the runner not starved even on one CPU. Host timing decides
     /// only *when* a waiter sees its grant, never who is granted.

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use papyrus_simtime::SimNs;
+use parking_lot::Condvar;
 
 use crate::fabric::{CommId, CommRecord, Envelope, Fabric, Wait};
 use crate::{Rank, Tag};
@@ -45,7 +46,7 @@ pub struct Message {
 ///
 /// Like MPI communicators, messages sent on one communicator can never be
 /// received on another, and each communicator has its own rank numbering.
-/// `Communicator` is `Clone` and `Send + Sync`; helper threads (PapyrusKV's
+/// `Communicator` is `Clone` and `Send + Sync`; helper tasks (PapyrusKV's
 /// message dispatcher and handler) clone the handle they are given.
 pub struct Communicator {
     fabric: Arc<Fabric>,
@@ -104,37 +105,56 @@ impl Communicator {
     /// the fabric with NIC/wire time; the computed arrival stamp travels with
     /// the message and is merged into the receiver's clock on receipt.
     pub fn send(&self, dst: Rank, tag: Tag, payload: impl Into<Bytes>) {
-        let payload = payload.into();
-        let dst_world = self.record.members[dst];
         let clock = self.fabric.clock(self.me_world);
         // Sender-side software overhead (an MPI_Send on the happy path).
         let now = clock.advance(self.fabric.net().msg_latency / 4);
-        if self.fabric.fault_drop(self.me_world, dst_world, tag, now) {
-            return; // black-holed by the fault plane
-        }
-        let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
-        self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        self.fabric.count((self.id, self.me_world, dst_world, tag), false);
-        self.fabric
-            .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
+        self.send_at(dst, tag, payload, now);
     }
 
-    /// Timestamp-explicit send for background threads (PapyrusKV's message
-    /// dispatcher): does NOT touch the rank clock. The message is charged to
-    /// the NICs/wire starting from `now` and the computed arrival stamp is
-    /// returned (and travels with the message).
+    /// Timestamp-explicit send for a helper task (PapyrusKV's message
+    /// handler and dispatcher): does NOT touch the rank clock. The message
+    /// is charged to the NICs/wire starting from `now` and the computed
+    /// arrival stamp is returned (and travels with the message).
     pub fn send_at(&self, dst: Rank, tag: Tag, payload: impl Into<Bytes>, now: SimNs) -> SimNs {
+        let mut sending = self.send_in_steps(dst, tag, payload, now);
+        while !self.carry_on(&mut sending) {}
+        sending.stamp
+    }
+
+    /// [`Communicator::send_at`] in steps, for a run-to-completion task
+    /// (PapyrusKV's dispatcher): this charges and counts the message, and
+    /// each [`Communicator::carry_on`] takes one more step, so that a slice
+    /// can end at the guard release that is its preemption point, where a
+    /// thread would block, and leave the rest to its next slice.
+    pub fn send_in_steps(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        payload: impl Into<Bytes>,
+        now: SimNs,
+    ) -> Sending {
         let payload = payload.into();
         let dst_world = self.record.members[dst];
         if self.fabric.fault_drop(self.me_world, dst_world, tag, now) {
-            return now; // black-holed by the fault plane
+            // Black-holed by the fault plane.
+            return Sending { stamp: now, dst_world, env: None, ready: None };
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
         self.fabric.count((self.id, self.me_world, dst_world, tag), false);
-        self.fabric
-            .deliver(dst_world, Envelope { comm: self.id, src: self.me, tag, stamp, payload });
-        stamp
+        let env = Some(Envelope { comm: self.id, src: self.me, tag, stamp, payload });
+        Sending { stamp, dst_world, env, ready: None }
+    }
+
+    /// The next step of `sending`: queue it at its receiver, then wake the
+    /// receiver; `true` once done.
+    pub fn carry_on(&self, sending: &mut Sending) -> bool {
+        let Some(env) = sending.env.take() else {
+            sending.ready.take().into_iter().for_each(|ready| ready.notify_all());
+            return true;
+        };
+        sending.ready = self.fabric.queue(sending.dst_world, env);
+        false
     }
 
     /// Blocking receive matching `src`/`tag`. Merges the message's arrival
@@ -314,6 +334,17 @@ impl Communicator {
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
     }
+}
+
+/// A send made in steps ([`Communicator::send_in_steps`]).
+#[derive(Debug)]
+pub struct Sending {
+    /// The message's arrival stamp (the charge time, if the fault plane
+    /// black-holed it).
+    pub stamp: SimNs,
+    dst_world: Rank,
+    env: Option<Envelope>,
+    ready: Option<Arc<Condvar>>,
 }
 
 impl RecvSrc {

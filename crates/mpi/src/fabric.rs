@@ -174,7 +174,7 @@ impl CollectiveState {
         g.arrived += 1;
         if g.arrived == n {
             // Every slot was filled by an arrival; filter_map rather than
-            // unwrap so a protocol bug cannot panic a handler thread.
+            // unwrap so a protocol bug cannot panic the rank that arrived last.
             let bufs: Vec<Vec<u8>> = g.bufs.iter_mut().filter_map(|b| b.take()).collect();
             let release_stamp = g.max_stamp + cost;
             g.released = Some((Arc::new(bufs), release_stamp));
@@ -254,7 +254,7 @@ pub struct Fabric {
     clocks: Vec<Clock>,
     tel: Vec<RankNetTel>,
     /// The world's scheduler: every rank thread and helper of this world
-    /// is one of its tasks ([`crate::RankCtx::spawn`]).
+    /// is one of its tasks ([`crate::RankCtx::spawn_slices`]).
     baton: Arc<Baton>,
     /// `[sent, received]` per `(comm, src world rank, dst world rank,
     /// tag)` channel, counted only while `PAPYRUS_SANITY` is on: at
@@ -503,8 +503,9 @@ impl Fabric {
         &self.tel[world_rank]
     }
 
-    /// Deposit an envelope into `dst_world`'s mailbox.
-    pub(crate) fn deliver(&self, dst_world: Rank, env: Envelope) {
+    /// Queue `env` at `dst_world` and return the condvar its communicator's
+    /// receivers wait on there, if any has, for the sender to notify.
+    pub(crate) fn queue(&self, dst_world: Rank, env: Envelope) -> Option<Arc<Condvar>> {
         let (depth, ready) = {
             let mut mb = self.mailboxes[dst_world].lock();
             let ready = mb.ready.get(&env.comm).cloned();
@@ -512,9 +513,7 @@ impl Fabric {
             (mb.queue.len(), ready)
         };
         self.tel[dst_world].on_deliver(depth);
-        if let Some(ready) = ready {
-            ready.notify_all();
-        }
+        ready
     }
 
     /// World rank backing a comm rank, if the communicator is known.
@@ -645,6 +644,11 @@ mod tests {
     use super::*;
     use papyrus_simtime::US;
 
+    /// Queue `env` at `dst` and wake its receivers, as a send does.
+    fn deliver(f: &Fabric, dst: Rank, env: Envelope) {
+        f.queue(dst, env).into_iter().for_each(|ready| ready.notify_all());
+    }
+
     fn fabric(n: usize) -> Arc<Fabric> {
         Fabric::new(n, NetModel::infiniband_edr())
     }
@@ -666,7 +670,8 @@ mod tests {
     #[test]
     fn deliver_and_recv() {
         let f = fabric(2);
-        f.deliver(
+        deliver(
+            &f,
             1,
             Envelope { comm: 0, src: 0, tag: 7, stamp: 123, payload: Bytes::from_static(b"hi") },
         );
@@ -680,7 +685,7 @@ mod tests {
     fn recv_filters_by_tag() {
         let f = fabric(1);
         for tag in [1u32, 2, 3] {
-            f.deliver(0, Envelope { comm: 0, src: 0, tag, stamp: 0, payload: Bytes::new() });
+            deliver(&f, 0, Envelope { comm: 0, src: 0, tag, stamp: 0, payload: Bytes::new() });
         }
         let e = f.recv(0, 0, None, Some(2));
         assert_eq!(e.tag, 2);
@@ -692,8 +697,8 @@ mod tests {
     #[test]
     fn recv_filters_by_src_and_comm() {
         let f = fabric(4);
-        f.deliver(0, Envelope { comm: 5, src: 2, tag: 0, stamp: 0, payload: Bytes::new() });
-        f.deliver(0, Envelope { comm: 0, src: 3, tag: 0, stamp: 0, payload: Bytes::new() });
+        deliver(&f, 0, Envelope { comm: 5, src: 2, tag: 0, stamp: 0, payload: Bytes::new() });
+        deliver(&f, 0, Envelope { comm: 0, src: 3, tag: 0, stamp: 0, payload: Bytes::new() });
         assert!(f.try_recv(0, 0, Some(2), None).is_none());
         assert!(f.try_recv(0, 5, Some(2), None).is_some());
         assert!(f.try_recv(0, 0, Some(3), None).is_some());
@@ -770,7 +775,7 @@ mod tests {
         let f2 = f.clone();
         let h = std::thread::spawn(move || f2.recv(0, 0, Some(1), Some(9)).stamp);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        f.deliver(0, Envelope { comm: 0, src: 1, tag: 9, stamp: 555, payload: Bytes::new() });
+        deliver(&f, 0, Envelope { comm: 0, src: 1, tag: 9, stamp: 555, payload: Bytes::new() });
         assert_eq!(h.join().unwrap(), 555);
     }
 

@@ -4,16 +4,17 @@
 //!
 //! PapyrusKV is an *embedded* KVS: it is a user-level library linked into an
 //! MPI application, using tagged point-to-point messages (at
-//! `MPI_THREAD_MULTIPLE` level, from dispatcher/handler helper threads),
+//! `MPI_THREAD_MULTIPLE` level, from its dispatcher and handler helpers),
 //! duplicated communicators for runtime-internal traffic, and a handful of
 //! collectives. It never uses one-sided MPI. This crate provides exactly that
 //! surface with each *rank* running as an OS thread inside one process, one
 //! thread of a world at a time, in virtual-time order:
 //!
 //! * [`World::run`] — launch `n` ranks executing the same closure (SPMD);
-//!   [`RankCtx::spawn`] adds a rank's helper threads as [`Task`]s, and
-//!   [`RankCtx::spawn_slices`] a run-to-completion helper, with no thread,
-//!   whose [`Slice`]s run on the thread that hands it the baton.
+//!   [`RankCtx::spawn_slices`] adds a rank's helper as a run-to-completion
+//!   [`Task`], with no thread, whose [`Slice`]s run on the thread that
+//!   hands it the baton ([`RankCtx::spawn`], a helper with a thread of its
+//!   own, has no caller outside tests).
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
 //!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
 //!   collective helpers.
@@ -39,7 +40,7 @@ mod comm;
 mod fabric;
 mod world;
 
-pub use comm::{Communicator, Message, RecvSrc, RecvTag};
+pub use comm::{Communicator, Message, RecvSrc, RecvTag, Sending};
 pub use fabric::{Fabric, RankStatus};
 pub use papyrus_modelcheck::baton::{Grants, Slice, Task, Verdict};
 pub use world::{panic_message, RankCtx, World, WorldConfig};

@@ -49,10 +49,11 @@ impl World {
     /// Run an SPMD job: `config.ranks` tasks, each executing `f` with its
     /// own [`RankCtx`]. Returns each rank's result, indexed by rank.
     ///
-    /// Every rank and every helper spawned through [`RankCtx::spawn`] is a
-    /// task of the world's scheduler (`papyrus_modelcheck::baton`): one runs
-    /// at a time, handing over at blocking points in virtual-time order, so
-    /// a run is a function of its inputs alone. A world that can never move
+    /// Every rank and every helper spawned through [`RankCtx::spawn`] or
+    /// [`RankCtx::spawn_slices`] is a task of the world's scheduler
+    /// (`papyrus_modelcheck::baton`): one runs at a time, handing over at
+    /// blocking points in virtual-time order, so a run is a function of its
+    /// inputs alone. A world that can never move
     /// again — deadlocked, or livelocked past its fault horizon — unwinds
     /// with its [`Verdict`] as the panic payload, once every thread of the
     /// world has returned.
@@ -117,8 +118,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Per-rank execution context handed to the SPMD closure.
 ///
 /// Cheap to clone; clones share the same rank identity, clock, and fabric
-/// (this is how PapyrusKV's helper threads participate in their rank —
-/// spawned with [`RankCtx::spawn`]).
+/// (this is how PapyrusKV's helpers participate in their rank — spawned
+/// with [`RankCtx::spawn_slices`]).
 #[derive(Clone)]
 pub struct RankCtx {
     fabric: Arc<Fabric>,
@@ -172,7 +173,9 @@ impl RankCtx {
     /// Spawn a helper task of this rank: a thread named `name` that is one
     /// of the world's tasks, first woken at its spawner's clock. Every
     /// thread that waits on anything of the world must be one: a raw thread
-    /// parked on a world condvar is invisible to the scheduler.
+    /// parked on a world condvar is invisible to the scheduler. (The
+    /// runtimes' helpers are all [`RankCtx::spawn_slices`] tasks; this
+    /// stays the thread-task reference of the scheduler's tests.)
     pub fn spawn<T, F>(&self, name: String, f: F) -> Task<T>
     where
         T: Send + 'static,

@@ -8,7 +8,7 @@ use crate::SimNs;
 /// A monotonically advancing virtual clock.
 ///
 /// A `Clock` is owned by one simulated MPI rank but is shared (via `Arc`
-/// internally, so `Clock` is `Clone`) with that rank's background threads
+/// internally, so `Clock` is `Clone`) with that rank's background tasks
 /// (compaction, message dispatcher/handler). All operations are atomic;
 /// `advance` is a fetch-add and `merge` a fetch-max, so concurrent use from
 /// the owner and its helpers is safe.

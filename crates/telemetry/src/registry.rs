@@ -23,7 +23,7 @@ pub const NVM_PID_BASE: u32 = 10_000;
 pub const TID_APP: u32 = 0;
 /// Thread lane for the compaction task.
 pub const TID_COMPACT: u32 = 1;
-/// Thread lane for the migration dispatcher thread.
+/// Thread lane for the migration dispatcher task.
 pub const TID_DISPATCH: u32 = 2;
 /// Thread lane for the remote-request handler task.
 pub const TID_HANDLER: u32 = 3;

@@ -45,7 +45,7 @@ pub struct SpanEvent {
     pub cat: &'static str,
     /// Trace pid this event belongs to (rank, or NVM store timeline).
     pub pid: u32,
-    /// Trace tid within the pid (e.g. app/compact/dispatch/handler thread).
+    /// Trace tid within the pid (a lane: app/compact/dispatch/handler).
     pub tid: u32,
     /// Start timestamp in virtual ns.
     pub ts: SimNs,

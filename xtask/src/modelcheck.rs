@@ -5,8 +5,7 @@
 //! code they check, so a plain `cargo test` never compiles them. This driver
 //! rebuilds the packages that carry them with `RUSTFLAGS="--cfg modelcheck"`
 //! into `target/modelcheck` (the flag flip must not thrash the main cache)
-//! and runs every `modelcheck_` test in release mode: the blocking-queue
-//! model alone explores ~16k interleavings. `--seed-bug` runs one
+//! and runs every `modelcheck_` test in release mode. `--seed-bug` runs one
 //! `modelcheck_seedbug_<name>_detected` test per planted bug; each asserts
 //! the explorer *finds* it, and one that fails or is gone is named.
 

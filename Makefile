@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs.
 
-.PHONY: build test fmt clippy doc kvbench lint sanity modelcheck crashcheck chaos perfline serve mdhim verify trace clean
+.PHONY: build test fmt clippy doc kvbench lint modelcheck crashcheck chaos perfline serve mdhim verify trace clean
 
 build:
 	cargo build --release --workspace
@@ -53,10 +53,6 @@ kvbench:
 lint:
 	cargo xtask lint --deep
 	cargo xtask lint --seed-bug all
-
-# The suite with PAPYRUS_SANITY=1: a protocol finding fails its test.
-sanity:
-	PAPYRUS_SANITY=1 cargo test -q --release --workspace
 
 # Model checking (DESIGN §13): every model under --cfg modelcheck, pinned counts;
 #   every planted concurrency bug convicted.

@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use papyrus_sanity::{Violation, ViolationKind};
 use papyruskv::error::Error;
+use papyruskv::sanity::{Violation, ViolationKind};
 use parking_lot::Mutex;
 
 /// Per-key watermarks. Rounds are 1-based; 0 = never.

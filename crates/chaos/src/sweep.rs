@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use papyrus_faultinject::{class_name, FaultEvent, FaultPlan, PlantedBug, ALL_CLASSES};
 use papyrus_mpi::{panic_message, Verdict};
-use papyrus_sanity::ViolationKind;
+use papyruskv::sanity::ViolationKind;
 
 use crate::oracle::ChaosOracle;
 use crate::workload::{run_schedule, ChaosCfg, RankOutcome};
@@ -34,7 +34,7 @@ pub struct ChaosViolation {
     pub seed: u64,
     /// Fault class (or planted-bug label) of the schedule.
     pub class: String,
-    /// Violation kind name (`papyrus_sanity::ViolationKind::name`).
+    /// Violation kind name (`papyruskv::sanity::ViolationKind::name`).
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
@@ -104,7 +104,7 @@ fn run_schedule_guarded(
     cfg: &ChaosCfg,
     plan: Arc<FaultPlan>,
     label: &str,
-) -> (Option<Vec<RankOutcome>>, Vec<papyrus_sanity::Violation>) {
+) -> (Option<Vec<RankOutcome>>, Vec<papyruskv::sanity::Violation>) {
     let oracle = Arc::new(ChaosOracle::new());
     let run = catch_unwind(AssertUnwindSafe(|| run_schedule(cfg, plan, oracle.clone())));
     let outcome = run.map_err(|panic| {
@@ -125,7 +125,7 @@ fn absorb(
     class: &str,
     had_kill: bool,
     outcomes: Option<Vec<RankOutcome>>,
-    violations: Vec<papyrus_sanity::Violation>,
+    violations: Vec<papyruskv::sanity::Violation>,
 ) {
     report.schedules += 1;
     match report.per_class.iter_mut().find(|(c, _)| c == class) {

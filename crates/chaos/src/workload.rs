@@ -31,8 +31,8 @@ use std::sync::Arc;
 use papyrus_faultinject::FaultPlan;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_sanity::ViolationKind;
 use papyruskv::error::Error;
+use papyruskv::sanity::ViolationKind;
 use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform};
 
 use crate::oracle::{error_is_typed, value_for, ChaosOracle};

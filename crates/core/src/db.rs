@@ -7,14 +7,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-// Protocol atomics go through the sanity facade, which swaps in the model
-// checker's shimmed types under `--cfg modelcheck` so `cargo xtask
-// modelcheck` can explore barrier-epoch interleavings.
-use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use papyrus_simtime::{Clock, MemModel, OpStats, SimNs};
 use parking_lot::{Condvar, Mutex, RwLock};
 
+// Protocol atomics go through the facade, which swaps in the model
+// checker's shimmed types under `--cfg modelcheck` so `cargo xtask
+// modelcheck` can explore barrier-epoch interleavings.
+use crate::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::ckpt;
 use crate::error::{Error, Result};
 use crate::hashfn::Distributor;

@@ -66,6 +66,7 @@
 //! | `papyruskv_checkpoint` / `restart` / `destroy` | [`Db::checkpoint`] / [`Context::restart`] / [`Db::destroy`] |
 //! | `papyruskv_wait` | [`Event::wait`] |
 
+mod atomic;
 pub mod bloom;
 mod ckpt;
 mod db;

@@ -23,10 +23,6 @@
 
 use std::sync::Arc;
 
-// Protocol atomics go through the sanity facade (modelcheck-shimmed under
-// `--cfg modelcheck`); see papyrus_sanity::atomic.
-use papyrus_sanity::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use papyrus_faultinject as fi;
 use papyrus_mpi::{
     Communicator, Message, RankCtx, RankStatus, RecvSrc, RecvTag, Sending, Slice, Task,
@@ -35,6 +31,8 @@ use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::{Clock, SimNs};
 use parking_lot::{Condvar, Mutex};
 
+// See db.rs: protocol atomics go through the facade.
+use crate::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;

@@ -1,7 +1,10 @@
-//! LSM invariant auditor (`papyruskv::sanity::audit_db`).
+//! Invariant checking: the LSM auditor (`papyruskv::sanity::audit_db`) and
+//! the violation vocabulary it shares with the crash and chaos oracles
+//! ([`ViolationKind`], [`Violation`], [`AuditReport`]).
 //!
-//! Walks a database's storage stack and checks the structural invariants
-//! the LSM design promises, returning its findings in an [`AuditReport`]:
+//! [`audit_db`] walks a database's storage stack and checks the structural
+//! invariants the LSM design promises, returning its findings in an
+//! [`AuditReport`]:
 //!
 //! - **SSTable internals**: records strictly key-sorted ([`SstOrder`]),
 //!   SSIndex agrees with SSData — its record count is the parsed count,
@@ -25,19 +28,131 @@
 //! operations); mid-stream, the quiescence checks can see legitimate
 //! in-flight state.
 //!
+//! The other checks need no call: a world fails its job at finalize on an
+//! envelope nobody received (`papyrus_mpi::World::run`), and `close`
+//! reports leftover barrier marks on the handle's `take_io_errors`.
+//!
 //! [`SstOrder`]: ViolationKind::SstOrder
 //! [`BloomFalseNegative`]: ViolationKind::BloomFalseNegative
 //! [`LsmState`]: ViolationKind::LsmState
 //! [`ManifestMismatch`]: ViolationKind::ManifestMismatch
 //! [`BarrierEpochMismatch`]: ViolationKind::BarrierEpochMismatch
 
-use papyrus_sanity::{AuditReport, ViolationKind};
-
 use crate::ckpt;
 use crate::db::Db;
 use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
 use crate::sstable::{Cursor, SstReader};
 use crate::stack::Stack;
+
+/// What kind of sanity violation was detected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ViolationKind {
+    /// `DbInner::barrier_marks` held unreconciled epochs at close.
+    BarrierEpochMismatch,
+    /// SSTable keys out of order, or SSID sequence not monotonic.
+    SstOrder,
+    /// A bloom filter reported "definitely absent" for a resident key.
+    BloomFalseNegative,
+    /// The on-NVM manifest disagrees with the live SSTable set.
+    ManifestMismatch,
+    /// MemTable byte accounting or migration/flush quiescence violated.
+    LsmState,
+    /// A manifest existed but could not be parsed (torn or corrupt write) —
+    /// distinct from "absent", which composes a fresh database.
+    ManifestCorrupt,
+    /// An acknowledged-durable key-value pair was not readable (or had an
+    /// impossible value) after crash recovery.
+    DurabilityLost,
+    /// Recovery surfaced a pair the workload never wrote, or a stale value
+    /// that durability marks rule out.
+    PhantomPair,
+    /// Re-opening a database from crash-state bytes panicked, ended in its
+    /// world's deadlock or livelock verdict, or returned an error instead of
+    /// recovering.
+    RecoveryFailed,
+    /// A write acknowledged to the application vanished under injected
+    /// faults (chaos oracle; excludes keys owned by a killed rank).
+    AckedWriteLost,
+    /// A get under injected faults returned a value the workload never
+    /// wrote for that key (chaos oracle).
+    PhantomRead,
+    /// An operation under injected faults failed in an untyped way (panic
+    /// or an error outside the failure-mode whitelist) where a typed error
+    /// was required (chaos oracle).
+    UntypedError,
+    /// A chaos schedule's world ended in a deadlock or livelock verdict:
+    /// some rank hung instead of timing out with a typed error.
+    ChaosHang,
+    /// Replication state broken: replica tables out of key order, replica
+    /// SSIDs colliding with primary SSIDs, or a dead rank's promoted
+    /// ranges claimed by zero or multiple live primaries.
+    ReplicaState,
+}
+
+impl ViolationKind {
+    /// Stable short name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            ViolationKind::BarrierEpochMismatch => "barrier-epoch-mismatch",
+            ViolationKind::SstOrder => "sst-order",
+            ViolationKind::BloomFalseNegative => "bloom-false-negative",
+            ViolationKind::ManifestMismatch => "manifest-mismatch",
+            ViolationKind::LsmState => "lsm-state",
+            ViolationKind::ManifestCorrupt => "manifest-corrupt",
+            ViolationKind::DurabilityLost => "durability-lost",
+            ViolationKind::PhantomPair => "phantom-pair",
+            ViolationKind::RecoveryFailed => "recovery-failed",
+            ViolationKind::AckedWriteLost => "acked-write-lost",
+            ViolationKind::PhantomRead => "phantom-read",
+            ViolationKind::UntypedError => "untyped-error",
+            ViolationKind::ChaosHang => "chaos-hang",
+            ViolationKind::ReplicaState => "replica-state",
+        }
+    }
+}
+
+/// One recorded sanity violation.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    /// Violation category.
+    pub kind: ViolationKind,
+    /// Human-readable description including the sites/ranks involved.
+    pub detail: String,
+}
+
+/// Result of an invariant audit pass (e.g. `papyruskv::sanity::audit_db`):
+/// the violations found by that pass, plus counters describing what was
+/// checked.
+#[derive(Debug, Default, Clone)]
+pub struct AuditReport {
+    /// Violations found by this pass.
+    pub violations: Vec<Violation>,
+    /// Number of SSTables examined.
+    pub sstables_checked: usize,
+    /// Number of records examined across all SSTables.
+    pub records_checked: usize,
+}
+
+impl AuditReport {
+    /// Whether the audit found nothing wrong.
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Record a violation found by this pass.
+    pub fn push(&mut self, kind: ViolationKind, detail: String) {
+        self.violations.push(Violation { kind, detail });
+    }
+
+    /// One-line-per-violation rendering (empty string when clean).
+    pub fn render(&self) -> String {
+        self.violations
+            .iter()
+            .map(|v| format!("[{}] {}", v.kind.name(), v.detail))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+}
 
 fn lossy(key: &[u8]) -> String {
     String::from_utf8_lossy(key).into_owned()
@@ -169,8 +284,7 @@ fn audit_stack(
 /// Audit a database's full LSM state. See the module docs for the checks.
 ///
 /// Cheap relative to the data (one in-memory pass per SSTable) and charges
-/// no virtual time; callable regardless of the `PAPYRUS_SANITY` gate —
-/// invoking an explicit audit IS the opt-in.
+/// no virtual time.
 pub fn audit_db(db: &Db) -> AuditReport {
     let (ctx, inner) = (&db.ctx, &db.inner);
     let mut report = AuditReport::default();
@@ -318,6 +432,15 @@ mod tests {
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;
     use papyrus_simtime::DeviceModel;
+
+    #[test]
+    fn audit_report_collects() {
+        let mut r = AuditReport::default();
+        assert!(r.is_clean());
+        r.push(ViolationKind::BloomFalseNegative, "test: bloom fn (audit)".into());
+        assert!(!r.is_clean());
+        assert!(r.render().contains("bloom-false-negative"));
+    }
 
     fn store() -> NvmStore {
         NvmStore::in_memory(DeviceModel::nvme_summitdev())

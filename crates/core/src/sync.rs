@@ -3,13 +3,12 @@
 
 use std::sync::Arc;
 
-// See db.rs: protocol atomics go through the sanity facade.
-use papyrus_sanity::atomic::Ordering;
-
 use papyrus_faultinject as fi;
 use papyrus_simtime::SimNs;
 use papyrus_telemetry::{TID_APP, TID_HANDLER};
 
+// See db.rs: protocol atomics go through the facade.
+use crate::atomic::Ordering;
 use crate::db::{DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::msg::{self, tags};
@@ -35,21 +34,19 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
         return Ok(());
     }
     barrier_inner(ctx, db, BarrierLevel::SsTable)?;
-    if papyrus_sanity::enabled() {
-        let sync = db.sync.lock();
-        // After the close barrier every epoch this rank entered has
-        // completed, so a leftover mark means a reconciliation round failed
-        // to consume exactly n marks.
-        for (e, count) in db.stale_barrier_marks(&sync) {
-            let what = format!(
-                "db {}: rank {} closing with leftover barrier marks for completed \
-                 epoch {e} (count {count})",
-                db.name,
-                ctx.rank.rank()
-            );
-            eprintln!("papyruskv: {what}");
-            db.io_errors.lock().push(Error::Internal(what));
-        }
+    // After the close barrier every epoch this rank entered has completed,
+    // so a leftover mark means a reconciliation round failed to consume
+    // exactly n marks.
+    let stale = db.stale_barrier_marks(&db.sync.lock());
+    for (e, count) in stale {
+        let what = format!(
+            "db {}: rank {} closing with leftover barrier marks for completed \
+             epoch {e} (count {count})",
+            db.name,
+            ctx.rank.rank()
+        );
+        eprintln!("papyruskv: {what}");
+        db.io_errors.lock().push(Error::Internal(what));
     }
     // ordering: publishes the close — the barrier's flushes included — to
     // whichever thread's `check_open` then refuses an operation.
@@ -179,5 +176,35 @@ impl DbInner {
         let epoch = self.barrier_epoch.load(Ordering::SeqCst);
         let stale = sync.barrier_marks.iter().filter(|(&e, _)| e < epoch);
         stale.map(|(&e, &(count, _))| (e, count)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::{OpenFlags, Options};
+    use crate::runtime::{Context, Platform};
+    use papyrus_mpi::{World, WorldConfig};
+    use papyrus_nvm::SystemProfile;
+
+    /// A barrier mark for an epoch that has completed is one a
+    /// reconciliation round failed to consume: close reports it on the
+    /// handle's typed-error sink, in every world.
+    #[test]
+    fn close_reports_a_leftover_mark_of_a_completed_epoch() {
+        let platform = Platform::new(SystemProfile::test_profile(), 1);
+        let errors = World::run(WorldConfig::for_tests(1), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://stale-mark").expect("init");
+            let db = ctx.open("db", OpenFlags::create(), Options::default()).expect("open");
+            db.barrier(BarrierLevel::MemTable).expect("barrier");
+            note_barrier_mark(&db.inner, 0, ctx.clock().now());
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+            db.take_io_errors()
+        });
+        let [Error::Internal(what)] = &errors[0][..] else {
+            panic!("one internal error expected, got {:?}", errors[0]);
+        };
+        assert!(what.contains("leftover barrier marks for completed epoch 0"), "{what}");
     }
 }

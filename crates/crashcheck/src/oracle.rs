@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use papyrus_sanity::ViolationKind;
+use papyruskv::sanity::ViolationKind;
 
 /// What a [`Mark`] guarantees.
 #[derive(Debug, Clone, PartialEq, Eq)]

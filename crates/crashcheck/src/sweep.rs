@@ -41,7 +41,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use papyrus_mpi::{panic_message, Verdict, World, WorldConfig};
 use papyrus_nvm::{Backend, MemBackend, NvmStore, StorageMap, SystemProfile};
-use papyrus_sanity::ViolationKind;
+use papyruskv::sanity::ViolationKind;
 use papyruskv::{Context, Db, Error, OpenFlags, Options, Platform};
 
 use crate::journal::{droppable_tail, materialize, CrashPolicy, FaultMode};
@@ -54,7 +54,7 @@ pub struct SweepViolation {
     pub point: usize,
     /// Crash policy description.
     pub policy: String,
-    /// Violation kind name (`papyrus_sanity::ViolationKind::name`).
+    /// Violation kind name (`papyruskv::sanity::ViolationKind::name`).
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,

@@ -1,6 +1,6 @@
 // Seeded fixture: naming std::sync::atomic directly in a protocol-path
 // file must be flagged — protocol atomics go through the
-// papyrus_sanity::atomic facade so `--cfg modelcheck` can shim them.
+// crate's own atomic facade so `--cfg modelcheck` can shim them.
 
 // Exactly one reportable finding in this file:
 use std::sync::atomic::AtomicU64;

@@ -105,7 +105,6 @@ const UNIVERSE: &[&str] = &[
     "crates/nvm/",
     "crates/replica/",
     "crates/simtime/",
-    "crates/sanity/",
     "crates/telemetry/",
     "crates/faultinject/",
     "crates/serve/",

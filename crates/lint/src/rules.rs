@@ -37,9 +37,10 @@
 //!   `unsafe impl` carries a `// SAFETY:` comment on the same line or in
 //!   the comment block directly above.
 //! - **no-atomic-in-protocol** — protocol-path files must not name
-//!   `std::sync::atomic` directly; they use the `papyrus_sanity::atomic`
-//!   facade, which swaps in the model-checker's shimmed atomics under
-//!   `--cfg modelcheck` so protocol interleavings stay explorable.
+//!   `std::sync::atomic` directly; they use core's private `atomic`
+//!   facade (`crates/core/src/atomic.rs`), which swaps in the
+//!   model-checker's shimmed atomics under `--cfg modelcheck` so protocol
+//!   interleavings stay explorable.
 //! - **raw-thread** — no `thread::spawn` / `thread::Builder` outside test
 //!   code of the crates that run inside a simulated world (core, mpi,
 //!   mdhim, meraculous, dsm, serve): a helper of a rank is one of the

@@ -122,9 +122,9 @@ impl Communicator {
     }
 
     /// [`Communicator::send_at`] in steps, for a run-to-completion task
-    /// (PapyrusKV's dispatcher): this charges and counts the message, and
-    /// each [`Communicator::carry_on`] takes one more step, so that a slice
-    /// can end at the guard release that is its preemption point, where a
+    /// (PapyrusKV's dispatcher): this charges the message, and each
+    /// [`Communicator::carry_on`] takes one more step, so that a slice can
+    /// end at the guard release that is its preemption point, where a
     /// thread would block, and leave the rest to its next slice.
     pub fn send_in_steps(
         &self,
@@ -141,7 +141,6 @@ impl Communicator {
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
-        self.fabric.count((self.id, self.me_world, dst_world, tag), false);
         let env = Some(Envelope { comm: self.id, src: self.me, tag, stamp, payload });
         Sending { stamp, dst_world, env, ready: None }
     }

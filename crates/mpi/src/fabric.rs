@@ -77,9 +77,6 @@ impl RankNetTel {
 /// Internal communicator identifier (unique within a [`Fabric`]).
 pub(crate) type CommId = u64;
 
-/// A point-to-point channel: `(comm, src world rank, dst world rank, tag)`.
-pub(crate) type Channel = (CommId, Rank, Rank, Tag);
-
 /// A completed all-gather round: every member's contribution in rank
 /// order, plus the merged completion stamp.
 type GatherRound = (Arc<Vec<Vec<u8>>>, SimNs);
@@ -256,10 +253,6 @@ pub struct Fabric {
     /// The world's scheduler: every rank thread and helper of this world
     /// is one of its tasks ([`crate::RankCtx::spawn_slices`]).
     baton: Arc<Baton>,
-    /// `[sent, received]` per `(comm, src world rank, dst world rank,
-    /// tag)` channel, counted only while `PAPYRUS_SANITY` is on: at
-    /// finalize a channel whose counts disagree is an unmatched send.
-    channels: Mutex<HashMap<Channel, [u64; 2]>>,
     /// The world communicator (comm id 0), also present in `comms`.
     world_record: Arc<CommRecord>,
     comms: Mutex<HashMap<CommId, Arc<CommRecord>>>,
@@ -331,7 +324,6 @@ impl Fabric {
             clocks: (0..n).map(|_| Clock::new()).collect(),
             tel: (0..n).map(RankNetTel::new).collect(),
             baton: Baton::new(faults.as_ref().map_or(0, |plan| plan.horizon())),
-            channels: Mutex::default(),
             world_record: world,
             comms: Mutex::new(comms),
             children: Mutex::new(HashMap::new()),
@@ -516,11 +508,6 @@ impl Fabric {
         ready
     }
 
-    /// World rank backing a comm rank, if the communicator is known.
-    fn comm_member_world(&self, comm: CommId, comm_rank: Rank) -> Option<Rank> {
-        self.comms.lock().get(&comm).and_then(|r| r.members.get(comm_rank).copied())
-    }
-
     /// The one mailbox wait: remove and return the first (FIFO) envelope on
     /// `comm` matching the `src`/`tag` wildcards, parking as `wait` says.
     /// `None` iff a [`Wait::UntilQuiet`] gave up or a [`Wait::Enlist`]
@@ -557,18 +544,9 @@ impl Fabric {
                 }
             }
         };
-        // The release is a preemption point; nothing after it but the
-        // channel count, which takes its own lock and must not nest under
-        // the mailbox's.
+        // The release is a preemption point; nothing follows it.
         drop(mb);
-        let env = found?;
-        if papyrus_sanity::enabled() {
-            // Envelopes carry only the comm rank of their sender.
-            if let Some(src_world) = self.comm_member_world(comm, env.src) {
-                self.count((comm, src_world, me_world, env.tag), true);
-            }
-        }
-        Some(env)
+        found
     }
 
     /// Blocking receive with wildcards.
@@ -593,32 +571,14 @@ impl Fabric {
         self.mailboxes[world_rank].lock().queue.len()
     }
 
-    /// Count a send (or, `received`, a receive) on `channel` while the
-    /// sanity gate is on.
-    pub(crate) fn count(&self, channel: Channel, received: bool) {
-        if papyrus_sanity::enabled() {
-            self.channels.lock().entry(channel).or_default()[usize::from(received)] += 1;
-        }
-    }
-
-    /// End-of-job protocol audit: unmatched sends (per-channel send/recv
-    /// counts disagree) and tag leaks (envelopes still queued in a mailbox).
-    /// Returns the rendered problems; empty (and free) when the gate is off.
-    pub fn sanity_finalize(&self) -> Vec<String> {
-        if !papyrus_sanity::enabled() {
-            return Vec::new();
-        }
-        let channels = self.channels.lock();
-        let unmatched = channels.iter().filter(|(_, [sent, recvd])| sent != recvd);
-        let mut problems: Vec<String> = unmatched
-            .map(|((comm, src, dst, tag), [sent, recvd])| {
-                format!("unmatched send: comm {comm} rank {src} -> rank {dst} tag {tag}: {sent} sent, {recvd} received")
-            })
-            .collect();
-        problems.sort();
+    /// End-of-job protocol check: every envelope still queued in a mailbox
+    /// once the world's tasks have all exited is a tag leak — a send nobody
+    /// received. Returns one rendered line per envelope; empty when clean.
+    pub(crate) fn leftover_envelopes(&self) -> Vec<String> {
+        let mut leaks = Vec::new();
         for (rank, mb) in self.mailboxes.iter().enumerate() {
             for env in mb.lock().queue.iter() {
-                problems.push(format!(
+                leaks.push(format!(
                     "tag leak: rank {rank} mailbox still holds comm {} src {} tag {} \
                      ({} bytes) at finalize",
                     env.comm,
@@ -628,7 +588,7 @@ impl Fabric {
                 ));
             }
         }
-        problems
+        leaks
     }
 
     /// Collective synchronisation cost for an `n`-member operation:

@@ -94,12 +94,11 @@ impl World {
             std::panic::resume_unwind(Box::new(verdict));
         }
         let out: Vec<T> = results.into_iter().flatten().collect();
-        // Audit once every rank has exited cleanly: under PAPYRUS_SANITY an
-        // unmatched send or a tag leak fails the job (free and empty when the
-        // gate is off).
-        let problems = fabric.sanity_finalize();
-        if !problems.is_empty() {
-            panic!("papyrus-sanity: violations at finalize:\n{}", problems.join("\n"));
+        // Every rank has exited cleanly, so every task of the world has
+        // joined: an envelope still queued is a send nobody received.
+        let leaks = fabric.leftover_envelopes();
+        if !leaks.is_empty() {
+            panic!("protocol violation at finalize:\n{}", leaks.join("\n"));
         }
         out
     }

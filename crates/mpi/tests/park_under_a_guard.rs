@@ -1,8 +1,7 @@
 //! A task of a world parks holding no lock guard but the one its wait lets
 //! go of: the scheduler refuses any other park by name, because the task
 //! granted next could block on the held lock where no verdict sees it. This
-//! is the run-time twin of lint's `blocking-under-lock`, and it needs no
-//! `PAPYRUS_SANITY`.
+//! is the run-time twin of lint's `blocking-under-lock`, on in every world.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

@@ -1,15 +1,11 @@
-//! Finalize-time protocol audit: a send nobody receives must fail the job
-//! with an unmatched-send report (and a tag leak for the queued envelope).
-//!
-//! Own integration-test binary: it force-enables the global sanity gate.
+//! Finalize-time protocol check, in every world: a send nobody receives
+//! must fail the job with a tag leak naming the envelope's channel.
 
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
 
 #[test]
-fn unreceived_send_fails_finalize_with_both_reports() {
-    papyrus_sanity::force_enable();
-
+fn an_unreceived_send_fails_the_world_with_a_tag_leak() {
     let result = std::panic::catch_unwind(|| {
         World::run(WorldConfig::for_tests(2), |ctx| {
             if ctx.rank() == 0 {
@@ -23,8 +19,7 @@ fn unreceived_send_fails_finalize_with_both_reports() {
     let msg =
         err.downcast_ref::<String>().cloned().expect("finalize panic carries a rendered report");
     assert!(
-        msg.contains("unmatched send") && msg.contains("tag 99"),
-        "finalize panic names the channel: {msg}"
+        msg.contains("tag leak: rank 1 mailbox") && msg.contains("tag 99"),
+        "finalize panic names the queued envelope: {msg}"
     );
-    assert!(msg.contains("tag leak"), "queued envelope is reported as a tag leak: {msg}");
 }

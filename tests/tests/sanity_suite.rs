@@ -1,10 +1,8 @@
-//! End-to-end sanity sweep: run a Figure-6-style fill/read workload with
-//! every `papyrus-sanity` check armed, then ask each owner of findings: the
-//! world (its finalize fails the job on a protocol finding), each rank's
-//! LSM audit, and each database's typed-error sink. A healthy tree must
-//! produce nothing anywhere.
-//!
-//! Own integration-test binary: it force-enables the global sanity gate.
+//! End-to-end sanity sweep: run a Figure-6-style fill/read workload, then
+//! ask each owner of findings: the world (its finalize fails the job on an
+//! envelope nobody received), each rank's LSM audit, and each database's
+//! typed-error sink (close reports leftover barrier marks there). A healthy
+//! tree must produce nothing anywhere.
 
 use papyrus_integration_tests::scenario_key;
 use papyrus_mpi::{World, WorldConfig};
@@ -14,15 +12,13 @@ use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
 
 #[test]
 fn fig6_workload_is_violation_free_and_audits_clean() {
-    papyrus_sanity::force_enable();
-
     let profile = SystemProfile::summitdev();
     let platform = Platform::new(profile.clone(), 4);
     let reports = World::run(WorldConfig::new(4, profile.net.clone()), move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://sanity-suite").unwrap();
         // Small MemTable so the workload exercises flushes, SSTable builds,
         // remote migration, and barrier reconciliation — the paths the
-        // monitor and auditor watch.
+        // finalize check and the auditor watch.
         let db = ctx
             .open("db", OpenFlags::create(), Options::default().with_memtable_capacity(8 << 10))
             .unwrap();

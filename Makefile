@@ -39,10 +39,10 @@ kvbench:
 		&& echo "$$out" | grep -E '^mpi\.fabric\.msgs_per_op +0\.9983 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.1408 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.0090 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +23\.9639 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +24\.4050 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

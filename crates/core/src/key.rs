@@ -1,13 +1,23 @@
-//! The key of the in-memory maps: the MemTable's tree and the cache's index.
+//! The key of the in-memory maps, the MemTable's and the cache's, and the
+//! one hash both index it with.
 //!
 //! A [`Key`] holds up to 22 bytes (`INLINE`) in place and boxes a longer key, in
 //! the 24 bytes a `Vec<u8>` takes: a short key costs no allocation, and the
-//! tree compares it inside the node instead of through a pointer. It orders,
-//! equals and hashes as the `[u8]` it holds, and borrows as one, so a map
-//! keyed by it is searched with a `&[u8]`.
+//! map compares it inside its slot instead of through a pointer. It equals
+//! and hashes as the `[u8]` it holds, and borrows as one, so a map keyed by
+//! it is searched with a `&[u8]`. It has no order: a MemTable sorts the
+//! bytes a key borrows as (`MemTable::iter`).
+//!
+//! [`KeyMap`] hashes with [`KeyHasher`]: fixed and seedless, so a map's
+//! layout is the same in every process and every run, and a word at a time,
+//! so a 16-byte key is three multiplies (its length, two words) and one
+//! [`mix64`] finish.
 
 use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+use crate::hashfn::mix64;
 
 /// Longest key held in place: with the length and the tag, 24 bytes.
 const INLINE: usize = 22;
@@ -68,26 +78,55 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
-impl PartialOrd for Key {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
 impl Hash for Key {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
     }
 }
+
+/// The hash of every [`KeyMap`]: FxHash's word step over the bytes
+/// (rotate, xor, multiply), finished with [`mix64`] so that a table's low
+/// bits, which pick the bucket, and its high bits, which tag it, both depend
+/// on every byte. A [`Key`] and the `&[u8]` it borrows as feed it the same
+/// writes (`[u8]`'s length prefix, then its bytes), so they hash equal.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.add(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut last = [0; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// A hash map keyed by [`Key`] under [`KeyHasher`].
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 impl std::fmt::Debug for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -100,13 +139,29 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
 
-    fn hash_of(h: impl Hash) -> u64 {
-        let mut state = DefaultHasher::new();
+    fn key_hash_of(h: impl Hash) -> u64 {
+        let mut state = KeyHasher::default();
         h.hash(&mut state);
         state.finish()
+    }
+
+    /// A `KeyMap` is searched by `&[u8]` only because a key and the bytes it
+    /// borrows as hash equal: on both sides of the inline bound, at every
+    /// tail length a word leaves.
+    #[test]
+    fn a_key_and_its_bytes_hash_equal_under_the_key_hasher() {
+        for len in [0, 1, 7, 8, 9, 16, INLINE - 1, INLINE, INLINE + 1, 24, 64, 65] {
+            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            let key = Key::from(&bytes[..]);
+            assert_eq!(key_hash_of(&key), key_hash_of(&bytes[..]), "{len} bytes");
+        }
+        // Seedless: the same bytes hash the same in every process and run.
+        assert_eq!(key_hash_of(&b"key-1"[..]), 0x866f_c3f9_667c_af7f);
+        // A zero tail is not an absent one: the length tells them apart.
+        assert_ne!(key_hash_of(&b"ab"[..]), key_hash_of(&b"ab\0"[..]));
+        assert_ne!(key_hash_of(&[0u8; 8][..]), key_hash_of(&[0u8; 16][..]));
     }
 
     #[test]
@@ -128,7 +183,7 @@ mod tests {
     }
 
     proptest! {
-        /// A key orders, equals and hashes exactly as the bytes it was made
+        /// A key equals and hashes exactly as the bytes it was made
         /// from, against every other key of the run and its own prefixes.
         #[test]
         fn a_key_compares_and_hashes_as_its_bytes(mut keys in key_runs()) {
@@ -139,31 +194,26 @@ mod tests {
             for (a, ka) in keys.iter().zip(&made) {
                 prop_assert_eq!(ka.as_slice(), &a[..]);
                 prop_assert_eq!(Borrow::<[u8]>::borrow(ka), &a[..]);
-                prop_assert_eq!(hash_of(ka), hash_of(&a[..]));
+                prop_assert_eq!(key_hash_of(ka), key_hash_of(&a[..]));
                 prop_assert_eq!(ka, &ka.clone());
                 for (b, kb) in keys.iter().zip(&made) {
-                    prop_assert_eq!(ka.cmp(kb), a.cmp(b));
-                    prop_assert_eq!(ka.partial_cmp(kb), a.partial_cmp(b));
                     prop_assert_eq!(ka == kb, a == b);
                 }
             }
         }
 
-        /// Maps keyed by `Key` are searched by `&[u8]`: what was inserted is
-        /// found, what was not is not, and the tree iterates in byte order.
+        /// A map keyed by `Key` is searched by `&[u8]`: what was inserted is
+        /// found, what was not is not.
         #[test]
         fn maps_keyed_by_a_key_are_searched_by_bytes(keys in key_runs(), absent in key_runs()) {
-            let tree: BTreeMap<Key, usize> =
+            let hashed: KeyMap<usize> =
                 keys.iter().enumerate().map(|(i, k)| (Key::from(&k[..]), i)).collect();
-            let hashed: HashMap<Key, usize> = tree.clone().into_iter().collect();
             let model: BTreeMap<&[u8], usize> =
                 keys.iter().enumerate().map(|(i, k)| (&k[..], i)).collect();
             for k in keys.iter().chain(&absent) {
-                prop_assert_eq!(tree.get(&k[..]), model.get(&k[..]));
                 prop_assert_eq!(hashed.get(&k[..]), model.get(&k[..]));
             }
-            let in_order: Vec<&[u8]> = tree.keys().map(Key::as_slice).collect();
-            prop_assert_eq!(in_order, model.keys().copied().collect::<Vec<_>>());
+            prop_assert_eq!(hashed.len(), model.len());
         }
     }
 }

@@ -4,16 +4,14 @@
 //! local and remote caches store key-value pairs fetched from SSTables and
 //! other remote MPI ranks, respectively."
 //!
-//! Implemented as a hash map into an index arena forming an intrusive
-//! doubly-linked recency list — no per-entry allocation beyond the value's
-//! bytes and a key's too long to sit in the slot (`key.rs`), O(1)
-//! get/insert/evict.
-
-use std::collections::HashMap;
+//! Implemented as a hash map (a `KeyMap`, seedless like every map of a
+//! key) into an index arena forming an intrusive doubly-linked recency list
+//! — no per-entry allocation beyond the value's bytes and a key's too long
+//! to sit in the slot (`key.rs`), O(1) get/insert/evict.
 
 use bytes::Bytes;
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 
 /// A cached lookup result: either a value or a cached tombstone (the key is
 /// known deleted — caching this avoids re-searching SSTables for it).
@@ -50,7 +48,7 @@ struct Slot {
 /// Byte-bounded LRU map from keys to [`CacheEntry`].
 #[derive(Debug)]
 pub struct LruCache {
-    map: HashMap<Key, u32>,
+    map: KeyMap<u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     head: u32, // most recent
@@ -65,7 +63,7 @@ impl LruCache {
     /// Cache bounded to `capacity` bytes of key+value payload.
     pub fn new(capacity: u64) -> Self {
         Self {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NONE,

@@ -1,22 +1,25 @@
 //! MemTables: the in-memory write staging structure (paper §2.3-§2.4).
 //!
 //! A database owns four kinds of MemTable — local, immutable local, remote,
-//! and immutable remote. All four share this one structure: an ordered map
-//! of entries plus byte accounting. The paper's MemTable is a red-black
-//! tree; what it needs from it — O(log n) insert/lookup and key-ordered
-//! iteration for the flush — is what `std`'s B-tree map provides (DESIGN §1).
-//! "Immutable" is a usage mode: a frozen table is wrapped in `Arc` and only
-//! read (by gets walking the flushing / migration queues, and by the
-//! compaction or dispatcher task consuming it).
-
-use std::collections::BTreeMap;
+//! and immutable remote. All four share this one structure: a hash index of
+//! entries plus byte accounting. The paper's MemTable is a red-black tree,
+//! kept ordered for the one reader that needs order, the flush; here a put
+//! or a get is one `KeyMap` probe (`key.rs`), and key order is made once, by
+//! [`MemTable::iter`], when a frozen table is flushed or migrated (or a
+//! table is audited) — a sort of its entries, O(n log n) for the whole
+//! table, paid off the put and get paths (DESIGN §1). "Immutable" is a usage
+//! mode: a frozen table is wrapped in `Arc` and only read (by gets walking
+//! the flushing / migration queues, and by the compaction or dispatcher
+//! task consuming it).
 
 use bytes::Bytes;
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
-/// (tree node links, tombstone flag, owner rank).
+/// (the paper's tree node links, tombstone flag, owner rank). A hash index
+/// has no node links; the charge is kept so that every freeze point, and
+/// every number that follows from one, is the paper's accounting.
 pub const ENTRY_OVERHEAD: u64 = 24;
 
 /// Marker for entries in local MemTables, which carry no owner rank.
@@ -53,10 +56,10 @@ impl Entry {
     }
 }
 
-/// An in-memory, byte-accounted, key-sorted table of [`Entry`]s.
+/// An in-memory, byte-accounted table of [`Entry`]s, iterated in key order.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    tree: BTreeMap<Key, Entry>,
+    index: KeyMap<Entry>,
     bytes: u64,
 }
 
@@ -68,12 +71,12 @@ impl MemTable {
 
     /// Number of entries (tombstones included).
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.index.len()
     }
 
     /// Whether the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.index.is_empty()
     }
 
     /// Approximate memory footprint in bytes; compared against the MemTable
@@ -92,7 +95,7 @@ impl MemTable {
     /// new one" (§2.4).
     pub fn insert(&mut self, key: &[u8], entry: Entry) {
         let new_size = Self::entry_size(key, &entry);
-        match self.tree.insert(Key::from(key), entry) {
+        match self.index.insert(Key::from(key), entry) {
             Some(old) => {
                 self.bytes = self.bytes - Self::entry_size(key, &old) + new_size;
             }
@@ -103,12 +106,17 @@ impl MemTable {
     /// Look up an entry (tombstones are returned — the caller decides what a
     /// tombstone means at its level of the search).
     pub fn get(&self, key: &[u8]) -> Option<&Entry> {
-        self.tree.get(key)
+        self.index.get(key)
     }
 
-    /// Key-sorted iteration.
+    /// Key-sorted iteration: the one place a MemTable's key order is made,
+    /// by sorting its entries (keys are unique, so an unstable sort is
+    /// exact). Hash order never leaves the table.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &Entry)> {
-        self.tree.iter().map(|(k, e)| (k.as_slice(), e))
+        let mut sorted: Vec<(&[u8], &Entry)> =
+            self.index.iter().map(|(k, e)| (k.as_slice(), e)).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        sorted.into_iter()
     }
 
     /// Freeze: take the current contents out, leaving this table empty. The
@@ -122,6 +130,9 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn bv(s: &[u8]) -> Bytes {
         Bytes::copy_from_slice(s)
@@ -191,6 +202,48 @@ mod tests {
         }
         let keys: Vec<&[u8]> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"aa"[..], b"bb", b"mm", b"zz"]);
+    }
+
+    /// Keys of 0..=40 bytes over two byte values: shared prefixes, the
+    /// empty key, inline (<= 22 B) and boxed keys in every run.
+    fn key_pool() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        vec(vec(0u8..2, 0..41), 1..24)
+    }
+
+    /// Steps of a model run: a pool index (most steps overwrite), a value
+    /// and whether the step is a tombstone instead.
+    fn steps() -> impl Strategy<Value = Vec<(usize, Vec<u8>, bool)>> {
+        vec((0usize..64, vec(any::<u8>(), 0..9), any::<bool>()), 0..200)
+    }
+
+    proptest! {
+        /// Against a `BTreeMap` model of the same steps: every key of the
+        /// run is found or not as the model says, `iter()` yields the
+        /// model's entries in its key order, and the count and the bytes
+        /// are the model's.
+        #[test]
+        fn a_memtable_is_a_byte_accounted_ordered_map(pool in key_pool(), steps in steps()) {
+            let mut m = MemTable::new();
+            let mut model: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
+            for (i, value, tomb) in &steps {
+                let e = if *tomb { Entry::tombstone() } else { Entry::value(bv(value)) };
+                let key = &pool[i % pool.len()];
+                m.insert(key, e.clone());
+                model.insert(key.clone(), e);
+            }
+            for key in &pool {
+                prop_assert_eq!(m.get(key), model.get(key));
+                let longer = [&key[..], b"x"].concat();
+                prop_assert_eq!(m.get(&longer), model.get(&longer));
+            }
+            let got: Vec<(&[u8], &Entry)> = m.iter().collect();
+            let want: Vec<(&[u8], &Entry)> = model.iter().map(|(k, e)| (&k[..], e)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(m.len(), model.len());
+            prop_assert_eq!(m.iter().len(), model.len());
+            let bytes = model.iter().map(|(k, e)| k.len() + e.value.len()).sum::<usize>() as u64;
+            prop_assert_eq!(m.bytes(), bytes + model.len() as u64 * ENTRY_OVERHEAD);
+        }
     }
 
     #[test]

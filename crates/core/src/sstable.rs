@@ -902,6 +902,36 @@ pub(crate) mod tests {
             }
         }
 
+        /// A MemTable's flush image is a function of its entries, not of the
+        /// order they were put in: the same entries, put in key order and
+        /// shuffled, give byte-identical SSData, SSIndex and bloom images.
+        /// Hash order never reaches a table.
+        #[test]
+        fn a_flush_image_does_not_depend_on_insertion_order(
+            table in btree_map(
+                vec(any::<u8>(), 0..40),
+                (vec(any::<u8>(), 0..300), any::<bool>()),
+                0..120,
+            ),
+            draws in vec(any::<u64>(), 120..121),
+        ) {
+            let entries: Vec<(Vec<u8>, Entry)> = table
+                .into_iter()
+                .map(|(key, (value, tomb))| (key, crate::write::entry_of(Bytes::from(value), tomb)))
+                .collect();
+            let image = |order: &mut dyn Iterator<Item = &(Vec<u8>, Entry)>| {
+                let mut mt = MemTable::new();
+                order.for_each(|(key, e)| mt.insert(key, e.clone()));
+                TableImage::of_memtable(&mt)
+            };
+            let mut shuffled: Vec<_> = draws.iter().zip(&entries).collect();
+            shuffled.sort_unstable_by_key(|(draw, _)| **draw);
+            let sorted = image(&mut entries.iter());
+            let shuffled = image(&mut shuffled.into_iter().map(|(_, e)| e));
+            prop_assert_eq!(&sorted.images, &shuffled.images);
+            prop_assert_eq!(&sorted.bloom, &shuffled.bloom);
+        }
+
         /// The merge against the fold it replaced, kept as the model (`fold`):
         /// 1–4 tables under 0–2 MemTables of overlapping keys with tombstones.
         /// [`merge`] over the MemTables and the tables yields the model's

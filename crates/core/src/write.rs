@@ -788,4 +788,40 @@ mod tests {
             ctx.finalize().expect("finalize");
         });
     }
+
+    /// A migration's batches are a function of the frozen staging table's
+    /// entries, not of the order they were put in: the same remote entries
+    /// (owners 0–2 of 3 ranks, two copies each, keys inline and boxed), put
+    /// in key order and in a scrambled one, plan the same shipments, record
+    /// for record. Hash order never reaches the wire.
+    #[test]
+    fn a_migration_plan_does_not_depend_on_insertion_order() {
+        let platform = Platform::new(SystemProfile::test_profile(), 3);
+        World::run(WorldConfig::for_tests(3), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://plan").expect("init");
+            let opt = Options::default().with_replicas(2);
+            let db = ctx.open("db", OpenFlags::create(), opt).expect("open");
+            let entries: Vec<(Vec<u8>, Entry)> = (0..300u32)
+                .map(|i| {
+                    let key = format!("{i:0width$}", width = 1 + (i as usize % 5) * 8);
+                    let value = Bytes::from(vec![i as u8; i as usize % 17]);
+                    (key.into_bytes(), Entry::remote(value, i % 7 == 0, i % 3))
+                })
+                .collect();
+            let plan = |order: &mut dyn Iterator<Item = &(Vec<u8>, Entry)>| {
+                let mut mt = MemTable::new();
+                order.for_each(|(key, e)| mt.insert(key, e.clone()));
+                let plan = plan_migration(&ctx.inner, &db.inner, &mt);
+                plan.into_iter().map(|s| (s.to, s.copy_of, s.records)).collect::<Vec<_>>()
+            };
+            let in_order = plan(&mut entries.iter());
+            let scrambled =
+                plan(&mut entries.iter().rev().step_by(2).chain(entries.iter().step_by(2)));
+            // Two owners' batches and three owners' copies.
+            assert_eq!(in_order.len(), 5);
+            assert_eq!(in_order, scrambled);
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+        });
+    }
 }

@@ -11,20 +11,29 @@
 //!
 //! ## World scheduling
 //!
-//! Inside a simulated world one task runs at a time
-//! (`papyrus_modelcheck::baton`): a condvar wait parks the task and hands
-//! the baton on (a run-to-completion task enlists instead, without
-//! blocking; a wait under a second guard is refused), a notify wakes parked
-//! tasks in order, and every guard counts itself so the release of a
-//! thread's last guard can hand the baton to a task it woke. Outside a world that is two thread-local updates per
-//! guard, and the lock itself stays a plain `std` lock.
+//! Inside a simulated world one task runs at a time (`papyrus_baton`): a
+//! condvar wait parks the task and hands the baton on (a run-to-completion
+//! task enlists instead, without blocking; a wait under a second guard is
+//! refused), a notify wakes parked tasks in order, and every guard records
+//! its lock as held by the thread, so the release of a thread's last guard
+//! can hand the baton to a task it woke. A lock the thread already holds is
+//! refused before the std acquire, read after read included: re-taken, a
+//! std lock blocks its own thread (a `read` may), where no verdict sees it.
+//! Outside a world that is two thread-local updates per guard, and the lock
+//! itself stays a plain `std` lock.
 
+use std::any::type_name;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use papyrus_modelcheck::baton::{Held, WaitList};
+use papyrus_baton::{Held, WaitList};
+
+/// A lock's identity while it is held: its address.
+fn address<L: ?Sized>(lock: &L) -> usize {
+    (lock as *const L).cast::<()>() as usize
+}
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex` wrapper).
 #[derive(Default)]
@@ -55,10 +64,13 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking until available. Never poisons.
+    /// Acquire the lock, blocking until available. Never poisons; refuses
+    /// a lock the thread already holds.
+    #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        let held = Held::on_lock(address(self), type_name::<Self>());
         let guard = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
-        MutexGuard { lock: &self.inner, guard: Some(guard), _held: Held::on_lock() }
+        MutexGuard { lock: &self.inner, guard: Some(guard), _held: held }
     }
 }
 
@@ -213,16 +225,22 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock. Never poisons.
+    /// Acquire a shared read lock. Never poisons; refuses a lock the thread
+    /// already holds, for reading too.
+    #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        let held = Held::on_lock(address(self), type_name::<Self>());
         let guard = self.inner.read().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockReadGuard { guard, _held: Held::on_lock() }
+        RwLockReadGuard { guard, _held: held }
     }
 
-    /// Acquire an exclusive write lock. Never poisons.
+    /// Acquire an exclusive write lock. Never poisons; refuses a lock the
+    /// thread already holds.
+    #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        let held = Held::on_lock(address(self), type_name::<Self>());
         let guard = self.inner.write().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockWriteGuard { guard, _held: Held::on_lock() }
+        RwLockWriteGuard { guard, _held: held }
     }
 }
 
@@ -300,8 +318,10 @@ mod tests {
         let l = RwLock::new(vec![1, 2]);
         {
             let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
+            // A second reader shares the lock from another thread (on this
+            // one a re-entrant read is refused).
+            let b = thread::scope(|s| s.spawn(|| l.read().len()).join().unwrap());
+            assert_eq!(a.len() + b, 4);
         }
         l.write().push(3);
         assert_eq!(l.read().len(), 3);

@@ -1,3 +1,5 @@
+//! # papyrus-baton
+//!
 //! The world scheduler: one task of a world runs at a time.
 //!
 //! A [`Baton`] owns the tasks of one simulated world — each rank's thread
@@ -20,7 +22,12 @@
 //! park under any other guard is refused with a panic naming the task and
 //! its site — the task granted next could block on that lock outside the
 //! scheduler, where no verdict sees it. Lint's `blocking-under-lock` proves
-//! the same statically, for the runtime crates only.
+//! the same statically, for the runtime crates only. For the same reason a
+//! thread may not take a lock it already holds, read after read included
+//! (std documents that a re-entrant `read` may deadlock): [`Held`] keeps the
+//! locks the thread holds with the sites that took them, and refuses the
+//! second acquire, before it blocks, with a panic naming the task, the lock
+//! and both sites.
 //!
 //! A task's virtual clock is its rank's clock when it was spawned with one
 //! (the rank threads); a helper's is the clock of whoever last woke it —
@@ -59,13 +66,7 @@
 //!
 //! (Helpers left parked by ranks that returned stay parked.)
 //!
-//! Outside a world every hook is a thread-local check. This is not
-//! `exec.rs`'s hand-off: the explorer parks every thread before *every*
-//! shimmed operation and decides by replay, DPOR or a seeded walk over a
-//! per-execution object table; a world parks only where a thread would
-//! block anyway and decides by virtual time, with tasks that return values
-//! through real join handles. A stepping core shared by both would need a
-//! policy trait and a state type generic over both, larger than either.
+//! Outside a world every hook is a thread-local check.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -233,10 +234,47 @@ enum Inline {
     Yielded,
 }
 
+/// How many `parking_lot` guards one thread may hold at once.
+const MAX_HELD: usize = 8;
+
+/// The `parking_lot` locks a thread holds, innermost last: each lock's
+/// address and the site that took it, in fixed slots, so taking a lock
+/// never allocates. A slice run on a lent thread holds the slots from
+/// `base` up; those below are its host task's.
+struct Holds {
+    base: Cell<usize>,
+    len: Cell<usize>,
+    locks: [Cell<(usize, Site)>; MAX_HELD],
+}
+
+impl Holds {
+    /// The locks the running task holds.
+    #[inline]
+    fn held(&self) -> &[Cell<(usize, Site)>] {
+        &self.locks[self.base.get()..self.len.get()]
+    }
+
+    /// `lock` was let go of; returns how many locks the running task still
+    /// holds.
+    #[inline]
+    fn release(&self, lock: usize) -> usize {
+        let locks = &self.locks[..self.len.get()];
+        if let Some(i) = locks.iter().rposition(|l| l.get().0 == lock) {
+            locks[i..].windows(2).for_each(|w| w[0].set(w[1].get()));
+            self.len.set(locks.len() - 1);
+        }
+        self.held().len()
+    }
+}
+
 thread_local! {
     static TASK: RefCell<Option<(Arc<Baton>, usize)>> = const { RefCell::new(None) };
-    /// `parking_lot` guards the calling thread holds.
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// `parking_lot` locks the calling thread holds.
+    static HELD: Holds = const {
+        // The site in a slot not yet taken is never read.
+        let locks = [const { Cell::new((0, Location::caller())) }; MAX_HELD];
+        Holds { base: Cell::new(0), len: Cell::new(0), locks }
+    };
     /// This task woke a task that has not run since.
     static PENDING: Cell<bool> = const { Cell::new(false) };
     static INLINE: Cell<Inline> = const { Cell::new(Inline::No) };
@@ -267,13 +305,13 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Why the running task may not park, if it may not (see the module docs):
 /// it runs a slice on a lent thread, or it holds a guard besides the `own`
 /// ones its park lets go of (a condvar wait's mutex).
-fn refusal(own: u32) -> Option<&'static str> {
+fn refusal(own: usize) -> Option<&'static str> {
     if INLINE.get() != Inline::No {
         Some(
             "in a slice run on another task's thread; \
              a unit that must wait enlists and ends its slice",
         )
-    } else if DEPTH.get() > own {
+    } else if HELD.with(|h| h.held().len()) > own {
         Some(
             "holding a lock guard its park does not let go of; \
              the task granted next could block on it",
@@ -445,7 +483,8 @@ impl Baton {
     /// if it panicked).
     fn run_inline(&self, t: usize, body: &mut SliceFn) -> Result<Slice, Payload> {
         let me = run_as(t);
-        let outer = (DEPTH.replace(0), PENDING.replace(false), INLINE.replace(Inline::Running));
+        let base = HELD.with(|h| h.base.replace(h.len.get()));
+        let outer = (base, PENDING.replace(false), INLINE.replace(Inline::Running));
         let ran = loop {
             let ran = catch_unwind(AssertUnwindSafe(&mut *body));
             if !matches!(ran, Ok(Slice::Ran)) || Slice::yielded() {
@@ -453,7 +492,7 @@ impl Baton {
             }
         };
         me.and_then(run_as);
-        DEPTH.set(outer.0);
+        HELD.with(|h| h.base.set(outer.0));
         PENDING.set(outer.1);
         INLINE.set(outer.2);
         ran
@@ -748,24 +787,59 @@ impl WaitList {
     }
 }
 
-/// Held for the life of a `parking_lot` guard: counts the guards the
-/// thread holds, and makes the release of the last one a preemption point.
-pub struct Held(());
+/// The name of the calling thread's task, or of the thread outside a world.
+fn task_name() -> String {
+    match current() {
+        Some((baton, tid)) => baton.lock().tasks[tid].name.clone(),
+        None => std::thread::current().name().unwrap_or("a thread outside any world").to_string(),
+    }
+}
+
+/// Held for the life of a `parking_lot` guard: records the lock as held by
+/// the thread, and makes the release of the thread's last guard a
+/// preemption point.
+pub struct Held(usize);
 
 impl Held {
-    /// A guard was taken.
+    /// The caller is about to acquire the lock at address `lock`, of type
+    /// `what`: refused with a panic if the thread already holds it (see the
+    /// module docs), else recorded as held.
     #[inline]
-    pub fn on_lock() -> Self {
-        DEPTH.set(DEPTH.get() + 1);
-        Held(())
+    #[track_caller]
+    pub fn on_lock(lock: usize, what: &'static str) -> Self {
+        let site = Location::caller();
+        HELD.with(|h| {
+            let len = h.len.get();
+            if len == MAX_HELD || h.held().iter().any(|l| l.get().0 == lock) {
+                refuse(h, lock, what, site);
+            }
+            h.locks[len].set((lock, site));
+            h.len.set(len + 1);
+        });
+        Held(lock)
+    }
+}
+
+/// Refuse the acquire of `lock` at `site` that [`Held::on_lock`] was asked
+/// for.
+#[cold]
+#[inline(never)]
+fn refuse(h: &Holds, lock: usize, what: &str, site: Site) -> ! {
+    let task = task_name();
+    match h.held().iter().find(|l| l.get().0 == lock) {
+        Some(since) => panic!(
+            "{task} took {what} at {site}, which it already holds since {}; \
+             a lock re-taken by its holder blocks its thread outside the scheduler",
+            since.get().1
+        ),
+        None => panic!("{task} took {what} at {site} holding {MAX_HELD} lock guards"),
     }
 }
 
 impl Drop for Held {
     #[inline]
     fn drop(&mut self) {
-        let depth = DEPTH.get().saturating_sub(1);
-        DEPTH.set(depth);
+        let depth = HELD.with(|h| h.release(self.0));
         if depth == 0 && PENDING.get() {
             if let Some((baton, tid)) = current() {
                 baton.preempt(tid);

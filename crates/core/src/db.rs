@@ -5,15 +5,12 @@
 //! `sync.rs` (fence, barrier, close).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use papyrus_simtime::{Clock, MemModel, OpStats, SimNs};
 use parking_lot::{Condvar, Mutex, RwLock};
 
-// Protocol atomics go through the facade, which swaps in the model
-// checker's shimmed types under `--cfg modelcheck` so `cargo xtask
-// modelcheck` can explore barrier-epoch interleavings.
-use crate::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::ckpt;
 use crate::error::{Error, Result};
 use crate::hashfn::Distributor;

@@ -66,7 +66,6 @@
 //! | `papyruskv_checkpoint` / `restart` / `destroy` | [`Db::checkpoint`] / [`Context::restart`] / [`Db::destroy`] |
 //! | `papyruskv_wait` | [`Event::wait`] |
 
-mod atomic;
 pub mod bloom;
 mod ckpt;
 mod db;

@@ -372,6 +372,48 @@ mod tests {
     use papyrus_mpi::{World, WorldConfig};
     use papyrus_nvm::SystemProfile;
 
+    /// A get that finds a key's old version in an SSTable and fills the
+    /// cache with it, and an ingest of a new version, in either order; then
+    /// the MemTable holding the new version is flushed and retired, as a
+    /// flush does, and the key is read again. The cache is searched before
+    /// the SSTables, so a fill that outlived the ingest's invalidation would
+    /// show there.
+    #[test]
+    fn a_cache_fill_never_outlives_a_newer_put() {
+        use crate::write::build_riding_out;
+        use papyrus_simtime::{DeviceModel, MemModel};
+
+        const KEY: &[u8] = b"k";
+        let value = |v: &'static [u8]| Entry::value(Bytes::from_static(v));
+        let found = |v: &'static [u8]| SstGet::Found(Bytes::from_static(v));
+        for get_first in [true, false] {
+            let store = NvmStore::in_memory(DeviceModel::nvme_summitdev());
+            let old = [(KEY.to_vec(), value(b"old"))];
+            let (old, _) = sstable::build_at(&store, "t/db/r0/sst1", 1, &old, 0);
+            let stack = Stack::new(2, vec![old]);
+            let db = DbInner::new(0, "db", 0, 1, MemModel::free(), Options::default(), stack);
+            let ingest = || {
+                let protection = db.state.read().protection;
+                db.insert_local(protection, KEY, value(b"new"));
+            };
+            let get = || local_get(&db, KEY, &Clock::new());
+            if get_first {
+                assert_eq!(get(), found(b"old"));
+                assert!(db.local_cache.lock().peek(KEY).is_some(), "the get filled the cache");
+                ingest();
+            } else {
+                ingest();
+                assert_eq!(get(), found(b"new"));
+            }
+            let mt = db.stack.write().freeze().expect("the ingest is in the MemTable");
+            let ssid = db.stack.write().alloc_ssid();
+            let what = format_args!("test flush");
+            let (table, _) = build_riding_out(&db, &store, "t/db/r0/sst2", ssid, &mt, 0, what);
+            db.stack.write().retire(&mt, table);
+            assert_eq!(get(), found(b"new"), "stale cache fill (get first: {get_first})");
+        }
+    }
+
     /// In a storage group of 2, the caller's readers of the owner's tables
     /// follow the owner's live set: once the owner has merged tables 1–4
     /// into 5, the next shared search drops the four stale readers, keeps
@@ -492,116 +534,5 @@ mod tests {
         peer_walk_over_a_partial_merge("nvm://peer-stale-open", false, false);
         peer_walk_over_a_partial_merge("nvm://peer-undelete-read", true, true);
         peer_walk_over_a_partial_merge("nvm://peer-undelete-open", true, false);
-    }
-}
-
-/// Schedule-exhaustive model of the local cache's coherence with the
-/// primary stack, compiled and run only under `--cfg modelcheck` (`cargo
-/// xtask modelcheck`). It drives the real bodies — [`DbInner::insert_local`]
-/// and [`local_get`] — whose locks resolve to the explorer's shims.
-#[cfg(all(test, modelcheck))]
-mod modelcheck_tests {
-    use papyrus_modelcheck as mc;
-    use papyrus_simtime::{DeviceModel, MemModel};
-
-    use super::*;
-    use crate::options::Options;
-    use crate::write::build_riding_out;
-
-    const KEY: &[u8] = b"k";
-
-    fn value(v: &'static [u8]) -> Entry {
-        Entry::value(Bytes::from_static(v))
-    }
-
-    fn found(v: &'static [u8]) -> SstGet {
-        SstGet::Found(Bytes::from_static(v))
-    }
-
-    /// One handler-thread ingest of a new version of `KEY` racing one
-    /// app-thread get that finds the old version in an SSTable and fills
-    /// the cache with it; then the MemTable holding the new version is
-    /// flushed and retired, as `run_flush` does, and `KEY` is read again.
-    /// The cache is searched before the SSTables, so a fill that outlived
-    /// the ingest's invalidation now shows: the second get must return the
-    /// new version under every schedule.
-    fn stale_fill_model(
-        put: fn(&DbInner, &[u8], Entry),
-        get: fn(&DbInner, &[u8], &Clock) -> SstGet,
-    ) -> impl Fn() + Send + Sync + 'static {
-        move || {
-            let store = NvmStore::in_memory(DeviceModel::nvme_summitdev());
-            let (old, _) =
-                sstable::build_at(&store, "mc/db/r0/sst1", 1, &[(KEY.to_vec(), value(b"old"))], 0);
-            let stack = Stack::new(2, vec![old]);
-            let db = DbInner::new(0, "db", 0, 1, MemModel::free(), Options::default(), stack);
-            let db = Arc::new(db);
-
-            let ingest = {
-                let db = db.clone();
-                mc::thread::spawn(move || put(&db, KEY, value(b"new")))
-            };
-            let reader = {
-                let db = db.clone();
-                mc::thread::spawn(move || get(&db, KEY, &Clock::new()))
-            };
-            ingest.join().unwrap();
-            let raced = reader.join().unwrap();
-            assert!(raced == found(b"old") || raced == found(b"new"), "{raced:?}");
-
-            let mt = db.stack.write().freeze().expect("the ingest is in the MemTable");
-            let ssid = db.stack.write().alloc_ssid();
-            let what = format_args!("model flush");
-            let (table, _) = build_riding_out(&db, &store, "mc/db/r0/sst2", ssid, &mt, 0, what);
-            db.stack.write().retire(&mt, table);
-            assert_eq!(get(&db, KEY, &Clock::new()), found(b"new"), "stale cache fill");
-        }
-    }
-
-    /// Pinned — see EXPERIMENTS.md; a change means the scheduler/DPOR or
-    /// the locking of the put/get bodies changed.
-    const PINNED_STALE_FILL: u64 = 15;
-
-    #[test]
-    fn modelcheck_local_cache_never_outlives_put_exhaustive() {
-        // As the handler's ingest does: the attribute is read, then passed.
-        let put = |db: &DbInner, key: &[u8], entry| {
-            let protection = db.state.read().protection;
-            db.insert_local(protection, key, entry);
-        };
-        let report = mc::explore(stale_fill_model(put, local_get));
-        assert!(report.ok(), "cache coherence model must be clean: {:?}", report.violations);
-        assert_eq!(report.interleavings, PINNED_STALE_FILL, "see EXPERIMENTS.md");
-    }
-
-    /// Seeded bug: the locking this model was written against. The put
-    /// invalidates the cache *before* the MemTable insert, each under its
-    /// own lock, and the get fills the cache after letting go of the
-    /// stack. The explorer must find the schedule where the fill lands
-    /// between the two put steps.
-    #[test]
-    fn modelcheck_seedbug_stale_cache_fill_detected() {
-        fn racy_put(db: &DbInner, key: &[u8], entry: Entry) {
-            db.local_cache.lock().invalidate(key);
-            db.stack.write().mem.insert(key, entry);
-        }
-        fn racy_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
-            let hit = {
-                let stack = db.stack.read();
-                match search_memory(db, &stack, key, clock) {
-                    SstGet::NotFound => walk_ssts(db, stack.ssts.iter().rev(), key, clock),
-                    hit => return hit,
-                }
-            };
-            if let Some(entry) = hit.cache_entry() {
-                db.local_cache.lock().insert(key, entry);
-            }
-            hit
-        }
-        let report = mc::Builder::new().check(stale_fill_model(racy_put, racy_get));
-        let v = report.violations.first().expect("explorer must detect the stale cache fill");
-        assert_eq!(v.kind, mc::ViolationKind::Panic, "{v:?}");
-        assert!(v.detail.contains("stale cache fill"), "{v:?}");
-        assert!(report.schedule.is_some(), "failing schedule must be reported");
     }
 }

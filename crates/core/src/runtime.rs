@@ -21,6 +21,7 @@
 //! The runtime duplicates independent communicators at init so its internal
 //! traffic never collides with application messages.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use papyrus_faultinject as fi;
@@ -32,7 +33,6 @@ use papyrus_simtime::{Clock, SimNs};
 use parking_lot::{Condvar, Mutex};
 
 // See db.rs: protocol atomics go through the facade.
-use crate::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;

@@ -1,14 +1,13 @@
 //! Synchronisation: barrier marks, fence, collective barrier and close
 //! (paper §3.1).
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use papyrus_faultinject as fi;
 use papyrus_simtime::SimNs;
 use papyrus_telemetry::{TID_APP, TID_HANDLER};
 
-// See db.rs: protocol atomics go through the facade.
-use crate::atomic::Ordering;
 use crate::db::{DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::msg::{self, tags};

@@ -642,7 +642,8 @@ mod tests {
             let db = ctx.open("db", OpenFlags::create(), options(rule)).expect("open");
             for flush in 0..flushes {
                 fill(&db, flush);
-                let (next, live) = (db.inner.stack.read().next_ssid, live(&db));
+                let next = db.inner.stack.read().next_ssid;
+                let live = live(&db);
                 let manifest = ckpt::read_manifest(&ctx.inner.repo_store(), "units", "db", 0);
                 assert_eq!(manifest, ckpt::ManifestRead::Present(next, live), "flush {flush}");
             }

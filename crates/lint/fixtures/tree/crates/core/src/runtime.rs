@@ -1,14 +1,12 @@
-// Seeded fixture: naming std::sync::atomic directly in a protocol-path
-// file must be flagged — protocol atomics go through the
-// crate's own atomic facade so `--cfg modelcheck` can shim them.
+// Fixture: a protocol-path file may name std::sync::atomic directly, and
+// an AcqRel RMW needs no ordering comment; no rule reports here.
 
-// Exactly one reportable finding in this file:
 use std::sync::atomic::AtomicU64;
 
 pub static SEQ: AtomicU64 = AtomicU64::new(0);
 
 pub fn next_seq() -> u64 {
-    SEQ.fetch_add(1, std::sync::atomic::Ordering::AcqRel) // lint:allow(no-atomic-in-protocol)
+    SEQ.fetch_add(1, std::sync::atomic::Ordering::AcqRel)
 }
 
 #[cfg(test)]

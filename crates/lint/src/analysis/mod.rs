@@ -2,7 +2,8 @@
 //!
 //! All five run over the same parsed universe: the runtime crates whose
 //! interactions the PapyrusKV protocol depends on. Tooling crates
-//! (modelcheck, crashcheck, chaos, perfline, bench), the compat shims,
+//! (crashcheck, chaos, perfline, bench), the world scheduler (baton), the
+//! compat shims,
 //! examples, and the demo apps are excluded — name+arity resolution over
 //! the whole tree would drown the runtime signal in lookalike edges from
 //! code that never runs in a protocol thread (policy: DESIGN.md §14).

@@ -2,10 +2,9 @@
 //!
 //! Two layers:
 //!
-//! 1. **Token rules** ([`rules`]) — the eight file-local rules
+//! 1. **Token rules** ([`rules`]) — the seven file-local rules
 //!    (std-sync-lock, protocol-unwrap, recovery-unwrap, real-time,
-//!    atomic-ordering-justified, unsafe-needs-safety-comment,
-//!    no-atomic-in-protocol, raw-thread). These match token sequences from
+//!    atomic-ordering-justified, unsafe-needs-safety-comment, raw-thread). These match token sequences from
 //!    [`lexer`] and need no cross-file knowledge.
 //! 2. **Interprocedural analyses** ([`analysis`]) — built on a lightweight
 //!    item/body parser ([`parse`]) and a workspace call graph
@@ -51,8 +50,8 @@ pub struct SourceTree {
 
 impl SourceTree {
     /// Load all `.rs` files under `root` (sorted by path). Skips build
-    /// output, VCS metadata, lint fixtures, and the `xtask` crate (its
-    /// modelcheck driver mentions orderings in flag strings).
+    /// output, VCS metadata, lint fixtures, and the `xtask` crate (the tool
+    /// layer: it drives the planes and runs in no world).
     pub fn load(root: &Path) -> SourceTree {
         let mut paths = Vec::new();
         collect_rs_files(root, root, &mut paths);
@@ -109,7 +108,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The eight token rules over all files under `root` (the
+/// The seven token rules over all files under `root` (the
 /// `cargo xtask lint` pass without `--deep`).
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     rules::run_rules(&SourceTree::load(root))

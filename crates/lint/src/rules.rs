@@ -11,9 +11,9 @@
 //!   `compat/` (the parking_lot shim wraps them). A raw std lock is
 //!   invisible to a world's scheduler: its release counts no guard, so it
 //!   is not a preemption point, and a wait on it is not a park the
-//!   scheduler sees. Carve-outs: `crates/modelcheck` (the schedulers' own
-//!   state must live on real OS primitives — shimming it would recurse)
-//!   and `xtask`.
+//!   scheduler sees. Carve-outs: `crates/baton` (the scheduler's own state
+//!   must live on real OS primitives — shimming it would recurse) and
+//!   `xtask`.
 //! - **protocol-unwrap** — no `.unwrap()` / `.expect(` in protocol-handler
 //!   paths: a panic in the dispatcher or in a request arm run on a granting
 //!   task's thread fails that task instead of a typed error reaching the
@@ -36,11 +36,6 @@
 //! - **unsafe-needs-safety-comment** — every `unsafe {` block and
 //!   `unsafe impl` carries a `// SAFETY:` comment on the same line or in
 //!   the comment block directly above.
-//! - **no-atomic-in-protocol** — protocol-path files must not name
-//!   `std::sync::atomic` directly; they use core's private `atomic`
-//!   facade (`crates/core/src/atomic.rs`), which swaps in the
-//!   model-checker's shimmed atomics under `--cfg modelcheck` so protocol
-//!   interleavings stay explorable.
 //! - **raw-thread** — no `thread::spawn` / `thread::Builder` outside test
 //!   code of the crates that run inside a simulated world (core, mpi,
 //!   mdhim, meraculous, dsm, serve): a helper of a rank is one of the
@@ -58,8 +53,7 @@ use crate::SourceTree;
 
 /// Files where `.unwrap()` / `.expect(` would panic inside the protocol
 /// dispatcher or a request arm of the message handler (or while decoding a
-/// wire message another rank's retry loop will resend). Also the scope of
-/// `no-atomic-in-protocol`.
+/// wire message another rank's retry loop will resend).
 pub(crate) const PROTOCOL_PATHS: &[&str] = &[
     "crates/mpi/src/fabric.rs",
     "crates/core/src/db.rs",
@@ -195,7 +189,7 @@ pub(crate) fn seq_at(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
 /// First index where `pat` matches.
 /// Line of the first `#[cfg(test)]` / `#[cfg(all(test, ..))]` attribute, if
 /// any; everything from that line on is test code (the repo convention is
-/// trailing test modules, the `--cfg modelcheck` models last).
+/// trailing test modules).
 pub(crate) fn tests_from(toks: &[Tok]) -> Option<usize> {
     [&["#", "[", "cfg", "(", "test"][..], &["#", "[", "cfg", "(", "all", "(", "test"]]
         .iter()
@@ -213,7 +207,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let toks = &ctx.lx.tokens;
 
     let std_sync_applies = !(rel.starts_with("compat/")
-        || rel.starts_with("crates/modelcheck/")
+        || rel.starts_with("crates/baton/")
         || rel.starts_with("xtask/"));
     let protocol_applies = PROTOCOL_PATHS.contains(&rel);
     let recovery_applies = RECOVERY_PATHS.contains(&rel);
@@ -226,28 +220,16 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     while i < toks.len() {
         let line = toks[i].line;
 
-        // --- std-sync-lock / no-atomic-in-protocol / real-time: path uses.
-        if seq_at(toks, i, &["std", ":", ":", "sync", ":", ":"]) {
+        // --- std-sync-lock: path uses.
+        if std_sync_applies && seq_at(toks, i, &["std", ":", ":", "sync", ":", ":"]) {
+            // A `use std::sync::{...}` group is scanned to its matching
+            // brace, skipping any nested `atomic::{...}` subgroup.
             let after = i + 6;
-            if seq_at(toks, after, &["atomic"]) {
-                if protocol_applies
-                    && !ctx.in_tests(line)
-                    && !ctx.allowed(line, "no-atomic-in-protocol")
-                {
-                    ctx.push(findings, "no-atomic-in-protocol", line);
-                }
-            } else if std_sync_applies {
-                let mut hit = false;
-                if toks.get(after).is_some_and(|t| is_sync_lock_name(&t.text)) {
-                    hit = true;
-                } else if toks.get(after).is_some_and(|t| t.text == "{") {
-                    // `use std::sync::{...}` group: scan to the matching
-                    // brace, skipping any nested `atomic::{...}` subgroup.
-                    hit = group_names_lock(toks, after);
-                }
-                if hit && !ctx.allowed(line, "std-sync-lock") {
-                    ctx.push(findings, "std-sync-lock", line);
-                }
+            let hit = toks.get(after).is_some_and(|t| {
+                is_sync_lock_name(&t.text) || (t.text == "{" && group_names_lock(toks, after))
+            });
+            if hit && !ctx.allowed(line, "std-sync-lock") {
+                ctx.push(findings, "std-sync-lock", line);
             }
         }
 
@@ -412,7 +394,6 @@ mod tests {
             rules,
             vec![
                 "atomic-ordering-justified",
-                "no-atomic-in-protocol",
                 "protocol-unwrap",
                 "raw-thread",
                 "real-time",
@@ -531,16 +512,6 @@ mod tests {
         for wait in waits {
             assert_eq!(hits.iter().filter(|f| f.text.contains(wait)).count(), 1, "{wait}");
         }
-    }
-
-    #[test]
-    fn protocol_atomic_rule_hits_protocol_file_only() {
-        let findings = run_lint(&fixture_root());
-        let hits: Vec<_> = findings.iter().filter(|f| f.rule == "no-atomic-in-protocol").collect();
-        assert_eq!(hits.len(), 1, "{hits:#?}");
-        assert_eq!(hits[0].path, "crates/core/src/runtime.rs");
-        // atomics.rs names std::sync::atomic too but is not a protocol
-        // file, so the only hit is runtime.rs.
     }
 
     #[test]

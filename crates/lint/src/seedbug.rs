@@ -1,8 +1,8 @@
 //! `--seed-bug`: plant known violations into an in-memory copy of the
 //! workspace and demand that the analyses convict every one of them.
 //!
-//! This is the same N/N-convicted self-test pattern the modelcheck, chaos,
-//! and perfline planes use: a checker that has never caught a planted bug
+//! This is the same N/N-convicted self-test pattern the crashcheck, chaos,
+//! serve and perfline planes use: a checker that has never caught a planted bug
 //! is indistinguishable from a checker that is broken. Patches are
 //! anchored to exact source text and fail loudly when the anchor drifts,
 //! so a refactor cannot silently turn a seed into a no-op.

@@ -5,10 +5,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use papyrus_baton::{Baton, Grants};
 use papyrus_faultinject::{
     FaultPlan, PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD,
 };
-use papyrus_modelcheck::baton::{Baton, Grants};
 use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
 use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
 use parking_lot::{Condvar, Mutex, MutexGuard};

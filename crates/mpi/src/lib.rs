@@ -42,7 +42,7 @@ mod world;
 
 pub use comm::{Communicator, Message, RecvSrc, RecvTag, Sending};
 pub use fabric::{Fabric, RankStatus};
-pub use papyrus_modelcheck::baton::{Grants, Slice, Task, Verdict};
+pub use papyrus_baton::{Grants, Slice, Task, Verdict};
 pub use world::{panic_message, RankCtx, World, WorldConfig};
 
 /// A rank index within a communicator.

@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
+use papyrus_baton::{Slice, Task, Verdict};
 use papyrus_faultinject::FaultPlan;
-use papyrus_modelcheck::baton::{Slice, Task, Verdict};
 use papyrus_simtime::{Clock, NetModel, SimNs};
 
 use crate::comm::Communicator;
@@ -51,9 +51,9 @@ impl World {
     ///
     /// Every rank and every helper spawned through [`RankCtx::spawn`] or
     /// [`RankCtx::spawn_slices`] is a task of the world's scheduler
-    /// (`papyrus_modelcheck::baton`): one runs at a time, handing over at
-    /// blocking points in virtual-time order, so a run is a function of its
-    /// inputs alone. A world that can never move
+    /// (`papyrus_baton`): one runs at a time, handing over at blocking
+    /// points in virtual-time order, so a run is a function of its inputs
+    /// alone. A world that can never move
     /// again — deadlocked, or livelocked past its fault horizon — unwinds
     /// with its [`Verdict`] as the panic payload, once every thread of the
     /// world has returned.
@@ -186,8 +186,7 @@ impl RankCtx {
     /// Spawn a run-to-completion helper of this rank (PapyrusKV's compaction
     /// task and message handler, MDHIM's range server), named `name`:
     /// `slice` serves one unit of work per call, on the thread of whichever
-    /// task grants it the baton, and never blocks. See
-    /// `papyrus_modelcheck::baton`.
+    /// task grants it the baton, and never blocks. See `papyrus_baton`.
     pub fn spawn_slices<F>(&self, name: String, slice: F) -> Task<()>
     where
         F: FnMut() -> Slice + Send + 'static,

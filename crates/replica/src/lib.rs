@@ -208,92 +208,3 @@ mod tests {
         assert_eq!(t.claimant(7, 2), Some(3));
     }
 }
-
-/// Schedule-exploration models for the promotion arbiter. Built and run
-/// only under `RUSTFLAGS="--cfg modelcheck"` (`cargo xtask modelcheck`);
-/// the `parking_lot::Mutex` inside `PromotionTable` is then the shimmed
-/// model-checker mutex, so claim races are explored exhaustively.
-#[cfg(all(test, modelcheck))]
-mod modelcheck_tests {
-    use std::sync::Arc;
-
-    use papyrus_modelcheck as mc;
-
-    use super::*;
-
-    /// Exhaustive interleavings of two concurrent claimants. Pinned so a
-    /// scheduler or DPOR change that silently shrinks coverage fails loudly.
-    const PINNED_PROMOTION_2CLAIM: u64 = 5;
-
-    /// Two survivors discover the same dead rank concurrently and race to
-    /// claim `(db=1, dead=3)`. In every interleaving exactly one must win,
-    /// the other must lose, and `claimant` must report the winner.
-    #[test]
-    fn modelcheck_promotion_first_claim_exhaustive() {
-        let report = mc::explore(|| {
-            let t = Arc::new(PromotionTable::new());
-            let ta = t.clone();
-            let tb = t.clone();
-            let a = mc::thread::spawn(move || ta.claim(1, 3, 0));
-            let b = mc::thread::spawn(move || tb.claim(1, 3, 2));
-            let ca = a.join().unwrap();
-            let cb = b.join().unwrap();
-            let wins = [ca, cb].iter().filter(|c| **c == Claim::Won).count();
-            assert_eq!(wins, 1, "exactly one claimant must win, got {ca:?}/{cb:?}");
-            let winner = if ca == Claim::Won { 0 } else { 2 };
-            assert_eq!(t.claimant(1, 3), Some(winner));
-            assert_eq!(t.claims_for(1), vec![(3, vec![winner])]);
-        });
-        assert!(report.ok(), "violation: {:?}", report.violations);
-        assert_eq!(report.interleavings, PINNED_PROMOTION_2CLAIM, "DPOR coverage changed");
-    }
-
-    /// A broken arbiter that checks for an existing claimant and records
-    /// its own claim under *separate* lock acquisitions — the classic
-    /// check-then-act race the real `PromotionTable::claim` avoids by
-    /// holding the mutex across both steps.
-    struct RacyPromotionTable {
-        claims: parking_lot::Mutex<std::collections::HashMap<(u32, usize), Vec<usize>>>,
-    }
-
-    impl RacyPromotionTable {
-        fn claim(&self, db: u32, dead: usize, rank: usize) -> Claim {
-            let vacant = self.claims.lock().get(&(db, dead)).map_or(true, |v| v.is_empty());
-            // Lock dropped here: another claimant can interleave between
-            // the check and the act.
-            if vacant {
-                self.claims.lock().entry((db, dead)).or_default().push(rank);
-                Claim::Won
-            } else {
-                Claim::Lost
-            }
-        }
-    }
-
-    /// Seeded bug (b): the explorer must find the interleaving where both
-    /// survivors observe an empty slot and both report `Won` — the
-    /// double-promotion the serialised `claim` makes impossible.
-    #[test]
-    fn modelcheck_seedbug_promotion_check_then_act_detected() {
-        let report = mc::Builder::new().check(|| {
-            let t = Arc::new(RacyPromotionTable {
-                claims: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            });
-            let ta = t.clone();
-            let tb = t.clone();
-            let a = mc::thread::spawn(move || ta.claim(1, 3, 0));
-            let b = mc::thread::spawn(move || tb.claim(1, 3, 2));
-            let ca = a.join().unwrap();
-            let cb = b.join().unwrap();
-            let wins = [ca, cb].iter().filter(|c| **c == Claim::Won).count();
-            assert!(wins <= 1, "double promotion: both survivors won");
-        });
-        let v = report
-            .violations
-            .first()
-            .expect("explorer must detect the check-then-act double promotion");
-        assert_eq!(v.kind, mc::ViolationKind::Panic, "{v:?}");
-        assert!(v.detail.contains("double promotion"), "{v:?}");
-        assert!(report.schedule.is_some(), "failing schedule must be reported");
-    }
-}

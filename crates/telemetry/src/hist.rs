@@ -7,15 +7,8 @@
 //! Recording is wait-free: one relaxed load on the enabled flag, then four
 //! relaxed atomic RMWs (bucket, count, sum, max).
 
-use std::sync::Arc;
-
-// Under `--cfg modelcheck` the recording/merge atomics come from the
-// deterministic schedule explorer (see `modelcheck_tests` in the crate
-// root), so concurrent record+merge runs under exhaustive search.
-#[cfg(modelcheck)]
-use papyrus_modelcheck::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(modelcheck))]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use papyrus_simtime::SimNs;
 

@@ -124,6 +124,30 @@ mod tests {
         assert_eq!(r.counter(2, "x").get(), 0, "different pid is a different counter");
     }
 
+    /// Two threads record into one histogram and intern-and-bump the same
+    /// counter of one registry: no record or bump is lost, and both threads
+    /// intern the same counter.
+    #[test]
+    fn two_threads_record_and_intern_exactly() {
+        const EACH: u64 = 1_000;
+        let r = Registry::with_enabled(true);
+        let h = Histogram::new();
+        std::thread::scope(|s| {
+            for v in [100, 3_000_000] {
+                let (r, h) = (&r, h.clone());
+                s.spawn(move || {
+                    for _ in 0..EACH {
+                        h.record(v);
+                        r.counter(7, "hits").inc();
+                    }
+                });
+            }
+        });
+        let done = h.snapshot();
+        assert_eq!((done.count, done.sum, done.max), (2 * EACH, EACH * 3_000_100, 3_000_000));
+        assert_eq!(r.snapshot().counter_sum("hits"), 2 * EACH);
+    }
+
     #[test]
     fn disabled_registry_records_nothing_then_flips_on() {
         let r = Registry::new();
@@ -193,88 +217,5 @@ mod tests {
         assert!(t.contains("kv.put"), "{t}");
         assert!(t.contains("q.depth"), "{t}");
         assert!(t.contains("p99"), "{t}");
-    }
-}
-
-/// Schedule-exploration models for the telemetry hot paths. Built and run
-/// only under `RUSTFLAGS="--cfg modelcheck"` (see `cargo xtask modelcheck`);
-/// the atomics inside `Histogram`/`Counter` and the registry's enabled flag
-/// are then the shimmed `papyrus_modelcheck::atomic` types, so every
-/// interleaving of the wait-free record path is explored exhaustively.
-#[cfg(all(test, modelcheck))]
-mod modelcheck_tests {
-    use std::sync::Arc;
-
-    use papyrus_modelcheck as mc;
-
-    use crate::{Histogram, Registry};
-
-    /// Exhaustive interleavings of two racing recorders on the wait-free
-    /// histogram record path. Pinned so a scheduler or DPOR change that
-    /// silently shrinks coverage fails loudly.
-    ///
-    /// Deliberately no mid-flight `snapshot()` inside the model: a snapshot
-    /// reads all 976 bucket atomics, which blows the conflict graph up to
-    /// a ~10-minute exploration for zero extra signal (every bucket read
-    /// conflicts with every record). The post-join snapshot is ordered by
-    /// the joins, so it checks totals without widening the search.
-    const PINNED_HIST_2REC: u64 = 251;
-
-    /// Two threads record into one histogram; once both join, the totals
-    /// must be exact in every interleaving (the relaxed RMWs on count, sum,
-    /// and max are independent, so no schedule may lose a record).
-    #[test]
-    fn modelcheck_hist_concurrent_record_exhaustive() {
-        let report = mc::explore(|| {
-            let h = Histogram::new();
-            let h1 = h.clone();
-            let h2 = h.clone();
-            let t1 = mc::thread::spawn(move || h1.record(100));
-            let t2 = mc::thread::spawn(move || h2.record(3_000_000));
-            t1.join().unwrap();
-            t2.join().unwrap();
-            let done = h.snapshot();
-            assert_eq!(done.count, 2);
-            assert_eq!(done.sum, 3_000_100);
-            assert_eq!(done.max, 3_000_000);
-        });
-        assert!(report.ok(), "violation: {:?}", report.violations);
-        assert_eq!(report.interleavings, PINNED_HIST_2REC, "DPOR coverage changed");
-        report_to_registry(&report);
-    }
-
-    /// Two threads intern the same `(pid, name)` counter concurrently and
-    /// bump it; interning must hand both the same underlying atomic so the
-    /// snapshot sums to exactly 2 in every interleaving.
-    #[test]
-    fn modelcheck_registry_intern_exhaustive() {
-        let report = mc::explore(|| {
-            let r = Arc::new(Registry::with_enabled(true));
-            let r1 = r.clone();
-            let r2 = r.clone();
-            let t1 = mc::thread::spawn(move || r1.counter(7, "mc.hits").inc());
-            let t2 = mc::thread::spawn(move || r2.counter(7, "mc.hits").inc());
-            t1.join().unwrap();
-            t2.join().unwrap();
-            assert_eq!(r.snapshot().counter_sum("mc.hits"), 2);
-        });
-        assert!(report.ok(), "violation: {:?}", report.violations);
-        assert!(report.interleavings >= 2, "expected >1 interleaving");
-        report_to_registry(&report);
-    }
-
-    /// Publish an exploration `Report` into a registry and check the
-    /// `modelcheck.*` counters surface through the normal snapshot tooling
-    /// (`counter_sum` and the human table) — the same path the perf
-    /// snapshot exporter reads.
-    fn report_to_registry(report: &mc::Report) {
-        let reg = Registry::with_enabled(true);
-        reg.counter(0, "modelcheck.interleavings").add(report.interleavings);
-        reg.counter(0, "modelcheck.prunes").add(report.prunes);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_sum("modelcheck.interleavings"), report.interleavings);
-        assert_eq!(snap.counter_sum("modelcheck.prunes"), report.prunes);
-        let table = snap.to_table();
-        assert!(table.contains("modelcheck.interleavings"), "{table}");
     }
 }

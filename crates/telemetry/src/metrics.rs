@@ -4,13 +4,8 @@
 //! time) through the [`crate::Registry`]; the hot path is a single relaxed
 //! atomic check plus one relaxed RMW.
 
-use std::sync::Arc;
-
-// See hist.rs: shimmed under `--cfg modelcheck` for schedule exploration.
-#[cfg(modelcheck)]
-use papyrus_modelcheck::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-#[cfg(not(modelcheck))]
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CounterInner {
     enabled: Arc<AtomicBool>,

@@ -2,11 +2,6 @@
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
-// See hist.rs: shimmed under `--cfg modelcheck` (the registry's enabled
-// flag is shared with metric handles, so the types must agree).
-#[cfg(modelcheck)]
-use papyrus_modelcheck::atomic::{AtomicBool, Ordering};
-#[cfg(not(modelcheck))]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -7,11 +7,6 @@
 //! output follows the Chrome Trace Event format (the "JSON Array with
 //! metadata" flavor) and opens directly in chrome://tracing or Perfetto.
 
-// See hist.rs: shimmed under `--cfg modelcheck` (the registry's enabled
-// flag is shared with metric handles, so the types must agree).
-#[cfg(modelcheck)]
-use papyrus_modelcheck::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(modelcheck))]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

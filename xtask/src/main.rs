@@ -1,7 +1,7 @@
 //! Repo automation: the one driver behind every gate plane.
 //!
 //! ```text
-//! cargo xtask lint | modelcheck | crashcheck | chaos | perfline | serve [flags]
+//! cargo xtask lint | crashcheck | chaos | perfline | serve [flags]
 //! cargo xtask <plane> --help             # that plane's flag table
 //! cargo xtask <plane> --seed-bug all     # self-test: every planted bug convicted
 //! ```
@@ -9,10 +9,9 @@
 //! The `cargo xtask` alias (`.cargo/config.toml`) builds this crate in
 //! release mode — the sweeps spin up thousands of simulated worlds — and
 //! each subcommand calls its plane's library directly; `plane.rs` holds the
-//! flag parser and the `--seed-bug` self-test loop all six share.
+//! flag parser and the `--seed-bug` self-test loop all five share.
 
 mod gates;
-mod modelcheck;
 mod perfline;
 mod plane;
 
@@ -24,14 +23,13 @@ fn main() -> ExitCode {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map_or("", String::as_str) {
         "lint" => gates::lint(rest),
-        "modelcheck" => modelcheck::run(rest),
         "crashcheck" => gates::crashcheck(rest),
         "chaos" => gates::chaos(rest),
         "perfline" => perfline::run(rest),
         "serve" => gates::serve(rest),
         _ => {
             eprintln!(
-                "usage: cargo xtask lint|modelcheck|crashcheck|chaos|perfline|serve [flags] \
+                "usage: cargo xtask lint|crashcheck|chaos|perfline|serve [flags] \
                  (`cargo xtask <plane> --help` lists a plane's flags)"
             );
             ExitCode::FAILURE

@@ -23,7 +23,7 @@ doc:
 #   sst_read: gets match the model, live tables as asserted
 #   ingest: no op failed
 #   traced sst_read: one backend read per SSTable get (DESIGN §5)
-#   traced remote_mix: wire bytes and messages per op, no op failed
+#   traced remote_mix: wire bytes, messages and allocations per op, no op failed
 #   traced ingest: allocations per op, no op failed
 #   traced serve_resp: allocations per command, no op failed
 kvbench:
@@ -37,12 +37,13 @@ kvbench:
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload remote_mix --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.bytes_per_op +164\.9069 ' \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.msgs_per_op +0\.9983 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +2\.0998 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.0090 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +24\.4050 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +24\.4049 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

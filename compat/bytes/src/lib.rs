@@ -95,6 +95,14 @@ impl Bytes {
         front
     }
 
+    /// Shorten to the first `len` bytes, sharing the backing storage; no
+    /// effect if it is no longer, as in the real crate.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.end = self.start + len;
+        }
+    }
+
     /// Whether this is the only handle on its backing storage (no clone or
     /// slice of it is alive), as in the real crate.
     pub fn is_unique(&self) -> bool {

@@ -160,7 +160,7 @@ enum Status {
 }
 
 /// How a granted task is let through: `SHUT` until a grant stores `GO` or
-/// `TIMED_OUT`.
+/// `TIMED_OUT`, with `OWES` set when a task it woke is still runnable.
 #[derive(Default)]
 struct Gate {
     state: AtomicU8,
@@ -170,6 +170,7 @@ struct Gate {
 const SHUT: u8 = 0;
 const GO: u8 = 1;
 const TIMED_OUT: u8 = 2;
+const OWES: u8 = 4;
 
 #[derive(Default)]
 struct TaskState {
@@ -268,7 +269,11 @@ impl Holds {
 }
 
 thread_local! {
-    static TASK: RefCell<Option<(Arc<Baton>, usize)>> = const { RefCell::new(None) };
+    /// The world of the calling thread's task, for the life of its thread.
+    static BATON: RefCell<Option<Arc<Baton>>> = const { RefCell::new(None) };
+    /// The task the calling thread runs as: its own, or the one whose slice
+    /// it runs.
+    static TID: Cell<usize> = const { Cell::new(0) };
     /// `parking_lot` locks the calling thread holds.
     static HELD: Holds = const {
         // The site in a slot not yet taken is never read.
@@ -281,13 +286,19 @@ thread_local! {
 }
 
 fn current() -> Option<(Arc<Baton>, usize)> {
-    TASK.with(|t| t.borrow().clone())
+    with_current(|baton, tid| (Arc::clone(baton), tid))
+}
+
+/// `f` of the calling thread's world and task, borrowed; `None` outside a
+/// world. `f` may run the world's slices on this thread ([`run_as`]).
+fn with_current<R>(f: impl FnOnce(&Arc<Baton>, usize) -> R) -> Option<R> {
+    BATON.with(|b| b.borrow().as_ref().map(|baton| f(baton, TID.get())))
 }
 
 /// The calling thread's task id, if it is a task of `baton`.
 fn task_of(baton: &Baton) -> Option<usize> {
-    TASK.with(|t| match &*t.borrow() {
-        Some((b, tid)) if std::ptr::eq(Arc::as_ptr(b), baton) => Some(*tid),
+    BATON.with(|b| match &*b.borrow() {
+        Some(b) if std::ptr::eq(Arc::as_ptr(b), baton) => Some(TID.get()),
         _ => None,
     })
 }
@@ -295,7 +306,7 @@ fn task_of(baton: &Baton) -> Option<usize> {
 /// Make the calling thread run as task `tid` of the baton it already
 /// belongs to; returns the task it ran as.
 fn run_as(tid: usize) -> Option<usize> {
-    TASK.with(|t| t.borrow_mut().as_mut().map(|(_, me)| std::mem::replace(me, tid)))
+    BATON.with(|b| b.borrow().is_some()).then(|| TID.replace(tid))
 }
 
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -363,12 +374,21 @@ impl State {
         Some(t)
     }
 
-    fn grant(&mut self, t: usize) -> Arc<Gate> {
+    /// `OWES` if a task `t` woke is still runnable: only then can a guard
+    /// release of `t`'s preempt (the thread's `PENDING`).
+    fn owes(&self, t: usize) -> u8 {
+        if self.first(Some(t)).is_some() {
+            OWES
+        } else {
+            0
+        }
+    }
+
+    fn grant(&mut self, t: usize) {
         self.running = Some(t);
         self.runnable.retain(|&r| r != t);
         let task = &mut self.tasks[t];
         (task.status, task.woken_by) = (Status::Running, None);
-        Arc::clone(&task.gate)
     }
 
     /// Task `tid` is finished: its joiners run on, woken by it.
@@ -409,20 +429,21 @@ impl Baton {
     /// out the first timed waiter, else — with a rank parked — poison the
     /// world with its verdict. `me` is the calling task when it is about to
     /// wait or exit: a run-to-completion task granted then runs here, and a
-    /// grant of `me` itself wakes no thread. A gate opens after the state
+    /// grant of `me` itself wakes no thread — it is returned, and `me` has
+    /// the baton without waiting at its gate. A gate opens after the state
     /// lock is let go, so the next runner never waits on it.
-    fn hand_off<'a>(&'a self, mut st: MutexGuard<'a, State>, me: Option<usize>) {
+    fn hand_off<'a>(&'a self, mut st: MutexGuard<'a, State>, me: Option<usize>) -> Option<u8> {
         loop {
             st.running = None;
             if !st.started || st.verdict.is_some() {
-                return;
+                return None;
             }
             let next = match st.first(None) {
                 Some(t) => Some((t, GO)),
                 None => st.time_out().map(|t| (t, TIMED_OUT)),
             };
             let Some((t, how)) = next else { break };
-            let gate = st.grant(t);
+            st.grant(t);
             let inline = st.tasks[t].slice.is_some() || Some(t) == me;
             let grants = &mut st.grants;
             *match how {
@@ -431,11 +452,13 @@ impl Baton {
                 _ => &mut grants.handed,
             } += 1;
             if Some(t) == me {
-                return gate.state.store(how, Ordering::Release);
+                return Some(how | st.owes(t));
             }
             let Some(mut body) = st.tasks[t].slice.take() else {
+                let (how, gate) = (how | st.owes(t), Arc::clone(&st.tasks[t].gate));
                 drop(st);
-                return gate.open(how);
+                gate.open(how);
+                return None;
             };
             // The grants made by no task are `start`'s, of roots (spawned
             // from outside the world), and those of a notify from outside,
@@ -474,6 +497,7 @@ impl Baton {
             self.poisoned.store(true, Ordering::Release);
             st.tasks.iter().filter_map(|t| t.gate.thread.get()).for_each(Thread::unpark);
         }
+        None
     }
 
     /// Run the run-to-completion task `t`, just granted, on this thread — a
@@ -505,7 +529,9 @@ impl Baton {
     /// CPU a few dozen times before it sleeps: one waiter off the sleep/wake
     /// path, the runner not starved even on one CPU. Host timing decides
     /// only *when* a waiter sees its grant, never who is granted.
-    fn wait_turn(&self, tid: usize, gate: &Gate) -> Result<bool, Payload> {
+    fn wait_turn(&self, tid: usize) -> Result<bool, Payload> {
+        // A grant may already be waiting at the gate: it keeps.
+        let gate = Arc::clone(&self.lock().tasks[tid].gate);
         self.spinner.store(tid + 1, Ordering::Release);
         for spin in 0u64.. {
             match gate.state.swap(SHUT, Ordering::AcqRel) {
@@ -514,24 +540,20 @@ impl Baton {
                     std::thread::yield_now()
                 }
                 SHUT => std::thread::park(),
-                how => return Ok(how == TIMED_OUT),
+                how => return Ok(let_through(how)),
             }
         }
         PENDING.set(false);
         Err(Box::new(self.verdict().expect("a poisoned world has its verdict")))
     }
 
-    /// Park the running task `tid` — already `Parked`, unless a notify from
-    /// outside the world beat it here — and hand the baton on.
-    fn park(&self, tid: usize) -> Result<bool, Payload> {
-        let mut st = self.lock();
-        if st.tasks[tid].status == Status::Runnable {
-            st.grant(tid);
-            return Ok(false);
+    /// Park the running task `tid`, which `st` — held since — shows
+    /// `Parked`, and hand the baton on.
+    fn park<'a>(&'a self, st: MutexGuard<'a, State>, tid: usize) -> Result<bool, Payload> {
+        match self.hand_off(st, Some(tid)) {
+            Some(how) => Ok(let_through(how)),
+            None => self.wait_turn(tid),
         }
-        let gate = Arc::clone(&st.tasks[tid].gate);
-        self.hand_off(st, Some(tid));
-        self.wait_turn(tid, &gate)
     }
 
     /// Spawn a task running `f` on its own OS thread named `name`. Spawned
@@ -616,9 +638,9 @@ impl Baton {
     }
 
     fn run_task<T>(self: Arc<Self>, tid: usize, f: impl FnOnce() -> T) -> T {
-        TASK.with(|t| *t.borrow_mut() = Some((Arc::clone(&self), tid)));
-        let gate = Arc::clone(&self.lock().tasks[tid].gate);
-        let result = self.wait_turn(tid, &gate).and_then(|_| catch_unwind(AssertUnwindSafe(f)));
+        BATON.with(|b| *b.borrow_mut() = Some(Arc::clone(&self)));
+        TID.set(tid);
+        let result = self.wait_turn(tid).and_then(|_| catch_unwind(AssertUnwindSafe(f)));
         let mut st = self.lock();
         st.finish(tid);
         if st.running == Some(tid) {
@@ -626,7 +648,7 @@ impl Baton {
         } else {
             drop(st);
         }
-        TASK.with(|t| *t.borrow_mut() = None);
+        BATON.with(|b| *b.borrow_mut() = None);
         PENDING.set(false);
         self.lock().live -= 1;
         self.exited.notify_all();
@@ -647,10 +669,10 @@ impl Baton {
                 return INLINE.set(Inline::Yielded);
             }
             st.wake(tid, None);
-            let gate = Arc::clone(&st.tasks[tid].gate);
-            self.hand_off(st, Some(tid));
-            // A poisoned world runs free; the next park unwinds.
-            let _ = self.wait_turn(tid, &gate);
+            if self.hand_off(st, Some(tid)).is_none() {
+                // A poisoned world runs free; the next park unwinds.
+                let _ = self.wait_turn(tid);
+            }
             PENDING.set(true);
         }
     }
@@ -687,8 +709,7 @@ impl<T> Task<T> {
                     panic!("{name} parked at {site} {why}");
                 }
                 st.tasks[me].status = Status::Parked { site, timed: false, on: 0, join };
-                drop(st);
-                self.baton.park(me).unwrap_or_else(|p| resume_unwind(p));
+                self.baton.park(st, me).unwrap_or_else(|p| resume_unwind(p));
             }
         }
         match self.ends {
@@ -722,24 +743,28 @@ impl WaitList {
     /// caller has its mutex back; `Err(guard)` outside a world.
     #[track_caller]
     pub fn wait<G>(&self, timed: bool, guard: G) -> Result<Result<bool, Payload>, G> {
-        let Some((baton, tid)) = current() else { return Err(guard) };
         let (site, on) = (Location::caller(), self as *const Self as usize);
-        {
+        // The world stays borrowed while the park runs its slices here.
+        BATON.with(|b| {
+            let Some(baton) = &*b.borrow() else { return Err(guard) };
+            let tid = TID.get();
+            // The list's lock, then the baton's, as a notify takes them.
+            let mut list = self.lock();
             let mut st = baton.lock();
             if let Some(why) = refusal(1) {
                 let name = st.tasks[tid].name.clone();
-                drop((st, guard));
+                drop((st, list, guard));
                 panic!("{name} parked at {site} {why}");
             }
             st.tasks[tid].status = Status::Parked { site, timed, on, join: None };
-        }
-        self.lock().push((Arc::clone(&baton), tid));
-        drop(guard);
-        let parked = baton.park(tid);
-        if !matches!(parked, Ok(false)) {
-            self.lock().retain(|(b, t)| !(Arc::ptr_eq(b, &baton) && *t == tid));
-        }
-        Ok(parked)
+            list.push((Arc::clone(baton), tid));
+            drop((list, guard));
+            let parked = baton.park(st, tid);
+            if !matches!(parked, Ok(false)) {
+                self.lock().retain(|(b, t)| !(Arc::ptr_eq(b, baton) && *t == tid));
+            }
+            Ok(parked)
+        })
     }
 
     /// Park the calling run-to-completion task here at the caller's site
@@ -785,6 +810,14 @@ impl WaitList {
             }
         }
     }
+}
+
+/// What a grant of `how` tells the task let through: whether its wait timed
+/// out and — its thread's `PENDING` — whether a task it woke is still
+/// runnable.
+fn let_through(how: u8) -> bool {
+    PENDING.set(how & OWES != 0);
+    how & !OWES == TIMED_OUT
 }
 
 /// The name of the calling thread's task, or of the thread outside a world.
@@ -841,9 +874,7 @@ impl Drop for Held {
     fn drop(&mut self) {
         let depth = HELD.with(|h| h.release(self.0));
         if depth == 0 && PENDING.get() {
-            if let Some((baton, tid)) = current() {
-                baton.preempt(tid);
-            }
+            with_current(|baton, tid| baton.preempt(tid));
         }
     }
 }

@@ -171,24 +171,13 @@ impl Batch {
         Err(Error::Internal(format!("batch of {records} records: {found} decode from {len} bytes")))
     }
 
-    /// The message of `header` bytes — what `put_header` writes, then the
-    /// count — and this batch.
-    fn behind(&self, header: usize, put_header: impl FnOnce(&mut BytesMut)) -> Bytes {
-        let mut buf = BytesMut::with_capacity(header + self.body.len());
-        put_header(&mut buf);
-        buf.put_u32_le(self.records);
-        buf.put_slice(&self.body);
-        buf.freeze()
-    }
-
     /// Encode the `MIGRATE` message of this batch: `[db: u32][seq: u64]`
     /// `[count: u32]`, then the records. A `PUT_SYNC` is the same message
     /// with one record.
     pub fn migrate(&self, db: u32, seq: RpcSeq) -> Bytes {
-        self.behind(MIGRATE_HEADER, |buf| {
-            buf.put_u32_le(db);
-            buf.put_u64_le(seq);
-        })
+        let fields: [&[u8]; 3] =
+            [&db.to_le_bytes(), &seq.to_le_bytes(), &self.records.to_le_bytes()];
+        message(&header::<MIGRATE_HEADER>(&fields), &self.body)
     }
 
     /// Encode the `REPL_PUT` message of this batch: `[db: u32][origin: u32]`
@@ -196,13 +185,38 @@ impl Batch {
     /// the owner rank whose ranges the records belong to — the receiver files
     /// them in its per-origin replica tables, never in its primary stack.
     pub fn repl_put(&self, db: u32, origin: u32, want_ack: bool, seq: RpcSeq) -> Bytes {
-        self.behind(REPL_PUT_HEADER, |buf| {
-            buf.put_u32_le(db);
-            buf.put_u32_le(origin);
-            buf.put_u8(u8::from(want_ack));
-            buf.put_u64_le(seq);
-        })
+        let fields: [&[u8]; 5] = [
+            &db.to_le_bytes(),
+            &origin.to_le_bytes(),
+            &[u8::from(want_ack)],
+            &seq.to_le_bytes(),
+            &self.records.to_le_bytes(),
+        ];
+        message(&header::<REPL_PUT_HEADER>(&fields), &self.body)
     }
+}
+
+/// A fixed header of `N` bytes on the stack: `fields`, each already
+/// little-endian, one after another. Every encoder's fields fill its `N`
+/// bytes exactly (`encoders_write_the_pinned_bytes`).
+fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut header = [0; N];
+    let mut rest = header.as_mut_slice();
+    for field in fields {
+        let Some((head, tail)) = rest.split_at_mut_checked(field.len()) else { break };
+        head.copy_from_slice(field);
+        rest = tail;
+    }
+    header
+}
+
+/// A message of a fixed `header`, written whole, then `body`, in a buffer
+/// reserved for exactly both.
+fn message(header: &[u8], body: &[u8]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(header.len() + body.len());
+    buf.put_slice(header);
+    buf.put_slice(body);
+    buf.freeze()
 }
 
 /// Remote-get response body.
@@ -219,12 +233,9 @@ pub enum GetResp {
     SearchShared(Vec<Ssid>),
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
+/// The length-prefixed field that ends a message, as the message itself
+/// cut down to it (bytes past it are ignored).
+fn last_bytes(mut buf: Bytes) -> Result<Bytes> {
     if buf.remaining() < 4 {
         return Err(Error::Internal("truncated message".into()));
     }
@@ -232,7 +243,8 @@ fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
     if buf.remaining() < len {
         return Err(Error::Internal("truncated message body".into()));
     }
-    Ok(buf.split_to(len))
+    buf.truncate(len);
+    Ok(buf)
 }
 
 /// [`Batch::migrate`] for a caller that holds owned records in a slice
@@ -265,9 +277,7 @@ pub fn decode_put_sync(buf: Bytes) -> Result<(u32, RpcSeq, Batch)> {
 /// Encode a request acknowledgement (`PUT_ACK`/`MIGRATE_ACK`): the echoed
 /// sequence number.
 pub fn encode_ack(seq: RpcSeq) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8);
-    buf.put_u64_le(seq);
-    buf.freeze()
+    Bytes::copy_from_slice(&seq.to_le_bytes())
 }
 
 /// Encode a get request: `[db: u32][group: u32][seq: u64][key]`. In a
@@ -275,12 +285,13 @@ pub fn encode_ack(seq: RpcSeq) -> Bytes {
 /// owner decide the shared-SSTable fast path (§2.7); in a failover `REPL_GET`
 /// it is the origin rank whose replica tables the receiver searches.
 pub fn encode_get_req(db: u32, caller_group: u32, seq: RpcSeq, key: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(20 + key.len());
-    buf.put_u32_le(db);
-    buf.put_u32_le(caller_group);
-    buf.put_u64_le(seq);
-    put_bytes(&mut buf, key);
-    buf.freeze()
+    let fields: [&[u8]; 4] = [
+        &db.to_le_bytes(),
+        &caller_group.to_le_bytes(),
+        &seq.to_le_bytes(),
+        &(key.len() as u32).to_le_bytes(),
+    ];
+    message(&header::<20>(&fields), key)
 }
 
 /// Decode a get request (`GET_REQ` or `REPL_GET`).
@@ -291,7 +302,7 @@ pub fn decode_get_req(mut buf: Bytes) -> Result<(u32, u32, RpcSeq, Bytes)> {
     let db = buf.get_u32_le();
     let group = buf.get_u32_le();
     let seq = buf.get_u64_le();
-    let key = get_bytes(&mut buf)?;
+    let key = last_bytes(buf)?;
     Ok((db, group, seq, key))
 }
 
@@ -301,27 +312,19 @@ const RESP_SEARCH_SHARED: u8 = 2;
 
 /// Encode a remote-get response: `[seq: u64][opcode: u8]` + body.
 pub fn encode_get_resp(seq: RpcSeq, resp: &GetResp) -> Bytes {
-    let mut buf = BytesMut::with_capacity(match resp {
-        GetResp::Found(v) => 13 + v.len(),
-        GetResp::NotFound => 9,
-        GetResp::SearchShared(ssids) => 13 + 8 * ssids.len(),
-    });
-    buf.put_u64_le(seq);
+    let seq = seq.to_le_bytes();
+    // `[seq][opcode]`, then a length for the opcodes with a body.
+    let with_len = |op: u8, len: usize| header::<13>(&[&seq, &[op], &(len as u32).to_le_bytes()]);
     match resp {
-        GetResp::Found(v) => {
-            buf.put_u8(RESP_FOUND);
-            put_bytes(&mut buf, v);
-        }
-        GetResp::NotFound => buf.put_u8(RESP_NOT_FOUND),
+        GetResp::Found(v) => message(&with_len(RESP_FOUND, v.len()), v),
+        GetResp::NotFound => Bytes::copy_from_slice(&header::<9>(&[&seq, &[RESP_NOT_FOUND]])),
         GetResp::SearchShared(ssids) => {
-            buf.put_u8(RESP_SEARCH_SHARED);
-            buf.put_u32_le(ssids.len() as u32);
-            for s in ssids {
-                buf.put_u64_le(*s);
-            }
+            let mut buf = BytesMut::with_capacity(13 + 8 * ssids.len());
+            buf.put_slice(&with_len(RESP_SEARCH_SHARED, ssids.len()));
+            ssids.iter().for_each(|s| buf.put_slice(&s.to_le_bytes()));
+            buf.freeze()
         }
     }
-    buf.freeze()
 }
 
 /// Decode a remote-get response.
@@ -331,7 +334,7 @@ pub fn decode_get_resp(mut buf: Bytes) -> Result<(RpcSeq, GetResp)> {
     }
     let seq = buf.get_u64_le();
     let resp = match buf.get_u8() {
-        RESP_FOUND => GetResp::Found(get_bytes(&mut buf)?),
+        RESP_FOUND => GetResp::Found(last_bytes(buf)?),
         RESP_NOT_FOUND => GetResp::NotFound,
         RESP_SEARCH_SHARED => {
             if buf.remaining() < 4 {
@@ -363,10 +366,7 @@ pub fn decode_repl_put(mut buf: Bytes) -> Result<(u32, u32, bool, RpcSeq, Batch)
 
 /// Encode a barrier marker: `[db: u32][epoch: u64]`.
 pub fn encode_barrier_mark(db: u32, epoch: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(12);
-    buf.put_u32_le(db);
-    buf.put_u64_le(epoch);
-    buf.freeze()
+    Bytes::copy_from_slice(&header::<12>(&[&db.to_le_bytes(), &epoch.to_le_bytes()]))
 }
 
 /// Decode a barrier marker.
@@ -543,6 +543,64 @@ mod tests {
         assert_eq!(len(GetResp::Found(Bytes::from_static(b"value"))), 13 + 5);
         assert_eq!(len(GetResp::NotFound), 9);
         assert_eq!(len(GetResp::SearchShared(vec![7, 4, 2])), 13 + 8 * 3);
+    }
+
+    /// The wire layout of every encoder, byte for byte: a message's length is
+    /// what virtual time charges, so a layout change must show up here.
+    #[test]
+    fn encoders_write_the_pinned_bytes() {
+        let seq = 0x1122_3344_5566_7788;
+        let seq_le = [0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11];
+        let golden = |got: Bytes, want: &[&[u8]]| assert_eq!(&got[..], &want.concat()[..]);
+
+        golden(
+            encode_get_req(0x0a0b_0c0d, 0x0102_0304, seq, b"key"),
+            &[&[0x0d, 0x0c, 0x0b, 0x0a], &[4, 3, 2, 1], &seq_le, &[3, 0, 0, 0], b"key"],
+        );
+        golden(
+            encode_get_resp(seq, &GetResp::Found(Bytes::from_static(b"val"))),
+            &[&seq_le, &[0], &[3, 0, 0, 0], b"val"],
+        );
+        golden(encode_get_resp(seq, &GetResp::NotFound), &[&seq_le, &[1]]);
+        golden(
+            encode_get_resp(seq, &GetResp::SearchShared(vec![0x0102, 7])),
+            &[&seq_le, &[2], &[2, 0, 0, 0], &[2, 1, 0, 0, 0, 0, 0, 0], &[7, 0, 0, 0, 0, 0, 0, 0]],
+        );
+        golden(encode_ack(seq), &[&seq_le]);
+        golden(encode_barrier_mark(0x0a0b_0c0d, seq), &[&[0x0d, 0x0c, 0x0b, 0x0a], &seq_le]);
+
+        // A batch: each record `[keylen: u32][vallen: u32][tombstone: u8]`,
+        // then its key and value.
+        let records = [rec("ab", "xyz", false), rec("k", "", true)];
+        let body: &[&[u8]] = &[
+            &[2, 0, 0, 0],
+            &[3, 0, 0, 0],
+            &[0],
+            b"ab",
+            b"xyz",
+            &[1, 0, 0, 0],
+            &[0; 4],
+            &[1],
+            b"k",
+        ];
+        let body = body.concat();
+        golden(
+            encode_migrate(0x0a0b_0c0d, seq, &records),
+            &[&[0x0d, 0x0c, 0x0b, 0x0a], &seq_le, &[2, 0, 0, 0], &body],
+        );
+        golden(
+            encode_put_sync(5, seq, &records[0]),
+            &[&[5, 0, 0, 0], &seq_le, &[1, 0, 0, 0], &body[..14]],
+        );
+        let batch: Batch = records.iter().collect();
+        golden(
+            batch.repl_put(0x0a0b_0c0d, 0x0102_0304, true, seq),
+            &[&[0x0d, 0x0c, 0x0b, 0x0a], &[4, 3, 2, 1], &[1], &seq_le, &[2, 0, 0, 0], &body],
+        );
+        golden(
+            batch.repl_put(5, 6, false, 0),
+            &[&[5, 0, 0, 0, 6, 0, 0, 0, 0], &[0; 8], &[2, 0, 0, 0], &body],
+        );
     }
 
     fn records_strategy() -> impl Strategy<Value = Vec<KvRecord>> {

@@ -137,30 +137,38 @@ impl Communicator {
         let dst_world = self.record.members[dst];
         if self.fabric.fault_drop(self.me_world, dst_world, tag, now) {
             // Black-holed by the fault plane.
-            return Sending { stamp: now, dst_world, env: None, ready: None };
+            return Sending { stamp: now, dst_world, env: None, wake: None };
         }
         let stamp = self.fabric.wire_stamp(self.me_world, dst_world, payload.len() as u64, now);
         self.fabric.tel(self.me_world).on_send(payload.len() as u64, now, stamp);
         let env = Some(Envelope { comm: self.id, src: self.me, tag, stamp, payload });
-        Sending { stamp, dst_world, env, ready: None }
+        Sending { stamp, dst_world, env, wake: Some(dst) }
     }
 
     /// The next step of `sending`: queue it at its receiver, then wake the
     /// receiver; `true` once done.
     pub fn carry_on(&self, sending: &mut Sending) -> bool {
-        let Some(env) = sending.env.take() else {
-            sending.ready.take().into_iter().for_each(|ready| ready.notify_all());
-            return true;
-        };
-        sending.ready = self.fabric.queue(sending.dst_world, env);
-        false
+        if let Some(env) = sending.env.take() {
+            self.fabric.queue(sending.dst_world, env);
+            return false;
+        }
+        if let Some(dst) = sending.wake.take() {
+            self.record.ready[dst].notify_all();
+        }
+        true
+    }
+
+    /// This handle's condvar: where its receives wait.
+    fn ready(&self) -> &Condvar {
+        &self.record.ready[self.me]
     }
 
     /// Blocking receive matching `src`/`tag`. Merges the message's arrival
     /// stamp into this rank's clock.
     #[track_caller]
     pub fn recv(&self, src: RecvSrc, tag: RecvTag) -> Message {
-        let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
+        let (src, tag) = (src.into_option(), tag.into_option());
+        let env = self.fabric.recv(self.me_world, self.ready(), self.id, src, tag);
         self.stamp_in(&env);
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
     }
@@ -171,11 +179,13 @@ impl Communicator {
     /// rank's clock as with `recv`.
     #[track_caller]
     pub fn recv_until_quiet(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
+        let (src, tag) = (src.into_option(), tag.into_option());
         let env = self.fabric.wait_match(
             self.me_world,
+            self.ready(),
             self.id,
-            src.into_option(),
-            tag.into_option(),
+            src,
+            tag,
             Wait::UntilQuiet,
         )?;
         self.stamp_in(&env);
@@ -183,12 +193,16 @@ impl Communicator {
     }
 
     /// Blocking receive that does NOT merge the arrival stamp into the rank
-    /// clock — for a helper thread whose receipt must not advance the
+    /// clock — for a helper task with a thread of its own
+    /// ([`crate::RankCtx::spawn`]), whose receipt must not advance the
     /// application rank's virtual time. The stamp stays available on the
-    /// returned [`Message`] for service-time accounting.
+    /// returned [`Message`] for service-time accounting. The runtime's
+    /// helpers are run-to-completion tasks and take their requests with
+    /// [`Communicator::take_unstamped`] instead.
     #[track_caller]
     pub fn recv_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Message {
-        let env = self.fabric.recv(self.me_world, self.id, src.into_option(), tag.into_option());
+        let (src, tag) = (src.into_option(), tag.into_option());
+        let env = self.fabric.recv(self.me_world, self.ready(), self.id, src, tag);
         Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp }
     }
 
@@ -200,7 +214,8 @@ impl Communicator {
     #[track_caller]
     pub fn take_unstamped(&self, src: RecvSrc, tag: RecvTag) -> Option<Message> {
         let (src, tag) = (src.into_option(), tag.into_option());
-        let env = self.fabric.wait_match(self.me_world, self.id, src, tag, Wait::Enlist)?;
+        let env =
+            self.fabric.wait_match(self.me_world, self.ready(), self.id, src, tag, Wait::Enlist)?;
         Some(Message { src: env.src, tag: env.tag, payload: env.payload, stamp: env.stamp })
     }
 
@@ -343,7 +358,9 @@ pub struct Sending {
     pub stamp: SimNs,
     dst_world: Rank,
     env: Option<Envelope>,
-    ready: Option<Arc<Condvar>>,
+    /// The receiver's comm rank, whose condvar the last step notifies;
+    /// `None` once it has, or if the message was black-holed.
+    wake: Option<Rank>,
 }
 
 impl RecvSrc {

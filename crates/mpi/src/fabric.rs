@@ -1,7 +1,6 @@
 //! The shared message fabric: mailboxes, NIC resources, communicator registry.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -93,15 +92,8 @@ pub(crate) struct Envelope {
     pub payload: Bytes,
 }
 
-/// A rank's incoming envelopes, behind one lock.
-#[derive(Default)]
-struct Mailbox {
-    queue: VecDeque<Envelope>,
-    /// One condvar per communicator a receiver has waited on here: a
-    /// delivery wakes only its own communicator's receivers (a rank's
-    /// handler and application thread share the mailbox, not a comm).
-    ready: HashMap<CommId, Arc<Condvar>>,
-}
+/// A rank's incoming envelopes, on every communicator, behind one lock.
+type Mailbox = VecDeque<Envelope>;
 
 /// State used to rendezvous one collective operation on one communicator.
 pub(crate) struct CollectiveState {
@@ -224,6 +216,21 @@ pub(crate) struct CommRecord {
     /// World ranks of the members, in comm-rank order.
     pub members: Arc<Vec<Rank>>,
     pub collective: Arc<CollectiveState>,
+    /// One condvar per member, in comm-rank order, that its receivers on
+    /// this communicator wait on under its mailbox's lock: a delivery wakes
+    /// only its own communicator's receivers (a rank's handler and
+    /// application thread share the mailbox, not a comm).
+    pub ready: Vec<Condvar>,
+}
+
+impl CommRecord {
+    fn new(members: Vec<Rank>) -> Self {
+        Self {
+            collective: Arc::new(CollectiveState::new(members.len())),
+            ready: members.iter().map(|_| Condvar::new()).collect(),
+            members: Arc::new(members),
+        }
+    }
 }
 
 /// Child-comm registry: (parent id, per-parent sequence number) -> created
@@ -253,14 +260,13 @@ pub struct Fabric {
     /// The world's scheduler: every rank thread and helper of this world
     /// is one of its tasks ([`crate::RankCtx::spawn_slices`]).
     baton: Arc<Baton>,
-    /// The world communicator (comm id 0), also present in `comms`.
+    /// The world communicator (comm id 0).
     world_record: Arc<CommRecord>,
-    comms: Mutex<HashMap<CommId, Arc<CommRecord>>>,
     /// Deterministic child-comm registry: (parent id, per-parent sequence
     /// number) -> created record. SPMD programs create comms in the same
     /// order on every rank, so the first arrival creates and the rest join.
+    /// Child ids count from 1 in order of creation.
     children: Mutex<ChildComms>,
-    next_comm_id: Mutex<CommId>,
     /// The fault schedule this world runs under, if it was armed with one
     /// ([`crate::WorldConfig::with_faults`]). Every injection site below
     /// reads this field; nothing about faults is process-global.
@@ -306,13 +312,6 @@ impl Fabric {
         // all-to-all capacity seen by one job is well below the sum of its
         // link rates.
         let backbone_links = (n as u32 / 8).max(1);
-        // The world communicator, registered as id 0.
-        let world = Arc::new(CommRecord {
-            members: Arc::new((0..n).collect()),
-            collective: Arc::new(CollectiveState::new(n)),
-        });
-        let mut comms = HashMap::new();
-        comms.insert(0, world.clone());
         Arc::new(Self {
             n,
             net,
@@ -324,10 +323,8 @@ impl Fabric {
             clocks: (0..n).map(|_| Clock::new()).collect(),
             tel: (0..n).map(RankNetTel::new).collect(),
             baton: Baton::new(faults.as_ref().map_or(0, |plan| plan.horizon())),
-            world_record: world,
-            comms: Mutex::new(comms),
+            world_record: Arc::new(CommRecord::new((0..n).collect())),
             children: Mutex::new(HashMap::new()),
-            next_comm_id: Mutex::new(1),
             faults,
             dead: Mutex::new(vec![false; n]),
         })
@@ -369,7 +366,9 @@ impl Fabric {
     }
 
     /// Create-or-join a child communicator. `members` must be identical on
-    /// every creating rank (deterministic, e.g. from an allgather).
+    /// every creating rank (deterministic, e.g. from an allgather): a rank
+    /// that joins with other members is a fatal error, as under MPI's
+    /// default error handler.
     pub(crate) fn create_child(
         &self,
         parent: CommId,
@@ -378,23 +377,16 @@ impl Fabric {
     ) -> (CommId, Arc<CommRecord>) {
         let mut children = self.children.lock();
         if let Some((id, rec)) = children.get(&(parent, seq)) {
-            debug_assert_eq!(
-                **rec.members, members,
-                "dup called with mismatched membership across ranks"
+            assert!(
+                **rec.members == members,
+                "dup {seq} of comm {parent} called with mismatched membership across ranks: \
+                 created with world ranks {:?}, joined with {members:?}",
+                rec.members
             );
             return (*id, rec.clone());
         }
-        let id = {
-            let mut next = self.next_comm_id.lock();
-            let id = *next;
-            *next += 1;
-            id
-        };
-        let rec = Arc::new(CommRecord {
-            collective: Arc::new(CollectiveState::new(members.len())),
-            members: Arc::new(members),
-        });
-        self.comms.lock().insert(id, rec.clone());
+        let id = children.len() as CommId + 1;
+        let rec = Arc::new(CommRecord::new(members));
         children.insert((parent, seq), (id, rec.clone()));
         (id, rec)
     }
@@ -495,27 +487,27 @@ impl Fabric {
         &self.tel[world_rank]
     }
 
-    /// Queue `env` at `dst_world` and return the condvar its communicator's
-    /// receivers wait on there, if any has, for the sender to notify.
-    pub(crate) fn queue(&self, dst_world: Rank, env: Envelope) -> Option<Arc<Condvar>> {
-        let (depth, ready) = {
+    /// Queue `env` at `dst_world`; the sender then notifies the condvar its
+    /// communicator's receivers wait on there ([`CommRecord::ready`]).
+    pub(crate) fn queue(&self, dst_world: Rank, env: Envelope) {
+        let depth = {
             let mut mb = self.mailboxes[dst_world].lock();
-            let ready = mb.ready.get(&env.comm).cloned();
-            mb.queue.push_back(env);
-            (mb.queue.len(), ready)
+            mb.push_back(env);
+            mb.len()
         };
         self.tel[dst_world].on_deliver(depth);
-        ready
     }
 
     /// The one mailbox wait: remove and return the first (FIFO) envelope on
-    /// `comm` matching the `src`/`tag` wildcards, parking as `wait` says.
-    /// `None` iff a [`Wait::UntilQuiet`] gave up or a [`Wait::Enlist`]
-    /// enlisted (never for [`Wait::Forever`]).
+    /// `comm` matching the `src`/`tag` wildcards, parking on `ready` (the
+    /// receiver's condvar of `comm`) as `wait` says. `None` iff a
+    /// [`Wait::UntilQuiet`] gave up or a [`Wait::Enlist`] enlisted (never
+    /// for [`Wait::Forever`]).
     #[track_caller]
     pub(crate) fn wait_match(
         &self,
         me_world: Rank,
+        ready: &Condvar,
         comm: CommId,
         src: Option<Rank>,
         tag: Option<Tag>,
@@ -524,17 +516,16 @@ impl Fabric {
         let mut mb = self.mailboxes[me_world].lock();
         let mut quiet = false;
         let found = loop {
-            let pos = mb.queue.iter().position(|e| {
+            let pos = mb.iter().position(|e| {
                 e.comm == comm && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
             });
-            if let Some(env) = pos.and_then(|p| mb.queue.remove(p)) {
-                self.tel[me_world].on_recv(env.payload.len() as u64, mb.queue.len());
+            if let Some(env) = pos.and_then(|p| mb.remove(p)) {
+                self.tel[me_world].on_recv(env.payload.len() as u64, mb.len());
                 break Some(env);
             }
             if quiet {
                 break None;
             }
-            let ready = Arc::clone(mb.ready.entry(comm).or_default());
             match wait {
                 Wait::Forever => ready.wait(&mut mb),
                 Wait::UntilQuiet => quiet = ready.wait_until_quiet(&mut mb).timed_out(),
@@ -549,18 +540,19 @@ impl Fabric {
         found
     }
 
-    /// Blocking receive with wildcards.
+    /// Blocking receive with wildcards, parking on `ready`.
     #[track_caller]
     pub(crate) fn recv(
         &self,
         me_world: Rank,
+        ready: &Condvar,
         comm: CommId,
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Envelope {
         // `Wait::Forever` has no give-up exit, so this loop runs once.
         loop {
-            if let Some(env) = self.wait_match(me_world, comm, src, tag, Wait::Forever) {
+            if let Some(env) = self.wait_match(me_world, ready, comm, src, tag, Wait::Forever) {
                 return env;
             }
         }
@@ -568,7 +560,7 @@ impl Fabric {
 
     /// Count of undelivered messages in a rank's mailbox (diagnostics).
     pub fn pending(&self, world_rank: Rank) -> usize {
-        self.mailboxes[world_rank].lock().queue.len()
+        self.mailboxes[world_rank].lock().len()
     }
 
     /// End-of-job protocol check: every envelope still queued in a mailbox
@@ -577,7 +569,7 @@ impl Fabric {
     pub(crate) fn leftover_envelopes(&self) -> Vec<String> {
         let mut leaks = Vec::new();
         for (rank, mb) in self.mailboxes.iter().enumerate() {
-            for env in mb.lock().queue.iter() {
+            for env in mb.lock().iter() {
                 leaks.push(format!(
                     "tag leak: rank {rank} mailbox still holds comm {} src {} tag {} \
                      ({} bytes) at finalize",
@@ -604,9 +596,11 @@ mod tests {
     use super::*;
     use papyrus_simtime::US;
 
-    /// Queue `env` at `dst` and wake its receivers, as a send does.
+    /// Queue `env` at `dst` and wake its receivers, as a send on the world
+    /// communicator does.
     fn deliver(f: &Fabric, dst: Rank, env: Envelope) {
-        f.queue(dst, env).into_iter().for_each(|ready| ready.notify_all());
+        f.queue(dst, env);
+        f.world_record.ready[dst].notify_all();
     }
 
     fn fabric(n: usize) -> Arc<Fabric> {
@@ -614,6 +608,17 @@ mod tests {
     }
 
     impl Fabric {
+        /// Blocking receive on the world communicator's condvar.
+        fn recv_world(
+            &self,
+            me: Rank,
+            comm: CommId,
+            src: Option<Rank>,
+            tag: Option<Tag>,
+        ) -> Envelope {
+            self.recv(me, &self.world_record.ready[me], comm, src, tag)
+        }
+
         /// Non-blocking receive: outside a world a quiet wait gives up at
         /// once.
         fn try_recv(
@@ -623,7 +628,7 @@ mod tests {
             src: Option<Rank>,
             tag: Option<Tag>,
         ) -> Option<Envelope> {
-            self.wait_match(me, comm, src, tag, Wait::UntilQuiet)
+            self.wait_match(me, &Condvar::new(), comm, src, tag, Wait::UntilQuiet)
         }
     }
 
@@ -635,7 +640,7 @@ mod tests {
             1,
             Envelope { comm: 0, src: 0, tag: 7, stamp: 123, payload: Bytes::from_static(b"hi") },
         );
-        let e = f.recv(1, 0, None, None);
+        let e = f.recv_world(1, 0, None, None);
         assert_eq!(e.src, 0);
         assert_eq!(e.tag, 7);
         assert_eq!(&e.payload[..], b"hi");
@@ -647,11 +652,11 @@ mod tests {
         for tag in [1u32, 2, 3] {
             deliver(&f, 0, Envelope { comm: 0, src: 0, tag, stamp: 0, payload: Bytes::new() });
         }
-        let e = f.recv(0, 0, None, Some(2));
+        let e = f.recv_world(0, 0, None, Some(2));
         assert_eq!(e.tag, 2);
         // The others are still there, in order.
-        assert_eq!(f.recv(0, 0, None, None).tag, 1);
-        assert_eq!(f.recv(0, 0, None, None).tag, 3);
+        assert_eq!(f.recv_world(0, 0, None, None).tag, 1);
+        assert_eq!(f.recv_world(0, 0, None, None).tag, 3);
     }
 
     #[test]
@@ -733,7 +738,7 @@ mod tests {
     fn blocking_recv_wakes_on_delivery() {
         let f = fabric(2);
         let f2 = f.clone();
-        let h = std::thread::spawn(move || f2.recv(0, 0, Some(1), Some(9)).stamp);
+        let h = std::thread::spawn(move || f2.recv_world(0, 0, Some(1), Some(9)).stamp);
         std::thread::sleep(std::time::Duration::from_millis(20));
         deliver(&f, 0, Envelope { comm: 0, src: 1, tag: 9, stamp: 555, payload: Bytes::new() });
         assert_eq!(h.join().unwrap(), 555);
@@ -748,6 +753,26 @@ mod tests {
         assert!(Arc::ptr_eq(&r1.members, &r2.members));
         let (id3, _) = f.create_child(0, 1, vec![2, 3]);
         assert_ne!(id1, id3);
+    }
+
+    #[test]
+    fn child_comm_ids_count_in_creation_order() {
+        let f = fabric(4);
+        let ids: Vec<CommId> = [(0, 0), (0, 1), (1, 0), (0, 2)]
+            .into_iter()
+            .map(|(parent, seq)| f.create_child(parent, seq, vec![0, 1]).0)
+            .collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        assert_eq!(f.create_child(1, 0, vec![0, 1]).0, 3, "a join finds the created id");
+    }
+
+    #[test]
+    #[should_panic(expected = "dup 0 of comm 0 called with mismatched membership across ranks: \
+                               created with world ranks [0, 1], joined with [0, 2]")]
+    fn a_dup_with_other_members_is_fatal() {
+        let f = fabric(4);
+        f.create_child(0, 0, vec![0, 1]);
+        f.create_child(0, 0, vec![0, 2]);
     }
 
     #[test]

@@ -221,3 +221,48 @@ fn a_finished_task_lets_go_of_its_body() {
     });
     assert_eq!(Arc::strong_count(&held), 1, "the helper's body outlived the world");
 }
+
+/// A delivery wakes only its own communicator's receivers: a helper
+/// enlisted on comm B runs no slice when rank 0 sends to its rank on comm A,
+/// and one when rank 0 sends on B. Returns the helper's slice count when it
+/// took the message on B.
+#[test]
+fn a_delivery_wakes_only_its_own_communicators_receivers() {
+    const READY: u32 = 1;
+    const ON_A: u32 = 2;
+    const ACK: u32 = 3;
+    const ON_B: u32 = 4;
+    const COUNT: u32 = 5;
+    let out = World::run(WorldConfig::for_tests(2), |ctx| {
+        let (w, a, b) = (ctx.world().clone(), ctx.world().dup(), ctx.world().dup());
+        if ctx.rank() == 0 {
+            w.recv(RecvSrc::Rank(1), RecvTag::Tag(READY));
+            a.send(1, ON_A, Bytes::new());
+            // Any task the send woke now orders before this rank, so it runs
+            // before the ack comes back.
+            ctx.clock().advance(1_000_000);
+            w.recv(RecvSrc::Rank(1), RecvTag::Tag(ACK));
+            b.send(1, ON_B, Bytes::new());
+            return w.recv(RecvSrc::Rank(1), RecvTag::Tag(COUNT)).payload[0];
+        }
+        let (to_rank_0, mut slices) = (w.clone(), 0u8);
+        let helper = ctx.spawn_slices("helper-1".into(), move || {
+            slices += 1;
+            if slices == 1 {
+                to_rank_0.send(0, READY, Bytes::new());
+            }
+            match b.take_unstamped(RecvSrc::Any, RecvTag::Any) {
+                None => Slice::Parked,
+                Some(_) => {
+                    to_rank_0.send(0, COUNT, Bytes::from(vec![slices]));
+                    Slice::Exit
+                }
+            }
+        });
+        a.recv(RecvSrc::Rank(0), RecvTag::Tag(ON_A));
+        w.send(0, ACK, Bytes::new());
+        helper.join().expect("helper");
+        0
+    });
+    assert_eq!(out[0], 2, "one slice to enlist on B, one for the message on B");
+}

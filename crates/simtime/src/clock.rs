@@ -29,9 +29,7 @@ impl Clock {
 
     /// Create a clock starting at `t`.
     pub fn starting_at(t: SimNs) -> Self {
-        let c = Self::new();
-        c.merge(t);
-        c
+        Self { now: Arc::new(AtomicU64::new(t)) }
     }
 
     /// Current virtual time.

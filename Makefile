@@ -49,7 +49,7 @@ kvbench:
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which
 # links the plane libraries below and calls them directly.
 
-# Lint: the token rules plus the five deep analyses (DESIGN §14);
+# Lint: the seven token rules plus the two deep analyses (DESIGN §14);
 #   every planted violation convicted.
 lint:
 	cargo xtask lint --deep

@@ -21,8 +21,8 @@
 //! go of (a condvar's mutex), and a lock of a world is never contended: a
 //! park under any other guard is refused with a panic naming the task and
 //! its site — the task granted next could block on that lock outside the
-//! scheduler, where no verdict sees it. Lint's `blocking-under-lock` proves
-//! the same statically, for the runtime crates only. For the same reason a
+//! scheduler, where no verdict sees it. The refusal is the only check of
+//! this rule; nothing proves it statically. For the same reason a
 //! thread may not take a lock it already holds, read after read included
 //! (std documents that a re-entrant `read` may deadlock): [`Held`] keeps the
 //! locks the thread holds with the sites that took them, and refuses the

@@ -119,8 +119,6 @@ pub struct Ambiguity {
 pub struct CallGraph {
     /// Per fn: deduped callee fn indices.
     pub edges: Vec<Vec<usize>>,
-    /// Per call site (parallel to `ws.calls`): resolved targets.
-    pub call_targets: Vec<Vec<usize>>,
     /// Calls that resolved to more than one candidate — reported, never
     /// silently dropped.
     pub ambiguous: Vec<Ambiguity>,
@@ -138,10 +136,9 @@ impl CallGraph {
             }
         }
         let mut edges = vec![Vec::new(); ws.fns.len()];
-        let mut call_targets = vec![Vec::new(); ws.calls.len()];
         let mut ambiguous = Vec::new();
         let mut unresolved = 0usize;
-        for (ci, call) in ws.calls.iter().enumerate() {
+        for call in &ws.calls {
             let cands = resolve(ws, &by_name, call);
             if cands.is_empty() {
                 unresolved += 1;
@@ -161,9 +158,8 @@ impl CallGraph {
                     edges[call.caller].push(t);
                 }
             }
-            call_targets[ci] = cands;
         }
-        CallGraph { edges, call_targets, ambiguous, unresolved }
+        CallGraph { edges, ambiguous, unresolved }
     }
 
     pub fn edge_count(&self) -> usize {
@@ -173,23 +169,26 @@ impl CallGraph {
     /// Forward BFS from `seeds`; returns (visited, parent) with
     /// `parent[seed] == seed`.
     pub fn reach(&self, seeds: &[usize]) -> (Vec<bool>, Vec<usize>) {
-        bfs(seeds, &self.edges)
-    }
-
-    /// Reverse BFS: every fn from which some seed is reachable through fns
-    /// that pass `through` (a seed itself need not pass).
-    pub fn reach_rev(
-        &self,
-        seeds: &[usize],
-        through: &dyn Fn(usize) -> bool,
-    ) -> (Vec<bool>, Vec<usize>) {
-        let mut redges = vec![Vec::new(); self.edges.len()];
-        for (from, tos) in self.edges.iter().enumerate().filter(|&(from, _)| through(from)) {
-            for &to in tos {
-                redges[to].push(from);
+        let edges = &self.edges;
+        let mut visited = vec![false; edges.len()];
+        let mut parent: Vec<usize> = (0..edges.len()).collect();
+        let mut queue = std::collections::VecDeque::new();
+        for &s in seeds {
+            if !visited[s] {
+                visited[s] = true;
+                queue.push_back(s);
             }
         }
-        bfs(seeds, &redges)
+        while let Some(f) = queue.pop_front() {
+            for &t in &edges[f] {
+                if !visited[t] {
+                    visited[t] = true;
+                    parent[t] = f;
+                    queue.push_back(t);
+                }
+            }
+        }
+        (visited, parent)
     }
 
     /// Path `seed -> ... -> target` following the parent map from
@@ -204,28 +203,6 @@ impl CallGraph {
         path.reverse();
         path
     }
-}
-
-fn bfs(seeds: &[usize], edges: &[Vec<usize>]) -> (Vec<bool>, Vec<usize>) {
-    let mut visited = vec![false; edges.len()];
-    let mut parent: Vec<usize> = (0..edges.len()).collect();
-    let mut queue = std::collections::VecDeque::new();
-    for &s in seeds {
-        if !visited[s] {
-            visited[s] = true;
-            queue.push_back(s);
-        }
-    }
-    while let Some(f) = queue.pop_front() {
-        for &t in &edges[f] {
-            if !visited[t] {
-                visited[t] = true;
-                parent[t] = f;
-                queue.push_back(t);
-            }
-        }
-    }
-    (visited, parent)
 }
 
 /// Method names on std collections / smart pointers / Option-Result that
@@ -467,8 +444,6 @@ mod tests {
         let cg = CallGraph::build(&ws);
         let entry = fn_idx(&ws, "entry");
         let leaf = fn_idx(&ws, "leaf");
-        let (rev, _) = cg.reach_rev(&[leaf], &|_| true);
-        assert!(rev[entry], "entry reaches leaf, so reverse BFS from leaf hits entry");
         let (vis, parent) = cg.reach(&[entry]);
         assert!(vis[leaf]);
         let path = CallGraph::path_to(&parent, leaf);

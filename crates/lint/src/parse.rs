@@ -66,8 +66,6 @@ pub struct CallSite {
     /// Argument count (excluding any method receiver).
     pub arity: usize,
     pub line: usize,
-    /// Token index of the callee name within the file's token stream.
-    pub tok: usize,
 }
 
 /// Parse result for one file.
@@ -268,7 +266,7 @@ fn skip_angles(toks: &[Tok], open: usize) -> usize {
 }
 
 /// Token index of the delimiter closing the `{`, `(` or `[` at `open`.
-pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
+fn matching_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < toks.len() {
@@ -493,7 +491,6 @@ pub fn extract_calls(
             callee,
             arity: count_args(toks, i + 1),
             line: toks[i].line,
-            tok: i,
         });
     }
 }

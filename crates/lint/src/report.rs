@@ -159,16 +159,16 @@ mod tests {
     #[test]
     fn sarif_has_schema_rules_and_locations() {
         let findings = vec![Finding {
-            rule: "blocking-under-lock",
+            rule: "panic-path",
             path: "crates/core/src/db.rs".into(),
             line: 42,
-            text: "recv()".into(),
+            text: "x.unwrap()".into(),
             trace: vec!["f (db.rs:40)".into()],
         }];
         let sarif = render_sarif(&findings);
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"name\": \"papyrus-lint\""));
-        assert!(sarif.contains("\"id\": \"blocking-under-lock\""));
+        assert!(sarif.contains("\"id\": \"panic-path\""));
         assert!(sarif.contains("\"uri\": \"crates/core/src/db.rs\""));
         assert!(sarif.contains("\"startLine\": 42"));
         assert!(sarif.contains("[via: f (db.rs:40)]"));

@@ -32,7 +32,13 @@
 //!   of the ordering spectrum is correct. `Acquire`/`Release`/`AcqRel` are
 //!   the defaults the repo reaches for and need no ceremony; `Relaxed`
 //!   (no synchronisation at all) and `SeqCst` (global order, usually a
-//!   smell for a missing design) are the two that demand an argument.
+//!   smell for a missing design) are the two that demand an argument. An
+//!   ordering still decides what another thread sees only where OS threads
+//!   race outside one world's turn-taking: in the baton itself, in the
+//!   `parking_lot` shim, and in telemetry's process-wide registry, which
+//!   worlds running in parallel test threads share. Inside a world every
+//!   hand-off goes through the baton's mutex, so there the comment says
+//!   what the atomic records and that nothing is published through it.
 //! - **unsafe-needs-safety-comment** — every `unsafe {` block and
 //!   `unsafe impl` carries a `// SAFETY:` comment on the same line or in
 //!   the comment block directly above.

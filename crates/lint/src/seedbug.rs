@@ -63,30 +63,6 @@ pub const SEEDS: &[(&str, Seed)] = &[
         expect: "panic-family macro",
         file: "crates/core/src/ckpt.rs",
     }),
-    ("blocking-direct-barrier", Seed {
-        description: "collective barrier planted under db.sync mutex guard",
-        patches: &[(
-            "crates/core/src/write.rs",
-            "\n    sync.pending_flushes -= 1;",
-            "\n    ctx.comm_ctl.barrier();\n    sync.pending_flushes -= 1;",
-        )],
-        rule: "blocking-under-lock",
-        expect: "guard `sync`",
-        file: "crates/core/src/write.rs",
-    }),
-    ("blocking-transitive-merge", Seed {
-        description: "a freeze (which parks on the flush-queue slot count, several hops \
-                      down) planted under the stack write guard of the compaction swap",
-        patches: &[(
-            "crates/core/src/write.rs",
-            "        let mut stack = db.stack.write();\n        stack.replace_newest(take, merged);",
-            "        let mut stack = db.stack.write();\n        freeze(ctx, db, Side::Local, stamp);\n        \
-             stack.replace_newest(take, merged);",
-        )],
-        rule: "blocking-under-lock",
-        expect: "guard `stack`",
-        file: "crates/core/src/write.rs",
-    }),
     ("tag-sent-unhandled", Seed {
         description: "ZOMBIE tag declared and sent, but no handler arm awaits it",
         patches: &[
@@ -135,39 +111,6 @@ pub const SEEDS: &[(&str, Seed)] = &[
         expect: "duplicate tag value 2",
         file: "crates/core/src/msg.rs",
     }),
-    ("atomic-unpaired-release", Seed {
-        description: "Resource::busy_until's Acquire load and the CAS's acquire half weakened, \
-                      orphaning the Release publication stores",
-        patches: &[
-            (
-                "crates/simtime/src/resource.rs",
-                "self.busy_until.load(Ordering::Acquire)",
-                "self.busy_until.load(Ordering::Relaxed)",
-            ),
-            ("crates/simtime/src/resource.rs", "Ordering::AcqRel,", "Ordering::Release,"),
-        ],
-        rule: "atomic-pairing",
-        expect: "no Acquire-side load of `busy_until`",
-        file: "crates/simtime/src/resource.rs",
-    }),
-    ("atomic-acquire-no-release", Seed {
-        description: "Clock's AcqRel RMWs weakened to Relaxed — now() acquires from nothing",
-        patches: &[
-            (
-                "crates/simtime/src/clock.rs",
-                "self.now.fetch_add(dur, Ordering::AcqRel) + dur",
-                "self.now.fetch_add(dur, Ordering::Relaxed) + dur",
-            ),
-            (
-                "crates/simtime/src/clock.rs",
-                "self.now.fetch_max(t, Ordering::AcqRel).max(t)",
-                "self.now.fetch_max(t, Ordering::Relaxed).max(t)",
-            ),
-        ],
-        rule: "atomic-pairing",
-        expect: "every store to `now` is Relaxed",
-        file: "crates/simtime/src/clock.rs",
-    }),
     ("raw-thread-helper", Seed {
         description: "a runtime helper spawned as a raw OS thread, not a task of the world",
         patches: &[(
@@ -192,44 +135,6 @@ pub const SEEDS: &[(&str, Seed)] = &[
         rule: "real-time",
         expect: "recv_timeout",
         file: "crates/chaos/src/sweep.rs",
-    }),
-    ("inline-put-sync", Seed {
-        description: "the handler's ingest freezes through the app's `freeze`, which waits \
-                      for a flush-queue slot on the thread that lent itself to the handler",
-        patches: &[(
-            "crates/core/src/write.rs",
-            "freeze_slotted(ctx, db, Side::Local, self.clk.now());",
-            "freeze(ctx, db, Side::Local, self.clk.now());",
-        )],
-        rule: "inline-park",
-        expect: "slice task `handler`",
-        file: "crates/core/src/runtime.rs",
-    }),
-    ("inline-compaction", Seed {
-        description: "a flush waits for the flush queue to drain, on the thread that lent \
-                      itself to the compaction task",
-        patches: &[(
-            "crates/core/src/write.rs",
-            "    let store = ctx.repo_store();\n    let ssid = db.stack.write().alloc_ssid();",
-            "    db.wait_drained(Side::Local);\n    let store = ctx.repo_store();\n    \
-             let ssid = db.stack.write().alloc_ssid();",
-        )],
-        rule: "inline-park",
-        expect: "slice task `compaction`",
-        file: "crates/core/src/runtime.rs",
-    }),
-    ("atomic-ptr-relaxed", Seed {
-        description: "AtomicPtr published with Relaxed ordering",
-        patches: &[(
-            "crates/core/src/runtime.rs",
-            "self.inner.comm_sig.send(r, signum, bytes::Bytes::new());",
-            "self.inner.comm_sig.send(r, signum, bytes::Bytes::new()); \
-             let hot: AtomicPtr<u8> = AtomicPtr::new(std::ptr::null_mut()); \
-             hot.store(sig_ptr, Ordering::Relaxed);",
-        )],
-        rule: "atomic-pairing",
-        expect: "AtomicPtr field `hot`",
-        file: "crates/core/src/runtime.rs",
     }),
 ];
 

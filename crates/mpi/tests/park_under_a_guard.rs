@@ -1,7 +1,7 @@
 //! A task of a world parks holding no lock guard but the one its wait lets
 //! go of: the scheduler refuses any other park by name, because the task
 //! granted next could block on the held lock where no verdict sees it. This
-//! is the run-time twin of lint's `blocking-under-lock`, on in every world.
+//! refusal is the check, on in every world; nothing proves it statically.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -21,18 +21,25 @@ enum Park {
     Recv,
     /// In a join of a task.
     Join,
+    /// In a collective barrier that a second rank has not reached yet.
+    Barrier,
 }
 
-/// On a one-rank world, the rank takes a guard and then parks as `park`
-/// says, on what a helper it spawned answers: a notify, a message, or its
-/// own exit. Without the refusal the world would finish cleanly, the helper
-/// running at the park. Returns the world's panic message and the line the
-/// rank parked at.
+/// Rank 0 takes a guard and then parks as `park` says, on what a helper it
+/// spawned answers (a notify, a message, or its own exit) or, in a barrier,
+/// on rank 1, which arrives after it. Without the refusal the world would
+/// finish cleanly, the helper or rank 1 running at the park. Returns the
+/// world's panic message and the line rank 0 parked at.
 fn park_under_a_guard(park: Park) -> (String, u32) {
     let parked_at = Arc::new(AtomicU32::new(0));
     let at = parked_at.clone();
     let run = std::panic::catch_unwind(move || {
-        World::run(WorldConfig::for_tests(1), move |ctx| {
+        let ranks = if matches!(park, Park::Barrier) { 2 } else { 1 };
+        World::run(WorldConfig::for_tests(ranks), move |ctx| {
+            if ctx.rank() == 1 {
+                ctx.world().barrier();
+                return;
+            }
             let flag = Arc::new((Mutex::new(false), Condvar::new()));
             let (world, set) = (ctx.world().clone(), flag.clone());
             let helper = ctx.spawn("helper-0".into(), move || match park {
@@ -41,7 +48,7 @@ fn park_under_a_guard(park: Park) -> (String, u32) {
                     set.1.notify_all();
                 }
                 Park::Recv => world.send(0, TAG, Bytes::new()),
-                Park::Join => {}
+                Park::Join | Park::Barrier => {}
             });
             let outer = Mutex::new(());
             let _outer = outer.lock();
@@ -62,6 +69,10 @@ fn park_under_a_guard(park: Park) -> (String, u32) {
                 Park::Join => {
                     here(line!() + 1);
                     helper.join().expect("helper");
+                }
+                Park::Barrier => {
+                    here(line!() + 1);
+                    ctx.world().barrier();
                 }
             }
         })
@@ -91,4 +102,9 @@ fn a_fabric_receive_under_a_guard_is_refused_by_name() {
 #[test]
 fn a_join_under_a_guard_is_refused_by_name() {
     assert_refused(Park::Join);
+}
+
+#[test]
+fn a_barrier_under_a_guard_is_refused_by_name() {
+    assert_refused(Park::Barrier);
 }

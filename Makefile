@@ -43,7 +43,7 @@ kvbench:
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.0090 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +24\.4049 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.3593 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

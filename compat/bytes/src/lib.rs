@@ -263,17 +263,32 @@ impl BytesMut {
         Arc::get_mut(&mut self.buf).expect("a BytesMut never shares its buffer")
     }
 
+    /// Room for `len` bytes in all, the written ones kept.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.capacity() {
+            // At least twice the old capacity: appends are amortised O(1).
+            let mut grown = Self::with_capacity(len.max(2 * self.capacity()));
+            grown.buf_mut()[..self.len].copy_from_slice(self);
+            self.buf = grown.buf;
+        }
+    }
+
     /// Append a slice.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         let (len, end) = (self.len, self.len + data.len());
-        if end > self.capacity() {
-            // At least twice the old capacity: appends are amortised O(1).
-            let mut grown = Self::with_capacity(end.max(2 * self.capacity()));
-            grown.buf_mut()[..len].copy_from_slice(self);
-            self.buf = grown.buf;
-        }
+        self.grow_to(end);
         self.buf_mut()[len..end].copy_from_slice(data);
         self.len = end;
+    }
+
+    /// Grow to `new_len` bytes, the new ones set to `value`, or shorten to it.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        if new_len > self.len {
+            self.grow_to(new_len);
+            let len = self.len;
+            self.buf_mut()[len..new_len].fill(value);
+        }
+        self.len = new_len;
     }
 
     /// Convert into an immutable [`Bytes`] over the same allocation: nothing
@@ -458,6 +473,18 @@ mod tests {
         grown[0] = 9;
         assert_eq!((grown.freeze()[..2]).to_vec(), [9, 1]);
         assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    #[test]
+    fn resize_fills_grows_and_shortens() {
+        let mut m = BytesMut::with_capacity(4);
+        m.put_slice(b"ab");
+        m.resize(4, b'.');
+        assert_eq!((&m[..], m.capacity()), (&b"ab.."[..], 4));
+        m.resize(9, b'-');
+        assert_eq!(&m[..], b"ab..-----");
+        m.resize(1, 0);
+        assert_eq!(&m.freeze()[..], b"a");
     }
 
     /// A slice keeps the storage alive past the handle it was cut from, and

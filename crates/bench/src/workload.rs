@@ -29,11 +29,20 @@ pub const HOTSPOT_SET_FRACTION: f64 = 0.2;
 /// Fraction of operations aimed at the hot set.
 pub const HOTSPOT_OP_FRACTION: f64 = 0.8;
 
-/// Encode an ordered key index as a fixed-width key (`user00000000042`).
+/// Encode an ordered key index as a fixed-width key (`user000000000042`),
+/// the bytes of `format!("user{index:012}")` written in place.
 /// Fixed width keeps keys length-uniform (as in the paper's workloads)
 /// and makes index order and lexicographic order agree.
 pub fn ordered_key(index: u64) -> Vec<u8> {
-    format!("user{index:012}").into_bytes()
+    let digits = index.checked_ilog10().map_or(1, |d| d as usize + 1).max(12);
+    let mut key = vec![b'0'; 4 + digits];
+    key[..4].copy_from_slice(b"user");
+    let mut rest = index;
+    for digit in key[4..].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    key
 }
 
 /// Key-index distribution over an `n`-item keyspace.
@@ -460,6 +469,13 @@ mod tests {
         assert_eq!(keys, sorted);
         assert_eq!(ordered_key(42), b"user000000000042".to_vec());
         assert!(keys.iter().all(|k| k.len() == 16));
+    }
+
+    #[test]
+    fn ordered_key_is_the_formatted_index() {
+        for i in [0, 9, 999_999_999_999, 1_000_000_000_000, u64::MAX] {
+            assert_eq!(ordered_key(i), format!("user{i:012}").into_bytes(), "index {i}");
+        }
     }
 
     #[test]

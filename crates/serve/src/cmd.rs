@@ -18,6 +18,8 @@
 //! Like the codec, this file is swept by the panic-path lint: parsing a
 //! hostile word list must return a typed [`CmdError`], never panic.
 
+use bytes::Bytes;
+
 use crate::resp::{encode_array_header, encode_bulk, encode_frame, Frame};
 
 /// A parsed client command.
@@ -30,34 +32,34 @@ pub enum Command {
     /// `GET key` → bulk value or nil.
     Get {
         /// Key to read.
-        key: Vec<u8>,
+        key: Bytes,
     },
     /// `SET key value` → `+OK` once durable.
     Set {
         /// Key to write.
-        key: Vec<u8>,
+        key: Bytes,
         /// Value to write.
-        value: Vec<u8>,
+        value: Bytes,
     },
     /// `DEL key` → `:1` once the tombstone is durable.
     Del {
         /// Key to delete.
-        key: Vec<u8>,
+        key: Bytes,
     },
     /// `EXISTS key` → `:0` / `:1`.
     Exists {
         /// Key to probe.
-        key: Vec<u8>,
+        key: Bytes,
     },
     /// `MGET k1 .. kn` → array of bulk-or-nil.
     MGet {
         /// Keys to read, in reply order.
-        keys: Vec<Vec<u8>>,
+        keys: Vec<Bytes>,
     },
     /// `MSET k1 v1 .. kn vn` → `+OK` once all writes are durable.
     MSet {
         /// Pairs to write.
-        pairs: Vec<(Vec<u8>, Vec<u8>)>,
+        pairs: Vec<(Bytes, Bytes)>,
     },
     /// `RANGE start count` → array of bulk-or-nil over the ordered
     /// keyspace.
@@ -112,12 +114,12 @@ const MAX_VERB_LEN: usize = 6;
 /// Parse a decoded frame into a command.
 ///
 /// The words are read in place from the frame and the verb is upper-cased
-/// in a stack buffer, so the only allocations are the command's own keys,
-/// values and key lists.
+/// in a stack buffer. Keys and values are the frame's own slices, so the
+/// only allocations are MGET's and MSET's lists.
 pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
     // One of the two slices is empty: `words` walks the frame's own words,
     // inline or bulk, without collecting them.
-    let (inline, array): (&[Vec<u8>], &[Frame]) = match frame {
+    let (inline, array): (&[Bytes], &[Frame]) = match frame {
         Frame::Inline(words) => (words, &[]),
         Frame::Array(Some(items)) if items.iter().all(|i| matches!(i, Frame::Bulk(Some(_)))) => {
             (&[], items)
@@ -125,12 +127,12 @@ pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
         Frame::Array(Some(_)) => return Err(CmdError::NotBulk),
         _ => return Err(CmdError::BadFrame),
     };
-    let mut words =
-        inline.iter().map(Vec::as_slice).chain(array.iter().filter_map(|item| match item {
-            Frame::Bulk(Some(w)) => Some(w.as_slice()),
-            _ => None,
-        }));
+    let mut words = inline.iter().chain(array.iter().filter_map(|item| match item {
+        Frame::Bulk(Some(w)) => Some(w),
+        _ => None,
+    }));
     let verb = words.next().ok_or(CmdError::Empty)?;
+    let args = inline.len() + array.len() - 1;
     let mut buf = [0u8; MAX_VERB_LEN];
     // A word longer than every verb matches none of them.
     let upper: &[u8] = match buf.get_mut(..verb.len()) {
@@ -141,51 +143,55 @@ pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
         }
         None => &[],
     };
+    // Tuple fields are evaluated left to right: each pattern takes the
+    // arguments in order and then checks that none is left.
     match upper {
-        b"PING" => match exactly::<0>(words) {
-            Some([]) => Ok(Command::Ping),
-            None => Err(CmdError::WrongArity("ping")),
+        b"PING" => match words.next() {
+            None => Ok(Command::Ping),
+            Some(_) => Err(CmdError::WrongArity("ping")),
         },
-        b"INFO" => match exactly::<0>(words) {
-            Some([]) => Ok(Command::Info),
-            None => Err(CmdError::WrongArity("info")),
+        b"INFO" => match words.next() {
+            None => Ok(Command::Info),
+            Some(_) => Err(CmdError::WrongArity("info")),
         },
-        b"GET" => match exactly::<1>(words) {
-            Some([key]) => Ok(Command::Get { key: key.to_vec() }),
-            None => Err(CmdError::WrongArity("get")),
+        b"GET" => match (words.next(), words.next()) {
+            (Some(key), None) => Ok(Command::Get { key: key.clone() }),
+            _ => Err(CmdError::WrongArity("get")),
         },
-        b"SET" => match exactly::<2>(words) {
-            Some([key, value]) => Ok(Command::Set { key: key.to_vec(), value: value.to_vec() }),
-            None => Err(CmdError::WrongArity("set")),
+        b"SET" => match (words.next(), words.next(), words.next()) {
+            (Some(key), Some(value), None) => {
+                Ok(Command::Set { key: key.clone(), value: value.clone() })
+            }
+            _ => Err(CmdError::WrongArity("set")),
         },
-        b"DEL" => match exactly::<1>(words) {
-            Some([key]) => Ok(Command::Del { key: key.to_vec() }),
-            None => Err(CmdError::WrongArity("del")),
+        b"DEL" => match (words.next(), words.next()) {
+            (Some(key), None) => Ok(Command::Del { key: key.clone() }),
+            _ => Err(CmdError::WrongArity("del")),
         },
-        b"EXISTS" => match exactly::<1>(words) {
-            Some([key]) => Ok(Command::Exists { key: key.to_vec() }),
-            None => Err(CmdError::WrongArity("exists")),
+        b"EXISTS" => match (words.next(), words.next()) {
+            (Some(key), None) => Ok(Command::Exists { key: key.clone() }),
+            _ => Err(CmdError::WrongArity("exists")),
         },
         b"MGET" => {
-            let keys: Vec<Vec<u8>> = words.map(<[u8]>::to_vec).collect();
-            if keys.is_empty() {
+            if args == 0 {
                 return Err(CmdError::WrongArity("mget"));
             }
+            let mut keys = Vec::with_capacity(args);
+            keys.extend(words.cloned());
             Ok(Command::MGet { keys })
         }
         b"MSET" => {
-            let mut pairs = Vec::new();
-            while let Some(key) = words.next() {
-                let value = words.next().ok_or(CmdError::WrongArity("mset"))?;
-                pairs.push((key.to_vec(), value.to_vec()));
-            }
-            if pairs.is_empty() {
+            if args == 0 || args % 2 != 0 {
                 return Err(CmdError::WrongArity("mset"));
+            }
+            let mut pairs = Vec::with_capacity(args / 2);
+            while let (Some(key), Some(value)) = (words.next(), words.next()) {
+                pairs.push((key.clone(), value.clone()));
             }
             Ok(Command::MSet { pairs })
         }
-        b"RANGE" => match exactly::<2>(words) {
-            Some([start, count]) => {
+        b"RANGE" => match (words.next(), words.next(), words.next()) {
+            (Some(start), Some(count), None) => {
                 let start = parse_u64(start, "range start")?;
                 let count = parse_u64(count, "range count")?;
                 if count > MAX_RANGE_COUNT {
@@ -193,19 +199,10 @@ pub fn parse_command(frame: &Frame) -> Result<Command, CmdError> {
                 }
                 Ok(Command::Range { start, count })
             }
-            None => Err(CmdError::WrongArity("range")),
+            _ => Err(CmdError::WrongArity("range")),
         },
         _ => Err(CmdError::UnknownCommand(String::from_utf8_lossy(verb).to_ascii_uppercase())),
     }
-}
-
-/// The remaining words as exactly `N` arguments; `None` for any other count.
-fn exactly<'a, const N: usize>(mut words: impl Iterator<Item = &'a [u8]>) -> Option<[&'a [u8]; N]> {
-    let mut args: [&[u8]; N] = [&[]; N];
-    for arg in &mut args {
-        *arg = words.next()?;
-    }
-    words.next().is_none().then_some(args)
 }
 
 fn parse_u64(word: &[u8], what: &'static str) -> Result<u64, CmdError> {
@@ -282,30 +279,6 @@ pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a reply frame back into the typed form — the loadgen's client
-/// side uses this to check reply shape and ordering. Payloads move from
-/// the frame into the reply.
-pub fn reply_from_frame(frame: Frame) -> Result<Reply, CmdError> {
-    match frame {
-        Frame::Simple(s) if s == b"OK" => Ok(Reply::Ok),
-        Frame::Simple(s) if s == b"PONG" => Ok(Reply::Pong),
-        Frame::Error(msg) => Ok(Reply::Err(String::from_utf8_lossy(&msg).into_owned())),
-        Frame::Integer(n) => Ok(Reply::Int(n)),
-        Frame::Bulk(v) => Ok(Reply::Bulk(v)),
-        Frame::Array(Some(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Frame::Bulk(v) => out.push(v),
-                    _ => return Err(CmdError::BadFrame),
-                }
-            }
-            Ok(Reply::Arr(out))
-        }
-        _ => Err(CmdError::BadFrame),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,21 +297,33 @@ mod tests {
     fn parses_the_served_subset() {
         assert_eq!(parse_words(&[b"PING"]), Ok(Command::Ping));
         assert_eq!(parse_words(&[b"info"]), Ok(Command::Info));
-        assert_eq!(parse_words(&[b"get", b"k"]), Ok(Command::Get { key: b"k".to_vec() }));
+        assert_eq!(
+            parse_words(&[b"get", b"k"]),
+            Ok(Command::Get { key: Bytes::from_static(b"k") })
+        );
         assert_eq!(
             parse_words(&[b"SeT", b"k", b"v"]),
-            Ok(Command::Set { key: b"k".to_vec(), value: b"v".to_vec() })
+            Ok(Command::Set { key: Bytes::from_static(b"k"), value: Bytes::from_static(b"v") })
         );
-        assert_eq!(parse_words(&[b"DEL", b"k"]), Ok(Command::Del { key: b"k".to_vec() }));
-        assert_eq!(parse_words(&[b"EXISTS", b"k"]), Ok(Command::Exists { key: b"k".to_vec() }));
+        assert_eq!(
+            parse_words(&[b"DEL", b"k"]),
+            Ok(Command::Del { key: Bytes::from_static(b"k") })
+        );
+        assert_eq!(
+            parse_words(&[b"EXISTS", b"k"]),
+            Ok(Command::Exists { key: Bytes::from_static(b"k") })
+        );
         assert_eq!(
             parse_words(&[b"MGET", b"a", b"b"]),
-            Ok(Command::MGet { keys: vec![b"a".to_vec(), b"b".to_vec()] })
+            Ok(Command::MGet { keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")] })
         );
         assert_eq!(
             parse_words(&[b"MSET", b"a", b"1", b"b", b"2"]),
             Ok(Command::MSet {
-                pairs: vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())]
+                pairs: vec![
+                    (Bytes::from_static(b"a"), Bytes::from_static(b"1")),
+                    (Bytes::from_static(b"b"), Bytes::from_static(b"2"))
+                ]
             })
         );
         assert_eq!(
@@ -349,8 +334,8 @@ mod tests {
 
     #[test]
     fn inline_form_parses_too() {
-        let frame = Frame::Inline(vec![b"GET".to_vec(), b"k".to_vec()]);
-        assert_eq!(parse_command(&frame), Ok(Command::Get { key: b"k".to_vec() }));
+        let frame = Frame::Inline(vec![Bytes::from_static(b"GET"), Bytes::from_static(b"k")]);
+        assert_eq!(parse_command(&frame), Ok(Command::Get { key: Bytes::from_static(b"k") }));
     }
 
     #[test]
@@ -375,26 +360,37 @@ mod tests {
 
     #[test]
     fn replies_round_trip_through_the_codec() {
+        let bulk = |s: &'static [u8]| Some(Bytes::from_static(s));
         let replies = vec![
-            Reply::Ok,
-            Reply::Pong,
-            Reply::Bulk(None),
-            Reply::Bulk(Some(b"value".to_vec())),
-            Reply::Int(1),
-            Reply::Arr(vec![Some(b"a".to_vec()), None, Some(b"c".to_vec())]),
-            Reply::Err("ERR wrong number of arguments for 'get'".into()),
+            (Reply::Ok, Frame::Simple(Bytes::from_static(b"OK"))),
+            (Reply::Pong, Frame::Simple(Bytes::from_static(b"PONG"))),
+            (Reply::Bulk(None), Frame::Bulk(None)),
+            (Reply::Bulk(Some(b"value".to_vec())), Frame::Bulk(bulk(b"value"))),
+            (Reply::Int(1), Frame::Integer(1)),
+            (
+                Reply::Arr(vec![Some(b"a".to_vec()), None, Some(b"c".to_vec())]),
+                Frame::Array(Some(vec![
+                    Frame::Bulk(bulk(b"a")),
+                    Frame::Bulk(None),
+                    Frame::Bulk(bulk(b"c")),
+                ])),
+            ),
+            (
+                Reply::Err("ERR wrong number of arguments for 'get'".into()),
+                Frame::Error(Bytes::from_static(b"ERR wrong number of arguments for 'get'")),
+            ),
         ];
         let mut wire = Vec::new();
-        for r in &replies {
+        for (r, _) in &replies {
             encode_reply(r, &mut wire);
         }
         let mut d = Decoder::new();
         d.feed(&wire);
         let mut got = Vec::new();
         while let Some(f) = d.next_frame().unwrap() {
-            got.push(reply_from_frame(f).unwrap());
+            got.push(f);
         }
-        assert_eq!(got, replies);
+        assert_eq!(got, replies.into_iter().map(|(_, f)| f).collect::<Vec<_>>());
     }
 
     #[test]
@@ -405,7 +401,7 @@ mod tests {
         d.feed(&wire);
         assert_eq!(
             d.next_frame().unwrap().unwrap(),
-            Frame::Bulk(Some(b"serve_version:1".to_vec()))
+            Frame::Bulk(Some(Bytes::from_static(b"serve_version:1")))
         );
     }
 }

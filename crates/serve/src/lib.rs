@@ -9,9 +9,11 @@
 //!
 //! Pieces, bottom up:
 //!
-//! - [`resp`] — single-copy incremental RESP codec (inline + bulk frames,
-//!   pipelining-safe partial-read resumption, typed errors, no panics).
-//! - [`cmd`] — frame → typed command parsing, typed replies.
+//! - [`resp`] — incremental RESP codec (inline + bulk frames,
+//!   pipelining-safe partial-read resumption, typed errors, no panics);
+//!   a frame's payloads are slices of the buffer they were received in.
+//! - [`cmd`] — frame → typed command parsing (keys and values stay those
+//!   slices), typed replies.
 //! - [`loadgen`] — open-loop memtier-style generator: fixed arrival
 //!   schedule, pipelined bursts, skewed keys via
 //!   `papyrus_bench::workload::KeyChooser`.

@@ -22,6 +22,7 @@
 //! backlog (visible fold coalescing) — which keeps the read-your-writes
 //! oracle exact without cross-rank last-writer ambiguity.
 
+use bytes::{Bytes, BytesMut};
 use papyrus_bench::workload::{ordered_key, KeyChooser, KeyDist, ZIPF_THETA};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -177,22 +178,28 @@ impl Generator {
         }
     }
 
-    fn read_key(&self, rng: &mut StdRng) -> Vec<u8> {
-        ordered_key(self.read_chooser.next(rng))
+    fn read_key(&self, rng: &mut StdRng) -> Bytes {
+        Bytes::from(ordered_key(self.read_chooser.next(rng)))
     }
 
-    fn write_key(&self, rng: &mut StdRng) -> Vec<u8> {
-        ordered_key(self.write_base + self.write_chooser.next(rng))
+    fn write_key(&self, rng: &mut StdRng) -> Bytes {
+        Bytes::from(ordered_key(self.write_base + self.write_chooser.next(rng)))
     }
 
-    /// The value for write number `seq`: a unique header padded to
-    /// `vallen` bytes.
-    fn value(&mut self) -> Vec<u8> {
+    /// The value of the next write: `v`, the write's sequence number in 16
+    /// hex digits, then dots up to `vallen` bytes.
+    fn value(&mut self) -> Bytes {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let seq = self.write_seq;
         self.write_seq += 1;
-        let mut v = format!("v{seq:016x}").into_bytes();
-        v.resize(self.vallen.max(v.len()), b'.');
-        v
+        let mut head = [b'v'; 17];
+        for (digit, shift) in head[1..].iter_mut().zip((0..16).rev()) {
+            *digit = HEX[(seq >> (4 * shift)) as usize & 0xf];
+        }
+        let mut value = BytesMut::with_capacity(self.vallen.max(head.len()));
+        value.extend_from_slice(&head);
+        value.resize(self.vallen.max(head.len()), b'.');
+        value.freeze()
     }
 
     /// Draw the next command.

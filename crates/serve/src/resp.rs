@@ -12,15 +12,25 @@
 //! frame exactly when one is complete, `Ok(None)` when more bytes are
 //! needed, and a typed [`RespError`] on malformed input — never a panic
 //! (pinned by the `panic-path` lint, which sweeps this file's public
-//! surface). Payloads are carved out of the receive buffer in a single
-//! copy: resumption after a partial read re-scans only the frame header,
-//! never the payload bytes, so a 1 MiB bulk split across a thousand reads
-//! costs one memmove, not a thousand.
+//! surface).
+//!
+//! Each feed copies the received bytes once. The first feed after a decode
+//! starts a new buffer, the undecoded tail and then the chunk; the decoded
+//! prefix lives on only while frames slice it. Later feeds append to that
+//! buffer while it is too short to finish the element at the cursor (a
+//! bulk string's header says how long it is), so a 1 MiB bulk split across
+//! a thousand reads is gathered in one doubling buffer, not recopied at
+//! every read. Frames are decoded in one pass, element by element: every
+//! payload is a [`Bytes`] slice of the buffer it arrived in, and the
+//! elements of an array that is still partial are kept, so resumption
+//! re-scans only the element that was cut off, never those before it.
 //!
 //! Protocol errors poison the connection from the caller's point of view:
 //! the decoder leaves its cursor where the error was found, and the serve
 //! plane drops the connection (mirroring Redis, which closes on a
 //! protocol error rather than trying to resynchronise).
+
+use bytes::{Bytes, BytesMut};
 
 /// Largest accepted bulk-string payload.
 pub const MAX_BULK_LEN: i64 = 8 << 20;
@@ -31,21 +41,22 @@ pub const MAX_DEPTH: usize = 4;
 /// Longest accepted header/inline line (excluding the CRLF).
 pub const MAX_LINE_LEN: usize = 8 << 10;
 
-/// One decoded RESP frame.
+/// One decoded RESP frame. Every payload is a slice of the receive buffer
+/// it arrived in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// `+..\r\n` simple string.
-    Simple(Vec<u8>),
+    Simple(Bytes),
     /// `-..\r\n` error string.
-    Error(Vec<u8>),
+    Error(Bytes),
     /// `:n\r\n` integer.
     Integer(i64),
     /// `$n\r\n..\r\n` bulk string; `None` is the `$-1\r\n` nil.
-    Bulk(Option<Vec<u8>>),
+    Bulk(Option<Bytes>),
     /// `*n\r\n..` array; `None` is the `*-1\r\n` nil array.
     Array(Option<Vec<Frame>>),
     /// A bare command line, split into space-separated words.
-    Inline(Vec<Vec<u8>>),
+    Inline(Vec<Bytes>),
 }
 
 /// Typed decode failures. Every malformed input maps to one of these —
@@ -118,11 +129,34 @@ impl std::error::Error for RespError {}
 /// past it, or "need more bytes".
 type Partial<T> = Result<Option<(T, usize)>, RespError>;
 
+/// What the bytes at the cursor hold.
+enum Element {
+    /// A whole frame, and the cursor past it.
+    Frame(Frame, usize),
+    /// The header of an array of this many elements (at least one), and
+    /// the cursor past it, where they follow.
+    Open(usize, usize),
+    /// The start of an element that ends at this cursor or later.
+    Short(usize),
+}
+
 /// Incremental frame decoder over an internal receive buffer.
 #[derive(Debug, Default)]
 pub struct Decoder {
-    buf: Vec<u8>,
+    /// What was fed and is not decoded yet starts at `pos`, unless `fill`
+    /// holds it.
+    buf: Bytes,
     pos: usize,
+    /// The undecoded tail and the chunks fed since, while they are too
+    /// few to finish the element at the cursor.
+    fill: BytesMut,
+    /// Bytes the element at the cursor takes at least.
+    need: usize,
+    /// The arrays of the frame being decoded, outermost first: the
+    /// elements decoded so far and the arity.
+    open: Vec<(Vec<Frame>, usize)>,
+    /// Bytes that the elements in `open` took.
+    held: usize,
 }
 
 impl Decoder {
@@ -131,43 +165,79 @@ impl Decoder {
         Self::default()
     }
 
-    /// Append newly received bytes (any chunking).
+    /// Append newly received bytes (any chunking). The first chunk after a
+    /// decode starts a new buffer with the undecoded tail; the decoded
+    /// prefix stays only with the frames that slice it.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if bytes.is_empty() {
+            return;
+        }
+        if self.fill.is_empty() {
+            let tail = self.buf.get(self.pos..).unwrap_or_default();
+            self.fill = BytesMut::with_capacity(tail.len() + bytes.len());
+            self.fill.extend_from_slice(tail);
+        }
+        self.fill.extend_from_slice(bytes);
     }
 
     /// Bytes received but not yet consumed by a completed frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
+        let undecoded = match self.fill.len() {
+            0 => self.buf.len().saturating_sub(self.pos),
+            n => n,
+        };
+        self.held + undecoded
     }
 
     /// Decode the next complete frame, if the buffer holds one. Empty
     /// inline lines (a bare `\r\n`) are skipped, as in Redis.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, RespError> {
+        if !self.fill.is_empty() {
+            // A bulk string arriving in many chunks is gathered here, not
+            // copied into a new buffer at every chunk.
+            if self.fill.len() < self.need {
+                return Ok(None);
+            }
+            self.buf = std::mem::take(&mut self.fill).freeze();
+            self.pos = 0;
+            self.need = 0;
+        }
         loop {
-            match parse_frame(&self.buf, self.pos, 0)? {
-                None => {
-                    self.compact();
+            let (frame, end) = match parse_element(&self.buf, self.pos, self.open.len())? {
+                Element::Short(end) => {
+                    self.need = end - self.pos;
                     return Ok(None);
                 }
-                Some((Frame::Inline(words), end)) if words.is_empty() => {
+                Element::Open(arity, end) => {
+                    self.open.push((Vec::with_capacity(arity), arity));
+                    self.held += end - self.pos;
                     self.pos = end;
+                    continue;
                 }
-                Some((frame, end)) => {
-                    self.pos = end;
-                    self.compact();
+                Element::Frame(frame, end) => (frame, end),
+            };
+            self.held += end - self.pos;
+            self.pos = end;
+            if let Some(frame) = self.close(frame) {
+                self.held = 0;
+                if !matches!(&frame, Frame::Inline(words) if words.is_empty()) {
                     return Ok(Some(frame));
                 }
             }
         }
     }
 
-    /// Reclaim consumed prefix once it dominates the buffer, so long-lived
-    /// pipelined connections don't grow without bound.
-    fn compact(&mut self) {
-        if self.pos >= 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Add `frame` to the innermost open array and close every array that
+    /// fills; the top-level frame, once it is complete.
+    fn close(&mut self, mut frame: Frame) -> Option<Frame> {
+        loop {
+            let Some((items, arity)) = self.open.last_mut() else { return Some(frame) };
+            items.push(frame);
+            if items.len() < *arity {
+                return None;
+            }
+            let (items, _) = self.open.pop()?;
+            frame = Frame::Array(Some(items));
         }
     }
 }
@@ -177,25 +247,20 @@ impl Decoder {
 fn parse_line(buf: &[u8], from: usize, what: &'static str) -> Partial<std::ops::Range<usize>> {
     let mut i = from;
     loop {
+        // An over-long line is rejected as soon as its body is, terminated
+        // or not, so a garbage stream cannot buffer 8 MiB before erroring
+        // and a line meets the same verdict however it was chunked.
+        if i - from > MAX_LINE_LEN {
+            return Err(RespError::LineTooLong { max: MAX_LINE_LEN });
+        }
         match buf.get(i) {
-            None => {
-                // No terminator yet. An over-long headerless tail is
-                // rejected eagerly so a garbage stream cannot buffer 8 MiB
-                // before erroring.
-                if i - from > MAX_LINE_LEN {
-                    return Err(RespError::LineTooLong { max: MAX_LINE_LEN });
-                }
-                return Ok(None);
-            }
+            None => return Ok(None),
             Some(b'\n') => return Err(RespError::MissingCrLf { what }),
             Some(b'\r') => match buf.get(i + 1) {
                 None => return Ok(None),
                 Some(b'\n') => return Ok(Some((from..i, i + 2))),
                 Some(_) => return Err(RespError::MissingCrLf { what }),
             },
-            Some(_) if i - from > MAX_LINE_LEN => {
-                return Err(RespError::LineTooLong { max: MAX_LINE_LEN })
-            }
             Some(_) => i += 1,
         }
     }
@@ -223,31 +288,32 @@ fn parse_int(body: &[u8], what: &'static str) -> Result<i64, RespError> {
     Ok(if neg { -v } else { v })
 }
 
-/// Resumable frame parse starting at `pos`. `depth` counts array nesting.
-fn parse_frame(buf: &[u8], pos: usize, depth: usize) -> Partial<Frame> {
-    let Some(&first) = buf.get(pos) else { return Ok(None) };
-    match first {
+/// Parse the element at `pos`, `depth` arrays deep.
+fn parse_element(buf: &Bytes, pos: usize, depth: usize) -> Result<Element, RespError> {
+    // A line not terminated yet ends past the bytes there are.
+    let short = Element::Short(buf.len() + 1);
+    let Some(&first) = buf.get(pos) else { return Ok(short) };
+    let frame = match first {
         b'+' | b'-' | b':' => {
             let what = match first {
                 b'+' => "simple string",
                 b'-' => "error string",
                 _ => "integer",
             };
-            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(None) };
-            let body = buf.get(body).unwrap_or(&[]);
+            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(short) };
             let frame = match first {
-                b'+' => Frame::Simple(body.to_vec()),
-                b'-' => Frame::Error(body.to_vec()),
-                _ => Frame::Integer(parse_int(body, what)?),
+                b'+' => Frame::Simple(buf.slice(body)),
+                b'-' => Frame::Error(buf.slice(body)),
+                _ => Frame::Integer(parse_int(buf.get(body).unwrap_or(&[]), what)?),
             };
-            Ok(Some((frame, end)))
+            Element::Frame(frame, end)
         }
         b'$' => {
             let what = "bulk length";
-            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(None) };
+            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(short) };
             let n = parse_int(buf.get(body).unwrap_or(&[]), what)?;
             if n == -1 {
-                return Ok(Some((Frame::Bulk(None), end)));
+                return Ok(Element::Frame(Frame::Bulk(None), end));
             }
             if n < -1 {
                 return Err(RespError::NegativeLength { what, got: n });
@@ -255,25 +321,25 @@ fn parse_frame(buf: &[u8], pos: usize, depth: usize) -> Partial<Frame> {
             if n > MAX_BULK_LEN {
                 return Err(RespError::LengthOverflow { what, got: n, max: MAX_BULK_LEN });
             }
-            let len = n as usize;
-            // Single-copy carve-out: the payload is sliced straight from
-            // the receive buffer once all its bytes (and the trailing
-            // CRLF) have arrived.
-            let Some(payload) = buf.get(end..end + len) else { return Ok(None) };
-            match (buf.get(end + len), buf.get(end + len + 1)) {
+            // The payload is sliced out of the buffer once all its bytes
+            // and the trailing CRLF have arrived.
+            let payload = end..end + n as usize;
+            match (buf.get(payload.end), buf.get(payload.end + 1)) {
                 (Some(b'\r'), Some(b'\n')) => {
-                    Ok(Some((Frame::Bulk(Some(payload.to_vec())), end + len + 2)))
+                    Element::Frame(Frame::Bulk(Some(buf.slice(payload.clone()))), payload.end + 2)
                 }
-                (None, _) | (Some(b'\r'), None) => Ok(None),
-                _ => Err(RespError::MissingCrLf { what: "bulk payload" }),
+                // The byte after the payload decides, then the one after.
+                (None, _) => Element::Short(payload.end + 1),
+                (Some(b'\r'), None) => Element::Short(payload.end + 2),
+                _ => return Err(RespError::MissingCrLf { what: "bulk payload" }),
             }
         }
         b'*' => {
             let what = "array length";
-            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(None) };
+            let Some((body, end)) = parse_line(buf, pos + 1, what)? else { return Ok(short) };
             let n = parse_int(buf.get(body).unwrap_or(&[]), what)?;
             if n == -1 {
-                return Ok(Some((Frame::Array(None), end)));
+                return Ok(Element::Frame(Frame::Array(None), end));
             }
             if n < -1 {
                 return Err(RespError::NegativeLength { what, got: n });
@@ -284,34 +350,25 @@ fn parse_frame(buf: &[u8], pos: usize, depth: usize) -> Partial<Frame> {
             if depth + 1 > MAX_DEPTH {
                 return Err(RespError::DepthExceeded { max: MAX_DEPTH });
             }
-            let mut items = Vec::with_capacity(n as usize);
-            let mut cursor = end;
-            for _ in 0..n {
-                // Array elements must be typed frames; a bare line here is
-                // a protocol error, not an inline command.
-                match buf.get(cursor) {
-                    None => return Ok(None),
-                    Some(b'+' | b'-' | b':' | b'$' | b'*') => {}
-                    Some(_) => return Err(RespError::InlineInArray),
-                }
-                let Some((item, next)) = parse_frame(buf, cursor, depth + 1)? else {
-                    return Ok(None);
-                };
-                items.push(item);
-                cursor = next;
+            match n {
+                0 => Element::Frame(Frame::Array(Some(Vec::new())), end),
+                n => Element::Open(n as usize, end),
             }
-            Ok(Some((Frame::Array(Some(items)), cursor)))
         }
+        // Array elements must be typed frames; a bare line there is a
+        // protocol error, not an inline command.
+        _ if depth > 0 => return Err(RespError::InlineInArray),
         _ => {
             let Some((body, end)) = parse_line(buf, pos, "inline command")? else {
-                return Ok(None);
+                return Ok(short);
             };
-            let body = buf.get(body).unwrap_or(&[]);
+            let line = buf.get(body).unwrap_or(&[]);
             let words =
-                body.split(|&b| b == b' ').filter(|w| !w.is_empty()).map(|w| w.to_vec()).collect();
-            Ok(Some((Frame::Inline(words), end)))
+                line.split(|&b| b == b' ').filter(|w| !w.is_empty()).map(|w| buf.slice_ref(w));
+            Element::Frame(Frame::Inline(words.collect()), end)
         }
-    }
+    };
+    Ok(frame)
 }
 
 /// Encode `frame` onto `out`. Inline frames encode as their bare line.
@@ -428,23 +485,23 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Simple(b"OK".to_vec()),
-            Frame::Error(b"ERR wrong arity".to_vec()),
+            Frame::Simple(b"OK".to_vec().into()),
+            Frame::Error(b"ERR wrong arity".to_vec().into()),
             Frame::Integer(0),
             Frame::Integer(-42),
             Frame::Integer(i64::MAX),
             Frame::Bulk(None),
-            Frame::Bulk(Some(Vec::new())),
-            Frame::Bulk(Some(b"hello\r\nworld".to_vec())), // CRLF inside payload
+            Frame::Bulk(Some(Bytes::new())),
+            Frame::Bulk(Some(b"hello\r\nworld".to_vec().into())), // CRLF inside payload
             Frame::Array(None),
             Frame::Array(Some(vec![])),
             Frame::Array(Some(vec![
-                Frame::Bulk(Some(b"GET".to_vec())),
-                Frame::Bulk(Some(b"user000000000042".to_vec())),
+                Frame::Bulk(Some(b"GET".to_vec().into())),
+                Frame::Bulk(Some(b"user000000000042".to_vec().into())),
             ])),
             Frame::Array(Some(vec![
                 Frame::Integer(7),
-                Frame::Array(Some(vec![Frame::Simple(b"nested".to_vec())])),
+                Frame::Array(Some(vec![Frame::Simple(b"nested".to_vec().into())])),
                 Frame::Bulk(None),
             ])),
         ]
@@ -512,8 +569,8 @@ mod tests {
         assert_eq!(
             frames,
             vec![
-                Frame::Inline(vec![b"PING".to_vec()]),
-                Frame::Inline(vec![b"GET".to_vec(), b"user000000000001".to_vec()]),
+                Frame::Inline(vec![b"PING".to_vec().into()]),
+                Frame::Inline(vec![b"GET".to_vec().into(), b"user000000000001".to_vec().into()]),
             ]
         );
     }
@@ -582,7 +639,7 @@ mod tests {
     #[test]
     fn over_long_headerless_line_is_rejected_eagerly() {
         let mut d = Decoder::new();
-        d.feed(&vec![b'x'; MAX_LINE_LEN + 2]);
+        d.feed(&[b'x'; MAX_LINE_LEN + 2]);
         assert_eq!(d.next_frame(), Err(RespError::LineTooLong { max: MAX_LINE_LEN }));
     }
 
@@ -597,16 +654,20 @@ mod tests {
                 (0..40)
                     .map(|i| match (c + i) % 4 {
                         0 => Frame::Array(Some(vec![
-                            Frame::Bulk(Some(b"SET".to_vec())),
-                            Frame::Bulk(Some(format!("user{:012}", c * 1000 + i).into_bytes())),
-                            Frame::Bulk(Some(vec![b'a' + c as u8; 64 + i])),
+                            Frame::Bulk(Some(b"SET".to_vec().into())),
+                            Frame::Bulk(Some(
+                                format!("user{:012}", c * 1000 + i).into_bytes().into(),
+                            )),
+                            Frame::Bulk(Some(vec![b'a' + c as u8; 64 + i].into())),
                         ])),
-                        1 => Frame::Inline(vec![b"PING".to_vec()]),
+                        1 => Frame::Inline(vec![b"PING".to_vec().into()]),
                         2 => Frame::Array(Some(vec![
-                            Frame::Bulk(Some(b"GET".to_vec())),
-                            Frame::Bulk(Some(format!("user{:012}", c * 1000 + i).into_bytes())),
+                            Frame::Bulk(Some(b"GET".to_vec().into())),
+                            Frame::Bulk(Some(
+                                format!("user{:012}", c * 1000 + i).into_bytes().into(),
+                            )),
                         ])),
-                        _ => Frame::Bulk(Some(vec![b'z'; i])),
+                        _ => Frame::Bulk(Some(vec![b'z'; i].into())),
                     })
                     .collect()
             })
@@ -658,11 +719,11 @@ mod tests {
             decode_all(&wire),
             vec![
                 Frame::Array(Some(vec![
-                    Frame::Bulk(Some(b"SET".to_vec())),
-                    Frame::Bulk(Some(b"k".to_vec())),
-                    Frame::Bulk(Some(b"v".to_vec())),
+                    Frame::Bulk(Some(b"SET".to_vec().into())),
+                    Frame::Bulk(Some(b"k".to_vec().into())),
+                    Frame::Bulk(Some(b"v".to_vec().into())),
                 ])),
-                Frame::Inline(vec![b"PING".to_vec()]),
+                Frame::Inline(vec![b"PING".to_vec().into()]),
             ]
         );
     }

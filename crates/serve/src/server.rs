@@ -49,9 +49,18 @@
 //!   first-writer-wins and is convicted here.
 //! - **Protocol**: a loadgen-side decoder consumes every reply off the
 //!   wire and checks shape and order against the issued commands.
+//!
+//! # Copies
+//!
+//! A command's keys and values are [`Bytes`] slices of the buffer its
+//! connection's decoder received them in, from the frame through the shard
+//! queues, the overlay and the oracle's intent map to the commit round;
+//! `Db::put` makes the one copy the store keeps. A read copies the value
+//! `Db::get_opt` returned only into its reply.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use bytes::Bytes;
 use papyrus_bench::workload::ordered_key;
 use papyrus_simtime::MemModel;
 use papyruskv::{Context, Db};
@@ -59,7 +68,7 @@ use rand::rngs::StdRng;
 
 use crate::cmd::{encode_reply, parse_command, Command, Reply};
 use crate::loadgen::{build_schedule, Generator};
-use crate::resp::Decoder;
+use crate::resp::{Decoder, Frame};
 use crate::tel::ServeTel;
 use crate::{SeedBug, ServeCfg};
 
@@ -70,8 +79,8 @@ const READ_CHUNK: usize = 512;
 
 /// One simulated client connection and its server-side state.
 struct Conn {
-    /// Bytes the client has "sent"; `read_off` marks how far the server
-    /// has consumed them.
+    /// Bytes the client has "sent" and the server has not read all of;
+    /// `read_off` marks how far the server has consumed them.
     wire_in: Vec<u8>,
     read_off: usize,
     /// Server-side incremental decoder.
@@ -124,9 +133,9 @@ struct Slot {
 
 /// One queued write: the shard index is the queue it sits in.
 struct WriteOp {
-    key: Vec<u8>,
+    key: Bytes,
     /// `None` is a DEL tombstone.
-    val: Option<Vec<u8>>,
+    val: Option<Bytes>,
     conn: u32,
     slot: u64,
 }
@@ -157,14 +166,17 @@ fn expect_of(cmd: &Command) -> Expect {
     }
 }
 
-fn reply_matches(expect: Expect, reply: &Reply) -> bool {
-    match (expect, reply) {
-        (Expect::Ok, Reply::Ok) => true,
-        (Expect::Pong, Reply::Pong) => true,
-        (Expect::Int(n), Reply::Int(m)) => n == *m,
-        (Expect::Bool, Reply::Int(m)) => *m == 0 || *m == 1,
-        (Expect::BulkAny, Reply::Bulk(_) | Reply::Info(_)) => true,
-        (Expect::ArrLen(n), Reply::Arr(items)) => items.len() == n,
+/// Whether a reply frame has the shape `expect` asks for.
+fn reply_matches(expect: Expect, frame: &Frame) -> bool {
+    match (expect, frame) {
+        (Expect::Ok, Frame::Simple(s)) => &s[..] == b"OK",
+        (Expect::Pong, Frame::Simple(s)) => &s[..] == b"PONG",
+        (Expect::Int(n), Frame::Integer(m)) => n == *m,
+        (Expect::Bool, Frame::Integer(m)) => *m == 0 || *m == 1,
+        (Expect::BulkAny, Frame::Bulk(_)) => true,
+        (Expect::ArrLen(n), Frame::Array(Some(items))) => {
+            items.len() == n && items.iter().all(|item| matches!(item, Frame::Bulk(_)))
+        }
         _ => false,
     }
 }
@@ -245,12 +257,27 @@ struct Window<'a> {
     shards: Vec<VecDeque<WriteOp>>,
     /// Read-through overlay of queued-but-unapplied writes; cleared each
     /// commit round once the batch is applied.
-    overlay: HashMap<Vec<u8>, Option<Vec<u8>>>,
+    overlay: HashMap<Bytes, Option<Bytes>>,
     /// The oracle's intent map: last client-intended value per written
     /// key, recorded at enqueue time. BTreeMap so the final sweep walks
     /// keys in a deterministic order.
-    intent: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    intent: BTreeMap<Bytes, Option<Bytes>>,
+    /// The commit round's lists, kept for the next round.
+    round: Round,
     stats: WindowStats,
+}
+
+/// What one commit round collects, emptied at its end.
+#[derive(Default)]
+struct Round {
+    /// `(conn, slot)` of every write drained.
+    acks: Vec<(u32, u64)>,
+    /// Keys of the round owned by another rank.
+    remote_keys: Vec<Bytes>,
+    /// One shard's folded batch, in first-write order.
+    entries: Vec<(Bytes, Option<Bytes>)>,
+    /// Where each key of `entries` is.
+    index: HashMap<Bytes, usize>,
 }
 
 impl<'a> Window<'a> {
@@ -276,6 +303,7 @@ impl<'a> Window<'a> {
             shards: (0..ctx.size()).map(|_| VecDeque::new()).collect(),
             overlay: HashMap::new(),
             intent: BTreeMap::new(),
+            round: Round::default(),
             stats: WindowStats {
                 rank,
                 conns: cfg.conns_per_rank,
@@ -368,7 +396,7 @@ impl<'a> Window<'a> {
         let intent = std::mem::take(&mut self.intent);
         for (key, want) in &intent {
             let got = match self.db.get_opt(key) {
-                Ok(v) => v.map(|b| b.to_vec()),
+                Ok(v) => v,
                 Err(e) => {
                     self.violation("ryw", format!("get {key:?} failed: {e:?}"));
                     continue;
@@ -427,6 +455,11 @@ impl<'a> Window<'a> {
         let take = (conn.wire_in.len() - conn.read_off).min(READ_CHUNK);
         conn.dec.feed(&conn.wire_in[conn.read_off..conn.read_off + take]);
         conn.read_off += take;
+        if conn.read_off == conn.wire_in.len() {
+            // Read to the end: the next burst starts the buffer again.
+            conn.wire_in.clear();
+            conn.read_off = 0;
+        }
         // Charge the copy from the (modelled) socket into server memory.
         self.ctx.clock().advance(self.mem.op_ns(take as u64));
 
@@ -456,12 +489,12 @@ impl<'a> Window<'a> {
     }
 
     /// Read a key through the overlay of queued writes, then the store.
-    fn read_key(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn read_key(&mut self, key: &[u8]) -> Option<Bytes> {
         if let Some(v) = self.overlay.get(key) {
             return v.clone();
         }
         match self.db.get_opt(key) {
-            Ok(v) => v.map(|b| b.to_vec()),
+            Ok(v) => v,
             Err(e) => {
                 self.violation("protocol", format!("store read failed: {e:?}"));
                 None
@@ -471,7 +504,7 @@ impl<'a> Window<'a> {
 
     /// Execute one decoded frame: reads inline, writes onto the shard
     /// queues, admin immediately.
-    fn dispatch(&mut self, c: usize, frame: &crate::resp::Frame) {
+    fn dispatch(&mut self, c: usize, frame: &Frame) {
         let arrival = self.conns[c].stamps.pop_front().unwrap_or(self.t0);
         let cmd = match parse_command(frame) {
             Ok(cmd) => cmd,
@@ -505,23 +538,23 @@ impl<'a> Window<'a> {
                 self.push_filled(c, Reply::Info(text), arrival);
             }
             Command::Get { key } => {
-                let v = self.read_key(&key);
+                let v = self.read_key(&key).map(|v| v.to_vec());
                 self.ack_read(now, arrival);
                 self.push_filled(c, Reply::Bulk(v), arrival);
             }
             Command::Exists { key } => {
-                let v = self.read_key(&key);
+                let found = self.read_key(&key).is_some();
                 self.ack_read(now, arrival);
-                self.push_filled(c, Reply::Int(v.is_some() as i64), arrival);
+                self.push_filled(c, Reply::Int(found as i64), arrival);
             }
             Command::MGet { keys } => {
-                let items = keys.iter().map(|k| self.read_key(k)).collect();
+                let items = keys.iter().map(|k| self.read_key(k).map(|v| v.to_vec())).collect();
                 self.ack_read(now, arrival);
                 self.push_filled(c, Reply::Arr(items), arrival);
             }
             Command::Range { start, count } => {
                 let items = (start..start.saturating_add(count))
-                    .map(|i| self.read_key(&ordered_key(i)))
+                    .map(|i| self.read_key(&ordered_key(i)).map(|v| v.to_vec()))
                     .collect();
                 self.ack_read(now, arrival);
                 self.push_filled(c, Reply::Arr(items), arrival);
@@ -578,7 +611,7 @@ impl<'a> Window<'a> {
         c: usize,
         arrival: u64,
         on_complete: Reply,
-        ops: impl ExactSizeIterator<Item = (Vec<u8>, Option<Vec<u8>>)>,
+        ops: impl ExactSizeIterator<Item = (Bytes, Option<Bytes>)>,
     ) {
         let conn = &mut self.conns[c];
         let slot_id = conn.slot_base + conn.slots.len() as u64;
@@ -608,22 +641,16 @@ impl<'a> Window<'a> {
             return false;
         }
         let me = self.rank;
-        let mut acks: Vec<(u32, u64)> = Vec::new();
-        let mut remote_keys: Vec<Vec<u8>> = Vec::new();
+        let mut round = std::mem::take(&mut self.round);
         let mut records = 0u64;
         for shard in 0..self.shards.len() {
             let mut queue = std::mem::take(&mut self.shards[shard]);
-            if queue.is_empty() {
-                continue;
-            }
             // Fold: one batch entry per key; later writes to the same key
             // replace the earlier value (last-writer-wins), every drained
             // op still gets its ack.
-            let mut entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
             for op in queue.drain(..) {
                 records += 1;
-                match index.get(&op.key) {
+                match round.index.get(&op.key) {
                     Some(&i) => {
                         self.stats.folded_dups += 1;
                         if self.tel.on() {
@@ -634,19 +661,20 @@ impl<'a> Window<'a> {
                         // silently vanishes from the batch. Convicted by
                         // the read-your-writes sweep.
                         if self.cfg.seed_bug != Some(SeedBug::DroppedWrite) {
-                            entries[i].1 = op.val;
+                            round.entries[i].1 = op.val;
                         }
                     }
                     None => {
-                        index.insert(op.key.clone(), entries.len());
-                        entries.push((op.key, op.val));
+                        round.index.insert(op.key.clone(), round.entries.len());
+                        round.entries.push((op.key, op.val));
                     }
                 }
-                acks.push((op.conn, op.slot));
+                round.acks.push((op.conn, op.slot));
             }
+            self.shards[shard] = queue;
             // Apply the folded batch in insertion order (the Vec is the
             // order authority; the index map is lookup only).
-            for (key, val) in &entries {
+            for (key, val) in &round.entries {
                 let r = match val {
                     Some(v) => self.db.put(key, v),
                     None => self.db.delete(key),
@@ -655,8 +683,11 @@ impl<'a> Window<'a> {
                     self.violation("protocol", format!("batch apply failed: {e:?}"));
                 }
             }
-            if shard != me {
-                remote_keys.extend(entries.into_iter().map(|(k, _)| k));
+            round.index.clear();
+            if shard == me {
+                round.entries.clear();
+            } else {
+                round.remote_keys.extend(round.entries.drain(..).map(|(k, _)| k));
             }
         }
         // The batch is applied: queued writes are now visible through the
@@ -673,7 +704,7 @@ impl<'a> Window<'a> {
             // SEEDED BUG (ack-before-fence): clients are acked while the
             // round's remote writes are still in the staging MemTables —
             // an NVM loss window the durability oracle convicts.
-            self.ack_round(&acks, &remote_keys);
+            self.ack_round(&round);
             if let Err(e) = self.db.fence() {
                 self.violation("protocol", format!("fence failed: {e:?}"));
             }
@@ -681,16 +712,19 @@ impl<'a> Window<'a> {
             if let Err(e) = self.db.fence() {
                 self.violation("protocol", format!("fence failed: {e:?}"));
             }
-            self.ack_round(&acks, &remote_keys);
+            self.ack_round(&round);
         }
+        round.acks.clear();
+        round.remote_keys.clear();
+        self.round = round;
         true
     }
 
     /// Ack every write drained this round. The durability oracle runs
     /// here, AT ack time: any remote-shard key of the round still staged
     /// means an acked client could lose its write.
-    fn ack_round(&mut self, acks: &[(u32, u64)], remote_keys: &[Vec<u8>]) {
-        for key in remote_keys {
+    fn ack_round(&mut self, round: &Round) {
+        for key in &round.remote_keys {
             if self.db.staged_remote_contains(key) {
                 let detail = format!(
                     "acking write of {:?} while it is still staged (not yet owner-ingested)",
@@ -700,7 +734,7 @@ impl<'a> Window<'a> {
             }
         }
         let now = self.ctx.now();
-        for &(conn, slot) in acks {
+        for &(conn, slot) in &round.acks {
             let c = &mut self.conns[conn as usize];
             let idx = (slot - c.slot_base) as usize;
             let Some(s) = c.slots.get_mut(idx) else { continue };
@@ -756,17 +790,8 @@ impl<'a> Window<'a> {
                         continue;
                     };
                     self.unanswered -= 1;
-                    match crate::cmd::reply_from_frame(frame) {
-                        Ok(reply) if reply_matches(expect, &reply) => {}
-                        Ok(reply) => {
-                            self.violation(
-                                "protocol",
-                                format!("expected {expect:?}, got {reply:?}"),
-                            );
-                        }
-                        Err(e) => {
-                            self.violation("protocol", format!("unparseable reply: {e}"));
-                        }
+                    if !reply_matches(expect, &frame) {
+                        self.violation("protocol", format!("expected {expect:?}, got {frame:?}"));
                     }
                 }
                 Ok(None) => break,

@@ -2,16 +2,16 @@
 //! counted exactly by a global allocator that counts per thread.
 //!
 //! The client's encoding and the server's reply encoding allocate nothing
-//! into a buffer with room; parsing allocates only the command's own keys,
-//! values and key lists; the client reads a reply by moving the frame's
-//! payloads.
+//! into a buffer with room; decoding allocates a buffer a chunk and a list
+//! an array, and parsing only the lists of MGET and MSET: every key and
+//! value is a slice of the receive buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::mem::discriminant;
 
-use papyrus_serve::cmd::{encode_reply, parse_command, reply_from_frame, Command, Reply};
+use papyrus_serve::cmd::{encode_reply, parse_command, Command, Reply};
 use papyrus_serve::loadgen::{Generator, LoadMix, LoadSkew};
 use papyrus_serve::resp::{encode_command, encode_inline, Decoder, Frame};
 use rand::rngs::StdRng;
@@ -90,16 +90,16 @@ fn encoding_a_command_allocates_nothing() {
 }
 
 #[test]
-fn parsing_allocates_only_the_commands_own_keys_and_values() {
+fn parsing_allocates_only_the_key_lists() {
     let cases: [(&[&[u8]], u64); 9] = [
         (&[b"PING"], 0),
         (&[b"info"], 0),
-        (&[b"GET", b"k"], 1),
-        (&[b"SeT", b"k", b"v"], 2),
-        (&[b"DEL", b"k"], 1),
-        (&[b"EXISTS", b"k"], 1),
-        (&[b"MGET", b"a", b"b", b"c"], 4),
-        (&[b"MSET", b"a", b"1", b"b", b"2"], 5),
+        (&[b"GET", b"k"], 0),
+        (&[b"SeT", b"k", b"v"], 0),
+        (&[b"DEL", b"k"], 0),
+        (&[b"EXISTS", b"k"], 0),
+        (&[b"MGET", b"a", b"b", b"c"], 1),
+        (&[b"MSET", b"a", b"1", b"b", b"2"], 1),
         (&[b"RANGE", b"10", b"4"], 0),
     ];
     for (words, want) in cases {
@@ -113,7 +113,7 @@ fn parsing_allocates_only_the_commands_own_keys_and_values() {
     let mut wire = Vec::new();
     encode_inline::<&[u8]>(&[b"get", b"k"], &mut wire);
     let frame = frame_of(&wire);
-    assert_eq!(counted(|| parse_command(&frame)).1, 1, "inline GET");
+    assert_eq!(counted(|| parse_command(&frame)).1, 0, "inline GET");
 }
 
 #[test]
@@ -137,15 +137,61 @@ fn encoding_a_reply_allocates_nothing() {
     assert_eq!(allocs, 0);
 }
 
+/// Two pipelined SETs, cut in two at every byte, into a decoder that has
+/// decoded a frame before (a connection's steady state): each chunk costs
+/// its buffer and each SET its list of words, whatever the cut.
 #[test]
-fn a_reply_takes_its_payloads_from_the_frame() {
+fn decoding_a_pipelined_set_allocates_a_buffer_a_chunk_and_a_list_a_frame() {
     let mut wire = Vec::new();
-    encode_reply(&Reply::Bulk(Some(vec![b'v'; 128])), &mut wire);
-    let frame = frame_of(&wire);
-    assert_eq!(counted(|| reply_from_frame(frame)).1, 0, "bulk");
+    for _ in 0..2 {
+        encode_command::<&[u8]>(&[b"SET", b"user000000000042", &[b'v'; 128]], &mut wire);
+    }
+    let mut frames = Vec::with_capacity(4);
+    for cut in 0..=wire.len() {
+        let mut d = Decoder::new();
+        d.feed(&wire[..wire.len() / 2]);
+        d.feed(&wire[wire.len() / 2..]);
+        while let Some(frame) = d.next_frame().expect("well-formed") {
+            frames.push(frame);
+        }
+        frames.clear();
+        let chunks = [&wire[..cut], &wire[cut..]];
+        let ((), allocs) = counted(|| {
+            for chunk in chunks {
+                d.feed(chunk);
+                while let Some(frame) = d.next_frame().expect("well-formed") {
+                    frames.push(frame);
+                }
+            }
+        });
+        assert_eq!(frames.len(), 2, "cut at {cut}");
+        let fed = chunks.iter().filter(|c| !c.is_empty()).count() as u64;
+        assert_eq!(allocs, fed + 2, "cut at {cut}");
+        frames.clear();
+    }
+}
 
-    wire.clear();
-    encode_reply(&Reply::Arr(vec![Some(b"a".to_vec()), None]), &mut wire);
-    let frame = frame_of(&wire);
-    assert_eq!(counted(|| reply_from_frame(frame)).1, 1, "array: the list only");
+/// A 1 MiB bulk string in 512-byte chunks is gathered in one growing
+/// buffer, not a buffer (and a copy of all before it) for each of its 2049
+/// chunks: the first chunk's buffer, the decoder's array stack and the
+/// array's list, then one buffer that starts at two chunks and doubles 11
+/// times.
+#[test]
+fn a_bulk_string_in_many_chunks_is_gathered_not_recopied() {
+    let payload = vec![b'x'; 1 << 20];
+    let mut wire = Vec::new();
+    encode_command::<&[u8]>(&[&payload], &mut wire);
+    let mut d = Decoder::new();
+    let (frame, allocs) = counted(|| {
+        let mut frame = None;
+        for chunk in wire.chunks(512) {
+            d.feed(chunk);
+            if let Some(f) = d.next_frame().expect("well-formed") {
+                frame = Some(f);
+            }
+        }
+        frame
+    });
+    assert_eq!(frame, Some(Frame::Array(Some(vec![Frame::Bulk(Some(payload.into()))]))));
+    assert_eq!(allocs, 3 + 1 + 11);
 }

@@ -113,9 +113,16 @@ mdhim:
 verify: build test fmt clippy doc kvbench lint crashcheck chaos perfline serve mdhim
 	@echo "verify: OK"
 
-# Quick observability smoke: writes trace.json (chrome://tracing / Perfetto).
+# Quick observability smoke: writes trace.json (chrome://tracing / Perfetto);
+#   then a traced figure (fig9) twice, once on one CPU: the trace of the
+#   world it traced and its metrics table, byte for byte.
 trace:
 	cargo run --release -p papyrus-bench --bin diag_latency -- --ranks 4 --telemetry trace.json
+	cargo build --release -p papyrus-bench --bin fig9_workload
+	./target/release/fig9_workload --ranks 2,4 --iters 10 --telemetry target/fig9-a.json > target/fig9-a.txt
+	taskset -c 0 ./target/release/fig9_workload --ranks 2,4 --iters 10 --telemetry target/fig9-b.json > target/fig9-b.txt
+	cmp target/fig9-a.json target/fig9-b.json
+	cmp target/fig9-a.txt target/fig9-b.txt
 
 clean:
 	cargo clean

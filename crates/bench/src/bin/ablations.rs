@@ -7,9 +7,12 @@
 //! SSTables and write amplification; the growth table fills one database
 //! that is never reset.
 
+use std::sync::Arc;
+
 use papyrus_bench::{random_keys, value_of, BenchArgs, PhaseResult, RankPhase};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
+use papyrus_telemetry::Registry;
 use papyruskv::{BarrierLevel, CompactionTrigger, Context, OpenFlags, Options, Platform};
 
 const VALUE_LEN: usize = 32 << 10;
@@ -33,9 +36,9 @@ fn run(
 ) -> AblationOut {
     let platform = Platform::new(profile.clone(), ranks);
     // The stores' and the database's own counters, for this run alone.
-    papyrus_telemetry::reset();
-    papyrus_telemetry::enable();
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let tel = Arc::new(Registry::with_enabled(true));
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://ablate").unwrap();
         let db = ctx.open("db", OpenFlags::create(), opt.clone()).unwrap();
         let keys = random_keys(iters, 16, seed + rank.rank() as u64);
@@ -73,8 +76,7 @@ fn run(
             if h + m == 0 { 0.0 } else { h as f64 / (h + m) as f64 },
         )
     });
-    let counted = papyrus_telemetry::snapshot();
-    papyrus_telemetry::disable();
+    let counted = tel.snapshot();
     let probes = counted.counter_sum("kv.bloom.pass") + counted.counter_sum("kv.bloom.neg");
     AblationOut {
         get: PhaseResult::aggregate(&per_rank.iter().map(|r| r.0).collect::<Vec<_>>()),

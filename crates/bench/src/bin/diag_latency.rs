@@ -7,10 +7,12 @@
 //! With `--telemetry out.json` the final sweep point's span timeline is
 //! also written as Chrome Trace JSON.
 
+use std::sync::Arc;
+
 use papyrus_bench::{random_keys, value_of, BenchArgs};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::fmt_ns;
+use papyrus_telemetry::{fmt_ns, Registry};
 use papyruskv::{Consistency, Context, OpenFlags, Options, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,18 +30,18 @@ fn main() {
     let args = BenchArgs::parse();
     let profile = SystemProfile::summitdev();
     let iters = args.iters_or(30, 1000);
-    // The diagnostic runs on the histograms, so recording is always on;
-    // --telemetry additionally writes the span trace.
-    papyrus_telemetry::enable();
     println!(
         "{:<4} {:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "n", "class", "count", "mean", "p50", "p95", "p99", "max"
     );
     for &n in &args.ranks_or(&[2, 4, 8, 16], &[2, 4, 8, 16, 32, 64]) {
-        papyrus_telemetry::reset();
         let platform = Platform::new(profile.clone(), n);
         let seed = args.seed;
-        World::run(WorldConfig::new(n, profile.net.clone()), move |rank| {
+        // The diagnostic runs on the histograms, so recording is always on;
+        // --telemetry additionally writes the span trace.
+        let tel = Arc::new(Registry::with_enabled(true));
+        let world = WorldConfig::new(n, profile.net.clone()).with_telemetry(tel.clone());
+        World::run(world, move |rank| {
             let ctx = Context::init(rank.clone(), platform.clone(), "nvm://diag").unwrap();
             let opt = Options::default()
                 .with_memtable_capacity(1 << 30)
@@ -62,15 +64,10 @@ fn main() {
             db.close().unwrap();
             ctx.finalize().unwrap();
         });
-        let snap = papyrus_telemetry::snapshot();
+        let snap = tel.snapshot();
         for &(label, name) in CLASSES {
             // Merge the per-rank histograms into one distribution per class.
-            let mut merged = papyrus_telemetry::HistogramData::empty();
-            for (_, hname, h) in &snap.histograms {
-                if hname == name {
-                    merged.merge(h);
-                }
-            }
+            let merged = snap.merged_histogram(name);
             if merged.count == 0 {
                 continue;
             }

@@ -20,14 +20,16 @@ struct CrResult {
 }
 
 fn run_config(
+    args: &BenchArgs,
     profile: &SystemProfile,
     ranks: usize,
     iters: usize,
     vallen: usize,
-    seed: u64,
 ) -> CrResult {
     let platform = Platform::new(profile.clone(), ranks);
-    let results = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let seed = args.seed;
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let results = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://cr").unwrap();
         let opt = Options::default().with_memtable_capacity(16 << 20);
 
@@ -94,10 +96,7 @@ fn main() {
             "ranks", "ckpt-s", "ckpt-MBPS", "rst-s", "rst-MBPS", "rd-s", "rd-MBPS"
         );
         for &n in &sweep {
-            // With --telemetry, each begin resets the registry so the
-            // written trace covers the final configuration only.
-            args.telemetry_begin();
-            let r = run_config(&profile, n, iters, vallen, args.seed);
+            let r = run_config(&args, &profile, n, iters, vallen);
             let mbps = |ns: u64| papyrus_simtime::mbps(r.bytes, ns);
             println!(
                 "{:>6} {:>10.3} {:>10.1} {:>10.3} {:>10.1} {:>10.3} {:>10.1}",

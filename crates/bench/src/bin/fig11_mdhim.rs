@@ -19,17 +19,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn run_pkv(
+    args: &BenchArgs,
     profile: &SystemProfile,
     ranks: usize,
     iters: usize,
     vallen: usize,
     on_pfs: bool,
-    seed: u64,
 ) -> PhaseResult {
     let platform = Platform::new(profile.clone(), ranks);
     let repo = if on_pfs { "pfs://workload" } else { "nvm://workload" };
-    let repo = repo.to_string();
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let (repo, seed) = (repo.to_string(), args.seed);
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), &repo).unwrap();
         // 1 MiB MemTables: the 8 B workload never reaches capacity (it
         // stays in DRAM — the paper's observation that N and L coincide),
@@ -121,15 +122,10 @@ fn main() {
             "ranks", "PKV-N-KRPS", "PKV-L-KRPS", "MDH-N-KRPS", "MDH-L-KRPS"
         );
         for &n in &sweep {
-            // With --telemetry, each begin resets the registry so the
-            // written trace covers a single run — the last one (PKV on
-            // Lustre; the MDHIM baseline records only fabric/NVM metrics).
-            args.telemetry_begin();
-            let pkv_n = run_pkv(&profile, n, iters, vallen, false, args.seed);
+            let pkv_n = run_pkv(&args, &profile, n, iters, vallen, false);
             let mdh_n = run_mdhim(&profile, n, iters, vallen, false, args.seed);
             let mdh_l = run_mdhim(&profile, n, iters, vallen, true, args.seed);
-            args.telemetry_begin();
-            let pkv_l = run_pkv(&profile, n, iters, vallen, true, args.seed);
+            let pkv_l = run_pkv(&args, &profile, n, iters, vallen, true);
             println!(
                 "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
                 n,

@@ -30,13 +30,16 @@ struct RunOut {
 }
 
 fn run_pkv(
+    args: &BenchArgs,
     profile: &SystemProfile,
     threads: usize,
     dataset: Arc<Vec<meraculous::UfxRecord>>,
     k: usize,
 ) -> RunOut {
     let platform = Platform::new(profile.clone(), threads);
-    let per_rank = World::run(WorldConfig::new(threads, profile.net.clone()), move |rank| {
+    let world =
+        WorldConfig::new(threads, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://meraculous").unwrap();
         let opt = Options::default()
             .with_memtable_capacity(32 << 20)
@@ -110,13 +113,8 @@ fn main() {
     println!("{:>8} {:>10} {:>10} {:>10}", "threads", "PKV-s", "UPC-s", "PKV/UPC");
     let mut verified = true;
     for &n in &sweep {
-        // With --telemetry, each begin resets the registry so the written
-        // trace covers the final PKV run only (the UPC baseline runs
-        // first: it bypasses the KV engine, and its fabric events would
-        // otherwise overlay the PKV timeline).
         let upc = run_upc(&profile, n, dataset.clone(), k);
-        args.telemetry_begin();
-        let pkv = run_pkv(&profile, n, dataset.clone(), k);
+        let pkv = run_pkv(&args, &profile, n, dataset.clone(), k);
         println!(
             "{:>8} {:>10.3} {:>10.3} {:>10.2}",
             n,

@@ -38,17 +38,17 @@ fn print_table2() {
 
 /// One configuration run: returns (put, barrier, get) phase results.
 fn run_config(
+    args: &BenchArgs,
     profile: &SystemProfile,
     repo: &str,
     ranks: usize,
     iters: usize,
     vallen: usize,
-    seed: u64,
-    replicas: usize,
 ) -> (PhaseResult, PhaseResult, PhaseResult) {
     let platform = Platform::new(profile.clone(), ranks);
-    let repo = repo.to_string();
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let (repo, seed, replicas) = (repo.to_string(), args.seed, args.replicas);
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), &repo).unwrap();
         let opt = Options::default().with_memtable_capacity(64 << 20).with_replicas(replicas);
         let db = ctx.open("basic", OpenFlags::create(), opt).unwrap();
@@ -112,11 +112,7 @@ fn main() {
                 "value", "put-KRPS", "put-MBPS", "bar-MBPS", "get-KRPS", "get-MBPS", "bar-sec"
             );
             for &vallen in &sizes {
-                // With --telemetry, each begin resets the registry so the
-                // written trace covers the final configuration only.
-                args.telemetry_begin();
-                let (put, bar, get) =
-                    run_config(&profile, repo, ranks, iters, vallen, args.seed, args.replicas);
+                let (put, bar, get) = run_config(&args, &profile, repo, ranks, iters, vallen);
                 println!(
                     "{:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.4}",
                     size_label(vallen),

@@ -14,16 +14,17 @@ use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform
 
 /// One run: returns (put phase, put+barrier phase) aggregates.
 fn run_config(
+    args: &BenchArgs,
     profile: &SystemProfile,
     ranks: usize,
     iters: usize,
     vallen: usize,
     mode: Consistency,
-    seed: u64,
-    replicas: usize,
 ) -> (PhaseResult, PhaseResult) {
     let platform = Platform::new(profile.clone(), ranks);
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let (seed, replicas) = (args.seed, args.replicas);
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://basic").unwrap();
         let opt = Options::default()
             .with_memtable_capacity(64 << 20)
@@ -71,30 +72,9 @@ fn main() {
             "ranks", "Rel-MBPS", "Seq-MBPS", "Rel+B-MBPS", "Seq+B-MBPS"
         );
         for &n in &sweep {
-            // With --telemetry, each begin resets the registry so the
-            // written trace covers the final (sequential) configuration
-            // only — virtual clocks restart at 0 every World::run, so
-            // merging runs would overlay their timelines.
-            args.telemetry_begin();
-            let (rel, rel_b) = run_config(
-                &profile,
-                n,
-                iters,
-                vallen,
-                Consistency::Relaxed,
-                args.seed,
-                args.replicas,
-            );
-            args.telemetry_begin();
-            let (seq, seq_b) = run_config(
-                &profile,
-                n,
-                iters,
-                vallen,
-                Consistency::Sequential,
-                args.seed,
-                args.replicas,
-            );
+            let (rel, rel_b) = run_config(&args, &profile, n, iters, vallen, Consistency::Relaxed);
+            let (seq, seq_b) =
+                run_config(&args, &profile, n, iters, vallen, Consistency::Sequential);
             println!(
                 "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
                 n,

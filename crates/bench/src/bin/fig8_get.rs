@@ -15,17 +15,19 @@ use papyrus_nvm::SystemProfile;
 use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
 
 fn run_config(
+    args: &BenchArgs,
     profile: &SystemProfile,
     ranks: usize,
     iters: usize,
     vallen: usize,
     sg: bool,
     bin_search: bool,
-    seed: u64,
 ) -> PhaseResult {
     let platform = Platform::new(profile.clone(), ranks);
     let sg_size = if sg { profile.default_group_size(ranks) } else { 1 };
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let seed = args.seed;
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init_with_group(rank.clone(), platform.clone(), "nvm://basic", sg_size)
             .unwrap();
         let opt = Options::default().with_memtable_capacity(8 << 20).with_bin_search(bin_search);
@@ -64,13 +66,10 @@ fn main() {
             "ranks", "Def-MBPS", "Def+SG", "Def+B", "Def+SG+B"
         );
         for &n in &sweep {
-            let d = run_config(&profile, n, iters, vallen, false, false, args.seed);
-            let sg = run_config(&profile, n, iters, vallen, true, false, args.seed);
-            let b = run_config(&profile, n, iters, vallen, false, true, args.seed);
-            // With --telemetry, each begin resets the registry so the trace
-            // covers the best (SG+B) configuration of the final sweep point.
-            args.telemetry_begin();
-            let sgb = run_config(&profile, n, iters, vallen, true, true, args.seed);
+            let d = run_config(&args, &profile, n, iters, vallen, false, false);
+            let sg = run_config(&args, &profile, n, iters, vallen, true, false);
+            let b = run_config(&args, &profile, n, iters, vallen, false, true);
+            let sgb = run_config(&args, &profile, n, iters, vallen, true, true);
             println!(
                 "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
                 n,

@@ -21,16 +21,18 @@ use rand::SeedableRng;
 
 /// Run init + read/update phases; returns the read/update phase aggregate.
 fn run_config(
+    args: &BenchArgs,
     profile: &SystemProfile,
     ranks: usize,
     iters: usize,
     vallen: usize,
     mix: Mix,
     protect_readonly: bool,
-    seed: u64,
 ) -> PhaseResult {
     let platform = Platform::new(profile.clone(), ranks);
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let seed = args.seed;
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(args.telemetry_begin());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://workload").unwrap();
         let opt = Options::default()
             .with_memtable_capacity(32 << 20)
@@ -88,12 +90,7 @@ fn main() {
         println!("\n## {} ({} iters/rank, 16B keys, 128KB values)", profile.name, iters);
         println!("{:>6} {:>12} {:>12} {:>12} {:>12}", "ranks", "50/50", "95/5", "100/0", "100/0+P");
         for &n in &sweep {
-            // With --telemetry, each begin resets the registry so the
-            // written trace covers the final configuration only.
-            let run = |mix: Mix, protect: bool| {
-                args.telemetry_begin();
-                run_config(&profile, n, iters, vallen, mix, protect, args.seed)
-            };
+            let run = |mix, protect| run_config(&args, &profile, n, iters, vallen, mix, protect);
             let r5050 = run(m5050, false);
             let r955 = run(m955, false);
             let r1000 = run(m1000, false);

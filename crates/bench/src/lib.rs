@@ -23,7 +23,11 @@
 
 pub mod workload;
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use papyrus_simtime::SimNs;
+use papyrus_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,6 +129,8 @@ pub struct BenchArgs {
     /// Print Table 2, the target-system summary, instead of running
     /// (`fig6_basic` only).
     pub systems: bool,
+    /// The registry [`BenchArgs::telemetry_begin`] handed out last.
+    traced: RefCell<Option<Arc<Registry>>>,
 }
 
 const USAGE: &str = "usage: [--full] [--iters N] [--ranks a,b,c] [--seed N] [--replicas R] \
@@ -159,6 +165,7 @@ impl BenchArgs {
             replicas: 1,
             telemetry: None,
             systems: false,
+            traced: RefCell::default(),
         };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
@@ -197,24 +204,23 @@ impl BenchArgs {
         }
     }
 
-    /// Start a telemetry capture window if `--telemetry` was given: zeroes
-    /// the global registry and turns recording on. Call before each sweep
-    /// point so the trace covers a single run (virtual clocks restart at 0
-    /// every `World::run`, so merging runs would overlay their timelines).
-    pub fn telemetry_begin(&self) {
-        if self.telemetry.is_some() {
-            papyrus_telemetry::reset();
-            papyrus_telemetry::enable();
-        }
+    /// The registry for a world the figure traces: a fresh one, recording
+    /// with `--telemetry` and off without. The last one handed out is the
+    /// one [`BenchArgs::telemetry_end`] writes, so the trace covers a
+    /// single run (virtual clocks restart at 0 every `World::run`, so
+    /// merging runs would overlay their timelines).
+    pub fn telemetry_begin(&self) -> Arc<Registry> {
+        let reg = Arc::new(Registry::with_enabled(self.telemetry.is_some()));
+        *self.traced.borrow_mut() = Some(reg.clone());
+        reg
     }
 
-    /// Finish the capture: write the Chrome trace JSON (open in
-    /// chrome://tracing or Perfetto), print the per-rank metrics table,
-    /// and turn recording back off. No-op without `--telemetry`.
+    /// Finish the capture: write the traced world's Chrome trace JSON (open
+    /// in chrome://tracing or Perfetto) and print its per-rank metrics
+    /// table. No-op without `--telemetry`.
     pub fn telemetry_end(&self) {
         let Some(path) = &self.telemetry else { return };
-        let snap = papyrus_telemetry::snapshot();
-        papyrus_telemetry::disable();
+        let snap = self.traced.take().unwrap_or_default().snapshot();
         match snap.write_chrome_trace(path) {
             Ok(()) => eprintln!("# telemetry: chrome trace written to {path}"),
             Err(e) => eprintln!("# telemetry: failed to write {path}: {e}"),

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use papyrus_faultinject::{FaultEvent, FaultPlan};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
+use papyrus_telemetry::Registry;
 use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
 
 /// Ranks in a probe world.
@@ -77,14 +78,16 @@ fn value_of(key: &[u8]) -> Vec<u8> {
 /// collective barrier, rides past the kill, then reads back *all* acked
 /// keys (its own and every peer's). The promoted rank additionally drains
 /// re-replication with a fence and signals the heal target, which then
-/// counts the victim's pairs in its own replica tables.
-pub fn replication_probe() -> Vec<ProbeOutcome> {
+/// counts the victim's pairs in its own replica tables. The world records
+/// into `tel`.
+pub fn replication_probe(tel: &Arc<Registry>) -> Vec<ProbeOutcome> {
     let plan = Arc::new(FaultPlan::with_events(
         PROBE_SEED,
         vec![FaultEvent::RankKill { rank: VICTIM, at: KILL_AT }],
     ));
     let platform = Platform::new(SystemProfile::test_profile(), PROBE_RANKS);
-    let world = WorldConfig::for_tests(PROBE_RANKS).with_faults(plan.clone());
+    let world =
+        WorldConfig::for_tests(PROBE_RANKS).with_faults(plan.clone()).with_telemetry(tel.clone());
     World::run(world, move |rank| {
         let ctx = Context::init_with_group(rank, platform.clone(), "nvm://chaos-probe", 1)
             .expect("probe init");

@@ -112,11 +112,11 @@ pub struct DbInner {
 }
 
 impl DbInner {
-    /// A database of rank `me` in a job of `n_ranks`, over `stack`.
+    /// A database in a job of `n_ranks` recording into `tel`, over `stack`.
     pub(crate) fn new(
         id: u32,
         name: &str,
-        me: usize,
+        tel: CoreTel,
         n_ranks: usize,
         mem: MemModel,
         opt: Options,
@@ -153,7 +153,7 @@ impl DbInner {
             get_stats: OpStats::new(),
             io_errors: Mutex::new(Vec::new()),
             unacked: Mutex::new(BTreeMap::new()),
-            tel: CoreTel::new(me),
+            tel,
             opt,
         }
     }
@@ -229,7 +229,8 @@ impl DbInner {
             clock.merge(done);
         }
         let (n_ranks, mem) = (ctx.rank.size(), ctx.platform.profile.mem.clone());
-        let db = DbInner::new(id, name, me, n_ranks, mem, opt, stack);
+        let tel = CoreTel::new(ctx.rank.fabric().telemetry(), me);
+        let db = DbInner::new(id, name, tel, n_ranks, mem, opt, stack);
         db.io_errors.lock().extend(lost);
         Ok(Arc::new(db))
     }

@@ -380,6 +380,7 @@ mod tests {
     /// show there.
     #[test]
     fn a_cache_fill_never_outlives_a_newer_put() {
+        use crate::tel::CoreTel;
         use crate::write::build_riding_out;
         use papyrus_simtime::{DeviceModel, MemModel};
 
@@ -391,7 +392,8 @@ mod tests {
             let old = [(KEY.to_vec(), value(b"old"))];
             let (old, _) = sstable::build_at(&store, "t/db/r0/sst1", 1, &old, 0);
             let stack = Stack::new(2, vec![old]);
-            let db = DbInner::new(0, "db", 0, 1, MemModel::free(), Options::default(), stack);
+            let tel = CoreTel::new(&Default::default(), 0);
+            let db = DbInner::new(0, "db", tel, 1, MemModel::free(), Options::default(), stack);
             let ingest = || {
                 let protection = db.state.read().protection;
                 db.insert_local(protection, KEY, value(b"new"));

@@ -30,6 +30,7 @@ use papyrus_mpi::{
 };
 use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
 use papyrus_simtime::{Clock, SimNs};
+use papyrus_telemetry::Registry;
 use parking_lot::{Condvar, Mutex};
 
 // See db.rs: protocol atomics go through the facade.
@@ -231,6 +232,9 @@ pub(crate) enum MigrateJob {
 pub(crate) struct CtxInner {
     pub rank: RankCtx,
     pub platform: Arc<Platform>,
+    /// This world's handles on the platform's stores: they carry its fault
+    /// plan and record into its telemetry.
+    storage: StorageMap,
     pub repo: RepoRef,
     /// Logical storage-group size (`PAPYRUSKV_GROUP_SIZE`).
     pub sg_size: usize,
@@ -260,21 +264,20 @@ impl CtxInner {
         self.rank.fabric().faults()
     }
 
-    /// The store backing `rank`'s repository objects, as a handle carrying
-    /// this world's fault plan. The platform's stores keep no fault state:
+    /// The store backing `rank`'s repository objects, as this world's
+    /// handle. The platform's stores keep no fault or telemetry state:
     /// another world on the same platform gets its own handles.
     pub fn repo_store_for(&self, rank: usize) -> NvmStore {
-        let store = match self.repo.kind {
-            RepoKind::Nvm => self.platform.storage.nvm_of(rank),
-            RepoKind::Pfs => self.platform.storage.pfs(),
-        };
-        store.with_faults(self.faults().cloned())
+        match self.repo.kind {
+            RepoKind::Nvm => self.storage.nvm_of(rank).clone(),
+            RepoKind::Pfs => self.storage.pfs().clone(),
+        }
     }
 
-    /// The parallel file system (checkpoint/restart target), as a handle
-    /// carrying this world's fault plan.
+    /// The parallel file system (checkpoint/restart target), as this
+    /// world's handle.
     pub fn pfs(&self) -> NvmStore {
-        self.platform.storage.pfs().with_faults(self.faults().cloned())
+        self.storage.pfs().clone()
     }
 
     /// This rank's repository store.
@@ -295,7 +298,7 @@ impl CtxInner {
         }
         match self.repo.kind {
             RepoKind::Pfs => true,
-            RepoKind::Nvm => self.platform.storage.same_group(a, b),
+            RepoKind::Nvm => self.storage.same_group(a, b),
         }
     }
 
@@ -574,9 +577,12 @@ impl Context {
         let comm_ctl = world.dup();
         let comm_sig = world.dup();
 
+        let fabric = rank.fabric();
+        let storage = platform.storage.for_world(fabric.faults(), fabric.telemetry());
         let inner = Arc::new(CtxInner {
             rank,
             platform,
+            storage,
             repo,
             sg_size,
             comm_req,
@@ -616,6 +622,11 @@ impl Context {
     /// The rank's virtual clock.
     pub fn clock(&self) -> &Clock {
         self.inner.clock()
+    }
+
+    /// The telemetry registry of this rank's world.
+    pub fn telemetry(&self) -> &Arc<Registry> {
+        self.inner.rank.fabric().telemetry()
     }
 
     /// Current virtual time on this rank.

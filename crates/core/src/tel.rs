@@ -1,20 +1,24 @@
 //! Per-rank telemetry handles for the KV engine.
 //!
 //! One [`CoreTel`] is created per opened database and caches interned
-//! handles from the global [`papyrus_telemetry`] registry, so the hot paths
-//! never take the registry lock. Handles are keyed by rank only — multiple
-//! databases opened by the same rank aggregate into the same metrics, which
-//! matches how the paper reports per-rank numbers.
+//! handles from its world's [`Registry`] (reached through the rank's
+//! fabric), so the hot paths never take the registry lock. Handles are
+//! keyed by rank only — multiple databases opened by the same rank
+//! aggregate into the same metrics, which matches how the paper reports
+//! per-rank numbers.
 //!
 //! Span placement: per-operation put/get work is captured in histograms
 //! only (spans would swamp the bounded buffer); the long-running engine
 //! activities — flush, merge compaction, migration, handler ingest/serve,
 //! fence/barrier waits — get real spans on the rank's timeline, on the tid
-//! lane of the thread that performs them.
+//! lane of the task that performs them.
 
-use papyrus_telemetry::{Counter, Histogram, SpanRecorder};
+use std::sync::Arc;
+
+use papyrus_telemetry::{Counter, Histogram, Registry, SpanRecorder};
 
 pub(crate) struct CoreTel {
+    reg: Arc<Registry>,
     pub put_local: Counter,
     pub put_remote: Counter,
     pub put_sync: Counter,
@@ -23,8 +27,8 @@ pub(crate) struct CoreTel {
     pub freeze_local: Counter,
     pub freeze_remote: Counter,
     /// Times a freeze had to block on a full flush/migration queue (the
-    /// paper's DRAM→NVM backpressure); real-thread waits have no virtual
-    /// duration, so they are counted rather than timed.
+    /// paper's DRAM→NVM backpressure); such a wait has no virtual
+    /// duration of its own, so it is counted rather than timed.
     pub freeze_stall: Counter,
     pub flush_count: Counter,
     pub compact_count: Counter,
@@ -67,10 +71,10 @@ pub(crate) struct CoreTel {
 }
 
 impl CoreTel {
-    pub fn new(rank: usize) -> Self {
-        let reg = papyrus_telemetry::global();
+    pub fn new(reg: &Arc<Registry>, rank: usize) -> Self {
         let pid = rank as u32;
         Self {
+            reg: reg.clone(),
             put_local: reg.counter(pid, "kv.put.local"),
             put_remote: reg.counter(pid, "kv.put.remote"),
             put_sync: reg.counter(pid, "kv.put.sync"),
@@ -110,6 +114,6 @@ impl CoreTel {
     /// telemetry work with this to skip even the handle-level checks).
     #[inline]
     pub fn on(&self) -> bool {
-        papyrus_telemetry::is_enabled()
+        self.reg.enabled()
     }
 }

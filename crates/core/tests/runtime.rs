@@ -7,6 +7,7 @@ use std::sync::Arc;
 use papyrus_faultinject::{FaultEvent, FaultPlan};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
+use papyrus_telemetry::Registry;
 use papyruskv::{
     BarrierLevel, Consistency, Context, Error, OpenFlags, Options, Platform, Protection,
 };
@@ -604,18 +605,17 @@ fn virtual_time_advances_with_work() {
 /// counts it); off, every SSTable is searched on NVM and nothing is
 /// counted. The absent keys interleave the present ones (`present7x`
 /// sorts inside the tables' range): a key below a table's first is settled
-/// by the fence index with no read, filter or not. The probing rank's index
-/// is one no other test of this binary uses, so its telemetry counters are
-/// this test's alone.
+/// by the fence index with no read, filter or not.
 #[test]
 fn bloom_filter_option_decides_the_probe() {
-    const RANKS: usize = 6;
-    const PROBE: usize = RANKS - 1;
-    papyrus_telemetry::enable();
+    const RANKS: usize = 2;
+    const PROBE: usize = 1;
     let misses = |bloom: bool| -> (u64, u64) {
         let profile = SystemProfile::summitdev();
         let platform = Platform::new(profile.clone(), RANKS);
-        let out = World::run(WorldConfig::new(RANKS, profile.net), move |rank| {
+        let tel = Arc::new(Registry::with_enabled(true));
+        let world = WorldConfig::new(RANKS, profile.net).with_telemetry(tel.clone());
+        let out = World::run(world, move |rank| {
             let repo = format!("nvm://t-bloom-{bloom}");
             let ctx = Context::init(rank, platform.clone(), &repo).unwrap();
             let opt = Options::small().with_bloom_filter(bloom);
@@ -629,19 +629,18 @@ fn bloom_filter_option_decides_the_probe() {
             }
             db.barrier(BarrierLevel::SsTable).unwrap();
             assert!(db.sstable_count() >= 1, "the probes must reach SSTables");
-            let neg = papyrus_telemetry::global().counter(PROBE as u32, "kv.bloom.neg");
-            let (t0, n0) = (ctx.now(), neg.get());
+            let t0 = ctx.now();
             if ctx.rank() == PROBE {
                 for k in mine("x") {
                     assert_eq!(db.get(k.as_bytes()).unwrap_err(), Error::NotFound);
                 }
             }
-            let out = (ctx.now() - t0, neg.get() - n0);
+            let probe_ns = ctx.now() - t0;
             db.close().unwrap();
             ctx.finalize().unwrap();
-            out
+            probe_ns
         });
-        out[PROBE]
+        (out[PROBE], tel.counter(PROBE as u32, "kv.bloom.neg").get())
     };
     let (on_ns, on_neg) = misses(true);
     let (off_ns, off_neg) = misses(false);
@@ -752,21 +751,17 @@ fn all_readable(db: &papyruskv::Db, prefix: &str, n: usize, value: &[u8]) {
 /// equal clock), freezes a MemTable of its own a virtual second ahead, so
 /// its compaction task flushes only once the world's clocks reach that
 /// second: the ingest stalls at its first freeze, enlists for the slot on
-/// the thread it was lent, and goes on when the flush frees it. The owner
-/// is a rank no other test of this binary uses, so its stall counter is
-/// this test's alone.
+/// the thread it was lent, and goes on when the flush frees it.
 #[test]
 fn a_migrate_that_stalls_mid_batch_waits_for_its_slot_without_parking() {
-    const RANKS: usize = 8;
-    const OWNER: usize = 6;
-    const WRITER: usize = 7;
-    papyrus_telemetry::enable();
+    const RANKS: usize = 3;
+    const OWNER: usize = 1;
+    const WRITER: usize = 2;
     let platform = Platform::new(SystemProfile::test_profile(), RANKS);
-    World::run(WorldConfig::for_tests(RANKS), move |rank| {
+    let tel = Arc::new(Registry::with_enabled(true));
+    World::run(WorldConfig::for_tests(RANKS).with_telemetry(tel.clone()), move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://t-stall").unwrap();
         let db = ctx.open("db", OpenFlags::create(), one_slot(OWNER)).unwrap();
-        let stalls = papyrus_telemetry::global().counter(OWNER as u32, "kv.freeze.stall");
-        let before = stalls.get();
         if ctx.rank() == OWNER {
             ctx.clock().advance(1_000_000_000);
             (0..12).for_each(|i| db.put(format!("own{i}").as_bytes(), &[b'o'; 100]).unwrap());
@@ -776,12 +771,11 @@ fn a_migrate_that_stalls_mid_batch_waits_for_its_slot_without_parking() {
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
         all_readable(&db, "m", 200, &[b'm'; 100]);
-        if ctx.rank() == OWNER {
-            assert!(stalls.get() > before, "the ingest found the flush queue full");
-        }
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
+    let stalls = tel.counter(OWNER as u32, "kv.freeze.stall").get();
+    assert!(stalls > 0, "the ingest found the flush queue full");
 }
 
 /// Sequential puts to a remote owner whose MemTable fills every few
@@ -856,12 +850,9 @@ fn a_confirmed_death_fails_later_requests_at_once() {
 /// one fence, and the network drops the first MIGRATE. The dispatcher waits
 /// for no ack: the fence collects both, and resends the dropped batch once.
 /// The second batch's ack, which arrives while the first's is awaited, is
-/// collected there, not thrown away as stale, so it is not resent too. No
-/// other test of this binary retries a request of rank 0, so its retry
-/// counter is this test's alone.
+/// collected there, not thrown away as stale, so it is not resent too.
 #[test]
 fn a_dropped_migrate_is_resent_once_by_the_fence() {
-    papyrus_telemetry::enable();
     // The window ends at 1 s: a world whose plan never settles has no
     // livelock verdict, and a failed assertion on rank 0 would leave rank 1
     // probing it forever.
@@ -874,21 +865,17 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
     };
     let plan = Arc::new(FaultPlan::with_events(1, vec![drop]));
     let platform = Platform::new(SystemProfile::test_profile(), 2);
-    World::run(WorldConfig::for_tests(2).with_faults(plan), move |rank| {
+    let tel = Arc::new(Registry::with_enabled(true));
+    let world = WorldConfig::for_tests(2).with_faults(plan).with_telemetry(tel.clone());
+    World::run(world, move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://t-drop").unwrap();
         let opt = Options::small().with_custom_hash(Arc::new(|_k: &[u8]| 1));
         let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
-        let tel = papyrus_telemetry::global();
-        let (retries, migrations) =
-            (tel.counter(0, "rpc_retries"), tel.counter(0, "kv.migrate.count"));
-        let before = (retries.get(), migrations.get());
         if ctx.rank() == 0 {
             // 60 records of 100 B fill the 4 KiB staging MemTable once; the
             // fence ships the rest.
             (0..60).for_each(|i| db.put(format!("d{i}").as_bytes(), &[b'd'; 100]).unwrap());
             db.fence().unwrap();
-            assert_eq!(migrations.get() - before.1, 2, "two migrations");
-            assert_eq!(retries.get() - before.0, 1, "only the dropped batch is resent");
             assert_eq!(db.take_io_errors(), vec![]);
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
@@ -898,4 +885,6 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
+    assert_eq!(tel.counter(0, "kv.migrate.count").get(), 2, "two migrations");
+    assert_eq!(tel.counter(0, "rpc_retries").get(), 1, "only the dropped batch is resent");
 }

@@ -35,8 +35,8 @@
 //!   smell for a missing design) are the two that demand an argument. An
 //!   ordering still decides what another thread sees only where OS threads
 //!   race outside one world's turn-taking: in the baton itself, in the
-//!   `parking_lot` shim, and in telemetry's process-wide registry, which
-//!   worlds running in parallel test threads share. Inside a world every
+//!   `parking_lot` shim, and in a telemetry registry that threads outside
+//!   any world share (its own tests do). Inside a world every
 //!   hand-off goes through the baton's mutex, so there the comment says
 //!   what the atomic records and that nothing is published through it.
 //! - **unsafe-needs-safety-comment** — every `unsafe {` block and

@@ -3,7 +3,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use papyrus_mpi::{Communicator, RankCtx, RecvSrc, RecvTag, Slice, Task};
-use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};
+use papyrus_nvm::{StorageMap, SystemProfile};
 use papyrus_simtime::Clock;
 
 use crate::ldb::MiniLdb;
@@ -92,11 +92,13 @@ impl Mdhim {
         repo: &str,
         cfg: MdhimConfig,
     ) -> Self {
+        let me = rank.rank();
+        // Interned before the first collective: a lock released with a
+        // wake pending would hand the baton on here.
+        let store = if cfg.use_pfs { storage.pfs() } else { storage.nvm_of(me) };
+        let store = store.with_telemetry(rank.fabric().telemetry());
         let comm_req = rank.world().dup();
         let comm_rep = rank.world().dup();
-        let me = rank.rank();
-        let store: NvmStore =
-            if cfg.use_pfs { storage.pfs().clone() } else { storage.nvm_of(me).clone() };
         let ldb = MiniLdb::new(store, format!("{repo}/mdhim/r{me}"), cfg.memtable_capacity);
         let server = server(ldb, comm_req.clone(), comm_rep.clone(), profile.clone());
         let handle = rank.spawn_slices(format!("mdhim-srv-{me}"), server);

@@ -9,15 +9,16 @@ use papyrus_faultinject::{
     FaultPlan, PROBE_DEADLINE_CAP_NS, PROBE_DEADLINE_INIT_NS, PROBE_MISS_THRESHOLD,
 };
 use papyrus_simtime::{transfer_ns, Clock, NetModel, Resource, SimNs};
-use papyrus_telemetry::{Counter, Gauge, Histogram, SpanRecorder, TID_APP};
+use papyrus_telemetry::{Counter, Gauge, Histogram, Registry, SpanRecorder, TID_APP};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::{Rank, Tag};
+use crate::{Rank, Tag, WorldConfig};
 
 /// Per-rank channel telemetry: message/byte counts in both directions,
 /// instantaneous mailbox depth, and per-message wire time. Lives on the
 /// rank's trace timeline (pid == world rank) under category `mpi`.
 pub(crate) struct RankNetTel {
+    reg: Arc<Registry>,
     send_count: Counter,
     send_bytes: Counter,
     recv_count: Counter,
@@ -30,10 +31,10 @@ pub(crate) struct RankNetTel {
 }
 
 impl RankNetTel {
-    fn new(rank: Rank) -> Self {
-        let reg = papyrus_telemetry::global();
+    fn new(reg: &Arc<Registry>, rank: Rank) -> Self {
         let pid = rank as u32;
         Self {
+            reg: reg.clone(),
             send_count: reg.counter(pid, "net.send.count"),
             send_bytes: reg.counter(pid, "net.send.bytes"),
             recv_count: reg.counter(pid, "net.recv.count"),
@@ -48,7 +49,7 @@ impl RankNetTel {
     /// Account an outbound message: `now` is the send time on the sender's
     /// clock, `stamp` the computed arrival time.
     pub(crate) fn on_send(&self, bytes: u64, now: SimNs, stamp: SimNs) {
-        if !papyrus_telemetry::is_enabled() {
+        if !self.reg.enabled() {
             return;
         }
         self.send_count.inc();
@@ -58,13 +59,13 @@ impl RankNetTel {
     }
 
     fn on_deliver(&self, depth: usize) {
-        if papyrus_telemetry::is_enabled() {
+        if self.reg.enabled() {
             self.queue_depth.set(depth as i64);
         }
     }
 
     fn on_recv(&self, bytes: u64, depth: usize) {
-        if !papyrus_telemetry::is_enabled() {
+        if !self.reg.enabled() {
             return;
         }
         self.recv_count.inc();
@@ -256,6 +257,9 @@ pub struct Fabric {
     backbone: Resource,
     backbone_links: u32,
     clocks: Vec<Clock>,
+    /// The world's telemetry ([`crate::WorldConfig::with_telemetry`]):
+    /// every layer of the world interns its handles from it.
+    telemetry: Arc<Registry>,
     tel: Vec<RankNetTel>,
     /// The world's scheduler: every rank thread and helper of this world
     /// is one of its tasks ([`crate::RankCtx::spawn_slices`]).
@@ -298,14 +302,16 @@ pub enum RankStatus {
 }
 
 impl Fabric {
-    /// Create a fabric for `n` ranks with the given interconnect model and
-    /// no fault plan.
+    /// Create a fabric for `n` ranks with the given interconnect model, no
+    /// fault plan and a fresh, disabled registry.
     pub fn new(n: usize, net: NetModel) -> Arc<Self> {
-        Self::with_faults(n, net, None)
+        Self::for_world(&WorldConfig::new(n, net))
     }
 
-    /// Create a fabric whose world runs under `faults` (`None` = unarmed).
-    pub fn with_faults(n: usize, net: NetModel, faults: Option<Arc<FaultPlan>>) -> Arc<Self> {
+    /// Create the fabric of a world configured by `config`: its ranks, its
+    /// interconnect, its fault plan and its telemetry.
+    pub fn for_world(config: &WorldConfig) -> Arc<Self> {
+        let (n, faults, telemetry) = (config.ranks, config.faults.clone(), &config.telemetry);
         assert!(n > 0, "a world needs at least one rank");
         // Bisection ≈ n/8 full-rate links: job placement on production
         // machines shares the fabric with other jobs, so the effective
@@ -314,14 +320,15 @@ impl Fabric {
         let backbone_links = (n as u32 / 8).max(1);
         Arc::new(Self {
             n,
-            net,
+            net: config.net.clone(),
             mailboxes: (0..n).map(|_| Mutex::default()).collect(),
             nic_tx: (0..n).map(|_| Resource::new()).collect(),
             nic_rx: (0..n).map(|_| Resource::new()).collect(),
             backbone: Resource::new(),
             backbone_links,
             clocks: (0..n).map(|_| Clock::new()).collect(),
-            tel: (0..n).map(RankNetTel::new).collect(),
+            telemetry: telemetry.clone(),
+            tel: (0..n).map(|rank| RankNetTel::new(telemetry, rank)).collect(),
             baton: Baton::new(faults.as_ref().map_or(0, |plan| plan.horizon())),
             world_record: Arc::new(CommRecord::new((0..n).collect())),
             children: Mutex::new(HashMap::new()),
@@ -348,6 +355,11 @@ impl Fabric {
     /// The fault plan this world was armed with, if any.
     pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
+    }
+
+    /// The world's telemetry registry.
+    pub fn telemetry(&self) -> &Arc<Registry> {
+        &self.telemetry
     }
 
     /// The world's scheduler.
@@ -474,7 +486,7 @@ impl Fabric {
                     dead[target] = true;
                     first
                 };
-                if first && papyrus_telemetry::is_enabled() {
+                if first && self.telemetry.enabled() {
                     self.tel[me].failover.inc();
                 }
                 return (RankStatus::Dead, t.saturating_sub(now));

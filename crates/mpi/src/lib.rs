@@ -35,6 +35,11 @@
 //! heartbeat failure detector all read it from there — so worlds in one
 //! process never share faults, and an unarmed world's receives and
 //! collectives park untimed.
+//!
+//! Telemetry: the same holds for the `papyrus_telemetry::Registry` a
+//! world records into ([`WorldConfig::with_telemetry`]; a fresh, disabled
+//! one by default). Every layer of the world interns its handles from
+//! [`Fabric::telemetry`].
 
 mod comm;
 mod fabric;

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use papyrus_baton::{Slice, Task, Verdict};
 use papyrus_faultinject::FaultPlan;
 use papyrus_simtime::{Clock, NetModel, SimNs};
+use papyrus_telemetry::Registry;
 
 use crate::comm::Communicator;
 use crate::fabric::Fabric;
@@ -22,17 +23,27 @@ pub struct WorldConfig {
     /// world's [`Fabric`] and reaches everything else from there, so arming
     /// one world arms no other.
     pub faults: Option<Arc<FaultPlan>>,
+    /// The registry this world records its telemetry into (by default a
+    /// fresh one, disabled). Like the fault plan it lives on the world's
+    /// [`Fabric`]; whoever built the world reads its snapshot afterwards.
+    pub telemetry: Arc<Registry>,
 }
 
 impl WorldConfig {
     /// A world of `ranks` ranks on the given interconnect.
     pub fn new(ranks: usize, net: NetModel) -> Self {
-        Self { ranks, net, faults: None }
+        Self { ranks, net, faults: None, telemetry: Arc::default() }
     }
 
     /// The same world, armed with a fault plan.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
+        self
+    }
+
+    /// The same world, recording into `registry`.
+    pub fn with_telemetry(mut self, registry: Arc<Registry>) -> Self {
+        self.telemetry = registry;
         self
     }
 
@@ -65,7 +76,7 @@ impl World {
         T: Send + 'static,
         F: Fn(RankCtx) -> T + Send + Sync + 'static,
     {
-        let fabric = Fabric::with_faults(config.ranks, config.net.clone(), config.faults.clone());
+        let fabric = Fabric::for_world(&config);
         let f = Arc::new(f);
         let tasks: Vec<Task<T>> = (0..config.ranks)
             .map(|rank| {
@@ -75,7 +86,10 @@ impl World {
                     format!("rank-{rank}"),
                     rank,
                     Some(Box::new(move || clock.now())),
-                    move || f(RankCtx::new(ctx_fabric, rank)),
+                    move || {
+                        papyrus_telemetry::enter_world(ctx_fabric.telemetry().clone());
+                        f(RankCtx::new(ctx_fabric, rank))
+                    },
                 )
             })
             .collect();
@@ -180,7 +194,11 @@ impl RankCtx {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.fabric.baton().spawn(name, self.rank, None, f)
+        let telemetry = self.fabric.telemetry().clone();
+        self.fabric.baton().spawn(name, self.rank, None, move || {
+            papyrus_telemetry::enter_world(telemetry);
+            f()
+        })
     }
 
     /// Spawn a run-to-completion helper of this rank (PapyrusKV's compaction

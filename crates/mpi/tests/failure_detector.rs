@@ -9,7 +9,7 @@ use papyrus_simtime::NetModel;
 
 fn armed(ranks: usize, events: Vec<FaultEvent>) -> Arc<Fabric> {
     let plan = Arc::new(FaultPlan::with_events(1, events));
-    Fabric::with_faults(ranks, NetModel::infiniband_edr(), Some(plan))
+    Fabric::for_world(&WorldConfig::new(ranks, NetModel::infiniband_edr()).with_faults(plan))
 }
 
 /// Delay spikes delay acks but must NOT look like death: the growing probe

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use papyrus_faultinject::{Backoff, FaultPlan, IoFault};
 use papyrus_simtime::{AccessPattern, Clock, DeviceModel, Resource, SimNs};
-use papyrus_telemetry::{Counter, Histogram, SpanRecorder};
+use papyrus_telemetry::{Counter, Histogram, Registry, SpanRecorder};
 
 use crate::backend::{Backend, MemBackend};
 
@@ -14,10 +14,12 @@ use crate::backend::{Backend, MemBackend};
 const IO_BACKOFF_BASE_NS: SimNs = 50_000; // 50 µs
 const IO_BACKOFF_CAP_NS: SimNs = 20_000_000; // 20 ms
 
-/// Telemetry handles for one store, shared by all clones. Each store owns
-/// its own trace timeline (pid ≥ [`papyrus_telemetry::NVM_PID_BASE`]) so
-/// device occupancy renders as a separate track in Chrome/Perfetto.
+/// Telemetry handles for one store in one world's registry. Each store
+/// owns its own trace timeline there (pid ≥
+/// [`papyrus_telemetry::NVM_PID_BASE`]) so device occupancy renders as a
+/// separate track in Chrome/Perfetto.
 struct StoreTel {
+    reg: Arc<Registry>,
     read_ops: Counter,
     read_bytes: Counter,
     write_ops: Counter,
@@ -30,10 +32,10 @@ struct StoreTel {
 }
 
 impl StoreTel {
-    fn new(device_name: &str) -> Self {
-        let reg = papyrus_telemetry::global();
-        let pid = reg.alloc_store_pid(&format!("nvm {device_name}"));
+    fn new(reg: &Arc<Registry>, store: &NvmStore) -> Self {
+        let pid = reg.store_pid(store.queue.id(), &format!("nvm {}", store.device.name));
         Self {
+            reg: reg.clone(),
             read_ops: reg.counter(pid, "io.read.ops"),
             read_bytes: reg.counter(pid, "io.read.bytes"),
             write_ops: reg.counter(pid, "io.write.ops"),
@@ -57,9 +59,6 @@ impl StoreTel {
         cost: SimNs,
         done: SimNs,
     ) {
-        if !papyrus_telemetry::is_enabled() {
-            return;
-        }
         if is_write {
             self.write_ops.inc();
             self.write_bytes.add(bytes);
@@ -73,9 +72,6 @@ impl StoreTel {
     }
 
     fn meta(&self, name: &'static str, now: SimNs, done: SimNs) {
-        if !papyrus_telemetry::is_enabled() {
-            return;
-        }
         self.meta_ops.inc();
         self.rec.span("nvm", name, 0, now, done);
     }
@@ -96,16 +92,18 @@ impl StoreTel {
 ///   transfer) that must not block the application rank's clock. The stamp
 ///   is reconciled later at a fence/barrier.
 ///
-/// An `NvmStore` value is a *handle*: clones share the device queue, the
-/// backend and the telemetry. What a handle does not share is its fault
-/// plan ([`NvmStore::with_faults`]) — the store itself keeps no fault state,
-/// so two worlds using one store each see only their own plan.
+/// An `NvmStore` value is a *handle*: clones share the device queue and
+/// the backend. What a handle does not share is its fault plan
+/// ([`NvmStore::with_faults`]) and its telemetry
+/// ([`NvmStore::with_telemetry`]) — the store itself keeps neither, so two
+/// worlds using one store each see only their own plan and record into
+/// their own registry. A handle with no registry records nothing.
 #[derive(Clone)]
 pub struct NvmStore {
     device: DeviceModel,
     queue: Resource,
     backend: Arc<dyn Backend>,
-    tel: Arc<StoreTel>,
+    tel: Option<Arc<StoreTel>>,
     /// The fault schedule ops issued through *this handle* run under.
     faults: Option<Arc<FaultPlan>>,
 }
@@ -127,15 +125,22 @@ impl NvmStore {
 
     /// A store with an explicit backend.
     pub fn with_backend(device: DeviceModel, backend: Arc<dyn Backend>) -> Self {
-        let tel = Arc::new(StoreTel::new(device.name));
-        Self { device, queue: Resource::new(), backend, tel, faults: None }
+        Self { device, queue: Resource::new(), backend, tel: None, faults: None }
     }
 
     /// A handle on the same store whose operations run under `faults`
     /// (`None` = none). The runtime hands these out per world
-    /// (`papyruskv`'s `repo_store_for`); the store behind them is untouched.
+    /// ([`StorageMap::for_world`](crate::StorageMap::for_world)); the store
+    /// behind them is untouched.
     pub fn with_faults(&self, faults: Option<Arc<FaultPlan>>) -> Self {
         Self { faults, ..self.clone() }
+    }
+
+    /// A handle on the same store whose operations record into `reg`, on
+    /// the store's one timeline there: every handle of one store made with
+    /// one registry shares its pid and its counters.
+    pub fn with_telemetry(&self, reg: &Arc<Registry>) -> Self {
+        Self { tel: Some(Arc::new(StoreTel::new(reg, self))), ..self.clone() }
     }
 
     /// The device cost model.
@@ -151,6 +156,14 @@ impl NvmStore {
     /// The shared device queue (to model contention externally if needed).
     pub fn queue(&self) -> &Resource {
         &self.queue
+    }
+
+    /// Account to this handle's telemetry, while its registry is recording.
+    #[inline]
+    fn record(&self, f: impl FnOnce(&StoreTel)) {
+        if let Some(tel) = self.tel.as_deref().filter(|t| t.reg.enabled()) {
+            f(tel);
+        }
     }
 
     // ----- fault injection -----
@@ -184,9 +197,7 @@ impl NvmStore {
             match op(t) {
                 Ok(v) => return v,
                 Err(_) => {
-                    if papyrus_telemetry::is_enabled() {
-                        self.tel.io_retries.inc();
-                    }
+                    self.record(|tel| tel.io_retries.inc());
                     let bo = backoff.get_or_insert_with(|| {
                         Backoff::new(path_seed(path), IO_BACKOFF_BASE_NS, IO_BACKOFF_CAP_NS)
                     });
@@ -206,7 +217,7 @@ impl NvmStore {
     /// Open/metadata operation at `now`; returns completion stamp.
     pub fn open_at(&self, now: SimNs) -> SimNs {
         let done = self.queue.submit_shared(now, self.device.open_ns(), self.device.parallelism);
-        self.tel.meta("open", now, done);
+        self.record(|tel| tel.meta("open", now, done));
         done
     }
 
@@ -219,7 +230,7 @@ impl NvmStore {
         let cost = self.device.write_ns(bytes, AccessPattern::Sequential) + stall;
         self.backend.put(path, data);
         let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-        self.tel.io("write", true, bytes, now, cost, done);
+        self.record(|tel| tel.io("write", true, bytes, now, cost, done));
         Ok(done)
     }
 
@@ -249,7 +260,7 @@ impl NvmStore {
             let stall = self.inject(false, t)?;
             let cost = self.device.read_ns(data.len() as u64, pattern) + stall;
             let done = self.queue.submit_shared(t, cost, self.device.parallelism);
-            self.tel.io(name, false, data.len() as u64, t, cost, done);
+            self.record(|tel| tel.io(name, false, data.len() as u64, t, cost, done));
             Ok(Some((data, done)))
         })
     }
@@ -276,7 +287,7 @@ impl NvmStore {
     pub fn delete_at(&self, path: &str, now: SimNs) -> (bool, SimNs) {
         let existed = self.backend.delete(path);
         let done = self.queue.submit_shared(now, self.device.open_ns(), self.device.parallelism);
-        self.tel.meta("delete", now, done);
+        self.record(|tel| tel.meta("delete", now, done));
         (existed, done)
     }
 
@@ -285,7 +296,7 @@ impl NvmStore {
     pub fn rename_at(&self, from: &str, to: &str, now: SimNs) -> (bool, SimNs) {
         let moved = self.backend.rename(from, to);
         let done = self.queue.submit_shared(now, self.device.open_ns(), self.device.parallelism);
-        self.tel.meta("rename", now, done);
+        self.record(|tel| tel.meta("rename", now, done));
         (moved, done)
     }
 

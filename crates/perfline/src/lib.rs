@@ -13,9 +13,9 @@
 //!    keyspace (`user%012d`), then a [`BarrierLevel::SsTable`] barrier
 //!    flushes everything — the measured phase starts from the YCSB-like
 //!    "loaded and settled" state.
-//! 2. **Arm**: rank 0 zeroes the global telemetry registry and turns
-//!    recording on, so the exported histograms cover the measured phase
-//!    only (not the load or the final close).
+//! 2. **Arm**: rank 0 turns recording on in the cell's own registry (its
+//!    world's), so the exported histograms cover the measured phase only
+//!    (not the load or the final close).
 //! 3. **Measure**: each rank runs `ops_per_rank` operations drawn from
 //!    the cell's [`Mix`] and [`KeyChooser`]. Reads/updates/RMWs address
 //!    the loaded keyspace; inserts extend per-rank disjoint regions;
@@ -46,6 +46,8 @@
 //! slowing elapsed time (and QPS) by 25% while leaving every op — and so
 //! every queue wait — exactly where it was.
 
+use std::sync::Arc;
+
 use papyrus_bench::value_of;
 use papyrus_bench::workload::{
     ordered_key, KeyChooser, KeyDist, Mix, Op, ALL_MIXES, HOTSPOT_OP_FRACTION,
@@ -53,7 +55,9 @@ use papyrus_bench::workload::{
 };
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::{LatencySummary, PerfSnapshot, WorkloadPerf, PERF_SCHEMA_VERSION};
+use papyrus_telemetry::{
+    LatencySummary, PerfSnapshot, Registry, WorkloadPerf, PERF_SCHEMA_VERSION,
+};
 use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -215,11 +219,6 @@ pub fn run_suite(cfg: &SuiteCfg) -> PerfSnapshot {
 /// row from the merged telemetry of the measured phase.
 pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> WorkloadPerf {
     assert!(cfg.keys_per_rank > 0 && cfg.ops_per_rank > 0 && cfg.max_scan_len > 0);
-    // The telemetry registry a cell resets, arms and reads back is
-    // process-global: cells running concurrently in one process (parallel
-    // test threads) would record into each other's histograms.
-    static CELL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    let _exclusive = CELL.lock();
     let profile = SystemProfile::summitdev();
     let platform = Platform::new(profile.clone(), ranks);
     let loaded = (cfg.keys_per_rank * ranks) as u64;
@@ -235,7 +234,9 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
     // reads are skewed toward recent items rather than keyspace position.
     let read_latest = mix.read > 0 && mix.insert > 0;
 
-    let per_rank = World::run(WorldConfig::new(ranks, profile.net.clone()), move |rank| {
+    let tel = Arc::new(Registry::new());
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://perfline").unwrap();
         let opt = Options::default()
             .with_memtable_capacity(memtable_capacity)
@@ -252,16 +253,15 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
 
-        // Arm telemetry for the measured phase only. Rank 0 resets before
-        // entering the barrier, so no rank proceeds until the registry is
-        // zeroed and recording is on.
+        // Arm telemetry for the measured phase only. Rank 0 turns it on
+        // before entering the barrier, so no rank proceeds until recording
+        // is on.
         if r == 0 {
-            papyrus_telemetry::reset();
-            papyrus_telemetry::enable();
+            ctx.telemetry().set_enabled(true);
         }
         ctx.barrier_all();
 
-        let scan_h = papyrus_telemetry::global().histogram(r as u32, "wl.scan.ns");
+        let scan_h = ctx.telemetry().histogram(r as u32, "wl.scan.ns");
         let chooser = KeyChooser::new(skew, loaded);
         let mut rng = StdRng::seed_from_u64(
             seed ^ (r << 32) ^ (mix.name.as_bytes()[0] as u64) ^ ((skew.label().len() as u64) << 8),
@@ -334,7 +334,7 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
         // rank's close on the disabled side.
         ctx.barrier_all();
         if r == 0 {
-            papyrus_telemetry::disable();
+            ctx.telemetry().set_enabled(false);
         }
         ctx.barrier_all();
         db.close().unwrap();
@@ -342,7 +342,7 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
         (ops_per_rank as u64, bytes, t1 - t0)
     });
 
-    let snap = papyrus_telemetry::snapshot();
+    let snap = tel.snapshot();
     let ops: u64 = per_rank.iter().map(|p| p.0).sum();
     let bytes_moved: u64 = per_rank.iter().map(|p| p.1).sum();
     let elapsed_ns = per_rank.iter().map(|p| p.2).max().unwrap_or(0);

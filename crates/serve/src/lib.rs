@@ -35,11 +35,13 @@ pub mod resp;
 pub mod server;
 pub mod tel;
 
+use std::sync::Arc;
+
 use papyrus_bench::value_of;
 use papyrus_bench::workload::ordered_key;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::{LatencySummary, WorkloadPerf};
+use papyrus_telemetry::{LatencySummary, Registry, WorkloadPerf};
 use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,14 +124,16 @@ impl ServeCfg {
 /// then serve every rank's window at once — each rank is a client-facing
 /// server and, through its message handler, every other rank's storage
 /// peer — and aggregate the per-rank stats. The world's scheduler makes
-/// the whole run a pure function of `cfg.seed`.
-pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
+/// the whole run a pure function of `cfg.seed`. The world records into
+/// `tel`, which is on for the windows alone.
+pub fn run_serve(cfg: &ServeCfg, tel: &Arc<Registry>) -> ServeReport {
     assert!(cfg.ranks > 0 && cfg.conns_per_rank > 0 && cfg.pipeline > 0 && cfg.bursts > 0);
     let profile = SystemProfile::summitdev();
     let platform = Platform::new(profile.clone(), cfg.ranks);
     let mem = profile.mem.clone();
     let cfg2 = cfg.clone();
-    let per_rank = World::run(WorldConfig::new(cfg.ranks, profile.net.clone()), move |rank| {
+    let world = WorldConfig::new(cfg.ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://serve").unwrap();
         let opt = Options::default().with_consistency(Consistency::Relaxed);
         let db = ctx.open("serve", OpenFlags::create(), opt).unwrap();
@@ -145,8 +149,7 @@ pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
         db.barrier(BarrierLevel::SsTable).unwrap();
 
         if r == 0 {
-            papyrus_telemetry::reset();
-            papyrus_telemetry::enable();
+            ctx.telemetry().set_enabled(true);
         }
         ctx.barrier_all();
 
@@ -155,7 +158,7 @@ pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
 
         ctx.barrier_all();
         if r == 0 {
-            papyrus_telemetry::disable();
+            ctx.telemetry().set_enabled(false);
         }
         ctx.barrier_all();
         db.close().unwrap();
@@ -191,7 +194,7 @@ pub fn perf_rows(seed: u64) -> Vec<WorkloadPerf> {
         .into_iter()
         .map(|mix| {
             let cfg = ServeCfg { mix, seed, ..ServeCfg::quick() };
-            let report = run_serve(&cfg);
+            let report = run_serve(&cfg, &Default::default());
             assert!(report.clean(), "serve perf row ran dirty: {:?}", report.violation_example);
             WorkloadPerf {
                 id: format!("serve_{}/{}/r{}", report.mix, report.skew, report.ranks),

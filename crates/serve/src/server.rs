@@ -283,7 +283,7 @@ struct Round {
 impl<'a> Window<'a> {
     fn new(ctx: &'a Context, db: &'a Db, cfg: &'a ServeCfg, mem: &'a MemModel) -> Self {
         let rank = ctx.rank();
-        let tel = ServeTel::new(rank);
+        let tel = ServeTel::new(ctx.telemetry(), rank);
         if tel.on() {
             tel.conns.add(cfg.conns_per_rank as u64);
         }

@@ -1,16 +1,18 @@
 //! Per-rank telemetry handles for the serve plane.
 //!
-//! One [`ServeTel`] is created per serving rank and caches interned
-//! handles from the global [`papyrus_telemetry`] registry (same pattern
-//! as the engine's `CoreTel`), so the request path never takes the
-//! registry lock. The pid lane is the rank, matching every other plane,
+//! One [`ServeTel`] is created per serving window and caches interned
+//! handles from its world's [`Registry`] (same pattern as the engine's
+//! `CoreTel`), so the request path never takes the registry lock. The pid lane is the rank, matching every other plane,
 //! so Chrome-trace output shows serve counters alongside the engine's
 //! flush/migration spans for the same rank.
 
-use papyrus_telemetry::{Counter, Histogram};
+use std::sync::Arc;
+
+use papyrus_telemetry::{Counter, Histogram, Registry};
 
 /// Interned serve-plane metric handles for one rank.
 pub struct ServeTel {
+    reg: Arc<Registry>,
     /// Connections opened on this rank.
     pub conns: Counter,
     /// Commands fully executed (including PING/INFO).
@@ -41,11 +43,11 @@ pub struct ServeTel {
 }
 
 impl ServeTel {
-    /// Intern this rank's serve-plane handles.
-    pub fn new(rank: usize) -> Self {
-        let reg = papyrus_telemetry::global();
+    /// Intern this rank's serve-plane handles from its world's `reg`.
+    pub fn new(reg: &Arc<Registry>, rank: usize) -> Self {
         let pid = rank as u32;
         Self {
+            reg: reg.clone(),
             conns: reg.counter(pid, "serve.conns"),
             cmds: reg.counter(pid, "serve.cmds"),
             errors: reg.counter(pid, "serve.errors"),
@@ -64,6 +66,6 @@ impl ServeTel {
     /// of telemetry work with this to skip even the handle-level checks).
     #[inline]
     pub fn on(&self) -> bool {
-        papyrus_telemetry::is_enabled()
+        self.reg.enabled()
     }
 }

@@ -48,6 +48,12 @@ impl Resource {
         Self::default()
     }
 
+    /// This resource's identity: equal for its clones, distinct among the
+    /// resources alive at one time.
+    pub fn id(&self) -> usize {
+        Arc::as_ptr(&self.busy_until) as usize
+    }
+
     /// Time at which all currently submitted work completes.
     #[inline]
     pub fn busy_until(&self) -> SimNs {

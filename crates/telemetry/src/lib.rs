@@ -2,41 +2,46 @@
 //!
 //! Lock-free metrics and virtual-time tracing for the PapyrusKV simulator.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! 1. **Metrics registry** ([`Registry`]) — named, interned atomic
 //!    [`Counter`]s, [`Gauge`]s, and log-bucketed latency [`Histogram`]s
-//!    (p50/p95/p99/max over virtual [`SimNs`] time, ≤6.25% relative error).
+//!    (p50/p95/p99/max over virtual [`SimNs`](papyrus_simtime::SimNs) time,
+//!    ≤6.25% relative error).
 //! 2. **Span recorder** ([`SpanRecorder`]) — a bounded per-timeline buffer
 //!    of complete spans and instant markers stamped with virtual time,
 //!    exported as Chrome Trace Event JSON ([`TelemetrySnapshot::to_chrome_trace`])
 //!    that opens directly in chrome://tracing or Perfetto.
-//! 3. **A near-zero disabled path** — every handle checks one shared
-//!    relaxed `AtomicBool` and returns; no locks, no allocation. The whole
-//!    subsystem defaults to off and is flipped with [`enable`].
+//! 3. **A near-zero disabled path** — every handle checks its registry's
+//!    relaxed `AtomicBool` and returns; no locks, no allocation. A registry
+//!    starts off and is flipped with [`Registry::set_enabled`].
 //! 4. **Perf snapshots** ([`perf`]) — schema-versioned `BENCH_*.json`
 //!    documents summarising a workload suite (per-workload QPS and merged
 //!    cross-rank latency percentiles) plus the [`compare`] regression gate
 //!    that `cargo xtask perfline --check` runs against a committed baseline.
 //!
-//! Timeline ("pid") conventions: MPI rank `r` is pid `r`; each NVM store
-//! gets its own pid at [`NVM_PID_BASE`]` + store_id`. Within a rank, tids
-//! [`TID_APP`]/[`TID_COMPACT`]/[`TID_DISPATCH`]/[`TID_HANDLER`] separate
-//! the application thread from the background service threads.
+//! A registry belongs to a world: `papyrus_mpi::WorldConfig` carries one
+//! (a fresh, disabled one by default), every layer of the world interns
+//! its handles from it, and whoever built the world reads its snapshot
+//! afterwards. Two worlds running at once record nothing into each other.
 //!
-//! Instrumented code uses the process-global registry:
+//! Timeline ("pid") conventions: MPI rank `r` is pid `r`; each NVM store a
+//! world touches gets its own pid from [`NVM_PID_BASE`] up, in order of
+//! first use. Within a rank, tids [`TID_APP`]/[`TID_COMPACT`]/
+//! [`TID_DISPATCH`]/[`TID_HANDLER`] separate the application task from
+//! the rank's helper tasks.
 //!
 //! ```
-//! use papyrus_telemetry as tel;
+//! use papyrus_telemetry::Registry;
 //!
-//! tel::enable();
-//! let puts = tel::global().counter(0, "kv.put.local");
-//! let lat = tel::global().histogram(0, "kv.put.ns");
+//! let reg = Registry::with_enabled(true);
+//! let puts = reg.counter(0, "kv.put.local");
+//! let lat = reg.histogram(0, "kv.put.ns");
 //! puts.inc();
 //! lat.record(1_250);
-//! let snap = tel::snapshot();
+//! let snap = reg.snapshot();
+//! assert_eq!(snap.counter_sum("kv.put.local"), 1);
 //! assert!(snap.to_chrome_trace().starts_with("{\"traceEvents\":["));
-//! # tel::disable();
 //! ```
 
 mod hist;
@@ -58,55 +63,58 @@ pub use registry::{
 };
 pub use spans::{EventKind, SpanEvent, SpanRecorder, DEFAULT_SPAN_CAPACITY};
 
-use papyrus_simtime::SimNs;
-use std::sync::OnceLock;
+use std::cell::RefCell;
+use std::sync::Arc;
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-global registry (created disabled on first use).
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
+thread_local! {
+    /// The registry of the world whose task runs on this thread.
+    static WORLD: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
-/// Turn on recording in the global registry.
+/// Make `reg` the registry the shim functions act on, for the rest of this
+/// thread's life. `papyrus_mpi::World::run` calls it on every thread of a
+/// world, so a slice — run on some task's thread of the same world —
+/// sees its own world's registry.
+///
+/// The shim — [`reset`], [`enable`], [`disable`] and [`snapshot`] — is for
+/// kvbench, its one caller, which calls it on rank 0 of its world. It goes
+/// with ROADMAP item 1 (the kvbench catch-up), after which kvbench holds its
+/// world's registry like every other caller.
+pub fn enter_world(reg: Arc<Registry>) {
+    WORLD.with(|w| *w.borrow_mut() = Some(reg));
+}
+
+/// The calling thread's world registry; panics off a world's thread.
+fn shim_registry(op: &str) -> Arc<Registry> {
+    WORLD.with(|w| w.borrow().clone()).unwrap_or_else(|| {
+        panic!(
+            "papyrus_telemetry::{op} called outside a world: telemetry belongs to a world's \
+             registry (papyrus_mpi::WorldConfig::with_telemetry), and only a world's thread has one"
+        )
+    })
+}
+
+/// Turn on recording in the calling thread's world registry (shim, see
+/// [`enter_world`]).
 pub fn enable() {
-    global().set_enabled(true);
+    shim_registry("enable").set_enabled(true);
 }
 
-/// Turn off recording in the global registry.
+/// Turn off recording in the calling thread's world registry (shim, see
+/// [`enter_world`]).
 pub fn disable() {
-    global().set_enabled(false);
+    shim_registry("disable").set_enabled(false);
 }
 
-/// Whether the global registry is recording.
-pub fn is_enabled() -> bool {
-    global().enabled()
-}
-
-/// Snapshot the global registry.
+/// Snapshot the calling thread's world registry (shim, see [`enter_world`]).
 pub fn snapshot() -> TelemetrySnapshot {
-    global().snapshot()
+    shim_registry("snapshot").snapshot()
 }
 
-/// Zero all metrics and span buffers in the global registry.
+/// Zero all metrics and span buffers in the calling thread's world registry
+/// (shim, see [`enter_world`]).
 pub fn reset() {
-    global().reset()
-}
-
-/// Record a span on rank `rank`'s timeline in the global registry —
-/// convenience for call sites without a cached recorder.
-pub fn span(
-    rank: usize,
-    cat: &'static str,
-    name: &'static str,
-    tid: u32,
-    start: SimNs,
-    end: SimNs,
-) {
-    if !is_enabled() {
-        return;
-    }
-    global().recorder(rank as u32).span(cat, name, tid, start, end);
+    shim_registry("reset").reset()
 }
 
 #[cfg(test)]
@@ -186,8 +194,33 @@ mod tests {
     #[test]
     fn store_pids_start_at_base_and_increment() {
         let r = Registry::new();
-        assert_eq!(r.alloc_store_pid("nvm a"), NVM_PID_BASE);
-        assert_eq!(r.alloc_store_pid("nvm b"), NVM_PID_BASE + 1);
+        assert_eq!(r.store_pid(7, "nvm a"), NVM_PID_BASE);
+        assert_eq!(r.store_pid(3, "nvm b"), NVM_PID_BASE + 1);
+        assert_eq!(r.store_pid(7, "nvm a"), NVM_PID_BASE, "one timeline per store");
+        assert_eq!(r.snapshot().pid_names.len(), 2);
+    }
+
+    /// The shim acts on the registry its thread entered, and refuses a
+    /// thread that entered none.
+    #[test]
+    fn shim_acts_on_the_threads_world_and_refuses_other_threads() {
+        let reg = Arc::new(Registry::new());
+        let mine = reg.clone();
+        std::thread::spawn(move || {
+            enter_world(mine.clone());
+            enable();
+            mine.counter(0, "c").add(3);
+            assert_eq!(snapshot().counter_sum("c"), 3);
+            reset();
+            disable();
+        })
+        .join()
+        .unwrap();
+        assert!(!reg.enabled());
+        assert_eq!(reg.snapshot().counter_sum("c"), 0);
+        let refused = std::thread::spawn(enable).join().unwrap_err();
+        let msg = refused.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("enable called outside a world"), "{msg}");
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl Counter {
         Self { inner: Arc::new(CounterInner { enabled, value: AtomicU64::new(0) }) }
     }
 
-    /// Standalone always-enabled counter.
-    pub fn new() -> Self {
-        Self::with_flag(Arc::new(AtomicBool::new(true)))
-    }
-
     /// Increment by one. No-op when disabled.
     #[inline]
     pub fn inc(&self) {
@@ -59,12 +54,6 @@ impl Counter {
     }
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 struct GaugeInner {
     enabled: Arc<AtomicBool>,
     value: AtomicI64,
@@ -79,11 +68,6 @@ pub struct Gauge {
 impl Gauge {
     pub(crate) fn with_flag(enabled: Arc<AtomicBool>) -> Self {
         Self { inner: Arc::new(GaugeInner { enabled, value: AtomicI64::new(0) }) }
-    }
-
-    /// Standalone always-enabled gauge.
-    pub fn new() -> Self {
-        Self::with_flag(Arc::new(AtomicBool::new(true)))
     }
 
     /// Overwrite the value. No-op when disabled.
@@ -124,12 +108,6 @@ impl Gauge {
     }
 }
 
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +129,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::new();
+        let g = Gauge::with_flag(Arc::new(AtomicBool::new(true)));
         g.add(10);
         g.sub(3);
         assert_eq!(g.get(), 7);

@@ -1,4 +1,4 @@
-//! Metric/span registry and whole-process snapshotting.
+//! Metric/span registry and whole-world snapshotting.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -14,13 +14,13 @@ use crate::spans::{self, SpanEvent, SpanRecorder, DEFAULT_SPAN_CAPACITY};
 /// Trace pids below this are MPI ranks; NVM store timelines start here.
 pub const NVM_PID_BASE: u32 = 10_000;
 
-/// Thread lane for application (caller) work on a rank timeline.
+/// Lane (trace `tid`) for the application task's work on a rank timeline.
 pub const TID_APP: u32 = 0;
-/// Thread lane for the compaction task.
+/// Lane for the compaction task.
 pub const TID_COMPACT: u32 = 1;
-/// Thread lane for the migration dispatcher task.
+/// Lane for the migration dispatcher task.
 pub const TID_DISPATCH: u32 = 2;
-/// Thread lane for the remote-request handler task.
+/// Lane for the remote-request handler task.
 pub const TID_HANDLER: u32 = 3;
 
 struct RegistryInner {
@@ -30,13 +30,15 @@ struct RegistryInner {
     recorders: Mutex<BTreeMap<u32, SpanRecorder>>,
     pid_names: Mutex<BTreeMap<u32, String>>,
     tid_names: Mutex<BTreeMap<(u32, u32), String>>,
-    next_store_pid: Mutex<u32>,
+    /// Store identity → its timeline pid, in order of first use.
+    store_pids: Mutex<BTreeMap<usize, u32>>,
 }
 
-/// Per-process home for all telemetry state. Handles returned by the
-/// `counter`/`gauge`/`histogram`/`recorder` methods are interned: the same
-/// `(pid, name)` always yields the same underlying atomic, so subsystems on
-/// different threads can share metrics by name.
+/// Home of one world's telemetry state (`papyrus_mpi::WorldConfig`
+/// carries it; two worlds share nothing unless handed the same one).
+/// Handles returned by the `counter`/`gauge`/`histogram`/`recorder`
+/// methods are interned: the same `(pid, name)` always yields the same
+/// underlying atomic, so the world's tasks share metrics by name.
 pub struct Registry {
     enabled: Arc<AtomicBool>,
     inner: RegistryInner,
@@ -59,7 +61,7 @@ impl Registry {
                 recorders: Mutex::new(BTreeMap::new()),
                 pid_names: Mutex::new(BTreeMap::new()),
                 tid_names: Mutex::new(BTreeMap::new()),
-                next_store_pid: Mutex::new(NVM_PID_BASE),
+                store_pids: Mutex::new(BTreeMap::new()),
             },
         }
     }
@@ -113,7 +115,7 @@ impl Registry {
             .clone()
     }
 
-    /// Recorder for an MPI rank; names the pid and its standard thread
+    /// Recorder for an MPI rank; names the pid and its standard task
     /// lanes (app/compact/dispatch/handler) in the trace.
     pub fn recorder_for_rank(&self, rank: usize) -> SpanRecorder {
         let pid = rank as u32;
@@ -125,14 +127,16 @@ impl Registry {
         self.recorder(pid)
     }
 
-    /// Allocate a fresh NVM-store timeline pid (≥ [`NVM_PID_BASE`]) and
-    /// name it `label`.
-    pub fn alloc_store_pid(&self, label: &str) -> u32 {
-        let mut g = self.inner.next_store_pid.lock();
-        let pid = *g;
-        *g += 1;
+    /// The timeline pid of the NVM store identified by `store`: on its
+    /// first use here the next free pid (≥ [`NVM_PID_BASE`]), named `label`.
+    pub fn store_pid(&self, store: usize, label: &str) -> u32 {
+        let mut g = self.inner.store_pids.lock();
+        let next = NVM_PID_BASE + g.len() as u32;
+        let pid = *g.entry(store).or_insert(next);
         drop(g);
-        self.name_pid(pid, label);
+        if pid == next {
+            self.name_pid(pid, label);
+        }
         pid
     }
 
@@ -218,6 +222,12 @@ impl Default for Registry {
     }
 }
 
+impl std::fmt::Debug for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry").field("enabled", &self.enabled()).finish_non_exhaustive()
+    }
+}
+
 /// Point-in-time copy of a [`Registry`]: per-pid metric values plus the
 /// merged, `(pid, ts)`-sorted event stream.
 pub struct TelemetrySnapshot {
@@ -291,9 +301,9 @@ impl TelemetrySnapshot {
     }
 
     /// Human-readable per-pid table of counters, gauges, and histogram
-    /// percentiles (virtual-time units). Zero-valued rows are omitted —
-    /// interned handles outlive `reset()`, so a long sweep accumulates
-    /// dead `(pid, name)` pairs that would otherwise swamp the table.
+    /// percentiles (virtual-time units). Zero-valued rows are omitted:
+    /// every layer interns all its handles up front, and most of them
+    /// stay at zero in any one run.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         let counters: Vec<_> = self.counters.iter().filter(|(_, _, v)| *v != 0).collect();

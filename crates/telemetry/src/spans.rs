@@ -75,11 +75,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Standalone always-enabled recorder for timeline `pid`.
-    pub fn new(pid: u32) -> Self {
-        Self::with_flag(Arc::new(AtomicBool::new(true)), pid, DEFAULT_SPAN_CAPACITY)
-    }
-
     /// The trace pid of this timeline.
     pub fn pid(&self) -> u32 {
         self.inner.pid
@@ -271,7 +266,8 @@ mod tests {
 
     #[test]
     fn span_records_duration() {
-        let rec = SpanRecorder::new(3);
+        let rec =
+            SpanRecorder::with_flag(Arc::new(AtomicBool::new(true)), 3, DEFAULT_SPAN_CAPACITY);
         rec.span("core", "flush", 1, 100, 350);
         let evs = rec.snapshot();
         assert_eq!(evs.len(), 1);
@@ -296,7 +292,8 @@ mod tests {
 
     #[test]
     fn counters_become_counter_tracks() {
-        let rec = SpanRecorder::new(0);
+        let rec =
+            SpanRecorder::with_flag(Arc::new(AtomicBool::new(true)), 0, DEFAULT_SPAN_CAPACITY);
         rec.span("core", "flush", 1, 1_000, 3_000);
         let counters = vec![(0u32, "repl.forwards".to_string(), 7u64), (0, "zero".to_string(), 0)];
         let trace = to_chrome_trace(&rec.snapshot(), &[], &[], &counters, 0);

@@ -6,16 +6,18 @@
 //! chaos schedules with the replication oracle armed — acked keys must
 //! stay readable through a single rank kill, with no owner-dead exemption.
 
+use std::sync::Arc;
+
 use papyrus_chaos::probes::{replication_probe, KEYS_PER_RANK, PROBE_RANKS, VICTIM};
 use papyrus_chaos::{chaos_sweep, ChaosCfg};
+use papyrus_telemetry::Registry;
 
 /// Every key acked before the kill must read back through failover, and
 /// re-replication must converge the heal target to a full copy.
 #[test]
 fn single_kill_failover_and_rereplication_converge() {
-    papyrus_telemetry::enable();
-    let outcomes = replication_probe();
-    papyrus_telemetry::disable();
+    let tel = Arc::new(Registry::with_enabled(true));
+    let outcomes = replication_probe(&tel);
     let total_keys = PROBE_RANKS * KEYS_PER_RANK;
 
     // The victim returns an empty outcome; every survivor must have read
@@ -52,10 +54,8 @@ fn single_kill_failover_and_rereplication_converge() {
 
     // The failover/promotion/re-replication machinery is observable: the
     // new counters must have moved during the probe.
-    let snap = papyrus_telemetry::snapshot();
-    let count = |name: &str| -> u64 {
-        snap.counters.iter().filter(|(_, n, _)| n == name).map(|(_, _, v)| *v).sum()
-    };
+    let snap = tel.snapshot();
+    let count = |name: &str| snap.counter_sum(name);
     assert!(count("repl.forwards") > 0, "no replica forwards counted");
     assert!(count("repl.failovers") > 0, "no failover gets counted");
     assert!(count("repl.promotions") > 0, "no promotion counted");
@@ -64,7 +64,6 @@ fn single_kill_failover_and_rereplication_converge() {
     let trace = snap.to_chrome_trace();
     assert!(trace.contains("\"name\":\"repl.failovers\""));
     assert!(trace.contains("\"ph\":\"C\""));
-    papyrus_telemetry::reset();
 }
 
 /// The tiny pinned sweep, replicated: same five fault classes, but the

@@ -1,27 +1,29 @@
 //! End-to-end telemetry validation: a Figure-6-style put / barrier / get
 //! run with recording enabled must produce a Chrome Trace Event JSON
 //! document that parses, contains spans from all three layers (KV engine,
-//! MPI fabric, NVM stores), and keeps every rank timeline monotone.
-//!
-//! The global registry is process-wide, so the enabled and disabled
-//! scenarios run sequentially inside one test function.
+//! MPI fabric, NVM stores), and keeps every rank timeline monotone. Each
+//! world records into its own registry, so worlds running at once see
+//! only their own counts.
+
+use std::sync::{Arc, Barrier};
 
 use papyrus_integration_tests::json::{self, Json};
 use papyrus_integration_tests::{scenario_key, scenario_value};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::NVM_PID_BASE;
+use papyrus_telemetry::{Registry, TelemetrySnapshot, NVM_PID_BASE};
 use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
 
 const RANKS: usize = 3;
 const ITERS: usize = 40;
 
-/// One Figure-6-shaped workload: fill, barrier(SSTABLE) to force flushes,
-/// then read everything back (half the keys are remote).
-fn run_workload(repo: &str) {
+/// One Figure-6-shaped workload recording into `tel`: fill,
+/// barrier(SSTABLE) to force flushes, then read everything back (half the
+/// keys are remote).
+fn run_workload(repo: &str, tel: &Arc<Registry>) -> TelemetrySnapshot {
     let platform = Platform::new(SystemProfile::test_profile(), RANKS);
     let repo = repo.to_string();
-    World::run(WorldConfig::for_tests(RANKS), move |rank| {
+    World::run(WorldConfig::for_tests(RANKS).with_telemetry(tel.clone()), move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), &repo).unwrap();
         // Small memtable so the fill phase also exercises freeze + flush.
         let db = ctx
@@ -40,25 +42,21 @@ fn run_workload(repo: &str) {
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
+    tel.snapshot()
+}
+
+/// A world whose registry is off leaves nothing behind.
+#[test]
+fn a_disabled_registry_records_nothing() {
+    let off = run_workload("nvm://tel-off", &Arc::new(Registry::new()));
+    assert!(off.events.is_empty(), "disabled run recorded {} events", off.events.len());
+    assert!(off.counters.iter().all(|(_, _, v)| *v == 0), "disabled run bumped a counter");
+    assert!(off.histograms.iter().all(|(_, _, h)| h.count == 0), "disabled run filled a histogram");
 }
 
 #[test]
 fn chrome_trace_covers_all_layers_and_is_monotone() {
-    // --- Disabled scenario: recording off must leave nothing behind. ---
-    papyrus_telemetry::reset();
-    papyrus_telemetry::disable();
-    run_workload("nvm://tel-off");
-    let off = papyrus_telemetry::snapshot();
-    assert!(off.events.is_empty(), "disabled run recorded {} events", off.events.len());
-    assert!(off.counters.iter().all(|(_, _, v)| *v == 0), "disabled run bumped a counter");
-    assert!(off.histograms.iter().all(|(_, _, h)| h.count == 0), "disabled run filled a histogram");
-
-    // --- Enabled scenario. ---
-    papyrus_telemetry::reset();
-    papyrus_telemetry::enable();
-    run_workload("nvm://tel-on");
-    let snap = papyrus_telemetry::snapshot();
-    papyrus_telemetry::disable();
+    let snap = run_workload("nvm://tel-on", &Arc::new(Registry::with_enabled(true)));
 
     // Spans from each layer, by category.
     let cat_of = |name: &str| -> usize { snap.events.iter().filter(|e| e.cat == name).count() };
@@ -75,9 +73,7 @@ fn chrome_trace_covers_all_layers_and_is_monotone() {
     assert_eq!(snap.dropped_events, 0, "span buffer overflowed in a small run");
 
     // Counters and histograms got real traffic.
-    let counter = |name: &str| -> u64 {
-        snap.counters.iter().filter(|(_, n, _)| n == name).map(|(_, _, v)| v).sum()
-    };
+    let counter = |name: &str| snap.counter_sum(name);
     // Keys are hash-distributed, so the local/remote split depends on the
     // hash — but the totals must account for every operation.
     assert_eq!(counter("kv.put.local") + counter("kv.put.remote"), (RANKS * ITERS) as u64);
@@ -132,4 +128,54 @@ fn chrome_trace_covers_all_layers_and_is_monotone() {
         doc.get("otherData").and_then(|o| o.get("clock")).and_then(Json::as_str),
         Some("virtual-SimNs")
     );
+}
+
+/// A world of two ranks recording into `tel`: rank 0 puts `puts` keys, all
+/// its own, and rank 1 reads every one back from it.
+fn owner_and_reader(puts: usize, tel: &Arc<Registry>) -> TelemetrySnapshot {
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    World::run(WorldConfig::for_tests(2).with_telemetry(tel.clone()), move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://tel-own").unwrap();
+        let opt = Options::small().with_custom_hash(Arc::new(|_k: &[u8]| 0));
+        let db = ctx.open("own", OpenFlags::create(), opt).unwrap();
+        if ctx.rank() == 0 {
+            (0..puts).for_each(|i| db.put(&scenario_key(0, i), b"v").unwrap());
+        }
+        db.barrier(BarrierLevel::MemTable).unwrap();
+        if ctx.rank() == 1 {
+            (0..puts).for_each(|i| assert_eq!(&db.get(&scenario_key(0, i)).unwrap()[..], b"v"));
+        }
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+    tel.snapshot()
+}
+
+/// Two worlds run at once, on two OS threads, each recording into its own
+/// registry and doing a different amount of work: each snapshot holds
+/// exactly its own world's puts and messages, the counts each world makes
+/// when it runs alone.
+#[test]
+fn worlds_running_at_once_count_only_their_own_work() {
+    const PUTS: [usize; 2] = [30, 70];
+    let alone = PUTS.map(|puts| owner_and_reader(puts, &Arc::new(Registry::with_enabled(true))));
+    let start = Barrier::new(2);
+    let together = std::thread::scope(|s| {
+        let world = |puts| {
+            let start = &start;
+            s.spawn(move || {
+                let tel = Arc::new(Registry::with_enabled(true));
+                start.wait();
+                owner_and_reader(puts, &tel)
+            })
+        };
+        PUTS.map(world).map(|t| t.join().unwrap())
+    });
+    for ((puts, alone), together) in PUTS.iter().zip(&alone).zip(&together) {
+        let count = |snap: &TelemetrySnapshot, name| snap.counter_sum(name);
+        assert_eq!(count(together, "kv.put.local"), *puts as u64);
+        assert_eq!(count(together, "kv.get.remote"), *puts as u64);
+        assert!(count(alone, "net.send.count") > 2 * *puts as u64, "a remote get is two messages");
+        assert_eq!(count(together, "net.send.count"), count(alone, "net.send.count"));
+    }
 }

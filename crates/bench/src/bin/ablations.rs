@@ -7,12 +7,9 @@
 //! SSTables and write amplification; the growth table fills one database
 //! that is never reset.
 
-use std::sync::Arc;
-
 use papyrus_bench::{random_keys, value_of, BenchArgs, PhaseResult, RankPhase};
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::Registry;
 use papyruskv::{BarrierLevel, CompactionTrigger, Context, OpenFlags, Options, Platform};
 
 const VALUE_LEN: usize = 32 << 10;
@@ -36,8 +33,9 @@ fn run(
 ) -> AblationOut {
     let platform = Platform::new(profile.clone(), ranks);
     // The stores' and the database's own counters, for this run alone.
-    let tel = Arc::new(Registry::with_enabled(true));
-    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let world = WorldConfig::new(ranks, profile.net.clone());
+    let tel = world.telemetry.clone();
+    tel.set_enabled(true);
     let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank.clone(), platform.clone(), "nvm://ablate").unwrap();
         let db = ctx.open("db", OpenFlags::create(), opt.clone()).unwrap();

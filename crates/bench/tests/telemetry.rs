@@ -8,7 +8,8 @@ use papyrus_telemetry::NVM_PID_BASE;
 use papyruskv::{Context, OpenFlags, Options, Platform};
 
 /// A world of `ranks` ranks on a platform of its own (one NVM store a
-/// rank, plus the PFS), each rank putting one key; traced as `args` says.
+/// rank, plus a PFS no rank touches), each rank putting one key; traced as
+/// `args` says.
 fn run(args: &BenchArgs, ranks: usize) {
     let platform = Platform::new(SystemProfile::test_profile(), ranks);
     let world = WorldConfig::for_tests(ranks).with_telemetry(args.telemetry_begin());
@@ -22,7 +23,7 @@ fn run(args: &BenchArgs, ranks: usize) {
 }
 
 /// After two worlds have run, the trace names the second world's stores —
-/// its PFS and its two NVM stores — and none of the first world's five.
+/// its two NVM stores — and none of the first world's four, nor a PFS.
 #[test]
 fn the_trace_names_only_the_last_worlds_stores() {
     let path = std::env::temp_dir().join(format!("papyrus-bench-tel-{}.json", std::process::id()));
@@ -48,7 +49,7 @@ fn the_trace_names_only_the_last_worlds_stores() {
         .collect();
     stores.sort();
     let profile = SystemProfile::test_profile();
-    let (pfs, nvm) = (format!("nvm {}", profile.pfs.name), format!("nvm {}", profile.nvm.name));
-    let expected = [(NVM_PID_BASE, pfs), (NVM_PID_BASE + 1, nvm.clone()), (NVM_PID_BASE + 2, nvm)];
+    let nvm = format!("nvm {}", profile.nvm.name);
+    let expected = [(NVM_PID_BASE, nvm.clone()), (NVM_PID_BASE + 1, nvm)];
     assert_eq!(stores, expected);
 }

@@ -324,7 +324,9 @@ fn search_peer_ssts(
     // What the owner no longer lists it has compacted away: let go of the
     // fence image and the bloom filter held for it.
     db.peer_readers.lock().retain(|&(of, ssid), _| of != owner || ssids_desc.contains(&ssid));
-    let store = ctx.repo_store_for(owner);
+    // The owner answered `SearchShared` because its tables are on this
+    // rank's store too.
+    let store = ctx.repo_store();
     for &ssid in ssids_desc {
         let Some(table) = peer_reader(ctx, db, &store, owner, ssid, clock) else {
             return SstGet::NotFound;

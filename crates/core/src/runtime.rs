@@ -232,9 +232,11 @@ pub(crate) enum MigrateJob {
 pub(crate) struct CtxInner {
     pub rank: RankCtx,
     pub platform: Arc<Platform>,
-    /// This world's handles on the platform's stores: they carry its fault
-    /// plan and record into its telemetry.
-    storage: StorageMap,
+    /// This rank's repository store, as this world's handle.
+    store: NvmStore,
+    /// The PFS as this world's handle, made at its first use (a checkpoint
+    /// or a restart): a world that never touches the PFS names no timeline.
+    pfs: Mutex<Option<NvmStore>>,
     pub repo: RepoRef,
     /// Logical storage-group size (`PAPYRUSKV_GROUP_SIZE`).
     pub sg_size: usize,
@@ -257,6 +259,13 @@ pub(crate) struct CtxInner {
     finalized: AtomicBool,
 }
 
+/// A world's handle on `store`, under its fault plan and recording into its
+/// registry: the platform's stores keep neither, so each world has its own.
+fn world_handle(rank: &RankCtx, store: &NvmStore) -> NvmStore {
+    let fabric = rank.fabric();
+    store.with_faults(fabric.faults().cloned()).with_telemetry(fabric.telemetry())
+}
+
 impl CtxInner {
     /// The fault plan this rank's world was armed with
     /// (`WorldConfig::with_faults`), if any.
@@ -264,25 +273,17 @@ impl CtxInner {
         self.rank.fabric().faults()
     }
 
-    /// The store backing `rank`'s repository objects, as this world's
-    /// handle. The platform's stores keep no fault or telemetry state:
-    /// another world on the same platform gets its own handles.
-    pub fn repo_store_for(&self, rank: usize) -> NvmStore {
-        match self.repo.kind {
-            RepoKind::Nvm => self.storage.nvm_of(rank).clone(),
-            RepoKind::Pfs => self.storage.pfs().clone(),
-        }
-    }
-
     /// The parallel file system (checkpoint/restart target), as this
     /// world's handle.
     pub fn pfs(&self) -> NvmStore {
-        self.storage.pfs().clone()
+        let mut pfs = self.pfs.lock();
+        pfs.get_or_insert_with(|| world_handle(&self.rank, self.platform.storage.pfs())).clone()
     }
 
-    /// This rank's repository store.
+    /// This rank's repository store, as this world's handle; the SSTables of
+    /// every rank it [shares storage](CtxInner::shares_storage) with are on it.
     pub fn repo_store(&self) -> NvmStore {
-        self.repo_store_for(self.rank.rank())
+        self.store.clone()
     }
 
     /// Logical storage-group id of a rank.
@@ -298,7 +299,7 @@ impl CtxInner {
         }
         match self.repo.kind {
             RepoKind::Pfs => true,
-            RepoKind::Nvm => self.storage.same_group(a, b),
+            RepoKind::Nvm => self.platform.storage.same_group(a, b),
         }
     }
 
@@ -577,12 +578,17 @@ impl Context {
         let comm_ctl = world.dup();
         let comm_sig = world.dup();
 
-        let fabric = rank.fabric();
-        let storage = platform.storage.for_world(fabric.faults(), fabric.telemetry());
+        let store = match repo.kind {
+            RepoKind::Nvm => platform.storage.nvm_of(rank.rank()),
+            RepoKind::Pfs => platform.storage.pfs(),
+        };
+        let store = world_handle(&rank, store);
+        let pfs = matches!(repo.kind, RepoKind::Pfs).then(|| store.clone());
         let inner = Arc::new(CtxInner {
             rank,
             platform,
-            storage,
+            store,
+            pfs: Mutex::new(pfs),
             repo,
             sg_size,
             comm_req,

@@ -608,13 +608,13 @@ fn virtual_time_advances_with_work() {
 /// by the fence index with no read, filter or not.
 #[test]
 fn bloom_filter_option_decides_the_probe() {
-    const RANKS: usize = 2;
-    const PROBE: usize = 1;
+    const RANKS: usize = 6;
+    const PROBE: usize = RANKS - 1;
     let misses = |bloom: bool| -> (u64, u64) {
         let profile = SystemProfile::summitdev();
         let platform = Platform::new(profile.clone(), RANKS);
         let tel = Arc::new(Registry::with_enabled(true));
-        let world = WorldConfig::new(RANKS, profile.net).with_telemetry(tel.clone());
+        let world = WorldConfig::new(RANKS, profile.net).with_telemetry(tel);
         let out = World::run(world, move |rank| {
             let repo = format!("nvm://t-bloom-{bloom}");
             let ctx = Context::init(rank, platform.clone(), &repo).unwrap();
@@ -629,18 +629,19 @@ fn bloom_filter_option_decides_the_probe() {
             }
             db.barrier(BarrierLevel::SsTable).unwrap();
             assert!(db.sstable_count() >= 1, "the probes must reach SSTables");
-            let t0 = ctx.now();
+            let neg = ctx.telemetry().counter(PROBE as u32, "kv.bloom.neg");
+            let (t0, n0) = (ctx.now(), neg.get());
             if ctx.rank() == PROBE {
                 for k in mine("x") {
                     assert_eq!(db.get(k.as_bytes()).unwrap_err(), Error::NotFound);
                 }
             }
-            let probe_ns = ctx.now() - t0;
+            let out = (ctx.now() - t0, neg.get() - n0);
             db.close().unwrap();
             ctx.finalize().unwrap();
-            probe_ns
+            out
         });
-        (out[PROBE], tel.counter(PROBE as u32, "kv.bloom.neg").get())
+        out[PROBE]
     };
     let (on_ns, on_neg) = misses(true);
     let (off_ns, off_neg) = misses(false);
@@ -754,14 +755,16 @@ fn all_readable(db: &papyruskv::Db, prefix: &str, n: usize, value: &[u8]) {
 /// the thread it was lent, and goes on when the flush frees it.
 #[test]
 fn a_migrate_that_stalls_mid_batch_waits_for_its_slot_without_parking() {
-    const RANKS: usize = 3;
-    const OWNER: usize = 1;
-    const WRITER: usize = 2;
+    const RANKS: usize = 8;
+    const OWNER: usize = 6;
+    const WRITER: usize = 7;
     let platform = Platform::new(SystemProfile::test_profile(), RANKS);
     let tel = Arc::new(Registry::with_enabled(true));
-    World::run(WorldConfig::for_tests(RANKS).with_telemetry(tel.clone()), move |rank| {
+    World::run(WorldConfig::for_tests(RANKS).with_telemetry(tel), move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://t-stall").unwrap();
         let db = ctx.open("db", OpenFlags::create(), one_slot(OWNER)).unwrap();
+        let stalls = ctx.telemetry().counter(OWNER as u32, "kv.freeze.stall");
+        let before = stalls.get();
         if ctx.rank() == OWNER {
             ctx.clock().advance(1_000_000_000);
             (0..12).for_each(|i| db.put(format!("own{i}").as_bytes(), &[b'o'; 100]).unwrap());
@@ -771,11 +774,12 @@ fn a_migrate_that_stalls_mid_batch_waits_for_its_slot_without_parking() {
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
         all_readable(&db, "m", 200, &[b'm'; 100]);
+        if ctx.rank() == OWNER {
+            assert!(stalls.get() > before, "the ingest found the flush queue full");
+        }
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
-    let stalls = tel.counter(OWNER as u32, "kv.freeze.stall").get();
-    assert!(stalls > 0, "the ingest found the flush queue full");
 }
 
 /// Sequential puts to a remote owner whose MemTable fills every few
@@ -866,16 +870,21 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
     let plan = Arc::new(FaultPlan::with_events(1, vec![drop]));
     let platform = Platform::new(SystemProfile::test_profile(), 2);
     let tel = Arc::new(Registry::with_enabled(true));
-    let world = WorldConfig::for_tests(2).with_faults(plan).with_telemetry(tel.clone());
-    World::run(world, move |rank| {
+    World::run(WorldConfig::for_tests(2).with_faults(plan).with_telemetry(tel), move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://t-drop").unwrap();
         let opt = Options::small().with_custom_hash(Arc::new(|_k: &[u8]| 1));
         let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        let tel = ctx.telemetry();
+        let (retries, migrations) =
+            (tel.counter(0, "rpc_retries"), tel.counter(0, "kv.migrate.count"));
+        let before = (retries.get(), migrations.get());
         if ctx.rank() == 0 {
             // 60 records of 100 B fill the 4 KiB staging MemTable once; the
             // fence ships the rest.
             (0..60).for_each(|i| db.put(format!("d{i}").as_bytes(), &[b'd'; 100]).unwrap());
             db.fence().unwrap();
+            assert_eq!(migrations.get() - before.1, 2, "two migrations");
+            assert_eq!(retries.get() - before.0, 1, "only the dropped batch is resent");
             assert_eq!(db.take_io_errors(), vec![]);
         }
         db.barrier(BarrierLevel::SsTable).unwrap();
@@ -885,6 +894,4 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
-    assert_eq!(tel.counter(0, "kv.migrate.count").get(), 2, "two migrations");
-    assert_eq!(tel.counter(0, "rpc_retries").get(), 1, "only the dropped batch is resent");
 }

@@ -37,9 +37,8 @@
 //! collectives park untimed.
 //!
 //! Telemetry: the same holds for the `papyrus_telemetry::Registry` a
-//! world records into ([`WorldConfig::with_telemetry`]; a fresh, disabled
-//! one by default). Every layer of the world interns its handles from
-//! [`Fabric::telemetry`].
+//! world records into ([`WorldConfig::with_telemetry`]; by default a fresh,
+//! disabled one): every layer interns its handles from [`Fabric::telemetry`].
 
 mod comm;
 mod fabric;

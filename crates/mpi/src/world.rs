@@ -194,11 +194,7 @@ impl RankCtx {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let telemetry = self.fabric.telemetry().clone();
-        self.fabric.baton().spawn(name, self.rank, None, move || {
-            papyrus_telemetry::enter_world(telemetry);
-            f()
-        })
+        self.fabric.baton().spawn(name, self.rank, None, f)
     }
 
     /// Spawn a run-to-completion helper of this rank (PapyrusKV's compaction

@@ -33,7 +33,7 @@ struct StoreTel {
 
 impl StoreTel {
     fn new(reg: &Arc<Registry>, store: &NvmStore) -> Self {
-        let pid = reg.store_pid(store.queue.id(), &format!("nvm {}", store.device.name));
+        let pid = reg.store_pid(&store.queue, &format!("nvm {}", store.device.name));
         Self {
             reg: reg.clone(),
             read_ops: reg.counter(pid, "io.read.ops"),
@@ -129,9 +129,9 @@ impl NvmStore {
     }
 
     /// A handle on the same store whose operations run under `faults`
-    /// (`None` = none). The runtime hands these out per world
-    /// ([`StorageMap::for_world`](crate::StorageMap::for_world)); the store
-    /// behind them is untouched.
+    /// (`None` = none). The runtime makes these per world, as each rank's
+    /// context (`papyruskv`'s `Context::init`); the store behind them is
+    /// untouched.
     pub fn with_faults(&self, faults: Option<Arc<FaultPlan>>) -> Self {
         Self { faults, ..self.clone() }
     }

@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use papyrus_faultinject::FaultPlan;
 use papyrus_simtime::{DeviceModel, MemModel, NetModel};
-use papyrus_telemetry::Registry;
 
 use crate::store::NvmStore;
 
@@ -173,16 +171,6 @@ impl StorageMap {
     pub fn from_parts(groups: Vec<NvmStore>, group_size: usize, pfs: NvmStore) -> Self {
         assert!(!groups.is_empty() && group_size > 0);
         Self { group_size, groups: Arc::new(groups), pfs }
-    }
-
-    /// One world's view of this map: every store as a handle running under
-    /// the world's `faults` and recording into its registry `tel`, the PFS
-    /// first (so its timeline comes first), then the groups in order.
-    pub fn for_world(&self, faults: Option<&Arc<FaultPlan>>, tel: &Arc<Registry>) -> Self {
-        let handle = |s: &NvmStore| s.with_faults(faults.cloned()).with_telemetry(tel);
-        let pfs = handle(&self.pfs);
-        let groups = self.groups.iter().map(handle).collect();
-        Self { group_size: self.group_size, groups: Arc::new(groups), pfs }
     }
 
     /// Storage-group id of a rank.

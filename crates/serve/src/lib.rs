@@ -35,13 +35,11 @@ pub mod resp;
 pub mod server;
 pub mod tel;
 
-use std::sync::Arc;
-
 use papyrus_bench::value_of;
 use papyrus_bench::workload::ordered_key;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
-use papyrus_telemetry::{LatencySummary, Registry, WorkloadPerf};
+use papyrus_telemetry::{LatencySummary, WorkloadPerf};
 use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,15 +122,16 @@ impl ServeCfg {
 /// then serve every rank's window at once — each rank is a client-facing
 /// server and, through its message handler, every other rank's storage
 /// peer — and aggregate the per-rank stats. The world's scheduler makes
-/// the whole run a pure function of `cfg.seed`. The world records into
-/// `tel`, which is on for the windows alone.
-pub fn run_serve(cfg: &ServeCfg, tel: &Arc<Registry>) -> ServeReport {
+/// the whole run a pure function of `cfg.seed`. The world's registry,
+/// on for the windows alone, comes back in the report.
+pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
     assert!(cfg.ranks > 0 && cfg.conns_per_rank > 0 && cfg.pipeline > 0 && cfg.bursts > 0);
     let profile = SystemProfile::summitdev();
     let platform = Platform::new(profile.clone(), cfg.ranks);
     let mem = profile.mem.clone();
     let cfg2 = cfg.clone();
-    let world = WorldConfig::new(cfg.ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let world = WorldConfig::new(cfg.ranks, profile.net.clone());
+    let tel = world.telemetry.clone();
     let per_rank = World::run(world, move |rank| {
         let ctx = Context::init(rank, platform.clone(), "nvm://serve").unwrap();
         let opt = Options::default().with_consistency(Consistency::Relaxed);
@@ -165,7 +164,7 @@ pub fn run_serve(cfg: &ServeCfg, tel: &Arc<Registry>) -> ServeReport {
         ctx.finalize().unwrap();
         stats
     });
-    ServeReport::build(cfg, per_rank)
+    ServeReport::build(cfg, per_rank, tel)
 }
 
 /// Approximate payload bytes a report moved (keys + values per store op).
@@ -194,7 +193,7 @@ pub fn perf_rows(seed: u64) -> Vec<WorkloadPerf> {
         .into_iter()
         .map(|mix| {
             let cfg = ServeCfg { mix, seed, ..ServeCfg::quick() };
-            let report = run_serve(&cfg, &Default::default());
+            let report = run_serve(&cfg);
             assert!(report.clean(), "serve perf row ran dirty: {:?}", report.violation_example);
             WorkloadPerf {
                 id: format!("serve_{}/{}/r{}", report.mix, report.skew, report.ranks),

@@ -6,6 +6,10 @@
 //! [`ServeReport::canonical`] strings — the self-test compares them
 //! directly to prove determinism.
 
+use std::sync::Arc;
+
+use papyrus_telemetry::Registry;
+
 use crate::server::WindowStats;
 use crate::ServeCfg;
 
@@ -133,12 +137,14 @@ pub struct ServeReport {
     pub admin: Option<LatSummary>,
     /// First oracle violation, if any.
     pub violation_example: Option<String>,
+    /// The world's telemetry: it recorded the serve windows alone.
+    pub telemetry: Arc<Registry>,
 }
 
 impl ServeReport {
     /// Build the report from per-rank window stats (consumes the latency
-    /// sample vectors).
-    pub fn build(cfg: &ServeCfg, per_rank: Vec<WindowStats>) -> Self {
+    /// sample vectors) and the world's registry.
+    pub fn build(cfg: &ServeCfg, per_rank: Vec<WindowStats>, telemetry: Arc<Registry>) -> Self {
         let mut all_read = Vec::new();
         let mut all_write = Vec::new();
         let mut all_admin = Vec::new();
@@ -189,6 +195,7 @@ impl ServeReport {
             write: LatSummary::from_samples(all_write),
             admin: LatSummary::from_samples(all_admin),
             violation_example: example,
+            telemetry,
         }
     }
 

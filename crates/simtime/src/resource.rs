@@ -48,10 +48,10 @@ impl Resource {
         Self::default()
     }
 
-    /// This resource's identity: equal for its clones, distinct among the
-    /// resources alive at one time.
-    pub fn id(&self) -> usize {
-        Arc::as_ptr(&self.busy_until) as usize
+    /// Whether `a` and `b` are handles on one resource (clones of each
+    /// other).
+    pub fn ptr_eq(a: &Resource, b: &Resource) -> bool {
+        Arc::ptr_eq(&a.busy_until, &b.busy_until)
     }
 
     /// Time at which all currently submitted work completes.

@@ -72,9 +72,9 @@ thread_local! {
 }
 
 /// Make `reg` the registry the shim functions act on, for the rest of this
-/// thread's life. `papyrus_mpi::World::run` calls it on every thread of a
-/// world, so a slice — run on some task's thread of the same world —
-/// sees its own world's registry.
+/// thread's life. `papyrus_mpi::World::run` calls it on every rank's
+/// thread, so a slice — run on some rank's thread of the same world — sees
+/// its own world's registry.
 ///
 /// The shim — [`reset`], [`enable`], [`disable`] and [`snapshot`] — is for
 /// kvbench, its one caller, which calls it on rank 0 of its world. It goes
@@ -120,6 +120,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use papyrus_simtime::Resource;
 
     #[test]
     fn registry_interns_handles() {
@@ -194,10 +195,14 @@ mod tests {
     #[test]
     fn store_pids_start_at_base_and_increment() {
         let r = Registry::new();
-        assert_eq!(r.store_pid(7, "nvm a"), NVM_PID_BASE);
-        assert_eq!(r.store_pid(3, "nvm b"), NVM_PID_BASE + 1);
-        assert_eq!(r.store_pid(7, "nvm a"), NVM_PID_BASE, "one timeline per store");
-        assert_eq!(r.snapshot().pid_names.len(), 2);
+        let (a, b) = (Resource::new(), Resource::new());
+        assert_eq!(r.store_pid(&a, "nvm a"), NVM_PID_BASE);
+        assert_eq!(r.store_pid(&b, "nvm b"), NVM_PID_BASE + 1);
+        assert_eq!(r.store_pid(&a.clone(), "nvm a"), NVM_PID_BASE, "one timeline per store");
+        drop(a);
+        let c = Resource::new();
+        assert_eq!(r.store_pid(&c, "nvm c"), NVM_PID_BASE + 2, "a dropped store's pid stays its");
+        assert_eq!(r.snapshot().pid_names.len(), 3);
     }
 
     /// The shim acts on the registry its thread entered, and refuses a

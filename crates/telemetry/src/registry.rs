@@ -5,6 +5,7 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use papyrus_simtime::Resource;
 use parking_lot::Mutex;
 
 use crate::hist::{Histogram, HistogramData};
@@ -30,8 +31,10 @@ struct RegistryInner {
     recorders: Mutex<BTreeMap<u32, SpanRecorder>>,
     pid_names: Mutex<BTreeMap<u32, String>>,
     tid_names: Mutex<BTreeMap<(u32, u32), String>>,
-    /// Store identity → its timeline pid, in order of first use.
-    store_pids: Mutex<BTreeMap<usize, u32>>,
+    /// Each store's device queue (it names the store, and the clone kept
+    /// here keeps that name from being reused) with its timeline pid, in
+    /// order of first use.
+    store_pids: Mutex<Vec<(Resource, u32)>>,
 }
 
 /// Home of one world's telemetry state (`papyrus_mpi::WorldConfig`
@@ -61,7 +64,7 @@ impl Registry {
                 recorders: Mutex::new(BTreeMap::new()),
                 pid_names: Mutex::new(BTreeMap::new()),
                 tid_names: Mutex::new(BTreeMap::new()),
-                store_pids: Mutex::new(BTreeMap::new()),
+                store_pids: Mutex::new(Vec::new()),
             },
         }
     }
@@ -127,16 +130,18 @@ impl Registry {
         self.recorder(pid)
     }
 
-    /// The timeline pid of the NVM store identified by `store`: on its
-    /// first use here the next free pid (≥ [`NVM_PID_BASE`]), named `label`.
-    pub fn store_pid(&self, store: usize, label: &str) -> u32 {
+    /// The timeline pid of the NVM store whose device queue is `queue`: on
+    /// its first use here the next free pid (≥ [`NVM_PID_BASE`]), named
+    /// `label`.
+    pub fn store_pid(&self, queue: &Resource, label: &str) -> u32 {
         let mut g = self.inner.store_pids.lock();
-        let next = NVM_PID_BASE + g.len() as u32;
-        let pid = *g.entry(store).or_insert(next);
-        drop(g);
-        if pid == next {
-            self.name_pid(pid, label);
+        if let Some(&(_, pid)) = g.iter().find(|(q, _)| Resource::ptr_eq(q, queue)) {
+            return pid;
         }
+        let pid = NVM_PID_BASE + g.len() as u32;
+        g.push((queue.clone(), pid));
+        drop(g);
+        self.name_pid(pid, label);
         pid
     }
 

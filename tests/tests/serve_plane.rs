@@ -21,7 +21,7 @@ fn micro_cfg() -> ServeCfg {
 #[test]
 fn serve_world_is_clean_batching_and_deterministic() {
     let cfg = micro_cfg();
-    let report = run_serve(&cfg, &Default::default());
+    let report = run_serve(&cfg);
 
     assert!(report.clean(), "oracle violations: {:?}", report.violation_example);
     assert_eq!(report.rows.len(), cfg.ranks, "one row per rank window");
@@ -37,9 +37,9 @@ fn serve_world_is_clean_batching_and_deterministic() {
 
     // Same seed ⇒ byte-identical canonical report; different seed ⇒ a
     // different schedule (so the equality above is not vacuous).
-    let again = run_serve(&cfg, &Default::default());
+    let again = run_serve(&cfg);
     assert_eq!(report.canonical(), again.canonical(), "repeat run diverged");
-    let other = run_serve(&ServeCfg { seed: cfg.seed + 1, ..cfg.clone() }, &Default::default());
+    let other = run_serve(&ServeCfg { seed: cfg.seed + 1, ..cfg.clone() });
     assert_ne!(report.canonical(), other.canonical(), "seed does not steer the schedule");
 }
 
@@ -50,7 +50,7 @@ fn ack_before_fence_is_convicted_by_the_durability_probe() {
         mix: LoadMix::WriteHeavy,
         ..micro_cfg()
     };
-    let report = run_serve(&cfg, &Default::default());
+    let report = run_serve(&cfg);
     let (durability, _, protocol) = report.violations();
     assert!(durability > 0, "acked-before-fence writes went unnoticed");
     assert_eq!(protocol, 0, "the planted bug must not corrupt wire framing");
@@ -74,7 +74,7 @@ fn dropped_folded_write_is_convicted_by_read_your_writes() {
         duration_ms: 1,
         ..micro_cfg()
     };
-    let report = run_serve(&cfg, &Default::default());
+    let report = run_serve(&cfg);
     let folded: u64 = report.rows.iter().map(|r| r.folded_dups).sum();
     let writes: u64 = report.rows.iter().map(|r| r.batch_records).sum();
     assert!(

@@ -3,7 +3,6 @@
 //! closure for the shared `--seed-bug` loop.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use papyrus_chaos::{chaos_sweep, run_seed_bug, ChaosCfg};
 use papyrus_crashcheck::{sweep, CrashCfg, FaultMode};
@@ -174,7 +173,7 @@ pub fn serve(args: &[String]) -> ExitCode {
         return plane::self_test("serve", &which, &papyrus_serve::SEED_BUGS, |_, &bug| {
             let seeded =
                 ServeCfg { seed_bug: Some(bug), seed: cfg.seed, mix: cfg.mix, ..ServeCfg::quick() };
-            let report = run_serve(&seeded, &Default::default());
+            let report = run_serve(&seeded);
             let (durability, ryw, _) = report.violations();
             let convicted = match bug {
                 SeedBug::AckBeforeFence => durability > 0,
@@ -188,11 +187,10 @@ pub fn serve(args: &[String]) -> ExitCode {
         });
     }
 
-    let tel = Arc::default();
-    let report = run_serve(&cfg, &tel);
+    let report = run_serve(&cfg);
     print!("{}", report.render());
     if let Some(path) = telemetry {
-        if let Err(e) = tel.snapshot().write_chrome_trace(&path) {
+        if let Err(e) = report.telemetry.snapshot().write_chrome_trace(&path) {
             eprintln!("xtask serve: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -212,7 +210,7 @@ pub fn serve(args: &[String]) -> ExitCode {
         );
         ok = false;
     }
-    if run_serve(&cfg, &Default::default()).canonical() == report.canonical() {
+    if run_serve(&cfg).canonical() == report.canonical() {
         println!("serve: determinism OK — repeat run byte-identical");
     } else {
         println!("serve: FAIL — repeat run diverged (same seed, different report)");

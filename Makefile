@@ -41,6 +41,9 @@ kvbench:
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.0090 ' \
+		&& echo "$$out" | grep -E '^core\.db\.flush_count +16\.0000 ' \
+		&& echo "$$out" | grep -E '^core\.db\.compact_count +0\.0000 ' \
+		&& echo "$$out" | grep -E '^nvm\.store\.write_ops +64\.0000 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.3593 ' \

@@ -362,6 +362,43 @@ pub trait Buf {
         self.copy_to_slice(&mut b);
         u64::from_le_bytes(b)
     }
+
+    /// These bytes, then `next`'s, read as one buffer.
+    fn chain<U: Buf>(self, next: U) -> Chain<Self, U>
+    where
+        Self: Sized,
+    {
+        Chain { first: self, last: next }
+    }
+}
+
+/// Two buffers read one after the other ([`Buf::chain`]).
+pub struct Chain<T, U> {
+    first: T,
+    last: U,
+}
+
+impl<T: Buf, U: Buf> Buf for Chain<T, U> {
+    fn remaining(&self) -> usize {
+        self.first.remaining() + self.last.remaining()
+    }
+    fn chunk(&self) -> &[u8] {
+        if self.first.remaining() > 0 {
+            self.first.chunk()
+        } else {
+            self.last.chunk()
+        }
+    }
+    fn advance(&mut self, cnt: usize) {
+        let in_first = cnt.min(self.first.remaining());
+        self.first.advance(in_first);
+        self.last.advance(cnt - in_first);
+    }
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        let (first, last) = dst.split_at_mut(self.first.remaining().min(dst.len()));
+        self.first.copy_to_slice(first);
+        self.last.copy_to_slice(last);
+    }
 }
 
 impl Buf for Bytes {
@@ -408,11 +445,43 @@ pub trait BufMut {
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
+
+    /// Append what `src` holds — a [`Buf::chain`] of parts, say — chunk by
+    /// chunk.
+    fn put<B: Buf>(&mut self, src: B)
+    where
+        Self: Sized,
+    {
+        put_chunks(self, src);
+    }
+}
+
+/// Append `src` to `dst` a chunk at a time, as that many `put_slice` calls.
+fn put_chunks(dst: &mut impl BufMut, mut src: impl Buf) {
+    while src.remaining() > 0 {
+        let chunk = src.chunk();
+        let n = chunk.len();
+        dst.put_slice(chunk);
+        src.advance(n);
+    }
 }
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+
+    /// A buffer with room for all of `src` checks that once and is borrowed
+    /// once for it. One without grows as appending each chunk in turn grows
+    /// it, so what a growing buffer allocates does not depend on how its
+    /// bytes were handed over.
+    fn put<B: Buf>(&mut self, mut src: B) {
+        let (len, end) = (self.len, self.len + src.remaining());
+        if end > self.capacity() {
+            return put_chunks(self, src);
+        }
+        src.copy_to_slice(&mut self.buf_mut()[len..end]);
+        self.len = end;
     }
 }
 
@@ -473,6 +542,38 @@ mod tests {
         grown[0] = 9;
         assert_eq!((grown.freeze()[..2]).to_vec(), [9, 1]);
         assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    /// A chain reads as its parts in order, empty ones included, and `put`
+    /// appends it whole — into a buffer with room, one that must grow, and a
+    /// `Vec`. A buffer that must grow grows as appending the parts one by
+    /// one grows it: to the capacity of the same `put_slice` calls.
+    #[test]
+    fn put_appends_a_chain_of_parts() {
+        let parts = || (&b"head"[..]).chain(&b""[..]).chain(&b"-tail"[..]);
+        let mut chain = parts();
+        assert_eq!((chain.remaining(), chain.chunk()), (9, &b"head"[..]));
+        chain.advance(5);
+        assert_eq!((chain.remaining(), chain.chunk()), (4, &b"tail"[..]));
+
+        let mut roomy = BytesMut::with_capacity(64);
+        let mut tight = BytesMut::new();
+        let mut vec = Vec::new();
+        for _ in 0..3 {
+            roomy.put(parts());
+            tight.put(parts());
+            vec.put(parts());
+        }
+        let want = b"head-tail".repeat(3);
+        assert_eq!((&roomy[..], roomy.capacity()), (&want[..], 64));
+        assert_eq!((&tight[..], &vec[..]), (&want[..], &want[..]));
+        tight.put(&b""[..]);
+        assert_eq!(tight.len(), want.len());
+        let mut sliced = BytesMut::new();
+        for _ in 0..3 {
+            [&b"head"[..], b"", b"-tail"].iter().for_each(|part| sliced.put_slice(part));
+        }
+        assert_eq!((&sliced[..], sliced.capacity()), (&want[..], tight.capacity()));
     }
 
     #[test]

@@ -5,8 +5,14 @@
 //! the 24 bytes a `Vec<u8>` takes: a short key costs no allocation, and the
 //! map compares it inside its slot instead of through a pointer. It equals
 //! and hashes as the `[u8]` it holds, and borrows as one, so a map keyed by
-//! it is searched with a `&[u8]`. It has no order: a MemTable sorts the
-//! bytes a key borrows as (`MemTable::iter`).
+//! it is searched with a `&[u8]`.
+//!
+//! Key order is byte order, and the two loops that make it — the flush's sort
+//! (`MemTable::iter`) and the compaction's k-way merge (`sstable::merge`) —
+//! compare a machine word before they compare bytes: [`abbrev`] cuts a key to
+//! its first `N` bytes past a prefix every compared key shares, zero-padded,
+//! read big-endian. Words that differ order their keys as the bytes do; only
+//! equal words fall back to comparing the keys.
 //!
 //! [`KeyMap`] hashes with [`KeyHasher`]: fixed and seedless, so a map's
 //! layout is the same in every process and every run, and a word at a time,
@@ -128,6 +134,23 @@ impl Hasher for KeyHasher {
 /// A hash map keyed by [`Key`] under [`KeyHasher`].
 pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
+/// The abbreviation of `key` that orders it at word speed: its `N` bytes
+/// from `skip` on, zero-padded, to be read as one big-endian word
+/// (`u64::from_be_bytes`, `u128::from_be_bytes`). `skip` must not pass the
+/// prefix every key compared with it shares. Of two such keys, unequal words
+/// order them as their bytes do — padding sorts a key that ends below any
+/// that goes on — and equal words say nothing: the keys are compared whole.
+#[inline]
+pub(crate) fn abbrev<const N: usize>(key: &[u8], skip: usize) -> [u8; N] {
+    let rest = key.get(skip..).unwrap_or_default();
+    if let Some(word) = rest.first_chunk::<N>() {
+        return *word;
+    }
+    let mut word = [0; N];
+    word[..rest.len()].copy_from_slice(rest);
+    word
+}
+
 impl std::fmt::Debug for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(self.as_slice(), f)
@@ -176,13 +199,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_abbreviation_is_the_window_past_the_skip_zero_padded() {
+        assert_eq!(abbrev::<8>(b"prefix-12345678-tail", 7), *b"12345678");
+        assert_eq!(abbrev::<8>(b"prefix-123", 7), *b"123\0\0\0\0\0");
+        assert_eq!(abbrev::<8>(b"prefix-", 7), [0; 8]);
+        assert_eq!(abbrev::<8>(b"", 0), [0; 8]);
+        assert_eq!(abbrev::<16>(b"0123456789abcdefXYZ", 0), *b"0123456789abcdef");
+        assert_eq!(u64::from_be_bytes(abbrev(&[1, 2], 0)), 0x0102_0000_0000_0000);
+    }
+
     /// Keys of 0..=64 bytes over two byte values: equal prefixes, the empty
     /// key and both sides of the inline bound come up in every run.
     fn key_runs() -> impl Strategy<Value = Vec<Vec<u8>>> {
         vec(vec(0u8..2, 0..65), 1..40)
     }
 
+    /// Whether ordering `keys` by their `N`-byte abbreviations past `skip`,
+    /// then whole, is byte order, pair by pair.
+    fn abbreviated_order_is_byte_order<const N: usize>(keys: &[Vec<u8>], skip: usize) -> bool {
+        let word = |key: &[u8]| abbrev::<N>(key, skip);
+        keys.iter()
+            .all(|a| keys.iter().all(|b| word(a).cmp(&word(b)).then_with(|| a.cmp(b)) == a.cmp(b)))
+    }
+
     proptest! {
+        /// The abbreviated order is byte order, for the sort's 8-byte words
+        /// and the merge's 16-byte ones: keys that share a prefix of up to
+        /// 40 bytes, cut past any part of it, and go on for 0–19 bytes of
+        /// zeros, ones and `0xff` — so keys end inside each window, on its
+        /// edge and past it, and a key and its zero-extension abbreviate
+        /// alike. With no prefix cut, the empty key and the bare prefix are
+        /// in every run.
+        #[test]
+        fn abbreviated_then_whole_comparison_is_byte_order(
+            prefix in vec(0u8..3, 0..41),
+            suffixes in vec(vec((0u8..3).prop_map(|b| [0, 1, 0xff][usize::from(b)]), 0..20), 1..24),
+            cut in 0usize..41,
+        ) {
+            let mut keys: Vec<Vec<u8>> = suffixes.iter().map(|s| [&prefix[..], s].concat()).collect();
+            keys.push(prefix.clone());
+            keys.push([&prefix[..], &[0; 8]].concat());
+            let skip = cut.min(prefix.len());
+            prop_assert!(abbreviated_order_is_byte_order::<8>(&keys, skip));
+            prop_assert!(abbreviated_order_is_byte_order::<16>(&keys, skip));
+            keys.push(Vec::new());
+            prop_assert!(abbreviated_order_is_byte_order::<8>(&keys, 0));
+            prop_assert!(abbreviated_order_is_byte_order::<16>(&keys, 0));
+        }
+
         /// A key equals and hashes exactly as the bytes it was made
         /// from, against every other key of the run and its own prefixes.
         #[test]

@@ -7,14 +7,17 @@
 //! or a get is one `KeyMap` probe (`key.rs`), and key order is made once, by
 //! [`MemTable::iter`], when a frozen table is flushed or migrated (or a
 //! table is audited) — a sort of its entries, O(n log n) for the whole
-//! table, paid off the put and get paths (DESIGN §1). "Immutable" is a usage
+//! table, paid off the put and get paths (DESIGN §1). The sort compares
+//! words, not bytes: each entry carries the 8 bytes of its key that follow
+//! the prefix every key of the table shares (`key::abbrev`), and only keys
+//! whose words tie are compared whole. "Immutable" is a usage
 //! mode: a frozen table is wrapped in `Arc` and only read (by gets walking
 //! the flushing / migration queues, and by the compaction or dispatcher
 //! task consuming it).
 
 use bytes::Bytes;
 
-use crate::key::{Key, KeyMap};
+use crate::key::{abbrev, Key, KeyMap};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
 /// (the paper's tree node links, tombstone flag, owner rank). A hash index
@@ -111,12 +114,29 @@ impl MemTable {
 
     /// Key-sorted iteration: the one place a MemTable's key order is made,
     /// by sorting its entries (keys are unique, so an unstable sort is
-    /// exact). Hash order never leaves the table.
+    /// exact). Hash order never leaves the table. An entry of the sort is
+    /// 24 bytes: the big-endian word of the 8 key bytes past the table's
+    /// shared prefix, the key and the entry; equal words compare the keys.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &Entry)> {
-        let mut sorted: Vec<(&[u8], &Entry)> =
-            self.index.iter().map(|(k, e)| (k.as_slice(), e)).collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        sorted.into_iter()
+        let skip = self.shared_prefix();
+        let mut sorted: Vec<(u64, &Key, &Entry)> = self
+            .index
+            .iter()
+            .map(|(k, e)| (u64::from_be_bytes(abbrev(k.as_slice(), skip)), k, e))
+            .collect();
+        sorted.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| a.1.as_slice().cmp(b.1.as_slice()))
+        });
+        sorted.into_iter().map(|(_, k, e)| (k.as_slice(), e))
+    }
+
+    /// Length of the prefix every key of the table shares.
+    fn shared_prefix(&self) -> usize {
+        let mut keys = self.index.keys().map(Key::as_slice);
+        let Some(first) = keys.next() else { return 0 };
+        keys.fold(first.len(), |shared, key| {
+            first[..shared].iter().zip(key).take_while(|(a, b)| a == b).count()
+        })
     }
 
     /// Freeze: take the current contents out, leaving this table empty. The
@@ -204,10 +224,17 @@ mod tests {
         assert_eq!(keys, vec![&b"aa"[..], b"bb", b"mm", b"zz"]);
     }
 
-    /// Keys of 0..=40 bytes over two byte values: shared prefixes, the
-    /// empty key, inline (<= 22 B) and boxed keys in every run.
+    /// Keys of 0..=40 bytes over two byte values behind a prefix they all
+    /// share, of none, 7 or 29 arbitrary bytes, so the sort's word starts
+    /// at different places and keys end inside it, on its edge and past it;
+    /// inline (<= 22 B) and boxed keys come up in every run, and with no
+    /// prefix the empty key too.
     fn key_pool() -> impl Strategy<Value = Vec<Vec<u8>>> {
-        vec(vec(0u8..2, 0..41), 1..24)
+        let prefix = (0usize..3, vec(any::<u8>(), 29..30));
+        (prefix, vec(vec(0u8..2, 0..41), 1..24)).prop_map(|((len, prefix), keys)| {
+            let prefix = &prefix[..[0, 7, 29][len]];
+            keys.into_iter().map(|key| [prefix, &key].concat()).collect()
+        })
     }
 
     /// Steps of a model run: a pool index (most steps overwrite), a value

@@ -40,17 +40,20 @@
 //! SSTables into one under that section's rule, `merge`: a k-way merge of
 //! cursors and MemTable iterators that streams straight into the encoder —
 //! what a merge holds is its inputs' images and its output's, never a
-//! decoded copy.
+//! decoded copy. It orders its levels' heads by 16-byte words of their keys
+//! (`key::abbrev`), and its walk of each input is that input's check.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use papyrus_nvm::{IoFault, NvmStore};
 use papyrus_simtime::{AccessPattern, SimNs};
 
 use crate::bloom::Bloom;
 use crate::error::{Error, Result};
 use crate::hashfn::fnv1a64;
+use crate::key::abbrev;
 use crate::lru::CacheEntry;
 use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
 
@@ -164,15 +167,15 @@ impl<'a> From<(&'a [u8], &'a Entry)> for Record<'a> {
     }
 }
 
-/// Append `rec` to a run of records: an SSData image or a batch body.
+/// Append `rec` to a run of records: an SSData image or a batch body. The
+/// header, the key and the value go in as one chain, so a buffer with room
+/// for the record checks that once.
 pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
     let mut header = [0; RECORD_HEADER];
     header[0..4].copy_from_slice(&(rec.key.len() as u32).to_le_bytes());
     header[4..8].copy_from_slice(&(rec.value.len() as u32).to_le_bytes());
     header[8] = u8::from(rec.tombstone);
-    data.put_slice(&header);
-    data.put_slice(rec.key);
-    data.put_slice(rec.value);
+    data.put((&header[..]).chain(rec.key).chain(rec.value));
 }
 
 /// Decode the record starting at `pos` of `data`. Total: `None` when
@@ -194,8 +197,9 @@ fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
 
 /// The one walk of the record format: the records of `data` — an SSData
 /// image or one block of it — in place, in file order. It stops at the
-/// first position that does not decode; [`Cursor::is_whole`] tells an image
-/// of whole records from one cut short or followed by garbage.
+/// first position that does not decode; where it stopped
+/// ([`Cursor::is_whole`]) tells an image of whole records from one cut short
+/// or followed by garbage.
 pub struct Cursor<'a> {
     data: &'a [u8],
     /// Bytes walked: where the next record starts.
@@ -212,6 +216,12 @@ impl<'a> Cursor<'a> {
     /// the image is nothing but whole records — or short of it.
     pub fn is_whole(mut self) -> bool {
         self.by_ref().for_each(drop);
+        self.ended_whole()
+    }
+
+    /// Of a cursor walked to its end: whether it stopped on the image's last
+    /// byte.
+    fn ended_whole(&self) -> bool {
         self.pos == self.data.len()
     }
 }
@@ -242,25 +252,56 @@ fn seek(data: &[u8], key: &[u8]) -> (SstGet, usize) {
     (SstGet::NotFound, records.pos)
 }
 
+/// One level of a [`merge`]: a key-sorted run of records and, until it runs
+/// out, its next record beside the big-endian word of that record's first
+/// 16 key bytes (`key::abbrev`).
+struct Level<'a, L> {
+    word: u128,
+    head: Option<Record<'a>>,
+    rest: L,
+}
+
+impl<'a, L: Iterator<Item = Record<'a>>> Level<'a, L> {
+    fn new(rest: L) -> Self {
+        let mut level = Self { word: 0, head: None, rest };
+        level.advance();
+        level
+    }
+
+    fn advance(&mut self) {
+        self.head = self.rest.next();
+        if let Some(rec) = self.head {
+            self.word = u128::from_be_bytes(abbrev(rec.key, 0));
+        }
+    }
+}
+
 /// The §2.5 rule, once: a k-way merge of key-sorted levels, given **newest
 /// first**, that yields every key once, in key order, with the record of
 /// the newest level holding it — "the key-value pair in the newest SSTable
 /// that has the highest SSID is inserted in the new merged SSTable".
 /// Tombstones are records; a caller that may drop them filters. The heads
 /// are compared directly (a stack has a handful of levels): no heap, no map
-/// and nothing allocated per record.
+/// and nothing allocated per record. A comparison is one of words; only
+/// keys whose words tie are compared whole.
 pub(crate) fn merge<'a, L: Iterator<Item = Record<'a>>>(
     newest_first: impl IntoIterator<Item = L>,
 ) -> impl Iterator<Item = Record<'a>> {
-    // Each level with its next record.
-    let mut levels: Vec<(Option<Record<'a>>, L)> =
-        newest_first.into_iter().map(|mut level| (level.next(), level)).collect();
+    let mut levels: Vec<Level<'a, L>> = newest_first.into_iter().map(Level::new).collect();
     std::iter::from_fn(move || {
         // The lowest head; of equal ones the first, which is the newest.
-        let winner = levels.iter().filter_map(|(head, _)| *head).min_by_key(|head| head.key)?;
-        for (head, level) in &mut levels {
-            if head.is_some_and(|h| h.key == winner.key) {
-                *head = level.next();
+        let mut lowest: Option<(u128, Record<'a>)> = None;
+        for level in &levels {
+            let Some(rec) = level.head else { continue };
+            if lowest.is_none_or(|(word, low)| (level.word, rec.key) < (word, low.key)) {
+                lowest = Some((level.word, rec));
+            }
+        }
+        let (word, winner) = lowest?;
+        // Step past the key in every level that holds it.
+        for level in &mut levels {
+            if level.head.is_some_and(|rec| level.word == word && rec.key == winner.key) {
+                level.advance();
             }
         }
         Some(winner)
@@ -390,6 +431,9 @@ impl TableImage {
     /// and filled from those hashes (8 B a record, gone before the write).
     /// `data_bound` is what the caller knows SSData cannot exceed — the image
     /// is reserved once, not regrown, and written where the store keeps it.
+    /// An image that falls short of its reservation — a merge that shed
+    /// shadowed records or tombstones — is copied out to its length, so the
+    /// table does not keep the shed bytes allocated for as long as it lives.
     pub(crate) fn encode<'a>(data_bound: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
         let mut data = BytesMut::with_capacity(data_bound);
         let mut index = vec![0u8; INDEX_HEADER];
@@ -413,7 +457,12 @@ impl TableImage {
         hashes.into_iter().for_each(|hash| bloom.insert_hash(hash));
         index[..8].copy_from_slice(&(records as u64).to_le_bytes());
         index[8..INDEX_HEADER].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
-        let images = [data.freeze(), Bytes::from(index), Bytes::from(bloom.to_bytes())];
+        let data = if data.len() < data.capacity() {
+            Bytes::copy_from_slice(&data)
+        } else {
+            data.freeze()
+        };
+        let images = [data, Bytes::from(index), Bytes::from(bloom.to_bytes())];
         let fences = Fences { records, image: images[1].clone(), blocks };
         Self { images, fences, bloom }
     }
@@ -584,15 +633,32 @@ impl SstReader {
     }
 
     /// The same image, charged as the one sequential read of all of SSData
-    /// that compaction and restart with redistribution do. `Err` names the
-    /// table when SSData is missing or does not parse to its last byte.
+    /// that restart with redistribution does. `Err` names the table when
+    /// SSData is missing or does not parse to its last byte. Compaction does
+    /// not call it: [`merge_at`] reads each input once and checks it as its
+    /// merge walks it, with the same errors.
     pub fn scan_at(&self, now: SimNs) -> Result<(Bytes, SimNs)> {
-        let unreadable =
-            |why| Error::DataLoss(format!("sst {} {why}: {}", self.0.ssid, self.0.files[0]));
-        let data = self.image().ok_or_else(|| unreadable("SSData missing"))?;
-        let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
+        let (data, t) = self.read_at(now)?;
         let whole = Cursor::new(&data).is_whole();
-        whole.then_some((data, t)).ok_or_else(|| unreadable("SSData corrupt"))
+        whole.then_some((data, t)).ok_or_else(|| self.corrupt())
+    }
+
+    /// The SSData image as stored, charged as one sequential read of it;
+    /// `Err` names the table when SSData is missing. Whether the image is
+    /// whole records is the caller's to check.
+    fn read_at(&self, now: SimNs) -> Result<(Bytes, SimNs)> {
+        let data = self.image().ok_or_else(|| self.unreadable("SSData missing"))?;
+        let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
+        Ok((data, t))
+    }
+
+    /// The error of an SSData that does not parse to its last byte.
+    fn corrupt(&self) -> Error {
+        self.unreadable("SSData corrupt")
+    }
+
+    fn unreadable(&self, why: &str) -> Error {
+        Error::DataLoss(format!("sst {} {why}: {}", self.0.ssid, self.0.files[0]))
     }
 
     /// Search SSData for `key` starting at `now`, without consulting the
@@ -687,8 +753,11 @@ impl SstReader {
 /// encoder, once. When `drop_tombstones` is set (legal when merging *all*
 /// live tables), deleted keys vanish entirely.
 ///
-/// `Err` before anything is written names the input whose SSData is missing
-/// or corrupt ([`Error::DataLoss`]). An injected `ENOSPC` aborts with
+/// Each input is read once: the merge's walk of it is also its check, and
+/// an input that the walk leaves short of its last byte — cut inside a
+/// record, or junk after the last whole one — is corrupt. `Err` before
+/// anything is written names an input whose SSData is missing or corrupt
+/// ([`Error::DataLoss`]). An injected `ENOSPC` aborts with
 /// [`Error::StorageFull`]; transient EIO is ridden out. Either way the
 /// caller keeps the inputs live, so nothing more is lost.
 ///
@@ -708,14 +777,30 @@ pub fn merge_at(
     // in each SSTable are sorted by the key" (§2.5).
     let mut t = now;
     let mut images = Vec::with_capacity(tables.len());
-    for reader in newest_first {
-        let (image, done) = reader.scan_at(t)?;
+    for reader in &newest_first {
+        let (image, done) = reader.read_at(t)?;
         t = done;
         images.push(image);
     }
-    let levels = images.iter().map(|image| Cursor::new(image));
+    // The walk is the check: the first input whose cursor stops short of its
+    // image's last byte is named here, and nothing is written.
+    let torn = Cell::new(None);
+    let levels = newest_first.into_iter().zip(&images).map(|(reader, image)| {
+        let mut records = Cursor::new(image);
+        let torn = &torn;
+        std::iter::from_fn(move || {
+            let rec = records.next();
+            if rec.is_none() && !records.ended_whole() {
+                torn.set(torn.get().or(Some(reader)));
+            }
+            rec
+        })
+    });
     let merged = merge(levels).filter(|rec| !(drop_tombstones && rec.tombstone));
     let image = TableImage::encode(images.iter().map(Bytes::len).sum(), merged);
+    if let Some(reader) = torn.get() {
+        return Err(reader.corrupt());
+    }
     let done = match image.try_write_at(store, new_base, t) {
         Ok(done) => done,
         Err(IoFault::NoSpace) => {
@@ -938,12 +1023,17 @@ pub(crate) mod tests {
         /// records; `merge_at` over the tables — handed over in any order,
         /// tombstones kept or dropped — holds the model's records and wrote
         /// the three images `TableImage` encodes from the model's entries,
-        /// byte for byte.
+        /// byte for byte. Keys are 0–40 bytes: a prefix of none, 15, 16 or
+        /// 17 shared bytes and up to 23 more over four values, so keys end
+        /// inside the merge's 16-byte word, on its edge and past it, and
+        /// keys whose words tie differ only after it.
         #[test]
         fn merge_matches_the_btreemap_fold(
             levels in vec(
                 btree_map(
-                    vec(0u8..4, 1..4),
+                    (0usize..4, vec(0u8..4, 0..24)).prop_map(|(prefix, rest)| {
+                        [&[7u8; 17][..[0, 15, 16, 17][prefix]], &rest].concat()
+                    }),
                     (vec(any::<u8>(), 0..300), any::<bool>()),
                     0..40,
                 ),
@@ -1490,36 +1580,47 @@ pub(crate) mod tests {
         );
     }
 
-    /// A merge input cut anywhere inside its last record — or gone — makes
-    /// the merge an `Err` that names the table, with nothing written under
-    /// the new base.
+    /// A merge input cut anywhere inside its last record, followed by junk
+    /// after its last whole one, or gone — the older input or the newest —
+    /// makes the merge an `Err` that names the table, with nothing written
+    /// under the new base. The merge's walk of an input is its check.
     #[test]
     fn merge_of_a_torn_or_missing_input_is_an_error_and_writes_nothing() {
         let s = store();
         let (t1, _) = build_at(&s, "r/sst1", 1, &entries(&[("a", "1"), ("b", "2")]), 0);
         let (t2, _) = build_at(&s, "r/sst2", 2, &entries(&[("b", "3"), ("c", "4")]), 0);
-        let whole = s.backend().get_all("r/sst1.data").unwrap();
-        let last = whole.len() - (RECORD_HEADER + 2);
         let tables = [t1, t2];
         let merge = || merge_at(&s, &tables, "r/sst3", 3, true, 0);
-        for cut in last + 1..whole.len() {
-            s.backend().put("r/sst1.data", whole.slice(..cut));
-            let err = merge().expect_err("a torn input must not merge");
+        for ssid in [1, 2] {
+            let path = format!("r/sst{ssid}.data");
+            let refused = |data: Bytes, why: &str| {
+                s.backend().put(&path, data);
+                let err = merge().expect_err("a damaged input must not merge");
+                assert!(
+                    matches!(&err, Error::DataLoss(what)
+                        if what.contains(&format!("sst {ssid} SSData {why}")) && what.contains(&path)),
+                    "{err:?}"
+                );
+                assert_eq!(s.list("r/sst3"), Vec::<String>::new(), "{err:?}");
+            };
+            let whole = s.backend().get_all(&path).unwrap();
+            let last = whole.len() - (RECORD_HEADER + 2);
+            for cut in last + 1..whole.len() {
+                refused(whole.slice(..cut), "corrupt");
+            }
+            for junk in [&[0u8][..], &[1; RECORD_HEADER - 1], &[0xff; RECORD_HEADER + 3]] {
+                refused(Bytes::from([&whole[..], junk].concat()), "corrupt");
+            }
+            s.backend().delete(&path);
+            let err = merge().expect_err("a missing input must not merge");
             assert!(
                 matches!(&err, Error::DataLoss(what)
-                    if what.contains("sst 1 SSData corrupt") && what.contains("r/sst1.data")),
-                "cut at {cut}: {err:?}"
+                    if what.contains(&format!("sst {ssid} SSData missing"))),
+                "{err:?}"
             );
-            assert_eq!(s.list("r/sst3"), Vec::<String>::new(), "cut at {cut}");
+            assert_eq!(s.list("r/sst3"), Vec::<String>::new());
+            s.backend().put(&path, whole);
         }
-        s.backend().delete("r/sst1.data");
-        let err = merge().expect_err("a missing input must not merge");
-        assert!(
-            matches!(&err, Error::DataLoss(what) if what.contains("sst 1 SSData missing")),
-            "{err:?}"
-        );
-        assert_eq!(s.list("r/sst3"), Vec::<String>::new());
-        s.backend().put("r/sst1.data", whole);
         assert_eq!(merge().unwrap().0.len(), 3);
     }
 

@@ -2,9 +2,11 @@
 //!
 //! The build container has no access to crates.io, so this workspace ships a
 //! minimal API-compatible implementation on top of `std::sync`. It covers
-//! exactly the surface the workspace uses: non-poisoning `Mutex`, `RwLock`,
-//! and a `Condvar` whose `wait`/`wait_for` take `&mut MutexGuard` (the
-//! parking_lot calling convention, unlike std's by-value guards).
+//! exactly the surface the workspace uses: a non-poisoning `Mutex` and a
+//! `Condvar` whose `wait`/`wait_until_quiet` take `&mut MutexGuard` (the
+//! parking_lot calling convention, unlike std's by-value guards). There is
+//! no reader-writer lock: a world runs one task at a time, so a read lock's
+//! sharing would never be used.
 //!
 //! Poisoning is deliberately swallowed (`into_inner`) to match parking_lot's
 //! semantics: a panic while holding a lock does not wedge every later user.
@@ -17,8 +19,8 @@
 //! refused), a notify wakes parked tasks in order, and every guard records
 //! its lock as held by the thread, so the release of a thread's last guard
 //! can hand the baton to a task it woke. A lock the thread already holds is
-//! refused before the std acquire, read after read included: re-taken, a
-//! std lock blocks its own thread (a `read` may), where no verdict sees it.
+//! refused before the std acquire: re-taken, a std mutex blocks its own
+//! thread, where no verdict sees it.
 //! Outside a world that is two thread-local updates per guard, and the lock
 //! itself stays a plain `std` lock.
 
@@ -197,79 +199,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// Reader-writer lock (non-poisoning `std::sync::RwLock` wrapper).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-read RAII guard for [`RwLock`].
-#[must_use = "a lock guard is released as soon as it is dropped"]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    guard: sync::RwLockReadGuard<'a, T>,
-    _held: Held,
-}
-
-/// Exclusive-write RAII guard for [`RwLock`].
-#[must_use = "a lock guard is released as soon as it is dropped"]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    guard: sync::RwLockWriteGuard<'a, T>,
-    _held: Held,
-}
-
-impl<T> RwLock<T> {
-    /// Create an RwLock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self { inner: sync::RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock. Never poisons; refuses a lock the thread
-    /// already holds, for reading too.
-    #[track_caller]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let held = Held::on_lock(address(self), type_name::<Self>());
-        let guard = self.inner.read().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockReadGuard { guard, _held: held }
-    }
-
-    /// Acquire an exclusive write lock. Never poisons; refuses a lock the
-    /// thread already holds.
-    #[track_caller]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let held = Held::on_lock(address(self), type_name::<Self>());
-        let guard = self.inner.write().unwrap_or_else(sync::PoisonError::into_inner);
-        RwLockWriteGuard { guard, _held: held }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.inner, f)
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,20 +240,6 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_until_quiet(&mut g);
         assert!(r.timed_out());
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            // A second reader shares the lock from another thread (on this
-            // one a re-entrant read is refused).
-            let b = thread::scope(|s| s.spawn(|| l.read().len()).join().unwrap());
-            assert_eq!(a.len() + b, 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 
     #[test]

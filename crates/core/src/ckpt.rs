@@ -194,7 +194,7 @@ impl Db {
         // "the runtime internally calls papyruskv_barrier() with the
         // PAPYRUSKV_SSTABLE parameter" — after this, all MemTables are flushed.
         barrier_inner(ctx, db, BarrierLevel::SsTable)?;
-        let snapshot: Vec<SstReader> = db.stack.read().ssts.clone();
+        let snapshot: Vec<SstReader> = db.stack.lock().ssts.clone();
         let event = Event::new(ctx.clock().clone());
         ctx.compact_q.push(CompactJob::Checkpoint {
             db: db.clone(),
@@ -250,7 +250,7 @@ pub(crate) fn run_checkpoint_transfer(
         }
     }
     ssids.sort_unstable();
-    let next_ssid = db.stack.read().next_ssid;
+    let next_ssid = db.stack.lock().next_ssid;
     t = write_manifest_at(pfs, dest, &db.name, me, next_ssid, &ssids, t);
     if me == 0 {
         t = pfs.put_at(

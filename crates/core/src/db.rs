@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use papyrus_simtime::{Clock, MemModel, OpStats, SimNs};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::ckpt;
 use crate::error::{Error, Result};
@@ -41,8 +41,9 @@ pub(crate) struct DbSync {
     pub barrier_marks: HashMap<u64, (usize, SimNs)>,
 }
 
-/// Internal database representation shared by the application thread and
-/// the runtime's helper threads. Its locks and their order: DESIGN §2.
+/// Internal database representation shared by a rank's application task
+/// and its runtime tasks (handler, dispatcher, compaction), one running at a
+/// time. Its locks and their order: DESIGN §2.
 pub struct DbInner {
     pub(crate) id: u32,
     pub(crate) name: String,
@@ -53,7 +54,7 @@ pub struct DbInner {
     pub(crate) repl_n: usize,
     /// DRAM cost model of the platform this database runs on.
     pub(crate) mem: MemModel,
-    pub(crate) state: RwLock<DbState>,
+    pub(crate) state: Mutex<DbState>,
     pub(crate) dist: Distributor,
 
     /// This rank's own keys. One lock covers MemTable, frozen MemTables,
@@ -61,7 +62,7 @@ pub struct DbInner {
     /// cache's fill and invalidation, so a get never sees a gap between a
     /// retired MemTable and its SSTable and the cache never outlives the
     /// value it copied.
-    pub(crate) stack: RwLock<Stack>,
+    pub(crate) stack: Mutex<Stack>,
     /// Puts bound for other owners, awaiting migration.
     pub(crate) staging: Mutex<Stack>,
     /// Per-origin replica stacks (R >= 2 only; empty otherwise). Fed by
@@ -96,8 +97,8 @@ pub struct DbInner {
     pub(crate) put_stats: OpStats,
     pub(crate) get_stats: OpStats,
 
-    /// Typed errors with no caller to return to: raised by background
-    /// threads (migration to a dead owner, `ENOSPC` during flush/compaction)
+    /// Typed errors with no caller to return to: raised by the runtime's
+    /// tasks (migration to a dead owner, `ENOSPC` during flush/compaction)
     /// and by recovery ([`Error::DataLoss`]: open and restart stay tolerant
     /// and say here what they could not bring back). Drained by
     /// [`Db::take_io_errors`]; under the fault plane the chaos oracle uses
@@ -127,12 +128,9 @@ impl DbInner {
             name: name.to_string(),
             repl_n: papyrus_replica::effective_factor(opt.replicas, n_ranks),
             mem,
-            state: RwLock::new(DbState {
-                consistency: opt.consistency,
-                protection: opt.protection,
-            }),
+            state: Mutex::new(DbState { consistency: opt.consistency, protection: opt.protection }),
             dist: Distributor::new(opt.custom_hash.clone(), n_ranks),
-            stack: RwLock::new(stack),
+            stack: Mutex::new(stack),
             staging: Mutex::new(Stack::new(1, Vec::new())),
             repl: Mutex::new(HashMap::new()),
             local_cache: Mutex::new(LruCache::new(opt.local_cache_capacity)),
@@ -334,13 +332,13 @@ impl Db {
     pub fn set_consistency(&self, mode: Consistency) -> Result<()> {
         self.inner.check_open()?;
         sync::barrier_inner(&self.ctx, &self.inner, BarrierLevel::MemTable)?;
-        self.inner.state.write().consistency = mode;
+        self.inner.state.lock().consistency = mode;
         Ok(())
     }
 
     /// Current consistency mode.
     pub fn consistency(&self) -> Consistency {
-        self.inner.state.read().consistency
+        self.inner.state.lock().consistency
     }
 
     /// `papyruskv_protect`: collectively switch the protection attribute
@@ -350,7 +348,7 @@ impl Db {
         self.inner.check_open()?;
         sync::barrier_inner(&self.ctx, &self.inner, BarrierLevel::MemTable)?;
         let prev = {
-            let mut st = self.inner.state.write();
+            let mut st = self.inner.state.lock();
             let prev = st.protection;
             st.protection = prot;
             prev
@@ -366,7 +364,7 @@ impl Db {
 
     /// Current protection attribute.
     pub fn protection(&self) -> Protection {
-        self.inner.state.read().protection
+        self.inner.state.lock().protection
     }
 
     /// `papyruskv_close`: collective close; all data is flushed to SSTables
@@ -404,7 +402,7 @@ impl Db {
     }
 
     /// Drain the typed errors that had no caller to return to: raised by
-    /// background threads (migration to a confirmed-dead owner, `ENOSPC`
+    /// the runtime's tasks (migration to a confirmed-dead owner, `ENOSPC`
     /// during flush or compaction) or by the recovery that produced this
     /// handle ([`Error::DataLoss`] — check after `open`/`restart` of a
     /// database that should have survived). Empty in a healthy run; under
@@ -416,12 +414,12 @@ impl Db {
 
     /// Number of live SSTables on this rank (diagnostics).
     pub fn sstable_count(&self) -> usize {
-        self.inner.stack.read().ssts.len()
+        self.inner.stack.lock().ssts.len()
     }
 
     /// Bytes currently staged in the local MemTable (diagnostics).
     pub fn memtable_bytes(&self) -> u64 {
-        self.inner.stack.read().mem.bytes()
+        self.inner.stack.lock().mem.bytes()
     }
 
     /// Whether `key` is still staged on this rank awaiting migration —

@@ -138,22 +138,22 @@ fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet
 fn search_memory(db: &DbInner, stack: &Stack, key: &[u8], clock: &Clock) -> SstGet {
     match db.get_mem(stack, key, clock) {
         Some(e) => e.into(),
-        None => search_cache(db, db.live_local_cache(db.state.read().protection), key, clock),
+        None => search_cache(db, db.live_local_cache(db.state.lock().protection), key, clock),
     }
 }
 
 /// Full local get: memory, then the SSTables, then the cache fill — all
-/// under one read lock of the stack, so the value the cache keeps is still
-/// the newest when it goes in (a put invalidates under the write lock).
+/// under one hold of the stack's lock, so the value the cache keeps is still
+/// the newest when it goes in (a put invalidates under the same lock).
 pub(crate) fn local_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
-    let stack = db.stack.read();
+    let stack = db.stack.lock();
     let hit = search_memory(db, &stack, key, clock);
     if hit != SstGet::NotFound {
         return hit;
     }
     let hit = walk_ssts(db, stack.ssts.iter().rev(), key, clock);
     if let Some(entry) = hit.cache_entry() {
-        if let Some(cache) = db.live_local_cache(db.state.read().protection) {
+        if let Some(cache) = db.live_local_cache(db.state.lock().protection) {
             cache.lock().insert(key, entry);
         }
     }
@@ -198,7 +198,7 @@ pub(crate) fn remote_get_reply(
     // Same storage group: "the message handler looks into the local
     // MemTable, immutable local MemTables, and local cache only" (§2.7)
     // and leaves the SSTables, newest first, to the caller.
-    let stack = db.stack.read();
+    let stack = db.stack.lock();
     match search_memory(db, &stack, key, clk) {
         SstGet::NotFound => {
             GetResp::SearchShared(stack.ssts.iter().rev().map(SstReader::ssid).collect())
@@ -269,7 +269,7 @@ fn remote_get_primary(
     owner: usize,
     clock: &Clock,
 ) -> Result<SstGet> {
-    let state = *db.state.read();
+    let state = *db.state.lock();
     if state.consistency == Consistency::Relaxed {
         if let Some(e) = db.get_mem(&db.staging.lock(), key, clock) {
             return Ok(e.into());
@@ -350,11 +350,11 @@ fn peer_reader(
     ssid: Ssid,
     clock: &Clock,
 ) -> Option<SstReader> {
-    // Probe the cache, then open OUTSIDE the lock: `open_at` is charged
-    // NVM I/O, and holding `peer_readers` across it would serialise every
-    // cross-rank read behind one device stall. Two threads may race to
-    // open the same SSTable; the loser's insert overwrites an identical
-    // reader.
+    // Probe the cache, then open OUTSIDE the lock. The open takes other
+    // locks, and the release of a task's last guard is a preemption point:
+    // holding `peer_readers` across it would move that point, and so the
+    // schedule. Another task may run at such a point and open the same
+    // SSTable; the later insert overwrites an identical reader.
     let cached = db.peer_readers.lock().get(&(owner, ssid)).cloned();
     if cached.is_some() {
         return cached;
@@ -397,7 +397,7 @@ mod tests {
             let tel = CoreTel::new(&Default::default(), 0);
             let db = DbInner::new(0, "db", tel, 1, MemModel::free(), Options::default(), stack);
             let ingest = || {
-                let protection = db.state.read().protection;
+                let protection = db.state.lock().protection;
                 db.insert_local(protection, KEY, value(b"new"));
             };
             let get = || local_get(&db, KEY, &Clock::new());
@@ -409,11 +409,11 @@ mod tests {
                 ingest();
                 assert_eq!(get(), found(b"new"));
             }
-            let mt = db.stack.write().freeze().expect("the ingest is in the MemTable");
-            let ssid = db.stack.write().alloc_ssid();
+            let mt = db.stack.lock().freeze().expect("the ingest is in the MemTable");
+            let ssid = db.stack.lock().alloc_ssid();
             let what = format_args!("test flush");
             let (table, _) = build_riding_out(&db, &store, "t/db/r0/sst2", ssid, &mt, 0, what);
-            db.stack.write().retire(&mt, table);
+            db.stack.lock().retire(&mt, table);
             assert_eq!(get(), found(b"new"), "stale cache fill (get first: {get_first})");
         }
     }
@@ -456,7 +456,7 @@ mod tests {
                 assert_eq!(held(), vec![(1, 5)]);
                 assert_eq!(&db.get(b"t4-k0").unwrap()[..], &[4; 32]);
             } else {
-                assert_eq!(db.inner.stack.read().live_ssids(), vec![5]);
+                assert_eq!(db.inner.stack.lock().live_ssids(), vec![5]);
             }
             db.barrier(BarrierLevel::MemTable).unwrap();
             db.close().expect("close");
@@ -505,7 +505,7 @@ mod tests {
             };
             let newest = (!deleted).then(|| Bytes::from(vec![6; 100]));
             if owner {
-                assert_eq!(db.inner.stack.read().live_ssids(), vec![5, 6, 7]);
+                assert_eq!(db.inner.stack.lock().live_ssids(), vec![5, 6, 7]);
             } else if warm {
                 assert_eq!(db.get_opt(b"t1-k0").unwrap(), Some(Bytes::from(vec![1; 100])));
                 assert_eq!(held(), vec![(1, 5), (1, 6), (1, 7)]);
@@ -515,7 +515,7 @@ mod tests {
             // The owner's merge: 6..=9 into sst 10, beside sst 5.
             (8..=9).for_each(|table| flush(table, None));
             if owner {
-                assert_eq!(db.inner.stack.read().live_ssids(), vec![5, 10]);
+                assert_eq!(db.inner.stack.lock().live_ssids(), vec![5, 10]);
             } else {
                 // The walk of a get whose `SearchShared` reply left the owner
                 // before the merge.

@@ -149,7 +149,7 @@ pub(crate) fn failover_get(
     if db.tel.on() {
         db.tel.repl_failovers.inc();
     }
-    let cache = db.live_remote_cache(db.state.read().protection);
+    let cache = db.live_remote_cache(db.state.lock().protection);
     let mut last_err = Error::RankUnavailable(owner);
     for s in papyrus_replica::successors(owner, n, db.repl_n) {
         if s == me {

@@ -61,11 +61,17 @@ pub struct Platform {
 }
 
 impl Platform {
+    /// Platform for `n_ranks` ranks over prebuilt `storage`, with a fresh
+    /// promotion table.
+    pub fn with_storage(profile: SystemProfile, storage: StorageMap, n_ranks: usize) -> Arc<Self> {
+        Arc::new(Self { profile, storage, n_ranks, repl: papyrus_replica::PromotionTable::new() })
+    }
+
     /// Platform for `n_ranks` ranks with the system's *physical* NVM sharing
     /// (ranks-per-node for local NVM, everyone for dedicated NVM).
     pub fn new(profile: SystemProfile, n_ranks: usize) -> Arc<Self> {
         let storage = StorageMap::with_default_groups(&profile, n_ranks);
-        Arc::new(Self { profile, storage, n_ranks, repl: papyrus_replica::PromotionTable::new() })
+        Self::with_storage(profile, storage, n_ranks)
     }
 
     /// Platform with an explicit physical sharing factor (tests).
@@ -75,7 +81,7 @@ impl Platform {
         group_size: usize,
     ) -> Arc<Self> {
         let storage = StorageMap::new(&profile, n_ranks, group_size);
-        Arc::new(Self { profile, storage, n_ranks, repl: papyrus_replica::PromotionTable::new() })
+        Self::with_storage(profile, storage, n_ranks)
     }
 
     /// Platform for a *new job* sharing the parallel file system of a
@@ -85,7 +91,7 @@ impl Platform {
     pub fn new_job(profile: SystemProfile, n_ranks: usize, pfs_of: &Arc<Platform>) -> Arc<Self> {
         let group = profile.default_group_size(n_ranks);
         let storage = StorageMap::with_pfs(&profile, n_ranks, group, pfs_of.storage.pfs().clone());
-        Arc::new(Self { profile, storage, n_ranks, repl: papyrus_replica::PromotionTable::new() })
+        Self::with_storage(profile, storage, n_ranks)
     }
 }
 

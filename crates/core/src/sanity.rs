@@ -294,7 +294,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
     // `r<rank>/rep<origin>-sst*`, so neither can collide with (or be
     // salvaged into) the other.
     let (next_ssid, live) = {
-        let stack = inner.stack.read();
+        let stack = inner.stack.lock();
         audit_stack("local", &stack, ViolationKind::LsmState, "/sst", &mut report);
         (stack.next_ssid, stack.live_ssids())
     };
@@ -338,7 +338,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
         );
     }
     if pending_flushes == 0 {
-        let imm_local = inner.stack.read().imm.len();
+        let imm_local = inner.stack.lock().imm.len();
         if imm_local != 0 {
             report.push(
                 ViolationKind::LsmState,
@@ -412,7 +412,7 @@ fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
 /// the crash-consistency checker to compare a recovered store against its
 /// KV oracle; like [`audit_db`], calling it is the opt-in.
 pub fn dump_visible(db: &Db) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    visible(&db.inner.stack.read())
+    visible(&db.inner.stack.lock())
 }
 
 /// Dump every key the replica stack held for `origin` currently makes
@@ -651,7 +651,7 @@ mod tests {
 
             // Re-replication's record list over the same stack shape: the
             // tombstone is a record to propagate.
-            let tables = db.inner.stack.read().ssts.clone();
+            let tables = db.inner.stack.lock().ssts.clone();
             assert_eq!(tables.iter().map(SstReader::ssid).collect::<Vec<_>>(), vec![1, 2]);
             let mut replica = Stack::new(3, tables.clone());
             replica.mem.insert(b"a", Entry::value(Bytes::from_static(b"new")));

@@ -37,7 +37,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
     if key.is_empty() {
         return Err(Error::InvalidArgument("empty key"));
     }
-    let state = *db.state.read();
+    let state = *db.state.lock();
     if state.protection == Protection::ReadOnly {
         return Err(Error::Protected);
     }
@@ -117,10 +117,10 @@ pub(crate) fn entry_of(value: Bytes, tombstone: bool) -> Entry {
 
 /// Insert an entry into the primary stack (a local put; the handler's
 /// [`Ingest`] does the same). Insert, then invalidate, under
-/// the stack's write lock: "a stale cache entry that has the same key as the
+/// the stack's lock: "a stale cache entry that has the same key as the
 /// new key-value pair is evicted from the local cache" (§2.4), and no get
 /// can put the old value back in between (gets fill the cache holding the
-/// read lock). Skipped under WRONLY (§3.2): `protection` is the attribute
+/// same lock). Skipped under WRONLY (§3.2): `protection` is the attribute
 /// the caller read for this operation.
 fn insert_local_entry(
     ctx: &CtxInner,
@@ -142,7 +142,7 @@ impl DbInner {
     /// reached its capacity.
     pub(crate) fn insert_local(&self, protection: Protection, key: &[u8], entry: Entry) -> bool {
         let cache = self.live_local_cache(protection);
-        let mut stack = self.stack.write();
+        let mut stack = self.stack.lock();
         stack.mem.insert(key, entry);
         if let Some(cache) = cache {
             cache.lock().invalidate(key);
@@ -206,7 +206,7 @@ pub(crate) fn freeze(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs
 /// [`freeze`] with a slot of `side`'s queue taken. The push never parks.
 fn freeze_slotted(ctx: &CtxInner, db: &Arc<DbInner>, side: Side, stamp: SimNs) {
     let frozen = match side {
-        Side::Local => db.stack.write().freeze(),
+        Side::Local => db.stack.lock().freeze(),
         Side::Staging => db.staging.lock().freeze(),
     };
     let Some(mt) = frozen else {
@@ -264,12 +264,12 @@ pub(crate) fn build_riding_out(
 /// "compaction").
 pub(crate) fn run_flush(ctx: &CtxInner, db: &Arc<DbInner>, mt: Arc<MemTable>, stamp: SimNs) {
     let store = ctx.repo_store();
-    let ssid = db.stack.write().alloc_ssid();
+    let ssid = db.stack.lock().alloc_ssid();
     let base = sstable::sst_base(&ctx.repo.prefix, &db.name, ctx.rank.rank(), ssid);
     let what = format_args!("flush sst{ssid}");
     let (reader, done) = build_riding_out(db, &store, &base, ssid, &mt, stamp, what);
     let (next, live, take) = {
-        let mut stack = db.stack.write();
+        let mut stack = db.stack.lock();
         stack.retire(&mt, reader);
         (stack.next_ssid, stack.live_ssids(), merge_width(&db.opt, &stack.ssts))
     };
@@ -339,7 +339,7 @@ fn merge_width(opt: &Options, ssts: &[SstReader]) -> usize {
 fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: SimNs) {
     let store = ctx.repo_store();
     let (inputs, whole, new_ssid) = {
-        let mut stack = db.stack.write();
+        let mut stack = db.stack.lock();
         let older = stack.ssts.len() - take;
         (stack.ssts[older..].to_vec(), older == 0, stack.alloc_ssid())
     };
@@ -361,7 +361,7 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: S
         }
     };
     let (next, live) = {
-        let mut stack = db.stack.write();
+        let mut stack = db.stack.lock();
         stack.replace_newest(take, merged);
         (stack.next_ssid, stack.live_ssids())
     };
@@ -511,7 +511,7 @@ pub(crate) struct Ingest {
 
 impl Ingest {
     pub(crate) fn new(db: Arc<DbInner>, records: Batch, stamp: SimNs) -> Self {
-        let protection = db.state.read().protection;
+        let protection = db.state.lock().protection;
         let clk = Clock::starting_at(stamp);
         Self { db, records, protection, clk, stamp, done: 0, full: false, stalled: false }
     }
@@ -612,7 +612,7 @@ mod tests {
     }
 
     fn live(db: &Db) -> Vec<Ssid> {
-        db.inner.stack.read().live_ssids()
+        db.inner.stack.lock().live_ssids()
     }
 
     /// A one-rank platform whose NVM is `backend`.
@@ -620,12 +620,7 @@ mod tests {
         let profile = SystemProfile::test_profile();
         let nvm = NvmStore::with_backend(profile.nvm.clone(), backend);
         let pfs = NvmStore::in_memory(profile.pfs.clone());
-        Arc::new(Platform {
-            storage: StorageMap::from_parts(vec![nvm], 1, pfs),
-            profile,
-            n_ranks: 1,
-            repl: papyrus_replica::PromotionTable::new(),
-        })
+        Platform::with_storage(profile, StorageMap::from_parts(vec![nvm], 1, pfs), 1)
     }
 
     /// What `flushes` equal flushes of distinct keys under `rule` wrote:
@@ -642,7 +637,7 @@ mod tests {
             let db = ctx.open("db", OpenFlags::create(), options(rule)).expect("open");
             for flush in 0..flushes {
                 fill(&db, flush);
-                let next = db.inner.stack.read().next_ssid;
+                let next = db.inner.stack.lock().next_ssid;
                 let live = live(&db);
                 let manifest = ckpt::read_manifest(&ctx.inner.repo_store(), "units", "db", 0);
                 assert_eq!(manifest, ckpt::ManifestRead::Present(next, live), "flush {flush}");

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use papyrus_faultinject::{FaultEvent, FaultPlan};
-use papyrus_mpi::{World, WorldConfig};
+use papyrus_mpi::{Grants, World, WorldConfig};
 use papyrus_nvm::SystemProfile;
 use papyrus_telemetry::Registry;
 use papyruskv::{
@@ -894,4 +894,45 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
         db.close().unwrap();
         ctx.finalize().unwrap();
     });
+}
+
+/// A mixed three-rank world's schedule, pinned: relaxed puts to every
+/// owner, a fence, then local and remote gets, some answered from SSTables
+/// and some from the cache, a flushing barrier and close. A CPU-only change
+/// keeps every lock acquire and release, park and wake where it was, so the
+/// baton's grants and every rank's clock come out exactly as they did.
+#[test]
+fn a_mixed_world_keeps_its_schedule() {
+    let profile = SystemProfile::summitdev();
+    let platform = Platform::new(profile.clone(), 3);
+    let out = World::run(WorldConfig::new(3, profile.net), move |rank| {
+        let fabric = rank.fabric().clone();
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-pin").unwrap();
+        // Key `o<r>-…` is owned by rank r.
+        let opt = Options::small().with_custom_hash(Arc::new(|k: &[u8]| u64::from(k[1] - b'0')));
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        let me = ctx.rank();
+        let key = |i: usize| format!("o{}-{me}-{i}", i % 3);
+        (0..90).for_each(|i| db.put(key(i).as_bytes(), &[i as u8; 100]).unwrap());
+        db.fence().unwrap();
+        let tables = db.sstable_count();
+        for _ in 0..2 {
+            (0..90)
+                .for_each(|i| assert_eq!(&db.get(key(i).as_bytes()).unwrap()[..], &[i as u8; 100]));
+        }
+        let read = (tables, db.get_stats().hits(), ctx.now());
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+        (fabric, ctx.now(), read)
+    });
+    let grants = out[0].0.grants();
+    assert_eq!(grants, Grants { inline: 388, handed: 422, timed_out: 0 });
+    // (SSTables after the fence, cache hits, clock after the gets): a
+    // second read of a key the first read found in an SSTable hits the
+    // cache.
+    let reads: Vec<_> = out.iter().map(|(_, _, read)| *read).collect();
+    assert_eq!(reads, [(1, 30, 3_487_264), (1, 30, 3_465_599), (1, 30, 3_442_397)]);
+    let clocks: Vec<_> = out.iter().map(|(_, now, _)| *now).collect();
+    assert_eq!(clocks, [3_806_633; 3]);
 }

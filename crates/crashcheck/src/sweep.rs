@@ -311,12 +311,7 @@ fn recover_nvm(
         .collect();
     let pfs = NvmStore::with_backend(profile.pfs.clone(), backend_of(state, PFS_NS));
     let storage = StorageMap::from_parts(groups, 1, pfs);
-    let platform = Arc::new(Platform {
-        profile,
-        storage,
-        n_ranks: n,
-        repl: papyrus_replica::PromotionTable::new(),
-    });
+    let platform = Platform::with_storage(profile, storage, n);
     let probe_keys = probe_keys.clone();
     World::run(WorldConfig::for_tests(n), move |rank| {
         let ctx =
@@ -342,12 +337,7 @@ fn restore_snapshot(
     let pfs = NvmStore::with_backend(profile.pfs.clone(), backend_of(state, PFS_NS));
     // Fresh NVM scratch: a new job restoring an old snapshot.
     let storage = StorageMap::with_pfs(&profile, m, 1, pfs);
-    let platform = Arc::new(Platform {
-        profile,
-        storage,
-        n_ranks: m,
-        repl: papyrus_replica::PromotionTable::new(),
-    });
+    let platform = Platform::with_storage(profile, storage, m);
     let probe_keys = probe_keys.clone();
     let path = path.to_string();
     World::run(WorldConfig::for_tests(m), move |rank| {

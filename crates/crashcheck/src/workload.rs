@@ -123,12 +123,7 @@ pub fn record_workload(cfg: &CrashCfg, fault: FaultMode) -> Recorded {
     let pfs_backend = JournaledBackend::new(PFS_NS, journal.clone(), Arc::new(MemBackend::new()));
     let pfs = NvmStore::with_backend(profile.pfs.clone(), Arc::new(pfs_backend));
     let storage = StorageMap::from_parts(groups, 1, pfs);
-    let platform = Arc::new(Platform {
-        profile,
-        storage,
-        n_ranks: cfg.ranks,
-        repl: papyrus_replica::PromotionTable::new(),
-    });
+    let platform = Platform::with_storage(profile, storage, cfg.ranks);
 
     let oracle = Arc::new(Mutex::new(Oracle::new()));
     let per_rank = cfg.per_rank.max(2); // phase B deletes key 1

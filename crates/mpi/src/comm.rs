@@ -225,49 +225,18 @@ impl Communicator {
         clock.advance(self.fabric.net().msg_latency / 4); // receive-side software overhead
     }
 
-    /// Collective barrier: returns once all members arrive; clocks are merged
-    /// to the latest member plus a logarithmic synchronisation cost.
-    #[track_caller]
-    pub fn barrier(&self) {
-        let _ = self.allgather_bytes(Vec::new());
-    }
-
-    /// Collective all-gather of raw byte buffers; result is indexed by comm
-    /// rank. All members must call this the same number of times in the same
-    /// order (standard MPI collective semantics). On an armed world a member
+    /// Collective barrier, the only collective: returns once all members
+    /// arrive; clocks are merged to the latest member plus a logarithmic
+    /// synchronisation cost. All members must call it the same number of
+    /// times (standard MPI collective semantics). On an armed world a member
     /// that dies before arriving is fatal here, as under MPI's default error
     /// handler; [`Communicator::try_barrier`] is the recoverable form.
     #[track_caller]
-    pub(crate) fn allgather_bytes(&self, contribution: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
-        match self.rendezvous(contribution) {
-            Ok(bufs) => bufs,
-            Err(dead) => panic!("collective on comm {}: world rank {dead} is dead", self.id), // lint:allow(panic-path): fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank
+    pub fn barrier(&self) {
+        if let Err(dead) = self.try_barrier() {
+            // lint:allow(panic-path): fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank
+            panic!("collective on comm {}: world rank {dead} is dead", self.id);
         }
-    }
-
-    /// The one rendezvous behind every collective. A world without a fault
-    /// plan parks until all members arrive and cannot fail. An armed world
-    /// probes the failure detector whenever its wait times out — when no
-    /// other task can run: `Err(dead_world_rank)` instead of hanging when a
-    /// member dies before arriving.
-    #[track_caller]
-    fn rendezvous(&self, contribution: Vec<u8>) -> Result<Arc<Vec<Vec<u8>>>, Rank> {
-        let n = self.size();
-        let clock = self.fabric.clock(self.me_world);
-        let cost = self.fabric.collective_cost(n);
-        let mut check = || {
-            // Each timed-out wait consumes virtual time too; advancing here
-            // lets a rank whose clock lags the plan's kill times cross them
-            // instead of probing forever. Armed worlds only.
-            clock.advance(papyrus_faultinject::PROBE_DEADLINE_CAP_NS);
-            self.any_dead_member().map(|(_, wr)| wr)
-        };
-        let armed = self.fabric.faults().is_some();
-        let check = armed.then_some(&mut check as &mut dyn FnMut() -> Option<Rank>);
-        let (bufs, stamp) =
-            self.record.collective.allgather(n, self.me, contribution, clock.now(), cost, check)?;
-        clock.merge(stamp);
-        Ok(bufs)
     }
 
     /// Failure-detector confirmation round against comm rank `dst` at this
@@ -313,11 +282,27 @@ impl Communicator {
     }
 
     /// Barrier that reports a dead member (`Err(dead_world_rank)`) instead
-    /// of failing the job. On a world without a fault plan it is exactly
-    /// [`Communicator::barrier`] and always `Ok`.
+    /// of failing the job. A world without a fault plan parks until all
+    /// members arrive: it is exactly [`Communicator::barrier`] and always
+    /// `Ok`. An armed world probes the failure detector whenever its wait
+    /// times out — when no other task can run — instead of hanging when a
+    /// member dies before arriving.
     #[track_caller]
     pub fn try_barrier(&self) -> Result<(), Rank> {
-        self.rendezvous(Vec::new()).map(drop)
+        let clock = self.fabric.clock(self.me_world);
+        let cost = self.fabric.collective_cost(self.size());
+        let mut check = || {
+            // Each timed-out wait consumes virtual time too; advancing here
+            // lets a rank whose clock lags the plan's kill times cross them
+            // instead of probing forever. Armed worlds only.
+            clock.advance(papyrus_faultinject::PROBE_DEADLINE_CAP_NS);
+            self.any_dead_member().map(|(_, wr)| wr)
+        };
+        let armed = self.fabric.faults().is_some();
+        let check = armed.then_some(&mut check as &mut dyn FnMut() -> Option<Rank>);
+        let stamp = self.record.collective.barrier(clock.now(), cost, check)?;
+        clock.merge(stamp);
+        Ok(())
     }
 
     /// Collective duplicate: a new communicator with identical membership.

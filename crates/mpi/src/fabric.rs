@@ -77,10 +77,6 @@ impl RankNetTel {
 /// Internal communicator identifier (unique within a [`Fabric`]).
 pub(crate) type CommId = u64;
 
-/// A completed all-gather round: every member's contribution in rank
-/// order, plus the merged completion stamp.
-type GatherRound = (Arc<Vec<Vec<u8>>>, SimNs);
-
 /// A delivered message envelope as stored in a rank's mailbox.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
@@ -96,29 +92,30 @@ pub(crate) struct Envelope {
 /// A rank's incoming envelopes, on every communicator, behind one lock.
 type Mailbox = VecDeque<Envelope>;
 
-/// State used to rendezvous one collective operation on one communicator.
+/// State used to rendezvous one barrier on one communicator.
 pub(crate) struct CollectiveState {
     inner: Mutex<CollectiveInner>,
     cv: Condvar,
 }
 
 struct CollectiveInner {
+    /// Members of the communicator.
+    n: usize,
     arrived: usize,
     consumed: usize,
-    bufs: Vec<Option<Vec<u8>>>,
     max_stamp: SimNs,
-    /// Snapshot of `bufs`/`max_stamp` for the round being released. While
-    /// `Some`, the round is draining and no new round may start.
-    released: Option<(Arc<Vec<Vec<u8>>>, SimNs)>,
+    /// Release stamp of the round being released. While `Some`, the round
+    /// is draining and no new round may start.
+    released: Option<SimNs>,
 }
 
 impl CollectiveState {
     fn new(n: usize) -> Self {
         Self {
             inner: Mutex::new(CollectiveInner {
+                n,
                 arrived: 0,
                 consumed: 0,
-                bufs: vec![None; n],
                 max_stamp: 0,
                 released: None,
             }),
@@ -126,29 +123,25 @@ impl CollectiveState {
         }
     }
 
-    /// All-gather byte buffers across the `n` members. Returns every
-    /// member's contribution (indexed by comm rank) and the merged release
-    /// timestamp. Blocks until all members of this round arrive. Back-to-back
-    /// rounds are safe: a new round cannot begin until every member of the
-    /// previous round has consumed its result.
+    /// Barrier across the members: returns the release timestamp, the
+    /// latest arrival `stamp` plus `cost`. Blocks until all members of this
+    /// round arrive. Back-to-back rounds are safe: a new round cannot begin
+    /// until every member of the previous round has consumed its release.
     ///
     /// `check` is the liveness probe of an armed world (`None` on a world
     /// without a fault plan, which then parks untimed): the wait times out
     /// whenever no other task of the world can run, and calls it then. If it
-    /// names a dead member the caller *withdraws* its contribution and
-    /// returns `Err(dead_world_rank)`, leaving the round clean for the
-    /// surviving members (who will each detect the same death and withdraw
-    /// too, instead of hanging forever on a member that will never arrive).
+    /// names a dead member the caller *withdraws* its arrival and returns
+    /// `Err(dead_world_rank)`, leaving the round clean for the surviving
+    /// members (who will each detect the same death and withdraw too,
+    /// instead of hanging forever on a member that will never arrive).
     #[track_caller]
-    pub(crate) fn allgather(
+    pub(crate) fn barrier(
         &self,
-        n: usize,
-        me: Rank,
-        contribution: Vec<u8>,
         stamp: SimNs,
         cost: SimNs,
         mut check: Option<&mut dyn FnMut() -> Option<Rank>>,
-    ) -> Result<GatherRound, Rank> {
+    ) -> Result<SimNs, Rank> {
         let mut g = self.inner.lock();
         // Phase 0: if a previous round is still draining, wait it out.
         while g.released.is_some() {
@@ -159,15 +152,10 @@ impl CollectiveState {
             }
         }
         // Phase 1: arrive.
-        g.bufs[me] = Some(contribution);
         g.max_stamp = g.max_stamp.max(stamp);
         g.arrived += 1;
-        if g.arrived == n {
-            // Every slot was filled by an arrival; filter_map rather than
-            // unwrap so a protocol bug cannot panic the rank that arrived last.
-            let bufs: Vec<Vec<u8>> = g.bufs.iter_mut().filter_map(|b| b.take()).collect();
-            let release_stamp = g.max_stamp + cost;
-            g.released = Some((Arc::new(bufs), release_stamp));
+        if g.arrived == g.n {
+            g.released = Some(g.max_stamp + cost);
             g.consumed = 0;
             self.cv.notify_all();
         }
@@ -175,23 +163,23 @@ impl CollectiveState {
         // through), then consume; the last consumer resets for the next
         // round. The reset cannot race a member still waiting here: it
         // requires all n members to have consumed, which requires each to
-        // have seen `released` as `Some`.
+        // have seen `released` as `Some`. So a member that finds no release
+        // here has arrived in the round being gathered, and withdraws by
+        // taking its arrival back.
         let out = loop {
-            if let Some(out) = g.released.clone() {
+            if let Some(out) = g.released {
                 break out;
             }
             if self.park(&mut g, check.is_some()) && g.released.is_none() {
                 if let Some(dead) = check.as_mut().and_then(|check| check()) {
-                    if g.bufs[me].take().is_some() {
-                        g.arrived -= 1;
-                    }
+                    g.arrived -= 1;
                     self.cv.notify_all();
                     return Err(dead);
                 }
             }
         };
         g.consumed += 1;
-        if g.consumed == n {
+        if g.consumed == g.n {
             g.released = None;
             g.arrived = 0;
             g.max_stamp = 0;
@@ -378,7 +366,7 @@ impl Fabric {
     }
 
     /// Create-or-join a child communicator. `members` must be identical on
-    /// every creating rank (deterministic, e.g. from an allgather): a rank
+    /// every creating rank (deterministic, e.g. from a `dup` every member calls): a rank
     /// that joins with other members is a fatal error, as under MPI's
     /// default error handler.
     pub(crate) fn create_child(
@@ -799,34 +787,31 @@ mod tests {
     #[test]
     fn collective_state_allgather_exchanges_all() {
         let st = Arc::new(CollectiveState::new(3));
-        let mut handles = vec![];
-        for me in 0..3usize {
-            let st = st.clone();
-            handles.push(std::thread::spawn(move || {
-                st.allgather(3, me, vec![me as u8], (me as u64 + 1) * 100, 7, None).unwrap()
-            }));
-        }
+        let handles: Vec<_> = (0..3u64)
+            .map(|me| {
+                let st = st.clone();
+                std::thread::spawn(move || st.barrier((me + 1) * 100, 7, None).unwrap())
+            })
+            .collect();
         for h in handles {
-            let (bufs, stamp) = h.join().unwrap();
-            assert_eq!(*bufs, vec![vec![0u8], vec![1], vec![2]]);
-            assert_eq!(stamp, 307); // max(100,200,300) + 7
+            assert_eq!(h.join().unwrap(), 307); // max(100,200,300) + 7
         }
     }
 
     #[test]
     fn collective_state_reusable_across_generations() {
         let st = Arc::new(CollectiveState::new(2));
-        for round in 0..5u8 {
-            let mut handles = vec![];
-            for me in 0..2usize {
-                let st = st.clone();
-                handles.push(std::thread::spawn(move || {
-                    st.allgather(2, me, vec![round, me as u8], 0, 0, None).unwrap()
-                }));
-            }
+        for round in 0..5u64 {
+            let handles: Vec<_> = (0..2u64)
+                .map(|me| {
+                    let st = st.clone();
+                    std::thread::spawn(move || st.barrier((5 - round) * 10 + me, 0, None).unwrap())
+                })
+                .collect();
             for h in handles {
-                let (bufs, _) = h.join().unwrap();
-                assert_eq!(*bufs, vec![vec![round, 0], vec![round, 1]]);
+                // Each round releases at its own latest arrival, earlier
+                // than the round before it: nothing of that round is left.
+                assert_eq!(h.join().unwrap(), (5 - round) * 10 + 1);
             }
         }
     }

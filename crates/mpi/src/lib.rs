@@ -16,13 +16,13 @@
 //!   hands it the baton ([`RankCtx::spawn`], a helper with a thread of its
 //!   own, has no caller outside tests).
 //! * [`RankCtx`] — per-rank handle: `rank()`, `size()`, the world
-//!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], and
-//!   collective helpers.
+//!   [`Communicator`], the rank's virtual [`papyrus_simtime::Clock`], its
+//!   [`Fabric`], and `spawn_slices`.
 //! * [`Communicator`] — tagged, FIFO-per-(sender,tag) point-to-point
-//!   messaging with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`-style wildcards, plus
-//!   `dup` so library-internal traffic cannot collide with application
-//!   traffic (paper §2.4 "the runtime creates new independent
-//!   MPI communicators").
+//!   messaging with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`-style wildcards, a
+//!   barrier (the only collective), plus `dup` so library-internal traffic
+//!   cannot collide with application traffic (paper §2.4 "the runtime
+//!   creates new independent MPI communicators").
 //!
 //! Virtual time: each message is charged to the sender's egress NIC and the
 //! receiver's ingress NIC ([`papyrus_simtime::Resource`] busy-until queues)
@@ -34,7 +34,7 @@
 //! on that world's [`Fabric`] — delay spikes, drops, rank death and the
 //! heartbeat failure detector all read it from there — so worlds in one
 //! process never share faults, and an unarmed world's receives and
-//! collectives park untimed.
+//! barriers park untimed.
 //!
 //! Telemetry: the same holds for the `papyrus_telemetry::Registry` a
 //! world records into ([`WorldConfig::with_telemetry`]; by default a fresh,

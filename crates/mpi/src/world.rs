@@ -294,17 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_collects_in_rank_order() {
-        let out = World::run(WorldConfig::for_tests(4), |ctx| {
-            let bufs = ctx.world().allgather_bytes(vec![ctx.rank() as u8; 2]);
-            bufs.iter().map(|b| b[0]).collect::<Vec<u8>>()
-        });
-        for row in out {
-            assert_eq!(row, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
     fn dup_isolates_traffic() {
         let out = World::run(WorldConfig::for_tests(2), |ctx| {
             let w = ctx.world();

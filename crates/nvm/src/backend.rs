@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 /// Abstract byte storage for named objects.
 ///
@@ -54,7 +54,7 @@ pub trait Backend: Send + Sync {
 /// object with a rebuilt one.
 #[derive(Default)]
 pub struct MemBackend {
-    objects: RwLock<BTreeMap<String, Bytes>>,
+    objects: Mutex<BTreeMap<String, Bytes>>,
 }
 
 impl MemBackend {
@@ -65,23 +65,23 @@ impl MemBackend {
 
     /// Total bytes held (capacity accounting, e.g. Stampede's 112 GB SSD).
     pub fn total_bytes(&self) -> u64 {
-        self.objects.read().values().map(|v| v.len() as u64).sum()
+        self.objects.lock().values().map(|v| v.len() as u64).sum()
     }
 }
 
 impl Backend for MemBackend {
     fn put(&self, path: &str, data: Bytes) {
-        self.objects.write().insert(path.to_string(), data);
+        self.objects.lock().insert(path.to_string(), data);
     }
 
     fn append(&self, path: &str, data: &[u8]) {
-        let mut g = self.objects.write();
+        let mut g = self.objects.lock();
         let object = g.entry(path.to_string()).or_default();
         *object = Bytes::from([object.as_slice(), data].concat());
     }
 
     fn get(&self, path: &str, offset: u64, len: u64) -> Option<Bytes> {
-        let g = self.objects.read();
+        let g = self.objects.lock();
         let v = g.get(path)?;
         let start = (offset as usize).min(v.len());
         let end = (offset.saturating_add(len) as usize).min(v.len());
@@ -89,19 +89,19 @@ impl Backend for MemBackend {
     }
 
     fn get_all(&self, path: &str) -> Option<Bytes> {
-        self.objects.read().get(path).cloned()
+        self.objects.lock().get(path).cloned()
     }
 
     fn len(&self, path: &str) -> Option<u64> {
-        self.objects.read().get(path).map(|v| v.len() as u64)
+        self.objects.lock().get(path).map(|v| v.len() as u64)
     }
 
     fn delete(&self, path: &str) -> bool {
-        self.objects.write().remove(path).is_some()
+        self.objects.lock().remove(path).is_some()
     }
 
     fn rename(&self, from: &str, to: &str) -> bool {
-        let mut g = self.objects.write();
+        let mut g = self.objects.lock();
         match g.remove(from) {
             Some(v) => {
                 g.insert(to.to_string(), v);
@@ -113,7 +113,7 @@ impl Backend for MemBackend {
 
     fn list(&self, prefix: &str) -> Vec<String> {
         self.objects
-            .read()
+            .lock()
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.clone())
@@ -121,7 +121,7 @@ impl Backend for MemBackend {
     }
 
     fn clear(&self) {
-        self.objects.write().clear();
+        self.objects.lock().clear();
     }
 }
 

@@ -88,8 +88,8 @@ impl StoreTel {
 /// * a **clocked** wrapper taking `&Clock` — synchronous I/O: the caller's
 ///   virtual clock is advanced to the operation's completion stamp;
 /// * an **`_at`** primitive taking an explicit `now` and returning the
-///   completion stamp — used by background threads (compaction, checkpoint
-///   transfer) that must not block the application rank's clock. The stamp
+///   completion stamp — used by the runtime's tasks (compaction, checkpoint
+///   transfer) that must not advance the application rank's clock. The stamp
 ///   is reconciled later at a fence/barrier.
 ///
 /// An `NvmStore` value is a *handle*: clones share the device queue and

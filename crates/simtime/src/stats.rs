@@ -23,8 +23,8 @@ pub fn mbps(bytes: u64, ns: SimNs) -> f64 {
     bytes as f64 / MIB as f64 * SEC as f64 / ns as f64
 }
 
-/// Thread-safe operation counters shared across a rank and its background
-/// threads. Each counter is a monotone accumulator.
+/// Operation counters shared by a rank's tasks, the application's and the
+/// runtime's. Each counter is a monotone accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
     inner: Arc<OpStatsInner>,

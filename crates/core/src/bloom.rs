@@ -46,7 +46,13 @@ impl Bloom {
     /// Whether the key *may* be present (false positives possible, false
     /// negatives impossible).
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        let (h1, h2) = Self::probes(fnv1a64(key));
+        self.maybe_contains_hash(fnv1a64(key))
+    }
+
+    /// [`Bloom::maybe_contains`] of the key whose [`fnv1a64`] is `hash`: a
+    /// get hashes its key once and probes every table's filter with it.
+    pub(crate) fn maybe_contains_hash(&self, hash: u64) -> bool {
+        let (h1, h2) = Self::probes(hash);
         (0..self.k).all(|i| {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.m;
             self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
@@ -145,6 +151,21 @@ mod tests {
         let mut zeroed = vec![0u8; 12];
         zeroed[8] = 1; // k = 1
         assert!(Bloom::from_bytes(&zeroed).is_none());
+    }
+
+    /// A probe by the key's hash is the probe by the key: same answer for
+    /// members and non-members alike.
+    #[test]
+    fn a_probe_by_hash_is_a_probe_by_key() {
+        let mut b = Bloom::with_capacity(200, 10);
+        for i in 0..200 {
+            b.insert(format!("in-{i}").as_bytes());
+        }
+        let keys = (0..400).map(|i| format!("in-{i}")).chain((0..400).map(|i| format!("out-{i}")));
+        for key in keys {
+            let key = key.as_bytes();
+            assert_eq!(b.maybe_contains_hash(fnv1a64(key)), b.maybe_contains(key));
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub(crate) struct DbSync {
 
 /// Internal database representation shared by a rank's application task
 /// and its runtime tasks (handler, dispatcher, compaction), one running at a
-/// time. Its locks and their order: DESIGN §2.
+/// time. Its locks and their order: DESIGN §2. The local cache has no lock:
+/// it is part of the primary stack (`Stack::cache`), so a local get takes
+/// one lock, `stack`, from its MemTable probe to its cache fill.
 pub struct DbInner {
     pub(crate) id: u32,
     pub(crate) name: String,
@@ -58,10 +60,9 @@ pub struct DbInner {
     pub(crate) dist: Distributor,
 
     /// This rank's own keys. One lock covers MemTable, frozen MemTables,
-    /// SSTables and the SSID allocator, and is held across the local
-    /// cache's fill and invalidation, so a get never sees a gap between a
-    /// retired MemTable and its SSTable and the cache never outlives the
-    /// value it copied.
+    /// the local cache, SSTables and the SSID allocator, so a get never sees
+    /// a gap between a retired MemTable and its SSTable and the cache never
+    /// outlives the value it copied.
     pub(crate) stack: Mutex<Stack>,
     /// Puts bound for other owners, awaiting migration.
     pub(crate) staging: Mutex<Stack>,
@@ -73,7 +74,6 @@ pub struct DbInner {
     /// debris is harmless and reopen composes primaries only.
     pub(crate) repl: Mutex<HashMap<u32, Stack>>,
 
-    pub(crate) local_cache: Mutex<LruCache>,
     pub(crate) remote_cache: Mutex<LruCache>,
 
     pub(crate) sync: Mutex<DbSync>,
@@ -113,7 +113,8 @@ pub struct DbInner {
 }
 
 impl DbInner {
-    /// A database in a job of `n_ranks` recording into `tel`, over `stack`.
+    /// A database in a job of `n_ranks` recording into `tel`, over `stack`,
+    /// which takes the local cache the options call for.
     pub(crate) fn new(
         id: u32,
         name: &str,
@@ -121,8 +122,9 @@ impl DbInner {
         n_ranks: usize,
         mem: MemModel,
         opt: Options,
-        stack: Stack,
+        mut stack: Stack,
     ) -> DbInner {
+        stack.cache = local_cache(&opt, opt.protection);
         DbInner {
             id,
             name: name.to_string(),
@@ -133,7 +135,6 @@ impl DbInner {
             stack: Mutex::new(stack),
             staging: Mutex::new(Stack::new(1, Vec::new())),
             repl: Mutex::new(HashMap::new()),
-            local_cache: Mutex::new(LruCache::new(opt.local_cache_capacity)),
             remote_cache: Mutex::new(LruCache::new(opt.remote_cache_capacity)),
             sync: Mutex::new(DbSync {
                 pending_flushes: 0,
@@ -266,17 +267,17 @@ impl DbInner {
         }
     }
 
-    /// The local cache, if in use: configured on, and the database not
-    /// write-only (§3.2).
-    pub(crate) fn live_local_cache(&self, protection: Protection) -> Option<&Mutex<LruCache>> {
-        let on = self.opt.local_cache && protection != Protection::WriteOnly;
-        on.then_some(&self.local_cache)
-    }
-
     /// The remote cache, if in use: the database is read-only (§3.2).
     pub(crate) fn live_remote_cache(&self, protection: Protection) -> Option<&Mutex<LruCache>> {
         (protection == Protection::ReadOnly).then_some(&self.remote_cache)
     }
+}
+
+/// A fresh local cache for the primary stack under `protection`, if one is
+/// in use: configured on, and the database not write-only (§3.2).
+fn local_cache(opt: &Options, protection: Protection) -> Option<LruCache> {
+    let on = opt.local_cache && protection != Protection::WriteOnly;
+    on.then(|| LruCache::new(opt.local_cache_capacity))
 }
 
 /// A PapyrusKV database handle (`papyruskv_db_t`).
@@ -342,8 +343,8 @@ impl Db {
     }
 
     /// `papyruskv_protect`: collectively switch the protection attribute
-    /// (§3.2). Entering `WriteOnly` invalidates and disables the local
-    /// cache; leaving `ReadOnly` evicts and disables the remote cache.
+    /// (§3.2). Entering `WriteOnly` drops the local cache, leaving it starts
+    /// an empty one; leaving `ReadOnly` evicts and disables the remote cache.
     pub fn protect(&self, prot: Protection) -> Result<()> {
         self.inner.check_open()?;
         sync::barrier_inner(&self.ctx, &self.inner, BarrierLevel::MemTable)?;
@@ -351,10 +352,13 @@ impl Db {
             let mut st = self.inner.state.lock();
             let prev = st.protection;
             st.protection = prot;
+            if prev == Protection::WriteOnly && prot != Protection::WriteOnly {
+                self.inner.stack.lock().cache = local_cache(&self.inner.opt, prot);
+            }
             prev
         };
         if prot == Protection::WriteOnly {
-            self.inner.local_cache.lock().clear();
+            self.inner.stack.lock().cache = None;
         }
         if prev == Protection::ReadOnly && prot != Protection::ReadOnly {
             self.inner.remote_cache.lock().clear();

@@ -13,6 +13,7 @@ use parking_lot::Mutex;
 
 use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
+use crate::hashfn::fnv1a64;
 use crate::lru::{CacheEntry, LruCache};
 use crate::memtable::Entry;
 use crate::msg::{self, tags, GetResp};
@@ -61,12 +62,18 @@ impl Db {
     }
 }
 
-/// Search one SSTable for `key`, probing its bloom filter first when the
-/// database has them on. `None`: the table is gone — the SSData the search
-/// had to read is no longer there.
-fn probe_sst(db: &DbInner, table: &SstReader, key: &[u8], clock: &Clock) -> Option<SstGet> {
+/// Search one SSTable for `key`, whose [`fnv1a64`] is `hash`, probing its
+/// bloom filter first when the database has them on. `None`: the table is
+/// gone — the SSData the search had to read is no longer there.
+fn probe_sst(
+    db: &DbInner,
+    table: &SstReader,
+    key: &[u8],
+    hash: u64,
+    clock: &Clock,
+) -> Option<SstGet> {
     if db.opt.bloom_filter {
-        if !table.maybe_contains(key) {
+        if !table.maybe_contains_hash(hash) {
             db.tel.bloom_neg.inc();
             return Some(SstGet::NotFound);
         }
@@ -79,15 +86,17 @@ fn probe_sst(db: &DbInner, table: &SstReader, key: &[u8], clock: &Clock) -> Opti
 
 /// Walk SSTables in the order given — newest SSID first (§2.6). The one walk
 /// behind local and replica reads, whose tables cannot vanish under the
-/// stack lock; one lost to the device reads as a miss.
+/// stack lock; one lost to the device reads as a miss. The key is hashed
+/// once for every table's bloom filter.
 pub(crate) fn walk_ssts<R: Borrow<SstReader>>(
     db: &DbInner,
     tables: impl Iterator<Item = R>,
     key: &[u8],
     clock: &Clock,
 ) -> SstGet {
+    let hash = fnv1a64(key);
     for table in tables {
-        match probe_sst(db, table.borrow(), key, clock) {
+        match probe_sst(db, table.borrow(), key, hash, clock) {
             Some(SstGet::NotFound) | None => {}
             Some(hit) => return hit,
         }
@@ -121,10 +130,10 @@ impl DbInner {
 
 type Cache<'a> = Option<&'a Mutex<LruCache>>;
 
-/// Search a cache, if in use: a hit costs the DRAM copy of the value.
-fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet {
-    let Some(cache) = cache else { return SstGet::NotFound };
-    let Some(hit) = cache.lock().get(key) else {
+/// What a cache search found, `hit`, as the search's outcome: a hit costs
+/// the DRAM copy of the value.
+fn cache_outcome(db: &DbInner, hit: Option<CacheEntry>, key: &[u8], clock: &Clock) -> SstGet {
+    let Some(hit) = hit else {
         db.get_stats.miss();
         return SstGet::NotFound;
     };
@@ -133,29 +142,38 @@ fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet
     hit.into()
 }
 
+/// Search the remote cache, if in use.
+fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet {
+    let Some(cache) = cache else { return SstGet::NotFound };
+    let hit = cache.lock().get(key);
+    cache_outcome(db, hit, key, clock)
+}
+
 /// Search the primary stack's in-memory levels: MemTable, frozen MemTables
-/// (newest first), then the local cache (§2.6, Figure 3).
-fn search_memory(db: &DbInner, stack: &Stack, key: &[u8], clock: &Clock) -> SstGet {
-    match db.get_mem(stack, key, clock) {
-        Some(e) => e.into(),
-        None => search_cache(db, db.live_local_cache(db.state.lock().protection), key, clock),
+/// (newest first), then the local cache, if live (§2.6, Figure 3).
+fn search_memory(db: &DbInner, stack: &mut Stack, key: &[u8], clock: &Clock) -> SstGet {
+    if let Some(e) = db.get_mem(stack, key, clock) {
+        return e.into();
+    }
+    match &mut stack.cache {
+        Some(cache) => cache_outcome(db, cache.get(key), key, clock),
+        None => SstGet::NotFound,
     }
 }
 
 /// Full local get: memory, then the SSTables, then the cache fill — all
-/// under one hold of the stack's lock, so the value the cache keeps is still
-/// the newest when it goes in (a put invalidates under the same lock).
+/// under one hold of the stack's lock, which the cache is under too, so the
+/// value the cache keeps is still the newest when it goes in (a put
+/// invalidates under the same lock).
 pub(crate) fn local_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
-    let stack = db.stack.lock();
-    let hit = search_memory(db, &stack, key, clock);
+    let mut stack = db.stack.lock();
+    let hit = search_memory(db, &mut stack, key, clock);
     if hit != SstGet::NotFound {
         return hit;
     }
     let hit = walk_ssts(db, stack.ssts.iter().rev(), key, clock);
-    if let Some(entry) = hit.cache_entry() {
-        if let Some(cache) = db.live_local_cache(db.state.lock().protection) {
-            cache.lock().insert(key, entry);
-        }
+    if let (Some(entry), Some(cache)) = (hit.cache_entry(), &mut stack.cache) {
+        cache.insert(key, entry);
     }
     hit
 }
@@ -198,8 +216,8 @@ pub(crate) fn remote_get_reply(
     // Same storage group: "the message handler looks into the local
     // MemTable, immutable local MemTables, and local cache only" (§2.7)
     // and leaves the SSTables, newest first, to the caller.
-    let stack = db.stack.lock();
-    match search_memory(db, &stack, key, clk) {
+    let mut stack = db.stack.lock();
+    match search_memory(db, &mut stack, key, clk) {
         SstGet::NotFound => {
             GetResp::SearchShared(stack.ssts.iter().rev().map(SstReader::ssid).collect())
         }
@@ -326,12 +344,12 @@ fn search_peer_ssts(
     db.peer_readers.lock().retain(|&(of, ssid), _| of != owner || ssids_desc.contains(&ssid));
     // The owner answered `SearchShared` because its tables are on this
     // rank's store too.
-    let store = ctx.repo_store();
+    let (store, hash) = (ctx.repo_store(), fnv1a64(key));
     for &ssid in ssids_desc {
         let Some(table) = peer_reader(ctx, db, &store, owner, ssid, clock) else {
             return SstGet::NotFound;
         };
-        match probe_sst(db, &table, key, clock) {
+        match probe_sst(db, &table, key, hash, clock) {
             None => return SstGet::NotFound,
             Some(SstGet::NotFound) => {}
             Some(hit) => return cache_remote(cache, key, hit),
@@ -396,14 +414,12 @@ mod tests {
             let stack = Stack::new(2, vec![old]);
             let tel = CoreTel::new(&Default::default(), 0);
             let db = DbInner::new(0, "db", tel, 1, MemModel::free(), Options::default(), stack);
-            let ingest = || {
-                let protection = db.state.lock().protection;
-                db.insert_local(protection, KEY, value(b"new"));
-            };
+            let ingest = || db.insert_local(KEY, value(b"new"));
             let get = || local_get(&db, KEY, &Clock::new());
             if get_first {
                 assert_eq!(get(), found(b"old"));
-                assert!(db.local_cache.lock().peek(KEY).is_some(), "the get filled the cache");
+                let cache = db.stack.lock().cache.as_ref().and_then(|c| c.peek(KEY).cloned());
+                assert!(cache.is_some(), "the get filled the cache");
                 ingest();
             } else {
                 ingest();
@@ -416,6 +432,56 @@ mod tests {
             db.stack.lock().retire(&mt, table);
             assert_eq!(get(), found(b"new"), "stale cache fill (get first: {get_first})");
         }
+    }
+
+    /// The local cache lives under the stack's lock and keeps the §3.2
+    /// rules: a get fills it and a second hits it, a put invalidates it,
+    /// entering WRONLY drops it and a get there neither hits nor fills, and
+    /// leaving WRONLY starts an empty cache that fills again.
+    #[test]
+    fn the_local_cache_keeps_the_protection_rules() {
+        use crate::options::Protection;
+
+        let platform = Platform::new(SystemProfile::test_profile(), 1);
+        World::run(WorldConfig::for_tests(1), move |rank| {
+            let ctx = Context::init(rank, platform.clone(), "nvm://cache-prot").expect("init");
+            let db = ctx.open("db", OpenFlags::create(), Options::default()).expect("open");
+            for key in [&b"a"[..], b"b"] {
+                db.put(key, b"old").unwrap();
+            }
+            db.barrier(BarrierLevel::SsTable).unwrap();
+            let cached = |key: &[u8]| {
+                let stack = db.inner.stack.lock();
+                stack.cache.as_ref().map(|c| c.peek(key).map(|e| e.value.clone()))
+            };
+            let hits = || db.get_stats().hits();
+            let old = Some(Bytes::from_static(b"old"));
+
+            assert_eq!(cached(b"a"), Some(None), "a read-write database has a cache");
+            assert_eq!(db.get_opt(b"a").unwrap(), old);
+            assert_eq!(cached(b"a"), Some(old.clone()), "the SSTable get filled it");
+            let before = hits();
+            assert_eq!(db.get_opt(b"a").unwrap(), old);
+            assert_eq!(hits(), before + 1, "the second get hit it");
+            db.put(b"a", b"new").unwrap();
+            assert_eq!(cached(b"a"), Some(None), "the put invalidated it");
+            assert_eq!(&db.get(b"a").unwrap()[..], b"new");
+
+            assert_eq!(db.get_opt(b"b").unwrap(), old);
+            db.protect(Protection::WriteOnly).unwrap();
+            assert_eq!(cached(b"b"), None, "entering WRONLY dropped the cache");
+            let (hits_before, misses_before) = (hits(), db.get_stats().misses());
+            assert_eq!(db.get_opt(b"b").unwrap(), old);
+            assert_eq!(cached(b"b"), None, "a WRONLY get fills nothing");
+            assert_eq!((hits(), db.get_stats().misses()), (hits_before, misses_before));
+
+            db.protect(Protection::ReadWrite).unwrap();
+            assert_eq!(cached(b"b"), Some(None), "leaving WRONLY starts an empty cache");
+            assert_eq!(db.get_opt(b"b").unwrap(), old);
+            assert_eq!(cached(b"b"), Some(old.clone()), "fills resume");
+            db.close().expect("close");
+            ctx.finalize().expect("finalize");
+        });
     }
 
     /// In a storage group of 2, the caller's readers of the owner's tables

@@ -24,14 +24,16 @@
 //! it. The SSIndex layout has one home too (`put_fence` / `Fences::decode`).
 //!
 //! A get either **binary searches** the fence keys of the in-memory SSIndex
-//! — in DRAM, uncharged like the bloom probe — and then reads the one block
-//! that can hold the key (**one random NVM read per table searched**, none
-//! when the key sorts below the table's first key; the §2.6 optimisation
-//! exploiting NVM's fast random access), or **linearly scans** one SSData
-//! image from the start (the Figure 8 "Default" baseline). Either way the
-//! records read are walked in place by the one cursor. A value found is
-//! copied out of what was read, so it never pins the block or the table it
-//! was cut from. Whether the bloom filter is consulted first is the caller's
+//! — in DRAM, uncharged like the bloom probe, by the 8-byte word of each key
+//! past the prefix they all share, whole keys only where words tie — and
+//! then reads the one block that can hold the key (**one random NVM read per
+//! table searched**, none when the key sorts below the table's first key;
+//! the §2.6 optimisation exploiting NVM's fast random access), or **linearly
+//! scans** one SSData image from the start (the Figure 8 "Default"
+//! baseline). Either way the records read are walked in place by the one
+//! cursor, in the slice of the stored image the store hands out. A value
+//! found is copied out of it, so it never pins the block or the table it was
+//! cut from. Whether the bloom filter is consulted first is the caller's
 //! decision (`Options::bloom_filter`, made once in the database's SSTable
 //! walk): [`SstReader::get_at`] itself always searches.
 //!
@@ -333,33 +335,64 @@ fn holds_record(start: u64, end: u64) -> bool {
     end >= start && end - start >= RECORD_HEADER as u64
 }
 
-/// One block of SSData as the in-memory SSIndex knows it.
+/// The position `start..end` of a fence key in an SSIndex image, as a
+/// [`Block`] holds it; `None` past `u32::MAX`.
+fn key_span(start: usize, end: usize) -> Option<(u32, u32)> {
+    Some((u32::try_from(start).ok()?, u32::try_from(end).ok()?))
+}
+
+/// One block of SSData as the in-memory SSIndex knows it: 24 bytes.
 #[derive(Debug)]
 struct Block {
     /// Where the block starts in SSData.
     offset: u64,
-    /// Where its first key lies in the SSIndex image.
-    key: std::ops::Range<usize>,
+    /// The big-endian word of its first key's 8 bytes past the prefix every
+    /// fence key of the table shares (`key::abbrev`).
+    word: u64,
+    /// Where its first key lies in the SSIndex image: `start..end`.
+    key: (u32, u32),
 }
 
 /// The in-memory SSIndex: the image as stored — fence keys are compared in
 /// place, in that one flat buffer, so a search allocates nothing — plus the
-/// decoded position of every block.
+/// decoded position and word of every block. A search compares the prefix
+/// the fence keys share once, then words, and whole keys only where a word
+/// ties the key's.
 #[derive(Debug)]
 struct Fences {
     records: usize,
     image: Bytes,
+    /// Length of the prefix every fence key shares.
+    shared: usize,
     blocks: Vec<Block>,
 }
 
 impl Fences {
+    /// The index over `image` whose `blocks` hold their offsets and key
+    /// positions: their words are taken here, past the prefix the first
+    /// and last fence keys share — in key order, every fence key's.
+    fn new(records: usize, image: Bytes, mut blocks: Vec<Block>) -> Self {
+        let key = |b: &Block| &image[b.key.0 as usize..b.key.1 as usize];
+        let shared = match (blocks.first(), blocks.last()) {
+            (Some(first), Some(last)) => {
+                key(first).iter().zip(key(last)).take_while(|(a, b)| a == b).count()
+            }
+            _ => 0,
+        };
+        for block in &mut blocks {
+            block.word = u64::from_be_bytes(abbrev(key(block), shared));
+        }
+        Self { records, image, shared, blocks }
+    }
+
     /// Decode an SSIndex image against an SSData of `data_len` bytes. Total
     /// and strict: `None` unless the counts are plausible (no more blocks
     /// than records, none of either together, no more records than SSData
     /// has room for), the image is exactly its header and that many fences,
-    /// the first block starts SSData, every block's extent — up to the next
-    /// block, the last one's up to `data_len` — has room for a record, and
-    /// the fence keys are strictly increasing.
+    /// every fence key lies below 4 GiB of it, the first block starts
+    /// SSData, every block's extent — up to the next block, the last one's
+    /// up to `data_len` — has room for a record, and the fence keys are
+    /// strictly increasing.
     fn decode(image: Bytes, data_len: u64) -> Option<Self> {
         let word = |at: usize| Some(u64::from_le_bytes(image.get(at..at + 8)?.try_into().ok()?));
         let (records, block_count) = (word(0)?, word(8)?);
@@ -371,43 +404,57 @@ impl Fences {
         }
         // Bounded: no more blocks than records, no more records than bytes.
         let mut blocks: Vec<Block> = Vec::with_capacity(usize::try_from(block_count).ok()?);
+        let mut prev_key: &[u8] = &[];
         let mut pos = INDEX_HEADER;
         for _ in 0..block_count {
             let header = image.get(pos..pos.checked_add(FENCE_HEADER)?)?;
             let offset = u64::from_le_bytes(header[..8].try_into().ok()?);
             let keylen = u32::from_le_bytes(header[8..].try_into().ok()?) as usize;
-            let key = pos + FENCE_HEADER..(pos + FENCE_HEADER).checked_add(keylen)?;
-            let first_key = image.get(key.clone())?;
+            let (start, end) = (pos + FENCE_HEADER, (pos + FENCE_HEADER).checked_add(keylen)?);
+            let first_key = image.get(start..end)?;
             let fits = match blocks.last() {
                 None => offset == 0,
-                Some(prev) => {
-                    holds_record(prev.offset, offset) && image[prev.key.clone()] < *first_key
-                }
+                Some(prev) => holds_record(prev.offset, offset) && prev_key < first_key,
             };
             if !fits {
                 return None;
             }
-            pos = key.end;
-            blocks.push(Block { offset, key });
+            (pos, prev_key) = (end, first_key);
+            blocks.push(Block { offset, word: 0, key: key_span(start, end)? });
         }
         let tail_fits = blocks.last().is_none_or(|last| holds_record(last.offset, data_len));
-        (tail_fits && pos == image.len()).then_some(Self {
-            records: records as usize,
-            image,
-            blocks,
-        })
+        if !tail_fits || pos != image.len() {
+            return None;
+        }
+        Some(Self::new(records as usize, image, blocks))
+    }
+
+    /// The first key of `block`.
+    fn key(&self, block: &Block) -> &[u8] {
+        &self.image[block.key.0 as usize..block.key.1 as usize]
     }
 
     /// Every block's offset in SSData and first key, in block order.
     fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.blocks.iter().map(|b| (b.offset, &self.image[b.key.clone()]))
+        self.blocks.iter().map(|b| (b.offset, self.key(b)))
     }
 
     /// The extent `start..end` of the one block that can hold `key` — the
     /// last whose first key is not above it; `None` when `key` sorts below
-    /// every record. A binary search of the fence keys, in memory.
+    /// every record. A binary search of the fences, in memory: a key whose
+    /// head is not the shared prefix sorts below every fence or above them
+    /// all; one that carries it is searched by its word past the prefix.
     fn block_of(&self, key: &[u8], data_len: u64) -> Option<(u64, u64)> {
-        let after = self.blocks.partition_point(|b| &self.image[b.key.clone()] <= key);
+        let prefix = &self.key(self.blocks.first()?)[..self.shared];
+        let after = match key[..key.len().min(self.shared)].cmp(prefix) {
+            std::cmp::Ordering::Less => return None,
+            std::cmp::Ordering::Greater => self.blocks.len(),
+            std::cmp::Ordering::Equal => {
+                let word = u64::from_be_bytes(abbrev(key, self.shared));
+                self.blocks
+                    .partition_point(|b| b.word < word || (b.word == word && self.key(b) <= key))
+            }
+        };
         let block = after.checked_sub(1)?;
         let end = self.blocks.get(after).map_or(data_len, |next| next.offset);
         Some((self.blocks[block].offset, end))
@@ -447,7 +494,9 @@ impl TableImage {
                 block_full = data.len() + BLOCK_BYTES;
                 let key_at = index.len() + FENCE_HEADER;
                 put_fence(&mut index, data.len() as u64, rec.key);
-                blocks.push(Block { offset: data.len() as u64, key: key_at..index.len() });
+                assert!(index.len() <= u32::MAX as usize, "an SSIndex image past 4 GiB");
+                let key = (key_at as u32, index.len() as u32);
+                blocks.push(Block { offset: data.len() as u64, word: 0, key });
             }
             put_record(&mut data, rec);
             hashes.push(fnv1a64(rec.key));
@@ -463,7 +512,7 @@ impl TableImage {
             data.freeze()
         };
         let images = [data, Bytes::from(index), Bytes::from(bloom.to_bytes())];
-        let fences = Fences { records, image: images[1].clone(), blocks };
+        let fences = Fences::new(records, images[1].clone(), blocks);
         Self { images, fences, bloom }
     }
 
@@ -611,6 +660,11 @@ impl SstReader {
     /// does not exist in the SSData" (§2.4).
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
         self.0.bloom.maybe_contains(key)
+    }
+
+    /// [`SstReader::maybe_contains`] of the key whose [`fnv1a64`] is `hash`.
+    pub(crate) fn maybe_contains_hash(&self, hash: u64) -> bool {
+        self.0.bloom.maybe_contains_hash(hash)
     }
 
     /// The block `start..end` of SSData in one ranged read; `None` when
@@ -1202,6 +1256,53 @@ pub(crate) mod tests {
             }
         }
 
+        /// The word search names the block a whole-key search names: fence
+        /// keys sharing a prefix of 0, 7, 8, 9, 15, 16 or 17 bytes, the whole
+        /// table and its first block alone, against keys below the prefix,
+        /// above it, inside it, shorter than it, the empty key, every fence
+        /// key and its neighbours.
+        #[test]
+        fn block_of_matches_a_whole_key_search(
+            pick in 0usize..7,
+            prefix in vec(any::<u8>(), 17..18),
+            tails in btree_map(vec(any::<u8>(), 0..12), any::<bool>(), 1..40),
+            probes in vec(vec(any::<u8>(), 0..12), 0..20),
+        ) {
+            let prefix = &prefix[..[0, 7, 8, 9, 15, 16, 17][pick]];
+            let keys: Vec<Vec<u8>> = tails.keys().map(|tail| [prefix, tail].concat()).collect();
+            let mut queries: Vec<Vec<u8>> =
+                (0..=prefix.len()).map(|n| prefix[..n].to_vec()).collect();
+            for key in &keys {
+                let shorter = key[..key.len().saturating_sub(1)].to_vec();
+                queries.extend([key.clone(), [key, &[0][..]].concat(), shorter]);
+            }
+            for probe in &probes {
+                queries.extend([probe.clone(), [prefix, probe].concat()]);
+            }
+            if let Some(at) = prefix.len().checked_sub(1) {
+                for step in [1, u8::MAX] {
+                    let mut beside = prefix.to_vec();
+                    beside[at] = beside[at].wrapping_add(step);
+                    queries.extend([beside.clone(), [&beside[..], &[0xff; 9]].concat()]);
+                }
+            }
+            for n in [keys.len(), 1] {
+                let offsets: Vec<u64> = (0..n as u64).map(|i| i * 100).collect();
+                let data_len = n as u64 * 100;
+                let fences: Vec<(u64, &[u8])> =
+                    offsets.iter().zip(&keys).map(|(o, k)| (*o, k.as_slice())).collect();
+                let index = Fences::decode(Bytes::from(index_of(n as u64, &fences)), data_len)
+                    .expect("a well-formed SSIndex decodes");
+                for query in &queries {
+                    let after = keys[..n].partition_point(|k| k.as_slice() <= query.as_slice());
+                    let want = after.checked_sub(1).map(|block| {
+                        (offsets[block], offsets.get(after).copied().unwrap_or(data_len))
+                    });
+                    prop_assert_eq!(index.block_of(query, data_len), want, "query {:?}", query);
+                }
+            }
+        }
+
         /// `record_at` is total — arbitrary bytes, arbitrary positions — and
         /// whatever it decodes lies inside the bytes it was given.
         #[test]
@@ -1250,6 +1351,17 @@ pub(crate) mod tests {
                 prop_assert_eq!((torn.pos, torn.is_whole()), (last, cut == last));
             }
         }
+    }
+
+    /// A fence key's position must fit the 32 bits a block holds it in:
+    /// one past that is rejected, so `Fences::decode` of an image that long
+    /// is `None`.
+    #[test]
+    fn a_fence_position_past_u32_is_rejected() {
+        let max = u32::MAX as usize;
+        assert_eq!(key_span(16, max), Some((16, u32::MAX)));
+        assert_eq!(key_span(16, max + 1), None);
+        assert_eq!(key_span(max + 1, max + 2), None);
     }
 
     /// Nothing else pins the linear scan's charges (Figure 8's "Default"

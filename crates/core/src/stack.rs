@@ -6,11 +6,14 @@
 //! origin rank it backs up (`DbInner::repl`, DESIGN §11), and the staging
 //! stack of puts bound for other owners (`DbInner::staging`), whose frozen
 //! tables drain to their owners instead of to NVM, so it never grows
-//! SSTables. A stack has no lock of its own: whoever holds its owner's lock
-//! sees MemTables, SSTables and the SSID allocator move together.
+//! SSTables. The primary stack alone holds a local cache (§2.3), searched
+//! between its MemTables and its SSTables. A stack has no lock of its own:
+//! whoever holds its owner's lock sees MemTables, cache, SSTables and the
+//! SSID allocator move together.
 
 use std::sync::Arc;
 
+use crate::lru::LruCache;
 use crate::memtable::MemTable;
 use crate::msg::Batch;
 use crate::sstable::{merge, Cursor, Record, Ssid, SstReader};
@@ -23,12 +26,17 @@ pub(crate) struct Stack {
     pub(crate) ssts: Vec<SstReader>,
     /// The next SSID to hand out: above every table in `ssts`.
     pub(crate) next_ssid: Ssid,
+    /// The local cache of values the SSTable search found: the primary
+    /// stack's while it is live (`Options::local_cache`, and the database
+    /// not write-only, §3.2); `None` otherwise, and on every other stack.
+    pub(crate) cache: Option<LruCache>,
 }
 
 impl Stack {
-    /// Empty MemTables over `ssts` (ascending SSID, all below `next_ssid`).
+    /// Empty MemTables over `ssts` (ascending SSID, all below `next_ssid`),
+    /// no cache.
     pub(crate) fn new(next_ssid: Ssid, ssts: Vec<SstReader>) -> Self {
-        Self { mem: MemTable::new(), imm: Vec::new(), ssts, next_ssid }
+        Self { mem: MemTable::new(), imm: Vec::new(), ssts, next_ssid, cache: None }
     }
 
     /// The MemTable, then the frozen ones newest first: the order a search

@@ -55,7 +55,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             // completes.
             let copy = (db.repl_n >= 2).then(|| Entry::remote(value.clone(), tombstone, me as u32));
             let entry = entry_of(value, tombstone);
-            insert_local_entry(ctx, db, state.protection, key, entry, clock);
+            insert_local_entry(ctx, db, key, entry, clock);
             if let Some(copy) = copy {
                 stage(ctx, db, key, copy, clock);
             }
@@ -71,7 +71,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             let batch: Batch = [Record { key, value: &value, tombstone }].into_iter().collect();
             let kind = if owner == me {
                 let entry = entry_of(value, tombstone);
-                insert_local_entry(ctx, db, state.protection, key, entry, clock);
+                insert_local_entry(ctx, db, key, entry, clock);
                 &db.tel.put_local
             } else {
                 // "sent to the remote owner rank synchronously and directly
@@ -120,19 +120,11 @@ pub(crate) fn entry_of(value: Bytes, tombstone: bool) -> Entry {
 /// the stack's lock: "a stale cache entry that has the same key as the
 /// new key-value pair is evicted from the local cache" (§2.4), and no get
 /// can put the old value back in between (gets fill the cache holding the
-/// same lock). Skipped under WRONLY (§3.2): `protection` is the attribute
-/// the caller read for this operation.
-fn insert_local_entry(
-    ctx: &CtxInner,
-    db: &Arc<DbInner>,
-    protection: Protection,
-    key: &[u8],
-    entry: Entry,
-    clock: &Clock,
-) {
+/// same lock). Under WRONLY (§3.2) there is no cache to invalidate.
+fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entry, clock: &Clock) {
     // DRAM cost of the tree insert + copy.
     clock.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-    if db.insert_local(protection, key, entry) {
+    if db.insert_local(key, entry) {
         freeze(ctx, db, Side::Local, clock.now());
     }
 }
@@ -140,12 +132,11 @@ fn insert_local_entry(
 impl DbInner {
     /// The locked part of [`insert_local_entry`]; whether the MemTable has
     /// reached its capacity.
-    pub(crate) fn insert_local(&self, protection: Protection, key: &[u8], entry: Entry) -> bool {
-        let cache = self.live_local_cache(protection);
+    pub(crate) fn insert_local(&self, key: &[u8], entry: Entry) -> bool {
         let mut stack = self.stack.lock();
         stack.mem.insert(key, entry);
-        if let Some(cache) = cache {
-            cache.lock().invalidate(key);
+        if let Some(cache) = &mut stack.cache {
+            cache.invalidate(key);
         }
         stack.mem.bytes() >= self.opt.memtable_capacity
     }
@@ -496,8 +487,6 @@ impl Shipping {
 pub(crate) struct Ingest {
     db: Arc<DbInner>,
     records: Batch,
-    /// The protection attribute read for the whole batch.
-    protection: Protection,
     /// The service clock, from the batch's arrival stamp.
     clk: Clock,
     stamp: SimNs,
@@ -511,9 +500,8 @@ pub(crate) struct Ingest {
 
 impl Ingest {
     pub(crate) fn new(db: Arc<DbInner>, records: Batch, stamp: SimNs) -> Self {
-        let protection = db.state.lock().protection;
         let clk = Clock::starting_at(stamp);
-        Self { db, records, protection, clk, stamp, done: 0, full: false, stalled: false }
+        Self { db, records, clk, stamp, done: 0, full: false, stalled: false }
     }
 
     /// Ingest on: the service-completion stamp once every record is in, or
@@ -544,7 +532,7 @@ impl Ingest {
             let Some((key, entry)) = records.next() else { break };
             // `insert_local_entry`, with the freeze it owes left to the loop.
             self.clk.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-            self.full = db.insert_local(self.protection, key, entry);
+            self.full = db.insert_local(key, entry);
             self.done += 1;
         }
         let done = self.clk.now();

@@ -48,10 +48,11 @@ pub trait Backend: Send + Sync {
 /// Deterministic in-memory backend (the default for tests and benches).
 ///
 /// A stored object *is* the immutable [`Bytes`] it was put as: `put` keeps
-/// the handle and `get_all` hands out another (no copy; a handle taken
-/// earlier keeps reading what it read), a ranged `get` copies its range out
-/// once so what it returns never pins the object, and `append` replaces the
-/// object with a rebuilt one.
+/// the handle and `get_all` hands out another, a ranged `get` a slice of it
+/// (no copy either way; a handle taken earlier keeps reading what it read),
+/// and `append` replaces the object with a rebuilt one. A slice shares the
+/// whole object's allocation, so a caller copies out what it keeps — an
+/// SSTable get its matched value — and lets the slice go.
 #[derive(Default)]
 pub struct MemBackend {
     objects: Mutex<BTreeMap<String, Bytes>>,
@@ -85,7 +86,7 @@ impl Backend for MemBackend {
         let v = g.get(path)?;
         let start = (offset as usize).min(v.len());
         let end = (offset.saturating_add(len) as usize).min(v.len());
-        Some(Bytes::copy_from_slice(&v[start..end]))
+        Some(v.slice(start..end))
     }
 
     fn get_all(&self, path: &str) -> Option<Bytes> {
@@ -182,19 +183,24 @@ mod tests {
         assert_eq!(b.total_bytes(), 6);
     }
 
-    /// Objects are immutable handles: a `get_all` taken before the path is
-    /// appended to or overwritten keeps reading the bytes it read.
+    /// Objects are immutable handles: a `get_all` or a ranged `get` taken
+    /// before the path is appended to or overwritten keeps reading the bytes
+    /// it read.
     #[test]
     fn a_handle_keeps_reading_what_it_read() {
         let b = MemBackend::new();
         b.put("k", Bytes::from_static(b"first"));
         let before_append = b.get_all("k").unwrap();
+        let range_before_append = b.get("k", 1, 3).unwrap();
         b.append("k", b"+more");
         let before_put = b.get_all("k").unwrap();
+        let range_before_put = b.get("k", 4, 4).unwrap();
         b.put("k", Bytes::from_static(b"second"));
         b.put("other", Bytes::from_static(b"xy"));
         assert_eq!(&before_append[..], b"first");
+        assert_eq!(&range_before_append[..], b"irs");
         assert_eq!(&before_put[..], b"first+more");
+        assert_eq!(&range_before_put[..], b"t+mo");
         assert_eq!(&b.get_all("k").unwrap()[..], b"second");
         // Capacity accounting is the sum of the objects' lengths, whatever
         // handles are still out.

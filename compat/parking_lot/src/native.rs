@@ -24,6 +24,10 @@
 //! Outside a world that is two thread-local updates per guard, and the lock
 //! itself stays a plain `std` lock.
 
+// The shim is where the std locks belong: it wraps them in the lock a
+// world's scheduler sees.
+#![allow(clippy::disallowed_types, reason = "the shim wraps the std locks")]
+
 use std::any::type_name;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -200,6 +204,7 @@ impl fmt::Debug for Condvar {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -131,16 +131,6 @@ impl<T: RngCore + ?Sized> Rng for T {}
 pub trait SeedableRng: Sized {
     /// Build a generator from a 64-bit seed (deterministic).
     fn seed_from_u64(seed: u64) -> Self;
-
-    /// Build a generator from OS entropy. The shim derives it from the
-    /// current time — adequate for the non-reproducible paths.
-    fn from_entropy() -> Self {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9E3779B97F4A7C15);
-        Self::seed_from_u64(t)
-    }
 }
 
 /// Named generators.

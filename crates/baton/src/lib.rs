@@ -68,6 +68,10 @@
 //!
 //! Outside a world every hook is a thread-local check.
 
+// The scheduler's own state lives on OS primitives: the `parking_lot` shim,
+// the lock a world's tasks use, is built on this crate.
+#![allow(clippy::disallowed_types, reason = "the scheduler under the shim uses std locks")]
+
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -573,6 +577,7 @@ impl Baton {
     {
         let tid = self.add_task(name.clone(), rank, clock, None);
         let baton = Arc::clone(self);
+        #[allow(clippy::disallowed_methods, reason = "a world task is an OS thread the baton runs")]
         let handle = std::thread::Builder::new()
             .name(name)
             .stack_size(2 << 20)

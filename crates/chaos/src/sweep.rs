@@ -190,7 +190,7 @@ pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
             start: 0,
             end: cfg.horizon_ns,
             to_rank: None,
-            tag: Some(papyruskv::msg::tags::PUT_SYNC),
+            tag: Some(papyruskv::msg::Request::PutSync.tag()),
             budget: 2,
         }],
         // Drop one GET_REQ: the planted bug blocks that RPC on an undeadlined
@@ -200,7 +200,7 @@ pub fn run_seed_bug(cfg: &ChaosCfg, bug: PlantedBug) -> ChaosReport {
             start: 0,
             end: cfg.horizon_ns,
             to_rank: None,
-            tag: Some(papyruskv::msg::tags::GET_REQ),
+            tag: Some(papyruskv::msg::Request::Get.tag()),
             budget: 1,
         }],
     };

@@ -35,6 +35,7 @@ impl Bloom {
     /// Insert the key whose [`fnv1a64`] is `hash`: the table encoder keeps a
     /// hash per record as it streams and fills the filter once it can be
     /// sized, without walking the keys again.
+    #[allow(clippy::indexing_slicing, reason = "bit < m, and bits holds m / 64 words")]
     pub(crate) fn insert_hash(&mut self, hash: u64) {
         let (h1, h2) = Self::probes(hash);
         for i in 0..self.k {
@@ -51,6 +52,7 @@ impl Bloom {
 
     /// [`Bloom::maybe_contains`] of the key whose [`fnv1a64`] is `hash`: a
     /// get hashes its key once and probes every table's filter with it.
+    #[allow(clippy::indexing_slicing, reason = "bit < m, and bits holds m / 64 words")]
     pub(crate) fn maybe_contains_hash(&self, hash: u64) -> bool {
         let (h1, h2) = Self::probes(hash);
         (0..self.k).all(|i| {
@@ -78,21 +80,17 @@ impl Bloom {
 
     /// Parse the bloom-file format; `None` on corruption.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        if data.len() < 12 {
-            return None;
-        }
-        let m = u64::from_le_bytes(data[0..8].try_into().ok()?);
-        let k = u32::from_le_bytes(data[8..12].try_into().ok()?);
+        let (m, rest) = data.split_first_chunk::<8>()?;
+        let (k, body) = rest.split_first_chunk::<4>()?;
+        let (m, k) = (u64::from_le_bytes(*m), u32::from_le_bytes(*k));
         if m == 0 || m % 64 != 0 || k == 0 {
             return None;
         }
-        let nwords = (m / 64) as usize;
-        let body = &data[12..];
-        if body.len() != nwords * 8 {
+        let (words, []) = body.as_chunks::<8>() else { return None };
+        if words.len() as u64 != m / 64 {
             return None;
         }
-        let bits =
-            body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(); // lint:allow(panic-path): chunks_exact(8) yields exactly-8-byte chunks
+        let bits = words.iter().map(|w| u64::from_le_bytes(*w)).collect();
         Some(Self { bits, m, k })
     }
 }

@@ -41,6 +41,7 @@ enum Repr {
 impl Key {
     /// The key's bytes.
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "an inline key's len is at most INLINE")]
     pub fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
@@ -51,6 +52,7 @@ impl Key {
 
 impl From<&[u8]> for Key {
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "a key past INLINE bytes is boxed above")]
     fn from(key: &[u8]) -> Self {
         if key.len() > INLINE {
             return Self(Repr::Boxed(key.into()));
@@ -108,6 +110,7 @@ impl KeyHasher {
 
 impl Hasher for KeyHasher {
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "as_chunks leaves a tail of under 8 bytes")]
     fn write(&mut self, bytes: &[u8]) {
         let (words, tail) = bytes.as_chunks::<8>();
         for word in words {

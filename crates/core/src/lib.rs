@@ -66,6 +66,19 @@
 //! | `papyruskv_checkpoint` / `restart` / `destroy` | [`Db::checkpoint`] / [`Context::restart`] / [`Db::destroy`] |
 //! | `papyruskv_wait` | [`Event::wait`] |
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod bloom;
 mod ckpt;
 mod db;

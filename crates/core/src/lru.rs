@@ -59,6 +59,10 @@ pub struct LruCache {
     misses: u64,
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a slot index comes from the map or the list, and slots never shrink"
+)]
 impl LruCache {
     /// Cache bounded to `capacity` bytes of key+value payload.
     pub fn new(capacity: u64) -> Self {

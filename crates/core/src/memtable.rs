@@ -131,6 +131,7 @@ impl MemTable {
     }
 
     /// Length of the prefix every key of the table shares.
+    #[allow(clippy::indexing_slicing, reason = "shared starts at first.len() and only shrinks")]
     fn shared_prefix(&self) -> usize {
         let mut keys = self.index.keys().map(Key::as_slice);
         let Some(first) = keys.next() else { return 0 };

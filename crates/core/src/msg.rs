@@ -3,15 +3,15 @@
 //! PapyrusKV's message dispatcher and message handler tasks exchange
 //! request/response messages over runtime-private communicators (§2.4,
 //! §2.6). The format is a hand-rolled little-endian binary encoding (no
-//! serde): a fixed header per tag, then the tag's body.
+//! serde): a fixed header per [`Request`] or [`Reply`], then its body.
 //!
 //! | tag | header | body |
 //! |---|---|---|
-//! | `MIGRATE`, `PUT_SYNC` | `[db: u32][seq: u64][count: u32]` | a [`Batch`] (`PUT_SYNC`: of one record) |
-//! | `REPL_PUT` | `[db: u32][origin: u32][want_ack: u8][seq: u64][count: u32]` | a [`Batch`] |
-//! | `GET_REQ`, `REPL_GET` | `[db: u32][group or origin: u32][seq: u64]` | `[keylen: u32][key]` |
-//! | `GET_RESP`, `REPL_RESP` | `[seq: u64][opcode: u8]` | per opcode |
-//! | `BARRIER_MARK` | `[db: u32][epoch: u64]` | — |
+//! | `Migrate`, `PutSync` | `[db: u32][seq: u64][count: u32]` | a [`Batch`] (`PutSync`: of one record) |
+//! | `ReplPut` | `[db: u32][origin: u32][want_ack: u8][seq: u64][count: u32]` | a [`Batch`] |
+//! | `Get`, `ReplGet` | `[db: u32][group or origin: u32][seq: u64]` | `[keylen: u32][key]` |
+//! | `GetResp`, `ReplResp` | `[seq: u64][opcode: u8]` | per opcode |
+//! | `BarrierMark` | `[db: u32][epoch: u64]` | — |
 //! | the acks | `[seq: u64]` | — |
 //!
 //! There is one record format, and it is not defined here: a [`Batch`] is a
@@ -26,40 +26,97 @@ use crate::memtable::Entry;
 use crate::sstable::{put_record, Cursor, Record, Ssid};
 use crate::write::entry_of;
 
-/// Message tags on the request communicator (handler side).
-pub mod tags {
+/// A request on the request communicator; its discriminant is its wire tag.
+///
+/// The handler's dispatch is an exhaustive `match` on it, so a request that
+/// is sent but not served does not compile, and neither does a tag value
+/// used twice (E0081).
+#[repr(u32)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Request {
     /// Batched migration of key-value pairs to their owner.
-    pub const MIGRATE: u32 = 1;
+    Migrate = 1,
     /// Synchronous single put/delete (sequential consistency mode).
-    pub const PUT_SYNC: u32 = 2;
+    PutSync = 2,
     /// Remote get request.
-    pub const GET_REQ: u32 = 3;
-    /// Barrier marker (flushes the FIFO channel ahead of it).
-    pub const BARRIER_MARK: u32 = 4;
-    /// Handler shutdown (sent by the own rank at finalize).
-    pub const SHUTDOWN: u32 = 5;
+    Get = 3,
+    /// Barrier marker (flushes the FIFO channel ahead of it). One-way.
+    BarrierMark = 4,
+    /// Handler shutdown (sent by the own rank at finalize). One-way.
+    Shutdown = 5,
     /// Replica copy of a put batch, forwarded to a successor rank of the
     /// owner (DESIGN §11). Rides the same FIFO request channel as
-    /// `BARRIER_MARK`, so a successful barrier proves every replica batch
+    /// `BarrierMark`, so a successful barrier proves every replica batch
     /// sent before it has been ingested.
-    pub const REPL_PUT: u32 = 6;
+    ReplPut = 6,
     /// Failover get served from a successor's replica tables after the
-    /// owner rank died: a `GET_REQ` whose second word names the origin rank
+    /// owner rank died: a `Get` whose second word names the origin rank
     /// whose ranges to search, not the caller's storage group.
-    pub const REPL_GET: u32 = 7;
-    /// Tags on the reply communicator (caller side).
-    pub const PUT_ACK: u32 = 10;
+    ReplGet = 7,
+}
+
+impl Request {
+    const ALL: [Request; 7] = [
+        Request::Migrate,
+        Request::PutSync,
+        Request::Get,
+        Request::BarrierMark,
+        Request::Shutdown,
+        Request::ReplPut,
+        Request::ReplGet,
+    ];
+
+    /// Its tag on the request communicator.
+    pub const fn tag(self) -> u32 {
+        self as u32
+    }
+
+    /// The request a tag off the wire names.
+    pub fn from_tag(tag: u32) -> Result<Request> {
+        Request::ALL
+            .into_iter()
+            .find(|r| r.tag() == tag)
+            .ok_or_else(|| Error::Internal(format!("unknown request tag {tag}")))
+    }
+
+    /// The reply it owes its sender; `None` for the one-way barrier mark
+    /// and shutdown.
+    pub const fn reply(self) -> Option<Reply> {
+        match self {
+            Request::Migrate => Some(Reply::MigrateAck),
+            Request::PutSync => Some(Reply::PutAck),
+            Request::Get => Some(Reply::GetResp),
+            Request::ReplPut => Some(Reply::ReplAck),
+            Request::ReplGet => Some(Reply::ReplResp),
+            Request::BarrierMark | Request::Shutdown => None,
+        }
+    }
+}
+
+/// A reply on the reply communicator; its discriminant is its wire tag.
+#[repr(u32)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reply {
+    /// `PutSync` acknowledgement.
+    PutAck = 10,
     /// Remote get response.
-    pub const GET_RESP: u32 = 11;
+    GetResp = 11,
     /// Migration-batch acknowledgement. Sent iff the batch asks for one (a
     /// non-zero sequence number), which `send_batch` does on a world armed
     /// with a fault plan — the request itself says whether an ack flows.
-    pub const MIGRATE_ACK: u32 = 12;
-    /// Replica-batch acknowledgement (sent only when the `REPL_PUT` header
+    MigrateAck = 12,
+    /// Replica-batch acknowledgement (sent only when the `ReplPut` header
     /// requests one: synchronous forwards and fault-plane dispatch).
-    pub const REPL_ACK: u32 = 13;
-    /// Failover-get response (same body as `GET_RESP`).
-    pub const REPL_RESP: u32 = 14;
+    ReplAck = 13,
+    /// Failover-get response (same body as `GetResp`).
+    ReplResp = 14,
+}
+
+impl Reply {
+    /// Its tag on the reply communicator.
+    pub const fn tag(self) -> u32 {
+        self as u32
+    }
 }
 
 /// RPC sequence number carried by every request and echoed by its reply.

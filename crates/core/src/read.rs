@@ -16,7 +16,7 @@ use crate::error::{Error, Result};
 use crate::hashfn::fnv1a64;
 use crate::lru::{CacheEntry, LruCache};
 use crate::memtable::Entry;
-use crate::msg::{self, tags, GetResp};
+use crate::msg::{self, GetResp, Request};
 use crate::options::Consistency;
 use crate::replica::{failover_get, maybe_promote};
 use crate::runtime::{self, CtxInner};
@@ -306,8 +306,7 @@ fn remote_get_primary(
     let me = ctx.rank.rank();
     let round_trip = |group: u32| {
         let encode = &mut |seq| msg::encode_get_req(db.id, group, seq, key);
-        runtime::request(ctx, db, (owner, tags::GET_REQ, tags::GET_RESP), "remote get", encode)
-            .map(reply_of)
+        runtime::request(ctx, db, (owner, Request::Get), "remote get", encode).map(reply_of)
     };
     let reply = round_trip(ctx.group_of(me))?;
     let Some(GetResp::SearchShared(ssids)) = reply else {

@@ -16,7 +16,7 @@ use papyrus_telemetry::TID_HANDLER;
 
 use crate::db::DbInner;
 use crate::error::{Error, Result};
-use crate::msg::{self, tags, Batch};
+use crate::msg::{self, Batch, Request};
 use crate::read::{absorb_reply, reply_of, walk_ssts};
 use crate::runtime::{self, CtxInner, MigrateJob, Shipment};
 use crate::sstable::{self, SstGet};
@@ -54,7 +54,9 @@ pub(crate) fn forward_replicas(
         }
         let ship = Shipment { to: s, copy_of: Some(owner), records: records.clone() };
         let sent = match ctx.faults() {
-            None => Ok(ctx.comm_req.send_at(s, tags::REPL_PUT, ship.encode(db.id, 0), stamp)),
+            None => {
+                Ok(ctx.comm_req.send_at(s, Request::ReplPut.tag(), ship.encode(db.id, 0), stamp))
+            }
             Some(_) => {
                 let ((route, what), encode) = (ship.route(), &mut |seq| ship.encode(db.id, seq));
                 runtime::request(ctx, db, route, what, encode).map(|ack| ack.stamp)
@@ -162,13 +164,7 @@ pub(crate) fn failover_get(
             continue;
         }
         let encode = &mut |seq| msg::encode_get_req(db.id, owner as u32, seq, key);
-        match runtime::request(
-            ctx,
-            db,
-            (s, tags::REPL_GET, tags::REPL_RESP),
-            "failover get",
-            encode,
-        ) {
+        match runtime::request(ctx, db, (s, Request::ReplGet), "failover get", encode) {
             Ok(m) => return Ok(absorb_reply(cache, key, reply_of(m))),
             Err(e @ Error::RankUnavailable(_)) => last_err = e,
             Err(e) => return Err(e),

@@ -37,7 +37,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
-use crate::msg::{self, tags, Batch};
+use crate::msg::{self, Batch, Reply, Request};
 use crate::options::{OpenFlags, Options};
 use crate::queue::BlockingQueue;
 use crate::sstable::SstReader;
@@ -343,8 +343,8 @@ fn peek_seq(payload: &bytes::Bytes) -> Option<msg::RpcSeq> {
     payload.first_chunk::<8>().map(|b| u64::from_le_bytes(*b))
 }
 
-/// A request's destination: (rank, request tag, reply tag).
-pub(crate) type Route = (usize, u32, u32);
+/// A request's destination: (rank, request).
+pub(crate) type Route = (usize, Request);
 
 /// One batch for another rank's handler: a MIGRATE to its owner or, with
 /// `copy_of`, a REPL_PUT copy of that origin's records to a successor.
@@ -358,8 +358,8 @@ impl Shipment {
     /// Its route, and what a failure calls it.
     pub(crate) fn route(&self) -> (Route, &'static str) {
         match self.copy_of {
-            None => ((self.to, tags::MIGRATE, tags::MIGRATE_ACK), "migrate"),
-            Some(_) => ((self.to, tags::REPL_PUT, tags::REPL_ACK), "replica forward"),
+            None => ((self.to, Request::Migrate), "migrate"),
+            Some(_) => ((self.to, Request::ReplPut), "replica forward"),
         }
     }
 
@@ -392,12 +392,12 @@ pub(crate) fn send_batch(
     ship: Shipment,
     stamp: SimNs,
 ) -> Result<Sending> {
-    let ((to, tag, _), _) = ship.route();
+    let ((to, req), _) = ship.route();
     let seq = match ctx.faults() {
         None => 0,
         Some(_) => refuse_dead(ctx, db, to).map(|()| ctx.next_rpc_seq())?,
     };
-    let sending = ctx.comm_req.send_in_steps(to, tag, ship.encode(db.id, seq), stamp);
+    let sending = ctx.comm_req.send_in_steps(to, req.tag(), ship.encode(db.id, seq), stamp);
     if ship.copy_of.is_some() {
         crate::replica::note_forward(db, stamp, sending.stamp);
     }
@@ -441,14 +441,15 @@ pub(crate) fn request(
     what: &str,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<Message> {
-    let (owner, req_tag, resp_tag) = route;
+    let (owner, req) = route;
+    let reply = awaited(req)?;
     let Some(plan) = ctx.faults() else {
-        ctx.comm_req.send(owner, req_tag, encode(0));
-        return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(resp_tag)));
+        ctx.comm_req.send(owner, req.tag(), encode(0));
+        return Ok(ctx.comm_rep.recv(RecvSrc::Rank(owner), RecvTag::Tag(reply.tag())));
     };
     refuse_dead(ctx, db, owner)?;
     let seq = ctx.next_rpc_seq();
-    ctx.comm_req.send(owner, req_tag, encode(seq));
+    ctx.comm_req.send(owner, req.tag(), encode(seq));
     await_reply(ctx, db, plan, route, what, seq, encode)
 }
 
@@ -466,15 +467,16 @@ fn await_reply(
     ctx: &CtxInner,
     db: &Arc<DbInner>,
     plan: &fi::FaultPlan,
-    (owner, req_tag, resp_tag): Route,
+    (owner, req): Route,
     what: &str,
     mut seq: msg::RpcSeq,
     encode: &mut dyn FnMut(msg::RpcSeq) -> bytes::Bytes,
 ) -> Result<Message> {
+    let resp_tag = awaited(req)?.tag();
     let tel = &db.tel;
     let me = ctx.rank.rank();
     let mut backoff = fi::Backoff::new(
-        fi::mix(me as u64, fi::mix(owner as u64, u64::from(req_tag))),
+        fi::mix(me as u64, fi::mix(owner as u64, u64::from(req.tag()))),
         RPC_BACKOFF_BASE_NS,
         RPC_BACKOFF_CAP_NS,
     );
@@ -506,7 +508,7 @@ fn await_reply(
         if tel.on() {
             tel.rpc_timeouts.inc();
         }
-        if plan.planted_bug() == Some(fi::PlantedBug::LostAck) && resp_tag != tags::GET_RESP {
+        if plan.planted_bug() == Some(fi::PlantedBug::LostAck) && req != Request::Get {
             // Planted bug (chaos `--seed-bug lost-ack`): treat the timeout
             // as success. The write was never applied; the soak oracle must
             // flag the acked-write loss.
@@ -539,8 +541,13 @@ fn await_reply(
         }
         attempt += 1;
         seq = ctx.next_rpc_seq();
-        ctx.comm_req.send(owner, req_tag, encode(seq));
+        ctx.comm_req.send(owner, req.tag(), encode(seq));
     }
+}
+
+/// The reply `req` is answered with; a one-way request awaits none.
+fn awaited(req: Request) -> Result<Reply> {
+    req.reply().ok_or_else(|| Error::Internal(format!("{req:?} is one-way: no reply to await")))
 }
 
 /// Per-rank PapyrusKV execution context (`papyruskv_init`).
@@ -711,7 +718,7 @@ impl Context {
         self.inner.comm_ctl.barrier();
         // Stop own helper tasks.
         let me = self.rank();
-        self.inner.comm_req.send(me, tags::SHUTDOWN, bytes::Bytes::new());
+        self.inner.comm_req.send(me, Request::Shutdown.tag(), bytes::Bytes::new());
         self.inner.compact_q.push(CompactJob::Shutdown);
         self.inner.migrate_q.push(MigrateJob::Shutdown);
         // Join every task, then report the first that panicked.
@@ -789,7 +796,7 @@ enum Work {
 struct Ingesting {
     batch: Ingest,
     src: usize,
-    tag: u32,
+    req: Request,
     seq: msg::RpcSeq,
 }
 
@@ -816,15 +823,19 @@ fn handler(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
 /// Serve one unit of `work`: how its slice ends, what is left in `held`.
 fn serve(ctx: &CtxInner, work: Work, held: &mut Option<Work>) -> Slice {
     let (what, served) = match work {
-        Work::Request(m) => match m.tag {
-            tags::SHUTDOWN => return Slice::Exit,
-            tags::MIGRATE => ("migrate", begin_ingest(ctx, m).map(|w| ingest(ctx, w, held))),
-            tags::PUT_SYNC => ("put_sync", begin_ingest(ctx, m).map(|w| ingest(ctx, w, held))),
-            tags::GET_REQ => ("get_req", handle_get_req(ctx, m)),
-            tags::BARRIER_MARK => ("barrier_mark", handle_barrier_mark(ctx, m)),
-            tags::REPL_PUT => ("repl_put", handle_repl_put(ctx, m)),
-            tags::REPL_GET => ("repl_get", handle_repl_get(ctx, m, held)),
-            other => ("dispatch", Err(Error::Internal(format!("unknown request tag {other}")))),
+        Work::Request(m) => match Request::from_tag(m.tag) {
+            Ok(Request::Shutdown) => return Slice::Exit,
+            Ok(req @ Request::Migrate) => {
+                ("migrate", begin_ingest(ctx, m, req).map(|w| ingest(ctx, w, held)))
+            }
+            Ok(req @ Request::PutSync) => {
+                ("put_sync", begin_ingest(ctx, m, req).map(|w| ingest(ctx, w, held)))
+            }
+            Ok(Request::Get) => ("get_req", handle_get_req(ctx, m)),
+            Ok(Request::BarrierMark) => ("barrier_mark", handle_barrier_mark(ctx, m)),
+            Ok(Request::ReplPut) => ("repl_put", handle_repl_put(ctx, m)),
+            Ok(Request::ReplGet) => ("repl_get", handle_repl_get(ctx, m, held)),
+            Err(e) => ("dispatch", Err(e)),
         },
         Work::Ingest(work) => return ingest(ctx, work, held),
         Work::ReplLookup(m) => ("repl_get", handle_repl_lookup(ctx, m)),
@@ -837,11 +848,11 @@ fn serve(ctx: &CtxInner, work: Work, held: &mut Option<Work>) -> Slice {
     })
 }
 
-fn begin_ingest(ctx: &CtxInner, m: Message) -> Result<Ingesting> {
-    let decode = if m.tag == tags::PUT_SYNC { msg::decode_put_sync } else { msg::decode_migrate };
+fn begin_ingest(ctx: &CtxInner, m: Message, req: Request) -> Result<Ingesting> {
+    let decode = if req == Request::PutSync { msg::decode_put_sync } else { msg::decode_migrate };
     let (db_id, seq, records) = decode(m.payload)?;
     let batch = Ingest::new(ctx.db_by_id(db_id)?, records, m.stamp);
-    Ok(Ingesting { batch, src: m.src, tag: m.tag, seq })
+    Ok(Ingesting { batch, src: m.src, req, seq })
 }
 
 /// Ingest on; once every record is in, send the ack the request owes.
@@ -853,16 +864,16 @@ fn ingest(ctx: &CtxInner, mut work: Ingesting, held: &mut Option<Work>) -> Slice
             return slice;
         }
     };
-    let Ingesting { src, tag, seq, .. } = work;
-    if tag == tags::PUT_SYNC {
+    let Ingesting { src, req, seq, .. } = work;
+    if req == Request::PutSync {
         // Acknowledge with the service-completion stamp; the caller blocks
         // on it ("the caller MPI rank halts its execution until ... the
         // completion of migration", §3.1).
-        ctx.comm_rep.send_at(src, tags::PUT_ACK, msg::encode_ack(seq), done);
+        ctx.comm_rep.send_at(src, Reply::PutAck.tag(), msg::encode_ack(seq), done);
     } else if seq != 0 {
         // Sequence 0 is `send_batch`'s fire-and-forget; anything else is its
         // armed-world request, whose sender awaits this ack.
-        ctx.comm_rep.send_at(src, tags::MIGRATE_ACK, msg::encode_ack(seq), done);
+        ctx.comm_rep.send_at(src, Reply::MigrateAck.tag(), msg::encode_ack(seq), done);
     }
     Slice::Ran
 }
@@ -873,7 +884,7 @@ fn handle_get_req(ctx: &CtxInner, m: Message) -> Result<Slice> {
     let (resp, done) = crate::read::serve_get(&db, "serve_get", m.stamp, |clk| {
         crate::read::remote_get_reply(ctx, &db, &key, caller_group, m.src, clk)
     });
-    ctx.comm_rep.send_at(m.src, tags::GET_RESP, msg::encode_get_resp(seq, &resp), done);
+    ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), msg::encode_get_resp(seq, &resp), done);
     Ok(Slice::Ran)
 }
 
@@ -892,7 +903,7 @@ fn handle_repl_put(ctx: &CtxInner, m: Message) -> Result<Slice> {
     // purely local), so synchronous writers awaiting this ack cannot form
     // a cross-rank handler cycle.
     if want_ack {
-        ctx.comm_rep.send_at(m.src, tags::REPL_ACK, msg::encode_ack(seq), done);
+        ctx.comm_rep.send_at(m.src, Reply::ReplAck.tag(), msg::encode_ack(seq), done);
     }
     Ok(Slice::Ran)
 }
@@ -918,6 +929,6 @@ fn handle_repl_lookup(ctx: &CtxInner, m: Message) -> Result<Slice> {
     let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", m.stamp, |clk| {
         crate::read::get_resp(crate::replica::replica_lookup(&db, origin as usize, &key, clk))
     });
-    ctx.comm_rep.send_at(m.src, tags::REPL_RESP, msg::encode_get_resp(seq, &resp), done);
+    ctx.comm_rep.send_at(m.src, Reply::ReplResp.tag(), msg::encode_get_resp(seq, &resp), done);
     Ok(Slice::Ran)
 }

@@ -252,7 +252,7 @@ fn audit_stack(
 ) {
     audit_memtable(label, &stack.mem, report);
     let ssids = stack.live_ssids();
-    if ssids.windows(2).any(|pair| pair[0] >= pair[1]) {
+    if !ssids.is_sorted_by(|a, b| a < b) {
         report.push(kind, format!("{label} SSTables not in ascending SSID order: {ssids:?}"));
     }
     for reader in &stack.ssts {
@@ -307,20 +307,20 @@ pub fn audit_db(db: &Db) -> AuditReport {
     // A dead rank's promoted ranges must be claimed by exactly one live
     // primary.
     for (dead, claimants) in ctx.platform.repl.claims_for(inner.id) {
-        if claimants.len() != 1 {
-            report.push(
+        match *claimants.as_slice() {
+            [primary] if ctx.comm_req.rank_known_dead(primary) => report.push(
+                ViolationKind::ReplicaState,
+                format!("dead rank {dead}: promoted primary r{primary} is itself dead"),
+            ),
+            [_] => {}
+            _ => report.push(
                 ViolationKind::ReplicaState,
                 format!(
                     "dead rank {dead}: promoted ranges have {} claimants {claimants:?} \
                      (exactly one live primary required)",
                     claimants.len()
                 ),
-            );
-        } else if ctx.comm_req.rank_known_dead(claimants[0]) {
-            report.push(
-                ViolationKind::ReplicaState,
-                format!("dead rank {dead}: promoted primary r{} is itself dead", claimants[0]),
-            );
+            ),
         }
     }
 

@@ -182,6 +182,7 @@ pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
 
 /// Decode the record starting at `pos` of `data`. Total: `None` when
 /// `pos`, the header or the lengths it names run past the end.
+#[allow(clippy::indexing_slicing, reason = "header is RECORD_HEADER (9) bytes")]
 fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
     let rest = data.get(pos..)?;
     let header = rest.get(..RECORD_HEADER)?;
@@ -371,6 +372,7 @@ impl Fences {
     /// The index over `image` whose `blocks` hold their offsets and key
     /// positions: their words are taken here, past the prefix the first
     /// and last fence keys share — in key order, every fence key's.
+    #[allow(clippy::indexing_slicing, reason = "decode checked every fence key lies in image")]
     fn new(records: usize, image: Bytes, mut blocks: Vec<Block>) -> Self {
         let key = |b: &Block| &image[b.key.0 as usize..b.key.1 as usize];
         let shared = match (blocks.first(), blocks.last()) {
@@ -393,6 +395,7 @@ impl Fences {
     /// SSData, every block's extent — up to the next block, the last one's
     /// up to `data_len` — has room for a record, and the fence keys are
     /// strictly increasing.
+    #[allow(clippy::indexing_slicing, reason = "header is FENCE_HEADER (12) bytes")]
     fn decode(image: Bytes, data_len: u64) -> Option<Self> {
         let word = |at: usize| Some(u64::from_le_bytes(image.get(at..at + 8)?.try_into().ok()?));
         let (records, block_count) = (word(0)?, word(8)?);
@@ -430,6 +433,7 @@ impl Fences {
     }
 
     /// The first key of `block`.
+    #[allow(clippy::indexing_slicing, reason = "decode checked every fence key lies in image")]
     fn key(&self, block: &Block) -> &[u8] {
         &self.image[block.key.0 as usize..block.key.1 as usize]
     }
@@ -444,6 +448,10 @@ impl Fences {
     /// every record. A binary search of the fences, in memory: a key whose
     /// head is not the shared prefix sorts below every fence or above them
     /// all; one that carries it is searched by its word past the prefix.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "shared is at most the first fence key's length; block < after <= blocks.len()"
+    )]
     fn block_of(&self, key: &[u8], data_len: u64) -> Option<(u64, u64)> {
         let prefix = &self.key(self.blocks.first()?)[..self.shared];
         let after = match key[..key.len().min(self.shared)].cmp(prefix) {
@@ -481,6 +489,7 @@ impl TableImage {
     /// An image that falls short of its reservation — a merge that shed
     /// shadowed records or tombstones — is copied out to its length, so the
     /// table does not keep the shed bytes allocated for as long as it lives.
+    #[allow(clippy::indexing_slicing, reason = "index starts with its INDEX_HEADER bytes")]
     pub(crate) fn encode<'a>(data_bound: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
         let mut data = BytesMut::with_capacity(data_bound);
         let mut index = vec![0u8; INDEX_HEADER];
@@ -580,7 +589,7 @@ pub fn build_at(
     now: SimNs,
 ) -> (SstReader, SimNs) {
     debug_assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
+        entries.is_sorted_by(|a, b| a.0 < b.0),
         "SSTable input must be strictly key-sorted"
     );
     let data_len = entries.iter().map(|(k, e)| RECORD_HEADER + k.len() + e.value.len()).sum();

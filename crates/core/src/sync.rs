@@ -10,7 +10,7 @@ use papyrus_telemetry::{TID_APP, TID_HANDLER};
 
 use crate::db::{DbInner, DbSync};
 use crate::error::{Error, Result};
-use crate::msg::{self, tags};
+use crate::msg::{self, Request};
 use crate::options::BarrierLevel;
 use crate::replica::maybe_promote;
 use crate::runtime::{collect_acks, CtxInner};
@@ -91,7 +91,7 @@ pub(crate) fn barrier_inner(ctx: &CtxInner, db: &Arc<DbInner>, level: BarrierLev
     let n = ctx.rank.size();
     let mark = msg::encode_barrier_mark(db.id, epoch);
     for r in 0..n {
-        ctx.comm_req.send(r, tags::BARRIER_MARK, mark.clone());
+        ctx.comm_req.send(r, Request::BarrierMark.tag(), mark.clone());
     }
     // A barrier that names a dead rank runs the promotion check for it.
     let promote = |dead| {

@@ -13,7 +13,7 @@ use crate::ckpt;
 use crate::db::{Db, DbInner, DbSync};
 use crate::error::{Error, Result};
 use crate::memtable::{Entry, MemTable};
-use crate::msg::{tags, Batch, BatchBuf};
+use crate::msg::{Batch, BatchBuf, Request};
 use crate::options::{CompactionTrigger, Consistency, Options, Protection};
 use crate::replica::{apply_replica_records, forward_replicas};
 use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob, Shipment};
@@ -80,13 +80,7 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
                 // retried (idempotent re-apply); a confirmed-dead owner
                 // surfaces as `Error::RankUnavailable`.
                 let encode = &mut |seq| batch.migrate(db.id, seq);
-                request(
-                    ctx,
-                    db,
-                    (owner, tags::PUT_SYNC, tags::PUT_ACK),
-                    "synchronous put",
-                    encode,
-                )?;
+                request(ctx, db, (owner, Request::PutSync), "synchronous put", encode)?;
                 &db.tel.put_sync
             };
             if db.repl_n >= 2 {
@@ -300,6 +294,7 @@ fn tier(bytes: u64, cap: u64, n: u64) -> u32 {
 /// The one compaction picker: how many of the newest tables of `ssts`, the
 /// live list, to merge now that a flush has joined it (§2.5). Fewer than two
 /// is no merge.
+#[allow(clippy::indexing_slicing, reason = "take <= ssts.len() and peers <= older.len()")]
 fn merge_width(opt: &Options, ssts: &[SstReader]) -> usize {
     let fan_in = match opt.compaction_trigger {
         CompactionTrigger::Off => return 0,
@@ -327,6 +322,10 @@ fn merge_width(opt: &Options, ssts: &[SstReader]) -> usize {
 }
 
 /// Merge the newest `take` live SSTables into one (compaction task only).
+#[allow(
+    clippy::indexing_slicing,
+    reason = "take came from merge_width over this list, which only this task shrinks"
+)]
 fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: SimNs) {
     let store = ctx.repo_store();
     let (inputs, whole, new_ssid) = {

@@ -31,6 +31,7 @@ fn corrupt_manifest_falls_back_to_fresh_database() {
 /// error on that handle — no environment variable, no `force_*` call, just
 /// the reopen — and on no other database of the process.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn torn_manifest_is_recorded_as_manifest_corrupt() {
     // A healthy database, reopened by a second world on another thread of
     // this process while the torn one reopens.

@@ -45,6 +45,7 @@ fn put_get_single_rank() {
 /// threads. Relaxed puts all go to remote owners, gets read remote keys,
 /// and a flushing barrier sits between them.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn concurrent_worlds_repeat_each_other_exactly() {
     fn job() -> Vec<(u64, Vec<Vec<u8>>)> {
         let profile = SystemProfile::summitdev();
@@ -864,7 +865,7 @@ fn a_dropped_migrate_is_resent_once_by_the_fence() {
         start: 0,
         end: 1_000_000_000,
         to_rank: Some(1),
-        tag: Some(papyruskv::msg::tags::MIGRATE),
+        tag: Some(papyruskv::msg::Request::Migrate.tag()),
         budget: 1,
     };
     let plan = Arc::new(FaultPlan::with_events(1, vec![drop]));

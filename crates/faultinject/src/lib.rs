@@ -22,6 +22,19 @@
 //! [`PlantedBug`] a plan can carry, used by `cargo xtask chaos --seed-bug`
 //! to prove the oracle can catch a lost acknowledged write and a hang.
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use papyrus_simtime::SimNs;
@@ -320,7 +333,7 @@ impl FaultPlan {
     /// Should a message `(to_rank, tag)` sent at `now` vanish? Consumes one
     /// unit of the matching event's budget when it fires.
     pub fn should_drop(&self, to_rank: usize, tag: u32, now: SimNs) -> bool {
-        for (i, e) in self.events.iter().enumerate() {
+        for (e, left) in self.events.iter().zip(&self.drops_left) {
             if let FaultEvent::NetDrop { start, end, to_rank: tr, tag: tg, .. } = *e {
                 if !in_window(start, end, now) {
                     continue;
@@ -328,7 +341,6 @@ impl FaultPlan {
                 if tr.is_some_and(|r| r != to_rank) || tg.is_some_and(|t| t != tag) {
                     continue;
                 }
-                let left = &self.drops_left[i];
                 // ordering: the budget counter is the only shared state —
                 // the CAS only needs atomicity of the decrement, and the
                 // failure load merely refreshes `cur` for the retry. No

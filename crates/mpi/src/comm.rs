@@ -83,6 +83,10 @@ impl std::fmt::Debug for Communicator {
     }
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a rank is below the communicator's size, as in MPI: out of range is the caller's bug"
+)]
 impl Communicator {
     pub(crate) fn new(fabric: Arc<Fabric>, id: CommId, record: Arc<CommRecord>, me: Rank) -> Self {
         let me_world = record.members[me];
@@ -232,9 +236,12 @@ impl Communicator {
     /// that dies before arriving is fatal here, as under MPI's default error
     /// handler; [`Communicator::try_barrier`] is the recoverable form.
     #[track_caller]
+    #[allow(
+        clippy::panic,
+        reason = "fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank"
+    )]
     pub fn barrier(&self) {
         if let Err(dead) = self.try_barrier() {
-            // lint:allow(panic-path): fail-stop like MPI_ERRORS_ARE_FATAL; reachable only under a plan that kills a rank
             panic!("collective on comm {}: world rank {dead} is dead", self.id);
         }
     }

@@ -289,6 +289,10 @@ pub enum RankStatus {
     Dead,
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a world rank is below the world's size, which sizes every per-rank table"
+)]
 impl Fabric {
     /// Create a fabric for `n` ranks with the given interconnect model, no
     /// fault plan and a fresh, disabled registry.
@@ -592,6 +596,7 @@ impl Fabric {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
     use papyrus_simtime::US;

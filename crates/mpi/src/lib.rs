@@ -40,6 +40,19 @@
 //! world records into ([`WorldConfig::with_telemetry`]; by default a fresh,
 //! disabled one): every layer interns its handles from [`Fabric::telemetry`].
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 mod comm;
 mod fabric;
 mod world;

@@ -71,6 +71,7 @@ impl World {
     ///
     /// Panics in any rank are propagated (naming the rank; a rank's own
     /// panic is preferred to the verdict it left the others in).
+    #[allow(clippy::panic, reason = "a failed world fails its job, as a failed rank fails MPI's")]
     pub fn run<T, F>(config: WorldConfig, f: F) -> Vec<T>
     where
         T: Send + 'static,

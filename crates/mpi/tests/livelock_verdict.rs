@@ -18,13 +18,14 @@ fn armed(ranks: usize, events: Vec<FaultEvent>) -> WorldConfig {
 }
 
 #[test]
+#[allow(clippy::disallowed_types, reason = "the wall clock bounds the test, not the world")]
 fn timing_out_past_the_horizon_is_a_livelock() {
     // The plan's only event ends at 50 ms: its horizon.
     let horizon = 5 * PROBE_DEADLINE_CAP_NS;
     let cfg = armed(2, vec![FaultEvent::NetDelaySpike { start: 0, end: horizon, extra_ns: 1 }]);
     let fabric: Arc<OnceLock<Arc<Fabric>>> = Arc::default();
     let slot = fabric.clone();
-    let wall = std::time::Instant::now(); // lint:allow(real-time): bounds the test, not the world
+    let wall = std::time::Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         World::run(cfg, move |ctx| {
             let _ = slot.set(ctx.fabric().clone());
@@ -44,7 +45,7 @@ fn timing_out_past_the_horizon_is_a_livelock() {
     assert!(matches!(verdict, Verdict::Livelock(_)), "{verdict}");
     let text = verdict.to_string();
     assert!(text.starts_with("livelock: "), "{text}");
-    for (rank, line) in [(0, 33), (1, 36)] {
+    for (rank, line) in [(0, 34), (1, 37)] {
         let parked = format!("rank-{rank} parked at {}:{line}:", file!());
         assert!(text.contains(&parked), "rank {rank} and its site are named: {text}");
     }

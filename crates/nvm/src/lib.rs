@@ -24,6 +24,19 @@
 //!   systems (Summitdev, Stampede KNL, Cori Haswell): interconnect, NVM
 //!   device, parallel file system, ranks per node, iteration counts.
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 mod backend;
 mod store;
 mod system;

@@ -189,6 +189,7 @@ impl StorageMap {
     }
 
     /// The shared NVM store of `rank`'s storage group.
+    #[allow(clippy::indexing_slicing, reason = "a rank of the job maps to one of its groups")]
     pub fn nvm_of(&self, rank: usize) -> &NvmStore {
         &self.groups[self.group_of(rank)]
     }

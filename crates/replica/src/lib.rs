@@ -15,6 +15,19 @@
 //! jobs) lives in `papyruskv`. Keeping the math here makes it unit-testable
 //! without a runtime and keeps core's dependency on it one-directional.
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use parking_lot::Mutex;
 use std::collections::HashMap;
 

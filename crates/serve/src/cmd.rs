@@ -15,8 +15,9 @@
 //!   array of values. This keeps SCAN-style traffic expressible without
 //!   widening the store API.
 //!
-//! Like the codec, this file is swept by the panic-path lint: parsing a
-//! hostile word list must return a typed [`CmdError`], never panic.
+//! Like the codec, this file is under the crate's deny of clippy's
+//! panic-path lints (DESIGN §14): parsing a hostile word list must return a
+//! typed [`CmdError`], never panic.
 
 use bytes::Bytes;
 

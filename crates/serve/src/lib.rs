@@ -28,6 +28,19 @@
 //! drives it, and [`perf_rows`] exports `serve` row families into
 //! perfline's `BENCH_<sha>.json` regression gate.
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod cmd;
 pub mod loadgen;
 pub mod report;
@@ -124,6 +137,7 @@ impl ServeCfg {
 /// peer — and aggregate the per-rank stats. The world's scheduler makes
 /// the whole run a pure function of `cfg.seed`. The world's registry,
 /// on for the windows alone, comes back in the report.
+#[allow(clippy::unwrap_used, reason = "the load test's setup: a failure fails the world's run")]
 pub fn run_serve(cfg: &ServeCfg) -> ServeReport {
     assert!(cfg.ranks > 0 && cfg.conns_per_rank > 0 && cfg.pipeline > 0 && cfg.bursts > 0);
     let profile = SystemProfile::summitdev();

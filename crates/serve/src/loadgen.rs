@@ -188,6 +188,7 @@ impl Generator {
 
     /// The value of the next write: `v`, the write's sequence number in 16
     /// hex digits, then dots up to `vallen` bytes.
+    #[allow(clippy::indexing_slicing, reason = "a nibble indexes HEX's 16 digits")]
     fn value(&mut self) -> Bytes {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let seq = self.write_seq;

@@ -34,6 +34,7 @@ pub struct LatSummary {
 
 impl LatSummary {
     /// Summarise `samples` (consumed and sorted); `None` when empty.
+    #[allow(clippy::indexing_slicing, reason = "samples is not empty, and q <= 100")]
     pub fn from_samples(mut samples: Vec<u64>) -> Option<Self> {
         if samples.is_empty() {
             return None;

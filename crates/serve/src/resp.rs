@@ -11,8 +11,7 @@
 //! arbitrary chunks via [`Decoder::feed`], and [`Decoder::next_frame`] yields a
 //! frame exactly when one is complete, `Ok(None)` when more bytes are
 //! needed, and a typed [`RespError`] on malformed input — never a panic
-//! (pinned by the `panic-path` lint, which sweeps this file's public
-//! surface).
+//! (the crate denies clippy's panic-path lints, DESIGN §14).
 //!
 //! Each feed copies the received bytes once. The first feed after a decode
 //! starts a new buffer, the undecoded tail and then the chunk; the decoded

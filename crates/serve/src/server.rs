@@ -280,6 +280,11 @@ struct Round {
     index: HashMap<Bytes, usize>,
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a connection index is below conns.len() and a shard below shards.len(); \
+              neither shrinks during a window"
+)]
 impl<'a> Window<'a> {
     fn new(ctx: &'a Context, db: &'a Db, cfg: &'a ServeCfg, mem: &'a MemModel) -> Self {
         let rank = ctx.rank();

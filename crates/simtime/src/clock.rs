@@ -53,6 +53,7 @@ impl Clock {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
     use std::thread;

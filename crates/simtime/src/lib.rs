@@ -24,6 +24,19 @@
 //!   paper (NVMe ≫ Lustre random reads, striped Lustre sequential writes,
 //!   burst-buffer striping, DDR4 random-access put costs).
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 mod clock;
 mod cost;
 mod resource;

@@ -123,6 +123,7 @@ impl Resource {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
     use std::thread;

@@ -78,6 +78,7 @@ impl Histogram {
 
     /// Record one value. No-op (single relaxed load) when disabled.
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "bucket_index maps every u64 to a bucket")]
     pub fn record(&self, v: SimNs) {
         let h = &*self.inner;
         // ordering: the enabled flag is a pure on/off latch guarding no

@@ -85,7 +85,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+    while b.get(*pos).is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r')) {
         *pos += 1;
     }
 }
@@ -106,7 +106,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
+    if b.get(*pos..).is_some_and(|rest| rest.starts_with(lit.as_bytes())) {
         *pos += lit.len();
         Ok(v)
     } else {
@@ -119,20 +119,18 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
+    while b.get(*pos).is_some_and(|c| c.is_ascii_digit() || b".eE+-".contains(c)) {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
+    b.get(start..*pos)
+        .and_then(|s| std::str::from_utf8(s).ok())
         .and_then(|s| s.parse::<f64>().ok())
         .map(Json::Num)
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
+    debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
@@ -172,8 +170,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     return Err(format!("control byte in string at {pos}", pos = *pos));
                 }
                 // Copy the full UTF-8 sequence starting here.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().unwrap();
+                let rest = b.get(*pos..).unwrap_or_default();
+                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
+                let ch = s.chars().next().ok_or("unterminated string")?;
                 out.push(ch);
                 *pos += ch.len_utf8();
             }

@@ -44,6 +44,19 @@
 //! assert!(snap.to_chrome_trace().starts_with("{\"traceEvents\":["));
 //! ```
 
+// No panic path outside tests (DESIGN §14): a site that must panic, index or
+// unwrap says why in its `#[allow(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 mod hist;
 pub mod json;
 mod metrics;
@@ -85,6 +98,7 @@ pub fn enter_world(reg: Arc<Registry>) {
 }
 
 /// The calling thread's world registry; panics off a world's thread.
+#[allow(clippy::panic, reason = "the kvbench shim off a world's thread is a caller's bug")]
 fn shim_registry(op: &str) -> Arc<Registry> {
     WORLD.with(|w| w.borrow().clone()).unwrap_or_else(|| {
         panic!(
@@ -118,6 +132,7 @@ pub fn reset() {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
     use papyrus_simtime::Resource;

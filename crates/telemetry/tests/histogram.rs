@@ -102,6 +102,7 @@ fn percentiles_match_sorted_reference() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn concurrent_recording_loses_nothing() {
     const THREADS: usize = 6;
     const PER_THREAD: u64 = 50_000;
@@ -154,6 +155,7 @@ fn merge_equals_union() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn shared_arc_handles_see_each_other() {
     let h = Histogram::new();
     let h2 = h.clone();

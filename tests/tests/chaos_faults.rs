@@ -99,6 +99,7 @@ fn clean_job() -> (Vec<Error>, u64) {
 /// alone. (Arm the process instead of the world and the clean job's flush
 /// collects a `StorageFull`, rides out to 2^40 and loses its barrier marks.)
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn an_armed_world_afflicts_no_other_world() {
     let alone = clean_job();
     assert!(alone.0.is_empty(), "clean job alone: {:?}", alone.0);

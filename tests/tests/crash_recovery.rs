@@ -21,6 +21,10 @@ use papyruskv::{Context, Error, OpenFlags, Options, Platform};
 
 /// Reopen a database over a torn manifest until told to stop — every reopen
 /// must report the loss on its own handle; returns how many there were.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a bystander thread outside any world, paced by the host"
+)]
 fn keep_losing_data(stop: Arc<AtomicBool>) -> usize {
     let platform = Platform::new(SystemProfile::test_profile(), 1);
     let rounds = World::run(WorldConfig::for_tests(1), move |rank| {
@@ -51,6 +55,7 @@ fn keep_losing_data(stop: Arc<AtomicBool>) -> usize {
 /// while another world of this process reopens a torn manifest in a loop
 /// (its findings are its own: none may land in this sweep's report).
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 fn strided_sweep_recovers_clean_with_redistribution() {
     let cfg = CrashCfg::tiny();
     assert_ne!(

@@ -1,4 +1,4 @@
-//! The `lint`, `crashcheck`, `chaos` and `serve` subcommands: each is a flag
+//! The `crashcheck`, `chaos` and `serve` subcommands: each is a flag
 //! table, a clean gate that prints the library's report, and a conviction
 //! closure for the shared `--seed-bug` loop.
 
@@ -6,70 +6,10 @@ use std::process::ExitCode;
 
 use papyrus_chaos::{chaos_sweep, run_seed_bug, ChaosCfg};
 use papyrus_crashcheck::{sweep, CrashCfg, FaultMode};
-use papyrus_lint::{render_json, render_sarif, SourceTree};
 use papyrus_serve::{run_serve, LoadMix, LoadSkew, SeedBug, ServeCfg};
 
 use crate::plane::{self, count, switch, text, value};
-use crate::{verdict, workspace_root};
-
-/// A machine-readable lint report format.
-type Render = fn(&[papyrus_lint::Finding]) -> String;
-
-/// `cargo xtask lint`: the seven token rules, plus the two interprocedural
-/// analyses under `--deep`, over the workspace sources.
-pub fn lint(args: &[String]) -> ExitCode {
-    let (mut deep, mut render, mut out, mut seed_bug) = (false, None::<Render>, None, None);
-    let flags = vec![
-        switch("--deep", "add the two interprocedural analyses", &mut deep),
-        value("--format", "human|json|sarif", "report format", &mut render, |v| match v {
-            "human" => Some(None),
-            "json" => Some(Some(render_json as Render)),
-            "sarif" => Some(Some(render_sarif as Render)),
-            _ => None,
-        }),
-        text("--out", "FILE", "write the json/sarif report to FILE", &mut out),
-        plane::seed_bug(&mut seed_bug),
-    ];
-    if let Err(code) = plane::parse("lint", "protocol lint over the workspace", flags, args) {
-        return code;
-    }
-    let tree = SourceTree::load(&workspace_root());
-
-    if let Some(which) = seed_bug {
-        // Seeds patch a clone of the snapshot; the checkout is never touched.
-        return plane::self_test("lint", &which, papyrus_lint::seedbug::SEEDS, |_, seed| {
-            papyrus_lint::seedbug::run_one(&tree, seed)
-        });
-    }
-
-    let mut findings = papyrus_lint::rules::run_rules(&tree);
-    if deep {
-        findings.extend(papyrus_lint::run_deep(&tree));
-        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    }
-    let deep_note = if deep { " (deep)" } else { "" };
-    match (&out, render.map(|render| render(&findings))) {
-        (Some(path), Some(doc)) => {
-            if let Err(e) = std::fs::write(path, doc + "\n") {
-                eprintln!("xtask lint: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("xtask lint: {} finding(s){deep_note} -> {path}", findings.len());
-        }
-        (None, Some(doc)) => println!("{doc}"),
-        (_, None) => {
-            for f in &findings {
-                println!("{}", f.render());
-            }
-            if findings.is_empty() {
-                println!("xtask lint: clean{deep_note}");
-            } else {
-                println!("xtask lint: {} finding(s)", findings.len());
-            }
-        }
-    }
-    verdict(findings.is_empty())
-}
+use crate::verdict;
 
 /// `cargo xtask crashcheck`: record the checkpoint/restart workload and
 /// sweep every crash point of its journal.

@@ -1,4 +1,4 @@
-//! What the five gate planes share: the only flag parser and the only
+//! What the four gate planes share: the only flag parser and the only
 //! `--seed-bug` self-test loop in the tool layer.
 //!
 //! A plane declares its CLI as a table of [`Flag`]s, each naming the

@@ -267,6 +267,22 @@ impl DbInner {
         }
     }
 
+    /// Let go of what the database holds in memory: every stack — its
+    /// MemTables, local cache and SSTable readers, with their fence images,
+    /// filters and, for tables this rank wrote, SSData — the remote cache
+    /// and the peer readers. For a database that is closing: what it
+    /// flushed stays on NVM for a reopen (§4.1), and the primary stack keeps
+    /// its SSID allocator for a checkpoint transfer still to commit.
+    pub(crate) fn release(&self) {
+        let mut stack = self.stack.lock();
+        *stack = Stack::new(stack.next_ssid, Vec::new());
+        drop(stack);
+        *self.staging.lock() = Stack::new(1, Vec::new());
+        *self.repl.lock() = HashMap::new();
+        *self.remote_cache.lock() = LruCache::new(self.opt.remote_cache_capacity);
+        *self.peer_readers.lock() = HashMap::new();
+    }
+
     /// The remote cache, if in use: the database is read-only (§3.2).
     pub(crate) fn live_remote_cache(&self, protection: Protection) -> Option<&Mutex<LruCache>> {
         (protection == Protection::ReadOnly).then_some(&self.remote_cache)

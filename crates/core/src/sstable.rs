@@ -30,12 +30,17 @@
 //! table searched**, none when the key sorts below the table's first key;
 //! the §2.6 optimisation exploiting NVM's fast random access), or **linearly
 //! scans** one SSData image from the start (the Figure 8 "Default"
-//! baseline). Either way the records read are walked in place by the one
-//! cursor, in the slice of the stored image the store hands out. A value
-//! found is copied out of it, so it never pins the block or the table it was
-//! cut from. Whether the bloom filter is consulted first is the caller's
-//! decision (`Options::bloom_filter`, made once in the database's SSTable
-//! walk): [`SstReader::get_at`] itself always searches.
+//! baseline). Either way the records read are walked in place, their keys
+//! compared a word at a time (`key::cmp`). A reader that wrote its table —
+//! a flush's, a merge's — keeps the SSData image it wrote, the allocation
+//! the store holds, and a block is a slice of it: no path lookup and no
+//! store lock per block. A reader opened from the store (restart, reopen, a
+//! storage-group peer) reads the block through the store, so it sees a
+//! table its owner deleted as gone. The read is charged to the device the
+//! same either way. A value found is copied out, so it never pins the block
+//! or the table it was cut from. Whether the bloom filter is consulted first
+//! is the caller's decision (`Options::bloom_filter`, made once in the
+//! database's SSTable walk): [`SstReader::get_at`] itself always searches.
 //!
 //! SSTables are immutable: updates and deletes go to new SSTables with
 //! higher SSIDs; [`merge_at`] is the §2.5 compaction that folds a set of
@@ -180,22 +185,16 @@ pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
     data.put((&header[..]).chain(rec.key).chain(rec.value));
 }
 
-/// Decode the record starting at `pos` of `data`. Total: `None` when
-/// `pos`, the header or the lengths it names run past the end.
-#[allow(clippy::indexing_slicing, reason = "header is RECORD_HEADER (9) bytes")]
+/// Decode the record starting at `pos` of `data`, its header in one read.
+/// Total: `None` when `pos`, the header or the lengths it names run past
+/// the end.
 fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
-    let rest = data.get(pos..)?;
-    let header = rest.get(..RECORD_HEADER)?;
-    let keylen = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
-    let vallen = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
-    let tombstone = header[8] != 0;
-    let key_end = RECORD_HEADER.checked_add(keylen)?;
-    let end = key_end.checked_add(vallen)?;
-    Some(Record {
-        key: rest.get(RECORD_HEADER..key_end)?,
-        value: rest.get(key_end..end)?,
-        tombstone,
-    })
+    let (header, body) = data.get(pos..)?.split_first_chunk::<RECORD_HEADER>()?;
+    let [k0, k1, k2, k3, v0, v1, v2, v3, tombstone] = *header;
+    let keylen = u32::from_le_bytes([k0, k1, k2, k3]) as usize;
+    let vallen = u32::from_le_bytes([v0, v1, v2, v3]) as usize;
+    let (key, body) = body.split_at_checked(keylen)?;
+    Some(Record { key, value: body.get(..vallen)?, tombstone: tombstone != 0 })
 }
 
 /// The one walk of the record format: the records of `data` — an SSData
@@ -242,11 +241,11 @@ impl<'a> Iterator for Cursor<'a> {
 /// Walk `data` up to `key`. Returns what the record holding `key` says, if
 /// there is one, and the bytes walked: through that record, or through the
 /// first record that sorts after `key` (records are sorted: once past the
-/// key, it's absent).
+/// key, it's absent). Keys are compared a word at a time (`key::cmp`).
 fn seek(data: &[u8], key: &[u8]) -> (SstGet, usize) {
     let mut records = Cursor::new(data);
     while let Some(rec) = records.next() {
-        match key.cmp(rec.key) {
+        match crate::key::cmp(key, rec.key) {
             std::cmp::Ordering::Equal => return (rec.outcome(), records.pos),
             std::cmp::Ordering::Less => break,
             std::cmp::Ordering::Greater => {}
@@ -342,23 +341,21 @@ fn key_span(start: usize, end: usize) -> Option<(u32, u32)> {
     Some((u32::try_from(start).ok()?, u32::try_from(end).ok()?))
 }
 
-/// One block of SSData as the in-memory SSIndex knows it: 24 bytes.
+/// One block of SSData as the in-memory SSIndex knows it: 16 bytes.
 #[derive(Debug)]
 struct Block {
     /// Where the block starts in SSData.
     offset: u64,
-    /// The big-endian word of its first key's 8 bytes past the prefix every
-    /// fence key of the table shares (`key::abbrev`).
-    word: u64,
     /// Where its first key lies in the SSIndex image: `start..end`.
     key: (u32, u32),
 }
 
 /// The in-memory SSIndex: the image as stored — fence keys are compared in
 /// place, in that one flat buffer, so a search allocates nothing — plus the
-/// decoded position and word of every block. A search compares the prefix
-/// the fence keys share once, then words, and whole keys only where a word
-/// ties the key's.
+/// decoded position of every block and, in an array of their own, the
+/// words of their first keys. A search compares the prefix the fence keys
+/// share once, then binary-searches the dense words, and compares whole keys
+/// only where a word ties the key's.
 #[derive(Debug)]
 struct Fences {
     records: usize,
@@ -366,6 +363,10 @@ struct Fences {
     /// Length of the prefix every fence key shares.
     shared: usize,
     blocks: Vec<Block>,
+    /// Block by block, the big-endian word of its first key's 8 bytes past
+    /// the shared prefix (`key::abbrev`): 8 bytes a block, so a search's
+    /// probes stay in a few cache lines.
+    words: Vec<u64>,
 }
 
 impl Fences {
@@ -373,7 +374,7 @@ impl Fences {
     /// positions: their words are taken here, past the prefix the first
     /// and last fence keys share — in key order, every fence key's.
     #[allow(clippy::indexing_slicing, reason = "decode checked every fence key lies in image")]
-    fn new(records: usize, image: Bytes, mut blocks: Vec<Block>) -> Self {
+    fn new(records: usize, image: Bytes, blocks: Vec<Block>) -> Self {
         let key = |b: &Block| &image[b.key.0 as usize..b.key.1 as usize];
         let shared = match (blocks.first(), blocks.last()) {
             (Some(first), Some(last)) => {
@@ -381,10 +382,8 @@ impl Fences {
             }
             _ => 0,
         };
-        for block in &mut blocks {
-            block.word = u64::from_be_bytes(abbrev(key(block), shared));
-        }
-        Self { records, image, shared, blocks }
+        let words = blocks.iter().map(|b| u64::from_be_bytes(abbrev(key(b), shared))).collect();
+        Self { records, image, shared, blocks, words }
     }
 
     /// Decode an SSIndex image against an SSData of `data_len` bytes. Total
@@ -423,7 +422,7 @@ impl Fences {
                 return None;
             }
             (pos, prev_key) = (end, first_key);
-            blocks.push(Block { offset, word: 0, key: key_span(start, end)? });
+            blocks.push(Block { offset, key: key_span(start, end)? });
         }
         let tail_fits = blocks.last().is_none_or(|last| holds_record(last.offset, data_len));
         if !tail_fits || pos != image.len() {
@@ -457,15 +456,31 @@ impl Fences {
         let after = match key[..key.len().min(self.shared)].cmp(prefix) {
             std::cmp::Ordering::Less => return None,
             std::cmp::Ordering::Greater => self.blocks.len(),
-            std::cmp::Ordering::Equal => {
-                let word = u64::from_be_bytes(abbrev(key, self.shared));
-                self.blocks
-                    .partition_point(|b| b.word < word || (b.word == word && self.key(b) <= key))
-            }
+            std::cmp::Ordering::Equal => self.after_word(key),
         };
         let block = after.checked_sub(1)?;
         let end = self.blocks.get(after).map_or(data_len, |next| next.offset);
         Some((self.blocks[block].offset, end))
+    }
+
+    /// How many blocks' first keys are not above `key`, a key that carries
+    /// the shared prefix: the blocks up to the last whose word is not above
+    /// the key's, less those, at the end, whose word ties it but whose
+    /// first key sorts above the key. Fence keys are strictly increasing,
+    /// so the ties are a run, searched by whole keys.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "first <= last < after <= words.len() = blocks.len()"
+    )]
+    fn after_word(&self, key: &[u8]) -> usize {
+        let word = u64::from_be_bytes(abbrev(key, self.shared));
+        let after = self.words.partition_point(|&w| w <= word);
+        let Some(last) = after.checked_sub(1) else { return 0 };
+        if self.words[last] != word || self.key(&self.blocks[last]) <= key {
+            return after;
+        }
+        let first = self.words[..last].partition_point(|&w| w < word);
+        first + self.blocks[first..last].partition_point(|b| self.key(b) <= key)
     }
 }
 
@@ -505,7 +520,7 @@ impl TableImage {
                 put_fence(&mut index, data.len() as u64, rec.key);
                 assert!(index.len() <= u32::MAX as usize, "an SSIndex image past 4 GiB");
                 let key = (key_at as u32, index.len() as u32);
-                blocks.push(Block { offset: data.len() as u64, word: 0, key });
+                blocks.push(Block { offset: data.len() as u64, key });
             }
             put_record(&mut data, rec);
             hashes.push(fnv1a64(rec.key));
@@ -560,8 +575,11 @@ impl TableImage {
         files.fold(now, |t, (path, image)| store.put_at(&path, image.clone(), t))
     }
 
-    /// The reader of the table this image was written as.
+    /// The reader of the table this image was written as. It keeps the
+    /// SSData image, the allocation the store holds, and searches it in
+    /// place.
     pub(crate) fn into_reader(self, store: &NvmStore, base: &str, ssid: Ssid) -> SstReader {
+        let [data, _, _] = self.images;
         SstReader(Arc::new(Table {
             store: store.clone(),
             base: base.to_string(),
@@ -569,7 +587,8 @@ impl TableImage {
             ssid,
             fences: self.fences,
             bloom: self.bloom,
-            data_len: self.images[0].len() as u64,
+            data_len: data.len() as u64,
+            data: Some(data),
         }))
     }
 }
@@ -600,9 +619,9 @@ pub fn build_at(
 }
 
 /// An open SSTable: bloom filter and SSIndex held in memory ("PapyrusKV
-/// loads the SSIndex in memory and searches SSData", §2.6); SSData read a
-/// block at a time through the cost-accounted store. A handle: clones share
-/// the index and the filter.
+/// loads the SSIndex in memory and searches SSData", §2.6); SSData searched
+/// a block at a time, each read charged to the store's device. A handle:
+/// clones share the index and the filter.
 #[derive(Debug, Clone)]
 pub struct SstReader(Arc<Table>);
 
@@ -616,6 +635,12 @@ struct Table {
     fences: Fences,
     bloom: Bloom,
     data_len: u64,
+    /// The SSData image this reader wrote (`TableImage::into_reader`): the
+    /// allocation the store holds, so keeping it costs nothing while the
+    /// table lives. `None` for a reader opened from the store
+    /// ([`SstReader::open_at`]), which reads SSData through it — a storage
+    /// group peer must see its owner delete a table.
+    data: Option<Bytes>,
 }
 
 impl SstReader {
@@ -635,7 +660,8 @@ impl SstReader {
         let data_len = store.len(data_path)?;
         let fences = Fences::decode(index_bytes, data_len)?;
         let store = store.clone();
-        let table = Table { store, base: base.to_string(), files, ssid, fences, bloom, data_len };
+        let base = base.to_string();
+        let table = Table { store, base, files, ssid, fences, bloom, data_len, data: None };
         Some((Self(Arc::new(table)), t))
     }
 
@@ -674,12 +700,6 @@ impl SstReader {
     /// [`SstReader::maybe_contains`] of the key whose [`fnv1a64`] is `hash`.
     pub(crate) fn maybe_contains_hash(&self, hash: u64) -> bool {
         self.0.bloom.maybe_contains_hash(hash)
-    }
-
-    /// The block `start..end` of SSData in one ranged read; `None` when
-    /// SSData is gone.
-    fn read_block(&self, (start, end): (u64, u64)) -> Option<Bytes> {
-        self.0.store.backend().get(&self.0.files[0], start, end.saturating_sub(start))
     }
 
     /// The whole SSData image as stored, uncharged; `None` when it is gone.
@@ -730,7 +750,10 @@ impl SstReader {
     /// `bin_search = true`: a binary search of the in-memory SSIndex, then
     /// one random-access read of the block it names. `false`: sequential
     /// scan of SSData from the start (the cost contrast behind Figure 8).
-    /// A table whose SSData is gone reads as a miss, uncharged.
+    /// Either read is charged to the device; a reader that wrote its table
+    /// searches the image it wrote, one opened from the store reads through
+    /// the store, where a table whose SSData is gone reads as a miss,
+    /// uncharged.
     pub fn get_at(&self, key: &[u8], bin_search: bool, now: SimNs) -> (SstGet, SimNs) {
         self.try_get_at(key, bin_search, now).unwrap_or((SstGet::NotFound, now))
     }
@@ -755,21 +778,30 @@ impl SstReader {
     /// the one block that can hold `key`: one random device read, or none
     /// when the key sorts below the table's first.
     fn get_binary(&self, key: &[u8], now: SimNs) -> Option<(SstGet, SimNs)> {
-        let Some(extent) = self.0.fences.block_of(key, self.0.data_len) else {
+        let Some((start, end)) = self.0.fences.block_of(key, self.0.data_len) else {
             return Some((SstGet::NotFound, now));
         };
-        let block = self.read_block(extent)?;
-        Some((
-            seek(&block, key).0,
-            self.charge_read(block.len() as u64, AccessPattern::Random, now),
-        ))
+        let (hit, len) = match &self.0.data {
+            Some(data) => {
+                let block = data.get(start as usize..end as usize)?;
+                (seek(block, key).0, block.len())
+            }
+            None => {
+                let path = &self.0.files[0];
+                let block = self.0.store.backend().get(path, start, end.saturating_sub(start))?;
+                (seek(&block, key).0, block.len())
+            }
+        };
+        Some((hit, self.charge_read(len as u64, AccessPattern::Random, now)))
     }
 
     /// Decode forward through one SSData image — the one sequential read
     /// the scan is charged as.
     fn get_linear(&self, key: &[u8], now: SimNs) -> Option<(SstGet, SimNs)> {
-        let data = self.image()?;
-        let (hit, scanned) = seek(&data, key);
+        let (hit, scanned) = match &self.0.data {
+            Some(data) => seek(data, key),
+            None => seek(&self.image()?, key),
+        };
         Some((hit, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now)))
     }
 
@@ -1266,15 +1298,22 @@ pub(crate) mod tests {
         }
 
         /// The word search names the block a whole-key search names: fence
-        /// keys sharing a prefix of 0, 7, 8, 9, 15, 16 or 17 bytes, the whole
-        /// table and its first block alone, against keys below the prefix,
-        /// above it, inside it, shorter than it, the empty key, every fence
-        /// key and its neighbours.
+        /// keys sharing a prefix of 0, 7, 8, 9, 15, 16 or 17 bytes, some in
+        /// runs whose 8 bytes past it are equal (so their words tie), the
+        /// whole table and its first block alone, against keys below the
+        /// prefix, above it, inside it, shorter than it, the empty key, every
+        /// fence key and its neighbours.
         #[test]
         fn block_of_matches_a_whole_key_search(
             pick in 0usize..7,
             prefix in vec(any::<u8>(), 17..18),
-            tails in btree_map(vec(any::<u8>(), 0..12), any::<bool>(), 1..40),
+            tails in btree_map(
+                (any::<bool>(), 0u8..3, vec(any::<u8>(), 0..12)).prop_map(|(tied, head, tail)| {
+                    if tied { [&[head; 8][..], &tail[..tail.len().min(4)]].concat() } else { tail }
+                }),
+                any::<bool>(),
+                1..40,
+            ),
             probes in vec(vec(any::<u8>(), 0..12), 0..20),
         ) {
             let prefix = &prefix[..[0, 7, 8, 9, 15, 16, 17][pick]];
@@ -1473,10 +1512,12 @@ pub(crate) mod tests {
         assert_eq!(done, 127_743);
     }
 
-    /// One binary get is one backend read of one block — none when the key
-    /// sorts below the table's first — charged as exactly that read; and a
-    /// block is bounded in bytes, not records, so a table of large values
-    /// reads exactly one record per get.
+    /// One binary get is charged as one random read of one block — none
+    /// when the key sorts below the table's first — and a block is bounded
+    /// in bytes, not records, so a table of large values reads exactly one
+    /// record per get. A reader that built its table searches the image it
+    /// wrote, asking the backend for nothing; one opened from the store asks
+    /// it for that block, once.
     #[test]
     fn a_binary_get_reads_one_block_once() {
         let backend = Arc::new(CountingBackend::default());
@@ -1488,33 +1529,53 @@ pub(crate) mod tests {
             let (gets, bytes) = backend.take();
             (hit != SstGet::NotFound, t - 1000, gets, bytes)
         };
+        // The backend reads of one get, and their bytes, by a reader that
+        // reads a block of `bytes` through the store or not.
+        let fetched = |through: bool, bytes: u64| if through { (1, bytes) } else { (0, 0) };
+        let readers = |base: &str, ssid, entries: &[(Vec<u8>, Entry)]| {
+            let (built, _) = build_at(&s, base, ssid, entries, 0);
+            let (opened, _) = SstReader::open_at(&s, base, ssid, 0).expect("the table opens");
+            backend.take();
+            [(built, false), (opened, true)]
+        };
 
         // 146-byte records: the 29th (4234 bytes) closes a block.
-        let (small, _) = build_at(&s, "small", 1, &uniform(1000, 128), 0);
         let record = (RECORD_HEADER + 9 + 128) as u64;
         let block = 29 * record;
-        assert_eq!(small.0.fences.blocks.len(), 1000usize.div_ceil(29));
-        for i in [0, 28, 29, 500, 985] {
-            let key = format!("key{i:06}");
-            assert_eq!(get(&small, key.as_bytes()), (true, read_ns(block), 1, block), "{key}");
-            let absent = format!("key{i:06}x");
-            assert_eq!(get(&small, absent.as_bytes()), (false, read_ns(block), 1, block));
-        }
         let tail = (1000 % 29) * record;
-        assert_eq!(
-            get(&small, b"key000999"),
-            (true, read_ns(tail), 1, tail),
-            "the short last block"
-        );
-        assert_eq!(get(&small, b"zzz"), (false, read_ns(tail), 1, tail), "past the last record");
-        assert_eq!(get(&small, b"a"), (false, 0, 0, 0), "below the first fence: settled in DRAM");
+        for (small, through) in readers("small", 1, &uniform(1000, 128)) {
+            let at = |hit, bytes| {
+                let (gets, read) = fetched(through, bytes);
+                (hit, read_ns(bytes), gets, read)
+            };
+            assert_eq!(small.0.fences.blocks.len(), 1000usize.div_ceil(29));
+            for i in [0, 28, 29, 500, 985] {
+                let key = format!("key{i:06}");
+                assert_eq!(get(&small, key.as_bytes()), at(true, block), "{key}");
+                let absent = format!("key{i:06}x");
+                assert_eq!(get(&small, absent.as_bytes()), at(false, block));
+            }
+            assert_eq!(get(&small, b"key000999"), at(true, tail), "the short last block");
+            assert_eq!(get(&small, b"zzz"), at(false, tail), "past the last record");
+            assert_eq!(
+                get(&small, b"a"),
+                (false, 0, 0, 0),
+                "below the first fence: settled in DRAM"
+            );
+        }
 
-        let (large, _) = build_at(&s, "large", 2, &uniform(8, 128 << 10), 0);
         let record = (RECORD_HEADER + 9 + (128 << 10)) as u64;
-        assert_eq!(large.0.fences.blocks.len(), 8);
-        for i in 0..8 {
-            let key = format!("key{i:06}");
-            assert_eq!(get(&large, key.as_bytes()), (true, read_ns(record), 1, record), "{key}");
+        for (large, through) in readers("large", 2, &uniform(8, 128 << 10)) {
+            assert_eq!(large.0.fences.blocks.len(), 8);
+            let (gets, read) = fetched(through, record);
+            for i in 0..8 {
+                let key = format!("key{i:06}");
+                assert_eq!(
+                    get(&large, key.as_bytes()),
+                    (true, read_ns(record), gets, read),
+                    "{key}"
+                );
+            }
         }
     }
 

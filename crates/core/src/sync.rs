@@ -35,8 +35,14 @@ pub(crate) fn close_inner(ctx: &Arc<CtxInner>, db: &Arc<DbInner>) -> Result<()> 
     barrier_inner(ctx, db, BarrierLevel::SsTable)?;
     // After the close barrier every epoch this rank entered has completed,
     // so a leftover mark means a reconciliation round failed to consume
-    // exactly n marks.
-    let stale = db.stale_barrier_marks(&db.sync.lock());
+    // exactly n marks. Under the same guard the database releases its
+    // stacks: their locks nest inside it, so no release of theirs is a
+    // preemption point the close did not already have.
+    let stale = {
+        let sync = db.sync.lock();
+        db.release();
+        db.stale_barrier_marks(&sync)
+    };
     for (e, count) in stale {
         let what = format!(
             "db {}: rank {} closing with leftover barrier marks for completed \

@@ -7,8 +7,7 @@
 //! image for the table's whole life, and `space_amp` counts lengths, so
 //! nothing else would see the slack.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod heap;
 
 use bytes::Bytes;
 use papyrus_nvm::NvmStore;
@@ -16,61 +15,7 @@ use papyrus_simtime::DeviceModel;
 use papyruskv::memtable::Entry;
 use papyruskv::sstable::{build_at, merge_at, SstReader};
 
-thread_local! {
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn grew(bytes: usize) {
-    // `try_with`: a thread's last frees may run after its locals are gone.
-    let _ = LIVE.try_with(|live| live.set(live.get() + bytes as i64));
-}
-
-fn shrank(bytes: usize) {
-    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as i64));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counter is a
-// thread-local `Cell` with a const initialiser, which neither allocates nor
-// re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrank(layout.size());
-        grew(new_size);
-        // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The result of `f` and the heap bytes it left live on this thread.
-fn held<T>(f: impl FnOnce() -> T) -> (T, i64) {
-    let before = LIVE.with(Cell::get);
-    let out = f();
-    (out, LIVE.with(Cell::get) - before)
-}
+use heap::held;
 
 /// 2000 keys, each with a value of 100 bytes — or, where `deletes` says so,
 /// every other one a tombstone.

@@ -6,6 +6,7 @@
 //! not say so before the horizon, where a probe can still find a death.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -25,15 +26,21 @@ fn timing_out_past_the_horizon_is_a_livelock() {
     let cfg = armed(2, vec![FaultEvent::NetDelaySpike { start: 0, end: horizon, extra_ns: 1 }]);
     let fabric: Arc<OnceLock<Arc<Fabric>>> = Arc::default();
     let slot = fabric.clone();
+    // Each rank's parked site: the line of the call it parks in, noted on
+    // the line above it.
+    let sites: Arc<[AtomicU32; 2]> = Arc::default();
+    let noted = sites.clone();
     let wall = std::time::Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         World::run(cfg, move |ctx| {
             let _ = slot.set(ctx.fabric().clone());
             if ctx.rank() == 0 {
                 // An untimed receive nobody answers.
+                noted[0].store(line!() + 1, Ordering::Relaxed);
                 ctx.world().recv(RecvSrc::Rank(1), RecvTag::Tag(1));
             } else {
                 // Times out, finds rank 0 alive, waits again — forever.
+                noted[1].store(line!() + 1, Ordering::Relaxed);
                 let _ = ctx.world().try_barrier();
             }
         })
@@ -45,7 +52,8 @@ fn timing_out_past_the_horizon_is_a_livelock() {
     assert!(matches!(verdict, Verdict::Livelock(_)), "{verdict}");
     let text = verdict.to_string();
     assert!(text.starts_with("livelock: "), "{text}");
-    for (rank, line) in [(0, 34), (1, 37)] {
+    for (rank, site) in sites.iter().enumerate() {
+        let line = site.load(Ordering::Relaxed);
         let parked = format!("rank-{rank} parked at {}:{line}:", file!());
         assert!(text.contains(&parked), "rank {rank} and its site are named: {text}");
     }

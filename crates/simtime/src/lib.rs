@@ -74,8 +74,11 @@ pub fn transfer_ns(bytes: u64, bandwidth_bytes_per_sec: u64) -> SimNs {
     if bytes == 0 || bandwidth_bytes_per_sec == 0 {
         return 0;
     }
-    // ns = bytes * 1e9 / bw, computed in u128 to avoid overflow for TB-scale
-    // transfers.
+    // ns = bytes * 1e9 / bw: in u64 while the product fits (every transfer
+    // below 18 GB), in u128 past that, so TB-scale transfers cannot overflow.
+    if let Some(scaled) = bytes.checked_mul(SEC) {
+        return scaled.div_ceil(bandwidth_bytes_per_sec);
+    }
     let ns = (bytes as u128 * SEC as u128).div_ceil(bandwidth_bytes_per_sec as u128);
     ns.min(u64::MAX as u128) as SimNs
 }
@@ -111,5 +114,18 @@ mod tests {
     fn transfer_ns_huge_values_no_overflow() {
         let ns = transfer_ns(u64::MAX, 1);
         assert_eq!(ns, u64::MAX);
+    }
+
+    /// Either side of the last byte count whose product with `SEC` fits a
+    /// `u64`: the word path and the wide one meet without a step.
+    #[test]
+    fn transfer_ns_at_the_u64_edge() {
+        let edge = u64::MAX / SEC;
+        for bytes in [edge - 1, edge, edge + 1, edge + 2] {
+            let wide = (bytes as u128 * SEC as u128).div_ceil(GIB as u128) as u64;
+            assert_eq!(transfer_ns(bytes, GIB), wide, "{bytes} B");
+        }
+        // Just past `u64::MAX` ns·B over a bandwidth of `u64::MAX`: 2 ns.
+        assert_eq!(transfer_ns(edge + 1, u64::MAX), 2);
     }
 }

@@ -2,10 +2,19 @@
 
 use papyrus_simtime::{
     transfer_ns, AccessPattern, Clock, DeviceModel, NetModel, Resource, MAX_OVERLAP, QUEUE_SLACK,
+    SEC,
 };
 use proptest::prelude::*;
 
 proptest! {
+    /// The `u64` path of `transfer_ns` is the `u128` formula: every byte
+    /// count below 16 TiB at every bandwidth from 1 B/s to 1 TiB/s.
+    #[test]
+    fn transfer_ns_equals_the_u128_formula(bytes in 0u64..1 << 44, bw in 1u64..1 << 40) {
+        let wide = (bytes as u128 * SEC as u128).div_ceil(bw as u128);
+        prop_assert_eq!(transfer_ns(bytes, bw) as u128, wide.min(u64::MAX as u128));
+    }
+
     /// Clocks are monotone under any interleaving of advances and merges.
     #[test]
     fn clock_monotonic(ops in prop::collection::vec((any::<bool>(), 0u64..1_000_000), 0..200)) {

@@ -119,7 +119,7 @@ mdhim:
 	cmp target/mdhim-a.txt target/mdhim-b.txt
 
 # The tier-1 gate: everything CI requires to pass, in one command.
-verify: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim
+verify: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim trace
 	@echo "verify: OK"
 
 # Quick observability smoke: writes trace.json (chrome://tracing / Perfetto);

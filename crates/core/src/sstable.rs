@@ -37,7 +37,11 @@
 //! store lock per block. A reader opened from the store (restart, reopen, a
 //! storage-group peer) reads the block through the store, so it sees a
 //! table its owner deleted as gone. The read is charged to the device the
-//! same either way. A value found is copied out, so it never pins the block
+//! same either way, and counted in the store's telemetry. Either block is
+//! loaded in one burst before the walk, one byte of every cache line: the
+//! walk alone takes a cold block's misses one after another, as each
+//! record's header names the next, while the burst's loads are independent
+//! and overlap. A value found is copied out, so it never pins the block
 //! or the table it was cut from. Whether the bloom filter is consulted first
 //! is the caller's decision (`Options::bloom_filter`, made once in the
 //! database's SSTable walk): [`SstReader::get_at`] itself always searches.
@@ -252,6 +256,22 @@ fn seek(data: &[u8], key: &[u8]) -> (SstGet, usize) {
         }
     }
     (SstGet::NotFound, records.pos)
+}
+
+/// The host's cache line: the stride of [`seek_block`]'s burst.
+const CACHE_LINE: usize = 64;
+
+/// [`seek`] in one block of a binary get, after loading one byte of every
+/// cache line of it (and its last byte, for the line a misaligned block
+/// ends in). The loads do not depend on each other, so a cold block's
+/// misses are all in flight at once, where the walk alone takes them one
+/// after another: each record's header says where the next one starts.
+/// The fold goes to `black_box`, so the loads stay. A warm block pays a
+/// few dozen cache hits.
+fn seek_block(block: &[u8], key: &[u8]) -> SstGet {
+    let lines = block.iter().step_by(CACHE_LINE).chain(block.last());
+    std::hint::black_box(lines.fold(0u8, |acc, b| acc ^ b));
+    seek(block, key).0
 }
 
 /// One level of a [`merge`]: a key-sorted run of records and, until it runs
@@ -731,7 +751,8 @@ impl SstReader {
     /// whole records is the caller's to check.
     fn read_at(&self, now: SimNs) -> Result<(Bytes, SimNs)> {
         let data = self.image().ok_or_else(|| self.unreadable("SSData missing"))?;
-        let t = self.charge_read(data.len().max(1) as u64, AccessPattern::Sequential, now);
+        let t =
+            self.0.store.charge_read_at(data.len().max(1) as u64, AccessPattern::Sequential, now);
         Ok((data, t))
     }
 
@@ -776,7 +797,9 @@ impl SstReader {
 
     /// Search the fences in DRAM — free, like the bloom probe — and read
     /// the one block that can hold `key`: one random device read, or none
-    /// when the key sorts below the table's first.
+    /// when the key sorts below the table's first. The block, a slice of
+    /// the reader's image or fetched through the store, is loaded in one
+    /// burst before it is walked ([`seek_block`]).
     fn get_binary(&self, key: &[u8], now: SimNs) -> Option<(SstGet, SimNs)> {
         let Some((start, end)) = self.0.fences.block_of(key, self.0.data_len) else {
             return Some((SstGet::NotFound, now));
@@ -784,15 +807,15 @@ impl SstReader {
         let (hit, len) = match &self.0.data {
             Some(data) => {
                 let block = data.get(start as usize..end as usize)?;
-                (seek(block, key).0, block.len())
+                (seek_block(block, key), block.len())
             }
             None => {
                 let path = &self.0.files[0];
                 let block = self.0.store.backend().get(path, start, end.saturating_sub(start))?;
-                (seek(&block, key).0, block.len())
+                (seek_block(&block, key), block.len())
             }
         };
-        Some((hit, self.charge_read(len as u64, AccessPattern::Random, now)))
+        Some((hit, self.0.store.charge_read_at(len as u64, AccessPattern::Random, now)))
     }
 
     /// Decode forward through one SSData image — the one sequential read
@@ -802,12 +825,10 @@ impl SstReader {
             Some(data) => seek(data, key),
             None => seek(&self.image()?, key),
         };
-        Some((hit, self.charge_read(scanned.max(1) as u64, AccessPattern::Sequential, now)))
-    }
-
-    fn charge_read(&self, bytes: u64, pattern: AccessPattern, now: SimNs) -> SimNs {
-        let cost = self.0.store.device().read_ns(bytes, pattern);
-        self.0.store.queue().submit_shared(now, cost, self.0.store.device().parallelism)
+        Some((
+            hit,
+            self.0.store.charge_read_at(scanned.max(1) as u64, AccessPattern::Sequential, now),
+        ))
     }
 
     /// How the SSIndex lies about `data`, this table's SSData image, if it
@@ -1057,6 +1078,8 @@ pub(crate) mod tests {
         /// tombstoned) and keys it does not: arbitrary ones, one below the
         /// first fence, every stored key's successor (between two records,
         /// between two blocks, past the last record) and one past them all.
+        /// A reader opened from the store, which fetches its block through
+        /// it, answers the binary search alike.
         #[test]
         fn get_binary_and_linear_agree(
             table in btree_map(
@@ -1070,7 +1093,9 @@ pub(crate) mod tests {
             let es: Vec<(Vec<u8>, Entry)> =
                 table.into_iter().map(|(k, (v, tomb))| (k, entry(v, tomb))).collect();
             let model: BTreeMap<Vec<u8>, Entry> = es.iter().cloned().collect();
-            let (r, _) = build_at(&store(), "b", 1, &es, 0);
+            let s = store();
+            let (r, _) = build_at(&s, "b", 1, &es, 0);
+            let (opened, _) = SstReader::open_at(&s, "b", 1, 0).expect("the table opens");
             let blocks = r.0.fences.blocks.len();
             prop_assert!(blocks >= r.data_len() as usize / (BLOCK_BYTES + 1100));
             let successors = model.keys().map(|k| [k.as_slice(), &[0]].concat());
@@ -1079,6 +1104,7 @@ pub(crate) mod tests {
                 let want = model.get(&key).map_or(SstGet::NotFound, SstGet::from);
                 prop_assert_eq!(&r.get_at(&key, true, 0).0, &want);
                 prop_assert_eq!(&r.get_at(&key, false, 0).0, &want);
+                prop_assert_eq!(&opened.get_at(&key, true, 0).0, &want, "a reader from the store");
             }
         }
 
@@ -1577,6 +1603,51 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// Every read an SSTable charges is counted in its store's telemetry,
+    /// whichever reader makes it: `io.read.*` and the queue-wait and
+    /// service histograms see each binary get's one block (none when the key
+    /// sorts below the first fence) and a merge's one read per input. A
+    /// charged read records no span.
+    #[test]
+    fn the_store_telemetry_counts_every_charged_read() {
+        let reg = Arc::new(papyrus_telemetry::Registry::with_enabled(true));
+        let s = store().with_telemetry(&reg);
+        let reads = || {
+            let snap = reg.snapshot();
+            let histograms =
+                ["io.queue_wait.ns", "io.service.ns"].map(|name| snap.merged_histogram(name).count);
+            let counters = [snap.counter_sum("io.read.ops"), snap.counter_sum("io.read.bytes")];
+            (counters, histograms, snap.events.len())
+        };
+        // 146-byte records, 29 to a block.
+        let block = 29 * (RECORD_HEADER + 9 + 128) as u64;
+        let (built, _) = build_at(&s, "t/sst1", 1, &uniform(1000, 128), 0);
+        let (opened, _) = SstReader::open_at(&s, "t/sst1", 1, 0).expect("the table opens");
+        for reader in [&built, &opened] {
+            let (before, hists, events) = reads();
+            let n = 7;
+            for i in 0..n {
+                let key = format!("key{:06}", 100 * i);
+                assert_eq!(
+                    reader.get_at(key.as_bytes(), true, 0).0.into_value().map(|v| v.len()),
+                    Some(128)
+                );
+            }
+            assert_eq!(reader.get_at(b"a", true, 0).0, SstGet::NotFound, "below the first fence");
+            let (after, hists_after, events_after) = reads();
+            assert_eq!([after[0] - before[0], after[1] - before[1]], [n, n * block]);
+            assert_eq!(hists_after, hists.map(|c| c + n));
+            assert_eq!(events_after, events, "a charged read records no span");
+        }
+
+        let (other, _) = build_at(&s, "t/sst2", 2, &uniform(10, 128), 0);
+        let (before, _, _) = reads();
+        merge_at(&s, &[built.clone(), other.clone()], "t/sst3", 3, true, 0).unwrap();
+        let (after, _, _) = reads();
+        let bytes = built.data_len() + other.data_len();
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [2, bytes], "one read per input");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 # Every check CI runs, stated once: each CI step calls one of these targets.
 
-.PHONY: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim verify trace clean
+.PHONY: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim results verify trace clean
 
 build:
 	cargo build --release --workspace
@@ -118,8 +118,31 @@ mdhim:
 	taskset -c 0 ./target/release/fig11_mdhim --ranks 2,4 --iters 10 > target/mdhim-b.txt
 	cmp target/mdhim-a.txt target/mdhim-b.txt
 
+# The recorded figures (results/, which EXPERIMENTS.md quotes): each figure,
+#   table 2 and the replication overhead rewritten at its recorded size;
+#   a file that moved fails the target, so a change that moves a figure
+#   commits the new one. (results/perfline.txt names the git sha: it is
+#   rewritten with BENCH_baseline.json, not here.)
+results:
+	cargo build --release -p papyrus-bench
+	./target/release/fig6_basic --systems > results/table2.txt 2>&1
+	./target/release/fig6_basic --iters 20 > results/fig6.txt 2>&1
+	./target/release/fig7_consistency --ranks 2,4,8,16,32 --iters 12 > results/fig7.txt 2>&1
+	./target/release/fig8_get --ranks 4,8,16,32 --iters 120 > results/fig8.txt 2>&1
+	./target/release/fig9_workload --ranks 2,4,8,16 --iters 24 > results/fig9.txt 2>&1
+	./target/release/fig10_cr --ranks 2,4,8,16 --iters 20 > results/fig10.txt 2>&1
+	./target/release/fig11_mdhim --ranks 2,4,8,16,32 --iters 30 > results/fig11.txt 2>&1
+	./target/release/fig13_meraculous --ranks 4,8,16,32 > results/fig13.txt 2>&1
+	{ echo "# Replication overhead: R=1 vs R=2 (fig6_basic / fig7_consistency --replicas 2)"; \
+	  echo "=== fig6_basic (R=1, default) ==="; ./target/release/fig6_basic; \
+	  echo; echo "=== fig6_basic --replicas 2 ==="; ./target/release/fig6_basic --replicas 2; \
+	  echo; echo "=== fig7_consistency (R=1, default) ==="; ./target/release/fig7_consistency; \
+	  echo; echo "=== fig7_consistency --replicas 2 ==="; ./target/release/fig7_consistency --replicas 2; \
+	} > results/replica.txt 2>&1
+	git diff --exit-code -- results/
+
 # The tier-1 gate: everything CI requires to pass, in one command.
-verify: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim trace
+verify: build test fmt clippy doc kvbench crashcheck chaos perfline serve mdhim trace results
 	@echo "verify: OK"
 
 # Quick observability smoke: writes trace.json (chrome://tracing / Perfetto);

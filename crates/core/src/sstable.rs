@@ -1608,8 +1608,8 @@ pub(crate) mod tests {
     /// Every read an SSTable charges is counted in its store's telemetry,
     /// whichever reader makes it: `io.read.*` and the queue-wait and
     /// service histograms see each binary get's one block (none when the key
-    /// sorts below the first fence) and a merge's one read per input. A
-    /// charged read records no span.
+    /// sorts below the first fence) and a merge's one read per input, and
+    /// each charged read records one span.
     #[test]
     fn the_store_telemetry_counts_every_charged_read() {
         let reg = Arc::new(papyrus_telemetry::Registry::with_enabled(true));
@@ -1639,7 +1639,7 @@ pub(crate) mod tests {
             let (after, hists_after, events_after) = reads();
             assert_eq!([after[0] - before[0], after[1] - before[1]], [n, n * block]);
             assert_eq!(hists_after, hists.map(|c| c + n));
-            assert_eq!(events_after, events, "a charged read records no span");
+            assert_eq!(events_after, events + n as usize, "one span per charged read");
         }
 
         let (other, _) = build_at(&s, "t/sst2", 2, &uniform(10, 128), 0);

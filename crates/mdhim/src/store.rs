@@ -93,12 +93,10 @@ impl Mdhim {
         cfg: MdhimConfig,
     ) -> Self {
         let me = rank.rank();
-        // Interned before the first collective: a lock released with a
-        // wake pending would hand the baton on here.
-        let store = if cfg.use_pfs { storage.pfs() } else { storage.nvm_of(me) };
-        let store = store.with_telemetry(rank.fabric().telemetry());
         let comm_req = rank.world().dup();
         let comm_rep = rank.world().dup();
+        let store = if cfg.use_pfs { storage.pfs() } else { storage.nvm_of(me) };
+        let store = store.with_telemetry(rank.fabric().telemetry());
         let ldb = MiniLdb::new(store, format!("{repo}/mdhim/r{me}"), cfg.memtable_capacity);
         let server = server(ldb, comm_req.clone(), comm_rep.clone(), profile.clone());
         let handle = rank.spawn_slices(format!("mdhim-srv-{me}"), server);

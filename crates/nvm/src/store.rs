@@ -59,13 +59,6 @@ impl StoreTel {
         cost: SimNs,
         done: SimNs,
     ) {
-        self.count(is_write, bytes, now, cost, done);
-        self.rec.span("nvm", name, 0, now, done);
-    }
-
-    /// [`StoreTel::io`]'s counters and histograms, without its span: lock-free
-    /// atomics only.
-    fn count(&self, is_write: bool, bytes: u64, now: SimNs, cost: SimNs, done: SimNs) {
         if is_write {
             self.write_ops.inc();
             self.write_bytes.add(bytes);
@@ -75,6 +68,7 @@ impl StoreTel {
         }
         self.queue_wait.record(done.saturating_sub(now).saturating_sub(cost));
         self.service.record(cost);
+        self.rec.span("nvm", name, 0, now, done);
     }
 
     fn meta(&self, name: &'static str, now: SimNs, done: SimNs) {
@@ -274,14 +268,13 @@ impl NvmStore {
     /// Charge a read of `bytes` the caller already holds — an SSTable
     /// reader's block or image, sliced from the image it wrote or fetched
     /// from the backend — with `pattern` starting at `now`; returns the
-    /// completion stamp. Counted like every read of this handle
-    /// (`io.read.*`, queue wait, service) but with no span: a span takes the
-    /// recorder's lock, and a point read must take none. No fault is
+    /// completion stamp. Recorded like every read of this handle
+    /// (`io.read.*`, queue wait, service and a `read` span). No fault is
     /// injected: a point read has never stalled on one.
     pub fn charge_read_at(&self, bytes: u64, pattern: AccessPattern, now: SimNs) -> SimNs {
         let cost = self.device.read_ns(bytes, pattern);
         let done = self.queue.submit_shared(now, cost, self.device.parallelism);
-        self.record(|tel| tel.count(false, bytes, now, cost, done));
+        self.record(|tel| tel.io("read", false, bytes, now, cost, done));
         done
     }
 

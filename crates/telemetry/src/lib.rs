@@ -24,6 +24,8 @@
 //! (a fresh, disabled one by default), every layer of the world interns
 //! its handles from it, and whoever built the world reads its snapshot
 //! afterwards. Two worlds running at once record nothing into each other.
+//! Its locks are leaf locks that no world's scheduler sees, so recording
+//! moves nothing in the world it records.
 //!
 //! Timeline ("pid") conventions: MPI rank `r` is pid `r`; each NVM store a
 //! world touches gets its own pid from [`NVM_PID_BASE`] up, in order of
@@ -59,6 +61,7 @@
 
 mod hist;
 pub mod json;
+mod leaf;
 mod metrics;
 pub mod perf;
 mod registry;

@@ -6,9 +6,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use papyrus_simtime::Resource;
-use parking_lot::Mutex;
 
 use crate::hist::{Histogram, HistogramData};
+use crate::leaf::Leaf;
 use crate::metrics::{Counter, Gauge};
 use crate::spans::{self, SpanEvent, SpanRecorder, DEFAULT_SPAN_CAPACITY};
 
@@ -24,17 +24,28 @@ pub const TID_DISPATCH: u32 = 2;
 /// Lane for the remote-request handler task.
 pub const TID_HANDLER: u32 = 3;
 
-struct RegistryInner {
-    counters: Mutex<BTreeMap<(u32, String), Counter>>,
-    gauges: Mutex<BTreeMap<(u32, String), Gauge>>,
-    histograms: Mutex<BTreeMap<(u32, String), Histogram>>,
-    recorders: Mutex<BTreeMap<u32, SpanRecorder>>,
-    pid_names: Mutex<BTreeMap<u32, String>>,
-    tid_names: Mutex<BTreeMap<(u32, u32), String>>,
+/// Every map of a registry, under its one lock.
+#[derive(Default)]
+struct Maps {
+    counters: BTreeMap<(u32, String), Counter>,
+    gauges: BTreeMap<(u32, String), Gauge>,
+    histograms: BTreeMap<(u32, String), Histogram>,
+    recorders: BTreeMap<u32, SpanRecorder>,
+    pid_names: BTreeMap<u32, String>,
+    tid_names: BTreeMap<(u32, u32), String>,
     /// Each store's device queue (it names the store, and the clone kept
     /// here keeps that name from being reused) with its timeline pid, in
     /// order of first use.
-    store_pids: Mutex<Vec<(Resource, u32)>>,
+    store_pids: Vec<(Resource, u32)>,
+}
+
+impl Maps {
+    fn recorder(&mut self, enabled: &Arc<AtomicBool>, pid: u32) -> SpanRecorder {
+        self.recorders
+            .entry(pid)
+            .or_insert_with(|| SpanRecorder::with_flag(enabled.clone(), pid, DEFAULT_SPAN_CAPACITY))
+            .clone()
+    }
 }
 
 /// Home of one world's telemetry state (`papyrus_mpi::WorldConfig`
@@ -42,9 +53,13 @@ struct RegistryInner {
 /// Handles returned by the `counter`/`gauge`/`histogram`/`recorder`
 /// methods are interned: the same `(pid, name)` always yields the same
 /// underlying atomic, so the world's tasks share metrics by name.
+///
+/// Its lock, and each timeline's, is a leaf lock outside the world's
+/// schedule: a traced run hands the baton exactly where an untraced one
+/// does.
 pub struct Registry {
     enabled: Arc<AtomicBool>,
-    inner: RegistryInner,
+    maps: Leaf<Maps>,
 }
 
 impl Registry {
@@ -55,18 +70,7 @@ impl Registry {
 
     /// New registry with an explicit initial enabled state.
     pub fn with_enabled(enabled: bool) -> Self {
-        Self {
-            enabled: Arc::new(AtomicBool::new(enabled)),
-            inner: RegistryInner {
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                recorders: Mutex::new(BTreeMap::new()),
-                pid_names: Mutex::new(BTreeMap::new()),
-                tid_names: Mutex::new(BTreeMap::new()),
-                store_pids: Mutex::new(Vec::new()),
-            },
-        }
+        Self { enabled: Arc::new(AtomicBool::new(enabled)), maps: Leaf::default() }
     }
 
     /// Turn recording on or off. Existing handles observe the change on
@@ -86,101 +90,64 @@ impl Registry {
 
     /// Interned counter `(pid, name)`.
     pub fn counter(&self, pid: u32, name: &str) -> Counter {
-        let mut g = self.inner.counters.lock();
-        g.entry((pid, name.to_string()))
-            .or_insert_with(|| Counter::with_flag(self.enabled.clone()))
-            .clone()
+        let flag = || Counter::with_flag(self.enabled.clone());
+        self.maps.lock().counters.entry((pid, name.to_string())).or_insert_with(flag).clone()
     }
 
     /// Interned gauge `(pid, name)`.
     pub fn gauge(&self, pid: u32, name: &str) -> Gauge {
-        let mut g = self.inner.gauges.lock();
-        g.entry((pid, name.to_string()))
-            .or_insert_with(|| Gauge::with_flag(self.enabled.clone()))
-            .clone()
+        let flag = || Gauge::with_flag(self.enabled.clone());
+        self.maps.lock().gauges.entry((pid, name.to_string())).or_insert_with(flag).clone()
     }
 
     /// Interned histogram `(pid, name)`.
     pub fn histogram(&self, pid: u32, name: &str) -> Histogram {
-        let mut g = self.inner.histograms.lock();
-        g.entry((pid, name.to_string()))
-            .or_insert_with(|| Histogram::with_flag(self.enabled.clone()))
-            .clone()
+        let flag = || Histogram::with_flag(self.enabled.clone());
+        self.maps.lock().histograms.entry((pid, name.to_string())).or_insert_with(flag).clone()
     }
 
     /// Interned span recorder for timeline `pid`.
     pub fn recorder(&self, pid: u32) -> SpanRecorder {
-        let mut g = self.inner.recorders.lock();
-        g.entry(pid)
-            .or_insert_with(|| {
-                SpanRecorder::with_flag(self.enabled.clone(), pid, DEFAULT_SPAN_CAPACITY)
-            })
-            .clone()
+        self.maps.lock().recorder(&self.enabled, pid)
     }
 
     /// Recorder for an MPI rank; names the pid and its standard task
     /// lanes (app/compact/dispatch/handler) in the trace.
     pub fn recorder_for_rank(&self, rank: usize) -> SpanRecorder {
         let pid = rank as u32;
-        self.name_pid(pid, &format!("rank {rank}"));
-        self.name_tid(pid, TID_APP, "app");
-        self.name_tid(pid, TID_COMPACT, "compact");
-        self.name_tid(pid, TID_DISPATCH, "dispatch");
-        self.name_tid(pid, TID_HANDLER, "handler");
-        self.recorder(pid)
+        let mut maps = self.maps.lock();
+        maps.pid_names.insert(pid, format!("rank {rank}"));
+        for (tid, lane) in [
+            (TID_APP, "app"),
+            (TID_COMPACT, "compact"),
+            (TID_DISPATCH, "dispatch"),
+            (TID_HANDLER, "handler"),
+        ] {
+            maps.tid_names.insert((pid, tid), lane.to_string());
+        }
+        maps.recorder(&self.enabled, pid)
     }
 
     /// The timeline pid of the NVM store whose device queue is `queue`: on
     /// its first use here the next free pid (≥ [`NVM_PID_BASE`]), named
     /// `label`.
     pub fn store_pid(&self, queue: &Resource, label: &str) -> u32 {
-        let mut g = self.inner.store_pids.lock();
-        if let Some(&(_, pid)) = g.iter().find(|(q, _)| Resource::ptr_eq(q, queue)) {
+        let mut maps = self.maps.lock();
+        if let Some(&(_, pid)) = maps.store_pids.iter().find(|(q, _)| Resource::ptr_eq(q, queue)) {
             return pid;
         }
-        let pid = NVM_PID_BASE + g.len() as u32;
-        g.push((queue.clone(), pid));
-        drop(g);
-        self.name_pid(pid, label);
+        let pid = NVM_PID_BASE + maps.store_pids.len() as u32;
+        maps.store_pids.push((queue.clone(), pid));
+        maps.pid_names.insert(pid, label.to_string());
         pid
-    }
-
-    /// Set the display name of a trace pid.
-    pub fn name_pid(&self, pid: u32, name: &str) {
-        self.inner.pid_names.lock().insert(pid, name.to_string());
-    }
-
-    /// Set the display name of a `(pid, tid)` thread lane.
-    pub fn name_tid(&self, pid: u32, tid: u32, name: &str) {
-        self.inner.tid_names.lock().insert((pid, tid), name.to_string());
     }
 
     /// Collect a consistent point-in-time copy of every metric and span.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .iter()
-            .map(|((pid, name), c)| (*pid, name.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .iter()
-            .map(|((pid, name), g)| (*pid, name.clone(), g.get()))
-            .collect();
-        let histograms = self
-            .inner
-            .histograms
-            .lock()
-            .iter()
-            .map(|((pid, name), h)| (*pid, name.clone(), h.snapshot()))
-            .collect();
+        let maps = self.maps.lock();
         let mut events = Vec::new();
         let mut dropped_events = 0u64;
-        for rec in self.inner.recorders.lock().values() {
+        for rec in maps.recorders.values() {
             events.extend(rec.snapshot());
             dropped_events += rec.dropped();
         }
@@ -188,36 +155,31 @@ impl Registry {
         // each rank's timeline is monotone.
         events.sort_by_key(|e| (e.pid, e.ts, e.tid));
         TelemetrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            events,
-            pid_names: self.inner.pid_names.lock().iter().map(|(p, n)| (*p, n.clone())).collect(),
-            tid_names: self
-                .inner
-                .tid_names
-                .lock()
+            counters: maps
+                .counters
                 .iter()
-                .map(|((p, t), n)| (*p, *t, n.clone()))
+                .map(|((pid, n), c)| (*pid, n.clone(), c.get()))
                 .collect(),
+            gauges: maps.gauges.iter().map(|((pid, n), g)| (*pid, n.clone(), g.get())).collect(),
+            histograms: maps
+                .histograms
+                .iter()
+                .map(|((pid, n), h)| (*pid, n.clone(), h.snapshot()))
+                .collect(),
+            events,
+            pid_names: maps.pid_names.iter().map(|(p, n)| (*p, n.clone())).collect(),
+            tid_names: maps.tid_names.iter().map(|((p, t), n)| (*p, *t, n.clone())).collect(),
             dropped_events,
         }
     }
 
     /// Zero every metric and clear every span buffer (handles stay valid).
     pub fn reset(&self) {
-        for c in self.inner.counters.lock().values() {
-            c.reset();
-        }
-        for g in self.inner.gauges.lock().values() {
-            g.reset();
-        }
-        for h in self.inner.histograms.lock().values() {
-            h.reset();
-        }
-        for r in self.inner.recorders.lock().values() {
-            r.reset();
-        }
+        let maps = self.maps.lock();
+        maps.counters.values().for_each(Counter::reset);
+        maps.gauges.values().for_each(Gauge::reset);
+        maps.histograms.values().for_each(Histogram::reset);
+        maps.recorders.values().for_each(SpanRecorder::reset);
     }
 }
 

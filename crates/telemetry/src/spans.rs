@@ -12,9 +12,8 @@ use std::sync::Arc;
 
 use papyrus_simtime::SimNs;
 
-use parking_lot::Mutex;
-
 use crate::json::quote;
+use crate::leaf::Leaf;
 
 /// Default per-timeline event capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
@@ -51,7 +50,7 @@ pub struct SpanEvent {
 struct RecorderInner {
     enabled: Arc<AtomicBool>,
     pid: u32,
-    events: Mutex<Vec<SpanEvent>>,
+    events: Leaf<Vec<SpanEvent>>,
     capacity: usize,
     dropped: AtomicU64,
 }
@@ -68,7 +67,7 @@ impl SpanRecorder {
             inner: Arc::new(RecorderInner {
                 enabled,
                 pid,
-                events: Mutex::new(Vec::new()),
+                events: Leaf::default(),
                 capacity,
                 dropped: AtomicU64::new(0),
             }),

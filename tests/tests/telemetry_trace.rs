@@ -3,16 +3,17 @@
 //! document that parses, contains spans from all three layers (KV engine,
 //! MPI fabric, NVM stores), and keeps every rank timeline monotone. Each
 //! world records into its own registry, so worlds running at once see
-//! only their own counts.
+//! only their own counts, and recording moves nothing in the world it
+//! records.
 
 use std::sync::{Arc, Barrier};
 
 use papyrus_integration_tests::json::{self, Json};
 use papyrus_integration_tests::{scenario_key, scenario_value};
-use papyrus_mpi::{World, WorldConfig};
+use papyrus_mpi::{Grants, World, WorldConfig};
 use papyrus_nvm::SystemProfile;
 use papyrus_telemetry::{Registry, TelemetrySnapshot, NVM_PID_BASE};
-use papyruskv::{BarrierLevel, Context, OpenFlags, Options, Platform};
+use papyruskv::{BarrierLevel, Consistency, Context, OpenFlags, Options, Platform};
 
 const RANKS: usize = 3;
 const ITERS: usize = 40;
@@ -43,6 +44,56 @@ fn run_workload(repo: &str, tel: &Arc<Registry>) -> TelemetrySnapshot {
         ctx.finalize().unwrap();
     });
     tel.snapshot()
+}
+
+/// What a world did that recording could move: how its baton was granted,
+/// and each rank's final clock and the values its gets read.
+type Outcome = (Grants, Vec<(u64, Vec<bytes::Bytes>)>);
+
+/// [`run_workload`]'s world at `ranks` ranks under `consistency`, on a
+/// priced network and device (Summitdev's), recording into `tel`.
+fn run_shape(ranks: usize, consistency: Consistency, tel: &Arc<Registry>) -> Outcome {
+    let profile = SystemProfile::summitdev();
+    let world = WorldConfig::new(ranks, profile.net.clone()).with_telemetry(tel.clone());
+    let platform = Platform::new(profile, ranks);
+    let per_rank = World::run(world, move |rank| {
+        let ctx = Context::init(rank.clone(), platform.clone(), "nvm://tel-shape").unwrap();
+        let opt = Options::small().with_memtable_capacity(4 << 10).with_consistency(consistency);
+        let db = ctx.open("tel", OpenFlags::create(), opt).unwrap();
+        let r = rank.rank();
+        for i in 0..ITERS {
+            db.put(&scenario_key(r, i), &scenario_value(r, i, b't')).unwrap();
+        }
+        db.barrier(BarrierLevel::SsTable).unwrap();
+        let mut got = Vec::new();
+        for i in 0..ITERS {
+            got.push(db.get(&scenario_key(r, i)).unwrap());
+            got.push(db.get(&scenario_key((r + 1) % ranks, i)).unwrap());
+        }
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+        (rank.fabric().clone(), rank.now(), got)
+    });
+    let grants = per_rank[0].0.grants();
+    (grants, per_rank.into_iter().map(|(_, now, got)| (now, got)).collect())
+}
+
+/// A traced world is the untraced world: recording takes only leaf locks
+/// the scheduler never sees, so the baton is granted the same number of
+/// times, every rank ends at the same clock and every get reads the same
+/// value, with the registry on or off.
+#[test]
+fn a_traced_world_is_the_untraced_world() {
+    for (ranks, consistency) in
+        [(3, Consistency::Relaxed), (3, Consistency::Sequential), (8, Consistency::Relaxed)]
+    {
+        let on = Arc::new(Registry::with_enabled(true));
+        let traced = run_shape(ranks, consistency, &on);
+        assert!(!on.snapshot().events.is_empty(), "the traced run recorded");
+        let untraced = run_shape(ranks, consistency, &Arc::new(Registry::new()));
+        assert_eq!(traced.0, untraced.0, "{ranks} ranks, {consistency:?}: grants");
+        assert_eq!(traced.1, untraced.1, "{ranks} ranks, {consistency:?}: clocks and values");
+    }
 }
 
 /// A world whose registry is off leaves nothing behind.

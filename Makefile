@@ -49,16 +49,16 @@ kvbench:
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload remote_mix --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.bytes_per_op +164\.9069 ' \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.msgs_per_op +0\.9983 ' \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +2\.0998 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.6308 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.0090 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.0194 ' \
 		&& echo "$$out" | grep -E '^core\.db\.flush_count +16\.0000 ' \
 		&& echo "$$out" | grep -E '^core\.db\.compact_count +0\.0000 ' \
 		&& echo "$$out" | grep -E '^nvm\.store\.write_ops +64\.0000 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.2303 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.0188 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

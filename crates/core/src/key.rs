@@ -8,7 +8,7 @@
 //! it is searched with a `&[u8]`.
 //!
 //! Key order is byte order, and the two loops that make it — the flush's sort
-//! (`MemTable::iter`) and the compaction's k-way merge (`sstable::merge`) —
+//! (`MemTable::records`) and the compaction's k-way merge (`sstable::merge`) —
 //! compare a machine word before they compare bytes: [`abbrev`] cuts a key to
 //! its first `N` bytes past a prefix every compared key shares, zero-padded,
 //! read big-endian. Words that differ order their keys as the bytes do; only

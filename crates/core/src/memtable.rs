@@ -1,34 +1,68 @@
 //! MemTables: the in-memory write staging structure (paper §2.3-§2.4).
 //!
 //! A database owns four kinds of MemTable — local, immutable local, remote,
-//! and immutable remote. All four share this one structure: a hash index of
-//! entries plus byte accounting. The paper's MemTable is a red-black tree,
-//! kept ordered for the one reader that needs order, the flush; here a put
-//! or a get is one `KeyMap` probe (`key.rs`), and key order is made once, by
-//! [`MemTable::iter`], when a frozen table is flushed or migrated (or a
-//! table is audited) — a sort of its entries, O(n log n) for the whole
-//! table, paid off the put and get paths (DESIGN §1). The sort compares
-//! words, not bytes: each entry carries the 8 bytes of its key that follow
-//! the prefix every key of the table shares (`key::abbrev`), and only keys
-//! whose words tie are compared whole. "Immutable" is a usage
-//! mode: a frozen table is wrapped in `Arc` and only read (by gets walking
-//! the flushing / migration queues, and by the compaction or dispatcher
-//! task consuming it).
+//! and immutable remote. All four share this one structure: a log of
+//! records plus a hash index and byte accounting (DESIGN §1). The paper's
+//! MemTable is a red-black tree, kept ordered for the one reader that needs
+//! order, the flush; here it is rskv's layout, an append log and a hash
+//! index over it (SNIPPETS.md #1–2):
+//!
+//! * **The log** holds every record in the one SSData codec
+//!   (`sstable::put_record`), back to back in chunks of at most [`CHUNK`]
+//!   bytes — the first small, each next twice the last — so it never
+//!   reallocates and a table of a few records costs a few hundred bytes. A
+//!   record larger than a chunk gets a chunk of its own.
+//! * **The index**, a `KeyMap` (`key.rs`), maps a key to its record's place
+//!   in the log and, in a staging table, the rank the record is bound for:
+//!   32 bytes a key. A put or a get is one probe.
+//! * **An update** of the same length — a new value as long as the old, or
+//!   a tombstone over a tombstone or an empty value — overwrites its record
+//!   in place. Any other update appends, and the old record's bytes are
+//!   dead; once dead bytes reach live bytes the log is rewritten, its live
+//!   records copied in log order into fresh chunks, each old chunk freed as
+//!   soon as it has been walked.
+//! * **A get** copies its value out (`Record::outcome`, as an SSTable get
+//!   does), so no caller ever holds a view into the log, and an in-place
+//!   update changes nothing anyone was handed.
+//! * **Key order** is made once, by `MemTable::records`, when a frozen
+//!   table is flushed or migrated (or a table is audited): a sort of
+//!   `(word, place)` pairs, O(n log n) for the whole table, paid off the put
+//!   and get paths. The sort compares words, not bytes: the 8 bytes of a key
+//!   that follow the prefix every key of the table shares (`key::abbrev`);
+//!   only keys whose words tie are compared whole. A consumer copies the
+//!   records' bytes — into the flush's SSData, a migration's batch, the
+//!   stack's record list — and encodes none of them again.
+//!
+//! "Immutable" is a usage mode: a frozen table is wrapped in `Arc` and only
+//! read (by gets walking the flushing / migration queues, and by the
+//! compaction or dispatcher task consuming it).
 
 use bytes::Bytes;
 
 use crate::key::{abbrev, Key, KeyMap};
+use crate::sstable::{encoded_at, overwrite_at, Encoded, PutRecord, Record, RECORD_HEADER};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
-/// (the paper's tree node links, tombstone flag, owner rank). A hash index
-/// has no node links; the charge is kept so that every freeze point, and
-/// every number that follows from one, is the paper's accounting.
+/// (the paper's tree node links, tombstone flag, owner rank). A log has no
+/// node links; the charge is kept so that every freeze point, and every
+/// number that follows from one, is the paper's accounting.
 pub const ENTRY_OVERHEAD: u64 = 24;
 
 /// Marker for entries in local MemTables, which carry no owner rank.
 pub const NO_OWNER: u32 = u32::MAX;
 
-/// One key's state in a MemTable.
+/// Bytes of a full chunk of a MemTable's log: a record's place in the log
+/// is its chunk's number above the low `CHUNK_BITS` bits and its offset in
+/// the chunk below them, in 32 bits.
+pub const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_BITS: u32 = 14;
+/// Bytes of a log's first chunk; each next one holds twice the last, up to
+/// [`CHUNK`].
+const FIRST_CHUNK: usize = 512;
+
+/// One key's state as a caller hands it to [`MemTable::insert`] or reads it
+/// back from [`MemTable::iter`]. The table itself keeps records, not
+/// entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Value bytes; empty for tombstones.
@@ -59,10 +93,63 @@ impl Entry {
     }
 }
 
-/// An in-memory, byte-accounted table of [`Entry`]s, iterated in key order.
+/// What the index keeps of a key: its record's place in the log and the
+/// rank it is bound for ([`NO_OWNER`] in a local table).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at: u32,
+    owner: u32,
+}
+
+/// The records of a table, in chunks, and their byte counts: `live` bytes
+/// the index points at, `dead` bytes of records it no longer does.
+#[derive(Debug, Default)]
+struct Log {
+    chunks: Vec<Vec<u8>>,
+    live: usize,
+    dead: usize,
+}
+
+impl Log {
+    /// The record at `at`.
+    fn encoded(&self, at: u32) -> Option<Encoded<'_>> {
+        let chunk = self.chunks.get((at >> CHUNK_BITS) as usize)?;
+        encoded_at(chunk, (at as usize) & (CHUNK - 1))
+    }
+
+    /// Append `rec`, `len` bytes encoded: its place. The last chunk takes it
+    /// if it has room; otherwise a new chunk does, the next size up or, for
+    /// a record larger than that, the record's own size.
+    #[allow(clippy::indexing_slicing, reason = "the last chunk has room or was just pushed")]
+    fn append<'a>(&mut self, rec: impl PutRecord<'a>, len: usize) -> u32 {
+        let room = |chunk: &Vec<u8>| chunk.len() < CHUNK && chunk.capacity() - chunk.len() >= len;
+        if !self.chunks.last().is_some_and(room) {
+            let n = self.chunks.len();
+            assert!(n < 1 << (u32::BITS - CHUNK_BITS), "a MemTable log past 4 GiB");
+            let size = CHUNK.min(FIRST_CHUNK << n.min(CHUNK_BITS as usize));
+            self.chunks.push(Vec::with_capacity(size.max(len)));
+        }
+        let n = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[n];
+        let at = (n << CHUNK_BITS | chunk.len()) as u32;
+        rec.put_into(chunk);
+        at
+    }
+
+    /// Overwrite the record at `at` with `value` if its value is as long
+    /// (`sstable::overwrite_at`): the length of the record there, encoded,
+    /// 0 if there is none.
+    fn overwrite(&mut self, at: u32, value: &[u8], tombstone: bool) -> usize {
+        let Some(chunk) = self.chunks.get_mut((at >> CHUNK_BITS) as usize) else { return 0 };
+        overwrite_at(chunk, (at as usize) & (CHUNK - 1), value, tombstone).unwrap_or(0)
+    }
+}
+
+/// An in-memory, byte-accounted table of records, iterated in key order.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    index: KeyMap<Entry>,
+    index: KeyMap<Slot>,
+    log: Log,
     bytes: u64,
 }
 
@@ -84,50 +171,108 @@ impl MemTable {
 
     /// Approximate memory footprint in bytes; compared against the MemTable
     /// capacity to decide freezing (§2.4 "when the local MemTable's size
-    /// reaches its capacity limit...").
+    /// reaches its capacity limit..."). Logical: each entry's key, value and
+    /// [`ENTRY_OVERHEAD`], whatever the log holds.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn entry_size(key: &[u8], e: &Entry) -> u64 {
-        key.len() as u64 + e.value.len() as u64 + ENTRY_OVERHEAD
+    /// Bytes of the table's live records, encoded: what a flush of it
+    /// writes as SSData.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.log.live
+    }
+
+    /// Bytes of records the log still holds that no key points at.
+    pub(crate) fn dead_len(&self) -> usize {
+        self.log.dead
     }
 
     /// Insert or replace. "If another key-value pair that has the same key
     /// already exists, PapyrusKV deletes the old one before it inserts the
     /// new one" (§2.4).
     pub fn insert(&mut self, key: &[u8], entry: Entry) {
-        let new_size = Self::entry_size(key, &entry);
-        match self.index.insert(Key::from(key), entry) {
-            Some(old) => {
-                self.bytes = self.bytes - Self::entry_size(key, &old) + new_size;
-            }
-            None => self.bytes += new_size,
+        self.put(Record::from((key, &entry)), entry.owner);
+    }
+
+    /// Insert or replace `rec`, bound for `owner` ([`NO_OWNER`] in a local
+    /// table): in place if the key has a record of the same length, else
+    /// appended — copied as its bytes if it is [`Encoded`] already.
+    pub(crate) fn put<'a>(&mut self, rec: impl PutRecord<'a>, owner: u32) {
+        let Record { key, value, tombstone } = rec.record();
+        let len = RECORD_HEADER + key.len() + value.len();
+        let Some(slot) = self.index.get_mut(key) else {
+            let at = self.log.append(rec, len);
+            self.index.insert(Key::from(key), Slot { at, owner });
+            self.log.live += len;
+            self.bytes += (key.len() + value.len()) as u64 + ENTRY_OVERHEAD;
+            return;
+        };
+        slot.owner = owner;
+        // Same key: the record is as long as the old one if the value is.
+        let old = self.log.overwrite(slot.at, value, tombstone);
+        if old == len {
+            return;
+        }
+        slot.at = self.log.append(rec, len);
+        self.log.live = self.log.live + len - old;
+        self.log.dead += old;
+        // Same key: the logical size moves by what the value's length does.
+        self.bytes = self.bytes + len as u64 - old as u64;
+        if self.log.dead >= self.log.live {
+            self.rewrite();
         }
     }
 
-    /// Look up an entry (tombstones are returned — the caller decides what a
-    /// tombstone means at its level of the search).
-    pub fn get(&self, key: &[u8]) -> Option<&Entry> {
-        self.index.get(key)
+    /// Copy the live records into a fresh log, in log order, freeing each
+    /// old chunk once it has been walked: the log never holds more than it
+    /// did before the rewrite and one new chunk.
+    fn rewrite(&mut self) {
+        let mut fresh = Log { live: self.log.live, ..Log::default() };
+        for (n, chunk) in std::mem::take(&mut self.log.chunks).into_iter().enumerate() {
+            let mut pos = 0;
+            while let Some(enc) = encoded_at(&chunk, pos) {
+                let at = (n << CHUNK_BITS | pos) as u32;
+                if let Some(slot) = self.index.get_mut(enc.rec.key).filter(|slot| slot.at == at) {
+                    slot.at = fresh.append(enc, enc.bytes.len());
+                }
+                pos += enc.bytes.len();
+            }
+        }
+        self.log = fresh;
     }
 
-    /// Key-sorted iteration: the one place a MemTable's key order is made,
-    /// by sorting its entries (keys are unique, so an unstable sort is
-    /// exact). Hash order never leaves the table. An entry of the sort is
-    /// 24 bytes: the big-endian word of the 8 key bytes past the table's
-    /// shared prefix, the key and the entry; equal words compare the keys.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &Entry)> {
+    /// Look up a key's record (tombstones are returned — the caller decides
+    /// what a tombstone means at its level of the search). It borrows the
+    /// log: a caller copies out what it keeps (`Record::outcome`).
+    pub fn get(&self, key: &[u8]) -> Option<Record<'_>> {
+        self.log.encoded(self.index.get(key)?.at).map(|enc| enc.rec)
+    }
+
+    /// Key-sorted records, each with its owner: the one place a MemTable's
+    /// key order is made, by sorting `(word, place, owner)` triples of 16
+    /// bytes — the big-endian word of the 8 key bytes past the table's
+    /// shared prefix, then where the record is; equal words compare the
+    /// keys (keys are unique, so an unstable sort is exact). Hash order
+    /// never leaves the table.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (Encoded<'_>, u32)> {
         let skip = self.shared_prefix();
-        let mut sorted: Vec<(u64, &Key, &Entry)> = self
+        let mut sorted: Vec<(u64, u32, u32)> = self
             .index
             .iter()
-            .map(|(k, e)| (u64::from_be_bytes(abbrev(k.as_slice(), skip)), k, e))
+            .map(|(k, s)| (u64::from_be_bytes(abbrev(k.as_slice(), skip)), s.at, s.owner))
             .collect();
-        sorted.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| a.1.as_slice().cmp(b.1.as_slice()))
-        });
-        sorted.into_iter().map(|(_, k, e)| (k.as_slice(), e))
+        let key = |at| self.log.encoded(at).map(|enc| enc.rec.key);
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(&key(b.1))));
+        sorted.into_iter().filter_map(|(_, at, owner)| Some((self.log.encoded(at)?, owner)))
+    }
+
+    /// Key-sorted entries, each value copied out of the log.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Entry)> {
+        self.records().map(|(Encoded { rec, .. }, owner)| {
+            let value = Bytes::copy_from_slice(rec.value);
+            (rec.key, Entry::remote(value, rec.tombstone, owner))
+        })
     }
 
     /// Length of the prefix every key of the table shares.
@@ -163,7 +308,7 @@ mod tests {
     fn insert_and_get() {
         let mut m = MemTable::new();
         m.insert(b"k1", Entry::value(bv(b"v1")));
-        assert_eq!(m.get(b"k1").unwrap().value.as_ref(), b"v1");
+        assert_eq!(m.get(b"k1").unwrap().value, b"v1");
         assert!(m.get(b"nope").is_none());
         assert_eq!(m.len(), 1);
     }
@@ -195,8 +340,65 @@ mod tests {
     fn remote_entry_carries_owner() {
         let mut m = MemTable::new();
         m.insert(b"k", Entry::remote(bv(b"v"), false, 7));
-        assert_eq!(m.get(b"k").unwrap().owner, 7);
+        assert_eq!(m.iter().next().unwrap().1.owner, 7);
+        // An update in place moves the owner too.
+        m.insert(b"k", Entry::remote(bv(b"w"), false, 3));
+        assert_eq!(
+            m.iter().map(|(_, e)| e).collect::<Vec<_>>(),
+            [Entry::remote(bv(b"w"), false, 3)]
+        );
         assert_eq!(Entry::value(bv(b"v")).owner, NO_OWNER);
+    }
+
+    /// A same-length update overwrites its record where it lies — a value
+    /// with a value, a tombstone with an empty value and back — and adds
+    /// nothing to the log; any other update appends and leaves the old
+    /// record's bytes dead, until dead bytes reach live ones and the log is
+    /// rewritten to its live records alone.
+    #[test]
+    fn a_same_length_update_stays_in_place_and_a_rewrite_drops_the_dead() {
+        let mut m = MemTable::new();
+        m.insert(b"a", Entry::value(bv(b"1234")));
+        m.insert(b"b", Entry::value(Bytes::new()));
+        let (live, at) = (m.log.live, m.index[&b"a"[..]].at);
+        m.insert(b"a", Entry::value(bv(b"5678")));
+        m.insert(b"b", Entry::tombstone());
+        assert_eq!((m.log.live, m.log.dead, m.index[&b"a"[..]].at), (live, 0, at));
+        assert_eq!(m.get(b"a").unwrap().value, b"5678");
+        assert!(m.get(b"b").unwrap().tombstone);
+        m.insert(b"b", Entry::value(Bytes::new()));
+        assert!(!m.get(b"b").unwrap().tombstone);
+        // Longer: appended, the old 14 bytes dead (9 + key + value).
+        m.insert(b"a", Entry::value(bv(b"123456")));
+        assert_eq!((m.log.live, m.log.dead), (live + 2, 14));
+        assert_ne!(m.index[&b"a"[..]].at, at);
+        // Dead reaches live: one chunk of live records and nothing dead.
+        m.insert(b"a", Entry::value(bv(b"1")));
+        assert_eq!((m.log.live, m.log.dead), (live - 3, 0));
+        assert_eq!(m.log.chunks.iter().map(Vec::len).sum::<usize>(), m.log.live);
+        assert_eq!(m.get(b"a").unwrap().value, b"1");
+        assert_eq!(m.bytes(), 1 + 1 + 1 + 2 * ENTRY_OVERHEAD);
+    }
+
+    /// A record larger than a chunk gets a chunk of its own, and the next
+    /// record a new one; chunks grow from the first's size to a full one.
+    #[test]
+    fn a_record_larger_than_a_chunk_gets_a_chunk_of_its_own() {
+        let mut m = MemTable::new();
+        m.insert(b"small", Entry::value(bv(b"v")));
+        let big = Bytes::from(vec![7; CHUNK + 1]);
+        m.insert(b"big", Entry::value(big.clone()));
+        m.insert(b"after", Entry::value(bv(b"w")));
+        let sizes: Vec<usize> = m.log.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(sizes, [FIRST_CHUNK, RECORD_HEADER + 3 + CHUNK + 1, FIRST_CHUNK << 2]);
+        assert_eq!(m.get(b"big").unwrap().value, &big[..]);
+        assert_eq!(m.get(b"after").unwrap().value, b"w");
+        let mut n = MemTable::new();
+        (0..12_000u32).for_each(|i| n.insert(&i.to_be_bytes(), Entry::value(bv(&[0; 100]))));
+        let sizes: Vec<usize> = n.log.chunks.iter().map(Vec::capacity).collect();
+        assert!(sizes.len() > 64, "{} chunks", sizes.len());
+        assert_eq!(sizes[..6], [512, 1024, 2048, 4096, 8192, CHUNK]);
+        assert!(sizes[6..].iter().all(|&size| size == CHUNK));
     }
 
     #[test]
@@ -244,34 +446,63 @@ mod tests {
         vec((0usize..64, vec(any::<u8>(), 0..9), any::<bool>()), 0..200)
     }
 
+    /// Run `steps` on a MemTable and on a `BTreeMap` model: after every
+    /// step the log's live bytes are the model's records' and its dead bytes
+    /// never more; at the end every key of the run is found or not as the
+    /// model says, `iter()` yields the model's entries in its key order, and
+    /// the count and the bytes are the model's. How many steps rewrote the
+    /// log.
+    fn run_against_a_model(pool: &[Vec<u8>], steps: &[(usize, Vec<u8>, bool)]) -> usize {
+        let mut m = MemTable::new();
+        let mut model: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
+        let mut rewrites = 0;
+        for (i, value, tomb) in steps {
+            let e = if *tomb { Entry::tombstone() } else { Entry::value(bv(value)) };
+            let key = &pool[i % pool.len()];
+            let dead = m.log.dead;
+            m.insert(key, e.clone());
+            model.insert(key.clone(), e);
+            rewrites += usize::from(m.log.dead < dead);
+            let live: usize =
+                model.iter().map(|(k, e)| RECORD_HEADER + k.len() + e.value.len()).sum();
+            assert_eq!(m.log.live, live);
+            assert!(m.log.dead <= live, "{} dead bytes over {live} live", m.log.dead);
+        }
+        for key in pool {
+            let longer = [&key[..], b"x"].concat();
+            for key in [&key[..], &longer] {
+                assert_eq!(m.get(key), model.get(key).map(|e| Record::from((key, e))));
+            }
+        }
+        let got: Vec<(&[u8], Entry)> = m.iter().collect();
+        let want: Vec<(&[u8], Entry)> = model.iter().map(|(k, e)| (&k[..], e.clone())).collect();
+        assert_eq!(got, want);
+        assert_eq!(m.len(), model.len());
+        assert_eq!(m.iter().count(), model.len());
+        let bytes = model.iter().map(|(k, e)| k.len() + e.value.len()).sum::<usize>() as u64;
+        assert_eq!(m.bytes(), bytes + model.len() as u64 * ENTRY_OVERHEAD);
+        rewrites
+    }
+
     proptest! {
-        /// Against a `BTreeMap` model of the same steps: every key of the
-        /// run is found or not as the model says, `iter()` yields the
-        /// model's entries in its key order, and the count and the bytes
-        /// are the model's.
+        /// Against a `BTreeMap` model of the same steps
+        /// (`run_against_a_model`): values change length, and flip to
+        /// tombstones and back, in place and appended, across rewrites of
+        /// the log.
         #[test]
         fn a_memtable_is_a_byte_accounted_ordered_map(pool in key_pool(), steps in steps()) {
-            let mut m = MemTable::new();
-            let mut model: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
-            for (i, value, tomb) in &steps {
-                let e = if *tomb { Entry::tombstone() } else { Entry::value(bv(value)) };
-                let key = &pool[i % pool.len()];
-                m.insert(key, e.clone());
-                model.insert(key.clone(), e);
-            }
-            for key in &pool {
-                prop_assert_eq!(m.get(key), model.get(key));
-                let longer = [&key[..], b"x"].concat();
-                prop_assert_eq!(m.get(&longer), model.get(&longer));
-            }
-            let got: Vec<(&[u8], &Entry)> = m.iter().collect();
-            let want: Vec<(&[u8], &Entry)> = model.iter().map(|(k, e)| (&k[..], e)).collect();
-            prop_assert_eq!(got, want);
-            prop_assert_eq!(m.len(), model.len());
-            prop_assert_eq!(m.iter().len(), model.len());
-            let bytes = model.iter().map(|(k, e)| k.len() + e.value.len()).sum::<usize>() as u64;
-            prop_assert_eq!(m.bytes(), bytes + model.len() as u64 * ENTRY_OVERHEAD);
+            run_against_a_model(&pool, &steps);
         }
+    }
+
+    /// The model run through rewrites, made sure of: two keys, values of
+    /// alternating lengths, every third step a tombstone.
+    #[test]
+    fn a_memtable_matches_its_model_across_log_rewrites() {
+        let pool = [b"key-a".to_vec(), b"key-b".to_vec()];
+        let steps: Vec<_> =
+            (0..60).map(|i| (i, vec![i as u8; [3, 0, 8][i % 3]], i % 3 == 1)).collect();
+        assert!(run_against_a_model(&pool, &steps) > 3);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{Error, Result};
-use crate::memtable::Entry;
-use crate::sstable::{put_record, Cursor, Record, Ssid};
-use crate::write::entry_of;
+use crate::sstable::{put_record, Cursor, Encoded, Record, Ssid};
 
 /// A request on the request communicator; its discriminant is its wire tag.
 ///
@@ -169,6 +167,12 @@ impl BatchBuf {
         self.records += 1;
     }
 
+    /// Append `enc`, copying the bytes that encode it.
+    pub(crate) fn push_encoded(&mut self, enc: Encoded<'_>) {
+        self.body.put_slice(enc.bytes);
+        self.records += 1;
+    }
+
     /// The batch of the records pushed, in that order.
     pub fn freeze(self) -> Batch {
         Batch { records: self.records, body: self.body.freeze() }
@@ -208,11 +212,11 @@ impl Batch {
         Cursor::new(&self.body)
     }
 
-    /// What the receiving MemTable inserts: every record's key, borrowed,
-    /// and its entry — the value a zero-copy slice of the batch.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&[u8], Entry)> {
-        let entry = |rec: Record<'_>| entry_of(self.body.slice_ref(rec.value), rec.tombstone);
-        self.records().map(move |rec| (rec.key, entry(rec)))
+    /// Every record's key, borrowed, and its live value — a zero-copy slice
+    /// of the batch — or `None` for a tombstone.
+    pub(crate) fn values(&self) -> impl Iterator<Item = (&[u8], Option<Bytes>)> {
+        let value = |rec: Record<'_>| (!rec.tombstone).then(|| self.body.slice_ref(rec.value));
+        self.records().map(move |rec| (rec.key, value(rec)))
     }
 
     /// Total and strict, like the table's decoders: `body` must be exactly
@@ -367,21 +371,33 @@ const RESP_FOUND: u8 = 0;
 const RESP_NOT_FOUND: u8 = 1;
 const RESP_SEARCH_SHARED: u8 = 2;
 
+/// `[seq][opcode]`, then the length of the body: the header of a
+/// remote-get response with one.
+fn resp_header(seq: RpcSeq, op: u8, len: usize) -> [u8; 13] {
+    header::<13>(&[&seq.to_le_bytes(), &[op], &(len as u32).to_le_bytes()])
+}
+
 /// Encode a remote-get response: `[seq: u64][opcode: u8]` + body.
 pub fn encode_get_resp(seq: RpcSeq, resp: &GetResp) -> Bytes {
-    let seq = seq.to_le_bytes();
-    // `[seq][opcode]`, then a length for the opcodes with a body.
-    let with_len = |op: u8, len: usize| header::<13>(&[&seq, &[op], &(len as u32).to_le_bytes()]);
     match resp {
-        GetResp::Found(v) => message(&with_len(RESP_FOUND, v.len()), v),
-        GetResp::NotFound => Bytes::copy_from_slice(&header::<9>(&[&seq, &[RESP_NOT_FOUND]])),
+        GetResp::Found(v) => encode_found(seq, v),
+        GetResp::NotFound => {
+            Bytes::copy_from_slice(&header::<9>(&[&seq.to_le_bytes(), &[RESP_NOT_FOUND]]))
+        }
         GetResp::SearchShared(ssids) => {
             let mut buf = BytesMut::with_capacity(13 + 8 * ssids.len());
-            buf.put_slice(&with_len(RESP_SEARCH_SHARED, ssids.len()));
+            buf.put_slice(&resp_header(seq, RESP_SEARCH_SHARED, ssids.len()));
             ssids.iter().for_each(|s| buf.put_slice(&s.to_le_bytes()));
             buf.freeze()
         }
     }
+}
+
+/// [`encode_get_resp`] of `GetResp::Found` of `value`, wherever its bytes
+/// lie: the owner encodes a MemTable hit straight from the record in the
+/// log, under the stack's lock.
+pub(crate) fn encode_found(seq: RpcSeq, value: &[u8]) -> Bytes {
+    message(&resp_header(seq, RESP_FOUND, value.len()), value)
 }
 
 /// Decode a remote-get response.
@@ -675,8 +691,9 @@ mod tests {
     proptest! {
         /// All three batch messages round-trip any run of records — empty
         /// values and tombstones included — behind headers of 16 and 21
-        /// bytes and nine bytes a record; what the receiver would insert is
-        /// the records' entries, each live value a slice of the payload.
+        /// bytes and nine bytes a record; what the receiver inserts is each
+        /// record's bytes, copied whole into a batch equal to the one sent,
+        /// and what an observer reads each live value, a slice of the payload.
         #[test]
         fn batch_messages_round_trip(records in records_strategy()) {
             let batch: Batch = records.iter().collect();
@@ -687,12 +704,16 @@ mod tests {
             let (db, seq, got) = decode_migrate(migrate.clone()).unwrap();
             prop_assert_eq!((db, seq, &got), (9, 41, &batch));
             prop_assert_eq!(owned(&got), records.clone());
-            for ((key, entry), want) in got.entries().zip(&records) {
+            let mut copied = BatchBuf::default();
+            for ((enc, (key, value)), want) in got.records().encoded().zip(got.values()).zip(&records) {
+                prop_assert_eq!(enc.rec, Record::from(want));
                 prop_assert_eq!(key, &want.key[..]);
-                prop_assert_eq!(&entry, &crate::write::entry_of(want.value.clone(), want.tombstone));
-                prop_assert!(entry.value.is_empty() || !entry.value.is_unique());
+                prop_assert_eq!(&value, &(!want.tombstone).then(|| want.value.clone()));
+                prop_assert!(value.is_none_or(|v| v.is_empty() || !v.is_unique()));
+                copied.push_encoded(enc);
             }
-            prop_assert_eq!(got.entries().count(), records.len());
+            prop_assert_eq!(copied.freeze(), got.clone());
+            prop_assert_eq!(got.values().count(), records.len());
 
             let repl = batch.repl_put(9, 2, true, 41);
             prop_assert_eq!(repl.len(), REPL_PUT_HEADER + body);

@@ -15,12 +15,11 @@ use crate::db::{Db, DbInner};
 use crate::error::{Error, Result};
 use crate::hashfn::fnv1a64;
 use crate::lru::{CacheEntry, LruCache};
-use crate::memtable::Entry;
 use crate::msg::{self, GetResp, Request};
 use crate::options::Consistency;
 use crate::replica::{failover_get, maybe_promote};
 use crate::runtime::{self, CtxInner};
-use crate::sstable::{self, Ssid, SstGet, SstReader};
+use crate::sstable::{self, Record, Ssid, SstGet, SstReader};
 use crate::stack::Stack;
 
 impl Db {
@@ -106,13 +105,15 @@ pub(crate) fn walk_ssts<R: Borrow<SstReader>>(
 
 impl DbInner {
     /// Search `stack`'s MemTables, charging `clock` one DRAM probe per
-    /// table searched.
+    /// table searched. The record found borrows its MemTable's log: the
+    /// caller copies out what it keeps ([`Record::outcome`]) before it lets
+    /// go of the stack.
     pub(crate) fn get_mem<'s>(
         &self,
         stack: &'s Stack,
         key: &[u8],
         clock: &Clock,
-    ) -> Option<&'s Entry> {
+    ) -> Option<Record<'s>> {
         let cost = self.mem.op_ns(key.len() as u64);
         clock.advance(cost);
         if let Some(e) = stack.mem.get(key) {
@@ -149,12 +150,10 @@ fn search_cache(db: &DbInner, cache: Cache, key: &[u8], clock: &Clock) -> SstGet
     cache_outcome(db, hit, key, clock)
 }
 
-/// Search the primary stack's in-memory levels: MemTable, frozen MemTables
-/// (newest first), then the local cache, if live (§2.6, Figure 3).
-fn search_memory(db: &DbInner, stack: &mut Stack, key: &[u8], clock: &Clock) -> SstGet {
-    if let Some(e) = db.get_mem(stack, key, clock) {
-        return e.into();
-    }
+/// Search the primary stack's local cache, if live: the last of its
+/// in-memory levels, after the MemTable and the frozen ones (§2.6, Figure
+/// 3).
+fn search_local_cache(db: &DbInner, stack: &mut Stack, key: &[u8], clock: &Clock) -> SstGet {
     match &mut stack.cache {
         Some(cache) => cache_outcome(db, cache.get(key), key, clock),
         None => SstGet::NotFound,
@@ -166,27 +165,43 @@ fn search_memory(db: &DbInner, stack: &mut Stack, key: &[u8], clock: &Clock) -> 
 /// value the cache keeps is still the newest when it goes in (a put
 /// invalidates under the same lock).
 pub(crate) fn local_get(db: &DbInner, key: &[u8], clock: &Clock) -> SstGet {
+    local_get_then(db, key, clock, |rec| rec.outcome(), |hit| hit)
+}
+
+/// [`local_get`], what it found made into a `T` before the stack's lock
+/// goes: a MemTable's record by `mem`, in place in the log, anything else
+/// by `rest`.
+fn local_get_then<T>(
+    db: &DbInner,
+    key: &[u8],
+    clock: &Clock,
+    mem: impl FnOnce(Record<'_>) -> T,
+    rest: impl FnOnce(SstGet) -> T,
+) -> T {
     let mut stack = db.stack.lock();
-    let hit = search_memory(db, &mut stack, key, clock);
+    if let Some(rec) = db.get_mem(&stack, key, clock) {
+        return mem(rec);
+    }
+    let hit = search_local_cache(db, &mut stack, key, clock);
     if hit != SstGet::NotFound {
-        return hit;
+        return rest(hit);
     }
     let hit = walk_ssts(db, stack.ssts.iter().rev(), key, clock);
     if let (Some(entry), Some(cache)) = (hit.cache_entry(), &mut stack.cache) {
         cache.insert(key, entry);
     }
-    hit
+    rest(hit)
 }
 
 /// Serve a get in the message handler: `search` runs on a clock starting at
 /// the request's `stamp`. Returns its reply and the service-completion
 /// stamp.
-pub(crate) fn serve_get(
+pub(crate) fn serve_get<T>(
     db: &DbInner,
     span: &'static str,
     stamp: SimNs,
-    search: impl FnOnce(&Clock) -> GetResp,
-) -> (GetResp, SimNs) {
+    search: impl FnOnce(&Clock) -> T,
+) -> (T, SimNs) {
     let clk = Clock::starting_at(stamp);
     let resp = search(&clk);
     let end = clk.now();
@@ -197,31 +212,45 @@ pub(crate) fn serve_get(
     (resp, end)
 }
 
-/// The owner's answer to a remote get (§2.6; storage-group fast path §2.7).
+/// The owner's answer to remote get `seq` (§2.6; storage-group fast path
+/// §2.7), encoded. A MemTable hit is encoded from its record in place,
+/// under the stack's lock: the value is copied once, into the reply.
 pub(crate) fn remote_get_reply(
     ctx: &CtxInner,
     db: &DbInner,
     key: &[u8],
-    caller_group: u32,
-    caller_rank: usize,
+    (caller_group, caller_rank): (u32, usize),
+    seq: msg::RpcSeq,
     clk: &Clock,
-) -> GetResp {
+) -> Bytes {
+    let reply = |hit: SstGet| msg::encode_get_resp(seq, &get_resp(hit));
+    let found = |rec: Record<'_>| {
+        if rec.tombstone {
+            reply(SstGet::Tombstone)
+        } else {
+            msg::encode_found(seq, rec.value)
+        }
+    };
     let me = ctx.rank.rank();
     let shared = caller_group != msg::NO_GROUP
         && caller_group == ctx.group_of(me)
         && ctx.shares_storage(me, caller_rank);
     if !shared {
-        return get_resp(local_get(db, key, clk));
+        return local_get_then(db, key, clk, found, reply);
     }
     // Same storage group: "the message handler looks into the local
     // MemTable, immutable local MemTables, and local cache only" (§2.7)
     // and leaves the SSTables, newest first, to the caller.
     let mut stack = db.stack.lock();
-    match search_memory(db, &mut stack, key, clk) {
+    if let Some(rec) = db.get_mem(&stack, key, clk) {
+        return found(rec);
+    }
+    match search_local_cache(db, &mut stack, key, clk) {
         SstGet::NotFound => {
-            GetResp::SearchShared(stack.ssts.iter().rev().map(SstReader::ssid).collect())
+            let ssids = stack.ssts.iter().rev().map(SstReader::ssid).collect();
+            msg::encode_get_resp(seq, &GetResp::SearchShared(ssids))
         }
-        hit => get_resp(hit),
+        hit => reply(hit),
     }
 }
 
@@ -289,8 +318,8 @@ fn remote_get_primary(
 ) -> Result<SstGet> {
     let state = *db.state.lock();
     if state.consistency == Consistency::Relaxed {
-        if let Some(e) = db.get_mem(&db.staging.lock(), key, clock) {
-            return Ok(e.into());
+        if let Some(rec) = db.get_mem(&db.staging.lock(), key, clock) {
+            return Ok(rec.outcome());
         }
     }
     let cache = db.live_remote_cache(state.protection);
@@ -386,6 +415,7 @@ fn peer_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::Entry;
     use crate::options::{BarrierLevel, OpenFlags, Options};
     use crate::runtime::{Context, Platform};
     use papyrus_mpi::{World, WorldConfig};
@@ -413,7 +443,7 @@ mod tests {
             let stack = Stack::new(2, vec![old]);
             let tel = CoreTel::new(&Default::default(), 0);
             let db = DbInner::new(0, "db", tel, 1, MemModel::free(), Options::default(), stack);
-            let ingest = || db.insert_local(KEY, value(b"new"));
+            let ingest = || db.insert_local(Record { key: KEY, value: b"new", tombstone: false });
             let get = || local_get(&db, KEY, &Clock::new());
             if get_first {
                 assert_eq!(get(), found(b"old"));

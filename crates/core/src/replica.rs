@@ -16,6 +16,7 @@ use papyrus_telemetry::TID_HANDLER;
 
 use crate::db::DbInner;
 use crate::error::{Error, Result};
+use crate::memtable::NO_OWNER;
 use crate::msg::{self, Batch, Request};
 use crate::read::{absorb_reply, reply_of, walk_ssts};
 use crate::runtime::{self, CtxInner, MigrateJob, Shipment};
@@ -88,9 +89,9 @@ pub(crate) fn apply_replica_records(
     {
         let mut repl = db.repl.lock();
         let stack = repl.entry(origin as u32).or_insert_with(|| Stack::new(1, Vec::new()));
-        for (key, entry) in records.entries() {
-            clk.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-            stack.mem.insert(key, entry);
+        for enc in records.records().encoded() {
+            clk.advance(db.mem.op_ns((enc.rec.key.len() + enc.rec.value.len()) as u64));
+            stack.mem.put(enc, NO_OWNER);
         }
         if stack.mem.bytes() >= db.opt.memtable_capacity {
             flush_replica_stack(ctx, db, origin, stack, &clk);
@@ -131,7 +132,7 @@ pub(crate) fn replica_lookup(db: &DbInner, origin: usize, key: &[u8], clk: &Cloc
     let repl = db.repl.lock();
     let Some(stack) = repl.get(&(origin as u32)) else { return SstGet::NotFound };
     match db.get_mem(stack, key, clk) {
-        Some(e) => e.into(),
+        Some(rec) => rec.outcome(),
         None => walk_ssts(db, stack.ssts.iter().rev(), key, clk),
     }
 }

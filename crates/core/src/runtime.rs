@@ -881,10 +881,10 @@ fn ingest(ctx: &CtxInner, mut work: Ingesting, held: &mut Option<Work>) -> Slice
 fn handle_get_req(ctx: &CtxInner, m: Message) -> Result<Slice> {
     let (db_id, caller_group, seq, key) = msg::decode_get_req(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let (resp, done) = crate::read::serve_get(&db, "serve_get", m.stamp, |clk| {
-        crate::read::remote_get_reply(ctx, &db, &key, caller_group, m.src, clk)
+    let (reply, done) = crate::read::serve_get(&db, "serve_get", m.stamp, |clk| {
+        crate::read::remote_get_reply(ctx, &db, &key, (caller_group, m.src), seq, clk)
     });
-    ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), msg::encode_get_resp(seq, &resp), done);
+    ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), reply, done);
     Ok(Slice::Ran)
 }
 

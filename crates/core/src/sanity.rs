@@ -40,8 +40,8 @@
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
-use crate::sstable::{Cursor, SstReader};
+use crate::memtable::{MemTable, ENTRY_OVERHEAD};
+use crate::sstable::{Cursor, Encoded, SstReader};
 use crate::stack::Stack;
 
 /// What kind of sanity violation was detected.
@@ -208,12 +208,16 @@ pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
     }
 }
 
-/// Audit one MemTable: sorted iteration order and byte-accounting drift.
+/// Audit one MemTable: sorted iteration order, a whole record in the log
+/// for every key, the log's byte counts — live bytes as recounted, dead
+/// bytes never above them — and byte-accounting drift.
 fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
-    let mut recount = 0u64;
+    let (mut recount, mut records, mut live) = (0u64, 0usize, 0usize);
     let mut prev: Option<&[u8]> = None;
-    for (key, e) in mt.iter() {
-        recount += key.len() as u64 + e.value.len() as u64 + ENTRY_OVERHEAD;
+    for (Encoded { rec, bytes }, _) in mt.records() {
+        let key = rec.key;
+        recount += (key.len() + rec.value.len()) as u64 + ENTRY_OVERHEAD;
+        (records, live) = (records + 1, live + bytes.len());
         if let Some(p) = prev {
             if p >= key {
                 report.push(
@@ -227,6 +231,21 @@ fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
             }
         }
         prev = Some(key);
+    }
+    if records != mt.len() {
+        let keys = mt.len();
+        let detail = format!("{label} MemTable log holds records of {records} of its {keys} keys");
+        report.push(ViolationKind::LsmState, detail);
+    }
+    let (tracked, dead) = (mt.encoded_len(), mt.dead_len());
+    if live != tracked || dead > live {
+        report.push(
+            ViolationKind::LsmState,
+            format!(
+                "{label} MemTable log accounting drift: {live} live bytes recounted, \
+                 {tracked} tracked, {dead} dead"
+            ),
+        );
     }
     if recount != mt.bytes() {
         report.push(
@@ -401,8 +420,7 @@ pub fn audit_db(db: &Db) -> AuditReport {
 /// Every key `stack` makes visible ([`Stack::records`]'s rule). A key whose
 /// newest record is a tombstone maps to `None`.
 fn visible(stack: &Stack) -> Vec<(Vec<u8>, Option<bytes::Bytes>)> {
-    let live = |e: Entry| (!e.tombstone).then_some(e.value);
-    stack.records().entries().map(|(key, e)| (key.to_vec(), live(e))).collect()
+    stack.records().values().map(|(key, value)| (key.to_vec(), value)).collect()
 }
 
 /// Dump every key this rank's primary stack currently makes visible (see
@@ -428,6 +446,7 @@ pub fn replica_visible(db: &Db, origin: usize) -> Vec<(Vec<u8>, Option<bytes::By
 mod tests {
     use super::*;
     use crate::bloom::Bloom;
+    use crate::memtable::Entry;
     use crate::sstable::{build_at, Record, TableImage};
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;

@@ -15,13 +15,19 @@
 //!   beyond-the-paper deviation, DESIGN §5.)
 //! * **bloom** — the serialized [`crate::bloom::Bloom`] filter.
 //!
-//! The record layout has one home, the codec (`put_record` / `record_at`),
-//! and one walk: a [`Cursor`] over a run of records — an SSData image, one
-//! block of it, or the body of a batch on the wire ([`crate::msg::Batch`]) —
-//! yields the [`Record`]s in place and says whether it stopped on the last
-//! byte. Both gets, [`merge_at`], restart's redistribution, the stack's
-//! record list, the auditor and the message handler's ingest are callers of
-//! it. The SSIndex layout has one home too (`put_fence` / `Fences::decode`).
+//! The record layout has one home, the codec (`put_record` / `encoded_at`,
+//! and `overwrite_at` for a MemTable's same-length update), and one walk: a
+//! [`Cursor`] over a run of records — an SSData image, one block of it, the
+//! body of a batch on the wire ([`crate::msg::Batch`]) or a chunk of a
+//! MemTable's log ([`crate::memtable`]) — yields the [`Record`]s in place,
+//! or each with the bytes that encode it, and says whether it stopped on
+//! the last byte. Both gets, [`merge_at`], restart's redistribution, the
+//! stack's record list, the auditor and the message handler's ingest are
+//! callers of it. A record that moves from one run into another — a
+//! MemTable's into its flush's SSData or a migration's batch, a batch's
+//! into a MemTable, a merge input's into the output — is copied as its
+//! bytes, never decoded and encoded again. The SSIndex layout has one home
+//! too (`put_fence` / `Fences::decode`).
 //!
 //! A get either **binary searches** the fence keys of the in-memory SSIndex
 //! — in DRAM, uncharged like the bloom probe, by the 8-byte word of each key
@@ -66,7 +72,7 @@ use crate::error::{Error, Result};
 use crate::hashfn::fnv1a64;
 use crate::key::abbrev;
 use crate::lru::CacheEntry;
-use crate::memtable::{Entry, MemTable, ENTRY_OVERHEAD};
+use crate::memtable::{Entry, MemTable};
 
 /// Per-database, per-rank, unique increasing SSTable number, starting at 1.
 pub type Ssid = u64;
@@ -106,16 +112,6 @@ impl SstGet {
     }
 }
 
-impl From<&Entry> for SstGet {
-    fn from(e: &Entry) -> Self {
-        if e.tombstone {
-            SstGet::Tombstone
-        } else {
-            SstGet::Found(e.value.clone())
-        }
-    }
-}
-
 impl From<CacheEntry> for SstGet {
     fn from(e: CacheEntry) -> Self {
         if e.tombstone {
@@ -149,10 +145,11 @@ pub fn repl_sst_base(repo: &str, db: &str, rank: usize, origin: usize, ssid: Ssi
 
 // ----- the SSData record codec -----
 
-const RECORD_HEADER: usize = 9; // keylen u32 + vallen u32 + tombstone u8
+pub(crate) const RECORD_HEADER: usize = 9; // keylen u32 + vallen u32 + tombstone u8
 
 /// One record — a key's state at one level of a stack — borrowing the
-/// SSData image or the MemTable that holds it. Empty value for a tombstone.
+/// SSData image or the MemTable log that holds it. Empty value for a
+/// tombstone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record<'a> {
     pub key: &'a [u8],
@@ -162,8 +159,9 @@ pub struct Record<'a> {
 
 impl Record<'_> {
     /// What a search that matched this record returns: the value copied
-    /// out, owning only its own bytes.
-    fn outcome(&self) -> SstGet {
+    /// out, owning only its own bytes — so no caller holds a view into the
+    /// SSData image or the MemTable log the record lies in.
+    pub(crate) fn outcome(&self) -> SstGet {
         if self.tombstone {
             SstGet::Tombstone
         } else {
@@ -175,6 +173,45 @@ impl Record<'_> {
 impl<'a> From<(&'a [u8], &'a Entry)> for Record<'a> {
     fn from((key, e): (&'a [u8], &'a Entry)) -> Self {
         Self { key, value: &e.value, tombstone: e.tombstone }
+    }
+}
+
+/// A record in place in a run of whole records — a MemTable's log, a batch
+/// body, an SSData image: what it says, and the bytes that encode it.
+/// Moving it into another run copies those bytes; nothing re-encodes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Encoded<'a> {
+    pub(crate) rec: Record<'a>,
+    pub(crate) bytes: &'a [u8],
+}
+
+/// A record on its way into a run of records: a [`Record`] is encoded
+/// there, an [`Encoded`] one copied. The [`merge`] and the table encoder
+/// take either.
+pub(crate) trait PutRecord<'a>: Copy {
+    /// What the record says.
+    fn record(&self) -> Record<'a>;
+    /// Append it to `data`.
+    fn put_into(&self, data: &mut impl BufMut);
+}
+
+impl<'a> PutRecord<'a> for Record<'a> {
+    fn record(&self) -> Record<'a> {
+        *self
+    }
+
+    fn put_into(&self, data: &mut impl BufMut) {
+        put_record(data, *self);
+    }
+}
+
+impl<'a> PutRecord<'a> for Encoded<'a> {
+    fn record(&self) -> Record<'a> {
+        self.rec
+    }
+
+    fn put_into(&self, data: &mut impl BufMut) {
+        data.put_slice(self.bytes);
     }
 }
 
@@ -192,13 +229,35 @@ pub(crate) fn put_record(data: &mut impl BufMut, rec: Record<'_>) {
 /// Decode the record starting at `pos` of `data`, its header in one read.
 /// Total: `None` when `pos`, the header or the lengths it names run past
 /// the end.
-fn record_at(data: &[u8], pos: usize) -> Option<Record<'_>> {
-    let (header, body) = data.get(pos..)?.split_first_chunk::<RECORD_HEADER>()?;
+pub(crate) fn encoded_at(data: &[u8], pos: usize) -> Option<Encoded<'_>> {
+    let at = data.get(pos..)?;
+    let (header, body) = at.split_first_chunk::<RECORD_HEADER>()?;
     let [k0, k1, k2, k3, v0, v1, v2, v3, tombstone] = *header;
     let keylen = u32::from_le_bytes([k0, k1, k2, k3]) as usize;
     let vallen = u32::from_le_bytes([v0, v1, v2, v3]) as usize;
     let (key, body) = body.split_at_checked(keylen)?;
-    Some(Record { key, value: body.get(..vallen)?, tombstone: tombstone != 0 })
+    let rec = Record { key, value: body.get(..vallen)?, tombstone: tombstone != 0 };
+    Some(Encoded { rec, bytes: at.get(..RECORD_HEADER + keylen + vallen)? })
+}
+
+/// If the record at `pos` of `data` has a value as long as `value`,
+/// overwrite it with `value` and set its tombstone bit to `tombstone`: the
+/// record stays the same size, so every record around it stays where it
+/// is. The length of the record there, encoded, whether or not it was
+/// overwritten; `None`, and nothing written, if there is none.
+pub(crate) fn overwrite_at(
+    data: &mut [u8],
+    pos: usize,
+    value: &[u8],
+    tombstone: bool,
+) -> Option<usize> {
+    let Encoded { rec: old, bytes } = encoded_at(data, pos)?;
+    let (len, start) = (bytes.len(), pos + RECORD_HEADER + old.key.len());
+    if old.value.len() == value.len() {
+        data.get_mut(start..start + value.len())?.copy_from_slice(value);
+        *data.get_mut(pos + RECORD_HEADER - 1)? = u8::from(tombstone);
+    }
+    Some(len)
 }
 
 /// The one walk of the record format: the records of `data` — an SSData
@@ -216,6 +275,18 @@ impl<'a> Cursor<'a> {
     /// A cursor at the first record of `data`.
     pub fn new(data: &'a [u8]) -> Self {
         Self { data, pos: 0 }
+    }
+
+    /// The next record, with the bytes that encode it.
+    pub(crate) fn next_encoded(&mut self) -> Option<Encoded<'a>> {
+        let enc = encoded_at(self.data, self.pos)?;
+        self.pos += enc.bytes.len();
+        Some(enc)
+    }
+
+    /// What is left, each record with the bytes that encode it.
+    pub(crate) fn encoded(mut self) -> impl Iterator<Item = Encoded<'a>> {
+        std::iter::from_fn(move || self.next_encoded())
     }
 
     /// Walk what is left: whether the walk stops on the image's last byte —
@@ -236,9 +307,7 @@ impl<'a> Iterator for Cursor<'a> {
     type Item = Record<'a>;
 
     fn next(&mut self) -> Option<Record<'a>> {
-        let rec = record_at(self.data, self.pos)?;
-        self.pos += RECORD_HEADER + rec.key.len() + rec.value.len();
-        Some(rec)
+        self.next_encoded().map(|enc| enc.rec)
     }
 }
 
@@ -277,13 +346,13 @@ fn seek_block(block: &[u8], key: &[u8]) -> SstGet {
 /// One level of a [`merge`]: a key-sorted run of records and, until it runs
 /// out, its next record beside the big-endian word of that record's first
 /// 16 key bytes (`key::abbrev`).
-struct Level<'a, L> {
+struct Level<L: Iterator> {
     word: u128,
-    head: Option<Record<'a>>,
+    head: Option<L::Item>,
     rest: L,
 }
 
-impl<'a, L: Iterator<Item = Record<'a>>> Level<'a, L> {
+impl<'a, R: PutRecord<'a>, L: Iterator<Item = R>> Level<L> {
     fn new(rest: L) -> Self {
         let mut level = Self { word: 0, head: None, rest };
         level.advance();
@@ -293,7 +362,7 @@ impl<'a, L: Iterator<Item = Record<'a>>> Level<'a, L> {
     fn advance(&mut self) {
         self.head = self.rest.next();
         if let Some(rec) = self.head {
-            self.word = u128::from_be_bytes(abbrev(rec.key, 0));
+            self.word = u128::from_be_bytes(abbrev(rec.record().key, 0));
         }
     }
 }
@@ -305,24 +374,26 @@ impl<'a, L: Iterator<Item = Record<'a>>> Level<'a, L> {
 /// Tombstones are records; a caller that may drop them filters. The heads
 /// are compared directly (a stack has a handful of levels): no heap, no map
 /// and nothing allocated per record. A comparison is one of words; only
-/// keys whose words tie are compared whole.
-pub(crate) fn merge<'a, L: Iterator<Item = Record<'a>>>(
+/// keys whose words tie are compared whole. Records come out as they went
+/// in: an [`Encoded`] one is still its bytes.
+pub(crate) fn merge<'a, R: PutRecord<'a>, L: Iterator<Item = R>>(
     newest_first: impl IntoIterator<Item = L>,
-) -> impl Iterator<Item = Record<'a>> {
-    let mut levels: Vec<Level<'a, L>> = newest_first.into_iter().map(Level::new).collect();
+) -> impl Iterator<Item = R> {
+    let mut levels: Vec<Level<L>> = newest_first.into_iter().map(Level::new).collect();
     std::iter::from_fn(move || {
         // The lowest head; of equal ones the first, which is the newest.
-        let mut lowest: Option<(u128, Record<'a>)> = None;
+        let mut lowest: Option<(u128, &'a [u8], R)> = None;
         for level in &levels {
-            let Some(rec) = level.head else { continue };
-            if lowest.is_none_or(|(word, low)| (level.word, rec.key) < (word, low.key)) {
-                lowest = Some((level.word, rec));
+            let Some(head) = level.head else { continue };
+            let key = head.record().key;
+            if lowest.is_none_or(|(word, low, _)| (level.word, key) < (word, low)) {
+                lowest = Some((level.word, key, head));
             }
         }
-        let (word, winner) = lowest?;
+        let (word, key, winner) = lowest?;
         // Step past the key in every level that holds it.
         for level in &mut levels {
-            if level.head.is_some_and(|rec| level.word == word && rec.key == winner.key) {
+            if level.head.is_some_and(|rec| level.word == word && rec.record().key == key) {
                 level.advance();
             }
         }
@@ -525,7 +596,10 @@ impl TableImage {
     /// shadowed records or tombstones — is copied out to its length, so the
     /// table does not keep the shed bytes allocated for as long as it lives.
     #[allow(clippy::indexing_slicing, reason = "index starts with its INDEX_HEADER bytes")]
-    pub(crate) fn encode<'a>(data_bound: usize, entries: impl Iterator<Item = Record<'a>>) -> Self {
+    pub(crate) fn encode<'a, R: PutRecord<'a>>(
+        data_bound: usize,
+        entries: impl Iterator<Item = R>,
+    ) -> Self {
         let mut data = BytesMut::with_capacity(data_bound);
         let mut index = vec![0u8; INDEX_HEADER];
         let mut blocks: Vec<Block> = Vec::new();
@@ -534,16 +608,17 @@ impl TableImage {
         // finds it so starts the next one (the first record, the first).
         let mut block_full = 0usize;
         for rec in entries {
+            let key = rec.record().key;
             if data.len() >= block_full {
                 block_full = data.len() + BLOCK_BYTES;
                 let key_at = index.len() + FENCE_HEADER;
-                put_fence(&mut index, data.len() as u64, rec.key);
+                put_fence(&mut index, data.len() as u64, key);
                 assert!(index.len() <= u32::MAX as usize, "an SSIndex image past 4 GiB");
                 let key = (key_at as u32, index.len() as u32);
                 blocks.push(Block { offset: data.len() as u64, key });
             }
-            put_record(&mut data, rec);
-            hashes.push(fnv1a64(rec.key));
+            rec.put_into(&mut data);
+            hashes.push(fnv1a64(key));
         }
         let records = hashes.len();
         let mut bloom = Bloom::with_capacity(records, 10);
@@ -560,18 +635,12 @@ impl TableImage {
         Self { images, fences, bloom }
     }
 
-    /// SSData bytes of a flush of `mt`, to the byte: what the MemTable
-    /// counts, less the share of its per-entry overhead that is not a
-    /// record header.
-    fn flush_len(mt: &MemTable) -> usize {
-        (mt.bytes() - mt.len() as u64 * (ENTRY_OVERHEAD - RECORD_HEADER as u64)) as usize
-    }
-
-    /// The table a flush of `mt` writes. Its SSData is reserved exactly: the
-    /// buffer is the one the store keeps, so slack would live as long as
-    /// the table does.
+    /// The table a flush of `mt` writes: its log's live records, copied in
+    /// key order, none re-encoded. Its SSData is reserved exactly — the
+    /// live bytes of the log — since the buffer is the one the store keeps,
+    /// so slack would live as long as the table does.
     pub(crate) fn of_memtable(mt: &MemTable) -> Self {
-        Self::encode(Self::flush_len(mt), mt.iter().map(Record::from))
+        Self::encode(mt.encoded_len(), mt.records().map(|(enc, _)| enc))
     }
 
     /// One attempt at writing the three files under `base`, one sequential
@@ -905,14 +974,14 @@ pub fn merge_at(
         let mut records = Cursor::new(image);
         let torn = &torn;
         std::iter::from_fn(move || {
-            let rec = records.next();
+            let rec = records.next_encoded();
             if rec.is_none() && !records.ended_whole() {
                 torn.set(torn.get().or(Some(reader)));
             }
             rec
         })
     });
-    let merged = merge(levels).filter(|rec| !(drop_tombstones && rec.tombstone));
+    let merged = merge(levels).filter(|enc| !(drop_tombstones && enc.rec.tombstone));
     let image = TableImage::encode(images.iter().map(Bytes::len).sum(), merged);
     if let Some(reader) = torn.get() {
         return Err(reader.corrupt());
@@ -938,6 +1007,15 @@ pub(crate) mod tests {
 
     fn store() -> NvmStore {
         NvmStore::in_memory(DeviceModel::nvme_summitdev())
+    }
+
+    /// The entry of a put of `value` (`tombstone` unset) or of a delete.
+    fn entry_of(value: Bytes, tombstone: bool) -> Entry {
+        if tombstone {
+            Entry::tombstone()
+        } else {
+            Entry::value(value)
+        }
     }
 
     /// A `MemBackend` that counts the reads it serves and their bytes.
@@ -1101,7 +1179,7 @@ pub(crate) mod tests {
             let successors = model.keys().map(|k| [k.as_slice(), &[0]].concat());
             let edges = [vec![], vec![0], vec![0xff; 6]];
             for key in model.keys().cloned().chain(probes).chain(successors).chain(edges) {
-                let want = model.get(&key).map_or(SstGet::NotFound, SstGet::from);
+                let want = model.get(&key).map_or(SstGet::NotFound, |e| Record::from((&key[..], e)).outcome());
                 prop_assert_eq!(&r.get_at(&key, true, 0).0, &want);
                 prop_assert_eq!(&r.get_at(&key, false, 0).0, &want);
                 prop_assert_eq!(&opened.get_at(&key, true, 0).0, &want, "a reader from the store");
@@ -1123,7 +1201,7 @@ pub(crate) mod tests {
         ) {
             let entries: Vec<(Vec<u8>, Entry)> = table
                 .into_iter()
-                .map(|(key, (value, tomb))| (key, crate::write::entry_of(Bytes::from(value), tomb)))
+                .map(|(key, (value, tomb))| (key, entry_of(Bytes::from(value), tomb)))
                 .collect();
             let image = |order: &mut dyn Iterator<Item = &(Vec<u8>, Entry)>| {
                 let mut mt = MemTable::new();
@@ -1192,7 +1270,7 @@ pub(crate) mod tests {
             let newest_first = mem_tables
                 .iter()
                 .rev()
-                .map(|mt| Box::new(mt.iter().map(Record::from)) as Boxed)
+                .map(|mt| Box::new(mt.records().map(|(enc, _)| enc.rec)) as Boxed)
                 .chain(images.iter().map(|image| Box::new(Cursor::new(image)) as Boxed));
             prop_assert_eq!(merge(newest_first).collect::<Vec<_>>(), records_of(&model));
 
@@ -1271,10 +1349,13 @@ pub(crate) mod tests {
             for (i, level) in levels.into_iter().enumerate() {
                 let mut mt = MemTable::new();
                 for (key, value, tomb) in level {
-                    mt.insert(&key, crate::write::entry_of(Bytes::from(value), tomb));
+                    mt.insert(&key, entry_of(Bytes::from(value), tomb));
                 }
                 let image = TableImage::of_memtable(&mt);
-                prop_assert_eq!(image.images[0].len(), TableImage::flush_len(&mt));
+                let overhead = crate::memtable::ENTRY_OVERHEAD - RECORD_HEADER as u64;
+                let flush_len = mt.bytes() - mt.len() as u64 * overhead;
+                prop_assert_eq!(image.images[0].len() as u64, flush_len);
+                prop_assert_eq!(image.images[0].len(), mt.encoded_len());
                 prop_assert_eq!(&image.images[2][..], &rewalked(&image.images[0])[..]);
                 let base = format!("t{i}");
                 image.write_at(&s, &base, 0);
@@ -1377,18 +1458,20 @@ pub(crate) mod tests {
             }
         }
 
-        /// `record_at` is total — arbitrary bytes, arbitrary positions — and
-        /// whatever it decodes lies inside the bytes it was given.
+        /// `encoded_at` is total — arbitrary bytes, arbitrary positions — and
+        /// whatever it decodes lies inside the bytes it was given, which are
+        /// the record's header, key and value.
         #[test]
         fn record_at_is_total(junk in vec(any::<u8>(), 0..64), pos in 0usize..80) {
             for pos in [pos, usize::MAX - pos] {
-                if let Some(rec) = record_at(&junk, pos) {
-                    prop_assert!(pos + RECORD_HEADER + rec.key.len() + rec.value.len() <= junk.len());
+                if let Some(Encoded { rec, bytes }) = encoded_at(&junk, pos) {
+                    prop_assert_eq!(bytes.len(), RECORD_HEADER + rec.key.len() + rec.value.len());
+                    prop_assert!(pos + bytes.len() <= junk.len());
                 }
             }
         }
 
-        /// `put_record` → `record_at` round-trips any run of records,
+        /// `put_record` → `encoded_at` round-trips any run of records,
         /// zero-length values and tombstones included, and a cut anywhere
         /// inside the last record decodes to `None`, never to a shorter one
         /// — so the cursor walks the whole run to its end and a cut one to
@@ -1407,19 +1490,22 @@ pub(crate) mod tests {
                 put_record(&mut data, *rec);
             }
             let (mut pos, mut last) = (0, 0);
+            let mut copied = Vec::new();
             for want in &records {
-                let rec = record_at(&data, pos).expect("an encoded record decodes");
-                prop_assert_eq!(&rec, want);
+                let enc = encoded_at(&data, pos).expect("an encoded record decodes");
+                prop_assert_eq!(&enc.rec, want);
+                enc.put_into(&mut copied);
                 last = pos;
-                pos += RECORD_HEADER + rec.key.len() + rec.value.len();
+                pos += enc.bytes.len();
             }
             prop_assert_eq!(pos, data.len());
-            prop_assert!(record_at(&data, pos).is_none());
+            prop_assert_eq!(&copied, &data, "a copied record is its encoding");
+            prop_assert!(encoded_at(&data, pos).is_none());
             let mut whole = Cursor::new(&data);
             prop_assert_eq!(whole.by_ref().collect::<Vec<_>>(), records.clone());
             prop_assert!(whole.is_whole() && Cursor::new(&data).is_whole());
             for cut in last..data.len() {
-                prop_assert!(record_at(&data[..cut], last).is_none());
+                prop_assert!(encoded_at(&data[..cut], last).is_none());
                 let mut torn = Cursor::new(&data[..cut]);
                 prop_assert_eq!(torn.by_ref().count(), records.len() - 1);
                 prop_assert_eq!((torn.pos, torn.is_whole()), (last, cut == last));

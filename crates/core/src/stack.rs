@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use crate::lru::LruCache;
 use crate::memtable::MemTable;
-use crate::msg::Batch;
-use crate::sstable::{merge, Cursor, Record, Ssid, SstReader};
+use crate::msg::{Batch, BatchBuf};
+use crate::sstable::{merge, Cursor, Encoded, Ssid, SstReader};
 
 pub(crate) struct Stack {
     pub(crate) mem: MemTable,
@@ -48,15 +48,18 @@ impl Stack {
 
     /// Every record the stack holds, copied out as one batch, in key order,
     /// newest writer wins ([`merge`]): the MemTables in search order shadow
-    /// the SSTables, newest first; tombstones are records. Tables are read
+    /// the SSTables, newest first; tombstones are records. Each record is
+    /// copied as the bytes its log or image holds. Tables are read
     /// uncharged (an unreadable one is skipped): for observers — the auditor,
     /// re-replication — never for the get path.
     pub(crate) fn records(&self) -> Batch {
-        type Level<'a> = Box<dyn Iterator<Item = Record<'a>> + 'a>;
+        type Level<'a> = Box<dyn Iterator<Item = Encoded<'a>> + 'a>;
         let images: Vec<_> = self.ssts.iter().rev().filter_map(SstReader::records_image).collect();
-        let mems = self.mem_tables().map(|mt| Box::new(mt.iter().map(Record::from)) as Level);
-        let ssts = images.iter().map(|image| Box::new(Cursor::new(image)) as Level);
-        merge(mems.chain(ssts)).collect()
+        let mems = self.mem_tables().map(|mt| Box::new(mt.records().map(|(enc, _)| enc)) as Level);
+        let ssts = images.iter().map(|image| Box::new(Cursor::new(image).encoded()) as Level);
+        let mut batch = BatchBuf::default();
+        merge(mems.chain(ssts)).for_each(|enc| batch.push_encoded(enc));
+        batch.freeze()
     }
 
     /// Freeze the MemTable onto the frozen queue (§2.4); `None` if it is

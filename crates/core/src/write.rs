@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use papyrus_mpi::{Sending, Slice};
 use papyrus_simtime::{Clock, SimNs};
 use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
@@ -12,27 +11,31 @@ use papyrus_telemetry::{TID_APP, TID_COMPACT, TID_DISPATCH, TID_HANDLER};
 use crate::ckpt;
 use crate::db::{Db, DbInner, DbSync};
 use crate::error::{Error, Result};
-use crate::memtable::{Entry, MemTable};
+use crate::memtable::{MemTable, NO_OWNER};
 use crate::msg::{Batch, BatchBuf, Request};
 use crate::options::{CompactionTrigger, Consistency, Options, Protection};
 use crate::replica::{apply_replica_records, forward_replicas};
 use crate::runtime::{request, send_batch, CompactJob, CtxInner, MigrateJob, Shipment};
-use crate::sstable::{self, Record, Ssid, SstReader, TableImage};
+use crate::sstable::{self, PutRecord, Record, Ssid, SstReader, TableImage};
 
 impl Db {
     /// `papyruskv_put`: insert or update a key-value pair.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        put(&self.ctx, &self.inner, key, Bytes::copy_from_slice(value), false)
+        put(&self.ctx, &self.inner, Record { key, value, tombstone: false })
     }
 
     /// `papyruskv_delete`: delete a key (a put of a zero-length value with
     /// the tombstone bit set, §2.5).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        put(&self.ctx, &self.inner, key, Bytes::new(), true)
+        put(&self.ctx, &self.inner, Record { key, value: &[], tombstone: true })
     }
 }
 
-fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: bool) -> Result<()> {
+/// A put or a delete, `rec`, borrowing the caller's bytes: the MemTable it
+/// lands in copies them into its log, and a sequential put encodes them
+/// once into its batch.
+fn put(ctx: &CtxInner, db: &Arc<DbInner>, rec: Record<'_>) -> Result<()> {
+    let Record { key, value, .. } = rec;
     db.check_open()?;
     if key.is_empty() {
         return Err(Error::InvalidArgument("empty key"));
@@ -53,25 +56,22 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
             // fans owner==me groups out to the successors, and the FIFO
             // barrier mark proves they are ingested before the barrier
             // completes.
-            let copy = (db.repl_n >= 2).then(|| Entry::remote(value.clone(), tombstone, me as u32));
-            let entry = entry_of(value, tombstone);
-            insert_local_entry(ctx, db, key, entry, clock);
-            if let Some(copy) = copy {
-                stage(ctx, db, key, copy, clock);
+            insert_local_entry(ctx, db, rec, clock);
+            if db.repl_n >= 2 {
+                stage(ctx, db, rec, me as u32, clock);
             }
             &db.tel.put_local
         }
         Consistency::Relaxed => {
-            stage(ctx, db, key, Entry::remote(value, tombstone, owner as u32), clock);
+            stage(ctx, db, rec, owner as u32, clock);
             &db.tel.put_remote
         }
         Consistency::Sequential => {
             // One record, encoded once from the caller's key and value: the
             // PUT_SYNC body and, replicated, the REPL_PUT body.
-            let batch: Batch = [Record { key, value: &value, tombstone }].into_iter().collect();
+            let batch: Batch = [rec].into_iter().collect();
             let kind = if owner == me {
-                let entry = entry_of(value, tombstone);
-                insert_local_entry(ctx, db, key, entry, clock);
+                insert_local_entry(ctx, db, rec, clock);
                 &db.tel.put_local
             } else {
                 // "sent to the remote owner rank synchronously and directly
@@ -100,25 +100,16 @@ fn put(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], value: Bytes, tombstone: b
     Ok(())
 }
 
-/// The primary-stack entry of a put (`tombstone` unset) or delete (set).
-pub(crate) fn entry_of(value: Bytes, tombstone: bool) -> Entry {
-    if tombstone {
-        Entry::tombstone()
-    } else {
-        Entry::value(value)
-    }
-}
-
-/// Insert an entry into the primary stack (a local put; the handler's
+/// Insert a record into the primary stack (a local put; the handler's
 /// [`Ingest`] does the same). Insert, then invalidate, under
 /// the stack's lock: "a stale cache entry that has the same key as the
 /// new key-value pair is evicted from the local cache" (§2.4), and no get
 /// can put the old value back in between (gets fill the cache holding the
 /// same lock). Under WRONLY (§3.2) there is no cache to invalidate.
-fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entry, clock: &Clock) {
+fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, rec: Record<'_>, clock: &Clock) {
     // DRAM cost of the tree insert + copy.
-    clock.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-    if db.insert_local(key, entry) {
+    clock.advance(db.mem.op_ns((rec.key.len() + rec.value.len()) as u64));
+    if db.insert_local(rec) {
         freeze(ctx, db, Side::Local, clock.now());
     }
 }
@@ -126,23 +117,23 @@ fn insert_local_entry(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entr
 impl DbInner {
     /// The locked part of [`insert_local_entry`]; whether the MemTable has
     /// reached its capacity.
-    pub(crate) fn insert_local(&self, key: &[u8], entry: Entry) -> bool {
+    pub(crate) fn insert_local<'a>(&self, rec: impl PutRecord<'a>) -> bool {
         let mut stack = self.stack.lock();
-        stack.mem.insert(key, entry);
+        stack.mem.put(rec, NO_OWNER);
         if let Some(cache) = &mut stack.cache {
-            cache.invalidate(key);
+            cache.invalidate(rec.record().key);
         }
         stack.mem.bytes() >= self.opt.memtable_capacity
     }
 }
 
-/// Stage an entry for its owner in the staging MemTable (§2.4): a relaxed
+/// Stage a record for its `owner` in the staging MemTable (§2.4): a relaxed
 /// put to a remote owner, or the replica copy of a relaxed local put.
-fn stage(ctx: &CtxInner, db: &Arc<DbInner>, key: &[u8], entry: Entry, clock: &Clock) {
-    clock.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
+fn stage(ctx: &CtxInner, db: &Arc<DbInner>, rec: Record<'_>, owner: u32, clock: &Clock) {
+    clock.advance(db.mem.op_ns((rec.key.len() + rec.value.len()) as u64));
     let over = {
         let mut staging = db.staging.lock();
-        staging.mem.insert(key, entry);
+        staging.mem.put(rec, owner);
         staging.mem.bytes() >= db.opt.remote_memtable_capacity
     };
     if over {
@@ -371,13 +362,13 @@ fn run_merge_compaction(ctx: &CtxInner, db: &Arc<DbInner>, take: usize, stamp: S
 }
 
 /// Plan a migration (§2.4 "migration"): sort the frozen staging MemTable's
-/// pairs by owner — each encoded, once, straight into its owner's batch —
-/// into the batches to ship, owners ascending, each owner's replica copies
-/// behind its batch.
+/// records by owner — each copied, as the bytes its log holds, straight
+/// into its owner's batch — into the batches to ship, owners ascending,
+/// each owner's replica copies behind its batch.
 fn plan_migration(ctx: &CtxInner, db: &DbInner, mt: &MemTable) -> Vec<Shipment> {
     let mut per_owner: BTreeMap<usize, BatchBuf> = BTreeMap::new();
-    for (k, e) in mt.iter() {
-        per_owner.entry(e.owner as usize).or_default().push(Record::from((k, e)));
+    for (enc, owner) in mt.records() {
+        per_owner.entry(owner as usize).or_default().push_encoded(enc);
     }
     let (me, n) = (ctx.rank.rank(), ctx.rank.size());
     let mut plan = Vec::new();
@@ -508,7 +499,7 @@ impl Ingest {
     /// or `Ran`, past a preemption point that handed the baton on.
     pub(crate) fn step(&mut self, ctx: &CtxInner) -> std::result::Result<SimNs, Slice> {
         let db = &self.db;
-        let mut records = self.records.entries().skip(self.done);
+        let mut records = self.records.records().encoded().skip(self.done);
         loop {
             if Slice::yielded() {
                 return Err(Slice::Ran);
@@ -528,10 +519,11 @@ impl Ingest {
                 freeze_slotted(ctx, db, Side::Local, self.clk.now());
                 continue;
             }
-            let Some((key, entry)) = records.next() else { break };
-            // `insert_local_entry`, with the freeze it owes left to the loop.
-            self.clk.advance(db.mem.op_ns((key.len() + entry.value.len()) as u64));
-            self.full = db.insert_local(key, entry);
+            let Some(enc) = records.next() else { break };
+            // `insert_local_entry`, with the freeze it owes left to the loop;
+            // the record goes into the MemTable's log as the batch's bytes.
+            self.clk.advance(db.mem.op_ns((enc.rec.key.len() + enc.rec.value.len()) as u64));
+            self.full = db.insert_local(enc);
             self.done += 1;
         }
         let done = self.clk.now();
@@ -545,10 +537,12 @@ impl Ingest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::Entry;
     use crate::options::{BarrierLevel, OpenFlags};
     use crate::runtime::{Context, Platform};
     use crate::sanity::audit_db;
     use crate::sstable::tests::CountingBackend;
+    use bytes::Bytes;
     use papyrus_faultinject::{FaultEvent, FaultPlan};
     use papyrus_mpi::{World, WorldConfig};
     use papyrus_nvm::{NvmStore, StorageMap, SystemProfile};

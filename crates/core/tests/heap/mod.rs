@@ -1,19 +1,23 @@
-//! A global allocator that keeps each thread's live heap bytes, for the
-//! tests that count what an operation leaves allocated. A test binary
-//! declares `mod heap;` and so installs it.
+//! A global allocator that keeps each thread's live heap bytes and the
+//! allocations it made, for the tests that count what an operation leaves
+//! allocated or allocates at all. A test binary declares `mod heap;` and so
+//! installs it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+/// An allocation (or a reallocation) of `bytes`.
 fn grew(bytes: usize) {
     // `try_with`: a thread's last frees may run after its locals are gone.
     let _ = LIVE.try_with(|live| live.set(live.get() + bytes as i64));
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
 }
 
 fn shrank(bytes: usize) {
@@ -64,4 +68,18 @@ pub fn held<T>(f: impl FnOnce() -> T) -> (T, i64) {
     let before = live();
     let out = f();
     (out, live() - before)
+}
+
+/// The allocations and reallocations this thread has made.
+pub fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// The result of `f` and the allocations and reallocations it made on this
+/// thread.
+#[allow(dead_code, reason = "not every test binary that installs the allocator counts")]
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocs();
+    let out = f();
+    (out, allocs() - before)
 }

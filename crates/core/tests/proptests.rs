@@ -27,8 +27,8 @@ fn assert_memtable_matches(mt: &MemTable, model: &std::collections::BTreeMap<Vec
     assert_eq!(mt.bytes(), recount);
     assert_eq!(mt.len(), model.len());
     assert_eq!(mt.is_empty(), model.is_empty());
-    let got: Vec<(&[u8], &Entry)> = mt.iter().collect();
-    let want: Vec<(&[u8], &Entry)> = model.iter().map(|(k, e)| (k.as_slice(), e)).collect();
+    let got: Vec<(&[u8], Entry)> = mt.iter().collect();
+    let want: Vec<(&[u8], Entry)> = model.iter().map(|(k, e)| (k.as_slice(), e.clone())).collect();
     assert_eq!(got, want);
 }
 
@@ -171,7 +171,7 @@ proptest! {
             };
             mt.insert(k, entry.clone());
             model.insert(k.clone(), entry);
-            prop_assert_eq!(mt.get(k), model.get(k));
+            prop_assert_eq!(mt.get(k), model.get(k).map(|e| sstable::Record::from((&k[..], e))));
             if *freeze == 0 {
                 let frozen = mt.freeze();
                 assert_memtable_matches(&frozen, &model);

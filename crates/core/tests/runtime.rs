@@ -937,3 +937,166 @@ fn a_mixed_world_keeps_its_schedule() {
     let clocks: Vec<_> = out.iter().map(|(_, now, _)| *now).collect();
     assert_eq!(clocks, [3_806_633; 3]);
 }
+
+/// Options of a three-rank replicated world in which key `o<r>-…` is owned
+/// by rank r.
+fn owned_by_digit() -> Options {
+    Options::small().with_replicas(2).with_custom_hash(Arc::new(|k: &[u8]| u64::from(k[1] - b'0')))
+}
+
+/// What a healthy three-rank world at R=2 showed of the requests it sent,
+/// read off its telemetry after rank 0 made a relaxed put to rank 1 and a
+/// fence, a sequential put to rank 1 and a get from it, and every rank a
+/// barrier, a close and a finalize.
+struct Sent {
+    migrations: u64,
+    sync_puts: u64,
+    served_gets: u64,
+    barrier_marks: bool,
+    /// Rank 2 holds both of rank 0's puts in its replica stack for rank 1:
+    /// copies only a REPL_PUT brings, as neither put was rank 2's own.
+    replicated: bool,
+    /// Every rank's finalize returned, its message handler joined: ended
+    /// by the one SHUTDOWN it is sent.
+    finalized: bool,
+}
+
+fn a_healthy_world_sends() -> Sent {
+    let platform = Platform::new(SystemProfile::test_profile(), 3);
+    let tel = Arc::new(Registry::with_enabled(true));
+    let world = WorldConfig::for_tests(3).with_telemetry(tel.clone());
+    let out = World::run(world, move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-sent").unwrap();
+        let db = ctx.open("db", OpenFlags::create(), owned_by_digit()).unwrap();
+        if ctx.rank() == 0 {
+            db.put(b"o1-relaxed", b"r").unwrap();
+            db.fence().unwrap();
+        }
+        db.set_consistency(Consistency::Sequential).unwrap();
+        if ctx.rank() == 0 {
+            db.put(b"o1-sequential", b"s").unwrap();
+            assert_eq!(&db.get(b"o1-relaxed").unwrap()[..], b"r");
+        }
+        db.barrier(BarrierLevel::MemTable).unwrap();
+        let replicas = papyruskv::sanity::replica_visible(&db, 1);
+        db.close().unwrap();
+        (replicas, ctx.finalize().is_ok())
+    });
+    let counter = |rank: u32, name: &str| tel.counter(rank, name).get();
+    let want = [(b"o1-relaxed".to_vec(), b"r"), (b"o1-sequential".to_vec(), b"s")];
+    let replicas = &out[2].0;
+    Sent {
+        migrations: counter(0, "kv.migrate.count"),
+        sync_puts: counter(0, "kv.put.sync"),
+        served_gets: counter(1, "kv.serve_get.count"),
+        barrier_marks: tel.snapshot().to_chrome_trace().contains("\"name\":\"barrier.mark\""),
+        replicated: want.iter().all(|(k, v)| {
+            replicas.iter().any(|(key, value)| key == k && value.as_deref() == Some(&v[..]))
+        }),
+        finalized: out.iter().all(|(_, finalized)| *finalized),
+    }
+}
+
+/// A three-rank world at R=2 whose rank 2 is killed after putting a key:
+/// rank 1 reads it past the kill. Returns the value it read, the failover
+/// gets it counted and whether a replica served one on its handler.
+fn a_failover_get() -> (Option<Vec<u8>>, u64, bool) {
+    const KILL: u64 = 1_000_000_000;
+    let kill = FaultEvent::RankKill { rank: 2, at: KILL };
+    let plan = Arc::new(FaultPlan::with_events(1, vec![kill]));
+    let platform = Platform::new(SystemProfile::test_profile(), 3);
+    let tel = Arc::new(Registry::with_enabled(true));
+    let world = WorldConfig::for_tests(3).with_faults(plan).with_telemetry(tel.clone());
+    let mut out = World::run(world, move |rank| {
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-failover").unwrap();
+        let db = ctx.open("db", OpenFlags::create(), owned_by_digit()).unwrap();
+        if ctx.rank() == 2 {
+            db.put(b"o2-k", b"v").unwrap();
+        }
+        db.barrier(BarrierLevel::MemTable).unwrap();
+        ctx.clock().advance(2 * KILL);
+        // Rank 2 is gone. Rank 0, its successor, serves rank 1's read, which
+        // makes it claim rank 2's ranges and copy them on to rank 1; its
+        // fence collects that copy's acks. A degraded world skips close and
+        // finalize.
+        match ctx.rank() {
+            0 => {
+                ctx.signal_wait(1, &[1]).unwrap();
+                db.fence().unwrap();
+                ctx.signal_notify(2, &[1]).unwrap();
+                None
+            }
+            1 => {
+                let got = db.get_opt(b"o2-k").unwrap().map(|v| v.to_vec());
+                ctx.signal_notify(1, &[0]).unwrap();
+                ctx.signal_wait(2, &[0]).unwrap();
+                got
+            }
+            _ => None,
+        }
+    });
+    let served = tel.snapshot().to_chrome_trace().contains("\"name\":\"repl.serve_get\"");
+    (out.remove(1), tel.counter(1, "repl.failovers").get(), served)
+}
+
+/// Every request the message handler serves is one the runtime sends: a
+/// relaxed put and a fence send MIGRATE, a sequential put PUT_SYNC, a
+/// remote get GET, a barrier BARRIER_MARK, finalize SHUTDOWN, a put at R=2
+/// REPL_PUT and a get of a dead owner's key REPL_GET. The match names every
+/// variant, so a new one does not compile until it has a sender here.
+#[test]
+fn every_request_the_handler_serves_is_sent() {
+    use papyruskv::msg::Request;
+
+    let sent = a_healthy_world_sends();
+    let (failover, failovers, replica_served) = a_failover_get();
+    let requests: Vec<Request> =
+        (0..=u8::MAX.into()).filter_map(|t| Request::from_tag(t).ok()).collect();
+    for req in &requests {
+        let seen = match req {
+            Request::Migrate => sent.migrations > 0,
+            Request::PutSync => sent.sync_puts > 0,
+            Request::Get => sent.served_gets > 0,
+            Request::BarrierMark => sent.barrier_marks,
+            Request::Shutdown => sent.finalized,
+            Request::ReplPut => sent.replicated,
+            Request::ReplGet => {
+                failover.as_deref() == Some(b"v") && failovers > 0 && replica_served
+            }
+        };
+        assert!(seen, "{req:?}: served by the handler, but nothing in this world sent one");
+    }
+    assert_eq!(requests.len(), 7, "every variant, each with its sender above");
+}
+
+/// N remote gets to an owner parked in a barrier hand the baton to no other
+/// OS thread: the owner's handler serves each inline, on the caller's
+/// thread, from its MemTable, and the reply wakes nobody.
+#[test]
+fn remote_gets_to_an_owner_parked_in_a_barrier_hand_off_nothing() {
+    const GETS: usize = 500;
+    let platform = Platform::new(SystemProfile::test_profile(), 2);
+    World::run(WorldConfig::for_tests(2), move |rank| {
+        let fabric = rank.fabric().clone();
+        let ctx = Context::init(rank, platform.clone(), "nvm://t-parked").unwrap();
+        let opt = Options::small().with_custom_hash(Arc::new(|_k: &[u8]| 1));
+        let db = ctx.open("db", OpenFlags::create(), opt).unwrap();
+        let key = |i: usize| format!("m{}", i % 32);
+        if ctx.rank() == 1 {
+            (0..32).for_each(|i| db.put(key(i).as_bytes(), &[i as u8; 100]).unwrap());
+        }
+        ctx.barrier_all();
+        if ctx.rank() == 0 {
+            let get = |i| assert_eq!(&db.get(key(i).as_bytes()).unwrap()[..], &[i as u8 % 32; 100]);
+            get(0);
+            let before = fabric.grants();
+            (0..GETS).for_each(get);
+            let after = fabric.grants();
+            assert_eq!(after.handed - before.handed, 0, "a get to a parked owner wakes no thread");
+            assert_eq!(after.inline - before.inline, 2 * GETS as u64);
+        }
+        ctx.barrier_all();
+        db.close().unwrap();
+        ctx.finalize().unwrap();
+    });
+}

@@ -374,24 +374,47 @@ pub fn run_cell(cfg: &SuiteCfg, mix: Mix, skew: KeyDist, ranks: usize) -> Worklo
     }
 }
 
-/// Short git sha of `repo_root`'s HEAD, or `"unknown"` outside a checkout.
+/// Short git sha of `repo_root`'s HEAD, stamped dirty ([`sha_stamp`]) when
+/// a tracked file differs from it, or `"unknown"` outside a checkout.
 pub fn git_short_sha(repo_root: &std::path::Path) -> String {
-    std::process::Command::new("git")
-        .arg("-C")
-        .arg(repo_root)
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
+    let git = |args: &[&str]| {
+        std::process::Command::new("git").arg("-C").arg(repo_root).args(args).output().ok()
+    };
+    let Some(sha) = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    // Exit status 1: the work tree or the index differs from HEAD in a
+    // tracked file. Untracked files do not count.
+    let dirty = git(&["diff", "--quiet", "HEAD", "--"]).is_some_and(|o| o.status.code() == Some(1));
+    sha_stamp(&sha, dirty)
+}
+
+/// How a snapshot names the commit it was taken at: `sha`, or
+/// `<sha>-dirty` when tracked files differed from it — such a tree is not
+/// the commit, and the commit does not produce its numbers.
+pub fn sha_stamp(sha: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{sha}-dirty")
+    } else {
+        sha.to_string()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_dirty_tree_is_stamped_so() {
+        assert_eq!(sha_stamp("123d485", false), "123d485");
+        assert_eq!(sha_stamp("123d485", true), "123d485-dirty");
+        assert_eq!(sha_stamp("unknown", false), "unknown");
+    }
 
     #[test]
     fn workload_ids_are_stable() {

@@ -36,6 +36,9 @@ doc:
 #   traced ingest: allocations per op, the tables it builds (flushes,
 #     compactions, store writes), no op failed
 #   traced serve_resp: allocations per command, no op failed
+#   mem_mix: traced, allocations per op (a MemTable hit allocates its copy,
+#     a put nothing); untraced, whose result line alone carries it, the heap
+#     peak, most of it the MemTable's log and index; no op failed
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
@@ -59,6 +62,12 @@ kvbench:
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.0188 ' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 1) \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.4991 ' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 0) \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.61055660247803,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

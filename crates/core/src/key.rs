@@ -1,5 +1,7 @@
-//! The key of the in-memory maps, the MemTable's and the cache's, and the
-//! one hash both index it with.
+//! The key of the cache's map, and the one hash the cache and the
+//! MemTable's index both use. The MemTable's index keeps no [`Key`]: its
+//! slots hold 32 bits of a key's [`KeyHasher`] hash and its record's place,
+//! and a key is checked where its record lies (`memtable.rs`).
 //!
 //! A [`Key`] holds up to 22 bytes (`INLINE`) in place and boxes a longer key, in
 //! the 24 bytes a `Vec<u8>` takes: a short key costs no allocation, and the
@@ -14,10 +16,10 @@
 //! read big-endian. Words that differ order their keys as the bytes do; only
 //! equal words fall back to comparing the keys.
 //!
-//! [`KeyMap`] hashes with [`KeyHasher`]: fixed and seedless, so a map's
-//! layout is the same in every process and every run, and a word at a time,
-//! so a 16-byte key is three multiplies (its length, two words) and one
-//! [`mix64`] finish.
+//! [`KeyMap`] and the MemTable's index hash with [`KeyHasher`]: fixed and
+//! seedless, so a table's layout is the same in every process and every
+//! run, and a word at a time, so a 16-byte key is three multiplies (its
+//! length, two words) and one [`mix64`] finish.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -94,10 +96,11 @@ impl Hash for Key {
     }
 }
 
-/// The hash of every [`KeyMap`]: FxHash's word step over the bytes
-/// (rotate, xor, multiply), finished with [`mix64`] so that a table's low
-/// bits, which pick the bucket, and its high bits, which tag it, both depend
-/// on every byte. A [`Key`] and the `&[u8]` it borrows as feed it the same
+/// The hash of every [`KeyMap`] and of the MemTable's index: FxHash's word
+/// step over the bytes (rotate, xor, multiply), finished with [`mix64`] so
+/// that a map's low bits, which pick the bucket, and its high bits, which
+/// tag it, both depend on every byte, as do the low 32 bits a MemTable's
+/// slot keeps. A [`Key`] and the `&[u8]` it borrows as feed it the same
 /// writes (`[u8]`'s length prefix, then its bytes), so they hash equal.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyHasher(u64);

@@ -12,9 +12,17 @@
 //!   bytes — the first small, each next twice the last — so it never
 //!   reallocates and a table of a few records costs a few hundred bytes. A
 //!   record larger than a chunk gets a chunk of its own.
-//! * **The index**, a `KeyMap` (`key.rs`), maps a key to its record's place
-//!   in the log and, in a staging table, the rank the record is bound for:
-//!   32 bytes a key. A put or a get is one probe.
+//! * **The index** holds no keys, as FASTER's does not: the key is in the
+//!   log already. It is an open-addressed table of 12-byte slots, each 32
+//!   bits of the key's hash (`KeyHasher`, `key.rs`), its record's place in
+//!   the log and, in a staging table, the rank the record is bound for.
+//!   Probing is Robin Hood over a power-of-two capacity at most 7/8 full: a
+//!   slot whose hash matches has its key checked where its record lies, and
+//!   a miss stops at the first slot nearer its home than the probe is to
+//!   the key's. A table grows by doubling, each slot placed again by its
+//!   stored hash without reading the log, and never removes a slot: a
+//!   freeze takes the whole table. A put or a get is one probe, which also
+//!   finds where a new key goes.
 //! * **An update** of the same length — a new value as long as the old, or
 //!   a tombstone over a tombstone or an empty value — overwrites its record
 //!   in place. Any other update appends, and the old record's bytes are
@@ -37,9 +45,11 @@
 //! read (by gets walking the flushing / migration queues, and by the
 //! compaction or dispatcher task consuming it).
 
+use std::hash::{Hash, Hasher};
+
 use bytes::Bytes;
 
-use crate::key::{abbrev, Key, KeyMap};
+use crate::key::{abbrev, KeyHasher};
 use crate::sstable::{encoded_at, overwrite_at, Encoded, PutRecord, Record, RECORD_HEADER};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
@@ -93,12 +103,131 @@ impl Entry {
     }
 }
 
-/// What the index keeps of a key: its record's place in the log and the
-/// rank it is bound for ([`NO_OWNER`] in a local table).
+/// The place of no record, marking a vacant slot: a log never uses its last
+/// chunk number ([`Log::append`]), so no record lies there.
+const VACANT: u32 = u32::MAX;
+
+/// Slots of an index's first table; each growth doubles them.
+const FIRST_SLOTS: usize = 4;
+
+/// The 32 bits of `key`'s [`KeyHasher`] hash that its slot keeps: the low
+/// bits pick its home slot, and all of them screen the keys a probe checks.
+pub(crate) fn key_hash(key: &[u8]) -> u32 {
+    let mut hasher = KeyHasher::default();
+    key.hash(&mut hasher);
+    let hash = hasher.finish() as u32;
+    #[cfg(test)]
+    let hash = hash & tests::HASH_MASK.get();
+    hash
+}
+
+/// What the index keeps of a key: its hash, its record's place in the log
+/// and the rank it is bound for ([`NO_OWNER`] in a local table).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
+    hash: u32,
     at: u32,
     owner: u32,
+}
+
+impl Slot {
+    const VACANT: Slot = Slot { hash: 0, at: VACANT, owner: NO_OWNER };
+}
+
+/// Where a probe that found no match stopped: the slot a new key takes,
+/// and how far that is from the key's home — one less than the slots the
+/// probe read.
+#[derive(Debug, Clone, Copy)]
+struct Vacancy {
+    pos: usize,
+    dist: usize,
+}
+
+/// The index of a table's records: open addressing over a power-of-two
+/// count of slots, Robin Hood probing, at most 7/8 full (module doc).
+#[derive(Debug, Default)]
+struct Index {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl Index {
+    /// How far `pos` is past the home of a slot hashed `hash`, in a table
+    /// of `mask + 1` slots.
+    fn distance(pos: usize, hash: u32, mask: usize) -> usize {
+        pos.wrapping_sub(hash as usize) & mask
+    }
+
+    /// The slot hashed `hash` whose place `matches`, and what `matches`
+    /// found there, walking from its home while each slot is at least as
+    /// far from its own home as the walk is; else where the walk stopped.
+    fn find<T>(
+        &self,
+        hash: u32,
+        mut matches: impl FnMut(u32) -> Option<T>,
+    ) -> Result<(usize, T), Vacancy> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let (mut pos, mut dist) = (hash as usize & mask, 0);
+        while let Some(slot) = self.slots.get(pos) {
+            if slot.at == VACANT || Self::distance(pos, slot.hash, mask) < dist {
+                break;
+            }
+            if slot.hash == hash {
+                if let Some(found) = matches(slot.at) {
+                    return Ok((pos, found));
+                }
+            }
+            (pos, dist) = ((pos + 1) & mask, dist + 1);
+        }
+        Err(Vacancy { pos, dist })
+    }
+
+    /// Where a new slot hashed `hash` goes: a probe that matches nothing
+    /// ends at a vacancy.
+    fn vacancy(&self, hash: u32) -> Vacancy {
+        self.find(hash, |_| None::<()>).err().unwrap_or(Vacancy { pos: 0, dist: 0 })
+    }
+
+    /// Whether one more slot would fill the table past 7/8.
+    fn is_full(&self) -> bool {
+        (self.len + 1) * 8 > self.slots.len() * 7
+    }
+
+    /// Put `slot` where a probe for its key stopped: a slot there nearer
+    /// its home than `slot` is to its own moves on, and the slot it
+    /// displaces in turn, up to the first vacant one.
+    fn place(&mut self, Vacancy { mut pos, mut dist }: Vacancy, mut slot: Slot) {
+        let mask = self.slots.len() - 1;
+        self.len += 1;
+        while let Some(here) = self.slots.get_mut(pos) {
+            if here.at == VACANT {
+                *here = slot;
+                return;
+            }
+            let theirs = Self::distance(pos, here.hash, mask);
+            if theirs < dist {
+                std::mem::swap(here, &mut slot);
+                dist = theirs;
+            }
+            (pos, dist) = ((pos + 1) & mask, dist + 1);
+        }
+    }
+
+    /// Double the slots (to [`FIRST_SLOTS`] from none) and place each
+    /// occupied one again by its stored hash.
+    fn grow(&mut self) {
+        let size = FIRST_SLOTS.max(2 * self.slots.len());
+        let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; size]);
+        self.len = 0;
+        for slot in old.into_iter().filter(|slot| slot.at != VACANT) {
+            self.place(self.vacancy(slot.hash), slot);
+        }
+    }
+
+    /// The occupied slots, each with its position.
+    fn occupied(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        self.slots.iter().enumerate().filter(|(_, slot)| slot.at != VACANT)
+    }
 }
 
 /// The records of a table, in chunks, and their byte counts: `live` bytes
@@ -125,7 +254,8 @@ impl Log {
         let room = |chunk: &Vec<u8>| chunk.len() < CHUNK && chunk.capacity() - chunk.len() >= len;
         if !self.chunks.last().is_some_and(room) {
             let n = self.chunks.len();
-            assert!(n < 1 << (u32::BITS - CHUNK_BITS), "a MemTable log past 4 GiB");
+            // The last chunk number is never used: no place is VACANT.
+            assert!(n + 1 < 1 << (u32::BITS - CHUNK_BITS), "a MemTable log past 4 GiB");
             let size = CHUNK.min(FIRST_CHUNK << n.min(CHUNK_BITS as usize));
             self.chunks.push(Vec::with_capacity(size.max(len)));
         }
@@ -134,6 +264,11 @@ impl Log {
         let at = (n << CHUNK_BITS | chunk.len()) as u32;
         rec.put_into(chunk);
         at
+    }
+
+    /// The record at `at`, if it is `key`'s.
+    fn record_of(&self, at: u32, key: &[u8]) -> Option<Record<'_>> {
+        self.encoded(at).map(|enc| enc.rec).filter(|rec| rec.key == key)
     }
 
     /// Overwrite the record at `at` with `value` if its value is as long
@@ -148,7 +283,7 @@ impl Log {
 /// An in-memory, byte-accounted table of records, iterated in key order.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    index: KeyMap<Slot>,
+    index: Index,
     log: Log,
     bytes: u64,
 }
@@ -161,12 +296,12 @@ impl MemTable {
 
     /// Number of entries (tombstones included).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Whether the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Approximate memory footprint in bytes; compared against the MemTable
@@ -199,15 +334,29 @@ impl MemTable {
     /// table): in place if the key has a record of the same length, else
     /// appended — copied as its bytes if it is [`Encoded`] already.
     pub(crate) fn put<'a>(&mut self, rec: impl PutRecord<'a>, owner: u32) {
-        let Record { key, value, tombstone } = rec.record();
+        let Record { key, value, .. } = rec.record();
         let len = RECORD_HEADER + key.len() + value.len();
-        let Some(slot) = self.index.get_mut(key) else {
-            let at = self.log.append(rec, len);
-            self.index.insert(Key::from(key), Slot { at, owner });
-            self.log.live += len;
-            self.bytes += (key.len() + value.len()) as u64 + ENTRY_OVERHEAD;
-            return;
+        let hash = key_hash(key);
+        let log = &self.log;
+        let vacancy = match self.index.find(hash, |at| log.record_of(at, key)) {
+            Ok((pos, _)) => return self.update(pos, rec, len, owner),
+            Err(_) if self.index.is_full() => {
+                self.index.grow();
+                self.index.vacancy(hash)
+            }
+            Err(vacancy) => vacancy,
         };
+        let at = self.log.append(rec, len);
+        self.index.place(vacancy, Slot { hash, at, owner });
+        self.log.live += len;
+        self.bytes += (key.len() + value.len()) as u64 + ENTRY_OVERHEAD;
+    }
+
+    /// Replace the record of the key in slot `pos` with `rec`, `len` bytes
+    /// encoded, bound for `owner`.
+    fn update<'a>(&mut self, pos: usize, rec: impl PutRecord<'a>, len: usize, owner: u32) {
+        let Record { value, tombstone, .. } = rec.record();
+        let Some(slot) = self.index.slots.get_mut(pos) else { return };
         slot.owner = owner;
         // Same key: the record is as long as the old one if the value is.
         let old = self.log.overwrite(slot.at, value, tombstone);
@@ -226,14 +375,19 @@ impl MemTable {
 
     /// Copy the live records into a fresh log, in log order, freeing each
     /// old chunk once it has been walked: the log never holds more than it
-    /// did before the rewrite and one new chunk.
+    /// did before the rewrite and one new chunk. A record is live if the
+    /// slot of its hash and place is still there; a key's live record is
+    /// the last of its records in log order, so its slot has not moved yet
+    /// when the walk meets a dead one.
     fn rewrite(&mut self) {
         let mut fresh = Log { live: self.log.live, ..Log::default() };
         for (n, chunk) in std::mem::take(&mut self.log.chunks).into_iter().enumerate() {
             let mut pos = 0;
             while let Some(enc) = encoded_at(&chunk, pos) {
                 let at = (n << CHUNK_BITS | pos) as u32;
-                if let Some(slot) = self.index.get_mut(enc.rec.key).filter(|slot| slot.at == at) {
+                let found =
+                    self.index.find(key_hash(enc.rec.key), |place| (place == at).then_some(()));
+                if let Some(slot) = found.ok().and_then(|(i, ())| self.index.slots.get_mut(i)) {
                     slot.at = fresh.append(enc, enc.bytes.len());
                 }
                 pos += enc.bytes.len();
@@ -246,7 +400,12 @@ impl MemTable {
     /// what a tombstone means at its level of the search). It borrows the
     /// log: a caller copies out what it keeps (`Record::outcome`).
     pub fn get(&self, key: &[u8]) -> Option<Record<'_>> {
-        self.log.encoded(self.index.get(key)?.at).map(|enc| enc.rec)
+        // Most gets of a read-mostly store search an empty table: no hash.
+        if self.is_empty() {
+            return None;
+        }
+        let found = self.index.find(key_hash(key), |at| self.log.record_of(at, key));
+        found.ok().map(|(_, rec)| rec)
     }
 
     /// Key-sorted records, each with its owner: the one place a MemTable's
@@ -257,12 +416,10 @@ impl MemTable {
     /// never leaves the table.
     pub(crate) fn records(&self) -> impl Iterator<Item = (Encoded<'_>, u32)> {
         let skip = self.shared_prefix();
-        let mut sorted: Vec<(u64, u32, u32)> = self
-            .index
-            .iter()
-            .map(|(k, s)| (u64::from_be_bytes(abbrev(k.as_slice(), skip)), s.at, s.owner))
-            .collect();
         let key = |at| self.log.encoded(at).map(|enc| enc.rec.key);
+        let word = |at| u64::from_be_bytes(abbrev(key(at).unwrap_or_default(), skip));
+        let mut sorted = Vec::with_capacity(self.len());
+        sorted.extend(self.index.occupied().map(|(_, s)| (word(s.at), s.at, s.owner)));
         sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(&key(b.1))));
         sorted.into_iter().filter_map(|(_, at, owner)| Some((self.log.encoded(at)?, owner)))
     }
@@ -278,11 +435,26 @@ impl MemTable {
     /// Length of the prefix every key of the table shares.
     #[allow(clippy::indexing_slicing, reason = "shared starts at first.len() and only shrinks")]
     fn shared_prefix(&self) -> usize {
-        let mut keys = self.index.keys().map(Key::as_slice);
+        let mut keys = self.keys().map(|(_, _, key)| key);
         let Some(first) = keys.next() else { return 0 };
         keys.fold(first.len(), |shared, key| {
             first[..shared].iter().zip(key).take_while(|(a, b)| a == b).count()
         })
+    }
+
+    /// The index's occupied slots, each with its position, the hash it
+    /// keeps, and the key of the record at its place (empty if there is
+    /// none; the auditor counts whole records apart).
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (usize, u32, &[u8])> {
+        self.index.occupied().map(|(pos, slot)| {
+            (pos, slot.hash, self.log.encoded(slot.at).map(|enc| enc.rec.key).unwrap_or_default())
+        })
+    }
+
+    /// The position of the slot a lookup of `key` finds, if one does.
+    pub(crate) fn slot_of(&self, key: &[u8]) -> Option<usize> {
+        let found = self.index.find(key_hash(key), |at| self.log.record_of(at, key));
+        found.ok().map(|(pos, _)| pos)
     }
 
     /// Freeze: take the current contents out, leaving this table empty. The
@@ -296,12 +468,34 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sanity::{audit_memtable, AuditReport, ViolationKind};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// The bits of every key hash this thread's tables keep: all of
+        /// them but in [`with_hash_bits`], which makes keys collide.
+        pub(super) static HASH_MASK: Cell<u32> = const { Cell::new(u32::MAX) };
+    }
+
+    /// Run `f` with key hashes cut to their low `bits` bits, so that many
+    /// keys share a hash and their probes run long.
+    fn with_hash_bits<T>(bits: u32, f: impl FnOnce() -> T) -> T {
+        HASH_MASK.set((1 << bits) - 1);
+        let out = f();
+        HASH_MASK.set(u32::MAX);
+        out
+    }
 
     fn bv(s: &[u8]) -> Bytes {
         Bytes::copy_from_slice(s)
+    }
+
+    /// The place in the log of `key`'s record.
+    fn place(m: &MemTable, key: &[u8]) -> u32 {
+        m.index.slots[m.slot_of(key).unwrap()].at
     }
 
     #[test]
@@ -360,10 +554,10 @@ mod tests {
         let mut m = MemTable::new();
         m.insert(b"a", Entry::value(bv(b"1234")));
         m.insert(b"b", Entry::value(Bytes::new()));
-        let (live, at) = (m.log.live, m.index[&b"a"[..]].at);
+        let (live, at) = (m.log.live, place(&m, b"a"));
         m.insert(b"a", Entry::value(bv(b"5678")));
         m.insert(b"b", Entry::tombstone());
-        assert_eq!((m.log.live, m.log.dead, m.index[&b"a"[..]].at), (live, 0, at));
+        assert_eq!((m.log.live, m.log.dead, place(&m, b"a")), (live, 0, at));
         assert_eq!(m.get(b"a").unwrap().value, b"5678");
         assert!(m.get(b"b").unwrap().tombstone);
         m.insert(b"b", Entry::value(Bytes::new()));
@@ -371,7 +565,7 @@ mod tests {
         // Longer: appended, the old 14 bytes dead (9 + key + value).
         m.insert(b"a", Entry::value(bv(b"123456")));
         assert_eq!((m.log.live, m.log.dead), (live + 2, 14));
-        assert_ne!(m.index[&b"a"[..]].at, at);
+        assert_ne!(place(&m, b"a"), at);
         // Dead reaches live: one chunk of live records and nothing dead.
         m.insert(b"a", Entry::value(bv(b"1")));
         assert_eq!((m.log.live, m.log.dead), (live - 3, 0));
@@ -449,10 +643,13 @@ mod tests {
     /// Run `steps` on a MemTable and on a `BTreeMap` model: after every
     /// step the log's live bytes are the model's records' and its dead bytes
     /// never more; at the end every key of the run is found or not as the
-    /// model says, `iter()` yields the model's entries in its key order, and
-    /// the count and the bytes are the model's. How many steps rewrote the
-    /// log.
-    fn run_against_a_model(pool: &[Vec<u8>], steps: &[(usize, Vec<u8>, bool)]) -> usize {
+    /// model says, `iter()` yields the model's entries in its key order, the
+    /// count and the bytes are the model's, and the auditor finds nothing.
+    /// How many steps rewrote the log, and the table.
+    fn run_against_a_model(
+        pool: &[Vec<u8>],
+        steps: &[(usize, Vec<u8>, bool)],
+    ) -> (usize, MemTable) {
         let mut m = MemTable::new();
         let mut model: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
         let mut rewrites = 0;
@@ -481,7 +678,10 @@ mod tests {
         assert_eq!(m.iter().count(), model.len());
         let bytes = model.iter().map(|(k, e)| k.len() + e.value.len()).sum::<usize>() as u64;
         assert_eq!(m.bytes(), bytes + model.len() as u64 * ENTRY_OVERHEAD);
-        rewrites
+        let mut report = AuditReport::default();
+        audit_memtable("model", &m, &mut report);
+        assert!(report.is_clean(), "{}", report.render());
+        (rewrites, m)
     }
 
     proptest! {
@@ -502,7 +702,112 @@ mod tests {
         let pool = [b"key-a".to_vec(), b"key-b".to_vec()];
         let steps: Vec<_> =
             (0..60).map(|i| (i, vec![i as u8; [3, 0, 8][i % 3]], i % 3 == 1)).collect();
-        assert!(run_against_a_model(&pool, &steps) > 3);
+        assert!(run_against_a_model(&pool, &steps).0 > 3);
+    }
+
+    /// Hashes cut to 3 bits, so that hundreds of keys share each one: the
+    /// index still matches the model through inserts, same-length and
+    /// other-length updates, tombstones, log rewrites and seven growths —
+    /// a key is told from another of its hash only where its record lies.
+    #[test]
+    fn colliding_hashes_match_the_model_across_growths_and_rewrites() {
+        let pool: Vec<Vec<u8>> = (0..300u32).map(|i| format!("key-{i}").into_bytes()).collect();
+        // Every key put once, then updates of a few keys: values of
+        // alternating lengths (appended, so the log is rewritten), of the
+        // same length (in place) and tombstones.
+        let steps: Vec<_> = (0..300)
+            .chain((0..2400).map(|i| i * 7 % 41))
+            .enumerate()
+            .map(|(step, i)| (i, vec![step as u8; [4, 4, 9, 0][step % 4]], step % 7 == 6))
+            .collect();
+        let (rewrites, m) = with_hash_bits(3, || run_against_a_model(&pool, &steps));
+        assert!(rewrites > 3, "{rewrites} rewrites");
+        assert_eq!(m.index.slots.len(), FIRST_SLOTS << 7);
+        let hashes: std::collections::BTreeSet<u32> =
+            m.index.occupied().map(|(_, s)| s.hash).collect();
+        assert_eq!(hashes.len(), 8);
+    }
+
+    proptest! {
+        /// The model run with hashes cut to 0 to 3 bits: every key of a run
+        /// may share its hash with every other.
+        #[test]
+        fn a_memtable_of_colliding_hashes_is_an_ordered_map(
+            pool in key_pool(),
+            steps in steps(),
+            bits in 0u32..4,
+        ) {
+            with_hash_bits(bits, || run_against_a_model(&pool, &steps));
+        }
+    }
+
+    /// A table at its most full, 7/8 of its slots: a key it does not hold
+    /// is answered in under 6 slot reads on average and never more than 24 —
+    /// a probe stops at the first slot nearer its home than the key would
+    /// be. Probing on to the first vacant slot reads about 48 here.
+    #[test]
+    fn a_miss_in_a_full_table_reads_few_slots() {
+        let mut m = MemTable::new();
+        let mut i = 0u32;
+        while m.index.slots.len() < 4096 || !m.index.is_full() {
+            m.insert(format!("key-{i}").as_bytes(), Entry::value(Bytes::new()));
+            i += 1;
+        }
+        assert_eq!((m.len(), m.index.slots.len()), (3584, 4096));
+        let log = &m.log;
+        let reads: Vec<usize> = (0..10_000)
+            .map(|j| format!("absent-{j}"))
+            .map(|key| {
+                match m.index.find(key_hash(key.as_bytes()), |at| log.record_of(at, key.as_bytes()))
+                {
+                    Ok((pos, _)) => panic!("{key} found at {pos}"),
+                    Err(Vacancy { dist, .. }) => dist + 1,
+                }
+            })
+            .collect();
+        let mean = reads.iter().sum::<usize>() as f64 / reads.len() as f64;
+        let most = reads.iter().max().unwrap();
+        assert!(mean < 6.0 && *most <= 24, "{mean:.2} slot reads a miss, at most {most}");
+    }
+
+    /// The auditor reads the index: a slot whose hash is not its key's, a
+    /// slot moved where a probe from its home stops short of it, and a
+    /// count of keys the slots do not hold are each an `LsmState` fault.
+    #[test]
+    fn the_auditor_convicts_a_wrong_hash_a_misplaced_slot_and_a_miscount() {
+        let faults = |m: &MemTable| {
+            let mut report = AuditReport::default();
+            audit_memtable("planted", m, &mut report);
+            assert!(report.violations.iter().all(|v| v.kind == ViolationKind::LsmState));
+            report.violations.into_iter().map(|v| v.detail).collect::<Vec<_>>()
+        };
+        let table = || {
+            let mut m = MemTable::new();
+            for key in [&b"a"[..], b"b", b"c"] {
+                m.insert(key, Entry::value(bv(b"v")));
+            }
+            m
+        };
+        assert_eq!(faults(&table()), Vec::<String>::new());
+
+        let mut wrong = table();
+        let pos = wrong.slot_of(b"b").unwrap();
+        wrong.index.slots[pos].hash ^= 1 << 31;
+        let got = faults(&wrong);
+        assert!(got.iter().any(|d| d.contains(&format!("slot {pos} keeps hash"))), "{got:?}");
+
+        // Into the vacant slot: the probe from its home stops where it was.
+        let mut moved = table();
+        let pos = moved.slot_of(b"c").unwrap();
+        let to = (0..4).find(|&to| moved.index.slots[to].at == VACANT).unwrap();
+        moved.index.slots.swap(pos, to);
+        let got = faults(&moved);
+        let lost = |d: &String| d.contains("\"c\" in slot") && d.contains("not found");
+        assert!(got.iter().any(lost), "{got:?}");
+
+        let mut miscounted = table();
+        miscounted.index.len += 1;
+        assert!(faults(&miscounted).iter().any(|d| d.contains("occupies 3 slots for 4 keys")));
     }
 
     #[test]

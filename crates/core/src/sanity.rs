@@ -40,7 +40,7 @@
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::memtable::{MemTable, ENTRY_OVERHEAD};
+use crate::memtable::{key_hash, MemTable, ENTRY_OVERHEAD};
 use crate::sstable::{Cursor, Encoded, SstReader};
 use crate::stack::Stack;
 
@@ -210,8 +210,39 @@ pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
 
 /// Audit one MemTable: sorted iteration order, a whole record in the log
 /// for every key, the log's byte counts — live bytes as recounted, dead
-/// bytes never above them — and byte-accounting drift.
-fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
+/// bytes never above them — byte-accounting drift, and the index: every
+/// slot keeps its key's hash, every key is found from its home slot, and
+/// the slots occupied are the keys counted.
+pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
+    let mut occupied = 0;
+    for (pos, hash, key) in mt.keys() {
+        occupied += 1;
+        let want = key_hash(key);
+        if want != hash {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} MemTable slot {pos} keeps hash {hash:#010x}, its key {:?} hashes \
+                     to {want:#010x}",
+                    lossy(key)
+                ),
+            );
+        }
+        if mt.slot_of(key) != Some(pos) {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} MemTable key {:?} in slot {pos} is not found from its home slot",
+                    lossy(key)
+                ),
+            );
+        }
+    }
+    if occupied != mt.len() {
+        let keys = mt.len();
+        let detail = format!("{label} MemTable index occupies {occupied} slots for {keys} keys");
+        report.push(ViolationKind::LsmState, detail);
+    }
     let (mut recount, mut records, mut live) = (0u64, 0usize, 0usize);
     let mut prev: Option<&[u8]> = None;
     for (Encoded { rec, bytes }, _) in mt.records() {

@@ -6,8 +6,6 @@
 
 mod heap;
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use papyrus_mpi::{World, WorldConfig};
 use papyrus_nvm::SystemProfile;
@@ -33,10 +31,20 @@ fn key(i: usize) -> [u8; KEY] {
     key
 }
 
-/// The heap an index of `n` keys takes: a hash map of as many 32-byte
-/// slots, filled one key at a time as the table's is.
+/// The heap an index of `n` keys takes: 12-byte slots (a hash, a place, an
+/// owner), grown a key at a time as the table's are — from 4, doubled
+/// whenever one more key would fill them past 7/8.
 fn index_of(n: usize) -> i64 {
-    held(|| (0..n as u64).map(|i| ([i; 3], i)).collect::<HashMap<[u64; 3], u64>>()).1
+    held(|| {
+        let mut slots: Vec<[u32; 3]> = Vec::new();
+        for keys in 1..=n {
+            if keys * 8 > slots.len() * 7 {
+                slots = vec![[u32::MAX; 3]; (2 * slots.len()).max(4)];
+            }
+        }
+        slots
+    })
+    .1
 }
 
 /// On a one-rank world with a MemTable that never freezes: `resident` keys

@@ -39,6 +39,9 @@ doc:
 #   mem_mix: traced, allocations per op (a MemTable hit allocates its copy,
 #     a put nothing); untraced, whose result line alone carries it, the heap
 #     peak, most of it the MemTable's log and index; no op failed
+#   cache_read: traced, allocations per op (a cache hit allocates nothing);
+#     untraced, the heap peak, most of it the cache's values, entries, links
+#     and index; no op failed
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
@@ -48,11 +51,11 @@ kvbench:
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^core\.sstable\.backend_gets_per_get +0\.0000 ' \
 		&& echo "$$out" | grep -E '^core\.db\.get_virt_p50_us +13\.8920 ' \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.8372 '
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.8373 '
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload remote_mix --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.bytes_per_op +164\.9069 ' \
 		&& echo "$$out" | grep -E '^mpi\.fabric\.msgs_per_op +0\.9983 ' \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.6308 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +1\.6307 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.0194 ' \
@@ -61,13 +64,19 @@ kvbench:
 		&& echo "$$out" | grep -E '^nvm\.store\.write_ops +64\.0000 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload serve_resp --seed 1 --seconds 1 --trace 1) \
-		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.0188 ' \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +11\.0195 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.4991 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 0) \
 		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.61055660247803,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 1) \
+		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.0000 ' \
+		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
+	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 0) \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 37.9166259765625,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

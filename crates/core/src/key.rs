@@ -1,13 +1,12 @@
-//! The key of the cache's map, and the one hash the cache and the
-//! MemTable's index both use. The MemTable's index keeps no [`Key`]: its
-//! slots hold 32 bits of a key's [`KeyHasher`] hash and its record's place,
-//! and a key is checked where its record lies (`memtable.rs`).
+//! The cache's key, and the one hash of the store's index (`index.rs`),
+//! which the MemTable and the cache both use. The index keeps no [`Key`]:
+//! its slots hold 32 bits of a key's [`KeyHasher`] hash and a number its
+//! owner reads the key at — a MemTable's record in its log, the cache's
+//! entry in its arena, where a [`Key`] is the entry's key.
 //!
 //! A [`Key`] holds up to 22 bytes (`INLINE`) in place and boxes a longer key, in
 //! the 24 bytes a `Vec<u8>` takes: a short key costs no allocation, and the
-//! map compares it inside its slot instead of through a pointer. It equals
-//! and hashes as the `[u8]` it holds, and borrows as one, so a map keyed by
-//! it is searched with a `&[u8]`.
+//! cache compares it inside its entry instead of through a pointer.
 //!
 //! Key order is byte order, and the two loops that make it — the flush's sort
 //! (`MemTable::records`) and the compaction's k-way merge (`sstable::merge`) —
@@ -16,15 +15,13 @@
 //! read big-endian. Words that differ order their keys as the bytes do; only
 //! equal words fall back to comparing the keys.
 //!
-//! [`KeyMap`] and the MemTable's index hash with [`KeyHasher`]: fixed and
-//! seedless, so a table's layout is the same in every process and every
-//! run, and a word at a time, so a 16-byte key is three multiplies (its
-//! length, two words) and one [`mix64`] finish.
+//! The index hashes with [`KeyHasher`]: fixed and seedless, so a table's
+//! layout is the same in every process and every run, and a word at a time,
+//! so a 16-byte key is three multiplies (its length, two words) and one
+//! [`mix64`] finish.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hasher;
 
 use crate::hashfn::mix64;
 
@@ -32,10 +29,8 @@ use crate::hashfn::mix64;
 const INLINE: usize = 22;
 
 /// An owned key.
-#[derive(Clone)]
 pub struct Key(Repr);
 
-#[derive(Clone)]
 enum Repr {
     Inline { len: u8, bytes: [u8; INLINE] },
     Boxed(Box<[u8]>),
@@ -73,35 +68,10 @@ impl Default for Key {
     }
 }
 
-impl Borrow<[u8]> for Key {
-    #[inline]
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Key {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Key {}
-
-impl Hash for Key {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-/// The hash of every [`KeyMap`] and of the MemTable's index: FxHash's word
-/// step over the bytes (rotate, xor, multiply), finished with [`mix64`] so
-/// that a map's low bits, which pick the bucket, and its high bits, which
-/// tag it, both depend on every byte, as do the low 32 bits a MemTable's
-/// slot keeps. A [`Key`] and the `&[u8]` it borrows as feed it the same
-/// writes (`[u8]`'s length prefix, then its bytes), so they hash equal.
+/// The hash of the store's index: FxHash's word step over the bytes
+/// (rotate, xor, multiply), finished with [`mix64`] so that the low 32 bits
+/// an index slot keeps depend on every byte. A key is hashed as a `[u8]`:
+/// its length, then its bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyHasher(u64);
 
@@ -137,9 +107,6 @@ impl Hasher for KeyHasher {
         mix64(self.0)
     }
 }
-
-/// A hash map keyed by [`Key`] under [`KeyHasher`].
-pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 /// The abbreviation of `key` that orders it at word speed: its `N` bytes
 /// from `skip` on, zero-padded, to be read as one big-endian word
@@ -189,24 +156,18 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::hash::Hash;
 
-    fn key_hash_of(h: impl Hash) -> u64 {
+    fn key_hash_of(key: &[u8]) -> u64 {
         let mut state = KeyHasher::default();
-        h.hash(&mut state);
+        key.hash(&mut state);
         state.finish()
     }
 
-    /// A `KeyMap` is searched by `&[u8]` only because a key and the bytes it
-    /// borrows as hash equal: on both sides of the inline bound, at every
-    /// tail length a word leaves.
+    /// An index's layout is the same in every run, and keys one of which
+    /// is the other zero-extended hash apart.
     #[test]
-    fn a_key_and_its_bytes_hash_equal_under_the_key_hasher() {
-        for len in [0, 1, 7, 8, 9, 16, INLINE - 1, INLINE, INLINE + 1, 24, 64, 65] {
-            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
-            let key = Key::from(&bytes[..]);
-            assert_eq!(key_hash_of(&key), key_hash_of(&bytes[..]), "{len} bytes");
-        }
+    fn the_key_hasher_is_seedless_and_hashes_the_length() {
         // Seedless: the same bytes hash the same in every process and run.
         assert_eq!(key_hash_of(&b"key-1"[..]), 0x866f_c3f9_667c_af7f);
         // A zero tail is not an absent one: the length tells them apart.
@@ -234,12 +195,6 @@ mod tests {
         assert_eq!(abbrev::<8>(b"", 0), [0; 8]);
         assert_eq!(abbrev::<16>(b"0123456789abcdefXYZ", 0), *b"0123456789abcdef");
         assert_eq!(u64::from_be_bytes(abbrev(&[1, 2], 0)), 0x0102_0000_0000_0000);
-    }
-
-    /// Keys of 0..=64 bytes over two byte values: equal prefixes, the empty
-    /// key and both sides of the inline bound come up in every run.
-    fn key_runs() -> impl Strategy<Value = Vec<Vec<u8>>> {
-        vec(vec(0u8..2, 0..65), 1..40)
     }
 
     /// Whether ordering `keys` by their `N`-byte abbreviations past `skip`,
@@ -296,39 +251,6 @@ mod tests {
                     prop_assert_eq!(cmp(a, b), a.as_slice().cmp(b.as_slice()), "{:?} against {:?}", a, b);
                 }
             }
-        }
-
-        /// A key equals and hashes exactly as the bytes it was made
-        /// from, against every other key of the run and its own prefixes.
-        #[test]
-        fn a_key_compares_and_hashes_as_its_bytes(mut keys in key_runs()) {
-            let cut = keys[0].len() / 2;
-            keys.push(keys[0][..cut].to_vec());
-            keys.push([&keys[0][..], &[0]].concat());
-            let made: Vec<Key> = keys.iter().map(|k| Key::from(&k[..])).collect();
-            for (a, ka) in keys.iter().zip(&made) {
-                prop_assert_eq!(ka.as_slice(), &a[..]);
-                prop_assert_eq!(Borrow::<[u8]>::borrow(ka), &a[..]);
-                prop_assert_eq!(key_hash_of(ka), key_hash_of(&a[..]));
-                prop_assert_eq!(ka, &ka.clone());
-                for (b, kb) in keys.iter().zip(&made) {
-                    prop_assert_eq!(ka == kb, a == b);
-                }
-            }
-        }
-
-        /// A map keyed by `Key` is searched by `&[u8]`: what was inserted is
-        /// found, what was not is not.
-        #[test]
-        fn maps_keyed_by_a_key_are_searched_by_bytes(keys in key_runs(), absent in key_runs()) {
-            let hashed: KeyMap<usize> =
-                keys.iter().enumerate().map(|(i, k)| (Key::from(&k[..]), i)).collect();
-            let model: BTreeMap<&[u8], usize> =
-                keys.iter().enumerate().map(|(i, k)| (&k[..], i)).collect();
-            for k in keys.iter().chain(&absent) {
-                prop_assert_eq!(hashed.get(&k[..]), model.get(&k[..]));
-            }
-            prop_assert_eq!(hashed.len(), model.len());
         }
     }
 }

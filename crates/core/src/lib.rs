@@ -84,6 +84,7 @@ mod ckpt;
 mod db;
 pub mod error;
 pub mod hashfn;
+mod index;
 mod key;
 pub mod lru;
 pub mod memtable;

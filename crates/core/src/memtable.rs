@@ -13,16 +13,13 @@
 //!   reallocates and a table of a few records costs a few hundred bytes. A
 //!   record larger than a chunk gets a chunk of its own.
 //! * **The index** holds no keys, as FASTER's does not: the key is in the
-//!   log already. It is an open-addressed table of 12-byte slots, each 32
-//!   bits of the key's hash (`KeyHasher`, `key.rs`), its record's place in
-//!   the log and, in a staging table, the rank the record is bound for.
-//!   Probing is Robin Hood over a power-of-two capacity at most 7/8 full: a
-//!   slot whose hash matches has its key checked where its record lies, and
-//!   a miss stops at the first slot nearer its home than the probe is to
-//!   the key's. A table grows by doubling, each slot placed again by its
-//!   stored hash without reading the log, and never removes a slot: a
-//!   freeze takes the whole table. A put or a get is one probe, which also
-//!   finds where a new key goes.
+//!   log already. It is the store's one hash index (`index.rs`), which the
+//!   cache uses too: 12-byte slots, each 32 bits of the key's hash, its
+//!   record's place in the log and, in a staging table, the rank the record
+//!   is bound for, probed Robin Hood at most 7/8 full. A slot whose hash
+//!   matches has its key checked where its record lies. A MemTable never
+//!   removes a slot: a freeze takes the whole table. A put or a get is one
+//!   probe, which also finds where a new key goes.
 //! * **An update** of the same length — a new value as long as the old, or
 //!   a tombstone over a tombstone or an empty value — overwrites its record
 //!   in place. Any other update appends, and the old record's bytes are
@@ -45,11 +42,10 @@
 //! read (by gets walking the flushing / migration queues, and by the
 //! compaction or dispatcher task consuming it).
 
-use std::hash::{Hash, Hasher};
-
 use bytes::Bytes;
 
-use crate::key::{abbrev, KeyHasher};
+use crate::index::{key_hash, Index, Slot};
+use crate::key::abbrev;
 use crate::sstable::{encoded_at, overwrite_at, Encoded, PutRecord, Record, RECORD_HEADER};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
@@ -100,133 +96,6 @@ impl Entry {
     /// A remote entry destined for `owner`.
     pub fn remote(v: Bytes, tombstone: bool, owner: u32) -> Self {
         Self { value: v, tombstone, owner }
-    }
-}
-
-/// The place of no record, marking a vacant slot: a log never uses its last
-/// chunk number ([`Log::append`]), so no record lies there.
-const VACANT: u32 = u32::MAX;
-
-/// Slots of an index's first table; each growth doubles them.
-const FIRST_SLOTS: usize = 4;
-
-/// The 32 bits of `key`'s [`KeyHasher`] hash that its slot keeps: the low
-/// bits pick its home slot, and all of them screen the keys a probe checks.
-pub(crate) fn key_hash(key: &[u8]) -> u32 {
-    let mut hasher = KeyHasher::default();
-    key.hash(&mut hasher);
-    let hash = hasher.finish() as u32;
-    #[cfg(test)]
-    let hash = hash & tests::HASH_MASK.get();
-    hash
-}
-
-/// What the index keeps of a key: its hash, its record's place in the log
-/// and the rank it is bound for ([`NO_OWNER`] in a local table).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    hash: u32,
-    at: u32,
-    owner: u32,
-}
-
-impl Slot {
-    const VACANT: Slot = Slot { hash: 0, at: VACANT, owner: NO_OWNER };
-}
-
-/// Where a probe that found no match stopped: the slot a new key takes,
-/// and how far that is from the key's home — one less than the slots the
-/// probe read.
-#[derive(Debug, Clone, Copy)]
-struct Vacancy {
-    pos: usize,
-    dist: usize,
-}
-
-/// The index of a table's records: open addressing over a power-of-two
-/// count of slots, Robin Hood probing, at most 7/8 full (module doc).
-#[derive(Debug, Default)]
-struct Index {
-    slots: Vec<Slot>,
-    len: usize,
-}
-
-impl Index {
-    /// How far `pos` is past the home of a slot hashed `hash`, in a table
-    /// of `mask + 1` slots.
-    fn distance(pos: usize, hash: u32, mask: usize) -> usize {
-        pos.wrapping_sub(hash as usize) & mask
-    }
-
-    /// The slot hashed `hash` whose place `matches`, and what `matches`
-    /// found there, walking from its home while each slot is at least as
-    /// far from its own home as the walk is; else where the walk stopped.
-    fn find<T>(
-        &self,
-        hash: u32,
-        mut matches: impl FnMut(u32) -> Option<T>,
-    ) -> Result<(usize, T), Vacancy> {
-        let mask = self.slots.len().wrapping_sub(1);
-        let (mut pos, mut dist) = (hash as usize & mask, 0);
-        while let Some(slot) = self.slots.get(pos) {
-            if slot.at == VACANT || Self::distance(pos, slot.hash, mask) < dist {
-                break;
-            }
-            if slot.hash == hash {
-                if let Some(found) = matches(slot.at) {
-                    return Ok((pos, found));
-                }
-            }
-            (pos, dist) = ((pos + 1) & mask, dist + 1);
-        }
-        Err(Vacancy { pos, dist })
-    }
-
-    /// Where a new slot hashed `hash` goes: a probe that matches nothing
-    /// ends at a vacancy.
-    fn vacancy(&self, hash: u32) -> Vacancy {
-        self.find(hash, |_| None::<()>).err().unwrap_or(Vacancy { pos: 0, dist: 0 })
-    }
-
-    /// Whether one more slot would fill the table past 7/8.
-    fn is_full(&self) -> bool {
-        (self.len + 1) * 8 > self.slots.len() * 7
-    }
-
-    /// Put `slot` where a probe for its key stopped: a slot there nearer
-    /// its home than `slot` is to its own moves on, and the slot it
-    /// displaces in turn, up to the first vacant one.
-    fn place(&mut self, Vacancy { mut pos, mut dist }: Vacancy, mut slot: Slot) {
-        let mask = self.slots.len() - 1;
-        self.len += 1;
-        while let Some(here) = self.slots.get_mut(pos) {
-            if here.at == VACANT {
-                *here = slot;
-                return;
-            }
-            let theirs = Self::distance(pos, here.hash, mask);
-            if theirs < dist {
-                std::mem::swap(here, &mut slot);
-                dist = theirs;
-            }
-            (pos, dist) = ((pos + 1) & mask, dist + 1);
-        }
-    }
-
-    /// Double the slots (to [`FIRST_SLOTS`] from none) and place each
-    /// occupied one again by its stored hash.
-    fn grow(&mut self) {
-        let size = FIRST_SLOTS.max(2 * self.slots.len());
-        let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; size]);
-        self.len = 0;
-        for slot in old.into_iter().filter(|slot| slot.at != VACANT) {
-            self.place(self.vacancy(slot.hash), slot);
-        }
-    }
-
-    /// The occupied slots, each with its position.
-    fn occupied(&self) -> impl Iterator<Item = (usize, &Slot)> {
-        self.slots.iter().enumerate().filter(|(_, slot)| slot.at != VACANT)
     }
 }
 
@@ -385,9 +254,8 @@ impl MemTable {
             let mut pos = 0;
             while let Some(enc) = encoded_at(&chunk, pos) {
                 let at = (n << CHUNK_BITS | pos) as u32;
-                let found =
-                    self.index.find(key_hash(enc.rec.key), |place| (place == at).then_some(()));
-                if let Some(slot) = found.ok().and_then(|(i, ())| self.index.slots.get_mut(i)) {
+                let found = self.index.position(key_hash(enc.rec.key), at);
+                if let Some(slot) = found.and_then(|pos| self.index.slots.get_mut(pos)) {
                     slot.at = fresh.append(enc, enc.bytes.len());
                 }
                 pos += enc.bytes.len();
@@ -468,26 +336,12 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::with_hash_bits;
+    use crate::index::{Vacancy, FIRST_SLOTS, VACANT};
     use crate::sanity::{audit_memtable, AuditReport, ViolationKind};
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::cell::Cell;
     use std::collections::BTreeMap;
-
-    thread_local! {
-        /// The bits of every key hash this thread's tables keep: all of
-        /// them but in [`with_hash_bits`], which makes keys collide.
-        pub(super) static HASH_MASK: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-
-    /// Run `f` with key hashes cut to their low `bits` bits, so that many
-    /// keys share a hash and their probes run long.
-    fn with_hash_bits<T>(bits: u32, f: impl FnOnce() -> T) -> T {
-        HASH_MASK.set((1 << bits) - 1);
-        let out = f();
-        HASH_MASK.set(u32::MAX);
-        out
-    }
 
     fn bv(s: &[u8]) -> Bytes {
         Bytes::copy_from_slice(s)

@@ -16,6 +16,9 @@
 //!   below `next_ssid` ([`LsmState`]).
 //! - **MemTable accounting**: keys iterate in sorted order and the byte
 //!   accounting matches a recount ([`LsmState`]).
+//! - **Caches**: the local and remote caches' index finds every key from
+//!   its home slot, the recency ring holds exactly the cached entries, and
+//!   their bytes recount to the tracked total ([`LsmState`]).
 //! - **Quiescence / manifest agreement** (checked when no flush is
 //!   pending): immutable queues empty when their counters say so, the
 //!   on-NVM manifest lists exactly the live SSIDs and the same `next_ssid`
@@ -40,7 +43,9 @@
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::memtable::{key_hash, MemTable, ENTRY_OVERHEAD};
+use crate::index::key_hash;
+use crate::lru::{CacheEntry, LruCache};
+use crate::memtable::{MemTable, ENTRY_OVERHEAD};
 use crate::sstable::{Cursor, Encoded, SstReader};
 use crate::stack::Stack;
 
@@ -289,10 +294,79 @@ pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditRepor
     }
 }
 
+/// Audit one cache: the index — every slot keeps its key's hash, every key
+/// is found from its home slot, the slots occupied are the keys counted —
+/// and the recency ring: from its most recent entry round to it again it
+/// visits exactly `len()` entries, each naming the one before it as its
+/// `prev` (the first, the last), none of them free; their bytes recount to
+/// `bytes()`, at most the capacity.
+pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditReport) {
+    let mut occupied = 0;
+    for (pos, hash, key) in cache.keys() {
+        occupied += 1;
+        let want = key_hash(key);
+        if want != hash {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} cache slot {pos} keeps hash {hash:#010x}, its key {:?} hashes to \
+                     {want:#010x}",
+                    lossy(key)
+                ),
+            );
+        }
+        if cache.slot_of(key) != Some(pos) {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} cache key {:?} in slot {pos} is not found from its home slot",
+                    lossy(key)
+                ),
+            );
+        }
+    }
+    let keys = cache.len();
+    if occupied != keys {
+        let detail = format!("{label} cache index occupies {occupied} slots for {keys} keys");
+        report.push(ViolationKind::LsmState, detail);
+    }
+    let free: std::collections::BTreeSet<u32> = cache.free_entries().collect();
+    let ring: Vec<(u32, u32, &[u8], &CacheEntry)> = cache.recency().collect();
+    let mut recount = 0u64;
+    for (n, &(i, prev, key, entry)) in ring.iter().enumerate() {
+        recount += (key.len() + entry.value.len()) as u64;
+        let before = ring.get((n + ring.len() - 1) % ring.len()).map_or(i, |e| e.0);
+        if prev != before {
+            let detail = format!("{label} cache entry {i} links back to {prev}, not {before}");
+            report.push(ViolationKind::LsmState, detail);
+        }
+        if free.contains(&i) {
+            report.push(
+                ViolationKind::LsmState,
+                format!("{label} cache entry {i} is listed and free"),
+            );
+        }
+    }
+    if ring.len() != keys {
+        let detail = format!("{label} cache list visits {} entries for {keys} keys", ring.len());
+        report.push(ViolationKind::LsmState, detail);
+    }
+    let (tracked, capacity) = (cache.bytes(), cache.capacity());
+    if recount != tracked || tracked > capacity {
+        report.push(
+            ViolationKind::LsmState,
+            format!(
+                "{label} cache byte accounting drift: recount {recount}, tracked {tracked}, \
+                 capacity {capacity}"
+            ),
+        );
+    }
+}
+
 /// Audit one stack — the primary, the staging or a replica stack — whose
 /// SSTables must live under file names containing `namespace`: MemTable
-/// accounting, ascending SSIDs below the allocator, no table outside the
-/// namespace, every table's internals.
+/// accounting, its cache if it has one, ascending SSIDs below the
+/// allocator, no table outside the namespace, every table's internals.
 fn audit_stack(
     label: &str,
     stack: &Stack,
@@ -301,6 +375,9 @@ fn audit_stack(
     report: &mut AuditReport,
 ) {
     audit_memtable(label, &stack.mem, report);
+    if let Some(cache) = &stack.cache {
+        audit_cache(label, cache, report);
+    }
     let ssids = stack.live_ssids();
     if !ssids.is_sorted_by(|a, b| a < b) {
         report.push(kind, format!("{label} SSTables not in ascending SSID order: {ssids:?}"));
@@ -346,6 +423,9 @@ pub fn audit_db(db: &Db) -> AuditReport {
     let (next_ssid, live) = {
         let stack = inner.stack.lock();
         audit_stack("local", &stack, ViolationKind::LsmState, "/sst", &mut report);
+        // Under the stack's guard, so that auditing adds no last-guard
+        // release, which would be a preemption point.
+        audit_cache("remote", &inner.remote_cache.lock(), &mut report);
         (stack.next_ssid, stack.live_ssids())
     };
     audit_stack("remote", &inner.staging.lock(), ViolationKind::LsmState, "/sst", &mut report);

@@ -1,12 +1,13 @@
 //! The one hash index of the store's in-memory tables: the MemTable's
 //! (`memtable.rs`) and the cache's (`lru.rs`). It holds no keys, as
-//! FASTER's does not: each key already lies where its owner keeps it, a
-//! MemTable in its log, the cache in its arena.
+//! FASTER's does not: each key already lies in its record, in its owner's
+//! log.
 //!
 //! The index is an open-addressed table of 12-byte [`Slot`]s, each 32 bits
 //! of the key's hash ([`key_hash`], under `KeyHasher`, `key.rs`), a number
-//! its owner reads the key at — a record's place in the log, an entry's in
-//! the arena — and, in a MemTable bound for other ranks, the owner rank.
+//! its owner finds the record by — its place in a MemTable's log, or the
+//! number of a cache entry whose link holds the place — and, in a MemTable
+//! bound for other ranks, the owner rank.
 //! Probing is Robin Hood over a power-of-two capacity at most 7/8 full: a
 //! slot whose hash matches has its key checked where the key lies, by the
 //! closure the owner hands [`Index::find`], and a miss stops at the first

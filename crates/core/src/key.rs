@@ -1,12 +1,9 @@
-//! The cache's key, and the one hash of the store's index (`index.rs`),
-//! which the MemTable and the cache both use. The index keeps no [`Key`]:
-//! its slots hold 32 bits of a key's [`KeyHasher`] hash and a number its
-//! owner reads the key at — a MemTable's record in its log, the cache's
-//! entry in its arena, where a [`Key`] is the entry's key.
-//!
-//! A [`Key`] holds up to 22 bytes (`INLINE`) in place and boxes a longer key, in
-//! the 24 bytes a `Vec<u8>` takes: a short key costs no allocation, and the
-//! cache compares it inside its entry instead of through a pointer.
+//! Keys: the one hash of the store's index (`index.rs`), which the
+//! MemTable and the cache both use, and the word-at-a-time comparisons of
+//! key order. No table keeps a key of its own type: a key lies in its
+//! record, in a MemTable's log, the cache's or an SSData image, and the
+//! index holds 32 bits of its [`KeyHasher`] hash and a number its owner
+//! finds the record by.
 //!
 //! Key order is byte order, and the two loops that make it — the flush's sort
 //! (`MemTable::records`) and the compaction's k-way merge (`sstable::merge`) —
@@ -24,49 +21,6 @@ use std::cmp::Ordering;
 use std::hash::Hasher;
 
 use crate::hashfn::mix64;
-
-/// Longest key held in place: with the length and the tag, 24 bytes.
-const INLINE: usize = 22;
-
-/// An owned key.
-pub struct Key(Repr);
-
-enum Repr {
-    Inline { len: u8, bytes: [u8; INLINE] },
-    Boxed(Box<[u8]>),
-}
-
-impl Key {
-    /// The key's bytes.
-    #[inline]
-    #[allow(clippy::indexing_slicing, reason = "an inline key's len is at most INLINE")]
-    pub fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            Repr::Boxed(bytes) => bytes,
-        }
-    }
-}
-
-impl From<&[u8]> for Key {
-    #[inline]
-    #[allow(clippy::indexing_slicing, reason = "a key past INLINE bytes is boxed above")]
-    fn from(key: &[u8]) -> Self {
-        if key.len() > INLINE {
-            return Self(Repr::Boxed(key.into()));
-        }
-        let mut bytes = [0; INLINE];
-        bytes[..key.len()].copy_from_slice(key);
-        Self(Repr::Inline { len: key.len() as u8, bytes })
-    }
-}
-
-/// The empty key.
-impl Default for Key {
-    fn default() -> Self {
-        Self::from(&[][..])
-    }
-}
 
 /// The hash of the store's index: FxHash's word step over the bytes
 /// (rotate, xor, multiply), finished with [`mix64`] so that the low 32 bits
@@ -145,12 +99,6 @@ pub(crate) fn cmp(a: &[u8], b: &[u8]) -> Ordering {
     a[at..].cmp(&b[at..])
 }
 
-impl std::fmt::Debug for Key {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(self.as_slice(), f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +121,6 @@ mod tests {
         // A zero tail is not an absent one: the length tells them apart.
         assert_ne!(key_hash_of(&b"ab"[..]), key_hash_of(&b"ab\0"[..]));
         assert_ne!(key_hash_of(&[0u8; 8][..]), key_hash_of(&[0u8; 16][..]));
-    }
-
-    #[test]
-    fn a_key_is_as_wide_as_a_vec() {
-        assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<Vec<u8>>());
-        assert_eq!(Key::default().as_slice(), b"");
-        for len in [0, 1, INLINE - 1, INLINE, INLINE + 1, 64] {
-            let bytes = vec![0xa5; len];
-            let key = Key::from(&bytes[..]);
-            assert_eq!(key.as_slice(), &bytes[..]);
-            assert_eq!(matches!(key.0, Repr::Inline { .. }), len <= INLINE, "{len} bytes");
-        }
     }
 
     #[test]

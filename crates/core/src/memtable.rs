@@ -61,10 +61,10 @@ pub const NO_OWNER: u32 = u32::MAX;
 /// is its chunk's number above the low `CHUNK_BITS` bits and its offset in
 /// the chunk below them, in 32 bits.
 pub const CHUNK: usize = 1 << CHUNK_BITS;
-const CHUNK_BITS: u32 = 14;
+pub(crate) const CHUNK_BITS: u32 = 14;
 /// Bytes of a log's first chunk; each next one holds twice the last, up to
 /// [`CHUNK`].
-const FIRST_CHUNK: usize = 512;
+pub(crate) const FIRST_CHUNK: usize = 512;
 
 /// One key's state as a caller hands it to [`MemTable::insert`] or reads it
 /// back from [`MemTable::iter`]. The table itself keeps records, not

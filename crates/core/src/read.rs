@@ -187,24 +187,25 @@ fn local_get_then<T>(
         return rest(hit);
     }
     let hit = walk_ssts(db, stack.ssts.iter().rev(), key, clock);
-    if let (Some(entry), Some(cache)) = (hit.cache_entry(), &mut stack.cache) {
-        cache.insert(key, entry);
+    if let (Some(rec), Some(cache)) = (hit.record(key), &mut stack.cache) {
+        cache.put(rec);
     }
     rest(hit)
 }
 
-/// Serve a get in the message handler: `search` runs on a clock starting at
-/// the request's `stamp`. Returns its reply and the service-completion
-/// stamp.
+/// Serve a get in the message handler: `search` runs on the handler's
+/// `clock`, restarted at the request's `stamp`, so that serving a get
+/// allocates no clock. Returns its reply and the service-completion stamp.
 pub(crate) fn serve_get<T>(
     db: &DbInner,
     span: &'static str,
+    clock: &Clock,
     stamp: SimNs,
     search: impl FnOnce(&Clock) -> T,
 ) -> (T, SimNs) {
-    let clk = Clock::starting_at(stamp);
-    let resp = search(&clk);
-    let end = clk.now();
+    clock.restart(stamp);
+    let resp = search(clock);
+    let end = clock.now();
     if db.tel.on() {
         db.tel.serve_gets.inc();
         db.tel.rec.span("core", span, TID_HANDLER, stamp, end);
@@ -259,24 +260,28 @@ pub(crate) fn get_resp(hit: SstGet) -> GetResp {
     hit.into_value().map_or(GetResp::NotFound, GetResp::Found)
 }
 
-/// The reply a remote handler sent to a get; `None` if it does not parse.
-pub(crate) fn reply_of(m: papyrus_mpi::Message) -> Option<GetResp> {
-    msg::decode_get_resp(m.payload).ok().map(|(_, resp)| resp)
+/// The reply a remote handler sent to a get. One that does not decode is
+/// an error naming its sender: a corrupt reply is not an absent key.
+pub(crate) fn reply_of(m: papyrus_mpi::Message) -> Result<GetResp> {
+    let src = m.src;
+    let reply = msg::decode_get_resp(m.payload).map(|(_, resp)| resp);
+    reply
+        .map_err(|e| Error::Internal(format!("the get reply from rank {src} does not decode: {e}")))
 }
 
 /// A value fetched from another rank enters the remote cache, if in use.
 fn cache_remote(cache: Cache, key: &[u8], hit: SstGet) -> SstGet {
-    if let (Some(cache), SstGet::Found(v)) = (cache, &hit) {
-        cache.lock().insert(key, CacheEntry::value(v.clone()));
+    if let (Some(cache), SstGet::Found(value)) = (cache, &hit) {
+        cache.lock().put(Record { key, value, tombstone: false });
     }
     hit
 }
 
 /// A remote handler's reply as a search outcome.
-pub(crate) fn absorb_reply(cache: Cache, key: &[u8], reply: Option<GetResp>) -> SstGet {
+pub(crate) fn absorb_reply(cache: Cache, key: &[u8], reply: GetResp) -> SstGet {
     let hit = match reply {
-        Some(GetResp::Found(v)) => SstGet::Found(v),
-        _ => SstGet::NotFound,
+        GetResp::Found(v) => SstGet::Found(v),
+        GetResp::NotFound | GetResp::SearchShared(_) => SstGet::NotFound,
     };
     cache_remote(cache, key, hit)
 }
@@ -335,11 +340,11 @@ fn remote_get_primary(
     let me = ctx.rank.rank();
     let round_trip = |group: u32| {
         let encode = &mut |seq| msg::encode_get_req(db.id, group, seq, key);
-        runtime::request(ctx, db, (owner, Request::Get), "remote get", encode).map(reply_of)
+        runtime::request(ctx, db, (owner, Request::Get), "remote get", encode).and_then(reply_of)
     };
-    let reply = round_trip(ctx.group_of(me))?;
-    let Some(GetResp::SearchShared(ssids)) = reply else {
-        return Ok(absorb_reply(cache, key, reply));
+    let ssids = match round_trip(ctx.group_of(me))? {
+        GetResp::SearchShared(ssids) => ssids,
+        reply => return Ok(absorb_reply(cache, key, reply)),
     };
     Ok(match search_peer_ssts(ctx, db, key, owner, &ssids, cache, clock) {
         // The owner's compaction may have merged and deleted listed
@@ -447,8 +452,8 @@ mod tests {
             let get = || local_get(&db, KEY, &Clock::new());
             if get_first {
                 assert_eq!(get(), found(b"old"));
-                let cache = db.stack.lock().cache.as_ref().and_then(|c| c.peek(KEY).cloned());
-                assert!(cache.is_some(), "the get filled the cache");
+                let cached = db.stack.lock().cache.as_ref().is_some_and(|c| c.peek(KEY).is_some());
+                assert!(cached, "the get filled the cache");
                 ingest();
             } else {
                 ingest();
@@ -481,7 +486,10 @@ mod tests {
             db.barrier(BarrierLevel::SsTable).unwrap();
             let cached = |key: &[u8]| {
                 let stack = db.inner.stack.lock();
-                stack.cache.as_ref().map(|c| c.peek(key).map(|e| e.value.clone()))
+                stack
+                    .cache
+                    .as_ref()
+                    .map(|c| c.peek(key).map(|rec| Bytes::copy_from_slice(rec.value)))
             };
             let hits = || db.get_stats().hits();
             let old = Some(Bytes::from_static(b"old"));
@@ -633,5 +641,21 @@ mod tests {
         peer_walk_over_a_partial_merge("nvm://peer-stale-open", false, false);
         peer_walk_over_a_partial_merge("nvm://peer-undelete-read", true, true);
         peer_walk_over_a_partial_merge("nvm://peer-undelete-open", true, false);
+    }
+
+    /// A get reply that does not decode is an error naming the rank it came
+    /// from, not a miss; a whole one is absorbed as its value.
+    #[test]
+    fn a_get_reply_that_does_not_decode_is_an_error() {
+        let whole = msg::encode_found(7, b"value");
+        let reply = |payload| reply_of(papyrus_mpi::Message { src: 3, tag: 0, payload, stamp: 0 });
+        let found = reply(whole.clone()).map(|resp| absorb_reply(None, b"k", resp));
+        assert_eq!(found.unwrap(), SstGet::Found(Bytes::from_static(b"value")));
+        match reply(whole.slice(..whole.len() - 1)) {
+            Err(Error::Internal(what)) => {
+                assert!(what.contains("rank 3") && what.contains("truncated"), "{what}");
+            }
+            other => panic!("a truncated reply read as {other:?}"),
+        }
     }
 }

@@ -166,7 +166,7 @@ pub(crate) fn failover_get(
         }
         let encode = &mut |seq| msg::encode_get_req(db.id, owner as u32, seq, key);
         match runtime::request(ctx, db, (s, Request::ReplGet), "failover get", encode) {
-            Ok(m) => return Ok(absorb_reply(cache, key, reply_of(m))),
+            Ok(m) => return reply_of(m).map(|reply| absorb_reply(cache, key, reply)),
             Err(e @ Error::RankUnavailable(_)) => last_err = e,
             Err(e) => return Err(e),
         }

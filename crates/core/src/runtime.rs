@@ -11,7 +11,8 @@
 //!   per-owner batches over the interconnect;
 //! * a **message handler task** — services MIGRATE / PUT_SYNC / GET_REQ /
 //!   BARRIER_MARK requests from other ranks "without remote MPI ranks'
-//!   intervention".
+//!   intervention", and with replication on REPL_PUT / REPL_GET (DESIGN
+//!   §11).
 //!
 //! The tasks have no thread: each runs to completion, one unit of work a
 //! slice, on the thread of whichever task hands it the baton, and no unit
@@ -806,9 +807,10 @@ struct Ingesting {
 /// hands the handler the baton, it would block that task. What a unit
 /// leaves in `held` waits there for a flush-queue slot (its slice
 /// `Parked`) or for the next slice, behind a preemption point that ended
-/// this one.
+/// this one. A get is served on the handler's own clock, restarted at the
+/// request's stamp: no other task shares it.
 fn handler(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
-    let mut held = None;
+    let (mut held, clock) = (None, Clock::new());
     move || {
         let take = || ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any).map(Work::Request);
         let Some(work) = held.take().or_else(take) else { return Slice::Parked };
@@ -816,12 +818,13 @@ fn handler(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
             held = Some(work);
             return Slice::Ran;
         }
-        serve(&ctx, work, &mut held)
+        serve(&ctx, &clock, work, &mut held)
     }
 }
 
-/// Serve one unit of `work`: how its slice ends, what is left in `held`.
-fn serve(ctx: &CtxInner, work: Work, held: &mut Option<Work>) -> Slice {
+/// Serve one unit of `work`, a get on `clock`: how its slice ends, what is
+/// left in `held`.
+fn serve(ctx: &CtxInner, clock: &Clock, work: Work, held: &mut Option<Work>) -> Slice {
     let (what, served) = match work {
         Work::Request(m) => match Request::from_tag(m.tag) {
             Ok(Request::Shutdown) => return Slice::Exit,
@@ -831,14 +834,14 @@ fn serve(ctx: &CtxInner, work: Work, held: &mut Option<Work>) -> Slice {
             Ok(req @ Request::PutSync) => {
                 ("put_sync", begin_ingest(ctx, m, req).map(|w| ingest(ctx, w, held)))
             }
-            Ok(Request::Get) => ("get_req", handle_get_req(ctx, m)),
+            Ok(Request::Get) => ("get_req", handle_get_req(ctx, clock, m)),
             Ok(Request::BarrierMark) => ("barrier_mark", handle_barrier_mark(ctx, m)),
             Ok(Request::ReplPut) => ("repl_put", handle_repl_put(ctx, m)),
-            Ok(Request::ReplGet) => ("repl_get", handle_repl_get(ctx, m, held)),
+            Ok(Request::ReplGet) => ("repl_get", handle_repl_get(ctx, clock, m, held)),
             Err(e) => ("dispatch", Err(e)),
         },
         Work::Ingest(work) => return ingest(ctx, work, held),
-        Work::ReplLookup(m) => ("repl_get", handle_repl_lookup(ctx, m)),
+        Work::ReplLookup(m) => ("repl_get", handle_repl_lookup(ctx, clock, m)),
     };
     served.unwrap_or_else(|e| {
         // Handler errors indicate wire corruption or internal bugs; surface
@@ -878,10 +881,10 @@ fn ingest(ctx: &CtxInner, mut work: Ingesting, held: &mut Option<Work>) -> Slice
     Slice::Ran
 }
 
-fn handle_get_req(ctx: &CtxInner, m: Message) -> Result<Slice> {
+fn handle_get_req(ctx: &CtxInner, clock: &Clock, m: Message) -> Result<Slice> {
     let (db_id, caller_group, seq, key) = msg::decode_get_req(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let (reply, done) = crate::read::serve_get(&db, "serve_get", m.stamp, |clk| {
+    let (reply, done) = crate::read::serve_get(&db, "serve_get", clock, m.stamp, |clk| {
         crate::read::remote_get_reply(ctx, &db, &key, (caller_group, m.src), seq, clk)
     });
     ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), reply, done);
@@ -908,7 +911,12 @@ fn handle_repl_put(ctx: &CtxInner, m: Message) -> Result<Slice> {
     Ok(Slice::Ran)
 }
 
-fn handle_repl_get(ctx: &CtxInner, m: Message, held: &mut Option<Work>) -> Result<Slice> {
+fn handle_repl_get(
+    ctx: &CtxInner,
+    clock: &Clock,
+    m: Message,
+    held: &mut Option<Work>,
+) -> Result<Slice> {
     let (db_id, origin, _, _) = msg::decode_get_req(m.payload.clone())?;
     let db = ctx.db_by_id(db_id)?;
     // A failover get is proof a reader saw `origin` confirmed dead: if this
@@ -920,13 +928,13 @@ fn handle_repl_get(ctx: &CtxInner, m: Message, held: &mut Option<Work>) -> Resul
         *held = Some(Work::ReplLookup(m));
         return Ok(Slice::Ran);
     }
-    handle_repl_lookup(ctx, m)
+    handle_repl_lookup(ctx, clock, m)
 }
 
-fn handle_repl_lookup(ctx: &CtxInner, m: Message) -> Result<Slice> {
+fn handle_repl_lookup(ctx: &CtxInner, clock: &Clock, m: Message) -> Result<Slice> {
     let (db_id, origin, seq, key) = msg::decode_get_req(m.payload)?;
     let db = ctx.db_by_id(db_id)?;
-    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", m.stamp, |clk| {
+    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", clock, m.stamp, |clk| {
         crate::read::get_resp(crate::replica::replica_lookup(&db, origin as usize, &key, clk))
     });
     ctx.comm_rep.send_at(m.src, Reply::ReplResp.tag(), msg::encode_get_resp(seq, &resp), done);

@@ -44,9 +44,9 @@
 use crate::ckpt;
 use crate::db::Db;
 use crate::index::key_hash;
-use crate::lru::{CacheEntry, LruCache};
+use crate::lru::{Link, LruCache};
 use crate::memtable::{MemTable, ENTRY_OVERHEAD};
-use crate::sstable::{Cursor, Encoded, SstReader};
+use crate::sstable::{Cursor, Encoded, Record, SstReader, RECORD_HEADER};
 use crate::stack::Stack;
 
 /// What kind of sanity violation was detected.
@@ -296,10 +296,13 @@ pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditRepor
 
 /// Audit one cache: the index — every slot keeps its key's hash, every key
 /// is found from its home slot, the slots occupied are the keys counted —
-/// and the recency ring: from its most recent entry round to it again it
+/// the recency ring — from its most recent entry round to it again it
 /// visits exactly `len()` entries, each naming the one before it as its
-/// `prev` (the first, the last), none of them free; their bytes recount to
-/// `bytes()`, at most the capacity.
+/// `prev` (the first, the last), none of them free — and the log: each
+/// entry's link names the place of a record whose key a lookup finds at
+/// that entry, and keeps that key's hash and the record's size; the
+/// records recount to `bytes()`, at most the capacity, and to the log's
+/// live bytes, and what else its chunks hold to its dead bytes.
 pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditReport) {
     let mut occupied = 0;
     for (pos, hash, key) in cache.keys() {
@@ -315,7 +318,7 @@ pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditRepor
                 ),
             );
         }
-        if cache.slot_of(key) != Some(pos) {
+        if cache.slot_of(key).map(|(slot, _)| slot) != Some(pos) {
             report.push(
                 ViolationKind::LsmState,
                 format!(
@@ -331,19 +334,50 @@ pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditRepor
         report.push(ViolationKind::LsmState, detail);
     }
     let free: std::collections::BTreeSet<u32> = cache.free_entries().collect();
-    let ring: Vec<(u32, u32, &[u8], &CacheEntry)> = cache.recency().collect();
-    let mut recount = 0u64;
-    for (n, &(i, prev, key, entry)) in ring.iter().enumerate() {
-        recount += (key.len() + entry.value.len()) as u64;
+    let ring: Vec<(u32, Link, Option<Record>)> = cache.recency().collect();
+    let (mut recount, mut live) = (0u64, 0usize);
+    for (n, &(i, link, rec)) in ring.iter().enumerate() {
         let before = ring.get((n + ring.len() - 1) % ring.len()).map_or(i, |e| e.0);
-        if prev != before {
-            let detail = format!("{label} cache entry {i} links back to {prev}, not {before}");
+        if link.prev != before {
+            let detail =
+                format!("{label} cache entry {i} links back to {}, not {before}", link.prev);
             report.push(ViolationKind::LsmState, detail);
         }
         if free.contains(&i) {
             report.push(
                 ViolationKind::LsmState,
                 format!("{label} cache entry {i} is listed and free"),
+            );
+        }
+        let Some(rec) = rec else {
+            let detail = format!("{label} cache entry {i}'s place {:#x} holds no record", link.at);
+            report.push(ViolationKind::LsmState, detail);
+            continue;
+        };
+        let size = rec.key.len() + rec.value.len();
+        recount += size as u64;
+        live += RECORD_HEADER + size;
+        let want = key_hash(rec.key);
+        if link.hash != want || link.size as usize != size {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} cache entry {i} keeps hash {:#010x} and size {}, its record {:?} at \
+                     {:#x} hashes to {want:#010x} and holds {size}",
+                    link.hash,
+                    link.size,
+                    lossy(rec.key),
+                    link.at
+                ),
+            );
+        }
+        if cache.slot_of(rec.key).map(|(_, entry)| entry) != Some(i) {
+            report.push(
+                ViolationKind::LsmState,
+                format!(
+                    "{label} cache entry {i}'s record {:?} is not the one a lookup of its key finds",
+                    lossy(rec.key)
+                ),
             );
         }
     }
@@ -358,6 +392,16 @@ pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditRepor
             format!(
                 "{label} cache byte accounting drift: recount {recount}, tracked {tracked}, \
                  capacity {capacity}"
+            ),
+        );
+    }
+    let (tracked_live, tracked_dead, held) = cache.log_bytes();
+    if live != tracked_live || held.checked_sub(live) != Some(tracked_dead) {
+        report.push(
+            ViolationKind::LsmState,
+            format!(
+                "{label} cache log drift: its chunks hold {held} bytes, records {live} of them; \
+                 tracked {tracked_live} live, {tracked_dead} dead"
             ),
         );
     }

@@ -102,11 +102,12 @@ impl SstGet {
         }
     }
 
-    /// What a cache remembers of this outcome: nothing for a miss.
-    pub(crate) fn cache_entry(&self) -> Option<CacheEntry> {
+    /// What a cache remembers of this outcome, as `key`'s record: nothing
+    /// for a miss.
+    pub(crate) fn record<'a>(&'a self, key: &'a [u8]) -> Option<Record<'a>> {
         match self {
-            SstGet::Found(v) => Some(CacheEntry::value(v.clone())),
-            SstGet::Tombstone => Some(CacheEntry::tombstone()),
+            SstGet::Found(v) => Some(Record { key, value: v, tombstone: false }),
+            SstGet::Tombstone => Some(Record { key, value: &[], tombstone: true }),
             SstGet::NotFound => None,
         }
     }
@@ -1993,7 +1994,8 @@ pub(crate) mod tests {
             build_at(&s, "r/sst1", 1, &entries(&[("a", "1"), ("b", "2"), ("c", "3")]), 0);
         let stored = s.backend().get_all("r/sst1.data").unwrap();
         let fetched = [old.get_at(b"b", true, 0).0, old.get_at(b"c", false, 0).0];
-        let cached = fetched[0].cache_entry();
+        let mut cache = crate::lru::LruCache::new(1 << 10);
+        cache.put(fetched[0].record(b"b").unwrap());
         let (merged, _) = merge_at(&s, std::slice::from_ref(&old), "r/sst2", 2, true, 0).unwrap();
         assert!(!stored.is_unique(), "the store still holds the old table");
         old.delete_files_at(0);
@@ -2004,7 +2006,7 @@ pub(crate) mod tests {
         );
         assert_eq!(fetched[0], SstGet::Found(Bytes::from_static(b"2")));
         assert_eq!(fetched[1], merged.get_at(b"c", true, 0).0);
-        assert!(cached.is_some());
+        assert_eq!(cache.get(b"b").unwrap().value, Bytes::from_static(b"2"));
     }
 
     #[test]

@@ -32,6 +32,13 @@ impl Clock {
         Self { now: Arc::new(AtomicU64::new(t)) }
     }
 
+    /// Set the clock to `t`, back or forward: for a clock that no other
+    /// task shares, which runs a series of timelines each from its own
+    /// start (a message handler's, one a request).
+    pub fn restart(&self, t: SimNs) {
+        self.now.store(t, Ordering::Release);
+    }
+
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimNs {
@@ -66,6 +73,15 @@ mod tests {
     #[test]
     fn starting_at_sets_origin() {
         assert_eq!(Clock::starting_at(42).now(), 42);
+    }
+
+    #[test]
+    fn restart_sets_the_time_back_or_forward() {
+        let c = Clock::starting_at(42);
+        c.restart(7);
+        assert_eq!(c.advance(3), 10);
+        c.restart(100);
+        assert_eq!(c.now(), 100);
     }
 
     #[test]

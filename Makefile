@@ -50,7 +50,7 @@ kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 53.156110763549805,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 53.156023025512695,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0) \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
@@ -76,13 +76,13 @@ kvbench:
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.4991 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.610724449157715,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.61060619354248,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.0000 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 35.13517761230469,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 35.13505935668945,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

@@ -74,10 +74,12 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::{JoinHandle, Thread};
 
 /// A task's virtual clock, read live (a rank's clock).
@@ -198,12 +200,37 @@ struct TaskState {
     /// The world's wake count and the site when it last timed out past the
     /// fault horizon.
     stuck: Option<(u64, Site)>,
+    /// While parked on a wait list, and not its last: the task parked on it
+    /// after this one.
+    next: usize,
+}
+
+/// Hashes a wait list's address, whose low bits are always clear.
+#[derive(Default)]
+struct ListHash(u64);
+
+impl Hasher for ListHash {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_usize(&mut self, at: usize) {
+        self.write_u64(at as u64);
+    }
+    fn write_u64(&mut self, at: u64) {
+        self.0 = (self.0 ^ at).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
 }
 
 #[derive(Default)]
 struct State {
     tasks: Vec<TaskState>,
     runnable: Vec<usize>,
+    /// The first and last task parked on each wait list ([`WaitList`]) with
+    /// one, by the list's address; each task links the next to arrive.
+    waiting: HashMap<usize, (usize, usize), BuildHasherDefault<ListHash>>,
     /// The task holding the baton.
     running: Option<usize>,
     started: bool,
@@ -345,7 +372,89 @@ impl State {
     /// The runnable task that orders first (`by`: among those `by` woke).
     fn first(&self, by: Option<usize>) -> Option<usize> {
         let woke = |t: &usize| by.is_none() || self.tasks[*t].woken_by == by;
-        self.runnable.iter().copied().filter(woke).min_by_key(|&t| self.key(t))
+        let mut woken = self.runnable.iter().copied().filter(woke);
+        let first = woken.next()?;
+        // The clocks are read only to choose between two or more.
+        match woken.next() {
+            None => Some(first),
+            Some(second) => {
+                let woken = [first, second].into_iter().chain(woken);
+                woken.min_by_key(|&t| self.key(t))
+            }
+        }
+    }
+
+    /// Park `t` on the wait list at `on`, last.
+    fn list(&mut self, on: usize, t: usize) {
+        match self.waiting.entry(on) {
+            Entry::Occupied(mut ends) => {
+                let last = std::mem::replace(&mut ends.get_mut().1, t);
+                self.tasks[last].next = t;
+            }
+            Entry::Vacant(ends) => {
+                ends.insert((t, t));
+            }
+        }
+    }
+
+    /// Take the first task parked on the wait list at `on` off it, and
+    /// whether any is left.
+    fn pop(&mut self, on: usize) -> Option<(usize, bool)> {
+        let Entry::Occupied(mut ends) = self.waiting.entry(on) else { return None };
+        let (first, last) = *ends.get();
+        if first == last {
+            ends.remove();
+        } else {
+            ends.get_mut().0 = self.tasks[first].next;
+        }
+        Some((first, first != last))
+    }
+
+    /// Whether `t` is parked on the wait list at `on`.
+    fn parked_on(&self, t: usize, on: usize) -> bool {
+        matches!(self.tasks[t].status, Status::Parked { on: at, .. } if at == on)
+    }
+
+    /// Take `t`, parked on a wait list, off it: it timed out or unwinds.
+    fn unlist(&mut self, t: usize) {
+        let Status::Parked { on, join: None, .. } = self.tasks[t].status else { return };
+        let Some(&(first, last)) = self.waiting.get(&on) else { return };
+        if first == t {
+            self.pop(on);
+            return;
+        }
+        let mut before = first;
+        while before != last {
+            let next = self.tasks[before].next;
+            if next == t {
+                self.tasks[before].next = self.tasks[t].next;
+                if last == t {
+                    self.waiting.insert(on, (first, before));
+                }
+                return;
+            }
+            before = next;
+        }
+    }
+
+    /// Wake the first (`all`: every) task parked on the wait list at `on`,
+    /// woken by `waker`, a task of this world or `None`. A slice may not
+    /// wake a task after the preemption point that ended it.
+    fn notify(mut st: MutexGuard<'_, State>, on: usize, waker: Option<usize>, all: bool) {
+        while let Some((t, more)) = st.pop(on) {
+            if !st.parked_on(t, on) {
+                continue;
+            }
+            if let (Some(w), Inline::Yielded) = (waker, INLINE.get()) {
+                let (waker, woken) = (st.tasks[w].name.clone(), st.tasks[t].name.clone());
+                drop(st);
+                panic!("{waker} woke {woken} after the preemption point that ended its slice");
+            }
+            st.wake(t, waker);
+            if !all || !more {
+                return;
+            }
+        }
     }
 
     /// Make `t` runnable, woken by `by` (a task of this world, whose clock
@@ -390,7 +499,10 @@ impl State {
 
     fn grant(&mut self, t: usize) {
         self.running = Some(t);
-        self.runnable.retain(|&r| r != t);
+        // The order of the runnable tasks is their keys', not the list's.
+        if let Some(at) = self.runnable.iter().position(|&r| r == t) {
+            self.runnable.swap_remove(at);
+        }
         let task = &mut self.tasks[t];
         (task.status, task.woken_by) = (Status::Running, None);
     }
@@ -447,6 +559,9 @@ impl Baton {
                 None => st.time_out().map(|t| (t, TIMED_OUT)),
             };
             let Some((t, how)) = next else { break };
+            if how == TIMED_OUT {
+                st.unlist(t);
+            }
             st.grant(t);
             let inline = st.tasks[t].slice.is_some() || Some(t) == me;
             let grants = &mut st.grants;
@@ -727,46 +842,66 @@ impl<T> Task<T> {
     }
 }
 
-/// The world tasks waiting on one condvar, in arrival order.
+/// The world tasks waiting on one condvar, in arrival order. They are kept
+/// in their world's state, by the list's address, under the lock a wait
+/// and a notify take anyway; the list itself records the world whose task
+/// parked on it last, whose tasks a notifier outside that world wakes.
 #[derive(Default)]
-pub struct WaitList(Mutex<Vec<(Arc<Baton>, usize)>>);
+pub struct WaitList {
+    /// The world whose task parked here last, for a notifier outside it.
+    world: Mutex<Weak<Baton>>,
+    /// Its baton's address: `world` is locked only when a task of another
+    /// world parks.
+    last: AtomicUsize,
+}
 
 impl WaitList {
     /// An empty list.
     pub const fn new() -> Self {
-        Self(Mutex::new(Vec::new()))
+        Self { world: Mutex::new(Weak::new()), last: AtomicUsize::new(0) }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<(Arc<Baton>, usize)>> {
-        lock(&self.0)
+    fn at(&self) -> usize {
+        self as *const Self as usize
     }
 
-    /// Park the calling world task here at the caller's site: enlisted
+    /// Record that a task of `baton`'s world parks here.
+    fn enter(&self, baton: &Arc<Baton>) {
+        let at = Arc::as_ptr(baton) as usize;
+        // ordering: the list's waiters hand each other the baton, which
+        // orders a park's store before any later park's or notify's load.
+        if self.last.load(Ordering::Acquire) != at {
+            *lock(&self.world) = Arc::downgrade(baton);
+            // ordering: as above.
+            self.last.store(at, Ordering::Release);
+        }
+    }
+
+    /// Park the calling world task here at the caller's site: listed
     /// before `guard` (the condvar's mutex) is let go, so no later notify is
     /// lost, until notified — or, `timed`, until nothing else of the world
     /// can run. `Ok(timed_out)`, or the verdict to unwind with once the
     /// caller has its mutex back; `Err(guard)` outside a world.
     #[track_caller]
     pub fn wait<G>(&self, timed: bool, guard: G) -> Result<Result<bool, Payload>, G> {
-        let (site, on) = (Location::caller(), self as *const Self as usize);
+        let (site, on) = (Location::caller(), self.at());
         // The world stays borrowed while the park runs its slices here.
         BATON.with(|b| {
             let Some(baton) = &*b.borrow() else { return Err(guard) };
             let tid = TID.get();
-            // The list's lock, then the baton's, as a notify takes them.
-            let mut list = self.lock();
+            self.enter(baton);
             let mut st = baton.lock();
             if let Some(why) = refusal(1) {
                 let name = st.tasks[tid].name.clone();
-                drop((st, list, guard));
+                drop((st, guard));
                 panic!("{name} parked at {site} {why}");
             }
             st.tasks[tid].status = Status::Parked { site, timed, on, join: None };
-            list.push((Arc::clone(baton), tid));
-            drop((list, guard));
+            st.list(on, tid);
+            drop(guard);
             let parked = baton.park(st, tid);
-            if !matches!(parked, Ok(false)) {
-                self.lock().retain(|(b, t)| !(Arc::ptr_eq(b, baton) && *t == tid));
+            if parked.is_err() {
+                baton.lock().unlist(tid);
             }
             Ok(parked)
         })
@@ -778,13 +913,20 @@ impl WaitList {
     /// mutex, so no notify after its check is lost.
     #[track_caller]
     pub fn enlist(&self) {
-        let site = Location::caller();
-        let Some((baton, tid)) = current().filter(|_| INLINE.get() != Inline::No) else {
+        let (site, on) = (Location::caller(), self.at());
+        let listed = with_current(|baton, tid| {
+            if INLINE.get() == Inline::No {
+                return false;
+            }
+            self.enter(baton);
+            let mut st = baton.lock();
+            st.tasks[tid].status = Status::Parked { site, timed: false, on, join: None };
+            st.list(on, tid);
+            true
+        });
+        if listed != Some(true) {
             panic!("enlisted at {site} outside a slice: only a run-to-completion task parks so")
-        };
-        let on = self as *const Self as usize;
-        baton.lock().tasks[tid].status = Status::Parked { site, timed: false, on, join: None };
-        self.lock().push((baton, tid));
+        }
         // Its park hands the baton on: no preemption on the way there.
         PENDING.set(false);
     }
@@ -792,25 +934,35 @@ impl WaitList {
     /// Wake the first (`all`: every) task still parked here. One that orders
     /// before the notifier runs at the notifier's next guard release.
     pub fn notify(&self, all: bool) {
-        let mut list = self.lock();
-        while !list.is_empty() {
-            let (baton, tid) = list.remove(0);
-            let waker = task_of(&baton);
+        let on = self.at();
+        // ordering: as in `enter`.
+        let last = self.last.load(Ordering::Acquire);
+        if last == 0 {
+            return; // no world task ever parked here
+        }
+        // A task of a world wakes its own, and no other if it is the world
+        // whose task parked here last.
+        let own = with_current(|baton, tid| {
+            State::notify(baton.lock(), on, Some(tid), all);
+            Arc::as_ptr(baton) as usize
+        });
+        if own == Some(last) {
+            return;
+        }
+        // That world's, woken from outside it, one at a time; the first
+        // granted the baton if the world has no task running.
+        let Some(baton) = lock(&self.world).upgrade() else { return };
+        loop {
             let mut st = baton.lock();
-            let here = self as *const Self as usize;
-            if !matches!(st.tasks[tid].status, Status::Parked { on, .. } if on == here) {
-                continue; // timed out since, or woken from outside the world
+            let Some((t, more)) = st.pop(on) else { return };
+            if !st.parked_on(t, on) {
+                continue;
             }
-            if let (Some(w), Inline::Yielded) = (waker, INLINE.get()) {
-                let (waker, woken) = (st.tasks[w].name.clone(), st.tasks[tid].name.clone());
-                drop((st, list));
-                panic!("{waker} woke {woken} after the preemption point that ended its slice");
-            }
-            st.wake(tid, waker);
-            if waker.is_none() && st.running.is_none() {
+            st.wake(t, None);
+            if st.running.is_none() {
                 baton.hand_off(st, None);
             }
-            if !all {
+            if !all || !more {
                 return;
             }
         }

@@ -71,10 +71,10 @@ impl Request {
 
     /// The request a tag off the wire names.
     pub fn from_tag(tag: u32) -> Result<Request> {
-        Request::ALL
-            .into_iter()
-            .find(|r| r.tag() == tag)
-            .ok_or_else(|| Error::Internal(format!("unknown request tag {tag}")))
+        match Request::ALL.get((tag as usize).wrapping_sub(1)) {
+            Some(&req) if req.tag() == tag => Ok(req),
+            _ => Err(Error::Internal(format!("unknown request tag {tag}"))),
+        }
     }
 
     /// The reply it owes its sender; `None` for the one-way barrier mark
@@ -271,12 +271,11 @@ fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
     header
 }
 
-/// A message of a fixed `header`, written whole, then `body`, in a buffer
-/// reserved for exactly both.
+/// A message of a fixed `header` then `body`, written through one borrow of
+/// a buffer reserved for exactly both.
 fn message(header: &[u8], body: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(header.len() + body.len());
-    buf.put_slice(header);
-    buf.put_slice(body);
+    buf.put(header.chain(body));
     buf.freeze()
 }
 
@@ -355,16 +354,21 @@ pub fn encode_get_req(db: u32, caller_group: u32, seq: RpcSeq, key: &[u8]) -> By
     message(&header::<20>(&fields), key)
 }
 
-/// Decode a get request (`GET_REQ` or `REPL_GET`).
-pub fn decode_get_req(mut buf: Bytes) -> Result<(u32, u32, RpcSeq, Bytes)> {
-    if buf.remaining() < 16 {
-        return Err(Error::Internal("truncated get_req".into()));
-    }
-    let db = buf.get_u32_le();
-    let group = buf.get_u32_le();
-    let seq = buf.get_u64_le();
-    let key = last_bytes(buf)?;
-    Ok((db, group, seq, key))
+/// A get request's fields, its key borrowed from `buf`.
+pub(crate) fn get_req_fields(buf: &[u8]) -> Result<(u32, u32, RpcSeq, &[u8])> {
+    let truncated = || Error::Internal("truncated get_req".into());
+    let (header, body) = buf.split_first_chunk::<20>().ok_or_else(truncated)?;
+    let [d0, d1, d2, d3, g0, g1, g2, g3, seq @ .., k0, k1, k2, k3] = *header;
+    let key = body.get(..u32::from_le_bytes([k0, k1, k2, k3]) as usize).ok_or_else(truncated)?;
+    let (db, group) = (u32::from_le_bytes([d0, d1, d2, d3]), u32::from_le_bytes([g0, g1, g2, g3]));
+    Ok((db, group, u64::from_le_bytes(seq), key))
+}
+
+/// Decode a get request (`GET_REQ` or `REPL_GET`): the key is a slice of
+/// `buf`.
+pub fn decode_get_req(buf: Bytes) -> Result<(u32, u32, RpcSeq, Bytes)> {
+    let (db, group, seq, key) = get_req_fields(&buf)?;
+    Ok((db, group, seq, buf.slice_ref(key)))
 }
 
 const RESP_FOUND: u8 = 0;

@@ -310,10 +310,6 @@ impl CtxInner {
         }
     }
 
-    pub fn db_by_id(&self, id: u32) -> Result<Arc<DbInner>> {
-        self.dbs.lock().get(id as usize).cloned().ok_or(Error::InvalidDb)
-    }
-
     pub fn clock(&self) -> &Clock {
         self.rank.clock()
     }
@@ -789,7 +785,7 @@ enum Work {
     /// A MIGRATE or PUT_SYNC part-ingested.
     Ingest(Ingesting),
     /// A REPL_GET past its promotion claim: the lookup and the reply.
-    ReplLookup(Message),
+    ReplLookup(ReplGet),
 }
 
 /// A MIGRATE or PUT_SYNC (`tag`) from `src`: its batch, then its ack under
@@ -801,61 +797,176 @@ struct Ingesting {
     seq: msg::RpcSeq,
 }
 
+/// A failover get (REPL_GET) from `src`, decoded once: the key of `origin`'s
+/// ranges to look up in `db`, the reply's `seq`, the request's `stamp`.
+struct ReplGet {
+    db: Arc<DbInner>,
+    origin: usize,
+    seq: msg::RpcSeq,
+    key: bytes::Bytes,
+    src: usize,
+    stamp: SimNs,
+}
+
 /// The message handler (§2.4, §2.6, §2.7), a run-to-completion task of the
 /// world: each slice serves one unit of its work — a request taken off
-/// `comm_req`, or what one left. No unit parks: on whichever task's thread
-/// hands the handler the baton, it would block that task. What a unit
-/// leaves in `held` waits there for a flush-queue slot (its slice
-/// `Parked`) or for the next slice, behind a preemption point that ended
-/// this one. A get is served on the handler's own clock, restarted at the
-/// request's stamp: no other task shares it.
+/// `comm_req`, or what one left — and then takes the request its next slice
+/// begins with, or enlists for one and parks. No unit parks: on whichever
+/// task's thread hands the handler the baton, it would block that task.
+/// What a unit leaves in `held` waits there for a flush-queue slot (its
+/// slice `Parked`) or for the next slice, behind a preemption point that
+/// ended this one.
 fn handler(ctx: Arc<CtxInner>) -> impl FnMut() -> Slice + Send {
-    let (mut held, clock) = (None, Clock::new());
-    move || {
-        let take = || ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any).map(Work::Request);
-        let Some(work) = held.take().or_else(take) else { return Slice::Parked };
+    let mut handler = Handler { ctx, held: None, clock: Clock::new(), dbs: Vec::new() };
+    move || handler.slice()
+}
+
+/// The message handler's state across its slices.
+struct Handler {
+    ctx: Arc<CtxInner>,
+    held: Option<Work>,
+    /// The clock a get is served on, restarted at its request's stamp: no
+    /// other task shares it.
+    clock: Clock,
+    /// This rank's databases by id, listed again only for an id past the
+    /// list (one opened since): a request finds its database without
+    /// `dbs`'s lock.
+    dbs: Vec<Arc<DbInner>>,
+}
+
+impl Handler {
+    fn slice(&mut self) -> Slice {
+        let Some(work) = self.held.take().or_else(|| self.take()) else { return Slice::Parked };
         if Slice::yielded() {
-            held = Some(work);
+            self.held = Some(work);
             return Slice::Ran;
         }
-        serve(&ctx, &clock, work, &mut held)
+        let slice = self.serve(work);
+        if slice != Slice::Ran || self.held.is_some() || Slice::yielded() {
+            return slice;
+        }
+        // What the next slice would begin with, taken in this one: with no
+        // request queued, the handler enlists and parks at the end of it.
+        match self.take() {
+            Some(work) => self.held = Some(work),
+            None => return Slice::Parked,
+        }
+        Slice::Ran
+    }
+
+    /// The next request, or `None` with the handler enlisted for one.
+    fn take(&self) -> Option<Work> {
+        self.ctx.comm_req.take_unstamped(RecvSrc::Any, RecvTag::Any).map(Work::Request)
+    }
+
+    /// Database `id` of this rank.
+    fn db(&mut self, id: u32) -> Result<&Arc<DbInner>> {
+        listed(&self.ctx, &mut self.dbs, id)
+    }
+
+    /// Serve one unit of `work`: how its slice ends, what is left in `held`.
+    fn serve(&mut self, work: Work) -> Slice {
+        let (what, served) = match work {
+            Work::Request(m) => match Request::from_tag(m.tag) {
+                Ok(Request::Shutdown) => return Slice::Exit,
+                Ok(req @ Request::Migrate) => ("migrate", self.begin_ingest(m, req)),
+                Ok(req @ Request::PutSync) => ("put_sync", self.begin_ingest(m, req)),
+                Ok(Request::Get) => ("get_req", self.get_req(&m)),
+                Ok(Request::BarrierMark) => ("barrier_mark", self.barrier_mark(m)),
+                Ok(Request::ReplPut) => ("repl_put", self.repl_put(m)),
+                Ok(Request::ReplGet) => ("repl_get", self.repl_get(&m)),
+                Err(e) => ("dispatch", Err(e)),
+            },
+            Work::Ingest(work) => return ingest(&self.ctx, work, &mut self.held),
+            Work::ReplLookup(get) => ("repl_get", self.repl_lookup(get)),
+        };
+        served.unwrap_or_else(|e| {
+            // Handler errors indicate wire corruption or internal bugs;
+            // surface them loudly (they fail tests) without killing the
+            // handler.
+            eprintln!("papyruskv[rank {}] handler {what} error: {e}", self.ctx.rank.rank());
+            Slice::Ran
+        })
+    }
+
+    fn begin_ingest(&mut self, m: Message, req: Request) -> Result<Slice> {
+        let decode =
+            if req == Request::PutSync { msg::decode_put_sync } else { msg::decode_migrate };
+        let (db_id, seq, records) = decode(m.payload)?;
+        let batch = Ingest::new(self.db(db_id)?.clone(), records, m.stamp);
+        let work = Ingesting { batch, src: m.src, req, seq };
+        Ok(ingest(&self.ctx, work, &mut self.held))
+    }
+
+    /// A get, its key read in place in the request.
+    fn get_req(&mut self, m: &Message) -> Result<Slice> {
+        let (db_id, caller_group, seq, key) = msg::get_req_fields(&m.payload)?;
+        let Handler { ctx, clock, dbs, .. } = self;
+        let db = listed(ctx, dbs, db_id)?;
+        let (reply, done) = crate::read::serve_get(db, "serve_get", clock, m.stamp, |clk| {
+            crate::read::remote_get_reply(ctx, db, key, (caller_group, m.src), seq, clk)
+        });
+        ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), reply, done);
+        Ok(Slice::Ran)
+    }
+
+    fn barrier_mark(&mut self, m: Message) -> Result<Slice> {
+        let (db_id, epoch) = msg::decode_barrier_mark(m.payload)?;
+        crate::sync::note_barrier_mark(self.db(db_id)?, epoch, m.stamp);
+        Ok(Slice::Ran)
+    }
+
+    fn repl_put(&mut self, m: Message) -> Result<Slice> {
+        let (db_id, origin, want_ack, seq, records) = msg::decode_repl_put(m.payload)?;
+        let ctx = Arc::clone(&self.ctx);
+        let db = self.db(db_id)?;
+        let done =
+            crate::replica::apply_replica_records(&ctx, db, origin as usize, &records, m.stamp);
+        // The handler never blocks on other ranks here (replica ingest is
+        // purely local), so synchronous writers awaiting this ack cannot
+        // form a cross-rank handler cycle.
+        if want_ack {
+            ctx.comm_rep.send_at(m.src, Reply::ReplAck.tag(), msg::encode_ack(seq), done);
+        }
+        Ok(Slice::Ran)
+    }
+
+    fn repl_get(&mut self, m: &Message) -> Result<Slice> {
+        let (db_id, origin, seq, key) = msg::get_req_fields(&m.payload)?;
+        let key = m.payload.slice_ref(key);
+        let db = Arc::clone(self.db(db_id)?);
+        let get = ReplGet { db, origin: origin as usize, seq, key, src: m.src, stamp: m.stamp };
+        // A failover get is proof a reader saw `origin` confirmed dead: if
+        // this rank is origin's first live successor, claim the promotion
+        // now. The claim may wake the dispatcher and the reply the reader,
+        // so they are two units.
+        crate::replica::maybe_promote(&self.ctx, &get.db, get.origin);
+        if Slice::yielded() {
+            self.held = Some(Work::ReplLookup(get));
+            return Ok(Slice::Ran);
+        }
+        self.repl_lookup(get)
+    }
+
+    fn repl_lookup(&mut self, get: ReplGet) -> Result<Slice> {
+        let ReplGet { db, origin, seq, key, src, stamp } = get;
+        let (resp, done) =
+            crate::read::serve_get(&db, "repl.serve_get", &self.clock, stamp, |clk| {
+                crate::read::get_resp(crate::replica::replica_lookup(&db, origin, &key, clk))
+            });
+        let reply = msg::encode_get_resp(seq, &resp);
+        self.ctx.comm_rep.send_at(src, Reply::ReplResp.tag(), reply, done);
+        Ok(Slice::Ran)
     }
 }
 
-/// Serve one unit of `work`, a get on `clock`: how its slice ends, what is
-/// left in `held`.
-fn serve(ctx: &CtxInner, clock: &Clock, work: Work, held: &mut Option<Work>) -> Slice {
-    let (what, served) = match work {
-        Work::Request(m) => match Request::from_tag(m.tag) {
-            Ok(Request::Shutdown) => return Slice::Exit,
-            Ok(req @ Request::Migrate) => {
-                ("migrate", begin_ingest(ctx, m, req).map(|w| ingest(ctx, w, held)))
-            }
-            Ok(req @ Request::PutSync) => {
-                ("put_sync", begin_ingest(ctx, m, req).map(|w| ingest(ctx, w, held)))
-            }
-            Ok(Request::Get) => ("get_req", handle_get_req(ctx, clock, m)),
-            Ok(Request::BarrierMark) => ("barrier_mark", handle_barrier_mark(ctx, m)),
-            Ok(Request::ReplPut) => ("repl_put", handle_repl_put(ctx, m)),
-            Ok(Request::ReplGet) => ("repl_get", handle_repl_get(ctx, clock, m, held)),
-            Err(e) => ("dispatch", Err(e)),
-        },
-        Work::Ingest(work) => return ingest(ctx, work, held),
-        Work::ReplLookup(m) => ("repl_get", handle_repl_lookup(ctx, clock, m)),
-    };
-    served.unwrap_or_else(|e| {
-        // Handler errors indicate wire corruption or internal bugs; surface
-        // them loudly (they fail tests) without killing the handler.
-        eprintln!("papyruskv[rank {}] handler {what} error: {e}", ctx.rank.rank());
-        Slice::Ran
-    })
-}
-
-fn begin_ingest(ctx: &CtxInner, m: Message, req: Request) -> Result<Ingesting> {
-    let decode = if req == Request::PutSync { msg::decode_put_sync } else { msg::decode_migrate };
-    let (db_id, seq, records) = decode(m.payload)?;
-    let batch = Ingest::new(ctx.db_by_id(db_id)?, records, m.stamp);
-    Ok(Ingesting { batch, src: m.src, req, seq })
+/// Database `id` of `ctx` in `dbs`, the handler's list, which is listed
+/// again under `dbs`'s lock only for an id past it (one opened since).
+fn listed<'a>(ctx: &CtxInner, dbs: &'a mut Vec<Arc<DbInner>>, id: u32) -> Result<&'a Arc<DbInner>> {
+    if id as usize >= dbs.len() {
+        dbs.clone_from(&ctx.dbs.lock());
+    }
+    dbs.get(id as usize).ok_or(Error::InvalidDb)
 }
 
 /// Ingest on; once every record is in, send the ack the request owes.
@@ -879,64 +990,4 @@ fn ingest(ctx: &CtxInner, mut work: Ingesting, held: &mut Option<Work>) -> Slice
         ctx.comm_rep.send_at(src, Reply::MigrateAck.tag(), msg::encode_ack(seq), done);
     }
     Slice::Ran
-}
-
-fn handle_get_req(ctx: &CtxInner, clock: &Clock, m: Message) -> Result<Slice> {
-    let (db_id, caller_group, seq, key) = msg::decode_get_req(m.payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    let (reply, done) = crate::read::serve_get(&db, "serve_get", clock, m.stamp, |clk| {
-        crate::read::remote_get_reply(ctx, &db, &key, (caller_group, m.src), seq, clk)
-    });
-    ctx.comm_rep.send_at(m.src, Reply::GetResp.tag(), reply, done);
-    Ok(Slice::Ran)
-}
-
-fn handle_barrier_mark(ctx: &CtxInner, m: Message) -> Result<Slice> {
-    let (db_id, epoch) = msg::decode_barrier_mark(m.payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    crate::sync::note_barrier_mark(&db, epoch, m.stamp);
-    Ok(Slice::Ran)
-}
-
-fn handle_repl_put(ctx: &CtxInner, m: Message) -> Result<Slice> {
-    let (db_id, origin, want_ack, seq, records) = msg::decode_repl_put(m.payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    let done = crate::replica::apply_replica_records(ctx, &db, origin as usize, &records, m.stamp);
-    // The handler never blocks on other ranks here (replica ingest is
-    // purely local), so synchronous writers awaiting this ack cannot form
-    // a cross-rank handler cycle.
-    if want_ack {
-        ctx.comm_rep.send_at(m.src, Reply::ReplAck.tag(), msg::encode_ack(seq), done);
-    }
-    Ok(Slice::Ran)
-}
-
-fn handle_repl_get(
-    ctx: &CtxInner,
-    clock: &Clock,
-    m: Message,
-    held: &mut Option<Work>,
-) -> Result<Slice> {
-    let (db_id, origin, _, _) = msg::decode_get_req(m.payload.clone())?;
-    let db = ctx.db_by_id(db_id)?;
-    // A failover get is proof a reader saw `origin` confirmed dead: if this
-    // rank is origin's first live successor, claim the promotion now. The
-    // claim may wake the dispatcher and the reply the reader, so they are
-    // two units.
-    crate::replica::maybe_promote(ctx, &db, origin as usize);
-    if Slice::yielded() {
-        *held = Some(Work::ReplLookup(m));
-        return Ok(Slice::Ran);
-    }
-    handle_repl_lookup(ctx, clock, m)
-}
-
-fn handle_repl_lookup(ctx: &CtxInner, clock: &Clock, m: Message) -> Result<Slice> {
-    let (db_id, origin, seq, key) = msg::decode_get_req(m.payload)?;
-    let db = ctx.db_by_id(db_id)?;
-    let (resp, done) = crate::read::serve_get(&db, "repl.serve_get", clock, m.stamp, |clk| {
-        crate::read::get_resp(crate::replica::replica_lookup(&db, origin as usize, &key, clk))
-    });
-    ctx.comm_rep.send_at(m.src, Reply::ReplResp.tag(), msg::encode_get_resp(seq, &resp), done);
-    Ok(Slice::Ran)
 }

@@ -224,9 +224,10 @@ impl Communicator {
     }
 
     fn stamp_in(&self, env: &Envelope) {
-        let clock = self.fabric.clock(self.me_world);
-        clock.merge(env.stamp);
-        clock.advance(self.fabric.net().msg_latency / 4); // receive-side software overhead
+        // The arrival, then the receive-side software overhead.
+        self.fabric
+            .clock(self.me_world)
+            .merge_advance(env.stamp, self.fabric.net().msg_latency / 4);
     }
 
     /// Collective barrier, the only collective: returns once all members

@@ -406,15 +406,17 @@ impl Fabric {
             // Intra-rank delivery: loopback, just the software latency.
             return now + self.net.msg_latency / 4 + extra;
         }
+        // One task of the world sends at a time: its NICs and backbone are
+        // each submitted to by one client at a time.
         let t = transfer_ns(bytes, self.net.bandwidth);
-        let tx_done = self.nic_tx[src].submit(now, t);
+        let tx_done = self.nic_tx[src].submit_shared_alone(now, t, 1);
         let tx_start = tx_done - t;
         // The message then traverses the shared switch fabric (occupying a
         // slice of the bisection bandwidth)...
-        let bb_done = self.backbone.submit_shared(tx_start, t, self.backbone_links);
+        let bb_done = self.backbone.submit_shared_alone(tx_start, t, self.backbone_links);
         // ...and occupies the receiver NIC for its transfer time starting
         // one wire-latency after it cleared the backbone.
-        self.nic_rx[dst].submit(bb_done - t + self.net.msg_latency, t) + extra
+        self.nic_rx[dst].submit_shared_alone(bb_done - t + self.net.msg_latency, t, 1) + extra
     }
 
     /// Should a message from `src_world` to `dst_world` vanish? True when

@@ -57,6 +57,16 @@ impl Clock {
     pub fn merge(&self, t: SimNs) -> SimNs {
         self.now.fetch_max(t, Ordering::AcqRel).max(t)
     }
+
+    /// [`Clock::merge`] `t`, then [`Clock::advance`] by `dur`, in one
+    /// update. Returns the new time.
+    #[inline]
+    pub fn merge_advance(&self, t: SimNs, dur: SimNs) -> SimNs {
+        let then = |now: SimNs| Some(now.max(t) + dur);
+        match self.now.fetch_update(Ordering::AcqRel, Ordering::Acquire, then) {
+            Ok(was) | Err(was) => was.max(t) + dur,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -64,6 +74,14 @@ impl Clock {
 mod tests {
     use super::*;
     use std::thread;
+
+    #[test]
+    fn merge_advance_is_a_merge_then_an_advance() {
+        let c = Clock::starting_at(100);
+        assert_eq!(c.merge_advance(50, 7), 107, "an older stamp, then the advance");
+        assert_eq!(c.merge_advance(200, 7), 207, "a newer stamp, then the advance");
+        assert_eq!(c.now(), 207);
+    }
 
     #[test]
     fn starts_at_zero() {

@@ -86,21 +86,11 @@ impl Resource {
     /// of latency, the resource is held for `occupancy` (e.g. an RDMA NIC
     /// pipelines the wire latency but is occupied for the transfer time).
     pub fn submit_with_occupancy(&self, now: SimNs, dur: SimNs, occupancy: SimNs) -> SimNs {
-        // Bounded overlap: a request queues behind at most MAX_OVERLAP
-        // competitors' *occupancies* (+slack). Occupancy is the
-        // contention-relevant quantity — latency-dominated operations
-        // (small messages, RDMA) occupy almost nothing and thus cannot pile
-        // up, while bandwidth-dominated ones (flushes, incast transfers)
-        // queue for real. This also stops out-of-order submissions from a
-        // rank running ahead chaining the whole job onto one timeline.
-        let latest_start =
-            now.saturating_add(occupancy.saturating_mul(MAX_OVERLAP)).saturating_add(QUEUE_SLACK);
         // ordering: optimistic first read of a CAS retry loop; any stale
         // value is corrected by the compare_exchange below.
         let mut cur = self.busy_until.load(Ordering::Relaxed);
         loop {
-            let start = cur.max(now).min(latest_start);
-            let busy = cur.max(start.saturating_add(occupancy));
+            let (start, busy) = slot(cur, now, occupancy);
             match self.busy_until.compare_exchange_weak(
                 cur,
                 busy,
@@ -115,6 +105,21 @@ impl Resource {
         }
     }
 
+    /// [`Resource::submit_shared`] for a resource that one client submits
+    /// to at a time — a world's fabric, whose tasks run one at a time — so
+    /// the update needs no read-modify-write: the same stamps for a plain
+    /// load and store. Two clients submitting at once could lose one's
+    /// occupancy.
+    pub fn submit_shared_alone(&self, now: SimNs, dur: SimNs, parallelism: u32) -> SimNs {
+        let occupancy = dur / parallelism.max(1) as u64;
+        // ordering: the one client at a time is handed the resource by a
+        // synchronising hand-off, which orders its load after the last store.
+        let (start, busy) = slot(self.busy_until.load(Ordering::Relaxed), now, occupancy);
+        // ordering: as above.
+        self.busy_until.store(busy, Ordering::Relaxed);
+        start.saturating_add(dur)
+    }
+
     /// Reset to idle at time zero. Used when a simulated "job" ends and the
     /// same process reuses the world (e.g. coupled-application workflows).
     pub fn reset(&self) {
@@ -122,10 +127,49 @@ impl Resource {
     }
 }
 
+/// Where work occupying a resource for `occupancy` from `now` starts, and
+/// the resource's new `busy_until`, given its current one `cur`.
+fn slot(cur: SimNs, now: SimNs, occupancy: SimNs) -> (SimNs, SimNs) {
+    // Bounded overlap: a request queues behind at most MAX_OVERLAP
+    // competitors' *occupancies* (+slack). Occupancy is the
+    // contention-relevant quantity — latency-dominated operations (small
+    // messages, RDMA) occupy almost nothing and thus cannot pile up, while
+    // bandwidth-dominated ones (flushes, incast transfers) queue for real.
+    // This also stops out-of-order submissions from a rank running ahead
+    // chaining the whole job onto one timeline.
+    let latest_start =
+        now.saturating_add(occupancy.saturating_mul(MAX_OVERLAP)).saturating_add(QUEUE_SLACK);
+    let start = cur.max(now).min(latest_start);
+    (start, cur.max(start.saturating_add(occupancy)))
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods, reason = "the test races OS threads outside any world")]
 mod tests {
     use super::*;
+
+    /// A resource one client submits to at a time gives the stamps of the
+    /// shared one, queueing and the overlap cap included.
+    #[test]
+    fn a_resource_alone_stamps_as_a_shared_one() {
+        let (shared, alone) = (Resource::new(), Resource::new());
+        let work = [
+            (0, 100, 1),
+            (10, 100, 1),
+            (5, 1_000, 4),
+            (5_000, 10, 2),
+            (0, 50_000, 1),
+            (100, 10, 1),
+        ];
+        for (now, dur, parallelism) in work {
+            assert_eq!(
+                shared.submit_shared(now, dur, parallelism),
+                alone.submit_shared_alone(now, dur, parallelism),
+                "submitted at {now} for {dur} over {parallelism}"
+            );
+            assert_eq!(shared.busy_until(), alone.busy_until());
+        }
+    }
     use std::thread;
 
     #[test]

@@ -281,6 +281,23 @@ impl BytesMut {
         self.len = end;
     }
 
+    /// Room for `additional` more bytes than are written, grown as appending
+    /// them would grow it; no effect if there is room already.
+    pub fn reserve(&mut self, additional: usize) {
+        self.grow_to(self.len + additional);
+    }
+
+    /// The capacity past the written bytes, borrowed once for a run of
+    /// writes ([`SpareMut`]): each lands where the last ended, and what they
+    /// wrote joins the buffer's bytes when the borrow commits. A run of
+    /// writes through one borrow pays for the buffer's uniqueness check
+    /// once, where each `put_slice` pays for it again.
+    pub fn spare_mut(&mut self) -> SpareMut<'_> {
+        let filled = self.len;
+        let buf = Arc::get_mut(&mut self.buf).expect("a BytesMut never shares its buffer");
+        SpareMut { buf, filled, len: &mut self.len, refused: false }
+    }
+
     /// Grow to `new_len` bytes, the new ones set to `value`, or shorten to it.
     pub fn resize(&mut self, new_len: usize, value: u8) {
         if new_len > self.len {
@@ -303,6 +320,71 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.buf[..self.len]
+    }
+}
+
+/// The unwritten capacity of a [`BytesMut`], borrowed for a run of writes
+/// ([`BytesMut::spare_mut`]). It never grows the buffer: a write that does
+/// not fit in the room left is refused, whole, and so is every write after
+/// it, so the bytes written are always a prefix of the bytes handed over.
+/// Nothing joins the buffer's bytes until [`SpareMut::commit`]; a borrow
+/// dropped without it leaves the buffer as it was.
+pub struct SpareMut<'a> {
+    /// The buffer's whole capacity, written up to `filled`.
+    buf: &'a mut [u8],
+    filled: usize,
+    /// The buffer's length, which `commit` moves to `filled`.
+    len: &'a mut usize,
+    refused: bool,
+}
+
+impl SpareMut<'_> {
+    /// The buffer's length once this borrow commits.
+    pub fn len(&self) -> usize {
+        self.filled
+    }
+
+    /// Whether that length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.filled == 0
+    }
+
+    /// Bytes of room left.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.filled
+    }
+
+    /// Add the bytes written to the buffer's: whether every write fit. If
+    /// one did not, the writes before it are kept and no other.
+    pub fn commit(self) -> bool {
+        *self.len = self.filled;
+        !self.refused
+    }
+}
+
+impl BufMut for SpareMut<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        let end = self.filled + src.len();
+        match self.buf.get_mut(self.filled..end) {
+            Some(room) if !self.refused => {
+                room.copy_from_slice(src);
+                self.filled = end;
+            }
+            _ => self.refused = true,
+        }
+    }
+
+    /// All of `src` in one check of the room and one copy of each part, or
+    /// none of it.
+    fn put<B: Buf>(&mut self, mut src: B) {
+        let end = self.filled + src.remaining();
+        match self.buf.get_mut(self.filled..end) {
+            Some(room) if !self.refused => {
+                src.copy_to_slice(room);
+                self.filled = end;
+            }
+            _ => self.refused = true,
+        }
     }
 }
 
@@ -574,6 +656,67 @@ mod tests {
             [&b"head"[..], b"", b"-tail"].iter().for_each(|part| sliced.put_slice(part));
         }
         assert_eq!((&sliced[..], sliced.capacity()), (&want[..], tight.capacity()));
+    }
+
+    /// Writing through one borrow of the spare capacity and committing
+    /// gives the bytes `put_slice` and `put` give: from an empty buffer and
+    /// after bytes written the other way, in parts and chained. The borrow
+    /// never grows the buffer: a write past its room is refused whole, and
+    /// every write after it, so what commits is the writes before it;
+    /// `reserve` then makes room as appending would, and a borrow dropped
+    /// without a commit leaves the buffer as it was.
+    #[test]
+    fn writes_through_the_spare_borrow_are_put_slices() {
+        let parts: [&[u8]; 4] = [b"head", b"", b"-body-", b"tail"];
+        let mut sliced = BytesMut::with_capacity(64);
+        let mut spared = BytesMut::with_capacity(64);
+        for round in 0..3 {
+            parts.iter().for_each(|part| sliced.put_slice(part));
+            sliced.put((&b"<"[..]).chain(&b">"[..]));
+            if round == 1 {
+                // Bytes put the usual way between two borrows.
+                parts.iter().for_each(|part| spared.put_slice(part));
+                spared.put((&b"<"[..]).chain(&b">"[..]));
+                continue;
+            }
+            let mut spare = spared.spare_mut();
+            parts.iter().for_each(|part| spare.put_slice(part));
+            spare.put((&b"<"[..]).chain(&b">"[..]));
+            assert_eq!(spare.len(), sliced.len());
+            assert_eq!(spare.remaining(), 64 - sliced.len());
+            assert!(spare.commit());
+        }
+        assert_eq!((&spared[..], spared.capacity()), (&sliced[..], 64));
+
+        let mut tight = BytesMut::with_capacity(6);
+        tight.put_slice(b"ab");
+        let mut spare = tight.spare_mut();
+        spare.put_slice(b"cd");
+        spare.put_slice(b"efg");
+        spare.put_slice(b"e");
+        spare.put((&b"e"[..]).chain(&b"f"[..]));
+        assert_eq!((spare.len(), spare.remaining()), (4, 2));
+        assert!(!spare.commit());
+        assert_eq!((&tight[..], tight.capacity()), (&b"abcd"[..], 6));
+        let mut spare = tight.spare_mut();
+        spare.put((&b"ef"[..]).chain(&b"g"[..]));
+        assert!(!spare.commit());
+        assert_eq!(&tight[..], b"abcd");
+
+        // Room reserved as appending grows it: what put_slice allocates.
+        let mut appended = BytesMut::with_capacity(6);
+        appended.put_slice(b"abcd");
+        appended.put_slice(b"efg");
+        tight.reserve(3);
+        assert_eq!(tight.capacity(), appended.capacity());
+        let mut spare = tight.spare_mut();
+        spare.put_slice(b"efg");
+        assert!(spare.commit());
+        assert_eq!(&tight[..], &appended[..]);
+        tight.spare_mut().put_slice(b"dropped");
+        assert_eq!(&tight[..], b"abcdefg");
+        tight.reserve(0);
+        assert_eq!(tight.capacity(), appended.capacity());
     }
 
     #[test]

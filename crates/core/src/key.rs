@@ -99,6 +99,26 @@ pub(crate) fn cmp(a: &[u8], b: &[u8]) -> Ordering {
     a[at..].cmp(&b[at..])
 }
 
+/// How many bytes `a` and `b` share from the start, a machine word at a
+/// time: the first pair of 8-byte words that differ ends the run at their
+/// first differing byte. A MemTable keeps its keys' shared prefix with it,
+/// once for each new key.
+#[inline]
+#[allow(clippy::indexing_slicing, reason = "at is at most the shorter key's whole words")]
+pub(crate) fn shared_len(a: &[u8], b: &[u8]) -> usize {
+    let (a_words, _) = a.as_chunks::<8>();
+    let (b_words, _) = b.as_chunks::<8>();
+    let mut at = 0;
+    for (x, y) in a_words.iter().zip(b_words) {
+        let differ = u64::from_be_bytes(*x) ^ u64::from_be_bytes(*y);
+        if differ != 0 {
+            return at + (differ.leading_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    at + a[at..].iter().zip(&b[at..]).take_while(|(x, y)| x == y).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +186,8 @@ mod tests {
             prop_assert!(abbreviated_order_is_byte_order::<16>(&keys, 0));
         }
 
-        /// The word-at-a-time compare is byte order: keys sharing a prefix
+        /// The word-at-a-time compare is byte order, and the word-at-a-time
+        /// shared length the bytes' shared run: keys sharing a prefix
         /// of 0, 7, 8, 9, 15, 16 or 17 bytes, then 0–23 more of `0x00`, `0x01`
         /// and `0xff` — so lengths run 0–40 and keys end and differ inside a
         /// word, on its edge and past it — against each other, the empty
@@ -185,6 +206,8 @@ mod tests {
             for a in &keys {
                 for b in &keys {
                     prop_assert_eq!(cmp(a, b), a.as_slice().cmp(b.as_slice()), "{:?} against {:?}", a, b);
+                    let shared = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                    prop_assert_eq!(shared_len(a, b), shared, "{:?} against {:?}", a, b);
                 }
             }
         }

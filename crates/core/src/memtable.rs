@@ -30,13 +30,16 @@
 //!   does), so no caller ever holds a view into the log, and an in-place
 //!   update changes nothing anyone was handed.
 //! * **Key order** is made once, by `MemTable::records`, when a frozen
-//!   table is flushed or migrated (or a table is audited): a sort of
-//!   `(word, place)` pairs, O(n log n) for the whole table, paid off the put
-//!   and get paths. The sort compares words, not bytes: the 8 bytes of a key
-//!   that follow the prefix every key of the table shares (`key::abbrev`);
-//!   only keys whose words tie are compared whole. A consumer copies the
-//!   records' bytes — into the flush's SSData, a migration's batch, the
-//!   stack's record list — and encodes none of them again.
+//!   table is flushed or migrated (or a table is audited), off the put and
+//!   get paths. It reads each live record once, for its word: the 8 bytes
+//!   of its key that follow the prefix every key of the table shares
+//!   (`key::abbrev`), a prefix the table keeps as it grows, since a put of
+//!   a new key holds the key already. The words are sorted — a table of
+//!   `RADIX_FROM` keys or more by an LSD radix sort that skips every byte
+//!   the words all agree on, a smaller one by a comparison sort — and only
+//!   keys whose words tie are compared whole. A consumer copies the records'
+//!   bytes — into the flush's SSData, a migration's batch, the stack's
+//!   record list — and encodes none of them again.
 //!
 //! "Immutable" is a usage mode: a frozen table is wrapped in `Arc` and only
 //! read (by gets walking the flushing / migration queues, and by the
@@ -45,7 +48,7 @@
 use bytes::Bytes;
 
 use crate::index::{key_hash, Index, Slot};
-use crate::key::abbrev;
+use crate::key::{abbrev, shared_len};
 use crate::sstable::{encoded_at, overwrite_at, Encoded, PutRecord, Record, RECORD_HEADER};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
@@ -65,6 +68,19 @@ pub(crate) const CHUNK_BITS: u32 = 14;
 /// Bytes of a log's first chunk; each next one holds twice the last, up to
 /// [`CHUNK`].
 pub(crate) const FIRST_CHUNK: usize = 512;
+
+/// Keys from which a table's key order is made by a radix sort of its
+/// words rather than a comparison sort. The radix sort pays a fixed cost —
+/// its byte histograms and one pass over the words for each byte they do
+/// not all agree on — that a small table does not earn back: timed on
+/// `(word, place, owner)` triples of 16-byte `user`-and-twelve-digit keys
+/// (six varying bytes, so six passes), best of seven runs, the comparison
+/// sort took 6–12 ns a key up to 192 keys against the radix sort's 16–310,
+/// the two were level at 512–1024 (20–28 ns each), and at 12 600 keys — an
+/// `ingest` flush — the radix sort took 17–24 ns against 29–40. A
+/// migration's staging table, of one or two keys under `serve_resp`,
+/// stays far below.
+pub(crate) const RADIX_FROM: usize = 1024;
 
 /// One key's state as a caller hands it to [`MemTable::insert`] or reads it
 /// back from [`MemTable::iter`]. The table itself keeps records, not
@@ -135,6 +151,27 @@ impl Log {
         at
     }
 
+    /// The key of the log's first record: a key of the table, if it has
+    /// any, since a key once put stays a key of the table and the log
+    /// holds a record of it.
+    fn first_key(&self) -> &[u8] {
+        self.encoded(0).map(|enc| enc.rec.key).unwrap_or_default()
+    }
+
+    /// Every record the log holds, dead or live, with its place, in log
+    /// order.
+    fn walk(&self) -> impl Iterator<Item = (u32, Encoded<'_>)> {
+        self.chunks.iter().enumerate().flat_map(|(n, chunk)| {
+            let mut pos = 0;
+            std::iter::from_fn(move || {
+                let enc = encoded_at(chunk, pos)?;
+                let at = (n << CHUNK_BITS | pos) as u32;
+                pos += enc.bytes.len();
+                Some((at, enc))
+            })
+        })
+    }
+
     /// The record at `at`, if it is `key`'s.
     fn record_of(&self, at: u32, key: &[u8]) -> Option<Record<'_>> {
         self.encoded(at).map(|enc| enc.rec).filter(|rec| rec.key == key)
@@ -155,6 +192,8 @@ pub struct MemTable {
     index: Index,
     log: Log,
     bytes: u64,
+    /// Length of the prefix every key of the table shares.
+    prefix: usize,
 }
 
 impl MemTable {
@@ -214,6 +253,11 @@ impl MemTable {
                 self.index.vacancy(hash)
             }
             Err(vacancy) => vacancy,
+        };
+        self.prefix = if self.is_empty() {
+            key.len()
+        } else {
+            shared_len(self.log.first_key().get(..self.prefix).unwrap_or_default(), key)
         };
         let at = self.log.append(rec, len);
         self.index.place(vacancy, Slot { hash, at, owner });
@@ -279,16 +323,32 @@ impl MemTable {
     /// Key-sorted records, each with its owner: the one place a MemTable's
     /// key order is made, by sorting `(word, place, owner)` triples of 16
     /// bytes — the big-endian word of the 8 key bytes past the table's
-    /// shared prefix, then where the record is; equal words compare the
-    /// keys (keys are unique, so an unstable sort is exact). Hash order
-    /// never leaves the table.
+    /// shared prefix, then where the record is — by word, [`radix_sort`]ed
+    /// from [`RADIX_FROM`] keys on; a run of equal words is then sorted by
+    /// its keys (keys are unique, so an unstable sort is exact). Each live
+    /// record is read once for its word, and again as the consumer takes it.
+    /// A table whose log holds no dead record and whose records are bound
+    /// for no rank — a local table that was never updated to another
+    /// length, as a flush's mostly is — is read in log order, chunk by
+    /// chunk; any other in the index's order, each record where it lies.
+    /// Hash order never leaves the table.
     pub(crate) fn records(&self) -> impl Iterator<Item = (Encoded<'_>, u32)> {
-        let skip = self.shared_prefix();
-        let key = |at| self.log.encoded(at).map(|enc| enc.rec.key);
-        let word = |at| u64::from_be_bytes(abbrev(key(at).unwrap_or_default(), skip));
+        let key = |at| self.log.encoded(at).map(|enc| enc.rec.key).unwrap_or_default();
+        let word = |key| u64::from_be_bytes(abbrev(key, self.prefix));
         let mut sorted = Vec::with_capacity(self.len());
-        sorted.extend(self.index.occupied().map(|(_, s)| (word(s.at), s.at, s.owner)));
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(&key(b.1))));
+        if self.log.dead == 0 && self.index.slots.iter().all(|s| s.owner == NO_OWNER) {
+            sorted.extend(self.log.walk().map(|(at, enc)| (word(enc.rec.key), at, NO_OWNER)));
+        } else {
+            sorted.extend(self.index.occupied().map(|(_, s)| (word(key(s.at)), s.at, s.owner)));
+        }
+        if sorted.len() >= RADIX_FROM {
+            radix_sort(&mut sorted);
+        } else {
+            sorted.sort_unstable_by_key(|&(word, ..)| word);
+        }
+        for ties in sorted.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+            ties.sort_unstable_by(|a, b| key(a.1).cmp(key(b.1)));
+        }
         sorted.into_iter().filter_map(|(_, at, owner)| Some((self.log.encoded(at)?, owner)))
     }
 
@@ -300,14 +360,10 @@ impl MemTable {
         })
     }
 
-    /// Length of the prefix every key of the table shares.
-    #[allow(clippy::indexing_slicing, reason = "shared starts at first.len() and only shrinks")]
-    fn shared_prefix(&self) -> usize {
-        let mut keys = self.keys().map(|(_, _, key)| key);
-        let Some(first) = keys.next() else { return 0 };
-        keys.fold(first.len(), |shared, key| {
-            first[..shared].iter().zip(key).take_while(|(a, b)| a == b).count()
-        })
+    /// Length of the prefix every key of the table shares, as the table
+    /// kept it while it grew (0 while it is empty).
+    pub(crate) fn shared_prefix(&self) -> usize {
+        self.prefix
     }
 
     /// The index's occupied slots, each with its position, the hash it
@@ -330,6 +386,51 @@ impl MemTable {
     /// created to handle new writes" (§2.4).
     pub fn freeze(&mut self) -> MemTable {
         std::mem::take(self)
+    }
+}
+
+/// Sort `words` by their first field, stably: an LSD radix sort a byte at a
+/// time, least significant first, that skips each byte on which every word
+/// agrees. All eight byte histograms are counted in one pass; each byte
+/// sorted is then one pass that scatters the words from one buffer into the
+/// other: `words` and a scratch buffer as long, freed before the sort
+/// returns, so the table's encoder never holds it beside the image.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "a byte indexes 256 counts; a count's running offset stays below the words' length"
+)]
+fn radix_sort(words: &mut Vec<(u64, u32, u32)>) {
+    let n = words.len();
+    let Some(&(first, ..)) = words.first() else { return };
+    let mut counts = [[0u32; 256]; 8];
+    for &(word, ..) in words.iter() {
+        for (digit, count) in counts.iter_mut().enumerate() {
+            count[(word >> (8 * digit)) as u8 as usize] += 1;
+        }
+    }
+    let mut scratch = vec![(0, 0, 0); n];
+    let (mut from, mut to) = (&mut words[..], &mut scratch[..]);
+    let mut in_scratch = false;
+    for (digit, count) in counts.iter().enumerate() {
+        let shift = 8 * digit;
+        if count[(first >> shift) as u8 as usize] as usize == n {
+            continue;
+        }
+        let mut at = [0u32; 256];
+        let mut sum = 0;
+        for (at, count) in at.iter_mut().zip(count) {
+            (*at, sum) = (sum, sum + count);
+        }
+        for &triple in from.iter() {
+            let byte = (triple.0 >> shift) as u8 as usize;
+            to[at[byte] as usize] = triple;
+            at[byte] += 1;
+        }
+        (from, to) = (to, from);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        std::mem::swap(words, &mut scratch);
     }
 }
 
@@ -494,28 +595,38 @@ mod tests {
         vec((0usize..64, vec(any::<u8>(), 0..9), any::<bool>()), 0..200)
     }
 
-    /// Run `steps` on a MemTable and on a `BTreeMap` model: after every
-    /// step the log's live bytes are the model's records' and its dead bytes
-    /// never more; at the end every key of the run is found or not as the
-    /// model says, `iter()` yields the model's entries in its key order, the
-    /// count and the bytes are the model's, and the auditor finds nothing.
-    /// How many steps rewrote the log, and the table.
+    /// Owners a model run binds its steps for: none, as in a local table,
+    /// or one of three ranks and none, as in a staging table.
+    const UNBOUND: &[u32] = &[NO_OWNER];
+    const BOUND: &[u32] = &[NO_OWNER, 0, 1, 7];
+
+    /// Run `steps` on a MemTable and on a `BTreeMap` model, each step bound
+    /// for one of `owners`, picked by its place in the run and its value's
+    /// length: after every step the log's live bytes are the model's
+    /// records' and its dead bytes never more; at the end every key of the
+    /// run is found or not as the model says, `iter()` yields the model's
+    /// entries, owners included, in its key order, the count and the bytes
+    /// are the model's, and the auditor finds nothing. How many steps
+    /// rewrote the log, and the table.
     fn run_against_a_model(
         pool: &[Vec<u8>],
         steps: &[(usize, Vec<u8>, bool)],
+        owners: &[u32],
     ) -> (usize, MemTable) {
         let mut m = MemTable::new();
         let mut model: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
-        let mut rewrites = 0;
-        for (i, value, tomb) in steps {
-            let e = if *tomb { Entry::tombstone() } else { Entry::value(bv(value)) };
+        let (mut rewrites, mut live) = (0, 0);
+        let encoded = |key: &[u8], e: &Entry| RECORD_HEADER + key.len() + e.value.len();
+        for (step, (i, value, tomb)) in steps.iter().enumerate() {
+            let owner = owners[(step + value.len()) % owners.len()];
+            let value = if *tomb { Bytes::new() } else { bv(value) };
+            let e = Entry::remote(value, *tomb, owner);
             let key = &pool[i % pool.len()];
             let dead = m.log.dead;
             m.insert(key, e.clone());
-            model.insert(key.clone(), e);
+            live += encoded(key, &e);
+            live -= model.insert(key.clone(), e).map_or(0, |old| encoded(key, &old));
             rewrites += usize::from(m.log.dead < dead);
-            let live: usize =
-                model.iter().map(|(k, e)| RECORD_HEADER + k.len() + e.value.len()).sum();
             assert_eq!(m.log.live, live);
             assert!(m.log.dead <= live, "{} dead bytes over {live} live", m.log.dead);
         }
@@ -544,8 +655,12 @@ mod tests {
         /// tombstones and back, in place and appended, across rewrites of
         /// the log.
         #[test]
-        fn a_memtable_is_a_byte_accounted_ordered_map(pool in key_pool(), steps in steps()) {
-            run_against_a_model(&pool, &steps);
+        fn a_memtable_is_a_byte_accounted_ordered_map(
+            pool in key_pool(),
+            steps in steps(),
+            bound in any::<bool>(),
+        ) {
+            run_against_a_model(&pool, &steps, if bound { BOUND } else { UNBOUND });
         }
     }
 
@@ -556,7 +671,7 @@ mod tests {
         let pool = [b"key-a".to_vec(), b"key-b".to_vec()];
         let steps: Vec<_> =
             (0..60).map(|i| (i, vec![i as u8; [3, 0, 8][i % 3]], i % 3 == 1)).collect();
-        assert!(run_against_a_model(&pool, &steps).0 > 3);
+        assert!(run_against_a_model(&pool, &steps, BOUND).0 > 3);
     }
 
     /// Hashes cut to 3 bits, so that hundreds of keys share each one: the
@@ -574,12 +689,95 @@ mod tests {
             .enumerate()
             .map(|(step, i)| (i, vec![step as u8; [4, 4, 9, 0][step % 4]], step % 7 == 6))
             .collect();
-        let (rewrites, m) = with_hash_bits(3, || run_against_a_model(&pool, &steps));
+        let (rewrites, m) = with_hash_bits(3, || run_against_a_model(&pool, &steps, BOUND));
         assert!(rewrites > 3, "{rewrites} rewrites");
         assert_eq!(m.index.slots.len(), FIRST_SLOTS << 7);
         let hashes: std::collections::BTreeSet<u32> =
             m.index.occupied().map(|(_, s)| s.hash).collect();
         assert_eq!(hashes.len(), 8);
+    }
+
+    /// Keys for a table of 40 keys either side of [`RADIX_FROM`], so that
+    /// its order is made by either sort, whose words tie in runs: behind a
+    /// prefix they all share, of none, 7 or 29 arbitrary bytes, a key is
+    /// either 8 equal bytes, `0x00` or `0x01`, and a tail of up to 4 bytes
+    /// — each such key's word ties 30 others' — or a tail alone, of up to
+    /// 12 bytes; tails are over `0x00` and `0x01`, so keys are prefixes and
+    /// zero-extensions of each other. Drawn from a seeded generator until
+    /// there are as many keys as asked for.
+    fn tying_pool() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let prefix = (0usize..3, vec(any::<u8>(), 29..30));
+        let size = RADIX_FROM - 40..RADIX_FROM + 40;
+        (prefix, size, any::<u64>()).prop_map(|((len, prefix), size, seed)| {
+            let prefix = &prefix[..[0, 7, 29][len]];
+            let mut state = seed | 1;
+            let mut draw = |below: u64| {
+                state =
+                    state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+                (state >> 33) % below
+            };
+            let mut keys = std::collections::BTreeSet::new();
+            while keys.len() < size {
+                let (head, tail) = match draw(4) {
+                    0 => (vec![draw(2) as u8; 8], draw(5)),
+                    _ => (Vec::new(), draw(13)),
+                };
+                let tail: Vec<u8> = (0..tail).map(|_| draw(2) as u8).collect();
+                keys.insert([prefix, &head, &tail].concat());
+            }
+            let mut keys: Vec<Vec<u8>> = keys.into_iter().collect();
+            // Put in an order of the seed's, not the keys'.
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, draw(i as u64 + 1) as usize);
+            }
+            keys
+        })
+    }
+
+    proptest! {
+        /// The model run on a table of about [`RADIX_FROM`] keys whose words
+        /// tie (`tying_pool`), its steps bound for ranks or not: every key
+        /// put — a log of live records alone — and then, in a second run,
+        /// updated twice, each time to a value of another length, so the log
+        /// is rewritten on the way; every ninth step a tombstone.
+        #[test]
+        fn a_table_either_side_of_the_crossover_is_an_ordered_map(
+            pool in tying_pool(),
+            bound in any::<bool>(),
+        ) {
+            let n = pool.len();
+            let owners = if bound { BOUND } else { UNBOUND };
+            let steps: Vec<_> = (0..3 * n)
+                .map(|step| (step, vec![step as u8; [1, 6, 3][step / n]], step % 9 == 4))
+                .collect();
+            let (_, m) = run_against_a_model(&pool, &steps[..n], owners);
+            prop_assert_eq!((m.len(), m.log.dead), (n, 0));
+            let (rewrites, m) = run_against_a_model(&pool, &steps, owners);
+            prop_assert!(rewrites > 0, "no rewrite");
+            prop_assert_eq!(m.len(), n);
+        }
+    }
+
+    proptest! {
+        /// The radix sort is a stable sort by word, whichever bytes of the
+        /// words vary — none, one, an odd or an even number of them — so the
+        /// sorted words end in the scratch buffer as often as in place.
+        #[test]
+        fn the_radix_sort_is_a_stable_sort_by_word(
+            words in vec(any::<u64>(), 0..600),
+            mask in any::<u64>(),
+            varying in any::<u8>(),
+        ) {
+            let mask = mask & u64::from_le_bytes(std::array::from_fn(|b| {
+                if varying & (1 << b) != 0 { 0xff } else { 0 }
+            }));
+            let mut triples: Vec<(u64, u32, u32)> =
+                words.iter().enumerate().map(|(i, w)| (w & mask, i as u32, i as u32 % 3)).collect();
+            let mut want = triples.clone();
+            want.sort_by_key(|&(word, ..)| word);
+            radix_sort(&mut triples);
+            prop_assert_eq!(triples, want);
+        }
     }
 
     proptest! {
@@ -591,7 +789,7 @@ mod tests {
             steps in steps(),
             bits in 0u32..4,
         ) {
-            with_hash_bits(bits, || run_against_a_model(&pool, &steps));
+            with_hash_bits(bits, || run_against_a_model(&pool, &steps, UNBOUND));
         }
     }
 
@@ -662,6 +860,46 @@ mod tests {
         let mut miscounted = table();
         miscounted.index.len += 1;
         assert!(faults(&miscounted).iter().any(|d| d.contains("occupies 3 slots for 4 keys")));
+    }
+
+    /// The prefix a table keeps as it grows is its keys' shared prefix:
+    /// grown with the first key, cut by each new one, left alone by an
+    /// update and a rewrite of the log. One kept too long or too short is
+    /// an `LsmState` fault — too long, the sort would skip bytes some keys
+    /// differ in.
+    #[test]
+    fn the_kept_prefix_is_the_keys_shared_prefix_and_the_auditor_recounts_it() {
+        let mut m = MemTable::new();
+        assert_eq!(m.shared_prefix(), 0);
+        m.insert(b"user-0001", Entry::value(bv(b"v")));
+        assert_eq!(m.shared_prefix(), 9);
+        m.insert(b"user-0002", Entry::value(bv(b"v")));
+        assert_eq!(m.shared_prefix(), 8);
+        m.insert(b"user-0102", Entry::value(bv(b"v")));
+        assert_eq!(m.shared_prefix(), 6);
+        // Updates, one rewriting the log whose first record was dead.
+        for value in [&b"longer"[..], b"even longer", b"longer"] {
+            m.insert(b"user-0001", Entry::value(bv(value)));
+        }
+        assert_eq!((m.shared_prefix(), m.log.first_key()), (6, &b"user-0002"[..]));
+        m.insert(b"user-1", Entry::tombstone());
+        assert_eq!(m.shared_prefix(), 5);
+        assert_eq!(m.freeze().shared_prefix(), 5);
+        assert_eq!(m.shared_prefix(), 0);
+
+        let convicted = |m: &MemTable, want: &str| {
+            let mut report = AuditReport::default();
+            audit_memtable("planted", m, &mut report);
+            assert!(report.violations.iter().all(|v| v.kind == ViolationKind::LsmState));
+            assert!(report.violations.iter().any(|v| v.detail.contains(want)), "{report:?}");
+        };
+        for (kept, want) in [(6, "prefix of 6 bytes; its keys share 5"), (2, "of 2 bytes")] {
+            let mut planted = MemTable::new();
+            planted.insert(b"user-1", Entry::value(bv(b"v")));
+            planted.insert(b"user-2", Entry::value(bv(b"v")));
+            planted.prefix = kept;
+            convicted(&planted, want);
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 use crate::ckpt;
 use crate::db::Db;
 use crate::index::key_hash;
+use crate::key::shared_len;
 use crate::lru::{Link, LruCache};
 use crate::memtable::{MemTable, ENTRY_OVERHEAD};
 use crate::sstable::{Cursor, Encoded, Record, SstReader, RECORD_HEADER};
@@ -215,9 +216,10 @@ pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
 
 /// Audit one MemTable: sorted iteration order, a whole record in the log
 /// for every key, the log's byte counts — live bytes as recounted, dead
-/// bytes never above them — byte-accounting drift, and the index: every
-/// slot keeps its key's hash, every key is found from its home slot, and
-/// the slots occupied are the keys counted.
+/// bytes never above them — byte-accounting drift, the shared prefix the
+/// table keeps for its sort, and the index: every slot keeps its key's
+/// hash, every key is found from its home slot, and the slots occupied are
+/// the keys counted.
 pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
     let mut occupied = 0;
     for (pos, hash, key) in mt.keys() {
@@ -246,6 +248,20 @@ pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditRepor
     if occupied != mt.len() {
         let keys = mt.len();
         let detail = format!("{label} MemTable index occupies {occupied} slots for {keys} keys");
+        report.push(ViolationKind::LsmState, detail);
+    }
+    // The prefix the table kept as it grew, which its sort skips, recounted.
+    let mut keys = mt.keys().map(|(_, _, key)| key);
+    let shared = keys.next().map_or(0, |first| {
+        keys.fold(first.len(), |shared, key| {
+            shared_len(first.get(..shared).unwrap_or_default(), key)
+        })
+    });
+    if shared != mt.shared_prefix() {
+        let kept = mt.shared_prefix();
+        let detail = format!(
+            "{label} MemTable keeps a shared prefix of {kept} bytes; its keys share {shared}"
+        );
         report.push(ViolationKind::LsmState, detail);
     }
     let (mut recount, mut records, mut live) = (0u64, 0usize, 0usize);
@@ -632,7 +648,7 @@ mod tests {
     ) -> SstReader {
         let empty = Entry::value(Bytes::new());
         let records = keys.iter().map(|key| Record::from((*key, &empty)));
-        TableImage::encode(0, records).write_at(s, base, 0);
+        TableImage::encode(0, 0, records).write_at(s, base, 0);
         let mut bloom = Bloom::with_capacity(bloom_keys.len().max(1), 10);
         for key in bloom_keys {
             bloom.insert(key);

@@ -344,27 +344,35 @@ fn seek_block(block: &[u8], key: &[u8]) -> SstGet {
     seek(block, key).0
 }
 
-/// One level of a [`merge`]: a key-sorted run of records and, until it runs
-/// out, its next record beside the big-endian word of that record's first
-/// 16 key bytes (`key::abbrev`).
-struct Level<L: Iterator> {
+/// One level of a [`merge`]: a key-sorted run of records, its next record
+/// and the big-endian word of that record's first 16 key bytes
+/// (`key::abbrev`) — until it runs out, and then leaves the merge.
+struct Level<R, L> {
     word: u128,
-    head: Option<L::Item>,
+    head: R,
     rest: L,
+    done: bool,
 }
 
-impl<'a, R: PutRecord<'a>, L: Iterator<Item = R>> Level<L> {
-    fn new(rest: L) -> Self {
-        let mut level = Self { word: 0, head: None, rest };
-        level.advance();
-        level
+impl<'a, R: PutRecord<'a>, L: Iterator<Item = R>> Level<R, L> {
+    /// The level of `rest`, if it holds a record.
+    fn new(mut rest: L) -> Option<Self> {
+        let head = rest.next()?;
+        Some(Self { word: Self::word_of(head), head, rest, done: false })
     }
 
-    fn advance(&mut self) {
-        self.head = self.rest.next();
-        if let Some(rec) = self.head {
-            self.word = u128::from_be_bytes(abbrev(rec.record().key, 0));
-        }
+    fn word_of(head: R) -> u128 {
+        u128::from_be_bytes(abbrev(head.record().key, 0))
+    }
+
+    /// Step to the next record: whether the level ran out instead.
+    fn advance(&mut self) -> bool {
+        let Some(head) = self.rest.next() else {
+            self.done = true;
+            return true;
+        };
+        (self.head, self.word) = (head, Self::word_of(head));
+        false
     }
 }
 
@@ -374,29 +382,42 @@ impl<'a, R: PutRecord<'a>, L: Iterator<Item = R>> Level<L> {
 /// that has the highest SSID is inserted in the new merged SSTable".
 /// Tombstones are records; a caller that may drop them filters. The heads
 /// are compared directly (a stack has a handful of levels): no heap, no map
-/// and nothing allocated per record. A comparison is one of words; only
-/// keys whose words tie are compared whole. Records come out as they went
-/// in: an [`Encoded`] one is still its bytes.
+/// and nothing allocated per record; a level that runs out leaves the list.
+/// A comparison is one of words, its choice a select rather than a branch
+/// (the next level to win is as good as random in a merge of shuffled
+/// puts); only keys whose words tie are compared whole — in the choice, and
+/// where an older level's head ties the winner's word, to step past the key
+/// there too. The winner steps on without a compare. Records come out as
+/// they went in: an [`Encoded`] one is still its bytes.
+#[allow(clippy::indexing_slicing, reason = "low is an index of a level of the list")]
 pub(crate) fn merge<'a, R: PutRecord<'a>, L: Iterator<Item = R>>(
     newest_first: impl IntoIterator<Item = L>,
 ) -> impl Iterator<Item = R> {
-    let mut levels: Vec<Level<L>> = newest_first.into_iter().map(Level::new).collect();
+    let mut levels: Vec<Level<R, L>> = newest_first.into_iter().filter_map(Level::new).collect();
     std::iter::from_fn(move || {
         // The lowest head; of equal ones the first, which is the newest.
-        let mut lowest: Option<(u128, &'a [u8], R)> = None;
-        for level in &levels {
-            let Some(head) = level.head else { continue };
-            let key = head.record().key;
-            if lowest.is_none_or(|(word, low, _)| (level.word, key) < (word, low)) {
-                lowest = Some((level.word, key, head));
+        let (mut low, mut word) = (0, levels.first()?.word);
+        for (at, level) in levels.iter().enumerate().skip(1) {
+            let lower = if level.word == word {
+                level.head.record().key < levels[low].head.record().key
+            } else {
+                level.word < word
+            };
+            low = if lower { at } else { low };
+            word = if lower { level.word } else { word };
+        }
+        let winner = levels[low].head;
+        let key = winner.record().key;
+        // Step past the key in the winner's level and every older one that
+        // holds it; a newer one would have won.
+        let mut ran_out = levels[low].advance();
+        for level in &mut levels[low + 1..] {
+            if level.word == word && level.head.record().key == key {
+                ran_out |= level.advance();
             }
         }
-        let (word, key, winner) = lowest?;
-        // Step past the key in every level that holds it.
-        for level in &mut levels {
-            if level.head.is_some_and(|rec| level.word == word && rec.record().key == key) {
-                level.advance();
-            }
+        if ran_out {
+            levels.retain(|level| !level.done);
         }
         Some(winner)
     })
@@ -591,36 +612,55 @@ impl TableImage {
     /// pass: every key is hashed as its record streams past, and the bloom
     /// filter is sized once the stream has ended, from the count it came to,
     /// and filled from those hashes (8 B a record, gone before the write).
-    /// `data_bound` is what the caller knows SSData cannot exceed — the image
-    /// is reserved once, not regrown, and written where the store keeps it.
-    /// An image that falls short of its reservation — a merge that shed
-    /// shadowed records or tombstones — is copied out to its length, so the
-    /// table does not keep the shed bytes allocated for as long as it lives.
+    /// `data_bound` and `records_bound` are what the caller knows SSData and
+    /// the record count cannot exceed: the image is reserved once, not
+    /// regrown, and written where the store keeps it, through one borrow
+    /// ([`BytesMut::spare_mut`]); the hashes, the blocks and the SSIndex
+    /// image are reserved from them too. (A bound that falls short grows
+    /// the image as appending would.) An image that falls short of its
+    /// reservation — a merge that shed shadowed records or tombstones — is
+    /// copied out to its length, so the table does not keep the shed bytes
+    /// allocated for as long as it lives.
     #[allow(clippy::indexing_slicing, reason = "index starts with its INDEX_HEADER bytes")]
     pub(crate) fn encode<'a, R: PutRecord<'a>>(
         data_bound: usize,
+        records_bound: usize,
         entries: impl Iterator<Item = R>,
     ) -> Self {
+        // A block but the last holds BLOCK_BYTES of SSData or more.
+        let blocks_bound = records_bound.min(data_bound / BLOCK_BYTES + 1);
         let mut data = BytesMut::with_capacity(data_bound);
+        let mut out = data.spare_mut();
         let mut index = vec![0u8; INDEX_HEADER];
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
+        let mut blocks: Vec<Block> = Vec::with_capacity(blocks_bound);
+        let mut hashes: Vec<u64> = Vec::with_capacity(records_bound);
         // SSData length at which the open block is full: the record that
         // finds it so starts the next one (the first record, the first).
         let mut block_full = 0usize;
         for rec in entries {
-            let key = rec.record().key;
-            if data.len() >= block_full {
-                block_full = data.len() + BLOCK_BYTES;
+            let Record { key, value, .. } = rec.record();
+            let at = out.len();
+            if at >= block_full {
+                if at == 0 {
+                    index.reserve(blocks_bound * (FENCE_HEADER + key.len()));
+                }
+                block_full = at + BLOCK_BYTES;
                 let key_at = index.len() + FENCE_HEADER;
-                put_fence(&mut index, data.len() as u64, key);
+                put_fence(&mut index, at as u64, key);
                 assert!(index.len() <= u32::MAX as usize, "an SSIndex image past 4 GiB");
                 let key = (key_at as u32, index.len() as u32);
-                blocks.push(Block { offset: data.len() as u64, key });
+                blocks.push(Block { offset: at as u64, key });
             }
-            rec.put_into(&mut data);
+            let len = RECORD_HEADER + key.len() + value.len();
+            if out.remaining() < len {
+                out.commit();
+                data.reserve(len);
+                out = data.spare_mut();
+            }
+            rec.put_into(&mut out);
             hashes.push(fnv1a64(key));
         }
+        out.commit();
         let records = hashes.len();
         let mut bloom = Bloom::with_capacity(records, 10);
         hashes.into_iter().for_each(|hash| bloom.insert_hash(hash));
@@ -641,7 +681,7 @@ impl TableImage {
     /// live bytes of the log — since the buffer is the one the store keeps,
     /// so slack would live as long as the table does.
     pub(crate) fn of_memtable(mt: &MemTable) -> Self {
-        Self::encode(mt.encoded_len(), mt.records().map(|(enc, _)| enc))
+        Self::encode(mt.encoded_len(), mt.len(), mt.records().map(|(enc, _)| enc))
     }
 
     /// One attempt at writing the three files under `base`, one sequential
@@ -703,7 +743,7 @@ pub fn build_at(
     );
     let data_len = entries.iter().map(|(k, e)| RECORD_HEADER + k.len() + e.value.len()).sum();
     let records = entries.iter().map(|(k, e)| Record::from((k.as_slice(), e)));
-    let image = TableImage::encode(data_len, records);
+    let image = TableImage::encode(data_len, entries.len(), records);
     let done = image.write_at(store, base, now);
     (image.into_reader(store, base, ssid), done)
 }
@@ -962,6 +1002,7 @@ pub fn merge_at(
     // "The compaction needs sequential file read because the key-value pairs
     // in each SSTable are sorted by the key" (§2.5).
     let mut t = now;
+    let records = tables.iter().map(SstReader::len).sum();
     let mut images = Vec::with_capacity(tables.len());
     for reader in &newest_first {
         let (image, done) = reader.read_at(t)?;
@@ -983,7 +1024,7 @@ pub fn merge_at(
         })
     });
     let merged = merge(levels).filter(|enc| !(drop_tombstones && enc.rec.tombstone));
-    let image = TableImage::encode(images.iter().map(Bytes::len).sum(), merged);
+    let image = TableImage::encode(images.iter().map(Bytes::len).sum(), records, merged);
     if let Some(reader) = torn.get() {
         return Err(reader.corrupt());
     }
@@ -1092,7 +1133,7 @@ pub(crate) mod tests {
     }
 
     fn encode(entries: &[(Vec<u8>, Entry)]) -> TableImage {
-        TableImage::encode(0, records_of(entries).into_iter())
+        TableImage::encode(0, 0, records_of(entries).into_iter())
     }
 
     /// The images the count-first encoder wrote, spelt out: the filter sized
@@ -1309,7 +1350,9 @@ pub(crate) mod tests {
             let es: Vec<(Vec<u8>, Entry)> =
                 table.into_iter().map(|(k, (v, tomb))| (k, entry(v, tomb))).collect();
             let want = count_first_images(&es);
-            for image in [encode(&es), TableImage::encode(bound, records_of(&es).into_iter())] {
+            let records = records_of(&es);
+            let bounded = TableImage::encode(bound, bound / 64, records.into_iter());
+            for image in [encode(&es), bounded] {
                 prop_assert!(image.images == want, "not the count-first images");
                 prop_assert_eq!(image.fences.records, es.len());
             }

@@ -26,8 +26,8 @@ doc:
 # kvbench, its own package, against the product crates:
 #   build; its self-tests
 #   sst_read: untraced, gets match the model, live tables as asserted, no op
-#     failed, and the heap peak — the gate on the cache log's dead bytes,
-#     which a rewrite keeps below its live ones
+#     failed, and the heap peak — the gate on the dead bytes of the cache's
+#     record log (log.rs), which a rewrite keeps below its live ones
 #   ingest: untraced, the heap peak — a flush's sort allocates a scratch
 #     buffer as long as its words, freed before the table's image is — and
 #     no op failed
@@ -44,18 +44,18 @@ doc:
 #   traced serve_resp: allocations per command, no op failed
 #   mem_mix: traced, allocations per op (a MemTable hit allocates its copy,
 #     a put nothing); untraced, whose result line alone carries it, the heap
-#     peak, most of it the MemTable's log and index; no op failed
+#     peak, most of it the table's record log and index (log.rs); no op failed
 #   cache_read: traced, allocations per op (a cache hit allocates nothing:
 #     its value is a slice of its chunk); untraced, the heap peak, most of it
-#     the cache's log, links and index; no op failed
+#     the same log and index, and the cache's 16-byte links; no op failed
 kvbench:
 	cargo build --release --offline --manifest-path kvbench/Cargo.toml
 	cargo test --release --offline --manifest-path kvbench/Cargo.toml
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 53.016069412231445,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 53.01602363586426,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload ingest --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 18.18591594696045,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 18.15571117401123,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload sst_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^core\.sstable\.backend_gets_per_get +0\.0000 ' \
@@ -79,13 +79,13 @@ kvbench:
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.4991 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload mem_mix --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.34285259246826,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 61.342806816101074,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 1) \
 		&& echo "$$out" | grep -E '^kvbench\.allocs_per_op +0\.0000 ' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 	out=$$(cargo run --release --offline --quiet --manifest-path kvbench/Cargo.toml -- --workload cache_read --seed 1 --seconds 1 --trace 0) \
-		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 35.13228225708008,' \
+		&& echo "$$out" | tail -n 1 | grep -F '"peak_heap_mb": {"value": 34.88613510131836,' \
 		&& echo "$$out" | tail -n 1 | grep -F '"failed": 0,'
 
 # `cargo xtask` is an alias (.cargo/config.toml) for the xtask binary, which

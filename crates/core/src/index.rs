@@ -1,17 +1,12 @@
-//! The one hash index of the store's in-memory tables: the MemTable's
-//! (`memtable.rs`) and the cache's (`lru.rs`). It holds no keys, as
-//! FASTER's does not: each key already lies in its record, in its owner's
-//! log.
+//! The one hash index of the store's in-memory tables, the MemTable's and
+//! the cache's, each over its record log (`log.rs`). It holds no keys, as
+//! FASTER's does not: each key already lies in its record.
 //!
-//! The index is an open-addressed table of 12-byte [`Slot`]s, each 32 bits
-//! of the key's hash ([`key_hash`], under `KeyHasher`, `key.rs`), a number
-//! its owner finds the record by — its place in a MemTable's log, or the
-//! number of a cache entry whose link holds the place — and, in a MemTable
-//! bound for other ranks, the owner rank.
-//! Probing is Robin Hood over a power-of-two capacity at most 7/8 full: a
-//! slot whose hash matches has its key checked where the key lies, by the
-//! closure the owner hands [`Index::find`], and a miss stops at the first
-//! slot nearer its home than the probe is to the key's. A table grows by
+//! A [`Slot`] is 12 bytes: 32 bits of the key's hash ([`key_hash`]), its
+//! record's place, and the table's tag. Probing is Robin Hood over a
+//! power-of-two capacity at most 7/8 full: a slot whose hash matches has its
+//! key checked where its record lies, and a miss stops at the first slot
+//! nearer its home than the probe is to the key's. A table grows by
 //! doubling, from [`FIRST_SLOTS`], each slot placed again by its stored hash
 //! without reading a key. A MemTable never removes a slot (a freeze takes
 //! the whole table); the cache removes one by shifting the slots after it
@@ -21,11 +16,9 @@
 use std::hash::{Hash, Hasher};
 
 use crate::key::KeyHasher;
-use crate::memtable::NO_OWNER;
 
-/// The number of nothing, marking a vacant slot: no owner keeps a key at
-/// it (a MemTable's log never uses its last chunk number, and a cache
-/// never holds 2^32 − 1 entries).
+/// The place of no record, marking a vacant slot: a log never uses its last
+/// chunk number.
 pub(crate) const VACANT: u32 = u32::MAX;
 
 /// Slots of an index's first table; each growth doubles them.
@@ -42,18 +35,18 @@ pub(crate) fn key_hash(key: &[u8]) -> u32 {
     hash
 }
 
-/// What the index keeps of a key: its hash, where its owner keeps the key
-/// (`at`), and the rank a staging MemTable's record is bound for
-/// ([`NO_OWNER`] in a local table and in the cache).
+/// What the index keeps of a key: its hash, its record's place (`at`), and
+/// the table's tag — the rank a staging MemTable's record is bound for
+/// (`memtable::NO_OWNER` in a local table), or the cache entry's number.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     pub(crate) hash: u32,
     pub(crate) at: u32,
-    pub(crate) owner: u32,
+    pub(crate) tag: u32,
 }
 
 impl Slot {
-    pub(crate) const VACANT: Slot = Slot { hash: 0, at: VACANT, owner: NO_OWNER };
+    pub(crate) const VACANT: Slot = Slot { hash: 0, at: VACANT, tag: VACANT };
 }
 
 /// Where a probe that found no match stopped: the slot a new key takes,
@@ -80,14 +73,14 @@ impl Index {
         pos.wrapping_sub(hash as usize) & mask
     }
 
-    /// The slot hashed `hash` whose number `matches`, and what `matches`
-    /// found there, walking from its home while each slot is at least as
-    /// far from its own home as the walk is; else where the walk stopped.
+    /// The slot hashed `hash` that `matches` (a table's checks the key at
+    /// its place), and what it found there, walking from its home while each
+    /// slot is at least as far from its own home; else where the walk ended.
     #[inline]
     pub(crate) fn find<T>(
         &self,
         hash: u32,
-        mut matches: impl FnMut(u32) -> Option<T>,
+        mut matches: impl FnMut(&Slot) -> Option<T>,
     ) -> Result<(usize, T), Vacancy> {
         let mask = self.slots.len().wrapping_sub(1);
         let (mut pos, mut dist) = (hash as usize & mask, 0);
@@ -96,7 +89,7 @@ impl Index {
                 break;
             }
             if slot.hash == hash {
-                if let Some(found) = matches(slot.at) {
+                if let Some(found) = matches(slot) {
                     return Ok((pos, found));
                 }
             }
@@ -105,10 +98,10 @@ impl Index {
         Err(Vacancy { pos, dist })
     }
 
-    /// The position of the slot hashed `hash` that holds number `at`: a
-    /// probe that compares numbers, not keys.
-    pub(crate) fn position(&self, hash: u32, at: u32) -> Option<usize> {
-        self.find(hash, |place| (place == at).then_some(())).ok().map(|(pos, ())| pos)
+    /// The position of the slot hashed `hash` that `matches`: a probe that
+    /// reads no record.
+    pub(crate) fn position(&self, hash: u32, matches: impl Fn(&Slot) -> bool) -> Option<usize> {
+        self.find(hash, |slot| matches(slot).then_some(())).ok().map(|(pos, ())| pos)
     }
 
     /// Where a new slot hashed `hash` goes: a probe that matches nothing
@@ -125,7 +118,7 @@ impl Index {
     /// Put `slot` where a probe for its key stopped: a slot there nearer
     /// its home than `slot` is to its own moves on, and the slot it
     /// displaces in turn, up to the first vacant one.
-    pub(crate) fn place(&mut self, Vacancy { mut pos, mut dist }: Vacancy, mut slot: Slot) {
+    fn place(&mut self, Vacancy { mut pos, mut dist }: Vacancy, mut slot: Slot) {
         let mask = self.slots.len() - 1;
         self.len += 1;
         while let Some(here) = self.slots.get_mut(pos) {
@@ -140,6 +133,16 @@ impl Index {
             }
             (pos, dist) = ((pos + 1) & mask, dist + 1);
         }
+    }
+
+    /// Put `slot` where a probe for its key stopped, at `vacancy`, first
+    /// doubling the table and probing again if one more would fill it.
+    pub(crate) fn insert(&mut self, vacancy: Vacancy, slot: Slot) {
+        if self.is_full() {
+            self.grow();
+            return self.place(self.vacancy(slot.hash), slot);
+        }
+        self.place(vacancy, slot);
     }
 
     /// Empty slot `pos`, shifting each slot after it back one, up to the
@@ -166,7 +169,7 @@ impl Index {
 
     /// Double the slots (to [`FIRST_SLOTS`] from none) and place each
     /// occupied one again by its stored hash.
-    pub(crate) fn grow(&mut self) {
+    fn grow(&mut self) {
         let size = FIRST_SLOTS.max(2 * self.slots.len());
         let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; size]);
         self.len = 0;
@@ -212,15 +215,12 @@ pub(crate) mod tests {
                 let hash_of = |n: u32| key_hash(&n.to_le_bytes());
                 let mut index = Index::default();
                 for n in 0..200 {
-                    if index.is_full() {
-                        index.grow();
-                    }
                     let hash = hash_of(n);
-                    index.place(index.vacancy(hash), Slot { hash, at: n, owner: NO_OWNER });
+                    index.insert(index.vacancy(hash), Slot { hash, at: n, tag: VACANT });
                 }
                 let mask = index.slots.len() - 1;
                 for n in (0..200).step_by(2) {
-                    let pos = index.position(hash_of(n), n).unwrap();
+                    let pos = index.position(hash_of(n), |s| s.at == n).unwrap();
                     let before: Vec<(u32, usize)> = index
                         .occupied()
                         .map(|(p, s)| (s.at, Index::distance(p, s.hash, mask)))
@@ -234,7 +234,11 @@ pub(crate) mod tests {
                 assert_eq!(index.len, 100);
                 assert_eq!(index.occupied().count(), 100);
                 for n in 0..200 {
-                    assert_eq!(index.position(hash_of(n), n).is_some(), n % 2 == 1, "{n}");
+                    assert_eq!(
+                        index.position(hash_of(n), |s| s.at == n).is_some(),
+                        n % 2 == 1,
+                        "{n}"
+                    );
                 }
             });
         }

@@ -1,9 +1,8 @@
 //! Keys: the one hash of the store's index (`index.rs`), which the
 //! MemTable and the cache both use, and the word-at-a-time comparisons of
 //! key order. No table keeps a key of its own type: a key lies in its
-//! record, in a MemTable's log, the cache's or an SSData image, and the
-//! index holds 32 bits of its [`KeyHasher`] hash and a number its owner
-//! finds the record by.
+//! record, in a table's log (`log.rs`) or an SSData image, and the index
+//! holds 32 bits of its [`KeyHasher`] hash and its record's place.
 //!
 //! Key order is byte order, and the two loops that make it — the flush's sort
 //! (`MemTable::records`) and the compaction's k-way merge (`sstable::merge`) —

@@ -86,6 +86,7 @@ pub mod error;
 pub mod hashfn;
 mod index;
 mod key;
+mod log;
 pub mod lru;
 pub mod memtable;
 pub mod msg;

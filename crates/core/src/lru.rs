@@ -4,27 +4,24 @@
 //! local and remote caches store key-value pairs fetched from SSTables and
 //! other remote MPI ranks, respectively."
 //!
-//! So it is a log of records in the SSData codec, in chunks sized as a
-//! MemTable's (`memtable.rs`), under the store's one keyless index
-//! (`index.rs`), whose slot holds a key's hash and its entry's number. An
-//! entry is a 20-byte link in a dense array: its neighbours in the recency
-//! ring and its record's place, hash and logical size, so an eviction, an
-//! invalidation and a rewrite read the links and the index, and a hit its
-//! slot, its link and the line of its record where the key is checked. A
-//! record is never overwritten: a fill or a replace appends, a removal
-//! counts its bytes dead. A chunk is frozen (`BytesMut::freeze`, no copy)
-//! when a record does not fit it or a hit lands in it, so a hit's value is a
-//! slice of its chunk: no allocation, and nothing a caller holds changes.
-//! The unused room of a frozen chunk counts dead, and dead bytes reaching
-//! live ones start a rewrite (`LruCache::rewrite`). Byte accounting is
-//! logical, key and value bytes, so the capacity, eviction order, hits and
-//! misses are those of a cache of pairs.
+//! So it is one (`log.rs`): the same record log under the same index, in
+//! chunks of its own kind (`CacheChunk`), so that a hit's value is a slice
+//! of its frozen chunk — no allocation, and nothing a caller holds changes.
+//! A slot's tag is its entry's number; an entry is a 16-byte link in a
+//! dense array — its recency-ring neighbours, its key's hash and its
+//! logical size — so an eviction finds its victim's slot by hash and number
+//! and reads no record. A fill or a replace appends; a
+//! removal counts the record dead. Byte accounting is logical, key and value
+//! bytes, so the capacity, eviction order, hits and misses are those of a
+//! cache of pairs.
 
-use bytes::{Bytes, BytesMut};
+use std::ops::Deref;
 
-use crate::index::{key_hash, Index, Slot, Vacancy};
-use crate::memtable::{CHUNK, CHUNK_BITS, FIRST_CHUNK, NO_OWNER};
-use crate::sstable::{encoded_at, Encoded, PutRecord, Record, RECORD_HEADER};
+use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::index::{key_hash, Index, Slot};
+use crate::log::{split, Chunk, Log};
+use crate::sstable::{Record, RECORD_HEADER};
 
 /// A cached lookup result: either a value or a cached tombstone (the key is
 /// known deleted — caching this avoids re-searching SSTables for it).
@@ -48,105 +45,86 @@ impl CacheEntry {
     }
 }
 
-/// The number of no entry — the ring's ends, the free chain's — and the
-/// place of a free entry's record.
+/// A chunk of the cache's log, with the bytes of its live records: open,
+/// written at its end, while it is the last; frozen whole
+/// (`BytesMut::freeze`, no copy), its unused room zeroed and counted dead,
+/// once the log moves past it or a hit lands in it. A rewrite copies it if
+/// it is at most half live.
+#[derive(Debug)]
+pub(crate) enum CacheChunk {
+    Open(BytesMut, usize),
+    Frozen(Bytes, usize),
+}
+
+impl Default for CacheChunk {
+    fn default() -> Self {
+        Self::Frozen(Bytes::new(), 0)
+    }
+}
+
+impl Deref for CacheChunk {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Self::Open(open, _) => open,
+            Self::Frozen(frozen, _) => frozen,
+        }
+    }
+}
+
+impl Chunk for CacheChunk {
+    fn with_room(size: usize) -> Self {
+        Self::Open(BytesMut::with_capacity(size), 0)
+    }
+
+    fn room(&mut self, len: usize) -> Option<&mut impl BufMut> {
+        match self {
+            Self::Open(open, _) if open.capacity() - open.len() >= len => Some(open),
+            _ => None,
+        }
+    }
+
+    fn close(&mut self) -> usize {
+        let Self::Open(open, live) = self else { return 0 };
+        let (mut open, live) = (std::mem::take(open), *live);
+        let room = open.capacity() - open.len();
+        open.resize(open.capacity(), 0);
+        *self = Self::Frozen(open.freeze(), live);
+        room
+    }
+
+    fn live(&mut self) -> Option<&mut usize> {
+        let (Self::Open(_, live) | Self::Frozen(_, live)) = self;
+        Some(live)
+    }
+
+    fn copied(&self) -> bool {
+        let (Self::Open(_, live) | Self::Frozen(_, live)) = self;
+        2 * *live <= self.len()
+    }
+}
+
+/// The number of no entry: the ring's ends, the free chain's.
 const NONE: u32 = u32::MAX;
 
 /// An entry: its neighbours by number, `prev` more recent and `next` less
-/// (a free entry's `next` is the next free one), and its record's place in
-/// the log ([`NONE`] if free), its key's hash and its size, key and value
-/// bytes.
+/// (a free entry's `next` is the next free one), its key's hash and its
+/// size, key and value bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Link {
     pub(crate) prev: u32,
     pub(crate) next: u32,
-    pub(crate) at: u32,
     pub(crate) hash: u32,
     pub(crate) size: u32,
-}
-
-impl Link {
-    /// Bytes of its record, encoded.
-    fn encoded_len(self) -> usize {
-        RECORD_HEADER + self.size as usize
-    }
-}
-
-/// The chunk number of place `at`, and the offset in it.
-fn split(at: u32) -> (usize, usize) {
-    ((at >> CHUNK_BITS) as usize, at as usize & (CHUNK - 1))
-}
-
-/// The records: `frozen` chunks, then the `open` one, written at its end
-/// (none while it has no capacity). `live` bytes are records a link names,
-/// `dead` ones what else the chunks hold.
-#[derive(Debug, Default)]
-struct Log {
-    frozen: Vec<Bytes>,
-    open: BytesMut,
-    /// Capacity of the next chunk opened; 0 for the first size.
-    next: usize,
-    live: usize,
-    dead: usize,
-}
-
-impl Log {
-    /// The record at `at`.
-    fn record(&self, at: u32) -> Option<Encoded<'_>> {
-        let (n, pos) = split(at);
-        match self.frozen.get(n) {
-            Some(chunk) => encoded_at(chunk, pos),
-            None => encoded_at(&self.open, pos).filter(|_| n == self.frozen.len()),
-        }
-    }
-
-    /// Append `rec`, `len` bytes encoded: its place. The open chunk takes it
-    /// if it has room; else it is frozen, and a new chunk takes it, the next
-    /// size up or, for a record larger than that, the record's own size.
-    fn append<'a>(&mut self, rec: impl PutRecord<'a>, len: usize) -> u32 {
-        if self.open.capacity() - self.open.len() < len {
-            self.freeze(false);
-            let size = self.next.max(FIRST_CHUNK);
-            self.next = CHUNK.min(2 * size);
-            self.open = BytesMut::with_capacity(size.max(len));
-        }
-        let n = self.frozen.len();
-        // The last chunk number is never used: no place is NONE.
-        assert!(n + 1 < 1 << (u32::BITS - CHUNK_BITS), "a cache log past 4 GiB");
-        self.live += len;
-        let at = (n << CHUNK_BITS | self.open.len()) as u32;
-        rec.put_into(&mut self.open);
-        at
-    }
-
-    /// Freeze the open chunk, if there is one, whole, its unused room
-    /// counted dead; after one frozen `early`, by a hit, the next chunk is
-    /// of the first size.
-    fn freeze(&mut self, early: bool) {
-        let mut open = std::mem::take(&mut self.open);
-        if open.capacity() > 0 {
-            self.dead += open.capacity() - open.len();
-            open.resize(open.capacity(), 0);
-            self.frozen.push(open.freeze());
-        }
-        if early {
-            self.next = 0;
-        }
-    }
-
-    /// Count a record of `len` bytes dead.
-    fn kill(&mut self, len: usize) {
-        self.live -= len;
-        self.dead += len;
-    }
 }
 
 /// Byte-bounded LRU map from keys to [`CacheEntry`].
 #[derive(Debug)]
 pub struct LruCache {
-    index: Index,
+    pub(crate) index: Index,
+    pub(crate) log: Log<CacheChunk>,
     links: Vec<Link>,
-    log: Log,
     free: u32,
     head: u32, // most recent; its `prev` is the least recent
     bytes: u64,
@@ -158,15 +136,15 @@ pub struct LruCache {
 #[allow(
     clippy::indexing_slicing,
     reason = "an entry number comes from the index or the ring, the links never shrink, and a \
-              live link's place is in a chunk that exists"
+              slot's place is in a chunk that exists"
 )]
 impl LruCache {
     /// Cache bounded to `capacity` bytes of key+value payload.
     pub fn new(capacity: u64) -> Self {
         Self {
             index: Index::default(),
-            links: Vec::new(),
             log: Log::default(),
+            links: Vec::new(),
             free: NONE,
             head: NONE,
             bytes: 0,
@@ -236,50 +214,32 @@ impl LruCache {
         }
     }
 
-    /// The position of the slot holding `key`, and its entry's number. An
-    /// empty cache hashes nothing.
-    pub(crate) fn slot_of(&self, key: &[u8]) -> Option<(usize, u32)> {
-        if self.is_empty() {
-            return None;
-        }
-        self.find(key_hash(key), key).ok()
-    }
-
-    /// A probe for `key`, hashed `hash`, each matching hash checked against
-    /// the key of its entry's record.
-    fn find(&self, hash: u32, key: &[u8]) -> Result<(usize, u32), Vacancy> {
-        let (links, log) = (&self.links, &self.log);
-        let matches = |i: u32| log.record(links[i as usize].at).filter(|enc| enc.rec.key == key);
-        self.index.find(hash, |i| matches(i).map(|_| i))
-    }
-
     /// Look up and promote to most-recently-used.
     pub fn get(&mut self, key: &[u8]) -> Option<CacheEntry> {
-        let Some((_, i)) = self.slot_of(key) else {
+        let Some((pos, rec)) = self.log.lookup(&self.index, key) else {
             self.misses += 1;
             return None;
         };
+        let (Slot { at, tag: i, .. }, len, tombstone) =
+            (self.index.slots[pos], rec.value.len(), rec.tombstone);
+        let (n, offset) = split(at);
+        // A hit freezes the open chunk, the last, to slice it.
+        if let CacheChunk::Open(..) = self.log.chunks[n] {
+            self.log.close(true);
+        }
+        let CacheChunk::Frozen(chunk, _) = &self.log.chunks[n] else { return None };
+        let start = offset + RECORD_HEADER + key.len();
+        let value = chunk.slice(start..start + len);
         self.hits += 1;
         self.promote(i);
-        let Link { at, size, .. } = self.links[i as usize];
-        let (n, pos) = split(at);
-        // Only a frozen chunk is sliced: the open one is frozen first.
-        if n == self.log.frozen.len() {
-            self.log.freeze(true);
-        }
-        let chunk = &self.log.frozen[n];
-        let start = pos + RECORD_HEADER + key.len();
-        let value = chunk.slice(start..pos + RECORD_HEADER + size as usize);
-        let entry = CacheEntry { value, tombstone: chunk[pos + RECORD_HEADER - 1] != 0 };
-        self.tidy();
-        Some(entry)
+        self.log.tidy(&mut self.index);
+        Some(CacheEntry { value, tombstone })
     }
 
     /// Peek without promoting or counting (tests/diagnostics): the record
     /// in the log.
     pub fn peek(&self, key: &[u8]) -> Option<Record<'_>> {
-        let (_, i) = self.slot_of(key)?;
-        self.log.record(self.links[i as usize].at).map(|enc| enc.rec)
+        self.log.lookup(&self.index, key).map(|(_, rec)| rec)
     }
 
     /// Insert or replace; evicts LRU entries until the new total fits.
@@ -298,57 +258,49 @@ impl LruCache {
             self.invalidate(key);
             return;
         };
+        // A replace is a removal and a fill; the entry's number comes back.
         let hash = key_hash(key);
-        let i = match self.find(hash, key) {
-            Ok((_, i)) => {
-                let old = self.links[i as usize];
-                self.log.kill(old.encoded_len());
-                self.bytes -= u64::from(old.size);
-                self.unlink(i);
-                i
+        let vacancy = match self.log.find(&self.index, hash, key) {
+            Ok((pos, _)) => {
+                self.remove(pos);
+                self.index.vacancy(hash)
             }
-            Err(vacancy) => {
-                let vacancy = if self.index.is_full() {
-                    self.index.grow();
-                    self.index.vacancy(hash)
-                } else {
-                    vacancy
-                };
-                let i = match self.links.get(self.free as usize) {
-                    Some(free) => std::mem::replace(&mut self.free, free.next),
-                    None => {
-                        self.links.push(Link { prev: NONE, next: NONE, at: NONE, hash, size: 0 });
-                        (self.links.len() - 1) as u32
-                    }
-                };
-                self.index.place(vacancy, Slot { hash, at: i, owner: NO_OWNER });
-                i
+            Err(vacancy) => vacancy,
+        };
+        let i = match self.links.get(self.free as usize) {
+            Some(free) => std::mem::replace(&mut self.free, free.next),
+            None => {
+                self.links.push(Link { prev: NONE, next: NONE, hash, size: 0 });
+                (self.links.len() - 1) as u32
             }
         };
         let at = self.log.append(rec, RECORD_HEADER + size);
+        self.index.insert(vacancy, Slot { hash, at, tag: i });
         let link = &mut self.links[i as usize];
-        (link.at, link.hash, link.size) = (at, hash, size32);
+        (link.hash, link.size) = (hash, size32);
         self.push_front(i);
         self.bytes += size as u64;
         while self.bytes > self.capacity {
-            // The least recent entry's slot is found by its hash and number.
+            // The least recent entry's slot, found by its hash and number.
             let i = self.links[self.head as usize].prev;
-            if let Some(pos) = self.index.position(self.links[i as usize].hash, i) {
-                self.index.remove(pos);
-            }
-            self.release(i);
+            let Some(pos) = self.index.position(self.links[i as usize].hash, |s| s.tag == i) else {
+                break;
+            };
+            self.remove(pos);
         }
-        self.tidy();
+        self.log.tidy(&mut self.index);
     }
 
-    /// Unlink entry `i`, whose slot is gone, count its bytes out and its
-    /// record dead, and chain it first on the free list.
-    fn release(&mut self, i: u32) {
+    /// Empty slot `pos`: unlink its entry, count its bytes out and its
+    /// record dead, and chain the entry first on the free list.
+    fn remove(&mut self, pos: usize) {
+        let Slot { at, tag: i, .. } = self.index.slots[pos];
+        self.index.remove(pos);
         self.unlink(i);
         let link = &mut self.links[i as usize];
         self.bytes -= u64::from(link.size);
-        self.log.kill(link.encoded_len());
-        (link.at, link.next) = (NONE, self.free);
+        self.log.kill(at, RECORD_HEADER + link.size as usize);
+        link.next = self.free;
         self.free = i;
     }
 
@@ -356,10 +308,9 @@ impl LruCache {
     /// stale-entry eviction on put (paper §2.4: "a stale cache entry that
     /// has the same key as the new key-value pair is evicted").
     pub fn invalidate(&mut self, key: &[u8]) -> bool {
-        let Some((pos, i)) = self.slot_of(key) else { return false };
-        self.index.remove(pos);
-        self.release(i);
-        self.tidy();
+        let Some((pos, _)) = self.log.lookup(&self.index, key) else { return false };
+        self.remove(pos);
+        self.log.tidy(&mut self.index);
         true
     }
 
@@ -368,83 +319,20 @@ impl LruCache {
         *self = Self { hits: self.hits, misses: self.misses, ..Self::new(self.capacity) };
     }
 
-    /// Rewrite the log once its dead bytes reach its live ones.
-    fn tidy(&mut self) {
-        if self.log.dead > 0 && self.log.dead >= self.log.live {
-            self.rewrite();
-        }
-    }
-
-    /// Freeze the open chunk, copy the live records of every chunk at most
-    /// half live to the log's end, in log order, drop those chunks and
-    /// number the rest from 0 again. Dead bytes are then fewer than live
-    /// ones: a chunk kept is more than half live, and a chunk the copies
-    /// filled was closed by a live record too long for its room. A record is
-    /// live if a link names its place; the index holds entry numbers, so it
-    /// is untouched.
-    fn rewrite(&mut self) {
-        let log = &mut self.log;
-        log.freeze(false);
-        let mut used = vec![0; log.frozen.len()];
-        for link in self.links.iter().filter(|link| link.at != NONE) {
-            used[split(link.at).0] += link.encoded_len();
-        }
-        let sparse: Vec<bool> =
-            log.frozen.iter().zip(&used).map(|(chunk, &used)| 2 * used <= chunk.len()).collect();
-        let mut moving: Vec<u64> = (self.links.iter().zip(0u32..))
-            .filter(|(link, _)| link.at != NONE && sparse[split(link.at).0])
-            .map(|(link, i)| u64::from(link.at) << 32 | u64::from(i))
-            .collect();
-        moving.sort_unstable();
-        let mut old = vec![Bytes::new(); sparse.len()];
-        for (n, _) in sparse.iter().enumerate().filter(|(_, &sparse)| sparse) {
-            old[n] = std::mem::take(&mut log.frozen[n]);
-            log.dead -= old[n].len() - used[n];
-            log.live -= used[n];
-        }
-        for record in moving {
-            let (n, pos) = split((record >> 32) as u32);
-            let link = &mut self.links[record as u32 as usize];
-            link.at = encoded_at(&old[n], pos).map_or(NONE, |enc| log.append(enc, enc.bytes.len()));
-        }
-        // Number the chunks left from 0, the open one last.
-        let number: Vec<u32> = (log.frozen.iter().map(|chunk| u32::from(!chunk.is_empty())))
-            .chain([1])
-            .scan(0, |kept, keep| Some(std::mem::replace(kept, *kept + keep) << CHUNK_BITS))
-            .collect();
-        log.frozen.retain(|chunk| !chunk.is_empty());
-        for link in self.links.iter_mut().filter(|link| link.at != NONE) {
-            let (n, pos) = split(link.at);
-            link.at = number[n] | pos as u32;
-        }
-    }
-
-    /// The index's occupied slots, each with its position, the hash it
-    /// keeps, and the key of its entry's record (empty if there is none;
-    /// the auditor checks the hash).
-    pub(crate) fn keys(&self) -> impl Iterator<Item = (usize, u32, &[u8])> {
-        self.index.occupied().map(|(pos, slot)| {
-            let at = self.links.get(slot.at as usize).map_or(NONE, |link| link.at);
-            (pos, slot.hash, self.log.record(at).map(|enc| enc.rec.key).unwrap_or_default())
-        })
-    }
-
-    /// The log's live and dead bytes as counted, and the bytes its chunks
-    /// hold: every frozen one whole, the open one as far as it is written.
-    pub(crate) fn log_bytes(&self) -> (usize, usize, usize) {
-        let held = self.log.frozen.iter().map(Bytes::len).sum::<usize>() + self.log.open.len();
-        (self.log.live, self.log.dead, held)
-    }
-
     /// The recency ring as its `next` links hold it, from the most recent
     /// entry up to the first that leads back to it: each entry's number,
-    /// link and the record at its place, if one is there. The walk takes at
-    /// most one step more than there are entries, so a ring that does not
-    /// close shows as a list too long.
+    /// link and the record at its slot's place, if it has a slot (found by
+    /// hash and number) and a record is there. The walk takes at most one
+    /// step more than there are entries, so a ring that does not close
+    /// shows as a list too long.
     pub(crate) fn recency(&self) -> impl Iterator<Item = (u32, Link, Option<Record<'_>>)> {
         let head = self.head;
         let ring = self.chain(head).enumerate().take_while(move |&(n, (i, _))| n == 0 || i != head);
-        ring.map(|(_, (i, link))| (i, link, self.log.record(link.at).map(|enc| enc.rec)))
+        ring.map(|(_, (i, link))| {
+            let slot = self.index.position(link.hash, |s| s.tag == i);
+            let record = slot.and_then(|pos| self.log.record(self.index.slots[pos].at));
+            (i, link, record.map(|enc| enc.rec))
+        })
     }
 
     /// The numbers of the free entries.
@@ -468,6 +356,7 @@ impl LruCache {
 mod tests {
     use super::*;
     use crate::index::tests::with_hash_bits;
+    use crate::log::{CHUNK, FIRST_CHUNK};
     use crate::sanity::{audit_cache, AuditReport, ViolationKind};
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -481,17 +370,31 @@ mod tests {
         (key.len() + e.value.len()) as u64
     }
 
-    /// Bytes the log's chunks take: every frozen one whole, the open one
-    /// to its capacity.
+    /// Bytes a chunk takes: a frozen one whole, an open one to its
+    /// capacity.
+    fn capacity(chunk: &CacheChunk) -> usize {
+        match chunk {
+            CacheChunk::Open(open, _) => open.capacity(),
+            CacheChunk::Frozen(frozen, _) => frozen.len(),
+        }
+    }
+
+    /// Bytes the log's chunks take.
     fn log_capacity(c: &LruCache) -> usize {
-        c.log.frozen.iter().map(Bytes::len).sum::<usize>() + c.log.open.capacity()
+        c.log.chunks.iter().map(capacity).sum()
+    }
+
+    /// The position of `key`'s slot, and its entry's number.
+    fn slot_of(c: &LruCache, key: &[u8]) -> (usize, u32) {
+        let (pos, _) = c.log.lookup(&c.index, key).unwrap();
+        (pos, c.index.slots[pos].tag)
     }
 
     /// An eviction reads the index and the links alone: each link holds
-    /// its ring neighbours and its record's place, hash and size.
+    /// its ring neighbours and its key's hash and size.
     #[test]
-    fn a_link_is_twenty_bytes() {
-        assert_eq!(std::mem::size_of::<Link>(), 20);
+    fn a_link_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Link>(), 16);
     }
 
     #[test]
@@ -596,26 +499,24 @@ mod tests {
         assert!(c.links.len() <= 16, "{} links", c.links.len());
     }
 
-    /// Chunks grow from the first size to a full one, a record larger than
-    /// a chunk gets one of its own, and a hit freezes the chunk it lands in:
-    /// the next record opens a chunk of the first size, and the frozen one
-    /// keeps its unused room, counted dead.
+    /// A hit freezes the chunk it lands in: the frozen one keeps its unused
+    /// room, counted dead, and the next record opens a chunk of the first
+    /// size. A record in a chunk of its own is a hit too.
     #[test]
-    fn chunks_grow_and_a_hit_freezes_its_chunk() {
+    fn a_hit_freezes_its_chunk() {
         let mut c = LruCache::new(1 << 30);
         (0..400u32).for_each(|i| c.insert(&i.to_be_bytes(), entry(&[0; 87]))); // 100-byte records
-        let sizes: Vec<usize> = c.log.frozen.iter().map(Bytes::len).collect();
-        assert_eq!(sizes[..6], [512, 1024, 2048, 4096, 8192, CHUNK]);
-        assert_eq!(c.log.open.capacity(), CHUNK);
-        let (dead, written) = (c.log.dead, c.log.open.len());
+        let Some(CacheChunk::Open(open, _)) = c.log.chunks.last() else { panic!("no open chunk") };
+        let (dead, room) = (c.log.dead, open.capacity() - open.len());
         assert!(c.get(&399u32.to_be_bytes()).is_some());
-        assert_eq!(c.log.dead, dead + CHUNK - written);
-        assert_eq!(c.log.open.capacity(), 0);
+        assert_eq!(c.log.dead, dead + room);
+        assert!(
+            matches!(c.log.chunks.last(), Some(CacheChunk::Frozen(frozen, _)) if frozen.len() == CHUNK)
+        );
         c.insert(b"next", entry(b"v"));
-        assert_eq!(c.log.open.capacity(), FIRST_CHUNK);
+        assert_eq!(c.log.chunks.last().map(capacity), Some(FIRST_CHUNK));
         let big = Bytes::from(vec![7; CHUNK + 1]);
         c.insert(b"big", CacheEntry::value(big.clone()));
-        assert_eq!(c.log.open.capacity(), RECORD_HEADER + 3 + CHUNK + 1);
         assert_eq!(c.get(b"big").unwrap().value, big);
     }
 
@@ -866,7 +767,7 @@ mod tests {
 
     /// The auditor reads the index, the ring and the log: a slot whose hash
     /// is not its key's, an entry whose `prev` is not the entry before it, a
-    /// byte count the records do not add up to, a link whose place holds
+    /// byte count the records do not add up to, a slot whose place holds
     /// another key's record, a link whose size is not its record's, and a
     /// dead-byte count the chunks do not add up to are each an `LsmState`
     /// fault.
@@ -891,13 +792,13 @@ mod tests {
         assert_eq!(faults(&cache()), Vec::<String>::new());
 
         let mut wrong = cache();
-        let (pos, _) = wrong.slot_of(b"c").unwrap();
+        let (pos, _) = slot_of(&wrong, b"c");
         wrong.index.slots[pos].hash ^= 1 << 31;
         let got = faults(&wrong);
         assert!(got.iter().any(|d| d.contains(&format!("slot {pos} keeps hash"))), "{got:?}");
 
         let mut broken = cache();
-        let (_, i) = broken.slot_of(b"c").unwrap();
+        let (_, i) = slot_of(&broken, b"c");
         broken.links[i as usize].prev = i;
         let got = faults(&broken);
         assert!(got.iter().any(|d| d.contains(&format!("entry {i} links back to {i}"))), "{got:?}");
@@ -908,14 +809,14 @@ mod tests {
         assert!(got.iter().any(|d| d.contains("recount 8, tracked 9")), "{got:?}");
 
         let mut misplaced = cache();
-        let (_, i) = misplaced.slot_of(b"c").unwrap();
-        let (_, j) = misplaced.slot_of(b"d").unwrap();
-        misplaced.links[i as usize].at = misplaced.links[j as usize].at;
+        let (pos, i) = slot_of(&misplaced, b"c");
+        let (to, _) = slot_of(&misplaced, b"d");
+        misplaced.index.slots[pos].at = misplaced.index.slots[to].at;
         let got = faults(&misplaced);
         assert!(got.iter().any(|d| d.contains(&format!("entry {i} keeps hash"))), "{got:?}");
 
         let mut missized = cache();
-        let (_, i) = missized.slot_of(b"c").unwrap();
+        let (_, i) = slot_of(&missized, b"c");
         missized.links[i as usize].size += 1;
         let got = faults(&missized);
         assert!(got.iter().any(|d| d.contains(&format!("entry {i} keeps hash"))), "{got:?}");

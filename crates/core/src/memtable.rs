@@ -4,28 +4,18 @@
 //! and immutable remote. All four share this one structure: a log of
 //! records plus a hash index and byte accounting (DESIGN §1). The paper's
 //! MemTable is a red-black tree, kept ordered for the one reader that needs
-//! order, the flush; here it is rskv's layout, an append log and a hash
-//! index over it (SNIPPETS.md #1–2):
+//! order, the flush; here it is an append log and a hash index over it, as
+//! the cache is (`lru.rs`):
 //!
-//! * **The log** holds every record in the one SSData codec
-//!   (`sstable::put_record`), back to back in chunks of at most [`CHUNK`]
-//!   bytes — the first small, each next twice the last — so it never
-//!   reallocates and a table of a few records costs a few hundred bytes. A
-//!   record larger than a chunk gets a chunk of its own.
-//! * **The index** holds no keys, as FASTER's does not: the key is in the
-//!   log already. It is the store's one hash index (`index.rs`), which the
-//!   cache uses too: 12-byte slots, each 32 bits of the key's hash, its
-//!   record's place in the log and, in a staging table, the rank the record
-//!   is bound for, probed Robin Hood at most 7/8 full. A slot whose hash
-//!   matches has its key checked where its record lies. A MemTable never
-//!   removes a slot: a freeze takes the whole table. A put or a get is one
-//!   probe, which also finds where a new key goes.
+//! * **The log** (`log.rs`) holds every record in the one SSData codec, in
+//!   `Vec<u8>` chunks; **the index** (`index.rs`) holds no keys, and a
+//!   slot's tag is the rank a staging table's record is bound for. A put or
+//!   a get is one probe, which also finds where a new key goes. A MemTable
+//!   never removes a slot: a freeze takes the whole table.
 //! * **An update** of the same length — a new value as long as the old, or
 //!   a tombstone over a tombstone or an empty value — overwrites its record
 //!   in place. Any other update appends, and the old record's bytes are
-//!   dead; once dead bytes reach live bytes the log is rewritten, its live
-//!   records copied in log order into fresh chunks, each old chunk freed as
-//!   soon as it has been walked.
+//!   dead until the log is rewritten.
 //! * **A get** copies its value out (`Record::outcome`, as an SSTable get
 //!   does), so no caller ever holds a view into the log, and an in-place
 //!   update changes nothing anyone was handed.
@@ -49,7 +39,9 @@ use bytes::Bytes;
 
 use crate::index::{key_hash, Index, Slot};
 use crate::key::{abbrev, shared_len};
-use crate::sstable::{encoded_at, overwrite_at, Encoded, PutRecord, Record, RECORD_HEADER};
+use crate::log::Log;
+pub use crate::log::CHUNK;
+use crate::sstable::{Encoded, PutRecord, Record, RECORD_HEADER};
 
 /// Fixed per-entry metadata overhead counted against the MemTable capacity
 /// (the paper's tree node links, tombstone flag, owner rank). A log has no
@@ -59,15 +51,6 @@ pub const ENTRY_OVERHEAD: u64 = 24;
 
 /// Marker for entries in local MemTables, which carry no owner rank.
 pub const NO_OWNER: u32 = u32::MAX;
-
-/// Bytes of a full chunk of a MemTable's log: a record's place in the log
-/// is its chunk's number above the low `CHUNK_BITS` bits and its offset in
-/// the chunk below them, in 32 bits.
-pub const CHUNK: usize = 1 << CHUNK_BITS;
-pub(crate) const CHUNK_BITS: u32 = 14;
-/// Bytes of a log's first chunk; each next one holds twice the last, up to
-/// [`CHUNK`].
-pub(crate) const FIRST_CHUNK: usize = 512;
 
 /// Keys from which a table's key order is made by a radix sort of its
 /// words rather than a comparison sort. The radix sort pays a fixed cost —
@@ -115,82 +98,11 @@ impl Entry {
     }
 }
 
-/// The records of a table, in chunks, and their byte counts: `live` bytes
-/// the index points at, `dead` bytes of records it no longer does.
-#[derive(Debug, Default)]
-struct Log {
-    chunks: Vec<Vec<u8>>,
-    live: usize,
-    dead: usize,
-}
-
-impl Log {
-    /// The record at `at`.
-    fn encoded(&self, at: u32) -> Option<Encoded<'_>> {
-        let chunk = self.chunks.get((at >> CHUNK_BITS) as usize)?;
-        encoded_at(chunk, (at as usize) & (CHUNK - 1))
-    }
-
-    /// Append `rec`, `len` bytes encoded: its place. The last chunk takes it
-    /// if it has room; otherwise a new chunk does, the next size up or, for
-    /// a record larger than that, the record's own size.
-    #[allow(clippy::indexing_slicing, reason = "the last chunk has room or was just pushed")]
-    fn append<'a>(&mut self, rec: impl PutRecord<'a>, len: usize) -> u32 {
-        let room = |chunk: &Vec<u8>| chunk.len() < CHUNK && chunk.capacity() - chunk.len() >= len;
-        if !self.chunks.last().is_some_and(room) {
-            let n = self.chunks.len();
-            // The last chunk number is never used: no place is VACANT.
-            assert!(n + 1 < 1 << (u32::BITS - CHUNK_BITS), "a MemTable log past 4 GiB");
-            let size = CHUNK.min(FIRST_CHUNK << n.min(CHUNK_BITS as usize));
-            self.chunks.push(Vec::with_capacity(size.max(len)));
-        }
-        let n = self.chunks.len() - 1;
-        let chunk = &mut self.chunks[n];
-        let at = (n << CHUNK_BITS | chunk.len()) as u32;
-        rec.put_into(chunk);
-        at
-    }
-
-    /// The key of the log's first record: a key of the table, if it has
-    /// any, since a key once put stays a key of the table and the log
-    /// holds a record of it.
-    fn first_key(&self) -> &[u8] {
-        self.encoded(0).map(|enc| enc.rec.key).unwrap_or_default()
-    }
-
-    /// Every record the log holds, dead or live, with its place, in log
-    /// order.
-    fn walk(&self) -> impl Iterator<Item = (u32, Encoded<'_>)> {
-        self.chunks.iter().enumerate().flat_map(|(n, chunk)| {
-            let mut pos = 0;
-            std::iter::from_fn(move || {
-                let enc = encoded_at(chunk, pos)?;
-                let at = (n << CHUNK_BITS | pos) as u32;
-                pos += enc.bytes.len();
-                Some((at, enc))
-            })
-        })
-    }
-
-    /// The record at `at`, if it is `key`'s.
-    fn record_of(&self, at: u32, key: &[u8]) -> Option<Record<'_>> {
-        self.encoded(at).map(|enc| enc.rec).filter(|rec| rec.key == key)
-    }
-
-    /// Overwrite the record at `at` with `value` if its value is as long
-    /// (`sstable::overwrite_at`): the length of the record there, encoded,
-    /// 0 if there is none.
-    fn overwrite(&mut self, at: u32, value: &[u8], tombstone: bool) -> usize {
-        let Some(chunk) = self.chunks.get_mut((at >> CHUNK_BITS) as usize) else { return 0 };
-        overwrite_at(chunk, (at as usize) & (CHUNK - 1), value, tombstone).unwrap_or(0)
-    }
-}
-
 /// An in-memory, byte-accounted table of records, iterated in key order.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    index: Index,
-    log: Log,
+    pub(crate) index: Index,
+    pub(crate) log: Log<Vec<u8>>,
     bytes: u64,
     /// Length of the prefix every key of the table shares.
     prefix: usize,
@@ -220,17 +132,6 @@ impl MemTable {
         self.bytes
     }
 
-    /// Bytes of the table's live records, encoded: what a flush of it
-    /// writes as SSData.
-    pub(crate) fn encoded_len(&self) -> usize {
-        self.log.live
-    }
-
-    /// Bytes of records the log still holds that no key points at.
-    pub(crate) fn dead_len(&self) -> usize {
-        self.log.dead
-    }
-
     /// Insert or replace. "If another key-value pair that has the same key
     /// already exists, PapyrusKV deletes the old one before it inserts the
     /// new one" (§2.4).
@@ -245,23 +146,20 @@ impl MemTable {
         let Record { key, value, .. } = rec.record();
         let len = RECORD_HEADER + key.len() + value.len();
         let hash = key_hash(key);
-        let log = &self.log;
-        let vacancy = match self.index.find(hash, |at| log.record_of(at, key)) {
+        let vacancy = match self.log.find(&self.index, hash, key) {
             Ok((pos, _)) => return self.update(pos, rec, len, owner),
-            Err(_) if self.index.is_full() => {
-                self.index.grow();
-                self.index.vacancy(hash)
-            }
             Err(vacancy) => vacancy,
         };
         self.prefix = if self.is_empty() {
             key.len()
         } else {
-            shared_len(self.log.first_key().get(..self.prefix).unwrap_or_default(), key)
+            // The log's first record is of a key of the table: a key once
+            // put stays one, and the log holds a record of it.
+            let first = self.log.record(0).map(|enc| enc.rec.key).unwrap_or_default();
+            shared_len(first.get(..self.prefix).unwrap_or_default(), key)
         };
         let at = self.log.append(rec, len);
-        self.index.place(vacancy, Slot { hash, at, owner });
-        self.log.live += len;
+        self.index.insert(vacancy, Slot { hash, at, tag: owner });
         self.bytes += (key.len() + value.len()) as u64 + ENTRY_OVERHEAD;
     }
 
@@ -270,54 +168,24 @@ impl MemTable {
     fn update<'a>(&mut self, pos: usize, rec: impl PutRecord<'a>, len: usize, owner: u32) {
         let Record { value, tombstone, .. } = rec.record();
         let Some(slot) = self.index.slots.get_mut(pos) else { return };
-        slot.owner = owner;
+        slot.tag = owner;
         // Same key: the record is as long as the old one if the value is.
         let old = self.log.overwrite(slot.at, value, tombstone);
         if old == len {
             return;
         }
-        slot.at = self.log.append(rec, len);
-        self.log.live = self.log.live + len - old;
-        self.log.dead += old;
+        let was = std::mem::replace(&mut slot.at, self.log.append(rec, len));
+        self.log.kill(was, old);
         // Same key: the logical size moves by what the value's length does.
         self.bytes = self.bytes + len as u64 - old as u64;
-        if self.log.dead >= self.log.live {
-            self.rewrite();
-        }
-    }
-
-    /// Copy the live records into a fresh log, in log order, freeing each
-    /// old chunk once it has been walked: the log never holds more than it
-    /// did before the rewrite and one new chunk. A record is live if the
-    /// slot of its hash and place is still there; a key's live record is
-    /// the last of its records in log order, so its slot has not moved yet
-    /// when the walk meets a dead one.
-    fn rewrite(&mut self) {
-        let mut fresh = Log { live: self.log.live, ..Log::default() };
-        for (n, chunk) in std::mem::take(&mut self.log.chunks).into_iter().enumerate() {
-            let mut pos = 0;
-            while let Some(enc) = encoded_at(&chunk, pos) {
-                let at = (n << CHUNK_BITS | pos) as u32;
-                let found = self.index.position(key_hash(enc.rec.key), at);
-                if let Some(slot) = found.and_then(|pos| self.index.slots.get_mut(pos)) {
-                    slot.at = fresh.append(enc, enc.bytes.len());
-                }
-                pos += enc.bytes.len();
-            }
-        }
-        self.log = fresh;
+        self.log.tidy(&mut self.index);
     }
 
     /// Look up a key's record (tombstones are returned — the caller decides
     /// what a tombstone means at its level of the search). It borrows the
     /// log: a caller copies out what it keeps (`Record::outcome`).
     pub fn get(&self, key: &[u8]) -> Option<Record<'_>> {
-        // Most gets of a read-mostly store search an empty table: no hash.
-        if self.is_empty() {
-            return None;
-        }
-        let found = self.index.find(key_hash(key), |at| self.log.record_of(at, key));
-        found.ok().map(|(_, rec)| rec)
+        self.log.lookup(&self.index, key).map(|(_, rec)| rec)
     }
 
     /// Key-sorted records, each with its owner: the one place a MemTable's
@@ -333,13 +201,13 @@ impl MemTable {
     /// chunk; any other in the index's order, each record where it lies.
     /// Hash order never leaves the table.
     pub(crate) fn records(&self) -> impl Iterator<Item = (Encoded<'_>, u32)> {
-        let key = |at| self.log.encoded(at).map(|enc| enc.rec.key).unwrap_or_default();
+        let key = |at| self.log.record(at).map(|enc| enc.rec.key).unwrap_or_default();
         let word = |key| u64::from_be_bytes(abbrev(key, self.prefix));
         let mut sorted = Vec::with_capacity(self.len());
-        if self.log.dead == 0 && self.index.slots.iter().all(|s| s.owner == NO_OWNER) {
+        if self.log.dead == 0 && self.index.occupied().all(|(_, s)| s.tag == NO_OWNER) {
             sorted.extend(self.log.walk().map(|(at, enc)| (word(enc.rec.key), at, NO_OWNER)));
         } else {
-            sorted.extend(self.index.occupied().map(|(_, s)| (word(key(s.at)), s.at, s.owner)));
+            sorted.extend(self.index.occupied().map(|(_, s)| (word(key(s.at)), s.at, s.tag)));
         }
         if sorted.len() >= RADIX_FROM {
             radix_sort(&mut sorted);
@@ -349,7 +217,7 @@ impl MemTable {
         for ties in sorted.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
             ties.sort_unstable_by(|a, b| key(a.1).cmp(key(b.1)));
         }
-        sorted.into_iter().filter_map(|(_, at, owner)| Some((self.log.encoded(at)?, owner)))
+        sorted.into_iter().filter_map(|(_, at, owner)| Some((self.log.record(at)?, owner)))
     }
 
     /// Key-sorted entries, each value copied out of the log.
@@ -364,21 +232,6 @@ impl MemTable {
     /// kept it while it grew (0 while it is empty).
     pub(crate) fn shared_prefix(&self) -> usize {
         self.prefix
-    }
-
-    /// The index's occupied slots, each with its position, the hash it
-    /// keeps, and the key of the record at its place (empty if there is
-    /// none; the auditor counts whole records apart).
-    pub(crate) fn keys(&self) -> impl Iterator<Item = (usize, u32, &[u8])> {
-        self.index.occupied().map(|(pos, slot)| {
-            (pos, slot.hash, self.log.encoded(slot.at).map(|enc| enc.rec.key).unwrap_or_default())
-        })
-    }
-
-    /// The position of the slot a lookup of `key` finds, if one does.
-    pub(crate) fn slot_of(&self, key: &[u8]) -> Option<usize> {
-        let found = self.index.find(key_hash(key), |at| self.log.record_of(at, key));
-        found.ok().map(|(pos, _)| pos)
     }
 
     /// Freeze: take the current contents out, leaving this table empty. The
@@ -439,6 +292,7 @@ mod tests {
     use super::*;
     use crate::index::tests::with_hash_bits;
     use crate::index::{Vacancy, FIRST_SLOTS, VACANT};
+    use crate::log::FIRST_CHUNK;
     use crate::sanity::{audit_memtable, AuditReport, ViolationKind};
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -448,9 +302,14 @@ mod tests {
         Bytes::copy_from_slice(s)
     }
 
+    /// The position of `key`'s slot.
+    fn slot_of(m: &MemTable, key: &[u8]) -> usize {
+        m.log.lookup(&m.index, key).unwrap().0
+    }
+
     /// The place in the log of `key`'s record.
     fn place(m: &MemTable, key: &[u8]) -> u32 {
-        m.index.slots[m.slot_of(key).unwrap()].at
+        m.index.slots[slot_of(m, key)].at
     }
 
     #[test]
@@ -530,7 +389,7 @@ mod tests {
     }
 
     /// A record larger than a chunk gets a chunk of its own, and the next
-    /// record a new one; chunks grow from the first's size to a full one.
+    /// record a new one.
     #[test]
     fn a_record_larger_than_a_chunk_gets_a_chunk_of_its_own() {
         let mut m = MemTable::new();
@@ -542,12 +401,6 @@ mod tests {
         assert_eq!(sizes, [FIRST_CHUNK, RECORD_HEADER + 3 + CHUNK + 1, FIRST_CHUNK << 2]);
         assert_eq!(m.get(b"big").unwrap().value, &big[..]);
         assert_eq!(m.get(b"after").unwrap().value, b"w");
-        let mut n = MemTable::new();
-        (0..12_000u32).for_each(|i| n.insert(&i.to_be_bytes(), Entry::value(bv(&[0; 100]))));
-        let sizes: Vec<usize> = n.log.chunks.iter().map(Vec::capacity).collect();
-        assert!(sizes.len() > 64, "{} chunks", sizes.len());
-        assert_eq!(sizes[..6], [512, 1024, 2048, 4096, 8192, CHUNK]);
-        assert!(sizes[6..].iter().all(|&size| size == CHUNK));
     }
 
     #[test]
@@ -806,15 +659,11 @@ mod tests {
             i += 1;
         }
         assert_eq!((m.len(), m.index.slots.len()), (3584, 4096));
-        let log = &m.log;
         let reads: Vec<usize> = (0..10_000)
             .map(|j| format!("absent-{j}"))
-            .map(|key| {
-                match m.index.find(key_hash(key.as_bytes()), |at| log.record_of(at, key.as_bytes()))
-                {
-                    Ok((pos, _)) => panic!("{key} found at {pos}"),
-                    Err(Vacancy { dist, .. }) => dist + 1,
-                }
+            .map(|key| match m.log.find(&m.index, key_hash(key.as_bytes()), key.as_bytes()) {
+                Ok((pos, _)) => panic!("{key} found at {pos}"),
+                Err(Vacancy { dist, .. }) => dist + 1,
             })
             .collect();
         let mean = reads.iter().sum::<usize>() as f64 / reads.len() as f64;
@@ -843,14 +692,14 @@ mod tests {
         assert_eq!(faults(&table()), Vec::<String>::new());
 
         let mut wrong = table();
-        let pos = wrong.slot_of(b"b").unwrap();
+        let pos = slot_of(&wrong, b"b");
         wrong.index.slots[pos].hash ^= 1 << 31;
         let got = faults(&wrong);
         assert!(got.iter().any(|d| d.contains(&format!("slot {pos} keeps hash"))), "{got:?}");
 
         // Into the vacant slot: the probe from its home stops where it was.
         let mut moved = table();
-        let pos = moved.slot_of(b"c").unwrap();
+        let pos = slot_of(&moved, b"c");
         let to = (0..4).find(|&to| moved.index.slots[to].at == VACANT).unwrap();
         moved.index.slots.swap(pos, to);
         let got = faults(&moved);
@@ -881,7 +730,7 @@ mod tests {
         for value in [&b"longer"[..], b"even longer", b"longer"] {
             m.insert(b"user-0001", Entry::value(bv(value)));
         }
-        assert_eq!((m.shared_prefix(), m.log.first_key()), (6, &b"user-0002"[..]));
+        assert_eq!((m.shared_prefix(), m.log.record(0).unwrap().rec.key), (6, &b"user-0002"[..]));
         m.insert(b"user-1", Entry::tombstone());
         assert_eq!(m.shared_prefix(), 5);
         assert_eq!(m.freeze().shared_prefix(), 5);

@@ -14,11 +14,11 @@
 //!   negatively).
 //! - **Registry shape**: live SSTables in ascending-SSID order, every SSID
 //!   below `next_ssid` ([`LsmState`]).
-//! - **MemTable accounting**: keys iterate in sorted order and the byte
-//!   accounting matches a recount ([`LsmState`]).
-//! - **Caches**: the local and remote caches' index finds every key from
-//!   its home slot, the recency ring holds exactly the cached entries, and
-//!   their bytes recount to the tracked total ([`LsmState`]).
+//! - **In-memory tables**, a MemTable's and a cache's alike: the index
+//!   finds every key from its home slot and the log's byte counts recount
+//!   ([`LsmState`]); a MemTable's keys iterate in sorted order and its
+//!   bytes recount to the tracked total; a cache's recency ring holds
+//!   exactly the cached entries, whose bytes recount too ([`LsmState`]).
 //! - **Quiescence / manifest agreement** (checked when no flush is
 //!   pending): immutable queues empty when their counters say so, the
 //!   on-NVM manifest lists exactly the live SSIDs and the same `next_ssid`
@@ -43,11 +43,12 @@
 
 use crate::ckpt;
 use crate::db::Db;
-use crate::index::key_hash;
+use crate::index::{key_hash, Index};
 use crate::key::shared_len;
+use crate::log::{Chunk, Log};
 use crate::lru::{Link, LruCache};
 use crate::memtable::{MemTable, ENTRY_OVERHEAD};
-use crate::sstable::{Cursor, Encoded, Record, SstReader, RECORD_HEADER};
+use crate::sstable::{Cursor, Encoded, Record, SstReader};
 use crate::stack::Stack;
 
 /// What kind of sanity violation was detected.
@@ -214,212 +215,127 @@ pub(crate) fn audit_sst(reader: &SstReader, report: &mut AuditReport) {
     }
 }
 
-/// Audit one MemTable: sorted iteration order, a whole record in the log
-/// for every key, the log's byte counts — live bytes as recounted, dead
-/// bytes never above them — byte-accounting drift, the shared prefix the
-/// table keeps for its sort, and the index: every slot keeps its key's
-/// hash, every key is found from its home slot, and the slots occupied are
-/// the keys counted.
-pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
-    let mut occupied = 0;
-    for (pos, hash, key) in mt.keys() {
-        occupied += 1;
-        let want = key_hash(key);
+/// Audit the index of a table, a MemTable or a cache as `label` says, over
+/// its log: every slot keeps its key's hash, every key is found from its
+/// home slot, the slots occupied are the keys counted, and the log's live
+/// bytes are the records the slots hold; its dead bytes are what else its
+/// chunks hold, never more than live.
+fn audit_index<C: Chunk>(label: &str, index: &Index, log: &Log<C>, report: &mut AuditReport) {
+    let mut fault = |detail| report.push(ViolationKind::LsmState, format!("{label} {detail}"));
+    let (mut occupied, mut live) = (0, 0);
+    for (pos, slot) in index.occupied() {
+        let record = log.record(slot.at);
+        let key = record.map(|enc| enc.rec.key).unwrap_or_default();
+        (occupied, live) = (occupied + 1, live + record.map_or(0, |enc| enc.bytes.len()));
+        let (hash, want) = (slot.hash, key_hash(key));
         if want != hash {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} MemTable slot {pos} keeps hash {hash:#010x}, its key {:?} hashes \
-                     to {want:#010x}",
-                    lossy(key)
-                ),
-            );
+            let key = lossy(key);
+            fault(format!(
+                "slot {pos} keeps hash {hash:#010x}, its key {key:?} hashes to {want:#010x}"
+            ));
         }
-        if mt.slot_of(key) != Some(pos) {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} MemTable key {:?} in slot {pos} is not found from its home slot",
-                    lossy(key)
-                ),
-            );
+        if log.lookup(index, key).map(|(found, _)| found) != Some(pos) {
+            fault(format!("key {:?} in slot {pos} is not found from its home slot", lossy(key)));
         }
     }
-    if occupied != mt.len() {
-        let keys = mt.len();
-        let detail = format!("{label} MemTable index occupies {occupied} slots for {keys} keys");
-        report.push(ViolationKind::LsmState, detail);
+    if occupied != index.len {
+        fault(format!("index occupies {occupied} slots for {} keys", index.len));
     }
+    let (held, tracked, dead) =
+        (log.chunks.iter().map(|c| c.len()).sum::<usize>(), log.live, log.dead);
+    if live != tracked || held != live + dead || dead > live {
+        fault(format!(
+            "log drift: its chunks hold {held} bytes, records {live} of them; tracked {tracked} \
+             live, {dead} dead"
+        ));
+    }
+}
+
+/// Audit one MemTable: its index and log (`audit_index`), the shared prefix
+/// the table keeps for its sort, sorted iteration order, a whole record for
+/// every key, and byte-accounting drift.
+pub(crate) fn audit_memtable(label: &str, mt: &MemTable, report: &mut AuditReport) {
+    let label = format!("{label} MemTable");
+    audit_index(&label, &mt.index, &mt.log, report);
+    let mut fault = |detail| report.push(ViolationKind::LsmState, format!("{label} {detail}"));
     // The prefix the table kept as it grew, which its sort skips, recounted.
-    let mut keys = mt.keys().map(|(_, _, key)| key);
+    let mut keys = mt.records().map(|(enc, _)| enc.rec.key);
     let shared = keys.next().map_or(0, |first| {
         keys.fold(first.len(), |shared, key| {
             shared_len(first.get(..shared).unwrap_or_default(), key)
         })
     });
-    if shared != mt.shared_prefix() {
-        let kept = mt.shared_prefix();
-        let detail = format!(
-            "{label} MemTable keeps a shared prefix of {kept} bytes; its keys share {shared}"
-        );
-        report.push(ViolationKind::LsmState, detail);
+    let kept = mt.shared_prefix();
+    if shared != kept {
+        fault(format!("keeps a shared prefix of {kept} bytes; its keys share {shared}"));
     }
-    let (mut recount, mut records, mut live) = (0u64, 0usize, 0usize);
+    let (mut recount, mut records) = (0u64, 0usize);
     let mut prev: Option<&[u8]> = None;
-    for (Encoded { rec, bytes }, _) in mt.records() {
+    for (Encoded { rec, .. }, _) in mt.records() {
         let key = rec.key;
         recount += (key.len() + rec.value.len()) as u64 + ENTRY_OVERHEAD;
-        (records, live) = (records + 1, live + bytes.len());
-        if let Some(p) = prev {
-            if p >= key {
-                report.push(
-                    ViolationKind::LsmState,
-                    format!(
-                        "{label} MemTable iterates out of key order: {:?} not before {:?}",
-                        lossy(p),
-                        lossy(key)
-                    ),
-                );
-            }
+        records += 1;
+        if let Some(p) = prev.filter(|&p| p >= key) {
+            let (p, key) = (lossy(p), lossy(key));
+            fault(format!("iterates out of key order: {p:?} not before {key:?}"));
         }
         prev = Some(key);
     }
-    if records != mt.len() {
-        let keys = mt.len();
-        let detail = format!("{label} MemTable log holds records of {records} of its {keys} keys");
-        report.push(ViolationKind::LsmState, detail);
+    let (keys, bytes) = (mt.len(), mt.bytes());
+    if records != keys {
+        fault(format!("log holds records of {records} of its {keys} keys"));
     }
-    let (tracked, dead) = (mt.encoded_len(), mt.dead_len());
-    if live != tracked || dead > live {
-        report.push(
-            ViolationKind::LsmState,
-            format!(
-                "{label} MemTable log accounting drift: {live} live bytes recounted, \
-                 {tracked} tracked, {dead} dead"
-            ),
-        );
-    }
-    if recount != mt.bytes() {
-        report.push(
-            ViolationKind::LsmState,
-            format!(
-                "{label} MemTable byte accounting drift: recount {recount} != tracked {}",
-                mt.bytes()
-            ),
-        );
+    if recount != bytes {
+        fault(format!("byte accounting drift: recount {recount} != tracked {bytes}"));
     }
 }
 
-/// Audit one cache: the index — every slot keeps its key's hash, every key
-/// is found from its home slot, the slots occupied are the keys counted —
-/// the recency ring — from its most recent entry round to it again it
+/// Audit one cache: its index and log (`audit_index`) and what its links
+/// hold. The recency ring, from its most recent entry round to it again,
 /// visits exactly `len()` entries, each naming the one before it as its
-/// `prev` (the first, the last), none of them free — and the log: each
-/// entry's link names the place of a record whose key a lookup finds at
-/// that entry, and keeps that key's hash and the record's size; the
-/// records recount to `bytes()`, at most the capacity, and to the log's
-/// live bytes, and what else its chunks hold to its dead bytes.
+/// `prev` (the first, the last), none of them free; each entry's slot,
+/// found by its hash and number, holds the place of a record whose key has
+/// that hash and whose size the link keeps; the records recount to
+/// `bytes()`, at most the capacity.
 pub(crate) fn audit_cache(label: &str, cache: &LruCache, report: &mut AuditReport) {
-    let mut occupied = 0;
-    for (pos, hash, key) in cache.keys() {
-        occupied += 1;
-        let want = key_hash(key);
-        if want != hash {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} cache slot {pos} keeps hash {hash:#010x}, its key {:?} hashes to \
-                     {want:#010x}",
-                    lossy(key)
-                ),
-            );
-        }
-        if cache.slot_of(key).map(|(slot, _)| slot) != Some(pos) {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} cache key {:?} in slot {pos} is not found from its home slot",
-                    lossy(key)
-                ),
-            );
-        }
-    }
-    let keys = cache.len();
-    if occupied != keys {
-        let detail = format!("{label} cache index occupies {occupied} slots for {keys} keys");
-        report.push(ViolationKind::LsmState, detail);
-    }
+    let label = format!("{label} cache");
+    audit_index(&label, &cache.index, &cache.log, report);
+    let mut fault = |detail| report.push(ViolationKind::LsmState, format!("{label} {detail}"));
     let free: std::collections::BTreeSet<u32> = cache.free_entries().collect();
     let ring: Vec<(u32, Link, Option<Record>)> = cache.recency().collect();
-    let (mut recount, mut live) = (0u64, 0usize);
+    let mut recount = 0u64;
     for (n, &(i, link, rec)) in ring.iter().enumerate() {
         let before = ring.get((n + ring.len() - 1) % ring.len()).map_or(i, |e| e.0);
         if link.prev != before {
-            let detail =
-                format!("{label} cache entry {i} links back to {}, not {before}", link.prev);
-            report.push(ViolationKind::LsmState, detail);
+            fault(format!("entry {i} links back to {}, not {before}", link.prev));
         }
         if free.contains(&i) {
-            report.push(
-                ViolationKind::LsmState,
-                format!("{label} cache entry {i} is listed and free"),
-            );
+            fault(format!("entry {i} is listed and free"));
         }
         let Some(rec) = rec else {
-            let detail = format!("{label} cache entry {i}'s place {:#x} holds no record", link.at);
-            report.push(ViolationKind::LsmState, detail);
+            fault(format!("entry {i} has no slot or no record at its place"));
             continue;
         };
         let size = rec.key.len() + rec.value.len();
         recount += size as u64;
-        live += RECORD_HEADER + size;
         let want = key_hash(rec.key);
         if link.hash != want || link.size as usize != size {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} cache entry {i} keeps hash {:#010x} and size {}, its record {:?} at \
-                     {:#x} hashes to {want:#010x} and holds {size}",
-                    link.hash,
-                    link.size,
-                    lossy(rec.key),
-                    link.at
-                ),
-            );
-        }
-        if cache.slot_of(rec.key).map(|(_, entry)| entry) != Some(i) {
-            report.push(
-                ViolationKind::LsmState,
-                format!(
-                    "{label} cache entry {i}'s record {:?} is not the one a lookup of its key finds",
-                    lossy(rec.key)
-                ),
-            );
+            let key = lossy(rec.key);
+            fault(format!(
+                "entry {i} keeps hash {:#010x} and size {}, its record {key:?} hashes to \
+                 {want:#010x} and holds {size}",
+                link.hash, link.size,
+            ));
         }
     }
+    let (keys, tracked, capacity) = (cache.len(), cache.bytes(), cache.capacity());
     if ring.len() != keys {
-        let detail = format!("{label} cache list visits {} entries for {keys} keys", ring.len());
-        report.push(ViolationKind::LsmState, detail);
+        fault(format!("list visits {} entries for {keys} keys", ring.len()));
     }
-    let (tracked, capacity) = (cache.bytes(), cache.capacity());
     if recount != tracked || tracked > capacity {
-        report.push(
-            ViolationKind::LsmState,
-            format!(
-                "{label} cache byte accounting drift: recount {recount}, tracked {tracked}, \
-                 capacity {capacity}"
-            ),
-        );
-    }
-    let (tracked_live, tracked_dead, held) = cache.log_bytes();
-    if live != tracked_live || held.checked_sub(live) != Some(tracked_dead) {
-        report.push(
-            ViolationKind::LsmState,
-            format!(
-                "{label} cache log drift: its chunks hold {held} bytes, records {live} of them; \
-                 tracked {tracked_live} live, {tracked_dead} dead"
-            ),
-        );
+        fault(format!(
+            "byte accounting drift: recount {recount}, tracked {tracked}, capacity {capacity}"
+        ));
     }
 }
 
@@ -618,7 +534,7 @@ mod tests {
     use super::*;
     use crate::bloom::Bloom;
     use crate::memtable::Entry;
-    use crate::sstable::{build_at, Record, TableImage};
+    use crate::sstable::{build_at, TableImage};
     use bytes::Bytes;
     use papyrus_nvm::NvmStore;
     use papyrus_simtime::DeviceModel;

@@ -681,7 +681,7 @@ impl TableImage {
     /// live bytes of the log — since the buffer is the one the store keeps,
     /// so slack would live as long as the table does.
     pub(crate) fn of_memtable(mt: &MemTable) -> Self {
-        Self::encode(mt.encoded_len(), mt.len(), mt.records().map(|(enc, _)| enc))
+        Self::encode(mt.log.live, mt.len(), mt.records().map(|(enc, _)| enc))
     }
 
     /// One attempt at writing the three files under `base`, one sequential
@@ -1399,7 +1399,7 @@ pub(crate) mod tests {
                 let overhead = crate::memtable::ENTRY_OVERHEAD - RECORD_HEADER as u64;
                 let flush_len = mt.bytes() - mt.len() as u64 * overhead;
                 prop_assert_eq!(image.images[0].len() as u64, flush_len);
-                prop_assert_eq!(image.images[0].len(), mt.encoded_len());
+                prop_assert_eq!(image.images[0].len(), mt.log.live);
                 prop_assert_eq!(&image.images[2][..], &rewalked(&image.images[0])[..]);
                 let base = format!("t{i}");
                 image.write_at(&s, &base, 0);
